@@ -1,6 +1,10 @@
 package doccheck
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strings"
 	"testing"
 )
 
@@ -44,6 +48,44 @@ func TestExportedDocCoverage(t *testing.T) {
 	}
 	if len(vs) > 0 {
 		t.Logf("%d exported identifiers lack doc comments", len(vs))
+	}
+}
+
+// TestBulkWireTypesAudited pins that the request and reply types of the bulk
+// routes are exported types of internal/service, a package the audit above
+// covers: moving one to an unaudited package, or unexporting it, fails here
+// rather than silently dropping it from the doc gate.
+func TestBulkWireTypesAudited(t *testing.T) {
+	audited := false
+	for _, d := range auditedDirs {
+		audited = audited || d == "internal/service"
+	}
+	if !audited {
+		t.Fatal("internal/service is no longer audited")
+	}
+	pkgs, err := parser.ParseDir(token.NewFileSet(), "../service", nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, pkg := range pkgs {
+		for name, file := range pkg.Files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			ast.Inspect(file, func(n ast.Node) bool {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					declared[ts.Name.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	for _, name := range []string{"BulkRequest", "BulkReply", "ItemResult", "BatchSample",
+		"StatusResult", "BillItem", "BillResult", "OrderLookup", "PlanResult"} {
+		if !declared[name] {
+			t.Errorf("bulk wire type %s is not declared in internal/service", name)
+		}
 	}
 }
 

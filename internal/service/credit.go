@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
@@ -18,6 +16,12 @@ import (
 //	GET  /orders/{id}
 //	GET  /accounts/{user}
 //	GET  /has-credits/{id}   → {has_credits}
+//	POST /bills              charge many orders, each an ordered list of bills
+//	POST /orders/lookup      order and has-credits of many batches
+//
+// The two bulk routes (see bulk.go) are the Scheduler tick's: /bills is
+// /orders/{id}/bill applied charge by charge, /orders/lookup is
+// /has-credits/{id} and /orders/{id} in one answer.
 type CreditService struct {
 	credits *core.CreditSystem
 }
@@ -52,6 +56,47 @@ type BillRequest struct {
 type BillReply struct {
 	Billed    float64 `json:"billed"`
 	Exhausted bool    `json:"exhausted"`
+}
+
+// BillItem is one item of POST /bills: the charges against one batch's order,
+// in the order they are to be applied (one per cloud instance). The amounts
+// are applied one by one, never summed, so a bulk tick bills exactly what the
+// same charges sent one request each would.
+type BillItem struct {
+	// BatchID names the order.
+	BatchID string `json:"batch_id"`
+	// Credits are the amounts to charge, applied in order until the order
+	// runs dry.
+	Credits []float64 `json:"credits"`
+}
+
+// BillResult is one result of POST /bills.
+type BillResult struct {
+	// BatchID names the order.
+	BatchID string `json:"batch_id"`
+	// Applied is how many of the item's charges were applied, counted from
+	// the first and including the one that ran the order dry. The rest were
+	// not: the caller's usage windows for them stay open.
+	Applied int `json:"applied"`
+	// Exhausted reports that the order ran dry.
+	Exhausted bool `json:"exhausted"`
+	// Error is the failure that stopped the item, empty if none did.
+	Error string `json:"error,omitempty"`
+}
+
+// OrderLookup is one result of POST /orders/lookup. A batch without an order
+// is not an error: Found and HasCredits are false.
+type OrderLookup struct {
+	// BatchID names the batch.
+	BatchID string `json:"batch_id"`
+	// Found reports whether the batch has an order, open or closed.
+	Found bool `json:"found"`
+	// HasCredits is what GET /has-credits/{id} answers.
+	HasCredits bool `json:"has_credits"`
+	// Order is what GET /orders/{id} answers (zero unless Found).
+	Order core.Order `json:"order"`
+	// Error is set only by the client, when the request as a whole failed.
+	Error string `json:"error,omitempty"`
 }
 
 // PayReply reports the refund of a closed order.
@@ -101,6 +146,15 @@ func (s *CreditService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusOK, BillReply{Billed: billed, Exhausted: exhausted})
 
+	case r.Method == http.MethodPost && r.URL.Path == "/bills":
+		serveBulk(w, r, func(it BillItem) string { return it.BatchID }, s.billAll)
+
+	case r.Method == http.MethodPost && r.URL.Path == "/orders/lookup":
+		serveBulk(w, r, sameID, func(id string) OrderLookup {
+			o, found := s.credits.OrderOf(id)
+			return OrderLookup{BatchID: id, Found: found, HasCredits: s.credits.HasCredits(id), Order: o}
+		})
+
 	case r.Method == http.MethodPost && segmentsMatch(r.URL.Path, "orders", "pay"):
 		id := middleSegment(r.URL.Path, "orders")
 		refund, err := s.credits.Pay(id)
@@ -129,6 +183,25 @@ func (s *CreditService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
 	}
+}
+
+// billAll applies one batch's charges in order and stops at the first that
+// fails or runs the order dry.
+func (s *CreditService) billAll(it BillItem) BillResult {
+	res := BillResult{BatchID: it.BatchID}
+	for _, c := range it.Credits {
+		_, exhausted, err := s.credits.Bill(it.BatchID, c)
+		if err != nil {
+			res.Error = err.Error()
+			break
+		}
+		res.Applied++
+		if exhausted {
+			res.Exhausted = true
+			break
+		}
+	}
+	return res
 }
 
 func (s *CreditService) creditsAccount(user string) core.Account {
@@ -160,15 +233,7 @@ func NewCreditClient(baseURL string) *CreditClient {
 }
 
 func (c *CreditClient) post(path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, out)
+	return postJSON(c.HTTP, c.BaseURL+path, body, out)
 }
 
 // Deposit funds a user account.
@@ -186,6 +251,22 @@ func (c *CreditClient) Bill(batchID string, credits float64) (BillReply, error) 
 	var out BillReply
 	err := c.post("/orders/"+batchID+"/bill", BillRequest{Credits: credits}, &out)
 	return out, err
+}
+
+// Bills charges many orders with POST /bills and returns one result per item,
+// in order. A request that fails as a whole is reported in the results of the
+// items it carried, with Applied 0.
+func (c *CreditClient) Bills(items []BillItem) []BillResult {
+	return bulkCall(c.HTTP, c.BaseURL+"/bills", items,
+		func(it BillItem) int { return max(1, len(it.Credits)) },
+		func(it BillItem, msg string) BillResult { return BillResult{BatchID: it.BatchID, Error: msg} })
+}
+
+// Orders looks many batches' orders up with POST /orders/lookup and returns
+// one result per id, in order.
+func (c *CreditClient) Orders(batchIDs []string) []OrderLookup {
+	return bulkCall(c.HTTP, c.BaseURL+"/orders/lookup", batchIDs, oneEach,
+		func(id, msg string) OrderLookup { return OrderLookup{BatchID: id, Error: msg} })
 }
 
 // Pay closes an order, returning the refund.

@@ -2,7 +2,6 @@ package service
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -15,13 +14,17 @@ import (
 //
 //	POST /batches                     register a batch for monitoring
 //	POST /batches/{id}/samples       append a monitoring sample
+//	POST /samples                    append one sample to each of many batches
 //	GET  /batches/{id}               batch status summary
+//	POST /statuses                   status summaries of many batches
 //	GET  /batches                    list tracked batch IDs
 //	GET  /stats                      archive size and service uptime
 //
 // Samples arrive from DG-side monitors (a few hundred bytes per minute per
 // BoT, as §3.2 notes), so one Information service can archive many BoTs and
-// infrastructures simultaneously.
+// infrastructures simultaneously. The two bulk routes (see bulk.go) are what
+// the Scheduler's tick and the Oracle's /plans use: each applies the
+// single-item route's function to every item and reports per item.
 type InformationService struct {
 	mu   sync.RWMutex
 	info *core.Information
@@ -82,6 +85,25 @@ type BatchStatus struct {
 	TC50 float64 `json:"tc50"`
 }
 
+// BatchSample is one item of POST /samples: a monitoring sample and the batch
+// it belongs to.
+type BatchSample struct {
+	// BatchID names the batch.
+	BatchID string `json:"batch_id"`
+	// Sample is what POST /batches/{id}/samples takes as its body.
+	Sample core.Sample `json:"sample"`
+}
+
+// StatusResult is one result of POST /statuses.
+type StatusResult struct {
+	// BatchID names the batch.
+	BatchID string `json:"batch_id"`
+	// Status is the batch's summary; nil when Error is set.
+	Status *BatchStatus `json:"status,omitempty"`
+	// Error is empty on success.
+	Error string `json:"error,omitempty"`
+}
+
 func statusOf(bi *core.BatchInfo) BatchStatus {
 	st := BatchStatus{
 		BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
@@ -135,17 +157,29 @@ func (s *InformationService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		s.mu.Lock()
-		bi := s.info.Get(id)
-		if bi != nil {
-			bi.AddSample(bi.SubmittedAt+sample.T, sample.Completed, sample.Assigned, sample.Queued, sample.Running)
-		}
-		s.mu.Unlock()
-		if bi == nil {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("batch %q not tracked", id))
+		if err := s.addSample(id, sample); err != nil {
+			writeErr(w, http.StatusNotFound, err)
 			return
 		}
 		writeJSON(w, http.StatusAccepted, map[string]string{"batch_id": id})
+
+	case r.Method == http.MethodPost && r.URL.Path == "/samples":
+		serveBulk(w, r, func(it BatchSample) string { return it.BatchID }, func(it BatchSample) ItemResult {
+			res := ItemResult{BatchID: it.BatchID}
+			if err := s.addSample(it.BatchID, it.Sample); err != nil {
+				res.Error = err.Error()
+			}
+			return res
+		})
+
+	case r.Method == http.MethodPost && r.URL.Path == "/statuses":
+		serveBulk(w, r, sameID, func(id string) StatusResult {
+			st, err := s.status(id)
+			if err != nil {
+				return StatusResult{BatchID: id, Error: err.Error()}
+			}
+			return StatusResult{BatchID: id, Status: &st}
+		})
 
 	case r.Method == http.MethodGet && r.URL.Path == "/batches":
 		s.mu.RLock()
@@ -163,16 +197,9 @@ func (s *InformationService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, st)
 
 	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/batches/") != "":
-		id := pathTail(r.URL.Path, "/batches/")
-		s.mu.RLock()
-		bi := s.info.Get(id)
-		var st BatchStatus
-		if bi != nil {
-			st = statusOf(bi)
-		}
-		s.mu.RUnlock()
-		if bi == nil {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("batch %q not tracked", id))
+		st, err := s.status(pathTail(r.URL.Path, "/batches/"))
+		if err != nil {
+			writeErr(w, http.StatusNotFound, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, st)
@@ -180,6 +207,31 @@ func (s *InformationService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
 	}
+}
+
+// addSample appends one monitoring sample to a tracked batch: the per-item
+// function of both sample routes.
+func (s *InformationService) addSample(id string, sample core.Sample) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	bi := s.info.Get(id)
+	if bi == nil {
+		return fmt.Errorf("batch %q not tracked", id)
+	}
+	bi.AddSample(bi.SubmittedAt+sample.T, sample.Completed, sample.Assigned, sample.Queued, sample.Running)
+	return nil
+}
+
+// status summarizes one tracked batch: the per-item function of both status
+// routes.
+func (s *InformationService) status(id string) (BatchStatus, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	bi := s.info.Get(id)
+	if bi == nil {
+		return BatchStatus{}, fmt.Errorf("batch %q not tracked", id)
+	}
+	return statusOf(bi), nil
 }
 
 // Info exposes the wrapped archive (used by co-located modules).
@@ -229,15 +281,7 @@ func NewInformationClient(baseURL string) *InformationClient {
 }
 
 func (c *InformationClient) post(path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, out)
+	return postJSON(c.HTTP, c.BaseURL+path, body, out)
 }
 
 // Track registers a batch.
@@ -248,6 +292,21 @@ func (c *InformationClient) Track(req TrackRequest) error {
 // AddSample appends a monitoring sample for a batch.
 func (c *InformationClient) AddSample(batchID string, s core.Sample) error {
 	return c.post("/batches/"+batchID+"/samples", s, nil)
+}
+
+// AddSamples appends one sample to each of many batches with POST /samples
+// and returns one result per item, in order. A request that fails as a whole
+// is reported in the results of the items it carried.
+func (c *InformationClient) AddSamples(items []BatchSample) []ItemResult {
+	return bulkCall(c.HTTP, c.BaseURL+"/samples", items, oneEach,
+		func(it BatchSample, msg string) ItemResult { return ItemResult{BatchID: it.BatchID, Error: msg} })
+}
+
+// Statuses fetches the summaries of many batches with POST /statuses and
+// returns one result per id, in order.
+func (c *InformationClient) Statuses(batchIDs []string) []StatusResult {
+	return bulkCall(c.HTTP, c.BaseURL+"/statuses", batchIDs, oneEach,
+		func(id, msg string) StatusResult { return StatusResult{BatchID: id, Error: msg} })
 }
 
 // Status fetches a batch summary.

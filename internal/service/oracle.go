@@ -1,8 +1,6 @@
 package service
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -16,8 +14,13 @@ import (
 //
 //	GET  /predict/{batch}       completion-time prediction
 //	POST /plan                  {batch_id, credit_cpu_hours} → start decision
+//	POST /plans                 start decisions for many batches
 //	POST /calibration           {env_key, base, actual} archive an execution
 //	GET  /calibration/{env}     α and success rate of an environment
+//
+// The bulk route /plans (see bulk.go) is the Scheduler tick's: it reads every
+// batch's state with one POST /statuses to Information and runs /plan's
+// decision on each.
 type OracleService struct {
 	mu     sync.Mutex
 	oracle *core.Oracle
@@ -46,6 +49,16 @@ type PlanReply struct {
 	// no work, releasing their credits — the Greedy release policy (§3.5:
 	// "Cloud workers that do not have tasks assigned stop immediately").
 	ReleaseIdle bool `json:"release_idle"`
+}
+
+// PlanResult is one result of POST /plans.
+type PlanResult struct {
+	// BatchID names the batch.
+	BatchID string `json:"batch_id"`
+	// Plan is the decision; meaningful only when Error is empty.
+	Plan PlanReply `json:"plan"`
+	// Error is empty on success.
+	Error string `json:"error,omitempty"`
 }
 
 // CalibrationRecord archives one finished execution.
@@ -100,6 +113,31 @@ func (s *OracleService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		writeJSON(w, http.StatusOK, s.plan(st, req.CreditCPUHours))
+
+	case r.Method == http.MethodPost && r.URL.Path == "/plans":
+		reqs, err := readBulk(r, func(p PlanRequest) string { return p.BatchID })
+		if err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		ids := make([]string, len(reqs))
+		for i, req := range reqs {
+			ids[i] = req.BatchID
+		}
+		results := make([]PlanResult, len(reqs))
+		for i, st := range s.info.Statuses(ids) {
+			results[i] = PlanResult{BatchID: ids[i]}
+			switch {
+			case st.Error != "":
+				// The text /plan answers when its status fetch fails.
+				results[i].Error = itemErr(st.Error).Error()
+			case st.Status == nil:
+				results[i].Error = "information returned neither a status nor an error"
+			default:
+				results[i].Plan = s.plan(*st.Status, reqs[i].CreditCPUHours)
+			}
+		}
+		writeJSON(w, http.StatusOK, BulkReply[PlanResult]{Results: results})
 
 	case r.Method == http.MethodPost && r.URL.Path == "/calibration":
 		var rec CalibrationRecord
@@ -205,15 +243,7 @@ func NewOracleClient(baseURL string) *OracleClient {
 }
 
 func (c *OracleClient) post(path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, out)
+	return postJSON(c.HTTP, c.BaseURL+path, body, out)
 }
 
 // Predict fetches a completion-time prediction.
@@ -232,6 +262,14 @@ func (c *OracleClient) Plan(batchID string, creditHours float64) (PlanReply, err
 	var out PlanReply
 	err := c.post("/plan", PlanRequest{BatchID: batchID, CreditCPUHours: creditHours}, &out)
 	return out, err
+}
+
+// Plans asks for many provisioning decisions with POST /plans and returns one
+// result per request, in order. A request that fails as a whole is reported
+// in the results of the items it carried.
+func (c *OracleClient) Plans(reqs []PlanRequest) []PlanResult {
+	return bulkCall(c.HTTP, c.BaseURL+"/plans", reqs, oneEach,
+		func(p PlanRequest, msg string) PlanResult { return PlanResult{BatchID: p.BatchID, Error: msg} })
 }
 
 // RecordCalibration archives a finished execution.

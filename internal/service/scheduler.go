@@ -59,6 +59,13 @@ type WorkerStatusGateway interface {
 //	GET  /qos/{id}   QoS status of a batch
 //	POST /step       run one monitor iteration (the daemon also ticks)
 //	GET  /instances  list managed cloud instances
+//
+// One monitor iteration is a phased tick (see tick): poll the DG once, then
+// one bulk request per module and step — POST /samples to Information,
+// POST /bills and POST /orders/lookup to Credit, POST /plans to the Oracle —
+// and last a serial apply loop in registration order for what batches share:
+// exhaustion stops, idle release, finalization, tier admission, launches.
+// Step and StepBatch are that one tick, over every batch and over one.
 type SchedulerService struct {
 	info     *InformationClient
 	credits  *CreditClient
@@ -71,8 +78,8 @@ type SchedulerService struct {
 	// batches holding live instances is under the tier's MaxActive cap and
 	// the fleet as a whole is under FleetCap. The in-process scheduler
 	// (internal/core) additionally runs weighted slot arbitration per tick;
-	// the HTTP scheduler steps batches independently, so it enforces the
-	// caps and lets denied batches retry on later ticks.
+	// the HTTP scheduler admits batches one by one in registration order,
+	// so it enforces the caps and lets denied batches retry on later ticks.
 	TierPolicy *core.TierPolicy
 
 	// Now is the clock used for billing; overridable in tests.
@@ -101,9 +108,9 @@ type schedBatch struct {
 	// ReleaseIdle is the Oracle's release policy for this batch: stop
 	// booted workers that obtained no work (Greedy sizing).
 	ReleaseIdle bool
-	// stepping serializes monitor iterations per batch: the daemon ticker
-	// and external POST /step clients may race, and a double step must not
-	// double-bill or double-launch.
+	// stepping marks the batch as claimed by a tick in progress: the daemon
+	// ticker and external POST /step clients may race, and a double step
+	// must not double-bill or double-launch.
 	stepping bool
 
 	instances []managedInstance
@@ -284,147 +291,256 @@ func (s *SchedulerService) Instances() []cloud.InstanceInfo {
 }
 
 // Step runs one monitor iteration over every registered batch (the body of
-// Algorithms 1 and 2). Against a BatchProgressGateway the DG is polled ONCE
-// for all active batches — the aggregated query that keeps the per-tick
-// gateway traffic O(1) in the number of registered batches; otherwise each
-// batch polls individually.
-func (s *SchedulerService) Step() error {
-	s.mu.Lock()
-	ids := make([]string, 0, len(s.order))
-	for _, id := range s.order {
-		if qb := s.batches[id]; qb != nil && !qb.Finalized {
-			ids = append(ids, id)
-		}
-	}
-	s.mu.Unlock()
-	if len(ids) == 0 {
-		return nil
-	}
-	var progress map[string]middleware.Progress
-	if bg, ok := s.dg.(BatchProgressGateway); ok {
-		p, err := bg.ProgressBatch(ids)
-		if err != nil {
-			// Transient gateway errors retry next tick, as with per-batch
-			// polling; no batch consumed a partial view.
-			return fmt.Errorf("scheduler: DG batch progress: %w", err)
-		}
-		progress = p
-	}
-	var firstErr error
-	for _, id := range ids {
-		var pre *middleware.Progress
-		if progress != nil {
-			if p, ok := progress[id]; ok {
-				pre = &p
-			}
-		}
-		if err := s.stepBatch(id, pre); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
+// Algorithms 1 and 2) as one phased tick; see tick.
+func (s *SchedulerService) Step() error { return s.tick(nil) }
 
-// StepBatch runs one monitor iteration for a single batch, polling only
-// that batch. The emulation's event-driven finalization uses it so one
-// batch's completion settles its own billing at the completion instant
+// StepBatch runs one monitor iteration for a single batch: the same tick on
+// a one-element list. The emulation's event-driven finalization uses it so
+// one batch's completion settles its own billing at the completion instant
 // without advancing the other batches' monitor state between ticks (the
 // in-process simulator finalizes exactly one batch per completion event).
-func (s *SchedulerService) StepBatch(id string) error {
-	return s.stepBatch(id, nil)
+func (s *SchedulerService) StepBatch(id string) error { return s.tick([]string{id}) }
+
+// tickBatch is one claimed batch's way through a tick.
+type tickBatch struct {
+	qb       *schedBatch
+	progress middleware.Progress
+	elapsed  float64 // seconds since registration, the sample's T
+	// err is the batch's first failure. A failed batch sits the rest of the
+	// tick out — exactly what returning from a per-batch step did — and its
+	// neighbours carry on.
+	err error
+	// plan is the Oracle's decision, nil unless one was asked for.
+	plan *PlanReply
 }
 
-// stepBatch runs one monitor iteration for one batch. pre is the batch's
-// progress from this tick's aggregated poll (nil ⇒ poll individually).
-func (s *SchedulerService) stepBatch(id string, pre *middleware.Progress) error {
-	// Claim the batch for this iteration: concurrent steps (daemon ticker
-	// plus external POST /step clients) must not double-bill or
-	// double-launch. Losing the claim is not an error — the other step is
-	// doing the same work.
-	s.mu.Lock()
-	qb := s.batches[id]
-	if qb == nil || qb.Finalized || qb.stepping {
-		s.mu.Unlock()
+// tick is the monitor iteration over the named batches (nil: every batch not
+// yet finalized), in registration order. Its cost in module round trips does
+// not depend on how many batches there are:
+//
+//  1. claim the batches and poll the DG once (BatchProgressGateway);
+//  2. one POST /samples to Information;
+//  3. one POST /bills to Credit: each batch's usage since its instances'
+//     last bill, completing batches included;
+//  4. one POST /orders/lookup to Credit for the batches not yet started;
+//  5. one POST /plans to the Oracle (which makes one POST /statuses to
+//     Information) for those of them that have credits left;
+//  6. the apply loop, serial and in registration order: stop the fleet of an
+//     exhausted order, release idle workers (Greedy), finalize completed
+//     batches (stop, pay, archive the calibration: three calls each), and
+//     for a plan that says start, tier admission and the launches.
+//
+// Steps 2 to 5 read and write only state that belongs to one batch — its
+// samples, its own order — so running them for every batch before any batch
+// is applied changes no decision. Everything that batches share (the cloud
+// driver and its instance ids, the fleet that admitTier counts) is touched
+// in step 6 alone, where batch k sees what batches 1..k-1 did this tick and
+// nothing of what k+1.. will do, as when each batch was stepped in turn.
+//
+// No lock is held across a call to a module, the DG or a cloud driver: the
+// claim keeps other ticks off a batch, so its state is read freely here and
+// written under s.mu only for the benefit of Status and Instances.
+func (s *SchedulerService) tick(ids []string) error {
+	batches := s.claim(ids)
+	if len(batches) == 0 {
 		return nil
 	}
-	qb.stepping = true
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		qb.stepping = false
-		s.mu.Unlock()
-	}()
-
-	// Monitor: pull progress from the DG (unless the aggregated poll
-	// already fetched it), push a sample to Information.
-	var p middleware.Progress
-	if pre != nil {
-		p = *pre
-	} else {
-		var err error
-		p, err = s.dg.Progress(id)
-		if err != nil {
-			return fmt.Errorf("scheduler: DG progress for %q: %w", id, err)
-		}
+	defer s.unclaim(batches)
+	if err := s.pollDG(batches); err != nil {
+		return err
 	}
 	now := s.Now()
-	elapsed := now.Sub(qb.StartedAt).Seconds()
-	if err := s.info.AddSample(id, core.Sample{
-		T: elapsed, Completed: p.Completed, Assigned: p.EverAssigned,
-		Queued: p.Queued, Running: p.Running,
-	}); err != nil {
-		return err
+	s.sendSamples(batches, now)
+	s.sendBills(batches, now)
+	s.fetchPlans(batches)
+	for _, tb := range batches {
+		if tb.err == nil {
+			tb.err = s.apply(tb, now)
+		}
 	}
+	for _, tb := range batches {
+		if tb.err != nil {
+			return tb.err
+		}
+	}
+	return nil
+}
 
-	if p.Done() {
-		return s.finalize(qb, elapsed)
-	}
-
-	// Algorithm 2: bill running instances; stop everything when the order
-	// runs dry; under the Greedy policy, release workers that got no work.
-	if err := s.billInstances(qb, now); err != nil {
-		return err
-	}
-	if s.exhausted(qb) {
-		s.stopAll(qb, now)
-		return nil
-	}
-	if err := s.releaseIdleInstances(qb, now); err != nil {
-		return err
-	}
-
-	// Algorithm 1: ask the Oracle whether to start cloud workers.
+// claim marks the named batches as being stepped and returns them. Concurrent
+// ticks (daemon ticker plus external POST /step clients) must not double-bill
+// or double-launch; a batch another tick holds is skipped, not an error — the
+// other tick is doing the same work.
+func (s *SchedulerService) claim(ids []string) []*tickBatch {
 	s.mu.Lock()
-	started := qb.Started
-	s.mu.Unlock()
-	if started {
+	defer s.mu.Unlock()
+	if ids == nil {
+		ids = s.order
+	}
+	var out []*tickBatch
+	for _, id := range ids {
+		if qb := s.batches[id]; qb != nil && !qb.Finalized && !qb.stepping {
+			qb.stepping = true
+			out = append(out, &tickBatch{qb: qb})
+		}
+	}
+	return out
+}
+
+func (s *SchedulerService) unclaim(batches []*tickBatch) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, tb := range batches {
+		tb.qb.stepping = false
+	}
+}
+
+// pollDG fetches every claimed batch's progress: one aggregated query against
+// a BatchProgressGateway, one Progress call per batch otherwise (and for any
+// batch the aggregated reply left out).
+func (s *SchedulerService) pollDG(batches []*tickBatch) error {
+	var polled map[string]middleware.Progress
+	if bg, ok := s.dg.(BatchProgressGateway); ok {
+		ids := make([]string, len(batches))
+		for i, tb := range batches {
+			ids[i] = tb.qb.ID
+		}
+		p, err := bg.ProgressBatch(ids)
+		if err != nil {
+			// Transient gateway errors retry next tick; no batch consumed a
+			// partial view.
+			return fmt.Errorf("scheduler: DG batch progress: %w", err)
+		}
+		polled = p
+	}
+	for _, tb := range batches {
+		p, ok := polled[tb.qb.ID]
+		if !ok {
+			var err error
+			if p, err = s.dg.Progress(tb.qb.ID); err != nil {
+				tb.err = fmt.Errorf("scheduler: DG progress for %q: %w", tb.qb.ID, err)
+			}
+		}
+		tb.progress = p
+	}
+	return nil
+}
+
+// sendSamples pushes every batch's progress to Information.
+func (s *SchedulerService) sendSamples(batches []*tickBatch, now time.Time) {
+	var items []BatchSample
+	var of []*tickBatch
+	for _, tb := range batches {
+		if tb.err != nil {
+			continue
+		}
+		p := tb.progress
+		tb.elapsed = now.Sub(tb.qb.StartedAt).Seconds()
+		items = append(items, BatchSample{BatchID: tb.qb.ID, Sample: core.Sample{
+			T: tb.elapsed, Completed: p.Completed, Assigned: p.EverAssigned,
+			Queued: p.Queued, Running: p.Running,
+		}})
+		of = append(of, tb)
+	}
+	for i, res := range s.info.AddSamples(items) {
+		of[i].err = itemErr(res.Error)
+	}
+}
+
+// sendBills charges the wall-clock usage of every live instance since its
+// last bill (Algorithm 2), a completing batch's final usage included. An
+// instance's LastBill advances only once Credit reports its charge applied:
+// a bill that failed, or that was not reached because the order ran dry
+// first, leaves the usage window open.
+func (s *SchedulerService) sendBills(batches []*tickBatch, now time.Time) {
+	var items []BillItem
+	var of []*tickBatch
+	var charged [][]int // per item: the instance index behind each charge
+	for _, tb := range batches {
+		if tb.err != nil {
+			continue
+		}
+		var credits []float64
+		var idx []int
+		for i := range tb.qb.instances {
+			mi := &tb.qb.instances[i]
+			if mi.Info.State == cloud.StateTerminated {
+				continue
+			}
+			if sec := now.Sub(mi.LastBill).Seconds(); sec > 0 {
+				credits = append(credits, sec/3600*core.CreditsPerCPUHour)
+				idx = append(idx, i)
+			}
+		}
+		if len(credits) > 0 {
+			items = append(items, BillItem{BatchID: tb.qb.ID, Credits: credits})
+			of, charged = append(of, tb), append(charged, idx)
+		}
+	}
+	results := s.credits.Bills(items)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, res := range results {
+		qb := of[k].qb
+		for _, i := range charged[k][:min(res.Applied, len(charged[k]))] {
+			qb.instances[i].LastBill = now
+		}
+		qb.Exhausted = qb.Exhausted || res.Exhausted
+		of[k].err = itemErr(res.Error)
+	}
+}
+
+// fetchPlans asks the Oracle whether to start cloud workers (Algorithm 1)
+// for every batch that is still running, has not started them yet, and has
+// an open order with credits left.
+func (s *SchedulerService) fetchPlans(batches []*tickBatch) {
+	var ids []string
+	var of []*tickBatch
+	for _, tb := range batches {
+		if tb.err == nil && !tb.progress.Done() && !tb.qb.Exhausted && !tb.qb.Started {
+			ids, of = append(ids, tb.qb.ID), append(of, tb)
+		}
+	}
+	var reqs []PlanRequest
+	var asked []*tickBatch
+	for i, o := range s.credits.Orders(ids) {
+		if of[i].err = itemErr(o.Error); of[i].err == nil && o.HasCredits {
+			reqs = append(reqs, PlanRequest{BatchID: o.BatchID,
+				CreditCPUHours: o.Order.Remaining() / core.CreditsPerCPUHour})
+			asked = append(asked, of[i])
+		}
+	}
+	for i, res := range s.oracle.Plans(reqs) {
+		if asked[i].err = itemErr(res.Error); asked[i].err == nil {
+			asked[i].plan = &res.Plan
+		}
+	}
+}
+
+// apply is the part of one batch's iteration that touches state batches
+// share. It runs for one batch at a time, in registration order.
+func (s *SchedulerService) apply(tb *tickBatch, now time.Time) error {
+	qb := tb.qb
+	switch {
+	case tb.progress.Done():
+		return s.finalize(qb, tb.elapsed)
+	case qb.Exhausted:
+		// The order ran dry: stop everything.
+		s.stopAll(qb)
 		return nil
 	}
-	has, err := s.credits.HasCredits(id)
-	if err != nil || !has {
+	if err := s.releaseIdleInstances(qb); err != nil {
 		return err
 	}
-	order, err := s.credits.OrderOf(id)
-	if err != nil {
-		return err
-	}
-	plan, err := s.oracle.Plan(id, order.Remaining()/core.CreditsPerCPUHour)
-	if err != nil {
-		return err
-	}
-	if !plan.Start {
-		return nil
-	}
-	if !s.admitTier(qb) {
-		return nil // tier caps leave no headroom; retry on a later tick
+	if tb.plan == nil || !tb.plan.Start || !s.admitTier(qb) {
+		return nil // nothing to start, or tier caps leave no headroom: retry on a later tick
 	}
 	driver, err := s.registry.Get(qb.Provider)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < plan.Workers; i++ {
+	for i := 0; i < tb.plan.Workers; i++ {
 		info, err := driver.Launch(cloud.LaunchRequest{
-			Image: qb.Image, BatchID: id, DGServer: s.dg.WorkerURL(),
+			Image: qb.Image, BatchID: qb.ID, DGServer: s.dg.WorkerURL(),
 		})
 		if err != nil {
 			return err
@@ -435,8 +551,8 @@ func (s *SchedulerService) stepBatch(id string, pre *middleware.Progress) error 
 	}
 	s.mu.Lock()
 	qb.Started = true
-	qb.TriggeredAt = elapsed
-	qb.ReleaseIdle = plan.ReleaseIdle
+	qb.TriggeredAt = tb.elapsed
+	qb.ReleaseIdle = tb.plan.ReleaseIdle
 	s.mu.Unlock()
 	return nil
 }
@@ -472,84 +588,45 @@ func (s *SchedulerService) admitTier(qb *schedBatch) bool {
 	return s.TierPolicy.FleetCap <= 0 || total < s.TierPolicy.FleetCap
 }
 
-// exhausted reads the exhaustion flag under the lock.
-func (s *SchedulerService) exhausted(qb *schedBatch) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return qb.Exhausted
+// liveInstances lists the ids of a claimed batch's instances that are not
+// terminated.
+func liveInstances(qb *schedBatch) []string {
+	var ids []string
+	for i := range qb.instances {
+		if qb.instances[i].Info.State != cloud.StateTerminated {
+			ids = append(ids, qb.instances[i].Info.ID)
+		}
+	}
+	return ids
 }
 
 // releaseIdleInstances implements the Greedy release policy: booted workers
-// that hold no assignment are settled and stopped so their credits return to
-// the order (§3.5). It requires a gateway that can report worker status;
-// otherwise it is a no-op. Remote calls run outside the service lock — only
-// the claiming step mutates a batch's instances, so the snapshot stays
-// valid while the lock is released.
-func (s *SchedulerService) releaseIdleInstances(qb *schedBatch, now time.Time) error {
+// that hold no assignment are stopped, so the credits they would burn stay
+// in the order (§3.5). Their usage up to now was charged by this tick's
+// bills. It requires a gateway that can report worker status; otherwise it
+// is a no-op.
+func (s *SchedulerService) releaseIdleInstances(qb *schedBatch) error {
 	gw, ok := s.dg.(WorkerStatusGateway)
-	if !ok {
+	if !ok || !qb.ReleaseIdle {
 		return nil
 	}
-	s.mu.Lock()
-	if !qb.ReleaseIdle {
-		s.mu.Unlock()
-		return nil
-	}
-	ids := make([]string, 0, len(qb.instances))
-	lastBill := make(map[string]time.Time, len(qb.instances))
-	for i := range qb.instances {
-		if mi := &qb.instances[i]; mi.Info.State != cloud.StateTerminated {
-			ids = append(ids, mi.Info.ID)
-			lastBill[mi.Info.ID] = mi.LastBill
-		}
-	}
-	s.mu.Unlock()
 	driver, err := s.registry.Get(qb.Provider)
 	if err != nil {
 		return err
 	}
-	for _, id := range ids {
+	for _, id := range liveInstances(qb) {
 		desc, err := driver.Describe(id)
 		if err != nil || desc.State != cloud.StateRunning {
 			continue // still booting, or gone
 		}
-		busy, err := gw.InstanceBusy(id)
-		if err != nil || busy {
+		if busy, err := gw.InstanceBusy(id); err != nil || busy {
 			continue
-		}
-		// Settle the outstanding usage, then stop the worker. LastBill only
-		// advances once billing succeeded: a failed Bill leaves the window
-		// open for the next tick instead of losing it. Exhaustion while
-		// settling still stops this idle worker and keeps releasing the
-		// rest; busy workers run until the next tick's billing notices the
-		// dry order — the same sequence as the in-process Scheduler.
-		if sec := now.Sub(lastBill[id]).Seconds(); sec > 0 {
-			reply, err := s.credits.Bill(qb.ID, sec/3600*core.CreditsPerCPUHour)
-			if err != nil {
-				return err
-			}
-			s.setLastBill(qb, id, now)
-			if reply.Exhausted {
-				s.mu.Lock()
-				qb.Exhausted = true
-				s.mu.Unlock()
-			}
 		}
 		if err := driver.Terminate(id); err == nil {
 			s.markTerminated(qb, id)
 		}
 	}
 	return nil
-}
-
-func (s *SchedulerService) setLastBill(qb *schedBatch, id string, t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range qb.instances {
-		if qb.instances[i].Info.ID == id {
-			qb.instances[i].LastBill = t
-		}
-	}
 }
 
 func (s *SchedulerService) markTerminated(qb *schedBatch, id string) {
@@ -562,59 +639,24 @@ func (s *SchedulerService) markTerminated(qb *schedBatch, id string) {
 	}
 }
 
-// billInstances charges wall-clock usage of live instances.
-func (s *SchedulerService) billInstances(qb *schedBatch, now time.Time) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range qb.instances {
-		mi := &qb.instances[i]
-		if mi.Info.State == cloud.StateTerminated {
-			continue
-		}
-		sec := now.Sub(mi.LastBill).Seconds()
-		if sec <= 0 {
-			continue
-		}
-		mi.LastBill = now
-		reply, err := s.credits.Bill(qb.ID, sec/3600*core.CreditsPerCPUHour)
-		if err != nil {
-			return err
-		}
-		if reply.Exhausted {
-			qb.Exhausted = true
-			return nil
-		}
-	}
-	return nil
-}
-
-// stopAll terminates every live instance of a batch.
-func (s *SchedulerService) stopAll(qb *schedBatch, now time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+// stopAll terminates every live instance of a batch. An instance the driver
+// fails to terminate stays live and is tried again next tick.
+func (s *SchedulerService) stopAll(qb *schedBatch) {
 	driver, err := s.registry.Get(qb.Provider)
 	if err != nil {
-		return
+		return // an unknown provider launched nothing there is to stop
 	}
-	for i := range qb.instances {
-		mi := &qb.instances[i]
-		if mi.Info.State == cloud.StateTerminated {
-			continue
-		}
-		if err := driver.Terminate(mi.Info.ID); err == nil {
-			mi.Info.State = cloud.StateTerminated
+	for _, id := range liveInstances(qb) {
+		if err := driver.Terminate(id); err == nil {
+			s.markTerminated(qb, id)
 		}
 	}
 }
 
-// finalize settles the batch: final billing, instance shutdown, payment and
-// calibration archiving.
+// finalize settles a completed batch, whose final usage this tick's bills
+// already charged: instance shutdown, payment and calibration archiving.
 func (s *SchedulerService) finalize(qb *schedBatch, elapsed float64) error {
-	now := s.Now()
-	if err := s.billInstances(qb, now); err != nil {
-		return err
-	}
-	s.stopAll(qb, now)
+	s.stopAll(qb)
 	if _, err := s.credits.Pay(qb.ID); err != nil {
 		return err
 	}

@@ -2,7 +2,12 @@ package service
 
 import (
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -62,44 +67,245 @@ func (s singleOnlyDG) WorkerURL() string                               { return 
 
 var _ BatchProgressGateway = (*multiDG)(nil)
 
-// TestStepBatchedPollingIsO1 is the tentpole scaling assertion: with a
-// gateway that supports aggregated progress queries, one monitor tick over
-// N registered batches costs exactly ONE gateway poll, not N.
-func TestStepBatchedPollingIsO1(t *testing.T) {
-	const batches = 64
-	dg := newMultiDG()
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
-	defer stack.Close()
+// countingTransport counts the requests a module client sends.
+type countingTransport struct{ n *atomic.Int64 }
 
-	for i := 0; i < batches; i++ {
-		id := fmt.Sprintf("b%03d", i)
-		dg.set(id, middleware.Progress{Size: 10, Arrived: 10, Running: 10})
-		if err := stack.Scheduler.RegisterQoS(QoSRequest{
-			User: "u", BatchID: id, EnvKey: "e", Size: 10,
-		}); err != nil {
+func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestStepBatchedPollingIsO1 is the tentpole scaling assertion: one monitor
+// tick over N registered batches costs ONE gateway poll and a fixed number of
+// module round trips — one bulk request per module and step — whether N is
+// 50 or 500. Half the batches sit below the trigger and are planned for every
+// tick; the other half start on the first tick and are billed from the
+// second, so the second tick runs every step there is: samples, bills, order
+// lookups, plans, and the Oracle's own status fetch.
+func TestStepBatchedPollingIsO1(t *testing.T) {
+	tickCost := func(batches int) (first, steady int64) {
+		dg := newMultiDG()
+		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
+		stack := NewTestStack(StackConfig{
+			Strategy: core.DefaultStrategy(),
+			Registry: cloud.NewRegistry(driver),
+			DG:       dg,
+		})
+		defer stack.Close()
+		now := time.Unix(0, 0).UTC()
+		stack.SetClock(func() time.Time { return now })
+		driver.SetClock(func() time.Time { return now })
+		var sent atomic.Int64
+		counting := &http.Client{Transport: countingTransport{&sent}}
+		stack.InfoClient.HTTP, stack.CreditClient.HTTP, stack.OracleClient.HTTP = counting, counting, counting
+
+		if err := stack.CreditClient.Deposit("u", 1e6); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < batches; i++ {
+			id := fmt.Sprintf("b%03d", i)
+			done := 50 + 45*(i%2) // odd batches are past the 90% trigger
+			dg.set(id, middleware.Progress{Size: 100, Arrived: 100, Completed: done, EverAssigned: 100, Running: 100 - done})
+			if err := stack.Scheduler.RegisterQoS(QoSRequest{
+				User: "u", BatchID: id, EnvKey: "e", Size: 100, Credits: 30, Provider: "mock", Image: "img",
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var cost [3]int64
+		for k := range cost {
+			now = now.Add(time.Minute)
+			before := sent.Load()
+			if err := stack.Scheduler.Step(); err != nil {
+				t.Fatal(err)
+			}
+			cost[k] = sent.Load() - before
+		}
+		single, batch := dg.calls()
+		if batch != len(cost) || single != 0 {
+			t.Fatalf("%d batches: DG polls = (single %d, aggregated %d), want (0, %d)", batches, single, batch, len(cost))
+		}
+		if got := len(stack.Scheduler.Instances()); got < batches/2 {
+			t.Fatalf("%d batches: only %d instances, the triggered half never started", batches, got)
+		}
+		if o, err := stack.CreditClient.OrderOf("b001"); err != nil || o.Billed <= 0 {
+			t.Fatalf("%d batches: started batch never billed: %+v, %v", batches, o, err)
+		}
+		if cost[1] != cost[2] {
+			t.Fatalf("%d batches: steady ticks cost %d then %d module round trips", batches, cost[1], cost[2])
+		}
+		return cost[0], cost[1]
 	}
+	first50, steady50 := tickCost(50)
+	first500, steady500 := tickCost(500)
+	if first50 != first500 || steady50 != steady500 {
+		t.Fatalf("module round trips per tick grew with the batch count: %d/%d at 50 batches, %d/%d at 500",
+			first50, steady50, first500, steady500)
+	}
+	// samples, bills, lookup, plans, statuses; the operator's POST /step and
+	// slack for one more step make the issue's budget of 8.
+	if steady50 != 5 || first50 > 8 {
+		t.Fatalf("module round trips per tick = %d (first tick %d), want 5 (at most 8)", steady50, first50)
+	}
+}
+
+// faultyCredit is the Credit module behind a proxy that can lose or park
+// billing requests (single or bulk).
+type faultyCredit struct {
+	next     http.Handler
+	failNext atomic.Int64  // how many billing requests to answer 500, unapplied
+	park     chan struct{} // non-nil: billing requests wait until it is closed
+	parked   chan struct{} // receives once per parked request
+}
+
+func (f *faultyCredit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method == http.MethodPost && strings.Contains(r.URL.Path, "bill") {
+		if f.failNext.Add(-1) >= 0 {
+			writeErr(w, http.StatusInternalServerError, fmt.Errorf("credit store unavailable"))
+			return
+		}
+		if f.park != nil {
+			f.parked <- struct{}{}
+			<-f.park
+		}
+	}
+	f.next.ServeHTTP(w, r)
+}
+
+// billingStack is a one-batch deployment whose fleet of n workers starts on
+// the first tick, with Credit behind a faultyCredit.
+func billingStack(t *testing.T, n int) (stack *Stack, fc *faultyCredit, driver *cloud.MockDriver, advance func(time.Duration)) {
+	t.Helper()
+	dg := newMultiDG()
+	driver = cloud.NewMockDriver("mock", time.Second, 0.10)
+	stack = NewTestStack(StackConfig{
+		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9}, Sizing: core.Greedy{}, Deploy: core.Reschedule},
+		Registry: cloud.NewRegistry(driver),
+		DG:       dg,
+	})
+	t.Cleanup(stack.Close)
+	var nowNS atomic.Int64
+	clock := func() time.Time { return time.Unix(0, nowNS.Load()).UTC() }
+	stack.SetClock(clock)
+	driver.SetClock(clock)
+	advance = func(d time.Duration) { nowNS.Add(int64(d)) }
+
+	fc = &faultyCredit{next: stack.Credit, parked: make(chan struct{}, 1)}
+	proxy := httptest.NewServer(fc)
+	t.Cleanup(proxy.Close)
+	stack.CreditClient.BaseURL = proxy.URL
+
+	if err := stack.CreditClient.Deposit("u", 1000); err != nil {
+		t.Fatal(err)
+	}
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{
+		User: "u", BatchID: "b", EnvKey: "e", Size: 100,
+		Credits: float64(n) * core.CreditsPerCPUHour, Provider: "mock", Image: "img",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dg.set("b", middleware.Progress{Size: 100, Arrived: 100, Completed: 95, EverAssigned: 100, Running: 5})
+	advance(time.Minute)
 	if err := stack.Scheduler.Step(); err != nil {
 		t.Fatal(err)
 	}
-	single, batch := dg.calls()
-	if batch != 1 {
-		t.Fatalf("aggregated polls per tick = %d, want 1", batch)
+	if st, _ := stack.Scheduler.Status("b"); len(st.Instances) != n {
+		t.Fatalf("fleet of %d, want %d", len(st.Instances), n)
 	}
-	if single != 0 {
-		t.Fatalf("per-batch polls = %d, want 0 (gateway supports batching)", single)
-	}
+	return stack, fc, driver, advance
+}
 
-	// Two more ticks stay O(1) each.
-	for i := 0; i < 2; i++ {
+// TestFailedBillKeepsUsageWindowOpen: a billing request Credit never applied
+// must not advance LastBill. One tick's bill is lost mid-run; the next tick
+// charges both periods, and the total equals wall-clock usage × rate.
+func TestFailedBillKeepsUsageWindowOpen(t *testing.T) {
+	const workers, ticks = 3, 6
+	stack, fc, _, advance := billingStack(t, workers)
+	failed := 0
+	for k := 1; k <= ticks; k++ {
+		if k == 3 {
+			fc.failNext.Store(1)
+		}
+		advance(time.Minute)
 		if err := stack.Scheduler.Step(); err != nil {
-			t.Fatal(err)
+			failed++
 		}
 	}
-	if _, batch := dg.calls(); batch != 3 {
-		t.Fatalf("aggregated polls after 3 ticks = %d, want 3", batch)
+	if failed != 1 {
+		t.Fatalf("%d ticks reported an error, want exactly the one whose bill was lost", failed)
 	}
+	o, err := stack.CreditClient.OrderOf("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := workers * ticks * 60.0 / 3600 * core.CreditsPerCPUHour
+	if math.Abs(o.Billed-want) > 1e-9 {
+		t.Fatalf("billed %.12f credits for %d workers × %d minutes, want %.12f", o.Billed, workers, ticks, want)
+	}
+}
+
+// parkingDriver parks Terminate until released.
+type parkingDriver struct {
+	cloud.Driver
+	park, parked chan struct{}
+}
+
+func (d parkingDriver) Terminate(id string) error {
+	d.parked <- struct{}{}
+	<-d.park
+	return d.Driver.Terminate(id)
+}
+
+// TestStatusNotBlockedByRemoteCalls: the Scheduler holds no lock across a
+// call to Credit or to a cloud driver, so GET /qos/{id} readers are served
+// while a tick is parked in one.
+func TestStatusNotBlockedByRemoteCalls(t *testing.T) {
+	statusReturns := func(t *testing.T, stack *Stack, parked <-chan struct{}, release func()) {
+		t.Helper()
+		stepped := make(chan error, 1)
+		go func() { stepped <- stack.Scheduler.Step() }()
+		select {
+		case <-parked:
+		case <-time.After(10 * time.Second):
+			t.Fatal("the tick never reached the parked call")
+		}
+		read := make(chan error, 1)
+		go func() {
+			_, err := stack.Scheduler.Status("b")
+			stack.Scheduler.Instances()
+			read <- err
+		}()
+		select {
+		case err := <-read:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Error("Status blocked behind a tick parked in a remote call")
+		}
+		release()
+		if err := <-stepped; err != nil {
+			t.Error(err)
+		}
+	}
+	t.Run("bill", func(t *testing.T) {
+		stack, fc, _, advance := billingStack(t, 2)
+		fc.park = make(chan struct{})
+		advance(time.Minute)
+		statusReturns(t, stack, fc.parked, func() { close(fc.park) })
+	})
+	t.Run("terminate", func(t *testing.T) {
+		stack, _, driver, advance := billingStack(t, 1)
+		pd := parkingDriver{Driver: driver, park: make(chan struct{}), parked: make(chan struct{}, 1)}
+		stack.Scheduler.registry = cloud.NewRegistry(pd)
+		// One worker-hour of credits: the second hour's bill runs the order
+		// dry and the tick stops the fleet.
+		advance(2 * time.Hour)
+		statusReturns(t, stack, pd.parked, func() { close(pd.park) })
+		if st, _ := stack.Scheduler.Status("b"); !st.Exhausted || st.Instances[0].State != cloud.StateTerminated {
+			t.Fatalf("fleet not stopped: %+v", st)
+		}
+	})
 }
 
 // TestStepFallbackPollsPerBatch pins the fallback: a gateway without

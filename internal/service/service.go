@@ -12,8 +12,10 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 )
@@ -62,9 +64,21 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
+// maxDrainBytes bounds what decodeReply reads past the value it wanted: more
+// than any reply a module sends, so the connection is reused, but a bound, so
+// a misbehaving peer cannot hold the caller.
+const maxDrainBytes = 1 << 20
+
 // decodeReply parses a response, turning API error payloads into Go errors.
+// The body is drained before it is closed on every path: net/http only puts
+// a connection back in the keep-alive pool once its body was read to the end,
+// so a caller that ignores the reply (v == nil) would otherwise open a new
+// TCP connection per call.
 func decodeReply(resp *http.Response, v any) error {
-	defer resp.Body.Close()
+	defer func() {
+		io.CopyN(io.Discard, resp.Body, maxDrainBytes) //nolint:errcheck // a failed drain only costs the connection
+		resp.Body.Close()
+	}()
 	if resp.StatusCode >= 400 {
 		var e apiError
 		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
@@ -76,4 +90,18 @@ func decodeReply(resp *http.Response, v any) error {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
+}
+
+// postJSON posts body as JSON and decodes the reply into out (nil discards
+// it).
+func postJSON(hc *http.Client, url string, body, out any) error {
+	buf, err := json.Marshal(body)
+	if err != nil {
+		return err
+	}
+	resp, err := hc.Post(url, "application/json", bytes.NewReader(buf))
+	if err != nil {
+		return err
+	}
+	return decodeReply(resp, out)
 }

@@ -2,10 +2,12 @@ package service
 
 import (
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -425,31 +427,64 @@ func TestMuxMountsAllModules(t *testing.T) {
 	}
 }
 
+// TestConcurrentSchedulerSteps races eight ticks over the same batches, twice:
+// whichever tick claims a batch, it is launched once and each usage window is
+// billed once.
 func TestConcurrentSchedulerSteps(t *testing.T) {
 	dg := &scriptedDG{size: 100}
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
+	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
+	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), Registry: cloud.NewRegistry(driver), DG: dg})
 	defer stack.Close()
+	var nowNS atomic.Int64
+	clock := func() time.Time { return time.Unix(0, nowNS.Load()).UTC() }
+	stack.SetClock(clock)
+	driver.SetClock(clock)
 	stack.CreditClient.Deposit("u", 1000)
-	for i := 0; i < 4; i++ {
+	const batches = 4
+	for i := 0; i < batches; i++ {
 		if err := stack.Scheduler.RegisterQoS(QoSRequest{
 			User: "u", BatchID: fmt.Sprintf("b%d", i), EnvKey: "e", Size: 100,
-			Credits: 50, Provider: "ec2", Image: "img",
+			Credits: 50, Provider: "mock", Image: "img",
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	dg.set(95, 100)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			stack.Scheduler.Step()
-		}()
+	raceSteps := func() {
+		nowNS.Add(int64(time.Minute))
+		var wg sync.WaitGroup
+		for i := 0; i < 8; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				stack.Scheduler.Step() //nolint:errcheck // losing a claim is not an error
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	// No assertion beyond the race detector and a consistent final state.
-	if got := len(stack.Scheduler.Instances()); got == 0 {
+
+	raceSteps()
+	first, _ := stack.Scheduler.Status("b0")
+	fleet := len(first.Instances)
+	if fleet == 0 {
 		t.Fatal("no instances after concurrent steps")
+	}
+	for i := 0; i < batches; i++ {
+		st, err := stack.Scheduler.Status(fmt.Sprintf("b%d", i))
+		if err != nil || len(st.Instances) != fleet || st.TriggeredAt != 60 {
+			t.Fatalf("batch %d launched twice or not at all: %+v, %v (fleet %d)", i, st, err, fleet)
+		}
+	}
+	if got := len(driver.List()); got != batches*fleet {
+		t.Fatalf("provider runs %d instances, want %d", got, batches*fleet)
+	}
+
+	raceSteps()
+	want := float64(fleet) * 60 / 3600 * core.CreditsPerCPUHour
+	for i := 0; i < batches; i++ {
+		o, err := stack.CreditClient.OrderOf(fmt.Sprintf("b%d", i))
+		if err != nil || math.Abs(o.Billed-want) > 1e-9 {
+			t.Fatalf("batch %d billed %v for one minute of %d instances, want %v (%v)", i, o.Billed, fleet, want, err)
+		}
 	}
 }
