@@ -84,16 +84,6 @@ func benchStore(b *testing.B) *campaign.ResultStore {
 	return benchShared.store
 }
 
-// benchMatrix derives the Matrix view of the shared store.
-func benchMatrix(b *testing.B, p experiments.Profile, spec experiments.MatrixSpec) experiments.Matrix {
-	b.Helper()
-	m, err := experiments.MatrixFrom(benchStore(b), p, spec)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return m
-}
-
 func BenchmarkFigure1ExecutionProfile(b *testing.B) {
 	store := benchStore(b)
 	p := benchProfile()
@@ -106,23 +96,23 @@ func BenchmarkFigure1ExecutionProfile(b *testing.B) {
 }
 
 func BenchmarkFigure2TailSlowdownCDF(b *testing.B) {
+	store := benchStore(b)
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec())
-		f := experiments.BuildFigure2(m.BaseResults())
-		if len(f.Slowdowns) == 0 {
-			b.Fatal("empty figure")
+		f, err := experiments.Figure2From(store, p, benchSpec())
+		if err != nil || len(f.Slowdowns) == 0 {
+			b.Fatal("empty figure", err)
 		}
 	}
 }
 
 func BenchmarkTable1TailFractions(b *testing.B) {
+	store := benchStore(b)
 	p := benchProfile()
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec())
-		t1 := experiments.BuildTable1(m.BaseResults())
-		if len(t1.Rows) == 0 {
-			b.Fatal("empty table")
+		t1, err := experiments.Table1From(store, p, benchSpec())
+		if err != nil || len(t1.Rows) == 0 {
+			b.Fatal("empty table", err)
 		}
 	}
 }
@@ -156,49 +146,49 @@ func BenchmarkFigure3ServiceSequence(b *testing.B) {
 }
 
 func BenchmarkFigure4TailRemovalEfficiency(b *testing.B) {
+	store := benchStore(b)
 	p := benchProfile()
 	st1, st2 := benchStrategies()
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec(st1, st2))
-		f := experiments.BuildFigure4(m)
-		if len(f.TRE) == 0 {
-			b.Fatal("empty figure")
+		f, err := experiments.Figure4From(store, p, benchSpec(st1, st2))
+		if err != nil || len(f.TRE) == 0 {
+			b.Fatal("empty figure", err)
 		}
 	}
 }
 
 func BenchmarkFigure5CreditConsumption(b *testing.B) {
+	store := benchStore(b)
 	p := benchProfile()
 	st, _ := benchStrategies()
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec(st))
-		f := experiments.BuildFigure5(m)
-		if len(f.SpentFraction) == 0 {
-			b.Fatal("empty figure")
+		f, err := experiments.Figure5From(store, p, benchSpec(st))
+		if err != nil || len(f.SpentFraction) == 0 {
+			b.Fatal("empty figure", err)
 		}
 	}
 }
 
 func BenchmarkFigure6CompletionTimes(b *testing.B) {
+	store := benchStore(b)
 	p := benchProfile()
 	st, _ := benchStrategies()
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec(st))
-		f := experiments.BuildFigure6(m, st.Label())
-		if len(f.Cells) == 0 {
-			b.Fatal("empty figure")
+		f, err := experiments.Figure6From(store, p, benchSpec(st), st.Label())
+		if err != nil || len(f.Cells) == 0 {
+			b.Fatal("empty figure", err)
 		}
 	}
 }
 
 func BenchmarkFigure7Stability(b *testing.B) {
+	store := benchStore(b)
 	p := benchProfile()
 	st, _ := benchStrategies()
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec(st))
-		f := experiments.BuildFigure7(m, st.Label())
-		if len(f.NoSpeq) == 0 {
-			b.Fatal("empty figure")
+		f, err := experiments.Figure7From(store, p, benchSpec(st), st.Label())
+		if err != nil || len(f.NoSpeq) == 0 {
+			b.Fatal("empty figure", err)
 		}
 	}
 }
@@ -207,11 +197,11 @@ func BenchmarkTable4PredictionSuccess(b *testing.B) {
 	p := benchProfile()
 	p.Offsets = 2 // success rates need a few executions per environment
 	st, _ := benchStrategies()
+	store := benchStore(b)
 	for i := 0; i < b.N; i++ {
-		m := benchMatrix(b, p, benchSpec(st))
-		t4 := experiments.BuildTable4(m, st.Label())
-		if t4.Overall < 0 || t4.Overall > 1 {
-			b.Fatal("invalid success rate")
+		t4, err := experiments.Table4From(store, p, benchSpec(st), st.Label())
+		if err != nil || t4.Overall < 0 || t4.Overall > 1 {
+			b.Fatal("invalid success rate", err)
 		}
 	}
 }

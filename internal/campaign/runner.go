@@ -1,6 +1,9 @@
 package campaign
 
 import (
+	"hash/fnv"
+	"runtime"
+
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
 	"spequlos/internal/metrics"
@@ -13,20 +16,6 @@ import (
 // used by plain strategy runs and the emulation harness; variant jobs
 // override it via Job.Config.
 const DefaultMonitorPeriod = 60.0
-
-// recorder captures exact per-task completion times.
-type recorder struct {
-	batchID     string
-	completions []float64
-}
-
-func (r *recorder) TaskAssigned(string, int, float64) {}
-func (r *recorder) TaskCompleted(batchID string, _ int, at float64) {
-	if batchID == r.batchID {
-		r.completions = append(r.completions, at)
-	}
-}
-func (r *recorder) BatchCompleted(string, float64) {}
 
 // Run executes a plain scenario (no variant configuration), retrying with a
 // doubled horizon if the trace window proved too short to finish the BoT.
@@ -52,50 +41,173 @@ func Execute(j Job) Entry {
 	return e
 }
 
-// executeOnce is one bounded-horizon simulation of a job. All randomness
-// derives from the scenario seed, so the same job always yields the same
-// entry regardless of execution order or worker count. Cells carrying more
-// than one BoT (Profile.Batches) take the multi-batch path; the classic
-// one-BoT path is kept byte-identical for existing profiles and goldens.
-func executeOnce(j Job, horizon float64) Entry {
-	if useShardedKernel(j) {
-		if j.Scenario.SubBatches() > 1 {
-			return executeSharded(j, horizon)
+// CompletionCurve runs a scenario and returns its Fig 1 completion curve
+// alongside the run result.
+func CompletionCurve(sc Scenario) ([]metrics.SeriesPoint, Result) {
+	e := Execute(Job{Scenario: sc, KeepSeries: true})
+	return e.Series, e.Result
+}
+
+// useShardedKernel reports whether a job runs on the multi-core sharded
+// kernel. Every strategy family is supported — CloudDuplication's result
+// mirror rides the barrier exchange and tier arbitration runs as a
+// control-engine reduction — so the answer is exactly the profile's
+// ShardedKernel flag: a pure function of the job key, never of the
+// strategy, and with no silent serial fallback for any coupling.
+func useShardedKernel(j Job) bool {
+	return j.Scenario.Profile.ShardedKernel
+}
+
+// shardParts resolves the worker-pool partition count of a single-BoT
+// sharded cell (Profile.ShardParts, default 8). The partition count is
+// part of the model — it decides the round-robin task split and the
+// rebalance topology — so it feeds the job key.
+func shardParts(p Profile) int {
+	if p.ShardParts > 0 {
+		return p.ShardParts
+	}
+	return 8
+}
+
+// kernelShardCount resolves the execution shard count: the profile's
+// KernelShards, defaulting to GOMAXPROCS, capped at the batch count (extra
+// shards would idle).
+func kernelShardCount(p Profile, nb int) int {
+	n := p.KernelShards
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
+	}
+	if n > nb {
+		n = nb
+	}
+	if n < 1 {
+		n = 1
+	}
+	return n
+}
+
+// batchShard stably maps a sub-batch onto a kernel shard (FNV-32a, the
+// scheduler plan-pool idiom). The mapping only balances load: batches are
+// independent between barriers, so results do not depend on it.
+func batchShard(id string, shards int) int {
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return int(h.Sum32() % uint32(shards))
+}
+
+// completions is the executor's one listener type, attached once per DG
+// server: the completion instant of every watched batch (negative while it
+// runs), how many are still running, and — for a single-BoT cell only — the
+// exact per-task completion times behind the tail metrics.
+//
+// A server shared by a thousand batches still carries ONE listener, so the
+// work per task event is O(1) whatever the batch count, and the run loop's
+// stop condition reads a counter instead of probing Done per batch per
+// event (the wall the monitor's polling hit). On a shard-hosted server the
+// listener fires on the owning shard's goroutine during parallel windows:
+// it is written only by that shard and read only between barriers.
+type completions struct {
+	at      map[string]float64
+	running int
+	tasks   []float64
+	single  bool
+}
+
+func (c *completions) watch(id string) {
+	c.at[id] = -1
+	c.running++
+}
+
+func (c *completions) TaskAssigned(string, int, float64) {}
+func (c *completions) TaskCompleted(id string, _ int, at float64) {
+	if !c.single {
+		return
+	}
+	if _, watched := c.at[id]; watched {
+		c.tasks = append(c.tasks, at)
+	}
+}
+func (c *completions) BatchCompleted(id string, at float64) {
+	if c.at[id] < 0 { // watched and running: an unwatched batch reads 0
+		c.at[id] = at
+		c.running--
+	}
+}
+
+// serviceConfig resolves the SpeQuloS configuration of a job: a variant job
+// carries its own config (the knob the ablations turn) and may override the
+// credit fraction; a strategy scenario uses the paper's monitoring defaults;
+// a baseline runs without SpeQuloS (ok false).
+func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
+	p := j.Scenario.Profile
+	creditFraction = p.CreditFraction
+	switch {
+	case j.Config != nil:
+		cfg = *j.Config
+		if j.CreditFraction != nil {
+			creditFraction = *j.CreditFraction
 		}
-		return executeShardedSingle(j, horizon)
+	case j.Scenario.Strategy != nil:
+		cfg = core.Config{Strategy: *j.Scenario.Strategy, MonitorPeriod: DefaultMonitorPeriod}
+	default:
+		return cfg, creditFraction, false
 	}
-	if j.Scenario.SubBatches() > 1 {
-		return executeMulti(j, horizon)
+	if cfg.MonitorPeriod <= 0 {
+		cfg.MonitorPeriod = DefaultMonitorPeriod
 	}
+	if p.Shards > 0 && cfg.Shards == 0 {
+		cfg.Shards = p.Shards
+	}
+	// (g) Tier arbitration is a multi-batch notion — Job.Key keys it only
+	// when Batches > 1 — so a single-BoT cell never runs a tier policy.
+	if p.Tiered && p.Batches > 1 && cfg.Tiers == nil {
+		cfg.Tiers = core.DefaultTierPolicy()
+		cfg.Tiers.FleetCap = p.FleetCap
+	}
+	return cfg, creditFraction, true
+}
+
+// executeOnce is one bounded-horizon simulation of a job — the only function
+// that builds and runs a cell. All randomness derives from the scenario
+// seed, so the same job always yields the same entry regardless of
+// execution order or worker count. A cell varies along two independent
+// axes, both pure functions of the job key:
+//
+//   - kernel: one serial engine hosting one DG server over the whole trace,
+//     or (useShardedKernel) a sim.Sharded kernel whose shard engines run in
+//     parallel windows while the QoS service — monitor, cloud fleet, credit
+//     ledger — lives on the control engine and runs serially at barriers,
+//     so results are byte-identical at any KernelShards value;
+//   - shape: one BoT, reported as the paper does (tail metrics, TC50Base,
+//     optional series, no Batches), or N tenants' BoTs sharing the
+//     infrastructure, each with its own credit order, trigger and
+//     BatchResult. A sharded multi-batch cell partitions the model per
+//     batch (own server, stable-hashed slice of the trace's nodes); a
+//     sharded single BoT has nothing to partition per batch, so it splits
+//     the worker pool across shardParts part servers composed by
+//     middleware.Partitioned, with task events replayed on the control
+//     engine and queued work rebalanced at barriers.
+//
+// Everything else is shared. What still differs between the four
+// combinations is the model itself, pinned by the goldens and kept explicit
+// below: (a) where registration and submission are scheduled, (b) their
+// order on each engine, (c) the barrier window and (d) the CloudDuplication
+// mirror route belong to the kernel axis; (e) the TriggeredAt origin and the
+// report belong to the shape axis; (f) is the completions listener; (g) is
+// serviceConfig.
+func executeOnce(j Job, horizon float64) Entry {
 	sc := j.Scenario
 	seed := sc.Seed()
+	nb := sc.SubBatches()
+	multi, sharded := nb > 1, useShardedKernel(j)
+	cfg, creditFraction, useService := serviceConfig(j)
 	res := Result{
 		Middleware: sc.Middleware, TraceName: sc.TraceName, BotClass: sc.BotClass,
 		Offset: sc.Offset, Seed: seed,
 	}
-
-	// Resolve the service configuration: a variant job carries its own
-	// config (the knob the ablations turn); a strategy scenario uses the
-	// paper's monitoring defaults; a baseline runs without SpeQuloS.
-	var cfg core.Config
-	useService := false
-	creditFraction := sc.Profile.CreditFraction
-	switch {
-	case j.Config != nil:
-		cfg = *j.Config
-		useService = true
-		if j.CreditFraction != nil {
-			creditFraction = *j.CreditFraction
-		}
+	if useService {
 		res.Strategy = cfg.Strategy.Label()
-	case sc.Strategy != nil:
-		cfg = core.Config{Strategy: *sc.Strategy, MonitorPeriod: DefaultMonitorPeriod}
-		useService = true
-		res.Strategy = sc.Strategy.Label()
 	}
-
-	eng := sim.NewEngine()
-	srv := newServer(eng, sc.Middleware)
 
 	tr, releaseTrace, err := CachedTrace(sc, horizon)
 	if err != nil {
@@ -105,198 +217,220 @@ func executeOnce(j Job, horizon float64) Entry {
 	// on every worker event) and released at job completion, so peak trace
 	// memory tracks the cache budget plus in-flight jobs, not the campaign.
 	defer releaseTrace()
-	middleware.BindTrace(eng, tr, srv)
 
-	botID := sc.BotID()
-	workload, err := sc.Workload()
-	if err != nil {
-		panic(err)
+	// Kernel and DG servers. hosts[k] is where sub-batch k lives: the engine
+	// its submission fires on, its server and that server's listener. (b) The
+	// trace is bound here, before any registration or submission is
+	// scheduled on the same engine.
+	type host struct {
+		eng  *sim.Engine
+		srv  middleware.Server
+		done *completions
 	}
-	res.Size = workload.Size()
-
-	rec := &recorder{batchID: botID}
-	srv.AddListener(rec)
-
-	var svc *core.Service
-	if useService {
-		simCloud := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(seed))
-		if cfg.CloudServerFactory == nil {
-			cfg.CloudServerFactory = func() middleware.Server {
-				return xwhep.New(eng, xwhep.DefaultConfig())
-			}
-		}
-		svc = core.NewService(eng, srv, simCloud, cfg)
-		if err := svc.RegisterQoS("user", botID, sc.EnvKey(), workload.Size()); err != nil {
-			panic(err)
-		}
-		credits := creditFraction * workload.WorkloadCPUHours() * svc.Credits.Rate()
-		if credits > 0 {
-			svc.Credits.Deposit("user", credits)
-			if err := svc.OrderQoS("user", botID, credits); err != nil {
-				panic(err)
-			}
-			res.CreditsAllocated = credits
-		}
+	hosts := make([]host, nb)
+	var listeners []*completions
+	listen := func(eng *sim.Engine, srv middleware.Server) host {
+		l := &completions{at: map[string]float64{}, single: !multi}
+		srv.AddListener(l)
+		listeners = append(listeners, l)
+		return host{eng, srv, l}
 	}
-
-	srv.Submit(middleware.BatchFromBoT(workload))
-	eng.RunWhile(func() bool { return !srv.Done(botID) && eng.Now() <= horizon })
-
-	res.Events = eng.Executed()
-	res.Completed = srv.Done(botID)
-	entry := Entry{}
-	if res.Completed {
-		res.CompletionTime = eng.Now()
-		if tail, ok := metrics.ComputeTail(rec.completions); ok {
-			res.Tail = tail
-		}
-		if n := len(rec.completions); n >= 2 {
-			series := metrics.CompletionSeries(rec.completions)
-			half := series[(n+1)/2-1].T
-			if half > 0 {
-				res.TC50Base = half / 0.5
-			}
-		}
-		if j.KeepSeries {
-			entry.Series = metrics.CompletionSeries(rec.completions)
-		}
-	}
-	if svc != nil {
-		if u, err := svc.Usage(botID); err == nil {
-			res.CreditsBilled = u.CreditsBilled
-			res.CloudCPUSeconds = u.CPUSeconds
-			res.Instances = u.InstancesStarted
-			res.TriggeredAt = u.TriggeredAt
-		}
-	}
-	entry.Result = res
-	return entry
-}
-
-// batchTracker records each watched batch's completion instant and counts
-// completed batches, giving the multi-batch run loop an O(1) stop
-// condition (probing Done per batch per event would cost O(batches) on
-// every event — the same wall the monitor's polling hit).
-type batchTracker struct {
-	done  *int
-	times map[string]float64
-}
-
-func (t batchTracker) TaskAssigned(string, int, float64)  {}
-func (t batchTracker) TaskCompleted(string, int, float64) {}
-func (t batchTracker) BatchCompleted(id string, at float64) {
-	if _, ok := t.times[id]; !ok {
-		t.times[id] = at
-		*t.done++
-	}
-}
-
-// executeMulti is one bounded-horizon simulation of a multi-batch cell:
-// N interleaved BoTs share the infrastructure, each registered for QoS with
-// its own credit order and trigger, all monitored by one service through a
-// single aggregated progress poll per tick.
-func executeMulti(j Job, horizon float64) Entry {
-	sc := j.Scenario
-	seed := sc.Seed()
-	nb := sc.SubBatches()
-	res := Result{
-		Middleware: sc.Middleware, TraceName: sc.TraceName, BotClass: sc.BotClass,
-		Offset: sc.Offset, Seed: seed, TriggeredAt: -1,
-	}
-
-	var cfg core.Config
-	useService := false
-	creditFraction := sc.Profile.CreditFraction
+	var kernel *sim.Sharded // nil on the serial kernel
+	var ctl *sim.Engine     // the engine the service lives on
 	switch {
-	case j.Config != nil:
-		cfg = *j.Config
-		useService = true
-		if j.CreditFraction != nil {
-			creditFraction = *j.CreditFraction
+	case !sharded:
+		ctl = sim.NewEngine()
+		srv := newServer(ctl, sc.Middleware)
+		middleware.BindTrace(ctl, tr, srv)
+		h := listen(ctl, srv)
+		for k := range hosts {
+			hosts[k] = h
 		}
-		res.Strategy = cfg.Strategy.Label()
-	case sc.Strategy != nil:
-		cfg = core.Config{Strategy: *sc.Strategy, MonitorPeriod: DefaultMonitorPeriod}
-		useService = true
-		res.Strategy = sc.Strategy.Label()
+	case multi:
+		kernel = sim.NewSharded(kernelShardCount(sc.Profile, nb))
+		ctl = kernel.Control()
+		for k := range hosts {
+			eng := kernel.Shard(batchShard(sc.SubBotID(k), kernel.Shards()))
+			srv := newServer(eng, sc.Middleware)
+			// The batch's dedicated slice of the common pool: partition k of
+			// nb, a pure function of the node IDs — invariant under the
+			// shard count.
+			middleware.BindTracePartition(eng, tr, srv, k, nb)
+			hosts[k] = listen(eng, srv)
+		}
+	default:
+		parts := make([]middleware.Server, shardParts(sc.Profile))
+		kernel = sim.NewSharded(kernelShardCount(sc.Profile, len(parts)))
+		ctl = kernel.Control()
+		for p := range parts {
+			// Partition p of the pool on shard p%ns: the node split is a pure
+			// function of (node ID, parts) — invariant under the shard count.
+			eng := kernel.Shard(p % kernel.Shards())
+			parts[p] = newServer(eng, sc.Middleware)
+			middleware.BindTracePartition(eng, tr, parts[p], p, len(parts))
+		}
+		// The composite replays task events on the control engine, so its
+		// listener (and the inline submission) live there.
+		hosts[0] = listen(ctl, middleware.NewPartitioned(kernel, parts))
 	}
 
-	eng := sim.NewEngine()
-	srv := newServer(eng, sc.Middleware)
-	tr, releaseTrace, err := CachedTrace(sc, horizon)
-	if err != nil {
-		panic(err)
-	}
-	defer releaseTrace()
-	middleware.BindTrace(eng, tr, srv)
-
+	// The service, wired once.
 	var svc *core.Service
+	var mirrorBoxes map[string]*sim.Outbox
 	if useService {
-		simCloud := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(seed))
+		simCloud := cloud.NewSimCloud(ctl, cloud.DefaultSimConfig(), sim.NewRNG(seed))
 		if cfg.CloudServerFactory == nil {
 			cfg.CloudServerFactory = func() middleware.Server {
-				return xwhep.New(eng, xwhep.DefaultConfig())
+				return xwhep.New(ctl, xwhep.DefaultConfig())
 			}
 		}
-		if sc.Profile.Shards > 0 && cfg.Shards == 0 {
-			cfg.Shards = sc.Profile.Shards
+		switch {
+		case !sharded:
+			svc = core.NewService(ctl, hosts[0].srv, simCloud, cfg)
+		case multi:
+			// (d) CloudDuplication's primary-side completions fire on shard
+			// goroutines, so they ride the barrier exchange: one outbox per
+			// batch, created in batch order (the deterministic merge
+			// tie-break), written only by the batch's own shard. The topic
+			// handler replays a mirrored completion on the control engine at
+			// its exact virtual time (svc is captured by reference; it exists
+			// before the kernel runs).
+			mirrorBoxes = make(map[string]*sim.Outbox, nb)
+			topic := kernel.RegisterTopic(func(m sim.Msg) { svc.DeliverMirror(m.S, int(m.I)) })
+			cfg.MirrorPost = func(batchID string, taskID int, at float64) {
+				mirrorBoxes[batchID].Post(sim.Msg{Time: at, Topic: topic, I: int32(taskID), S: batchID})
+			}
+			svc = core.NewShardedService(ctl, simCloud, cfg)
+		default:
+			// (d) The composite already replays primary-side completions on
+			// the control engine at their exact virtual times, so the mirror
+			// direction needs no second exchange hop: deliver directly.
+			cfg.MirrorPost = func(batchID string, taskID int, _ float64) { svc.DeliverMirror(batchID, taskID) }
+			svc = core.NewShardedService(ctl, simCloud, cfg)
 		}
-		if sc.Profile.Tiered && cfg.Tiers == nil {
-			cfg.Tiers = core.DefaultTierPolicy()
-			cfg.Tiers.FleetCap = sc.Profile.FleetCap
-		}
-		svc = core.NewService(eng, srv, simCloud, cfg)
 	}
 
-	done := 0
-	completedAt := map[string]float64{}
-	srv.AddListener(batchTracker{done: &done, times: completedAt})
-
-	res.Batches = make([]BatchResult, nb)
-	for k := 0; k < nb; k++ {
+	// One register/submit pass over the batches. (b) On every engine the
+	// registration — which arms the monitor ticker — is scheduled before the
+	// submission.
+	batches := make([]BatchResult, nb)
+	for k := range batches {
 		workload, err := sc.SubWorkload(k)
 		if err != nil {
 			panic(err)
 		}
-		id := sc.SubBotID(k)
-		at := sc.SubmitAt(k)
-		tier := sc.SubTier(k)
-		res.Batches[k] = BatchResult{
+		h, id, at := hosts[k], sc.SubBotID(k), sc.SubmitAt(k)
+		var tier core.Tier
+		if multi {
+			tier = sc.SubTier(k)
+		}
+		h.done.watch(id)
+		batches[k] = BatchResult{
 			BatchID: id, SubmittedAt: at, Size: workload.Size(), TriggeredAt: -1,
 			Tier: string(tier),
 		}
 		res.Size += workload.Size()
-		br := &res.Batches[k]
-		eng.At(at, func() {
-			if svc != nil {
-				if err := svc.RegisterQoSTier("user", id, sc.EnvKey(), workload.Size(), tier); err != nil {
+		br := &batches[k]
+		register := func() {
+			var err error
+			if sharded {
+				err = svc.RegisterQoSShardTier("user", id, sc.EnvKey(), workload.Size(), tier, h.srv)
+			} else {
+				err = svc.RegisterQoSTier("user", id, sc.EnvKey(), workload.Size(), tier)
+			}
+			if err != nil {
+				panic(err)
+			}
+			credits := creditFraction * workload.WorkloadCPUHours() * svc.Credits.Rate()
+			if credits > 0 {
+				svc.Credits.Deposit("user", credits)
+				if err := svc.OrderQoS("user", id, credits); err != nil {
 					panic(err)
 				}
-				credits := creditFraction * workload.WorkloadCPUHours() * svc.Credits.Rate()
-				if credits > 0 {
-					svc.Credits.Deposit("user", credits)
-					if err := svc.OrderQoS("user", id, credits); err != nil {
-						panic(err)
-					}
-					br.CreditsAllocated = credits
-				}
+				br.CreditsAllocated = credits
 			}
-			srv.Submit(middleware.BatchFromBoT(workload))
-		})
+		}
+		submit := func() { h.srv.Submit(middleware.BatchFromBoT(workload)) }
+		// (a) Result.Events is in the goldens, so each combination keeps its
+		// own number of scheduling events.
+		switch {
+		case !multi: // inline, no event
+			if svc != nil {
+				register()
+			}
+			submit()
+		case !sharded: // ONE event per batch
+			ctl.At(at, func() {
+				if svc != nil {
+					register()
+				}
+				submit()
+			})
+		default:
+			// The submission fires on the batch's shard; the service-side
+			// registration fires on the control engine at the same instant,
+			// i.e. at the barrier closing that window — and only when a
+			// service runs.
+			h.eng.At(at, submit)
+			if svc != nil {
+				mirrorBoxes[id] = kernel.NewOutbox()
+				ctl.At(at, register)
+			}
+		}
 	}
 
-	eng.RunWhile(func() bool { return done < nb && eng.Now() <= horizon })
+	// Run until every watched batch completed or the horizon passed.
+	running := func() bool {
+		for _, l := range listeners {
+			if l.running > 0 {
+				return true
+			}
+		}
+		return false
+	}
+	if kernel == nil {
+		ctl.RunWhile(func() bool { return running() && ctl.Now() <= horizon })
+		res.Events = ctl.Executed()
+	} else {
+		// (c) Barrier window: the monitor period when a service runs (its
+		// tick is the only cross-shard actor). A multi-batch baseline has no
+		// control events and dispatches in one window per idle gap, so the
+		// horizon; a partitioned single BoT rebalances queued work at
+		// barriers, so the cadence is part of the model and a baseline is
+		// pinned to DefaultMonitorPeriod — a pure function of the job key,
+		// never of the shard count.
+		window := cfg.MonitorPeriod
+		if !useService {
+			window = DefaultMonitorPeriod
+			if multi {
+				window = horizon
+			}
+		}
+		kernel.Run(window, func() bool { return ctl.Now() > horizon || !running() })
+		res.Events = kernel.Executed()
+		st := kernel.Stats()
+		res.KernelShards = kernel.Shards()
+		res.Barriers = st.Barriers
+		res.ShardEvents = st.ShardEvents
+		res.BarrierStallSec = st.StallSeconds
+	}
 
-	res.Events = eng.Executed()
-	res.Completed = done == nb
-	for k := range res.Batches {
-		br := &res.Batches[k]
-		if at, ok := completedAt[br.BatchID]; ok {
+	// Collect per batch. (e) Multi-batch cells — and any cell with a service
+	// — read "never triggered" as -1; a single-BoT baseline keeps 0.
+	if multi || useService {
+		res.TriggeredAt = -1
+	}
+	res.Completed = true
+	for k := range batches {
+		br := &batches[k]
+		if at := hosts[k].done.at[br.BatchID]; at >= 0 {
 			br.Completed = true
 			br.CompletionTime = at - br.SubmittedAt
 			if at > res.CompletionTime {
 				res.CompletionTime = at // the cell's makespan
 			}
+		} else {
+			res.Completed = false
 		}
 		res.CreditsAllocated += br.CreditsAllocated
 		if svc == nil {
@@ -317,14 +451,29 @@ func executeMulti(j Job, horizon float64) Entry {
 		}
 	}
 	if !res.Completed {
-		res.CompletionTime = 0
+		res.CompletionTime = 0 // (e) for any incomplete cell
 	}
-	return Entry{Result: res}
-}
 
-// CompletionCurve runs a scenario and returns its Fig 1 completion curve
-// alongside the run result.
-func CompletionCurve(sc Scenario) ([]metrics.SeriesPoint, Result) {
-	e := Execute(Job{Scenario: sc, KeepSeries: true})
-	return e.Series, e.Result
+	// Report in the cell's shape.
+	entry := Entry{}
+	if multi {
+		res.Batches = batches
+	} else if res.Completed {
+		done := listeners[0].tasks
+		if tail, ok := metrics.ComputeTail(done); ok {
+			res.Tail = tail
+		}
+		if n := len(done); n >= 2 {
+			series := metrics.CompletionSeries(done)
+			half := series[(n+1)/2-1].T
+			if half > 0 {
+				res.TC50Base = half / 0.5
+			}
+		}
+		if j.KeepSeries {
+			entry.Series = metrics.CompletionSeries(done)
+		}
+	}
+	entry.Result = res
+	return entry
 }

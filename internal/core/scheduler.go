@@ -169,32 +169,15 @@ func (qb *qosBatch) hasLiveInstances() bool {
 
 // NewService wires a SpeQuloS service to a DG server and a simulated cloud.
 func NewService(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCloud, cfg Config) *Service {
-	if cfg.MonitorPeriod <= 0 {
-		cfg.MonitorPeriod = 60
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
-	_, countDriven := cfg.Strategy.Trigger.(CountDrivenTrigger)
-	s := &Service{
-		eng:         eng,
-		cfg:         cfg,
-		Info:        NewInformation(),
-		Credits:     NewCreditSystem(),
-		Oracle:      NewOracle(cfg.Strategy),
-		Cloud:       simCloud,
-		primary:     primary,
-		batches:     map[string]*qosBatch{},
-		shards:      cfg.Shards,
-		countDriven: countDriven,
-	}
+	s := newService(eng, simCloud, cfg)
+	s.primary = primary
 	primary.AddListener(serviceListener{s})
 	return s
 }
 
 // NewShardedService wires a SpeQuloS service that spans multiple DG
-// servers: every batch registers with its own server (RegisterQoSShard /
-// RegisterQoSShardTier), typically hosted on a shard engine of a
+// servers: every batch registers with its own server
+// (RegisterQoSShardTier), typically hosted on a shard engine of a
 // sim.Sharded kernel while the service itself — monitor ticker, cloud,
 // ledger — lives on the control engine. Cross-server effects happen inside
 // the monitor tick, which the kernel runs serially at barriers, or arrive
@@ -207,6 +190,14 @@ func NewService(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimC
 // windows, so it must ride the barrier exchange — Config.MirrorPost is
 // required and DeliverMirror replays the messages.
 func NewShardedService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
+	s := newService(eng, simCloud, cfg)
+	s.sharded = true
+	return s
+}
+
+// newService resolves the config defaults and builds the service both
+// deployments share; the caller binds it to its server(s).
+func newService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
 	if cfg.MonitorPeriod <= 0 {
 		cfg.MonitorPeriod = 60
 	}
@@ -221,7 +212,6 @@ func NewShardedService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *S
 		Credits:     NewCreditSystem(),
 		Oracle:      NewOracle(cfg.Strategy),
 		Cloud:       simCloud,
-		sharded:     true,
 		batches:     map[string]*qosBatch{},
 		shards:      cfg.Shards,
 		countDriven: countDriven,
@@ -273,27 +263,21 @@ func (s *Service) RegisterQoS(user, batchID, envKey string, size int) error {
 // and the share of contended cloud supply the batch competes for.
 func (s *Service) RegisterQoSTier(user, batchID, envKey string, size int, tier Tier) error {
 	if s.sharded {
-		return fmt.Errorf("core: sharded service requires RegisterQoSShard (batch %q)", batchID)
+		return fmt.Errorf("core: sharded service requires RegisterQoSShardTier (batch %q)", batchID)
 	}
 	return s.register(user, batchID, envKey, size, tier, s.primary)
 }
 
-// RegisterQoSShard registers a batch of a sharded service together with the
-// DG server hosting it. The server must host only this service's batches
-// and must not be shared across shard engines; the service attaches its
-// activity listener to it. Only valid on a NewShardedService instance.
-func (s *Service) RegisterQoSShard(user, batchID, envKey string, size int, srv middleware.Server) error {
-	return s.RegisterQoSShardTier(user, batchID, envKey, size, "", srv)
-}
-
 // RegisterQoSShardTier registers a batch of a sharded service under a QoS
-// service class. It is RegisterQoSShard plus the tier argument of
-// RegisterQoSTier: the tier only matters when Config.Tiers is set, and the
-// sharded tick arbitrates admission as a control-engine reduction over the
-// per-shard candidate lists the plan phase produced.
+// service class, together with the DG server hosting it. The server must
+// host only this service's batches and must not be shared across shard
+// engines; the service attaches its activity listener to it. The tier only
+// matters when Config.Tiers is set: the sharded tick then arbitrates
+// admission as a control-engine reduction over the per-shard candidate lists
+// the plan phase produced. Only valid on a NewShardedService instance.
 func (s *Service) RegisterQoSShardTier(user, batchID, envKey string, size int, tier Tier, srv middleware.Server) error {
 	if !s.sharded {
-		return fmt.Errorf("core: RegisterQoSShard requires NewShardedService (batch %q)", batchID)
+		return fmt.Errorf("core: RegisterQoSShardTier requires NewShardedService (batch %q)", batchID)
 	}
 	if err := s.register(user, batchID, envKey, size, tier, srv); err != nil {
 		return err

@@ -106,17 +106,17 @@ type idleServer struct {
 	progress  middleware.Progress
 }
 
-func (s *idleServer) MiddlewareName() string                  { return "STUB" }
-func (s *idleServer) Submit(middleware.Batch)                 {}
-func (s *idleServer) WorkerJoin(*middleware.Worker)           {}
-func (s *idleServer) WorkerLeave(*middleware.Worker)          {}
-func (s *idleServer) Progress(string) middleware.Progress     { return s.progress }
-func (s *idleServer) Done(string) bool                        { return false }
-func (s *idleServer) Incomplete(string) []bot.Task            { return nil }
-func (s *idleServer) MarkCompleted(string, int)               {}
-func (s *idleServer) WorkerBusy(*middleware.Worker) bool      { return false }
-func (s *idleServer) SetReschedule(bool)                      {}
-func (s *idleServer) AddListener(l middleware.Listener)       { s.listeners = append(s.listeners, l) }
+func (s *idleServer) MiddlewareName() string              { return "STUB" }
+func (s *idleServer) Submit(middleware.Batch)             {}
+func (s *idleServer) WorkerJoin(*middleware.Worker)       {}
+func (s *idleServer) WorkerLeave(*middleware.Worker)      {}
+func (s *idleServer) Progress(string) middleware.Progress { return s.progress }
+func (s *idleServer) Done(string) bool                    { return false }
+func (s *idleServer) Incomplete(string) []bot.Task        { return nil }
+func (s *idleServer) MarkCompleted(string, int)           {}
+func (s *idleServer) WorkerBusy(*middleware.Worker) bool  { return false }
+func (s *idleServer) SetReschedule(bool)                  {}
+func (s *idleServer) AddListener(l middleware.Listener)   { s.listeners = append(s.listeners, l) }
 func (s *idleServer) ProgressBatch(ids []string) map[string]middleware.Progress {
 	out := make(map[string]middleware.Progress, len(ids))
 	for _, id := range ids {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"spequlos/internal/campaign"
@@ -106,17 +105,6 @@ func ablationFrom(store *campaign.ResultStore, p Profile, settings []ablationSet
 	return out, nil
 }
 
-// runSweep executes one sweep's jobs through a fresh campaign and derives
-// the points.
-func runSweep(p Profile, settings []ablationSetting) []AblationPoint {
-	store, _, _ := campaign.RunCampaign(context.Background(), p, ablationJobs(p, settings))
-	pts, err := ablationFrom(store, p, settings)
-	if err != nil {
-		panic(err) // unreachable: the campaign just ran every planned job
-	}
-	return pts
-}
-
 func creditSettings(fractions []float64) []ablationSetting {
 	if len(fractions) == 0 {
 		fractions = []float64{0.02, 0.05, 0.10, 0.20}
@@ -165,35 +153,23 @@ func triggerSettings(p Profile) []ablationSetting {
 	return out
 }
 
-// CreditFractionSweep varies the provisioned credits (the paper fixes them
-// at 10% of the BoT workload) and reports the QoS/cost trade-off.
-func CreditFractionSweep(p Profile, fractions []float64) []AblationPoint {
-	return runSweep(p, creditSettings(fractions))
-}
-
-// CreditFractionSweepFrom derives the sweep from an already-executed store.
+// CreditFractionSweepFrom derives, from an already-executed store, the sweep
+// over the provisioned credits (the paper fixes them at 10% of the BoT
+// workload): the QoS/cost trade-off.
 func CreditFractionSweepFrom(store *campaign.ResultStore, p Profile, fractions []float64) ([]AblationPoint, error) {
 	return ablationFrom(store, p, creditSettings(fractions))
 }
 
-// MonitorPeriodSweep varies the Information/Scheduler loop period (the
-// paper monitors per minute; slower monitoring delays tail detection).
-func MonitorPeriodSweep(p Profile, periods []float64) []AblationPoint {
-	return runSweep(p, periodSettings(p, periods))
-}
-
-// MonitorPeriodSweepFrom derives the sweep from an already-executed store.
+// MonitorPeriodSweepFrom derives, from an already-executed store, the sweep
+// over the Information/Scheduler loop period (the paper monitors per minute;
+// slower monitoring delays tail detection).
 func MonitorPeriodSweepFrom(store *campaign.ResultStore, p Profile, periods []float64) ([]AblationPoint, error) {
 	return ablationFrom(store, p, periodSettings(p, periods))
 }
 
-// TriggerAblation compares the plain completion threshold against the
-// capacity-aware anticipation trigger (§7 future work).
-func TriggerAblation(p Profile) []AblationPoint {
-	return runSweep(p, triggerSettings(p))
-}
-
-// TriggerAblationFrom derives the ablation from an already-executed store.
+// TriggerAblationFrom derives, from an already-executed store, the comparison
+// of the plain completion threshold against the capacity-aware anticipation
+// trigger (§7 future work).
 func TriggerAblationFrom(store *campaign.ResultStore, p Profile) ([]AblationPoint, error) {
 	return ablationFrom(store, p, triggerSettings(p))
 }
@@ -250,19 +226,9 @@ func ComparisonJobs(p Profile, traces []string, botClass string) []campaign.Job 
 	return jobs
 }
 
-// CompareMiddleware runs baseline executions of one workload class across
-// the three middleware on the given traces.
-func CompareMiddleware(p Profile, traces []string, botClass string) []MiddlewareComparisonRow {
-	store, _, _ := campaign.RunCampaign(context.Background(), p, ComparisonJobs(p, traces, botClass))
-	rows, err := CompareMiddlewareFrom(store, p, traces, botClass)
-	if err != nil {
-		panic(err) // unreachable: the campaign just ran every planned job
-	}
-	return rows
-}
-
-// CompareMiddlewareFrom derives the comparison from an already-executed
-// store.
+// CompareMiddlewareFrom derives, from an already-executed store, the
+// baseline executions of one workload class across the three middleware on
+// the given traces.
 func CompareMiddlewareFrom(store *campaign.ResultStore, p Profile, traces []string, botClass string) ([]MiddlewareComparisonRow, error) {
 	var out []MiddlewareComparisonRow
 	for _, mw := range AllMiddlewares() {

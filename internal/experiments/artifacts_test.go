@@ -109,7 +109,7 @@ func TestArtifactsMatchDirectRuns(t *testing.T) {
 		Bots:       []string{"SMALL"},
 		Strategies: []core.Strategy{core.DefaultStrategy()},
 	}
-	m := RunMatrix(p, spec)
+	m := must(MatrixFrom(runStore(t, p, spec.Jobs(p)...), p, spec))
 	if len(m.Pairs) != 2*p.Offsets { // 2 middleware × 1 trace × 1 bot (tiny has 1 offset)
 		t.Fatalf("pairs = %d", len(m.Pairs))
 	}

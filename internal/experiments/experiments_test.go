@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
+	"spequlos/internal/campaign"
 	"spequlos/internal/core"
 )
 
@@ -14,6 +16,28 @@ func tiny() Profile {
 		Name: "tiny", BotScale: 0.02, Offsets: 1, PoolCap: 120,
 		HorizonDays: 6, CreditFraction: 0.10,
 	}
+}
+
+// runStore executes the jobs once through the campaign engine into a fresh
+// store; the tests then derive from it with the *From builders, the only
+// builders there are.
+func runStore(t *testing.T, p Profile, jobs ...campaign.Job) *campaign.ResultStore {
+	t.Helper()
+	store, _, err := campaign.RunCampaign(context.Background(), p, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return store
+}
+
+// must unwraps a builder's (value, error) pair; an error here means the
+// campaign that just ran did not fill the store, so it panics like the
+// run-and-derive wrappers it replaces did.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }
 
 func TestTraceSourceResolution(t *testing.T) {
@@ -78,12 +102,13 @@ func TestPairedSeedBaseUnchanged(t *testing.T) {
 func TestRunMatrixShape(t *testing.T) {
 	p := tiny()
 	p.Offsets = 2
-	m := RunMatrix(p, MatrixSpec{
+	spec := MatrixSpec{
 		Middlewares: []string{XWHEP},
 		Traces:      []string{"nd", "spot10"},
 		Bots:        []string{"BIG"},
 		Strategies:  []core.Strategy{core.DefaultStrategy()},
-	})
+	}
+	m := must(MatrixFrom(runStore(t, p, spec.Jobs(p)...), p, spec))
 	if len(m.Pairs) != 4 { // 1 mw × 2 traces × 1 bot × 2 offsets
 		t.Fatalf("pairs = %d, want 4", len(m.Pairs))
 	}
@@ -91,30 +116,25 @@ func TestRunMatrixShape(t *testing.T) {
 		t.Fatalf("strategies = %v", m.Strategies)
 	}
 	for i, pair := range m.Pairs {
-		if !pair.Base.Completed {
-			t.Fatalf("pair %d baseline incomplete", i)
+		if !pair.Base.Completed || pair.Base.Strategy != "" {
+			t.Fatalf("pair %d baseline incomplete or not a baseline: %+v", i, pair.Base)
 		}
-		if _, ok := pair.Speq["9C-C-R"]; !ok {
+		if r, ok := pair.Speq["9C-C-R"]; !ok || r.Strategy != "9C-C-R" {
 			t.Fatalf("pair %d missing strategy run", i)
 		}
-	}
-	if got := len(m.BaseResults()); got != 4 {
-		t.Fatalf("base results = %d", got)
-	}
-	if got := len(m.StrategyResults("9C-C-R")); got != 4 {
-		t.Fatalf("strategy results = %d", got)
 	}
 }
 
 func TestFiguresFromMatrix(t *testing.T) {
 	p := tiny()
-	m := RunMatrix(p, MatrixSpec{
+	spec := MatrixSpec{
 		Traces:     []string{"seti", "g5klyo"},
 		Bots:       []string{"SMALL", "BIG"},
 		Strategies: []core.Strategy{core.DefaultStrategy()},
-	})
+	}
+	store := runStore(t, p, spec.Jobs(p)...)
 
-	f2 := BuildFigure2(m.BaseResults())
+	f2 := must(Figure2From(store, p, spec))
 	if len(f2.Slowdowns[BOINC]) == 0 || len(f2.Slowdowns[XWHEP]) == 0 {
 		t.Fatal("figure 2 empty")
 	}
@@ -125,12 +145,12 @@ func TestFiguresFromMatrix(t *testing.T) {
 		t.Fatal("render broken")
 	}
 
-	t1 := BuildTable1(m.BaseResults())
+	t1 := must(Table1From(store, p, spec))
 	if len(t1.Rows) == 0 || !strings.Contains(t1.Render(), "Table 1") {
 		t.Fatal("table 1 broken")
 	}
 
-	f4 := BuildFigure4(m)
+	f4 := must(Figure4From(store, p, spec))
 	if len(f4.TRE["9C-C-R"]) == 0 {
 		t.Fatal("figure 4 empty")
 	}
@@ -143,7 +163,7 @@ func TestFiguresFromMatrix(t *testing.T) {
 		t.Fatal("figure 4 render broken")
 	}
 
-	f5 := BuildFigure5(m)
+	f5 := must(Figure5From(store, p, spec))
 	if frac, ok := f5.SpentFraction["9C-C-R"]; !ok || frac < 0 || frac > 1 {
 		t.Fatalf("figure 5 spent fraction: %v %v", frac, ok)
 	}
@@ -151,7 +171,7 @@ func TestFiguresFromMatrix(t *testing.T) {
 		t.Fatal("figure 5 render broken")
 	}
 
-	f6 := BuildFigure6(m, "9C-C-R")
+	f6 := must(Figure6From(store, p, spec, "9C-C-R"))
 	found := false
 	for _, byBot := range f6.Cells {
 		for _, byTrace := range byBot {
@@ -170,7 +190,7 @@ func TestFiguresFromMatrix(t *testing.T) {
 		t.Fatal("figure 6 render broken")
 	}
 
-	f7 := BuildFigure7(m, "9C-C-R")
+	f7 := must(Figure7From(store, p, spec, "9C-C-R"))
 	if len(f7.NoSpeq) == 0 {
 		t.Fatal("figure 7 empty")
 	}
@@ -178,7 +198,7 @@ func TestFiguresFromMatrix(t *testing.T) {
 		t.Fatal("figure 7 render broken")
 	}
 
-	t4 := BuildTable4(m, "9C-C-R")
+	t4 := must(Table4From(store, p, spec, "9C-C-R"))
 	if t4.Overall < 0 || t4.Overall > 1 {
 		t.Fatalf("table 4 overall = %v", t4.Overall)
 	}
@@ -188,7 +208,8 @@ func TestFiguresFromMatrix(t *testing.T) {
 }
 
 func TestFigure1(t *testing.T) {
-	f := BuildFigure1(tiny())
+	p := tiny()
+	f := must(Figure1From(runStore(t, p, Figure1Job(p)), p))
 	if len(f.Series) == 0 {
 		t.Fatal("figure 1 empty")
 	}
@@ -282,7 +303,9 @@ func TestTable5EDGI(t *testing.T) {
 
 func TestCreditFractionSweep(t *testing.T) {
 	p := tiny()
-	pts := CreditFractionSweep(p, []float64{0.02, 0.10})
+	fractions := []float64{0.02, 0.10}
+	store := runStore(t, p, ablationJobs(p, creditSettings(fractions))...)
+	pts := must(CreditFractionSweepFrom(store, p, fractions))
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -304,7 +327,9 @@ func TestCreditFractionSweep(t *testing.T) {
 
 func TestMonitorPeriodSweep(t *testing.T) {
 	p := tiny()
-	pts := MonitorPeriodSweep(p, []float64{60, 900})
+	periods := []float64{60, 900}
+	store := runStore(t, p, ablationJobs(p, periodSettings(p, periods))...)
+	pts := must(MonitorPeriodSweepFrom(store, p, periods))
 	if len(pts) != 2 || pts[0].Runs == 0 || pts[1].Runs == 0 {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -317,7 +342,8 @@ func TestMonitorPeriodSweep(t *testing.T) {
 
 func TestTriggerAblation(t *testing.T) {
 	p := tiny()
-	pts := TriggerAblation(p)
+	store := runStore(t, p, ablationJobs(p, triggerSettings(p))...)
+	pts := must(TriggerAblationFrom(store, p))
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -330,32 +356,33 @@ func TestTriggerAblation(t *testing.T) {
 
 func TestChartBuilders(t *testing.T) {
 	p := tiny()
-	m := RunMatrix(p, MatrixSpec{
+	spec := MatrixSpec{
 		Traces:     []string{"seti"},
 		Bots:       []string{"SMALL"},
 		Strategies: []core.Strategy{core.DefaultStrategy()},
-	})
+	}
+	store := runStore(t, p, append(spec.Jobs(p), Figure1Job(p))...)
 
-	f1 := BuildFigure1(p)
+	f1 := must(Figure1From(store, p))
 	var buf bytes.Buffer
 	if err := Figure1Chart(f1).WriteSVG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := Figure2Chart(BuildFigure2(m.BaseResults())).WriteSVG(&buf); err != nil {
+	if err := Figure2Chart(must(Figure2From(store, p, spec))).WriteSVG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	f4 := BuildFigure4(m)
+	f4 := must(Figure4From(store, p, spec))
 	if err := Figure4Chart(f4, "R").WriteSVG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	if err := Figure5Chart(BuildFigure5(m)).WriteSVG(&buf); err != nil {
+	if err := Figure5Chart(must(Figure5From(store, p, spec))).WriteSVG(&buf); err != nil {
 		t.Fatal(err)
 	}
 	buf.Reset()
-	f6 := BuildFigure6(m, "9C-C-R")
+	f6 := must(Figure6From(store, p, spec, "9C-C-R"))
 	for mw := range f6.Cells {
 		for bc := range f6.Cells[mw] {
 			if err := Figure6Chart(f6, mw, bc).WriteSVG(&buf); err != nil {
@@ -364,7 +391,7 @@ func TestChartBuilders(t *testing.T) {
 			buf.Reset()
 		}
 	}
-	f7 := BuildFigure7(m, "9C-C-R")
+	f7 := must(Figure7From(store, p, spec, "9C-C-R"))
 	if err := Figure7Chart(f7, BOINC).WriteSVG(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +418,9 @@ func TestCondorScenarioRuns(t *testing.T) {
 }
 
 func TestCompareMiddleware(t *testing.T) {
-	rows := CompareMiddleware(tiny(), []string{"seti"}, "BIG")
+	p := tiny()
+	store := runStore(t, p, ComparisonJobs(p, []string{"seti"}, "BIG")...)
+	rows := must(CompareMiddlewareFrom(store, p, []string{"seti"}, "BIG"))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}

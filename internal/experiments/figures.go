@@ -33,12 +33,6 @@ func Figure1Job(p Profile) campaign.Job {
 	}
 }
 
-// BuildFigure1 runs one baseline execution and extracts the Fig 1 curve.
-func BuildFigure1(p Profile) Figure1 {
-	e := campaign.Execute(Figure1Job(p))
-	return Figure1{Series: e.Series, Tail: e.Result.Tail, Result: e.Result}
-}
-
 // Figure1From derives Fig 1 from an already-executed store.
 func Figure1From(store *campaign.ResultStore, p Profile) (Figure1, error) {
 	j := Figure1Job(p)
@@ -76,23 +70,10 @@ type Figure2 struct {
 	Slowdowns map[string][]float64 // by middleware, sorted
 }
 
-// resultPairs adapts a result slice to a pairSource of base-only pairs, so
-// the slice-fed Build* builders share the streaming accumulators.
-func resultPairs(results []Result) pairSource {
-	return func(fn func(Pair) error) error {
-		for _, r := range results {
-			if err := fn(Pair{Base: r}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-}
-
-// buildFigure2 accumulates Fig 2 one pair at a time.
-func buildFigure2(src pairSource) (Figure2, error) {
+// Figure2From streams Fig 2 straight from the store, one cell at a time.
+func Figure2From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Figure2, error) {
 	f := Figure2{Slowdowns: map[string][]float64{}}
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		r := pair.Base
 		if !r.Completed || r.Strategy != "" {
 			return nil
@@ -107,17 +88,6 @@ func buildFigure2(src pairSource) (Figure2, error) {
 		sort.Float64s(f.Slowdowns[mw])
 	}
 	return f, nil
-}
-
-// BuildFigure2 derives Fig 2 from baseline results.
-func BuildFigure2(results []Result) Figure2 {
-	f, _ := buildFigure2(resultPairs(results))
-	return f
-}
-
-// Figure2From streams Fig 2 straight from the store, one cell at a time.
-func Figure2From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Figure2, error) {
-	return buildFigure2(storePairs(store, p, spec))
 }
 
 // FractionBelow returns P(slowdown < s) for a middleware.
@@ -162,10 +132,10 @@ type table1Cell struct {
 	N        int
 }
 
-// buildTable1 accumulates Table 1 one pair at a time.
-func buildTable1(src pairSource) (Table1, error) {
+// Table1From streams Table 1 straight from the store, one cell at a time.
+func Table1From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Table1, error) {
 	sums := map[trace.Class]map[string]*table1Cell{}
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		r := pair.Base
 		if !r.Completed || r.Strategy != "" {
 			return nil
@@ -199,17 +169,6 @@ func buildTable1(src pairSource) (Table1, error) {
 		}
 	}
 	return out, nil
-}
-
-// BuildTable1 aggregates baseline results by BE-DCI class.
-func BuildTable1(results []Result) Table1 {
-	t, _ := buildTable1(resultPairs(results))
-	return t
-}
-
-// Table1From streams Table 1 straight from the store, one cell at a time.
-func Table1From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Table1, error) {
-	return buildTable1(storePairs(store, p, spec))
 }
 
 // Render prints the Table 1 layout.
@@ -309,10 +268,11 @@ type Figure4 struct {
 	TRE map[string][]float64
 }
 
-// buildFigure4 accumulates paired TREs one pair at a time.
-func buildFigure4(src pairSource) (Figure4, error) {
+// Figure4From streams the paired TREs of Fig 4 straight from the store, one
+// cell at a time.
+func Figure4From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Figure4, error) {
 	f := Figure4{TRE: map[string][]float64{}}
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		if !pair.Base.Completed {
 			return nil
 		}
@@ -337,17 +297,6 @@ func buildFigure4(src pairSource) (Figure4, error) {
 		sort.Float64s(f.TRE[label])
 	}
 	return f, nil
-}
-
-// BuildFigure4 computes paired TREs for every strategy in the matrix.
-func BuildFigure4(m Matrix) Figure4 {
-	f, _ := buildFigure4(m.each)
-	return f
-}
-
-// Figure4From streams Fig 4 straight from the store, one cell at a time.
-func Figure4From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Figure4, error) {
-	return buildFigure4(storePairs(store, p, spec))
 }
 
 // FractionAbove returns P(TRE > p) for a strategy label.
@@ -409,11 +358,12 @@ type Figure5 struct {
 	N             map[string]int
 }
 
-// buildFigure5 accumulates credit use one pair at a time.
-func buildFigure5(src pairSource) (Figure5, error) {
+// Figure5From streams the credit use of Fig 5 straight from the store, one
+// cell at a time.
+func Figure5From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Figure5, error) {
 	f := Figure5{SpentFraction: map[string]float64{}, N: map[string]int{}}
 	sums := map[string]float64{}
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		for label, speq := range pair.Speq {
 			if !speq.Completed || speq.CreditsAllocated <= 0 {
 				continue
@@ -430,17 +380,6 @@ func buildFigure5(src pairSource) (Figure5, error) {
 		f.SpentFraction[label] = s / float64(f.N[label])
 	}
 	return f, nil
-}
-
-// BuildFigure5 aggregates credit use from the matrix.
-func BuildFigure5(m Matrix) Figure5 {
-	f, _ := buildFigure5(m.each)
-	return f
-}
-
-// Figure5From streams Fig 5 straight from the store, one cell at a time.
-func Figure5From(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Figure5, error) {
-	return buildFigure5(storePairs(store, p, spec))
 }
 
 // Render prints consumption per combination.
@@ -476,14 +415,15 @@ type Figure6 struct {
 	Cells    map[string]map[string]map[string]Figure6Cell // mw → bot → trace
 }
 
-// buildFigure6 accumulates paired completion times one pair at a time.
-func buildFigure6(src pairSource, label string) (Figure6, error) {
+// Figure6From streams the paired completion times of Fig 6 straight from
+// the store, one cell at a time.
+func Figure6From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Figure6, error) {
 	type acc struct {
 		base, speq float64
 		n          int
 	}
 	sums := map[string]map[string]map[string]*acc{}
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		speq, ok := pair.Speq[label]
 		if !ok || !speq.Completed || !pair.Base.Completed {
 			return nil
@@ -523,17 +463,6 @@ func buildFigure6(src pairSource, label string) (Figure6, error) {
 		}
 	}
 	return out, nil
-}
-
-// BuildFigure6 aggregates paired completion times for one strategy.
-func BuildFigure6(m Matrix, label string) Figure6 {
-	f, _ := buildFigure6(m.each, label)
-	return f
-}
-
-// Figure6From streams Fig 6 straight from the store, one cell at a time.
-func Figure6From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Figure6, error) {
-	return buildFigure6(storePairs(store, p, spec), label)
 }
 
 // Render prints the six panels (a–f).
@@ -583,15 +512,15 @@ type Figure7 struct {
 	StdSpeq   map[string]float64
 }
 
-// buildFigure7 normalizes each completion time by the average of its
+// Figure7From normalizes each completion time by the average of its
 // environment (trace × middleware × BoT class, per §4.3.2) and histograms
 // the result, accumulating the per-environment samples in one streaming
-// pass. Only the per-environment completion times are retained per cell —
-// a few floats — not the pairs themselves.
-func buildFigure7(src pairSource, label string) (Figure7, error) {
+// pass over the store. Only the per-environment completion times are
+// retained per cell — a few floats — not the pairs themselves.
+func Figure7From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Figure7, error) {
 	byEnvBase := map[string][]float64{}
 	byEnvSpeq := map[string][]float64{}
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		if pair.Base.Completed {
 			env := pair.Base.EnvKey()
 			byEnvBase[env] = append(byEnvBase[env], pair.Base.CompletionTime)
@@ -633,17 +562,6 @@ func buildFigure7(src pairSource, label string) (Figure7, error) {
 	return out, nil
 }
 
-// BuildFigure7 derives the stability figure from a materialized matrix.
-func BuildFigure7(m Matrix, label string) Figure7 {
-	f, _ := buildFigure7(m.each, label)
-	return f
-}
-
-// Figure7From streams Fig 7 straight from the store, one cell at a time.
-func Figure7From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Figure7, error) {
-	return buildFigure7(storePairs(store, p, spec), label)
-}
-
 // Render prints the stability summary.
 func (f Figure7) Render() string {
 	tbl := TextTable{
@@ -667,14 +585,14 @@ type Table4 struct {
 	Overall float64
 }
 
-// buildTable4 fits α per environment over the SpeQuloS runs of one strategy
+// Table4From fits α per environment over the SpeQuloS runs of one strategy
 // (perfect-knowledge calibration, as §4.3.3 does) and evaluates the ±20%
 // success rate of predictions made at 50% completion. Calibration needs
-// every run before any prediction is judged, so the source is streamed
-// twice — per-cell both times, never materialized.
-func buildTable4(src pairSource, label string) (Table4, error) {
+// every run before any prediction is judged, so the store is streamed
+// twice — per cell both times, never materialized.
+func Table4From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Table4, error) {
 	cal := core.NewCalibration()
-	err := src(func(pair Pair) error {
+	err := EachPair(store, p, spec, func(pair Pair) error {
 		if r, ok := pair.Speq[label]; ok && r.Completed && r.TC50Base > 0 {
 			cal.Record(r.EnvKey(), r.TC50Base, r.CompletionTime)
 		}
@@ -684,7 +602,7 @@ func buildTable4(src pairSource, label string) (Table4, error) {
 		return Table4{}, err
 	}
 	hit := map[string]map[string][]bool{}
-	err = src(func(pair Pair) error {
+	err = EachPair(store, p, spec, func(pair Pair) error {
 		r, okRun := pair.Speq[label]
 		if !okRun || !r.Completed || r.TC50Base <= 0 {
 			return nil
@@ -724,17 +642,6 @@ func buildTable4(src pairSource, label string) (Table4, error) {
 		out.Overall = float64(allHits) / float64(allN)
 	}
 	return out, nil
-}
-
-// BuildTable4 derives the prediction table from a materialized matrix.
-func BuildTable4(m Matrix, label string) Table4 {
-	t, _ := buildTable4(m.each, label)
-	return t
-}
-
-// Table4From streams Table 4 straight from the store, one cell at a time.
-func Table4From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Table4, error) {
-	return buildTable4(storePairs(store, p, spec), label)
 }
 
 // Render prints the Table 4 layout.

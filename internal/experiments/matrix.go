@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
-	"io"
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
@@ -29,8 +27,6 @@ type MatrixSpec struct {
 	Traces      []string
 	Bots        []string
 	Strategies  []core.Strategy
-	// Log, when non-nil, receives one line per finished scenario.
-	Log io.Writer
 }
 
 func (s MatrixSpec) middlewares() []string {
@@ -93,42 +89,6 @@ func (s MatrixSpec) Jobs(p Profile) []campaign.Job {
 	return jobs
 }
 
-// RunMatrix plans the spec's jobs, executes them once through the campaign
-// engine, and derives the Matrix view from the result store.
-func RunMatrix(p Profile, spec MatrixSpec) Matrix {
-	store := campaign.NewResultStore()
-	c := campaign.New(p, spec.Jobs(p)...)
-	if spec.Log != nil {
-		c.Progress = func(ev campaign.Event) {
-			fmt.Fprintf(spec.Log, "done %s (%d/%d, base %.0fs)\n",
-				ev.Key, ev.Done, ev.Total, ev.Result.CompletionTime)
-		}
-	}
-	c.Run(context.Background(), store)
-	m, err := MatrixFrom(store, p, spec)
-	if err != nil {
-		panic(err) // unreachable: the campaign just ran every planned job
-	}
-	return m
-}
-
-// pairSource streams the pairs of a matrix in deterministic cell order —
-// the abstraction the figure/table accumulators consume, implemented both
-// by a materialized Matrix (Matrix.each) and by a store-backed cursor
-// (EachPair), so every builder has a streaming and a materialized entry
-// point with one aggregation implementation.
-type pairSource func(fn func(Pair) error) error
-
-// each streams the materialized pairs.
-func (m Matrix) each(fn func(Pair) error) error {
-	for _, pair := range m.Pairs {
-		if err := fn(pair); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EachPair streams the spec's cells straight from the store in
 // deterministic order, building one Pair at a time — the derivation path
 // for paper-scale campaigns, which never materializes the whole matrix. It
@@ -157,11 +117,6 @@ func EachPair(store *campaign.ResultStore, p Profile, spec MatrixSpec, fn func(P
 	return nil
 }
 
-// storePairs adapts EachPair to a pairSource.
-func storePairs(store *campaign.ResultStore, p Profile, spec MatrixSpec) pairSource {
-	return func(fn func(Pair) error) error { return EachPair(store, p, spec, fn) }
-}
-
 // ValidateSpec checks that the store holds every cell of the spec without
 // materializing anything — the completeness gate the streaming derivation
 // path runs where the materialized path built the Matrix.
@@ -170,9 +125,9 @@ func ValidateSpec(store *campaign.ResultStore, p Profile, spec MatrixSpec) error
 }
 
 // MatrixFrom derives the Matrix view of a spec from an already-executed
-// result store. It fails if the store is missing any cell of the spec.
-// Paper-scale consumers should prefer EachPair and the *From streaming
-// builders, which iterate per cell instead of materializing every pair.
+// result store. It fails if the store is missing any cell of the spec. The
+// figure and table builders do not read it: they stream per cell through
+// EachPair instead of materializing every pair.
 func MatrixFrom(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Matrix, error) {
 	m := Matrix{Profile: p, Strategies: spec.labels()}
 	err := EachPair(store, p, spec, func(pair Pair) error {
@@ -183,24 +138,4 @@ func MatrixFrom(store *campaign.ResultStore, p Profile, spec MatrixSpec) (Matrix
 		return Matrix{}, err
 	}
 	return m, nil
-}
-
-// BaseResults extracts the baseline runs.
-func (m Matrix) BaseResults() []Result {
-	out := make([]Result, 0, len(m.Pairs))
-	for _, p := range m.Pairs {
-		out = append(out, p.Base)
-	}
-	return out
-}
-
-// StrategyResults extracts the runs of one strategy label.
-func (m Matrix) StrategyResults(label string) []Result {
-	var out []Result
-	for _, p := range m.Pairs {
-		if r, ok := p.Speq[label]; ok {
-			out = append(out, r)
-		}
-	}
-	return out
 }

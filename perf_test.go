@@ -133,17 +133,19 @@ func TestShardedStressPerfFloor(t *testing.T) {
 
 	runStressCell(t, 1) // warm the trace cache off the clock
 
-	// Best of two attempts per side damps scheduler noise; the serial side
-	// runs first so any remaining cache warming favors it.
-	best := func(shards int) time.Duration {
-		a := runStressCell(t, shards)
-		if b := runStressCell(t, shards); b < a {
-			a = b
+	// Three interleaved serial/parallel pairs, compared on their minima: a
+	// neighbour's burst of load then lands on both sides instead of on
+	// whichever side happened to run during it. The serial run of a pair
+	// goes first so any remaining cache warming favors it.
+	var serial, parallel time.Duration
+	for pair := 0; pair < 3; pair++ {
+		if d := runStressCell(t, 1); pair == 0 || d < serial {
+			serial = d
 		}
-		return a
+		if d := runStressCell(t, procs); pair == 0 || d < parallel {
+			parallel = d
+		}
 	}
-	serial := best(1)
-	parallel := best(procs)
 	t.Logf("stress cell: serial %v, %d-shard %v (speedup %.2fx)",
 		serial, procs, parallel, serial.Seconds()/parallel.Seconds())
 	if parallel >= serial {
