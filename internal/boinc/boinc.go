@@ -263,6 +263,11 @@ func (s *Server) Submit(b middleware.Batch) {
 func (s *Server) arrive(wu *workunit) {
 	wu.arrived = true
 	wu.batch.arrived++
+	if wu.completed {
+		// A result merged in before the arrival (MarkCompleted): the workunit
+		// counts as arrived but is never queued, or it would run again.
+		return
+	}
 	wu.unsent = s.cfg.TargetNResults
 	wu.queued = true
 	wu.batch.freeQueued++

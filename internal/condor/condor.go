@@ -209,6 +209,11 @@ func (s *Server) Submit(b middleware.Batch) {
 func (s *Server) arrive(t *ctask) {
 	t.arrived = true
 	t.batch.arrived++
+	if t.completed {
+		// A result merged in before the arrival (MarkCompleted): the job
+		// counts as arrived but is never queued, or it would run again.
+		return
+	}
 	t.queued = true
 	t.batch.freeQueued++
 	s.queue.push(t)

@@ -12,6 +12,13 @@ import (
 	"spequlos/internal/xwhep"
 )
 
+// ctors builds each middleware model with its default parameters.
+var ctors = map[string]func(*sim.Engine) middleware.Server{
+	"BOINC":  func(e *sim.Engine) middleware.Server { return boinc.New(e, boinc.DefaultConfig()) },
+	"XWHEP":  func(e *sim.Engine) middleware.Server { return xwhep.New(e, xwhep.DefaultConfig()) },
+	"CONDOR": func(e *sim.Engine) middleware.Server { return condor.New(e, condor.DefaultConfig()) },
+}
+
 // assignmentAuditor verifies multi-tenant dispatch integrity: every task
 // completes exactly once, and a dedicated (cloud) worker only ever executes
 // tasks of its own batch. Together with the servers' internal
@@ -47,11 +54,6 @@ func (a *assignmentAuditor) TaskExecutedBy(batchID string, taskID int, w *middle
 // The servers panic if a busy worker is ever re-assigned; the auditor
 // checks exactly-once completion and batch dedication.
 func TestTwoBatchesSharedPoolNoDoubleAssign(t *testing.T) {
-	ctors := map[string]func(*sim.Engine) middleware.Server{
-		"BOINC":  func(e *sim.Engine) middleware.Server { return boinc.New(e, boinc.DefaultConfig()) },
-		"XWHEP":  func(e *sim.Engine) middleware.Server { return xwhep.New(e, xwhep.DefaultConfig()) },
-		"CONDOR": func(e *sim.Engine) middleware.Server { return condor.New(e, condor.DefaultConfig()) },
-	}
 	for name, ctor := range ctors {
 		t.Run(name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -160,5 +162,59 @@ func TestIdleSetTwoConsumersNeverShareAWorker(t *testing.T) {
 	}
 	if released == 0 {
 		t.Fatal("property test never cycled workers through the set")
+	}
+}
+
+// lifecycleCounter counts task lifecycle events per task and batch
+// completions.
+type lifecycleCounter struct {
+	assigned, completed map[int]int
+	batchDone           int
+}
+
+func (c *lifecycleCounter) TaskAssigned(_ string, id int, _ float64)  { c.assigned[id]++ }
+func (c *lifecycleCounter) TaskCompleted(_ string, id int, _ float64) { c.completed[id]++ }
+func (c *lifecycleCounter) BatchCompleted(string, float64)            { c.batchDone++ }
+
+// TestCompletedBeforeArrivalNeverRuns is the regression test for the arrive
+// defect: a task whose result is merged in (MarkCompleted, as Cloud
+// Duplication's mirror does) before its arrival event fires used to be
+// queued by that event and executed again. Task 0 arrives at t=10 and is
+// marked completed at t=5; task 1 is an ordinary task that closes the batch.
+func TestCompletedBeforeArrivalNeverRuns(t *testing.T) {
+	for name, ctor := range ctors {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			srv := ctor(eng)
+			rec := &lifecycleCounter{assigned: map[int]int{}, completed: map[int]int{}}
+			srv.AddListener(rec)
+			srv.Submit(middleware.Batch{ID: "b", Tasks: []bot.Task{
+				{ID: 0, NOps: 100, Arrival: 10},
+				{ID: 1, NOps: 100},
+			}})
+			eng.At(5, func() { srv.MarkCompleted("b", 0) })
+			// Enough hosts for a BOINC quorum on task 1 and to spare.
+			for i := 0; i < 4; i++ {
+				srv.WorkerJoin(&middleware.Worker{ID: i, Power: 1})
+			}
+			eng.RunUntil(11) // task 0's arrival event has fired
+			p := srv.Progress("b")
+			if p.Arrived != 2 || p.Completed != 1 || p.Queued != 0 || p.Running != 1 || p.EverAssigned != 1 {
+				t.Fatalf("after the arrival: %+v, want both arrived, task 0 completed, only task 1 running", p)
+			}
+			eng.Run()
+			if rec.assigned[0] != 0 {
+				t.Errorf("TaskAssigned fired %d times for the completed task", rec.assigned[0])
+			}
+			if rec.completed[0] != 1 || rec.completed[1] != 1 {
+				t.Errorf("completions per task = %v, want one each", rec.completed)
+			}
+			if rec.batchDone != 1 || !srv.Done("b") {
+				t.Errorf("batch completed %d times, done=%v", rec.batchDone, srv.Done("b"))
+			}
+			if p := srv.Progress("b"); p.Queued != 0 || p.Running != 0 || p.EverAssigned != 1 {
+				t.Errorf("final progress: %+v", p)
+			}
+		})
 	}
 }
