@@ -2,11 +2,11 @@ package condor
 
 import (
 	"testing"
-	"testing/quick"
 
 	"spequlos/internal/bot"
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
+	"spequlos/internal/xwhep"
 )
 
 type recorder struct {
@@ -31,22 +31,6 @@ func tasks(nops ...float64) []bot.Task {
 		out[i] = bot.Task{ID: i, NOps: n}
 	}
 	return out
-}
-
-func TestBasicExecution(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 200)})
-	s.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
-	eng.Run()
-	if rec.batchDone != 300 {
-		t.Fatalf("batch done at %v, want 300", rec.batchDone)
-	}
-	if s.MiddlewareName() != "CONDOR" {
-		t.Fatal("name wrong")
-	}
 }
 
 func TestCheckpointMigrationPreservesWork(t *testing.T) {
@@ -111,98 +95,14 @@ func TestFasterDetectionThanXWHEP(t *testing.T) {
 	}
 }
 
-func TestRescheduleCloudDuplicate(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.SetReschedule(true)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100000)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	eng.At(60, func() { s.WorkerJoin(middleware.NewCloudWorker(0, 1000, "b")) })
-	eng.Run()
-	if rec.batchDone != 160 {
-		t.Fatalf("batch done at %v, want 160 (cloud duplicate)", rec.batchDone)
-	}
-	if rec.completed[0] != 1 {
-		t.Fatalf("completed %d times", rec.completed[0])
-	}
-}
-
-func TestMarkCompletedAndIncomplete(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000, 1000)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	eng.RunUntil(100)
-	if got := len(s.Incomplete("b")); got != 2 {
-		t.Fatalf("incomplete = %d", got)
-	}
-	s.MarkCompleted("b", 0)
-	s.MarkCompleted("b", 0) // idempotent
-	eng.Run()
-	if !s.Done("b") {
-		t.Fatal("batch incomplete")
-	}
-	p := s.Progress("b")
-	if p.Completed != 2 || p.Running != 0 {
-		t.Fatalf("progress: %+v", p)
-	}
-}
-
-func TestChurnStressInvariants(t *testing.T) {
-	f := func(seed uint64) bool {
-		eng := sim.NewEngine()
-		s := New(eng, DefaultConfig())
-		rec := newRecorder()
-		s.AddListener(rec)
-		r := sim.NewRNG(seed)
-		n := 15
-		specs := make([]bot.Task, n)
-		for i := range specs {
-			specs[i] = bot.Task{ID: i, NOps: 100 + r.Float64()*2000}
-		}
-		s.Submit(middleware.Batch{ID: "b", Tasks: specs})
-		s.WorkerJoin(&middleware.Worker{ID: 999, Power: 1})
-		for i := 0; i < 5; i++ {
-			w := &middleware.Worker{ID: i, Power: 0.5 + r.Float64()}
-			at := r.Float64() * 1000
-			dur := 200 + r.Float64()*2000
-			eng.At(at, func() { s.WorkerJoin(w) })
-			eng.At(at+dur, func() { s.WorkerLeave(w) })
-		}
-		eng.Run()
-		if !s.Done("b") {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if rec.completed[i] != 1 {
-				return false
-			}
-		}
-		p := s.Progress("b")
-		return p.Completed == n && p.Running == 0 && p.Queued == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDuplicateBatchPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate batch accepted")
-		}
-	}()
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
-}
-
 func TestConfigDefaults(t *testing.T) {
-	s := New(sim.NewEngine(), Config{})
-	if s.cfg.PollInterval != 300 || s.cfg.CheckpointPeriod != 900 {
-		t.Fatalf("defaults: %+v", s.cfg)
+	// 5-minute polls and 15-minute checkpoints when unset: detection half a
+	// poll after the loss, requeue at the back.
+	want := xwhep.Model{Name: "CONDOR", DetectDelay: 150, CheckpointPeriod: 900}
+	if got := (Config{}).model(); got != want {
+		t.Fatalf("defaults: %+v, want %+v", got, want)
+	}
+	if got := DefaultConfig().model(); got != want {
+		t.Fatalf("default config: %+v, want %+v", got, want)
 	}
 }

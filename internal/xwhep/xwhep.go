@@ -5,16 +5,12 @@
 // another host (§2.2, §4.1.3). Tasks run exactly once — there is no
 // replication, which is why XWHEP's baseline tail is milder than BOINC's
 // but its failure-detection latency still produces one.
+//
+// The server itself (server.go) is the single-execution model XWHEP shares
+// with Condor: this file only turns XWHEP's parameters into a Model.
 package xwhep
 
-import (
-	"fmt"
-	"sort"
-
-	"spequlos/internal/bot"
-	"spequlos/internal/middleware"
-	"spequlos/internal/sim"
-)
+import "spequlos/internal/sim"
 
 // Config carries the standard XWHEP server parameters (§4.1.3).
 type Config struct {
@@ -31,552 +27,23 @@ func DefaultConfig() Config {
 	return Config{KeepAlivePeriod: 60, WorkerTimeout: 900}
 }
 
-// Server is an XWHEP Desktop Grid server simulation. It implements
-// middleware.Server.
-type Server struct {
-	eng       *sim.Engine
-	cfg       Config
-	listeners middleware.Listeners
-
-	batches map[string]*batch
-	// queue is the global FIFO of pending tasks; priority holds tasks
-	// requeued after a detected failure and is served first.
-	priority fifo
-	queue    fifo
-
-	attached map[*middleware.Worker]*workerState
-	idle     *middleware.IdleSet
-
-	reschedule bool
-
-	// barren is dispatch's per-round scratch memo of batches with no
-	// eligible work, reused across rounds to avoid per-tick allocation.
-	barren map[string]bool
-
-	// Registered op handlers: event scheduling on the hot path carries an
-	// arena payload instead of allocating a closure.
-	opArrive sim.Op // Payload.A = *xtask
-	opDone   sim.Op // Payload.A = *exec: the execution's result arrives
-	opDetect sim.Op // Payload.A = *exec: worker_timeout elapsed since loss
-}
-
-type batch struct {
-	spec      middleware.Batch
-	size      int
-	arrived   int
-	completed int
-	assigned  int // tasks ever assigned (monotone)
-	tasks     []*xtask
-	// byID resolves a task by its spec ID: IDs are batch-unique but not
-	// slice indexes once the batch is a partition subset or barrier
-	// rebalances moved tasks in.
-	byID map[int]*xtask
-	done bool
-	// dupCandidates counts running tasks without a cloud duplicate; used
-	// to short-circuit Reschedule work scans.
-	running int
-	// freeQueued counts queued, never-assigned tasks — the tasks
-	// TakeQueued may hand to a sibling pool partition.
-	freeQueued int
-}
-
-type xtask struct {
-	batch     *batch
-	spec      bot.Task
-	arrived   bool
-	completed bool
-	assigned  bool // ever assigned
-	queued    bool
-	// moved marks a task handed to a sibling partition (TakeQueued): it
-	// stays in the slice for fifo lazy removal but no longer counts.
-	moved bool
-	execs map[*middleware.Worker]*exec
-}
-
-// cloudDups counts in-flight cloud executions of the task.
-func (t *xtask) cloudDups() int {
-	n := 0
-	for w := range t.execs {
-		if w.Cloud {
-			n++
-		}
-	}
-	return n
-}
-
-type exec struct {
-	w      *middleware.Worker
-	t      *xtask
-	doneEv sim.Event
-	dead   bool // worker left; awaiting timeout detection
-}
-
-type workerState struct {
-	cur *xtask
-}
-
-// fifo is a task queue with lazy removal: dequeued/completed entries keep
-// their slot and are skipped, so the common pop-from-head path is O(1).
-type fifo struct {
-	items []*xtask
-	head  int
-}
-
-func (f *fifo) push(t *xtask) { f.items = append(f.items, t) }
-
-// advance skips dead entries at the head and compacts when more than half
-// the backing slice is consumed.
-func (f *fifo) advance() {
-	for f.head < len(f.items) && !f.items[f.head].queued {
-		f.items[f.head] = nil
-		f.head++
-	}
-	if f.head > 64 && f.head*2 > len(f.items) {
-		f.items = append(f.items[:0], f.items[f.head:]...)
-		f.head = 0
-	}
-}
-
-// empty reports whether no queued entries remain (after head advance;
-// mid-queue lazily-removed entries may linger but first() skips them).
-func (f *fifo) empty() bool {
-	f.advance()
-	return f.head >= len(f.items)
-}
-
-// first returns the first queued task matching the filter, or nil.
-func (f *fifo) first(match func(*xtask) bool) *xtask {
-	f.advance()
-	for i := f.head; i < len(f.items); i++ {
-		t := f.items[i]
-		if t != nil && t.queued && match(t) {
-			return t
-		}
-	}
-	return nil
-}
-
 // New creates an XWHEP server on the engine.
-func New(eng *sim.Engine, cfg Config) *Server {
+func New(eng *sim.Engine, cfg Config) *Server { return NewModel(eng, cfg.model()) }
+
+// model translates the XWHEP parameters. Failure detection: the last
+// heartbeat arrived within KeepAlivePeriod before the death; the server
+// times out WorkerTimeout after it. Nothing is checkpointed, and a task
+// whose worker was lost is reassigned before pending tasks.
+func (cfg Config) model() Model {
 	if cfg.KeepAlivePeriod <= 0 {
 		cfg.KeepAlivePeriod = 60
 	}
 	if cfg.WorkerTimeout <= 0 {
 		cfg.WorkerTimeout = 900
 	}
-	s := &Server{
-		eng:      eng,
-		cfg:      cfg,
-		batches:  map[string]*batch{},
-		attached: map[*middleware.Worker]*workerState{},
-		idle:     middleware.NewIdleSet(),
-		barren:   map[string]bool{},
+	return Model{
+		Name:         "XWHEP",
+		DetectDelay:  cfg.WorkerTimeout + cfg.KeepAlivePeriod/2,
+		RequeueFirst: true,
 	}
-	s.opArrive = eng.RegisterOp(func(p sim.Payload) { s.arrive(p.A.(*xtask)) })
-	s.opDone = eng.RegisterOp(func(p sim.Payload) {
-		ex := p.A.(*exec)
-		s.complete(ex.w, ex.t)
-	})
-	s.opDetect = eng.RegisterOp(func(p sim.Payload) { s.detect(p.A.(*exec)) })
-	return s
-}
-
-// MiddlewareName implements middleware.Server.
-func (s *Server) MiddlewareName() string { return "XWHEP" }
-
-// AddListener implements middleware.Server.
-func (s *Server) AddListener(l middleware.Listener) { s.listeners = append(s.listeners, l) }
-
-// SetReschedule implements middleware.Server.
-func (s *Server) SetReschedule(enabled bool) { s.reschedule = enabled }
-
-// Submit implements middleware.Server.
-func (s *Server) Submit(b middleware.Batch) {
-	if _, ok := s.batches[b.ID]; ok {
-		panic(fmt.Sprintf("xwhep: duplicate batch %q", b.ID))
-	}
-	bt := &batch{spec: b, size: len(b.Tasks), byID: make(map[int]*xtask, len(b.Tasks))}
-	s.batches[b.ID] = bt
-	for _, spec := range b.Tasks {
-		t := &xtask{batch: bt, spec: spec, execs: map[*middleware.Worker]*exec{}}
-		bt.tasks = append(bt.tasks, t)
-		bt.byID[spec.ID] = t
-		s.eng.AfterOp(spec.Arrival, s.opArrive, sim.Payload{A: t})
-	}
-}
-
-// arrive makes a task visible to the scheduler at its arrival time.
-func (s *Server) arrive(t *xtask) {
-	t.arrived = true
-	t.batch.arrived++
-	if t.completed {
-		// A result merged in before the arrival (MarkCompleted): the task
-		// counts as arrived but is never queued, or it would run again.
-		return
-	}
-	t.queued = true
-	t.batch.freeQueued++
-	s.queue.push(t)
-	s.dispatch()
-}
-
-// WorkerJoin implements middleware.Server.
-func (s *Server) WorkerJoin(w *middleware.Worker) {
-	if _, ok := s.attached[w]; ok {
-		return
-	}
-	s.attached[w] = &workerState{}
-	s.idle.Add(w)
-	s.dispatch()
-}
-
-// WorkerLeave implements middleware.Server. The computation in flight is
-// lost; the server notices worker_timeout seconds after the last heartbeat
-// and requeues the task with priority.
-func (s *Server) WorkerLeave(w *middleware.Worker) {
-	st, ok := s.attached[w]
-	if !ok {
-		return
-	}
-	delete(s.attached, w)
-	s.idle.Remove(w)
-	if st.cur == nil {
-		return
-	}
-	t := st.cur
-	ex := t.execs[w]
-	if ex == nil {
-		return
-	}
-	s.eng.Cancel(ex.doneEv)
-	ex.dead = true
-	// Failure detection: the last heartbeat arrived within KeepAlivePeriod
-	// before the death; the server times out WorkerTimeout after it.
-	detectAt := s.cfg.WorkerTimeout + s.cfg.KeepAlivePeriod/2
-	s.eng.AfterOp(detectAt, s.opDetect, sim.Payload{A: ex})
-}
-
-// detect fires when the server times out a lost worker's heartbeats: the
-// execution is abandoned and, if it was the task's last one, the task is
-// requeued with priority.
-func (s *Server) detect(ex *exec) {
-	t := ex.t
-	if t.completed || t.execs[ex.w] != ex {
-		return
-	}
-	delete(t.execs, ex.w)
-	if len(t.execs) == 0 && !t.queued {
-		t.batch.running--
-		t.queued = true
-		s.priority.push(t)
-		s.dispatch()
-	}
-}
-
-// dispatch pairs idle workers with assignable work until no pair remains.
-func (s *Server) dispatch() {
-	for {
-		hasQueued := !s.priority.empty() || !s.queue.empty()
-		wantCloudDup := s.reschedule && s.idle.CloudCount() > 0 && s.anyDupCandidate()
-		if !hasQueued && !wantCloudDup {
-			return
-		}
-		// Memoize batches found to have no eligible work this round so a
-		// fleet of same-batch cloud workers costs one scan, not N.
-		clear(s.barren)
-		barren := s.barren
-		w := s.idle.Pick(func(w *middleware.Worker) bool {
-			if barren[w.DedicatedBatch] {
-				return false
-			}
-			if !hasQueued && !(w.Cloud && w.DedicatedBatch != "") {
-				return false
-			}
-			if s.peekTask(w) == nil {
-				barren[w.DedicatedBatch] = true
-				return false
-			}
-			return true
-		})
-		if w == nil {
-			return
-		}
-		t := s.peekTask(w)
-		if t == nil {
-			// Race cannot happen (single-threaded), but stay safe.
-			s.idle.Add(w)
-			return
-		}
-		s.assign(w, t)
-	}
-}
-
-// anyDupCandidate reports whether a Reschedule duplicate could be created.
-func (s *Server) anyDupCandidate() bool {
-	for _, bt := range s.batches {
-		if !bt.done && bt.running > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// peekTask returns the task the worker would execute, without dequeuing.
-func (s *Server) peekTask(w *middleware.Worker) *xtask {
-	match := func(t *xtask) bool {
-		return w.DedicatedBatch == "" || t.batch.spec.ID == w.DedicatedBatch
-	}
-	if t := s.priority.first(match); t != nil {
-		return t
-	}
-	if t := s.queue.first(match); t != nil {
-		return t
-	}
-	if s.reschedule && w.Cloud && w.DedicatedBatch != "" {
-		// Reschedule (§3.5): serve the cloud worker a duplicate of a
-		// running task. Cloud workers stay busy until the batch completes
-		// (Fig 5 commentary); least-duplicated tasks first, skipping
-		// tasks this worker already executes.
-		bt := s.batches[w.DedicatedBatch]
-		if bt == nil {
-			return nil
-		}
-		var best *xtask
-		bestDups := 0
-		for _, t := range bt.tasks {
-			if t.completed || !t.arrived || t.queued || len(t.execs) == 0 || t.execs[w] != nil {
-				continue
-			}
-			dups := t.cloudDups()
-			if best == nil || dups < bestDups {
-				best, bestDups = t, dups
-				if dups == 0 {
-					break
-				}
-			}
-		}
-		return best
-	}
-	return nil
-}
-
-func (s *Server) assign(w *middleware.Worker, t *xtask) {
-	st := s.attached[w]
-	if st == nil || st.cur != nil {
-		panic("xwhep: assigning to busy or detached worker")
-	}
-	st.cur = t
-	if t.queued && !t.assigned {
-		t.batch.freeQueued--
-	}
-	if t.queued {
-		t.queued = false
-		t.batch.running++
-	}
-	if !t.assigned {
-		t.assigned = true
-		t.batch.assigned++
-		s.listeners.TaskAssigned(t.batch.spec.ID, t.spec.ID, s.eng.Now())
-	}
-	ex := &exec{w: w, t: t}
-	t.execs[w] = ex
-	dur := t.spec.NOps / w.Power
-	ex.doneEv = s.eng.AfterOp(dur, s.opDone, sim.Payload{A: ex})
-}
-
-// complete handles a result arriving from worker w for task t.
-func (s *Server) complete(w *middleware.Worker, t *xtask) {
-	if st := s.attached[w]; st != nil && st.cur == t {
-		st.cur = nil
-		s.idle.Add(w)
-	}
-	delete(t.execs, w)
-	if !t.completed {
-		s.finish(t, w)
-	}
-	s.dispatch()
-}
-
-// finish marks t completed, cancels duplicate executions and frees their
-// workers. by is the worker whose result completed the task (nil for
-// externally-merged results).
-func (s *Server) finish(t *xtask, by *middleware.Worker) {
-	bt := t.batch
-	if !t.queued && t.assigned {
-		bt.running--
-	}
-	if t.queued && !t.assigned {
-		bt.freeQueued--
-	}
-	t.completed = true
-	t.queued = false
-	bt.completed++
-	now := s.eng.Now()
-	s.listeners.TaskCompleted(bt.spec.ID, t.spec.ID, now)
-	s.listeners.NotifyExecutedBy(bt.spec.ID, t.spec.ID, by, now)
-	// Iterate executions in worker-ID order: map order would leak
-	// nondeterminism into the idle queue and break seed reproducibility.
-	for _, w := range sortedExecWorkers(t.execs) {
-		ex := t.execs[w]
-		s.eng.Cancel(ex.doneEv)
-		delete(t.execs, w)
-		if ex.dead {
-			continue
-		}
-		if st := s.attached[w]; st != nil && st.cur == t {
-			st.cur = nil
-			s.idle.Add(w)
-		}
-	}
-	if bt.completed >= bt.size && !bt.done {
-		bt.done = true
-		s.listeners.BatchCompleted(bt.spec.ID, now)
-	}
-}
-
-// MarkCompleted implements middleware.Server (result merging for Cloud
-// Duplication). Tasks are resolved by spec ID, which stays correct when
-// the batch is a partition subset whose IDs are not dense slice indexes.
-func (s *Server) MarkCompleted(batchID string, taskID int) {
-	bt := s.batches[batchID]
-	if bt == nil {
-		return
-	}
-	t := bt.byID[taskID]
-	if t == nil || t.completed {
-		return
-	}
-	s.finish(t, nil)
-	s.dispatch()
-}
-
-// Progress implements middleware.Server.
-func (s *Server) Progress(batchID string) middleware.Progress {
-	bt := s.batches[batchID]
-	if bt == nil {
-		return middleware.Progress{}
-	}
-	running, queued := 0, 0
-	for _, t := range bt.tasks {
-		switch {
-		case t.completed || !t.arrived:
-		case len(t.execs) > 0:
-			running++
-		case t.queued:
-			queued++
-		}
-	}
-	return middleware.Progress{
-		Size:         bt.size,
-		Arrived:      bt.arrived,
-		Completed:    bt.completed,
-		EverAssigned: bt.assigned,
-		Running:      running,
-		Queued:       queued,
-		Workers:      len(s.attached),
-	}
-}
-
-// Done implements middleware.Server.
-func (s *Server) Done(batchID string) bool {
-	bt := s.batches[batchID]
-	return bt != nil && bt.done
-}
-
-// Incomplete implements middleware.Server.
-func (s *Server) Incomplete(batchID string) []bot.Task {
-	bt := s.batches[batchID]
-	if bt == nil {
-		return nil
-	}
-	var out []bot.Task
-	for _, t := range bt.tasks {
-		if !t.completed && !t.moved {
-			spec := t.spec
-			spec.Arrival = 0
-			out = append(out, spec)
-		}
-	}
-	return out
-}
-
-// IdleWorkers implements middleware.TaskMover.
-func (s *Server) IdleWorkers() int { return s.idle.Len() }
-
-// QueuedFree implements middleware.TaskMover.
-func (s *Server) QueuedFree(batchID string) int {
-	bt := s.batches[batchID]
-	if bt == nil {
-		return 0
-	}
-	return bt.freeQueued
-}
-
-// TakeQueued implements middleware.TaskMover: it extracts up to n queued,
-// never-assigned tasks — they carry no executions or heartbeat state, so
-// removal is exact — and stops counting them toward the batch.
-func (s *Server) TakeQueued(batchID string, n int) []bot.Task {
-	bt := s.batches[batchID]
-	if bt == nil || n <= 0 {
-		return nil
-	}
-	var out []bot.Task
-	for _, t := range bt.tasks {
-		if len(out) >= n {
-			break
-		}
-		if t.moved || t.completed || !t.arrived || !t.queued || t.assigned {
-			continue
-		}
-		t.moved = true
-		t.queued = false
-		bt.freeQueued--
-		bt.size--
-		bt.arrived--
-		delete(bt.byID, t.spec.ID)
-		spec := t.spec
-		spec.Arrival = 0
-		out = append(out, spec)
-	}
-	return out
-}
-
-// AddTasks implements middleware.TaskMover: the specs join the batch as
-// already-arrived queued tasks and dispatch immediately.
-func (s *Server) AddTasks(batchID string, tasks []bot.Task) {
-	bt := s.batches[batchID]
-	if bt == nil || len(tasks) == 0 {
-		return
-	}
-	for _, spec := range tasks {
-		t := &xtask{batch: bt, spec: spec, execs: map[*middleware.Worker]*exec{}}
-		t.arrived = true
-		t.queued = true
-		bt.tasks = append(bt.tasks, t)
-		bt.byID[spec.ID] = t
-		bt.size++
-		bt.arrived++
-		bt.freeQueued++
-		s.queue.push(t)
-	}
-	s.dispatch()
-}
-
-var _ middleware.Server = (*Server)(nil)
-var _ middleware.TaskMover = (*Server)(nil)
-
-// WorkerBusy implements middleware.Server.
-func (s *Server) WorkerBusy(w *middleware.Worker) bool {
-	st := s.attached[w]
-	return st != nil && st.cur != nil
-}
-
-// sortedExecWorkers returns the execution map's workers in ID order.
-func sortedExecWorkers(execs map[*middleware.Worker]*exec) []*middleware.Worker {
-	out := make([]*middleware.Worker, 0, len(execs))
-	for w := range execs {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }

@@ -1,335 +1,18 @@
 package xwhep
 
-import (
-	"testing"
-	"testing/quick"
-
-	"spequlos/internal/bot"
-	"spequlos/internal/middleware"
-	"spequlos/internal/sim"
-)
-
-type recorder struct {
-	assigned  map[int]int
-	completed map[int]int
-	compTimes map[int]float64
-	batchDone float64
-}
-
-func newRecorder() *recorder {
-	return &recorder{assigned: map[int]int{}, completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
-}
-func (r *recorder) TaskAssigned(b string, id int, at float64) { r.assigned[id]++ }
-func (r *recorder) TaskCompleted(b string, id int, at float64) {
-	r.completed[id]++
-	r.compTimes[id] = at
-}
-func (r *recorder) BatchCompleted(b string, at float64) { r.batchDone = at }
-
-func tasks(nops ...float64) []bot.Task {
-	out := make([]bot.Task, len(nops))
-	for i, n := range nops {
-		out[i] = bot.Task{ID: i, NOps: n}
-	}
-	return out
-}
-
-func TestSequentialExecution(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 200, 300)})
-	w := &middleware.Worker{ID: 0, Power: 1}
-	s.WorkerJoin(w)
-	eng.Run()
-	if rec.batchDone != 600 {
-		t.Fatalf("batch done at %v, want 600 (sequential 100+200+300)", rec.batchDone)
-	}
-	for id, want := range map[int]float64{0: 100, 1: 300, 2: 600} {
-		if rec.compTimes[id] != want {
-			t.Errorf("task %d completed at %v, want %v", id, rec.compTimes[id], want)
-		}
-	}
-	if !s.Done("b") {
-		t.Fatal("Done false after completion")
-	}
-}
-
-func TestParallelWorkers(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 100, 100, 100)})
-	for i := 0; i < 4; i++ {
-		s.WorkerJoin(&middleware.Worker{ID: i, Power: 1})
-	}
-	eng.Run()
-	if rec.batchDone != 100 {
-		t.Fatalf("batch done at %v, want 100 (4 workers, 4 tasks)", rec.batchDone)
-	}
-}
-
-func TestFailureDetectionAndReassignment(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig() // detection = 900 + 60/2 after death
-	s := New(eng, cfg)
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000)})
-	w1 := &middleware.Worker{ID: 1, Power: 1}
-	w2 := &middleware.Worker{ID: 2, Power: 1}
-	s.WorkerJoin(w1)
-	eng.At(500, func() { s.WorkerLeave(w1) })
-	eng.At(600, func() { s.WorkerJoin(w2) })
-	eng.Run()
-	// death 500 → detected 500+930=1430 → w2 runs 1000s → 2430.
-	if rec.batchDone != 2430 {
-		t.Fatalf("batch done at %v, want 2430", rec.batchDone)
-	}
-	if rec.completed[0] != 1 {
-		t.Fatalf("task completed %d times", rec.completed[0])
-	}
-}
-
-func TestRequeuedTaskHasPriority(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	// Task 0 will fail; tasks 1..3 queue behind.
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(5000, 100, 100, 100)})
-	w1 := &middleware.Worker{ID: 1, Power: 1}
-	s.WorkerJoin(w1) // takes task 0
-	eng.At(100, func() { s.WorkerLeave(w1) })
-	// A second worker arrives after the failure is detected; the requeued
-	// task 0 must be served before the still-pending task 3.
-	eng.At(2000, func() { s.WorkerJoin(&middleware.Worker{ID: 2, Power: 1}) })
-	eng.RunUntil(2000 + 5000 + 1)
-	if rec.compTimes[0] != 7000 {
-		t.Fatalf("requeued task finished at %v, want 7000 (served first)", rec.compTimes[0])
-	}
-}
-
-func TestProgressCounters(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 100, 100)})
-	s.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
-	eng.RunUntil(50)
-	p := s.Progress("b")
-	if p.Size != 3 || p.Arrived != 3 || p.Running != 1 || p.Queued != 2 || p.EverAssigned != 1 {
-		t.Fatalf("mid progress: %+v", p)
-	}
-	eng.Run()
-	p = s.Progress("b")
-	if p.Completed != 3 || p.Running != 0 || p.Queued != 0 || p.EverAssigned != 3 {
-		t.Fatalf("final progress: %+v", p)
-	}
-	if got := s.Progress("nope"); got.Size != 0 {
-		t.Fatalf("unknown batch progress: %+v", got)
-	}
-}
-
-func TestDedicatedWorkerOnlyServesItsBatch(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "other", Tasks: tasks(100)})
-	s.Submit(middleware.Batch{ID: "mine", Tasks: tasks(100)})
-	cw := middleware.NewCloudWorker(0, 1, "mine")
-	s.WorkerJoin(cw)
-	eng.Run()
-	if !s.Done("mine") {
-		t.Fatal("dedicated batch not served")
-	}
-	if s.Done("other") {
-		t.Fatal("dedicated worker served a foreign batch")
-	}
-}
-
-func TestRescheduleDuplicatesRunningTask(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.SetReschedule(true)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(10000)})
-	slow := &middleware.Worker{ID: 1, Power: 1} // would finish at 10000
-	s.WorkerJoin(slow)
-	eng.At(100, func() {
-		s.WorkerJoin(middleware.NewCloudWorker(0, 100, "b")) // duplicate: 100s
-	})
-	eng.Run()
-	if rec.batchDone != 200 {
-		t.Fatalf("batch done at %v, want 200 (cloud duplicate wins)", rec.batchDone)
-	}
-	if rec.completed[0] != 1 {
-		t.Fatalf("task completed %d times, want 1", rec.completed[0])
-	}
-	// The slow worker must have been freed when the duplicate won.
-	p := s.Progress("b")
-	if p.Running != 0 {
-		t.Fatalf("running = %d after completion", p.Running)
-	}
-}
-
-func TestRescheduleOffNoDuplicates(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(10000)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	eng.At(100, func() { s.WorkerJoin(middleware.NewCloudWorker(0, 100, "b")) })
-	eng.Run()
-	if rec.batchDone != 10000 {
-		t.Fatalf("batch done at %v, want 10000 (no duplication without Reschedule)", rec.batchDone)
-	}
-}
-
-func TestFirstResultWinsOverDuplicate(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.SetReschedule(true)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1}) // finishes at 1000
-	eng.At(950, func() {
-		s.WorkerJoin(middleware.NewCloudWorker(0, 2, "b")) // would finish at 1450
-	})
-	eng.Run()
-	if rec.batchDone != 1000 {
-		t.Fatalf("batch done at %v, want 1000 (regular worker still wins)", rec.batchDone)
-	}
-	if rec.completed[0] != 1 {
-		t.Fatalf("task completed %d times", rec.completed[0])
-	}
-}
-
-func TestMarkCompleted(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000, 1000)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	eng.At(500, func() {
-		s.MarkCompleted("b", 0)  // external result for the running task
-		s.MarkCompleted("b", 0)  // idempotent
-		s.MarkCompleted("b", 99) // unknown id ignored
-		s.MarkCompleted("zz", 0) // unknown batch ignored
-	})
-	eng.Run()
-	// Task 0 completed externally at 500; worker freed, runs task 1 until
-	// 1500.
-	if rec.compTimes[0] != 500 || rec.compTimes[1] != 1500 {
-		t.Fatalf("completion times %v", rec.compTimes)
-	}
-	if rec.batchDone != 1500 {
-		t.Fatalf("batch done at %v", rec.batchDone)
-	}
-}
-
-func TestIncompleteSnapshot(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 5000, 5000)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	eng.RunUntil(200) // task 0 done, task 1 running, task 2 queued
-	inc := s.Incomplete("b")
-	if len(inc) != 2 {
-		t.Fatalf("incomplete = %d tasks, want 2", len(inc))
-	}
-	for _, spec := range inc {
-		if spec.Arrival != 0 {
-			t.Fatal("incomplete snapshot must reset arrivals")
-		}
-	}
-	if s.Incomplete("zz") != nil {
-		t.Fatal("unknown batch should return nil")
-	}
-}
-
-func TestArrivalSchedule(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	rec := newRecorder()
-	s.AddListener(rec)
-	s.Submit(middleware.Batch{ID: "b", Tasks: []bot.Task{
-		{ID: 0, NOps: 10, Arrival: 0},
-		{ID: 1, NOps: 10, Arrival: 500},
-	}})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	eng.Run()
-	if rec.compTimes[1] != 510 {
-		t.Fatalf("late-arriving task completed at %v, want 510", rec.compTimes[1])
-	}
-}
-
-func TestWorkerChurnStress(t *testing.T) {
-	// Heavy random churn with a spare stable worker: every task must
-	// complete exactly once, with no counter corruption.
-	f := func(seed uint64) bool {
-		eng := sim.NewEngine()
-		s := New(eng, DefaultConfig())
-		rec := newRecorder()
-		s.AddListener(rec)
-		r := sim.NewRNG(seed)
-		n := 20
-		specs := make([]bot.Task, n)
-		for i := range specs {
-			specs[i] = bot.Task{ID: i, NOps: 50 + r.Float64()*500}
-		}
-		s.Submit(middleware.Batch{ID: "b", Tasks: specs})
-		stable := &middleware.Worker{ID: 999, Power: 1}
-		s.WorkerJoin(stable)
-		for i := 0; i < 5; i++ {
-			w := &middleware.Worker{ID: i, Power: 0.5 + r.Float64()}
-			at := r.Float64() * 200
-			dur := 50 + r.Float64()*400
-			eng.At(at, func() { s.WorkerJoin(w) })
-			eng.At(at+dur, func() { s.WorkerLeave(w) })
-		}
-		eng.Run()
-		if !s.Done("b") {
-			return false
-		}
-		for i := 0; i < n; i++ {
-			if rec.completed[i] != 1 {
-				return false
-			}
-		}
-		p := s.Progress("b")
-		return p.Completed == n && p.Running == 0 && p.Queued == 0 && p.EverAssigned == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDuplicateBatchPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Submit did not panic")
-		}
-	}()
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
-}
+import "testing"
 
 func TestConfigDefaults(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, Config{})
-	if s.cfg.KeepAlivePeriod != 60 || s.cfg.WorkerTimeout != 900 {
-		t.Fatalf("zero config not defaulted: %+v", s.cfg)
+	// keep_alive_period 60 and worker_timeout 900 when unset: detection
+	// 900 + 60/2 after the loss, no checkpoints, requeue first.
+	want := Model{Name: "XWHEP", DetectDelay: 930, RequeueFirst: true}
+	if got := (Config{}).model(); got != want {
+		t.Fatalf("zero config not defaulted: %+v, want %+v", got, want)
 	}
-	if s.MiddlewareName() != "XWHEP" {
-		t.Fatal("name wrong")
+	if got := DefaultConfig().model(); got != want {
+		t.Fatalf("default config: %+v, want %+v", got, want)
+	}
+	if got := (Config{KeepAlivePeriod: 20, WorkerTimeout: 100}).model().DetectDelay; got != 110 {
+		t.Fatalf("detection delay %v, want 100 + 20/2", got)
 	}
 }
