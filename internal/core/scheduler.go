@@ -359,8 +359,7 @@ func (s *Service) Usage(batchID string) (CloudUsage, error) {
 //  1. Due selection — with a count-driven trigger, only batches with task
 //     activity since their last step, live instances to bill, or a deferred
 //     start are stepped; idle registered batches cost nothing beyond the
-//     scan. The due batches' progress is pulled in ONE aggregated query
-//     (middleware.BatchProgressor) when the server supports it.
+//     scan, and a stepped batch is polled by its own plan step.
 //  2. Plan — per-batch decision steps (observe, Algorithm 2 billing,
 //     Algorithm 1 trigger/sizing) dispatched across the shard pool. Plan
 //     steps touch only per-batch state and the striped credit ledger.
@@ -401,19 +400,10 @@ func (s *Service) tick(now float64) {
 		}
 	}
 
-	// One aggregated query when the server supports it; otherwise the plan
-	// steps observe their batch directly — no intermediate map, so the
-	// steady-state tick of the in-process simulators stays allocation-free.
-	bp, batched := s.primary.(middleware.BatchProgressor)
-	var progress map[string]middleware.Progress
-	if batched {
-		progress = bp.ProgressBatch(s.dueScratch)
-	}
-
 	// Plan phase.
 	if s.shards <= 1 || len(s.dueScratch) == 1 {
 		for _, id := range s.dueScratch {
-			s.planBatch(s.batches[id], progress, batched)
+			s.planBatch(s.batches[id])
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -426,7 +416,7 @@ func (s *Service) tick(now float64) {
 					if int(qb.shardHash)%s.shards != w {
 						continue
 					}
-					s.planBatch(qb, progress, batched)
+					s.planBatch(qb)
 				}
 			}(w)
 		}
@@ -445,14 +435,10 @@ func (s *Service) tick(now float64) {
 // shared: it samples progress, bills running instances against the striped
 // ledger, and records the stops and starts for the apply phase. Safe to run
 // concurrently across batches.
-func (s *Service) planBatch(qb *qosBatch, progress map[string]middleware.Progress, batched bool) {
+func (s *Service) planBatch(qb *qosBatch) {
 	qb.plan = batchPlan{stops: qb.plan.stops[:0]}
 	qb.dirty = false
-	if batched {
-		s.observeWith(qb, progress[qb.id])
-	} else {
-		s.observeWith(qb, qb.srv.Progress(qb.id))
-	}
+	s.observe(qb)
 	if qb.bi.Done() {
 		qb.plan.finalize = true
 		return
@@ -474,14 +460,7 @@ func (s *Service) observe(qb *qosBatch) {
 	if qb == nil || qb.finalized {
 		return
 	}
-	s.observeWith(qb, qb.srv.Progress(qb.id))
-}
-
-// observeWith records an already-fetched progress view of the batch.
-func (s *Service) observeWith(qb *qosBatch, p middleware.Progress) {
-	if qb == nil || qb.finalized {
-		return
-	}
+	p := qb.srv.Progress(qb.id)
 	qb.bi.AddSampleWorkers(s.eng.Now(), p.Completed, p.EverAssigned, p.Queued, p.Running, p.Workers)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"spequlos/internal/bot"
@@ -10,85 +11,16 @@ import (
 	"spequlos/internal/xwhep"
 )
 
-// pollCounter wraps a Server and counts per-batch monitor polls. Because
-// the embedded interface only promotes Server's methods, the wrapper does
-// NOT implement BatchProgressor: the monitor falls back to per-batch
-// polling through it.
+// pollCounter wraps a Server and counts the monitor's per-batch polls. The
+// plan steps that poll run on the shard pool, hence the atomic.
 type pollCounter struct {
 	middleware.Server
-	single int
-	batch  int
+	polls atomic.Int64
 }
 
 func (p *pollCounter) Progress(id string) middleware.Progress {
-	p.single++
+	p.polls.Add(1)
 	return p.Server.Progress(id)
-}
-
-// batchPollCounter re-exposes the aggregated query, counting its calls.
-type batchPollCounter struct{ *pollCounter }
-
-func (p batchPollCounter) ProgressBatch(ids []string) map[string]middleware.Progress {
-	p.batch++
-	return middleware.ProgressAll(p.Server, ids)
-}
-
-// twoBatchWorld runs two QoS batches sharing one two-worker pool through
-// the service, with the server wrapped by wrap, and returns per-batch
-// completion times and usage.
-func twoBatchWorld(t *testing.T, wrap func(middleware.Server) middleware.Server) (map[string]float64, map[string]CloudUsage) {
-	t.Helper()
-	eng := sim.NewEngine()
-	inner := xwhep.New(eng, xwhep.DefaultConfig())
-	srv := wrap(inner)
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
-	svc := NewService(eng, srv, simCloud, Config{
-		Strategy:      DefaultStrategy(),
-		MonitorPeriod: 60,
-		CloudServerFactory: func() middleware.Server {
-			return xwhep.New(eng, xwhep.DefaultConfig())
-		},
-	})
-
-	completed := map[string]float64{}
-	done := 0
-	srv.AddListener(completionTimes{times: completed, done: &done})
-
-	mkTasks := func(n int) []bot.Task {
-		specs := make([]bot.Task, n)
-		for i := range specs {
-			specs[i] = bot.Task{ID: i, NOps: 1000}
-		}
-		return specs
-	}
-	for i, id := range []string{"a", "b"} {
-		id := id
-		at := float64(i) * 300 // interleaved submissions
-		eng.At(at, func() {
-			if err := svc.RegisterQoS("u", id, "env", 8); err != nil {
-				t.Error(err)
-			}
-			svc.Credits.Deposit("u", 10)
-			if err := svc.OrderQoS("u", id, 10); err != nil {
-				t.Error(err)
-			}
-			srv.Submit(middleware.Batch{ID: id, Tasks: mkTasks(8)})
-		})
-	}
-	srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
-	srv.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-
-	eng.RunWhile(func() bool { return done < 2 && eng.Now() < 10*86400 })
-
-	usage := map[string]CloudUsage{}
-	for _, id := range []string{"a", "b"} {
-		u, err := svc.Usage(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		usage[id] = u
-	}
-	return completed, usage
 }
 
 // completionTimes records per-batch completion instants.
@@ -106,60 +38,13 @@ func (c completionTimes) BatchCompleted(id string, at float64) {
 	}
 }
 
-// TestMultiBatchAggregatedPollMatchesPerBatch is the in-process half of the
-// 2-batch acceptance criterion: an identical two-batch cell produces the
-// same per-batch completion times and credit accounting whether the monitor
-// polls through one aggregated query per tick or one query per batch.
-func TestMultiBatchAggregatedPollMatchesPerBatch(t *testing.T) {
-	var seq *pollCounter
-	seqTimes, seqUsage := twoBatchWorld(t, func(s middleware.Server) middleware.Server {
-		seq = &pollCounter{Server: s}
-		return seq
-	})
-	var agg *pollCounter
-	aggTimes, aggUsage := twoBatchWorld(t, func(s middleware.Server) middleware.Server {
-		agg = &pollCounter{Server: s}
-		return batchPollCounter{agg}
-	})
-
-	if agg.batch == 0 {
-		t.Fatal("aggregated run never used ProgressBatch")
-	}
-	if seq.batch != 0 || seq.single == 0 {
-		t.Fatalf("sequential run polls = (single %d, batch %d)", seq.single, seq.batch)
-	}
-	// In the aggregated run the only per-batch Progress calls left are the
-	// final samples recorded at finalization — O(1) per batch lifetime, not
-	// per tick.
-	if agg.single > 2 {
-		t.Fatalf("aggregated run made %d per-batch polls, want ≤2 (finalization only)", agg.single)
-	}
-
-	for _, id := range []string{"a", "b"} {
-		if seqTimes[id] == 0 || aggTimes[id] == 0 {
-			t.Fatalf("batch %s did not complete (seq %v, agg %v)", id, seqTimes[id], aggTimes[id])
-		}
-		if seqTimes[id] != aggTimes[id] {
-			t.Errorf("batch %s completion diverged: seq %v, agg %v", id, seqTimes[id], aggTimes[id])
-		}
-		su, au := seqUsage[id], aggUsage[id]
-		if su.CreditsBilled != au.CreditsBilled || su.InstancesStarted != au.InstancesStarted ||
-			su.TriggeredAt != au.TriggeredAt || su.Exhausted != au.Exhausted {
-			t.Errorf("batch %s usage diverged:\n  seq: %+v\n  agg: %+v", id, su, au)
-		}
-	}
-}
-
-// TestMultiBatchPollEconomy pins the tentpole invariant at the core layer:
-// with an aggregating server and a count-driven trigger, the monitor polls
-// at most once per tick — and not at all on ticks where no registered batch
-// saw task activity. Fifty idle batches cost exactly one aggregated poll
-// (the tick after registration) over five monitor periods.
+// TestMultiBatchPollEconomy pins the due-list invariant at the core layer:
+// with a count-driven trigger the monitor polls only batches that saw task
+// activity since their last step. Fifty idle batches cost exactly one poll
+// each (the tick after registration) over five monitor periods.
 func TestMultiBatchPollEconomy(t *testing.T) {
 	eng := sim.NewEngine()
-	inner := xwhep.New(eng, xwhep.DefaultConfig())
-	pc := &pollCounter{Server: inner}
-	srv := batchPollCounter{pc}
+	srv := &pollCounter{Server: xwhep.New(eng, xwhep.DefaultConfig())}
 	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
 	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
@@ -175,13 +60,14 @@ func TestMultiBatchPollEconomy(t *testing.T) {
 		}
 		srv.Submit(middleware.Batch{ID: id, Tasks: specs})
 	}
-	// Run exactly 5 monitor ticks. No worker ever joins, so after the first
-	// tick drains the registration dirty marks, the due list stays empty.
-	eng.RunUntil(5*60 + 1)
-	if pc.batch != 1 {
-		t.Fatalf("aggregated polls over 5 ticks with %d idle batches = %d, want 1", batches, pc.batch)
+	// No worker ever joins, so after the first tick drains the registration
+	// dirty marks, the due list stays empty.
+	eng.RunUntil(60 + 1)
+	if got := srv.polls.Load(); got != batches {
+		t.Fatalf("polls on the first tick with %d idle batches = %d, want one each", batches, got)
 	}
-	if pc.single != 0 {
-		t.Fatalf("per-batch polls = %d, want 0", pc.single)
+	eng.RunUntil(5*60 + 1)
+	if got := srv.polls.Load(); got != batches {
+		t.Fatalf("polls over the next four ticks = %d, want 0", got-batches)
 	}
 }

@@ -12,8 +12,8 @@ import (
 	"spequlos/internal/xwhep"
 )
 
-// shardedTwoBatchWorld runs the twoBatchWorld cell with an explicit shard
-// count and the default tier policy active (one premium and one free batch),
+// shardedTwoBatchWorld runs two QoS batches sharing one two-worker pool
+// through the service with an explicit shard count and the default tier policy active (one premium and one free batch),
 // so the comparison covers the plan/apply split AND tier arbitration.
 func shardedTwoBatchWorld(t *testing.T, shards int) (map[string]float64, map[string]CloudUsage) {
 	t.Helper()
@@ -97,10 +97,9 @@ func TestShardCountNeverChangesDecisions(t *testing.T) {
 	}
 }
 
-// idleServer is a minimal middleware.Server with scripted progress and an
-// aggregated query, used to measure pure monitor-tick cost: batches never
-// finish, workers never join, and the test injects task activity directly
-// through the listeners.
+// idleServer is a minimal middleware.Server with scripted progress, used to
+// measure pure monitor-tick cost: batches never finish, workers never join,
+// and the test injects task activity directly through the listeners.
 type idleServer struct {
 	listeners middleware.Listeners
 	progress  middleware.Progress
@@ -117,13 +116,6 @@ func (s *idleServer) MarkCompleted(string, int)           {}
 func (s *idleServer) WorkerBusy(*middleware.Worker) bool  { return false }
 func (s *idleServer) SetReschedule(bool)                  {}
 func (s *idleServer) AddListener(l middleware.Listener)   { s.listeners = append(s.listeners, l) }
-func (s *idleServer) ProgressBatch(ids []string) map[string]middleware.Progress {
-	out := make(map[string]middleware.Progress, len(ids))
-	for _, id := range ids {
-		out[id] = s.progress
-	}
-	return out
-}
 
 // tickWallTime measures the wall-clock cost of `ticks` monitor ticks over
 // `batches` registered QoS batches of which exactly `activePerTick` see task

@@ -127,29 +127,12 @@ func (ls Listeners) NotifyExecutedBy(b string, t int, w *Worker, at float64) {
 	}
 }
 
-// BatchProgressor is an optional Server extension: one call returns the
-// progress of many batches at once. The SpeQuloS monitor loop uses it to
-// poll a server that hosts hundreds of concurrent QoS batches with a single
-// aggregated query per tick instead of one round-trip per batch — the same
-// batching lever BOINC's server-side scheduler applies at fleet scale.
-// Implementations must return the same values per-batch Progress calls
-// would at the same instant. The in-process simulators don't implement it —
-// for them ProgressAll's fallback loop costs the same as a method call —
-// it exists for servers where a round-trip has a price: the emulation
-// gateway (POST /progress-batch) and remote DG status adapters.
-type BatchProgressor interface {
-	// ProgressBatch returns the current view of every named batch, keyed
-	// by batch ID. Unknown IDs map to a zero Progress, mirroring Progress.
-	ProgressBatch(batchIDs []string) map[string]Progress
-}
-
-// ProgressAll answers an aggregated progress query against any server:
-// through one ProgressBatch call when the server supports it, falling back
-// to per-batch Progress calls otherwise.
+// ProgressAll answers an aggregated progress query against a server: the
+// view of every named batch, keyed by batch ID (unknown IDs map to a zero
+// Progress, as Progress does). In process a Progress call is a map lookup,
+// so the loop is the whole implementation; where a round trip has a price
+// (the emulation gateway's POST /progress-batch) this is what serves it.
 func ProgressAll(s Server, batchIDs []string) map[string]Progress {
-	if bp, ok := s.(BatchProgressor); ok {
-		return bp.ProgressBatch(batchIDs)
-	}
 	out := make(map[string]Progress, len(batchIDs))
 	for _, id := range batchIDs {
 		out[id] = s.Progress(id)

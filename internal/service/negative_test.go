@@ -189,3 +189,64 @@ func TestGreedyReleaseStopsIdleWorkers(t *testing.T) {
 type idleStatusDG struct{ scriptedDG }
 
 func (d *idleStatusDG) InstanceBusy(string) (bool, error) { return false, nil }
+
+// TestRejectedQoSRegistrationMutatesNothing is the regression test for the
+// half-registered batch: POST /qos used to track the batch in Information
+// before placing the order, so a request Credit refused (balance too low)
+// could never be retried — Information answered "already tracked" for ever
+// while GET /qos/{id} said "not registered".
+func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
+	st := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
+	defer st.Close()
+	post := func() int {
+		resp, err := http.Post(st.SchedulerAddr+"/qos", "application/json", strings.NewReader(
+			`{"user":"alice","batch_id":"b1","env_key":"e","size":10,"credits":60,"provider":"mock"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+
+	if code := post(); code != http.StatusConflict {
+		t.Fatalf("order without a balance: status %d, want 409", code)
+	}
+	if _, err := st.Scheduler.Status("b1"); err == nil {
+		t.Fatal("rejected batch is registered")
+	}
+	if ids, err := st.InfoClient.List(); err != nil || len(ids) != 0 {
+		t.Fatalf("rejected registration left Information tracking %v (%v)", ids, err)
+	}
+
+	if err := st.CreditClient.Deposit("alice", 100); err != nil {
+		t.Fatal(err)
+	}
+	if code := post(); code != http.StatusCreated {
+		t.Fatalf("same request after a deposit: status %d, want 201", code)
+	}
+	if _, err := st.Scheduler.Status("b1"); err != nil {
+		t.Fatalf("status after registration: %v", err)
+	}
+	if ids, err := st.InfoClient.List(); err != nil || len(ids) != 1 || ids[0] != "b1" {
+		t.Fatalf("Information lists %v (%v), want b1 once", ids, err)
+	}
+	if acc, err := st.CreditClient.Account("alice"); err != nil || acc.Balance != 40 {
+		t.Fatalf("account %+v (%v), want balance 100 − 60", acc, err)
+	}
+
+	// The other way round: Information refuses (already tracked), so the
+	// order placed a moment before is paid back in full.
+	if err := st.InfoClient.Track(TrackRequest{BatchID: "b2", EnvKey: "e", Size: 10}); err != nil {
+		t.Fatal(err)
+	}
+	err := st.Scheduler.RegisterQoS(QoSRequest{User: "alice", BatchID: "b2", EnvKey: "e", Size: 10, Credits: 30})
+	if err == nil {
+		t.Fatal("registration of a batch Information already tracks accepted")
+	}
+	if acc, err := st.CreditClient.Account("alice"); err != nil || acc.Balance != 40 {
+		t.Fatalf("account %+v (%v) after the refused registration, want the order paid back", acc, err)
+	}
+	if has, err := st.CreditClient.HasCredits("b2"); err != nil || has {
+		t.Fatalf("refused batch still holds an open order (%v, %v)", has, err)
+	}
+}

@@ -223,8 +223,10 @@ func (s *SchedulerService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// RegisterQoS registers a batch with the Information service and places the
-// credit order.
+// RegisterQoS places the credit order and registers the batch with the
+// Information service. A rejected registration mutates nothing: the order
+// comes first (the step most likely to refuse), and is paid back in full if
+// Information then refuses the batch, so the same request can be retried.
 func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 	if req.BatchID == "" || req.Size <= 0 {
 		return fmt.Errorf("scheduler: batch_id and positive size required")
@@ -239,15 +241,20 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 		return fmt.Errorf("scheduler: batch %q already registered", req.BatchID)
 	}
 	s.mu.Unlock()
-	if err := s.info.Track(TrackRequest{
-		BatchID: req.BatchID, EnvKey: req.EnvKey, Size: req.Size,
-	}); err != nil {
-		return err
-	}
 	if req.Credits > 0 {
 		if err := s.credits.Order(req.User, req.BatchID, req.Credits); err != nil {
 			return err
 		}
+	}
+	if err := s.info.Track(TrackRequest{
+		BatchID: req.BatchID, EnvKey: req.EnvKey, Size: req.Size,
+	}); err != nil {
+		if req.Credits > 0 {
+			if _, perr := s.credits.Pay(req.BatchID); perr != nil {
+				return fmt.Errorf("%w (order not paid back: %v)", err, perr)
+			}
+		}
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
