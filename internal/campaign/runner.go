@@ -155,9 +155,6 @@ func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
 	if cfg.MonitorPeriod <= 0 {
 		cfg.MonitorPeriod = DefaultMonitorPeriod
 	}
-	if p.Shards > 0 && cfg.Shards == 0 {
-		cfg.Shards = p.Shards
-	}
 	// (g) Tier arbitration is a multi-batch notion — Job.Key keys it only
 	// when Batches > 1 — so a single-BoT cell never runs a tier policy.
 	if p.Tiered && p.Batches > 1 && cfg.Tiers == nil {

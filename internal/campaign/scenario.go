@@ -125,11 +125,6 @@ type Profile struct {
 	// FleetCap bounds how many batches may hold cloud support at once when
 	// Tiered (0 = unlimited); it is what makes the tier queues contend.
 	FleetCap int `json:",omitempty"`
-	// Shards overrides the scheduler's plan-phase worker-pool size for the
-	// cell's service (0 = GOMAXPROCS). Shard count never changes results —
-	// the monitor merges per-shard steps deterministically — so it is not
-	// part of the job key.
-	Shards int `json:",omitempty"`
 	// ShardedKernel partitions the cell's MODEL for multi-core execution on
 	// the sim.Sharded kernel. Multi-batch cells give every sub-batch its
 	// own DG server plus a stable-hashed dedicated partition of the trace's
@@ -236,9 +231,8 @@ func Crowd() Profile {
 // a 120-batch cloud fleet cap — the contended-supply shape the tier model
 // arbitrates. It exists to prove the sharded monitor holds at 10× the
 // crowd profile; spequlos-bench records its trajectory in BENCH_crowd2k.json.
-// Since PR 9 it runs on the sharded kernel: tier arbitration executes as a
-// control-engine reduction over per-shard candidate lists, byte-identical
-// at any shard count.
+// Since PR 9 it runs on the sharded kernel: tier arbitration executes on the
+// control engine at tick barriers, byte-identical at any shard count.
 func Crowd2K() Profile {
 	return Profile{
 		Name: "crowd2k", BotScale: 0.01, Offsets: 1, PoolCap: 500,

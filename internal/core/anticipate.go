@@ -38,19 +38,18 @@ func DefaultCapacityAware() CapacityAware {
 func (t CapacityAware) Code() string { return "CA" }
 
 // ShouldStart implements Trigger.
-func (t CapacityAware) ShouldStart(bi *BatchInfo) bool {
-	c := bi.CompletedFraction()
+func (t CapacityAware) ShouldStart(v BatchView) bool {
+	c := v.CompletedFraction
 	if t.Fallback > 0 && c >= t.Fallback {
 		return true
 	}
 	if c < t.MinCompleted {
 		return false
 	}
-	last := bi.Last()
-	if bi.PeakWorkers <= 0 || last.Workers <= 0 {
+	if v.PeakWorkers <= 0 || v.LastSample.Workers <= 0 {
 		return false
 	}
-	lost := 1 - float64(last.Workers)/float64(bi.PeakWorkers)
+	lost := 1 - float64(v.LastSample.Workers)/float64(v.PeakWorkers)
 	return lost >= t.DropFraction
 }
 

@@ -15,9 +15,9 @@ const CreditsPerCPUHour = 15.0
 // usage, and the final payment that refunds unspent credits (§3.3). It is
 // safe for concurrent use, and scales under contention: the maps are only
 // guarded for lookup and insertion, while every account and order carries
-// its own lock, so scheduler shards billing different batches never
-// serialize on a global mutex. Lock order is maps → order → account; the
-// map lock is never acquired while an entry lock is held.
+// its own lock, so the Credit service's concurrent handlers billing
+// different batches never serialize on a global mutex. Lock order is maps →
+// order → account; the map lock is never acquired while an entry lock is held.
 type CreditSystem struct {
 	mu       sync.RWMutex // guards the maps; entry locks guard the values
 	accounts map[string]*creditAccount

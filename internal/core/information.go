@@ -48,11 +48,15 @@ type BatchInfo struct {
 	// percent; -1 if not yet. taAt is the same for assignment.
 	tcAt [milestones + 1]float64
 	taAt [milestones + 1]float64
+	// firstHalfMaxVar is max var(x) over x ≤ 50%, fixed once both series have
+	// passed 50% (no milestone it spans can move after that); -1 until then.
+	firstHalfMaxVar float64
 }
 
 // NewBatchInfo starts tracking a batch of the given size.
 func NewBatchInfo(batchID, envKey string, size int, submittedAt float64) *BatchInfo {
-	bi := &BatchInfo{BatchID: batchID, EnvKey: envKey, Size: size, SubmittedAt: submittedAt, CompletedAt: -1}
+	bi := &BatchInfo{BatchID: batchID, EnvKey: envKey, Size: size, SubmittedAt: submittedAt, CompletedAt: -1,
+		firstHalfMaxVar: -1}
 	for i := range bi.tcAt {
 		bi.tcAt[i] = -1
 		bi.taAt[i] = -1
@@ -90,6 +94,9 @@ func (bi *BatchInfo) AddSampleWorkers(now float64, completed, assigned, queued, 
 		}
 		fill(&bi.tcAt, completed)
 		fill(&bi.taAt, assigned)
+		if half := milestones / 2; bi.firstHalfMaxVar < 0 && bi.tcAt[half] >= 0 && bi.taAt[half] >= 0 {
+			bi.firstHalfMaxVar = bi.MaxExecutionVarianceUpTo(0.5)
+		}
 	}
 	if completed >= bi.Size && bi.Size > 0 && bi.CompletedAt < 0 {
 		bi.CompletedAt = t
@@ -174,6 +181,63 @@ func (bi *BatchInfo) MaxExecutionVarianceUpTo(x float64) float64 {
 		}
 	}
 	return max
+}
+
+// BatchView is the monitoring summary of one batch: every input of the
+// Oracle's decision (Oracle.Plan) and prediction. The simulator builds it
+// from a BatchInfo in O(1) each tick; the Information service serves the same
+// value as JSON, so the Oracle module decides from the same inputs on the far
+// side of the wire.
+type BatchView struct {
+	BatchID           string  `json:"batch_id"`
+	EnvKey            string  `json:"env_key"`
+	Size              int     `json:"size"`
+	Samples           int     `json:"samples"`
+	CompletedFraction float64 `json:"completed_fraction"`
+	AssignedFraction  float64 `json:"assigned_fraction"`
+	Done              bool    `json:"done"`
+	CompletedAt       float64 `json:"completed_at"`
+	LastSample        Sample  `json:"last_sample"`
+	// ExecVariance is var(c) at the current completion fraction;
+	// MaxVarianceFirstHalf is max var(x) for x ≤ 50%. Both are -1 when
+	// not yet defined.
+	ExecVariance         float64 `json:"exec_variance"`
+	MaxVarianceFirstHalf float64 `json:"max_variance_first_half"`
+	// TC50 is tc(0.5) (elapsed seconds), or -1 before half completion;
+	// the Oracle's calibration input.
+	TC50 float64 `json:"tc50"`
+	// PeakWorkers is the largest attached-worker count observed so far (the
+	// current one is LastSample.Workers); 0 when the DG does not report it.
+	PeakWorkers int `json:"peak_workers,omitempty"`
+}
+
+// View summarizes the batch as of its latest sample.
+func (bi *BatchInfo) View() BatchView {
+	v := BatchView{
+		BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
+		Samples:           len(bi.Samples),
+		CompletedFraction: bi.CompletedFraction(),
+		AssignedFraction:  bi.AssignedFraction(),
+		Done:              bi.Done(),
+		CompletedAt:       bi.CompletedAt,
+		LastSample:        bi.Last(),
+		ExecVariance:      -1, MaxVarianceFirstHalf: -1, TC50: -1,
+		PeakWorkers: bi.PeakWorkers,
+	}
+	if x, ok := bi.ExecutionVariance(v.CompletedFraction); ok {
+		v.ExecVariance = x
+	}
+	if v.CompletedFraction >= 0.5 {
+		v.MaxVarianceFirstHalf = bi.firstHalfMaxVar
+		if v.MaxVarianceFirstHalf < 0 {
+			// Assignment lags completion in the history: not fixed yet.
+			v.MaxVarianceFirstHalf = bi.MaxExecutionVarianceUpTo(0.5)
+		}
+	}
+	if tc, ok := bi.TimeAtCompletion(0.5); ok {
+		v.TC50 = tc
+	}
+	return v
 }
 
 // Information is the SpeQuloS Information module: it archives the

@@ -14,7 +14,7 @@ type Trigger interface {
 	// ("9C", "9A", "D").
 	Code() string
 	// ShouldStart reports whether cloud support should begin now.
-	ShouldStart(bi *BatchInfo) bool
+	ShouldStart(v BatchView) bool
 }
 
 // CompletionThreshold (9C) starts cloud workers once the completed-task
@@ -27,8 +27,8 @@ func (t CompletionThreshold) Code() string {
 }
 
 // ShouldStart implements Trigger.
-func (t CompletionThreshold) ShouldStart(bi *BatchInfo) bool {
-	return bi.CompletedFraction() >= t.Frac
+func (t CompletionThreshold) ShouldStart(v BatchView) bool {
+	return v.CompletedFraction >= t.Frac
 }
 
 // CountDriven implements CountDrivenTrigger: the answer only changes with
@@ -45,8 +45,8 @@ func (t AssignmentThreshold) Code() string {
 }
 
 // ShouldStart implements Trigger.
-func (t AssignmentThreshold) ShouldStart(bi *BatchInfo) bool {
-	return bi.AssignedFraction() >= t.Frac
+func (t AssignmentThreshold) ShouldStart(v BatchView) bool {
+	return v.AssignedFraction >= t.Frac
 }
 
 // CountDriven implements CountDrivenTrigger: the answer only changes with
@@ -62,16 +62,14 @@ type ExecutionVariance struct{}
 func (ExecutionVariance) Code() string { return "D" }
 
 // ShouldStart implements Trigger.
-func (ExecutionVariance) ShouldStart(bi *BatchInfo) bool {
-	c := bi.CompletedFraction()
-	if c < 0.5 {
+func (ExecutionVariance) ShouldStart(v BatchView) bool {
+	if v.CompletedFraction < 0.5 {
 		return false // the reference maximum spans the first half
 	}
-	cur, ok := bi.ExecutionVariance(c)
-	if !ok {
-		return false
+	cur, ref := v.ExecVariance, v.MaxVarianceFirstHalf
+	if cur < 0 {
+		return false // var(c) not defined yet
 	}
-	ref := bi.MaxExecutionVarianceUpTo(0.5)
 	if ref <= 0 {
 		// Degenerate reference (instant assignments): fall back to an
 		// absolute guard so the trigger still fires in the tail.
@@ -90,7 +88,10 @@ type Sizing interface {
 	// Code is the short name ("G", "C").
 	Code() string
 	// Workers returns the number of cloud workers to start now.
-	Workers(bi *BatchInfo, creditCPUHours float64, now float64) int
+	Workers(v BatchView, creditCPUHours float64) int
+	// ReleasesIdle reports whether booted cloud workers that obtained no work
+	// are stopped at once, releasing their credits.
+	ReleasesIdle() bool
 }
 
 // Greedy (G) starts the whole allowance at once: S workers for S CPU·hours
@@ -101,12 +102,16 @@ type Greedy struct{}
 func (Greedy) Code() string { return "G" }
 
 // Workers implements Sizing.
-func (Greedy) Workers(_ *BatchInfo, creditCPUHours float64, _ float64) int {
+func (Greedy) Workers(_ BatchView, creditCPUHours float64) int {
 	if creditCPUHours <= 0 {
 		return 0
 	}
 	return maxInt(1, int(creditCPUHours))
 }
+
+// ReleasesIdle implements Sizing: "Cloud workers that do not have tasks
+// assigned stop immediately" (§3.5).
+func (Greedy) ReleasesIdle() bool { return true }
 
 // Conservative (C) estimates the remaining execution time tr from the
 // current completion rate and starts min(S/tr, S) workers, so the workers
@@ -120,15 +125,17 @@ type Conservative struct{}
 func (Conservative) Code() string { return "C" }
 
 // Workers implements Sizing.
-func (Conservative) Workers(bi *BatchInfo, creditCPUHours float64, now float64) int {
+func (Conservative) Workers(v BatchView, creditCPUHours float64) int {
 	if creditCPUHours <= 0 {
 		return 0
 	}
-	xe := bi.CompletedFraction()
+	xe := v.CompletedFraction
 	if xe <= 0 {
+		// No completion rate yet (a 9A trigger can fire on assignments
+		// alone): the whole allowance starts.
 		return maxInt(1, int(creditCPUHours))
 	}
-	elapsed := now - bi.SubmittedAt
+	elapsed := v.LastSample.T
 	tr := elapsed/xe - elapsed // estimated remaining seconds at constant rate
 	trHours := tr / 3600
 	n := creditCPUHours
@@ -137,6 +144,10 @@ func (Conservative) Workers(bi *BatchInfo, creditCPUHours float64, now float64) 
 	}
 	return maxInt(1, int(n))
 }
+
+// ReleasesIdle implements Sizing: the fleet is sized to stay funded, so it
+// is kept.
+func (Conservative) ReleasesIdle() bool { return false }
 
 func maxInt(a, b int) int {
 	if a > b {
@@ -332,44 +343,77 @@ func (c *Calibration) Count(envKey string) int {
 // Oracle is the SpeQuloS Oracle module: completion-time prediction plus the
 // provisioning strategies (§3.4, §3.5).
 type Oracle struct {
+	// Strategy is fixed once the Oracle is built.
 	Strategy    Strategy
 	Calibration *Calibration
+	// notFired and fired are Plan's reasons, worded once from the trigger's
+	// code: the simulator plans every waiting batch every tick.
+	notFired, fired string
 }
 
 // NewOracle builds an Oracle with the given strategy and a fresh
 // calibration store.
 func NewOracle(s Strategy) *Oracle {
-	return &Oracle{Strategy: s, Calibration: NewCalibration()}
+	o := &Oracle{Strategy: s, Calibration: NewCalibration()}
+	if s.Trigger != nil {
+		o.notFired = "trigger " + s.Trigger.Code() + " not fired"
+		o.fired = "trigger " + s.Trigger.Code() + " fired"
+	}
+	return o
 }
 
 // Predict computes the completion-time prediction for a BoT at its current
 // progress (§3.4): tp = α·tc(r)/r.
 func (o *Oracle) Predict(bi *BatchInfo, now float64) (Prediction, error) {
-	r := bi.CompletedFraction()
+	return o.predict(bi.BatchID, bi.EnvKey, now-bi.SubmittedAt, bi.CompletedFraction())
+}
+
+// PredictView is Predict from a batch summary, as of its latest sample.
+func (o *Oracle) PredictView(v BatchView) (Prediction, error) {
+	return o.predict(v.BatchID, v.EnvKey, v.LastSample.T, v.CompletedFraction)
+}
+
+func (o *Oracle) predict(batchID, envKey string, elapsed, r float64) (Prediction, error) {
 	if r <= 0 {
-		return Prediction{}, fmt.Errorf("oracle: batch %q has no completed tasks yet", bi.BatchID)
+		return Prediction{}, fmt.Errorf("oracle: batch %q has no completed tasks yet", batchID)
 	}
-	elapsed := now - bi.SubmittedAt
-	alpha := o.Calibration.Alpha(bi.EnvKey)
+	alpha := o.Calibration.Alpha(envKey)
 	return Prediction{
 		PredictedTime:     alpha * elapsed / r,
-		Uncertainty:       o.Calibration.SuccessRate(bi.EnvKey),
+		Uncertainty:       o.Calibration.SuccessRate(envKey),
 		Alpha:             alpha,
 		CompletedFraction: r,
 	}, nil
 }
 
-// ShouldUseCloud implements Algorithm 1's Oracle.shouldUseCloud.
-func (o *Oracle) ShouldUseCloud(bi *BatchInfo) bool {
-	if bi == nil || bi.Done() {
-		return false
-	}
-	return o.Strategy.Trigger.ShouldStart(bi)
+// Plan is the Oracle's provisioning decision for one batch at one monitor
+// tick (Algorithm 1).
+type Plan struct {
+	// Start says cloud workers should be started now, Workers how many.
+	Start   bool   `json:"start"`
+	Workers int    `json:"workers"`
+	Reason  string `json:"reason"`
+	// ReleaseIdle tells the Scheduler to stop booted workers that obtained
+	// no work, releasing their credits (see Sizing.ReleasesIdle).
+	ReleaseIdle bool `json:"release_idle"`
 }
 
-// CloudWorkersToStart implements Algorithm 1's Oracle.cloudWorkersToStart:
-// the number of workers the sizing strategy funds with the remaining
-// credits.
-func (o *Oracle) CloudWorkersToStart(bi *BatchInfo, creditCPUHours float64, now float64) int {
-	return o.Strategy.Sizing.Workers(bi, creditCPUHours, now)
+// Plan is Algorithm 1's Oracle.shouldUseCloud and cloudWorkersToStart in one
+// decision: whether the strategy's trigger fires on the batch as summarized,
+// and how many workers its sizing funds with creditCPUHours of remaining
+// credits, never more than there are tasks left. The in-process Scheduler and
+// the Oracle service both decide here.
+func (o *Oracle) Plan(v BatchView, creditCPUHours float64) Plan {
+	if v.Done {
+		return Plan{Reason: "batch complete"}
+	}
+	st := o.Strategy
+	if !st.Trigger.ShouldStart(v) {
+		return Plan{Reason: o.notFired}
+	}
+	n := st.Sizing.Workers(v, creditCPUHours)
+	if remaining := v.Size - v.LastSample.Completed; n > remaining {
+		n = remaining
+	}
+	return Plan{Start: n > 0, Workers: n, ReleaseIdle: st.Sizing.ReleasesIdle(), Reason: o.fired}
 }

@@ -5,115 +5,6 @@ import (
 	"testing"
 )
 
-func mkInfo(size int) *BatchInfo { return NewBatchInfo("b", "env", size, 0) }
-
-func TestCompletionThreshold(t *testing.T) {
-	tr := CompletionThreshold{0.9}
-	if tr.Code() != "9C" {
-		t.Fatalf("code = %s", tr.Code())
-	}
-	bi := mkInfo(100)
-	bi.AddSample(60, 89, 100, 0, 0)
-	if tr.ShouldStart(bi) {
-		t.Fatal("fired at 89%")
-	}
-	bi.AddSample(120, 90, 100, 0, 0)
-	if !tr.ShouldStart(bi) {
-		t.Fatal("did not fire at 90%")
-	}
-}
-
-func TestAssignmentThreshold(t *testing.T) {
-	tr := AssignmentThreshold{0.9}
-	if tr.Code() != "9A" {
-		t.Fatalf("code = %s", tr.Code())
-	}
-	bi := mkInfo(100)
-	bi.AddSample(60, 10, 95, 0, 0)
-	if !tr.ShouldStart(bi) {
-		t.Fatal("did not fire at 95% assigned")
-	}
-	bi2 := mkInfo(100)
-	bi2.AddSample(60, 10, 50, 0, 0)
-	if tr.ShouldStart(bi2) {
-		t.Fatal("fired at 50% assigned")
-	}
-}
-
-func TestExecutionVarianceTrigger(t *testing.T) {
-	tr := ExecutionVariance{}
-	if tr.Code() != "D" {
-		t.Fatalf("code = %s", tr.Code())
-	}
-	bi := mkInfo(100)
-	// Steady state: assignments at t, completions lag by ~100 s.
-	bi.AddSample(100, 0, 40, 0, 40)
-	bi.AddSample(200, 40, 80, 0, 40)
-	bi.AddSample(300, 80, 100, 0, 20)
-	if tr.ShouldStart(bi) {
-		t.Fatal("fired in steady state")
-	}
-	// Tail: completion of the last fraction stalls; var grows past 2×.
-	bi.AddSample(1200, 90, 100, 0, 10)
-	bi.AddSample(2400, 95, 100, 0, 5)
-	if !tr.ShouldStart(bi) {
-		tc95, _ := bi.TimeAtCompletion(0.95)
-		ta95, _ := bi.TimeAtAssignment(0.95)
-		t.Fatalf("did not fire in the tail (var95=%v, ref=%v)",
-			tc95-ta95, bi.MaxExecutionVarianceUpTo(0.5))
-	}
-	// Before half completion it must never fire.
-	early := mkInfo(100)
-	early.AddSample(100, 10, 100, 0, 90)
-	early.AddSample(5000, 40, 100, 0, 60)
-	if tr.ShouldStart(early) {
-		t.Fatal("fired before 50% completion")
-	}
-}
-
-func TestGreedySizing(t *testing.T) {
-	g := Greedy{}
-	if g.Code() != "G" {
-		t.Fatalf("code = %s", g.Code())
-	}
-	if n := g.Workers(mkInfo(10), 305.5, 0); n != 305 {
-		t.Fatalf("greedy workers = %d, want 305", n)
-	}
-	if n := g.Workers(mkInfo(10), 0.4, 0); n != 1 {
-		t.Fatalf("greedy small allowance = %d, want 1", n)
-	}
-	if n := g.Workers(mkInfo(10), 0, 0); n != 0 {
-		t.Fatalf("greedy zero allowance = %d, want 0", n)
-	}
-}
-
-func TestConservativeSizing(t *testing.T) {
-	c := Conservative{}
-	if c.Code() != "C" {
-		t.Fatalf("code = %s", c.Code())
-	}
-	bi := mkInfo(100)
-	// 90% completed at t=10000 ⇒ tr = 10000/0.9 − 10000 ≈ 1111 s ≈ 0.31 h.
-	bi.AddSample(10000, 90, 100, 0, 10)
-	// S = 10 cpu·h, tr ≈ 0.31 h ⇒ S/tr ≈ 32 > S ⇒ min ⇒ 10 workers.
-	if n := c.Workers(bi, 10, 10000); n != 10 {
-		t.Fatalf("conservative = %d, want 10 (capped at S)", n)
-	}
-	// Long remaining time: 50% at t=100000 ⇒ tr = 100000 s ≈ 27.8 h ⇒
-	// S/tr ≈ 0.36 ⇒ 1 worker minimum.
-	bi2 := mkInfo(100)
-	bi2.AddSample(100000, 50, 100, 0, 50)
-	if n := c.Workers(bi2, 10, 100000); n != 1 {
-		t.Fatalf("conservative long tail = %d, want 1", n)
-	}
-	// tr between: 90% at t=100000 ⇒ tr ≈ 11111 s ≈ 3.09 h ⇒ S/tr ≈ 3.2 ⇒ 3.
-	bi3 := mkInfo(100)
-	bi3.AddSample(100000, 90, 100, 0, 10)
-	if n := c.Workers(bi3, 10, 100000); n != 3 {
-		t.Fatalf("conservative = %d, want 3", n)
-	}
-}
-
 func TestStrategyLabels(t *testing.T) {
 	if got := DefaultStrategy().Label(); got != "9C-C-R" {
 		t.Fatalf("default = %s", got)
@@ -204,6 +95,9 @@ func TestOraclePredict(t *testing.T) {
 	if p.CompletedFraction != 0.5 || p.Alpha != 1 {
 		t.Fatalf("prediction meta: %+v", p)
 	}
+	if pv, err := o.PredictView(bi.View()); err != nil || pv != p {
+		t.Fatalf("prediction from the view = %+v, %v; from the history %+v", pv, err, p)
+	}
 	// With calibration α=2.
 	o.Calibration.Record("env", 1000, 2000)
 	p2, _ := o.Predict(bi, 1500)
@@ -214,21 +108,5 @@ func TestOraclePredict(t *testing.T) {
 	empty := NewBatchInfo("e", "env", 100, 0)
 	if _, err := o.Predict(empty, 100); err == nil {
 		t.Fatal("prediction without progress accepted")
-	}
-}
-
-func TestOracleShouldUseCloud(t *testing.T) {
-	o := NewOracle(DefaultStrategy())
-	if o.ShouldUseCloud(nil) {
-		t.Fatal("nil batch triggered")
-	}
-	bi := mkInfo(100)
-	bi.AddSample(60, 95, 100, 0, 5)
-	if !o.ShouldUseCloud(bi) {
-		t.Fatal("should trigger at 95%")
-	}
-	bi.AddSample(120, 100, 100, 0, 0)
-	if o.ShouldUseCloud(bi) {
-		t.Fatal("triggered on a finished batch")
 	}
 }

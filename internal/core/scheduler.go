@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
-	"runtime"
-	"sync"
 
 	"spequlos/internal/cloud"
 	"spequlos/internal/middleware"
@@ -23,11 +20,6 @@ type Config struct {
 	// resources, so a single-execution (XWHEP-style) server is appropriate
 	// regardless of the primary middleware.
 	CloudServerFactory func() middleware.Server
-	// Shards sizes the worker pool the per-batch plan phase of the monitor
-	// tick is dispatched across (0 = GOMAXPROCS). With one shard the plan
-	// runs inline in registration order; results are merged in registration
-	// order either way, so the shard count never changes decisions.
-	Shards int
 	// Tiers gates cloud-support admission when supply is contended. Nil
 	// admits every triggered batch immediately — the untiered single-tenant
 	// behavior.
@@ -93,34 +85,25 @@ type Service struct {
 	// multi-batch runs non-reproducible for a given seed.
 	order  []string
 	ticker *sim.Ticker
-	// shards is the resolved plan-phase worker-pool size.
-	shards int
 	// countDriven records whether the trigger allows the due-list
 	// optimization (see CountDrivenTrigger).
 	countDriven bool
 	// dueScratch backs the per-tick due-batch snapshot, reused so a tick
 	// allocates nothing proportional to the batch count.
 	dueScratch []string
-	// cands collects tier-admission candidates per plan shard: each plan
-	// worker appends only to its own list, and admit reduces the lists in
-	// shard order on the (serial) control side. Only used with Tiers set.
-	cands [][]TierCandidate
-	// candScratch backs admit's per-tick concatenation of cands, reused.
-	candScratch []TierCandidate
+	// cands collects this tick's tier-admission candidates — the batches whose
+	// plan says start — for admit; reused. Only used with Tiers set.
+	cands []TierCandidate
 }
 
-// batchPlan is the mutation set one batch's plan step computed and the
-// serial apply step executes. Plan steps may run concurrently across
-// shards, so they only touch per-batch state and the striped credit
-// ledger; everything that mutates the engine, the middleware or the cloud
-// is deferred here.
+// batchPlan is the mutation set one batch's plan step computed and the apply
+// step executes. Plan steps only touch per-batch state and the credit ledger;
+// everything that mutates the engine, the middleware or the cloud is deferred
+// here, past tier admission.
 type batchPlan struct {
-	finalize   bool
-	stops      []*cloud.Instance
-	start      int
-	flat       bool
-	reschedule bool
-	cloudDup   bool
+	finalize bool
+	stops    []*cloud.Instance
+	start    int
 }
 
 type qosBatch struct {
@@ -133,20 +116,20 @@ type qosBatch struct {
 	bi        *BatchInfo
 	started   bool // cloud support triggered
 	triggered float64
-	exhausted bool
-	finalized bool
+	// releaseIdle is the release policy of the Oracle's plan to start: stop
+	// booted workers that obtained no work.
+	releaseIdle bool
+	exhausted   bool
+	finalized   bool
 
-	// shardHash stably assigns the batch to a plan-phase shard.
-	shardHash uint32
 	// dirty means task events touched the batch since its last step; clean
 	// batches with no live instances and nothing pending are skipped by
 	// count-driven triggers.
 	dirty bool
-	// armed means the trigger fired but the start was deferred — the sizing
-	// said zero workers (time-dependent under Conservative) or tier
-	// admission denied a slot — so the batch must be re-examined every tick.
+	// armed means the plan said start but tier admission denied a slot, so
+	// the batch must be re-examined every tick.
 	armed bool
-	// eligibleSince is the virtual time the trigger first fired; admission
+	// eligibleSince is the virtual time the plan first said start; admission
 	// scoring boosts longer waits. -1 until eligible.
 	eligibleSince float64
 	plan          batchPlan
@@ -201,9 +184,6 @@ func newService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service 
 	if cfg.MonitorPeriod <= 0 {
 		cfg.MonitorPeriod = 60
 	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = runtime.GOMAXPROCS(0)
-	}
 	_, countDriven := cfg.Strategy.Trigger.(CountDrivenTrigger)
 	return &Service{
 		eng:         eng,
@@ -213,7 +193,6 @@ func newService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service 
 		Oracle:      NewOracle(cfg.Strategy),
 		Cloud:       simCloud,
 		batches:     map[string]*qosBatch{},
-		shards:      cfg.Shards,
 		countDriven: countDriven,
 	}
 }
@@ -272,9 +251,9 @@ func (s *Service) RegisterQoSTier(user, batchID, envKey string, size int, tier T
 // service class, together with the DG server hosting it. The server must
 // host only this service's batches and must not be shared across shard
 // engines; the service attaches its activity listener to it. The tier only
-// matters when Config.Tiers is set: the sharded tick then arbitrates
-// admission as a control-engine reduction over the per-shard candidate lists
-// the plan phase produced. Only valid on a NewShardedService instance.
+// matters when Config.Tiers is set: admission is arbitrated inside the
+// monitor tick, on the control engine. Only valid on a NewShardedService
+// instance.
 func (s *Service) RegisterQoSShardTier(user, batchID, envKey string, size int, tier Tier, srv middleware.Server) error {
 	if !s.sharded {
 		return fmt.Errorf("core: RegisterQoSShardTier requires NewShardedService (batch %q)", batchID)
@@ -294,11 +273,9 @@ func (s *Service) register(user, batchID, envKey string, size int, tier Tier, sr
 	if err != nil {
 		return err
 	}
-	h := fnv.New32a()
-	h.Write([]byte(batchID))
 	s.batches[batchID] = &qosBatch{
 		id: batchID, user: user, tier: tier, srv: srv, bi: bi, triggered: -1,
-		shardHash: h.Sum32(), dirty: true, eligibleSince: -1,
+		dirty: true, eligibleSince: -1,
 		lastBill: map[*cloud.Instance]float64{},
 	}
 	s.order = append(s.order, batchID)
@@ -360,13 +337,16 @@ func (s *Service) Usage(batchID string) (CloudUsage, error) {
 //     activity since their last step, live instances to bill, or a deferred
 //     start are stepped; idle registered batches cost nothing beyond the
 //     scan, and a stepped batch is polled by its own plan step.
-//  2. Plan — per-batch decision steps (observe, Algorithm 2 billing,
-//     Algorithm 1 trigger/sizing) dispatched across the shard pool. Plan
-//     steps touch only per-batch state and the striped credit ledger.
-//  3. Apply — tier admission, then every deferred mutation (cloud stops and
-//     starts, deployment switches, finalization) executed serially in
-//     registration order, so decisions and RNG draws are byte-identical to
-//     a serial tick regardless of the shard count.
+//  2. Plan — per-batch decision steps (observe, Algorithm 2 billing, the
+//     Oracle's Algorithm 1 plan) in registration order. Plan steps touch
+//     only per-batch state and the credit ledger.
+//  3. Apply — tier admission over every batch whose plan says start, then
+//     every deferred mutation (cloud stops and starts, deployment switches,
+//     finalization) in registration order.
+//
+// The deployable Scheduler (internal/service) runs the same three phases
+// over HTTP: the same Oracle.Plan per batch, the same TierPolicy.Admit call
+// on the same inputs before its apply loop.
 func (s *Service) tick(now float64) {
 	s.dueScratch = s.dueScratch[:0]
 	active := 0
@@ -391,50 +371,19 @@ func (s *Service) tick(now float64) {
 	if len(s.dueScratch) == 0 {
 		return
 	}
-	if s.cfg.Tiers != nil {
-		if len(s.cands) != s.shards {
-			s.cands = make([][]TierCandidate, s.shards)
-		}
-		for i := range s.cands {
-			s.cands[i] = s.cands[i][:0]
-		}
+	s.cands = s.cands[:0]
+	for _, id := range s.dueScratch {
+		s.planBatch(s.batches[id])
 	}
-
-	// Plan phase.
-	if s.shards <= 1 || len(s.dueScratch) == 1 {
-		for _, id := range s.dueScratch {
-			s.planBatch(s.batches[id])
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < s.shards; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for _, id := range s.dueScratch {
-					qb := s.batches[id]
-					if int(qb.shardHash)%s.shards != w {
-						continue
-					}
-					s.planBatch(qb)
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
 	s.admit(now)
-
-	// Apply phase, in registration order.
 	for _, id := range s.dueScratch {
 		s.applyBatch(s.batches[id])
 	}
 }
 
 // planBatch computes one batch's monitor step without mutating anything
-// shared: it samples progress, bills running instances against the striped
-// ledger, and records the stops and starts for the apply phase. Safe to run
-// concurrently across batches.
+// batches share: it samples progress, bills running instances against the
+// ledger, and records the stops and starts for the apply phase.
 func (s *Service) planBatch(qb *qosBatch) {
 	qb.plan = batchPlan{stops: qb.plan.stops[:0]}
 	qb.dirty = false
@@ -446,12 +395,7 @@ func (s *Service) planBatch(qb *qosBatch) {
 	s.planManage(qb) // Algorithm 2
 	s.planStart(qb)  // Algorithm 1
 	if s.cfg.Tiers != nil && qb.plan.start > 0 {
-		// Per-shard candidate list: this worker is the only writer of its
-		// slot, so the parallel plan phase stays race-free. The inline
-		// (single-shard) path computes the same slot, keeping the reduction
-		// input identical at any shard count.
-		w := int(qb.shardHash) % s.shards
-		s.cands[w] = append(s.cands[w], TierCandidate{BatchID: qb.id, Tier: qb.tier, Since: qb.eligibleSince})
+		s.cands = append(s.cands, TierCandidate{BatchID: qb.id, Tier: qb.tier, Since: qb.eligibleSince})
 	}
 }
 
@@ -465,9 +409,8 @@ func (s *Service) observe(qb *qosBatch) {
 }
 
 // planManage bills running instances and marks the ones no longer useful or
-// fundable for termination (Algorithm 2). Ledger mutations happen here —
-// the striped CreditSystem makes them safe across shards — while the actual
-// cloud stops run in the apply phase.
+// fundable for termination (Algorithm 2). Ledger mutations happen here; the
+// actual cloud stops run in the apply phase.
 func (s *Service) planManage(qb *qosBatch) {
 	now := s.eng.Now()
 	for _, inst := range qb.instances {
@@ -491,10 +434,7 @@ func (s *Service) planManage(qb *qosBatch) {
 		}
 		return
 	}
-	// Greedy releases credits by stopping cloud workers that obtained no
-	// work ("Cloud workers that do not have tasks assigned stop
-	// immediately", §3.5).
-	if _, greedy := s.cfg.Strategy.Sizing.(Greedy); greedy {
+	if qb.releaseIdle {
 		for _, inst := range qb.instances {
 			if inst.Running() && inst.Booted() && !inst.Busy() {
 				s.billInstanceFinal(qb, inst)
@@ -504,66 +444,37 @@ func (s *Service) planManage(qb *qosBatch) {
 	}
 }
 
-// planStart decides whether cloud support should begin (Algorithm 1) and
-// how many workers to request; the apply phase executes the starts once
-// tier admission confirms the slot.
+// planStart asks the Oracle whether cloud support should begin and with how
+// many workers (Algorithm 1), for a batch that has not started it and still
+// has credits; the apply phase executes the starts once tier admission
+// confirms the slot.
 func (s *Service) planStart(qb *qosBatch) {
 	qb.armed = false
-	if qb.started || qb.exhausted {
+	if qb.started || qb.exhausted || !s.Credits.HasCredits(qb.id) {
 		return
 	}
-	if !s.Credits.HasCredits(qb.id) {
-		return
-	}
-	if !s.Oracle.ShouldUseCloud(qb.bi) {
+	order, _ := s.Credits.OrderOf(qb.id)
+	p := s.Oracle.Plan(qb.bi.View(), s.Credits.CPUHoursFor(order.Remaining()))
+	if !p.Start {
 		return
 	}
 	if qb.eligibleSince < 0 {
 		qb.eligibleSince = s.eng.Now()
 	}
-	order, _ := s.Credits.OrderOf(qb.id)
-	allowance := s.Credits.CPUHoursFor(order.Remaining())
-	n := s.Oracle.CloudWorkersToStart(qb.bi, allowance, s.eng.Now())
-	remaining := qb.bi.Size - qb.bi.Last().Completed
-	if n > remaining {
-		n = remaining
-	}
-	if n <= 0 {
-		// Sizing said zero right now; Conservative sizing is time-dependent,
-		// so stay on the every-tick path and retry.
-		qb.armed = true
-		return
-	}
-	qb.plan.start = n
-	switch s.cfg.Strategy.Deploy {
-	case Flat:
-		qb.plan.flat = true
-	case Reschedule:
-		qb.plan.reschedule = true
-	case CloudDuplication:
-		qb.plan.cloudDup = true
-	}
+	qb.plan.start, qb.releaseIdle = p.Workers, p.ReleaseIdle
 }
 
 // admit runs tier admission over this tick's would-start batches: denied
 // batches stay armed and retry next tick with a higher wait-boosted score.
 // Without a tier policy every planned start proceeds.
 //
-// Admission is a control-engine reduction over the per-shard candidate
-// lists the plan phase filled: the lists are concatenated in shard order,
-// and TierPolicy.Admit sorts candidates internally by (score, BatchID), so
-// the decisions are independent of the concatenation order — and therefore
-// of both the plan-pool size and the kernel's shard count.
+// It runs on the control engine, and TierPolicy.Admit ranks candidates by
+// (score, BatchID), so the decisions do not depend on the kernel's shard
+// count. A fleet counts as held until its stops are applied: a slot freed
+// this tick is granted on the next.
 func (s *Service) admit(now float64) {
-	if s.cfg.Tiers == nil {
-		return
-	}
-	s.candScratch = s.candScratch[:0]
-	for _, cs := range s.cands {
-		s.candScratch = append(s.candScratch, cs...)
-	}
-	cands := s.candScratch
-	if len(cands) == 0 {
+	cands := s.cands
+	if s.cfg.Tiers == nil || len(cands) == 0 {
 		return
 	}
 	activeByTier := map[Tier]int{}
@@ -605,14 +516,15 @@ func (s *Service) applyBatch(qb *qosBatch) {
 	qb.triggered = s.eng.Now()
 
 	target := qb.srv
-	if qb.plan.reschedule {
+	switch s.cfg.Strategy.Deploy {
+	case Reschedule:
 		qb.srv.SetReschedule(true)
-	}
-	if qb.plan.cloudDup {
+	case CloudDuplication:
 		target = s.startCloudServer(qb)
 	}
+	flat := s.cfg.Strategy.Deploy == Flat
 	for i := 0; i < qb.plan.start; i++ {
-		inst := s.Cloud.Start(target, qb.id, qb.plan.flat)
+		inst := s.Cloud.Start(target, qb.id, flat)
 		qb.instances = append(qb.instances, inst)
 		qb.lastBill[inst] = s.eng.Now()
 	}

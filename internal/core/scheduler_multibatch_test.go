@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
 	"testing"
 
 	"spequlos/internal/bot"
@@ -11,15 +10,14 @@ import (
 	"spequlos/internal/xwhep"
 )
 
-// pollCounter wraps a Server and counts the monitor's per-batch polls. The
-// plan steps that poll run on the shard pool, hence the atomic.
+// pollCounter wraps a Server and counts the monitor's per-batch polls.
 type pollCounter struct {
 	middleware.Server
-	polls atomic.Int64
+	polls int
 }
 
 func (p *pollCounter) Progress(id string) middleware.Progress {
-	p.polls.Add(1)
+	p.polls++
 	return p.Server.Progress(id)
 }
 
@@ -63,11 +61,11 @@ func TestMultiBatchPollEconomy(t *testing.T) {
 	// No worker ever joins, so after the first tick drains the registration
 	// dirty marks, the due list stays empty.
 	eng.RunUntil(60 + 1)
-	if got := srv.polls.Load(); got != batches {
+	if got := srv.polls; got != batches {
 		t.Fatalf("polls on the first tick with %d idle batches = %d, want one each", batches, got)
 	}
 	eng.RunUntil(5*60 + 1)
-	if got := srv.polls.Load(); got != batches {
+	if got := srv.polls; got != batches {
 		t.Fatalf("polls over the next four ticks = %d, want 0", got-batches)
 	}
 }

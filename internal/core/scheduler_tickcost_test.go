@@ -9,93 +9,7 @@ import (
 	"spequlos/internal/cloud"
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
-	"spequlos/internal/xwhep"
 )
-
-// shardedTwoBatchWorld runs two QoS batches sharing one two-worker pool
-// through the service with an explicit shard count and the default tier policy active (one premium and one free batch),
-// so the comparison covers the plan/apply split AND tier arbitration.
-func shardedTwoBatchWorld(t *testing.T, shards int) (map[string]float64, map[string]CloudUsage) {
-	t.Helper()
-	eng := sim.NewEngine()
-	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
-	svc := NewService(eng, srv, simCloud, Config{
-		Strategy:      DefaultStrategy(),
-		MonitorPeriod: 60,
-		Shards:        shards,
-		Tiers:         DefaultTierPolicy(),
-		CloudServerFactory: func() middleware.Server {
-			return xwhep.New(eng, xwhep.DefaultConfig())
-		},
-	})
-
-	completed := map[string]float64{}
-	done := 0
-	srv.AddListener(completionTimes{times: completed, done: &done})
-
-	tiers := map[string]Tier{"a": TierPremium, "b": TierFree}
-	for i, id := range []string{"a", "b"} {
-		id := id
-		at := float64(i) * 300
-		eng.At(at, func() {
-			if err := svc.RegisterQoSTier("u", id, "env", 8, tiers[id]); err != nil {
-				t.Error(err)
-			}
-			svc.Credits.Deposit("u", 10)
-			if err := svc.OrderQoS("u", id, 10); err != nil {
-				t.Error(err)
-			}
-			srv.Submit(middleware.Batch{ID: id, Tasks: mkShardTasks(8)})
-		})
-	}
-	srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
-	srv.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-
-	eng.RunWhile(func() bool { return done < 2 && eng.Now() < 10*86400 })
-
-	usage := map[string]CloudUsage{}
-	for _, id := range []string{"a", "b"} {
-		u, err := svc.Usage(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		usage[id] = u
-	}
-	return completed, usage
-}
-
-func mkShardTasks(n int) []bot.Task {
-	specs := make([]bot.Task, n)
-	for i := range specs {
-		specs[i] = bot.Task{ID: i, NOps: 1000}
-	}
-	return specs
-}
-
-// TestShardCountNeverChangesDecisions is the determinism half of the
-// tentpole: the shard count only changes which goroutine computes a batch's
-// plan, never the plan itself — one shard (the serial legacy path) and four
-// shards produce identical per-batch completion times and cloud accounting
-// on an identical tiered 2-batch cell.
-func TestShardCountNeverChangesDecisions(t *testing.T) {
-	serialTimes, serialUsage := shardedTwoBatchWorld(t, 1)
-	shardTimes, shardUsage := shardedTwoBatchWorld(t, 4)
-	for _, id := range []string{"a", "b"} {
-		if serialTimes[id] == 0 || shardTimes[id] == 0 {
-			t.Fatalf("batch %s did not complete (serial %v, sharded %v)",
-				id, serialTimes[id], shardTimes[id])
-		}
-		if serialTimes[id] != shardTimes[id] {
-			t.Errorf("batch %s completion diverged: serial %v, sharded %v",
-				id, serialTimes[id], shardTimes[id])
-		}
-		su, pu := serialUsage[id], shardUsage[id]
-		if su != pu {
-			t.Errorf("batch %s usage diverged:\n  serial:  %+v\n  sharded: %+v", id, su, pu)
-		}
-	}
-}
 
 // idleServer is a minimal middleware.Server with scripted progress, used to
 // measure pure monitor-tick cost: batches never finish, workers never join,
@@ -151,8 +65,8 @@ func tickWallTime(b int, ticks, activePerTick int) time.Duration {
 	return time.Since(start)
 }
 
-// TestTickWallTimeSublinearInBatchCount pins the acceptance criterion of the
-// sharded scheduler: with a fixed per-tick activity budget, the monitor tick
+// TestTickWallTimeSublinearInBatchCount pins the due-list scheduler's cost:
+// with a fixed per-tick activity budget, the monitor tick
 // over 2000 registered batches costs at most 6× the tick over 200 — i.e.
 // per-tick work tracks infrastructure activity, not tenant count. (The
 // remaining growth is the due-list scan, which is a few ns per registered

@@ -65,6 +65,17 @@ func CrowdSpec() Spec {
 	}
 }
 
+// TieredCrowdSpec is CrowdSpec under tier arbitration: the eight batches span
+// the three service classes (campaign.Scenario.SubTier) and a fleet cap of
+// three makes them contend, so the cell only conforms if the deployable
+// Scheduler admits, tick by tick, the batches the simulator admits.
+func TieredCrowdSpec() Spec {
+	s := CrowdSpec()
+	s.Profile.Tiered = true
+	s.Profile.FleetCap = 3
+	return s
+}
+
 func mustStrategies(labels ...string) []core.Strategy {
 	out := make([]core.Strategy, len(labels))
 	for i, l := range labels {

@@ -176,8 +176,8 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 	})
 	defer stack.Close()
 	if sc.Profile.Tiered {
-		// Tiered cells run the same admission contract the in-process
-		// scheduler applies, enforced at the deployable Scheduler.
+		// The policy the in-process runner gives a tiered cell; the deployable
+		// Scheduler arbitrates with the same TierPolicy.Admit call per tick.
 		stack.Scheduler.TierPolicy = core.DefaultTierPolicy()
 		stack.Scheduler.TierPolicy.FleetCap = sc.Profile.FleetCap
 	}

@@ -39,8 +39,7 @@ func BindTrace(eng *sim.Engine, tr *trace.Trace, srv Server) *Binding {
 
 // BindTracePartition attaches the part-th of parts stable-hash partitions
 // of the trace's nodes to the server. Node→partition assignment is a pure
-// function of the node ID (FNV-32a, the shard-hash idiom of the scheduler's
-// plan pool), so the union of all parts is exactly BindTrace's node set and
+// function of the node ID (FNV-32a), so the union of all parts is exactly BindTrace's node set and
 // a node lands on the same partition at any partition count that divides
 // the same way. The sharded campaign kernel uses this to give every QoS
 // batch a dedicated, disjoint slice of one common trace.

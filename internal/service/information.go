@@ -62,28 +62,10 @@ type TrackRequest struct {
 	SubmittedAt float64 `json:"submitted_at"`
 }
 
-// BatchStatus is the monitoring summary of one batch. It carries everything
-// a remote Oracle needs to evaluate any trigger strategy: threshold
-// fractions plus the execution-variance series summary (§3.5).
-type BatchStatus struct {
-	BatchID           string      `json:"batch_id"`
-	EnvKey            string      `json:"env_key"`
-	Size              int         `json:"size"`
-	Samples           int         `json:"samples"`
-	CompletedFraction float64     `json:"completed_fraction"`
-	AssignedFraction  float64     `json:"assigned_fraction"`
-	Done              bool        `json:"done"`
-	CompletedAt       float64     `json:"completed_at"`
-	LastSample        core.Sample `json:"last_sample"`
-	// ExecVariance is var(c) at the current completion fraction;
-	// MaxVarianceFirstHalf is max var(x) for x ≤ 50%. Both are -1 when
-	// not yet defined.
-	ExecVariance         float64 `json:"exec_variance"`
-	MaxVarianceFirstHalf float64 `json:"max_variance_first_half"`
-	// TC50 is tc(0.5) (elapsed seconds), or -1 before half completion;
-	// the Oracle's prediction base and calibration input.
-	TC50 float64 `json:"tc50"`
-}
+// BatchStatus is the monitoring summary of one batch as Information serves
+// it: the view every Oracle decision is computed from, so a remote Oracle
+// evaluates any strategy on exactly what the in-process one reads.
+type BatchStatus = core.BatchView
 
 // BatchSample is one item of POST /samples: a monitoring sample and the batch
 // it belongs to.
@@ -102,29 +84,6 @@ type StatusResult struct {
 	Status *BatchStatus `json:"status,omitempty"`
 	// Error is empty on success.
 	Error string `json:"error,omitempty"`
-}
-
-func statusOf(bi *core.BatchInfo) BatchStatus {
-	st := BatchStatus{
-		BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
-		Samples:           len(bi.Samples),
-		CompletedFraction: bi.CompletedFraction(),
-		AssignedFraction:  bi.AssignedFraction(),
-		Done:              bi.Done(),
-		CompletedAt:       bi.CompletedAt,
-		LastSample:        bi.Last(),
-		ExecVariance:      -1, MaxVarianceFirstHalf: -1, TC50: -1,
-	}
-	if v, ok := bi.ExecutionVariance(st.CompletedFraction); ok {
-		st.ExecVariance = v
-	}
-	if st.CompletedFraction >= 0.5 {
-		st.MaxVarianceFirstHalf = bi.MaxExecutionVarianceUpTo(0.5)
-	}
-	if tc, ok := bi.TimeAtCompletion(0.5); ok {
-		st.TC50 = tc
-	}
-	return st
 }
 
 // ServeHTTP implements http.Handler.
@@ -218,7 +177,7 @@ func (s *InformationService) addSample(id string, sample core.Sample) error {
 	if bi == nil {
 		return fmt.Errorf("batch %q not tracked", id)
 	}
-	bi.AddSample(bi.SubmittedAt+sample.T, sample.Completed, sample.Assigned, sample.Queued, sample.Running)
+	bi.AddSampleWorkers(bi.SubmittedAt+sample.T, sample.Completed, sample.Assigned, sample.Queued, sample.Running, sample.Workers)
 	return nil
 }
 
@@ -231,7 +190,7 @@ func (s *InformationService) status(id string) (BatchStatus, error) {
 	if bi == nil {
 		return BatchStatus{}, fmt.Errorf("batch %q not tracked", id)
 	}
-	return statusOf(bi), nil
+	return bi.View(), nil
 }
 
 // Info exposes the wrapped archive (used by co-located modules).

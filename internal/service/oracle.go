@@ -40,16 +40,9 @@ type PlanRequest struct {
 	CreditCPUHours float64 `json:"credit_cpu_hours"`
 }
 
-// PlanReply is the Oracle's provisioning decision (Algorithm 1).
-type PlanReply struct {
-	Start   bool   `json:"start"`
-	Workers int    `json:"workers"`
-	Reason  string `json:"reason"`
-	// ReleaseIdle tells the Scheduler to stop booted workers that obtained
-	// no work, releasing their credits — the Greedy release policy (§3.5:
-	// "Cloud workers that do not have tasks assigned stop immediately").
-	ReleaseIdle bool `json:"release_idle"`
-}
+// PlanReply is the Oracle's provisioning decision (Algorithm 1), computed by
+// core.Oracle.Plan from the batch's status and the credits in the request.
+type PlanReply = core.Plan
 
 // PlanResult is one result of POST /plans.
 type PlanResult struct {
@@ -86,20 +79,14 @@ func (s *OracleService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadGateway, err)
 			return
 		}
-		if st.CompletedFraction <= 0 {
-			writeErr(w, http.StatusConflict, fmt.Errorf("batch %q has no completed tasks yet", id))
+		s.mu.Lock()
+		p, err := s.oracle.PredictView(st)
+		s.mu.Unlock()
+		if err != nil {
+			writeErr(w, http.StatusConflict, err)
 			return
 		}
-		s.mu.Lock()
-		alpha := s.oracle.Calibration.Alpha(st.EnvKey)
-		unc := s.oracle.Calibration.SuccessRate(st.EnvKey)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, core.Prediction{
-			PredictedTime:     alpha * st.LastSample.T / st.CompletedFraction,
-			Uncertainty:       unc,
-			Alpha:             alpha,
-			CompletedFraction: st.CompletedFraction,
-		})
+		writeJSON(w, http.StatusOK, p)
 
 	case r.Method == http.MethodPost && r.URL.Path == "/plan":
 		var req PlanRequest
@@ -112,7 +99,7 @@ func (s *OracleService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusBadGateway, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, s.plan(st, req.CreditCPUHours))
+		writeJSON(w, http.StatusOK, s.oracle.Plan(st, req.CreditCPUHours))
 
 	case r.Method == http.MethodPost && r.URL.Path == "/plans":
 		reqs, err := readBulk(r, func(p PlanRequest) string { return p.BatchID })
@@ -134,7 +121,7 @@ func (s *OracleService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			case st.Status == nil:
 				results[i].Error = "information returned neither a status nor an error"
 			default:
-				results[i].Plan = s.plan(*st.Status, reqs[i].CreditCPUHours)
+				results[i].Plan = s.oracle.Plan(*st.Status, reqs[i].CreditCPUHours)
 			}
 		}
 		writeJSON(w, http.StatusOK, BulkReply[PlanResult]{Results: results})
@@ -165,70 +152,6 @@ func (s *OracleService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	default:
 		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
 	}
-}
-
-// plan evaluates the trigger and sizing strategies against a remote batch
-// status snapshot.
-func (s *OracleService) plan(st BatchStatus, creditHours float64) PlanReply {
-	if st.Done {
-		return PlanReply{Reason: "batch complete"}
-	}
-	fired := false
-	switch tr := s.oracle.Strategy.Trigger.(type) {
-	case core.CompletionThreshold:
-		fired = st.CompletedFraction >= tr.Frac
-	case core.AssignmentThreshold:
-		fired = st.AssignedFraction >= tr.Frac
-	case core.ExecutionVariance:
-		if st.CompletedFraction >= 0.5 && st.ExecVariance >= 0 {
-			if st.MaxVarianceFirstHalf > 0 {
-				fired = st.ExecVariance >= 2*st.MaxVarianceFirstHalf
-			} else {
-				fired = st.ExecVariance > 0
-			}
-		}
-	}
-	if !fired {
-		return PlanReply{Reason: "trigger " + s.oracle.Strategy.Trigger.Code() + " not fired"}
-	}
-	var n int
-	releaseIdle := false
-	switch s.oracle.Strategy.Sizing.(type) {
-	case core.Greedy:
-		if creditHours > 0 {
-			n = int(creditHours)
-			if n < 1 {
-				n = 1
-			}
-		}
-		releaseIdle = true
-	case core.Conservative:
-		// Remaining time estimated from the constant completion rate. With
-		// no completions yet (a 9A trigger can fire on assignments alone)
-		// the rate is undefined and the whole allowance starts, matching
-		// core.Conservative.
-		if creditHours > 0 {
-			if st.CompletedFraction <= 0 {
-				n = int(creditHours)
-			} else {
-				elapsed := st.LastSample.T
-				tr := elapsed/st.CompletedFraction - elapsed
-				nf := creditHours
-				if trH := tr / 3600; trH > 0 && creditHours/trH < nf {
-					nf = creditHours / trH
-				}
-				n = int(nf)
-			}
-			if n < 1 {
-				n = 1
-			}
-		}
-	}
-	if remaining := st.Size - st.LastSample.Completed; n > remaining {
-		n = remaining
-	}
-	return PlanReply{Start: n > 0, Workers: n, ReleaseIdle: releaseIdle,
-		Reason: "trigger " + s.oracle.Strategy.Trigger.Code() + " fired"}
 }
 
 // OracleClient is the typed client of the Oracle service.

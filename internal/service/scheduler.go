@@ -63,8 +63,8 @@ type WorkerStatusGateway interface {
 // One monitor iteration is a phased tick (see tick): poll the DG once, then
 // one bulk request per module and step — POST /samples to Information,
 // POST /bills and POST /orders/lookup to Credit, POST /plans to the Oracle —
-// and last a serial apply loop in registration order for what batches share:
-// exhaustion stops, idle release, finalization, tier admission, launches.
+// then tier admission, and last a serial apply loop in registration order for
+// what batches share: exhaustion stops, idle release, finalization, launches.
 // Step and StepBatch are that one tick, over every batch and over one.
 type SchedulerService struct {
 	info     *InformationClient
@@ -73,13 +73,11 @@ type SchedulerService struct {
 	registry *cloud.Registry
 	dg       DGGateway
 
-	// TierPolicy, when non-nil, gates cloud-worker launches per service
-	// class: a batch only starts cloud support while its tier's count of
-	// batches holding live instances is under the tier's MaxActive cap and
-	// the fleet as a whole is under FleetCap. The in-process scheduler
-	// (internal/core) additionally runs weighted slot arbitration per tick;
-	// the HTTP scheduler admits batches one by one in registration order,
-	// so it enforces the caps and lets denied batches retry on later ticks.
+	// TierPolicy, when non-nil, gates cloud-worker launches when supply is
+	// contended: each tick, the batches whose plan says start go through one
+	// TierPolicy.Admit call (caps, weighted slot reservation, wait-boosted
+	// priority) and the denied ones retry on later ticks — the arbitration
+	// the in-process scheduler (internal/core) runs, on the same inputs.
 	TierPolicy *core.TierPolicy
 
 	// Now is the clock used for billing; overridable in tests.
@@ -108,6 +106,9 @@ type schedBatch struct {
 	// ReleaseIdle is the Oracle's release policy for this batch: stop
 	// booted workers that obtained no work (Greedy sizing).
 	ReleaseIdle bool
+	// EligibleSince is the tick the Oracle's plan first said start; tier
+	// admission boosts longer waits. Zero until then.
+	EligibleSince time.Time
 	// stepping marks the batch as claimed by a tick in progress: the daemon
 	// ticker and external POST /step clients may race, and a double step
 	// must not double-bill or double-launch.
@@ -332,17 +333,20 @@ type tickBatch struct {
 //  4. one POST /orders/lookup to Credit for the batches not yet started;
 //  5. one POST /plans to the Oracle (which makes one POST /statuses to
 //     Information) for those of them that have credits left;
-//  6. the apply loop, serial and in registration order: stop the fleet of an
+//  6. tier admission (admit): one TierPolicy.Admit call over the plans that
+//     say start, against the fleets held as the apply loop begins;
+//  7. the apply loop, serial and in registration order: stop the fleet of an
 //     exhausted order, release idle workers (Greedy), finalize completed
 //     batches (stop, pay, archive the calibration: three calls each), and
-//     for a plan that says start, tier admission and the launches.
+//     launch for an admitted plan.
 //
-// Steps 2 to 5 read and write only state that belongs to one batch — its
-// samples, its own order — so running them for every batch before any batch
-// is applied changes no decision. Everything that batches share (the cloud
-// driver and its instance ids, the fleet that admitTier counts) is touched
-// in step 6 alone, where batch k sees what batches 1..k-1 did this tick and
-// nothing of what k+1.. will do, as when each batch was stepped in turn.
+// These are the phases of core.Service.tick — plan, admit, apply — with the
+// same Oracle.Plan and the same TierPolicy.Admit behind them, so the two
+// schedulers decide alike by construction. Steps 2 to 5 read and write only
+// state that belongs to one batch — its samples, its own order — so running
+// them for every batch before any batch is applied changes no decision. What
+// batches share (the cloud driver and its instance ids) is touched in step 7
+// alone.
 //
 // No lock is held across a call to a module, the DG or a cloud driver: the
 // claim keeps other ticks off a batch, so its state is read freely here and
@@ -360,6 +364,7 @@ func (s *SchedulerService) tick(ids []string) error {
 	s.sendSamples(batches, now)
 	s.sendBills(batches, now)
 	s.fetchPlans(batches)
+	s.admit(batches, now)
 	for _, tb := range batches {
 		if tb.err == nil {
 			tb.err = s.apply(tb, now)
@@ -444,7 +449,7 @@ func (s *SchedulerService) sendSamples(batches []*tickBatch, now time.Time) {
 		tb.elapsed = now.Sub(tb.qb.StartedAt).Seconds()
 		items = append(items, BatchSample{BatchID: tb.qb.ID, Sample: core.Sample{
 			T: tb.elapsed, Completed: p.Completed, Assigned: p.EverAssigned,
-			Queued: p.Queued, Running: p.Running,
+			Queued: p.Queued, Running: p.Running, Workers: p.Workers,
 		}})
 		of = append(of, tb)
 	}
@@ -523,6 +528,47 @@ func (s *SchedulerService) fetchPlans(batches []*tickBatch) {
 	}
 }
 
+// admit runs tier admission over this tick's would-start batches, as
+// core.Service.admit does: every batch whose plan says start is a candidate,
+// waiting since the tick it first was one, and the fleets counted as held are
+// those live now, before the apply loop stops or starts any — a slot freed
+// this tick is granted on the next. A denied batch loses its plan and asks
+// again next tick. Without a tier policy every plan proceeds.
+func (s *SchedulerService) admit(batches []*tickBatch, now time.Time) {
+	if s.TierPolicy == nil {
+		return
+	}
+	var cands []core.TierCandidate
+	for _, tb := range batches {
+		if tb.plan == nil || !tb.plan.Start {
+			continue
+		}
+		if tb.qb.EligibleSince.IsZero() {
+			tb.qb.EligibleSince = now
+		}
+		// Scores depend on the wait alone, so this tick is time zero.
+		cands = append(cands, core.TierCandidate{BatchID: tb.qb.ID, Tier: tb.qb.Tier,
+			Since: -now.Sub(tb.qb.EligibleSince).Seconds()})
+	}
+	if len(cands) == 0 {
+		return
+	}
+	active := map[core.Tier]int{}
+	s.mu.Lock()
+	for _, qb := range s.batches {
+		if !qb.Finalized && len(liveInstances(qb)) > 0 {
+			active[qb.Tier.OrFree()]++
+		}
+	}
+	s.mu.Unlock()
+	admitted := s.TierPolicy.Admit(0, active, cands)
+	for _, tb := range batches {
+		if tb.plan != nil && !admitted[tb.qb.ID] {
+			tb.plan = nil
+		}
+	}
+}
+
 // apply is the part of one batch's iteration that touches state batches
 // share. It runs for one batch at a time, in registration order.
 func (s *SchedulerService) apply(tb *tickBatch, now time.Time) error {
@@ -538,8 +584,8 @@ func (s *SchedulerService) apply(tb *tickBatch, now time.Time) error {
 	if err := s.releaseIdleInstances(qb); err != nil {
 		return err
 	}
-	if tb.plan == nil || !tb.plan.Start || !s.admitTier(qb) {
-		return nil // nothing to start, or tier caps leave no headroom: retry on a later tick
+	if tb.plan == nil || !tb.plan.Start {
+		return nil // nothing to start, or tier admission denied the slot: retry on a later tick
 	}
 	driver, err := s.registry.Get(qb.Provider)
 	if err != nil {
@@ -562,37 +608,6 @@ func (s *SchedulerService) apply(tb *tickBatch, now time.Time) error {
 	qb.ReleaseIdle = tb.plan.ReleaseIdle
 	s.mu.Unlock()
 	return nil
-}
-
-// admitTier enforces the tier admission caps for a batch about to start
-// cloud support: its service class must have MaxActive headroom and the
-// fleet must be under FleetCap, counting every other unfinalized batch that
-// currently holds live instances. A nil policy admits everything.
-func (s *SchedulerService) admitTier(qb *schedBatch) bool {
-	if s.TierPolicy == nil {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	active := map[core.Tier]int{}
-	total := 0
-	for _, other := range s.batches {
-		if other == qb || other.Finalized {
-			continue
-		}
-		for i := range other.instances {
-			if other.instances[i].Info.State != cloud.StateTerminated {
-				active[other.Tier.OrFree()]++
-				total++
-				break
-			}
-		}
-	}
-	spec := s.TierPolicy.Spec(qb.Tier)
-	if spec.MaxActive > 0 && active[qb.Tier.OrFree()] >= spec.MaxActive {
-		return false
-	}
-	return s.TierPolicy.FleetCap <= 0 || total < s.TierPolicy.FleetCap
 }
 
 // liveInstances lists the ids of a claimed batch's instances that are not

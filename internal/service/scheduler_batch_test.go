@@ -440,9 +440,11 @@ func TestBatchedStepMatchesPerBatchStep(t *testing.T) {
 }
 
 // TestTierAdmissionCaps pins the deployable Scheduler's tier gating: under a
-// fleet cap of one, only the first eligible batch gets cloud workers, the
-// denied batch keeps retrying, and the slot passes to it once the holder
-// finalizes. Registration rejects unknown tier names outright.
+// fleet cap of one, the enterprise batch gets the cloud workers although a
+// free batch registered first, the denied batch keeps retrying, and the slot
+// passes to it once the holder finalizes. Registration rejects unknown tier
+// names outright. Under a cap of three and three tiers, a contended tick
+// admits exactly the set core.TierPolicy.Admit picks from the same candidates.
 func TestTierAdmissionCaps(t *testing.T) {
 	script := newMultiDG()
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
@@ -466,7 +468,7 @@ func TestTierAdmissionCaps(t *testing.T) {
 		t.Fatal("unknown tier accepted")
 	}
 
-	for _, b := range []struct{ id, tier string }{{"ent", "enterprise"}, {"fr", "free"}} {
+	for _, b := range []struct{ id, tier string }{{"fr", "free"}, {"ent", "enterprise"}} {
 		script.set(b.id, middleware.Progress{Size: 100, Arrived: 100,
 			Completed: 92, EverAssigned: 100, Running: 8})
 		if err := stack.CreditClient.Deposit("u", 200); err != nil {
@@ -481,7 +483,8 @@ func TestTierAdmissionCaps(t *testing.T) {
 	}
 
 	// Both batches are past the trigger; the single fleet slot goes to the
-	// first stepped batch and the other is denied for as long as it is held.
+	// higher tier, whatever the registration order, and the other is denied
+	// for as long as it is held.
 	for i := 0; i < 3; i++ {
 		now = now.Add(60 * time.Second)
 		if err := stack.Scheduler.Step(); err != nil {
@@ -514,5 +517,141 @@ func TestTierAdmissionCaps(t *testing.T) {
 	}
 	if !fr.Started {
 		t.Fatalf("free batch still denied after the slot freed: %+v", fr)
+	}
+
+	t.Run("three tiers contend", func(t *testing.T) {
+		script := newMultiDG()
+		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
+		stack := NewTestStack(StackConfig{
+			Strategy: core.DefaultStrategy(),
+			Registry: cloud.NewRegistry(driver),
+			DG:       script,
+		})
+		defer stack.Close()
+		now := time.Unix(0, 0).UTC()
+		stack.SetClock(func() time.Time { return now })
+		driver.SetClock(func() time.Time { return now })
+		policy := core.DefaultTierPolicy()
+		policy.FleetCap = 3
+		stack.Scheduler.TierPolicy = policy
+
+		progress := func(id string, completed int) {
+			script.set(id, middleware.Progress{Size: 100, Arrived: 100,
+				Completed: completed, EverAssigned: 100, Running: 100 - completed})
+		}
+		batches := []struct{ id, tier string }{{"f1", "free"}, {"p1", "premium"}, {"f2", "free"},
+			{"e1", "enterprise"}, {"p2", "premium"}, {"e2", "enterprise"}}
+		if err := stack.CreditClient.Deposit("u", 600); err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range batches {
+			progress(b.id, 50)
+			if err := stack.Scheduler.RegisterQoS(QoSRequest{
+				User: "u", BatchID: b.id, EnvKey: "e", Size: 100,
+				Credits: 90, Tier: b.tier, Provider: "mock", Image: "img",
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		step := func() map[string]bool {
+			now = now.Add(60 * time.Second)
+			if err := stack.Scheduler.Step(); err != nil {
+				t.Fatal(err)
+			}
+			started := map[string]bool{}
+			for _, b := range batches {
+				if st, _ := stack.Scheduler.Status(b.id); st.Started {
+					started[b.id] = true
+				}
+			}
+			return started
+		}
+
+		// Two batches fire with slots to spare: both start.
+		progress("f1", 92)
+		progress("p1", 92)
+		if got := step(); len(got) != 2 || !got["f1"] || !got["p1"] {
+			t.Fatalf("uncontended tick started %v, want f1 and p1", got)
+		}
+		// The other four fire in one tick with one slot left.
+		var cands []core.TierCandidate
+		for _, b := range batches[2:] {
+			progress(b.id, 92)
+			cands = append(cands, core.TierCandidate{BatchID: b.id, Tier: core.Tier(b.tier)})
+		}
+		want := policy.Admit(0, map[core.Tier]int{core.TierFree: 1, core.TierPremium: 1}, cands)
+		got := step()
+		for _, c := range cands {
+			if got[c.BatchID] != want[c.BatchID] {
+				t.Errorf("%s: started %v, TierPolicy.Admit says %v", c.BatchID, got[c.BatchID], want[c.BatchID])
+			}
+		}
+		if len(want) != 1 || !want["e1"] {
+			t.Fatalf("TierPolicy.Admit picked %v, the scenario expects e1 alone", want)
+		}
+		// The fleet is full: the three still waiting stay denied.
+		if got := step(); len(got) != 3 {
+			t.Fatalf("a full fleet admitted more: %v", got)
+		}
+	})
+}
+
+// TestCapacityAwareOverHTTP drives the tail-anticipation trigger through the
+// whole stack: the Scheduler forwards the DG's attached-worker count with
+// each sample, Information keeps the peak, and the Oracle's /plan fires on a
+// capacity drop at 76% completion — below the trigger's 90% fallback, where
+// only the infrastructure signal can fire it.
+func TestCapacityAwareOverHTTP(t *testing.T) {
+	script := newMultiDG()
+	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
+	stack := NewTestStack(StackConfig{
+		Strategy: core.Strategy{Trigger: core.DefaultCapacityAware(), Sizing: core.Conservative{}, Deploy: core.Reschedule},
+		Registry: cloud.NewRegistry(driver),
+		DG:       script,
+	})
+	defer stack.Close()
+	now := time.Unix(0, 0).UTC()
+	stack.SetClock(func() time.Time { return now })
+	driver.SetClock(func() time.Time { return now })
+
+	if err := stack.CreditClient.Deposit("u", 100); err != nil {
+		t.Fatal(err)
+	}
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{
+		User: "u", BatchID: "b", EnvKey: "e", Size: 100, Credits: 90, Provider: "mock", Image: "img",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	step := func(completed, workers int) QoSStatus {
+		now = now.Add(60 * time.Second)
+		script.set("b", middleware.Progress{Size: 100, Arrived: 100, Completed: completed,
+			EverAssigned: 100, Running: 100 - completed, Workers: workers})
+		if err := stack.Scheduler.Step(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := stack.Scheduler.Status("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	step(40, 200)
+	if st := step(75, 190); st.Started {
+		t.Fatalf("started with healthy capacity: %+v", st)
+	}
+	if plan, err := stack.OracleClient.Plan("b", 6); err != nil || plan.Start {
+		t.Fatalf("/plan with healthy capacity: %+v, %v", plan, err)
+	}
+	// 70% of the workers vanish.
+	st := step(76, 60)
+	if !st.Started || len(st.Instances) == 0 {
+		t.Fatalf("the capacity drop did not start cloud workers: %+v", st)
+	}
+	info, err := stack.InfoClient.Status("b")
+	if err != nil || info.PeakWorkers != 200 || info.LastSample.Workers != 60 {
+		t.Fatalf("Information's view: peak %d, now %d workers, %v", info.PeakWorkers, info.LastSample.Workers, err)
+	}
+	if plan, err := stack.OracleClient.Plan("b", 6); err != nil || !plan.Start || plan.Reason != "trigger CA fired" {
+		t.Fatalf("/plan after the drop: %+v, %v", plan, err)
 	}
 }

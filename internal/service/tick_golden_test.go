@@ -50,13 +50,17 @@ type tickRecord struct {
 // byte for byte against testdata/tick_golden.json. The file was recorded from
 // the per-call tick (one AddSample, HasCredits, OrderOf, Plan and Bill round
 // trip per batch) at the commit before the bulk tick replaced it, so passing
-// means the phased tick takes the same decisions in the same order.
+// means the phased tick takes the same decisions in the same order. It was
+// recorded again once, when tier admission moved before the apply loop (the
+// simulator's arbitration): free-idle, denied at t4 while prem-dry's dry
+// fleet still holds its slot, now starts at t5 instead of t4, and everything
+// free-idle's fleet touches moved one tick with it.
 //
 // The episode covers: three tiers under a fleet cap of two (a denied batch is
-// admitted in the very tick an earlier-registered holder stops), an order
-// that runs dry mid-run, Greedy idle release, an event-driven StepBatch
-// finalization between ticks, and a batch Information never tracked, whose
-// error every tick must not disturb its neighbours.
+// admitted the tick after a holder's fleet stops), an order that runs dry
+// mid-run, Greedy idle release, an event-driven StepBatch finalization
+// between ticks, and a batch Information never tracked, whose error every
+// tick must not disturb its neighbours.
 func TestTickGolden(t *testing.T) {
 	dg := &tickGoldenDG{multiDG: newMultiDG(), idle: map[string]bool{}}
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
@@ -151,7 +155,8 @@ func TestTickGolden(t *testing.T) {
 	tick("t1 nothing fires", time.Minute, map[string]int{"ent-a": 50, "ghost": 50, "prem-dry": 50, "free-idle": 50, "free-late": 50})
 	tick("t2 two start, the fleet cap denies two", time.Minute, map[string]int{"ent-a": 92, "ghost": 95, "prem-dry": 95, "free-idle": 91, "free-late": 93})
 	tick("t3 first bills", time.Minute, map[string]int{"ent-a": 93, "ghost": 95, "prem-dry": 95, "free-idle": 92, "free-late": 93})
-	tick("t4 prem-dry runs dry, free-idle takes its slot", time.Minute, map[string]int{"ent-a": 94, "ghost": 96, "prem-dry": 96, "free-idle": 93, "free-late": 94})
+	tick("t4 prem-dry runs dry, its fleet still holds the slot", time.Minute, map[string]int{"ent-a": 94, "ghost": 96, "prem-dry": 96, "free-idle": 93, "free-late": 94})
+	tick("t5 free-idle takes the freed slot", time.Minute, map[string]int{"ent-a": 97, "ghost": 96, "prem-dry": 96, "free-idle": 95, "free-late": 95})
 	// Two of free-idle's four workers obtained no work.
 	st, err := stack.Scheduler.Status("free-idle")
 	if err != nil || len(st.Instances) != 4 {
@@ -160,14 +165,13 @@ func TestTickGolden(t *testing.T) {
 	dg.mu.Lock()
 	dg.idle[st.Instances[1].ID], dg.idle[st.Instances[3].ID] = true, true
 	dg.mu.Unlock()
-	tick("t5 idle workers released", time.Minute, map[string]int{"ent-a": 97, "ghost": 96, "prem-dry": 96, "free-idle": 95, "free-late": 95})
 
 	// ent-a completes between two ticks and is finalized alone.
 	now = now.Add(30 * time.Second)
 	progress(map[string]int{"ent-a": 100, "ghost": 96, "prem-dry": 96, "free-idle": 95, "free-late": 95})
 	record("t5.5 StepBatch finalizes ent-a", stack.Scheduler.StepBatch("ent-a"))
 
-	tick("t6 free-late admitted", 30*time.Second, map[string]int{"ent-a": 100, "ghost": 97, "prem-dry": 97, "free-idle": 97, "free-late": 96})
+	tick("t6 idle workers released, free-late admitted", 30*time.Second, map[string]int{"ent-a": 100, "ghost": 97, "prem-dry": 97, "free-idle": 97, "free-late": 96})
 	tick("t7 free-idle and prem-dry finalize", time.Minute, map[string]int{"ent-a": 100, "ghost": 98, "prem-dry": 100, "free-idle": 100, "free-late": 98})
 	tick("t8 free-late finalizes", time.Minute, map[string]int{"ent-a": 100, "ghost": 100, "prem-dry": 100, "free-idle": 100, "free-late": 100})
 	tick("t9 only ghost is left", time.Minute, map[string]int{"ent-a": 100, "ghost": 100, "prem-dry": 100, "free-idle": 100, "free-late": 100})
