@@ -60,7 +60,7 @@ func main() {
 		benchJSON  = flag.String("bench-json", "", "perf report path (default <out>/BENCH_<profile>.json); an existing report's trajectory is extended")
 		benchLabel = flag.String("bench-label", "", "label recorded with this run's trajectory entry (e.g. a PR number or git rev)")
 		baseline   = flag.String("baseline", "", "baseline BENCH_*.json to print a throughput delta against")
-		shards     = flag.Int("shards", 0, "kernel shard count for sharded-kernel profiles (0 = GOMAXPROCS; results are byte-identical at any value)")
+		shards     = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; results are byte-identical at any value")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 	)
@@ -71,6 +71,9 @@ func main() {
 		fatal(err)
 	}
 	if *shards != 0 {
+		if !p.Sharded() {
+			fatal(fmt.Errorf("-shards does not apply to the %s profile (its cells run on the serial engine; only the multi-batch sharded-kernel profiles stress and crowd2k run on sim.Sharded)", p.Name))
+		}
 		p.KernelShards = *shards
 	}
 	if *budgetFlag != "" {

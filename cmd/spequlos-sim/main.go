@@ -49,7 +49,7 @@ func main() {
 		storePath = flag.String("store", "", "result store JSON path: load if present, save after the run (resume)")
 		emulate   = flag.Bool("emulate", false, "also run each strategy cell through the deployable HTTP stack and report conformance")
 		budget    = flag.String("trace-budget", "", "trace cache byte budget, e.g. 256MiB (empty = profile default)")
-		shards    = flag.Int("shards", 0, "kernel shard count for sharded-kernel profiles (0 = GOMAXPROCS); execution-only, results are byte-identical at any value")
+		shards    = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; execution-only, results are byte-identical at any value")
 		verbose   = flag.Bool("v", false, "log per-job progress")
 	)
 	flag.Parse()
@@ -58,7 +58,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *shards > 0 {
+	if *shards != 0 {
+		if !p.Sharded() {
+			fatal(fmt.Errorf("-shards does not apply to the %s profile (its cells run on the serial engine; only the multi-batch sharded-kernel profiles stress and crowd2k run on sim.Sharded)", p.Name))
+		}
 		p.KernelShards = *shards
 	}
 	if *budget != "" {

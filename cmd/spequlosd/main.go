@@ -39,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"spequlos/internal/campaign"
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
 	"spequlos/internal/middleware"
@@ -194,22 +195,6 @@ func snapshotLoop(dir string, period time.Duration, info *core.Information,
 		log.Printf("spequlosd: state dir: %v", err)
 		return
 	}
-	save := func(name string, write func(io.Writer) error) {
-		tmp := filepath.Join(dir, name+".tmp")
-		f, err := os.Create(tmp)
-		if err != nil {
-			log.Printf("spequlosd: snapshot %s: %v", name, err)
-			return
-		}
-		if err := write(f); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			log.Printf("spequlosd: snapshot %s: %v", name, err)
-			return
-		}
-		f.Close()
-		os.Rename(tmp, filepath.Join(dir, name)) //nolint:errcheck
-	}
 	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
@@ -217,11 +202,24 @@ func snapshotLoop(dir string, period time.Duration, info *core.Information,
 		case <-stop:
 			return
 		case <-t.C:
-			save("information.json", info.WriteJSON)
-			save("credits.json", credits.WriteJSON)
-			save("calibration.json", cal.WriteJSON)
+			saveState(dir, info, credits, cal)
 		}
 	}
+}
+
+// saveState writes one snapshot per module, each durably and atomically
+// (temp file, fsync, rename): a crash leaves the previous snapshot or the
+// new one under the final name, never a truncated file. A failure is logged
+// and leaves that module's previous snapshot in place.
+func saveState(dir string, info *core.Information, credits *core.CreditSystem, cal *core.Calibration) {
+	save := func(name string, write func(io.Writer) error) {
+		if err := campaign.WriteFileAtomic(filepath.Join(dir, name), write); err != nil {
+			log.Printf("spequlosd: snapshot %s: %v", name, err)
+		}
+	}
+	save("information.json", info.WriteJSON)
+	save("credits.json", credits.WriteJSON)
+	save("calibration.json", cal.WriteJSON)
 }
 
 func normalizeAddr(addr string) string {

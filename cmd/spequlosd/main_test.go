@@ -2,8 +2,10 @@ package main
 
 import (
 	"bytes"
+	"log"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,5 +89,43 @@ func TestLoadStateFreshWhenMissing(t *testing.T) {
 	in2, _, _ := loadState("")
 	if in2 == nil {
 		t.Fatal("nil state without dir")
+	}
+}
+
+// TestSaveStateReportsFailedSnapshot pins the snapshot error path: a module
+// whose target cannot be renamed onto (its name is a directory) is logged,
+// leaves no temp file behind, and does not stop the other modules' snapshots.
+func TestSaveStateReportsFailedSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.Mkdir(filepath.Join(dir, "credits.json"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	credits := core.NewCreditSystem()
+	credits.Deposit("u", 42)
+	saveState(dir, core.NewInformation(), credits, core.NewCalibration())
+
+	if !strings.Contains(logged.String(), "snapshot credits.json:") {
+		t.Fatalf("failed snapshot not reported, log: %q", logged.String())
+	}
+	if strings.Contains(logged.String(), "information.json") || strings.Contains(logged.String(), "calibration.json") {
+		t.Fatalf("healthy snapshots reported as failed, log: %q", logged.String())
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "calibration.json credits.json information.json" {
+		t.Fatalf("state dir holds %q, want the three snapshot names and no temp file", got)
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "credits.json")); err != nil || !fi.IsDir() {
+		t.Fatalf("rename target was replaced: %v %v", fi, err)
 	}
 }

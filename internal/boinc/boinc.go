@@ -77,14 +77,11 @@ type batch struct {
 	assigned  int // workunits ever assigned (monotone)
 	wus       []*workunit
 	// byID resolves a workunit by its spec ID: IDs are batch-unique but
-	// not slice indexes once the batch is a partition subset or barrier
-	// rebalances moved workunits in.
-	byID map[int]*workunit
-	done bool
-	// freeQueued counts queued, never-assigned workunits — the ones
-	// TakeQueued may hand to a sibling pool partition.
-	freeQueued int
-	running    int // workunits with at least one live-or-believed replica
+	// not slice indexes when the batch is a subset (Cloud Duplication
+	// submits only the incomplete tasks to the cloud server).
+	byID    map[int]*workunit
+	done    bool
+	running int // workunits with at least one live-or-believed replica
 }
 
 type workunit struct {
@@ -106,10 +103,7 @@ type workunit struct {
 	completed bool
 	assigned  bool // ever assigned
 	queued    bool // present in the pending fifo with unsent > 0
-	// moved marks a workunit handed to a sibling partition (TakeQueued):
-	// it stays in the slice for fifo lazy removal but no longer counts.
-	moved bool
-	execs map[*middleware.Worker]*exec
+	execs     map[*middleware.Worker]*exec
 }
 
 // cloudReplicas counts in-flight cloud replicas of the workunit.
@@ -270,7 +264,6 @@ func (s *Server) arrive(wu *workunit) {
 	}
 	wu.unsent = s.cfg.TargetNResults
 	wu.queued = true
-	wu.batch.freeQueued++
 	s.pending.push(wu)
 	s.dispatch()
 }
@@ -396,7 +389,7 @@ func (s *Server) peekWorkunit(w *middleware.Worker) *workunit {
 		var best *workunit
 		bestDups := 0
 		for _, wu := range bt.wus {
-			if !wu.arrived || wu.completed || wu.moved || !s.eligible(w, wu) {
+			if !wu.arrived || wu.completed || !s.eligible(w, wu) {
 				continue
 			}
 			dups := wu.cloudReplicas()
@@ -428,9 +421,6 @@ func (s *Server) assign(w *middleware.Worker, wu *workunit) {
 		panic("boinc: assigning to busy or detached worker")
 	}
 	st.cur = wu
-	if wu.queued && !wu.assigned {
-		wu.batch.freeQueued--
-	}
 	if wu.unsent > 0 && wu.queued {
 		wu.unsent--
 		if wu.unsent == 0 {
@@ -503,9 +493,6 @@ func (s *Server) deadline(wu *workunit, ex *exec) {
 // aborted and their live workers freed (server-side cancel; see DESIGN.md).
 // by is the worker whose result closed the quorum (nil for external merge).
 func (s *Server) completeWU(wu *workunit, by *middleware.Worker) {
-	if wu.queued && !wu.assigned {
-		wu.batch.freeQueued--
-	}
 	wu.completed = true
 	wu.unsent = 0
 	wu.queued = false
@@ -534,8 +521,8 @@ func (s *Server) completeWU(wu *workunit, by *middleware.Worker) {
 
 // MarkCompleted implements middleware.Server (result merging for Cloud
 // Duplication): an external trusted result satisfies the quorum. Workunits
-// are resolved by spec ID, which stays correct when the batch is a
-// partition subset whose IDs are not dense slice indexes.
+// are resolved by spec ID, which stays correct when the batch is a subset
+// whose IDs are not dense slice indexes.
 func (s *Server) MarkCompleted(batchID string, taskID int) {
 	bt := s.batches[batchID]
 	if bt == nil {
@@ -590,7 +577,7 @@ func (s *Server) Incomplete(batchID string) []bot.Task {
 	}
 	var out []bot.Task
 	for _, wu := range bt.wus {
-		if !wu.completed && !wu.moved {
+		if !wu.completed {
 			spec := wu.spec
 			spec.Arrival = 0
 			out = append(out, spec)
@@ -599,79 +586,7 @@ func (s *Server) Incomplete(batchID string) []bot.Task {
 	return out
 }
 
-// IdleWorkers implements middleware.TaskMover.
-func (s *Server) IdleWorkers() int { return s.idle.Len() }
-
-// QueuedFree implements middleware.TaskMover.
-func (s *Server) QueuedFree(batchID string) int {
-	bt := s.batches[batchID]
-	if bt == nil {
-		return 0
-	}
-	return bt.freeQueued
-}
-
-// TakeQueued implements middleware.TaskMover: it extracts up to n queued,
-// never-assigned workunits — no replicas were created, so holders,
-// results and deadlines are all empty and removal is exact — and stops
-// counting them toward the batch. The receiving partition re-creates the
-// full target_nresults replica set on AddTasks.
-func (s *Server) TakeQueued(batchID string, n int) []bot.Task {
-	bt := s.batches[batchID]
-	if bt == nil || n <= 0 {
-		return nil
-	}
-	var out []bot.Task
-	for _, wu := range bt.wus {
-		if len(out) >= n {
-			break
-		}
-		if wu.moved || wu.completed || !wu.arrived || !wu.queued || wu.assigned {
-			continue
-		}
-		wu.moved = true
-		wu.queued = false
-		wu.unsent = 0
-		bt.freeQueued--
-		bt.size--
-		bt.arrived--
-		delete(bt.byID, wu.spec.ID)
-		spec := wu.spec
-		spec.Arrival = 0
-		out = append(out, spec)
-	}
-	return out
-}
-
-// AddTasks implements middleware.TaskMover: the specs join the batch as
-// already-arrived queued workunits with a fresh replica set and dispatch
-// immediately.
-func (s *Server) AddTasks(batchID string, tasks []bot.Task) {
-	bt := s.batches[batchID]
-	if bt == nil || len(tasks) == 0 {
-		return
-	}
-	for _, spec := range tasks {
-		wu := &workunit{
-			batch: bt, spec: spec,
-			holders: map[int]bool{}, returned: map[int]bool{},
-			execs: map[*middleware.Worker]*exec{},
-		}
-		wu.arrived = true
-		wu.unsent = s.cfg.TargetNResults
-		wu.queued = true
-		bt.wus = append(bt.wus, wu)
-		bt.byID[spec.ID] = wu
-		bt.size++
-		bt.arrived++
-		bt.freeQueued++
-		s.pending.push(wu)
-	}
-	s.dispatch()
-}
-
 var _ middleware.Server = (*Server)(nil)
-var _ middleware.TaskMover = (*Server)(nil)
 
 // WorkerBusy implements middleware.Server.
 func (s *Server) WorkerBusy(w *middleware.Worker) bool {

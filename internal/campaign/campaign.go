@@ -52,15 +52,12 @@ func (j Job) Key() string {
 		}
 		// The sharded-kernel MODEL (per-batch servers + trace partitions)
 		// changes results and keys on it; KernelShards is execution-only
-		// (byte-identical at any value) and stays out.
+		// (byte-identical at any value) and stays out. A single BoT has
+		// no sub-batch to partition by, so the flag does nothing there
+		// and stays out of its key.
 		if p.ShardedKernel {
 			multi += ",skernel"
 		}
-	} else if p.ShardedKernel {
-		// A single-BoT sharded cell partitions the worker pool instead of
-		// the batch set; the partition count shapes the model (task split,
-		// rebalance topology), so it keys alongside the flag.
-		multi = fmt.Sprintf(",skernel,parts%d", shardParts(p))
 	}
 	return fmt.Sprintf("%s@bs%g,pc%d,h%g,cf%g%s|%s|%s|%s|%d|%s|%d",
 		p.Name, p.BotScale, p.PoolCap, p.HorizonDays, p.CreditFraction, multi,

@@ -15,10 +15,10 @@ import (
 var updateExecutorGolden = flag.Bool("update-executor-golden", false, "rewrite testdata/executor_golden.json")
 
 // goldenProfiles lists the cell kinds the executor distinguishes by its two
-// axes — kernel (serial / sharded) × shape (single BoT / multi-batch) — plus
-// the horizon-retry case of Execute. KernelShards is pinned to 2 in the
-// sharded profiles so the per-shard event counters are deterministic on any
-// machine.
+// axes — kernel (serial / sharded) × shape (single BoT / multi-batch; a
+// single BoT is always serial) — plus the horizon-retry case of Execute.
+// KernelShards is pinned to 2 in the sharded profile so the per-shard event
+// counters are deterministic on any machine.
 func goldenProfiles() []Profile {
 	return []Profile{
 		{ // serial kernel, single BoT: the paper's shape
@@ -40,11 +40,6 @@ func goldenProfiles() []Profile {
 			HorizonDays: 10, CreditFraction: 0.10,
 			Batches: 10, SubmitSpread: 1800, Tiered: true, FleetCap: 2,
 			ShardedKernel: true, KernelShards: 2,
-		},
-		{ // sharded kernel, single BoT split across four pool partitions
-			Name: "g-ssingle", BotScale: 0.05, Offsets: 1, PoolCap: 240,
-			HorizonDays: 10, CreditFraction: 0.10,
-			ShardedKernel: true, ShardParts: 4, KernelShards: 2,
 		},
 		{ // the horizon is too short for the first attempt (and for some
 			// cells every attempt), so Execute's doubling retry loop runs and
@@ -108,17 +103,20 @@ func strategyJobs(t *testing.T, sc Scenario, keepSeries bool, labels ...string) 
 }
 
 // TestExecutorGolden is the parity guard of the cell executor: the digest of
-// every entry of the matrix above — all four kernel × shape combinations,
+// every entry of the matrix above — all three kernel × shape combinations,
 // three middleware, baseline and strategy and variant jobs, complete and
 // incomplete cells — must equal the one recorded in
-// testdata/executor_golden.json. That file was produced by the four separate
-// executors (executeOnce, executeMulti, executeSharded, executeShardedSingle)
-// at the commit before they were collapsed into one, so passing means the
-// single executeOnce reproduces each of them byte for byte. The twelve
-// standard-profile keys were appended later, right after the servers stopped
-// queueing a task completed before its arrival (four of them differ from
-// what the code before that fix produces); they pin the middleware models at
-// a scale and on a path the 114 older keys do not reach.
+// testdata/executor_golden.json. That file was produced by the separate
+// executors (executeOnce, executeMulti, executeSharded) at the commit before
+// they were collapsed into one, so passing means the single executeOnce
+// reproduces each of them byte for byte. The twelve standard-profile keys
+// were appended later, right after the servers stopped queueing a task
+// completed before its arrival (four of them differ from what the code
+// before that fix produces); they pin the middleware models at a scale and
+// on a path the 95 older keys do not reach. The 19 keys of the retired
+// partitioned single-BoT model (g-ssingle) were deleted from the file by
+// hand, without a re-record: the 107 that remain are the digests recorded
+// back then.
 //
 // Regenerate only deliberately, when the MODEL is meant to move:
 // go test ./internal/campaign -run ExecutorGolden -update-executor-golden
@@ -150,8 +148,8 @@ func TestExecutorGolden(t *testing.T) {
 			retried++ // completed only because a retry doubled the horizon
 		}
 	}
-	if len(got) < 100 {
-		t.Fatalf("golden matrix has %d cells, want at least 100", len(got))
+	if len(got) != 107 {
+		t.Fatalf("golden matrix has %d cells, want the 107 recorded ones", len(got))
 	}
 	if incomplete == 0 || retried == 0 || completed <= incomplete {
 		t.Fatalf("matrix lost a case: %d completed (%d after a horizon retry), %d incomplete",

@@ -48,27 +48,6 @@ func CompletionCurve(sc Scenario) ([]metrics.SeriesPoint, Result) {
 	return e.Series, e.Result
 }
 
-// useShardedKernel reports whether a job runs on the multi-core sharded
-// kernel. Every strategy family is supported — CloudDuplication's result
-// mirror rides the barrier exchange and tier arbitration runs as a
-// control-engine reduction — so the answer is exactly the profile's
-// ShardedKernel flag: a pure function of the job key, never of the
-// strategy, and with no silent serial fallback for any coupling.
-func useShardedKernel(j Job) bool {
-	return j.Scenario.Profile.ShardedKernel
-}
-
-// shardParts resolves the worker-pool partition count of a single-BoT
-// sharded cell (Profile.ShardParts, default 8). The partition count is
-// part of the model — it decides the round-robin task split and the
-// rebalance topology — so it feeds the job key.
-func shardParts(p Profile) int {
-	if p.ShardParts > 0 {
-		return p.ShardParts
-	}
-	return 8
-}
-
 // kernelShardCount resolves the execution shard count: the profile's
 // KernelShards, defaulting to GOMAXPROCS, capped at the batch count (extra
 // shards would idle).
@@ -171,32 +150,31 @@ func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
 // axes, both pure functions of the job key:
 //
 //   - kernel: one serial engine hosting one DG server over the whole trace,
-//     or (useShardedKernel) a sim.Sharded kernel whose shard engines run in
+//     or (Profile.Sharded) a sim.Sharded kernel whose shard engines run in
 //     parallel windows while the QoS service — monitor, cloud fleet, credit
 //     ledger — lives on the control engine and runs serially at barriers,
 //     so results are byte-identical at any KernelShards value;
 //   - shape: one BoT, reported as the paper does (tail metrics, TC50Base,
 //     optional series, no Batches), or N tenants' BoTs sharing the
 //     infrastructure, each with its own credit order, trigger and
-//     BatchResult. A sharded multi-batch cell partitions the model per
-//     batch (own server, stable-hashed slice of the trace's nodes); a
-//     sharded single BoT has nothing to partition per batch, so it splits
-//     the worker pool across shardParts part servers composed by
-//     middleware.Partitioned, with task events replayed on the control
-//     engine and queued work rebalanced at barriers.
+//     BatchResult. A sharded cell partitions the model per batch (own
+//     server, stable-hashed slice of the trace's nodes), so only a
+//     multi-batch cell can be sharded: a single BoT always runs on the
+//     serial engine.
 //
-// Everything else is shared. What still differs between the four
-// combinations is the model itself, pinned by the goldens and kept explicit
-// below: (a) where registration and submission are scheduled, (b) their
-// order on each engine, (c) the barrier window and (d) the CloudDuplication
-// mirror route belong to the kernel axis; (e) the TriggeredAt origin and the
-// report belong to the shape axis; (f) is the completions listener; (g) is
+// Everything else is shared. What still differs between the three
+// combinations (serial single, serial multi, sharded multi) is the model
+// itself, pinned by the goldens and kept explicit below: (a) where
+// registration and submission are scheduled, (b) their order on each
+// engine, (c) the barrier window and (d) the CloudDuplication mirror route
+// belong to the kernel axis; (e) the TriggeredAt origin and the report
+// belong to the shape axis; (f) is the completions listener; (g) is
 // serviceConfig.
 func executeOnce(j Job, horizon float64) Entry {
 	sc := j.Scenario
 	seed := sc.Seed()
 	nb := sc.SubBatches()
-	multi, sharded := nb > 1, useShardedKernel(j)
+	multi, sharded := nb > 1, sc.Profile.Sharded()
 	cfg, creditFraction, useService := serviceConfig(j)
 	res := Result{
 		Middleware: sc.Middleware, TraceName: sc.TraceName, BotClass: sc.BotClass,
@@ -234,8 +212,7 @@ func executeOnce(j Job, horizon float64) Entry {
 	}
 	var kernel *sim.Sharded // nil on the serial kernel
 	var ctl *sim.Engine     // the engine the service lives on
-	switch {
-	case !sharded:
+	if !sharded {
 		ctl = sim.NewEngine()
 		srv := newServer(ctl, sc.Middleware)
 		middleware.BindTrace(ctl, tr, srv)
@@ -243,7 +220,7 @@ func executeOnce(j Job, horizon float64) Entry {
 		for k := range hosts {
 			hosts[k] = h
 		}
-	case multi:
+	} else {
 		kernel = sim.NewSharded(kernelShardCount(sc.Profile, nb))
 		ctl = kernel.Control()
 		for k := range hosts {
@@ -255,20 +232,6 @@ func executeOnce(j Job, horizon float64) Entry {
 			middleware.BindTracePartition(eng, tr, srv, k, nb)
 			hosts[k] = listen(eng, srv)
 		}
-	default:
-		parts := make([]middleware.Server, shardParts(sc.Profile))
-		kernel = sim.NewSharded(kernelShardCount(sc.Profile, len(parts)))
-		ctl = kernel.Control()
-		for p := range parts {
-			// Partition p of the pool on shard p%ns: the node split is a pure
-			// function of (node ID, parts) — invariant under the shard count.
-			eng := kernel.Shard(p % kernel.Shards())
-			parts[p] = newServer(eng, sc.Middleware)
-			middleware.BindTracePartition(eng, tr, parts[p], p, len(parts))
-		}
-		// The composite replays task events on the control engine, so its
-		// listener (and the inline submission) live there.
-		hosts[0] = listen(ctl, middleware.NewPartitioned(kernel, parts))
 	}
 
 	// The service, wired once.
@@ -281,10 +244,9 @@ func executeOnce(j Job, horizon float64) Entry {
 				return xwhep.New(ctl, xwhep.DefaultConfig())
 			}
 		}
-		switch {
-		case !sharded:
+		if !sharded {
 			svc = core.NewService(ctl, hosts[0].srv, simCloud, cfg)
-		case multi:
+		} else {
 			// (d) CloudDuplication's primary-side completions fire on shard
 			// goroutines, so they ride the barrier exchange: one outbox per
 			// batch, created in batch order (the deterministic merge
@@ -297,12 +259,6 @@ func executeOnce(j Job, horizon float64) Entry {
 			cfg.MirrorPost = func(batchID string, taskID int, at float64) {
 				mirrorBoxes[batchID].Post(sim.Msg{Time: at, Topic: topic, I: int32(taskID), S: batchID})
 			}
-			svc = core.NewShardedService(ctl, simCloud, cfg)
-		default:
-			// (d) The composite already replays primary-side completions on
-			// the control engine at their exact virtual times, so the mirror
-			// direction needs no second exchange hop: deliver directly.
-			cfg.MirrorPost = func(batchID string, taskID int, _ float64) { svc.DeliverMirror(batchID, taskID) }
 			svc = core.NewShardedService(ctl, simCloud, cfg)
 		}
 	}
@@ -390,18 +346,11 @@ func executeOnce(j Job, horizon float64) Entry {
 		res.Events = ctl.Executed()
 	} else {
 		// (c) Barrier window: the monitor period when a service runs (its
-		// tick is the only cross-shard actor). A multi-batch baseline has no
-		// control events and dispatches in one window per idle gap, so the
-		// horizon; a partitioned single BoT rebalances queued work at
-		// barriers, so the cadence is part of the model and a baseline is
-		// pinned to DefaultMonitorPeriod — a pure function of the job key,
-		// never of the shard count.
+		// tick is the only cross-shard actor). A baseline has no control
+		// events and dispatches in one window per idle gap, so the horizon.
 		window := cfg.MonitorPeriod
 		if !useService {
-			window = DefaultMonitorPeriod
-			if multi {
-				window = horizon
-			}
+			window = horizon
 		}
 		kernel.Run(window, func() bool { return ctl.Now() > horizon || !running() })
 		res.Events = kernel.Executed()

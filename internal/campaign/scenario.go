@@ -125,25 +125,20 @@ type Profile struct {
 	// FleetCap bounds how many batches may hold cloud support at once when
 	// Tiered (0 = unlimited); it is what makes the tier queues contend.
 	FleetCap int `json:",omitempty"`
-	// ShardedKernel partitions the cell's MODEL for multi-core execution on
-	// the sim.Sharded kernel. Multi-batch cells give every sub-batch its
-	// own DG server plus a stable-hashed dedicated partition of the trace's
-	// nodes; single-BoT cells split the one batch round-robin across
-	// ShardParts part servers with queued-task hand-off at barriers
-	// (middleware.Partitioned). Cross-batch and cross-part couplings — the
-	// QoS monitor, tier arbitration under FleetCap, CloudDuplication's
-	// result mirror — run on the control engine at tick barriers, fed by
-	// the kernel's barrier exchange, so every strategy family runs sharded
-	// with no serial fallback. This changes what is simulated, so it IS
-	// part of the job key; the kernel shard count is not (byte-identical
-	// results at any value).
+	// ShardedKernel is a multi-batch model flag: it partitions the cell's
+	// MODEL for multi-core execution on the sim.Sharded kernel by giving
+	// every sub-batch its own DG server plus a stable-hashed dedicated
+	// partition of the trace's nodes. Cross-batch couplings — the QoS
+	// monitor, tier arbitration under FleetCap, CloudDuplication's result
+	// mirror — run on the control engine at tick barriers, fed by the
+	// kernel's barrier exchange, so every strategy family runs sharded with
+	// no serial fallback. This changes what is simulated, so for a
+	// multi-batch cell it IS part of the job key; the kernel shard count is
+	// not (byte-identical results at any value). On a single BoT
+	// (Batches <= 1) the flag has no effect and no key contribution: the
+	// cell is one DG server over the whole trace on the serial engine, the
+	// paper's model.
 	ShardedKernel bool `json:",omitempty"`
-	// ShardParts is the number of worker-pool partitions a single-BoT
-	// sharded cell splits its batch across (0 = 8, see shardParts). It
-	// shapes the model — the round-robin task split and the barrier
-	// rebalance topology — so it IS part of the job key; ignored by
-	// multi-batch cells, whose partition unit is the sub-batch.
-	ShardParts int `json:",omitempty"`
 	// KernelShards is the number of parallel event heaps the sharded kernel
 	// executes on (0 = GOMAXPROCS, capped at Batches). Purely an execution
 	// knob: any value yields byte-identical results, so it is NOT part of
@@ -158,6 +153,16 @@ type Profile struct {
 	// trace memory on small machines; -trace-budget overrides it.
 	TraceBudgetBytes int64 `json:",omitempty"`
 }
+
+// Sharded reports whether the profile's cells run on the multi-core
+// sim.Sharded kernel: ShardedKernel on a multi-batch profile. Every strategy
+// family is supported — CloudDuplication's result mirror rides the barrier
+// exchange and tier arbitration runs on the control engine — so the answer
+// is a pure function of the job key, never of the strategy, with no silent
+// serial fallback for any coupling. A single BoT is one DG server on one
+// serial engine whatever the flag says: the sub-batch is the only partition
+// unit. The CLIs check it before accepting -shards.
+func (p Profile) Sharded() bool { return p.ShardedKernel && p.Batches > 1 }
 
 // Quick returns the bench profile (small BoTs, small pools).
 func Quick() Profile {
@@ -181,14 +186,13 @@ func Standard() Profile {
 // the profile carries a trace-cache byte budget (overridable with
 // -trace-budget): peak trace memory tracks the budget plus in-flight pins
 // instead of the campaign size, which is what makes `full` runnable end to
-// end on a small machine. Since PR 9 its single-BoT cells run on the
-// sharded kernel, the pool split across 8 partitions, so one cell spreads
-// across cores instead of relying on cell-level parallelism alone.
+// end on a small machine. Like every single-BoT profile, each cell is the
+// paper's model — one DG server scheduling over the whole trace on the
+// serial engine — and the campaign spreads across cores cell by cell.
 func Full() Profile {
 	return Profile{
 		Name: "full", BotScale: 1, Offsets: 5, PoolCap: 2000,
 		HorizonDays: 15, CreditFraction: 0.10,
-		ShardedKernel: true, ShardParts: 8,
 		TraceBudgetBytes: DefaultTraceBudgetBytes,
 	}
 }

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -107,38 +108,52 @@ func TestShardedKernelStatsRecorded(t *testing.T) {
 	}
 }
 
-// TestUseShardedKernelRouting pins the model-routing rule since PR 9:
-// Profile.ShardedKernel routes EVERY strategy family onto the sharded
-// kernel — CloudDuplication rides the barrier exchange, tier arbitration
-// runs as a control-engine reduction, single-BoT cells shard their worker
-// pool — with no silent serial fallback for any coupling; and nothing
-// without the flag ever routes there.
+// TestUseShardedKernelRouting pins the model-routing rule: routing reads
+// the profile alone (Profile.Sharded cannot see the strategy, so no
+// strategy family can fall back to the serial kernel); ShardedKernel routes
+// a multi-batch cell, tiered or not, onto the sharded kernel; nothing
+// without the flag ever routes there; and a single BoT is one server on the
+// serial engine whatever the flag says, so forcing it on changes neither
+// the key nor the result.
 func TestUseShardedKernelRouting(t *testing.T) {
 	p := miniSharded(2)
 	base := Job{Scenario: Scenario{Profile: p, Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL"}}
-	if !useShardedKernel(base) {
+	if !base.Scenario.Profile.Sharded() {
 		t.Fatal("plain sharded-kernel cell should use the sharded kernel")
-	}
-	dup := base
-	st := core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.5}, Sizing: core.Conservative{}, Deploy: core.CloudDuplication}
-	dup.Scenario.Strategy = &st
-	if !useShardedKernel(dup) {
-		t.Fatal("CloudDuplication cell must run on the sharded kernel, not fall back")
 	}
 	tiered := base
 	tiered.Scenario.Profile.Tiered = true
-	if !useShardedKernel(tiered) {
+	if !tiered.Scenario.Profile.Sharded() {
 		t.Fatal("tiered cell must run on the sharded kernel, not fall back")
-	}
-	single := base
-	single.Scenario.Profile.Batches = 0
-	if !useShardedKernel(single) {
-		t.Fatal("single-BoT cell must run on the sharded kernel (intra-batch pool sharding)")
 	}
 	plain := base
 	plain.Scenario.Profile.ShardedKernel = false
-	if useShardedKernel(plain) {
+	if plain.Scenario.Profile.Sharded() {
 		t.Fatal("profile without ShardedKernel must not route to the sharded kernel")
+	}
+
+	st := core.DefaultStrategy()
+	full := Job{Scenario: Scenario{Profile: Full(), Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL", Strategy: &st}}
+	forced := full
+	forced.Scenario.Profile.ShardedKernel = true
+	forced.Scenario.Profile.KernelShards = 2
+	if full.Scenario.Profile.Sharded() || forced.Scenario.Profile.Sharded() {
+		t.Fatal("a single-BoT cell must run on the serial engine")
+	}
+	if full.Key() != forced.Key() {
+		t.Fatalf("ShardedKernel leaked into a single-BoT job key:\n%s\n%s", full.Key(), forced.Key())
+	}
+	want, got := Execute(full).Result, Execute(forced).Result
+	if !want.Completed || want.Instances == 0 {
+		t.Fatalf("full cell did not complete with cloud support: %+v", want)
+	}
+	if want.KernelShards != 0 || want.Barriers != 0 || got.KernelShards != 0 || got.Barriers != 0 {
+		t.Fatalf("single-BoT cell recorded sharded-kernel counters: %+v / %+v", want, got)
+	}
+	wantJSON, _ := json.Marshal(want)
+	gotJSON, _ := json.Marshal(got)
+	if string(wantJSON) != string(gotJSON) {
+		t.Fatalf("ShardedKernel changed a single-BoT result:\n off: %s\n on:  %s", wantJSON, gotJSON)
 	}
 }
 
@@ -151,16 +166,6 @@ func miniTiered(kernelShards int) Profile {
 		HorizonDays: 10, CreditFraction: 0.10,
 		Batches: 10, SubmitSpread: 1800, Tiered: true, FleetCap: 2,
 		ShardedKernel: true, KernelShards: kernelShards,
-	}
-}
-
-// miniFull samples the full profile's single-BoT sharded shape at test
-// scale: one BoT split round-robin across four worker-pool partitions.
-func miniFull(kernelShards int) Profile {
-	return Profile{
-		Name: "minifull", BotScale: 0.02, Offsets: 1, PoolCap: 240,
-		HorizonDays: 10, CreditFraction: 0.10,
-		ShardedKernel: true, ShardParts: 4, KernelShards: kernelShards,
 	}
 }
 
@@ -230,51 +235,17 @@ func TestShardedTieredDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedSingleBoTDeterminism pins intra-batch pool sharding: a
-// single-BoT cell partitioned across four part servers is byte-identical
-// at 1/2/4/8 shards (8 caps to the partition count), with and without the
-// QoS service.
-func TestShardedSingleBoTDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded determinism table is not -short")
-	}
-	for _, withStrategy := range []bool{false, true} {
-		name := "baseline"
-		if withStrategy {
-			name = "strategy"
-		}
-		t.Run(name, func(t *testing.T) {
-			ref := runShardedDeterminism(t, func(shards int) Scenario {
-				sc := Scenario{
-					Profile: miniFull(shards), Middleware: XWHEP, TraceName: "seti",
-					BotClass: "SMALL",
-				}
-				if withStrategy {
-					st := core.DefaultStrategy()
-					sc.Strategy = &st
-				}
-				return sc
-			})
-			if len(ref.Batches) != 0 {
-				t.Fatalf("single-BoT cell grew a Batches array: %+v", ref.Batches)
-			}
-			if ref.Tail.Size == 0 && ref.Size > 1 {
-				t.Fatalf("single-BoT cell lost its tail metrics: %+v", ref.Tail)
-			}
-		})
-	}
-}
-
-// TestShardedKernelInJobKey pins that the model flag keys the job while the
-// execution shard count does not.
+// TestShardedKernelInJobKey pins that the model flag keys a multi-batch job
+// while the execution shard count does not, and that a single-BoT key keeps
+// the historical single-batch shape whatever the flag says.
 func TestShardedKernelInJobKey(t *testing.T) {
 	j1 := Job{Scenario: Scenario{Profile: miniSharded(1), Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL"}}
 	j4 := Job{Scenario: Scenario{Profile: miniSharded(4), Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL"}}
 	if j1.Key() != j4.Key() {
 		t.Fatalf("KernelShards leaked into the job key:\n%s\n%s", j1.Key(), j4.Key())
 	}
-	if !strings.Contains(j1.Key(), ",skernel") {
-		t.Fatalf("sharded-kernel model missing from job key: %s", j1.Key())
+	if want := "ministress@bs0.01,pc240,h10,cf0.1,nb8,ss1800,skernel|XWHEP|seti|SMALL|0||" + fmt.Sprint(j1.Scenario.Seed()); j1.Key() != want {
+		t.Fatalf("multi-batch sharded key changed:\n got  %s\n want %s", j1.Key(), want)
 	}
 	serial := j1
 	serial.Scenario.Profile.ShardedKernel = false
@@ -282,15 +253,18 @@ func TestShardedKernelInJobKey(t *testing.T) {
 		t.Fatal("sharded and single-server models share a job key")
 	}
 
-	// A single-BoT sharded cell keys on its partition count.
-	single := Job{Scenario: Scenario{Profile: miniFull(1), Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL"}}
-	if !strings.Contains(single.Key(), ",skernel,parts4") {
-		t.Fatalf("single-BoT sharded key missing the partition count: %s", single.Key())
+	// A single BoT has no sub-batch to partition by: neither the flag nor
+	// the shard count reaches its key, and the full profile keys in the
+	// historical single-batch shape.
+	single := Job{Scenario: Scenario{Profile: Full(), Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL"}}
+	if want := "full@bs1,pc2000,h15,cf0.1|XWHEP|seti|SMALL|0||" + fmt.Sprint(single.Scenario.Seed()); single.Key() != want {
+		t.Fatalf("full-profile key left the single-batch shape:\n got  %s\n want %s", single.Key(), want)
 	}
 	single8 := single
+	single8.Scenario.Profile.ShardedKernel = true
 	single8.Scenario.Profile.KernelShards = 8
 	if single.Key() != single8.Key() {
-		t.Fatal("KernelShards leaked into the single-BoT job key")
+		t.Fatalf("ShardedKernel or KernelShards leaked into the single-BoT job key:\n%s\n%s", single.Key(), single8.Key())
 	}
 
 	// Model routing is explicitly a pure function of the key: a job runs on
@@ -303,7 +277,7 @@ func TestShardedKernelInJobKey(t *testing.T) {
 	tiered := j1
 	tiered.Scenario.Profile.Tiered = true
 	for _, j := range []Job{j1, j4, serial, single, single8, dup, tiered} {
-		if useShardedKernel(j) != strings.Contains(j.Key(), ",skernel") {
+		if j.Scenario.Profile.Sharded() != strings.Contains(j.Key(), ",skernel") {
 			t.Fatalf("model routing is not a pure function of the job key: %s", j.Key())
 		}
 	}

@@ -140,29 +140,6 @@ func ProgressAll(s Server, batchIDs []string) map[string]Progress {
 	return out
 }
 
-// TaskMover is an optional Server extension enabling intra-batch pool
-// partitioning: the sharded kernel splits one batch across several part
-// servers (see Partitioned) and hands queued work between them at
-// barriers. Only never-assigned tasks move — they carry no middleware
-// state (no replicas, heartbeats or checkpoints), so extraction and
-// re-submission are exact for every middleware.
-type TaskMover interface {
-	// IdleWorkers returns the number of attached workers currently holding
-	// no assignment — the partition's hunger signal.
-	IdleWorkers() int
-	// QueuedFree returns the number of queued, never-assigned tasks of the
-	// batch: the tasks TakeQueued may extract.
-	QueuedFree(batchID string) int
-	// TakeQueued extracts up to n queued, never-assigned tasks from the
-	// batch and returns their specs with arrival offsets zeroed (the tasks
-	// have already arrived). The tasks stop counting toward this server's
-	// view of the batch.
-	TakeQueued(batchID string, n int) []bot.Task
-	// AddTasks appends already-arrived task specs to an existing batch and
-	// dispatches them immediately.
-	AddTasks(batchID string, tasks []bot.Task)
-}
-
 // Server is the middleware-neutral surface consumed by the trace binding,
 // the SpeQuloS Scheduler and the experiment harness.
 type Server interface {

@@ -15,8 +15,8 @@ type Topic int32
 // barrier. Time is the virtual instant the effect happened on the shard;
 // the control engine re-executes the message at exactly that time (clamped
 // to the barrier if the message was posted from the control side itself),
-// so cross-shard couplings keep their exact event times. I, X, S and A
-// carry the topic-specific arguments.
+// so cross-shard couplings keep their exact event times. I, X and S carry
+// the topic-specific arguments.
 type Msg struct {
 	// Time is the virtual time the message was posted.
 	Time Time
@@ -28,15 +28,12 @@ type Msg struct {
 	X float64
 	// S is an inline string argument (e.g. a batch ID).
 	S string
-	// A is a pointer-shaped argument for anything larger.
-	A any
 }
 
 // Outbox is a single-writer barrier-exchange buffer. Each partition of the
-// simulation (a batch, a pool slice) owns exactly one outbox and is the
-// only writer during its shard window; the kernel drains every outbox at
-// the barrier, between the shard windows and the control engine's serial
-// run.
+// simulation (a batch) owns exactly one outbox and is the only writer
+// during its shard window; the kernel drains every outbox at the barrier,
+// between the shard windows and the control engine's serial run.
 //
 // Determinism contract: the barrier merge is a stable sort by Msg.Time
 // with outbox creation order breaking ties, so callers must create
@@ -78,19 +75,6 @@ func (s *Sharded) NewOutbox() *Outbox {
 	ob := &Outbox{}
 	s.outboxes = append(s.outboxes, ob)
 	return ob
-}
-
-// OnBarrier registers a reduction hook that runs once per barrier, after
-// the control engine has advanced to the barrier instant and after every
-// exchanged message has been replayed. All engines are parked on the
-// barrier time, so a hook may inspect and mutate any shard-hosted state —
-// this is where cross-shard reductions (fleet-cap arbitration inputs,
-// queue rebalancing) belong. Hooks run in registration order.
-func (s *Sharded) OnBarrier(fn func(now Time)) {
-	if fn == nil {
-		panic("sim: OnBarrier with nil hook")
-	}
-	s.hooks = append(s.hooks, fn)
 }
 
 // exchange drains every outbox and replays the merged messages on the

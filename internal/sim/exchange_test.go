@@ -16,7 +16,6 @@ type exchangePartition struct {
 	ob    *Outbox
 	topic Topic
 	state uint64
-	count int
 }
 
 func (p *exchangePartition) next() float64 {
@@ -25,7 +24,6 @@ func (p *exchangePartition) next() float64 {
 }
 
 func (p *exchangePartition) fire(pay Payload) {
-	p.count++
 	p.ob.Post(Msg{Time: p.eng.Now(), Topic: p.topic, I: int32(p.id), X: float64(pay.I)})
 	if pay.I > 0 {
 		p.eng.AfterOp(p.next(), p.op, Payload{A: p, I: pay.I - 1})
@@ -33,10 +31,9 @@ func (p *exchangePartition) fire(pay Payload) {
 }
 
 // runExchangeWorkload runs the reference exchange workload on n shards and
-// returns the control-side delivery log plus the hook observations. Both
-// must be byte-identical for every n: message merge order is pinned by
-// (time, outbox creation order), and hooks see the same barrier sequence.
-func runExchangeWorkload(n int) (delivered, hooks []string, st ShardedStats) {
+// returns the control-side delivery log, which must be byte-identical for
+// every n: message merge order is pinned by (time, outbox creation order).
+func runExchangeWorkload(n int) (delivered []string, st ShardedStats) {
 	const (
 		partitions = 6
 		horizon    = 120.0
@@ -56,43 +53,29 @@ func runExchangeWorkload(n int) (delivered, hooks []string, st ShardedStats) {
 		parts[i] = p
 		eng.AtOp(Time(float64(i)/4), p.op, Payload{A: p, I: 25})
 	}
-	sh.OnBarrier(func(now Time) {
-		sum := 0
-		for _, p := range parts {
-			sum += p.count
-		}
-		hooks = append(hooks, fmt.Sprintf("%.1f=%d", float64(now), sum))
-	})
 	ctl := sh.Control()
 	sh.Run(window, func() bool { return ctl.Now() >= horizon })
-	return delivered, hooks, sh.Stats()
+	return delivered, sh.Stats()
 }
 
 // TestExchangeOrderingInvariance pins the tentpole's determinism claim at
 // the sim layer: the merged message stream delivered on the control engine
-// (and the barrier-hook observations) are byte-identical at 1, 2 and 4
-// shards, even though the partitions' shard mapping and intra-window
-// interleavings differ.
+// is byte-identical at 1, 2 and 4 shards, even though the partitions'
+// shard mapping and intra-window interleavings differ.
 func TestExchangeOrderingInvariance(t *testing.T) {
-	refDel, refHooks, refSt := runExchangeWorkload(1)
+	refDel, refSt := runExchangeWorkload(1)
 	if len(refDel) == 0 {
 		t.Fatal("reference run delivered no messages")
 	}
 	if refSt.Messages != uint64(len(refDel)) {
 		t.Fatalf("Messages stat = %d, want %d delivered", refSt.Messages, len(refDel))
 	}
-	if len(refHooks) == 0 || refSt.Barriers != uint64(len(refHooks)) {
-		t.Fatalf("hook ran %d times over %d barriers, want one per barrier", len(refHooks), refSt.Barriers)
-	}
 	for _, shards := range []int{2, 4} {
 		shards := shards
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			del, hooks, st := runExchangeWorkload(shards)
+			del, st := runExchangeWorkload(shards)
 			if fmt.Sprint(del) != fmt.Sprint(refDel) {
 				t.Fatalf("delivery log diverged from 1-shard reference:\n 1: %v\n%2d: %v", refDel, shards, del)
-			}
-			if fmt.Sprint(hooks) != fmt.Sprint(refHooks) {
-				t.Fatalf("hook log diverged from 1-shard reference:\n 1: %v\n%2d: %v", refHooks, shards, hooks)
 			}
 			if st.Messages != refSt.Messages {
 				t.Fatalf("Messages = %d, want %d", st.Messages, refSt.Messages)
@@ -104,15 +87,13 @@ func TestExchangeOrderingInvariance(t *testing.T) {
 // TestExchangeEmptyOutboxFastPath pins that a kernel with registered
 // outboxes but no posted messages takes the empty-merge fast path: zero
 // messages counted, zero control events beyond the kernel's own, and the
-// barrier loop still runs hooks.
+// barrier loop still runs.
 func TestExchangeEmptyOutboxFastPath(t *testing.T) {
 	sh := NewSharded(2)
 	sh.RegisterTopic(func(Msg) { t.Fatal("topic handler ran with no posted messages") })
 	for i := 0; i < 4; i++ {
 		sh.NewOutbox()
 	}
-	barriers := 0
-	sh.OnBarrier(func(Time) { barriers++ })
 	for i := 0; i < 2; i++ {
 		eng := sh.Shard(i)
 		k := 0
@@ -133,8 +114,8 @@ func TestExchangeEmptyOutboxFastPath(t *testing.T) {
 	if st.ControlEvents != 0 {
 		t.Fatalf("control engine fired %d events, want 0 (empty merge must not schedule)", st.ControlEvents)
 	}
-	if barriers == 0 || uint64(barriers) != st.Barriers {
-		t.Fatalf("hooks ran %d times over %d barriers", barriers, st.Barriers)
+	if st.Barriers == 0 {
+		t.Fatal("no barriers ran")
 	}
 }
 
@@ -152,6 +133,5 @@ func TestExchangePanics(t *testing.T) {
 	}
 	sh := NewSharded(1)
 	mustPanic("RegisterTopic(nil)", func() { sh.RegisterTopic(nil) })
-	mustPanic("OnBarrier(nil)", func() { sh.OnBarrier(nil) })
 	mustPanic("Post with zero topic", func() { sh.NewOutbox().Post(Msg{Time: 1}) })
 }

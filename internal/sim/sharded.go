@@ -21,11 +21,10 @@ import (
 //     engine and run serially at each barrier, in deterministic order,
 //     while every shard clock sits exactly on the barrier instant.
 //   - Couplings between shard-hosted entities (CloudDuplication result
-//     mirrors, intra-batch pool partitions) are expressed as barrier
-//     exchange: each partition records effects in its own Outbox during the
-//     window and the kernel replays the merged, deterministically ordered
-//     message stream on the control engine at the barrier, then runs the
-//     registered reduction hooks (RegisterTopic / NewOutbox / OnBarrier).
+//     mirrors) are expressed as barrier exchange: each partition records
+//     effects in its own Outbox during the window and the kernel replays
+//     the merged, deterministically ordered message stream on the control
+//     engine at the barrier (RegisterTopic / NewOutbox).
 //
 // Under that contract the results are byte-identical for ANY shard count,
 // including one: the barrier sequence is derived from the merged
@@ -36,12 +35,10 @@ type Sharded struct {
 	ctl    *Engine
 	shards []*Engine
 
-	// Barrier exchange: per-partition outboxes drained at each barrier,
-	// registered topic handlers replayed on the control engine, and
-	// reduction hooks run once per barrier with every engine parked.
+	// Barrier exchange: per-partition outboxes drained at each barrier and
+	// registered topic handlers replayed on the control engine.
 	topics   []func(Msg)
 	outboxes []*Outbox
-	hooks    []func(now Time)
 	scratch  []Msg
 	opMsg    Op
 
@@ -173,13 +170,10 @@ func (s *Sharded) Run(window float64, stop func() bool) {
 			}
 		}
 		// Barrier: merge the shards' outboxes onto the control engine,
-		// run the serial control window, then the reduction hooks with
-		// every engine parked exactly on the barrier instant.
+		// then run the serial control window with every shard parked
+		// exactly on the barrier instant.
 		s.exchange()
 		s.ctl.RunUntil(target)
-		for _, h := range s.hooks {
-			h(target)
-		}
 		s.barriers++
 	}
 }
@@ -196,7 +190,7 @@ type ShardedStats struct {
 	// ControlEvents is the number of events fired by the control engine.
 	ControlEvents uint64
 	// Messages is the number of barrier-exchange messages merged onto the
-	// control engine (mirror completions, partitioned-pool task events).
+	// control engine (mirror completions).
 	Messages uint64
 	// StallSeconds is wall-clock executor idle time summed across shards:
 	// time spent parked at barriers while sibling shards finished their

@@ -30,7 +30,7 @@ type Model struct {
 }
 
 // Server simulates a single-execution Desktop Grid server under one Model.
-// It implements middleware.Server and middleware.TaskMover.
+// It implements middleware.Server.
 type Server struct {
 	eng       *sim.Engine
 	model     Model
@@ -67,16 +67,13 @@ type batch struct {
 	assigned  int // tasks ever assigned (monotone)
 	tasks     []*xtask
 	// byID resolves a task by its spec ID: IDs are batch-unique but not
-	// slice indexes once the batch is a partition subset or barrier
-	// rebalances moved tasks in.
+	// slice indexes when the batch is a subset (Cloud Duplication submits
+	// only the incomplete tasks to the cloud server).
 	byID map[int]*xtask
 	done bool
 	// running counts assigned, not yet completed tasks that are not back in
 	// a queue; it short-circuits Reschedule work scans.
 	running int
-	// freeQueued counts queued, never-assigned tasks — the tasks
-	// TakeQueued may hand to a sibling pool partition.
-	freeQueued int
 }
 
 type xtask struct {
@@ -86,9 +83,6 @@ type xtask struct {
 	completed bool
 	assigned  bool // ever assigned
 	queued    bool
-	// moved marks a task handed to a sibling partition (TakeQueued): it
-	// stays in the slice for fifo lazy removal but no longer counts.
-	moved bool
 	// remaining is the work left, in instructions. It only ever drops below
 	// spec.NOps when a checkpoint preserved progress across a worker loss.
 	remaining float64
@@ -219,7 +213,6 @@ func (s *Server) arrive(t *xtask) {
 		return
 	}
 	t.queued = true
-	t.batch.freeQueued++
 	s.queue.push(t)
 	s.dispatch()
 }
@@ -377,9 +370,6 @@ func (s *Server) assign(w *middleware.Worker, t *xtask) {
 		panic(s.model.Name + ": assigning to busy or detached worker")
 	}
 	st.cur = t
-	if t.queued && !t.assigned {
-		t.batch.freeQueued--
-	}
 	if t.queued {
 		t.queued = false
 		t.batch.running++
@@ -416,9 +406,6 @@ func (s *Server) finish(t *xtask, by *middleware.Worker) {
 	if !t.queued && t.assigned {
 		bt.running--
 	}
-	if t.queued && !t.assigned {
-		bt.freeQueued--
-	}
 	t.completed = true
 	t.queued = false
 	bt.completed++
@@ -447,7 +434,7 @@ func (s *Server) finish(t *xtask, by *middleware.Worker) {
 
 // MarkCompleted implements middleware.Server (result merging for Cloud
 // Duplication). Tasks are resolved by spec ID, which stays correct when
-// the batch is a partition subset whose IDs are not dense slice indexes.
+// the batch is a subset whose IDs are not dense slice indexes.
 func (s *Server) MarkCompleted(batchID string, taskID int) {
 	bt := s.batches[batchID]
 	if bt == nil {
@@ -502,7 +489,7 @@ func (s *Server) Incomplete(batchID string) []bot.Task {
 	}
 	var out []bot.Task
 	for _, t := range bt.tasks {
-		if !t.completed && !t.moved {
+		if !t.completed {
 			spec := t.spec
 			spec.Arrival = 0
 			out = append(out, spec)
@@ -511,71 +498,7 @@ func (s *Server) Incomplete(batchID string) []bot.Task {
 	return out
 }
 
-// IdleWorkers implements middleware.TaskMover.
-func (s *Server) IdleWorkers() int { return s.idle.Len() }
-
-// QueuedFree implements middleware.TaskMover.
-func (s *Server) QueuedFree(batchID string) int {
-	bt := s.batches[batchID]
-	if bt == nil {
-		return 0
-	}
-	return bt.freeQueued
-}
-
-// TakeQueued implements middleware.TaskMover: it extracts up to n queued,
-// never-assigned tasks — never assigned means no execution, heartbeat or
-// checkpoint state exists and remaining still equals the spec's work, so
-// removal is exact — and stops counting them toward the batch.
-func (s *Server) TakeQueued(batchID string, n int) []bot.Task {
-	bt := s.batches[batchID]
-	if bt == nil || n <= 0 {
-		return nil
-	}
-	var out []bot.Task
-	for _, t := range bt.tasks {
-		if len(out) >= n {
-			break
-		}
-		if t.moved || t.completed || !t.arrived || !t.queued || t.assigned {
-			continue
-		}
-		t.moved = true
-		t.queued = false
-		bt.freeQueued--
-		bt.size--
-		bt.arrived--
-		delete(bt.byID, t.spec.ID)
-		spec := t.spec
-		spec.Arrival = 0
-		out = append(out, spec)
-	}
-	return out
-}
-
-// AddTasks implements middleware.TaskMover: the specs join the batch as
-// already-arrived queued tasks and dispatch immediately.
-func (s *Server) AddTasks(batchID string, tasks []bot.Task) {
-	bt := s.batches[batchID]
-	if bt == nil || len(tasks) == 0 {
-		return
-	}
-	for _, spec := range tasks {
-		t := newTask(bt, spec)
-		t.arrived = true
-		t.queued = true
-		bt.tasks = append(bt.tasks, t)
-		bt.byID[spec.ID] = t
-		bt.size++
-		bt.arrived++
-		bt.freeQueued++
-		s.queue.push(t)
-	}
-	s.dispatch()
-}
-
 var _ middleware.Server = (*Server)(nil)
-var _ middleware.TaskMover = (*Server)(nil)
 
 // WorkerBusy implements middleware.Server.
 func (s *Server) WorkerBusy(w *middleware.Worker) bool {
