@@ -116,7 +116,11 @@ func strategyJobs(t *testing.T, sc Scenario, keepSeries bool, labels ...string) 
 // on a path the 95 older keys do not reach. The 19 keys of the retired
 // partitioned single-BoT model (g-ssingle) were deleted from the file by
 // hand, without a re-record: the 107 that remain are the digests recorded
-// back then.
+// back then — except the three g-stiered baselines (empty strategy field),
+// replaced by hand when a sharded baseline began to unbind a batch's trace
+// partition at its completion: their entries moved in Events and
+// ShardEvents only (65 443 → 3 220, 64 984 → 2 233, 63 413 → 2 610 for
+// BOINC, CONDOR, XWHEP), every completion time stayed.
 //
 // Regenerate only deliberately, when the MODEL is meant to move:
 // go test ./internal/campaign -run ExecutorGolden -update-executor-golden

@@ -77,7 +77,9 @@ func batchShard(id string, shards int) int {
 // completions is the executor's one listener type, attached once per DG
 // server: the completion instant of every watched batch (negative while it
 // runs), how many are still running, and — for a single-BoT cell only — the
-// exact per-task completion times behind the tail metrics.
+// exact per-task completion times behind the tail metrics. On a sharded
+// baseline it also holds the trace binding of its server, to unbind the
+// partition the moment nothing watched is left running on it.
 //
 // A server shared by a thousand batches still carries ONE listener, so the
 // work per task event is O(1) whatever the batch count, and the run loop's
@@ -90,6 +92,7 @@ type completions struct {
 	running int
 	tasks   []float64
 	single  bool
+	churn   *middleware.Binding // stopped at the last completion; nil = never
 }
 
 func (c *completions) watch(id string) {
@@ -110,6 +113,9 @@ func (c *completions) BatchCompleted(id string, at float64) {
 	if c.at[id] < 0 { // watched and running: an unwatched batch reads 0
 		c.at[id] = at
 		c.running--
+		if c.running == 0 && c.churn != nil {
+			c.churn.Stop()
+		}
 	}
 }
 
@@ -229,8 +235,17 @@ func executeOnce(j Job, horizon float64) Entry {
 			// The batch's dedicated slice of the common pool: partition k of
 			// nb, a pure function of the node IDs — invariant under the
 			// shard count.
-			middleware.BindTracePartition(eng, tr, srv, k, nb)
+			churn := middleware.BindTracePartition(eng, tr, srv, k, nb)
 			hosts[k] = listen(eng, srv)
+			// A baseline's partition is unbound when its batch completes:
+			// nothing reads its churn after that, and the listener fires on
+			// this shard's goroutine, where the binding lives. A cell with a
+			// service is left bound — sim.Sharded.Run starts each barrier at
+			// the merged next-event time, so removing a finished partition's
+			// events would shift the barrier phase and move outcomes.
+			if !useService {
+				hosts[k].done.churn = churn
+			}
 		}
 	}
 
@@ -347,7 +362,9 @@ func executeOnce(j Job, horizon float64) Entry {
 	} else {
 		// (c) Barrier window: the monitor period when a service runs (its
 		// tick is the only cross-shard actor). A baseline has no control
-		// events and dispatches in one window per idle gap, so the horizon.
+		// events, so one horizon-long window; it ends when the shard heaps
+		// drain, which is at the last completion (each partition was unbound
+		// at its own), or at the horizon if a batch never finishes.
 		window := cfg.MonitorPeriod
 		if !useService {
 			window = horizon

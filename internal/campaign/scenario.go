@@ -201,11 +201,13 @@ func Full() Profile {
 // churn (pool cap 2500) over a 30-day horizon. It exists to exercise the
 // event kernel at BOINC-like host volumes (Anderson's hundreds of thousands
 // of hosts, scaled to one process) rather than to reproduce a paper
-// artifact; spequlos-bench records its throughput in BENCH_stress.json.
+// artifact; the churn workload of bench/ is six of its cells.
 // Since PR 7 the cell is a sharded-kernel model: 32 quick-sized BoTs, each
 // on its own server with a dedicated ~78-node slice of the pool, so the
 // simulation spreads across every core (-shards) while staying
-// byte-deterministic at any shard count.
+// byte-deterministic at any shard count. A baseline cell unbinds each
+// slice when its BoT completes, so the 30 days bound the run without being
+// replayed.
 func Stress() Profile {
 	return Profile{
 		Name: "stress", BotScale: 0.04, Offsets: 1, PoolCap: 2500,

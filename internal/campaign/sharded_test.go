@@ -75,11 +75,73 @@ func TestShardedKernelDeterminism(t *testing.T) {
 					t.Fatal(err)
 				}
 				if string(gotJSON) != string(refJSON) {
-					t.Fatalf("result diverged at %d shards:\n 1: %s\n%2d: %s",
-						shards, refJSON, shards, gotJSON)
+					t.Fatalf("result diverged at %d shards (Events %d at 1 shard, %d at %d):\n 1: %s\n%2d: %s",
+						shards, ref.Events, got.Events, shards, refJSON, shards, gotJSON)
 				}
 			}
 		})
+	}
+}
+
+// miniBaseline is the miniSharded baseline cell at the given horizon and
+// kernel shard count.
+func miniBaseline(horizonDays float64, shards int) Job {
+	p := miniSharded(shards)
+	p.HorizonDays = horizonDays
+	return Job{Scenario: Scenario{Profile: p, Middleware: XWHEP, TraceName: "seti", BotClass: "SMALL"}}
+}
+
+// baselineAt runs miniBaseline once, without Execute's retry.
+func baselineAt(horizonDays float64, shards int) Result {
+	return executeOnce(miniBaseline(horizonDays, shards), horizonDays*86400).Result
+}
+
+// TestShardedBaselineStopsAtCompletion pins that a sharded baseline stops
+// paying for churn nobody reads: each batch's trace partition is unbound at
+// the batch's completion, so the work done does not grow with the horizon
+// (it used to: 62 363 events at 10 days, 121 867 at 20, same completions),
+// and it is the same at any kernel shard count.
+func TestShardedBaselineStopsAtCompletion(t *testing.T) {
+	ref := baselineAt(10, 1)
+	if !ref.Completed || ref.Barriers != 1 {
+		t.Fatalf("10-day baseline: completed %v in %d barrier windows, want one window to completion", ref.Completed, ref.Barriers)
+	}
+	for _, c := range []struct {
+		horizonDays float64
+		shards      int
+	}{{20, 1}, {10, 2}, {10, 4}, {10, 8}} {
+		got := baselineAt(c.horizonDays, c.shards)
+		if got.Events != ref.Events {
+			t.Errorf("%v-day horizon, %d shards: %d events, want the %d of 10 days on 1 shard",
+				c.horizonDays, c.shards, got.Events, ref.Events)
+		}
+		for k, b := range got.Batches {
+			if !b.Completed || b.CompletionTime != ref.Batches[k].CompletionTime {
+				t.Errorf("%v-day horizon, %d shards: batch %s completed %v after %v s, want %v s",
+					c.horizonDays, c.shards, b.BatchID, b.Completed, b.CompletionTime, ref.Batches[k].CompletionTime)
+			}
+		}
+	}
+
+	// A horizon that ends mid-run: the finished batches' partitions are
+	// unbound, the others churn on to the horizon, and the cell reports
+	// incomplete so that Execute retries it on a doubled horizon.
+	const shortDays = 0.1
+	short := baselineAt(shortDays, 2)
+	done := 0
+	for _, b := range short.Batches {
+		if b.Completed {
+			done++
+		}
+	}
+	if short.Completed || short.CompletionTime != 0 || done == 0 || done == len(short.Batches) {
+		t.Fatalf("%v-day horizon: completed %v (%d of %d batches), makespan %v; want an incomplete cell with some batches done",
+			shortDays, short.Completed, done, len(short.Batches), short.CompletionTime)
+	}
+	retried := Execute(miniBaseline(shortDays, 2)).Result
+	if !retried.Completed || retried.CompletionTime != ref.CompletionTime {
+		t.Fatalf("Execute from a %v-day horizon: completed %v, makespan %v; want the retry to reach the 10-day makespan %v",
+			shortDays, retried.Completed, retried.CompletionTime, ref.CompletionTime)
 	}
 }
 

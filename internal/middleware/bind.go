@@ -107,7 +107,12 @@ func (bn *boundNode) leave(idx int32, base float64) {
 }
 
 // Stop detaches the binding: future churn events become no-ops. Workers
-// currently attached stay attached.
+// currently attached stay attached. Every node has at most one churn event
+// pending, so after Stop each fires once more without effect and schedules
+// nothing: the binding's share of the engine's heap drains. It must be
+// called on the goroutine that runs the binding's engine; the campaign
+// executor calls it from a sharded baseline's completion listener so that a
+// finished batch's partition is not replayed to the horizon.
 func (b *Binding) Stop() { b.stopped = true }
 
 // Workers returns the workers managed by the binding.

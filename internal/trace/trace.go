@@ -16,7 +16,10 @@ package trace
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"spequlos/internal/sim"
 	"spequlos/internal/stats"
@@ -261,8 +264,11 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
 	availSampler := p.Avail.Sampler()
 	unavailSampler := p.Unavail.Sampler()
 
-	tr := &Trace{Name: p.Name, Length: length, Nodes: make([]*Node, 0, pool)}
-	for id := 0; id < pool; id++ {
+	// Every node draws from its own stream, a pure function of (seed, name,
+	// id), and the samplers and the modulation are read-only from here on:
+	// nodes are generated concurrently and stored by id, so the trace is
+	// bit-identical at any worker count.
+	generate := func(id int) *Node {
 		r := root.ForkN("node", id)
 		node := &Node{ID: id, Power: p.Power.Sample(r.Rand)}
 		t := 0.0
@@ -316,10 +322,37 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
 			available = !available
 			first = false
 		}
-		tr.Nodes = append(tr.Nodes, node)
+		return node
 	}
+
+	tr := &Trace{Name: p.Name, Length: length, Nodes: make([]*Node, pool)}
+	chunks := (pool + genChunk - 1) / genChunk
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	var next atomic.Int64 // the next unclaimed chunk
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for {
+				lo := (int(next.Add(1)) - 1) * genChunk
+				if lo >= pool {
+					return
+				}
+				for id, hi := lo, min(lo+genChunk, pool); id < hi; id++ {
+					tr.Nodes[id] = generate(id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 	return tr
 }
+
+// genChunk is how many consecutive node ids a Generate worker claims at a
+// time: large enough that claiming is free next to generating (a node is
+// thousands of interval draws), small enough that the last chunks balance.
+const genChunk = 64
 
 // modulation is a piecewise-constant mean-reverting multiplier m(t) shared
 // by all nodes of a trace, matching the relative node-count variability

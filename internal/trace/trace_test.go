@@ -2,7 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -319,5 +323,50 @@ func TestReadFTADeterministicPowers(t *testing.T) {
 	b, _ := ReadFTA(strings.NewReader(input), "x", d, 9)
 	if a.Nodes[0].Power != b.Nodes[0].Power {
 		t.Fatal("same seed gave different powers")
+	}
+}
+
+// TestGenerateParallelDeterminism pins that Generate is bit-identical at any
+// worker count — and to the serial generator it replaced: the digests below
+// were recorded from the last commit whose Generate was a single loop.
+func TestGenerateParallelDeterminism(t *testing.T) {
+	const pool = 3*genChunk + 17 // the last chunk is a partial one
+	cases := []struct {
+		p      Profile
+		sha256 string
+	}{
+		{SETI, "42333c39fd3e4f4adee836672b479c5a2fa6fa1144eec029d109fc649c52d1c4"},      // participation = 1
+		{NotreDame, "4af1f6eaa57736583cc2c23d21f558757041051ba1804d2f3f2138b97fdbbb17"}, // participation < 1 (dormancy layer)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, c := range cases {
+		if _, part := c.p.calibration(); (part < 1) != (c.p.Name == "nd") {
+			t.Fatalf("%s: participation %v no longer covers the intended generator branch", c.p.Name, part)
+		}
+		var ref *Trace
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			tr := c.p.Generate(7, 20*86400, pool)
+			if len(tr.Nodes) != pool {
+				t.Fatalf("%s at GOMAXPROCS %d: %d nodes, want %d", c.p.Name, procs, len(tr.Nodes), pool)
+			}
+			for i, n := range tr.Nodes {
+				if n == nil || n.ID != i {
+					t.Fatalf("%s at GOMAXPROCS %d: Nodes[%d] = %+v, want the node with that id", c.p.Name, procs, i, n)
+				}
+			}
+			if ref == nil {
+				ref = tr
+			} else if !reflect.DeepEqual(ref, tr) {
+				t.Fatalf("%s: trace at GOMAXPROCS %d differs from GOMAXPROCS 1", c.p.Name, procs)
+			}
+		}
+		h := sha256.New()
+		if err := ref.WriteCSV(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.sha256 {
+			t.Errorf("%s: CSV digest %s, want the serial generator's %s", c.p.Name, got, c.sha256)
+		}
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"context"
 	"encoding/json"
 	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
@@ -84,72 +82,5 @@ func TestQuickCampaignPerfFloor(t *testing.T) {
 		t.Fatalf("quick campaign throughput %.0f %s is >30%% below the committed baseline %.0f (floor %.0f); "+
 			"if a deliberate trade-off, regenerate BENCH_quick.json with cmd/spequlos-bench",
 			measured, metric, baseline, floor)
-	}
-}
-
-// stressCell is the stress profile's baseline cell: 32 batches over a
-// 2500-node 30-day churn, the sharded kernel's headline workload (batches
-// are independent, so a baseline window is one barrier-free parallel
-// region).
-func stressCell(kernelShards int) campaign.Job {
-	p := experiments.Stress()
-	p.KernelShards = kernelShards
-	return campaign.Job{Scenario: campaign.Scenario{
-		Profile: p, Middleware: campaign.XWHEP, TraceName: "seti", BotClass: "SMALL",
-	}}
-}
-
-// runStressCell executes one stress baseline cell and returns its
-// wall-clock. The first call warms the shared trace cache, so callers
-// should discard a warm-up run before timing.
-func runStressCell(t *testing.T, kernelShards int) time.Duration {
-	t.Helper()
-	start := time.Now()
-	e := campaign.Execute(stressCell(kernelShards))
-	elapsed := time.Since(start)
-	if !e.Result.Completed {
-		t.Fatalf("stress cell (%d shards) did not complete: %+v", kernelShards, e.Result)
-	}
-	return elapsed
-}
-
-// TestShardedStressPerfFloor is the parallel-path perf floor: on a
-// multi-core machine the sharded kernel must beat the serial (1-shard)
-// execution of the same stress cell. Results are byte-identical either way
-// (TestShardedKernelDeterminism); this test pins that the parallelism
-// actually pays. Skipped with -short, under the race detector, and on
-// single-core machines where there is no parallelism to measure.
-func TestShardedStressPerfFloor(t *testing.T) {
-	if testing.Short() {
-		t.Skip("parallel perf floor skipped with -short")
-	}
-	if raceDetectorEnabled {
-		t.Skip("parallel perf floor skipped under the race detector (2–20× slowdown)")
-	}
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 2 {
-		t.Skipf("GOMAXPROCS=%d: no parallelism to measure", procs)
-	}
-
-	runStressCell(t, 1) // warm the trace cache off the clock
-
-	// Three interleaved serial/parallel pairs, compared on their minima: a
-	// neighbour's burst of load then lands on both sides instead of on
-	// whichever side happened to run during it. The serial run of a pair
-	// goes first so any remaining cache warming favors it.
-	var serial, parallel time.Duration
-	for pair := 0; pair < 3; pair++ {
-		if d := runStressCell(t, 1); pair == 0 || d < serial {
-			serial = d
-		}
-		if d := runStressCell(t, procs); pair == 0 || d < parallel {
-			parallel = d
-		}
-	}
-	t.Logf("stress cell: serial %v, %d-shard %v (speedup %.2fx)",
-		serial, procs, parallel, serial.Seconds()/parallel.Seconds())
-	if parallel >= serial {
-		t.Fatalf("sharded kernel (%d shards, %v) is not faster than serial (%v) on the stress cell",
-			procs, parallel, serial)
 	}
 }
