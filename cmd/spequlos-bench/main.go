@@ -15,18 +15,19 @@
 //	ablation-*.txt         design-choice sweeps (-ablations)
 //	comparison.txt         three-middleware comparison (-comparison)
 //	summary.txt            everything concatenated
-//	BENCH_<profile>.json   machine-readable perf report (campaign
-//	                       throughput + per-artifact wall-clock)
+//	crowd.txt              per-user fairness and poll economy (the
+//	                       multi-batch profiles write this file only)
 //
-// The -profile flag selects quick / standard / full scale (see
-// internal/experiments); -strategies limits the Fig 4/5 sweep. The -store
-// flag persists the campaign's result store as JSON: re-running with the
-// same store resumes, executing only jobs not already stored.
+// The -profile flag selects quick / standard / full scale, or one of the
+// multi-batch profiles stress / crowd / crowd2k (see internal/experiments);
+// -strategies limits the Fig 4/5 sweep. The -store flag persists the
+// campaign's result store as JSON: re-running with the same store resumes,
+// executing only jobs not already stored. This command measures nothing:
+// the repository's performance record is bench/ (`bash bench/run.sh`).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -45,10 +46,10 @@ import (
 
 func main() {
 	var (
-		profile    = flag.String("profile", "standard", "experiment profile: quick standard full stress crowd crowd2k")
+		profile    = flag.String("profile", "standard", "experiment profile: quick standard full (the paper's artifact matrix) or stress crowd crowd2k (multi-batch, crowd.txt only)")
 		out        = flag.String("out", "results", "output directory")
 		strats     = flag.String("strategies", "all", "comma-separated strategy labels for the sweep, or 'all'")
-		traces     = flag.String("traces", "all", "comma-separated BE-DCI traces for the matrix, or 'all' (samples the matrix, e.g. for `full` CI subsets)")
+		traces     = flag.String("traces", "all", "comma-separated BE-DCI traces for the matrix, or 'all' (samples the matrix, e.g. a `full` subset that fits a small machine)")
 		mws        = flag.String("middlewares", "all", "comma-separated middlewares for the matrix, or 'all'")
 		bots       = flag.String("bots", "all", "comma-separated BoT classes for the matrix, or 'all'")
 		offsets    = flag.Int("offsets", 0, "submission offsets per configuration (0 = the profile's default)")
@@ -57,10 +58,7 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "run the design-choice ablation sweeps")
 		comparison = flag.Bool("comparison", false, "run the three-middleware comparison")
 		verbose    = flag.Bool("v", false, "log per-scenario progress")
-		benchJSON  = flag.String("bench-json", "", "perf report path (default <out>/BENCH_<profile>.json); an existing report's trajectory is extended")
-		benchLabel = flag.String("bench-label", "", "label recorded with this run's trajectory entry (e.g. a PR number or git rev)")
-		baseline   = flag.String("baseline", "", "baseline BENCH_*.json to print a throughput delta against")
-		shards     = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; results are byte-identical at any value")
+		shards     = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; results are byte-identical at any value (spequlos-sim prints a cell's barrier and per-shard event counts, bench/'s churn workload measures them)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 	)
@@ -103,50 +101,20 @@ func main() {
 		defer writeMemProfile(*memprofile)
 	}
 
-	// Multi-batch profiles (crowd, crowd2k) run the concurrency campaign
-	// instead of the paper artifact matrix: per middleware, hundreds to
-	// thousands of QoS batches share one trace (default strategy + paired
+	// Multi-batch profiles (stress, crowd, crowd2k) run the concurrency
+	// campaign instead of the paper artifact matrix: per middleware, hundreds
+	// to thousands of QoS batches share one trace (default strategy + paired
 	// baseline), and the report measures per-user fairness — per tier when
 	// the profile is tiered — and the service's poll economy. The
 	// matrix-shaping flags do not apply there; reject non-default values
 	// instead of silently mislabeling a sweep the campaign never ran.
-	if p.Batches > 1 {
-		if *strats != "all" || *ablations || *comparison ||
-			*traces != "all" || *mws != "all" || *bots != "all" || *offsets > 0 {
-			fatal(fmt.Errorf("matrix-shaping flags (-strategies/-traces/-middlewares/-bots/-offsets/-ablations/-comparison) do not apply to the %s profile (it runs the default strategy against its paired baseline on pinned coordinates)", p.Name))
-		}
-		runCrowd(p, *out, *storePath, *verbose, *benchJSON, *benchLabel, *baseline)
-		return
+	crowd := p.Batches > 1
+	if crowd && (*strats != "all" || *ablations || *comparison ||
+		*traces != "all" || *mws != "all" || *bots != "all" || *offsets > 0) {
+		fatal(fmt.Errorf("matrix-shaping flags (-strategies/-traces/-middlewares/-bots/-offsets/-ablations/-comparison) do not apply to the %s profile (it runs the default strategy against its paired baseline on pinned coordinates)", p.Name))
 	}
 
-	var strategies []core.Strategy
-	if *strats == "all" {
-		strategies = core.AllStrategies()
-	} else {
-		for _, label := range strings.Split(*strats, ",") {
-			st, err := core.StrategyByLabel(strings.TrimSpace(label))
-			if err != nil {
-				fatal(err)
-			}
-			strategies = append(strategies, st)
-		}
-	}
-
-	opts := experiments.ArtifactOptions{
-		Spec: experiments.MatrixSpec{
-			Strategies:  strategies,
-			Traces:      splitList(*traces, experiments.TraceNames(), "trace", validTrace),
-			Middlewares: splitList(*mws, experiments.AllMiddlewares(), "middleware", validMiddleware),
-			Bots:        splitList(*bots, experiments.BotClasses(), "bot class", validBot),
-		},
-		Ablations:  *ablations,
-		Comparison: *comparison,
-		// The CLI never reads Artifacts.Matrix: every figure/table streams
-		// from the store per cell, which is what keeps paper-scale (`full`)
-		// derivation memory flat.
-		StreamMatrix: true,
-	}
-	opts.Store = campaign.NewResultStore()
+	opts := experiments.ArtifactOptions{Store: campaign.NewResultStore()}
 	if *storePath != "" {
 		store, loaded, err := campaign.LoadFileIfExists(*storePath)
 		if err != nil {
@@ -165,24 +133,66 @@ func main() {
 	// so the next run with the same -store resumes where this one stopped.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
 	start := time.Now()
+	// campaignDone saves the store first — a cancelled or failed campaign
+	// keeps what it executed — then stops on the campaign's error.
+	campaignDone := func(stats campaign.Stats, err error) {
+		if *storePath != "" {
+			if serr := opts.Store.SaveFile(*storePath); serr != nil {
+				fatal(serr)
+			}
+			fmt.Printf("store saved to %s (%d results)\n", *storePath, opts.Store.Len())
+		}
+		if err != nil {
+			fatal(err)
+		}
+		fmt.Printf("campaign done in %v: %d executed, %d cached, %.0f events/sec (%.0f events/cpu-sec)\n",
+			stats.Elapsed.Round(time.Millisecond), stats.Executed, stats.Cached,
+			stats.EventsPerSecond(), stats.EventsPerCPUSecond())
+		printTraceCacheUsage()
+	}
+
+	if crowd {
+		fmt.Printf("running %s campaign: %d unique simulation jobs × %d concurrent batches…\n",
+			p.Name, experiments.PlanCrowd(p).Len(), p.Batches)
+		rep, stats, err := experiments.BuildCrowd(ctx, p, opts)
+		campaignDone(stats, err)
+		text := rep.Render()
+		if err := os.WriteFile(filepath.Join(*out, "crowd.txt"), []byte(text), 0o644); err != nil {
+			fatal(err)
+		}
+		fmt.Println(text)
+		fmt.Printf("crowd artifacts written to %s/ in %v\n", *out, time.Since(start).Round(time.Millisecond))
+		return
+	}
+
+	opts.Spec = experiments.MatrixSpec{
+		Traces:      splitList(*traces, experiments.TraceNames(), "trace", validTrace),
+		Middlewares: splitList(*mws, experiments.AllMiddlewares(), "middleware", validMiddleware),
+		Bots:        splitList(*bots, experiments.BotClasses(), "bot class", validBot),
+	}
+	if *strats == "all" {
+		opts.Spec.Strategies = core.AllStrategies()
+	} else {
+		for _, label := range strings.Split(*strats, ",") {
+			st, err := core.StrategyByLabel(strings.TrimSpace(label))
+			if err != nil {
+				fatal(err)
+			}
+			opts.Spec.Strategies = append(opts.Spec.Strategies, st)
+		}
+	}
+	opts.Ablations = *ablations
+	opts.Comparison = *comparison
+	// The CLI never reads Artifacts.Matrix: every figure/table streams from
+	// the store per cell, which is what keeps paper-scale (`full`) derivation
+	// memory flat.
+	opts.StreamMatrix = true
+
 	fmt.Printf("running %s campaign: %d unique simulation jobs…\n",
 		p.Name, experiments.PlanArtifacts(p, opts).Len())
 	a, stats, err := experiments.BuildArtifacts(ctx, p, opts)
-	if *storePath != "" {
-		if serr := opts.Store.SaveFile(*storePath); serr != nil {
-			fatal(serr)
-		}
-		fmt.Printf("store saved to %s (%d results)\n", *storePath, opts.Store.Len())
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("campaign done in %v: %d executed, %d cached, %.0f events/sec (%.0f events/cpu-sec)\n",
-		stats.Elapsed.Round(time.Second), stats.Executed, stats.Cached,
-		stats.EventsPerSecond(), stats.EventsPerCPUSecond())
-	printTraceCacheUsage()
+	campaignDone(stats, err)
 
 	var summary strings.Builder
 	emit := func(name, text, csv string) {
@@ -212,7 +222,6 @@ func main() {
 		}
 	}
 
-	defaultLabel := a.DefaultStrategyLabel()
 	emit("figure1", a.Figure1.Render(), "")
 	emitSVG("figure1", experiments.Figure1Chart(a.Figure1))
 
@@ -263,227 +272,7 @@ func main() {
 	if err := os.WriteFile(filepath.Join(*out, "summary.txt"), []byte(summary.String()), 0o644); err != nil {
 		fatal(err)
 	}
-	reportPath := *benchJSON
-	if reportPath == "" {
-		reportPath = filepath.Join(*out, "BENCH_"+p.Name+".json")
-	}
-	// Print the delta before writing the report: -baseline may name the same
-	// file the report extends, and the comparison is against its prior run.
-	if *baseline != "" {
-		printBaselineDelta(*baseline, stats)
-	}
-	if err := writeBenchReport(reportPath, p, defaultLabel, *benchLabel, stats, a, time.Since(start)); err != nil {
-		fatal(err)
-	}
 	fmt.Printf("all artifacts written to %s/ in %v\n", *out, time.Since(start).Round(time.Second))
-}
-
-// runCrowd executes the crowd campaign and writes crowd.txt plus the
-// BENCH_crowd.json perf record (with the same trajectory accumulation as
-// the artifact profiles).
-func runCrowd(p experiments.Profile, out, storePath string, verbose bool,
-	benchJSON, benchLabel, baseline string) {
-	opts := experiments.ArtifactOptions{Store: campaign.NewResultStore()}
-	if storePath != "" {
-		store, loaded, err := campaign.LoadFileIfExists(storePath)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Store = store
-		if loaded {
-			fmt.Printf("resuming from %s (%d stored results)\n", storePath, store.Len())
-		}
-	}
-	if verbose {
-		opts.Progress = campaign.LogProgress(os.Stderr)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-
-	start := time.Now()
-	fmt.Printf("running %s campaign: %d unique simulation jobs × %d concurrent batches…\n",
-		p.Name, experiments.PlanCrowd(p).Len(), p.Batches)
-	rep, stats, err := experiments.BuildCrowd(ctx, p, opts)
-	if storePath != "" {
-		if serr := opts.Store.SaveFile(storePath); serr != nil {
-			fatal(serr)
-		}
-	}
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("campaign done in %v: %d executed, %d cached, %.0f events/sec (%.0f events/cpu-sec)\n",
-		stats.Elapsed.Round(time.Millisecond), stats.Executed, stats.Cached,
-		stats.EventsPerSecond(), stats.EventsPerCPUSecond())
-	printTraceCacheUsage()
-	if stats.KernelShards > 0 {
-		fmt.Printf("sharded kernel: %d shards, %d barriers, shard events %v, barrier stall %.3fs\n",
-			stats.KernelShards, stats.Barriers, stats.ShardEvents, stats.BarrierStallSec)
-	}
-
-	text := rep.Render()
-	if err := os.WriteFile(filepath.Join(out, "crowd.txt"), []byte(text), 0o644); err != nil {
-		fatal(err)
-	}
-	fmt.Println(text)
-
-	reportPath := benchJSON
-	if reportPath == "" {
-		reportPath = filepath.Join(out, "BENCH_"+p.Name+".json")
-	}
-	if baseline != "" {
-		printBaselineDelta(baseline, stats)
-	}
-	a := experiments.Artifacts{Profile: p}
-	a.Timings = append(a.Timings, experiments.ArtifactTiming{Name: "crowd", Elapsed: stats.Elapsed})
-	if err := writeBenchReport(reportPath, p, core.DefaultStrategy().Label(), benchLabel,
-		stats, a, time.Since(start)); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("crowd artifacts written to %s/ in %v\n", out, time.Since(start).Round(time.Millisecond))
-}
-
-// benchReport is the machine-readable perf record of one artifact run. The
-// trajectory accumulates one record per run of the same report file, so a
-// committed BENCH_<profile>.json regenerated each PR becomes the perf
-// history of the kernel instead of a single overwritten snapshot.
-type benchReport struct {
-	Profile         string            `json:"profile"`
-	DefaultStrategy string            `json:"default_strategy"`
-	PlannedJobs     int               `json:"planned_jobs"`
-	ExecutedJobs    int               `json:"executed_jobs"`
-	CachedJobs      int               `json:"cached_jobs"`
-	SimEvents       uint64            `json:"sim_events"`
-	EventsPerSec    float64           `json:"events_per_sec"`
-	EventsPerCPUSec float64           `json:"events_per_cpu_sec,omitempty"`
-	CampaignSecs    float64           `json:"campaign_wallclock_s"`
-	TotalSecs       float64           `json:"total_wallclock_s"`
-	KernelShards    int               `json:"kernel_shards,omitempty"`
-	Barriers        uint64            `json:"barriers,omitempty"`
-	ShardEvents     []uint64          `json:"shard_events,omitempty"`
-	BarrierStallSec float64           `json:"barrier_stall_s,omitempty"`
-	Artifacts       []artifactTimingJ `json:"artifacts"`
-	Trajectory      []trajectoryPoint `json:"trajectory,omitempty"`
-}
-
-type artifactTimingJ struct {
-	Name      string  `json:"name"`
-	Wallclock float64 `json:"wallclock_s"`
-}
-
-// trajectoryPoint is one run's throughput record. The kernel fields are
-// populated when jobs ran on the multi-core sharded kernel: the shard
-// layout, per-shard event sums (skew shows up as imbalance here), and the
-// wall-clock shards spent stalled at tick barriers.
-type trajectoryPoint struct {
-	RecordedAt      string   `json:"recorded_at,omitempty"`
-	Label           string   `json:"label,omitempty"`
-	SimEvents       uint64   `json:"sim_events"`
-	ExecutedJobs    int      `json:"executed_jobs"`
-	EventsPerSec    float64  `json:"events_per_sec"`
-	EventsPerCPUSec float64  `json:"events_per_cpu_sec,omitempty"`
-	CampaignSecs    float64  `json:"campaign_wallclock_s"`
-	KernelShards    int      `json:"kernel_shards,omitempty"`
-	Barriers        uint64   `json:"barriers,omitempty"`
-	ShardEvents     []uint64 `json:"shard_events,omitempty"`
-	BarrierStallSec float64  `json:"barrier_stall_s,omitempty"`
-}
-
-// maxTrajectory bounds the history kept in a report file.
-const maxTrajectory = 500
-
-func writeBenchReport(path string, p experiments.Profile, defaultLabel, runLabel string,
-	stats campaign.Stats, a experiments.Artifacts, total time.Duration) error {
-	r := benchReport{
-		Profile:         p.Name,
-		DefaultStrategy: defaultLabel,
-		PlannedJobs:     stats.Planned,
-		ExecutedJobs:    stats.Executed,
-		CachedJobs:      stats.Cached,
-		SimEvents:       stats.Events,
-		EventsPerSec:    stats.EventsPerSecond(),
-		EventsPerCPUSec: stats.EventsPerCPUSecond(),
-		CampaignSecs:    stats.Elapsed.Seconds(),
-		TotalSecs:       total.Seconds(),
-		KernelShards:    stats.KernelShards,
-		Barriers:        stats.Barriers,
-		ShardEvents:     stats.ShardEvents,
-		BarrierStallSec: stats.BarrierStallSec,
-	}
-	for _, t := range a.Timings {
-		r.Artifacts = append(r.Artifacts, artifactTimingJ{Name: t.Name, Wallclock: t.Elapsed.Seconds()})
-	}
-	// Extend the existing report's trajectory: prior records carry over, and
-	// this run appends one. A pre-trajectory report contributes its headline
-	// numbers as the first point, so history starts at the oldest committed
-	// measurement. An unreadable prior file starts a fresh history.
-	if prev, err := readBenchReport(path); err == nil {
-		r.Trajectory = prev.Trajectory
-		if len(r.Trajectory) == 0 && prev.EventsPerSec > 0 {
-			r.Trajectory = append(r.Trajectory, trajectoryPoint{
-				Label:           "pre-trajectory baseline",
-				SimEvents:       prev.SimEvents,
-				ExecutedJobs:    prev.ExecutedJobs,
-				EventsPerSec:    prev.EventsPerSec,
-				EventsPerCPUSec: prev.EventsPerCPUSec,
-				CampaignSecs:    prev.CampaignSecs,
-			})
-		}
-	}
-	r.Trajectory = append(r.Trajectory, trajectoryPoint{
-		RecordedAt:      time.Now().UTC().Format(time.RFC3339),
-		Label:           runLabel,
-		SimEvents:       stats.Events,
-		ExecutedJobs:    stats.Executed,
-		EventsPerSec:    stats.EventsPerSecond(),
-		EventsPerCPUSec: stats.EventsPerCPUSecond(),
-		CampaignSecs:    stats.Elapsed.Seconds(),
-		KernelShards:    stats.KernelShards,
-		Barriers:        stats.Barriers,
-		ShardEvents:     stats.ShardEvents,
-		BarrierStallSec: stats.BarrierStallSec,
-	})
-	if n := len(r.Trajectory); n > maxTrajectory {
-		r.Trajectory = r.Trajectory[n-maxTrajectory:]
-	}
-	// Atomic write: the trajectory is accumulated history; a truncating
-	// write interrupted mid-encode would destroy it.
-	return campaign.WriteFileAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(r)
-	})
-}
-
-func readBenchReport(path string) (benchReport, error) {
-	var r benchReport
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return r, err
-	}
-	err = json.Unmarshal(data, &r)
-	return r, err
-}
-
-// printBaselineDelta compares this run's throughput with a committed
-// baseline report, preferring the CPU-time metric when both sides have it
-// (wall-clock deltas on a shared CI machine mostly measure the neighbors).
-func printBaselineDelta(path string, stats campaign.Stats) {
-	base, err := readBenchReport(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "spequlos-bench: baseline %s unreadable: %v\n", path, err)
-		return
-	}
-	metric, cur, ref := "events/sec", stats.EventsPerSecond(), base.EventsPerSec
-	if stats.EventsPerCPUSecond() > 0 && base.EventsPerCPUSec > 0 {
-		metric, cur, ref = "events/cpu-sec", stats.EventsPerCPUSecond(), base.EventsPerCPUSec
-	}
-	if ref <= 0 {
-		fmt.Fprintf(os.Stderr, "spequlos-bench: baseline %s has no throughput record\n", path)
-		return
-	}
-	fmt.Printf("throughput vs baseline %s: %.0f %s vs %.0f (%+.1f%%)\n",
-		path, cur, metric, ref, 100*(cur/ref-1))
 }
 
 func figure2CSV(f experiments.Figure2) string {
@@ -554,7 +343,7 @@ func validBot(name string) bool {
 
 // printTraceCacheUsage reports the shared trace cache's accounting after a
 // campaign: resident bytes stay under budget + pinned, the number to read
-// against the `full` CI job's RSS ceiling.
+// against a memory ceiling when sizing -trace-budget for a `full` run.
 func printTraceCacheUsage() {
 	u := campaign.TraceCacheStats()
 	fmt.Printf("trace cache: %.1f MiB resident (%d traces) of %.0f MiB budget, %.1f MiB pinned\n",

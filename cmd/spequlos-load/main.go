@@ -5,15 +5,14 @@
 // while the Scheduler's monitor loop ticks over the same socket.
 //
 //	spequlos-load -profile smoke
-//	spequlos-load -profile stress -bench-json BENCH_load.json -bench-label "PR 10"
-//	spequlos-load -profile smoke -gate BENCH_load.json    # CI regression gate
+//	spequlos-load -profile stress
 //
 // The run reports p50/p95/p99 request latency per class, the
 // unexpected-error rate, per-tier 429 throttling and Scheduler tick
-// overrun. With -bench-json the result extends a BENCH_load.json
-// trajectory; with -gate the process exits non-zero when the run regresses
-// past the committed baseline (any unexpected error, or overall p99 beyond
-// -gate-factor× the baseline with a -gate-floor-ms noise floor).
+// overrun, and exits 1 when it recorded any unexpected error (a transport
+// error, or a status that is neither 2xx nor a deliberate 429), naming the
+// first samples. It is a survival check, not a measurement: the service's
+// performance record is bench/'s svc_poll and svc_lifecycle workloads.
 package main
 
 import (
@@ -36,11 +35,6 @@ func main() {
 		rate      = flag.Float64("rate", 0, "override: gateway total request rate (req/s)")
 		pace      = flag.Duration("pace", -1, "override: paid-tier think time between requests")
 		seed      = flag.Int64("seed", 0, "override: request-schedule seed")
-		benchJSON = flag.String("bench-json", "", "write/extend a BENCH_load.json trajectory at this path")
-		benchLbl  = flag.String("bench-label", "", "label recorded with this run's trajectory entry")
-		gate      = flag.String("gate", "", "BENCH_load.json baseline to gate against (CI regression check)")
-		gateFact  = flag.Float64("gate-factor", 5, "with -gate: allowed overall-p99 growth factor over the baseline")
-		gateFloor = flag.Float64("gate-floor-ms", 100, "with -gate: p99 noise floor in ms for shared runners")
 		verbose   = flag.Bool("v", false, "verbose progress to stderr")
 	)
 	flag.Parse()
@@ -88,22 +82,8 @@ func main() {
 	fmt.Print(rep.Summary())
 	fmt.Printf("run wallclock: %.2fs\n", time.Since(start).Seconds())
 
-	if *benchJSON != "" {
-		if err := loadgen.WriteBench(*benchJSON, *benchLbl, rep); err != nil {
-			fatal(fmt.Errorf("bench report: %w", err))
-		}
-		fmt.Printf("wrote %s\n", *benchJSON)
-	}
-	if *gate != "" {
-		base, err := loadgen.ReadBaseline(*gate)
-		if err != nil {
-			fatal(fmt.Errorf("gate baseline: %w", err))
-		}
-		if err := rep.Gate(base, *gateFact, *gateFloor); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("gate passed: p99 %.2fms vs baseline %.2fms (factor %.1f, floor %.0fms), 0 unexpected errors\n",
-			rep.Overall.P99Ms, base.P99Ms, *gateFact, *gateFloor)
+	if err := rep.Gate(); err != nil {
+		fatal(err)
 	}
 }
 

@@ -147,15 +147,6 @@ type Stats struct {
 	// the platform cannot report it). On a machine running other work,
 	// events/CPU-second is the comparable throughput number.
 	CPUSeconds float64
-	// Sharded-kernel aggregates, all zero when no job ran on the multi-core
-	// kernel: the widest shard layout seen, total tick barriers, per-shard
-	// event sums (index-aligned across jobs, so skew is visible), and the
-	// summed barrier-stall wall-clock (time shards spent waiting at
-	// barriers for their slowest sibling).
-	KernelShards    int
-	Barriers        uint64
-	ShardEvents     []uint64
-	BarrierStallSec float64
 }
 
 // EventsPerSecond is the simulation throughput of the run.
@@ -251,17 +242,6 @@ func (c *Campaign) Run(ctx context.Context, store *ResultStore) (Stats, error) {
 				mu.Lock()
 				stats.Executed++
 				stats.Events += e.Result.Events
-				if e.Result.KernelShards > stats.KernelShards {
-					stats.KernelShards = e.Result.KernelShards
-				}
-				stats.Barriers += e.Result.Barriers
-				stats.BarrierStallSec += e.Result.BarrierStallSec
-				for i, n := range e.Result.ShardEvents {
-					if i == len(stats.ShardEvents) {
-						stats.ShardEvents = append(stats.ShardEvents, 0)
-					}
-					stats.ShardEvents[i] += n
-				}
 				done++
 				if c.Progress != nil {
 					c.Progress(Event{Key: e.Key, Done: done, Total: len(jobs), Result: e.Result})

@@ -5,10 +5,8 @@ package campaign
 import "syscall"
 
 // ProcessCPUSeconds returns the CPU time (user + system) consumed by the
-// process so far. Throughput measured against CPU time is robust to
-// wall-clock noise from co-scheduled work, which is what makes the perf
-// trajectory in BENCH_*.json comparable across runs and machines with
-// different background load.
+// process so far. Cost measured in CPU time is robust to wall-clock noise
+// from co-scheduled work; it is what bench/ reports as cpu_s.
 func ProcessCPUSeconds() float64 {
 	var ru syscall.Rusage
 	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {

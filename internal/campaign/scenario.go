@@ -221,8 +221,8 @@ func Stress() Profile {
 // paper's framing implies but never evaluates. Each cell interleaves 200
 // quick-sized sub-batches (submissions staggered over four hours), each
 // with its own credit order and QoS trigger; the Scheduler monitors all of
-// them through ONE aggregated DG poll per tick. spequlos-bench records the
-// fairness and poll-economy numbers in BENCH_crowd.json.
+// them through ONE aggregated DG poll per tick. spequlos-bench writes the
+// fairness and poll-economy numbers to crowd.txt.
 func Crowd() Profile {
 	return Profile{
 		Name: "crowd", BotScale: 0.01, Offsets: 1, PoolCap: 500,
@@ -236,7 +236,7 @@ func Crowd() Profile {
 // split across the enterprise/premium/free service classes (SubTier) with
 // a 120-batch cloud fleet cap — the contended-supply shape the tier model
 // arbitrates. It exists to prove the sharded monitor holds at 10× the
-// crowd profile; spequlos-bench records its trajectory in BENCH_crowd2k.json.
+// crowd profile; bench/'s tenants workload is the measured form of it.
 // Since PR 9 it runs on the sharded kernel: tier arbitration executes on the
 // control engine at tick barriers, byte-identical at any shard count.
 func Crowd2K() Profile {

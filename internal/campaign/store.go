@@ -133,9 +133,8 @@ func (s *ResultStore) SaveFile(path string) error {
 
 // WriteFileAtomic writes via a same-directory temp file and rename, so the
 // destination always holds a complete write. On failure the destination is
-// untouched and the temp file removed. The bench CLI shares it for the
-// trajectory-accumulating BENCH_*.json reports, whose history a truncating
-// write could destroy.
+// untouched and the temp file removed. spequlosd shares it for its state
+// snapshots.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {

@@ -101,7 +101,8 @@ type Artifacts struct {
 	// Comparison rows (when ArtifactOptions.Comparison).
 	Comparison []MiddlewareComparisonRow
 
-	// Timings records per-artifact derivation wall-clock for BENCH reports.
+	// Timings records per-artifact derivation wall-clock (bench/ reports
+	// them as experiments.derive_s, table2_s and table5_s).
 	Timings []ArtifactTiming
 }
 

@@ -5,7 +5,7 @@ package experiments
 // 500-node trace serves hundreds of concurrent QoS batches per middleware;
 // the report measures per-user fairness (completion-time quantiles and
 // Jain's index over the batches), credit accounting, and the cloud fleet
-// the service ran — the numbers BENCH_crowd.json tracks across PRs.
+// the service ran.
 
 import (
 	"context"

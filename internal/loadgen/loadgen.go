@@ -6,11 +6,10 @@
 // progress-batch queries, credit operations — while the Scheduler's monitor
 // loop ticks over the same socket. It reports p50/p95/p99 request latency
 // per operation, the unexpected-error rate, per-tier 429 throttling, and
-// Scheduler tick overrun, and writes the result as a BENCH_load.json
-// trajectory. The conformance harness (internal/emul) proves the stack
-// DECIDES correctly; this package measures whether it SURVIVES production
-// churn: stress-scale concurrency, auth, rate limiting and billing all on
-// at once.
+// Scheduler tick overrun. The conformance harness (internal/emul) proves
+// the stack DECIDES correctly; this package checks that it SURVIVES
+// production churn: stress-scale concurrency, auth, rate limiting and
+// billing all on at once.
 package loadgen
 
 import (

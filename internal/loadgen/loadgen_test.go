@@ -1,8 +1,6 @@
 package loadgen
 
 import (
-	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -104,62 +102,16 @@ func TestStatsOfEmpty(t *testing.T) {
 	}
 }
 
-// TestGate pins the CI gate: errors always fail, p99 fails only beyond
-// factor× baseline with the noise floor applied.
+// TestGate pins the run verdict: any unexpected error fails it and the
+// message carries the sample; a clean report passes.
 func TestGate(t *testing.T) {
-	base := Baseline{P99Ms: 10}
-	ok := &Report{Overall: LatencyStats{P99Ms: 25}}
-	if err := ok.Gate(base, 3, 50); err != nil {
-		t.Errorf("within-floor run failed gate: %v", err)
-	}
-	slow := &Report{Overall: LatencyStats{P99Ms: 80}}
-	if err := slow.Gate(base, 3, 50); err == nil {
-		t.Error("slow run passed gate")
-	} else if !strings.Contains(err.Error(), "p99") {
-		t.Errorf("gate error does not name p99: %v", err)
-	}
 	errored := &Report{UnexpectedErrors: 2, ErrorSamples: []string{"order: HTTP 500"}}
-	if err := errored.Gate(base, 3, 50); err == nil {
+	if err := errored.Gate(); err == nil {
 		t.Error("errored run passed gate")
 	} else if !strings.Contains(err.Error(), "HTTP 500") {
 		t.Errorf("gate error drops the sample: %v", err)
 	}
-	inf := &Report{Overall: LatencyStats{P99Ms: math.Inf(1)}}
-	if err := inf.Gate(base, 3, 50); err == nil {
-		t.Error("infinite p99 passed gate")
-	}
-}
-
-// TestBenchRoundTrip pins the BENCH_load.json trajectory accumulation:
-// each write keeps history and appends one record.
-func TestBenchRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_load.json")
-	r1 := &Report{Profile: "smoke", Clients: 8, Overall: LatencyStats{P99Ms: 4.2}}
-	if err := WriteBench(path, "run-1", r1); err != nil {
-		t.Fatal(err)
-	}
-	r2 := &Report{Profile: "stress", Clients: 32, Overall: LatencyStats{P99Ms: 9.9}}
-	if err := WriteBench(path, "run-2", r2); err != nil {
-		t.Fatal(err)
-	}
-	br, err := ReadBench(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if br.Profile != "stress" || br.Overall.P99Ms != 9.9 {
-		t.Errorf("headline is not the latest run: %+v", br.Report)
-	}
-	if len(br.Trajectory) != 2 {
-		t.Fatalf("trajectory has %d records, want 2", len(br.Trajectory))
-	}
-	if br.Trajectory[0].Label != "run-1" || br.Trajectory[1].Label != "run-2" {
-		t.Errorf("trajectory order wrong: %+v", br.Trajectory)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.P99Ms != 9.9 {
-		t.Errorf("baseline p99 %g, want 9.9", b.P99Ms)
+	if err := (&Report{Overall: LatencyStats{P99Ms: 80}}).Gate(); err != nil {
+		t.Errorf("clean run failed gate: %v", err)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -180,7 +179,7 @@ type Report struct {
 	// run throttles the free tier and leaves enterprise at zero.
 	ThrottledByTier map[string]int64 `json:"throttled_by_tier"`
 	// UnexpectedErrors counts transport errors and non-2xx/non-429 statuses.
-	// The acceptance gate for a healthy stack is zero.
+	// A healthy stack records zero; Gate fails the run otherwise.
 	UnexpectedErrors int64 `json:"unexpected_errors"`
 	// ErrorRate is UnexpectedErrors over Requests.
 	ErrorRate float64 `json:"error_rate"`
@@ -236,129 +235,15 @@ func (r *recorder) report(cfg Config) *Report {
 	return rep
 }
 
-// benchReport is the BENCH_load.json shape: the latest run's headline
-// metrics at the top level plus an accumulated trajectory, matching the
-// repo's other BENCH_*.json files.
-type benchReport struct {
-	Report
-	// Trajectory accumulates one record per run of the same report file.
-	Trajectory []trajectoryPoint `json:"trajectory,omitempty"`
-}
-
-// trajectoryPoint is one load run's record in the trajectory.
-type trajectoryPoint struct {
-	// RecordedAt is the run's wall-clock timestamp (RFC 3339).
-	RecordedAt string `json:"recorded_at,omitempty"`
-	// Label tags the run (a PR number, git rev, or profile note).
-	Label string `json:"label,omitempty"`
-	// Profile, Clients, RequestsPerSec, P99Ms, ErrorRate, Throttled429 and
-	// TickOverrunRate are the run's headline metrics.
-	Profile         string  `json:"profile"`
-	Clients         int     `json:"clients"`
-	RequestsPerSec  float64 `json:"requests_per_sec"`
-	P99Ms           float64 `json:"p99_ms"`
-	ErrorRate       float64 `json:"error_rate"`
-	Throttled429    int64   `json:"throttled_429"`
-	TickOverrunRate float64 `json:"tick_overrun_rate"`
-}
-
-// WriteBench writes (or extends) a BENCH_load.json report: the new run's
-// metrics become the headline and one trajectory record is appended, so the
-// file accumulates a history across sessions like the other BENCH files.
-func WriteBench(path, label string, rep *Report) error {
-	br := benchReport{Report: *rep}
-	if prev, err := ReadBench(path); err == nil {
-		br.Trajectory = prev.Trajectory
-		if len(br.Trajectory) == 0 {
-			br.Trajectory = append(br.Trajectory, trajectoryPoint{
-				Label:           "pre-trajectory baseline",
-				Profile:         prev.Profile,
-				Clients:         prev.Clients,
-				RequestsPerSec:  prev.RequestsPerSec,
-				P99Ms:           prev.Overall.P99Ms,
-				ErrorRate:       prev.ErrorRate,
-				Throttled429:    prev.Throttled429,
-				TickOverrunRate: prev.TickOverrunRate,
-			})
-		}
-	}
-	br.Trajectory = append(br.Trajectory, trajectoryPoint{
-		RecordedAt:      time.Now().UTC().Format(time.RFC3339),
-		Label:           label,
-		Profile:         rep.Profile,
-		Clients:         rep.Clients,
-		RequestsPerSec:  rep.RequestsPerSec,
-		P99Ms:           rep.Overall.P99Ms,
-		ErrorRate:       rep.ErrorRate,
-		Throttled429:    rep.Throttled429,
-		TickOverrunRate: rep.TickOverrunRate,
-	})
-	data, err := json.MarshalIndent(br, "", " ")
-	if err != nil {
-		return err
-	}
-	// Atomic write: the trajectory is accumulated history; a truncating
-	// write that fails midway must not destroy it.
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadBench loads a BENCH_load.json report, e.g. as a CI gate baseline.
-func ReadBench(path string) (*benchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var br benchReport
-	if err := json.Unmarshal(data, &br); err != nil {
-		return nil, fmt.Errorf("bench report %s: %w", path, err)
-	}
-	return &br, nil
-}
-
-// Baseline is a prior run's gate-relevant metrics, read from a committed
-// BENCH_load.json.
-type Baseline struct {
-	// P99Ms is the baseline overall p99 latency.
-	P99Ms float64
-	// ErrorRate is the baseline unexpected-error rate.
-	ErrorRate float64
-}
-
-// ReadBaseline extracts the gate baseline from a BENCH_load.json file.
-func ReadBaseline(path string) (Baseline, error) {
-	br, err := ReadBench(path)
-	if err != nil {
-		return Baseline{}, err
-	}
-	return Baseline{P99Ms: br.Overall.P99Ms, ErrorRate: br.ErrorRate}, nil
-}
-
-// Gate checks a run against a baseline: unexpected errors must stay at
-// zero (matching the baseline's acceptance bar) and overall p99 must stay
-// within factor× the baseline p99, floored at floorMs to absorb shared-CI
-// noise on sub-millisecond baselines. A nil error means the gate passed.
-func (rep *Report) Gate(b Baseline, factor, floorMs float64) error {
-	var fails []string
-	if rep.UnexpectedErrors > 0 {
-		fails = append(fails, fmt.Sprintf("%d unexpected errors (want 0; first: %s)",
-			rep.UnexpectedErrors, strings.Join(rep.ErrorSamples, "; ")))
-	}
-	limit := b.P99Ms * factor
-	if limit < floorMs {
-		limit = floorMs
-	}
-	if rep.Overall.P99Ms > limit {
-		fails = append(fails, fmt.Sprintf("overall p99 %.1fms exceeds gate %.1fms (baseline %.1fms × %.1f)",
-			rep.Overall.P99Ms, limit, b.P99Ms, factor))
-	}
-	if len(fails) == 0 {
+// Gate is the pass/fail verdict of a load run: any unexpected error fails
+// it, and the message carries the kept samples. A nil error means the run
+// was clean. Latency is not gated here; bench/ is the performance record.
+func (rep *Report) Gate() error {
+	if rep.UnexpectedErrors == 0 {
 		return nil
 	}
-	return fmt.Errorf("load gate failed: %s", strings.Join(fails, "; "))
+	return fmt.Errorf("%d unexpected errors (want 0; first: %s)",
+		rep.UnexpectedErrors, strings.Join(rep.ErrorSamples, "; "))
 }
 
 // Summary renders the report as the human-readable run digest.

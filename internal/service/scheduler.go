@@ -2,6 +2,7 @@ package service
 
 import (
 	"fmt"
+	"log"
 	"net/http"
 	"sort"
 	"sync"
@@ -694,7 +695,9 @@ func (s *SchedulerService) finalize(qb *schedBatch, elapsed float64) error {
 }
 
 // Run ticks the monitor loop every period until stop is closed (the daemon
-// mode of cmd/spequlosd).
+// mode of cmd/spequlosd). A failed tick is logged and the next one retries:
+// a DG gateway or sibling module that is down must not stop the loop, and
+// must not stay invisible to the operator either.
 func (s *SchedulerService) Run(period time.Duration, stop <-chan struct{}) {
 	t := time.NewTicker(period)
 	defer t.Stop()
@@ -703,7 +706,9 @@ func (s *SchedulerService) Run(period time.Duration, stop <-chan struct{}) {
 		case <-stop:
 			return
 		case <-t.C:
-			s.Step() //nolint:errcheck // transient gateway errors retry next tick
+			if err := s.Step(); err != nil {
+				log.Printf("scheduler: tick: %v", err)
+			}
 		}
 	}
 }

@@ -1,10 +1,14 @@
 package service
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"log"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -335,6 +339,55 @@ func TestSchedulerExhaustionStopsInstances(t *testing.T) {
 	}
 	if got := len(ec2.List()); got != 0 {
 		t.Fatalf("%d instances alive after exhaustion", got)
+	}
+}
+
+// downDG is a DGGateway whose server is unreachable; polled receives one
+// signal per Progress call, as far as its buffer goes.
+type downDG struct{ polled chan struct{} }
+
+func (d downDG) Progress(string) (middleware.Progress, error) {
+	select {
+	case d.polled <- struct{}{}:
+	default:
+	}
+	return middleware.Progress{}, errors.New("dg: connection refused")
+}
+
+func (downDG) WorkerURL() string { return "http://dg.example:4321" }
+
+// TestRunLogsTickErrors pins the daemon loop's handling of a failed tick: it
+// is logged, and the loop keeps ticking until stopped.
+func TestRunLogsTickErrors(t *testing.T) {
+	dg := downDG{polled: make(chan struct{}, 2)}
+	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
+	defer stack.Close()
+	stack.CreditClient.Deposit("bob", 10)
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{
+		User: "bob", BatchID: "b", EnvKey: "e", Size: 100,
+		Credits: 1, Provider: "mock", Image: "img",
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	var logged bytes.Buffer
+	log.SetOutput(&logged)
+	defer log.SetOutput(os.Stderr)
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		stack.Scheduler.Run(time.Millisecond, stop)
+		close(done)
+	}()
+	// The second poll proves the loop survived the first tick's error, and
+	// orders it after that tick's log line.
+	<-dg.polled
+	<-dg.polled
+	close(stop)
+	<-done
+
+	if got := logged.String(); !strings.Contains(got, "scheduler: tick: ") || !strings.Contains(got, "connection refused") {
+		t.Fatalf("tick error not logged; log output: %q", got)
 	}
 }
 
