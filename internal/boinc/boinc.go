@@ -49,7 +49,7 @@ type Server struct {
 	listeners middleware.Listeners
 
 	batches  map[string]*batch
-	pending  fifo
+	pending  middleware.Pending[*workunit]
 	attached map[*middleware.Worker]*workerState
 	idle     *middleware.IdleSet
 	// paused holds checkpointed executions of currently-offline hosts,
@@ -79,7 +79,10 @@ type batch struct {
 	// byID resolves a workunit by its spec ID: IDs are batch-unique but
 	// not slice indexes when the batch is a subset (Cloud Duplication
 	// submits only the incomplete tasks to the cloud server).
-	byID    map[int]*workunit
+	byID map[int]*workunit
+	// pending is the batch's view of the server's pending queue: what a
+	// worker dedicated to the batch is served from.
+	pending middleware.PendingView[*workunit]
 	done    bool
 	running int // workunits with at least one live-or-believed replica
 }
@@ -102,9 +105,12 @@ type workunit struct {
 	returned  map[int]bool
 	completed bool
 	assigned  bool // ever assigned
-	queued    bool // present in the pending fifo with unsent > 0
+	queued    bool // present in the pending queue with unsent > 0
 	execs     map[*middleware.Worker]*exec
 }
+
+// Queued implements middleware.Queueable.
+func (wu *workunit) Queued() bool { return wu.queued }
 
 // cloudReplicas counts in-flight cloud replicas of the workunit.
 func (wu *workunit) cloudReplicas() int {
@@ -153,41 +159,6 @@ func (s *Server) setActive(wu *workunit, delta int) {
 
 type workerState struct {
 	cur *workunit
-}
-
-// fifo is a workunit queue with lazy removal (see xwhep's twin).
-type fifo struct {
-	items []*workunit
-	head  int
-}
-
-func (f *fifo) push(wu *workunit) { f.items = append(f.items, wu) }
-
-func (f *fifo) advance() {
-	for f.head < len(f.items) && !f.items[f.head].queued {
-		f.items[f.head] = nil
-		f.head++
-	}
-	if f.head > 64 && f.head*2 > len(f.items) {
-		f.items = append(f.items[:0], f.items[f.head:]...)
-		f.head = 0
-	}
-}
-
-func (f *fifo) empty() bool {
-	f.advance()
-	return f.head >= len(f.items)
-}
-
-func (f *fifo) first(match func(*workunit) bool) *workunit {
-	f.advance()
-	for i := f.head; i < len(f.items); i++ {
-		wu := f.items[i]
-		if wu != nil && wu.queued && match(wu) {
-			return wu
-		}
-	}
-	return nil
 }
 
 // New creates a BOINC server on the engine.
@@ -264,7 +235,7 @@ func (s *Server) arrive(wu *workunit) {
 	}
 	wu.unsent = s.cfg.TargetNResults
 	wu.queued = true
-	s.pending.push(wu)
+	s.pending.Push(wu, &wu.batch.pending)
 	s.dispatch()
 }
 
@@ -321,7 +292,7 @@ func (s *Server) WorkerLeave(w *middleware.Worker) {
 // dispatch pairs idle workers with assignable replicas.
 func (s *Server) dispatch() {
 	for {
-		hasQueued := !s.pending.empty()
+		hasQueued := !s.pending.Empty()
 		wantCloudDup := s.reschedule && s.idle.CloudCount() > 0 && s.anyDupCandidate()
 		if !hasQueued && !wantCloudDup {
 			return
@@ -370,9 +341,23 @@ func (s *Server) eligible(w *middleware.Worker, wu *workunit) bool {
 	return true
 }
 
+// firstPending returns the first queued workunit the worker may take: a
+// dedicated worker's from its batch's view of the pending queue, a free
+// worker's from a scan of the queue.
+func (s *Server) firstPending(w *middleware.Worker) *workunit {
+	eligible := func(wu *workunit) bool { return s.eligible(w, wu) }
+	if w.DedicatedBatch == "" {
+		return s.pending.First(eligible)
+	}
+	if bt := s.batches[w.DedicatedBatch]; bt != nil {
+		return s.pending.FirstIn(&bt.pending, eligible)
+	}
+	return nil
+}
+
 // peekWorkunit returns the workunit the worker would receive a replica of.
 func (s *Server) peekWorkunit(w *middleware.Worker) *workunit {
-	if wu := s.pending.first(func(wu *workunit) bool { return s.eligible(w, wu) }); wu != nil {
+	if wu := s.firstPending(w); wu != nil {
 		return wu
 	}
 	if s.reschedule && w.Cloud && w.DedicatedBatch != "" {
@@ -483,7 +468,7 @@ func (s *Server) deadline(wu *workunit, ex *exec) {
 		wu.unsent += s.cfg.TargetNResults - outstanding
 		if !wu.queued {
 			wu.queued = true
-			s.pending.push(wu)
+			s.pending.Push(wu, &wu.batch.pending)
 		}
 		s.dispatch()
 	}

@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"sync"
-
-	"spequlos/internal/stats"
 )
 
 // Trigger decides when cloud workers should be started for a BoT (§3.5).
@@ -270,16 +270,41 @@ type Calibration struct {
 }
 
 type envCal struct {
-	bases   []float64 // tc(r)/r measured at prediction time
-	actuals []float64 // observed completion times
-	alpha   float64
+	bases   []float64 // tc(r)/r measured at prediction time, in archive order
+	actuals []float64 // observed completion times, in archive order
+	// fit holds the archive as (actual/base, base) pairs sorted by ratio, pairs
+	// of equal ratio in archive order, and total the bases summed in archive
+	// order: the sorted sample and the weight total stats.WeightedMedian
+	// rebuilds from scratch, kept current so a refit neither sorts nor
+	// allocates.
+	fit   []fitPair
+	total float64
+	alpha float64
+}
+
+type fitPair struct{ ratio, base float64 }
+
+// refit sets α to the weighted median of the fitted pairs: the first ratio
+// at which the running weight reaches half the total.
+func (e *envCal) refit() {
+	acc := 0.0
+	for _, p := range e.fit {
+		acc += p.base
+		if acc >= e.total/2 {
+			e.alpha = p.ratio
+			return
+		}
+	}
+	e.alpha = e.fit[len(e.fit)-1].ratio
 }
 
 // NewCalibration returns an empty calibration store.
 func NewCalibration() *Calibration { return &Calibration{byEnv: map[string]*envCal{}} }
 
 // Record archives one finished execution's (base, actual) pair and refits α
-// for the environment.
+// for the environment: one sorted insert and one prefix walk, whatever the
+// archive holds. The α is bit-for-bit stats.WeightedMedian's over the
+// archive's ratios weighted by their bases.
 func (c *Calibration) Record(envKey string, base, actual float64) {
 	if base <= 0 || actual <= 0 {
 		return
@@ -293,11 +318,36 @@ func (c *Calibration) Record(envKey string, base, actual float64) {
 	}
 	e.bases = append(e.bases, base)
 	e.actuals = append(e.actuals, actual)
-	ratios := make([]float64, len(e.bases))
-	for i := range e.bases {
-		ratios[i] = e.actuals[i] / e.bases[i]
+	e.total += base
+	ratio := actual / base
+	at := sort.Search(len(e.fit), func(i int) bool { return e.fit[i].ratio > ratio })
+	e.fit = slices.Insert(e.fit, at, fitPair{ratio, base})
+	e.refit()
+}
+
+// load archives a snapshot's pairs in bulk, in their order, and fits α once;
+// the state is what Record reaches pair by pair.
+func (c *Calibration) load(envKey string, bases, actuals []float64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.byEnv[envKey]
+	if !ok {
+		e = &envCal{alpha: 1}
 	}
-	e.alpha = stats.WeightedMedian(ratios, e.bases)
+	for i, base := range bases {
+		if actual := actuals[i]; base > 0 && actual > 0 {
+			e.bases = append(e.bases, base)
+			e.actuals = append(e.actuals, actual)
+			e.total += base
+			e.fit = append(e.fit, fitPair{actual / base, base})
+		}
+	}
+	if len(e.fit) == 0 {
+		return
+	}
+	sort.SliceStable(e.fit, func(i, j int) bool { return e.fit[i].ratio < e.fit[j].ratio })
+	e.refit()
+	c.byEnv[envKey] = e
 }
 
 // Alpha returns the fitted α for the environment (1 with no history).

@@ -156,7 +156,8 @@ func (c *Calibration) WriteJSON(w io.Writer) error {
 	return enc.Encode(snap)
 }
 
-// ReadCalibration loads a calibration snapshot, refitting every α.
+// ReadCalibration loads a calibration snapshot, fitting each environment's α
+// once over its whole archive.
 func ReadCalibration(r io.Reader) (*Calibration, error) {
 	var snap calibrationSnapshot
 	if err := json.NewDecoder(r).Decode(&snap); err != nil {
@@ -167,9 +168,7 @@ func ReadCalibration(r io.Reader) (*Calibration, error) {
 		if len(e.Bases) != len(e.Actuals) {
 			return nil, fmt.Errorf("core: calibration snapshot for %q has mismatched lengths", e.EnvKey)
 		}
-		for i := range e.Bases {
-			c.Record(e.EnvKey, e.Bases[i], e.Actuals[i])
-		}
+		c.load(e.EnvKey, e.Bases, e.Actuals)
 	}
 	return c, nil
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -77,27 +78,53 @@ func TestCreditSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// ReadCalibration loads each environment's archive in bulk and fits once;
+// what it reaches must be what Record reached pair by pair when the snapshot
+// was taken, to the bit, and must serialize back to the same snapshot.
 func TestCalibrationSnapshotRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	envs := []string{"env", "other", "single"}
 	c := NewCalibration()
 	for i := 0; i < 10; i++ {
 		c.Record("env", 1000+float64(i), 1500+1.5*float64(i))
 	}
+	for i := 0; i < 300; i++ {
+		base, actual := randomPair(rng, i%2 == 0)
+		c.Record(envs[rng.Intn(2)], base, actual)
+	}
+	c.Record("single", 40, 50)
 	var buf bytes.Buffer
 	if err := c.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	snap := buf.String()
 	back, err := ReadCalibration(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Count("env") != 10 {
-		t.Fatalf("count = %d", back.Count("env"))
+	for _, env := range envs {
+		if got, want := back.Count(env), c.Count(env); got != want {
+			t.Errorf("%s: count = %d, want %d", env, got, want)
+		}
+		if got, want := back.Alpha(env), c.Alpha(env); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: loaded α = %v, replayed α = %v", env, got, want)
+		}
+		if got, want := back.SuccessRate(env), c.SuccessRate(env); got != want {
+			t.Errorf("%s: success rate = %v, want %v", env, got, want)
+		}
 	}
-	if math.Abs(back.Alpha("env")-c.Alpha("env")) > 1e-12 {
-		t.Fatalf("alpha not refitted: %v vs %v", back.Alpha("env"), c.Alpha("env"))
+	var again bytes.Buffer
+	if err := back.WriteJSON(&again); err != nil {
+		t.Fatal(err)
 	}
-	if back.SuccessRate("env") != c.SuccessRate("env") {
-		t.Fatal("success rate differs")
+	if again.String() != snap {
+		t.Error("the loaded calibration does not serialize back to the snapshot it was read from")
+	}
+	// A loaded archive keeps fitting incrementally where the original does.
+	c.Record("env", 7, 9)
+	back.Record("env", 7, 9)
+	if got, want := back.Alpha("env"), c.Alpha("env"); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("after one more record: loaded α = %v, replayed α = %v", got, want)
 	}
 }
 

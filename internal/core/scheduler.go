@@ -80,17 +80,21 @@ type Service struct {
 	// batch binds its own DG server, typically living on a shard engine of a
 	// sim.Sharded kernel while the Service runs on the control engine.
 	sharded bool
+	// batches resolves every batch ever registered, finalized ones included:
+	// Usage and Predict answer for them too.
 	batches map[string]*qosBatch
-	// order preserves registration order: map iteration order would make
-	// multi-batch runs non-reproducible for a given seed.
-	order  []string
+	// order holds the batches not yet finalized, in registration order (map
+	// iteration order would make multi-batch runs non-reproducible for a given
+	// seed). The tick drops a batch from it on the first pass after its
+	// finalization, so a tick costs nothing for batches that are done.
+	order  []*qosBatch
 	ticker *sim.Ticker
 	// countDriven records whether the trigger allows the due-list
 	// optimization (see CountDrivenTrigger).
 	countDriven bool
 	// dueScratch backs the per-tick due-batch snapshot, reused so a tick
 	// allocates nothing proportional to the batch count.
-	dueScratch []string
+	dueScratch []*qosBatch
 	// cands collects this tick's tier-admission candidates — the batches whose
 	// plan says start — for admit; reused. Only used with Tiers set.
 	cands []TierCandidate
@@ -273,12 +277,13 @@ func (s *Service) register(user, batchID, envKey string, size int, tier Tier, sr
 	if err != nil {
 		return err
 	}
-	s.batches[batchID] = &qosBatch{
+	qb := &qosBatch{
 		id: batchID, user: user, tier: tier, srv: srv, bi: bi, triggered: -1,
 		dirty: true, eligibleSince: -1,
 		lastBill: map[*cloud.Instance]float64{},
 	}
-	s.order = append(s.order, batchID)
+	s.batches[batchID] = qb
+	s.order = append(s.order, qb)
 	if s.ticker == nil {
 		s.ticker = s.eng.NewTicker(s.cfg.MonitorPeriod, s.tick)
 	}
@@ -333,10 +338,11 @@ func (s *Service) Usage(batchID string) (CloudUsage, error) {
 // tick is the combined Information/Scheduler monitor loop (Algorithms 1
 // and 2 of §3.6), split into three phases:
 //
-//  1. Due selection — with a count-driven trigger, only batches with task
-//     activity since their last step, live instances to bill, or a deferred
-//     start are stepped; idle registered batches cost nothing beyond the
-//     scan, and a stepped batch is polled by its own plan step.
+//  1. Due selection — one pass over the live batches that also drops the
+//     ones finalized since the last tick. With a count-driven trigger, only
+//     batches with task activity since their last step, live instances to
+//     bill, or a deferred start are stepped; idle live batches cost nothing
+//     beyond the scan, and a stepped batch is polled by its own plan step.
 //  2. Plan — per-batch decision steps (observe, Algorithm 2 billing, the
 //     Oracle's Algorithm 1 plan) in registration order. Plan steps touch
 //     only per-batch state and the credit ledger.
@@ -349,19 +355,19 @@ func (s *Service) Usage(batchID string) (CloudUsage, error) {
 // on the same inputs before its apply loop.
 func (s *Service) tick(now float64) {
 	s.dueScratch = s.dueScratch[:0]
-	active := 0
-	for _, id := range s.order {
-		qb := s.batches[id]
+	live := s.order[:0]
+	for _, qb := range s.order {
 		if qb.finalized {
 			continue
 		}
-		active++
+		live = append(live, qb)
 		if s.countDriven && !qb.dirty && !qb.armed && !qb.hasLiveInstances() {
 			continue
 		}
-		s.dueScratch = append(s.dueScratch, id)
+		s.dueScratch = append(s.dueScratch, qb)
 	}
-	if active == 0 {
+	s.order = live
+	if len(live) == 0 {
 		if s.ticker != nil {
 			s.ticker.Stop()
 			s.ticker = nil
@@ -372,12 +378,12 @@ func (s *Service) tick(now float64) {
 		return
 	}
 	s.cands = s.cands[:0]
-	for _, id := range s.dueScratch {
-		s.planBatch(s.batches[id])
+	for _, qb := range s.dueScratch {
+		s.planBatch(qb)
 	}
 	s.admit(now)
-	for _, id := range s.dueScratch {
-		s.applyBatch(s.batches[id])
+	for _, qb := range s.dueScratch {
+		s.applyBatch(qb)
 	}
 }
 
@@ -478,8 +484,7 @@ func (s *Service) admit(now float64) {
 		return
 	}
 	activeByTier := map[Tier]int{}
-	for _, id := range s.order {
-		qb := s.batches[id]
+	for _, qb := range s.order {
 		if !qb.finalized && qb.hasLiveInstances() {
 			activeByTier[qb.tier.OrFree()]++
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -84,9 +85,14 @@ type SchedulerService struct {
 	// Now is the clock used for billing; overridable in tests.
 	Now func() time.Time
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// batches resolves every batch ever registered, finalized ones included:
+	// Status answers for them too.
 	batches map[string]*schedBatch
-	order   []string
+	// order holds the batches not yet finalized, in registration order. A
+	// whole-fleet tick drops a batch from it on the first claim after its
+	// finalization, so a tick costs nothing for batches that are done.
+	order []*schedBatch
 }
 
 type schedBatch struct {
@@ -260,12 +266,13 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.batches[req.BatchID] = &schedBatch{
+	qb := &schedBatch{
 		ID: req.BatchID, User: req.User, EnvKey: req.EnvKey, Size: req.Size,
 		Tier: tier, Provider: req.Provider, Image: req.Image, StartedAt: s.Now(),
 		TriggeredAt: -1,
 	}
-	s.order = append(s.order, req.BatchID)
+	s.batches[req.BatchID] = qb
+	s.order = append(s.order, qb)
 	return nil
 }
 
@@ -379,19 +386,26 @@ func (s *SchedulerService) tick(ids []string) error {
 	return nil
 }
 
-// claim marks the named batches as being stepped and returns them. Concurrent
-// ticks (daemon ticker plus external POST /step clients) must not double-bill
-// or double-launch; a batch another tick holds is skipped, not an error — the
-// other tick is doing the same work.
+// claim marks the named batches (nil: every live batch) as being stepped and
+// returns them. Concurrent ticks (daemon ticker plus external POST /step
+// clients) must not double-bill or double-launch; a batch another tick holds
+// is skipped, not an error — the other tick is doing the same work.
 func (s *SchedulerService) claim(ids []string) []*tickBatch {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var named []*schedBatch
 	if ids == nil {
-		ids = s.order
+		s.order = slices.DeleteFunc(s.order, func(qb *schedBatch) bool { return qb.Finalized })
+		named = s.order
+	}
+	for _, id := range ids {
+		if qb := s.batches[id]; qb != nil {
+			named = append(named, qb)
+		}
 	}
 	var out []*tickBatch
-	for _, id := range ids {
-		if qb := s.batches[id]; qb != nil && !qb.Finalized && !qb.stepping {
+	for _, qb := range named {
+		if !qb.Finalized && !qb.stepping {
 			qb.stepping = true
 			out = append(out, &tickBatch{qb: qb})
 		}
@@ -556,7 +570,7 @@ func (s *SchedulerService) admit(batches []*tickBatch, now time.Time) {
 	}
 	active := map[core.Tier]int{}
 	s.mu.Lock()
-	for _, qb := range s.batches {
+	for _, qb := range s.order {
 		if !qb.Finalized && len(liveInstances(qb)) > 0 {
 			active[qb.Tier.OrFree()]++
 		}

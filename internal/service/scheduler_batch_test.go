@@ -23,6 +23,7 @@ type multiDG struct {
 	progress    map[string]middleware.Progress
 	singleCalls int
 	batchCalls  int
+	lastBatch   []string // the ids of the latest aggregated poll
 }
 
 func newMultiDG() *multiDG { return &multiDG{progress: map[string]middleware.Progress{}} }
@@ -44,6 +45,7 @@ func (d *multiDG) ProgressBatch(ids []string) (map[string]middleware.Progress, e
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.batchCalls++
+	d.lastBatch = append([]string(nil), ids...)
 	out := make(map[string]middleware.Progress, len(ids))
 	for _, id := range ids {
 		out[id] = d.progress[id]
@@ -306,6 +308,74 @@ func TestStatusNotBlockedByRemoteCalls(t *testing.T) {
 			t.Fatalf("fleet not stopped: %+v", st)
 		}
 	})
+}
+
+// The Scheduler's order lists live batches only: a finalized batch leaves it at
+// the next whole-fleet tick, the others keep their registration order, no
+// later tick polls or claims the finalized one, and GET /qos/{id} still
+// answers for it.
+func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
+	dg := newMultiDG()
+	stack := NewTestStack(StackConfig{
+		Strategy: core.DefaultStrategy(),
+		Registry: cloud.NewRegistry(cloud.NewMockDriver("mock", time.Second, 0.10)),
+		DG:       dg,
+	})
+	defer stack.Close()
+	if err := stack.CreditClient.Deposit("u", 30); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		dg.set(id, middleware.Progress{Size: 10, Arrived: 10, Completed: 5, EverAssigned: 10, Running: 5})
+		if err := stack.Scheduler.RegisterQoS(QoSRequest{
+			User: "u", BatchID: id, EnvKey: "e", Size: 10, Credits: 10, Provider: "mock", Image: "img",
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step := func() {
+		t.Helper()
+		if err := stack.Scheduler.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	order := func() string {
+		stack.Scheduler.mu.Lock()
+		defer stack.Scheduler.mu.Unlock()
+		var ids []string
+		for _, qb := range stack.Scheduler.order {
+			ids = append(ids, qb.ID)
+		}
+		return strings.Join(ids, " ")
+	}
+	step()
+	dg.set("b", middleware.Progress{Size: 10, Arrived: 10, Completed: 10, EverAssigned: 10})
+	step() // finalizes b
+	if st, err := stack.Scheduler.Status("b"); err != nil || !st.Finalized {
+		t.Fatalf("b not finalized: %+v, %v", st, err)
+	}
+	if err := stack.Scheduler.StepBatch("a"); err != nil { // a one-batch tick leaves the order alone
+		t.Fatal(err)
+	}
+	if got := order(); got != "a b c" {
+		t.Fatalf("order before the next whole-fleet tick = %q, want %q", got, "a b c")
+	}
+	step()
+	if got := order(); got != "a c" {
+		t.Fatalf("order after the tick that follows b's finalization = %q, want %q", got, "a c")
+	}
+	if got := strings.Join(dg.lastBatch, " "); got != "a c" {
+		t.Fatalf("that tick polled %q, want %q", got, "a c")
+	}
+	if st, err := stack.Scheduler.Status("b"); err != nil || !st.Finalized {
+		t.Fatalf("Status(b) once out of the order: %+v, %v", st, err)
+	}
+	if err := stack.Scheduler.StepBatch("b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(dg.lastBatch, " "); got != "a c" {
+		t.Fatalf("a one-batch tick on finalized b polled %q", got)
+	}
 }
 
 // TestStepFallbackPollsPerBatch pins the fallback: a gateway without

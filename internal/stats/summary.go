@@ -201,9 +201,14 @@ func (h Histogram) BinCenter(i int) float64 {
 }
 
 // WeightedMedian returns the weighted median of values: the v minimizing
-// Σ w_i·|v − x_i|. Used by the Oracle's α fit (§3.4): α minimizing the mean
-// absolute difference between α·base_i and actual_i is the weighted median
-// of actual_i/base_i with weights base_i.
+// Σ w_i·|v − x_i|. It defines the Oracle's α fit (§3.4): α minimizing the
+// mean absolute difference between α·base_i and actual_i is the weighted
+// median of actual_i/base_i with weights base_i.
+//
+// Only tests call it: core.Calibration keeps each archive sorted and fits
+// incrementally, and its differential test holds every α it yields to this
+// function's, bit for bit. Weights are summed in input order for the total
+// and in sorted order for the prefix; an incremental fit must do the same.
 func WeightedMedian(values, weights []float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()

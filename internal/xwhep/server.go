@@ -40,8 +40,8 @@ type Server struct {
 	// queue is the global FIFO of pending tasks; priority holds tasks
 	// requeued after a detected failure under Model.RequeueFirst and is
 	// served first (it stays empty otherwise).
-	priority fifo
-	queue    fifo
+	priority middleware.Pending[*xtask]
+	queue    middleware.Pending[*xtask]
 
 	attached map[*middleware.Worker]*workerState
 	idle     *middleware.IdleSet
@@ -70,7 +70,11 @@ type batch struct {
 	// slice indexes when the batch is a subset (Cloud Duplication submits
 	// only the incomplete tasks to the cloud server).
 	byID map[int]*xtask
-	done bool
+	// priority and queue are the batch's views of the server's two queues:
+	// what a worker dedicated to the batch is served from.
+	priority middleware.PendingView[*xtask]
+	queue    middleware.PendingView[*xtask]
+	done     bool
 	// running counts assigned, not yet completed tasks that are not back in
 	// a queue; it short-circuits Reschedule work scans.
 	running int
@@ -88,6 +92,9 @@ type xtask struct {
 	remaining float64
 	execs     map[*middleware.Worker]*exec
 }
+
+// Queued implements middleware.Queueable.
+func (t *xtask) Queued() bool { return t.queued }
 
 // cloudDups counts in-flight cloud executions of the task.
 func (t *xtask) cloudDups() int {
@@ -112,47 +119,6 @@ type exec struct {
 }
 
 type workerState struct{ cur *xtask }
-
-// fifo is a task queue with lazy removal: dequeued/completed entries keep
-// their slot and are skipped, so the common pop-from-head path is O(1).
-type fifo struct {
-	items []*xtask
-	head  int
-}
-
-func (f *fifo) push(t *xtask) { f.items = append(f.items, t) }
-
-// advance skips dead entries at the head and compacts when more than half
-// the backing slice is consumed.
-func (f *fifo) advance() {
-	for f.head < len(f.items) && !f.items[f.head].queued {
-		f.items[f.head] = nil
-		f.head++
-	}
-	if f.head > 64 && f.head*2 > len(f.items) {
-		f.items = append(f.items[:0], f.items[f.head:]...)
-		f.head = 0
-	}
-}
-
-// empty reports whether no queued entries remain (after head advance;
-// mid-queue lazily-removed entries may linger but first() skips them).
-func (f *fifo) empty() bool {
-	f.advance()
-	return f.head >= len(f.items)
-}
-
-// first returns the first queued task matching the filter, or nil.
-func (f *fifo) first(match func(*xtask) bool) *xtask {
-	f.advance()
-	for i := f.head; i < len(f.items); i++ {
-		t := f.items[i]
-		if t != nil && t.queued && match(t) {
-			return t
-		}
-	}
-	return nil
-}
 
 // NewModel creates a single-execution server on the engine. It is the seam
 // between this package's New and package condor's New, not a third way to
@@ -213,7 +179,7 @@ func (s *Server) arrive(t *xtask) {
 		return
 	}
 	t.queued = true
-	s.queue.push(t)
+	s.queue.Push(t, &t.batch.queue)
 	s.dispatch()
 }
 
@@ -269,9 +235,9 @@ func (s *Server) detect(ex *exec) {
 		t.batch.running--
 		t.queued = true
 		if s.model.RequeueFirst {
-			s.priority.push(t)
+			s.priority.Push(t, &t.batch.priority)
 		} else {
-			s.queue.push(t)
+			s.queue.Push(t, &t.batch.queue)
 		}
 		s.dispatch()
 	}
@@ -280,7 +246,7 @@ func (s *Server) detect(ex *exec) {
 // dispatch pairs idle workers with assignable work until no pair remains.
 func (s *Server) dispatch() {
 	for {
-		hasQueued := !s.priority.empty() || !s.queue.empty()
+		hasQueued := !s.priority.Empty() || !s.queue.Empty()
 		wantCloudDup := s.reschedule && s.idle.CloudCount() > 0 && s.anyDupCandidate()
 		if !hasQueued && !wantCloudDup {
 			return
@@ -325,15 +291,32 @@ func (s *Server) anyDupCandidate() bool {
 	return false
 }
 
-// peekTask returns the task the worker would execute, without dequeuing.
-func (s *Server) peekTask(w *middleware.Worker) *xtask {
-	match := func(t *xtask) bool {
-		return w.DedicatedBatch == "" || t.batch.spec.ID == w.DedicatedBatch
+// anyTask is the filter of a worker that takes whatever is queued.
+func anyTask(*xtask) bool { return true }
+
+// firstQueued returns the first queued task the worker may take, requeued
+// tasks first: a dedicated worker's from its batch's views of the two queues,
+// a free worker's from the queues' heads.
+func (s *Server) firstQueued(w *middleware.Worker) *xtask {
+	if w.DedicatedBatch == "" {
+		if t := s.priority.First(anyTask); t != nil {
+			return t
+		}
+		return s.queue.First(anyTask)
 	}
-	if t := s.priority.first(match); t != nil {
+	bt := s.batches[w.DedicatedBatch]
+	if bt == nil {
+		return nil
+	}
+	if t := s.priority.FirstIn(&bt.priority, anyTask); t != nil {
 		return t
 	}
-	if t := s.queue.first(match); t != nil {
+	return s.queue.FirstIn(&bt.queue, anyTask)
+}
+
+// peekTask returns the task the worker would execute, without dequeuing.
+func (s *Server) peekTask(w *middleware.Worker) *xtask {
+	if t := s.firstQueued(w); t != nil {
 		return t
 	}
 	if s.reschedule && w.Cloud && w.DedicatedBatch != "" {
