@@ -220,6 +220,9 @@ func executeOnce(j Job, horizon float64) Entry {
 	var ctl *sim.Engine     // the engine the service lives on
 	if !sharded {
 		ctl = sim.NewEngine()
+		// Nothing of the cell outlives this function but the Entry, which
+		// holds no engine: the next cell on this worker reuses the arena.
+		defer ctl.Release()
 		srv := newServer(ctl, sc.Middleware)
 		middleware.BindTrace(ctl, tr, srv)
 		h := listen(ctl, srv)

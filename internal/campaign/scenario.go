@@ -181,12 +181,11 @@ func Standard() Profile {
 }
 
 // Full returns the paper-scale profile: 2 000-node pools over 15-day
-// horizons, the dimensions behind the paper's headline figures. Its traces
-// are tens of MB each and the matrix needs hundreds of distinct ones, so
-// the profile carries a trace-cache byte budget (overridable with
-// -trace-budget): peak trace memory tracks the budget plus in-flight pins
-// instead of the campaign size, which is what makes `full` runnable end to
-// end on a small machine. Like every single-BoT profile, each cell is the
+// horizons, the dimensions behind the paper's headline figures. The matrix
+// needs 180 distinct traces, megabytes each if generated whole; cells draw
+// them on demand, and the profile carries a trace-cache byte budget
+// (overridable with -trace-budget) so that peak trace memory tracks the
+// budget plus in-flight pins instead of the campaign size. Like every single-BoT profile, each cell is the
 // paper's model — one DG server scheduling over the whole trace on the
 // serial engine — and the campaign spreads across cores cell by cell.
 func Full() Profile {
@@ -389,9 +388,15 @@ func (sc Scenario) SubWorkload(k int) (*bot.BoT, error) {
 	return class.Generate(sc.SubBotID(k), sc.SubSeed(k)), nil
 }
 
-// GenerateTrace generates the scenario's availability trace for the given
-// horizon (seconds), capped at the profile's pool size.
+// GenerateTrace returns the scenario's availability trace for the given
+// horizon (seconds), capped at the profile's pool size. A renewal-process
+// trace comes back open on demand (trace.Profile.Open): a cell stops at its
+// last completion, hours into a horizon of days, and pays for a node's
+// availability only as far as it reads it. Spot traces are materialised.
 func (sc Scenario) GenerateTrace(horizon float64) (*trace.Trace, error) {
+	if p, ok := trace.ProfileByName(sc.TraceName); ok {
+		return p.Open(sc.Seed(), horizon, sc.Profile.PoolCap), nil
+	}
 	src, err := TraceSource(sc.TraceName)
 	if err != nil {
 		return nil, err

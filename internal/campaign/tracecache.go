@@ -10,26 +10,31 @@ import (
 	"spequlos/internal/trace"
 )
 
-// Availability traces are a pure function of (source, seed, horizon, pool)
-// and dominate simulation cost: synthesizing one draws millions of quantile
-// samples (math.Pow is ~half the campaign's CPU), yet every strategy variant
-// of the same (middleware, trace, bot, offset) cell needs the identical
-// trace — the paper's paired comparison reuses one seed across the baseline
-// and all 18 strategy combinations. The cache generates each distinct trace
-// once and shares the immutable result across jobs and workers.
+// Availability traces are a pure function of (source, seed, horizon, pool),
+// and every strategy variant of the same (middleware, trace, bot, offset)
+// cell needs the identical trace — the paper's paired comparison reuses one
+// seed across the baseline and all 18 strategy combinations. The cache opens
+// each distinct trace once and shares it across jobs and workers: a renewal
+// trace is drawn on demand (trace.Profile.Open), so what is shared is every
+// interval any of those cells has read so far, each drawn once; a spot trace
+// is materialised when it is opened.
 //
-// Traces are never mutated after generation (the binding and the statistics
-// layer only read them), so sharing a *trace.Trace across concurrent
-// simulations is safe.
+// Cells only read a shared trace (through trace.Node.At, which publishes what
+// it draws atomically), so any number of concurrent simulations may hold the
+// same *trace.Trace.
 //
 // # Admission, pinning and eviction contract
 //
 // The cache is byte-budgeted: each trace reports its resident size
 // (trace.Trace.Bytes) and eviction is LRU over the *unpinned* entries until
-// resident bytes fall back under the budget. Paper-scale (`full`) traces are
-// tens of MB each and a campaign needs hundreds of distinct ones, so an
-// entry-counted bound cannot hold peak RSS on a small machine; a byte bound
-// with per-job pin/release makes peak trace memory track
+// resident bytes fall back under the budget. An on-demand trace grows while
+// cells read it, so an entry is measured at admission and again each time its
+// last pin is released: the budget is charged what cells drew. Traces differ
+// in size by orders of magnitude (a materialised spot trace, a paper-scale
+// renewal trace read a day deep, one read to its horizon) and a campaign
+// needs hundreds of distinct ones, so an entry-counted bound cannot hold peak
+// RSS on a small machine; a byte bound with per-job pin/release makes peak
+// trace memory track
 //
 //	budget + bytes pinned by in-flight jobs
 //
@@ -48,9 +53,10 @@ import (
 //     single-flight generator. A later success is admitted normally. N
 //     waiters therefore cost at most one retry chain, never N concurrent
 //     regenerations.
-//   - Releasing the last pin makes the entry evictable at the
-//     most-recently-used position; if the budget is already exceeded (pins
-//     held it above the line), eviction runs immediately.
+//   - Releasing the last pin re-measures the entry and makes it evictable at
+//     the most-recently-used position; if the budget is already exceeded
+//     (pins held it above the line, or the entry grew), eviction runs
+//     immediately.
 //
 // The budget only bounds cache residency, not correctness: a cache with a
 // 1-byte budget still serves every request, it just regenerates (and
@@ -93,11 +99,11 @@ type traceCache struct {
 }
 
 // DefaultTraceBudgetBytes bounds resident trace bytes in the shared cache
-// (512 MiB). The quick matrix needs 72 distinct ~250-node traces of a few
-// MB each, and the crowd profiles reuse a handful of 500-node traces, so
-// neither ever reaches the line — their behavior is unchanged from the old
-// entry-counted cache. Paper-scale (`full`) traces are tens of MB each and
-// DO exceed it; they evict LRU and regenerate deterministically on re-use.
+// (512 MiB). Traces are drawn only as far as cells read them, so the quick
+// matrix's 72 traces leave a few MB resident and a paper-scale (`full`)
+// trace a fraction of a MB; generated whole, `full`'s 180 traces would
+// exceed the line. Whatever exceeds it is evicted LRU and drawn again,
+// deterministically, on re-use.
 const DefaultTraceBudgetBytes = 512 << 20
 
 // sharedTraceCache serves every campaign in the process.
@@ -167,8 +173,9 @@ func (c *traceCache) releaseFunc(e *traceCacheEntry) func() {
 	return func() { once.Do(func() { c.release(e) }) }
 }
 
-// release drops one pin; the last pin makes the entry evictable (MRU
-// position) and triggers eviction if pins were holding residency above the
+// release drops one pin; the last pin re-measures the entry (nobody can be
+// drawing it any more, and cells may have since it was admitted), makes it
+// evictable (MRU position) and triggers eviction if residency is above the
 // budget.
 func (c *traceCache) release(e *traceCacheEntry) {
 	c.mu.Lock()
@@ -180,6 +187,9 @@ func (c *traceCache) release(e *traceCacheEntry) {
 	if cur, ok := c.entries[e.key]; !ok || cur != e {
 		return // detached (failed generation) — never became resident
 	}
+	c.resident -= e.bytes
+	e.bytes = e.tr.Bytes()
+	c.resident += e.bytes
 	e.elem = c.lru.PushFront(e)
 	c.evictLocked()
 }

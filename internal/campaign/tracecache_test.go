@@ -341,3 +341,98 @@ func TestTraceCacheSetBudget(t *testing.T) {
 		t.Fatalf("budget 0 should restore the default, got %d", u.BudgetBytes)
 	}
 }
+
+// TestTraceCacheRemeasuresGrownEntries pins the accounting of entries that
+// grow while pinned: an on-demand trace is admitted nearly empty, cells draw
+// it, and the budget is charged the drawn size when the last pin goes —
+// eviction stays LRU over unpinned entries and never takes a pinned one.
+func TestTraceCacheRemeasuresGrownEntries(t *testing.T) {
+	open := func(id int) func() (*trace.Trace, error) {
+		return func() (*trace.Trace, error) { return trace.G5KLyon.Open(uint64(id), 30*86400, 8), nil }
+	}
+	// draw reads every node of the trace to its end, as a long cell would.
+	draw := func(tr *trace.Trace) {
+		for _, n := range tr.Nodes {
+			for i := 0; ; i++ {
+				if _, ok := n.At(i); !ok {
+					break
+				}
+			}
+		}
+	}
+	admitted := trace.G5KLyon.Open(0, 30*86400, 8).Bytes()
+	grown := trace.G5KLyon.Generate(0, 30*86400, 8).Bytes()
+	if grown < 20*admitted {
+		t.Fatalf("setup: a drawn trace is %d bytes, an open one %d; want growth that dwarfs admission", grown, admitted)
+	}
+	// Room for about two and a half drawn traces, i.e. for dozens of open ones.
+	budget := 5 * grown / 2
+	c := newTraceCache(budget)
+
+	// Two pins on entry 0; it grows under them and is charged nothing new
+	// until the second is released.
+	tr0, release0a, err := c.get(testKey(0), open(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, release0b, _ := c.get(testKey(0), open(0))
+	draw(tr0)
+	release0a()
+	if u := c.usage(); u.ResidentBytes != admitted || u.PinnedBytes != admitted {
+		t.Fatalf("one pin left: resident %d, pinned %d, want the admitted %d", u.ResidentBytes, u.PinnedBytes, admitted)
+	}
+	release0b()
+	if u := c.usage(); u.ResidentBytes != tr0.Bytes() || u.PinnedBytes != 0 || tr0.Bytes() <= grown {
+		t.Fatalf("last pin released: resident %d, pinned %d, want the drawn %d (> %d)", u.ResidentBytes, u.PinnedBytes, tr0.Bytes(), grown)
+	}
+
+	// Entries 1 and 2 grow the same way; entry 2 stays pinned. Residency is
+	// now three drawn traces against a budget of two and a half.
+	tr1, release1, _ := c.get(testKey(1), open(1))
+	tr2, release2, _ := c.get(testKey(2), open(2))
+	draw(tr1)
+	draw(tr2)
+	release1()
+	c.mu.Lock()
+	_, has0 := c.entries[testKey(0)]
+	_, has1 := c.entries[testKey(1)]
+	_, has2 := c.entries[testKey(2)]
+	c.mu.Unlock()
+	if !has0 || !has1 || !has2 {
+		t.Fatalf("evicted before the budget was reached: entries 0 %v, 1 %v, 2 %v", has0, has1, has2)
+	}
+	release2()
+	// Releasing 2 charged its growth and pushed residency over: 0 is the
+	// least recently used and goes, 1 and 2 stay.
+	c.mu.Lock()
+	_, has0 = c.entries[testKey(0)]
+	_, has1 = c.entries[testKey(1)]
+	_, has2 = c.entries[testKey(2)]
+	c.mu.Unlock()
+	if has0 || !has1 || !has2 {
+		t.Fatalf("after the growth was charged: entries 0 %v, 1 %v, 2 %v; want only the LRU entry 0 evicted", has0, has1, has2)
+	}
+	if u := c.usage(); u.ResidentBytes != tr1.Bytes()+tr2.Bytes() || u.ResidentBytes > budget {
+		t.Fatalf("resident %d, want %d within the budget %d", u.ResidentBytes, tr1.Bytes()+tr2.Bytes(), budget)
+	}
+
+	// A pinned entry is never evicted, however far it grows past the budget.
+	c.setBudget(1)
+	tr3, release3, _ := c.get(testKey(3), open(3))
+	draw(tr3)
+	_, release4, _ := c.get(testKey(4), open(4)) // admission pressure
+	release4()
+	if got, _ := tr3.Nodes[0].At(0); got == (trace.Interval{}) {
+		t.Fatal("setup: node 0 of entry 3 has no interval")
+	}
+	c.mu.Lock()
+	e3, has3 := c.entries[testKey(3)]
+	c.mu.Unlock()
+	if !has3 || e3.tr != tr3 {
+		t.Fatal("a pinned entry was evicted")
+	}
+	release3()
+	if u := c.usage(); u.Entries != 0 || u.ResidentBytes != 0 {
+		t.Fatalf("budget 1, nothing pinned: %+v", u)
+	}
+}

@@ -1,8 +1,6 @@
 package middleware
 
 import (
-	"hash/fnv"
-
 	"spequlos/internal/sim"
 	"spequlos/internal/trace"
 )
@@ -52,10 +50,12 @@ func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, part
 	b.opLeave = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).leave(p.I, p.X) })
 	base := eng.Now()
 	for _, node := range tr.Nodes {
-		if len(node.Intervals) == 0 {
+		// Membership first: reading a node of an on-demand trace draws it, and
+		// a partition must not draw the nodes of the others.
+		if parts > 1 && nodePartition(node.ID, parts) != part {
 			continue
 		}
-		if parts > 1 && nodePartition(node.ID, parts) != part {
+		if _, ok := node.At(0); !ok {
 			continue
 		}
 		w := &Worker{ID: node.ID, Power: node.Power}
@@ -66,24 +66,23 @@ func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, part
 	return b
 }
 
-// nodePartition maps a trace-node ID onto one of parts partitions.
+// nodePartition maps a trace-node ID onto one of parts partitions: FNV-32a
+// over the ID's four little-endian bytes, inline (hash/fnv's hasher is an
+// allocation per node).
 func nodePartition(id, parts int) int {
-	h := fnv.New32a()
-	var buf [4]byte
-	buf[0] = byte(id)
-	buf[1] = byte(id >> 8)
-	buf[2] = byte(id >> 16)
-	buf[3] = byte(id >> 24)
-	h.Write(buf[:])
-	return int(h.Sum32() % uint32(parts))
+	h := uint32(2166136261)
+	for shift := 0; shift < 32; shift += 8 {
+		h = (h ^ uint32(byte(id>>shift))) * 16777619
+	}
+	return int(h % uint32(parts))
 }
 
 // schedule arms the node's next join event, if any intervals remain.
 func (bn *boundNode) schedule(idx int32, base float64) {
-	if int(idx) >= len(bn.node.Intervals) {
+	iv, ok := bn.node.At(int(idx))
+	if !ok {
 		return
 	}
-	iv := bn.node.Intervals[idx]
 	bn.b.eng.AtOp(sim.Time(base+iv.Start), bn.b.opJoin, sim.Payload{A: bn, I: idx, X: base})
 }
 
@@ -93,7 +92,7 @@ func (bn *boundNode) join(idx int32, base float64) {
 		return
 	}
 	b.srv.WorkerJoin(bn.w)
-	iv := bn.node.Intervals[idx]
+	iv, _ := bn.node.At(int(idx)) // scheduled from it, so it exists
 	b.eng.AtOp(sim.Time(base+iv.End), b.opLeave, sim.Payload{A: bn, I: idx, X: base})
 }
 

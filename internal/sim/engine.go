@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // Time is virtual time in seconds since the start of the simulation.
@@ -119,8 +120,39 @@ type Engine struct {
 	tickerOp Op
 }
 
-// NewEngine returns an engine with the clock at zero.
-func NewEngine() *Engine { return &Engine{} }
+// enginePool holds released engines. A campaign runs thousands of cells one
+// after another on each worker, and every cell grew its event arena — slots
+// full of pointers — from nothing and left it to the collector.
+var enginePool = sync.Pool{New: func() any { return new(Engine) }}
+
+// NewEngine returns an engine with the clock at zero, no event pending and
+// no handler registered. It may reuse the arena of a released engine.
+func NewEngine() *Engine { return enginePool.Get().(*Engine) }
+
+// Release returns the engine, emptied, for a later NewEngine to reuse; the
+// caller must not use it afterwards.
+func (e *Engine) Release() {
+	e.reset()
+	enginePool.Put(e)
+}
+
+// reset empties the engine: pending events are dropped unfired and every
+// payload and handler pointer is cleared. The arena keeps its slots and
+// their generation counters, so an Event handle from before the reset reports
+// not pending whatever is scheduled next.
+func (e *Engine) reset() {
+	e.free = e.free[:0]
+	for i := len(e.slots) - 1; i >= 0; i-- {
+		s := &e.slots[i]
+		if s.heapIdx >= 0 {
+			s.gen++
+		}
+		s.fn, s.pay, s.op, s.heapIdx = nil, Payload{}, 0, -1
+		e.free = append(e.free, int32(i)) // slot 0 is handed out first, as on a new engine
+	}
+	clear(e.ops)
+	*e = Engine{slots: e.slots, free: e.free, heap: e.heap[:0], ops: e.ops[:0]}
+}
 
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }

@@ -23,7 +23,7 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 	}
 	ff := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	for _, n := range t.Nodes {
-		for _, iv := range n.Intervals {
+		for _, iv := range n.all() {
 			if err := cw.Write([]string{strconv.Itoa(n.ID), ff(n.Power), ff(iv.Start), ff(iv.End)}); err != nil {
 				return err
 			}

@@ -11,12 +11,19 @@
 // package synthesizes traces matched to those statistics via per-node
 // alternating renewal processes with a shared Ornstein–Uhlenbeck duty
 // modulation, and can also load externally-provided traces from CSV.
+//
+// A renewal trace can be opened without being drawn (Profile.Open): each node
+// then draws its periods as far as a simulation reads them through Node.At.
+// A run stops at its last completion, typically hours into a horizon of
+// days, so it never pays for the rest. Profile.Generate is the same generator
+// drawn to the end.
 package trace
 
 import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,19 +43,67 @@ func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 // Node is one resource of a BE-DCI: its compute power (in number of
 // instructions per second, "nops/s" in the paper) and the periods during
 // which it is available.
+//
+// Intervals holds the periods of a materialised node (spot, CSV, FTA,
+// Profile.Generate). A node of an on-demand trace (Profile.Open) draws its
+// periods as they are read and leaves Intervals nil: simulations read either
+// kind through At, whole-node readers through the trace's methods.
 type Node struct {
 	ID        int
 	Power     float64
 	Intervals []Interval
+
+	gen *nodeGen // nil for a materialised node; never reassigned once shared
+}
+
+// At returns the node's i-th availability period, or false when it has no
+// more than i. On an on-demand node it draws as far as i needs; any number
+// of goroutines may read the same node at once and all see the same
+// sequence.
+func (n *Node) At(i int) (Interval, bool) {
+	ivs := n.Intervals
+	if g := n.gen; g != nil {
+		p := g.pub.Load()
+		if i >= len(p.ivs) && !p.done {
+			p = g.extend(i + 1)
+		}
+		ivs = p.ivs
+	}
+	if i < len(ivs) {
+		return ivs[i], true
+	}
+	return Interval{}, false
+}
+
+// Drawn returns how many of the node's periods are resident now, without
+// drawing any: all of them for a materialised node.
+func (n *Node) Drawn() int {
+	if n.gen != nil {
+		return len(n.gen.pub.Load().ivs)
+	}
+	return len(n.Intervals)
+}
+
+// all returns every period of the node, drawing an on-demand node to the end
+// of its trace first, so a whole-node reader never sees a partial sequence.
+func (n *Node) all() []Interval {
+	if n.gen != nil {
+		return n.gen.extend(math.MaxInt).ivs
+	}
+	return n.Intervals
 }
 
 // AvailableAt reports whether the node is available at time t.
 func (n *Node) AvailableAt(t float64) bool {
-	i := sort.Search(len(n.Intervals), func(i int) bool { return n.Intervals[i].End > t })
-	return i < len(n.Intervals) && n.Intervals[i].Start <= t
+	ivs := n.all()
+	i := sort.Search(len(ivs), func(i int) bool { return ivs[i].End > t })
+	return i < len(ivs) && ivs[i].Start <= t
 }
 
-// Trace is a complete BE-DCI availability trace.
+// Trace is a BE-DCI availability trace: complete when materialised, drawn
+// node by node as far as it is read when opened on demand (Profile.Open).
+// Validate, MeasureStats, ConcurrencyAt and WriteCSV read whole nodes and so
+// draw an on-demand trace to its end; Bytes never draws.
 type Trace struct {
 	Name   string
 	Length float64 // seconds
@@ -63,7 +118,7 @@ func (t *Trace) Validate() error {
 			return fmt.Errorf("trace %s: node %d has non-positive power %g", t.Name, n.ID, n.Power)
 		}
 		prev := -math.MaxFloat64
-		for _, iv := range n.Intervals {
+		for _, iv := range n.all() {
 			if iv.End <= iv.Start {
 				return fmt.Errorf("trace %s: node %d has empty interval %+v", t.Name, n.ID, iv)
 			}
@@ -82,18 +137,24 @@ func (t *Trace) Validate() error {
 // Bytes estimates the resident heap size of the trace in bytes: the
 // dominant term is 16 bytes per interval (two float64s), plus fixed
 // per-node and per-trace overheads for the structs, slice headers and
-// pointers that hold them. The estimate is deterministic — a pure function
-// of the trace's shape — so byte-budgeted admission decisions (the campaign
-// trace cache) are reproducible across runs and platforms.
+// pointers that hold them. It counts the intervals resident now and never
+// draws: on an on-demand trace it grows as cells read deeper. The estimate is
+// a pure function of the trace's shape and of how far it was read, so
+// byte-budgeted admission decisions (the campaign trace cache) do not depend
+// on the platform.
 func (t *Trace) Bytes() int64 {
 	const (
-		intervalBytes = 16 // Interval{Start, End float64}
-		nodeBytes     = 48 // Node struct + slice header + *Node in Trace.Nodes
-		traceBytes    = 64 // Trace struct + Nodes slice header
+		intervalBytes = 16  // Interval{Start, End float64}
+		nodeBytes     = 48  // Node struct + slice header + *Node in Trace.Nodes
+		genBytes      = 160 // nodeGen + its RNG + one published prefix header
+		traceBytes    = 64  // Trace struct + Nodes slice header
 	)
 	n := int64(traceBytes) + int64(len(t.Name))
 	for _, node := range t.Nodes {
-		n += nodeBytes + intervalBytes*int64(len(node.Intervals))
+		n += nodeBytes + intervalBytes*int64(node.Drawn())
+		if node.gen != nil {
+			n += genBytes
+		}
 	}
 	return n
 }
@@ -128,41 +189,44 @@ func (t *Trace) MeasureStats(step float64) Stats {
 	if step <= 0 {
 		step = 600
 	}
-	var avail, unavail, conc, power []float64
+	total := 0
+	for _, n := range t.Nodes {
+		total += len(n.all())
+	}
+	avail := make([]float64, 0, total)
+	unavail := make([]float64, 0, total)
+	power := make([]float64, 0, len(t.Nodes))
+	// Sweep-line concurrency sampling over the sorted interval starts and
+	// ends: the count at an instant is starts <= it minus ends <= it, so the
+	// order of a start and an end at the same instant cannot matter.
+	starts := make([]float64, 0, total)
+	ends := make([]float64, 0, total)
 	for _, n := range t.Nodes {
 		power = append(power, n.Power)
-		for i, iv := range n.Intervals {
+		ivs := n.all()
+		for i, iv := range ivs {
 			avail = append(avail, iv.Duration())
 			if i > 0 {
-				unavail = append(unavail, iv.Start-n.Intervals[i-1].End)
+				unavail = append(unavail, iv.Start-ivs[i-1].End)
 			}
+			starts = append(starts, iv.Start)
+			ends = append(ends, iv.End)
 		}
 	}
-	// Sweep-line concurrency sampling.
-	type edge struct {
-		t  float64
-		up bool
-	}
-	var edges []edge
-	for _, n := range t.Nodes {
-		for _, iv := range n.Intervals {
-			edges = append(edges, edge{iv.Start, true}, edge{iv.End, false})
-		}
-	}
-	sort.Slice(edges, func(i, j int) bool { return edges[i].t < edges[j].t })
-	cur, ei := 0, 0
+	slices.Sort(starts)
+	slices.Sort(ends)
+	conc := make([]float64, 0, max(0, int(t.Length/step)))
+	si, ei := 0, 0
 	// Sample strictly inside the window: at the exact trace end every
 	// interval closes, which would register a spurious zero.
 	for at := step; at < t.Length; at += step {
-		for ei < len(edges) && edges[ei].t <= at {
-			if edges[ei].up {
-				cur++
-			} else {
-				cur--
-			}
+		for si < len(starts) && starts[si] <= at {
+			si++
+		}
+		for ei < len(ends) && ends[ei] <= at {
 			ei++
 		}
-		conc = append(conc, float64(cur))
+		conc = append(conc, float64(si-ei))
 	}
 	return Stats{
 		Name:        t.Name,
@@ -231,13 +295,61 @@ func (p Profile) calibration() (gamma, participation float64) {
 	return 1, d / renewalDuty
 }
 
-// Generate implements Source. It builds, for each node, an alternating
-// renewal process: availability durations drawn from the published
-// quartile distribution, unavailability durations scaled to match the duty
-// cycle and modulated by a shared mean-reverting process that reproduces
-// the node-count variability of the original traces (diurnal volunteer
-// churn, grid job bursts).
-func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
+// renewal is what the nodes of one on-demand trace share, read-only once the
+// trace is open: the calibrated process parameters, the draw-optimized
+// samplers (built once per trace instead of re-deriving the quartile segment
+// geometry on every draw; values are bit-identical to sampling the
+// distributions directly) and the duty modulation.
+type renewal struct {
+	length        float64
+	participation float64
+	dormMean      float64
+	activeMean    float64
+	withinDuty    float64
+	gamma         float64
+	avail         stats.QuartileSampler
+	unavail       stats.QuartileSampler
+	mod           modulation
+}
+
+// prefix is an immutable snapshot of the periods a node has drawn so far;
+// done means the process reached the trace length, so ivs is all of them.
+type prefix struct {
+	ivs  []Interval
+	done bool
+}
+
+// nothingDrawn is the prefix every node of an open trace starts from.
+var nothingDrawn prefix
+
+// nodeGen is one node's alternating renewal process, resumable: it draws
+// only as far as the node is read. A trace is shared by every cell of its
+// environment running at once (and by the shard goroutines of one cell), so
+// readers index the atomically published prefix without writing shared
+// memory, and only drawing further takes the mutex. A longer prefix reuses
+// the array of the shorter ones: the elements a reader can index are never
+// written again.
+type nodeGen struct {
+	pub atomic.Pointer[prefix]
+
+	*renewal // shared, read-only
+
+	mu        sync.Mutex // guards the process state below
+	r         *sim.RNG
+	t         float64
+	epochEnd  float64
+	enrolled  bool
+	available bool
+	first     bool
+}
+
+// Open starts a trace of the profile without drawing it: every node gets its
+// own stream — a pure function of (seed, name, id) — its power and its
+// enrolment, and its availability periods are drawn when At first reads them.
+// Every node's draw sequence is the one Generate makes, so reading an open
+// trace in any order, to any depth, from any number of goroutines yields
+// Generate's intervals bit for bit.
+func (p Profile) Open(seed uint64, length float64, pool int) *Trace {
 	if length <= 0 {
 		length = p.LengthDays * 86400
 	}
@@ -246,86 +358,115 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
 		pool = full
 	}
 	root := sim.NewRNG(seed).Fork("trace:" + p.Name)
-	mod := p.modulation(root.Fork("modulation"), length)
 	d0 := p.DutyCycle()
 	gamma, participation := p.calibration()
 	dormMean := dormMeanDays * 86400
-	activeMean := dormMean * participation / math.Max(1-participation, 1e-9)
-	// Within an active epoch the duty cycle is d0/participation, so the
-	// overall duty still averages d0.
-	withinDuty := d0
-	if participation < 1 {
-		withinDuty = math.Min(d0/participation, 0.995)
+	rn := &renewal{
+		length:        length,
+		participation: participation,
+		dormMean:      dormMean,
+		activeMean:    dormMean * participation / math.Max(1-participation, 1e-9),
+		// Within an active epoch the duty cycle is d0/participation, so the
+		// overall duty still averages d0.
+		withinDuty: d0,
+		gamma:      gamma,
+		avail:      p.Avail.Sampler(),
+		unavail:    p.Unavail.Sampler(),
+		mod:        p.modulation(root.Fork("modulation"), length),
 	}
-
-	// Draw-optimized samplers, built once per trace instead of re-deriving
-	// the quartile segment geometry on every one of the millions of interval
-	// draws. Values are bit-identical to sampling the distributions directly.
-	availSampler := p.Avail.Sampler()
-	unavailSampler := p.Unavail.Sampler()
-
-	// Every node draws from its own stream, a pure function of (seed, name,
-	// id), and the samplers and the modulation are read-only from here on:
-	// nodes are generated concurrently and stored by id, so the trace is
-	// bit-identical at any worker count.
-	generate := func(id int) *Node {
-		r := root.ForkN("node", id)
-		node := &Node{ID: id, Power: p.Power.Sample(r.Rand)}
-		t := 0.0
-		enrolled := participation >= 1 || r.Float64() < participation
-		epochEnd := length
-		if participation < 1 {
-			mean := dormMean
-			if enrolled {
-				mean = activeMean
-			}
-			epochEnd = r.ExpFloat64() * mean // memoryless residual
-		}
-		available := enrolled && r.Float64() < withinDuty
-		first := true
-		for t < length {
-			if participation < 1 && t >= epochEnd {
-				enrolled = !enrolled
-				mean := dormMean
-				if enrolled {
-					mean = activeMean
-				}
-				epochEnd = t + r.ExpFloat64()*mean
-				available = enrolled && available
-			}
-			if !enrolled {
-				t = math.Min(epochEnd, length)
-				available = false
-				first = true
-				continue
-			}
-			if available {
-				d := availSampler.Sample(r.Rand)
-				if first {
-					d *= r.Float64() // stationary residual approximation
-				}
-				end := math.Min(t+d, length)
-				if participation < 1 {
-					end = math.Min(end, epochEnd)
-				}
-				if end > t {
-					node.Intervals = append(node.Intervals, Interval{Start: t, End: end})
-				}
-				t = end
-			} else {
-				d := unavailSampler.Sample(r.Rand) * gamma * mod.unavailFactor(t, withinDuty)
-				if first {
-					d *= r.Float64()
-				}
-				t += d
-			}
-			available = !available
-			first = false
-		}
-		return node
+	if participation < 1 {
+		rn.withinDuty = math.Min(d0/participation, 0.995)
 	}
 
 	tr := &Trace{Name: p.Name, Length: length, Nodes: make([]*Node, pool)}
+	for id := range tr.Nodes {
+		r := root.ForkN("node", id)
+		g := &nodeGen{renewal: rn, r: r, first: true}
+		node := &Node{ID: id, Power: p.Power.Sample(r.Rand), gen: g}
+		g.enrolled = participation >= 1 || r.Float64() < participation
+		g.epochEnd = length
+		if participation < 1 {
+			mean := rn.dormMean
+			if g.enrolled {
+				mean = rn.activeMean
+			}
+			g.epochEnd = r.ExpFloat64() * mean // memoryless residual
+		}
+		g.available = g.enrolled && r.Float64() < rn.withinDuty
+		g.pub.Store(&nothingDrawn)
+		tr.Nodes[id] = node
+	}
+	return tr
+}
+
+// extend draws until the node has want periods or its process reaches the
+// trace length, and returns the published prefix. It draws at least as many
+// periods again as the node already has, so reading a node ever deeper takes
+// the mutex a logarithmic number of times.
+func (g *nodeGen) extend(want int) *prefix {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	p := g.pub.Load()
+	if len(p.ivs) >= want || p.done {
+		return p
+	}
+	want = max(want, 2*len(p.ivs))
+	ivs, r := p.ivs, g.r
+	for g.t < g.length && len(ivs) < want {
+		if g.participation < 1 && g.t >= g.epochEnd {
+			g.enrolled = !g.enrolled
+			mean := g.dormMean
+			if g.enrolled {
+				mean = g.activeMean
+			}
+			g.epochEnd = g.t + r.ExpFloat64()*mean
+			g.available = g.enrolled && g.available
+		}
+		if !g.enrolled {
+			g.t = math.Min(g.epochEnd, g.length)
+			g.available = false
+			g.first = true
+			continue
+		}
+		if g.available {
+			d := g.avail.Sample(r.Rand)
+			if g.first {
+				d *= r.Float64() // stationary residual approximation
+			}
+			end := math.Min(g.t+d, g.length)
+			if g.participation < 1 {
+				end = math.Min(end, g.epochEnd)
+			}
+			if end > g.t {
+				ivs = append(ivs, Interval{Start: g.t, End: end})
+			}
+			g.t = end
+		} else {
+			d := g.unavail.Sample(r.Rand) * g.gamma * g.mod.unavailFactor(g.t, g.withinDuty)
+			if g.first {
+				d *= r.Float64()
+			}
+			g.t += d
+		}
+		g.available = !g.available
+		g.first = false
+	}
+	p = &prefix{ivs: ivs, done: g.t >= g.length}
+	g.pub.Store(p)
+	return p
+}
+
+// Generate implements Source. It builds, for each node, an alternating
+// renewal process: availability durations drawn from the published
+// quartile distribution, unavailability durations scaled to match the duty
+// cycle and modulated by a shared mean-reverting process that reproduces
+// the node-count variability of the original traces (diurnal volunteer
+// churn, grid job bursts). It is Open drawn to the end: nodes are drawn
+// concurrently, each from its own stream, so the trace is bit-identical at
+// any worker count, and it is returned materialised, the generators dropped.
+func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
+	tr := p.Open(seed, length, pool)
+	pool = len(tr.Nodes)
 	chunks := (pool + genChunk - 1) / genChunk
 	workers := min(runtime.GOMAXPROCS(0), chunks)
 	var next atomic.Int64 // the next unclaimed chunk
@@ -339,8 +480,8 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
 				if lo >= pool {
 					return
 				}
-				for id, hi := lo, min(lo+genChunk, pool); id < hi; id++ {
-					tr.Nodes[id] = generate(id)
+				for _, n := range tr.Nodes[lo:min(lo+genChunk, pool)] {
+					n.Intervals, n.gen = n.all(), nil
 				}
 			}
 		}()
