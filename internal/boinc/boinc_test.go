@@ -10,16 +10,15 @@ import (
 )
 
 type recorder struct {
-	assigned  map[int]int
 	completed map[int]int
 	compTimes map[int]float64
 	batchDone float64
 }
 
 func newRecorder() *recorder {
-	return &recorder{assigned: map[int]int{}, completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
+	return &recorder{completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
 }
-func (r *recorder) TaskAssigned(b string, id int, at float64) { r.assigned[id]++ }
+func (r *recorder) TaskAssigned(string, int, float64) {}
 func (r *recorder) TaskCompleted(b string, id int, at float64) {
 	r.completed[id]++
 	r.compTimes[id] = at
@@ -198,41 +197,6 @@ func TestLateResultStillCounts(t *testing.T) {
 	}
 }
 
-func TestProgressCounters(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 100)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	s.WorkerJoin(&middleware.Worker{ID: 2, Power: 1})
-	eng.RunUntil(50)
-	p := s.Progress("b")
-	// Both workers hold replicas of wu0 (FIFO): wu0 running, wu1 queued.
-	if p.Size != 2 || p.Running != 1 || p.Queued != 1 || p.EverAssigned != 1 {
-		t.Fatalf("mid progress: %+v", p)
-	}
-	eng.Run()
-	p = s.Progress("b")
-	if p.Completed != 2 || p.Running != 0 || p.Queued != 0 {
-		t.Fatalf("final progress: %+v", p)
-	}
-}
-
-func TestDedicatedCloudWorkerMatchmaking(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "other", Tasks: tasks(100)})
-	s.Submit(middleware.Batch{ID: "mine", Tasks: tasks(100)})
-	s.WorkerJoin(middleware.NewCloudWorker(0, 1, "mine"))
-	s.WorkerJoin(middleware.NewCloudWorker(1, 1, "mine"))
-	eng.Run()
-	if !s.Done("mine") {
-		t.Fatal("dedicated batch not completed")
-	}
-	if s.Done("other") {
-		t.Fatal("dedicated workers served a foreign batch")
-	}
-}
-
 func TestRescheduleExtraReplica(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
@@ -278,19 +242,6 @@ func TestMarkCompletedSatisfiesQuorum(t *testing.T) {
 	}
 }
 
-func TestIncompleteSnapshot(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 100, 100)})
-	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-	s.WorkerJoin(&middleware.Worker{ID: 2, Power: 1})
-	eng.RunUntil(150) // wu0 done at 100
-	inc := s.Incomplete("b")
-	if len(inc) != 2 {
-		t.Fatalf("incomplete = %d, want 2", len(inc))
-	}
-}
-
 // Churn stress: with a pair of stable workers plus heavy volatile churn,
 // every workunit must complete exactly once and every completed workunit
 // must have reached quorum through distinct workers.
@@ -328,11 +279,11 @@ func TestChurnStressInvariants(t *testing.T) {
 				return false
 			}
 		}
-		for _, wu := range s.batches["b"].wus {
-			if wu.results < s.cfg.MinQuorum {
+		for _, wu := range s.Tasks("b") {
+			if wu.M.results < s.cfg.MinQuorum {
 				return false
 			}
-			if len(wu.returned) < s.cfg.MinQuorum {
+			if len(wu.M.returned) < s.cfg.MinQuorum {
 				return false
 			}
 		}
@@ -342,18 +293,6 @@ func TestChurnStressInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestDuplicateBatchPanics(t *testing.T) {
-	eng := sim.NewEngine()
-	s := New(eng, DefaultConfig())
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Submit did not panic")
-		}
-	}()
-	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
 }
 
 func TestConfigValidation(t *testing.T) {

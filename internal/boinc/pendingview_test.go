@@ -10,11 +10,23 @@ import (
 	"spequlos/internal/sim"
 )
 
-// scanPending is the reference firstPending is held to: the scan over the
+// scanPending is the reference FirstQueued is held to: the scan over the
 // whole pending queue under the full eligibility filter, batch dedication
 // included — what every worker was answered from before the per-batch view.
 func scanPending(s *Server, w *middleware.Worker) *workunit {
-	return s.pending.First(func(wu *workunit) bool { return s.eligible(w, wu) })
+	return s.pending.First(func(wu *workunit) bool {
+		return (w.DedicatedBatch == "" || wu.Batch.Spec.ID == w.DedicatedBatch) && s.MayDuplicate(w, wu)
+	})
+}
+
+// dedicatedBatch resolves, as the frame does before it asks FirstQueued, the
+// batch the worker is dedicated to (nil for a free worker). Every batch of the
+// scenario exists and has workunits.
+func dedicatedBatch(s *Server, w *middleware.Worker) *batch {
+	if w.DedicatedBatch == "" {
+		return nil
+	}
+	return s.Tasks(w.DedicatedBatch)[0].Batch
 }
 
 // viewChecker compares the two answers for every worker it knows, after each
@@ -30,9 +42,9 @@ func (c *viewChecker) check() {
 	c.t.Helper()
 	for _, w := range c.workers {
 		c.checks++
-		if got, want := c.s.firstPending(w), scanPending(c.s, w); got != want {
+		if got, want := c.s.FirstQueued(w, dedicatedBatch(c.s, w)), scanPending(c.s, w); got != want {
 			c.t.Fatalf("t=%v worker %d (batch %q): the view finds %v, the scan %v",
-				c.s.eng.Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
+				c.s.Eng.Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
 		}
 	}
 }
@@ -41,7 +53,7 @@ func describe(wu *workunit) string {
 	if wu == nil {
 		return "nothing"
 	}
-	return fmt.Sprintf("%s/%d", wu.batch.spec.ID, wu.spec.ID)
+	return fmt.Sprintf("%s/%d", wu.Batch.Spec.ID, wu.Spec.ID)
 }
 
 func (c *viewChecker) TaskAssigned(string, int, float64)  { c.check() }

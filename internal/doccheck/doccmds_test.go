@@ -1,0 +1,205 @@
+package doccheck
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// docCommand is one command of a fenced sh block that names a ./cmd/<name>
+// package: the binary, the flags passed to it (only a `go run` passes any)
+// and where the command starts.
+type docCommand struct {
+	line  int
+	cmd   string
+	flags []string
+}
+
+// docCommands extracts the commands naming ./cmd/<name> from the fenced sh
+// blocks of a markdown document. Backslash continuations are joined, a
+// trailing # comment is dropped, and a line is split at && | and ; so each
+// command is looked at alone.
+func docCommands(doc string) []docCommand {
+	var out []docCommand
+	inSh, pending, start := false, "", 0
+	for i, line := range strings.Split(doc, "\n") {
+		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "```"); ok {
+			inSh = !inSh && rest == "sh"
+			pending = ""
+			continue
+		}
+		if !inSh {
+			continue
+		}
+		if pending == "" {
+			start = i + 1
+		}
+		code, _, _ := strings.Cut(line, " #")
+		code = strings.TrimSpace(code)
+		pending += strings.TrimSuffix(code, `\`) + " "
+		if strings.HasSuffix(code, `\`) {
+			continue
+		}
+		for _, part := range strings.FieldsFunc(pending, func(r rune) bool { return r == '|' || r == ';' || r == '&' }) {
+			words := strings.Fields(part)
+			goRun := len(words) > 2 && words[0] == "go" && words[1] == "run"
+			for k, w := range words {
+				name, ok := strings.CutPrefix(w, "./cmd/")
+				if !ok || name == "..." {
+					continue
+				}
+				c := docCommand{line: start, cmd: name}
+				if goRun {
+					c.flags = flagNames(words[k+1:])
+				}
+				out = append(out, c)
+				if goRun {
+					break // the rest of the line is the binary's arguments
+				}
+			}
+		}
+		pending = ""
+	}
+	return out
+}
+
+// flagNames returns the flags among a binary's arguments, without dashes and
+// without an =value; a negative number is a value, not a flag.
+func flagNames(args []string) []string {
+	var names []string
+	for _, arg := range args {
+		name := strings.TrimLeft(arg, "-")
+		if _, err := strconv.ParseFloat(arg, 64); err == nil || name == arg || name == "" {
+			continue
+		}
+		name, _, _ = strings.Cut(name, "=")
+		names = append(names, name)
+	}
+	return names
+}
+
+// definedFlags collects, without running anything, the flags a command
+// defines on the default flag set: the name argument of every flag.<Type>
+// and flag.<Type>Var call in the non-test files of its directory.
+func definedFlags(dir string) (map[string]bool, error) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, dir, func(fi os.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	flags := map[string]bool{"h": true, "help": true} // package flag's own
+	for _, pkg := range pkgs {
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "flag" {
+					return true
+				}
+				arg := 0
+				if strings.HasSuffix(sel.Sel.Name, "Var") {
+					arg = 1 // flag.IntVar(&v, "name", …), flag.Var(v, "name", …)
+				}
+				if arg < len(call.Args) {
+					if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						if name, err := strconv.Unquote(lit.Value); err == nil {
+							flags[name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return flags, nil
+}
+
+// checkDocCommands reports every command of the document that names a cmd/
+// directory that does not exist under root, or passes its binary a flag the
+// binary does not define. It returns the number of commands it looked at.
+func checkDocCommands(root, docName, doc string) (findings []string, commands int) {
+	defined := map[string]map[string]bool{}
+	for _, c := range docCommands(doc) {
+		commands++
+		dir := filepath.Join(root, "cmd", c.cmd)
+		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+			findings = append(findings, fmt.Sprintf("%s:%d: ./cmd/%s does not exist", docName, c.line, c.cmd))
+			continue
+		}
+		if defined[c.cmd] == nil {
+			flags, err := definedFlags(dir)
+			if err != nil {
+				findings = append(findings, fmt.Sprintf("%s:%d: parsing cmd/%s: %v", docName, c.line, c.cmd, err))
+				continue
+			}
+			defined[c.cmd] = flags
+		}
+		for _, f := range c.flags {
+			if !defined[c.cmd][f] {
+				findings = append(findings, fmt.Sprintf("%s:%d: %s defines no flag -%s", docName, c.line, c.cmd, f))
+			}
+		}
+	}
+	return findings, commands
+}
+
+// TestDocCommandsMatchBinaries fails when a fenced sh command of README.md or
+// EXPERIMENTS.md runs a ./cmd/<name> that does not exist or passes it a flag
+// it does not define: flags come and go (PR 18 alone removed eight) and
+// nothing else checks that the documents followed. Fix the document, not
+// this test.
+func TestDocCommandsMatchBinaries(t *testing.T) {
+	root := "../.."
+	total := 0
+	for _, name := range []string{"README.md", "EXPERIMENTS.md"} {
+		doc, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		findings, n := checkDocCommands(root, name, string(doc))
+		for _, f := range findings {
+			t.Error(f)
+		}
+		total += n
+	}
+	if total < 10 {
+		t.Fatalf("only %d commands found: the sh blocks are not being read", total)
+	}
+
+	// Not vacuous: a flag PR 18 removed, a binary that never existed, a flag
+	// after a continuation and one behind a pipe are all caught; a negative
+	// number, a build line's other packages and a non-sh block are not.
+	stale := "```sh\n" +
+		"go run ./cmd/spequlos-bench -profile quick -bench-json out.json   # removed\n" +
+		"go run ./cmd/spequlos-sim -profile quick \\\n    -explain\n" +
+		"go run ./cmd/spequlos-view -out x\n" +
+		"cat x | go run ./cmd/tracegen --days=3 -csvs y\n" +
+		"go run ./cmd/spequlos-load -pace -1 -max-orders 0\n" +
+		"go build -o /tmp/bin/ ./cmd/spequlos-bench ./cmd/spequlos-sim\n" +
+		"```\n```\ngo run ./cmd/nothing -x\n```\n"
+	want := []string{
+		"doc.md:2: spequlos-bench defines no flag -bench-json",
+		"doc.md:3: spequlos-sim defines no flag -explain",
+		"doc.md:5: ./cmd/spequlos-view does not exist",
+		"doc.md:6: tracegen defines no flag -csvs",
+	}
+	got, n := checkDocCommands(root, "doc.md", stale)
+	if n != 7 || strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("on the stale document: %d commands, findings\n%s\nwant 7 commands and\n%s",
+			n, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}

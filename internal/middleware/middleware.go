@@ -1,9 +1,10 @@
 // Package middleware defines the shared model of Desktop Grid middleware
 // (§2.2 of the paper): a server that schedules tasks, workers that pull and
-// execute them, and the progress counters SpeQuloS monitors. The two
-// concrete middleware — BOINC (internal/boinc) and XtremWeb-HEP
-// (internal/xwhep) — implement the Server interface with their respective
-// volatility-handling mechanisms (replication + deadlines vs heartbeats).
+// execute them, and the progress counters SpeQuloS monitors. The concrete
+// middleware — BOINC (internal/boinc), XtremWeb-HEP (internal/xwhep) and
+// Condor (internal/condor) — implement the Server interface by embedding the
+// Frame of this package and handing it their volatility-handling Mechanism
+// (replication + deadlines vs a single execution + failure detection).
 package middleware
 
 import (

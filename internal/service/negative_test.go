@@ -2,6 +2,7 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -248,5 +249,80 @@ func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
 	}
 	if has, err := st.CreditClient.HasCredits("b2"); err != nil || has {
 		t.Fatalf("refused batch still holds an open order (%v, %v)", has, err)
+	}
+}
+
+// failNthLaunch is a cloud.Driver whose nth Launch is refused (a provider
+// quota, a transient API error); every other call reaches the wrapped driver.
+type failNthLaunch struct {
+	cloud.Driver
+	nth, launches int
+}
+
+func (d *failNthLaunch) Launch(req cloud.LaunchRequest) (cloud.InstanceInfo, error) {
+	if d.launches++; d.launches == d.nth {
+		return cloud.InstanceInfo{}, errors.New("quota")
+	}
+	return d.Driver.Launch(req)
+}
+
+// TestPartialLaunchRetriesOnlyTheShortfall is the regression test for the
+// doubled fleet: a launch loop cut short by a driver error kept the instances
+// already launched and left the batch not Started, and the next tick launched
+// the Oracle's whole plan on top of them — 7 live instances, all billed, for
+// a plan of 5. A plan to start n now launches n minus the batch's live
+// instances. Started and TriggeredAt are set when the plan is met, not on the
+// first successful launch: until then the batch keeps asking the Oracle, which
+// is what gets the shortfall launched.
+func TestPartialLaunchRetriesOnlyTheShortfall(t *testing.T) {
+	dg := &scriptedDG{size: 100}
+	ec2 := cloud.NewMockEC2()
+	stack := NewTestStack(StackConfig{
+		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9},
+			Sizing: core.Conservative{}, Deploy: core.Reschedule},
+		Registry: cloud.NewRegistry(&failNthLaunch{Driver: ec2, nth: 3}),
+		DG:       dg,
+	})
+	defer stack.Close()
+	now := time.Unix(1_700_000_000, 0)
+	stack.SetClock(func() time.Time { return now })
+	ec2.SetClock(func() time.Time { return now })
+
+	stack.CreditClient.Deposit("u", 1000)
+	// 80 credits are 5.3 CPU·hours and the batch is seconds from done at its
+	// current rate: Conservative plans 5 workers, on both ticks.
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{
+		User: "u", BatchID: "b", EnvKey: "e", Size: 100,
+		Credits: 80, Provider: "ec2", Image: "img",
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dg.set(95, 100)
+	now = now.Add(time.Minute)
+	if err := stack.Scheduler.Step(); err == nil || !strings.Contains(err.Error(), "quota") {
+		t.Fatalf("first tick: error %v, want the driver's quota refusal", err)
+	}
+	st, _ := stack.Scheduler.Status("b")
+	if got := len(ec2.List()); got != 2 || st.Started || st.TriggeredAt != -1 {
+		t.Fatalf("after the refused launch: %d live, status %+v; want 2 live, not started", got, st)
+	}
+	now = now.Add(time.Minute)
+	if err := stack.Scheduler.Step(); err != nil {
+		t.Fatal(err)
+	}
+	st, _ = stack.Scheduler.Status("b")
+	if got := len(ec2.List()); got != 5 || len(st.Instances) != 5 {
+		t.Fatalf("%d instances live (%d managed) for a plan of 5", got, len(st.Instances))
+	}
+	if !st.Started || st.TriggeredAt != 120 {
+		t.Fatalf("plan met on the second tick: %+v, want started, triggered at 120", st)
+	}
+	// Started: no further plan is asked for, so nothing more is launched.
+	now = now.Add(time.Minute)
+	if err := stack.Scheduler.Step(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(ec2.List()); got != 5 {
+		t.Fatalf("%d instances live after a third tick", got)
 	}
 }

@@ -606,7 +606,10 @@ func (s *SchedulerService) apply(tb *tickBatch, now time.Time) error {
 	if err != nil {
 		return err
 	}
-	for i := 0; i < tb.plan.Workers; i++ {
+	// A plan to start n is met by n live instances. A launch that failed on
+	// an earlier tick left the ones before it running and billed and the
+	// batch not Started, so the Oracle is asked again: launch the shortfall.
+	for n := tb.plan.Workers - len(liveInstances(qb)); n > 0; n-- {
 		info, err := driver.Launch(cloud.LaunchRequest{
 			Image: qb.Image, BatchID: qb.ID, DGServer: s.dg.WorkerURL(),
 		})

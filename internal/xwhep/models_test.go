@@ -30,7 +30,7 @@ type model struct {
 func (m model) start() (*sim.Engine, *xwhep.Server, *recorder) {
 	eng := sim.NewEngine()
 	s := m.new(eng)
-	rec := &recorder{assigned: map[int]int{}, completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
+	rec := &recorder{completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
 	s.AddListener(rec)
 	return eng, s, rec
 }
@@ -43,13 +43,12 @@ func eachModel(t *testing.T, scenario func(t *testing.T, m model)) {
 }
 
 type recorder struct {
-	assigned  map[int]int
 	completed map[int]int
 	compTimes map[int]float64
 	batchDone float64
 }
 
-func (r *recorder) TaskAssigned(b string, id int, at float64) { r.assigned[id]++ }
+func (r *recorder) TaskAssigned(string, int, float64) {}
 func (r *recorder) TaskCompleted(b string, id int, at float64) {
 	r.completed[id]++
 	r.compTimes[id] = at
@@ -234,39 +233,6 @@ func TestFirstResultWinsOverDuplicate(t *testing.T) {
 		}
 		if rec.completed[0] != 1 {
 			t.Fatalf("task completed %d times", rec.completed[0])
-		}
-	})
-}
-
-func TestMarkCompleted(t *testing.T) {
-	eachModel(t, func(t *testing.T, m model) {
-		eng, s, rec := m.start()
-		s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000, 1000)})
-		s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-		eng.RunUntil(100)
-		if got := len(s.Incomplete("b")); got != 2 {
-			t.Fatalf("incomplete = %d", got)
-		}
-		eng.At(500, func() {
-			s.MarkCompleted("b", 0)  // external result for the running task
-			s.MarkCompleted("b", 0)  // idempotent
-			s.MarkCompleted("b", 99) // unknown id ignored
-			s.MarkCompleted("zz", 0) // unknown batch ignored
-		})
-		eng.Run()
-		// Task 0 completed externally at 500; worker freed, runs task 1 until
-		// 1500.
-		if rec.compTimes[0] != 500 || rec.compTimes[1] != 1500 {
-			t.Fatalf("completion times %v", rec.compTimes)
-		}
-		if rec.batchDone != 1500 {
-			t.Fatalf("batch done at %v", rec.batchDone)
-		}
-		if !s.Done("b") {
-			t.Fatal("batch incomplete")
-		}
-		if p := s.Progress("b"); p.Completed != 2 || p.Running != 0 {
-			t.Fatalf("progress: %+v", p)
 		}
 	})
 }

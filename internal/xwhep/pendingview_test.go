@@ -10,12 +10,12 @@ import (
 	"spequlos/internal/sim"
 )
 
-// scanQueued is the reference firstQueued is held to: the scan over both
+// scanQueued is the reference FirstQueued is held to: the scan over both
 // whole queues under the dedication filter — what every worker was answered
 // from before the per-batch views.
 func scanQueued(s *Server, w *middleware.Worker) *xtask {
 	match := func(t *xtask) bool {
-		return w.DedicatedBatch == "" || t.batch.spec.ID == w.DedicatedBatch
+		return w.DedicatedBatch == "" || t.Batch.Spec.ID == w.DedicatedBatch
 	}
 	if t := s.priority.First(match); t != nil {
 		return t
@@ -36,18 +36,28 @@ func (c *viewChecker) check() {
 	c.t.Helper()
 	for _, w := range c.workers {
 		c.checks++
-		if got, want := c.s.firstQueued(w), scanQueued(c.s, w); got != want {
+		if got, want := c.s.FirstQueued(w, dedicatedBatch(c.s, w)), scanQueued(c.s, w); got != want {
 			c.t.Fatalf("t=%v worker %d (batch %q): the views find %v, the scan %v",
-				c.s.eng.Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
+				c.s.Eng.Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
 		}
 	}
+}
+
+// dedicatedBatch resolves, as the frame does before it asks FirstQueued, the
+// batch the worker is dedicated to (nil for a free worker). Every batch of the
+// scenario exists and has tasks.
+func dedicatedBatch(s *Server, w *middleware.Worker) *batch {
+	if w.DedicatedBatch == "" {
+		return nil
+	}
+	return s.Tasks(w.DedicatedBatch)[0].Batch
 }
 
 func describe(t *xtask) string {
 	if t == nil {
 		return "nothing"
 	}
-	return fmt.Sprintf("%s/%d", t.batch.spec.ID, t.spec.ID)
+	return fmt.Sprintf("%s/%d", t.Batch.Spec.ID, t.Spec.ID)
 }
 
 func (c *viewChecker) TaskAssigned(string, int, float64)  { c.check() }
