@@ -3,7 +3,7 @@
 // (they can equally be split across hosts; every module only talks to the
 // others through their HTTP APIs).
 //
-//	spequlosd -addr :8080 -strategy 9C-C-R -provider ec2
+//	spequlosd -addr :8080 -strategy 9C-C-R -period 1m
 //
 // Routes:
 //
@@ -13,9 +13,10 @@
 //	/scheduler/…     QoS registration, monitor loop, instances
 //	/healthz
 //
-// Without a real Desktop Grid attached, the daemon uses a demo gateway
-// whose batches progress linearly over wall time (-demo-duration); point
-// -dg-url at a BOINC/XWHEP status endpoint adapter to drive a real DG.
+// The daemon's Desktop Grid is a demo gateway whose batches progress
+// linearly over wall time (-demo-duration). Driving a real DG means giving
+// service.NewSchedulerService a DGGateway written against the BOINC/XWHEP
+// server's status API; the daemon has no flag for one.
 //
 // To drive these same four modules from a fully simulated Desktop Grid —
 // a BOINC/XWHEP/Condor batch generated from the paper's availability

@@ -162,16 +162,23 @@ func (cs *CreditSystem) OrderQoS(user, batchID string, credits float64) error {
 	return nil
 }
 
-// HasCredits reports whether the batch has an open order with credits left
-// (Algorithm 1's CreditSystem.hasCredits).
-func (cs *CreditSystem) HasCredits(batchID string) bool {
-	o, ok := cs.orderOf(batchID)
+// Lookup returns the batch's order, whether there is one, and whether it is
+// open with credits left (Algorithm 1's CreditSystem.hasCredits), all as of
+// one instant.
+func (cs *CreditSystem) Lookup(batchID string) (o Order, found, hasCredits bool) {
+	e, ok := cs.orderOf(batchID)
 	if !ok {
-		return false
+		return Order{}, false, false
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return !o.Closed && o.Remaining() > 1e-9
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.Order, true, !e.Closed && e.Remaining() > 1e-9
+}
+
+// HasCredits reports whether the batch has an open order with credits left.
+func (cs *CreditSystem) HasCredits(batchID string) bool {
+	_, _, has := cs.Lookup(batchID)
+	return has
 }
 
 // Bill charges cloud usage against the batch's order (Algorithm 2's
@@ -204,6 +211,22 @@ func (cs *CreditSystem) Bill(batchID string, credits float64) (billed float64, e
 	return billed, exhausted, nil
 }
 
+// BillAll applies one batch's charges in order and stops at the first that
+// fails or runs the order dry: applied counts them from the first, including
+// the one that ran dry. The amounts are applied one by one, never summed.
+func (cs *CreditSystem) BillAll(batchID string, charges []float64) (applied int, exhausted bool, err error) {
+	for _, c := range charges {
+		if _, exhausted, err = cs.Bill(batchID, c); err != nil {
+			return applied, false, err
+		}
+		applied++
+		if exhausted {
+			break
+		}
+	}
+	return applied, exhausted, nil
+}
+
 // Pay closes the order and refunds unspent credits to the user (§3.3: "If
 // the BoT execution was completed before all the credits have been spent,
 // the Credit System transfers back the remaining credits").
@@ -229,13 +252,8 @@ func (cs *CreditSystem) Pay(batchID string) (refund float64, err error) {
 
 // OrderOf returns a copy of the batch's order.
 func (cs *CreditSystem) OrderOf(batchID string) (Order, bool) {
-	o, ok := cs.orderOf(batchID)
-	if !ok {
-		return Order{}, false
-	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.Order, true
+	o, found, _ := cs.Lookup(batchID)
+	return o, found
 }
 
 // Users lists known accounts, sorted.

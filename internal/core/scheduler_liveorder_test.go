@@ -36,8 +36,8 @@ func (s *scriptedServer) complete(id string, at float64, withBatchEvent bool) {
 
 func liveOrderIDs(svc *Service) []string {
 	var ids []string
-	for _, qb := range svc.order {
-		ids = append(ids, qb.id)
+	for _, qb := range svc.mon.Order {
+		ids = append(ids, qb.ID)
 	}
 	return ids
 }
@@ -75,7 +75,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	// b completes between ticks and is finalized by its completion event.
 	eng.At(90, func() { srv.complete("b", 90, true) })
 	eng.RunUntil(91)
-	if !svc.batches["b"].finalized {
+	if !svc.batches["b"].Finalized {
 		t.Fatal("b not finalized by its completion event")
 	}
 	pollsB := srv.polls["b"]
@@ -110,7 +110,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	// tick finalizes it, the one after drops it.
 	eng.At(200, func() { srv.complete("c", 200, false) })
 	eng.RunUntil(241)
-	if !svc.batches["c"].finalized {
+	if !svc.batches["c"].Finalized {
 		t.Fatal("c not finalized by the tick after its completion")
 	}
 	wantOrder("after the tick that finalized c", "a", "c")

@@ -99,8 +99,8 @@ func TestFlatCannotHelpWithoutQueuedTasks(t *testing.T) {
 	}
 	// All instances were stopped as idle before completion.
 	for _, qb := range svc.batches {
-		for _, inst := range qb.instances {
-			if inst.Running() {
+		for _, inst := range qb.Instances {
+			if inst.Live() || inst.Sim.Running() {
 				t.Fatal("idle flat instance not stopped by Greedy")
 			}
 		}
@@ -298,9 +298,9 @@ func TestMultiBoTArbitration(t *testing.T) {
 	}
 	// Cloud workers were dedicated: no instance of batch a served batch b.
 	for id, qb := range svc.batches {
-		for _, inst := range qb.instances {
-			if inst.Worker.DedicatedBatch != id {
-				t.Fatalf("instance for %s dedicated to %s", id, inst.Worker.DedicatedBatch)
+		for _, inst := range qb.Instances {
+			if inst.Sim.Worker.DedicatedBatch != id {
+				t.Fatalf("instance for %s dedicated to %s", id, inst.Sim.Worker.DedicatedBatch)
 			}
 		}
 	}

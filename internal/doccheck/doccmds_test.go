@@ -128,12 +128,12 @@ func definedFlags(dir string) (map[string]bool, error) {
 	return flags, nil
 }
 
-// checkDocCommands reports every command of the document that names a cmd/
+// checkDocCommands reports every one of a document's commands that names a cmd/
 // directory that does not exist under root, or passes its binary a flag the
 // binary does not define. It returns the number of commands it looked at.
-func checkDocCommands(root, docName, doc string) (findings []string, commands int) {
+func checkDocCommands(root, docName string, cmds []docCommand) (findings []string, commands int) {
 	defined := map[string]map[string]bool{}
-	for _, c := range docCommands(doc) {
+	for _, c := range cmds {
 		commands++
 		dir := filepath.Join(root, "cmd", c.cmd)
 		if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
@@ -157,27 +157,153 @@ func checkDocCommands(root, docName, doc string) (findings []string, commands in
 	return findings, commands
 }
 
-// TestDocCommandsMatchBinaries fails when a fenced sh command of README.md or
-// EXPERIMENTS.md runs a ./cmd/<name> that does not exist or passes it a flag
-// it does not define: flags come and go (PR 18 alone removed eight) and
-// nothing else checks that the documents followed. Fix the document, not
-// this test.
+// binaryNamed returns the first word of a command that is one of the
+// binaries — bare, as ./name or as ./cmd/name — as its index and the binary's
+// name, or -1.
+func binaryNamed(words []string, binaries map[string]map[string]bool) (int, string) {
+	for i, w := range words {
+		if name := strings.TrimPrefix(strings.TrimPrefix(w, "./"), "cmd/"); binaries[name] != nil {
+			return i, name
+		}
+	}
+	return -1, ""
+}
+
+// checkProseFlags reports the flags a document's prose gives a binary that
+// the binary does not define. Prose is read one paragraph or list item at a
+// time, fenced blocks left out; in one that names a binary in a code span, a
+// span that runs the binary (`name -flag …`) is checked against it, and a
+// span that is only flags (`-flag`, `-flag value -other`) against every binary
+// the paragraph names. Spans that run anything else are not looked at.
+func checkProseFlags(docName, doc string, binaries map[string]map[string]bool) (findings []string) {
+	var block []string
+	start := 0
+	flush := func() {
+		var named []string
+		var bare []string // flags of spans that are only flags
+		for i, span := range strings.Split(strings.Join(block, " "), "`") {
+			words := strings.Fields(span)
+			if i%2 == 0 || len(words) == 0 {
+				continue // outside a code span
+			}
+			if k, name := binaryNamed(words, binaries); k >= 0 {
+				named = append(named, name)
+				for _, f := range flagNames(words[k+1:]) {
+					if !binaries[name][f] {
+						findings = append(findings, fmt.Sprintf("%s:%d: %s defines no flag -%s", docName, start, name, f))
+					}
+				}
+			} else if strings.HasPrefix(words[0], "-") {
+				for _, w := range words {
+					// `-a`/`-b` and `-profile x|y` are flags and values.
+					bare = append(bare, flagNames(strings.Split(w, "/"))...)
+				}
+			}
+		}
+		for _, f := range bare {
+			ok := len(named) == 0
+			for _, name := range named {
+				ok = ok || binaries[name][f]
+			}
+			if !ok {
+				findings = append(findings, fmt.Sprintf("%s:%d: %s defines no flag -%s", docName, start, strings.Join(named, ", "), f))
+			}
+		}
+		block = block[:0]
+	}
+	fenced := false
+	for i, line := range strings.Split(doc, "\n") {
+		trimmed := strings.TrimSpace(line)
+		switch {
+		case strings.HasPrefix(trimmed, "```"):
+			fenced = !fenced
+			flush()
+			continue
+		case fenced:
+			continue
+		case trimmed == "" || strings.HasPrefix(line, "- "):
+			flush()
+		}
+		if len(block) == 0 {
+			start = i + 1
+		}
+		block = append(block, trimmed)
+	}
+	flush()
+	return findings
+}
+
+// packageCommentCommands returns the indented command lines of the package
+// comment of cmd/<name>/main.go that run the binary itself.
+func packageCommentCommands(root, name string) ([]docCommand, error) {
+	fset := token.NewFileSet()
+	file, err := parser.ParseFile(fset, filepath.Join(root, "cmd", name, "main.go"), nil,
+		parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil || file.Doc == nil {
+		return nil, err
+	}
+	var out []docCommand
+	for _, c := range file.Doc.List {
+		// An indented line of a // comment is preformatted text.
+		line, ok := strings.CutPrefix(c.Text, "//\t")
+		if words := strings.Fields(line); ok && len(words) > 0 && words[0] == name {
+			out = append(out, docCommand{line: fset.Position(c.Pos()).Line, cmd: name, flags: flagNames(words[1:])})
+		}
+	}
+	return out, nil
+}
+
+// TestDocCommandsMatchBinaries fails when a document runs a ./cmd/<name> that
+// does not exist or gives a binary a flag it does not define: flags come and
+// go (PR 18 alone removed eight) and nothing else checks that the documents
+// followed. It reads the fenced sh commands of README.md and EXPERIMENTS.md,
+// the flags README.md's prose gives a binary it names, and the command lines
+// in each binary's own package comment. Fix the document, not this test.
 func TestDocCommandsMatchBinaries(t *testing.T) {
 	root := "../.."
-	total := 0
-	for _, name := range []string{"README.md", "EXPERIMENTS.md"} {
-		doc, err := os.ReadFile(filepath.Join(root, name))
-		if err != nil {
+	dirs, err := os.ReadDir(filepath.Join(root, "cmd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	binaries := map[string]map[string]bool{}
+	for _, d := range dirs {
+		if binaries[d.Name()], err = definedFlags(filepath.Join(root, "cmd", d.Name())); err != nil {
 			t.Fatal(err)
 		}
-		findings, n := checkDocCommands(root, name, string(doc))
+	}
+	total := 0
+	check := func(docName string, cmds []docCommand) {
+		findings, n := checkDocCommands(root, docName, cmds)
 		for _, f := range findings {
 			t.Error(f)
 		}
 		total += n
 	}
+	for _, name := range []string{"README.md", "EXPERIMENTS.md"} {
+		doc, err := os.ReadFile(filepath.Join(root, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(name, docCommands(string(doc)))
+		if name == "README.md" {
+			for _, f := range checkProseFlags(name, string(doc), binaries) {
+				t.Error(f)
+			}
+		}
+	}
 	if total < 10 {
 		t.Fatalf("only %d commands found: the sh blocks are not being read", total)
+	}
+	inComments := total
+	for name := range binaries {
+		cmds, err := packageCommentCommands(root, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("cmd/"+name+"/main.go", cmds)
+	}
+	if total-inComments < 3 {
+		t.Fatalf("only %d commands found in package comments: they are not being read", total-inComments)
 	}
 
 	// Not vacuous: a flag PR 18 removed, a binary that never existed, a flag
@@ -197,9 +323,26 @@ func TestDocCommandsMatchBinaries(t *testing.T) {
 		"doc.md:5: ./cmd/spequlos-view does not exist",
 		"doc.md:6: tracegen defines no flag -csvs",
 	}
-	got, n := checkDocCommands(root, "doc.md", stale)
+	got, n := checkDocCommands(root, "doc.md", docCommands(stale))
 	if n != 7 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("on the stale document: %d commands, findings\n%s\nwant 7 commands and\n%s",
 			n, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// Nor in prose: the daemon flag README.md advertised for years without
+	// the daemon defining it, a flag of the wrong binary, and a flag inside a
+	// span that runs the binary are caught; flags in a paragraph that names no
+	// binary, another tool's flags, and a fenced block are left alone.
+	staleProse := "- **`spequlosd`** — a demo DG gateway, or `-dg-url` for a real\n" +
+		"  adapter; `-keys\n  keys.json -rate N` gates it, `-cpuprofile`/`-period` too.\n" +
+		"\nRun `spequlos-sim -emulate -explain` or `bash bench/run.sh -seed 1`.\n" +
+		"\nPass `-anything` here.\n```sh\nspequlosd -nope\n```\n"
+	want = []string{
+		"doc.md:1: spequlosd defines no flag -dg-url",
+		"doc.md:1: spequlosd defines no flag -cpuprofile",
+		"doc.md:4: spequlos-sim defines no flag -explain",
+	}
+	if got := checkProseFlags("doc.md", staleProse, binaries); strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("on the stale prose: findings\n%s\nwant\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // Spec scopes one conformance campaign: the scenario subset to run through
-// both execution paths, and the tolerances of the comparison.
+// both execution paths.
 type Spec struct {
 	Profile     campaign.Profile
 	Middlewares []string
@@ -21,11 +21,6 @@ type Spec struct {
 	Strategies  []core.Strategy
 	// OffsetIndexes selects the submission offsets to emulate (default {0}).
 	OffsetIndexes []int
-	// CompletionTol is the relative completion-time tolerance (default 1%).
-	CompletionTol float64
-	// CreditsTol is the relative credits tolerance (default 1e-6: the two
-	// paths compute the same float expressions, so they agree to round-off).
-	CreditsTol float64
 	// Parallelism bounds concurrent emulated runs (0 = profile default).
 	Parallelism int
 	// Store, when non-nil, is reused for the simulator side: cells already
@@ -107,12 +102,6 @@ func (s Spec) withDefaults() Spec {
 	if len(s.OffsetIndexes) == 0 {
 		s.OffsetIndexes = []int{0}
 	}
-	if s.CompletionTol == 0 {
-		s.CompletionTol = 0.01
-	}
-	if s.CreditsTol == 0 {
-		s.CreditsTol = 1e-6
-	}
 	return s
 }
 
@@ -136,6 +125,14 @@ func (s Spec) scenarios() []campaign.Scenario {
 	}
 	return out
 }
+
+// The relative tolerances of the comparison: 1% on completion times, and
+// round-off on credits, which the two paths compute with the same float
+// expressions.
+const (
+	completionTol = 0.01
+	creditsTol    = 1e-6
+)
 
 // Metrics are the values both execution paths must agree on.
 type Metrics struct {
@@ -346,10 +343,10 @@ func (spec Spec) runCell(sc campaign.Scenario, store *campaign.ResultStore) Cell
 	}
 	cell.TriggerMatch = sameTrigger(cell.Sim.TriggeredAt, cell.Emul.TriggeredAt)
 	cell.InstancesMatch = cell.Sim.Instances == cell.Emul.Instances
-	cell.CreditsMatch = within(cell.Sim.CreditsBilled, cell.Emul.CreditsBilled, spec.CreditsTol)
+	cell.CreditsMatch = within(cell.Sim.CreditsBilled, cell.Emul.CreditsBilled, creditsTol)
 	cell.CompletionMatch = cell.Sim.Completed == cell.Emul.Completed &&
 		(!cell.Sim.Completed ||
-			within(cell.Sim.CompletionTime, cell.Emul.CompletionTime, spec.CompletionTol))
+			within(cell.Sim.CompletionTime, cell.Emul.CompletionTime, completionTol))
 	// Multi-batch cells conform batch by batch: the aggregate hiding a
 	// per-user divergence must not pass.
 	if len(cell.Sim.Batches) != len(cell.Emul.Batches) {
@@ -364,9 +361,9 @@ func (spec Spec) runCell(sc campaign.Scenario, store *campaign.ResultStore) Cell
 			sb, eb := cell.Sim.Batches[i], cell.Emul.Batches[i]
 			cell.TriggerMatch = cell.TriggerMatch && sameTrigger(sb.TriggeredAt, eb.TriggeredAt)
 			cell.InstancesMatch = cell.InstancesMatch && sb.Instances == eb.Instances
-			cell.CreditsMatch = cell.CreditsMatch && within(sb.CreditsBilled, eb.CreditsBilled, spec.CreditsTol)
+			cell.CreditsMatch = cell.CreditsMatch && within(sb.CreditsBilled, eb.CreditsBilled, creditsTol)
 			cell.CompletionMatch = cell.CompletionMatch && sb.Completed == eb.Completed &&
-				(!sb.Completed || within(sb.CompletionTime, eb.CompletionTime, spec.CompletionTol))
+				(!sb.Completed || within(sb.CompletionTime, eb.CompletionTime, completionTol))
 		}
 	}
 	cell.Pass = cell.TriggerMatch && cell.InstancesMatch && cell.CreditsMatch && cell.CompletionMatch

@@ -157,8 +157,8 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 	// The DG gateway: the simulated server behind the DGGateway HTTP
 	// interface, plus the cloud driver that turns Scheduler launches into
 	// simulated workers.
-	gw := NewSimDG(eng, primary, simCl, SimDGConfig{
-		Deploy: sc.Strategy.Deploy,
+	gw := NewSimDG(eng, primary, core.CloudDeployment{
+		Deploy: sc.Strategy.Deploy, Cloud: simCl,
 		CloudServerFactory: func() middleware.Server {
 			return xwhep.New(eng, xwhep.DefaultConfig())
 		},
@@ -171,7 +171,7 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 	// servers, every clock replaced by the virtual one.
 	stack := service.NewTestStack(service.StackConfig{
 		Strategy: *sc.Strategy,
-		Registry: cloud.NewRegistry(gw.Driver()),
+		Registry: cloud.NewRegistry(gw),
 		DG:       NewDGClient(dgSrv.URL),
 	})
 	defer stack.Close()
@@ -181,10 +181,7 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 		stack.Scheduler.TierPolicy = core.DefaultTierPolicy()
 		stack.Scheduler.TierPolicy.FleetCap = sc.Profile.FleetCap
 	}
-	epoch := time.Unix(0, 0).UTC()
-	stack.SetClock(func() time.Time {
-		return epoch.Add(time.Duration(eng.Now() * float64(time.Second)))
-	})
+	stack.SetClock(func() time.Time { return virtualTime(eng.Now()) })
 
 	// Per-batch monitor state: a batch is done stepping once the Scheduler
 	// reports it finalized.
@@ -206,20 +203,18 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 	// batch at its completion instant, so billing settles at the completion
 	// time without advancing the other batches' monitor state between ticks.
 	var stepErr error
-	stepOnce := func() {
+	step := func(ids []string, tick func() error) {
 		if stepErr != nil || finalCount == nb {
 			return
 		}
 		o.Ticks++
-		if err := stack.Scheduler.Step(); err != nil {
-			stepErr = err
-			return
-		}
-		for _, id := range botIDs {
-			refresh(id)
+		if stepErr = tick(); stepErr == nil {
+			for _, id := range ids {
+				refresh(id)
+			}
 		}
 	}
-	ticker := eng.NewTicker(campaign.DefaultMonitorPeriod, func(sim.Time) { stepOnce() })
+	ticker := eng.NewTicker(campaign.DefaultMonitorPeriod, func(sim.Time) { step(botIDs, stack.Scheduler.Step) })
 	defer ticker.Stop()
 	completedAt := make(map[string]float64, nb)
 	primary.AddListener(completionHook{watch: botIDs, fn: func(id string, at float64) {
@@ -228,15 +223,9 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 		}
 		completedAt[id] = at
 		eng.After(0, func() {
-			if stepErr != nil || finalized[id] {
-				return
+			if !finalized[id] {
+				step([]string{id}, func() error { return stack.Scheduler.StepBatch(id) })
 			}
-			o.Ticks++
-			if err := stack.Scheduler.StepBatch(id); err != nil {
-				stepErr = err
-				return
-			}
-			refresh(id)
 		})
 	}})
 

@@ -94,7 +94,7 @@ func TestGatewayHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
-	gw := NewSimDG(eng, primary, simCl, SimDGConfig{Deploy: core.Reschedule})
+	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
 	gw.SetWorkerURL(srv.URL)
@@ -146,9 +146,9 @@ func TestDriverLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(2))
-	gw := NewSimDG(eng, primary, simCl, SimDGConfig{Deploy: core.Reschedule})
+	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 	gw.SetWorkerURL("http://dg.emul")
-	d := gw.Driver()
+	var d cloud.Driver = gw
 
 	if _, err := d.Launch(cloud.LaunchRequest{Image: "img"}); err == nil {
 		t.Fatal("launch without batch id accepted")

@@ -19,19 +19,6 @@ import (
 // ProviderName is the provider registered for emulated cloud instances.
 const ProviderName = "emul"
 
-// SimDGConfig parameterizes the simulated Desktop Grid gateway.
-type SimDGConfig struct {
-	// Deploy is the cloud deployment strategy the DG side implements (§3.5):
-	// Flat leaves the server unmodified, Reschedule patches it to feed
-	// dedicated cloud workers duplicates, CloudDuplication mirrors the tail
-	// onto a dedicated cloud-hosted server.
-	Deploy core.Deployment
-	// CloudServerFactory builds the cloud-hosted server of the
-	// CloudDuplication deployment (trusted resources, so an XWHEP-style
-	// single-execution server is appropriate).
-	CloudServerFactory func() middleware.Server
-}
-
 // SimDG is a simulated Desktop Grid server wrapped as a SpeQuloS gateway: it
 // answers the Scheduler's progress polls from a middleware simulation and
 // turns cloud-driver launches into simulated cloud workers joining that
@@ -41,29 +28,22 @@ type SimDGConfig struct {
 type SimDG struct {
 	eng     *sim.Engine
 	primary middleware.Server
-	simCl   *cloud.SimCloud
-	cfg     SimDGConfig
+	// deploy is the in-process simulator's deployment switch (§3.5) over its
+	// simulated cloud: a launch here starts its worker exactly as
+	// core.Service does.
+	deploy core.CloudDeployment
 
 	workerURL string
-	epoch     time.Time
 
 	seq       int
-	instances map[string]*simInstance
-	cloudSrvs map[string]middleware.Server // CloudDuplication secondaries per batch
-}
-
-type simInstance struct {
-	info cloud.InstanceInfo
-	inst *cloud.Instance
+	instances map[string]*core.Instance
 }
 
 // NewSimDG wraps a middleware simulation as a DG gateway.
-func NewSimDG(eng *sim.Engine, primary middleware.Server, simCl *cloud.SimCloud, cfg SimDGConfig) *SimDG {
+func NewSimDG(eng *sim.Engine, primary middleware.Server, deploy core.CloudDeployment) *SimDG {
 	return &SimDG{
-		eng: eng, primary: primary, simCl: simCl, cfg: cfg,
-		epoch:     time.Unix(0, 0).UTC(),
-		instances: map[string]*simInstance{},
-		cloudSrvs: map[string]middleware.Server{},
+		eng: eng, primary: primary, deploy: deploy,
+		instances: map[string]*core.Instance{},
 	}
 }
 
@@ -94,87 +74,43 @@ func (g *SimDG) InstanceBusy(instanceID string) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("emul: unknown instance %q", instanceID)
 	}
-	return si.inst.Busy(), nil
+	return si.Sim.Busy(), nil
 }
 
-// launch starts one simulated cloud worker for the request's batch,
-// implementing the configured deployment strategy on the DG side.
-func (g *SimDG) launch(req cloud.LaunchRequest) (cloud.InstanceInfo, error) {
+// Launch implements cloud.Driver: it starts one simulated cloud worker for the
+// request's batch under the configured deployment strategy.
+func (g *SimDG) Launch(req cloud.LaunchRequest) (cloud.InstanceInfo, error) {
 	if req.BatchID == "" {
 		return cloud.InstanceInfo{}, fmt.Errorf("emul: launch request needs a batch id")
 	}
-	target := g.primary
-	flat := false
-	switch g.cfg.Deploy {
-	case core.Flat:
-		flat = true
-	case core.Reschedule:
-		g.primary.SetReschedule(true)
-	case core.CloudDuplication:
-		target = g.cloudServer(req.BatchID)
-	}
-	inst := g.simCl.Start(target, req.BatchID, flat)
+	inst := g.deploy.Start(g.primary, req.BatchID)
 	g.seq++
 	id := fmt.Sprintf("%s-%06d", ProviderName, g.seq)
-	si := &simInstance{
-		info: cloud.InstanceInfo{
+	si := &core.Instance{
+		Info: cloud.InstanceInfo{
 			ID: id, Provider: ProviderName, State: cloud.StatePending,
 			BatchID: req.BatchID, DGServer: g.workerURL, Image: req.Image,
-			StartedAt: g.now(),
+			StartedAt: virtualTime(g.eng.Now()),
 		},
-		inst: inst,
+		Sim: inst,
 	}
 	g.instances[id] = si
-	return si.info, nil
+	return si.Info, nil
 }
 
-// cloudServer lazily builds the CloudDuplication secondary for a batch:
-// a dedicated cloud-hosted server loaded with the uncompleted tail, with
-// bidirectional result merging — the same wiring as the in-process
-// simulator's startCloudServer.
-func (g *SimDG) cloudServer(batchID string) middleware.Server {
-	if sec, ok := g.cloudSrvs[batchID]; ok {
-		return sec
-	}
-	if g.cfg.CloudServerFactory == nil {
-		panic("emul: CloudDuplication requires a CloudServerFactory")
-	}
-	sec := g.cfg.CloudServerFactory()
-	tail := g.primary.Incomplete(batchID)
-	sec.Submit(middleware.Batch{ID: batchID, Tasks: tail})
-	sec.AddListener(mirror{to: g.primary, batchID: batchID})
-	g.primary.AddListener(mirror{to: sec, batchID: batchID})
-	g.cloudSrvs[batchID] = sec
-	return sec
-}
-
-// mirror merges completions between the primary and the cloud server.
-type mirror struct {
-	to      middleware.Server
-	batchID string
-}
-
-func (m mirror) TaskAssigned(string, int, float64) {}
-func (m mirror) TaskCompleted(batchID string, taskID int, _ float64) {
-	if batchID == m.batchID {
-		m.to.MarkCompleted(batchID, taskID)
-	}
-}
-func (m mirror) BatchCompleted(string, float64) {}
-
-// terminate stops an instance's simulated worker.
-func (g *SimDG) terminate(id string) error {
+// Terminate implements cloud.Driver: it stops an instance's simulated worker.
+func (g *SimDG) Terminate(id string) error {
 	si, ok := g.instances[id]
 	if !ok {
 		return fmt.Errorf("emul: unknown instance %q", id)
 	}
-	g.simCl.Stop(si.inst)
-	si.info.State = cloud.StateTerminated
+	g.deploy.Cloud.Stop(si.Sim)
+	si.Info.State = cloud.StateTerminated
 	return nil
 }
 
-// describe refreshes and returns an instance's descriptor.
-func (g *SimDG) describe(id string) (cloud.InstanceInfo, error) {
+// Describe implements cloud.Driver: the instance's refreshed descriptor.
+func (g *SimDG) Describe(id string) (cloud.InstanceInfo, error) {
 	si, ok := g.instances[id]
 	if !ok {
 		return cloud.InstanceInfo{}, fmt.Errorf("emul: unknown instance %q", id)
@@ -184,50 +120,31 @@ func (g *SimDG) describe(id string) (cloud.InstanceInfo, error) {
 
 // refresh derives the driver-visible lifecycle state from the simulated
 // instance: pending until the worker connects, running until stopped.
-func (g *SimDG) refresh(si *simInstance) cloud.InstanceInfo {
+func (g *SimDG) refresh(si *core.Instance) cloud.InstanceInfo {
 	switch {
-	case !si.inst.Running():
-		si.info.State = cloud.StateTerminated
-	case si.inst.Booted():
-		si.info.State = cloud.StateRunning
+	case !si.Sim.Running():
+		si.Info.State = cloud.StateTerminated
+	case si.Sim.Booted():
+		si.Info.State = cloud.StateRunning
 	default:
-		si.info.State = cloud.StatePending
+		si.Info.State = cloud.StatePending
 	}
-	return si.info
+	return si.Info
 }
 
-// now maps virtual time onto the emulation's wall-clock epoch.
-func (g *SimDG) now() time.Time {
-	return g.epoch.Add(time.Duration(g.eng.Now() * float64(time.Second)))
+// virtualTime maps the simulation's virtual seconds onto the wall-clock epoch
+// every clock of an emulated deployment reads.
+func virtualTime(sec float64) time.Time {
+	return time.Unix(0, 0).UTC().Add(time.Duration(sec * float64(time.Second)))
 }
 
-// Driver returns the gateway's cloud driver: launching an instance through
-// it starts a simulated cloud worker, exactly as SimCloud does for the
-// in-process simulator.
-func (g *SimDG) Driver() cloud.Driver { return (*Driver)(g) }
-
-// Driver is SimDG exposed through the libcloud-like provider interface.
-type Driver SimDG
-
-// Name implements cloud.Driver.
-func (d *Driver) Name() string { return ProviderName }
-
-// Launch implements cloud.Driver.
-func (d *Driver) Launch(req cloud.LaunchRequest) (cloud.InstanceInfo, error) {
-	return (*SimDG)(d).launch(req)
-}
-
-// Terminate implements cloud.Driver.
-func (d *Driver) Terminate(id string) error { return (*SimDG)(d).terminate(id) }
-
-// Describe implements cloud.Driver.
-func (d *Driver) Describe(id string) (cloud.InstanceInfo, error) {
-	return (*SimDG)(d).describe(id)
-}
+// Name implements cloud.Driver: the gateway is also the emulated provider, and
+// launching an instance through it starts a simulated cloud worker exactly as
+// the in-process simulator does.
+func (g *SimDG) Name() string { return ProviderName }
 
 // List implements cloud.Driver.
-func (d *Driver) List() []cloud.InstanceInfo {
-	g := (*SimDG)(d)
+func (g *SimDG) List() []cloud.InstanceInfo {
 	var out []cloud.InstanceInfo
 	for i := 1; i <= g.seq; i++ {
 		id := fmt.Sprintf("%s-%06d", ProviderName, i)
@@ -364,17 +281,7 @@ func (c *DGClient) get(path string, out any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
-			return fmt.Errorf("emul: %s", e.Error)
-		}
-		return fmt.Errorf("emul: HTTP %d on %s", resp.StatusCode, path)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeReply(resp, path, out)
 }
 
 func (c *DGClient) post(path string, body, out any) error {
@@ -386,6 +293,12 @@ func (c *DGClient) post(path string, body, out any) error {
 	if err != nil {
 		return err
 	}
+	return decodeReply(resp, path, out)
+}
+
+// decodeReply parses a gateway reply into out, turning an error payload into
+// a Go error.
+func decodeReply(resp *http.Response, path string, out any) error {
 	defer resp.Body.Close()
 	if resp.StatusCode >= 400 {
 		var e struct {

@@ -55,7 +55,7 @@ func TestDGClientConformanceReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
-		gw := NewSimDG(eng, primary, simCl, SimDGConfig{Deploy: core.Reschedule})
+		gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 		gw.SetWorkerURL(recordedWorkerURL)
 		srv := httptest.NewServer(gw.Handler())
 		defer srv.Close()

@@ -151,8 +151,8 @@ func (s *CreditService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	case r.Method == http.MethodPost && r.URL.Path == "/orders/lookup":
 		serveBulk(w, r, sameID, func(id string) OrderLookup {
-			o, found := s.credits.OrderOf(id)
-			return OrderLookup{BatchID: id, Found: found, HasCredits: s.credits.HasCredits(id), Order: o}
+			o, found, has := s.credits.Lookup(id)
+			return OrderLookup{BatchID: id, Found: found, HasCredits: has, Order: o}
 		})
 
 	case r.Method == http.MethodPost && segmentsMatch(r.URL.Path, "orders", "pay"):
@@ -185,21 +185,12 @@ func (s *CreditService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// billAll applies one batch's charges in order and stops at the first that
-// fails or runs the order dry.
+// billAll is one item of POST /bills.
 func (s *CreditService) billAll(it BillItem) BillResult {
 	res := BillResult{BatchID: it.BatchID}
-	for _, c := range it.Credits {
-		_, exhausted, err := s.credits.Bill(it.BatchID, c)
-		if err != nil {
-			res.Error = err.Error()
-			break
-		}
-		res.Applied++
-		if exhausted {
-			res.Exhausted = true
-			break
-		}
+	var err error
+	if res.Applied, res.Exhausted, err = s.credits.BillAll(it.BatchID, it.Credits); err != nil {
+		res.Error = err.Error()
 	}
 	return res
 }
@@ -278,35 +269,19 @@ func (c *CreditClient) Pay(batchID string) (float64, error) {
 
 // HasCredits reports whether a batch has an open, funded order.
 func (c *CreditClient) HasCredits(batchID string) (bool, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/has-credits/" + batchID)
-	if err != nil {
-		return false, err
-	}
 	var out map[string]bool
-	if err := decodeReply(resp, &out); err != nil {
-		return false, err
-	}
-	return out["has_credits"], nil
+	err := getJSON(c.HTTP, c.BaseURL+"/has-credits/"+batchID, &out)
+	return out["has_credits"], err
 }
 
 // Account fetches a user's account.
-func (c *CreditClient) Account(user string) (core.Account, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/accounts/" + user)
-	if err != nil {
-		return core.Account{}, err
-	}
-	var a core.Account
-	err = decodeReply(resp, &a)
+func (c *CreditClient) Account(user string) (a core.Account, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/accounts/"+user, &a)
 	return a, err
 }
 
 // OrderOf fetches a batch's order.
-func (c *CreditClient) OrderOf(batchID string) (core.Order, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/orders/" + batchID)
-	if err != nil {
-		return core.Order{}, err
-	}
-	var o core.Order
-	err = decodeReply(resp, &o)
+func (c *CreditClient) OrderOf(batchID string) (o core.Order, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/orders/"+batchID, &o)
 	return o, err
 }

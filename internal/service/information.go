@@ -108,9 +108,8 @@ func (s *InformationService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		writeJSON(w, http.StatusCreated, map[string]string{"batch_id": req.BatchID})
 
-	case r.Method == http.MethodPost && pathTail(r.URL.Path, "/batches/") != "" &&
-		len(r.URL.Path) > len("/batches/") && hasSuffixSegment(r.URL.Path, "samples"):
-		id := trimSegment(pathTail(r.URL.Path, "/batches/"), "samples")
+	case r.Method == http.MethodPost && segmentsMatch(r.URL.Path, "batches", "samples"):
+		id := middleSegment(r.URL.Path, "batches")
 		var sample core.Sample
 		if err := readJSON(r, &sample); err != nil {
 			writeErr(w, http.StatusBadRequest, err)
@@ -204,20 +203,6 @@ func (s *InformationService) Locked(fn func(*core.Information)) {
 	fn(s.info)
 }
 
-func hasSuffixSegment(path, seg string) bool {
-	t := pathTail(path, "/batches/")
-	parts := splitSegments(t)
-	return len(parts) == 2 && parts[1] == seg
-}
-
-func trimSegment(tail, seg string) string {
-	parts := splitSegments(tail)
-	if len(parts) == 2 && parts[1] == seg {
-		return parts[0]
-	}
-	return tail
-}
-
 func splitSegments(s string) []string {
 	var out []string
 	for _, p := range bytes.Split([]byte(s), []byte("/")) {
@@ -269,34 +254,19 @@ func (c *InformationClient) Statuses(batchIDs []string) []StatusResult {
 }
 
 // Status fetches a batch summary.
-func (c *InformationClient) Status(batchID string) (BatchStatus, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/batches/" + batchID)
-	if err != nil {
-		return BatchStatus{}, err
-	}
-	var st BatchStatus
-	err = decodeReply(resp, &st)
+func (c *InformationClient) Status(batchID string) (st BatchStatus, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/batches/"+batchID, &st)
 	return st, err
 }
 
 // Stats fetches the archive summary.
-func (c *InformationClient) Stats() (InfoStats, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/stats")
-	if err != nil {
-		return InfoStats{}, err
-	}
-	var st InfoStats
-	err = decodeReply(resp, &st)
+func (c *InformationClient) Stats() (st InfoStats, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/stats", &st)
 	return st, err
 }
 
 // List fetches the tracked batch IDs.
-func (c *InformationClient) List() ([]string, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/batches")
-	if err != nil {
-		return nil, err
-	}
-	var ids []string
-	err = decodeReply(resp, &ids)
+func (c *InformationClient) List() (ids []string, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/batches", &ids)
 	return ids, err
 }

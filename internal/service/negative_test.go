@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -324,5 +325,92 @@ func TestPartialLaunchRetriesOnlyTheShortfall(t *testing.T) {
 	}
 	if got := len(ec2.List()); got != 5 {
 		t.Fatalf("%d instances live after a third tick", got)
+	}
+}
+
+// TestBatchWithoutOrderFinalizes is the regression test for the batch that
+// never left the monitor loop: registered without credits, so no order was
+// placed, it completed, and every tick's finalization failed on Credit's
+// "no order for batch" — the batch was polled, sampled and failed for the life
+// of the daemon. Finalization pays only an order that exists.
+func TestBatchWithoutOrderFinalizes(t *testing.T) {
+	dg := &scriptedDG{size: 10}
+	stack := NewTestStack(StackConfig{
+		Strategy: core.DefaultStrategy(),
+		Registry: cloud.NewRegistry(cloud.NewMockDriver("mock", time.Second, 0.10)),
+		DG:       dg,
+	})
+	defer stack.Close()
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{BatchID: "free", Size: 10, Provider: "mock"}); err != nil {
+		t.Fatal(err)
+	}
+	dg.set(10, 10)
+	for k := 1; k <= 3; k++ {
+		if err := stack.Scheduler.Step(); err != nil {
+			t.Fatalf("tick %d: %v", k, err)
+		}
+		if st, err := stack.Scheduler.Status("free"); err != nil || !st.Finalized {
+			t.Fatalf("after tick %d: %+v, %v; want finalized by the first", k, st, err)
+		}
+	}
+}
+
+// TestCalibrationSurvivesInformationError: a completed batch whose status
+// read fails at the completion tick is not finalized there — it used to be,
+// with its α calibration sample silently dropped for good, while a Pay failure
+// one line earlier was retried. The tick reports the error and the next one
+// finishes the job: paying the closed order again is harmless, and the archive
+// is the last step, so it is recorded exactly once.
+func TestCalibrationSurvivesInformationError(t *testing.T) {
+	dg := &scriptedDG{size: 10}
+	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
+	defer stack.Close()
+	now := time.Unix(0, 0).UTC()
+	stack.SetClock(func() time.Time { return now })
+
+	// Information behind a proxy that fails the first status read it is told to.
+	var failStatus atomic.Bool
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodGet && r.URL.Path == "/batches/b" && failStatus.CompareAndSwap(true, false) {
+			writeErr(w, http.StatusServiceUnavailable, errors.New("archive unavailable"))
+			return
+		}
+		stack.Information.ServeHTTP(w, r)
+	}))
+	defer proxy.Close()
+	stack.InfoClient.BaseURL = proxy.URL
+
+	if err := stack.CreditClient.Deposit("u", 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{User: "u", BatchID: "b", EnvKey: "env", Size: 10, Credits: 10}); err != nil {
+		t.Fatal(err)
+	}
+	tick := func(done int) error {
+		now = now.Add(time.Minute)
+		dg.set(done, 10)
+		return stack.Scheduler.Step()
+	}
+	if err := tick(5); err != nil {
+		t.Fatal(err)
+	}
+	failStatus.Store(true)
+	if err := tick(10); err == nil || !strings.Contains(err.Error(), "archive unavailable") {
+		t.Fatalf("completion tick: error %v, want Information's failure", err)
+	}
+	if st, _ := stack.Scheduler.Status("b"); st.Finalized {
+		t.Fatal("finalized although the calibration sample could not be read")
+	}
+	if err := tick(10); err != nil {
+		t.Fatalf("retry tick: %v", err)
+	}
+	if st, _ := stack.Scheduler.Status("b"); !st.Finalized {
+		t.Fatalf("not finalized by the retry tick: %+v", st)
+	}
+	if cal, err := stack.OracleClient.Calibration("env"); err != nil || cal.Count != 1 {
+		t.Fatalf("calibration of env: %+v, %v; want exactly one archived execution", cal, err)
+	}
+	if acc, err := stack.CreditClient.Account("u"); err != nil || acc.Balance != 10 {
+		t.Fatalf("account %+v, %v; want the unspent order refunded once", acc, err)
 	}
 }

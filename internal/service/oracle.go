@@ -170,13 +170,8 @@ func (c *OracleClient) post(path string, body, out any) error {
 }
 
 // Predict fetches a completion-time prediction.
-func (c *OracleClient) Predict(batchID string) (core.Prediction, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/predict/" + batchID)
-	if err != nil {
-		return core.Prediction{}, err
-	}
-	var p core.Prediction
-	err = decodeReply(resp, &p)
+func (c *OracleClient) Predict(batchID string) (p core.Prediction, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/predict/"+batchID, &p)
 	return p, err
 }
 
@@ -201,12 +196,7 @@ func (c *OracleClient) RecordCalibration(envKey string, base, actual float64) er
 }
 
 // Calibration fetches an environment's α status.
-func (c *OracleClient) Calibration(envKey string) (CalibrationStatus, error) {
-	resp, err := c.HTTP.Get(c.BaseURL + "/calibration/" + envKey)
-	if err != nil {
-		return CalibrationStatus{}, err
-	}
-	var st CalibrationStatus
-	err = decodeReply(resp, &st)
+func (c *OracleClient) Calibration(envKey string) (st CalibrationStatus, err error) {
+	err = getJSON(c.HTTP, c.BaseURL+"/calibration/"+envKey, &st)
 	return st, err
 }

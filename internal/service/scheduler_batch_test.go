@@ -340,10 +340,10 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 		}
 	}
 	order := func() string {
-		stack.Scheduler.mu.Lock()
-		defer stack.Scheduler.mu.Unlock()
+		stack.Scheduler.mon.Mu.Lock()
+		defer stack.Scheduler.mon.Mu.Unlock()
 		var ids []string
-		for _, qb := range stack.Scheduler.order {
+		for _, qb := range stack.Scheduler.mon.Order {
 			ids = append(ids, qb.ID)
 		}
 		return strings.Join(ids, " ")

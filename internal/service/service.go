@@ -92,6 +92,15 @@ func decodeReply(resp *http.Response, v any) error {
 	return json.NewDecoder(resp.Body).Decode(v)
 }
 
+// getJSON fetches url and decodes the reply into out.
+func getJSON(hc *http.Client, url string, out any) error {
+	resp, err := hc.Get(url)
+	if err != nil {
+		return err
+	}
+	return decodeReply(resp, out)
+}
+
 // postJSON posts body as JSON and decodes the reply into out (nil discards
 // it).
 func postJSON(hc *http.Client, url string, body, out any) error {
