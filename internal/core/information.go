@@ -265,11 +265,38 @@ func (in *Information) Track(batchID, envKey string, size int, submittedAt float
 	return bi, nil
 }
 
-// Get returns the history of a batch, or nil.
+// Get returns the history of a batch, or nil. The history itself is not
+// guarded: Get is for an owner that appends and reads from one goroutine (the
+// simulator's tick); concurrent callers use AddSample and View.
 func (in *Information) Get(batchID string) *BatchInfo {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
 	return in.batches[batchID]
+}
+
+// AddSample appends a sample to a tracked batch's history under the archive's
+// lock, so it may run beside View and WriteJSON; false if the batch is not
+// tracked.
+func (in *Information) AddSample(batchID string, s Sample) bool {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	bi := in.batches[batchID]
+	if bi != nil {
+		bi.AddSampleWorkers(bi.SubmittedAt+s.T, s.Completed, s.Assigned, s.Queued, s.Running, s.Workers)
+	}
+	return bi != nil
+}
+
+// View summarizes a tracked batch under the archive's lock; false if the
+// batch is not tracked.
+func (in *Information) View(batchID string) (BatchView, bool) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	bi := in.batches[batchID]
+	if bi == nil {
+		return BatchView{}, false
+	}
+	return bi.View(), true
 }
 
 // Count returns the number of tracked batches.

@@ -19,10 +19,7 @@
 package emul
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"time"
 
@@ -253,7 +250,7 @@ func runOnce(sc campaign.Scenario, horizon float64) (Outcome, error) {
 					return
 				}
 			}
-			if err := postQoS(stack.SchedulerAddr, service.QoSRequest{
+			if err := stack.SchedulerClient.RegisterQoS(service.QoSRequest{
 				User: "user", BatchID: botIDs[k], EnvKey: sc.EnvKey(),
 				Size: workloads[k].Size(), Credits: credits,
 				Tier:     string(sc.SubTier(k)),
@@ -346,28 +343,4 @@ func (h completionHook) BatchCompleted(batchID string, at float64) {
 			return
 		}
 	}
-}
-
-// postQoS registers a batch for QoS support through the Scheduler's HTTP
-// API.
-func postQoS(schedulerURL string, req service.QoSRequest) error {
-	buf, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	resp, err := http.Post(schedulerURL+"/qos", "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
-			return fmt.Errorf("emul: registerQoS: %s", e.Error)
-		}
-		return fmt.Errorf("emul: registerQoS: HTTP %d", resp.StatusCode)
-	}
-	return nil
 }

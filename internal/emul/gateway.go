@@ -1,11 +1,8 @@
 package emul
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"sync"
 	"time"
 
@@ -166,72 +163,33 @@ type WireGateway interface {
 	service.WorkerStatusGateway
 }
 
-// maxWireBody caps request bodies on the gateway wire: the largest
-// legitimate payload (a progress-batch query for thousands of batch IDs) is
-// far below 1 MiB.
-const maxWireBody = 1 << 20
-
 // NewGatewayHandler serves the DG gateway wire format over HTTP for any
 // WireGateway — the wire shape of the DGGateway interface, so the Scheduler
 // module talks to the DG server exactly as it would to a remote BOINC/XWHEP
-// status adapter:
+// status adapter, on the route table and endpoint the four modules use:
 //
 //	GET  /progress/{batch}  → middleware.Progress
 //	POST /progress-batch    {"ids": [...]} → {"progress": {id: Progress}}
 //	GET  /busy/{instance}   → {"busy": bool}
 //	GET  /worker-url        → {"worker_url": string}
 func NewGatewayHandler(gw WireGateway) http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/progress-batch", func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodPost {
-			httpErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
-			return
-		}
-		var req progressBatchRequest
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxWireBody)).Decode(&req); err != nil {
-			httpErr(w, http.StatusBadRequest, err)
-			return
-		}
+	rt := &service.Routes{}
+	rt.Handle("GET /progress/{batch}", service.EndpointNoBody(http.StatusOK, func(r *http.Request) (middleware.Progress, error) {
+		p, err := gw.Progress(r.PathValue("batch"))
+		return p, service.Fail(http.StatusBadGateway, err)
+	}))
+	rt.Handle("POST /progress-batch", service.Endpoint(http.StatusOK, func(_ *http.Request, req progressBatchRequest) (progressBatchReply, error) {
 		progress, err := gw.ProgressBatch(req.IDs)
-		if err != nil {
-			httpErr(w, http.StatusBadGateway, err)
-			return
-		}
-		httpJSON(w, http.StatusOK, progressBatchReply{Progress: progress})
-	})
-	mux.HandleFunc("/progress/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/progress/")
-		if r.Method != http.MethodGet || id == "" {
-			httpErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
-			return
-		}
-		p, err := gw.Progress(id)
-		if err != nil {
-			httpErr(w, http.StatusBadGateway, err)
-			return
-		}
-		httpJSON(w, http.StatusOK, p)
-	})
-	mux.HandleFunc("/busy/", func(w http.ResponseWriter, r *http.Request) {
-		id := strings.TrimPrefix(r.URL.Path, "/busy/")
-		if r.Method != http.MethodGet || id == "" {
-			httpErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
-			return
-		}
-		busy, err := gw.InstanceBusy(id)
-		if err != nil {
-			httpErr(w, http.StatusNotFound, err)
-			return
-		}
-		httpJSON(w, http.StatusOK, map[string]bool{"busy": busy})
-	})
-	mux.HandleFunc("/worker-url", func(w http.ResponseWriter, r *http.Request) {
-		httpJSON(w, http.StatusOK, map[string]string{"worker_url": gw.WorkerURL()})
-	})
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		httpErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
-	})
-	return mux
+		return progressBatchReply{Progress: progress}, service.Fail(http.StatusBadGateway, err)
+	}))
+	rt.Handle("GET /busy/{instance}", service.EndpointNoBody(http.StatusOK, func(r *http.Request) (map[string]bool, error) {
+		busy, err := gw.InstanceBusy(r.PathValue("instance"))
+		return map[string]bool{"busy": busy}, service.Fail(http.StatusNotFound, err)
+	}))
+	rt.Handle("GET /worker-url", service.EndpointNoBody(http.StatusOK, func(*http.Request) (map[string]string, error) {
+		return map[string]string{"worker_url": gw.WorkerURL()}, nil
+	}))
+	return rt
 }
 
 // Handler exposes the gateway over HTTP (see NewGatewayHandler for the
@@ -248,22 +206,11 @@ type progressBatchReply struct {
 	Progress map[string]middleware.Progress `json:"progress"`
 }
 
-func httpJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v) //nolint:errcheck
-}
-
-func httpErr(w http.ResponseWriter, status int, err error) {
-	httpJSON(w, status, map[string]string{"error": err.Error()})
-}
-
 // DGClient implements service.DGGateway (and the WorkerStatusGateway
 // extension) against a gateway's HTTP endpoint — the Scheduler side of the
 // wire.
 type DGClient struct {
-	BaseURL string
-	HTTP    *http.Client
+	service.Client
 
 	mu        sync.Mutex
 	workerURL string
@@ -273,49 +220,12 @@ type DGClient struct {
 // carries its own timeout: the Scheduler holds per-batch state while
 // polling the DG, and a hung gateway connection must not wedge it.
 func NewDGClient(baseURL string) *DGClient {
-	return &DGClient{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}
-}
-
-func (c *DGClient) get(path string, out any) error {
-	resp, err := c.HTTP.Get(c.BaseURL + path)
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, path, out)
-}
-
-func (c *DGClient) post(path string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := c.HTTP.Post(c.BaseURL+path, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, path, out)
-}
-
-// decodeReply parses a gateway reply into out, turning an error payload into
-// a Go error.
-func decodeReply(resp *http.Response, path string, out any) error {
-	defer resp.Body.Close()
-	if resp.StatusCode >= 400 {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
-			return fmt.Errorf("emul: %s", e.Error)
-		}
-		return fmt.Errorf("emul: HTTP %d on %s", resp.StatusCode, path)
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return &DGClient{Client: service.Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}}
 }
 
 // Progress implements service.DGGateway.
-func (c *DGClient) Progress(batchID string) (middleware.Progress, error) {
-	var p middleware.Progress
-	err := c.get("/progress/"+batchID, &p)
+func (c *DGClient) Progress(batchID string) (p middleware.Progress, err error) {
+	err = c.Get(&p, "progress", batchID)
 	return p, err
 }
 
@@ -323,7 +233,7 @@ func (c *DGClient) Progress(batchID string) (middleware.Progress, error) {
 // every named batch in one POST /progress-batch round-trip.
 func (c *DGClient) ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error) {
 	var reply progressBatchReply
-	if err := c.post("/progress-batch", progressBatchRequest{IDs: batchIDs}, &reply); err != nil {
+	if err := c.Post(progressBatchRequest{IDs: batchIDs}, &reply, "progress-batch"); err != nil {
 		return nil, err
 	}
 	return reply.Progress, nil
@@ -338,7 +248,7 @@ func (c *DGClient) WorkerURL() string {
 		return c.workerURL
 	}
 	var out map[string]string
-	if err := c.get("/worker-url", &out); err != nil {
+	if err := c.Get(&out, "worker-url"); err != nil {
 		return c.BaseURL
 	}
 	c.workerURL = out["worker_url"]
@@ -348,6 +258,6 @@ func (c *DGClient) WorkerURL() string {
 // InstanceBusy implements service.WorkerStatusGateway.
 func (c *DGClient) InstanceBusy(instanceID string) (bool, error) {
 	var out map[string]bool
-	err := c.get("/busy/"+instanceID, &out)
+	err := c.Get(&out, "busy", instanceID)
 	return out["busy"], err
 }

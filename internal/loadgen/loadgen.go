@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -114,13 +115,6 @@ func tierOf(i int) core.Tier {
 		return core.TierPremium
 	}
 	return core.TierFree
-}
-
-// keyClient builds an http.Client authenticating as the given key — how
-// the stack's module-to-module clients and the load clients present their
-// identity through the gate.
-func keyClient(key string) *http.Client {
-	return service.KeyedClient(key)
 }
 
 // loadDG is the wall-clock Desktop Grid behind the DG socket: batches
@@ -220,45 +214,34 @@ func Run(cfg Config) (*Report, error) {
 	info := service.NewInformationService(core.NewInformation())
 	credit := service.NewCreditService(core.NewCreditSystem())
 
-	var stackURL string
 	driver := cloud.NewMockDriver("mock", 50*time.Millisecond, 0.34)
 	registry := cloud.NewRegistry(driver)
 
-	// Two-phase wiring: the mux needs the services, the self-addressed
-	// clients need the listening URL — so start the server on a mux that
-	// is filled in below.
-	mux := http.NewServeMux()
-	stackSrv := httptest.NewServer(keys.Gate(mux))
+	// The self-addressed clients need the listening URL, which an unstarted
+	// server already has; it starts once the modules exist.
+	stackSrv := httptest.NewUnstartedServer(nil)
 	defer stackSrv.Close()
-	stackURL = stackSrv.URL
+	stackURL := "http://" + stackSrv.Listener.Addr().String()
 
+	module := service.KeyedClient(svcKey.Key)
 	infoClient := service.NewInformationClient(stackURL + "/information")
-	infoClient.HTTP = keyClient(svcKey.Key)
 	creditClient := service.NewCreditClient(stackURL + "/credit")
-	creditClient.HTTP = keyClient(svcKey.Key)
 	oracleClient := service.NewOracleClient(stackURL + "/oracle")
-	oracleClient.HTTP = keyClient(svcKey.Key)
+	schedClient := service.NewSchedulerClient(stackURL + "/scheduler")
+	infoClient.HTTP, creditClient.HTTP, oracleClient.HTTP, schedClient.HTTP = module, module, module, module
 
 	oracle := service.NewOracleService(core.NewOracle(strategy), infoClient)
 	dgClient := emul.NewDGClient(dgSrv.URL)
 	sched := service.NewSchedulerService(infoClient, creditClient, oracleClient, registry, dgClient)
 	sched.TierPolicy = policy
-
-	for prefix, h := range map[string]http.Handler{
-		"/information": info, "/credit": credit, "/oracle": oracle, "/scheduler": sched,
-	} {
-		mux.Handle(prefix+"/", http.StripPrefix(prefix, h))
-	}
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, `{"status":"ok"}`)
-	})
+	stackSrv.Config.Handler = keys.Gate(service.Mux(info, credit, oracle, sched))
+	stackSrv.Start()
 
 	// Issue one key per client and fund every user through the gate.
-	setup := keyClient(svcKey.Key)
 	clientKeys := make([]service.APIKey, cfg.Clients)
 	for i := range clientKeys {
 		clientKeys[i] = keys.Issue(fmt.Sprintf("u%03d", i), tierOf(i))
-		if err := depositHTTP(setup, stackURL, clientKeys[i].User, 100_000); err != nil {
+		if err := creditClient.Deposit(clientKeys[i].User, 100_000); err != nil {
 			return nil, fmt.Errorf("loadgen: funding %s: %w", clientKeys[i].User, err)
 		}
 	}
@@ -278,7 +261,6 @@ func Run(cfg Config) (*Report, error) {
 	tickWG.Add(1)
 	go func() {
 		defer tickWG.Done()
-		tick := keyClient(svcKey.Key)
 		t := time.NewTicker(cfg.TickPeriod)
 		defer t.Stop()
 		for {
@@ -287,7 +269,7 @@ func Run(cfg Config) (*Report, error) {
 				return
 			case <-t.C:
 				start := time.Now()
-				resp, err := tick.Post(stackURL+"/scheduler/step", "application/json", nil)
+				resp, err := module.Post(stackURL+"/scheduler/step", "application/json", nil)
 				dur := time.Since(start)
 				if err != nil {
 					rec.tick(dur, cfg.TickPeriod, fmt.Sprintf("tick: %v", err))
@@ -327,7 +309,7 @@ func Run(cfg Config) (*Report, error) {
 
 	report := rec.report(cfg)
 	report.BatchesOrdered = int(orders.Load())
-	report.BatchesCompleted = countFinalized(setup, stackURL, orderedIDs)
+	report.BatchesCompleted = countFinalized(schedClient, orderedIDs)
 	report.GateStats = keys.GateStats()
 	report.ThrottledByTier = throttledByTier(keys, clientKeys)
 	return report, nil
@@ -351,7 +333,7 @@ type clientCtx struct {
 // until the deadline, pacing paid tiers and bursting the free tier.
 func runClient(c *clientCtx) {
 	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(c.idx)*7919))
-	httpc := keyClient(c.key.Key)
+	httpc := service.KeyedClient(c.key.Key)
 	dgc := emul.NewDGClient(c.dgURL)
 	var mine []string // batch IDs this client ordered
 	seq := 0
@@ -368,7 +350,7 @@ func runClient(c *clientCtx) {
 		body := fmt.Sprintf(`{"user":%q,"batch_id":%q,"env_key":"load","size":100,"credits":10,"tier":%q,"provider":"mock","image":"img"}`,
 			c.key.User, id, c.key.Tier)
 		start := time.Now()
-		resp, err := httpc.Post(c.stackURL+"/scheduler/qos", "application/json", stringsReader(body))
+		resp, err := httpc.Post(c.stackURL+"/scheduler/qos", "application/json", strings.NewReader(body))
 		c.rec.request(c.idx, opOrder, c.key.Tier, start, resp, err)
 		if err == nil && resp.StatusCode == http.StatusCreated {
 			c.orders.Add(1)
@@ -430,38 +412,12 @@ func (c *clientCtx) progress(dgc *emul.DGClient, mine []string, rng *rand.Rand) 
 	c.rec.dgRequest(c.idx, start, err)
 }
 
-// depositHTTP funds a user through the gated credit module.
-func depositHTTP(httpc *http.Client, base, user string, credits float64) error {
-	body := fmt.Sprintf(`{"user":%q,"credits":%g}`, user, credits)
-	resp, err := httpc.Post(base+"/credit/deposit", "application/json", stringsReader(body))
-	if err != nil {
-		return err
-	}
-	defer drainClose(resp)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("deposit: HTTP %d", resp.StatusCode)
-	}
-	return nil
-}
-
 // countFinalized queries every ordered batch's status and counts the
 // finalized ones — the end-to-end completions of the run.
-func countFinalized(httpc *http.Client, base string, ids []string) int {
+func countFinalized(sched *service.SchedulerClient, ids []string) int {
 	done := 0
 	for _, id := range ids {
-		resp, err := httpc.Get(base + "/scheduler/qos/" + id)
-		if err != nil {
-			return done
-		}
-		if resp.StatusCode != http.StatusOK {
-			drainClose(resp)
-			continue
-		}
-		var st struct {
-			Finalized bool `json:"finalized"`
-		}
-		decodeInto(resp, &st)
-		if st.Finalized {
+		if st, err := sched.Status(id); err == nil && st.Finalized {
 			done++
 		}
 	}

@@ -1,7 +1,6 @@
 package loadgen
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -274,18 +273,9 @@ func (rep *Report) Summary() string {
 	return sb.String()
 }
 
-// stringsReader wraps a request body string.
-func stringsReader(s string) io.Reader { return strings.NewReader(s) }
-
 // drainClose discards and closes a response body so the transport can reuse
 // the connection.
 func drainClose(resp *http.Response) {
 	io.Copy(io.Discard, resp.Body) //nolint:errcheck
 	resp.Body.Close()
-}
-
-// decodeInto decodes a JSON response body into v, then drains and closes it.
-func decodeInto(resp *http.Response, v any) {
-	json.NewDecoder(resp.Body).Decode(v) //nolint:errcheck
-	drainClose(resp)
 }

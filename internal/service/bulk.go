@@ -57,43 +57,39 @@ func itemErr(msg string) error {
 	return fmt.Errorf("service: %s", msg)
 }
 
-// readBulk decodes a bulk request and validates it as a whole, so a refused
-// request has mutated nothing. id extracts an item's batch id.
-func readBulk[I any](r *http.Request, id func(I) string) ([]I, error) {
-	var req BulkRequest[I]
-	if err := readJSON(r, &req); err != nil {
-		return nil, err
+// checkBulk validates a decoded bulk request as a whole, so a refused request
+// has mutated nothing. id extracts an item's batch id.
+func checkBulk[I any](items []I, id func(I) string) error {
+	if len(items) == 0 {
+		return fmt.Errorf("service: bulk request has no items")
 	}
-	if len(req.Items) == 0 {
-		return nil, fmt.Errorf("service: bulk request has no items")
-	}
-	seen := make(map[string]struct{}, len(req.Items))
-	for _, it := range req.Items {
+	seen := make(map[string]struct{}, len(items))
+	for _, it := range items {
 		b := id(it)
 		if b == "" {
-			return nil, fmt.Errorf("service: bulk item without a batch id")
+			return fmt.Errorf("service: bulk item without a batch id")
 		}
 		if _, dup := seen[b]; dup {
-			return nil, fmt.Errorf("service: batch %q appears twice in one bulk request", b)
+			return fmt.Errorf("service: batch %q appears twice in one bulk request", b)
 		}
 		seen[b] = struct{}{}
 	}
-	return req.Items, nil
+	return nil
 }
 
-// serveBulk is the handler body of a bulk route: validate, apply item by
-// item, reply.
-func serveBulk[I, R any](w http.ResponseWriter, r *http.Request, id func(I) string, apply func(I) R) {
-	items, err := readBulk(r, id)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	results := make([]R, len(items))
-	for i, it := range items {
-		results[i] = apply(it)
-	}
-	writeJSON(w, http.StatusOK, BulkReply[R]{Results: results})
+// serveBulk is the endpoint of a bulk route whose items do not depend on one
+// another: validate, apply item by item, reply.
+func serveBulk[I, R any](id func(I) string, apply func(I) R) http.HandlerFunc {
+	return Endpoint(http.StatusOK, func(_ *http.Request, req BulkRequest[I]) (BulkReply[R], error) {
+		if err := checkBulk(req.Items, id); err != nil {
+			return BulkReply[R]{}, Fail(http.StatusBadRequest, err)
+		}
+		results := make([]R, len(req.Items))
+		for i, it := range req.Items {
+			results[i] = apply(it)
+		}
+		return BulkReply[R]{Results: results}, nil
+	})
 }
 
 // bulkCall sends items to a bulk route in chunks of at most bulkChunk (by
@@ -102,7 +98,7 @@ func serveBulk[I, R any](w http.ResponseWriter, r *http.Request, id func(I) stri
 // chunk's request fails, or its reply does not line up with it, each item of
 // that chunk gets the result fail builds from the error text, and the other
 // chunks stand — their items were applied, and the caller must know.
-func bulkCall[I, R any](hc *http.Client, url string, items []I, weight func(I) int, fail func(I, string) R) []R {
+func bulkCall[I, R any](c *Client, route []string, items []I, weight func(I) int, fail func(I, string) R) []R {
 	results := make([]R, 0, len(items))
 	for lo := 0; lo < len(items); {
 		hi, load := lo, 0
@@ -111,7 +107,7 @@ func bulkCall[I, R any](hc *http.Client, url string, items []I, weight func(I) i
 			hi++
 		}
 		var reply BulkReply[R]
-		err := postJSON(hc, url, BulkRequest[I]{Items: items[lo:hi]}, &reply)
+		err := c.Post(BulkRequest[I]{Items: items[lo:hi]}, &reply, route...)
 		if err == nil && len(reply.Results) != hi-lo {
 			err = fmt.Errorf("bulk reply carries %d results for %d items", len(reply.Results), hi-lo)
 		}

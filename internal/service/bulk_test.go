@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"spequlos/internal/cloud"
 	"spequlos/internal/core"
 )
 
@@ -211,22 +212,16 @@ func FuzzBulkBodies(f *testing.F) {
 // items, and a heavy item is never split.
 func TestBulkCallChunks(t *testing.T) {
 	var sizes []int
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		items, err := readBulk(r, sameID)
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		sizes = append(sizes, len(items))
+	srv := httptest.NewServer(Endpoint(http.StatusOK, func(_ *http.Request, req BulkRequest[string]) (reply BulkReply[ItemResult], err error) {
+		sizes = append(sizes, len(req.Items))
 		if len(sizes) == 2 {
-			writeErr(w, http.StatusInternalServerError, fmt.Errorf("second chunk lost"))
-			return
+			return reply, fmt.Errorf("second chunk lost") // no Fail: a 500
 		}
-		res := make([]ItemResult, len(items))
-		for i, id := range items {
-			res[i].BatchID = id
+		reply.Results = make([]ItemResult, len(req.Items))
+		for i, id := range req.Items {
+			reply.Results[i].BatchID = id
 		}
-		writeJSON(w, http.StatusOK, BulkReply[ItemResult]{Results: res})
+		return reply, nil
 	}))
 	defer srv.Close()
 	ids := make([]string, 2*bulkChunk+7)
@@ -234,7 +229,8 @@ func TestBulkCallChunks(t *testing.T) {
 		ids[i] = fmt.Sprintf("b%05d", i)
 	}
 	fail := func(id, msg string) ItemResult { return ItemResult{BatchID: id, Error: msg} }
-	res := bulkCall(srv.Client(), srv.URL, ids, oneEach, fail)
+	c := &Client{BaseURL: srv.URL, HTTP: srv.Client()}
+	res := bulkCall(c, nil, ids, oneEach, fail)
 	if fmt.Sprint(sizes) != fmt.Sprint([]int{bulkChunk, bulkChunk, 7}) {
 		t.Fatalf("chunk sizes %v", sizes)
 	}
@@ -250,7 +246,7 @@ func TestBulkCallChunks(t *testing.T) {
 
 	sizes = nil
 	heavy := func(id string) int { return bulkChunk - 1 }
-	bulkCall(srv.Client(), srv.URL, ids[:3], heavy, fail)
+	bulkCall(c, nil, ids[:3], heavy, fail)
 	if fmt.Sprint(sizes) != "[1 1 1]" {
 		t.Fatalf("chunk sizes by weight %v", sizes)
 	}
@@ -289,6 +285,10 @@ func TestClientsReuseConnections(t *testing.T) {
 	credit := NewCreditClient(creditSrv.URL)
 	oracle := NewOracleClient(oracleSrv.URL)
 	info.HTTP, credit.HTTP, oracle.HTTP = own(), own(), own()
+
+	schedSrv, schedOpened := counted(NewSchedulerService(info, credit, oracle, cloud.DefaultRegistry(), &scriptedDG{size: 1}))
+	sched := NewSchedulerClient(schedSrv.URL)
+	sched.HTTP = own()
 
 	if err := info.Track(TrackRequest{BatchID: "b", EnvKey: "e", Size: 100}); err != nil {
 		t.Fatal(err)
@@ -339,6 +339,10 @@ func TestClientsReuseConnections(t *testing.T) {
 		{"oracle.Plans", oracleOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}, {BatchID: "ghost"}}) }},
 		{"oracle.RecordCalibration", oracleOpened, func(i int) { oracle.RecordCalibration("e", 100, 120) }},
 		{"oracle.Calibration", oracleOpened, func(i int) { oracle.Calibration("e") }},
+		{"sched.RegisterQoS", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: id("q", i), Size: 1}) }},
+		{"sched.RegisterQoS refused", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: "q000", Size: 1}) }},
+		{"sched.Status", schedOpened, func(i int) { sched.Status("q000") }},
+		{"sched.Status unregistered", schedOpened, func(i int) { sched.Status("ghost") }},
 		// The Oracle is itself a client of Information.
 		{"oracle.Plan → info.Status", infoOpened, func(i int) { oracle.Plan("b", 2) }},
 		{"oracle.Plans → info.Statuses", infoOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}}) }},

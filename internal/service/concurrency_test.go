@@ -71,7 +71,7 @@ func TestConcurrentStackTraffic(t *testing.T) {
 		stack.InfoClient.AddSample("b2", core.Sample{T: float64(i), Completed: i}) //nolint:errcheck
 	})
 	run(func(i int) {
-		resp, err := http.Get(stack.SchedulerAddr + "/qos/b1")
+		resp, err := http.Get(stack.SchedulerClient.BaseURL + "/qos/b1")
 		if err == nil {
 			resp.Body.Close()
 		}

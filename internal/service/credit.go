@@ -23,12 +23,58 @@ import (
 // /orders/{id}/bill applied charge by charge, /orders/lookup is
 // /has-credits/{id} and /orders/{id} in one answer.
 type CreditService struct {
+	Routes
 	credits *core.CreditSystem
 }
 
 // NewCreditService wraps a credit system.
 func NewCreditService(cs *core.CreditSystem) *CreditService {
-	return &CreditService{credits: cs}
+	s := &CreditService{credits: cs}
+	s.Handle("POST /deposit", Endpoint(http.StatusOK, func(_ *http.Request, req DepositRequest) (core.Account, error) {
+		if err := cs.Deposit(req.User, req.Credits); err != nil {
+			return core.Account{}, Fail(http.StatusBadRequest, err)
+		}
+		return cs.AccountOf(req.User), nil
+	}))
+	s.Handle("POST /orders", Endpoint(http.StatusCreated, func(_ *http.Request, req OrderRequest) (core.Order, error) {
+		err := cs.OrderQoS(req.User, req.BatchID, req.Credits)
+		o, _ := cs.OrderOf(req.BatchID)
+		return o, Fail(http.StatusConflict, err)
+	}))
+	s.Handle("POST /orders/{id}/bill", Endpoint(http.StatusOK, func(r *http.Request, req BillRequest) (BillReply, error) {
+		billed, exhausted, err := cs.Bill(r.PathValue("id"), req.Credits)
+		return BillReply{Billed: billed, Exhausted: exhausted}, Fail(http.StatusConflict, err)
+	}))
+	s.Handle("POST /orders/{id}/pay", EndpointNoBody(http.StatusOK, func(r *http.Request) (PayReply, error) {
+		refund, err := cs.Pay(r.PathValue("id"))
+		return PayReply{Refund: refund}, Fail(http.StatusNotFound, err)
+	}))
+	s.Handle("GET /orders/{id}", EndpointNoBody(http.StatusOK, func(r *http.Request) (core.Order, error) {
+		o, ok := cs.OrderOf(r.PathValue("id"))
+		if !ok {
+			return o, Fail(http.StatusNotFound, fmt.Errorf("no order for batch %q", r.PathValue("id")))
+		}
+		return o, nil
+	}))
+	s.Handle("GET /accounts/{user}", EndpointNoBody(http.StatusOK, func(r *http.Request) (core.Account, error) {
+		return cs.AccountOf(r.PathValue("user")), nil
+	}))
+	s.Handle("GET /has-credits/{id}", EndpointNoBody(http.StatusOK, func(r *http.Request) (map[string]bool, error) {
+		return map[string]bool{"has_credits": cs.HasCredits(r.PathValue("id"))}, nil
+	}))
+	s.Handle("POST /bills", serveBulk(func(it BillItem) string { return it.BatchID }, func(it BillItem) BillResult {
+		res := BillResult{BatchID: it.BatchID}
+		var err error
+		if res.Applied, res.Exhausted, err = cs.BillAll(it.BatchID, it.Credits); err != nil {
+			res.Error = err.Error()
+		}
+		return res
+	}))
+	s.Handle("POST /orders/lookup", serveBulk(sameID, func(id string) OrderLookup {
+		o, found, has := cs.Lookup(id)
+		return OrderLookup{BatchID: id, Found: found, HasCredits: has, Order: o}
+	}))
+	return s
 }
 
 // Credits exposes the wrapped system (for co-located modules).
@@ -104,143 +150,27 @@ type PayReply struct {
 	Refund float64 `json:"refund"`
 }
 
-// ServeHTTP implements http.Handler.
-func (s *CreditService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/deposit":
-		var req DepositRequest
-		if err := readJSON(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.credits.Deposit(req.User, req.Credits); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.creditsAccount(req.User))
-
-	case r.Method == http.MethodPost && r.URL.Path == "/orders":
-		var req OrderRequest
-		if err := readJSON(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.credits.OrderQoS(req.User, req.BatchID, req.Credits); err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		o, _ := s.credits.OrderOf(req.BatchID)
-		writeJSON(w, http.StatusCreated, o)
-
-	case r.Method == http.MethodPost && segmentsMatch(r.URL.Path, "orders", "bill"):
-		id := middleSegment(r.URL.Path, "orders")
-		var req BillRequest
-		if err := readJSON(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		billed, exhausted, err := s.credits.Bill(id, req.Credits)
-		if err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, BillReply{Billed: billed, Exhausted: exhausted})
-
-	case r.Method == http.MethodPost && r.URL.Path == "/bills":
-		serveBulk(w, r, func(it BillItem) string { return it.BatchID }, s.billAll)
-
-	case r.Method == http.MethodPost && r.URL.Path == "/orders/lookup":
-		serveBulk(w, r, sameID, func(id string) OrderLookup {
-			o, found, has := s.credits.Lookup(id)
-			return OrderLookup{BatchID: id, Found: found, HasCredits: has, Order: o}
-		})
-
-	case r.Method == http.MethodPost && segmentsMatch(r.URL.Path, "orders", "pay"):
-		id := middleSegment(r.URL.Path, "orders")
-		refund, err := s.credits.Pay(id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, PayReply{Refund: refund})
-
-	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/orders/") != "":
-		id := pathTail(r.URL.Path, "/orders/")
-		o, ok := s.credits.OrderOf(id)
-		if !ok {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("no order for batch %q", id))
-			return
-		}
-		writeJSON(w, http.StatusOK, o)
-
-	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/accounts/") != "":
-		writeJSON(w, http.StatusOK, s.creditsAccount(pathTail(r.URL.Path, "/accounts/")))
-
-	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/has-credits/") != "":
-		id := pathTail(r.URL.Path, "/has-credits/")
-		writeJSON(w, http.StatusOK, map[string]bool{"has_credits": s.credits.HasCredits(id)})
-
-	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
-	}
-}
-
-// billAll is one item of POST /bills.
-func (s *CreditService) billAll(it BillItem) BillResult {
-	res := BillResult{BatchID: it.BatchID}
-	var err error
-	if res.Applied, res.Exhausted, err = s.credits.BillAll(it.BatchID, it.Credits); err != nil {
-		res.Error = err.Error()
-	}
-	return res
-}
-
-func (s *CreditService) creditsAccount(user string) core.Account {
-	return s.credits.AccountOf(user)
-}
-
-func segmentsMatch(path, first, last string) bool {
-	parts := splitSegments(path)
-	return len(parts) == 3 && parts[0] == first && parts[2] == last
-}
-
-func middleSegment(path, first string) string {
-	parts := splitSegments(path)
-	if len(parts) == 3 && parts[0] == first {
-		return parts[1]
-	}
-	return ""
-}
-
 // CreditClient is the typed client of the Credit service.
-type CreditClient struct {
-	BaseURL string
-	HTTP    *http.Client
-}
+type CreditClient struct{ Client }
 
 // NewCreditClient builds a client for the given base URL.
 func NewCreditClient(baseURL string) *CreditClient {
-	return &CreditClient{BaseURL: baseURL, HTTP: http.DefaultClient}
-}
-
-func (c *CreditClient) post(path string, body, out any) error {
-	return postJSON(c.HTTP, c.BaseURL+path, body, out)
+	return &CreditClient{Client{BaseURL: baseURL, HTTP: http.DefaultClient}}
 }
 
 // Deposit funds a user account.
 func (c *CreditClient) Deposit(user string, credits float64) error {
-	return c.post("/deposit", DepositRequest{User: user, Credits: credits}, nil)
+	return c.Post(DepositRequest{User: user, Credits: credits}, nil, "deposit")
 }
 
 // Order provisions credits for a batch.
 func (c *CreditClient) Order(user, batchID string, credits float64) error {
-	return c.post("/orders", OrderRequest{User: user, BatchID: batchID, Credits: credits}, nil)
+	return c.Post(OrderRequest{User: user, BatchID: batchID, Credits: credits}, nil, "orders")
 }
 
 // Bill charges credits against a batch order.
-func (c *CreditClient) Bill(batchID string, credits float64) (BillReply, error) {
-	var out BillReply
-	err := c.post("/orders/"+batchID+"/bill", BillRequest{Credits: credits}, &out)
+func (c *CreditClient) Bill(batchID string, credits float64) (out BillReply, err error) {
+	err = c.Post(BillRequest{Credits: credits}, &out, "orders", batchID, "bill")
 	return out, err
 }
 
@@ -248,7 +178,7 @@ func (c *CreditClient) Bill(batchID string, credits float64) (BillReply, error) 
 // in order. A request that fails as a whole is reported in the results of the
 // items it carried, with Applied 0.
 func (c *CreditClient) Bills(items []BillItem) []BillResult {
-	return bulkCall(c.HTTP, c.BaseURL+"/bills", items,
+	return bulkCall(&c.Client, []string{"bills"}, items,
 		func(it BillItem) int { return max(1, len(it.Credits)) },
 		func(it BillItem, msg string) BillResult { return BillResult{BatchID: it.BatchID, Error: msg} })
 }
@@ -256,32 +186,32 @@ func (c *CreditClient) Bills(items []BillItem) []BillResult {
 // Orders looks many batches' orders up with POST /orders/lookup and returns
 // one result per id, in order.
 func (c *CreditClient) Orders(batchIDs []string) []OrderLookup {
-	return bulkCall(c.HTTP, c.BaseURL+"/orders/lookup", batchIDs, oneEach,
+	return bulkCall(&c.Client, []string{"orders", "lookup"}, batchIDs, oneEach,
 		func(id, msg string) OrderLookup { return OrderLookup{BatchID: id, Error: msg} })
 }
 
 // Pay closes an order, returning the refund.
 func (c *CreditClient) Pay(batchID string) (float64, error) {
 	var out PayReply
-	err := c.post("/orders/"+batchID+"/pay", struct{}{}, &out)
+	err := c.Post(struct{}{}, &out, "orders", batchID, "pay")
 	return out.Refund, err
 }
 
 // HasCredits reports whether a batch has an open, funded order.
 func (c *CreditClient) HasCredits(batchID string) (bool, error) {
 	var out map[string]bool
-	err := getJSON(c.HTTP, c.BaseURL+"/has-credits/"+batchID, &out)
+	err := c.Get(&out, "has-credits", batchID)
 	return out["has_credits"], err
 }
 
 // Account fetches a user's account.
 func (c *CreditClient) Account(user string) (a core.Account, err error) {
-	err = getJSON(c.HTTP, c.BaseURL+"/accounts/"+user, &a)
+	err = c.Get(&a, "accounts", user)
 	return a, err
 }
 
 // OrderOf fetches a batch's order.
 func (c *CreditClient) OrderOf(batchID string) (o core.Order, err error) {
-	err = getJSON(c.HTTP, c.BaseURL+"/orders/"+batchID, &o)
+	err = c.Get(&o, "orders", batchID)
 	return o, err
 }

@@ -201,7 +201,7 @@ func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
 	st := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
 	defer st.Close()
 	post := func() int {
-		resp, err := http.Post(st.SchedulerAddr+"/qos", "application/json", strings.NewReader(
+		resp, err := http.Post(st.SchedulerClient.BaseURL+"/qos", "application/json", strings.NewReader(
 			`{"user":"alice","batch_id":"b1","env_key":"e","size":10,"credits":60,"provider":"mock"}`))
 		if err != nil {
 			t.Fatal(err)

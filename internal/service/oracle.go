@@ -1,9 +1,7 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
-	"sync"
 
 	"spequlos/internal/core"
 )
@@ -16,13 +14,13 @@ import (
 //	POST /plan                  {batch_id, credit_cpu_hours} → start decision
 //	POST /plans                 start decisions for many batches
 //	POST /calibration           {env_key, base, actual} archive an execution
-//	GET  /calibration/{env}     α and success rate of an environment
+//	GET  /calibration/{env...}  α and success rate of an environment (env keys contain "/")
 //
 // The bulk route /plans (see bulk.go) is the Scheduler tick's: it reads every
 // batch's state with one POST /statuses to Information and runs /plan's
 // decision on each.
 type OracleService struct {
-	mu     sync.Mutex
+	Routes
 	oracle *core.Oracle
 	info   *InformationClient
 }
@@ -30,7 +28,32 @@ type OracleService struct {
 // NewOracleService builds an Oracle service reading from the given
 // Information service.
 func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
-	return &OracleService{oracle: o, info: info}
+	s := &OracleService{oracle: o, info: info}
+	s.Handle("GET /predict/{batch}", EndpointNoBody(http.StatusOK, func(r *http.Request) (core.Prediction, error) {
+		st, err := info.Status(r.PathValue("batch"))
+		if err != nil {
+			return core.Prediction{}, Fail(http.StatusBadGateway, err)
+		}
+		p, err := o.PredictView(st)
+		return p, Fail(http.StatusConflict, err)
+	}))
+	s.Handle("POST /plan", Endpoint(http.StatusOK, func(_ *http.Request, req PlanRequest) (PlanReply, error) {
+		st, err := info.Status(req.BatchID)
+		if err != nil {
+			return PlanReply{}, Fail(http.StatusBadGateway, err)
+		}
+		return o.Plan(st, req.CreditCPUHours), nil
+	}))
+	s.Handle("POST /plans", Endpoint(http.StatusOK, s.plans))
+	s.Handle("POST /calibration", Endpoint(http.StatusAccepted, func(_ *http.Request, rec CalibrationRecord) (map[string]string, error) {
+		o.Calibration.Record(rec.EnvKey, rec.Base, rec.Actual)
+		return map[string]string{"env_key": rec.EnvKey}, nil
+	}))
+	s.Handle("GET /calibration/{env...}", EndpointNoBody(http.StatusOK, func(r *http.Request) (CalibrationStatus, error) {
+		env, cal := r.PathValue("env"), o.Calibration
+		return CalibrationStatus{EnvKey: env, Alpha: cal.Alpha(env), SuccessRate: cal.SuccessRate(env), Count: cal.Count(env)}, nil
+	}))
+	return s
 }
 
 // PlanRequest asks whether (and with how many workers) to start cloud
@@ -69,116 +92,50 @@ type CalibrationStatus struct {
 	Count       int     `json:"count"`
 }
 
-// ServeHTTP implements http.Handler.
-func (s *OracleService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/predict/") != "":
-		id := pathTail(r.URL.Path, "/predict/")
-		st, err := s.info.Status(id)
-		if err != nil {
-			writeErr(w, http.StatusBadGateway, err)
-			return
-		}
-		s.mu.Lock()
-		p, err := s.oracle.PredictView(st)
-		s.mu.Unlock()
-		if err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, p)
-
-	case r.Method == http.MethodPost && r.URL.Path == "/plan":
-		var req PlanRequest
-		if err := readJSON(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		st, err := s.info.Status(req.BatchID)
-		if err != nil {
-			writeErr(w, http.StatusBadGateway, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, s.oracle.Plan(st, req.CreditCPUHours))
-
-	case r.Method == http.MethodPost && r.URL.Path == "/plans":
-		reqs, err := readBulk(r, func(p PlanRequest) string { return p.BatchID })
-		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		ids := make([]string, len(reqs))
-		for i, req := range reqs {
-			ids[i] = req.BatchID
-		}
-		results := make([]PlanResult, len(reqs))
-		for i, st := range s.info.Statuses(ids) {
-			results[i] = PlanResult{BatchID: ids[i]}
-			switch {
-			case st.Error != "":
-				// The text /plan answers when its status fetch fails.
-				results[i].Error = itemErr(st.Error).Error()
-			case st.Status == nil:
-				results[i].Error = "information returned neither a status nor an error"
-			default:
-				results[i].Plan = s.oracle.Plan(*st.Status, reqs[i].CreditCPUHours)
-			}
-		}
-		writeJSON(w, http.StatusOK, BulkReply[PlanResult]{Results: results})
-
-	case r.Method == http.MethodPost && r.URL.Path == "/calibration":
-		var rec CalibrationRecord
-		if err := readJSON(r, &rec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		s.mu.Lock()
-		s.oracle.Calibration.Record(rec.EnvKey, rec.Base, rec.Actual)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, map[string]string{"env_key": rec.EnvKey})
-
-	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/calibration/") != "":
-		env := pathTail(r.URL.Path, "/calibration/")
-		s.mu.Lock()
-		st := CalibrationStatus{
-			EnvKey:      env,
-			Alpha:       s.oracle.Calibration.Alpha(env),
-			SuccessRate: s.oracle.Calibration.SuccessRate(env),
-			Count:       s.oracle.Calibration.Count(env),
-		}
-		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, st)
-
-	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+// plans is POST /plans: one POST /statuses to Information, then /plan's
+// decision on each status.
+func (s *OracleService) plans(_ *http.Request, req BulkRequest[PlanRequest]) (BulkReply[PlanResult], error) {
+	reqs := req.Items
+	if err := checkBulk(reqs, func(p PlanRequest) string { return p.BatchID }); err != nil {
+		return BulkReply[PlanResult]{}, Fail(http.StatusBadRequest, err)
 	}
+	ids := make([]string, len(reqs))
+	for i, req := range reqs {
+		ids[i] = req.BatchID
+	}
+	results := make([]PlanResult, len(reqs))
+	for i, st := range s.info.Statuses(ids) {
+		results[i] = PlanResult{BatchID: ids[i]}
+		switch {
+		case st.Error != "":
+			// The text /plan answers when its status fetch fails.
+			results[i].Error = itemErr(st.Error).Error()
+		case st.Status == nil:
+			results[i].Error = "information returned neither a status nor an error"
+		default:
+			results[i].Plan = s.oracle.Plan(*st.Status, reqs[i].CreditCPUHours)
+		}
+	}
+	return BulkReply[PlanResult]{Results: results}, nil
 }
 
 // OracleClient is the typed client of the Oracle service.
-type OracleClient struct {
-	BaseURL string
-	HTTP    *http.Client
-}
+type OracleClient struct{ Client }
 
 // NewOracleClient builds a client for the given base URL.
 func NewOracleClient(baseURL string) *OracleClient {
-	return &OracleClient{BaseURL: baseURL, HTTP: http.DefaultClient}
-}
-
-func (c *OracleClient) post(path string, body, out any) error {
-	return postJSON(c.HTTP, c.BaseURL+path, body, out)
+	return &OracleClient{Client{BaseURL: baseURL, HTTP: http.DefaultClient}}
 }
 
 // Predict fetches a completion-time prediction.
 func (c *OracleClient) Predict(batchID string) (p core.Prediction, err error) {
-	err = getJSON(c.HTTP, c.BaseURL+"/predict/"+batchID, &p)
+	err = c.Get(&p, "predict", batchID)
 	return p, err
 }
 
 // Plan asks for the provisioning decision.
-func (c *OracleClient) Plan(batchID string, creditHours float64) (PlanReply, error) {
-	var out PlanReply
-	err := c.post("/plan", PlanRequest{BatchID: batchID, CreditCPUHours: creditHours}, &out)
+func (c *OracleClient) Plan(batchID string, creditHours float64) (out PlanReply, err error) {
+	err = c.Post(PlanRequest{BatchID: batchID, CreditCPUHours: creditHours}, &out, "plan")
 	return out, err
 }
 
@@ -186,17 +143,17 @@ func (c *OracleClient) Plan(batchID string, creditHours float64) (PlanReply, err
 // result per request, in order. A request that fails as a whole is reported
 // in the results of the items it carried.
 func (c *OracleClient) Plans(reqs []PlanRequest) []PlanResult {
-	return bulkCall(c.HTTP, c.BaseURL+"/plans", reqs, oneEach,
+	return bulkCall(&c.Client, []string{"plans"}, reqs, oneEach,
 		func(p PlanRequest, msg string) PlanResult { return PlanResult{BatchID: p.BatchID, Error: msg} })
 }
 
 // RecordCalibration archives a finished execution.
 func (c *OracleClient) RecordCalibration(envKey string, base, actual float64) error {
-	return c.post("/calibration", CalibrationRecord{EnvKey: envKey, Base: base, Actual: actual}, nil)
+	return c.Post(CalibrationRecord{EnvKey: envKey, Base: base, Actual: actual}, nil, "calibration")
 }
 
 // Calibration fetches an environment's α status.
 func (c *OracleClient) Calibration(envKey string) (st CalibrationStatus, err error) {
-	err = getJSON(c.HTTP, c.BaseURL+"/calibration/"+envKey, &st)
+	err = c.Get(&st, "calibration", envKey)
 	return st, err
 }

@@ -70,6 +70,7 @@ type WorkerStatusGateway interface {
 // instance launched or stopped. Step and StepBatch are that tick, over every
 // batch and over one.
 type SchedulerService struct {
+	Routes
 	info     *InformationClient
 	credits  *CreditClient
 	oracle   *OracleClient
@@ -137,70 +138,46 @@ func NewSchedulerService(info *InformationClient, credits *CreditClient, oracle 
 		stepping: map[*core.Batch]bool{},
 	}
 	s.mon = &core.Monitor{Ports: (*schedulerPorts)(s)}
+	s.Handle("POST /qos", Endpoint(http.StatusCreated, s.qos))
+	s.Handle("GET /qos/{id}", EndpointNoBody(http.StatusOK, func(r *http.Request) (QoSStatus, error) {
+		st, err := s.Status(r.PathValue("id"))
+		return st, Fail(http.StatusNotFound, err)
+	}))
+	s.Handle("POST /step", EndpointNoBody(http.StatusOK, func(*http.Request) (map[string]string, error) {
+		return map[string]string{"status": "ok"}, Fail(http.StatusBadGateway, s.Step())
+	}))
+	s.Handle("GET /instances", EndpointNoBody(http.StatusOK, func(*http.Request) ([]cloud.InstanceInfo, error) {
+		return s.Instances(), nil
+	}))
 	return s
 }
 
-// ServeHTTP implements http.Handler.
-func (s *SchedulerService) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch {
-	case r.Method == http.MethodPost && r.URL.Path == "/qos":
-		var req QoSRequest
-		if err := readJSON(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if _, err := core.ParseTier(req.Tier); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("scheduler: %w", err))
-			return
-		}
-		// Behind an auth gate (see auth.go) the request runs as the key's
-		// identity: an absent body tier/user inherits the credential's, and a
-		// body tier outranking the credential's is rejected — a free key
-		// cannot order enterprise service.
-		if kt := r.Header.Get(AuthTierHeader); kt != "" {
-			keyTier, err := core.ParseTier(kt)
-			if err == nil {
-				reqTier := core.Tier(req.Tier)
-				if req.Tier == "" {
-					req.Tier = string(keyTier.OrFree())
-				} else if reqTier.Rank() > keyTier.Rank() {
-					writeErr(w, http.StatusForbidden, fmt.Errorf(
-						"scheduler: tier %s exceeds the API key's tier %s", reqTier, keyTier.OrFree()))
-					return
-				}
-			}
-			if req.User == "" {
-				req.User = r.Header.Get(AuthUserHeader)
-			}
-		}
-		if err := s.RegisterQoS(req); err != nil {
-			writeErr(w, http.StatusConflict, err)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]string{"batch_id": req.BatchID})
-
-	case r.Method == http.MethodPost && r.URL.Path == "/step":
-		if err := s.Step(); err != nil {
-			writeErr(w, http.StatusBadGateway, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-
-	case r.Method == http.MethodGet && pathTail(r.URL.Path, "/qos/") != "":
-		id := pathTail(r.URL.Path, "/qos/")
-		st, err := s.Status(id)
-		if err != nil {
-			writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, st)
-
-	case r.Method == http.MethodGet && r.URL.Path == "/instances":
-		writeJSON(w, http.StatusOK, s.Instances())
-
-	default:
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no route %s %s", r.Method, r.URL.Path))
+// qos is POST /qos: RegisterQoS as the identity the auth gate stamped on the
+// request, if one did.
+func (s *SchedulerService) qos(r *http.Request, req QoSRequest) (map[string]string, error) {
+	if _, err := core.ParseTier(req.Tier); err != nil {
+		return nil, Fail(http.StatusBadRequest, fmt.Errorf("scheduler: %w", err))
 	}
+	// Behind an auth gate (see auth.go) the request runs as the key's
+	// identity: an absent body tier/user inherits the credential's, and a
+	// body tier outranking the credential's is rejected — a free key
+	// cannot order enterprise service.
+	if kt := r.Header.Get(AuthTierHeader); kt != "" {
+		keyTier, err := core.ParseTier(kt)
+		if err == nil {
+			reqTier := core.Tier(req.Tier)
+			if req.Tier == "" {
+				req.Tier = string(keyTier.OrFree())
+			} else if reqTier.Rank() > keyTier.Rank() {
+				return nil, Fail(http.StatusForbidden, fmt.Errorf(
+					"scheduler: tier %s exceeds the API key's tier %s", reqTier, keyTier.OrFree()))
+			}
+		}
+		if req.User == "" {
+			req.User = r.Header.Get(AuthUserHeader)
+		}
+	}
+	return map[string]string{"batch_id": req.BatchID}, Fail(http.StatusConflict, s.RegisterQoS(req))
 }
 
 // RegisterQoS places the credit order and registers the batch with the
@@ -465,4 +442,24 @@ func (s *SchedulerService) Run(period time.Duration, stop <-chan struct{}) {
 			}
 		}
 	}
+}
+
+// SchedulerClient is the typed client of the Scheduler service: what a user
+// of the QoS service calls (Fig 3).
+type SchedulerClient struct{ Client }
+
+// NewSchedulerClient builds a client for the given base URL.
+func NewSchedulerClient(baseURL string) *SchedulerClient {
+	return &SchedulerClient{Client{BaseURL: baseURL, HTTP: http.DefaultClient}}
+}
+
+// RegisterQoS registers a batch for QoS support and places its order.
+func (c *SchedulerClient) RegisterQoS(req QoSRequest) error {
+	return c.Post(req, nil, "qos")
+}
+
+// Status fetches the Scheduler's view of a batch.
+func (c *SchedulerClient) Status(batchID string) (st QoSStatus, err error) {
+	err = c.Get(&st, "qos", batchID)
+	return st, err
 }

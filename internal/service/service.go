@@ -12,12 +12,10 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 )
 
 // writeJSON writes v with the given status code.
@@ -48,15 +46,6 @@ func readJSON(r *http.Request, v any) error {
 		return fmt.Errorf("service: bad request body: %w", err)
 	}
 	return nil
-}
-
-// pathTail returns the path component after the given prefix, or "".
-func pathTail(path, prefix string) string {
-	if !strings.HasPrefix(path, prefix) {
-		return ""
-	}
-	rest := strings.TrimPrefix(path, prefix)
-	return strings.Trim(rest, "/")
 }
 
 // apiError is the error payload shape shared by all services.
@@ -90,27 +79,4 @@ func decodeReply(resp *http.Response, v any) error {
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// getJSON fetches url and decodes the reply into out.
-func getJSON(hc *http.Client, url string, out any) error {
-	resp, err := hc.Get(url)
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, out)
-}
-
-// postJSON posts body as JSON and decodes the reply into out (nil discards
-// it).
-func postJSON(hc *http.Client, url string, body, out any) error {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	resp, err := hc.Post(url, "application/json", bytes.NewReader(buf))
-	if err != nil {
-		return err
-	}
-	return decodeReply(resp, out)
 }

@@ -413,7 +413,7 @@ func TestSchedulerHTTPEndpoints(t *testing.T) {
 	stack.CreditClient.Deposit("u", 100)
 
 	body := `{"user":"u","batch_id":"hb","env_key":"e","size":10,"credits":10,"provider":"ec2","image":"img"}`
-	resp, err := http.Post(stack.SchedulerAddr+"/qos", "application/json", strings.NewReader(body))
+	resp, err := http.Post(stack.SchedulerClient.BaseURL+"/qos", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +421,7 @@ func TestSchedulerHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("qos register: %d", resp.StatusCode)
 	}
-	resp, err = http.Post(stack.SchedulerAddr+"/step", "application/json", strings.NewReader(`{}`))
+	resp, err = http.Post(stack.SchedulerClient.BaseURL+"/step", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestSchedulerHTTPEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("step: %d", resp.StatusCode)
 	}
-	resp, err = http.Get(stack.SchedulerAddr + "/qos/hb")
+	resp, err = http.Get(stack.SchedulerClient.BaseURL + "/qos/hb")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -440,7 +440,7 @@ func TestSchedulerHTTPEndpoints(t *testing.T) {
 	if st.BatchID != "hb" {
 		t.Fatalf("status: %+v", st)
 	}
-	resp, err = http.Get(stack.SchedulerAddr + "/instances")
+	resp, err = http.Get(stack.SchedulerClient.BaseURL + "/instances")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,10 +19,10 @@ type Stack struct {
 	Oracle      *OracleService
 	Scheduler   *SchedulerService
 
-	InfoClient    *InformationClient
-	CreditClient  *CreditClient
-	OracleClient  *OracleClient
-	SchedulerAddr string
+	InfoClient      *InformationClient
+	CreditClient    *CreditClient
+	OracleClient    *OracleClient
+	SchedulerClient *SchedulerClient
 
 	servers []*httptest.Server
 }
@@ -61,7 +61,7 @@ func NewTestStack(cfg StackConfig) *Stack {
 	st.Scheduler = NewSchedulerService(st.InfoClient, st.CreditClient, st.OracleClient, cfg.Registry, cfg.DG)
 	schedSrv := httptest.NewServer(st.Scheduler)
 	st.servers = append(st.servers, schedSrv)
-	st.SchedulerAddr = schedSrv.URL
+	st.SchedulerClient = NewSchedulerClient(schedSrv.URL)
 
 	return st
 }
