@@ -3,15 +3,18 @@
 // simulation executes exactly once, and every artifact derives from the
 // shared result store — and writes them under -out (default results/):
 //
-//	figure1.txt            example execution profile with tail annotations
-//	figure2.{txt,csv}      tail slowdown CDF per middleware
-//	table1.{txt,csv}       tail fractions per BE-DCI class
-//	table2.{txt,csv}       trace statistics vs published values
-//	figure4.{txt,csv}      Tail Removal Efficiency CCDF per strategy
-//	figure5.{txt,csv}      credit consumption per strategy
-//	figure6.txt            completion times with/without SpeQuloS (9C-C-R)
-//	figure7.{txt,csv}      execution stability
-//	table4.{txt,csv}       prediction success rates
+//	figure1.{txt,svg}      example execution profile with tail annotations
+//	figure2.{txt,csv,svg}  tail slowdown CDF per middleware
+//	table1.txt             tail fractions per BE-DCI class
+//	table2.txt             trace statistics vs published values
+//	figure4.txt            Tail Removal Efficiency CCDF per strategy, one
+//	                       figure4{f,r,d}.svg per deployment in the sweep
+//	figure5.{txt,svg}      credit consumption per strategy
+//	figure6.txt            completion times with/without SpeQuloS (9C-C-R),
+//	                       one figure6-<middleware>-<bot>.svg per panel
+//	figure7.txt            execution stability, one figure7-<middleware>.svg
+//	table4.txt             prediction success rates
+//	table5.txt             the EDGI deployment slice
 //	ablation-*.txt         design-choice sweeps (-ablations)
 //	comparison.txt         three-middleware comparison (-comparison)
 //	summary.txt            everything concatenated

@@ -4,10 +4,15 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"reflect"
+	"runtime"
 	"sync"
 	"time"
 
+	"spequlos/internal/cloud"
 	"spequlos/internal/core"
+	"spequlos/internal/middleware"
+	"spequlos/internal/sim"
 )
 
 // Job is one unique simulation to execute: a scenario, optionally with a
@@ -30,6 +35,12 @@ type Job struct {
 	// KeepSeries records the full completion series in the store entry
 	// (needed by Figure 1). Plans merge this flag across duplicate jobs.
 	KeepSeries bool
+	// Backend, when non-nil, opens the cell's QoS side in place of the
+	// in-process core.Service; it takes what core.NewService takes. The one
+	// other implementation is emul.HTTPStack, the deployable stack on the
+	// cell's virtual clock. The function's name joins the key, so both sides
+	// of a cell fit in one store and neither is ever served for the other.
+	Backend func(*sim.Engine, middleware.Server, *cloud.SimCloud, core.Config) Backend
 }
 
 // Key is the content key identifying the simulation: profile (name plus
@@ -59,10 +70,32 @@ func (j Job) Key() string {
 			multi += ",skernel"
 		}
 	}
-	return fmt.Sprintf("%s@bs%g,pc%d,h%g,cf%g%s|%s|%s|%s|%d|%s|%d",
+	key := fmt.Sprintf("%s@bs%g,pc%d,h%g,cf%g%s|%s|%s|%s|%d|%s|%d",
 		p.Name, p.BotScale, p.PoolCap, p.HorizonDays, p.CreditFraction, multi,
 		sc.Middleware, sc.TraceName, sc.BotClass, sc.Offset,
 		j.configKey(), sc.Seed())
+	// An in-process job keeps the historical key, byte for byte.
+	if j.Backend != nil {
+		key += "|qos=" + runtime.FuncForPC(reflect.ValueOf(j.Backend).Pointer()).Name()
+	}
+	return key
+}
+
+// Refused reports why the executor will not run the job, nil when it will.
+// Both refusals are about a Backend, which serves ONE DG server's batches: a
+// baseline has no QoS side to serve, and a sharded-kernel cell is another
+// model — one server per batch, each on its own slice of the trace's nodes —
+// so a backend run of it could only disagree with the in-process one.
+func (j Job) Refused() error {
+	p := j.Scenario.Profile
+	switch {
+	case j.Backend == nil:
+	case j.Config == nil && j.Scenario.Strategy == nil:
+		return fmt.Errorf("campaign: %s is a baseline: a QoS backend needs a strategy to serve", j.Scenario.BotID())
+	case p.Sharded():
+		return fmt.Errorf("campaign: the %s profile is the sharded-kernel model (every batch on its own DG server over 1/%d of the trace's nodes); a QoS backend serves one server over the whole pool, so the run would be a different cell: use crowd, or a serial multi-batch profile", p.Name, p.Batches)
+	}
+	return nil
 }
 
 // configKey canonicalizes the effective SpeQuloS configuration of the job.
@@ -204,13 +237,14 @@ func (c *Campaign) Run(ctx context.Context, store *ResultStore) (Stats, error) {
 	jobs := c.Plan.Jobs()
 	stats := Stats{Planned: len(jobs)}
 
-	// Serve cached entries first: a stored entry satisfies a job unless the
-	// job needs the completion series and the entry lacks it.
+	// Serve cached entries first: a stored entry satisfies a job unless it
+	// records a backend failure (the job runs again), or the job needs the
+	// completion series and the entry lacks it.
 	var pending []Job
 	done := 0
 	for _, j := range jobs {
 		e, ok := store.Get(j.Key())
-		if ok && (!j.KeepSeries || len(e.Series) > 0) {
+		if ok && e.Err == "" && (!j.KeepSeries || len(e.Series) > 0) {
 			stats.Cached++
 			done++
 			if c.Progress != nil {

@@ -30,7 +30,7 @@ func Execute(j Job) Entry {
 	var e Entry
 	for attempt := 0; attempt < 3; attempt++ {
 		e = executeOnce(j, horizon)
-		if e.Result.Completed {
+		if e.Result.Completed || e.Err != "" {
 			break
 		}
 		horizon *= 2
@@ -149,6 +149,54 @@ func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
 	return cfg, creditFraction, true
 }
 
+// Backend is the QoS side of a cell as executeOnce drives it, on the engine
+// it was opened on. Two types implement it: inProcess, the core.Service every
+// cell ran on before the seam existed, and emul.HTTPBackend, the four web
+// services of §3.7 over loopback HTTP (Job.Backend).
+type Backend interface {
+	// Register starts QoS support for a batch hosted on srv, at its
+	// submission instant: registerQoS under its tier, then — when credits > 0
+	// — the deposit and the credit order (Fig 3).
+	Register(id, envKey string, size int, tier core.Tier, credits float64, srv middleware.Server)
+	// Submit is the user's submission path to the batch's DG server.
+	Submit(srv middleware.Server, b middleware.Batch)
+	// Usage reads a batch's cloud consumption back for the report, times on
+	// the engine's clock.
+	Usage(id string) (core.CloudUsage, error)
+	// Err is the backend's first failure, nil while it is healthy. A failed
+	// backend ignores further calls; the executor stops the run.
+	Err() error
+	// Close releases what the backend holds outside the engine.
+	Close()
+}
+
+// inProcess is the default backend: direct calls into one core.Service. A
+// failure here is a programming error (a batch registered twice, an order
+// without a deposit), so it panics and Err stays nil.
+type inProcess struct {
+	*core.Service
+	sharded bool
+}
+
+func (q inProcess) Register(id, envKey string, size int, tier core.Tier, credits float64, srv middleware.Server) {
+	var err error
+	if q.sharded {
+		err = q.RegisterQoSShardTier("user", id, envKey, size, tier, srv)
+	} else {
+		err = q.RegisterQoSTier("user", id, envKey, size, tier)
+	}
+	if err == nil && credits > 0 {
+		q.Credits.Deposit("user", credits)
+		err = q.OrderQoS("user", id, credits)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+func (q inProcess) Submit(srv middleware.Server, b middleware.Batch) { srv.Submit(b) }
+func (q inProcess) Err() error                                       { return nil }
+func (q inProcess) Close()                                           {}
+
 // executeOnce is one bounded-horizon simulation of a job — the only function
 // that builds and runs a cell. All randomness derives from the scenario
 // seed, so the same job always yields the same entry regardless of
@@ -175,7 +223,8 @@ func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
 // engine, (c) the barrier window and (d) the CloudDuplication mirror route
 // belong to the kernel axis; (e) the TriggeredAt origin and the report
 // belong to the shape axis; (f) is the completions listener; (g) is
-// serviceConfig.
+// serviceConfig; (h) is the Backend seam: which implementation serves the
+// QoS side is the job's choice, what the executor asks of it is not.
 func executeOnce(j Job, horizon float64) Entry {
 	sc := j.Scenario
 	seed := sc.Seed()
@@ -252,9 +301,13 @@ func executeOnce(j Job, horizon float64) Entry {
 		}
 	}
 
-	// The service, wired once.
-	var svc *core.Service
+	// The service, wired once. (h) This is the only place that knows which
+	// backend a cell runs on, and where a job no backend can serve is refused.
+	var qos Backend // nil on a baseline
 	var mirrorBoxes map[string]*sim.Outbox
+	if err := j.Refused(); err != nil {
+		return Entry{Result: res, Err: err.Error()}
+	}
 	if useService {
 		simCloud := cloud.NewSimCloud(ctl, cloud.DefaultSimConfig(), sim.NewRNG(seed))
 		if cfg.CloudServerFactory == nil {
@@ -262,9 +315,12 @@ func executeOnce(j Job, horizon float64) Entry {
 				return xwhep.New(ctl, xwhep.DefaultConfig())
 			}
 		}
-		if !sharded {
-			svc = core.NewService(ctl, hosts[0].srv, simCloud, cfg)
-		} else {
+		switch {
+		case j.Backend != nil:
+			qos = j.Backend(ctl, hosts[0].srv, simCloud, cfg)
+		case !sharded:
+			qos = inProcess{Service: core.NewService(ctl, hosts[0].srv, simCloud, cfg)}
+		default:
 			// (d) CloudDuplication's primary-side completions fire on shard
 			// goroutines, so they ride the barrier exchange: one outbox per
 			// batch, created in batch order (the deterministic merge
@@ -272,13 +328,16 @@ func executeOnce(j Job, horizon float64) Entry {
 			// handler replays a mirrored completion on the control engine at
 			// its exact virtual time (svc is captured by reference; it exists
 			// before the kernel runs).
+			var svc *core.Service
 			mirrorBoxes = make(map[string]*sim.Outbox, nb)
 			topic := kernel.RegisterTopic(func(m sim.Msg) { svc.DeliverMirror(m.S, int(m.I)) })
 			cfg.MirrorPost = func(batchID string, taskID int, at float64) {
 				mirrorBoxes[batchID].Post(sim.Msg{Time: at, Topic: topic, I: int32(taskID), S: batchID})
 			}
 			svc = core.NewShardedService(ctl, simCloud, cfg)
+			qos = inProcess{svc, true}
 		}
+		defer qos.Close()
 	}
 
 	// One register/submit pass over the batches. (b) On every engine the
@@ -303,36 +362,28 @@ func executeOnce(j Job, horizon float64) Entry {
 		res.Size += workload.Size()
 		br := &batches[k]
 		register := func() {
-			var err error
-			if sharded {
-				err = svc.RegisterQoSShardTier("user", id, sc.EnvKey(), workload.Size(), tier, h.srv)
+			credits := creditFraction * workload.WorkloadCPUHours() * core.CreditsPerCPUHour
+			qos.Register(id, sc.EnvKey(), workload.Size(), tier, credits, h.srv)
+			br.CreditsAllocated = max(credits, 0)
+		}
+		submit := func() {
+			if b := middleware.BatchFromBoT(workload); qos != nil {
+				qos.Submit(h.srv, b)
 			} else {
-				err = svc.RegisterQoSTier("user", id, sc.EnvKey(), workload.Size(), tier)
-			}
-			if err != nil {
-				panic(err)
-			}
-			credits := creditFraction * workload.WorkloadCPUHours() * svc.Credits.Rate()
-			if credits > 0 {
-				svc.Credits.Deposit("user", credits)
-				if err := svc.OrderQoS("user", id, credits); err != nil {
-					panic(err)
-				}
-				br.CreditsAllocated = credits
+				h.srv.Submit(b)
 			}
 		}
-		submit := func() { h.srv.Submit(middleware.BatchFromBoT(workload)) }
 		// (a) Result.Events is in the goldens, so each combination keeps its
 		// own number of scheduling events.
 		switch {
 		case !multi: // inline, no event
-			if svc != nil {
+			if qos != nil {
 				register()
 			}
 			submit()
 		case !sharded: // ONE event per batch
 			ctl.At(at, func() {
-				if svc != nil {
+				if qos != nil {
 					register()
 				}
 				submit()
@@ -343,14 +394,15 @@ func executeOnce(j Job, horizon float64) Entry {
 			// i.e. at the barrier closing that window — and only when a
 			// service runs.
 			h.eng.At(at, submit)
-			if svc != nil {
+			if qos != nil {
 				mirrorBoxes[id] = kernel.NewOutbox()
 				ctl.At(at, register)
 			}
 		}
 	}
 
-	// Run until every watched batch completed or the horizon passed.
+	// Run until every watched batch completed, the horizon passed or the
+	// backend failed.
 	running := func() bool {
 		for _, l := range listeners {
 			if l.running > 0 {
@@ -360,7 +412,9 @@ func executeOnce(j Job, horizon float64) Entry {
 		return false
 	}
 	if kernel == nil {
-		ctl.RunWhile(func() bool { return running() && ctl.Now() <= horizon })
+		ctl.RunWhile(func() bool {
+			return running() && ctl.Now() <= horizon && (qos == nil || qos.Err() == nil)
+		})
 		res.Events = ctl.Executed()
 	} else {
 		// (c) Barrier window: the monitor period when a service runs (its
@@ -399,10 +453,10 @@ func executeOnce(j Job, horizon float64) Entry {
 			res.Completed = false
 		}
 		res.CreditsAllocated += br.CreditsAllocated
-		if svc == nil {
+		if qos == nil {
 			continue
 		}
-		if u, err := svc.Usage(br.BatchID); err == nil {
+		if u, err := qos.Usage(br.BatchID); err == nil {
 			br.CreditsBilled = u.CreditsBilled
 			br.Instances = u.InstancesStarted
 			if u.TriggeredAt >= 0 {
@@ -441,5 +495,8 @@ func executeOnce(j Job, horizon float64) Entry {
 		}
 	}
 	entry.Result = res
+	if qos != nil && qos.Err() != nil {
+		entry.Err = qos.Err().Error()
+	}
 	return entry
 }

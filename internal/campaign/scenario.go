@@ -38,29 +38,19 @@ func Middlewares() []string { return []string{BOINC, XWHEP} }
 // AllMiddlewares includes the CONDOR extension.
 func AllMiddlewares() []string { return []string{BOINC, XWHEP, CONDOR} }
 
-// NewMiddlewareServer builds a middleware server by name with its default
-// configuration. The emulation harness (internal/emul) uses it so the
-// simulated DG behind the HTTP stack is built exactly like the simulator's.
-func NewMiddlewareServer(eng *sim.Engine, mw string) (middleware.Server, error) {
+// newServer builds a middleware server by name with its default
+// configuration, panicking on an unknown name (the CLIs validate theirs up
+// front).
+func newServer(eng *sim.Engine, mw string) middleware.Server {
 	switch mw {
 	case BOINC:
-		return boinc.New(eng, boinc.DefaultConfig()), nil
+		return boinc.New(eng, boinc.DefaultConfig())
 	case XWHEP:
-		return xwhep.New(eng, xwhep.DefaultConfig()), nil
+		return xwhep.New(eng, xwhep.DefaultConfig())
 	case CONDOR:
-		return condor.New(eng, condor.DefaultConfig()), nil
+		return condor.New(eng, condor.DefaultConfig())
 	}
-	return nil, fmt.Errorf("campaign: unknown middleware %q", mw)
-}
-
-// newServer builds a middleware server by name, panicking on unknown names
-// (the runner validates scenarios up front).
-func newServer(eng *sim.Engine, mw string) middleware.Server {
-	srv, err := NewMiddlewareServer(eng, mw)
-	if err != nil {
-		panic(err)
-	}
-	return srv
+	panic(fmt.Sprintf("campaign: unknown middleware %q", mw))
 }
 
 // TraceNames lists the six BE-DCI traces of Table 2, in paper order.

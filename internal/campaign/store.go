@@ -21,6 +21,10 @@ type Entry struct {
 	Variant string                `json:"variant,omitempty"`
 	Result  Result                `json:"result"`
 	Series  []metrics.SeriesPoint `json:"series,omitempty"`
+	// Err is the first failure of the job's Backend, or the executor's
+	// refusal of the job (Job.Refused); the run stopped there. Never set by
+	// an in-process job.
+	Err string `json:"err,omitempty"`
 }
 
 // ResultStore is the keyed, concurrency-safe store a campaign fills and the

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"strings"
-	"sync"
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
@@ -21,10 +20,11 @@ type Spec struct {
 	Strategies  []core.Strategy
 	// OffsetIndexes selects the submission offsets to emulate (default {0}).
 	OffsetIndexes []int
-	// Parallelism bounds concurrent emulated runs (0 = profile default).
+	// Parallelism bounds concurrent runs (0 = profile default).
 	Parallelism int
-	// Store, when non-nil, is reused for the simulator side: cells already
-	// simulated are not re-run.
+	// Store, when non-nil, receives both sides of every cell — the emulated
+	// job keys apart from the in-process one — so a conformance campaign
+	// resumes like any other: what is already stored is not run again.
 	Store *campaign.ResultStore
 }
 
@@ -134,31 +134,11 @@ const (
 	creditsTol    = 1e-6
 )
 
-// Metrics are the values both execution paths must agree on.
-type Metrics struct {
-	Completed      bool    `json:"completed"`
-	CompletionTime float64 `json:"completion_time"`
-	TriggeredAt    float64 `json:"triggered_at"`
-	Instances      int     `json:"instances"`
-	CreditsBilled  float64 `json:"credits_billed"`
-	// Batches carries the per-batch metrics of a multi-batch cell; the
-	// comparison then runs batch by batch, so a crowd cell only conforms
-	// when every individual user's trigger, fleet, credits and completion
-	// agree across the two paths.
-	Batches []BatchMetrics `json:"batches,omitempty"`
-}
-
-// BatchMetrics are one sub-batch's comparison values.
-type BatchMetrics struct {
-	BatchID        string  `json:"batch_id"`
-	Completed      bool    `json:"completed"`
-	CompletionTime float64 `json:"completion_time"`
-	TriggeredAt    float64 `json:"triggered_at"`
-	Instances      int     `json:"instances"`
-	CreditsBilled  float64 `json:"credits_billed"`
-}
-
-// Cell is the conformance report of one scenario.
+// Cell is the conformance report of one scenario: the stored result of its
+// in-process job and of its emulated one, and where they agree. For a
+// multi-batch cell each flag also covers every batch — Sim.Batches[k] against
+// Emul.Batches[k] — so a crowd cell only conforms when every individual
+// user's trigger, fleet, credits and completion agree across the two paths.
 type Cell struct {
 	Middleware string `json:"middleware"`
 	Trace      string `json:"trace"`
@@ -166,15 +146,20 @@ type Cell struct {
 	Strategy   string `json:"strategy"`
 	Offset     int    `json:"offset"`
 
-	Sim  Metrics `json:"sim"`
-	Emul Metrics `json:"emul"`
+	Sim  campaign.Result `json:"sim"`
+	Emul campaign.Result `json:"emul"`
 
-	TriggerMatch    bool   `json:"trigger_match"`
-	InstancesMatch  bool   `json:"instances_match"`
-	CreditsMatch    bool   `json:"credits_match"`
-	CompletionMatch bool   `json:"completion_match"`
-	Pass            bool   `json:"pass"`
-	Err             string `json:"err,omitempty"`
+	TriggerMatch    bool `json:"trigger_match"`
+	InstancesMatch  bool `json:"instances_match"`
+	CreditsMatch    bool `json:"credits_match"`
+	CompletionMatch bool `json:"completion_match"`
+	Pass            bool `json:"pass"`
+	// Diff names the first field the two results differ in, with both
+	// values, aggregate first and then batch by batch.
+	Diff string `json:"diff,omitempty"`
+	// Err is the emulated entry's failure (campaign.Entry.Err), or why the
+	// comparison could not run.
+	Err string `json:"err,omitempty"`
 }
 
 // Label identifies the cell.
@@ -209,7 +194,8 @@ func (r Report) Failures() []Cell {
 	return out
 }
 
-// Text renders the report as a fixed-width table.
+// Text renders the report as a fixed-width table, the first difference of a
+// failing cell on a line of its own under its row.
 func (r Report) Text() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Emulation conformance (%s profile, %d cells)\n", r.Profile, len(r.Cells))
@@ -227,6 +213,9 @@ func (r Report) Text() string {
 			c.Label(), c.Sim.CompletionTime, c.Emul.CompletionTime,
 			c.Sim.Instances, c.Emul.Instances,
 			c.Sim.CreditsBilled, c.Emul.CreditsBilled, verdict)
+		if c.Diff != "" {
+			fmt.Fprintf(&b, "    first difference: %s\n", c.Diff)
+		}
 	}
 	status := "PASS"
 	if !r.Pass() {
@@ -236,10 +225,11 @@ func (r Report) Text() string {
 	return b.String()
 }
 
-// RunConformance executes every cell of the spec both in-process (through
-// the campaign engine) and through the deployable HTTP stack (through
-// RunCell), and reports per-cell agreement. The simulator side runs as one
-// deduplicated campaign; the emulated side runs on a bounded worker pool.
+// RunConformance plans every cell of the spec as two jobs — in-process and
+// through the deployable HTTP stack (Job) — runs them as ONE deduplicated
+// campaign into one store, and reports per-cell agreement of the two stored
+// results. A spec the executor refuses to emulate (a sharded-kernel profile)
+// is an error, not a report of diverged cells.
 func RunConformance(ctx context.Context, spec Spec) (Report, error) {
 	spec = spec.withDefaults()
 	scenarios := spec.scenarios()
@@ -247,127 +237,87 @@ func RunConformance(ctx context.Context, spec Spec) (Report, error) {
 	if len(scenarios) == 0 {
 		return rep, fmt.Errorf("emul: empty conformance spec")
 	}
-
-	// Simulator side: one campaign over all cells.
+	c := campaign.Campaign{Profile: spec.Profile, Plan: campaign.NewPlan(), Parallelism: spec.Parallelism}
+	for _, sc := range scenarios {
+		emulated := Job(sc)
+		if err := emulated.Refused(); err != nil {
+			return rep, err
+		}
+		c.Plan.Add(campaign.Job{Scenario: sc}, emulated)
+	}
 	store := spec.Store
 	if store == nil {
 		store = campaign.NewResultStore()
 	}
-	jobs := make([]campaign.Job, len(scenarios))
-	for i, sc := range scenarios {
-		jobs[i] = campaign.Job{Scenario: sc}
-	}
-	c := campaign.New(spec.Profile, jobs...)
-	c.Parallelism = spec.Parallelism
 	if _, err := c.Run(ctx, store); err != nil {
 		return rep, err
 	}
-
-	// Emulated side: each cell through the HTTP stack.
-	cells := make([]Cell, len(scenarios))
-	workers := spec.Parallelism
-	if workers <= 0 {
-		workers = spec.Profile.Workers()
+	rep.Cells = make([]Cell, len(scenarios))
+	for i, sc := range scenarios {
+		rep.Cells[i] = compareCell(sc, store)
 	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	var wg sync.WaitGroup
-	idxCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idxCh {
-				cells[i] = spec.runCell(scenarios[i], store)
-			}
-		}()
-	}
-feed:
-	for i := range scenarios {
-		select {
-		case idxCh <- i:
-		case <-ctx.Done():
-			break feed
-		}
-	}
-	close(idxCh)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
-		return rep, err
-	}
-	rep.Cells = cells
 	return rep, nil
 }
 
-// runCell emulates one scenario and compares it with its stored simulator
-// result.
-func (spec Spec) runCell(sc campaign.Scenario, store *campaign.ResultStore) Cell {
+// compareCell reads both stored entries of a scenario and compares them.
+func compareCell(sc campaign.Scenario, store *campaign.ResultStore) Cell {
 	cell := Cell{
 		Middleware: sc.Middleware, Trace: sc.TraceName, Bot: sc.BotClass,
 		Strategy: sc.StrategyLabel(), Offset: sc.Offset,
 	}
-	simRes, ok := store.Result(campaign.Job{Scenario: sc})
-	if !ok {
-		cell.Err = "simulator result missing from store"
-		return cell
-	}
-	cell.Sim = Metrics{
-		Completed: simRes.Completed, CompletionTime: simRes.CompletionTime,
-		TriggeredAt: simRes.TriggeredAt, Instances: simRes.Instances,
-		CreditsBilled: simRes.CreditsBilled,
-	}
-	for _, br := range simRes.Batches {
-		cell.Sim.Batches = append(cell.Sim.Batches, BatchMetrics{
-			BatchID: br.BatchID, Completed: br.Completed,
-			CompletionTime: br.CompletionTime, TriggeredAt: br.TriggeredAt,
-			Instances: br.Instances, CreditsBilled: br.CreditsBilled,
-		})
-	}
-	out, err := RunCell(sc)
-	if err != nil {
-		cell.Err = err.Error()
-		return cell
-	}
-	cell.Emul = Metrics{
-		Completed: out.Completed, CompletionTime: out.CompletionTime,
-		TriggeredAt: out.TriggeredAt, Instances: out.Instances,
-		CreditsBilled: out.CreditsBilled,
-	}
-	for _, bo := range out.Batches {
-		cell.Emul.Batches = append(cell.Emul.Batches, BatchMetrics{
-			BatchID: bo.BatchID, Completed: bo.Completed,
-			CompletionTime: bo.CompletionTime, TriggeredAt: bo.TriggeredAt,
-			Instances: bo.Instances, CreditsBilled: bo.CreditsBilled,
-		})
-	}
-	cell.TriggerMatch = sameTrigger(cell.Sim.TriggeredAt, cell.Emul.TriggeredAt)
-	cell.InstancesMatch = cell.Sim.Instances == cell.Emul.Instances
-	cell.CreditsMatch = within(cell.Sim.CreditsBilled, cell.Emul.CreditsBilled, creditsTol)
-	cell.CompletionMatch = cell.Sim.Completed == cell.Emul.Completed &&
-		(!cell.Sim.Completed ||
-			within(cell.Sim.CompletionTime, cell.Emul.CompletionTime, completionTol))
-	// Multi-batch cells conform batch by batch: the aggregate hiding a
-	// per-user divergence must not pass.
-	if len(cell.Sim.Batches) != len(cell.Emul.Batches) {
-		// The per-batch comparison never ran; no aggregate agreement can
+	sim, okSim := store.Get(campaign.Job{Scenario: sc}.Key())
+	emul, okEmul := store.Get(Job(sc).Key())
+	cell.Sim, cell.Emul = sim.Result, emul.Result
+	switch {
+	case !okSim || !okEmul:
+		cell.Err = "result missing from store"
+	case emul.Err != "":
+		cell.Err = emul.Err
+	case len(cell.Sim.Batches) != len(cell.Emul.Batches):
+		// The per-batch comparison cannot run; no aggregate agreement can
 		// stand in for it.
-		cell.TriggerMatch, cell.InstancesMatch = false, false
-		cell.CreditsMatch, cell.CompletionMatch = false, false
-		cell.Err = fmt.Sprintf("batch count: sim %d, emul %d",
-			len(cell.Sim.Batches), len(cell.Emul.Batches))
-	} else {
-		for i := range cell.Sim.Batches {
-			sb, eb := cell.Sim.Batches[i], cell.Emul.Batches[i]
-			cell.TriggerMatch = cell.TriggerMatch && sameTrigger(sb.TriggeredAt, eb.TriggeredAt)
-			cell.InstancesMatch = cell.InstancesMatch && sb.Instances == eb.Instances
-			cell.CreditsMatch = cell.CreditsMatch && within(sb.CreditsBilled, eb.CreditsBilled, creditsTol)
-			cell.CompletionMatch = cell.CompletionMatch && sb.Completed == eb.Completed &&
-				(!sb.Completed || within(sb.CompletionTime, eb.CompletionTime, completionTol))
+		cell.Err = fmt.Sprintf("batch count: sim %d, emul %d", len(cell.Sim.Batches), len(cell.Emul.Batches))
+	default:
+		cell.TriggerMatch, cell.InstancesMatch = true, true
+		cell.CreditsMatch, cell.CompletionMatch = true, true
+		cell.compare("", aggregate(cell.Sim), aggregate(cell.Emul))
+		// Multi-batch cells conform batch by batch: the aggregate hiding a
+		// per-user divergence must not pass.
+		for k, sb := range cell.Sim.Batches {
+			cell.compare("batch "+sb.BatchID+" ", sb, cell.Emul.Batches[k])
+		}
+		cell.Pass = cell.TriggerMatch && cell.InstancesMatch && cell.CreditsMatch && cell.CompletionMatch
+	}
+	return cell
+}
+
+// aggregate is a result's cell-level outcome in the shape of one of its
+// batches, so that one comparator serves both levels.
+func aggregate(r campaign.Result) campaign.BatchResult {
+	return campaign.BatchResult{
+		Completed: r.Completed, CompletionTime: r.CompletionTime, TriggeredAt: r.TriggeredAt,
+		Instances: r.Instances, CreditsBilled: r.CreditsBilled,
+	}
+}
+
+// compare is the one comparator: it clears the match flag of every field s
+// and e disagree on, and keeps the first disagreement of the cell in Diff.
+func (c *Cell) compare(where string, s, e campaign.BatchResult) {
+	check := func(match *bool, same bool, field string, sv, ev any) {
+		if same {
+			return
+		}
+		*match = false
+		if c.Diff == "" {
+			c.Diff = fmt.Sprintf("%s%s: sim %v, emul %v", where, field, sv, ev)
 		}
 	}
-	cell.Pass = cell.TriggerMatch && cell.InstancesMatch && cell.CreditsMatch && cell.CompletionMatch
-	return cell
+	check(&c.TriggerMatch, sameTrigger(s.TriggeredAt, e.TriggeredAt), "TriggeredAt", s.TriggeredAt, e.TriggeredAt)
+	check(&c.InstancesMatch, s.Instances == e.Instances, "Instances", s.Instances, e.Instances)
+	check(&c.CreditsMatch, within(s.CreditsBilled, e.CreditsBilled, creditsTol), "CreditsBilled", s.CreditsBilled, e.CreditsBilled)
+	check(&c.CompletionMatch, s.Completed == e.Completed, "Completed", s.Completed, e.Completed)
+	check(&c.CompletionMatch, !s.Completed || !e.Completed || within(s.CompletionTime, e.CompletionTime, completionTol),
+		"CompletionTime", s.CompletionTime, e.CompletionTime)
 }
 
 // sameTrigger compares trigger decisions: both never fired, or both fired at

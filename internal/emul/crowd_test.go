@@ -34,12 +34,9 @@ func TestCrowdConformance(t *testing.T) {
 			}
 			t.Errorf("cell %s diverged (trigger=%v instances=%v credits=%v completion=%v err=%q)",
 				c.Label(), c.TriggerMatch, c.InstancesMatch, c.CreditsMatch, c.CompletionMatch, c.Err)
-			for i := range c.Sim.Batches {
-				if i < len(c.Emul.Batches) && c.Sim.Batches[i] != c.Emul.Batches[i] {
-					t.Logf("  batch %s:\n    sim:  %+v\n    emul: %+v",
-						c.Sim.Batches[i].BatchID, c.Sim.Batches[i], c.Emul.Batches[i])
-				}
-			}
+		}
+		if !rep.Pass() {
+			t.Log(rep.Text())
 		}
 		return rep
 	}

@@ -1,7 +1,6 @@
 package emul
 
 import (
-	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +12,7 @@ import (
 	"spequlos/internal/core"
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
+	"spequlos/internal/xwhep"
 )
 
 func quickScenario(mw, tn, label string) campaign.Scenario {
@@ -31,11 +31,20 @@ func quickScenario(mw, tn, label string) campaign.Scenario {
 // simulator's trigger time, fleet size, billing and completion time.
 func TestRunCellMatchesSimulator(t *testing.T) {
 	sc := quickScenario("XWHEP", "seti", "9C-C-R")
-	sim := campaign.Run(sc)
-	out, err := RunCell(sc)
-	if err != nil {
-		t.Fatal(err)
+	// The emulation's own accounting lives on the backend value, not on the
+	// result: open it as Job does and keep a handle.
+	var stack *HTTPBackend
+	job := Job(sc)
+	job.Backend = func(eng *sim.Engine, primary middleware.Server, cl *cloud.SimCloud, cfg core.Config) campaign.Backend {
+		stack = HTTPStack(eng, primary, cl, cfg).(*HTTPBackend)
+		return stack
 	}
+	sim := campaign.Run(sc)
+	e := campaign.Execute(job)
+	if e.Err != "" {
+		t.Fatal(e.Err)
+	}
+	out := e.Result
 	if !sim.Completed || !out.Completed {
 		t.Fatalf("completed: sim=%v emul=%v", sim.Completed, out.Completed)
 	}
@@ -51,12 +60,17 @@ func TestRunCellMatchesSimulator(t *testing.T) {
 	if !within(sim.CompletionTime, out.CompletionTime, 0.01) {
 		t.Errorf("completion: sim=%.1f emul=%.1f", sim.CompletionTime, out.CompletionTime)
 	}
-	if out.Size != sim.Size || out.BridgeForwarded != out.Size || out.BridgeCompleted != out.Size {
-		t.Errorf("bridge accounting: size=%d forwarded=%d completed=%d (sim size %d)",
-			out.Size, out.BridgeForwarded, out.BridgeCompleted, sim.Size)
+	forwarded, completed := 0, 0
+	for _, s := range stack.Bridge.StatsBySource() {
+		forwarded += s.Forwarded
+		completed += s.Completed
 	}
-	if out.Ticks == 0 || out.Events == 0 {
-		t.Errorf("no ticks/events recorded: %+v", out)
+	if out.Size != sim.Size || forwarded != out.Size || completed != out.Size {
+		t.Errorf("bridge accounting: size=%d forwarded=%d completed=%d (sim size %d)",
+			out.Size, forwarded, completed, sim.Size)
+	}
+	if stack.Ticks == 0 || out.Events == 0 {
+		t.Errorf("no ticks/events recorded: ticks=%d %+v", stack.Ticks, out)
 	}
 }
 
@@ -89,10 +103,7 @@ func TestRunCellRequiresStrategy(t *testing.T) {
 // busy over real HTTP, plus error paths.
 func TestGatewayHTTP(t *testing.T) {
 	eng := sim.NewEngine()
-	primary, err := campaign.NewMiddlewareServer(eng, campaign.XWHEP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary := xwhep.New(eng, xwhep.DefaultConfig())
 	simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
 	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 	srv := httptest.NewServer(gw.Handler())
@@ -141,10 +152,7 @@ func TestGatewayHTTP(t *testing.T) {
 // simulated worker, describe tracks its state, terminate stops it.
 func TestDriverLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
-	primary, err := campaign.NewMiddlewareServer(eng, campaign.XWHEP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary := xwhep.New(eng, xwhep.DefaultConfig())
 	simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(2))
 	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 	gw.SetWorkerURL("http://dg.emul")
@@ -183,5 +191,3 @@ func TestDriverLifecycle(t *testing.T) {
 		t.Fatal("terminating unknown instance accepted")
 	}
 }
-
-var _ = context.Background

@@ -6,7 +6,7 @@ import (
 	"reflect"
 	"testing"
 
-	"spequlos/internal/campaign"
+	"spequlos/internal/boinc"
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
 	"spequlos/internal/httprr"
@@ -50,10 +50,7 @@ func TestDGClientConformanceReplay(t *testing.T) {
 	base := "http://" + "dg.replay.invalid"
 	if rr.Recording() {
 		eng := sim.NewEngine()
-		primary, err := campaign.NewMiddlewareServer(eng, campaign.BOINC)
-		if err != nil {
-			t.Fatal(err)
-		}
+		primary := boinc.New(eng, boinc.DefaultConfig())
 		simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
 		gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 		gw.SetWorkerURL(recordedWorkerURL)

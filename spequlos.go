@@ -20,8 +20,9 @@
 //     figure of the paper's evaluation from it,
 //   - the deployable HTTP service layer (one web service per module),
 //   - the emulation mode, which runs that HTTP stack inside the simulation
-//     on a virtual clock and proves cell by cell that it matches the
-//     in-process simulator (Emulate, RunConformance).
+//     on a virtual clock, as the QoS side of the cell Simulate runs, and
+//     proves cell by cell that it matches the in-process simulator (Emulate
+//     returns a Result like Simulate; RunConformance compares the two).
 //
 // Quick start — compare one execution with and without SpeQuloS:
 //
@@ -173,28 +174,26 @@ func RunCampaign(ctx context.Context, c *Campaign, store *ResultStore) (Campaign
 	return c.Run(ctx, store)
 }
 
-// EmulationOutcome is the result of one scenario executed through the
-// deployable HTTP service stack on the virtual clock.
-type EmulationOutcome = emul.Outcome
-
 // ConformanceSpec scopes a conformance campaign: the scenario subset run
-// both in-process and through the HTTP stack, and the comparison
-// tolerances.
+// both in-process and through the HTTP stack, and the store both sides
+// resume from.
 type ConformanceSpec = emul.Spec
 
 // ConformanceReport is the per-cell agreement report of a conformance
 // campaign.
 type ConformanceReport = emul.Report
 
-// ConformanceCell is one cell of a conformance report.
+// ConformanceCell is one cell of a conformance report: the Result of the
+// in-process run, the Result of the emulated one, and where they agree.
 type ConformanceCell = emul.Cell
 
 // Emulate executes one scenario (which must carry a strategy) through the
 // deployable HTTP service stack — all four modules on loopback HTTP servers,
 // clocks virtualized, the Desktop Grid simulated behind the gateway wire
-// format — and returns its outcome. Emulated runs are deterministic and
-// directly comparable to Simulate on the same scenario.
-func Emulate(sc Scenario) (EmulationOutcome, error) { return emul.RunCell(sc) }
+// format. It is the cell Simulate runs with the stack as its QoS side, so it
+// returns the same Result, field for field comparable; emulated runs are
+// deterministic. A sharded-kernel profile (stress, crowd2k) is refused.
+func Emulate(sc Scenario) (Result, error) { return emul.RunCell(sc) }
 
 // QuickConformanceSpec returns the quick-profile conformance subset CI runs:
 // every middleware, two contrasting traces, and strategies covering every
