@@ -10,6 +10,7 @@ package boinc
 
 import (
 	"fmt"
+	"slices"
 
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
@@ -41,14 +42,13 @@ func DefaultConfig() Config {
 }
 
 // Server is a BOINC server simulation. It implements middleware.Server:
-// everything but the handling of volatile hosts is the embedded frame's.
+// everything but the handling of volatile hosts is the embedded frame's. The
+// checkpointed execution of an offline host is parked on the host's record in
+// the frame (Park), and resumed if the host returns.
 type Server struct {
 	*frame
 	cfg     Config
 	pending middleware.Pending[*workunit]
-	// paused holds checkpointed executions of currently-offline hosts,
-	// resumed if the host returns.
-	paused map[*middleware.Worker]*exec
 
 	opDeadline sim.Op // Payload.A = *exec: delay_bound expired
 }
@@ -78,10 +78,12 @@ type replication struct {
 	active int
 	// results is the number of successful results received.
 	results int
-	// holders are the workers currently holding a replica, returned those
-	// that returned a result (one_result_per_user_per_wu).
-	holders  map[int]bool
-	returned map[int]bool
+	// returned lists the IDs of the workers that returned a result
+	// (one_result_per_user_per_wu). The workers currently holding a replica
+	// are those with an execution of the workunit: the frame records one
+	// just before Start and drops it just before Result, and nothing asks
+	// once the workunit completed.
+	returned []int
 }
 
 // replica is the state of one replica's execution.
@@ -119,7 +121,7 @@ func New(eng *sim.Engine, cfg Config) *Server {
 	if cfg.DelayBound <= 0 {
 		cfg.DelayBound = 86400
 	}
-	s := &Server{cfg: cfg, paused: map[*middleware.Worker]*exec{}}
+	s := &Server{cfg: cfg}
 	s.frame = middleware.NewFrame[replication, replica, pendingView](eng, "BOINC", s)
 	s.opDeadline = eng.RegisterOp(func(p sim.Payload) { s.deadline(p.A.(*exec)) })
 	return s
@@ -130,7 +132,7 @@ var _ middleware.Server = (*Server)(nil)
 // Enqueue implements middleware.Mechanism: target_nresults replicas of the
 // arrived workunit are created.
 func (s *Server) Enqueue(wu *workunit) {
-	wu.M = replication{unsent: s.cfg.TargetNResults, holders: map[int]bool{}, returned: map[int]bool{}}
+	wu.M = replication{unsent: s.cfg.TargetNResults}
 	s.pending.Push(wu, &wu.Batch.M.view)
 }
 
@@ -153,7 +155,7 @@ func (s *Server) FirstQueued(w *middleware.Worker, bt *batch) *workunit {
 // replicas, beyond target_nresults, so that the quorum of every tail
 // workunit becomes achievable on the cloud alone.
 func (s *Server) MayDuplicate(w *middleware.Worker, wu *workunit) bool {
-	return !s.cfg.OneResultPerWorker || !(wu.M.holders[w.ID] || wu.M.returned[w.ID])
+	return !s.cfg.OneResultPerWorker || (wu.ExecOn(w) == nil && !slices.Contains(wu.M.returned, w.ID))
 }
 
 // WorkerJoin implements middleware.Server. A returning host resumes its
@@ -163,8 +165,7 @@ func (s *Server) WorkerJoin(w *middleware.Worker) {
 	if !s.Attach(w) {
 		return
 	}
-	if ex, ok := s.paused[w]; ok {
-		delete(s.paused, w)
+	if ex := s.Unpark(w); ex != nil {
 		if !ex.Task.Completed() {
 			ex.M.resumedAt = s.Eng.Now()
 			s.Resume(ex, ex.M.remaining)
@@ -180,7 +181,7 @@ func (s *Server) WorkerJoin(w *middleware.Worker) {
 func (s *Server) WorkerLeave(w *middleware.Worker) {
 	if ex := s.Detach(w); ex != nil {
 		ex.M.remaining = max(ex.M.remaining-(s.Eng.Now()-ex.M.resumedAt), 0)
-		s.paused[w] = ex
+		s.Park(ex)
 	}
 }
 
@@ -193,7 +194,6 @@ func (s *Server) Start(ex *exec) {
 		wu.SetQueued(wu.M.unsent > 0)
 	}
 	setActive(wu, 1)
-	wu.M.holders[w.ID] = true
 	dur := wu.Spec.NOps / w.Power
 	ex.M = replica{remaining: dur, resumedAt: s.Eng.Now()}
 	s.Run(ex, dur)
@@ -206,8 +206,12 @@ func (s *Server) Start(ex *exec) {
 // workunit.
 func (s *Server) Result(ex *exec) bool {
 	w, wu := ex.W, ex.Task
-	delete(wu.M.holders, w.ID)
-	wu.M.returned[w.ID] = true
+	if !slices.Contains(wu.M.returned, w.ID) {
+		if wu.M.returned == nil {
+			wu.M.returned = make([]int, 0, s.cfg.MinQuorum)
+		}
+		wu.M.returned = append(wu.M.returned, w.ID)
+	}
 	if !ex.M.settled {
 		ex.M.settled = true
 		setActive(wu, -1)

@@ -95,9 +95,14 @@ type completions struct {
 	churn   *middleware.Binding // stopped at the last completion; nil = never
 }
 
-func (c *completions) watch(id string) {
+// watch starts waiting for a batch of size tasks; a single-BoT cell sizes
+// its completion times to it.
+func (c *completions) watch(id string, size int) {
 	c.at[id] = -1
 	c.running++
+	if c.single {
+		c.tasks = make([]float64, 0, size)
+	}
 }
 
 func (c *completions) TaskAssigned(string, int, float64) {}
@@ -354,7 +359,7 @@ func executeOnce(j Job, horizon float64) Entry {
 		if multi {
 			tier = sc.SubTier(k)
 		}
-		h.done.watch(id)
+		h.done.watch(id, workload.Size())
 		batches[k] = BatchResult{
 			BatchID: id, SubmittedAt: at, Size: workload.Size(), TriggeredAt: -1,
 			Tier: string(tier),

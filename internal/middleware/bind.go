@@ -9,11 +9,13 @@ import (
 // trace node becomes one persistent Worker whose join/leave events follow
 // the node's availability intervals. Events are scheduled lazily — one
 // pending event per node, carried as op-code events with inline payloads,
-// so churn allocates nothing beyond the per-node record.
+// so churn allocates nothing beyond the per-node records, which are two
+// slabs sized to the bound nodes.
 type Binding struct {
 	eng     *sim.Engine
 	srv     Server
-	workers []*Worker
+	workers []Worker
+	nodes   []boundNode
 	stopped bool
 
 	// opJoin/opLeave are the binding's registered churn handlers
@@ -45,7 +47,20 @@ func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, part
 	if parts < 1 || part < 0 || part >= parts {
 		parts, part = 1, 0
 	}
-	b := &Binding{eng: eng, srv: srv}
+	// The slabs hold the partition's members, counted without drawing
+	// anything: sized to the whole trace, the 32 partitions of one sharded
+	// cell would each hold room for all of it. Their capacity is never
+	// exceeded, so the records never move.
+	members := len(tr.Nodes)
+	if parts > 1 {
+		members = 0
+		for _, node := range tr.Nodes {
+			if nodePartition(node.ID, parts) == part {
+				members++
+			}
+		}
+	}
+	b := &Binding{eng: eng, srv: srv, workers: make([]Worker, 0, members), nodes: make([]boundNode, 0, members)}
 	b.opJoin = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).join(p.I, p.X) })
 	b.opLeave = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).leave(p.I, p.X) })
 	base := eng.Now()
@@ -58,10 +73,9 @@ func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, part
 		if _, ok := node.At(0); !ok {
 			continue
 		}
-		w := &Worker{ID: node.ID, Power: node.Power}
-		b.workers = append(b.workers, w)
-		bn := &boundNode{b: b, w: w, node: node}
-		bn.schedule(0, base)
+		b.workers = append(b.workers, Worker{ID: node.ID, Power: node.Power})
+		b.nodes = append(b.nodes, boundNode{b: b, w: &b.workers[len(b.workers)-1], node: node})
+		b.nodes[len(b.nodes)-1].schedule(0, base)
 	}
 	return b
 }
@@ -113,6 +127,3 @@ func (bn *boundNode) leave(idx int32, base float64) {
 // executor calls it from a sharded baseline's completion listener so that a
 // finished batch's partition is not replayed to the horizon.
 func (b *Binding) Stop() { b.stopped = true }
-
-// Workers returns the workers managed by the binding.
-func (b *Binding) Workers() []*Worker { return b.workers }

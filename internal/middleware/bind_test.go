@@ -42,14 +42,14 @@ func TestBindTracePartitionDrawsOnlyItsNodes(t *testing.T) {
 				t.Fatalf("partition %d drew %d intervals of node %d, which it does not bind", part, n.Drawn(), n.ID)
 			}
 		}
-		for _, w := range b.Workers() {
+		for _, w := range b.workers {
 			if seen[w.ID] {
 				t.Fatalf("node %d bound by two partitions", w.ID)
 			}
 			seen[w.ID] = true
 		}
 	}
-	if len(seen) != len(whole.Workers()) || len(seen) == 0 {
-		t.Fatalf("partitions bind %d nodes, BindTrace %d", len(seen), len(whole.Workers()))
+	if len(seen) != len(whole.workers) || len(seen) == 0 {
+		t.Fatalf("partitions bind %d nodes, BindTrace %d", len(seen), len(whole.workers))
 	}
 }

@@ -2,7 +2,7 @@ package middleware
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"spequlos/internal/bot"
 	"spequlos/internal/sim"
@@ -21,6 +21,10 @@ import (
 // T, E and B are the state the mechanism keeps per task, per execution and
 // per batch (its pending-queue views); the frame stores them and never looks
 // inside.
+//
+// The state is dense: a worker's record is a slot of the frame's worker
+// table, numbered at its first Attach; a task's executions are a short slice
+// in worker-ID order; a batch's tasks are one slab.
 type Frame[T, E, B any] struct {
 	Eng  *sim.Engine
 	name string
@@ -28,8 +32,10 @@ type Frame[T, E, B any] struct {
 
 	listeners Listeners
 	batches   map[string]*BatchState[T, E, B]
-	attached  map[*Worker]*workerState[T, E, B]
-	idle      *IdleSet
+	// workers is every worker the server has seen, by slot, and the idle
+	// set; attached counts the records flagged attached.
+	workers  workerTable[workerState[T, E, B]]
+	attached int
 
 	reschedule bool
 
@@ -48,7 +54,7 @@ type Frame[T, E, B any] struct {
 // starting an execution entails and when a returned result completes its
 // task. WorkerJoin, WorkerLeave and whatever the mechanism schedules on its
 // own (a replica deadline, a failure detection) reach back into the frame
-// through Attach, Detach, Offer, Run, Resume and Dispatch.
+// through Attach, Detach, Park, Unpark, Offer, Run, Resume and Dispatch.
 type Mechanism[T, E, B any] interface {
 	// Enqueue puts a task that just arrived, already flagged queued, into
 	// the pending work.
@@ -83,11 +89,12 @@ type BatchState[T, E, B any] struct {
 	// work scans.
 	running int
 	done    bool
-	tasks   []*Task[T, E, B]
-	// byID resolves a task by its spec ID: IDs are batch-unique but not
-	// slice indexes when the batch is a subset (Cloud Duplication submits
-	// only the incomplete tasks to the cloud server).
-	byID map[int]*Task[T, E, B]
+	tasks   []Task[T, E, B]
+	// index resolves a task by its spec ID: 1 + the task's index in tasks, 0
+	// for no task. IDs are batch-unique but not slice indexes when the batch
+	// is a subset (Cloud Duplication submits only the incomplete tasks to the
+	// cloud server), so the table is as long as the largest ID.
+	index []int32
 }
 
 // Task is one task of a batch (a BOINC workunit, an XWHEP or Condor job).
@@ -96,9 +103,10 @@ type Task[T, E, B any] struct {
 	Spec  bot.Task
 	// M is the mechanism's per-task state.
 	M T
-	// Execs holds the task's executions the server has not given up on, by
-	// worker. The mechanism may delete from it; only the frame inserts.
-	Execs map[*Worker]*Exec[T, E, B]
+	// execs holds the task's executions the server has not given up on, in
+	// worker-ID order. The mechanism may drop one (DropExec); only the frame
+	// inserts.
+	execs []*Exec[T, E, B]
 
 	arrived   bool
 	completed bool
@@ -133,11 +141,47 @@ func (t *Task[T, E, B]) SetRunning(running bool) {
 	}
 }
 
+// ExecOn returns the task's execution on w, nil if there is none.
+func (t *Task[T, E, B]) ExecOn(w *Worker) *Exec[T, E, B] {
+	for _, ex := range t.execs {
+		if ex.W == w {
+			return ex
+		}
+	}
+	return nil
+}
+
+// DropExec gives up on the task's execution on w, if there is one.
+func (t *Task[T, E, B]) DropExec(w *Worker) {
+	for i, ex := range t.execs {
+		if ex.W == w {
+			t.execs = slices.Delete(t.execs, i, i+1)
+			return
+		}
+	}
+}
+
+// NumExecs returns the number of executions the server has not given up on.
+func (t *Task[T, E, B]) NumExecs() int { return len(t.execs) }
+
+// addExec records an execution, in worker-ID order: it replaces one on the
+// same worker.
+func (t *Task[T, E, B]) addExec(ex *Exec[T, E, B]) {
+	i := 0
+	for ; i < len(t.execs) && t.execs[i].W.ID <= ex.W.ID; i++ {
+		if t.execs[i].W == ex.W {
+			t.execs[i] = ex
+			return
+		}
+	}
+	t.execs = slices.Insert(t.execs, i, ex)
+}
+
 // cloudExecs counts the task's executions on cloud workers.
 func (t *Task[T, E, B]) cloudExecs() int {
 	n := 0
-	for w := range t.Execs {
-		if w.Cloud {
+	for _, ex := range t.execs {
+		if ex.W.Cloud {
 			n++
 		}
 	}
@@ -153,19 +197,23 @@ type Exec[T, E, B any] struct {
 	result sim.Event
 }
 
-// workerState is an attached worker's assignment (nil while it is idle).
-type workerState[T, E, B any] struct{ cur *Task[T, E, B] }
+// workerState is what the frame keeps per worker it has seen: whether it is
+// attached, the task it executes (nil while it is idle or away) and the
+// execution parked on it while it is away (Park).
+type workerState[T, E, B any] struct {
+	attached bool
+	cur      *Task[T, E, B]
+	parked   *Exec[T, E, B]
+}
 
 // NewFrame creates the frame of a server called name on the engine.
 func NewFrame[T, E, B any](eng *sim.Engine, name string, mech Mechanism[T, E, B]) *Frame[T, E, B] {
 	f := &Frame[T, E, B]{
-		Eng:      eng,
-		name:     name,
-		mech:     mech,
-		batches:  map[string]*BatchState[T, E, B]{},
-		attached: map[*Worker]*workerState[T, E, B]{},
-		idle:     NewIdleSet(),
-		barren:   map[string]bool{},
+		Eng:     eng,
+		name:    name,
+		mech:    mech,
+		batches: map[string]*BatchState[T, E, B]{},
+		barren:  map[string]bool{},
 	}
 	f.opArrive = eng.RegisterOp(func(p sim.Payload) { f.arrive(p.A.(*Task[T, E, B])) })
 	f.opResult = eng.RegisterOp(func(p sim.Payload) { f.result(p.A.(*Exec[T, E, B])) })
@@ -181,23 +229,36 @@ func (f *Frame[T, E, B]) AddListener(l Listener) { f.listeners = append(f.listen
 // SetReschedule implements Server.
 func (f *Frame[T, E, B]) SetReschedule(enabled bool) { f.reschedule = enabled }
 
-// Submit implements Server.
+// Submit implements Server. A repeated or negative task ID panics, as a
+// repeated batch ID does.
 func (f *Frame[T, E, B]) Submit(b Batch) {
 	if _, ok := f.batches[b.ID]; ok {
 		panic(fmt.Sprintf("%s: duplicate batch %q", f.name, b.ID))
 	}
+	maxID := -1
+	for _, spec := range b.Tasks {
+		if spec.ID < 0 {
+			panic(fmt.Sprintf("%s: batch %q: negative task ID %d", f.name, b.ID, spec.ID))
+		}
+		maxID = max(maxID, spec.ID)
+	}
 	bt := &BatchState[T, E, B]{
 		Spec:  b,
 		size:  len(b.Tasks),
-		tasks: make([]*Task[T, E, B], 0, len(b.Tasks)),
-		byID:  make(map[int]*Task[T, E, B], len(b.Tasks)),
+		tasks: make([]Task[T, E, B], len(b.Tasks)),
+		index: make([]int32, maxID+1),
+	}
+	for i, spec := range b.Tasks {
+		if bt.index[spec.ID] != 0 {
+			panic(fmt.Sprintf("%s: batch %q: duplicate task ID %d", f.name, b.ID, spec.ID))
+		}
+		bt.index[spec.ID] = int32(i + 1)
+		bt.tasks[i] = Task[T, E, B]{Batch: bt, Spec: spec}
 	}
 	f.batches[b.ID] = bt
-	for _, spec := range b.Tasks {
-		t := &Task[T, E, B]{Batch: bt, Spec: spec, Execs: map[*Worker]*Exec[T, E, B]{}}
-		bt.tasks = append(bt.tasks, t)
-		bt.byID[spec.ID] = t
-		f.Eng.AfterOp(spec.Arrival, f.opArrive, sim.Payload{A: t})
+	for i := range bt.tasks {
+		t := &bt.tasks[i]
+		f.Eng.AfterOp(t.Spec.Arrival, f.opArrive, sim.Payload{A: t})
 	}
 }
 
@@ -216,38 +277,58 @@ func (f *Frame[T, E, B]) arrive(t *Task[T, E, B]) {
 }
 
 // Attach records a joining worker, reporting false if it was attached
-// already. The caller follows with Resume or Offer.
+// already. The caller follows with Resume or Offer. The frame numbers a
+// worker at its first Attach; a worker another server numbered panics.
 func (f *Frame[T, E, B]) Attach(w *Worker) bool {
-	if _, ok := f.attached[w]; ok {
+	st := &f.workers.number(w).state
+	if st.attached {
 		return false
 	}
-	f.attached[w] = &workerState[T, E, B]{}
+	st.attached = true
+	f.attached++
 	return true
 }
 
 // Offer makes an attached worker available for work.
 func (f *Frame[T, E, B]) Offer(w *Worker) {
-	f.idle.Add(w)
+	f.workers.Add(w)
 	f.Dispatch()
 }
 
 // Detach removes a leaving worker. If it was executing, the result it would
-// have returned is cancelled and the execution — still in its task's Execs,
-// since the server has not noticed anything — is returned.
+// have returned is cancelled and the execution — still among its task's
+// executions, since the server has not noticed anything — is returned.
 func (f *Frame[T, E, B]) Detach(w *Worker) *Exec[T, E, B] {
-	st, ok := f.attached[w]
-	if !ok {
+	s := f.workers.slot(w)
+	if s == nil || !s.state.attached {
 		return nil
 	}
-	delete(f.attached, w)
-	f.idle.Remove(w)
-	if st.cur == nil {
+	f.workers.Remove(w)
+	cur := s.state.cur
+	s.state.attached, s.state.cur = false, nil
+	f.attached--
+	if cur == nil {
 		return nil
 	}
-	ex := st.cur.Execs[w]
+	ex := cur.ExecOn(w)
 	if ex != nil {
 		f.Eng.Cancel(ex.result)
 	}
+	return ex
+}
+
+// Park keeps an execution Detach returned on its worker's record until the
+// worker comes back (Unpark). Parking another replaces it.
+func (f *Frame[T, E, B]) Park(ex *Exec[T, E, B]) { f.workers.slot(ex.W).state.parked = ex }
+
+// Unpark returns and forgets the execution parked on w, nil if there is none.
+func (f *Frame[T, E, B]) Unpark(w *Worker) *Exec[T, E, B] {
+	s := f.workers.slot(w)
+	if s == nil {
+		return nil
+	}
+	ex := s.state.parked
+	s.state.parked = nil
 	return ex
 }
 
@@ -259,7 +340,7 @@ func (f *Frame[T, E, B]) Run(ex *Exec[T, E, B], dur float64) {
 // Resume continues, on its freshly attached worker, an execution Detach
 // interrupted: the result arrives dur seconds from now.
 func (f *Frame[T, E, B]) Resume(ex *Exec[T, E, B], dur float64) {
-	f.attached[ex.W].cur = ex.Task
+	f.workers.slot(ex.W).state.cur = ex.Task
 	f.Run(ex, dur)
 }
 
@@ -267,7 +348,7 @@ func (f *Frame[T, E, B]) Resume(ex *Exec[T, E, B], dur float64) {
 func (f *Frame[T, E, B]) Dispatch() {
 	for {
 		hasQueued := f.mech.HasQueued()
-		if !hasQueued && !(f.reschedule && f.idle.CloudCount() > 0 && f.anyDupCandidate()) {
+		if !hasQueued && !(f.reschedule && f.workers.CloudCount() > 0 && f.anyDupCandidate()) {
 			return // nothing queued, and no idle cloud worker to duplicate for
 		}
 		// Memoize batches found to have no eligible work this round so a
@@ -275,7 +356,7 @@ func (f *Frame[T, E, B]) Dispatch() {
 		clear(f.barren)
 		barren := f.barren
 		var t *Task[T, E, B]
-		w := f.idle.Pick(func(w *Worker) bool {
+		w := f.workers.Pick(func(w *Worker) bool {
 			if barren[w.DedicatedBatch] {
 				return false
 			}
@@ -333,7 +414,8 @@ func (f *Frame[T, E, B]) peek(w *Worker) *Task[T, E, B] {
 	// least-duplicated tasks first.
 	var best *Task[T, E, B]
 	bestDups := 0
-	for _, t := range bt.tasks {
+	for i := range bt.tasks {
+		t := &bt.tasks[i]
 		if !t.arrived || t.completed || !f.mech.MayDuplicate(w, t) {
 			continue
 		}
@@ -350,18 +432,18 @@ func (f *Frame[T, E, B]) peek(w *Worker) *Task[T, E, B] {
 
 // assign hands an idle worker one execution of t.
 func (f *Frame[T, E, B]) assign(w *Worker, t *Task[T, E, B]) {
-	st := f.attached[w]
-	if st == nil || st.cur != nil {
+	s := f.workers.slot(w)
+	if s == nil || !s.state.attached || s.state.cur != nil {
 		panic(f.name + ": assigning to busy or detached worker")
 	}
-	st.cur = t
+	s.state.cur = t
 	if !t.assigned {
 		t.assigned = true
 		t.Batch.assigned++
 		f.listeners.TaskAssigned(t.Batch.Spec.ID, t.Spec.ID, f.Eng.Now())
 	}
 	ex := &Exec[T, E, B]{W: w, Task: t}
-	t.Execs[w] = ex
+	t.addExec(ex)
 	f.mech.Start(ex)
 }
 
@@ -369,11 +451,8 @@ func (f *Frame[T, E, B]) assign(w *Worker, t *Task[T, E, B]) {
 // again whatever the result is worth.
 func (f *Frame[T, E, B]) result(ex *Exec[T, E, B]) {
 	w, t := ex.W, ex.Task
-	if st := f.attached[w]; st != nil && st.cur == t {
-		st.cur = nil
-		f.idle.Add(w)
-	}
-	delete(t.Execs, w)
+	f.release(w, t)
+	t.DropExec(w)
 	if f.mech.Result(ex) && !t.completed {
 		f.complete(t, w)
 	}
@@ -392,34 +471,27 @@ func (f *Frame[T, E, B]) complete(t *Task[T, E, B], by *Worker) {
 	now := f.Eng.Now()
 	f.listeners.TaskCompleted(bt.Spec.ID, t.Spec.ID, now)
 	f.listeners.NotifyExecutedBy(bt.Spec.ID, t.Spec.ID, by, now)
-	for _, w := range sortedExecWorkers(t.Execs) {
-		f.Eng.Cancel(t.Execs[w].result)
-		delete(t.Execs, w)
-		// A worker that left (and maybe came back) is not on this task.
-		if st := f.attached[w]; st != nil && st.cur == t {
-			st.cur = nil
-			f.idle.Add(w)
-		}
+	// In worker-ID order, so the idle set is refilled the same way on every
+	// run. The usual completion leaves no execution.
+	for _, ex := range t.execs {
+		f.Eng.Cancel(ex.result)
+		f.release(ex.W, t)
 	}
+	clear(t.execs)
+	t.execs = t.execs[:0]
 	if bt.completed >= bt.size && !bt.done {
 		bt.done = true
 		f.listeners.BatchCompleted(bt.Spec.ID, now)
 	}
 }
 
-// sortedExecWorkers returns the workers of a task's executions in ID order:
-// map order would leak nondeterminism into the idle set and break seed
-// reproducibility. The usual completion leaves none.
-func sortedExecWorkers[X any](execs map[*Worker]X) []*Worker {
-	if len(execs) == 0 {
-		return nil
+// release frees a worker executing t. A worker that left (and maybe came
+// back) is not on t.
+func (f *Frame[T, E, B]) release(w *Worker, t *Task[T, E, B]) {
+	if s := f.workers.slot(w); s != nil && s.state.cur == t {
+		s.state.cur = nil
+		f.workers.Add(w)
 	}
-	out := make([]*Worker, 0, len(execs))
-	for w := range execs {
-		out = append(out, w)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
 }
 
 // MarkCompleted implements Server (result merging for Cloud Duplication).
@@ -430,8 +502,11 @@ func (f *Frame[T, E, B]) MarkCompleted(batchID string, taskID int) {
 	if bt == nil {
 		return
 	}
-	t := bt.byID[taskID]
-	if t == nil || t.completed {
+	if taskID < 0 || taskID >= len(bt.index) || bt.index[taskID] == 0 {
+		return
+	}
+	t := &bt.tasks[bt.index[taskID]-1]
+	if t.completed {
 		return
 	}
 	f.complete(t, nil)
@@ -445,8 +520,8 @@ func (f *Frame[T, E, B]) Progress(batchID string) Progress {
 		return Progress{}
 	}
 	queued := 0
-	for _, t := range bt.tasks {
-		if t.queued && !t.running {
+	for i := range bt.tasks {
+		if t := &bt.tasks[i]; t.queued && !t.running {
 			queued++
 		}
 	}
@@ -457,7 +532,7 @@ func (f *Frame[T, E, B]) Progress(batchID string) Progress {
 		EverAssigned: bt.assigned,
 		Running:      bt.running,
 		Queued:       queued,
-		Workers:      len(f.attached),
+		Workers:      f.attached,
 	}
 }
 
@@ -470,8 +545,9 @@ func (f *Frame[T, E, B]) Done(batchID string) bool {
 // Incomplete implements Server.
 func (f *Frame[T, E, B]) Incomplete(batchID string) []bot.Task {
 	var out []bot.Task
-	for _, t := range f.Tasks(batchID) {
-		if !t.completed {
+	tasks := f.Tasks(batchID)
+	for i := range tasks {
+		if t := &tasks[i]; !t.completed {
 			spec := t.Spec
 			spec.Arrival = 0
 			out = append(out, spec)
@@ -482,7 +558,7 @@ func (f *Frame[T, E, B]) Incomplete(batchID string) []bot.Task {
 
 // Tasks returns a batch's tasks in submission order (nil for an unknown
 // batch).
-func (f *Frame[T, E, B]) Tasks(batchID string) []*Task[T, E, B] {
+func (f *Frame[T, E, B]) Tasks(batchID string) []Task[T, E, B] {
 	bt := f.batches[batchID]
 	if bt == nil {
 		return nil
@@ -492,6 +568,56 @@ func (f *Frame[T, E, B]) Tasks(batchID string) []*Task[T, E, B] {
 
 // WorkerBusy implements Server.
 func (f *Frame[T, E, B]) WorkerBusy(w *Worker) bool {
-	st := f.attached[w]
-	return st != nil && st.cur != nil
+	s := f.workers.slot(w)
+	return s != nil && s.state.cur != nil
+}
+
+// CheckInvariants reports the first broken invariant of the frame's dense
+// state, nil if they all hold. Between events: the attached count is the
+// number of records flagged attached; the idle list and its records agree;
+// every idle worker is attached with no task; a worker's task has an
+// execution on it; and each task's executions are in strictly increasing
+// worker-ID order.
+func (f *Frame[T, E, B]) CheckInvariants() error {
+	ws := &f.workers
+	attached, idle, cloud := 0, 0, 0
+	for i := range ws.slots {
+		s := &ws.slots[i]
+		st := &s.state
+		if st.attached {
+			attached++
+		}
+		if s.idle > 0 {
+			idle++
+			if s.cloud {
+				cloud++
+			}
+			if int(s.idle) > len(ws.idle) || ws.idle[s.idle-1] != s.w {
+				return fmt.Errorf("%s: worker %d: idle record %d disagrees with the idle list", f.name, s.w.ID, s.idle)
+			}
+			if !st.attached || st.cur != nil {
+				return fmt.Errorf("%s: idle worker %d: attached %v, busy %v", f.name, s.w.ID, st.attached, st.cur != nil)
+			}
+		}
+		if st.cur != nil && (!st.attached || st.cur.ExecOn(s.w) == nil) {
+			return fmt.Errorf("%s: worker %d on task %d: attached %v, an execution on it %v", f.name, s.w.ID, st.cur.Spec.ID, st.attached, st.cur.ExecOn(s.w) != nil)
+		}
+	}
+	if attached != f.attached {
+		return fmt.Errorf("%s: %d workers counted attached, %d records attached", f.name, f.attached, attached)
+	}
+	if idle != len(ws.idle) || cloud != ws.cloud {
+		return fmt.Errorf("%s: idle list %d (%d cloud), records %d (%d cloud)", f.name, len(ws.idle), ws.cloud, idle, cloud)
+	}
+	for _, bt := range f.batches {
+		for i := range bt.tasks {
+			t := &bt.tasks[i]
+			for j := 1; j < len(t.execs); j++ {
+				if t.execs[j-1].W.ID >= t.execs[j].W.ID {
+					return fmt.Errorf("%s: batch %q task %d: executions on workers %d, %d out of order", f.name, bt.Spec.ID, t.Spec.ID, t.execs[j-1].W.ID, t.execs[j].W.ID)
+				}
+			}
+		}
+	}
+	return nil
 }

@@ -1,19 +1,26 @@
 package middleware
 
-// IdleSet tracks workers waiting for work with O(1) add/remove (swap
-// removal), which matters under trace-driven churn where thousands of idle
-// workers join and leave per simulated hour.
+import "fmt"
+
+// workerTable is a server's table of the workers it has seen, and its idle
+// set. It numbers the workers densely from 0 in the order it first sees them
+// and keeps the number on the Worker — which therefore belongs to this one
+// table — so a worker's record is a slice index away, however sparse the
+// worker IDs are (a trace partition, the reserved cloud range). The record
+// holds the server's own state S of the worker and the worker's place in the
+// idle set.
 //
-// The set counts idle cloud workers from its own membership state: a
-// worker's Cloud flag is recorded when it is added and that recorded flag —
-// not the flag at removal time — drives the counter. A caller mutating
-// w.Cloud between Add and Remove (historically possible through test
-// drivers and mock servers) therefore cannot drift CloudCount; in the
-// simulators cloud-ness is a construction-time identity and never changes
-// while a worker is idle.
-type IdleSet struct {
-	list  []*Worker
-	pos   map[*Worker]idlePos
+// The idle set has O(1) add/remove (swap removal), which matters under
+// trace-driven churn where thousands of idle workers join and leave per
+// simulated hour. It counts idle cloud workers from its own membership state:
+// a worker's Cloud flag is recorded when it is added and that recorded flag —
+// not the flag at removal time — drives the counter. A caller mutating w.Cloud
+// between Add and Remove (historically possible through test drivers and mock
+// servers) therefore cannot drift CloudCount; in the simulators cloud-ness is
+// a construction-time identity and never changes while a worker is idle.
+type workerTable[S any] struct {
+	slots []workerSlot[S]
+	idle  []*Worker
 	cloud int
 	// scratch backs Each's iteration snapshot between calls so the churn
 	// hot path stops allocating one slice per scan.
@@ -21,38 +28,69 @@ type IdleSet struct {
 	eaching bool
 }
 
-// idlePos is the membership record: list index plus the Cloud flag observed
-// at Add time.
-type idlePos struct {
-	idx   int
+// workerSlot is one worker's record in a workerTable.
+type workerSlot[S any] struct {
+	w *Worker
+	// idle is 1 + the worker's index in the idle list, 0 while it is not
+	// idle; cloud is w.Cloud as it was when the worker was added.
+	idle  int32
 	cloud bool
+	state S
 }
 
+// IdleSet is a workerTable that keeps no state of its own per worker: the
+// bare idle set.
+type IdleSet = workerTable[struct{}]
+
 // NewIdleSet returns an empty set.
-func NewIdleSet() *IdleSet { return &IdleSet{pos: map[*Worker]idlePos{}} }
+func NewIdleSet() *IdleSet { return &IdleSet{} }
+
+// slot returns w's record, nil if the table never saw w.
+func (t *workerTable[S]) slot(w *Worker) *workerSlot[S] {
+	if w.table != any(t) {
+		return nil
+	}
+	return &t.slots[w.slot]
+}
+
+// number returns w's record, numbering w if the table has not seen it. A
+// worker belongs to one table: numbering a worker another one saw panics. The
+// record is valid until the next worker is numbered.
+func (t *workerTable[S]) number(w *Worker) *workerSlot[S] {
+	if s := t.slot(w); s != nil {
+		return s
+	}
+	if w.table != nil {
+		panic(fmt.Sprintf("middleware: worker %d already belongs to another server", w.ID))
+	}
+	w.table, w.slot = t, int32(len(t.slots))
+	t.slots = append(t.slots, workerSlot[S]{w: w})
+	return &t.slots[w.slot]
+}
 
 // Len returns the number of idle workers.
-func (s *IdleSet) Len() int { return len(s.list) }
+func (t *workerTable[S]) Len() int { return len(t.idle) }
 
 // CloudCount returns the number of idle cloud workers, derived from the
 // membership records.
-func (s *IdleSet) CloudCount() int { return s.cloud }
+func (t *workerTable[S]) CloudCount() int { return t.cloud }
 
 // Contains reports membership.
-func (s *IdleSet) Contains(w *Worker) bool {
-	_, ok := s.pos[w]
-	return ok
+func (t *workerTable[S]) Contains(w *Worker) bool {
+	s := t.slot(w)
+	return s != nil && s.idle > 0
 }
 
 // Add inserts a worker; adding a member twice is a no-op.
-func (s *IdleSet) Add(w *Worker) {
-	if _, ok := s.pos[w]; ok {
+func (t *workerTable[S]) Add(w *Worker) {
+	s := t.number(w)
+	if s.idle > 0 {
 		return
 	}
-	s.pos[w] = idlePos{idx: len(s.list), cloud: w.Cloud}
-	s.list = append(s.list, w)
+	t.idle = append(t.idle, w)
+	s.idle, s.cloud = int32(len(t.idle)), w.Cloud
 	if w.Cloud {
-		s.cloud++
+		t.cloud++
 	}
 }
 
@@ -60,34 +98,38 @@ func (s *IdleSet) Add(w *Worker) {
 // counter is adjusted by the flag recorded at Add, so the counter stays
 // consistent with the remaining membership even if w.Cloud changed while
 // the worker was away from the set.
-func (s *IdleSet) Remove(w *Worker) bool {
-	p, ok := s.pos[w]
-	if !ok {
+func (t *workerTable[S]) Remove(w *Worker) bool {
+	s := t.slot(w)
+	if s == nil || s.idle == 0 {
 		return false
 	}
-	last := len(s.list) - 1
-	if p.idx != last {
-		moved := s.list[last]
-		s.list[p.idx] = moved
-		mp := s.pos[moved]
-		mp.idx = p.idx
-		s.pos[moved] = mp
-	}
-	s.list = s.list[:last]
-	delete(s.pos, w)
-	if p.cloud {
-		s.cloud--
-	}
+	t.removeIdle(s)
 	return true
+}
+
+// removeIdle takes an idle worker's record out of the idle list.
+func (t *workerTable[S]) removeIdle(s *workerSlot[S]) {
+	i, last := int(s.idle-1), len(t.idle)-1
+	if i != last {
+		moved := t.idle[last]
+		t.idle[i] = moved
+		t.slots[moved.slot].idle = int32(i + 1)
+	}
+	t.idle[last] = nil
+	t.idle = t.idle[:last]
+	s.idle = 0
+	if s.cloud {
+		t.cloud--
+	}
 }
 
 // Pick returns the first worker (in arbitrary order) accepted by match and
 // removes it. It returns nil when none matches.
-func (s *IdleSet) Pick(match func(*Worker) bool) *Worker {
-	for i := len(s.list) - 1; i >= 0; i-- {
-		w := s.list[i]
+func (t *workerTable[S]) Pick(match func(*Worker) bool) *Worker {
+	for i := len(t.idle) - 1; i >= 0; i-- {
+		w := t.idle[i]
 		if match(w) {
-			s.Remove(w)
+			t.removeIdle(&t.slots[w.slot])
 			return w
 		}
 	}
@@ -97,15 +139,15 @@ func (s *IdleSet) Pick(match func(*Worker) bool) *Worker {
 // Each iterates over a snapshot of the idle workers, so fn may Add/Remove
 // freely. The snapshot buffer is reused across calls (with an allocation
 // fallback for re-entrant iteration).
-func (s *IdleSet) Each(fn func(*Worker) bool) {
+func (t *workerTable[S]) Each(fn func(*Worker) bool) {
 	var snapshot []*Worker
 	reused := false
-	if !s.eaching {
-		s.eaching = true
+	if !t.eaching {
+		t.eaching = true
 		reused = true
-		snapshot = append(s.scratch[:0], s.list...)
+		snapshot = append(t.scratch[:0], t.idle...)
 	} else {
-		snapshot = append([]*Worker(nil), s.list...)
+		snapshot = append([]*Worker(nil), t.idle...)
 	}
 	for _, w := range snapshot {
 		if !fn(w) {
@@ -116,7 +158,7 @@ func (s *IdleSet) Each(fn func(*Worker) bool) {
 		for i := range snapshot {
 			snapshot[i] = nil // release references held past the scan
 		}
-		s.scratch = snapshot[:0]
-		s.eaching = false
+		t.scratch = snapshot[:0]
+		t.eaching = false
 	}
 }

@@ -12,7 +12,8 @@ import (
 )
 
 // Worker is a computing resource attached to a server. Node workers are
-// created by the trace binding; Cloud workers by the SpeQuloS Scheduler.
+// created by the trace binding; Cloud workers by the SpeQuloS Scheduler. A
+// worker belongs to the one server it first joins (see Server.WorkerJoin).
 type Worker struct {
 	ID    int
 	Power float64 // instructions per second
@@ -21,6 +22,11 @@ type Worker struct {
 	// QoS-enabled batch (batchid in BOINC, xwgroup in XWHEP; §3.7). Empty
 	// means the worker competes for any task (the Flat strategy).
 	DedicatedBatch string
+
+	// table is the workerTable of the server the worker belongs to, slot its
+	// number there.
+	table any
+	slot  int32
 }
 
 // cloudWorkerIDBase keeps cloud worker IDs disjoint from trace node IDs.
@@ -142,15 +148,19 @@ func ProgressAll(s Server, batchIDs []string) map[string]Progress {
 }
 
 // Server is the middleware-neutral surface consumed by the trace binding,
-// the SpeQuloS Scheduler and the experiment harness.
+// the SpeQuloS Scheduler and the experiment harness. A worker belongs to one
+// server: the trace binding and the simulated cloud each create their workers
+// for one target, and a server numbers the workers it sees, keeping the
+// number on the Worker.
 type Server interface {
 	// MiddlewareName identifies the middleware ("BOINC", "XWHEP").
 	MiddlewareName() string
 	// Submit registers a batch; task arrivals are scheduled relative to
-	// the current virtual time.
+	// the current virtual time. Task IDs must be distinct and non-negative.
 	Submit(b Batch)
 	// WorkerJoin attaches a worker; it immediately becomes eligible for
-	// work. Joining an already-attached worker is a no-op.
+	// work. Joining an already-attached worker is a no-op. A worker belongs
+	// to the first server it joins: joining it to another one panics.
 	WorkerJoin(w *Worker)
 	// WorkerLeave detaches a worker. Its in-flight computation is lost;
 	// the server only finds out through its own failure-detection

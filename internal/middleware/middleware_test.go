@@ -158,8 +158,8 @@ func TestBindTraceChurn(t *testing.T) {
 	}}
 	srv := &fakeServer{}
 	b := BindTrace(eng, tr, srv)
-	if len(b.Workers()) != 2 {
-		t.Fatalf("workers = %d, want 2 (interval-less node skipped)", len(b.Workers()))
+	if len(b.workers) != 2 {
+		t.Fatalf("workers = %d, want 2 (interval-less node skipped)", len(b.workers))
 	}
 	eng.Run()
 	if len(srv.joins) != 3 || len(srv.leaves) != 3 {

@@ -403,6 +403,31 @@ func TestServerContract(t *testing.T) {
 			}()
 			s.srv.Submit(middleware.Batch{ID: "b", Tasks: []bot.Task{{NOps: 1}}})
 		}},
+		{"task ids", func(t *testing.T, s server) {
+			// A repeated ID would leave MarkCompleted one of the two tasks
+			// only; a negative one has no place in the ID table.
+			for _, c := range []struct {
+				batch string
+				ids   []int
+				want  string
+			}{{"repeated", []int{4, 2, 4}, "duplicate task ID 4"}, {"negative", []int{0, -1}, "negative task ID -1"}} {
+				tasks := make([]bot.Task, len(c.ids))
+				for i, id := range c.ids {
+					tasks[i] = bot.Task{ID: id, NOps: 1}
+				}
+				msg := func() (msg string) {
+					defer func() { msg = fmt.Sprint(recover()) }()
+					s.srv.Submit(middleware.Batch{ID: c.batch, Tasks: tasks})
+					return ""
+				}()
+				if !strings.Contains(msg, s.name) || !strings.Contains(msg, `"`+c.batch+`"`) || !strings.Contains(msg, c.want) {
+					t.Fatalf("Submit of task IDs %v: panic %q, want one naming %s, the batch and %q", c.ids, msg, s.name, c.want)
+				}
+				if p := s.srv.Progress(c.batch); p != (middleware.Progress{}) {
+					t.Fatalf("refused batch %q is registered: %+v", c.batch, p)
+				}
+			}
+		}},
 		{"worker busy", func(t *testing.T, s server) {
 			s.srv.Submit(middleware.Batch{ID: "b", Tasks: []bot.Task{{NOps: 100}}})
 			s.eng.RunUntil(10) // the task has arrived: each join is served at once

@@ -111,7 +111,7 @@ func (s *Server) FirstQueued(w *middleware.Worker, bt *batch) *xtask {
 // MayDuplicate implements middleware.Mechanism: Reschedule duplicates running
 // tasks, skipping those this worker already executes.
 func (s *Server) MayDuplicate(w *middleware.Worker, t *xtask) bool {
-	return t.Running() && t.Execs[w] == nil
+	return t.Running() && t.ExecOn(w) == nil
 }
 
 // WorkerJoin implements middleware.Server.
@@ -144,11 +144,11 @@ func (s *Server) WorkerLeave(w *middleware.Worker) {
 // abandoned and, if it was the task's last one, the task is requeued.
 func (s *Server) detect(ex *exec) {
 	t := ex.Task
-	if t.Completed() || t.Execs[ex.W] != ex {
+	if t.Completed() || t.ExecOn(ex.W) != ex {
 		return
 	}
-	delete(t.Execs, ex.W)
-	if len(t.Execs) == 0 && !t.Queued() {
+	t.DropExec(ex.W)
+	if t.NumExecs() == 0 && !t.Queued() {
 		t.SetRunning(false)
 		t.SetQueued(true)
 		if s.model.RequeueFirst {
