@@ -1,7 +1,8 @@
 // Command spequlosd runs the SpeQuloS service daemon: the Information,
-// Credit System, Oracle and Scheduler modules mounted on one HTTP server
-// (they can equally be split across hosts; every module only talks to the
-// others through their HTTP APIs).
+// Credit System, Oracle and Scheduler modules as one service.Stack on the
+// -addr listener (they can equally be split across hosts; every module only
+// talks to the others through their HTTP APIs, here at the address the
+// listener got).
 //
 //	spequlosd -addr :8080 -strategy 9C-C-R -period 1m
 //
@@ -13,17 +14,17 @@
 //	/scheduler/…     QoS registration, monitor loop, instances
 //	/healthz
 //
-// The daemon's Desktop Grid is a demo gateway whose batches progress
-// linearly over wall time (-demo-duration). Driving a real DG means giving
-// service.NewSchedulerService a DGGateway written against the BOINC/XWHEP
-// server's status API; the daemon has no flag for one.
+// The daemon's Desktop Grid is emul.WallDG, whose batches progress linearly
+// over wall time (-demo-duration) and whose workers are always busy. Driving
+// a real DG means giving the stack a service.DGGateway written against the
+// BOINC/XWHEP server's status API; the daemon has no flag for one.
 //
 // To drive these same four modules from a fully simulated Desktop Grid —
 // a BOINC/XWHEP/Condor batch generated from the paper's availability
 // traces, on a virtual clock, with launches turning into simulated cloud
 // workers — use the emulation harness instead of the daemon: internal/emul
-// hosts the stack behind the same DGGateway HTTP wire format (GET
-// /progress/{batch}, /busy/{instance}, /worker-url), and `spequlos-sim
+// hosts the stack behind the same DGGateway HTTP wire format (POST
+// /progress-batch, GET /busy/{instance}, GET /worker-url), and `spequlos-sim
 // -emulate` reports whether the stack's decisions match the in-process
 // simulator cell by cell.
 package main
@@ -34,97 +35,117 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net/http"
+	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
 	"spequlos/internal/campaign"
-	"spequlos/internal/cloud"
 	"spequlos/internal/core"
-	"spequlos/internal/middleware"
+	"spequlos/internal/emul"
 	"spequlos/internal/service"
 )
 
+// options are the daemon's flags.
+type options struct {
+	strategy string
+	period   time.Duration
+	demoDur  time.Duration
+	stateDir string
+	tiered   bool
+	fleetCap int
+	keysFile string
+	rate     float64
+}
+
 func main() {
-	var (
-		addr     = flag.String("addr", ":8080", "listen address")
-		strategy = flag.String("strategy", "9C-C-R", "provisioning strategy combination")
-		period   = flag.Duration("period", time.Minute, "scheduler monitor period")
-		demoDur  = flag.Duration("demo-duration", 10*time.Minute, "demo DG: time a batch takes to complete")
-		stateDir = flag.String("state-dir", "", "directory for JSON state snapshots (empty = in-memory only)")
-		tiered   = flag.Bool("tiers", false, "enable the enterprise/premium/free tier admission policy")
-		fleetCap = flag.Int("fleet-cap", 0, "with -tiers: max batches holding cloud support at once (0 = unlimited)")
-		keysFile = flag.String("keys", "", "JSON API-key file ([{key,user,tier,unlimited}...]); enables gateway auth + per-tier rate limits")
-		rate     = flag.Float64("rate", 100, "with -keys: total request rate (req/s) shared across tiers by policy weight")
-	)
+	var o options
+	addr := flag.String("addr", ":8080", "listen address")
+	flag.StringVar(&o.strategy, "strategy", "9C-C-R", "provisioning strategy combination")
+	flag.DurationVar(&o.period, "period", time.Minute, "scheduler monitor period")
+	flag.DurationVar(&o.demoDur, "demo-duration", 10*time.Minute, "demo DG: time a batch takes to complete")
+	flag.StringVar(&o.stateDir, "state-dir", "", "directory for JSON state snapshots (empty = in-memory only)")
+	flag.BoolVar(&o.tiered, "tiers", false, "enable the enterprise/premium/free tier admission policy")
+	flag.IntVar(&o.fleetCap, "fleet-cap", 0, "with -tiers: max batches holding cloud support at once (0 = unlimited)")
+	flag.StringVar(&o.keysFile, "keys", "", "JSON API-key file ([{key,user,tier,unlimited}...]); enables gateway auth + per-tier rate limits")
+	flag.Float64Var(&o.rate, "rate", 100, "with -keys: total request rate (req/s) shared across tiers by policy weight")
 	flag.Parse()
 
-	st, err := core.StrategyByLabel(*strategy)
+	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("spequlosd: %v", err)
 	}
-
-	information, creditSystem, calibration := loadState(*stateDir)
-	info := service.NewInformationService(information)
-	credit := service.NewCreditService(creditSystem)
-
-	// Self-addressed clients: module-to-module calls go through HTTP even
-	// in the single-host deployment.
-	base := "http://127.0.0.1" + normalizeAddr(*addr)
-	infoClient := service.NewInformationClient(base + "/information")
-	creditClient := service.NewCreditClient(base + "/credit")
-	oracleClient := service.NewOracleClient(base + "/oracle")
-
-	oracleCore := core.NewOracle(st)
-	oracleCore.Calibration = calibration
-	oracle := service.NewOracleService(oracleCore, infoClient)
-	dg := newDemoDG(*demoDur)
-	sched := service.NewSchedulerService(infoClient, creditClient, oracleClient, cloud.DefaultRegistry(), dg)
-	if *tiered {
-		sched.TierPolicy = core.DefaultTierPolicy()
-		sched.TierPolicy.FleetCap = *fleetCap
+	d, err := start(ln, o)
+	if err != nil {
+		log.Fatalf("spequlosd: %v", err)
 	}
+	defer d.Close()
+	if err := d.Wait(); err != nil {
+		log.Fatalf("spequlosd: %v", err)
+	}
+}
 
-	var handler http.Handler = service.Mux(info, credit, oracle, sched)
-	if *keysFile != "" {
-		policy := sched.TierPolicy
-		if policy == nil {
-			policy = core.DefaultTierPolicy()
-		}
-		keys, err := loadKeys(*keysFile)
+// daemon is a running spequlosd: the service stack, its monitor loop and,
+// with a state directory, its snapshot loop.
+type daemon struct {
+	*service.Stack
+	stop chan struct{}
+}
+
+// start serves the stack on ln and starts the daemon's loops.
+func start(ln net.Listener, o options) (*daemon, error) {
+	st, err := core.StrategyByLabel(o.strategy)
+	if err != nil {
+		return nil, err
+	}
+	var policy *core.TierPolicy
+	if o.tiered {
+		policy = core.DefaultTierPolicy()
+		policy.FleetCap = o.fleetCap
+	}
+	var km *service.KeyManager
+	if o.keysFile != "" {
+		keys, err := loadKeys(o.keysFile)
 		if err != nil {
-			log.Fatalf("spequlosd: %v", err)
+			return nil, err
 		}
-		km := service.NewKeyManager(service.LimitsFromPolicy(policy, *rate))
+		limits := policy
+		if limits == nil {
+			limits = core.DefaultTierPolicy()
+		}
+		km = service.NewKeyManager(service.LimitsFromPolicy(limits, o.rate))
 		for _, k := range keys {
 			km.Add(k)
 		}
-		// The Scheduler's module-to-module calls loop back through this
-		// same gated listener; give them a process-local unlimited service
-		// key so internal traffic is neither 401'd nor rate-limited.
-		svc := km.Issue("spequlosd", core.TierEnterprise)
-		svc.Unlimited = true
-		km.Add(svc)
-		infoClient.HTTP = service.KeyedClient(svc.Key)
-		creditClient.HTTP = service.KeyedClient(svc.Key)
-		oracleClient.HTTP = service.KeyedClient(svc.Key)
-		handler = km.Gate(handler)
-		log.Printf("spequlosd: gateway auth enabled (%d keys, %.0f req/s shared by tier weight)", len(keys), *rate)
+		log.Printf("spequlosd: gateway auth enabled (%d keys, %.0f req/s shared by tier weight)", len(keys), o.rate)
 	}
 
-	stop := make(chan struct{})
-	go sched.Run(*period, stop)
-	defer close(stop)
-	if *stateDir != "" {
-		go snapshotLoop(*stateDir, *period, information, creditSystem, oracleCore.Calibration, stop)
+	information, creditSystem, calibration := loadState(o.stateDir)
+	stack, err := service.NewStack(service.StackConfig{
+		Strategy:    st,
+		DG:          emul.NewWallDG(o.demoDur, fmt.Sprintf("http://demo-dg.local/%d", o.demoDur/time.Second)),
+		Information: information, Credits: creditSystem, Calibration: calibration,
+		Keys:     km,
+		Listener: ln,
+	})
+	if err != nil {
+		return nil, err
 	}
+	stack.Scheduler.TierPolicy = policy
+	log.Printf("spequlosd listening on %s (strategy %s, demo DG %v/batch)", ln.Addr(), st.Label(), o.demoDur)
 
-	log.Printf("spequlosd listening on %s (strategy %s, demo DG %v/batch)", *addr, st.Label(), *demoDur)
-	if err := http.ListenAndServe(*addr, handler); err != nil {
-		log.Fatalf("spequlosd: %v", err)
+	d := &daemon{Stack: stack, stop: make(chan struct{})}
+	go stack.Scheduler.Run(o.period, d.stop)
+	if o.stateDir != "" {
+		go snapshotLoop(o.stateDir, o.period, information, creditSystem, calibration, d.stop)
 	}
+	return d, nil
+}
+
+// Close stops the loops and the stack.
+func (d *daemon) Close() {
+	close(d.stop)
+	d.Stack.Close()
 }
 
 // loadKeys reads a JSON API-key file: an array of service.APIKey objects.
@@ -221,58 +242,4 @@ func saveState(dir string, info *core.Information, credits *core.CreditSystem, c
 	save("information.json", info.WriteJSON)
 	save("credits.json", credits.WriteJSON)
 	save("calibration.json", cal.WriteJSON)
-}
-
-func normalizeAddr(addr string) string {
-	if addr == "" {
-		return ":8080"
-	}
-	if addr[0] == ':' {
-		return addr
-	}
-	for i := len(addr) - 1; i >= 0; i-- {
-		if addr[i] == ':' {
-			return addr[i:]
-		}
-	}
-	return ":" + addr
-}
-
-// demoDG is a stand-in Desktop Grid whose batches progress linearly over
-// wall time — enough to exercise the full QoS loop without external
-// middleware.
-type demoDG struct {
-	duration time.Duration
-	mu       sync.Mutex
-	started  map[string]time.Time
-	sizes    map[string]int
-}
-
-func newDemoDG(d time.Duration) *demoDG {
-	return &demoDG{duration: d, started: map[string]time.Time{}, sizes: map[string]int{}}
-}
-
-func (d *demoDG) Progress(batchID string) (middleware.Progress, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	start, ok := d.started[batchID]
-	if !ok {
-		start = time.Now()
-		d.started[batchID] = start
-		d.sizes[batchID] = 100
-	}
-	size := d.sizes[batchID]
-	frac := float64(time.Since(start)) / float64(d.duration)
-	if frac > 1 {
-		frac = 1
-	}
-	done := int(frac * float64(size))
-	return middleware.Progress{
-		Size: size, Arrived: size, Completed: done,
-		EverAssigned: size, Running: size - done,
-	}, nil
-}
-
-func (d *demoDG) WorkerURL() string {
-	return fmt.Sprintf("http://demo-dg.local/%d", d.duration/time.Second)
 }

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"log"
+	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,38 +13,47 @@ import (
 	"time"
 
 	"spequlos/internal/core"
+	"spequlos/internal/service"
 )
 
-func TestNormalizeAddr(t *testing.T) {
-	cases := map[string]string{
-		"":               ":8080",
-		":9090":          ":9090",
-		"127.0.0.1:8081": ":8081",
-		"8082":           ":8082",
+// TestDaemonServesOnItsListener starts the daemon, gated, on a host other
+// than 127.0.0.1 and on port 0: its modules must reach one another at the
+// address the listener got, or every tick fails. A QoS batch registered
+// through the gate is then stepped with 200.
+func TestDaemonServesOnItsListener(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.2:0")
+	if err != nil {
+		t.Skipf("no second loopback address: %v", err)
 	}
-	for in, want := range cases {
-		if got := normalizeAddr(in); got != want {
-			t.Errorf("normalizeAddr(%q) = %q, want %q", in, got, want)
-		}
+	keys := filepath.Join(t.TempDir(), "keys.json")
+	if err := os.WriteFile(keys, []byte(`[{"key":"sk-alice","user":"alice","tier":"enterprise"}]`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestDemoDGProgressesLinearly(t *testing.T) {
-	dg := newDemoDG(100 * time.Millisecond)
-	p0, err := dg.Progress("x")
+	d, err := start(ln, options{strategy: "9C-C-R", period: time.Hour, demoDur: time.Minute, keysFile: keys, rate: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p0.Size != 100 || p0.Completed > 5 {
-		t.Fatalf("initial progress: %+v", p0)
+	defer d.Close()
+	if !strings.HasPrefix(d.URL, "http://127.0.0.2:") {
+		t.Fatalf("stack addresses %s, want the listener's host", d.URL)
 	}
-	time.Sleep(120 * time.Millisecond)
-	p1, _ := dg.Progress("x")
-	if !p1.Done() {
-		t.Fatalf("demo batch incomplete after its duration: %+v", p1)
-	}
-	if dg.WorkerURL() == "" {
-		t.Fatal("worker url empty")
+	base := "http://" + ln.Addr().String()
+	for _, c := range []struct{ path, body string }{
+		{"/credit/deposit", `{"user":"alice","credits":100}`},
+		{"/scheduler/qos", `{"batch_id":"b1","env_key":"XWHEP/seti/SMALL","size":100,"credits":50,"provider":"ec2","image":"img"}`},
+		{"/scheduler/step", ``},
+	} {
+		req, _ := http.NewRequest(http.MethodPost, base+c.path, strings.NewReader(c.body))
+		req.Header.Set(service.APIKeyHeader, "sk-alice")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode >= 300 {
+			t.Fatalf("POST %s: %d %s", c.path, resp.StatusCode, body)
+		}
 	}
 }
 

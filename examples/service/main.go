@@ -1,5 +1,5 @@
-// Service example (Fig 3): start the four SpeQuloS modules as separate
-// HTTP services on loopback, then play the paper's sequence diagram —
+// Service example (Fig 3): start the four SpeQuloS modules as HTTP services
+// on one loopback listener, then play the paper's sequence diagram —
 // registerQoS, BoT submission and progress, completion-time prediction,
 // credit order, the Scheduler's monitor loop starting cloud workers on a
 // (mock) EC2 when the tail is reached, billing, and the final payment with
@@ -17,35 +17,42 @@ import (
 	"spequlos/internal/service"
 )
 
-// demoDG scripts a BoT whose completion advances each monitor step.
-type demoDG struct {
+// scriptDG scripts a BoT whose completion advances each monitor step.
+type scriptDG struct {
 	mu   sync.Mutex
 	done int
 }
 
-func (d *demoDG) set(n int) {
+func (d *scriptDG) set(n int) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.done = n
 }
 
-func (d *demoDG) Progress(string) (middleware.Progress, error) {
+func (d *scriptDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return middleware.Progress{Size: 100, Arrived: 100, Completed: d.done,
-		EverAssigned: 100, Running: 100 - d.done}, nil
+	out := map[string]middleware.Progress{}
+	for _, id := range ids {
+		out[id] = middleware.Progress{Size: 100, Arrived: 100, Completed: d.done,
+			EverAssigned: 100, Running: 100 - d.done}
+	}
+	return out, nil
 }
 
-func (d *demoDG) WorkerURL() string { return "http://xwhep.lal.example:4330" }
+func (d *scriptDG) InstanceBusy(string) (bool, error) { return true, nil }
+
+func (d *scriptDG) WorkerURL() string { return "http://xwhep.lal.example:4330" }
 
 func main() {
-	dg := &demoDG{}
+	dg := &scriptDG{}
 	ec2 := cloud.NewMockEC2()
-	stack := service.NewTestStack(service.StackConfig{
+	stack, err := service.NewStack(service.StackConfig{
 		Strategy: core.DefaultStrategy(),
 		Registry: cloud.NewRegistry(ec2),
 		DG:       dg,
 	})
+	must(err)
 	defer stack.Close()
 
 	now := time.Now()

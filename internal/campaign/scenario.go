@@ -84,7 +84,8 @@ type Profile struct {
 	Offsets int
 	// PoolCap caps the number of nodes generated per trace (0 = the
 	// trace's natural pool). Duty cycles and per-node behaviour are
-	// preserved; see DESIGN.md §4 on scaling.
+	// preserved: the cap draws fewer nodes from the same per-node process,
+	// so a capped trace is a smaller pool, not a different one.
 	PoolCap int
 	// HorizonDays bounds one simulation; incomplete runs are retried with
 	// a doubled horizon.

@@ -13,31 +13,15 @@ const CreditsPerCPUHour = 15.0
 // CreditSystem is the SpeQuloS billing and accounting module: it manages
 // user accounts, QoS orders attached to BoTs, per-period billing of cloud
 // usage, and the final payment that refunds unspent credits (§3.3). It is
-// safe for concurrent use, and scales under contention: the maps are only
-// guarded for lookup and insertion, while every account and order carries
-// its own lock, so the Credit service's concurrent handlers billing
-// different batches never serialize on a global mutex. Lock order is maps →
-// order → account; the map lock is never acquired while an entry lock is held.
+// safe for concurrent use under one lock: reads share it, and every write —
+// Bill and Pay included — updates the order and its account in one critical
+// section, so no reader ever sees credits billed but not yet spent, or paid
+// back but not yet refunded.
 type CreditSystem struct {
-	mu       sync.RWMutex // guards the maps; entry locks guard the values
-	accounts map[string]*creditAccount
-	orders   map[string]*creditOrder
+	mu       sync.RWMutex
+	accounts map[string]*Account
+	orders   map[string]*Order
 	rate     float64
-}
-
-// creditAccount stripes the ledger per account: the embedded value is
-// guarded by its own lock, not the CreditSystem mutex. User is immutable
-// after creation and may be read without the lock.
-type creditAccount struct {
-	mu sync.Mutex
-	Account
-}
-
-// creditOrder stripes the ledger per order. BatchID and User are immutable
-// after creation and may be read without the lock.
-type creditOrder struct {
-	mu sync.Mutex
-	Order
 }
 
 // Account is a user's credit account.
@@ -62,8 +46,8 @@ func (o *Order) Remaining() float64 { return o.Allocated - o.Billed }
 // NewCreditSystem returns a credit system with the paper's exchange rate.
 func NewCreditSystem() *CreditSystem {
 	return &CreditSystem{
-		accounts: map[string]*creditAccount{},
-		orders:   map[string]*creditOrder{},
+		accounts: map[string]*Account{},
+		orders:   map[string]*Order{},
 		rate:     CreditsPerCPUHour,
 	}
 }
@@ -84,46 +68,32 @@ func (cs *CreditSystem) Deposit(user string, credits float64) error {
 	if credits < 0 {
 		return fmt.Errorf("credit: negative deposit %g", credits)
 	}
-	a := cs.account(user)
-	a.mu.Lock()
-	a.Balance += credits
-	a.mu.Unlock()
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	cs.account(user).Balance += credits
 	return nil
 }
 
-// account returns the user's entry, creating it on first use. It takes the
-// map lock only; callers lock the entry before touching balances.
-func (cs *CreditSystem) account(user string) *creditAccount {
-	cs.mu.RLock()
+// account returns the user's account, creating it on first use. The caller
+// holds the write lock.
+func (cs *CreditSystem) account(user string) *Account {
 	a, ok := cs.accounts[user]
-	cs.mu.RUnlock()
-	if ok {
-		return a
+	if !ok {
+		a = &Account{User: user}
+		cs.accounts[user] = a
 	}
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	if a, ok := cs.accounts[user]; ok {
-		return a
-	}
-	a = &creditAccount{Account: Account{User: user}}
-	cs.accounts[user] = a
 	return a
 }
 
-// orderOf returns the batch's order entry, if any.
-func (cs *CreditSystem) orderOf(batchID string) (*creditOrder, bool) {
-	cs.mu.RLock()
-	o, ok := cs.orders[batchID]
-	cs.mu.RUnlock()
-	return o, ok
-}
-
-// AccountOf returns a copy of the user's account state.
+// AccountOf returns a copy of the user's account state: an empty account
+// for a user never funded, which a read does not create.
 func (cs *CreditSystem) AccountOf(user string) Account {
-	a := cs.account(user)
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.Account
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	if a, ok := cs.accounts[user]; ok {
+		return *a
+	}
+	return Account{User: user}
 }
 
 // OrderQoS provisions credits from the user's account for a BoT (§3.3:
@@ -133,32 +103,17 @@ func (cs *CreditSystem) OrderQoS(user, batchID string, credits float64) error {
 	if credits <= 0 {
 		return fmt.Errorf("credit: order must be positive, got %g", credits)
 	}
-	// Order creation takes the map write lock for the whole check-and-insert
-	// so two concurrent orders for one batch cannot both pass the "already
-	// open" test. Orders are rare (once per batch) — billing never comes
-	// through here.
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
-	if o, ok := cs.orders[batchID]; ok {
-		o.mu.Lock()
-		open := !o.Closed
-		o.mu.Unlock()
-		if open {
-			return fmt.Errorf("credit: batch %q already has an open order", batchID)
-		}
+	if o, ok := cs.orders[batchID]; ok && !o.Closed {
+		return fmt.Errorf("credit: batch %q already has an open order", batchID)
 	}
-	a, ok := cs.accounts[user]
-	if !ok {
-		a = &creditAccount{Account: Account{User: user}}
-		cs.accounts[user] = a
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
+	a := cs.account(user)
 	if a.Balance < credits {
 		return fmt.Errorf("credit: %s has %.1f credits, needs %.1f", user, a.Balance, credits)
 	}
 	a.Balance -= credits
-	cs.orders[batchID] = &creditOrder{Order: Order{BatchID: batchID, User: user, Allocated: credits}}
+	cs.orders[batchID] = &Order{BatchID: batchID, User: user, Allocated: credits}
 	return nil
 }
 
@@ -166,13 +121,13 @@ func (cs *CreditSystem) OrderQoS(user, batchID string, credits float64) error {
 // open with credits left (Algorithm 1's CreditSystem.hasCredits), all as of
 // one instant.
 func (cs *CreditSystem) Lookup(batchID string) (o Order, found, hasCredits bool) {
-	e, ok := cs.orderOf(batchID)
+	cs.mu.RLock()
+	defer cs.mu.RUnlock()
+	e, ok := cs.orders[batchID]
 	if !ok {
 		return Order{}, false, false
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.Order, true, !e.Closed && e.Remaining() > 1e-9
+	return *e, true, !e.Closed && e.Remaining() > 1e-9
 }
 
 // HasCredits reports whether the batch has an open order with credits left.
@@ -185,16 +140,18 @@ func (cs *CreditSystem) HasCredits(batchID string) bool {
 // CreditSystem.bill). It bills at most the remaining credits and returns
 // the amount actually billed; exhausted reports whether the order ran dry.
 func (cs *CreditSystem) Bill(batchID string, credits float64) (billed float64, exhausted bool, err error) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.bill(batchID, credits)
+}
+
+// bill is Bill under the caller's write lock.
+func (cs *CreditSystem) bill(batchID string, credits float64) (billed float64, exhausted bool, err error) {
 	if credits < 0 {
 		return 0, false, fmt.Errorf("credit: negative bill %g", credits)
 	}
-	o, ok := cs.orderOf(batchID)
-	if !ok {
-		return 0, true, fmt.Errorf("credit: no open order for batch %q", batchID)
-	}
-	o.mu.Lock()
-	if o.Closed {
-		o.mu.Unlock()
+	o, ok := cs.orders[batchID]
+	if !ok || o.Closed {
 		return 0, true, fmt.Errorf("credit: no open order for batch %q", batchID)
 	}
 	billed = credits
@@ -203,20 +160,19 @@ func (cs *CreditSystem) Bill(batchID string, credits float64) (billed float64, e
 		exhausted = true
 	}
 	o.Billed += billed
-	o.mu.Unlock()
-	a := cs.account(o.User)
-	a.mu.Lock()
-	a.Spent += billed
-	a.mu.Unlock()
+	cs.account(o.User).Spent += billed
 	return billed, exhausted, nil
 }
 
 // BillAll applies one batch's charges in order and stops at the first that
 // fails or runs the order dry: applied counts them from the first, including
-// the one that ran dry. The amounts are applied one by one, never summed.
+// the one that ran dry. The amounts are applied one by one, never summed, in
+// one critical section.
 func (cs *CreditSystem) BillAll(batchID string, charges []float64) (applied int, exhausted bool, err error) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	for _, c := range charges {
-		if _, exhausted, err = cs.Bill(batchID, c); err != nil {
+		if _, exhausted, err = cs.bill(batchID, c); err != nil {
 			return applied, false, err
 		}
 		applied++
@@ -231,22 +187,18 @@ func (cs *CreditSystem) BillAll(batchID string, charges []float64) (applied int,
 // the BoT execution was completed before all the credits have been spent,
 // the Credit System transfers back the remaining credits").
 func (cs *CreditSystem) Pay(batchID string) (refund float64, err error) {
-	o, ok := cs.orderOf(batchID)
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	o, ok := cs.orders[batchID]
 	if !ok {
 		return 0, fmt.Errorf("credit: no order for batch %q", batchID)
 	}
-	o.mu.Lock()
 	if o.Closed {
-		o.mu.Unlock()
 		return 0, nil
 	}
 	o.Closed = true
 	refund = o.Remaining()
-	o.mu.Unlock()
-	a := cs.account(o.User)
-	a.mu.Lock()
-	a.Balance += refund
-	a.mu.Unlock()
+	cs.account(o.User).Balance += refund
 	return refund, nil
 }
 
@@ -304,15 +256,9 @@ func (p FixedPolicy) Name() string { return fmt.Sprintf("fixed(%g)", p.Amount) }
 
 // ApplyPolicy runs a deposit policy over every account.
 func (cs *CreditSystem) ApplyPolicy(p DepositPolicy) {
-	cs.mu.RLock()
-	accounts := make([]*creditAccount, 0, len(cs.accounts))
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	for _, a := range cs.accounts {
-		accounts = append(accounts, a)
-	}
-	cs.mu.RUnlock()
-	for _, a := range accounts {
-		a.mu.Lock()
-		a.Balance += p.Apply(a.Account)
-		a.mu.Unlock()
+		a.Balance += p.Apply(*a)
 	}
 }

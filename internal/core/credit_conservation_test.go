@@ -16,7 +16,7 @@ import (
 // All amounts are multiples of 0.25, so every sum is exact in float64 and
 // the comparison needs no tolerance: any lost or double-counted quarter
 // credit fails the test. Run with -race to also prove memory safety of the
-// striped ledger.
+// ledger.
 func TestCreditConservationUnderConcurrency(t *testing.T) {
 	cs := NewCreditSystem()
 	const (

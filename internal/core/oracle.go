@@ -117,8 +117,9 @@ func (Greedy) ReleasesIdle() bool { return true }
 // current completion rate and starts min(S/tr, S) workers, so the workers
 // can be funded for the whole estimated remainder. (The paper prints
 // max(S/tr, S); the stated goal — "ensuring that there will be enough
-// credits for them to run during the estimated time" — requires min, see
-// DESIGN.md.)
+// credits for them to run during the estimated time" — requires min: max
+// would start at least S workers, which S CPU·hours of credits fund for one
+// hour only, short of tr whenever tr exceeds an hour.)
 type Conservative struct{}
 
 // Code implements Sizing.

@@ -85,10 +85,7 @@ func (cs *CreditSystem) WriteJSON(w io.Writer) error {
 	}
 	sort.Strings(users)
 	for _, u := range users {
-		a := cs.accounts[u]
-		a.mu.Lock()
-		snap.Accounts = append(snap.Accounts, a.Account)
-		a.mu.Unlock()
+		snap.Accounts = append(snap.Accounts, *cs.accounts[u])
 	}
 	ids := make([]string, 0, len(cs.orders))
 	for id := range cs.orders {
@@ -96,10 +93,7 @@ func (cs *CreditSystem) WriteJSON(w io.Writer) error {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		o := cs.orders[id]
-		o.mu.Lock()
-		snap.Orders = append(snap.Orders, o.Order)
-		o.mu.Unlock()
+		snap.Orders = append(snap.Orders, *cs.orders[id])
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
@@ -113,13 +107,11 @@ func ReadCreditSystem(r io.Reader) (*CreditSystem, error) {
 		return nil, fmt.Errorf("core: reading credit snapshot: %w", err)
 	}
 	cs := NewCreditSystem()
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
 	for _, a := range snap.Accounts {
-		cs.accounts[a.User] = &creditAccount{Account: a}
+		cs.accounts[a.User] = &a
 	}
 	for _, o := range snap.Orders {
-		cs.orders[o.BatchID] = &creditOrder{Order: o}
+		cs.orders[o.BatchID] = &o
 	}
 	return cs, nil
 }

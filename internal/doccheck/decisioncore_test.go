@@ -168,7 +168,7 @@ func (s *SchedulerService) apply(tb *tickBatch, qb *schedBatch) {
 	case qb.Exhausted:
 		s.stopAll(qb)
 	}
-	if gw, ok := s.dg.(WorkerStatusGateway); !ok || !qb.ReleaseIdle {
+	if gw, ok := s.dg.(interface{ InstanceBusy(string) (bool, error) }); !ok || !qb.ReleaseIdle {
 		_ = gw
 	}
 	if tb.err == nil && !tb.qb.Started {

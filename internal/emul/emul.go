@@ -57,8 +57,8 @@ func RunCell(sc campaign.Scenario) (campaign.Result, error) {
 }
 
 // HTTPBackend is the QoS side of one emulated cell: the cell's DG server
-// behind the gateway wire format, and all four modules on their own loopback
-// HTTP servers with every clock replaced by the engine's. A simulation ticker
+// behind the gateway wire format, and the four modules on one loopback
+// listener with every clock replaced by the engine's. A simulation ticker
 // steps the Scheduler at the monitor period — ONE aggregated progress-batch
 // round trip per tick for every registered batch — and each completion steps
 // just its own batch, inside the completion callback as core.Service does,
@@ -102,11 +102,16 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 		registered: map[string]registration{},
 	}
 	gw.SetWorkerURL(b.dgSrv.URL)
-	b.stack = service.NewTestStack(service.StackConfig{
+	var err error
+	if b.stack, err = service.NewStack(service.StackConfig{
 		Strategy: cfg.Strategy,
 		Registry: cloud.NewRegistry(gw),
 		DG:       NewDGClient(b.dgSrv.URL),
-	})
+	}); err != nil {
+		// The cell fails as data, like any other failed round trip.
+		b.err = fmt.Errorf("emul: %w", err)
+		return b
+	}
 	// The policy of a tiered cell, if any: the deployable Scheduler
 	// arbitrates with the same TierPolicy.Admit call per tick.
 	b.stack.Scheduler.TierPolicy = cfg.Tiers
@@ -193,8 +198,10 @@ func (b *HTTPBackend) Err() error { return b.err }
 
 // Close stops the ticker and shuts the loopback servers down.
 func (b *HTTPBackend) Close() {
-	b.ticker.Stop()
-	b.stack.Close()
+	if b.stack != nil {
+		b.ticker.Stop()
+		b.stack.Close()
+	}
 	b.dgSrv.Close()
 }
 

@@ -121,11 +121,11 @@ func TestGatewayHTTP(t *testing.T) {
 	}
 	primary.Submit(middleware.Batch{ID: "b", Tasks: workload.Tasks})
 	eng.RunUntil(1)
-	p, perr := c.Progress("b")
+	all, perr := c.ProgressBatch([]string{"b"})
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	if p.Size == 0 || p.Arrived == 0 {
+	if p := all["b"]; p.Size == 0 || p.Arrived == 0 {
 		t.Fatalf("progress: %+v", p)
 	}
 	if _, err := c.InstanceBusy("ghost"); err == nil {

@@ -11,18 +11,14 @@ import (
 	"spequlos/internal/middleware"
 )
 
-// fuzzWire is a minimal WireGateway: deterministic progress for any batch,
+// fuzzWire is a minimal DG gateway: deterministic progress for any batch,
 // one known instance.
 type fuzzWire struct{}
 
-func (fuzzWire) Progress(id string) (middleware.Progress, error) {
-	return middleware.Progress{Size: 3, Arrived: 3, Completed: 1, EverAssigned: 2, Running: 1}, nil
-}
-
-func (f fuzzWire) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
+func (fuzzWire) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	out := make(map[string]middleware.Progress, len(ids))
 	for _, id := range ids {
-		out[id], _ = f.Progress(id)
+		out[id] = middleware.Progress{Size: 3, Arrived: 3, Completed: 1, EverAssigned: 2, Running: 1}
 	}
 	return out, nil
 }

@@ -48,15 +48,9 @@ func NewSimDG(eng *sim.Engine, primary middleware.Server, deploy core.CloudDeplo
 // (the gateway's own HTTP address once it is listening).
 func (g *SimDG) SetWorkerURL(url string) { g.workerURL = url }
 
-// Progress returns the primary server's view of a batch — exactly what the
-// in-process simulator's monitor observes.
-func (g *SimDG) Progress(batchID string) (middleware.Progress, error) {
-	return g.primary.Progress(batchID), nil
-}
-
-// ProgressBatch returns the primary server's view of every named batch in
-// one call (service.BatchProgressGateway): the aggregated poll that keeps
-// the Scheduler's per-tick gateway traffic O(1) in the batch count.
+// ProgressBatch implements service.DGGateway: the primary server's view of
+// every named batch — exactly what the in-process simulator's monitor
+// observes.
 func (g *SimDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error) {
 	return middleware.ProgressAll(g.primary, batchIDs), nil
 }
@@ -64,8 +58,8 @@ func (g *SimDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progress
 // WorkerURL implements service.DGGateway.
 func (g *SimDG) WorkerURL() string { return g.workerURL }
 
-// InstanceBusy reports whether the worker booted from an instance currently
-// holds an assignment (service.WorkerStatusGateway).
+// InstanceBusy implements service.DGGateway: whether the worker booted from
+// an instance currently holds an assignment.
 func (g *SimDG) InstanceBusy(instanceID string) (bool, error) {
 	si, ok := g.instances[instanceID]
 	if !ok {
@@ -154,30 +148,16 @@ func (g *SimDG) List() []cloud.InstanceInfo {
 	return out
 }
 
-// WireGateway is the server side of the DG gateway wire format: everything
-// NewGatewayHandler needs to answer the Scheduler's HTTP adapter. SimDG
-// implements it against the simulation; internal/loadgen implements it
-// against a wall-clock fake for socket-level load runs.
-type WireGateway interface {
-	service.BatchProgressGateway
-	service.WorkerStatusGateway
-}
-
-// NewGatewayHandler serves the DG gateway wire format over HTTP for any
-// WireGateway — the wire shape of the DGGateway interface, so the Scheduler
-// module talks to the DG server exactly as it would to a remote BOINC/XWHEP
-// status adapter, on the route table and endpoint the four modules use:
+// NewGatewayHandler serves a service.DGGateway over HTTP — the wire shape of
+// the interface, so the Scheduler module talks to the DG server exactly as it
+// would to a remote BOINC/XWHEP status adapter, on the route table and
+// endpoint the four modules use:
 //
-//	GET  /progress/{batch}  → middleware.Progress
 //	POST /progress-batch    {"ids": [...]} → {"progress": {id: Progress}}
 //	GET  /busy/{instance}   → {"busy": bool}
 //	GET  /worker-url        → {"worker_url": string}
-func NewGatewayHandler(gw WireGateway) http.Handler {
+func NewGatewayHandler(gw service.DGGateway) http.Handler {
 	rt := &service.Routes{}
-	rt.Handle("GET /progress/{batch}", service.EndpointNoBody(http.StatusOK, func(r *http.Request) (middleware.Progress, error) {
-		p, err := gw.Progress(r.PathValue("batch"))
-		return p, service.Fail(http.StatusBadGateway, err)
-	}))
 	rt.Handle("POST /progress-batch", service.Endpoint(http.StatusOK, func(_ *http.Request, req progressBatchRequest) (progressBatchReply, error) {
 		progress, err := gw.ProgressBatch(req.IDs)
 		return progressBatchReply{Progress: progress}, service.Fail(http.StatusBadGateway, err)
@@ -206,9 +186,8 @@ type progressBatchReply struct {
 	Progress map[string]middleware.Progress `json:"progress"`
 }
 
-// DGClient implements service.DGGateway (and the WorkerStatusGateway
-// extension) against a gateway's HTTP endpoint — the Scheduler side of the
-// wire.
+// DGClient implements service.DGGateway against a gateway's HTTP endpoint —
+// the Scheduler side of the wire.
 type DGClient struct {
 	service.Client
 
@@ -223,14 +202,8 @@ func NewDGClient(baseURL string) *DGClient {
 	return &DGClient{Client: service.Client{BaseURL: baseURL, HTTP: &http.Client{Timeout: 30 * time.Second}}}
 }
 
-// Progress implements service.DGGateway.
-func (c *DGClient) Progress(batchID string) (p middleware.Progress, err error) {
-	err = c.Get(&p, "progress", batchID)
-	return p, err
-}
-
-// ProgressBatch implements service.BatchProgressGateway: the progress of
-// every named batch in one POST /progress-batch round-trip.
+// ProgressBatch implements service.DGGateway: the progress of every named
+// batch in one POST /progress-batch round-trip.
 func (c *DGClient) ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error) {
 	var reply progressBatchReply
 	if err := c.Post(progressBatchRequest{IDs: batchIDs}, &reply, "progress-batch"); err != nil {
@@ -255,9 +228,52 @@ func (c *DGClient) WorkerURL() string {
 	return c.workerURL
 }
 
-// InstanceBusy implements service.WorkerStatusGateway.
+// InstanceBusy implements service.DGGateway.
 func (c *DGClient) InstanceBusy(instanceID string) (bool, error) {
 	var out map[string]bool
 	err := c.Get(&out, "busy", instanceID)
 	return out["busy"], err
 }
+
+// WallDG is a stand-in Desktop Grid on the wall clock: a batch of 100 tasks
+// progresses linearly from its first poll to completion over its duration,
+// and every worker always holds an assignment, so instances run until the
+// order exhausts or the batch completes. It is spequlosd's demo DG and the
+// load harness's, enough to exercise the full QoS loop without middleware.
+type WallDG struct {
+	duration  time.Duration
+	workerURL string
+
+	mu      sync.Mutex
+	started map[string]time.Time
+}
+
+// NewWallDG returns a wall-clock DG whose batches take duration and whose
+// workers are told to connect to workerURL.
+func NewWallDG(duration time.Duration, workerURL string) *WallDG {
+	return &WallDG{duration: duration, workerURL: workerURL, started: map[string]time.Time{}}
+}
+
+// ProgressBatch implements service.DGGateway.
+func (d *WallDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error) {
+	const size = 100
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	out := make(map[string]middleware.Progress, len(batchIDs))
+	for _, id := range batchIDs {
+		start, ok := d.started[id]
+		if !ok {
+			start = time.Now()
+			d.started[id] = start
+		}
+		done := int(min(float64(time.Since(start))/float64(d.duration), 1) * size)
+		out[id] = middleware.Progress{Size: size, Arrived: size, Completed: done, EverAssigned: size, Running: size - done}
+	}
+	return out, nil
+}
+
+// InstanceBusy implements service.DGGateway: always busy.
+func (d *WallDG) InstanceBusy(string) (bool, error) { return true, nil }
+
+// WorkerURL implements service.DGGateway.
+func (d *WallDG) WorkerURL() string { return d.workerURL }

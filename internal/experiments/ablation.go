@@ -8,8 +8,8 @@ import (
 	"spequlos/internal/metrics"
 )
 
-// This file holds ablation studies of the design choices DESIGN.md calls
-// out: the 10%-of-workload credit provisioning (§4.1.3), the one-minute
+// This file holds ablation studies of three design choices the paper fixes
+// without a sweep: the 10%-of-workload credit provisioning (§4.1.3), the one-minute
 // monitoring period (§3.2), and the §7 future-work capacity-aware trigger
 // versus the plain completion threshold. Each sweep plans variant jobs into
 // the campaign engine; the baseline runs are shared with the matrix.

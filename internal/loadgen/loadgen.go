@@ -26,7 +26,6 @@ import (
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
 	"spequlos/internal/emul"
-	"spequlos/internal/middleware"
 	"spequlos/internal/service"
 )
 
@@ -117,65 +116,6 @@ func tierOf(i int) core.Tier {
 	return core.TierFree
 }
 
-// loadDG is the wall-clock Desktop Grid behind the DG socket: batches
-// progress linearly to completion over BatchDuration, the demoDG shape of
-// cmd/spequlosd served over the emul wire format. Workers always report
-// busy, so instances bill until the order exhausts or the batch completes.
-type loadDG struct {
-	duration  time.Duration
-	workerURL string
-
-	mu      sync.Mutex
-	started map[string]time.Time
-	size    int
-}
-
-func newLoadDG(batchDuration time.Duration) *loadDG {
-	return &loadDG{duration: batchDuration, started: map[string]time.Time{}, size: 100}
-}
-
-// Progress implements service.DGGateway.
-func (d *loadDG) Progress(batchID string) (middleware.Progress, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.progressLocked(batchID), nil
-}
-
-// ProgressBatch implements service.BatchProgressGateway.
-func (d *loadDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make(map[string]middleware.Progress, len(batchIDs))
-	for _, id := range batchIDs {
-		out[id] = d.progressLocked(id)
-	}
-	return out, nil
-}
-
-func (d *loadDG) progressLocked(batchID string) middleware.Progress {
-	start, ok := d.started[batchID]
-	if !ok {
-		start = time.Now()
-		d.started[batchID] = start
-	}
-	frac := float64(time.Since(start)) / float64(d.duration)
-	if frac > 1 {
-		frac = 1
-	}
-	done := int(frac * float64(d.size))
-	return middleware.Progress{
-		Size: d.size, Arrived: d.size, Completed: done,
-		EverAssigned: d.size, Running: d.size - done,
-	}
-}
-
-// WorkerURL implements service.DGGateway.
-func (d *loadDG) WorkerURL() string { return d.workerURL }
-
-// InstanceBusy implements service.WorkerStatusGateway: load workers always
-// hold an assignment.
-func (d *loadDG) InstanceBusy(string) (bool, error) { return true, nil }
-
 // Run executes one load run: boot the gated stack and the DG gateway on
 // loopback sockets, drive them with cfg.Clients concurrent tiered clients
 // for cfg.Duration, and return the measured Report. The run itself never
@@ -194,54 +134,35 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	// DG gateway socket: the wall-clock DG behind the emul wire format.
-	dg := newLoadDG(cfg.BatchDuration)
-	dgSrv := httptest.NewServer(emul.NewGatewayHandler(dg))
+	dgSrv := httptest.NewServer(emul.NewGatewayHandler(emul.NewWallDG(cfg.BatchDuration, "http://load-dg.local")))
 	defer dgSrv.Close()
-	dg.workerURL = dgSrv.URL
 
 	// The four modules on one gated socket, spequlosd-shaped: co-located
-	// modules still talk HTTP through the gate, authenticating with an
-	// unlimited service key (mesh credentials, not tenant quota).
+	// modules still talk HTTP through the gate, with the stack's unlimited
+	// service key (mesh credentials, not tenant quota).
 	strategy, err := core.StrategyByLabel("9C-C-R")
 	if err != nil {
 		return nil, err
 	}
 	policy := core.DefaultTierPolicy()
 	keys := service.NewKeyManager(service.LimitsFromPolicy(policy, cfg.RatePerSec))
-	svcKey := service.APIKey{Key: "sk-service", User: "spequlosd", Tier: core.TierEnterprise, Unlimited: true}
-	keys.Add(svcKey)
-
-	info := service.NewInformationService(core.NewInformation())
-	credit := service.NewCreditService(core.NewCreditSystem())
-
-	driver := cloud.NewMockDriver("mock", 50*time.Millisecond, 0.34)
-	registry := cloud.NewRegistry(driver)
-
-	// The self-addressed clients need the listening URL, which an unstarted
-	// server already has; it starts once the modules exist.
-	stackSrv := httptest.NewUnstartedServer(nil)
-	defer stackSrv.Close()
-	stackURL := "http://" + stackSrv.Listener.Addr().String()
-
-	module := service.KeyedClient(svcKey.Key)
-	infoClient := service.NewInformationClient(stackURL + "/information")
-	creditClient := service.NewCreditClient(stackURL + "/credit")
-	oracleClient := service.NewOracleClient(stackURL + "/oracle")
-	schedClient := service.NewSchedulerClient(stackURL + "/scheduler")
-	infoClient.HTTP, creditClient.HTTP, oracleClient.HTTP, schedClient.HTTP = module, module, module, module
-
-	oracle := service.NewOracleService(core.NewOracle(strategy), infoClient)
-	dgClient := emul.NewDGClient(dgSrv.URL)
-	sched := service.NewSchedulerService(infoClient, creditClient, oracleClient, registry, dgClient)
-	sched.TierPolicy = policy
-	stackSrv.Config.Handler = keys.Gate(service.Mux(info, credit, oracle, sched))
-	stackSrv.Start()
+	stack, err := service.NewStack(service.StackConfig{
+		Strategy: strategy,
+		Registry: cloud.NewRegistry(cloud.NewMockDriver("mock", 50*time.Millisecond, 0.34)),
+		DG:       emul.NewDGClient(dgSrv.URL),
+		Keys:     keys,
+	})
+	if err != nil {
+		return nil, err
+	}
+	defer stack.Close()
+	stack.Scheduler.TierPolicy = policy
 
 	// Issue one key per client and fund every user through the gate.
 	clientKeys := make([]service.APIKey, cfg.Clients)
 	for i := range clientKeys {
 		clientKeys[i] = keys.Issue(fmt.Sprintf("u%03d", i), tierOf(i))
-		if err := creditClient.Deposit(clientKeys[i].User, 100_000); err != nil {
+		if err := stack.CreditClient.Deposit(clientKeys[i].User, 100_000); err != nil {
 			return nil, fmt.Errorf("loadgen: funding %s: %w", clientKeys[i].User, err)
 		}
 	}
@@ -269,7 +190,7 @@ func Run(cfg Config) (*Report, error) {
 				return
 			case <-t.C:
 				start := time.Now()
-				resp, err := module.Post(stackURL+"/scheduler/step", "application/json", nil)
+				resp, err := stack.HTTP.Post(stack.URL+"/scheduler/step", "application/json", nil)
 				dur := time.Since(start)
 				if err != nil {
 					rec.tick(dur, cfg.TickPeriod, fmt.Sprintf("tick: %v", err))
@@ -297,7 +218,7 @@ func Run(cfg Config) (*Report, error) {
 			defer wg.Done()
 			runClient(&clientCtx{
 				cfg: cfg, idx: i, key: clientKeys[i],
-				stackURL: stackURL, dgURL: dgSrv.URL,
+				stackURL: stack.URL, dgURL: dgSrv.URL,
 				rec: rec, orders: &orders, deadline: deadline,
 				orderedMu: &orderedMu, orderedIDs: &orderedIDs,
 			})
@@ -309,7 +230,7 @@ func Run(cfg Config) (*Report, error) {
 
 	report := rec.report(cfg)
 	report.BatchesOrdered = int(orders.Load())
-	report.BatchesCompleted = countFinalized(schedClient, orderedIDs)
+	report.BatchesCompleted = countFinalized(stack.SchedulerClient, orderedIDs)
 	report.GateStats = keys.GateStats()
 	report.ThrottledByTier = throttledByTier(keys, clientKeys)
 	return report, nil

@@ -310,9 +310,6 @@ func TestLimitsFromPolicy(t *testing.T) {
 // rejected QoS order must not register a batch, place a credit order, or
 // touch an account.
 func TestGateBlocksStateMutation(t *testing.T) {
-	st := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
-	defer st.Close()
-
 	limits := RateLimits{core.TierPremium: {PerSec: 0.001, Burst: 1}}
 	km := NewKeyManager(limits)
 	now := time.Unix(4000, 0)
@@ -320,8 +317,7 @@ func TestGateBlocksStateMutation(t *testing.T) {
 	k := km.Issue("tenant", core.TierPremium)
 
 	// The gated front door: one socket, all modules behind the gate.
-	front := httptest.NewServer(km.Gate(Mux(st.Information, st.Credit, st.Oracle, st.Scheduler)))
-	defer front.Close()
+	st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}, Keys: km})
 
 	credits := st.Credit.Credits()
 	if err := credits.Deposit("tenant", 500); err != nil {
@@ -333,7 +329,7 @@ func TestGateBlocksStateMutation(t *testing.T) {
 		return fmt.Sprintf(`{"user":"tenant","batch_id":%q,"env_key":"e","size":10,"credits":50,"tier":"premium","provider":"ec2","image":"img"}`, id)
 	}
 	post := func(id, key string) *http.Response {
-		req, err := http.NewRequest(http.MethodPost, front.URL+"/scheduler/qos", strings.NewReader(orderBody(id)))
+		req, err := http.NewRequest(http.MethodPost, st.URL+"/scheduler/qos", strings.NewReader(orderBody(id)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +365,7 @@ func TestGateBlocksStateMutation(t *testing.T) {
 	assertUntouched("401", "b-unauth")
 
 	// Spend the single token, then a throttled order: 429, no state.
-	if resp := doKeyed(t, http.MethodGet, front.URL+"/healthz", "", ""); resp.StatusCode != http.StatusOK {
+	if resp := doKeyed(t, http.MethodGet, st.URL+"/healthz", "", ""); resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: %d", resp.StatusCode)
 	} else {
 		resp.Body.Close()
@@ -391,11 +387,8 @@ func TestGateBlocksStateMutation(t *testing.T) {
 // TestQoSTierEscalationForbidden pins the tier-binding rule end to end
 // through the gate: a key may order at or below its own tier, never above.
 func TestQoSTierEscalationForbidden(t *testing.T) {
-	st := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
-	defer st.Close()
 	km := NewKeyManager(nil)
-	front := httptest.NewServer(km.Gate(Mux(st.Information, st.Credit, st.Oracle, st.Scheduler)))
-	defer front.Close()
+	st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}, Keys: km})
 	if err := st.Credit.Credits().Deposit("climber", 1000); err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +396,7 @@ func TestQoSTierEscalationForbidden(t *testing.T) {
 
 	post := func(id, tier string) int {
 		body := fmt.Sprintf(`{"batch_id":%q,"env_key":"e","size":10,"credits":10,"tier":%q,"provider":"ec2","image":"img"}`, id, tier)
-		req, err := http.NewRequest(http.MethodPost, front.URL+"/scheduler/qos", strings.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, st.URL+"/scheduler/qos", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}

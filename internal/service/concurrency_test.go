@@ -20,12 +20,11 @@ import (
 func TestConcurrentStackTraffic(t *testing.T) {
 	dg := &scriptedDG{size: 100}
 	ec2 := cloud.NewMockEC2()
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.DefaultStrategy(),
 		Registry: cloud.NewRegistry(ec2),
 		DG:       dg,
 	})
-	defer stack.Close()
 
 	var nowNS atomic.Int64
 	base := time.Unix(1_700_000_000, 0)

@@ -14,20 +14,28 @@ import (
 // status API.
 type exampleDG struct{}
 
-func (exampleDG) Progress(string) (middleware.Progress, error) {
-	return middleware.Progress{Size: 100, Arrived: 100, Completed: 50,
-		EverAssigned: 100, Running: 50}, nil
+func (exampleDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
+	out := map[string]middleware.Progress{}
+	for _, id := range ids {
+		out[id] = middleware.Progress{Size: 100, Arrived: 100, Completed: 50, EverAssigned: 100, Running: 50}
+	}
+	return out, nil
 }
-func (exampleDG) WorkerURL() string { return "http://dg.example:4321" }
+func (exampleDG) InstanceBusy(string) (bool, error) { return true, nil }
+func (exampleDG) WorkerURL() string                 { return "http://dg.example:4321" }
 
-// ExampleNewTestStack deploys the four SpeQuloS modules — Information,
-// Credit System, Oracle, Scheduler — each on its own loopback HTTP server,
-// registers a batch for QoS support, and runs one monitor iteration.
-func ExampleNewTestStack() {
-	stack := service.NewTestStack(service.StackConfig{
+// ExampleNewStack deploys the four SpeQuloS modules — Information, Credit
+// System, Oracle, Scheduler — on one loopback HTTP listener, registers a
+// batch for QoS support, and runs one monitor iteration.
+func ExampleNewStack() {
+	stack, err := service.NewStack(service.StackConfig{
 		Strategy: core.DefaultStrategy(),
 		DG:       exampleDG{},
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	defer stack.Close()
 	epoch := time.Unix(0, 0).UTC()
 	stack.SetClock(func() time.Time { return epoch })

@@ -134,13 +134,12 @@ func TestNegativePaths(t *testing.T) {
 func TestGreedyReleaseStopsIdleWorkers(t *testing.T) {
 	dg := &idleStatusDG{scriptedDG: scriptedDG{size: 100}}
 	ec2 := cloud.NewMockEC2()
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9},
 			Sizing: core.Greedy{}, Deploy: core.Reschedule},
 		Registry: cloud.NewRegistry(ec2),
 		DG:       dg,
 	})
-	defer stack.Close()
 	now := time.Unix(1_700_000_000, 0)
 	stack.SetClock(func() time.Time { return now })
 	ec2.SetClock(func() time.Time { return now })
@@ -187,7 +186,7 @@ func TestGreedyReleaseStopsIdleWorkers(t *testing.T) {
 	}
 }
 
-// idleStatusDG reports every instance idle (WorkerStatusGateway).
+// idleStatusDG reports every instance idle.
 type idleStatusDG struct{ scriptedDG }
 
 func (d *idleStatusDG) InstanceBusy(string) (bool, error) { return false, nil }
@@ -198,8 +197,7 @@ func (d *idleStatusDG) InstanceBusy(string) (bool, error) { return false, nil }
 // could never be retried — Information answered "already tracked" for ever
 // while GET /qos/{id} said "not registered".
 func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
-	st := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
-	defer st.Close()
+	st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
 	post := func() int {
 		resp, err := http.Post(st.SchedulerClient.BaseURL+"/qos", "application/json", strings.NewReader(
 			`{"user":"alice","batch_id":"b1","env_key":"e","size":10,"credits":60,"provider":"mock"}`))
@@ -278,13 +276,12 @@ func (d *failNthLaunch) Launch(req cloud.LaunchRequest) (cloud.InstanceInfo, err
 func TestPartialLaunchRetriesOnlyTheShortfall(t *testing.T) {
 	dg := &scriptedDG{size: 100}
 	ec2 := cloud.NewMockEC2()
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9},
 			Sizing: core.Conservative{}, Deploy: core.Reschedule},
 		Registry: cloud.NewRegistry(&failNthLaunch{Driver: ec2, nth: 3}),
 		DG:       dg,
 	})
-	defer stack.Close()
 	now := time.Unix(1_700_000_000, 0)
 	stack.SetClock(func() time.Time { return now })
 	ec2.SetClock(func() time.Time { return now })
@@ -335,12 +332,11 @@ func TestPartialLaunchRetriesOnlyTheShortfall(t *testing.T) {
 // of the daemon. Finalization pays only an order that exists.
 func TestBatchWithoutOrderFinalizes(t *testing.T) {
 	dg := &scriptedDG{size: 10}
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.DefaultStrategy(),
 		Registry: cloud.NewRegistry(cloud.NewMockDriver("mock", time.Second, 0.10)),
 		DG:       dg,
 	})
-	defer stack.Close()
 	if err := stack.Scheduler.RegisterQoS(QoSRequest{BatchID: "free", Size: 10, Provider: "mock"}); err != nil {
 		t.Fatal(err)
 	}
@@ -363,8 +359,7 @@ func TestBatchWithoutOrderFinalizes(t *testing.T) {
 // is the last step, so it is recorded exactly once.
 func TestCalibrationSurvivesInformationError(t *testing.T) {
 	dg := &scriptedDG{size: 10}
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
-	defer stack.Close()
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
 	now := time.Unix(0, 0).UTC()
 	stack.SetClock(func() time.Time { return now })
 

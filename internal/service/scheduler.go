@@ -17,38 +17,19 @@ import (
 // production deployment implements it against a BOINC or XWHEP server's
 // status API (or the 3G-Bridge for grid-submitted BoTs); tests and demos
 // use a scripted fake, and internal/emul drives a fully simulated DG
-// behind the same interface.
+// behind the same interface and serves it over HTTP.
 type DGGateway interface {
-	// Progress returns the server's current view of a batch.
-	Progress(batchID string) (middleware.Progress, error)
+	// ProgressBatch returns the server's view of every named batch, keyed
+	// by batch ID: one round trip per tick however many batches there are.
+	ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error)
+	// InstanceBusy reports whether the worker booted from the given cloud
+	// instance currently holds an assignment on the DG server; the Greedy
+	// release policy stops the ones that do not (§3.5: "Cloud workers that
+	// do not have tasks assigned stop immediately"). A gateway that cannot
+	// tell answers true.
+	InstanceBusy(instanceID string) (bool, error)
 	// WorkerURL is the endpoint cloud workers connect to.
 	WorkerURL() string
-}
-
-// BatchProgressGateway is an optional DGGateway extension: one call returns
-// the server's view of many batches at once. The Scheduler's monitor loop
-// uses it to poll a DG that hosts hundreds of concurrent QoS batches with a
-// single aggregated round-trip per tick — without it, each tick costs one
-// Progress call per registered batch, the O(batches) polling wall that
-// collapses at fleet scale. internal/emul implements it on both sides of
-// the wire (POST /progress-batch).
-type BatchProgressGateway interface {
-	DGGateway
-	// ProgressBatch returns the server's view of every named batch, keyed
-	// by batch ID.
-	ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error)
-}
-
-// WorkerStatusGateway is an optional DGGateway extension: gateways that can
-// report whether a launched instance's worker currently holds an assignment
-// enable the Greedy release policy (§3.5: "Cloud workers that do not have
-// tasks assigned stop immediately"). Without it the Scheduler keeps idle
-// workers running until the order exhausts or the batch completes.
-type WorkerStatusGateway interface {
-	DGGateway
-	// InstanceBusy reports whether the worker booted from the given cloud
-	// instance currently holds an assignment on the DG server.
-	InstanceBusy(instanceID string) (bool, error)
 }
 
 // SchedulerService is the deployable Scheduler module: it drives the
@@ -310,31 +291,21 @@ func batchIDs(bs []*core.Batch) []string {
 	return ids
 }
 
-// Progress is one aggregated query against a BatchProgressGateway, one
-// Progress call per batch otherwise (and for any batch the aggregated reply
-// left out).
+// Progress is one aggregated query to the gateway. A failed query sidelines
+// every batch for the tick, a batch the reply leaves out only itself; either
+// retries on the next tick.
 func (p *schedulerPorts) Progress(bs []*core.Batch) {
-	var polled map[string]middleware.Progress
-	if bg, ok := p.dg.(BatchProgressGateway); ok {
-		var err error
-		if polled, err = bg.ProgressBatch(batchIDs(bs)); err != nil {
-			// Transient gateway errors retry next tick; no batch consumed a
-			// partial view.
-			for _, b := range bs {
-				b.Err = fmt.Errorf("scheduler: DG batch progress: %w", err)
-			}
-			return
-		}
-	}
+	polled, err := p.dg.ProgressBatch(batchIDs(bs))
 	for _, b := range bs {
 		pr, ok := polled[b.ID]
-		if !ok {
-			var err error
-			if pr, err = p.dg.Progress(b.ID); err != nil {
-				b.Err = fmt.Errorf("scheduler: DG progress for %q: %w", b.ID, err)
-			}
+		switch {
+		case err != nil:
+			b.Err = fmt.Errorf("scheduler: DG batch progress: %w", err)
+		case !ok:
+			b.Err = fmt.Errorf("scheduler: DG reply omitted batch %q", b.ID)
+		default:
+			b.Progress = pr
 		}
-		b.Progress = pr
 	}
 }
 
@@ -378,19 +349,17 @@ func (p *schedulerPorts) Plan(bs []*core.Batch) {
 	}
 }
 
-// Idle needs a gateway that can report worker status (WorkerStatusGateway);
-// without one no worker is ever reported idle. An instance still booting, or
-// one the provider or the gateway cannot answer for, is not idle.
+// Idle: an instance still booting, or one the provider or the gateway cannot
+// answer for, is not idle.
 func (p *schedulerPorts) Idle(b *core.Batch, inst *core.Instance) bool {
-	gw, ok := p.dg.(WorkerStatusGateway)
 	driver, err := p.registry.Get(b.Provider)
-	if !ok || err != nil {
+	if err != nil {
 		return false
 	}
 	if desc, err := driver.Describe(inst.Info.ID); err != nil || desc.State != cloud.StateRunning {
 		return false
 	}
-	busy, err := gw.InstanceBusy(inst.Info.ID)
+	busy, err := p.dg.InstanceBusy(inst.Info.ID)
 	return err == nil && !busy
 }
 

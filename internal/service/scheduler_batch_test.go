@@ -18,27 +18,23 @@ import (
 
 // multiDG scripts per-batch progress under test control and counts every
 // gateway round-trip, so tests can assert the monitor loop's poll economy.
+// Its reply leaves out the batches in omit.
 type multiDG struct {
-	mu          sync.Mutex
-	progress    map[string]middleware.Progress
-	singleCalls int
-	batchCalls  int
-	lastBatch   []string // the ids of the latest aggregated poll
+	mu         sync.Mutex
+	progress   map[string]middleware.Progress
+	omit       map[string]bool
+	batchCalls int
+	lastBatch  []string // the ids of the latest poll
 }
 
-func newMultiDG() *multiDG { return &multiDG{progress: map[string]middleware.Progress{}} }
+func newMultiDG() *multiDG {
+	return &multiDG{progress: map[string]middleware.Progress{}, omit: map[string]bool{}}
+}
 
 func (d *multiDG) set(id string, p middleware.Progress) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.progress[id] = p
-}
-
-func (d *multiDG) Progress(id string) (middleware.Progress, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.singleCalls++
-	return d.progress[id], nil
 }
 
 func (d *multiDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
@@ -48,26 +44,28 @@ func (d *multiDG) ProgressBatch(ids []string) (map[string]middleware.Progress, e
 	d.lastBatch = append([]string(nil), ids...)
 	out := make(map[string]middleware.Progress, len(ids))
 	for _, id := range ids {
-		out[id] = d.progress[id]
+		if !d.omit[id] {
+			out[id] = d.progress[id]
+		}
 	}
 	return out, nil
 }
 
+func (d *multiDG) InstanceBusy(string) (bool, error) { return true, nil }
+
 func (d *multiDG) WorkerURL() string { return "http://dg.example:4321" }
 
-func (d *multiDG) calls() (single, batch int) {
+func (d *multiDG) setOmit(id string, omit bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.singleCalls, d.batchCalls
+	d.omit[id] = omit
 }
 
-// singleOnlyDG hides ProgressBatch, forcing the per-batch polling fallback.
-type singleOnlyDG struct{ d *multiDG }
-
-func (s singleOnlyDG) Progress(id string) (middleware.Progress, error) { return s.d.Progress(id) }
-func (s singleOnlyDG) WorkerURL() string                               { return s.d.WorkerURL() }
-
-var _ BatchProgressGateway = (*multiDG)(nil)
+func (d *multiDG) calls() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.batchCalls
+}
 
 // countingTransport counts the requests a module client sends.
 type countingTransport struct{ n *atomic.Int64 }
@@ -88,12 +86,11 @@ func TestStepBatchedPollingIsO1(t *testing.T) {
 	tickCost := func(batches int) (first, steady int64) {
 		dg := newMultiDG()
 		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-		stack := NewTestStack(StackConfig{
+		stack := newStack(t, StackConfig{
 			Strategy: core.DefaultStrategy(),
 			Registry: cloud.NewRegistry(driver),
 			DG:       dg,
 		})
-		defer stack.Close()
 		now := time.Unix(0, 0).UTC()
 		stack.SetClock(func() time.Time { return now })
 		driver.SetClock(func() time.Time { return now })
@@ -123,9 +120,8 @@ func TestStepBatchedPollingIsO1(t *testing.T) {
 			}
 			cost[k] = sent.Load() - before
 		}
-		single, batch := dg.calls()
-		if batch != len(cost) || single != 0 {
-			t.Fatalf("%d batches: DG polls = (single %d, aggregated %d), want (0, %d)", batches, single, batch, len(cost))
+		if polls := dg.calls(); polls != len(cost) {
+			t.Fatalf("%d batches: %d DG polls for %d ticks", batches, polls, len(cost))
 		}
 		if got := len(stack.Scheduler.Instances()); got < batches/2 {
 			t.Fatalf("%d batches: only %d instances, the triggered half never started", batches, got)
@@ -180,12 +176,11 @@ func billingStack(t *testing.T, n int) (stack *Stack, fc *faultyCredit, driver *
 	t.Helper()
 	dg := newMultiDG()
 	driver = cloud.NewMockDriver("mock", time.Second, 0.10)
-	stack = NewTestStack(StackConfig{
+	stack = newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9}, Sizing: core.Greedy{}, Deploy: core.Reschedule},
 		Registry: cloud.NewRegistry(driver),
 		DG:       dg,
 	})
-	t.Cleanup(stack.Close)
 	var nowNS atomic.Int64
 	clock := func() time.Time { return time.Unix(0, nowNS.Load()).UTC() }
 	stack.SetClock(clock)
@@ -316,12 +311,11 @@ func TestStatusNotBlockedByRemoteCalls(t *testing.T) {
 // answers for it.
 func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	dg := newMultiDG()
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.DefaultStrategy(),
 		Registry: cloud.NewRegistry(cloud.NewMockDriver("mock", time.Second, 0.10)),
 		DG:       dg,
 	})
-	defer stack.Close()
 	if err := stack.CreditClient.Deposit("u", 30); err != nil {
 		t.Fatal(err)
 	}
@@ -378,134 +372,61 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	}
 }
 
-// TestStepFallbackPollsPerBatch pins the fallback: a gateway without
-// ProgressBatch is polled once per registered batch, preserving the
-// pre-batching wire behavior for external adapters.
-func TestStepFallbackPollsPerBatch(t *testing.T) {
-	const batches = 8
+// TestOmittedBatchFailsAlone: a batch the DG reply leaves out sits the tick
+// out with its own error and is polled again on the next one; the batches the
+// reply answers for carry on as if it were not there.
+func TestOmittedBatchFailsAlone(t *testing.T) {
 	dg := newMultiDG()
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: singleOnlyDG{dg}})
-	defer stack.Close()
-
-	for i := 0; i < batches; i++ {
-		id := fmt.Sprintf("b%03d", i)
-		dg.set(id, middleware.Progress{Size: 10, Arrived: 10, Running: 10})
+	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), Registry: cloud.NewRegistry(driver), DG: dg})
+	now := time.Unix(0, 0).UTC()
+	stack.SetClock(func() time.Time { return now })
+	driver.SetClock(func() time.Time { return now })
+	if err := stack.CreditClient.Deposit("u", 300); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b", "c"} {
+		// Past the 90% trigger: a polled batch starts cloud workers at once.
+		dg.set(id, middleware.Progress{Size: 100, Arrived: 100, Completed: 95, EverAssigned: 100, Running: 5})
 		if err := stack.Scheduler.RegisterQoS(QoSRequest{
-			User: "u", BatchID: id, EnvKey: "e", Size: 10,
+			User: "u", BatchID: id, EnvKey: "e", Size: 100, Credits: 90, Provider: "mock", Image: "img",
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
+	samples := func(id string) int {
+		t.Helper()
+		st, err := stack.InfoClient.Status(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st.Samples
+	}
+
+	dg.setOmit("b", true)
+	now = now.Add(time.Minute)
+	if err := stack.Scheduler.Step(); err == nil || !strings.Contains(err.Error(), `scheduler: DG reply omitted batch "b"`) {
+		t.Fatalf("tick error %v, want the omitted batch named", err)
+	}
+	for _, id := range []string{"a", "c"} {
+		if st, _ := stack.Scheduler.Status(id); !st.Started || len(st.Instances) == 0 || samples(id) != 1 {
+			t.Fatalf("%s did not carry on beside the omitted batch: %+v, %d samples", id, st, samples(id))
+		}
+	}
+	if st, _ := stack.Scheduler.Status("b"); st.Started || samples("b") != 0 {
+		t.Fatalf("omitted batch b was stepped: %+v, %d samples", st, samples("b"))
+	}
+
+	dg.setOmit("b", false)
+	now = now.Add(time.Minute)
 	if err := stack.Scheduler.Step(); err != nil {
 		t.Fatal(err)
 	}
-	single, batch := dg.calls()
-	if single != batches || batch != 0 {
-		t.Fatalf("fallback polls = (single %d, batch %d), want (%d, 0)", single, batch, batches)
+	if st, _ := stack.Scheduler.Status("b"); !st.Started || samples("b") != 1 {
+		t.Fatalf("b not retried on the next tick: %+v, %d samples", st, samples("b"))
 	}
-}
-
-// twoBatchOutcome is one batch's end state in the equivalence comparison.
-type twoBatchOutcome struct {
-	Status QoSStatus
-	Billed float64
-}
-
-// driveTwoBatches runs an identical scripted 2-batch QoS episode through a
-// scheduler wired to the given gateway and returns the per-batch outcomes.
-// The script crosses the 9C trigger threshold, finishes batch a before
-// batch b, and advances a virtual clock one monitor period per step.
-func driveTwoBatches(t *testing.T, dg DGGateway, script *multiDG) map[string]twoBatchOutcome {
-	t.Helper()
-	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-	stack := NewTestStack(StackConfig{
-		Strategy: core.DefaultStrategy(),
-		Registry: cloud.NewRegistry(driver),
-		DG:       dg,
-	})
-	defer stack.Close()
-	epoch := time.Unix(0, 0).UTC()
-	now := epoch
-	stack.SetClock(func() time.Time { return now })
-	driver.SetClock(func() time.Time { return now })
-
-	for _, id := range []string{"a", "b"} {
-		script.set(id, middleware.Progress{Size: 100, Arrived: 100, Running: 100})
-		if err := stack.CreditClient.Deposit("u", 200); err != nil {
-			t.Fatal(err)
-		}
-		if err := stack.Scheduler.RegisterQoS(QoSRequest{
-			User: "u", BatchID: id, EnvKey: "e/" + id, Size: 100,
-			Credits: 90, Provider: "mock", Image: "img",
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// completed(a), completed(b) per scripted step.
-	steps := [][2]int{{10, 5}, {50, 40}, {92, 80}, {96, 91}, {100, 95}, {100, 100}}
-	for _, st := range steps {
-		now = now.Add(60 * time.Second)
-		script.set("a", middleware.Progress{Size: 100, Arrived: 100,
-			Completed: st[0], EverAssigned: 100, Running: 100 - st[0]})
-		script.set("b", middleware.Progress{Size: 100, Arrived: 100,
-			Completed: st[1], EverAssigned: 100, Running: 100 - st[1]})
-		if err := stack.Scheduler.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	out := map[string]twoBatchOutcome{}
-	for _, id := range []string{"a", "b"} {
-		st, err := stack.Scheduler.Status(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		order, err := stack.CreditClient.OrderOf(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[id] = twoBatchOutcome{Status: st, Billed: order.Billed}
-	}
-	return out
-}
-
-// TestBatchedStepMatchesPerBatchStep is the acceptance equivalence: an
-// identical 2-batch cell driven through the aggregated poll and through
-// per-batch polling produces the same per-batch trigger, fleet, credits
-// and completion state.
-func TestBatchedStepMatchesPerBatchStep(t *testing.T) {
-	batchedScript := newMultiDG()
-	batched := driveTwoBatches(t, batchedScript, batchedScript)
-
-	seqScript := newMultiDG()
-	sequential := driveTwoBatches(t, singleOnlyDG{seqScript}, seqScript)
-
-	if _, bc := batchedScript.calls(); bc == 0 {
-		t.Fatal("batched run never used the aggregated poll")
-	}
-	if sc, bc := seqScript.calls(); bc != 0 || sc == 0 {
-		t.Fatalf("sequential run polls = (single %d, batch %d)", sc, bc)
-	}
-
-	for key, want := range sequential {
-		got, ok := batched[key]
-		if !ok {
-			t.Fatalf("batched run missing %q", key)
-		}
-		if got.Status.Started != want.Status.Started ||
-			got.Status.Exhausted != want.Status.Exhausted ||
-			got.Status.Finalized != want.Status.Finalized ||
-			got.Status.TriggeredAt != want.Status.TriggeredAt ||
-			len(got.Status.Instances) != len(want.Status.Instances) ||
-			got.Billed != want.Billed {
-			t.Errorf("%s diverged:\n  batched:    %+v\n  sequential: %+v", key, got, want)
-		}
-	}
-	// The episode must have exercised the cloud path, or the comparison is
-	// vacuous.
-	if !batched["a"].Status.Started || batched["a"].Billed <= 0 {
-		t.Fatalf("cloud support never engaged: %+v", batched["a"])
+	if got := strings.Join(dg.lastBatch, " "); got != "a b c" {
+		t.Fatalf("the retry tick polled %q, want every batch", got)
 	}
 }
 
@@ -518,12 +439,11 @@ func TestBatchedStepMatchesPerBatchStep(t *testing.T) {
 func TestTierAdmissionCaps(t *testing.T) {
 	script := newMultiDG()
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.DefaultStrategy(),
 		Registry: cloud.NewRegistry(driver),
 		DG:       script,
 	})
-	defer stack.Close()
 	epoch := time.Unix(0, 0).UTC()
 	now := epoch
 	stack.SetClock(func() time.Time { return now })
@@ -592,12 +512,11 @@ func TestTierAdmissionCaps(t *testing.T) {
 	t.Run("three tiers contend", func(t *testing.T) {
 		script := newMultiDG()
 		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-		stack := NewTestStack(StackConfig{
+		stack := newStack(t, StackConfig{
 			Strategy: core.DefaultStrategy(),
 			Registry: cloud.NewRegistry(driver),
 			DG:       script,
 		})
-		defer stack.Close()
 		now := time.Unix(0, 0).UTC()
 		stack.SetClock(func() time.Time { return now })
 		driver.SetClock(func() time.Time { return now })
@@ -674,12 +593,11 @@ func TestTierAdmissionCaps(t *testing.T) {
 func TestCapacityAwareOverHTTP(t *testing.T) {
 	script := newMultiDG()
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.DefaultCapacityAware(), Sizing: core.Conservative{}, Deploy: core.Reschedule},
 		Registry: cloud.NewRegistry(driver),
 		DG:       script,
 	})
-	defer stack.Close()
 	now := time.Unix(0, 0).UTC()
 	stack.SetClock(func() time.Time { return now })
 	driver.SetClock(func() time.Time { return now })

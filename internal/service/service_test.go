@@ -34,16 +34,34 @@ func (d *scriptedDG) set(done, assigned int) {
 	d.done, d.assigned = done, assigned
 }
 
-func (d *scriptedDG) Progress(batchID string) (middleware.Progress, error) {
+// ProgressBatch answers the same progress for every batch.
+func (d *scriptedDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return middleware.Progress{
-		Size: d.size, Arrived: d.size, Completed: d.done,
-		EverAssigned: d.assigned, Running: d.size - d.done,
-	}, nil
+	out := make(map[string]middleware.Progress, len(ids))
+	for _, id := range ids {
+		out[id] = middleware.Progress{
+			Size: d.size, Arrived: d.size, Completed: d.done,
+			EverAssigned: d.assigned, Running: d.size - d.done,
+		}
+	}
+	return out, nil
 }
 
+func (d *scriptedDG) InstanceBusy(string) (bool, error) { return true, nil }
+
 func (d *scriptedDG) WorkerURL() string { return "http://dg.example:4321" }
+
+// newStack is NewStack for a test: the stack is closed when the test ends.
+func newStack(t *testing.T, cfg StackConfig) *Stack {
+	t.Helper()
+	st, err := NewStack(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(st.Close)
+	return st
+}
 
 func TestInformationServiceHTTP(t *testing.T) {
 	svc := NewInformationService(core.NewInformation())
@@ -195,12 +213,11 @@ func TestOracleServiceHTTP(t *testing.T) {
 func TestFigure3Sequence(t *testing.T) {
 	dg := &scriptedDG{size: 100}
 	ec2 := cloud.NewMockEC2()
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.DefaultStrategy(),
 		Registry: cloud.NewRegistry(ec2),
 		DG:       dg,
 	})
-	defer stack.Close()
 
 	// Deterministic billing clock: each Step advances one minute.
 	now := time.Unix(1_700_000_000, 0)
@@ -303,12 +320,11 @@ func TestFigure3Sequence(t *testing.T) {
 func TestSchedulerExhaustionStopsInstances(t *testing.T) {
 	dg := &scriptedDG{size: 100}
 	ec2 := cloud.NewMockEC2()
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9}, Sizing: core.Greedy{}, Deploy: core.Reschedule},
 		Registry: cloud.NewRegistry(ec2),
 		DG:       dg,
 	})
-	defer stack.Close()
 	now := time.Unix(1_700_000_000, 0)
 	stack.Scheduler.Now = func() time.Time { return now }
 
@@ -343,16 +359,18 @@ func TestSchedulerExhaustionStopsInstances(t *testing.T) {
 }
 
 // downDG is a DGGateway whose server is unreachable; polled receives one
-// signal per Progress call, as far as its buffer goes.
+// signal per poll, as far as its buffer goes.
 type downDG struct{ polled chan struct{} }
 
-func (d downDG) Progress(string) (middleware.Progress, error) {
+func (d downDG) ProgressBatch([]string) (map[string]middleware.Progress, error) {
 	select {
 	case d.polled <- struct{}{}:
 	default:
 	}
-	return middleware.Progress{}, errors.New("dg: connection refused")
+	return nil, errors.New("dg: connection refused")
 }
+
+func (downDG) InstanceBusy(string) (bool, error) { return true, nil }
 
 func (downDG) WorkerURL() string { return "http://dg.example:4321" }
 
@@ -360,8 +378,7 @@ func (downDG) WorkerURL() string { return "http://dg.example:4321" }
 // is logged, and the loop keeps ticking until stopped.
 func TestRunLogsTickErrors(t *testing.T) {
 	dg := downDG{polled: make(chan struct{}, 2)}
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
-	defer stack.Close()
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
 	stack.CreditClient.Deposit("bob", 10)
 	if err := stack.Scheduler.RegisterQoS(QoSRequest{
 		User: "bob", BatchID: "b", EnvKey: "e", Size: 100,
@@ -393,8 +410,7 @@ func TestRunLogsTickErrors(t *testing.T) {
 
 func TestSchedulerValidation(t *testing.T) {
 	dg := &scriptedDG{size: 10}
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
-	defer stack.Close()
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
 	if err := stack.Scheduler.RegisterQoS(QoSRequest{BatchID: "", Size: 10}); err == nil {
 		t.Fatal("empty batch id accepted")
 	}
@@ -408,8 +424,7 @@ func TestSchedulerValidation(t *testing.T) {
 
 func TestSchedulerHTTPEndpoints(t *testing.T) {
 	dg := &scriptedDG{size: 10}
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
-	defer stack.Close()
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
 	stack.CreditClient.Deposit("u", 100)
 
 	body := `{"user":"u","batch_id":"hb","env_key":"e","size":10,"credits":10,"provider":"ec2","image":"img"}`
@@ -447,36 +462,43 @@ func TestSchedulerHTTPEndpoints(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestMuxMountsAllModules: one listener serves every module under its
+// prefix and /healthz, the clients share the stack's one http.Client, and
+// with a KeyManager the gate stands in front of it all — a caller without a
+// key is refused, while the modules reach one another with the stack's own.
 func TestMuxMountsAllModules(t *testing.T) {
-	info := NewInformationService(core.NewInformation())
-	credit := NewCreditService(core.NewCreditSystem())
-	infoClient := NewInformationClient("") // unused paths below
-	oracle := NewOracleService(core.NewOracle(core.DefaultStrategy()), infoClient)
-	dg := &scriptedDG{size: 1}
-	sched := NewSchedulerService(infoClient, NewCreditClient(""), NewOracleClient(""), cloud.DefaultRegistry(), dg)
-	mux := Mux(info, credit, oracle, sched)
-	srv := httptest.NewServer(mux)
-	defer srv.Close()
-
-	for _, path := range []string{"/healthz", "/information/batches", "/scheduler/instances"} {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
+	for _, gated := range []bool{false, true} {
+		var km *KeyManager
+		if gated {
+			km = NewKeyManager(nil)
+		}
+		stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 1}, Keys: km})
+		for _, c := range []*Client{&stack.InfoClient.Client, &stack.CreditClient.Client, &stack.OracleClient.Client, &stack.SchedulerClient.Client} {
+			if c.HTTP != stack.HTTP || !strings.HasPrefix(c.BaseURL, stack.URL+"/") {
+				t.Fatalf("gated %v: client %s does not send through the stack's client", gated, c.BaseURL)
+			}
+		}
+		for _, path := range []string{"/healthz", "/information/batches", "/scheduler/instances", "/oracle/calibration/e", "/credit/accounts/u"} {
+			want := http.StatusOK
+			if gated && path != "/healthz" {
+				want = http.StatusUnauthorized
+			}
+			resp, err := http.Get(stack.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != want {
+				t.Fatalf("gated %v: GET %s without a key: %d, want %d", gated, path, resp.StatusCode, want)
+			}
+		}
+		// Registration crosses three modules over the stack's client.
+		if err := stack.CreditClient.Deposit("u", 5); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: %d", path, resp.StatusCode)
+		if err := stack.SchedulerClient.RegisterQoS(QoSRequest{User: "u", BatchID: "b", EnvKey: "e", Size: 1, Credits: 5}); err != nil {
+			t.Fatalf("gated %v: %v", gated, err)
 		}
-	}
-	// Credit module reachable under its prefix.
-	resp, err := http.Post(srv.URL+"/credit/deposit", "application/json",
-		strings.NewReader(`{"user":"u","credits":5}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("credit deposit via mux: %d", resp.StatusCode)
 	}
 }
 
@@ -486,8 +508,7 @@ func TestMuxMountsAllModules(t *testing.T) {
 func TestConcurrentSchedulerSteps(t *testing.T) {
 	dg := &scriptedDG{size: 100}
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-	stack := NewTestStack(StackConfig{Strategy: core.DefaultStrategy(), Registry: cloud.NewRegistry(driver), DG: dg})
-	defer stack.Close()
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), Registry: cloud.NewRegistry(driver), DG: dg})
 	var nowNS atomic.Int64
 	clock := func() time.Time { return time.Unix(0, nowNS.Load()).UTC() }
 	stack.SetClock(clock)

@@ -64,13 +64,12 @@ type tickRecord struct {
 func TestTickGolden(t *testing.T) {
 	dg := &tickGoldenDG{multiDG: newMultiDG(), idle: map[string]bool{}}
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
-	stack := NewTestStack(StackConfig{
+	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9},
 			Sizing: core.Greedy{}, Deploy: core.Reschedule},
 		Registry: cloud.NewRegistry(driver),
 		DG:       dg,
 	})
-	defer stack.Close()
 	now := time.Unix(0, 0).UTC()
 	stack.SetClock(func() time.Time { return now })
 	driver.SetClock(func() time.Time { return now })

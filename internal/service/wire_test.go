@@ -18,7 +18,7 @@ import (
 	"spequlos/internal/service"
 )
 
-// echoDG is a WireGateway that remembers the last id it was asked about.
+// echoDG is a DG gateway that remembers the last id it was asked about.
 type echoDG struct {
 	mu   sync.Mutex
 	last string
@@ -30,15 +30,11 @@ func (d *echoDG) saw(id string) {
 	d.last = id
 }
 
-func (d *echoDG) Progress(id string) (middleware.Progress, error) {
-	d.saw(id)
-	return middleware.Progress{Size: 100, Arrived: 100, Completed: 60, EverAssigned: 100, Running: 40}, nil
-}
-
 func (d *echoDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	out := map[string]middleware.Progress{}
 	for _, id := range ids {
-		out[id], _ = d.Progress(id)
+		d.saw(id)
+		out[id] = middleware.Progress{Size: 100, Arrived: 100, Completed: 60, EverAssigned: 100, Running: 40}
 	}
 	return out, nil
 }
@@ -51,12 +47,12 @@ func (d *echoDG) InstanceBusy(id string) (bool, error) {
 }
 
 // wireFixture is the four modules and a DG gateway over state the test can
-// read back, each module reachable on a socket of its own and, when muxed,
-// all four behind service.Mux on one.
+// read back, each module reachable on a socket of its own or, when muxed,
+// all four in one service.Stack.
 type wireFixture struct {
 	info    *core.Information
 	credits *core.CreditSystem
-	oracle  *core.Oracle
+	cal     *core.Calibration
 	dg      *echoDG
 
 	// handlers holds the five wire surfaces by name, mounted standalone.
@@ -73,53 +69,51 @@ func newWireFixture(t *testing.T, muxed bool) *wireFixture {
 	t.Helper()
 	fx := &wireFixture{
 		info: core.NewInformation(), credits: core.NewCreditSystem(),
-		oracle: core.NewOracle(core.DefaultStrategy()), dg: &echoDG{},
+		cal: core.NewCalibration(), dg: &echoDG{},
 	}
+	gw := emul.NewGatewayHandler(fx.dg)
+	dgSrv := httptest.NewServer(gw)
+	t.Cleanup(dgSrv.Close)
+	fx.dgC = emul.NewDGClient(dgSrv.URL)
+	if muxed {
+		st, err := service.NewStack(service.StackConfig{
+			Strategy: core.DefaultStrategy(), DG: fx.dgC,
+			Information: fx.info, Credits: fx.credits, Calibration: fx.cal,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(st.Close)
+		fx.infoC, fx.creditC, fx.oracleC, fx.schedC = st.InfoClient, st.CreditClient, st.OracleClient, st.SchedulerClient
+		return fx
+	}
+
 	// An unstarted server knows its address, which the modules' clients of
 	// one another need before the modules exist.
-	listen := func() (*httptest.Server, string) {
-		srv := httptest.NewUnstartedServer(nil)
-		t.Cleanup(srv.Close)
-		return srv, "http://" + srv.Listener.Addr().String()
-	}
-	serve := func(srv *httptest.Server, h http.Handler) {
-		srv.Config.Handler = h
-		srv.Start()
-	}
-	dgSrv, dgURL := listen()
-	gw := emul.NewGatewayHandler(fx.dg)
-	serve(dgSrv, gw)
-	fx.dgC = emul.NewDGClient(dgURL)
-
 	var srvs [4]*httptest.Server
 	var urls [4]string
-	if muxed {
-		srv, url := listen()
-		srvs = [4]*httptest.Server{srv}
-		urls = [4]string{url + "/information", url + "/credit", url + "/oracle", url + "/scheduler"}
-	} else {
-		for i := range srvs {
-			srvs[i], urls[i] = listen()
-		}
+	for i := range srvs {
+		srvs[i] = httptest.NewUnstartedServer(nil)
+		t.Cleanup(srvs[i].Close)
+		urls[i] = "http://" + srvs[i].Listener.Addr().String()
 	}
 	fx.infoC = service.NewInformationClient(urls[0])
 	fx.creditC = service.NewCreditClient(urls[1])
 	fx.oracleC = service.NewOracleClient(urls[2])
 	fx.schedC = service.NewSchedulerClient(urls[3])
 
+	oracle := core.NewOracle(core.DefaultStrategy())
+	oracle.Calibration = fx.cal
 	info := service.NewInformationService(fx.info)
 	credit := service.NewCreditService(fx.credits)
-	oracle := service.NewOracleService(fx.oracle, fx.infoC)
+	oracleSvc := service.NewOracleService(oracle, fx.infoC)
 	sched := service.NewSchedulerService(fx.infoC, fx.creditC, fx.oracleC, cloud.DefaultRegistry(), fx.dgC)
 	fx.handlers = map[string]http.Handler{
-		"information": info, "credit": credit, "oracle": oracle, "scheduler": sched, "dg": gw,
+		"information": info, "credit": credit, "oracle": oracleSvc, "scheduler": sched, "dg": gw,
 	}
-	if muxed {
-		serve(srvs[0], service.Mux(info, credit, oracle, sched))
-	} else {
-		for i, h := range []http.Handler{info, credit, oracle, sched} {
-			serve(srvs[i], h)
-		}
+	for i, h := range []http.Handler{info, credit, oracleSvc, sched} {
+		srvs[i].Config.Handler = h
+		srvs[i].Start()
 	}
 	return fx
 }
@@ -128,7 +122,7 @@ func newWireFixture(t *testing.T, muxed bool) *wireFixture {
 func (fx *wireFixture) digest(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, write := range []func(io.Writer) error{fx.info.WriteJSON, fx.credits.WriteJSON, fx.oracle.Calibration.WriteJSON} {
+	for _, write := range []func(io.Writer) error{fx.info.WriteJSON, fx.credits.WriteJSON, fx.cal.WriteJSON} {
 		if err := write(&buf); err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +132,7 @@ func (fx *wireFixture) digest(t *testing.T) string {
 
 // TestIdentifiersRoundTrip: an identifier travels as one escaped path segment
 // whatever it contains, through every client method that puts one in a path,
-// with each module on its own socket and with all four behind service.Mux.
+// with each module on its own socket and with all four in one service.Stack.
 // (Spliced in unescaped, "a?b" was read back as batch "a", "a#b" and "a/b"
 // found no route, and "100%" was not a URL.)
 func TestIdentifiersRoundTrip(t *testing.T) {
@@ -192,8 +186,8 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				pred, err := fx.oracleC.Predict(id)
 				check("oracle.Predict", err, pred.CompletedFraction, 0.6)
 
-				_, err = fx.dgC.Progress(id)
-				check("dg.Progress", err, fx.dg.last, id)
+				_, err = fx.dgC.ProgressBatch([]string{id})
+				check("dg.ProgressBatch", err, fx.dg.last, id)
 				_, err = fx.dgC.InstanceBusy(id)
 				check("dg.InstanceBusy", err, fx.dg.last, id)
 			})
@@ -357,8 +351,8 @@ func TestWireContract(t *testing.T) {
 			}
 		}
 	}
-	if total != 29 {
-		t.Errorf("%d routes under contract, want the 25 of the modules and the 4 of the DG gateway", total)
+	if total != 28 {
+		t.Errorf("%d routes under contract, want the 25 of the modules and the 3 of the DG gateway", total)
 	}
 
 	// What the parent's hand-written routers answered differently, pinned.

@@ -282,7 +282,9 @@ const dormMeanDays = 7.0
 
 // calibration returns the γ scale applied to unavailability durations and
 // the participation fraction of the dormancy layer (1 = always enrolled).
-// Exactly one of the two mechanisms is active per profile (see DESIGN.md).
+// Exactly one of the two mechanisms is active per profile: shrunk gaps when
+// the renewal process alone is less available than the trace, dormancy when
+// it is more.
 func (p Profile) calibration() (gamma, participation float64) {
 	d := p.DutyCycle()
 	ea, eu := p.Avail.Mean(), p.Unavail.Mean()

@@ -138,44 +138,6 @@ func TestRequeuedTaskHasPriority(t *testing.T) {
 	}
 }
 
-func TestProgressCounters(t *testing.T) {
-	eachModel(t, func(t *testing.T, m model) {
-		eng, s, _ := m.start()
-		s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 100, 100)})
-		s.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
-		eng.RunUntil(50)
-		p := s.Progress("b")
-		if p.Size != 3 || p.Arrived != 3 || p.Running != 1 || p.Queued != 2 || p.EverAssigned != 1 {
-			t.Fatalf("mid progress: %+v", p)
-		}
-		eng.Run()
-		p = s.Progress("b")
-		if p.Completed != 3 || p.Running != 0 || p.Queued != 0 || p.EverAssigned != 3 {
-			t.Fatalf("final progress: %+v", p)
-		}
-		if got := s.Progress("nope"); got.Size != 0 {
-			t.Fatalf("unknown batch progress: %+v", got)
-		}
-	})
-}
-
-func TestDedicatedWorkerOnlyServesItsBatch(t *testing.T) {
-	eachModel(t, func(t *testing.T, m model) {
-		eng, s, _ := m.start()
-		s.Submit(middleware.Batch{ID: "other", Tasks: tasks(100)})
-		s.Submit(middleware.Batch{ID: "mine", Tasks: tasks(100)})
-		cw := middleware.NewCloudWorker(0, 1, "mine")
-		s.WorkerJoin(cw)
-		eng.Run()
-		if !s.Done("mine") {
-			t.Fatal("dedicated batch not served")
-		}
-		if s.Done("other") {
-			t.Fatal("dedicated worker served a foreign batch")
-		}
-	})
-}
-
 func TestRescheduleDuplicatesRunningTask(t *testing.T) {
 	eachModel(t, func(t *testing.T, m model) {
 		for _, c := range []struct{ nops, joinAt, power, want float64 }{
@@ -205,19 +167,6 @@ func TestRescheduleDuplicatesRunningTask(t *testing.T) {
 	})
 }
 
-func TestRescheduleOffNoDuplicates(t *testing.T) {
-	eachModel(t, func(t *testing.T, m model) {
-		eng, s, rec := m.start()
-		s.Submit(middleware.Batch{ID: "b", Tasks: tasks(10000)})
-		s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-		eng.At(100, func() { s.WorkerJoin(middleware.NewCloudWorker(0, 100, "b")) })
-		eng.Run()
-		if rec.batchDone != 10000 {
-			t.Fatalf("batch done at %v, want 10000 (no duplication without Reschedule)", rec.batchDone)
-		}
-	})
-}
-
 func TestFirstResultWinsOverDuplicate(t *testing.T) {
 	eachModel(t, func(t *testing.T, m model) {
 		eng, s, rec := m.start()
@@ -233,27 +182,6 @@ func TestFirstResultWinsOverDuplicate(t *testing.T) {
 		}
 		if rec.completed[0] != 1 {
 			t.Fatalf("task completed %d times", rec.completed[0])
-		}
-	})
-}
-
-func TestIncompleteSnapshot(t *testing.T) {
-	eachModel(t, func(t *testing.T, m model) {
-		eng, s, _ := m.start()
-		s.Submit(middleware.Batch{ID: "b", Tasks: tasks(100, 5000, 5000)})
-		s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
-		eng.RunUntil(200) // task 0 done, task 1 running, task 2 queued
-		inc := s.Incomplete("b")
-		if len(inc) != 2 {
-			t.Fatalf("incomplete = %d tasks, want 2", len(inc))
-		}
-		for _, spec := range inc {
-			if spec.Arrival != 0 {
-				t.Fatal("incomplete snapshot must reset arrivals")
-			}
-		}
-		if s.Incomplete("zz") != nil {
-			t.Fatal("unknown batch should return nil")
 		}
 	})
 }
@@ -320,18 +248,5 @@ func TestWorkerChurnStress(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	})
-}
-
-func TestDuplicateBatchPanics(t *testing.T) {
-	eachModel(t, func(t *testing.T, m model) {
-		_, s, _ := m.start()
-		s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
-		defer func() {
-			if recover() == nil {
-				t.Fatal("duplicate Submit did not panic")
-			}
-		}()
-		s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1)})
 	})
 }

@@ -188,7 +188,7 @@ type ConformanceReport = emul.Report
 type ConformanceCell = emul.Cell
 
 // Emulate executes one scenario (which must carry a strategy) through the
-// deployable HTTP service stack — all four modules on loopback HTTP servers,
+// deployable HTTP service stack — all four modules on one loopback listener,
 // clocks virtualized, the Desktop Grid simulated behind the gateway wire
 // format. It is the cell Simulate runs with the stack as its QoS side, so it
 // returns the same Result, field for field comparable; emulated runs are
