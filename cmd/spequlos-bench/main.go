@@ -269,7 +269,7 @@ func main() {
 			"Ablation — trigger strategy", a.TriggerSweep), "")
 	}
 	if *comparison {
-		emit("comparison", experiments.RenderMiddlewareComparison(a.Comparison, "BIG"), "")
+		emit("comparison", experiments.RenderMiddlewareComparison(a.Comparison), "")
 	}
 
 	if err := os.WriteFile(filepath.Join(*out, "summary.txt"), []byte(summary.String()), 0o644); err != nil {

@@ -1,8 +1,8 @@
 // Command spequlos-load is the socket-level load harness for the SpeQuloS
 // service stack: it boots all four modules behind the tiered auth gateway
 // plus an emul-wire Desktop-Grid gateway on loopback TCP sockets, and
-// drives them with concurrent tiered clients at a configurable request mix
-// while the Scheduler's monitor loop ticks over the same socket.
+// drives them with concurrent tiered clients at a fixed request mix while
+// the Scheduler's monitor loop ticks over the same socket.
 //
 //	spequlos-load -profile smoke
 //	spequlos-load -profile stress
@@ -26,16 +26,10 @@ import (
 
 func main() {
 	var (
-		profile   = flag.String("profile", "smoke", "load profile: smoke or stress")
-		clients   = flag.Int("clients", 0, "override: concurrent clients")
-		duration  = flag.Duration("duration", 0, "override: load window")
-		tick      = flag.Duration("tick", 0, "override: scheduler monitor period")
-		batchDur  = flag.Duration("batch-duration", 0, "override: DG batch completion time")
-		maxOrders = flag.Int("max-orders", -1, "override: QoS order cap (0 = unlimited)")
-		rate      = flag.Float64("rate", 0, "override: gateway total request rate (req/s)")
-		pace      = flag.Duration("pace", -1, "override: paid-tier think time between requests")
-		seed      = flag.Int64("seed", 0, "override: request-schedule seed")
-		verbose   = flag.Bool("v", false, "verbose progress to stderr")
+		profile  = flag.String("profile", "smoke", "load profile: smoke or stress")
+		clients  = flag.Int("clients", 0, "override: concurrent clients")
+		duration = flag.Duration("duration", 0, "override: load window")
+		verbose  = flag.Bool("v", false, "verbose progress to stderr")
 	)
 	flag.Parse()
 
@@ -53,24 +47,6 @@ func main() {
 	}
 	if *duration > 0 {
 		cfg.Duration = *duration
-	}
-	if *tick > 0 {
-		cfg.TickPeriod = *tick
-	}
-	if *batchDur > 0 {
-		cfg.BatchDuration = *batchDur
-	}
-	if *maxOrders >= 0 {
-		cfg.MaxOrders = *maxOrders
-	}
-	if *rate > 0 {
-		cfg.RatePerSec = *rate
-	}
-	if *pace >= 0 {
-		cfg.Pace = *pace
-	}
-	if *seed != 0 {
-		cfg.Seed = *seed
 	}
 	cfg.Verbose = *verbose
 

@@ -14,7 +14,7 @@ import (
 
 func main() {
 	fmt.Println("simulating the EDGI Paris-XI deployment (2 DGs + EGI bridge + 2 clouds)…")
-	t5 := experiments.BuildTable5(4, 12, 2012)
+	t5 := experiments.BuildTable5(2012)
 	fmt.Println()
 	fmt.Print(t5.Render())
 	fmt.Println()

@@ -41,15 +41,6 @@ type BoT struct {
 // Size returns the number of tasks.
 func (b *BoT) Size() int { return len(b.Tasks) }
 
-// TotalOps returns the total number of instructions in the BoT.
-func (b *BoT) TotalOps() float64 {
-	var sum float64
-	for _, t := range b.Tasks {
-		sum += t.NOps
-	}
-	return sum
-}
-
 // WorkloadCPUHours is the BoT workload expressed in CPU·hours: size times
 // the per-task wall-clock estimate (§4.1.3). This is the quantity 10% of
 // which the evaluation provisions as Cloud credits.
@@ -75,18 +66,6 @@ func (b *BoT) Validate() error {
 		prev = t.Arrival
 	}
 	return nil
-}
-
-// MaxGap returns the largest inter-arrival gap (ε in the BoT definition;
-// the paper's typical bound is 60 s).
-func (b *BoT) MaxGap() float64 {
-	var max float64
-	for i := 1; i < len(b.Tasks); i++ {
-		if g := b.Tasks[i].Arrival - b.Tasks[i-1].Arrival; g > max {
-			max = g
-		}
-	}
-	return max
 }
 
 // Epsilon is the typical inter-arrival bound of the BoT definition (§4.1.2).

@@ -23,7 +23,6 @@ type Bridge struct {
 	forwarded map[string]int    // grid source → tasks forwarded
 	completed map[string]int    // grid source → tasks completed
 	origin    map[string]string // batch id → grid source
-	batches   map[string]middleware.Batch
 }
 
 // New builds a bridge in front of the given DG server. The bridge
@@ -34,7 +33,6 @@ func New(target middleware.Server) *Bridge {
 		forwarded: map[string]int{},
 		completed: map[string]int{},
 		origin:    map[string]string{},
-		batches:   map[string]middleware.Batch{},
 	}
 	target.AddListener(bridgeListener{b})
 	return b
@@ -69,18 +67,9 @@ func (b *Bridge) SubmitGridBatch(gridSource string, batch middleware.Batch) erro
 	}
 	b.origin[batch.ID] = gridSource
 	b.forwarded[gridSource] += len(batch.Tasks)
-	b.batches[batch.ID] = batch
 	b.mu.Unlock()
 	b.target.Submit(batch)
 	return nil
-}
-
-// Origin returns the grid source a batch came through, if any.
-func (b *Bridge) Origin(batchID string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	src, ok := b.origin[batchID]
-	return src, ok
 }
 
 // Stats summarizes per-source accounting.

@@ -47,12 +47,6 @@ func TestForwardAndAccount(t *testing.T) {
 	if stats[1].Source != "unicore" || stats[1].Forwarded != 2 || stats[1].Completed != 2 {
 		t.Fatalf("unicore stats = %+v", stats[1])
 	}
-	if src, ok := b.Origin("grid-1"); !ok || src != "egi" {
-		t.Fatalf("origin = %v %v", src, ok)
-	}
-	if _, ok := b.Origin("native"); ok {
-		t.Fatal("phantom origin")
-	}
 }
 
 func TestValidation(t *testing.T) {

@@ -27,8 +27,6 @@ type Job struct {
 	// configured exactly like a plain strategy run — execute once.
 	Variant string
 	// Config overrides the SpeQuloS service configuration for variant jobs.
-	// Its CloudServerFactory is bound to the job's own engine by the runner
-	// and must be left nil.
 	Config *core.Config
 	// CreditFraction overrides Profile.CreditFraction for variant jobs.
 	CreditFraction *float64
@@ -203,12 +201,10 @@ func (s Stats) EventsPerCPUSecond() float64 {
 // fills a ResultStore. Jobs already present in the store are not re-run,
 // which is what makes save→load→run resumption work.
 type Campaign struct {
-	// Profile provides the default parallelism bound.
+	// Profile provides the parallelism bound (Profile.Workers).
 	Profile Profile
 	// Plan holds the unique jobs; use NewPlan().Add(...) or assign Jobs.
 	Plan *Plan
-	// Parallelism bounds concurrent simulations (0 = Profile.Workers()).
-	Parallelism int
 	// Progress, when non-nil, receives one event per finished job. Events
 	// stream while the campaign runs; callbacks are serialized.
 	Progress func(Event)
@@ -222,7 +218,7 @@ func New(p Profile, jobs ...Job) *Campaign {
 }
 
 // Run executes every planned job not already present in store, bounded by
-// the campaign's parallelism, until done or ctx is cancelled. Partial
+// the profile's parallelism, until done or ctx is cancelled. Partial
 // results stay in the store, so a cancelled campaign can be resumed by
 // running it again with the same store.
 func (c *Campaign) Run(ctx context.Context, store *ResultStore) (Stats, error) {
@@ -255,13 +251,7 @@ func (c *Campaign) Run(ctx context.Context, store *ResultStore) (Stats, error) {
 		pending = append(pending, j)
 	}
 
-	workers := c.Parallelism
-	if workers <= 0 {
-		workers = c.Profile.Workers()
-	}
-	if workers > len(pending) {
-		workers = len(pending)
-	}
+	workers := min(c.Profile.Workers(), len(pending))
 
 	jobCh := make(chan Job)
 	var wg sync.WaitGroup
@@ -311,13 +301,4 @@ func LogProgress(w io.Writer) func(Event) {
 		}
 		fmt.Fprintf(w, "%s %s (%d/%d)\n", state, ev.Key, ev.Done, ev.Total)
 	}
-}
-
-// RunCampaign is shorthand for building a campaign over jobs and running it
-// into a fresh store.
-func RunCampaign(ctx context.Context, p Profile, jobs []Job) (*ResultStore, Stats, error) {
-	store := NewResultStore()
-	c := New(p, jobs...)
-	stats, err := c.Run(ctx, store)
-	return store, stats, err
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -177,16 +178,17 @@ func TestCampaignExactlyOnce(t *testing.T) {
 }
 
 // TestCampaignDeterministicAcrossParallelism asserts the satellite
-// criterion: the same campaign run with Parallelism 1 and 8 produces
+// criterion: the same campaign run on 1 and 8 workers (GOMAXPROCS) produces
 // identical ResultStore contents.
 func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	p := tiny()
 	jobs := tinyJobs(p)
 	var bufs [2]bytes.Buffer
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for i, workers := range []int{1, 8} {
+		runtime.GOMAXPROCS(workers)
 		store := NewResultStore()
 		c := New(p, jobs...)
-		c.Parallelism = workers
 		if _, err := c.Run(context.Background(), store); err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +197,7 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(bufs[0].Bytes(), bufs[1].Bytes()) {
-		t.Fatal("store contents differ between Parallelism 1 and 8")
+		t.Fatal("store contents differ between 1 and 8 workers")
 	}
 }
 
@@ -203,7 +205,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	p := tiny()
 	jobs := tinyJobs(p)
 	jobs[0].KeepSeries = true
-	store, _, err := RunCampaign(context.Background(), p, jobs)
+	store, err := runStore(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +243,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 func TestStoreFilePersistence(t *testing.T) {
 	p := tiny()
 	jobs := tinyJobs(p)[:2]
-	store, _, err := RunCampaign(context.Background(), p, jobs)
+	store, err := runStore(p, jobs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +322,8 @@ func TestCampaignProgressEvents(t *testing.T) {
 // of silently substituting XWHEP.
 func TestCompletionCurveUsesRequestedMiddleware(t *testing.T) {
 	sc := Scenario{Profile: tiny(), Middleware: CONDOR, TraceName: "seti", BotClass: "SMALL"}
-	series, res := CompletionCurve(sc)
+	e := Execute(Job{Scenario: sc, KeepSeries: true})
+	series, res := e.Series, e.Result
 	if len(series) == 0 || !res.Completed {
 		t.Fatal("condor curve incomplete")
 	}
@@ -363,4 +366,11 @@ func TestVariantJobConfig(t *testing.T) {
 	if Execute(Job{Scenario: sc}).Key == e.Key {
 		t.Fatal("variant key collides with baseline")
 	}
+}
+
+// runStore runs the jobs into a fresh store.
+func runStore(p Profile, jobs []Job) (*ResultStore, error) {
+	store := NewResultStore()
+	_, err := New(p, jobs...).Run(context.Background(), store)
+	return store, err
 }

@@ -9,7 +9,6 @@ import (
 	"spequlos/internal/metrics"
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
-	"spequlos/internal/xwhep"
 )
 
 // DefaultMonitorPeriod is the paper's one-minute monitoring loop (§3.2),
@@ -39,13 +38,6 @@ func Execute(j Job) Entry {
 	e.Variant = j.Variant
 	e.Profile = j.Scenario.Profile.Name
 	return e
-}
-
-// CompletionCurve runs a scenario and returns its Fig 1 completion curve
-// alongside the run result.
-func CompletionCurve(sc Scenario) ([]metrics.SeriesPoint, Result) {
-	e := Execute(Job{Scenario: sc, KeepSeries: true})
-	return e.Series, e.Result
 }
 
 // kernelShardCount resolves the execution shard count: the profile's
@@ -314,12 +306,7 @@ func executeOnce(j Job, horizon float64) Entry {
 		return Entry{Result: res, Err: err.Error()}
 	}
 	if useService {
-		simCloud := cloud.NewSimCloud(ctl, cloud.DefaultSimConfig(), sim.NewRNG(seed))
-		if cfg.CloudServerFactory == nil {
-			cfg.CloudServerFactory = func() middleware.Server {
-				return xwhep.New(ctl, xwhep.DefaultConfig())
-			}
-		}
+		simCloud := cloud.NewSimCloud(ctl, sim.NewRNG(seed))
 		switch {
 		case j.Backend != nil:
 			qos = j.Backend(ctl, hosts[0].srv, simCloud, cfg)

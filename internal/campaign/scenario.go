@@ -93,8 +93,6 @@ type Profile struct {
 	// CreditFraction of the BoT workload provisioned as cloud credits
 	// (the evaluation uses 10%).
 	CreditFraction float64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// Batches is the number of concurrent QoS batches one scenario cell
 	// carries (0 or 1 = a single BoT, the paper's shape). The crowd
 	// profile sets it to hundreds: one simulated infrastructure serving
@@ -174,11 +172,11 @@ func Standard() Profile {
 // Full returns the paper-scale profile: 2 000-node pools over 15-day
 // horizons, the dimensions behind the paper's headline figures. The matrix
 // needs 180 distinct traces, megabytes each if generated whole; cells draw
-// them on demand, and the profile carries a trace-cache byte budget
-// (overridable with -trace-budget) so that peak trace memory tracks the
-// budget plus in-flight pins instead of the campaign size. Like every single-BoT profile, each cell is the
-// paper's model — one DG server scheduling over the whole trace on the
-// serial engine — and the campaign spreads across cores cell by cell.
+// them on demand, so the whole matrix holds tens of megabytes of them and
+// the profile's trace-cache byte budget (-trace-budget) does not bind. Like
+// every single-BoT profile, each cell is the paper's model — one DG server
+// scheduling over the whole trace on the serial engine — and the campaign
+// spreads across cores cell by cell.
 func Full() Profile {
 	return Profile{
 		Name: "full", BotScale: 1, Offsets: 5, PoolCap: 2000,
@@ -257,13 +255,8 @@ func ProfileByName(name string) (Profile, error) {
 	return Profile{}, fmt.Errorf("campaign: unknown profile %q", name)
 }
 
-// Workers resolves the profile's parallelism bound.
-func (p Profile) Workers() int {
-	if p.Parallelism > 0 {
-		return p.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
+// Workers is the number of simulations a campaign runs at once: GOMAXPROCS.
+func (p Profile) Workers() int { return runtime.GOMAXPROCS(0) }
 
 // Scenario is one simulation to run.
 type Scenario struct {

@@ -21,30 +21,17 @@ import (
 	"spequlos/internal/stats"
 )
 
-// SimConfig parameterizes the simulated IaaS.
-type SimConfig struct {
-	// BootDelay is the time between a start request and the instance's
-	// worker connecting to the DG server.
-	BootDelay float64
-	// Power is the per-instance compute power distribution.
-	Power stats.Dist
-}
+// The evaluation's cloud-node model: an instance's worker connects to the DG
+// server bootDelay seconds after the start request, with grid-class power.
+const bootDelay = 120
 
-// DefaultSimConfig matches the evaluation's cloud-node model.
-func DefaultSimConfig() SimConfig {
-	return SimConfig{
-		BootDelay: 120,
-		Power:     stats.TruncatedNormal{Mu: 3000, Sigma: 300, Lo: 1000, Hi: 5000},
-	}
-}
+var power = stats.TruncatedNormal{Mu: 3000, Sigma: 300, Lo: 1000, Hi: 5000}
 
 // SimCloud instantiates cloud workers inside a simulation.
 type SimCloud struct {
-	eng     *sim.Engine
-	cfg     SimConfig
-	rng     *sim.RNG
-	seq     int
-	running map[*Instance]struct{}
+	eng *sim.Engine
+	rng *sim.RNG
+	seq int
 
 	// opBoot is the registered boot-completion handler (Payload.A =
 	// *Instance): starting an instance allocates no scheduling closure.
@@ -52,14 +39,8 @@ type SimCloud struct {
 }
 
 // NewSimCloud builds a simulated IaaS on the engine.
-func NewSimCloud(eng *sim.Engine, cfg SimConfig, rng *sim.RNG) *SimCloud {
-	if cfg.BootDelay < 0 {
-		cfg.BootDelay = 0
-	}
-	if cfg.Power == nil {
-		cfg.Power = DefaultSimConfig().Power
-	}
-	c := &SimCloud{eng: eng, cfg: cfg, rng: rng.Fork("cloud"), running: map[*Instance]struct{}{}}
+func NewSimCloud(eng *sim.Engine, rng *sim.RNG) *SimCloud {
+	c := &SimCloud{eng: eng, rng: rng.Fork("cloud")}
 	c.opBoot = eng.RegisterOp(func(p sim.Payload) {
 		inst := p.A.(*Instance)
 		inst.BootedAt = c.eng.Now()
@@ -67,6 +48,9 @@ func NewSimCloud(eng *sim.Engine, cfg SimConfig, rng *sim.RNG) *SimCloud {
 	})
 	return c
 }
+
+// Engine is the engine the cloud's instances boot on.
+func (c *SimCloud) Engine() *sim.Engine { return c.eng }
 
 // Instance is one provisioned cloud worker bound to a DG server.
 type Instance struct {
@@ -108,7 +92,7 @@ func (c *SimCloud) Start(target middleware.Server, batchID string, flat bool) *I
 	if flat {
 		dedicated = ""
 	}
-	w := middleware.NewCloudWorker(c.seq, c.cfg.Power.Sample(c.rng.Rand), dedicated)
+	w := middleware.NewCloudWorker(c.seq, power.Sample(c.rng.Rand), dedicated)
 	inst := &Instance{
 		Worker:    w,
 		BatchID:   batchID,
@@ -117,8 +101,7 @@ func (c *SimCloud) Start(target middleware.Server, batchID string, flat bool) *I
 		StoppedAt: -1,
 		target:    target,
 	}
-	inst.bootEv = c.eng.AfterOp(c.cfg.BootDelay, c.opBoot, sim.Payload{A: inst})
-	c.running[inst] = struct{}{}
+	inst.bootEv = c.eng.AfterOp(bootDelay, c.opBoot, sim.Payload{A: inst})
 	return inst
 }
 
@@ -133,17 +116,6 @@ func (c *SimCloud) Stop(inst *Instance) {
 	c.eng.Cancel(inst.bootEv)
 	if inst.Booted() {
 		inst.target.WorkerLeave(inst.Worker)
-	}
-	delete(c.running, inst)
-}
-
-// RunningCount returns the number of live instances.
-func (c *SimCloud) RunningCount() int { return len(c.running) }
-
-// StopAll terminates every live instance (end of QoS support).
-func (c *SimCloud) StopAll() {
-	for inst := range c.running {
-		c.Stop(inst)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSimCloudBootAndJoin(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	srv.Submit(middleware.Batch{ID: "b", Tasks: tasks(3000)})
-	c := NewSimCloud(eng, SimConfig{BootDelay: 120, Power: nil}, sim.NewRNG(1))
+	c := NewSimCloud(eng, sim.NewRNG(1))
 	inst := c.Start(srv, "b", false)
 	if inst.Booted() {
 		t.Fatal("instance booted instantly")
@@ -46,7 +46,7 @@ func TestSimCloudBootAndJoin(t *testing.T) {
 func TestSimCloudFlatMode(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	c := NewSimCloud(eng, DefaultSimConfig(), sim.NewRNG(1))
+	c := NewSimCloud(eng, sim.NewRNG(1))
 	inst := c.Start(srv, "b", true)
 	if inst.Worker.DedicatedBatch != "" {
 		t.Fatal("flat worker must not be dedicated")
@@ -60,7 +60,7 @@ func TestSimCloudStopBeforeBoot(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	srv.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000)})
-	c := NewSimCloud(eng, DefaultSimConfig(), sim.NewRNG(1))
+	c := NewSimCloud(eng, sim.NewRNG(1))
 	inst := c.Start(srv, "b", false)
 	eng.RunUntil(50)
 	c.Stop(inst)
@@ -81,15 +81,15 @@ func TestSimCloudStopDetachesWorker(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	srv.Submit(middleware.Batch{ID: "b", Tasks: tasks(1e9)})
-	c := NewSimCloud(eng, DefaultSimConfig(), sim.NewRNG(1))
+	c := NewSimCloud(eng, sim.NewRNG(1))
 	inst := c.Start(srv, "b", false)
 	eng.RunUntil(500) // booted at 120, computing
 	if !inst.Busy() {
 		t.Fatal("instance should be computing")
 	}
 	c.Stop(inst)
-	if c.RunningCount() != 0 {
-		t.Fatal("running count wrong after stop")
+	if inst.Running() || inst.Busy() {
+		t.Fatal("instance still running after stop")
 	}
 	eng.RunUntil(200000)
 	if srv.Done("b") {
@@ -100,30 +100,30 @@ func TestSimCloudStopDetachesWorker(t *testing.T) {
 func TestSimCloudStopAllAndBilling(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	c := NewSimCloud(eng, DefaultSimConfig(), sim.NewRNG(1))
+	c := NewSimCloud(eng, sim.NewRNG(1))
 	var insts []*Instance
 	for i := 0; i < 3; i++ {
 		insts = append(insts, c.Start(srv, "b", false))
-	}
-	if c.RunningCount() != 3 {
-		t.Fatalf("running = %d", c.RunningCount())
 	}
 	eng.RunUntil(3600)
 	for _, inst := range insts {
 		if got := inst.CPUSeconds(eng.Now()); got != 3600 {
 			t.Fatalf("billed %v, want 3600", got)
 		}
+		c.Stop(inst)
 	}
-	c.StopAll()
-	if c.RunningCount() != 0 {
-		t.Fatal("StopAll left instances")
+	eng.RunUntil(7200)
+	for _, inst := range insts {
+		if inst.Running() || inst.CPUSeconds(eng.Now()) != 3600 {
+			t.Fatalf("a stopped instance runs on: running %v, billed %v", inst.Running(), inst.CPUSeconds(eng.Now()))
+		}
 	}
 }
 
 func TestInstancePowersVary(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	c := NewSimCloud(eng, DefaultSimConfig(), sim.NewRNG(7))
+	c := NewSimCloud(eng, sim.NewRNG(7))
 	p1 := c.Start(srv, "b", false).Worker.Power
 	p2 := c.Start(srv, "b", false).Worker.Power
 	p3 := c.Start(srv, "b", false).Worker.Power

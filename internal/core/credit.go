@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -21,7 +20,6 @@ type CreditSystem struct {
 	mu       sync.RWMutex
 	accounts map[string]*Account
 	orders   map[string]*Order
-	rate     float64
 }
 
 // Account is a user's credit account.
@@ -48,20 +46,11 @@ func NewCreditSystem() *CreditSystem {
 	return &CreditSystem{
 		accounts: map[string]*Account{},
 		orders:   map[string]*Order{},
-		rate:     CreditsPerCPUHour,
 	}
 }
 
-// Rate returns credits per CPU·hour.
-func (cs *CreditSystem) Rate() float64 { return cs.rate }
-
-// CreditsForCPUSeconds converts cloud CPU time to credits.
-func (cs *CreditSystem) CreditsForCPUSeconds(sec float64) float64 {
-	return sec / 3600 * cs.rate
-}
-
 // CPUHoursFor converts credits to CPU·hours of cloud usage.
-func (cs *CreditSystem) CPUHoursFor(credits float64) float64 { return credits / cs.rate }
+func (cs *CreditSystem) CPUHoursFor(credits float64) float64 { return credits / CreditsPerCPUHour }
 
 // Deposit adds credits to a user account, creating it on first use.
 func (cs *CreditSystem) Deposit(user string, credits float64) error {
@@ -206,59 +195,4 @@ func (cs *CreditSystem) Pay(batchID string) (refund float64, err error) {
 func (cs *CreditSystem) OrderOf(batchID string) (Order, bool) {
 	o, found, _ := cs.Lookup(batchID)
 	return o, found
-}
-
-// Users lists known accounts, sorted.
-func (cs *CreditSystem) Users() []string {
-	cs.mu.RLock()
-	out := make([]string, 0, len(cs.accounts))
-	for u := range cs.accounts {
-		out = append(out, u)
-	}
-	cs.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
-
-// DepositPolicy provisions user accounts periodically (§3.3: administrators
-// control cloud usage through deposit policies).
-type DepositPolicy interface {
-	// Apply returns the credits to deposit for the account.
-	Apply(a Account) float64
-	Name() string
-}
-
-// TopUpPolicy refills an account up to Cap credits each period — the
-// paper's example policy limiting a user's daily cloud usage (its printed
-// formula d = max(6000, 6000−spent) reads as a top-up to 6000; we implement
-// the top-up semantics).
-type TopUpPolicy struct{ Cap float64 }
-
-// Apply implements DepositPolicy.
-func (p TopUpPolicy) Apply(a Account) float64 {
-	if d := p.Cap - a.Balance; d > 0 {
-		return d
-	}
-	return 0
-}
-
-// Name implements DepositPolicy.
-func (p TopUpPolicy) Name() string { return fmt.Sprintf("topup(%g)", p.Cap) }
-
-// FixedPolicy deposits a constant amount each period.
-type FixedPolicy struct{ Amount float64 }
-
-// Apply implements DepositPolicy.
-func (p FixedPolicy) Apply(Account) float64 { return p.Amount }
-
-// Name implements DepositPolicy.
-func (p FixedPolicy) Name() string { return fmt.Sprintf("fixed(%g)", p.Amount) }
-
-// ApplyPolicy runs a deposit policy over every account.
-func (cs *CreditSystem) ApplyPolicy(p DepositPolicy) {
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	for _, a := range cs.accounts {
-		a.Balance += p.Apply(*a)
-	}
 }

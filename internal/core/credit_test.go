@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"sync"
 	"testing"
@@ -80,11 +82,8 @@ func TestBillCapsAtRemaining(t *testing.T) {
 
 func TestExchangeRate(t *testing.T) {
 	cs := NewCreditSystem()
-	if cs.Rate() != 15 {
-		t.Fatalf("rate = %v, want 15 credits per CPU·hour", cs.Rate())
-	}
-	if got := cs.CreditsForCPUSeconds(3600); got != 15 {
-		t.Fatalf("1 cpu·h = %v credits", got)
+	if got := cs.CPUHoursFor(CreditsPerCPUHour); got != 1 {
+		t.Fatalf("%v credits = %v cpu·h, want 1", CreditsPerCPUHour, got)
 	}
 	if got := cs.CPUHoursFor(30); got != 2 {
 		t.Fatalf("30 credits = %v cpu·h", got)
@@ -164,39 +163,21 @@ func TestConcurrentCreditOps(t *testing.T) {
 	}
 }
 
-func TestDepositPolicies(t *testing.T) {
-	top := TopUpPolicy{Cap: 6000}
-	if d := top.Apply(Account{Balance: 1000}); d != 5000 {
-		t.Fatalf("topup deposit = %v, want 5000", d)
-	}
-	if d := top.Apply(Account{Balance: 9000}); d != 0 {
-		t.Fatalf("topup over cap = %v, want 0", d)
-	}
-	fixed := FixedPolicy{Amount: 100}
-	if d := fixed.Apply(Account{}); d != 100 {
-		t.Fatal("fixed policy wrong")
-	}
-	cs := NewCreditSystem()
-	cs.Deposit("a", 1000)
-	cs.Deposit("b", 7000)
-	cs.ApplyPolicy(top)
-	if cs.AccountOf("a").Balance != 6000 {
-		t.Fatalf("a topped to %v", cs.AccountOf("a").Balance)
-	}
-	if cs.AccountOf("b").Balance != 7000 {
-		t.Fatalf("b changed to %v", cs.AccountOf("b").Balance)
-	}
-	if top.Name() == "" || fixed.Name() == "" {
-		t.Fatal("policy names empty")
-	}
-}
-
+// TestUsersSorted pins the snapshot's account order: by user, whatever the
+// order of first deposit, so two snapshots of one state are byte-identical.
 func TestUsersSorted(t *testing.T) {
 	cs := NewCreditSystem()
 	cs.Deposit("zoe", 1)
 	cs.Deposit("amy", 1)
-	users := cs.Users()
-	if len(users) != 2 || users[0] != "amy" || users[1] != "zoe" {
-		t.Fatalf("users = %v", users)
+	var buf bytes.Buffer
+	if err := cs.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var snap creditSnapshot
+	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Accounts) != 2 || snap.Accounts[0].User != "amy" || snap.Accounts[1].User != "zoe" {
+		t.Fatalf("accounts = %+v", snap.Accounts)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"spequlos/internal/cloud"
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
+	"spequlos/internal/xwhep"
 )
 
 // Config parameterizes a SpeQuloS service instance.
@@ -15,11 +16,6 @@ type Config struct {
 	// MonitorPeriod is the Information/Scheduler loop period (the paper
 	// monitors per minute; §3.2).
 	MonitorPeriod float64
-	// CloudServerFactory builds the dedicated cloud-hosted server used by
-	// the CloudDuplication deployment. The cloud side runs trusted
-	// resources, so a single-execution (XWHEP-style) server is appropriate
-	// regardless of the primary middleware.
-	CloudServerFactory func() middleware.Server
 	// Tiers gates cloud-support admission when supply is contended. Nil
 	// admits every triggered batch immediately — the untiered single-tenant
 	// behavior.
@@ -33,12 +29,6 @@ type Config struct {
 	// a per-batch sim.Outbox whose topic handler calls DeliverMirror at the
 	// next barrier.
 	MirrorPost func(batchID string, taskID int, at float64)
-}
-
-// DefaultConfig returns a config with the paper's defaults (strategy
-// 9C-C-R, one-minute monitoring).
-func DefaultConfig() Config {
-	return Config{Strategy: DefaultStrategy(), MonitorPeriod: 60}
 }
 
 // CountDrivenTrigger marks Trigger implementations whose ShouldStart answer
@@ -141,8 +131,7 @@ func newService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service 
 		Oracle:  NewOracle(cfg.Strategy),
 		Cloud:   simCloud,
 		batches: map[string]*Batch{},
-		deploy: CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud,
-			CloudServerFactory: cfg.CloudServerFactory, MirrorPost: cfg.MirrorPost},
+		deploy:  CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud, MirrorPost: cfg.MirrorPost},
 	}
 	_, countDriven := cfg.Strategy.Trigger.(CountDrivenTrigger)
 	s.mon = &Monitor{Ports: (*simPorts)(s), CountDriven: countDriven}
@@ -374,9 +363,8 @@ func (p *simPorts) Archive(b *Batch) error {
 type CloudDeployment struct {
 	Deploy Deployment
 	Cloud  *cloud.SimCloud
-	// CloudServerFactory and MirrorPost are Config's.
-	CloudServerFactory func() middleware.Server
-	MirrorPost         func(batchID string, taskID int, at float64)
+	// MirrorPost is Config's.
+	MirrorPost func(batchID string, taskID int, at float64)
 	// secondaries holds CloudDuplication's cloud-hosted server per batch.
 	secondaries map[string]middleware.Server
 }
@@ -396,15 +384,14 @@ func (d *CloudDeployment) Start(primary middleware.Server, batchID string) *clou
 // secondary returns the batch's cloud-hosted server, on first use spinning it
 // up, mirroring the uncompleted tail onto it and wiring bidirectional result
 // merging: results computed in the cloud complete the primary's tasks,
-// results arriving on the primary abort the cloud copies.
+// results arriving on the primary abort the cloud copies. The cloud side runs
+// trusted resources, so the server is a single-execution XWHEP one whatever
+// the primary middleware, on the engine the cloud's workers boot on.
 func (d *CloudDeployment) secondary(primary middleware.Server, batchID string) middleware.Server {
 	if sec, ok := d.secondaries[batchID]; ok {
 		return sec
 	}
-	if d.CloudServerFactory == nil {
-		panic("core: CloudDuplication requires a CloudServerFactory")
-	}
-	sec := d.CloudServerFactory()
+	sec := xwhep.New(d.Cloud.Engine(), xwhep.DefaultConfig())
 	sec.Submit(middleware.Batch{ID: batchID, Tasks: primary.Incomplete(batchID)})
 	sec.AddListener(mirror{batchID: batchID, post: func(taskID int, _ float64) {
 		primary.MarkCompleted(batchID, taskID)

@@ -49,7 +49,7 @@ func liveOrderIDs(svc *Service) []string {
 func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := &scriptedServer{script: map[string]middleware.Progress{}, polls: map[string]int{}}
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
+	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
 	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 	for _, id := range []string{"a", "b", "c"} {
 		srv.script[id] = middleware.Progress{Size: 4, Arrived: 4, Completed: 2, EverAssigned: 4, Running: 2}

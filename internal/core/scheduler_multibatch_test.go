@@ -43,7 +43,7 @@ func (c completionTimes) BatchCompleted(id string, at float64) {
 func TestMultiBatchPollEconomy(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := &pollCounter{Server: xwhep.New(eng, xwhep.DefaultConfig())}
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
+	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
 	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
 	const batches = 50

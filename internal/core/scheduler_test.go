@@ -17,14 +17,8 @@ func slowTailScenario(t *testing.T, strategy Strategy, credits float64) (*sim.En
 	t.Helper()
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
-	cfg := Config{
-		Strategy:      strategy,
-		MonitorPeriod: 60,
-		CloudServerFactory: func() middleware.Server {
-			return xwhep.New(eng, xwhep.DefaultConfig())
-		},
-	}
+	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
+	cfg := Config{Strategy: strategy, MonitorPeriod: 60}
 	svc := NewService(eng, srv, simCloud, cfg)
 	specs := make([]bot.Task, 10)
 	for i := range specs {
@@ -152,8 +146,8 @@ func TestExhaustionStopsCloudWorkers(t *testing.T) {
 func TestNoTriggerWithoutCredits(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	simCloud := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
-	svc := NewService(eng, srv, simCloud, DefaultConfig())
+	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(1))
+	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 	specs := make([]bot.Task, 10)
 	for i := range specs {
 		specs[i] = bot.Task{ID: i, NOps: 1000}
@@ -192,7 +186,7 @@ func TestPredictionThroughService(t *testing.T) {
 func TestRegisterValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	svc := NewService(eng, srv, cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1)), DefaultConfig())
+	svc := NewService(eng, srv, cloud.NewSimCloud(eng, sim.NewRNG(1)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 	if err := svc.RegisterQoS("u", "b", "env", 10); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +215,7 @@ func TestDeterministicWithAndWithoutCloudBase(t *testing.T) {
 	run := func() float64 {
 		eng := sim.NewEngine()
 		srv := xwhep.New(eng, xwhep.DefaultConfig())
-		svc := NewService(eng, srv, cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(3)), DefaultConfig())
+		svc := NewService(eng, srv, cloud.NewSimCloud(eng, sim.NewRNG(3)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 		specs := make([]bot.Task, 7)
 		for i := range specs {
 			specs[i] = bot.Task{ID: i, NOps: 500 + float64(i)*37}
@@ -245,7 +239,7 @@ func TestDeterministicWithAndWithoutCloudBase(t *testing.T) {
 func TestMultiBoTArbitration(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
+	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
 	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
 	// 11 tasks on 2 workers leave a lone straggler after 90%% completion —

@@ -38,7 +38,7 @@ func (s *idleServer) AddListener(l middleware.Listener)   { s.listeners = append
 func tickWallTime(b int, ticks, activePerTick int) time.Duration {
 	eng := sim.NewEngine()
 	srv := &idleServer{progress: middleware.Progress{Size: 8, Arrived: 8, Running: 8}}
-	simCloud := cloud.NewSimCloud(eng, cloud.SimConfig{BootDelay: 120}, sim.NewRNG(7))
+	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
 	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
 	ids := make([]string, b)

@@ -24,3 +24,20 @@ func TestChangesLineCap(t *testing.T) {
 		}
 	}
 }
+
+// maxExperimentsLines caps EXPERIMENTS.md. It says how to regenerate and
+// read the evaluation; what a change measured, and how it was found, goes in
+// that change's CHANGES.md entry.
+const maxExperimentsLines = 800
+
+// TestExperimentsLineCap keeps EXPERIMENTS.md a how-to: it had grown past
+// 1000 lines of change history.
+func TestExperimentsLineCap(t *testing.T) {
+	doc, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(doc), "\n"); n > maxExperimentsLines {
+		t.Errorf("EXPERIMENTS.md has %d lines, cap %d: move history into CHANGES.md", n, maxExperimentsLines)
+	}
+}

@@ -20,8 +20,6 @@ type Spec struct {
 	Strategies  []core.Strategy
 	// OffsetIndexes selects the submission offsets to emulate (default {0}).
 	OffsetIndexes []int
-	// Parallelism bounds concurrent runs (0 = profile default).
-	Parallelism int
 	// Store, when non-nil, receives both sides of every cell — the emulated
 	// job keys apart from the in-process one — so a conformance campaign
 	// resumes like any other: what is already stored is not run again.
@@ -39,36 +37,6 @@ func QuickSpec() Spec {
 		Bots:        []string{"SMALL"},
 		Strategies:  mustStrategies("9C-C-R", "9C-G-F", "9A-C-D", "D-C-R"),
 	}
-}
-
-// CrowdSpec is the concurrency conformance subset CI runs: a reduced crowd
-// cell — eight interleaved QoS batches sharing one trace — per middleware,
-// proving the HTTP stack agrees with the in-process simulator batch by
-// batch while the Scheduler polls the DG through one aggregated query per
-// tick. (The full crowd profile runs 200 batches; eight keeps the CI cell
-// under a second while still exercising concurrent monitor state.)
-func CrowdSpec() Spec {
-	p := campaign.Crowd()
-	p.Batches = 8
-	p.SubmitSpread = 1800
-	return Spec{
-		Profile:     p,
-		Middlewares: campaign.AllMiddlewares(),
-		Traces:      []string{"seti"},
-		Bots:        []string{"SMALL"},
-		Strategies:  mustStrategies("9C-C-R"),
-	}
-}
-
-// TieredCrowdSpec is CrowdSpec under tier arbitration: the eight batches span
-// the three service classes (campaign.Scenario.SubTier) and a fleet cap of
-// three makes them contend, so the cell only conforms if the deployable
-// Scheduler admits, tick by tick, the batches the simulator admits.
-func TieredCrowdSpec() Spec {
-	s := CrowdSpec()
-	s.Profile.Tiered = true
-	s.Profile.FleetCap = 3
-	return s
 }
 
 func mustStrategies(labels ...string) []core.Strategy {
@@ -237,7 +205,7 @@ func RunConformance(ctx context.Context, spec Spec) (Report, error) {
 	if len(scenarios) == 0 {
 		return rep, fmt.Errorf("emul: empty conformance spec")
 	}
-	c := campaign.Campaign{Profile: spec.Profile, Plan: campaign.NewPlan(), Parallelism: spec.Parallelism}
+	c := campaign.Campaign{Profile: spec.Profile, Plan: campaign.NewPlan()}
 	for _, sc := range scenarios {
 		emulated := Job(sc)
 		if err := emulated.Refused(); err != nil {

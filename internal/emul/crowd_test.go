@@ -41,9 +41,9 @@ func TestCrowdConformance(t *testing.T) {
 		return rep
 	}
 	var untiered, tiered Report
-	t.Run("untiered", func(t *testing.T) { untiered = run(t, CrowdSpec()) })
+	t.Run("untiered", func(t *testing.T) { untiered = run(t, crowdSpec()) })
 	t.Run("tiered", func(t *testing.T) {
-		tiered = run(t, TieredCrowdSpec())
+		tiered = run(t, tieredCrowdSpec())
 		// The fleet cap must have bitten, or the tiered run proves nothing the
 		// untiered one does not.
 		delayed := 0
@@ -59,4 +59,34 @@ func TestCrowdConformance(t *testing.T) {
 			t.Error("no batch started at another tick than without the fleet cap: admission was never contended")
 		}
 	})
+}
+
+// tieredCrowdSpec is crowdSpec under tier arbitration: the eight batches span
+// the three service classes (campaign.Scenario.SubTier) and a fleet cap of
+// three makes them contend, so the cell only conforms if the deployable
+// Scheduler admits, tick by tick, the batches the simulator admits.
+func tieredCrowdSpec() Spec {
+	s := crowdSpec()
+	s.Profile.Tiered = true
+	s.Profile.FleetCap = 3
+	return s
+}
+
+// crowdSpec is the concurrency conformance subset CI runs: a reduced crowd
+// cell — eight interleaved QoS batches sharing one trace — per middleware,
+// proving the HTTP stack agrees with the in-process simulator batch by
+// batch while the Scheduler polls the DG through one aggregated query per
+// tick. (The full crowd profile runs 200 batches; eight keeps the CI cell
+// under a second while still exercising concurrent monitor state.)
+func crowdSpec() Spec {
+	p := campaign.Crowd()
+	p.Batches = 8
+	p.SubmitSpread = 1800
+	return Spec{
+		Profile:     p,
+		Middlewares: campaign.AllMiddlewares(),
+		Traces:      []string{"seti"},
+		Bots:        []string{"SMALL"},
+		Strategies:  mustStrategies("9C-C-R"),
+	}
 }

@@ -94,9 +94,7 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 	// The DG gateway: the simulated server behind the DGGateway HTTP
 	// interface, plus the cloud driver that turns Scheduler launches into
 	// simulated workers.
-	gw := NewSimDG(eng, primary, core.CloudDeployment{
-		Deploy: cfg.Strategy.Deploy, Cloud: simCloud, CloudServerFactory: cfg.CloudServerFactory,
-	})
+	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud})
 	b := &HTTPBackend{
 		Bridge: bridge.New(primary), eng: eng, dgSrv: httptest.NewServer(gw.Handler()),
 		registered: map[string]registration{},

@@ -104,7 +104,7 @@ func TestRunCellRequiresStrategy(t *testing.T) {
 func TestGatewayHTTP(t *testing.T) {
 	eng := sim.NewEngine()
 	primary := xwhep.New(eng, xwhep.DefaultConfig())
-	simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
+	simCl := cloud.NewSimCloud(eng, sim.NewRNG(1))
 	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 	srv := httptest.NewServer(gw.Handler())
 	defer srv.Close()
@@ -153,7 +153,7 @@ func TestGatewayHTTP(t *testing.T) {
 func TestDriverLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
 	primary := xwhep.New(eng, xwhep.DefaultConfig())
-	simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(2))
+	simCl := cloud.NewSimCloud(eng, sim.NewRNG(2))
 	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 	gw.SetWorkerURL("http://dg.emul")
 	var d cloud.Driver = gw
@@ -169,7 +169,7 @@ func TestDriverLifecycle(t *testing.T) {
 		t.Fatalf("launched: %+v", info)
 	}
 	// The worker connects after the simulated boot delay.
-	eng.RunUntil(cloud.DefaultSimConfig().BootDelay + 1)
+	eng.RunUntil(121) // past the 120 s cloud boot
 	desc, err := d.Describe(info.ID)
 	if err != nil || desc.State != cloud.StateRunning {
 		t.Fatalf("describe after boot: %+v %v", desc, err)

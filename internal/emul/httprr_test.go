@@ -50,7 +50,7 @@ func TestDGClientConformanceReplay(t *testing.T) {
 	if rr.Recording() {
 		eng := sim.NewEngine()
 		primary := boinc.New(eng, boinc.DefaultConfig())
-		simCl := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(1))
+		simCl := cloud.NewSimCloud(eng, sim.NewRNG(1))
 		gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: core.Reschedule, Cloud: simCl})
 		gw.SetWorkerURL(recordedWorkerURL)
 		srv := httptest.NewServer(gw.Handler())

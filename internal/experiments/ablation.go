@@ -105,12 +105,9 @@ func ablationFrom(store *campaign.ResultStore, p Profile, settings []ablationSet
 	return out, nil
 }
 
-func creditSettings(fractions []float64) []ablationSetting {
-	if len(fractions) == 0 {
-		fractions = []float64{0.02, 0.05, 0.10, 0.20}
-	}
+func creditSettings() []ablationSetting {
 	var out []ablationSetting
-	for _, f := range fractions {
+	for _, f := range []float64{0.02, 0.05, 0.10, 0.20} {
 		out = append(out, ablationSetting{
 			Setting:        fmt.Sprintf("credits=%.0f%%", f*100),
 			Config:         core.Config{Strategy: core.DefaultStrategy(), MonitorPeriod: 60},
@@ -120,12 +117,9 @@ func creditSettings(fractions []float64) []ablationSetting {
 	return out
 }
 
-func periodSettings(p Profile, periods []float64) []ablationSetting {
-	if len(periods) == 0 {
-		periods = []float64{30, 60, 300, 900}
-	}
+func periodSettings(p Profile) []ablationSetting {
 	var out []ablationSetting
-	for _, period := range periods {
+	for _, period := range []float64{30, 60, 300, 900} {
 		out = append(out, ablationSetting{
 			Setting:        fmt.Sprintf("period=%.0fs", period),
 			Config:         core.Config{Strategy: core.DefaultStrategy(), MonitorPeriod: period},
@@ -156,15 +150,15 @@ func triggerSettings(p Profile) []ablationSetting {
 // CreditFractionSweepFrom derives, from an already-executed store, the sweep
 // over the provisioned credits (the paper fixes them at 10% of the BoT
 // workload): the QoS/cost trade-off.
-func CreditFractionSweepFrom(store *campaign.ResultStore, p Profile, fractions []float64) ([]AblationPoint, error) {
-	return ablationFrom(store, p, creditSettings(fractions))
+func CreditFractionSweepFrom(store *campaign.ResultStore, p Profile) ([]AblationPoint, error) {
+	return ablationFrom(store, p, creditSettings())
 }
 
 // MonitorPeriodSweepFrom derives, from an already-executed store, the sweep
 // over the Information/Scheduler loop period (the paper monitors per minute;
 // slower monitoring delays tail detection).
-func MonitorPeriodSweepFrom(store *campaign.ResultStore, p Profile, periods []float64) ([]AblationPoint, error) {
-	return ablationFrom(store, p, periodSettings(p, periods))
+func MonitorPeriodSweepFrom(store *campaign.ResultStore, p Profile) ([]AblationPoint, error) {
+	return ablationFrom(store, p, periodSettings(p))
 }
 
 // TriggerAblationFrom derives, from an already-executed store, the comparison
@@ -199,17 +193,18 @@ type MiddlewareComparisonRow struct {
 	Runs           int
 }
 
+// comparisonBot is the BoT class the middleware comparison runs, on one
+// desktop grid and one best-effort grid trace.
+const comparisonBot = "BIG"
+
 // comparisonScenarios enumerates the baseline cells of the comparison.
-func comparisonScenarios(p Profile, traces []string, botClass string) []Scenario {
-	if len(traces) == 0 {
-		traces = []string{"seti", "g5klyo"}
-	}
+func comparisonScenarios(p Profile) []Scenario {
 	var out []Scenario
 	for _, mw := range AllMiddlewares() {
-		for _, tn := range traces {
+		for _, tn := range []string{"seti", "g5klyo"} {
 			for off := 0; off < p.Offsets; off++ {
 				out = append(out, Scenario{
-					Profile: p, Middleware: mw, TraceName: tn, BotClass: botClass, Offset: off,
+					Profile: p, Middleware: mw, TraceName: tn, BotClass: comparisonBot, Offset: off,
 				})
 			}
 		}
@@ -218,23 +213,22 @@ func comparisonScenarios(p Profile, traces []string, botClass string) []Scenario
 }
 
 // ComparisonJobs plans the baseline jobs of the middleware comparison.
-func ComparisonJobs(p Profile, traces []string, botClass string) []campaign.Job {
+func ComparisonJobs(p Profile) []campaign.Job {
 	var jobs []campaign.Job
-	for _, sc := range comparisonScenarios(p, traces, botClass) {
+	for _, sc := range comparisonScenarios(p) {
 		jobs = append(jobs, campaign.Job{Scenario: sc})
 	}
 	return jobs
 }
 
 // CompareMiddlewareFrom derives, from an already-executed store, the
-// baseline executions of one workload class across the three middleware on
-// the given traces.
-func CompareMiddlewareFrom(store *campaign.ResultStore, p Profile, traces []string, botClass string) ([]MiddlewareComparisonRow, error) {
+// baseline executions of one workload class across the three middleware.
+func CompareMiddlewareFrom(store *campaign.ResultStore, p Profile) ([]MiddlewareComparisonRow, error) {
 	var out []MiddlewareComparisonRow
 	for _, mw := range AllMiddlewares() {
 		row := MiddlewareComparisonRow{Middleware: mw}
 		var comp, slow float64
-		for _, sc := range comparisonScenarios(p, traces, botClass) {
+		for _, sc := range comparisonScenarios(p) {
 			if sc.Middleware != mw {
 				continue
 			}
@@ -259,9 +253,9 @@ func CompareMiddlewareFrom(store *campaign.ResultStore, p Profile, traces []stri
 }
 
 // RenderMiddlewareComparison prints the comparison table.
-func RenderMiddlewareComparison(rows []MiddlewareComparisonRow, botClass string) string {
+func RenderMiddlewareComparison(rows []MiddlewareComparisonRow) string {
 	tbl := TextTable{
-		Title:   "Middleware comparison (" + botClass + " baselines; CONDOR is the extension)",
+		Title:   "Middleware comparison (" + comparisonBot + " baselines; CONDOR is the extension)",
 		Headers: []string{"middleware", "mean completion (s)", "mean tail slowdown", "runs"},
 	}
 	for _, r := range rows {

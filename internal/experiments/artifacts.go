@@ -9,6 +9,9 @@ import (
 	"spequlos/internal/core"
 )
 
+// table2Days is the trace length Table 2's statistics are measured over.
+const table2Days = 7
+
 // ArtifactOptions scopes one full regeneration of the paper's evaluation.
 type ArtifactOptions struct {
 	// Spec restricts the matrix; its Strategies drive Figs 4/5. The default
@@ -18,17 +21,9 @@ type ArtifactOptions struct {
 	Ablations bool
 	// Comparison adds the three-middleware baseline comparison.
 	Comparison bool
-	// ComparisonTraces and ComparisonBot scope the comparison (defaults:
-	// seti+g5klyo, BIG).
-	ComparisonTraces []string
-	ComparisonBot    string
-	// Table2Days/Table2Seed parameterize the trace-statistics validation.
-	Table2Days float64
+	// Table2Seed seeds the trace-statistics validation (over table2Days).
 	Table2Seed uint64
-	// Table5Days/Table5BoTs/Table5Seed parameterize the EDGI deployment
-	// simulation.
-	Table5Days float64
-	Table5BoTs int
+	// Table5Seed seeds the EDGI deployment simulation.
 	Table5Seed uint64
 	// StreamMatrix skips materializing Artifacts.Matrix: the store is
 	// validated per cell (ValidateSpec) and every figure/table streams
@@ -39,8 +34,6 @@ type ArtifactOptions struct {
 	// Store, when non-nil, is reused across runs: entries already present
 	// are not re-simulated (resume).
 	Store *campaign.ResultStore
-	// Parallelism bounds concurrent simulations (0 = profile default).
-	Parallelism int
 	// Progress receives streaming per-job events.
 	Progress func(campaign.Event)
 }
@@ -56,20 +49,8 @@ func (o ArtifactOptions) withDefaults() ArtifactOptions {
 	if !hasDefault {
 		o.Spec.Strategies = append(o.Spec.Strategies, core.DefaultStrategy())
 	}
-	if o.ComparisonBot == "" {
-		o.ComparisonBot = "BIG"
-	}
-	if o.Table2Days == 0 {
-		o.Table2Days = 7
-	}
 	if o.Table2Seed == 0 {
 		o.Table2Seed = 20260611
-	}
-	if o.Table5Days == 0 {
-		o.Table5Days = 4
-	}
-	if o.Table5BoTs == 0 {
-		o.Table5BoTs = 12
 	}
 	if o.Table5Seed == 0 {
 		o.Table5Seed = 20260611
@@ -126,12 +107,12 @@ func PlanArtifacts(p Profile, opts ArtifactOptions) *campaign.Plan {
 	plan.Add(opts.Spec.Jobs(p)...)
 	plan.Add(Figure1Job(p))
 	if opts.Ablations {
-		plan.Add(ablationJobs(p, creditSettings(nil))...)
-		plan.Add(ablationJobs(p, periodSettings(p, nil))...)
+		plan.Add(ablationJobs(p, creditSettings())...)
+		plan.Add(ablationJobs(p, periodSettings(p))...)
 		plan.Add(ablationJobs(p, triggerSettings(p))...)
 	}
 	if opts.Comparison {
-		plan.Add(ComparisonJobs(p, opts.ComparisonTraces, opts.ComparisonBot)...)
+		plan.Add(ComparisonJobs(p)...)
 	}
 	return plan
 }
@@ -174,25 +155,25 @@ func DeriveArtifacts(store *campaign.ResultStore, p Profile, opts ArtifactOption
 		{"figure1", func() (err error) { a.Figure1, err = Figure1From(store, p); return }},
 		{"figure2", func() (err error) { a.Figure2, err = Figure2From(store, p, opts.Spec); return }},
 		{"table1", func() (err error) { a.Table1, err = Table1From(store, p, opts.Spec); return }},
-		{"table2", func() error { a.Table2 = BuildTable2(opts.Table2Days, opts.Table2Seed); return nil }},
+		{"table2", func() error { a.Table2 = BuildTable2(table2Days, opts.Table2Seed); return nil }},
 		{"figure4", func() (err error) { a.Figure4, err = Figure4From(store, p, opts.Spec); return }},
 		{"figure5", func() (err error) { a.Figure5, err = Figure5From(store, p, opts.Spec); return }},
 		{"figure6", func() (err error) { a.Figure6, err = Figure6From(store, p, opts.Spec, defaultLabel); return }},
 		{"figure7", func() (err error) { a.Figure7, err = Figure7From(store, p, opts.Spec, defaultLabel); return }},
 		{"table4", func() (err error) { a.Table4, err = Table4From(store, p, opts.Spec, defaultLabel); return }},
 		{"table5", func() error {
-			a.Table5 = BuildTable5(opts.Table5Days, opts.Table5BoTs, opts.Table5Seed)
+			a.Table5 = BuildTable5(opts.Table5Seed)
 			return nil
 		}},
 	}
 	if opts.Ablations {
 		steps = append(steps,
 			step{"ablation-credits", func() (err error) {
-				a.CreditSweep, err = CreditFractionSweepFrom(store, p, nil)
+				a.CreditSweep, err = CreditFractionSweepFrom(store, p)
 				return
 			}},
 			step{"ablation-period", func() (err error) {
-				a.PeriodSweep, err = MonitorPeriodSweepFrom(store, p, nil)
+				a.PeriodSweep, err = MonitorPeriodSweepFrom(store, p)
 				return
 			}},
 			step{"ablation-trigger", func() (err error) {
@@ -203,7 +184,7 @@ func DeriveArtifacts(store *campaign.ResultStore, p Profile, opts ArtifactOption
 	}
 	if opts.Comparison {
 		steps = append(steps, step{"comparison", func() (err error) {
-			a.Comparison, err = CompareMiddlewareFrom(store, p, opts.ComparisonTraces, opts.ComparisonBot)
+			a.Comparison, err = CompareMiddlewareFrom(store, p)
 			return
 		}})
 	}
@@ -223,12 +204,7 @@ func BuildArtifacts(ctx context.Context, p Profile, opts ArtifactOptions) (Artif
 	if store == nil {
 		store = campaign.NewResultStore()
 	}
-	c := &campaign.Campaign{
-		Profile:     p,
-		Plan:        PlanArtifacts(p, opts),
-		Parallelism: opts.Parallelism,
-		Progress:    opts.Progress,
-	}
+	c := &campaign.Campaign{Profile: p, Plan: PlanArtifacts(p, opts), Progress: opts.Progress}
 	stats, err := c.Run(ctx, store)
 	if err != nil {
 		return Artifacts{}, stats, err

@@ -17,13 +17,8 @@ func tinyArtifactOpts() ArtifactOptions {
 			Bots:       []string{"SMALL"},
 			Strategies: []core.Strategy{core.DefaultStrategy()},
 		},
-		Ablations:        true,
-		Comparison:       true,
-		ComparisonTraces: []string{"seti"},
-		ComparisonBot:    "SMALL",
-		Table2Days:       2,
-		Table5Days:       2,
-		Table5BoTs:       3,
+		Ablations:  true,
+		Comparison: true,
 	}
 }
 
@@ -44,7 +39,7 @@ func renderAll(a Artifacts) string {
 	b.WriteString(RenderAblation("credits", a.CreditSweep))
 	b.WriteString(RenderAblation("period", a.PeriodSweep))
 	b.WriteString(RenderAblation("trigger", a.TriggerSweep))
-	b.WriteString(RenderMiddlewareComparison(a.Comparison, "SMALL"))
+	b.WriteString(RenderMiddlewareComparison(a.Comparison))
 	return b.String()
 }
 
@@ -77,10 +72,10 @@ func TestArtifactsExactlyOnce(t *testing.T) {
 	// are matrix cells; the comparison shares the XWHEP/BOINC cells): the
 	// deduplicated plan must be strictly smaller than the naive sum.
 	naive := len(opts.Spec.Jobs(p)) + 1 +
-		len(ablationJobs(p, creditSettings(nil))) +
-		len(ablationJobs(p, periodSettings(p, nil))) +
+		len(ablationJobs(p, creditSettings())) +
+		len(ablationJobs(p, periodSettings(p))) +
 		len(ablationJobs(p, triggerSettings(p))) +
-		len(ComparisonJobs(p, opts.ComparisonTraces, opts.ComparisonBot))
+		len(ComparisonJobs(p))
 	if plan.Len() >= naive {
 		t.Fatalf("plan %d jobs did not dedupe the naive %d", plan.Len(), naive)
 	}

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"spequlos/internal/plot"
+	"spequlos/internal/stats"
 )
 
 // Chart builders turning figure data into SVG specifications, matching the
@@ -121,48 +122,19 @@ func Figure7Chart(f Figure7, mw string) plot.LineChart {
 		Title:  "Figure 7 — completion time repartition around the mean (" + mw + ")",
 		XLabel: "completion time / environment average", YLabel: "fraction of executions",
 	}
-	add := func(name string, h map[string]histogramLike, dashed bool) {
+	add := func(name string, h map[string]stats.Histogram, dashed bool) {
 		hist, ok := h[mw]
-		if !ok || len(hist.FracSlice()) == 0 {
+		if !ok || len(hist.Frac) == 0 {
 			return
 		}
 		var xs, ys []float64
-		for i, fr := range hist.FracSlice() {
-			xs = append(xs, hist.Center(i))
+		for i, fr := range hist.Frac {
+			xs = append(xs, hist.BinCenter(i))
 			ys = append(ys, fr)
 		}
 		chart.Series = append(chart.Series, plot.Series{Name: name, X: xs, Y: ys, Dashed: dashed})
 	}
-	no := map[string]histogramLike{}
-	sp := map[string]histogramLike{}
-	for k, v := range f.NoSpeq {
-		no[k] = histAdapter{v.Frac, v.Lo, v.Hi}
-	}
-	for k, v := range f.Speq {
-		sp[k] = histAdapter{v.Frac, v.Lo, v.Hi}
-	}
-	add("No SpeQuloS", no, false)
-	add("SpeQuloS", sp, true)
+	add("No SpeQuloS", f.NoSpeq, false)
+	add("SpeQuloS", f.Speq, true)
 	return chart
-}
-
-// histogramLike lets the chart builder read histograms without exposing
-// stats internals.
-type histogramLike interface {
-	FracSlice() []float64
-	Center(i int) float64
-}
-
-type histAdapter struct {
-	frac   []float64
-	lo, hi float64
-}
-
-func (h histAdapter) FracSlice() []float64 { return h.frac }
-func (h histAdapter) Center(i int) float64 {
-	if len(h.frac) == 0 {
-		return 0
-	}
-	w := (h.hi - h.lo) / float64(len(h.frac))
-	return h.lo + (float64(i)+0.5)*w
 }

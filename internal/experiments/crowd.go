@@ -178,12 +178,7 @@ func BuildCrowd(ctx context.Context, p Profile, opts ArtifactOptions) (CrowdRepo
 	if store == nil {
 		store = campaign.NewResultStore()
 	}
-	c := &campaign.Campaign{
-		Profile:     p,
-		Plan:        PlanCrowd(p),
-		Parallelism: opts.Parallelism,
-		Progress:    opts.Progress,
-	}
+	c := &campaign.Campaign{Profile: p, Plan: PlanCrowd(p), Progress: opts.Progress}
 	stats, err := c.Run(ctx, store)
 	if err != nil {
 		return CrowdReport{}, stats, err

@@ -15,7 +15,6 @@ package experiments
 
 import (
 	"spequlos/internal/campaign"
-	"spequlos/internal/metrics"
 	"spequlos/internal/trace"
 )
 
@@ -78,8 +77,3 @@ type Result = campaign.Result
 // Run executes a scenario through the campaign runner, retrying with a
 // doubled horizon if the trace window proved too short to finish the BoT.
 func Run(sc Scenario) Result { return campaign.Run(sc) }
-
-// CompletionCurve runs a scenario and returns its Fig 1 curve.
-func CompletionCurve(sc Scenario) ([]metrics.SeriesPoint, Result) {
-	return campaign.CompletionCurve(sc)
-}

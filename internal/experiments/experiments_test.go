@@ -23,8 +23,8 @@ func tiny() Profile {
 // builders there are.
 func runStore(t *testing.T, p Profile, jobs ...campaign.Job) *campaign.ResultStore {
 	t.Helper()
-	store, _, err := campaign.RunCampaign(context.Background(), p, jobs)
-	if err != nil {
+	store := campaign.NewResultStore()
+	if _, err := campaign.New(p, jobs...).Run(context.Background(), store); err != nil {
 		t.Fatal(err)
 	}
 	return store
@@ -253,14 +253,6 @@ func TestTextTable(t *testing.T) {
 	if !strings.Contains(out, "T\n") || !strings.Contains(out, "a") {
 		t.Fatalf("render: %q", out)
 	}
-	csv := tbl.CSV()
-	if !strings.HasPrefix(csv, "a,bb\n") {
-		t.Fatalf("csv: %q", csv)
-	}
-	tbl.AddRow(`x,"y`, "z")
-	if !strings.Contains(tbl.CSV(), `"x,""y"`) {
-		t.Fatalf("csv escaping broken: %q", tbl.CSV())
-	}
 }
 
 func TestEnvKeyAndSeed(t *testing.T) {
@@ -282,7 +274,7 @@ func TestEnvKeyAndSeed(t *testing.T) {
 }
 
 func TestTable5EDGI(t *testing.T) {
-	t5 := BuildTable5(3, 6, 42)
+	t5 := BuildTable5(42)
 	if t5.LALTasks == 0 || t5.LRITasks == 0 {
 		t.Fatalf("no tasks executed: %+v", t5)
 	}
@@ -303,10 +295,9 @@ func TestTable5EDGI(t *testing.T) {
 
 func TestCreditFractionSweep(t *testing.T) {
 	p := tiny()
-	fractions := []float64{0.02, 0.10}
-	store := runStore(t, p, ablationJobs(p, creditSettings(fractions))...)
-	pts := must(CreditFractionSweepFrom(store, p, fractions))
-	if len(pts) != 2 {
+	store := runStore(t, p, ablationJobs(p, creditSettings())...)
+	pts := must(CreditFractionSweepFrom(store, p))
+	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
 	for _, pt := range pts {
@@ -327,15 +318,19 @@ func TestCreditFractionSweep(t *testing.T) {
 
 func TestMonitorPeriodSweep(t *testing.T) {
 	p := tiny()
-	periods := []float64{60, 900}
-	store := runStore(t, p, ablationJobs(p, periodSettings(p, periods))...)
-	pts := must(MonitorPeriodSweepFrom(store, p, periods))
-	if len(pts) != 2 || pts[0].Runs == 0 || pts[1].Runs == 0 {
+	store := runStore(t, p, ablationJobs(p, periodSettings(p))...)
+	pts := must(MonitorPeriodSweepFrom(store, p))
+	if len(pts) != 4 {
 		t.Fatalf("points = %+v", pts)
 	}
+	for _, pt := range pts {
+		if pt.Runs == 0 {
+			t.Fatalf("no runs for %s", pt.Setting)
+		}
+	}
 	// Slower monitoring can only delay the trigger: the 15-minute loop
-	// must not beat the 1-minute loop.
-	if pts[1].MeanTRE > pts[0].MeanTRE+0.10 {
+	// (the last setting) must not beat the 1-minute loop (the second).
+	if pts[3].MeanTRE > pts[1].MeanTRE+0.10 {
 		t.Fatalf("15-min monitoring beat 1-min: %+v", pts)
 	}
 }
@@ -419,8 +414,8 @@ func TestCondorScenarioRuns(t *testing.T) {
 
 func TestCompareMiddleware(t *testing.T) {
 	p := tiny()
-	store := runStore(t, p, ComparisonJobs(p, []string{"seti"}, "BIG")...)
-	rows := must(CompareMiddlewareFrom(store, p, []string{"seti"}, "BIG"))
+	store := runStore(t, p, ComparisonJobs(p)...)
+	rows := must(CompareMiddlewareFrom(store, p))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
 	}
@@ -437,7 +432,7 @@ func TestCompareMiddleware(t *testing.T) {
 		t.Fatalf("condor %v vs boinc %v: checkpoint/migration should compete",
 			byMW[CONDOR].MeanCompletion, byMW[BOINC].MeanCompletion)
 	}
-	if !strings.Contains(RenderMiddlewareComparison(rows, "BIG"), "CONDOR") {
+	if !strings.Contains(RenderMiddlewareComparison(rows), "CONDOR") {
 		t.Fatal("render broken")
 	}
 }

@@ -54,31 +54,6 @@ func (t *TextTable) String() string {
 	return b.String()
 }
 
-// CSV renders the table as comma-separated values.
-func (t *TextTable) CSV() string {
-	var b strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	row := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(esc(c))
-		}
-		b.WriteString("\n")
-	}
-	row(t.Headers)
-	for _, r := range t.Rows {
-		row(r)
-	}
-	return b.String()
-}
-
 func f0(v float64) string { return fmt.Sprintf("%.0f", v) }
 func f1(v float64) string { return fmt.Sprintf("%.1f", v) }
 func f2(v float64) string { return fmt.Sprintf("%.2f", v) }

@@ -52,13 +52,16 @@ func (c *completionCounter) TaskCompleted(string, int, float64) {
 }
 func (c *completionCounter) BatchCompleted(string, float64) {}
 
-// BuildTable5 simulates the EDGI deployment for the given number of days,
-// submitting a stream of BoTs to both DGs and through the EGI bridge.
-func BuildTable5(days float64, bots int, seed uint64) Table5 {
-	if bots <= 0 {
-		bots = 12
-	}
-	horizon := days * 86400
+// The EDGI simulation's window and the number of BoTs submitted over it.
+const (
+	table5Days = 4
+	table5BoTs = 12
+)
+
+// BuildTable5 simulates the EDGI deployment over table5Days, submitting a
+// stream of table5BoTs BoTs to both DGs and through the EGI bridge.
+func BuildTable5(seed uint64) Table5 {
+	horizon := table5Days * 86400.0
 	eng := sim.NewEngine()
 
 	// XW@LAL: the laboratory's local desktop grid. Notre-Dame-like
@@ -76,16 +79,10 @@ func BuildTable5(days float64, bots int, seed uint64) Table5 {
 	egi := bridge.New(lal)
 
 	// SpeQuloS per DG, each with its supporting cloud.
-	stratus := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(seed).Fork("stratuslab"))
-	ec2 := cloud.NewSimCloud(eng, cloud.DefaultSimConfig(), sim.NewRNG(seed).Fork("ec2"))
+	stratus := cloud.NewSimCloud(eng, sim.NewRNG(seed).Fork("stratuslab"))
+	ec2 := cloud.NewSimCloud(eng, sim.NewRNG(seed).Fork("ec2"))
 	mkService := func(srv middleware.Server, sc *cloud.SimCloud) *core.Service {
-		return core.NewService(eng, srv, sc, core.Config{
-			Strategy:      core.DefaultStrategy(),
-			MonitorPeriod: 60,
-			CloudServerFactory: func() middleware.Server {
-				return xwhep.New(eng, xwhep.DefaultConfig())
-			},
-		})
+		return core.NewService(eng, srv, sc, core.Config{Strategy: core.DefaultStrategy(), MonitorPeriod: 60})
 	}
 	svcLAL := mkService(lal, stratus)
 	svcLRI := mkService(lri, ec2)
@@ -103,7 +100,7 @@ func BuildTable5(days float64, bots int, seed uint64) Table5 {
 	rng := sim.NewRNG(seed).Fork("edgi:submissions")
 	classes := []string{"RANDOM", "BIG", "RANDOM"}
 	var batchIDs []string
-	for i := 0; i < bots; i++ {
+	for i := 0; i < table5BoTs; i++ {
 		cls := mustClass(classes[i%len(classes)]).Scaled(0.05)
 		id := fmt.Sprintf("edgi-bot-%02d", i)
 		batchIDs = append(batchIDs, id)
@@ -160,8 +157,8 @@ func BuildTable5(days float64, bots int, seed uint64) Table5 {
 		LRITasks:        lriDone.n,
 		StratusLabTasks: lalCloud.n,
 		EC2Tasks:        lriCloud.n,
-		BoTs:            bots,
-		SimDays:         days,
+		BoTs:            table5BoTs,
+		SimDays:         table5Days,
 	}
 	for _, st := range egi.StatsBySource() {
 		t5.EGITasks += st.Completed

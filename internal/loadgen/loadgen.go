@@ -2,7 +2,7 @@
 // SpeQuloS stack: it boots all four service modules behind the auth gateway
 // on a real loopback TCP socket, a Desktop-Grid gateway speaking the emul
 // wire format on a second socket, and drives them with concurrent tiered
-// clients at a configurable request mix — QoS orders, status polls,
+// clients at a fixed request mix — QoS orders, status polls,
 // progress-batch queries, credit operations — while the Scheduler's monitor
 // loop ticks over the same socket. It reports p50/p95/p99 request latency
 // per operation, the unexpected-error rate, per-tier 429 throttling, and
@@ -29,24 +29,20 @@ import (
 	"spequlos/internal/service"
 )
 
-// Mix weights the request classes each load client draws from.
-type Mix struct {
-	// Status weights GET /scheduler/qos/{id} polls.
-	Status int `json:"status"`
-	// Progress weights POST /progress-batch queries on the DG socket.
-	Progress int `json:"progress"`
-	// Credit weights GET /credit/accounts/{user} lookups.
-	Credit int `json:"credit"`
-	// Order weights POST /scheduler/qos registrations (new QoS batches).
-	Order int `json:"order"`
-}
+// The request mix every load client draws from, in percent: mostly
+// monitoring reads, a steady trickle of new QoS orders. Status is GET
+// /scheduler/qos/{id}, progress POST /progress-batch on the DG socket, credit
+// GET /credit/accounts/{user}, and the rest POST /scheduler/qos (new QoS
+// batches).
+const (
+	mixStatus   = 55
+	mixProgress = 20
+	mixCredit   = 15
+)
 
-// DefaultMix is the production-shaped mix: mostly monitoring reads, a
-// steady trickle of new QoS orders.
-func DefaultMix() Mix { return Mix{Status: 55, Progress: 20, Credit: 15, Order: 10} }
-
-// total sums the mix weights.
-func (m Mix) total() int { return m.Status + m.Progress + m.Credit + m.Order }
+// seed makes the request schedule reproducible: client i draws from seed +
+// 7919·i.
+const seed = 1
 
 // Config parameterizes one load run.
 type Config struct {
@@ -74,10 +70,6 @@ type Config struct {
 	// premium clients. Free clients run unpaced — the deliberate burst that
 	// must draw 429s without touching the paid tiers.
 	Pace time.Duration
-	// Seed makes the request schedule reproducible.
-	Seed int64
-	// Mix is the request-class distribution (zero value = DefaultMix).
-	Mix Mix
 	// Verbose logs per-second progress to stderr.
 	Verbose bool
 }
@@ -89,7 +81,7 @@ func Smoke() Config {
 	return Config{
 		Profile: "smoke", Clients: 8, Duration: 3 * time.Second,
 		TickPeriod: 100 * time.Millisecond, BatchDuration: 1500 * time.Millisecond,
-		MaxOrders: 48, RatePerSec: 400, Pace: 25 * time.Millisecond, Seed: 1,
+		MaxOrders: 48, RatePerSec: 400, Pace: 25 * time.Millisecond,
 	}
 }
 
@@ -100,7 +92,7 @@ func Stress() Config {
 	return Config{
 		Profile: "stress", Clients: 32, Duration: 8 * time.Second,
 		TickPeriod: 50 * time.Millisecond, BatchDuration: 3 * time.Second,
-		MaxOrders: 256, RatePerSec: 1200, Pace: 10 * time.Millisecond, Seed: 1,
+		MaxOrders: 256, RatePerSec: 1200, Pace: 10 * time.Millisecond,
 	}
 }
 
@@ -125,9 +117,6 @@ func tierOf(i int) core.Tier {
 func Run(cfg Config) (*Report, error) {
 	if cfg.Clients <= 0 || cfg.Duration <= 0 || cfg.TickPeriod <= 0 {
 		return nil, fmt.Errorf("loadgen: Clients, Duration and TickPeriod must be positive")
-	}
-	if cfg.Mix.total() == 0 {
-		cfg.Mix = DefaultMix()
 	}
 	if cfg.BatchDuration <= 0 {
 		cfg.BatchDuration = cfg.Duration / 2
@@ -167,7 +156,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 
-	rec := newRecorder(cfg.Clients)
+	rec := &recorder{lat: map[opClass][]float64{}}
 	var orders atomic.Int64
 	var orderedMu sync.Mutex
 	var orderedIDs []string
@@ -253,13 +242,11 @@ type clientCtx struct {
 // runClient is one concurrent load client: it draws operations from the mix
 // until the deadline, pacing paid tiers and bursting the free tier.
 func runClient(c *clientCtx) {
-	rng := rand.New(rand.NewSource(c.cfg.Seed + int64(c.idx)*7919))
+	rng := rand.New(rand.NewSource(seed + int64(c.idx)*7919))
 	httpc := service.KeyedClient(c.key.Key)
 	dgc := emul.NewDGClient(c.dgURL)
 	var mine []string // batch IDs this client ordered
 	seq := 0
-	mix := c.cfg.Mix
-	total := mix.total()
 
 	order := func() {
 		if c.cfg.MaxOrders > 0 && int(c.orders.Load()) >= c.cfg.MaxOrders {
@@ -283,12 +270,12 @@ func runClient(c *clientCtx) {
 	}
 
 	for time.Now().Before(c.deadline) {
-		switch p := rng.Intn(total); {
-		case p < mix.Status:
+		switch p := rng.Intn(100); {
+		case p < mixStatus:
 			c.status(httpc, mine, rng)
-		case p < mix.Status+mix.Progress:
+		case p < mixStatus+mixProgress:
 			c.progress(dgc, mine, rng)
-		case p < mix.Status+mix.Progress+mix.Credit:
+		case p < mixStatus+mixProgress+mixCredit:
 			start := time.Now()
 			resp, err := httpc.Get(c.stackURL + "/credit/accounts/" + c.key.User)
 			c.rec.request(c.idx, opCredit, c.key.Tier, start, resp, err)

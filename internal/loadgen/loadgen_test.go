@@ -79,19 +79,12 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestQuantile pins the nearest-rank quantile on a known sample set.
+// TestQuantile pins the report's nearest-rank quantiles on a known sample
+// set, given in any order.
 func TestQuantile(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	for _, tc := range []struct {
-		q    float64
-		want float64
-	}{{0.50, 5}, {0.95, 10}, {0.99, 10}, {0.10, 1}} {
-		if got := quantile(s, tc.q); got != tc.want {
-			t.Errorf("quantile(%.2f) = %g, want %g", tc.q, got, tc.want)
-		}
-	}
-	if got := quantile(nil, 0.5); got != 0 {
-		t.Errorf("quantile(nil) = %g, want 0", got)
+	s := statsOf([]float64{10, 1, 9, 2, 8, 3, 7, 4, 6, 5})
+	if want := (LatencyStats{Count: 10, P50Ms: 5, P95Ms: 10, P99Ms: 10, MaxMs: 10}); s != want {
+		t.Errorf("statsOf = %+v, want %+v", s, want)
 	}
 }
 

@@ -3,7 +3,6 @@ package loadgen
 import (
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
 	"strings"
@@ -12,6 +11,7 @@ import (
 
 	"spequlos/internal/core"
 	"spequlos/internal/service"
+	"spequlos/internal/stats"
 )
 
 // opClass names a request class in the report.
@@ -41,10 +41,6 @@ type recorder struct {
 	samples    []string
 	ticks      []float64 // tick durations, ms
 	overruns   int64     // ticks slower than the tick period
-}
-
-func newRecorder(clients int) *recorder {
-	return &recorder{lat: map[opClass][]float64{}}
 }
 
 // request records one stack-socket request. 2xx is success, 429 is expected
@@ -126,35 +122,16 @@ type LatencyStats struct {
 	MaxMs float64 `json:"max_ms"`
 }
 
-// statsOf computes LatencyStats over a sample set (consumed: sorted in
-// place).
+// statsOf computes LatencyStats over a sample set: nearest-rank quantiles,
+// each an observed latency.
 func statsOf(ms []float64) LatencyStats {
-	if len(ms) == 0 {
-		return LatencyStats{}
-	}
-	sort.Float64s(ms)
 	return LatencyStats{
 		Count: len(ms),
-		P50Ms: quantile(ms, 0.50),
-		P95Ms: quantile(ms, 0.95),
-		P99Ms: quantile(ms, 0.99),
-		MaxMs: ms[len(ms)-1],
+		P50Ms: stats.NearestRank(ms, 0.50),
+		P95Ms: stats.NearestRank(ms, 0.95),
+		P99Ms: stats.NearestRank(ms, 0.99),
+		MaxMs: stats.NearestRank(ms, 1),
 	}
-}
-
-// quantile returns the q-th quantile of sorted samples (nearest-rank).
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(math.Ceil(q*float64(len(sorted)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	return sorted[i]
 }
 
 // Report is the result of one load run.

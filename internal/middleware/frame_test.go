@@ -95,7 +95,7 @@ func TestWorkerSlots(t *testing.T) {
 
 	stranger := &Worker{ID: 5, Power: 1}
 	if s.WorkerBusy(stranger) || s.Detach(stranger) != nil || s.Unpark(stranger) != nil ||
-		s.workers.Contains(stranger) || NewIdleSet().Contains(ws[0]) {
+		s.workers.Contains(stranger) || (&idleSet{}).Contains(ws[0]) {
 		t.Fatal("a never-seen worker answers as if it were known")
 	}
 	if n := len(s.workers.slots); n != 3 {

@@ -22,10 +22,6 @@ type workerTable[S any] struct {
 	slots []workerSlot[S]
 	idle  []*Worker
 	cloud int
-	// scratch backs Each's iteration snapshot between calls so the churn
-	// hot path stops allocating one slice per scan.
-	scratch []*Worker
-	eaching bool
 }
 
 // workerSlot is one worker's record in a workerTable.
@@ -37,13 +33,6 @@ type workerSlot[S any] struct {
 	cloud bool
 	state S
 }
-
-// IdleSet is a workerTable that keeps no state of its own per worker: the
-// bare idle set.
-type IdleSet = workerTable[struct{}]
-
-// NewIdleSet returns an empty set.
-func NewIdleSet() *IdleSet { return &IdleSet{} }
 
 // slot returns w's record, nil if the table never saw w.
 func (t *workerTable[S]) slot(w *Worker) *workerSlot[S] {
@@ -134,31 +123,4 @@ func (t *workerTable[S]) Pick(match func(*Worker) bool) *Worker {
 		}
 	}
 	return nil
-}
-
-// Each iterates over a snapshot of the idle workers, so fn may Add/Remove
-// freely. The snapshot buffer is reused across calls (with an allocation
-// fallback for re-entrant iteration).
-func (t *workerTable[S]) Each(fn func(*Worker) bool) {
-	var snapshot []*Worker
-	reused := false
-	if !t.eaching {
-		t.eaching = true
-		reused = true
-		snapshot = append(t.scratch[:0], t.idle...)
-	} else {
-		snapshot = append([]*Worker(nil), t.idle...)
-	}
-	for _, w := range snapshot {
-		if !fn(w) {
-			break
-		}
-	}
-	if reused {
-		for i := range snapshot {
-			snapshot[i] = nil // release references held past the scan
-		}
-		t.scratch = snapshot[:0]
-		t.eaching = false
-	}
 }

@@ -5,16 +5,19 @@ import (
 	"testing"
 )
 
+// idleSet is a workerTable that keeps no state of its own per worker: the
+// bare idle set.
+type idleSet = workerTable[struct{}]
+
 // cloudRecount counts idle cloud workers by scanning the membership — the
 // ground truth CloudCount must track.
-func cloudRecount(s *IdleSet) int {
+func cloudRecount(s *idleSet) int {
 	n := 0
-	s.Each(func(w *Worker) bool {
+	for _, w := range s.idle {
 		if w.Cloud {
 			n++
 		}
-		return true
-	})
+	}
 	return n
 }
 
@@ -23,7 +26,7 @@ func cloudRecount(s *IdleSet) int {
 // add-as-node/remove-as-cloud pair drove the counter negative and corrupted
 // the accounting for every other worker.
 func TestIdleSetCloudFlagFlipBetweenAddAndRemove(t *testing.T) {
-	s := NewIdleSet()
+	s := &idleSet{}
 	w := &Worker{ID: 1, Power: 1}
 
 	s.Add(w) // recorded as non-cloud
@@ -60,7 +63,7 @@ func TestIdleSetCloudFlagFlipBetweenAddAndRemove(t *testing.T) {
 func TestIdleSetCloudCountProperty(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := NewIdleSet()
+		s := &idleSet{}
 		workers := make([]*Worker, 30)
 		for i := range workers {
 			workers[i] = &Worker{ID: i, Power: 1, Cloud: r.Intn(2) == 0}
@@ -100,7 +103,7 @@ func TestIdleSetCloudCountProperty(t *testing.T) {
 // Len, and exact again once flips quiesce at Remove/Add boundaries.
 func TestIdleSetCloudCountNeverDriftsUnderArbitraryFlips(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
-	s := NewIdleSet()
+	s := &idleSet{}
 	workers := make([]*Worker, 10)
 	for i := range workers {
 		workers[i] = &Worker{ID: i, Power: 1}
@@ -127,33 +130,51 @@ func TestIdleSetCloudCountNeverDriftsUnderArbitraryFlips(t *testing.T) {
 	}
 }
 
-func TestIdleSetEachReusesScratchAndSupportsMutation(t *testing.T) {
-	s := NewIdleSet()
-	for i := 0; i < 16; i++ {
-		s.Add(&Worker{ID: i, Power: 1})
+// TestIdleSetTwoConsumersNeverShareAWorker is the idle-set-level property
+// behind the dispatch invariant: two consumers draining one set can never
+// receive the same worker, because Pick removes before returning.
+func TestIdleSetTwoConsumersNeverShareAWorker(t *testing.T) {
+	s := &idleSet{}
+	workers := make([]*Worker, 64)
+	for i := range workers {
+		workers[i] = &Worker{ID: i, Cloud: i%3 == 0}
+		s.Add(workers[i])
 	}
-	// Mutating inside Each must be safe (snapshot semantics).
-	s.Each(func(w *Worker) bool {
-		s.Remove(w)
-		s.Add(&Worker{ID: w.ID + 100, Power: 1})
-		return true
-	})
-	if s.Len() != 16 {
-		t.Fatalf("Len = %d after replace-all iteration, want 16", s.Len())
+	held := map[*Worker]string{}
+	consumers := []struct {
+		name  string
+		match func(*Worker) bool
+	}{
+		{"cloud", func(w *Worker) bool { return w.Cloud }},
+		{"any", func(*Worker) bool { return true }},
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		s.Each(func(*Worker) bool { return true })
-	})
-	if allocs > 0 {
-		t.Fatalf("Each allocates %.1f objects per scan in steady state, want 0", allocs)
+	// Interleave the two consumers; every pick must yield a worker no one
+	// currently holds. Periodically release workers back.
+	released := 0
+	for round := 0; round < 200; round++ {
+		c := consumers[round%2]
+		w := s.Pick(c.match)
+		if w == nil {
+			// Refill from the held set (simulates task completion).
+			for rw := range held {
+				delete(held, rw)
+				s.Add(rw)
+				released++
+				break
+			}
+			continue
+		}
+		if owner, taken := held[w]; taken {
+			t.Fatalf("round %d: %s picked worker %d already held by %s", round, c.name, w.ID, owner)
+		}
+		held[w] = c.name
+		if round%7 == 0 {
+			// Release one early, as a completing task would.
+			delete(held, w)
+			s.Add(w)
+		}
 	}
-	// Re-entrant iteration still sees a stable snapshot.
-	count := 0
-	s.Each(func(*Worker) bool {
-		s.Each(func(*Worker) bool { count++; return true })
-		return false
-	})
-	if count != 16 {
-		t.Fatalf("nested Each visited %d workers, want 16", count)
+	if released == 0 {
+		t.Fatal("property test never cycled workers through the set")
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 func TestIdleSetBasics(t *testing.T) {
-	s := NewIdleSet()
+	s := &idleSet{}
 	w1 := &Worker{ID: 1}
 	w2 := &Worker{ID: 2, Cloud: true}
 	s.Add(w1)
@@ -33,7 +33,7 @@ func TestIdleSetBasics(t *testing.T) {
 }
 
 func TestIdleSetPick(t *testing.T) {
-	s := NewIdleSet()
+	s := &idleSet{}
 	for i := 0; i < 10; i++ {
 		s.Add(&Worker{ID: i, Cloud: i%2 == 0})
 	}
@@ -53,7 +53,7 @@ func TestIdleSetPick(t *testing.T) {
 }
 
 func TestIdleSetSwapRemoveConsistency(t *testing.T) {
-	s := NewIdleSet()
+	s := &idleSet{}
 	ws := make([]*Worker, 50)
 	for i := range ws {
 		ws[i] = &Worker{ID: i}
@@ -63,13 +63,12 @@ func TestIdleSetSwapRemoveConsistency(t *testing.T) {
 		s.Remove(ws[i])
 	}
 	seen := map[int]bool{}
-	s.Each(func(w *Worker) bool {
+	for _, w := range s.idle {
 		if seen[w.ID] {
-			t.Fatalf("duplicate worker %d during Each", w.ID)
+			t.Fatalf("duplicate worker %d in the idle list", w.ID)
 		}
 		seen[w.ID] = true
-		return true
-	})
+	}
 	for i := range ws {
 		want := i%3 != 0
 		if s.Contains(ws[i]) != want {

@@ -94,12 +94,12 @@ func TestTwoBatchesSharedPoolNoDoubleAssign(t *testing.T) {
 				var churn func()
 				churn = func() {
 					srv.WorkerLeave(w)
-					eng.After(150, func() {
+					eng.At(eng.Now()+150, func() {
 						srv.WorkerJoin(w)
-						eng.After(period, churn)
+						eng.At(eng.Now()+period, churn)
 					})
 				}
-				eng.After(period, churn)
+				eng.At(eng.Now()+period, churn)
 			}
 
 			// Dedicated cloud workers for both batches plus Reschedule
@@ -124,55 +124,6 @@ func TestTwoBatchesSharedPoolNoDoubleAssign(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestIdleSetTwoConsumersNeverShareAWorker is the IdleSet-level property
-// behind the dispatch invariant: two consumers draining one set can never
-// receive the same worker, because Pick removes before returning.
-func TestIdleSetTwoConsumersNeverShareAWorker(t *testing.T) {
-	s := middleware.NewIdleSet()
-	workers := make([]*middleware.Worker, 64)
-	for i := range workers {
-		workers[i] = &middleware.Worker{ID: i, Cloud: i%3 == 0}
-		s.Add(workers[i])
-	}
-	held := map[*middleware.Worker]string{}
-	consumers := []struct {
-		name  string
-		match func(*middleware.Worker) bool
-	}{
-		{"cloud", func(w *middleware.Worker) bool { return w.Cloud }},
-		{"any", func(*middleware.Worker) bool { return true }},
-	}
-	// Interleave the two consumers; every pick must yield a worker no one
-	// currently holds. Periodically release workers back.
-	released := 0
-	for round := 0; round < 200; round++ {
-		c := consumers[round%2]
-		w := s.Pick(c.match)
-		if w == nil {
-			// Refill from the held set (simulates task completion).
-			for rw := range held {
-				delete(held, rw)
-				s.Add(rw)
-				released++
-				break
-			}
-			continue
-		}
-		if owner, taken := held[w]; taken {
-			t.Fatalf("round %d: %s picked worker %d already held by %s", round, c.name, w.ID, owner)
-		}
-		held[w] = c.name
-		if round%7 == 0 {
-			// Release one early, as a completing task would.
-			delete(held, w)
-			s.Add(w)
-		}
-	}
-	if released == 0 {
-		t.Fatal("property test never cycled workers through the set")
 	}
 }
 

@@ -202,16 +202,6 @@ func (t keyedTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return t.base.RoundTrip(c)
 }
 
-// Revoke marks a key revoked; subsequent requests answer 401. Unknown keys
-// are a no-op.
-func (m *KeyManager) Revoke(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if ks, ok := m.keys[key]; ok {
-		ks.key.Revoked = true
-	}
-}
-
 // Metrics returns a key's traffic counters (zero for unknown keys).
 func (m *KeyManager) Metrics(key string) KeyMetrics {
 	m.mu.Lock()
@@ -271,13 +261,29 @@ const (
 	admitThrottled
 )
 
+// known returns the state of an existing, unrevoked key, under the caller's
+// lock. Any other key is a 401, counted here for every route: gate-wide, and
+// as a denied request of the revoked key.
+func (m *KeyManager) known(key string) (*keyState, bool) {
+	ks, ok := m.keys[key]
+	if ok && !ks.key.Revoked {
+		return ks, true
+	}
+	if ok {
+		ks.metrics.Requests++
+		ks.metrics.Denied++
+	}
+	m.gate.Unauthorized++
+	return nil, false
+}
+
 // authenticate reports whether a key exists and is unrevoked, without
-// touching its bucket or counters.
+// touching its bucket.
 func (m *KeyManager) authenticate(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ks, ok := m.keys[key]
-	return ok && !ks.key.Revoked
+	_, ok := m.known(key)
+	return ok
 }
 
 // admit authenticates a key and takes one token from its bucket. retryAfter
@@ -285,17 +291,11 @@ func (m *KeyManager) authenticate(key string) bool {
 func (m *KeyManager) admit(key string) (k APIKey, outcome admitOutcome, retryAfter float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ks, ok := m.keys[key]
+	ks, ok := m.known(key)
 	if !ok {
-		m.gate.Unauthorized++
 		return APIKey{}, admitUnauthorized, 0
 	}
 	ks.metrics.Requests++
-	if ks.key.Revoked {
-		ks.metrics.Denied++
-		m.gate.Unauthorized++
-		return APIKey{}, admitUnauthorized, 0
-	}
 	lim := m.limitFor(ks.key.Tier)
 	if ks.key.Unlimited || lim.PerSec <= 0 {
 		m.gate.Allowed++

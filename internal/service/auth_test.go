@@ -52,13 +52,14 @@ func doKeyed(t *testing.T, method, url, key, style string) *http.Response {
 }
 
 // TestGateNegativePaths drives the auth gate through its rejection surface:
-// every outcome must carry the right status and a JSON error payload, and
-// the health probe stays open.
+// every outcome must carry the right status and a JSON error payload, the
+// health probe stays open, and every 401 is counted — gate-wide, and on the
+// revoked key's own counters — the token-free metrics route included.
 func TestGateNegativePaths(t *testing.T) {
 	km, srv := gatedEcho(t, nil)
 	good := km.Issue("alice", core.TierPremium)
-	revoked := km.Issue("mallory", core.TierFree)
-	km.Revoke(revoked.Key)
+	revoked := APIKey{Key: "sk-revoked", User: "mallory", Tier: core.TierFree, Revoked: true}
+	km.Add(revoked)
 
 	cases := []struct {
 		name  string
@@ -77,11 +78,19 @@ func TestGateNegativePaths(t *testing.T) {
 		{"metrics with key", good.Key, "x-api-key", MetricsPath, http.StatusOK},
 		{"metrics without key", "", "", MetricsPath, http.StatusUnauthorized},
 		{"metrics with revoked key", revoked.Key, "x-api-key", MetricsPath, http.StatusUnauthorized},
+		{"metrics with unknown key", "sk-deadbeef", "bearer", MetricsPath, http.StatusUnauthorized},
 	}
+	var unauthorized, revokedDenied int64
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			resp := doKeyed(t, http.MethodGet, srv.URL+tc.path, tc.key, tc.style)
 			defer resp.Body.Close()
+			if resp.StatusCode == http.StatusUnauthorized {
+				unauthorized++
+				if tc.key == revoked.Key {
+					revokedDenied++
+				}
+			}
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
 			}
@@ -95,11 +104,11 @@ func TestGateNegativePaths(t *testing.T) {
 		})
 	}
 
-	if m := km.Metrics(revoked.Key); m.Denied == 0 {
-		t.Errorf("revoked key's denials not counted: %+v", m)
+	if m := km.Metrics(revoked.Key); m.Denied != revokedDenied || m.Requests != revokedDenied {
+		t.Errorf("revoked key answered %d 401s, its counters read %+v", revokedDenied, m)
 	}
-	if g := km.GateStats(); g.Unauthorized == 0 || g.Allowed == 0 {
-		t.Errorf("gate counters not moving: %+v", g)
+	if g := km.GateStats(); g.Unauthorized != unauthorized || g.Allowed == 0 {
+		t.Errorf("the gate answered %d 401s, its counters read %+v", unauthorized, g)
 	}
 }
 

@@ -287,7 +287,7 @@ func TestClientsReuseConnections(t *testing.T) {
 	info.HTTP, credit.HTTP, oracle.HTTP = own(), own(), own()
 
 	schedSrv, schedOpened := counted(NewSchedulerService(info, credit, oracle, cloud.DefaultRegistry(), &scriptedDG{size: 1}))
-	sched := NewSchedulerClient(schedSrv.URL)
+	sched := &SchedulerClient{Client{BaseURL: schedSrv.URL, HTTP: http.DefaultClient}}
 	sched.HTTP = own()
 
 	if err := info.Track(TrackRequest{BatchID: "b", EnvKey: "e", Size: 100}); err != nil {

@@ -417,11 +417,6 @@ func (s *SchedulerService) Run(period time.Duration, stop <-chan struct{}) {
 // of the QoS service calls (Fig 3).
 type SchedulerClient struct{ Client }
 
-// NewSchedulerClient builds a client for the given base URL.
-func NewSchedulerClient(baseURL string) *SchedulerClient {
-	return &SchedulerClient{Client{BaseURL: baseURL, HTTP: http.DefaultClient}}
-}
-
 // RegisterQoS registers a batch for QoS support and places its order.
 func (c *SchedulerClient) RegisterQoS(req QoSRequest) error {
 	return c.Post(req, nil, "qos")

@@ -100,7 +100,7 @@ func newWireFixture(t *testing.T, muxed bool) *wireFixture {
 	fx.infoC = service.NewInformationClient(urls[0])
 	fx.creditC = service.NewCreditClient(urls[1])
 	fx.oracleC = service.NewOracleClient(urls[2])
-	fx.schedC = service.NewSchedulerClient(urls[3])
+	fx.schedC = &service.SchedulerClient{Client: service.Client{BaseURL: urls[3], HTTP: http.DefaultClient}}
 
 	oracle := core.NewOracle(core.DefaultStrategy())
 	oracle.Calibration = fx.cal

@@ -14,7 +14,7 @@
 // counter, so a handle to a fired-and-recycled slot can never cancel the
 // slot's next occupant.
 //
-// Events come in two flavors. Closure events (At/After) carry a func() —
+// Events come in two flavors. Closure events (At) carry a func() —
 // convenient, but every capture allocates. Op-code events (AtOp/AfterOp)
 // carry a registered handler index plus an inline Payload stored in the
 // arena slot itself, so scheduling allocates nothing and the event is a
@@ -108,7 +108,6 @@ type Engine struct {
 	now      Time
 	seq      uint64
 	executed uint64
-	clamped  uint64
 
 	slots []slot
 	free  []int32
@@ -160,10 +159,6 @@ func (e *Engine) Now() Time { return e.now }
 // Executed returns the number of events fired so far (useful in benchmarks).
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Clamped returns the number of events whose requested time lay in the past
-// and was clamped to the then-current virtual time.
-func (e *Engine) Clamped() uint64 { return e.clamped }
-
 // Pending returns the number of queued events.
 func (e *Engine) Pending() int { return len(e.heap) }
 
@@ -193,32 +188,18 @@ func (e *Engine) ScheduleAt(t Time, fn func()) (Event, error) {
 	if t < e.now {
 		err = fmt.Errorf("%w: %.6g before now %.6g", ErrPastTime, t, e.now)
 		t = e.now
-		e.clamped++
 	}
 	return e.push(t, fn, 0, Payload{}), err
 }
 
 // At schedules fn at absolute virtual time t. Times in the past are clamped
-// to the current virtual time (counted by Clamped); invalid times panic.
+// to the current virtual time; invalid times panic.
 func (e *Engine) At(t Time, fn func()) Event {
 	ev, err := e.ScheduleAt(t, fn)
 	if err != nil && errors.Is(err, ErrInvalidTime) {
 		panic(err.Error())
 	}
 	return ev
-}
-
-// After schedules fn d seconds from now. Negative delays are clamped to 0
-// (counted by Clamped); NaN and infinite delays panic.
-func (e *Engine) After(d float64, fn func()) Event {
-	if math.IsNaN(d) || math.IsInf(d, 0) {
-		panic(fmt.Sprintf("sim: scheduling event with invalid delay %v", d))
-	}
-	if d < 0 {
-		e.clamped++
-		d = 0
-	}
-	return e.push(e.now+d, fn, 0, Payload{})
 }
 
 // AtOp schedules a registered op at absolute virtual time t with the given
@@ -231,21 +212,18 @@ func (e *Engine) AtOp(t Time, op Op, p Payload) Event {
 	e.checkOp(op)
 	if t < e.now {
 		t = e.now
-		e.clamped++
 	}
 	return e.push(t, nil, op, p)
 }
 
 // AfterOp schedules a registered op d seconds from now with the given
-// payload. Delay handling matches After: negative delays clamp to 0, NaN and
-// infinite delays panic. Scheduling an op event performs no heap allocation.
+// payload. Negative delays clamp to 0, NaN and infinite delays panic. Scheduling an op event performs no heap allocation.
 func (e *Engine) AfterOp(d float64, op Op, p Payload) Event {
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		panic(fmt.Sprintf("sim: scheduling op event with invalid delay %v", d))
 	}
 	e.checkOp(op)
 	if d < 0 {
-		e.clamped++
 		d = 0
 	}
 	return e.push(e.now+d, nil, op, p)

@@ -101,10 +101,10 @@ func TestExchangeEmptyOutboxFastPath(t *testing.T) {
 		chain = func() {
 			k++
 			if k < 20 {
-				eng.After(1, chain)
+				eng.At(eng.Now()+1, chain)
 			}
 		}
-		eng.After(1, chain)
+		eng.At(eng.Now()+1, chain)
 	}
 	sh.Run(5, nil)
 	st := sh.Stats()

@@ -26,7 +26,7 @@ func churnScript(e *Engine) []string {
 	tk := e.NewTicker(2, func(Time) { note("tick") })
 	e.At(7, tk.Stop)
 	e.Run()
-	log = append(log, fmt.Sprintf("executed=%d clamped=%d", e.Executed(), e.Clamped()))
+	log = append(log, fmt.Sprintf("executed=%d", e.Executed()))
 	return log
 }
 
@@ -52,8 +52,8 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 	e.NewTicker(3, func(Time) {})
 	e.At(-1, func() {}) // one clamped
 	e.RunUntil(19.75)
-	if e.Pending() == 0 || e.Executed() == 0 || e.Clamped() != 1 {
-		t.Fatalf("setup: %d pending, %d executed, %d clamped", e.Pending(), e.Executed(), e.Clamped())
+	if e.Pending() == 0 || e.Executed() == 0 {
+		t.Fatalf("setup: %d pending, %d executed", e.Pending(), e.Executed())
 	}
 	for _, ev := range pending {
 		if !ev.Pending() {
@@ -63,8 +63,8 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 
 	e.reset()
 
-	if e.Now() != 0 || e.Executed() != 0 || e.Clamped() != 0 || e.Pending() != 0 || e.Step() {
-		t.Fatalf("after reset: now %v, executed %d, clamped %d, pending %d", e.Now(), e.Executed(), e.Clamped(), e.Pending())
+	if e.Now() != 0 || e.Executed() != 0 || e.Pending() != 0 || e.Step() {
+		t.Fatalf("after reset: now %v, executed %d, pending %d", e.Now(), e.Executed(), e.Pending())
 	}
 	if _, ok := e.NextEventTime(); ok {
 		t.Fatal("after reset: an event is still queued")

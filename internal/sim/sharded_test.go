@@ -153,12 +153,12 @@ func TestShardedStats(t *testing.T) {
 		chain = func() {
 			k++
 			if k < 50 {
-				eng.After(1, chain)
+				eng.At(eng.Now()+1, chain)
 			} else {
 				done[i] = true
 			}
 		}
-		eng.After(1, chain)
+		eng.At(eng.Now()+1, chain)
 	}
 	sh.Run(5, nil)
 	st := sh.Stats()

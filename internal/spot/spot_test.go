@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"spequlos/internal/stats"
+	"spequlos/internal/trace"
 )
 
 func TestPricesPositiveAndFloored(t *testing.T) {
@@ -102,6 +103,16 @@ func TestGenerateTraceValid(t *testing.T) {
 	}
 }
 
+// availableAt reports whether one of the node's intervals holds t.
+func availableAt(n *trace.Node, t float64) bool {
+	for _, iv := range n.Intervals {
+		if iv.Start <= t && t < iv.End {
+			return true
+		}
+	}
+	return false
+}
+
 func TestGeneratePoolCap(t *testing.T) {
 	tr := Spot100.Generate(3, 86400, 50)
 	if len(tr.Nodes) != 50 {
@@ -112,7 +123,7 @@ func TestGeneratePoolCap(t *testing.T) {
 	n0, n49 := tr.Nodes[0], tr.Nodes[49]
 	for _, iv := range n49.Intervals {
 		mid := (iv.Start + iv.End) / 2
-		if !n0.AvailableAt(mid) {
+		if !availableAt(n0, mid) {
 			t.Fatal("higher-bid instance unavailable while lower-bid ran")
 		}
 	}
@@ -126,7 +137,7 @@ func TestLadderPrefixProperty(t *testing.T) {
 		at := math.Abs(math.Mod(u, 1)) * tr.Length
 		run := false // whether we've seen an unavailable node yet
 		for _, n := range tr.Nodes {
-			avail := n.AvailableAt(at)
+			avail := availableAt(n, at)
 			if avail && run {
 				return false
 			}

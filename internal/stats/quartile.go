@@ -145,15 +145,6 @@ func geoSeg(lo, ratio, f float64) float64 {
 // Sample draws one value via inverse-transform sampling.
 func (s QuartileSampler) Sample(r *rand.Rand) float64 { return s.Quantile(r.Float64()) }
 
-// SampleN fills dst with draws, amortizing the sampler setup across a batch.
-// It consumes exactly len(dst) uniforms from r, in order, so batched and
-// one-at-a-time sampling produce identical streams.
-func (s QuartileSampler) SampleN(r *rand.Rand, dst []float64) {
-	for i := range dst {
-		dst[i] = s.Quantile(r.Float64())
-	}
-}
-
 // Mean integrates the quantile function numerically (Simpson's rule on a
 // fine u-grid). The result is exact enough for duty-cycle calibration.
 func (d QuartileDist) Mean() float64 {

@@ -27,21 +27,6 @@ func TestQuartileSamplerBitIdentical(t *testing.T) {
 	}
 }
 
-// Batched draws must consume the RNG exactly like one-at-a-time draws.
-func TestQuartileSamplerSampleNStream(t *testing.T) {
-	d := MustQuartileDist(30, 120, 1500, 1, 8)
-	s := d.Sampler()
-	ra := rand.New(rand.NewPCG(7, 11))
-	rb := rand.New(rand.NewPCG(7, 11))
-	batch := make([]float64, 257)
-	s.SampleN(ra, batch)
-	for i, v := range batch {
-		if want := d.Sample(rb); v != want {
-			t.Fatalf("batched draw %d = %v, sequential gives %v", i, v, want)
-		}
-	}
-}
-
 func newRand(seed uint64) *rand.Rand { return rand.New(rand.NewPCG(seed, seed+1)) }
 
 func sample(d Dist, n int, seed uint64) []float64 {
@@ -250,27 +235,6 @@ func TestQuantileSortedWithinRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEmpiricalCDF(t *testing.T) {
-	cdf := EmpiricalCDF([]float64{3, 1, 2})
-	if len(cdf) != 3 || cdf[0].X != 1 || cdf[2].F != 1 {
-		t.Errorf("cdf wrong: %+v", cdf)
-	}
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].X < cdf[i-1].X || cdf[i].F < cdf[i-1].F {
-			t.Errorf("cdf not monotone: %+v", cdf)
-		}
-	}
-}
-
-func TestCDFAtCCDFAtComplement(t *testing.T) {
-	xs := []float64{1, 2, 2, 3, 10}
-	for _, x := range []float64{0, 1, 2, 2.5, 10, 11} {
-		if got := CDFAt(xs, x) + CCDFAt(xs, x); math.Abs(got-1) > 1e-12 {
-			t.Errorf("CDF+CCDF at %v = %v, want 1", x, got)
-		}
 	}
 }
 

@@ -84,17 +84,9 @@ func QuantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
-// Quantile sorts a copy of the sample and returns the p-quantile.
-func Quantile(xs []float64, p float64) float64 {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	return QuantileSorted(s, p)
-}
-
 // NearestRank sorts a copy of the sample and returns the p-quantile by the
 // nearest-rank rule (⌈p·n⌉-th smallest value, 0 for an empty sample).
-// Unlike Quantile it never interpolates: the result is always an observed
+// Unlike QuantileSorted it never interpolates: the result is always an observed
 // value, which is what per-batch completion-time reports quote (a median
 // of "12547s" names a real batch's completion, not a synthetic midpoint).
 func NearestRank(xs []float64, p float64) float64 {
@@ -112,50 +104,6 @@ func NearestRank(xs []float64, p float64) float64 {
 		i = len(s) - 1
 	}
 	return s[i]
-}
-
-// CDFPoint is one point of an empirical distribution function.
-type CDFPoint struct{ X, F float64 }
-
-// EmpiricalCDF returns the empirical CDF of the sample as step points
-// (x_i, i/n) on the sorted values.
-func EmpiricalCDF(xs []float64) []CDFPoint {
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	out := make([]CDFPoint, len(s))
-	for i, v := range s {
-		out[i] = CDFPoint{X: v, F: float64(i+1) / float64(len(s))}
-	}
-	return out
-}
-
-// CCDFAt evaluates the complementary CDF P(X > x) of the sample at x.
-func CCDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v > x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// CDFAt evaluates the empirical CDF P(X <= x) of the sample at x.
-func CDFAt(xs []float64, x float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range xs {
-		if v <= x {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
 }
 
 // Histogram bins xs into nbins equal-width bins over [lo, hi] and returns

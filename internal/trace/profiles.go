@@ -62,12 +62,6 @@ var (
 	}
 )
 
-// DesktopGridProfiles are the volunteer/institutional desktop grid traces.
-func DesktopGridProfiles() []Profile { return []Profile{SETI, NotreDame} }
-
-// BestEffortGridProfiles are the grid best-effort-queue traces.
-func BestEffortGridProfiles() []Profile { return []Profile{G5KLyon, G5KGrenoble} }
-
 // RenewalProfiles returns the four renewal-process profiles (desktop grids
 // and best-effort grids). Spot traces come from internal/spot.
 func RenewalProfiles() []Profile {

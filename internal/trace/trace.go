@@ -24,7 +24,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -93,16 +92,9 @@ func (n *Node) all() []Interval {
 	return n.Intervals
 }
 
-// AvailableAt reports whether the node is available at time t.
-func (n *Node) AvailableAt(t float64) bool {
-	ivs := n.all()
-	i := sort.Search(len(ivs), func(i int) bool { return ivs[i].End > t })
-	return i < len(ivs) && ivs[i].Start <= t
-}
-
 // Trace is a BE-DCI availability trace: complete when materialised, drawn
 // node by node as far as it is read when opened on demand (Profile.Open).
-// Validate, MeasureStats, ConcurrencyAt and WriteCSV read whole nodes and so
+// Validate, MeasureStats and WriteCSV read whole nodes and so
 // draw an on-demand trace to its end; Bytes never draws.
 type Trace struct {
 	Name   string
@@ -154,17 +146,6 @@ func (t *Trace) Bytes() int64 {
 		n += nodeBytes + intervalBytes*int64(node.Drawn())
 		if node.gen != nil {
 			n += genBytes
-		}
-	}
-	return n
-}
-
-// ConcurrencyAt returns the number of nodes available at time t.
-func (t *Trace) ConcurrencyAt(at float64) int {
-	n := 0
-	for _, node := range t.Nodes {
-		if node.AvailableAt(at) {
-			n++
 		}
 	}
 	return n

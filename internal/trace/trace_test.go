@@ -129,29 +129,17 @@ func TestPowerDistribution(t *testing.T) {
 	}
 }
 
-func TestAvailableAt(t *testing.T) {
-	n := &Node{ID: 0, Power: 1, Intervals: []Interval{{10, 20}, {30, 40}}}
-	cases := []struct {
-		t    float64
-		want bool
-	}{{5, false}, {10, true}, {15, true}, {20, false}, {25, false}, {30, true}, {39.9, true}, {40, false}}
-	for _, c := range cases {
-		if got := n.AvailableAt(c.t); got != c.want {
-			t.Errorf("AvailableAt(%v) = %v, want %v", c.t, got, c.want)
-		}
-	}
-}
-
+// TestConcurrencyAt pins the concurrency MeasureStats samples: at each grid
+// instant, the nodes whose interval holds it, an interval being over at its
+// end instant.
 func TestConcurrencyAt(t *testing.T) {
 	tr := &Trace{Name: "x", Length: 100, Nodes: []*Node{
 		{ID: 0, Power: 1, Intervals: []Interval{{0, 50}}},
 		{ID: 1, Power: 1, Intervals: []Interval{{25, 75}}},
 	}}
-	if got := tr.ConcurrencyAt(30); got != 2 {
-		t.Errorf("concurrency at 30 = %d, want 2", got)
-	}
-	if got := tr.ConcurrencyAt(80); got != 0 {
-		t.Errorf("concurrency at 80 = %d, want 0", got)
+	// Samples at 10, 20, …, 90: 1 1 2 2 1 1 1 0 0.
+	if c := tr.MeasureStats(10).Concurrency; c.N != 9 || c.Max != 2 || c.Min != 0 || c.Sum != 9 {
+		t.Errorf("concurrency samples %+v, want the nine samples 1 1 2 2 1 1 1 0 0", c)
 	}
 }
 
@@ -252,9 +240,6 @@ func TestProfileByNameAndClasses(t *testing.T) {
 	if ClassOf("seti") != ClassDesktopGrid || ClassOf("g5klyo") != ClassBestEffortGrid ||
 		ClassOf("spot10") != ClassSpotInstances {
 		t.Fatal("class mapping wrong")
-	}
-	if len(DesktopGridProfiles()) != 2 || len(BestEffortGridProfiles()) != 2 {
-		t.Fatal("profile groups wrong")
 	}
 }
 
