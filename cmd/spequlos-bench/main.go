@@ -56,7 +56,6 @@ func main() {
 		mws        = flag.String("middlewares", "all", "comma-separated middlewares for the matrix, or 'all'")
 		bots       = flag.String("bots", "all", "comma-separated BoT classes for the matrix, or 'all'")
 		offsets    = flag.Int("offsets", 0, "submission offsets per configuration (0 = the profile's default)")
-		budgetFlag = flag.String("trace-budget", "", "trace-cache byte budget, e.g. 512MiB or 1.5GiB (default: the profile's, else 512MiB); bounds resident trace memory, results are identical at any value")
 		storePath  = flag.String("store", "", "result store JSON path: load if present, save after the run (resume)")
 		ablations  = flag.Bool("ablations", false, "run the design-choice ablation sweeps")
 		comparison = flag.Bool("comparison", false, "run the three-middleware comparison")
@@ -76,13 +75,6 @@ func main() {
 			fatal(fmt.Errorf("-shards does not apply to the %s profile (its cells run on the serial engine; only the multi-batch sharded-kernel profiles stress and crowd2k run on sim.Sharded)", p.Name))
 		}
 		p.KernelShards = *shards
-	}
-	if *budgetFlag != "" {
-		b, err := campaign.ParseByteSize(*budgetFlag)
-		if err != nil {
-			fatal(err)
-		}
-		p.TraceBudgetBytes = b
 	}
 	if *offsets > 0 {
 		p.Offsets = *offsets
@@ -149,10 +141,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("campaign done in %v: %d executed, %d cached, %.0f events/sec (%.0f events/cpu-sec)\n",
-			stats.Elapsed.Round(time.Millisecond), stats.Executed, stats.Cached,
-			stats.EventsPerSecond(), stats.EventsPerCPUSecond())
-		printTraceCacheUsage()
+		fmt.Printf("campaign done in %v: %d executed, %d cached\n",
+			stats.Elapsed.Round(time.Millisecond), stats.Executed, stats.Cached)
 	}
 
 	if crowd {
@@ -170,9 +160,15 @@ func main() {
 	}
 
 	opts.Spec = experiments.MatrixSpec{
-		Traces:      splitList(*traces, experiments.TraceNames(), "trace", validTrace),
-		Middlewares: splitList(*mws, experiments.AllMiddlewares(), "middleware", validMiddleware),
-		Bots:        splitList(*bots, experiments.BotClasses(), "bot class", validBot),
+		Traces:      splitList(*traces),
+		Middlewares: splitList(*mws),
+		Bots:        splitList(*bots),
+	}
+	// A typo'd name fails up front instead of panicking mid-campaign.
+	for _, j := range opts.Spec.Jobs(p) {
+		if err := j.Scenario.Validate(); err != nil {
+			fatal(err)
+		}
 	}
 	if *strats == "all" {
 		opts.Spec.Strategies = core.AllStrategies()
@@ -304,54 +300,17 @@ func writeMemProfile(path string) {
 }
 
 // splitList resolves a comma-separated subset flag: "all" keeps the spec's
-// default (nil), anything else is split, trimmed and validated so a typo'd
-// trace name fails up front instead of panicking mid-campaign.
-func splitList(val string, all []string, kind string, valid func(string) bool) []string {
+// default (nil), anything else is split and trimmed; Scenario.Validate
+// checks the names.
+func splitList(val string) []string {
 	if val == "all" || val == "" {
 		return nil
 	}
 	var out []string
 	for _, name := range strings.Split(val, ",") {
-		name = strings.TrimSpace(name)
-		if !valid(name) {
-			fatal(fmt.Errorf("unknown %s %q (known: %s)", kind, name, strings.Join(all, " ")))
-		}
-		out = append(out, name)
+		out = append(out, strings.TrimSpace(name))
 	}
 	return out
-}
-
-func validTrace(name string) bool {
-	_, err := experiments.TraceSource(name)
-	return err == nil
-}
-
-func validMiddleware(name string) bool {
-	for _, mw := range experiments.AllMiddlewares() {
-		if mw == name {
-			return true
-		}
-	}
-	return false
-}
-
-func validBot(name string) bool {
-	for _, bc := range experiments.BotClasses() {
-		if bc == name {
-			return true
-		}
-	}
-	return false
-}
-
-// printTraceCacheUsage reports the shared trace cache's accounting after a
-// campaign: resident bytes stay under budget + pinned, the number to read
-// against a memory ceiling when sizing -trace-budget for a `full` run.
-func printTraceCacheUsage() {
-	u := campaign.TraceCacheStats()
-	fmt.Printf("trace cache: %.1f MiB resident (%d traces) of %.0f MiB budget, %.1f MiB pinned\n",
-		float64(u.ResidentBytes)/(1<<20), u.Entries,
-		float64(u.BudgetBytes)/(1<<20), float64(u.PinnedBytes)/(1<<20))
 }
 
 func fatal(err error) {

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"time"
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
@@ -51,7 +50,6 @@ func main() {
 		offset    = flag.Int("offset", 0, "submission offset index (changes the seed)")
 		storePath = flag.String("store", "", "result store JSON path: load if present, save after the run (resume)")
 		emulate   = flag.Bool("emulate", false, "also run each strategy cell through the deployable HTTP stack and report conformance")
-		budget    = flag.String("trace-budget", "", "trace cache byte budget, e.g. 256MiB (empty = profile default)")
 		shards    = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; execution-only, results are byte-identical at any value")
 		verbose   = flag.Bool("v", false, "log per-job progress")
 	)
@@ -67,27 +65,11 @@ func main() {
 		}
 		p.KernelShards = *shards
 	}
-	if *budget != "" {
-		n, err := campaign.ParseByteSize(*budget)
-		if err != nil {
-			fatal(err)
-		}
-		p.TraceBudgetBytes = n
-	}
 	sc := experiments.Scenario{
 		Profile: p, Middleware: *mw, TraceName: *tn, BotClass: *bc, Offset: *offset,
 	}
-	if _, err := experiments.TraceSource(*tn); err != nil {
+	if err := sc.Validate(); err != nil {
 		fatal(err)
-	}
-	validMW := false
-	for _, name := range experiments.AllMiddlewares() {
-		if name == *mw {
-			validMW = true
-		}
-	}
-	if !validMW {
-		fatal(fmt.Errorf("unknown middleware %q (use BOINC, XWHEP or CONDOR)", *mw))
 	}
 
 	var strategies []core.Strategy
@@ -136,7 +118,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	stats, runErr := c.Run(ctx, store)
+	_, runErr := c.Run(ctx, store)
 	var conformance emul.Report
 	if *emulate && runErr == nil {
 		// Every strategy cell again with the HTTP stack as its QoS side, into
@@ -159,11 +141,6 @@ func main() {
 	}
 	if runErr != nil {
 		fatal(runErr)
-	}
-	if *verbose && stats.Executed > 0 {
-		fmt.Fprintf(os.Stderr, "campaign: %d executed in %v, %.0f events/sec (%.0f events/cpu-sec)\n",
-			stats.Executed, stats.Elapsed.Round(time.Millisecond),
-			stats.EventsPerSecond(), stats.EventsPerCPUSecond())
 	}
 
 	base, ok := store.Result(baseJob)

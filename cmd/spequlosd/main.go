@@ -17,7 +17,9 @@
 // The daemon's Desktop Grid is emul.WallDG, whose batches progress linearly
 // over wall time (-demo-duration) and whose workers are always busy. Driving
 // a real DG means giving the stack a service.DGGateway written against the
-// BOINC/XWHEP server's status API; the daemon has no flag for one.
+// BOINC/XWHEP server's status API; the daemon has no flag for one. The same
+// stack over the same DG, gated and under tiered load on real sockets, is
+// internal/service's TestStackSurvivesTieredLoad.
 //
 // To drive these same four modules from a fully simulated Desktop Grid —
 // a BOINC/XWHEP/Condor batch generated from the paper's availability

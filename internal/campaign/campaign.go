@@ -172,29 +172,7 @@ type Stats struct {
 	Planned  int           // unique jobs planned
 	Executed int           // jobs actually simulated
 	Cached   int           // jobs served from the store (resume)
-	Events   uint64        // simulation events executed by this run
 	Elapsed  time.Duration // wall clock of the run
-	// CPUSeconds is the process CPU time consumed during the run (0 when
-	// the platform cannot report it). On a machine running other work,
-	// events/CPU-second is the comparable throughput number.
-	CPUSeconds float64
-}
-
-// EventsPerSecond is the simulation throughput of the run.
-func (s Stats) EventsPerSecond() float64 {
-	if s.Elapsed <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.Elapsed.Seconds()
-}
-
-// EventsPerCPUSecond is the run's throughput per CPU second — robust to
-// wall-clock contention, 0 when CPU accounting is unavailable.
-func (s Stats) EventsPerCPUSecond() float64 {
-	if s.CPUSeconds <= 0 {
-		return 0
-	}
-	return float64(s.Events) / s.CPUSeconds
 }
 
 // Campaign executes a plan of unique jobs on a bounded worker pool and
@@ -223,7 +201,6 @@ func New(p Profile, jobs ...Job) *Campaign {
 // running it again with the same store.
 func (c *Campaign) Run(ctx context.Context, store *ResultStore) (Stats, error) {
 	start := time.Now()
-	cpuStart := ProcessCPUSeconds()
 	if c.Profile.TraceBudgetBytes > 0 {
 		SetTraceBudget(c.Profile.TraceBudgetBytes)
 	}
@@ -265,7 +242,6 @@ func (c *Campaign) Run(ctx context.Context, store *ResultStore) (Stats, error) {
 				store.Put(e)
 				mu.Lock()
 				stats.Executed++
-				stats.Events += e.Result.Events
 				done++
 				if c.Progress != nil {
 					c.Progress(Event{Key: e.Key, Done: done, Total: len(jobs), Result: e.Result})
@@ -285,9 +261,6 @@ feed:
 	close(jobCh)
 	wg.Wait()
 	stats.Elapsed = time.Since(start)
-	if cpu := ProcessCPUSeconds(); cpu > cpuStart {
-		stats.CPUSeconds = cpu - cpuStart
-	}
 	return stats, ctx.Err()
 }
 

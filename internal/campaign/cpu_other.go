@@ -2,6 +2,5 @@
 
 package campaign
 
-// ProcessCPUSeconds is unavailable on this platform; callers fall back to
-// wall-clock throughput.
+// ProcessCPUSeconds is unavailable on this platform: it reports 0.
 func ProcessCPUSeconds() float64 { return 0 }

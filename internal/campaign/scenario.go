@@ -11,6 +11,8 @@ package campaign
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 
 	"spequlos/internal/boinc"
 	"spequlos/internal/bot"
@@ -139,7 +141,7 @@ type Profile struct {
 	// knob — traces regenerate deterministically after eviction, so any
 	// budget yields byte-identical results — and is NOT part of the job
 	// key. The `full` profile sets it so paper-scale campaigns hold peak
-	// trace memory on small machines; -trace-budget overrides it.
+	// trace memory on small machines.
 	TraceBudgetBytes int64 `json:",omitempty"`
 }
 
@@ -173,7 +175,7 @@ func Standard() Profile {
 // horizons, the dimensions behind the paper's headline figures. The matrix
 // needs 180 distinct traces, megabytes each if generated whole; cells draw
 // them on demand, so the whole matrix holds tens of megabytes of them and
-// the profile's trace-cache byte budget (-trace-budget) does not bind. Like
+// the profile's trace-cache byte budget does not bind. Like
 // every single-BoT profile, each cell is the paper's model — one DG server
 // scheduling over the whole trace on the serial engine — and the campaign
 // spreads across cores cell by cell.
@@ -290,6 +292,26 @@ func (sc Scenario) StrategyLabel() string {
 		return ""
 	}
 	return sc.Strategy.Label()
+}
+
+// Validate names the first coordinate of the scenario that is not a known
+// middleware, trace or BoT class, with the known ones. The CLIs check every
+// scenario they plan with it, so a typo is a one-line error rather than a
+// panic inside Campaign.Run.
+func (sc Scenario) Validate() error {
+	unknown := func(kind, name string, known []string) error {
+		return fmt.Errorf("campaign: unknown %s %q (known: %s)", kind, name, strings.Join(known, " "))
+	}
+	if !slices.Contains(AllMiddlewares(), sc.Middleware) {
+		return unknown("middleware", sc.Middleware, AllMiddlewares())
+	}
+	if _, err := TraceSource(sc.TraceName); err != nil {
+		return unknown("trace", sc.TraceName, TraceNames())
+	}
+	if !slices.Contains(BotClasses(), sc.BotClass) {
+		return unknown("bot class", sc.BotClass, BotClasses())
+	}
+	return nil
 }
 
 // BotID is the batch identifier shared by the simulator, the emulation

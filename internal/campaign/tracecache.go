@@ -2,9 +2,6 @@ package campaign
 
 import (
 	"container/list"
-	"fmt"
-	"strconv"
-	"strings"
 	"sync"
 
 	"spequlos/internal/trace"
@@ -257,41 +254,12 @@ type TraceCacheUsage struct {
 
 // SetTraceBudget sets the shared trace cache's byte budget (n <= 0 restores
 // DefaultTraceBudgetBytes). Campaigns whose Profile.TraceBudgetBytes is set
-// apply it automatically; the CLIs expose it as -trace-budget.
+// apply it automatically.
 func SetTraceBudget(n int64) { sharedTraceCache.setBudget(n) }
 
 // TraceCacheStats returns the shared trace cache's current usage, the
 // number the `full` CI job checks its RSS ceiling against.
 func TraceCacheStats() TraceCacheUsage { return sharedTraceCache.usage() }
-
-// ParseByteSize parses a human-friendly byte size — "512MiB", "1.5GB",
-// "268435456" — into bytes. Decimal (KB/MB/GB) and binary (KiB/MiB/GiB)
-// suffixes are accepted case-insensitively; a bare number is bytes. Both
-// CLIs use it for -trace-budget.
-func ParseByteSize(s string) (int64, error) {
-	t := strings.TrimSpace(s)
-	mult := int64(1)
-	upper := strings.ToUpper(t)
-	for _, suf := range []struct {
-		name string
-		mult int64
-	}{
-		{"KIB", 1 << 10}, {"MIB", 1 << 20}, {"GIB", 1 << 30},
-		{"KB", 1000}, {"MB", 1000 * 1000}, {"GB", 1000 * 1000 * 1000},
-		{"B", 1},
-	} {
-		if strings.HasSuffix(upper, suf.name) {
-			mult = suf.mult
-			t = strings.TrimSpace(t[:len(t)-len(suf.name)])
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("campaign: invalid byte size %q", s)
-	}
-	return int64(v * float64(mult)), nil
-}
 
 // CachedTrace returns the scenario's availability trace through the shared
 // process-wide cache, pinned: the returned trace is shared, must be treated

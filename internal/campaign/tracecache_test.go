@@ -292,31 +292,6 @@ func TestTraceCacheByteBudgetProperty(t *testing.T) {
 	}
 }
 
-// TestParseByteSize pins the -trace-budget size grammar.
-func TestParseByteSize(t *testing.T) {
-	cases := map[string]int64{
-		"0":       0,
-		"1024":    1024,
-		"512MiB":  512 << 20,
-		"1.5GiB":  3 << 29,
-		"2gb":     2e9,
-		"100kb":   100e3,
-		"64 KiB ": 64 << 10,
-		"7B":      7,
-	}
-	for in, want := range cases {
-		got, err := ParseByteSize(in)
-		if err != nil || got != want {
-			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "MB", "-1GB", "1.2.3MiB", "12q"} {
-		if _, err := ParseByteSize(bad); err == nil {
-			t.Errorf("ParseByteSize(%q) unexpectedly succeeded", bad)
-		}
-	}
-}
-
 // TestTraceCacheSetBudget pins SetTraceBudget semantics: shrinking the
 // budget evicts immediately; a non-positive budget restores the default.
 func TestTraceCacheSetBudget(t *testing.T) {

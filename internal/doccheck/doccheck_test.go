@@ -22,7 +22,6 @@ var auditedDirs = []string{
 	"internal/experiments", // figure/table builders
 	"internal/emul",        // emulation + conformance
 	"internal/httprr",      // HTTP record/replay harness
-	"internal/loadgen",     // socket-level load harness
 	"internal/cloud",       // cloud drivers
 	"internal/bot",         // workload classes
 	"internal/trace",       // availability traces

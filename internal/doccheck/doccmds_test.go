@@ -314,7 +314,7 @@ func TestDocCommandsMatchBinaries(t *testing.T) {
 		"go run ./cmd/spequlos-sim -profile quick \\\n    -explain\n" +
 		"go run ./cmd/spequlos-view -out x\n" +
 		"cat x | go run ./cmd/tracegen --days=3 -csvs y\n" +
-		"go run ./cmd/spequlos-load -clients -1 -duration 0s\n" +
+		"go run ./cmd/spequlosd -fleet-cap -1 -rate 0.5\n" +
 		"go build -o /tmp/bin/ ./cmd/spequlos-bench ./cmd/spequlos-sim\n" +
 		"```\n```\ngo run ./cmd/nothing -x\n```\n"
 	want := []string{

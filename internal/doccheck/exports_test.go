@@ -13,10 +13,10 @@ import (
 	"testing"
 )
 
-// exportAllowlist names the exported internal/ functions and methods kept
-// although no non-test code calls them, each with its reason. A package
-// entry ("httprr") covers every export of that package; a method entry is
-// "pkg.Type.Method".
+// exportAllowlist names the exported internal/ functions, methods and types
+// kept although no non-test code refers to them, each with its reason. A
+// package entry ("httprr") covers every export of that package; a method
+// entry is "pkg.Type.Method".
 var exportAllowlist = map[string]string{
 	"stats.WeightedMedian":             "the reference the incremental α fit is tested against, bit for bit",
 	"doccheck.CheckDirs":               "the exported-comment linter's entry point; its caller is this package's audit test",
@@ -31,8 +31,8 @@ var exportAllowlist = map[string]string{
 // exportScan is what one walk over a module tree collects.
 type exportScan struct {
 	fset *token.FileSet
-	// decls are the exported functions and methods of non-test files under
-	// internal/, keyed "pkgpath.Name" or "pkgpath.Type.Method".
+	// decls are the exported functions, methods and types of non-test files
+	// under internal/, keyed "pkgpath.Name" or "pkgpath.Type.Method".
 	decls map[string]token.Pos
 	// funcRefs holds "pkgpath.Name" for every qualified or in-package bare
 	// reference; selectors holds every selector name (method calls match it).
@@ -86,21 +86,37 @@ func (s *exportScan) addFile(file *ast.File, pkg string, internal bool) {
 		}
 		imports[name] = p
 	}
+	// declNames are the identifiers that declare a name rather than refer to
+	// one: a function's or type's own name, and a method's receiver, which
+	// names its type without using it.
 	declNames := map[*ast.Ident]bool{}
+	declare := func(name *ast.Ident, key string) {
+		declNames[name] = true
+		if internal && name.IsExported() {
+			s.decls[key] = name.Pos()
+		}
+	}
 	for _, decl := range file.Decls {
-		fd, ok := decl.(*ast.FuncDecl)
-		if !ok {
-			continue
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			key := pkg + "." + d.Name.Name
+			if d.Recv != nil && len(d.Recv.List) > 0 {
+				key = pkg + "." + receiverType(d.Recv.List[0].Type) + "." + d.Name.Name
+				ast.Inspect(d.Recv, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						declNames[id] = true
+					}
+					return true
+				})
+			}
+			declare(d.Name, key)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				if ts, ok := spec.(*ast.TypeSpec); ok {
+					declare(ts.Name, pkg+"."+ts.Name.Name)
+				}
+			}
 		}
-		declNames[fd.Name] = true
-		if !internal || !fd.Name.IsExported() {
-			continue
-		}
-		key := pkg + "." + fd.Name.Name
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			key = pkg + "." + receiverType(fd.Recv.List[0].Type) + "." + fd.Name.Name
-		}
-		s.decls[key] = fd.Name.Pos()
 	}
 	var visit func(ast.Node) bool
 	visit = func(n ast.Node) bool {
@@ -153,24 +169,25 @@ func (s *exportScan) uncalled(module string, allow map[string]string) []string {
 	return out
 }
 
-// TestInternalExportsHaveCallers fails on an exported function or method of
-// a non-test file under internal/ that no non-test file of the tree (bench/
-// and examples/ included) references. Code outside this module cannot import
-// internal/ packages, so such a name is dead: delete it, together with the
-// tests that only test it. Package-level functions match import-aware
-// (pkg.Name, or a bare identifier inside the package); methods match by
-// selector name anywhere, which never flags a method some code calls, and a
-// method name declared in any interface is skipped.
+// TestInternalExportsHaveCallers fails on an exported function, method or
+// type of a non-test file under internal/ that no non-test file of the tree
+// (bench/ and examples/ included) references. Code outside this module
+// cannot import internal/ packages, so such a name is dead: delete it,
+// together with the tests that only test it. Package-level functions and
+// types match import-aware (pkg.Name, or a bare identifier inside the
+// package), where a type's own declaration and its methods' receivers do not
+// count; methods match by selector name anywhere, which never flags a method
+// some code calls, and a method name declared in any interface is skipped.
 func TestInternalExportsHaveCallers(t *testing.T) {
 	if len(exportAllowlist) > 8 {
 		t.Errorf("the allowlist has %d entries, cap 8: delete the code instead", len(exportAllowlist))
 	}
 	s := scanExports(t, "../..", "spequlos")
 	if len(s.decls) < 200 {
-		t.Fatalf("only %d exported internal functions found: the walk is not reaching the repository", len(s.decls))
+		t.Fatalf("only %d exported internal names found: the walk is not reaching the repository", len(s.decls))
 	}
 	for _, key := range s.uncalled("spequlos", exportAllowlist) {
-		t.Errorf("%s: no non-test caller of %s", s.fset.Position(s.decls["spequlos/internal/"+key]), key)
+		t.Errorf("%s: no non-test reference to %s", s.fset.Position(s.decls["spequlos/internal/"+key]), key)
 	}
 	for entry := range exportAllowlist {
 		found := false
@@ -179,14 +196,15 @@ func TestInternalExportsHaveCallers(t *testing.T) {
 			found = found || short == entry || strings.HasPrefix(short, entry+".")
 		}
 		if !found {
-			t.Errorf("allowlist entry %s names no exported internal function", entry)
+			t.Errorf("allowlist entry %s names no exported internal declaration", entry)
 		}
 	}
 
-	// Not vacuous: the fixture tree holds one dead function and one dead
-	// method next to live, interface-declared and in-package-called ones.
+	// Not vacuous: the fixture tree holds one dead function, one dead method
+	// and one dead type next to live, interface-declared and
+	// in-package-called ones.
 	got := scanExports(t, "testdata/exports", "fixture").uncalled("fixture", nil)
-	if want := []string{"dead.T.Unused", "dead.Unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
+	if want := []string{"dead.Orphan", "dead.T.Unused", "dead.Unused"}; strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("fixture findings %v, want exactly %v", got, want)
 	}
 }

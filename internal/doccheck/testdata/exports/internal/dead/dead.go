@@ -1,5 +1,5 @@
-// Package dead is the fixture of TestInternalExportsHaveCallers: Unused and
-// T.Unused have no non-test caller; everything else here does.
+// Package dead is the fixture of TestInternalExportsHaveCallers: Unused,
+// T.Unused and Orphan have no non-test reference; everything else here does.
 package dead
 
 // T carries one called, one interface-declared and one dead method.
@@ -16,6 +16,15 @@ func (T) Unused() {}
 
 // Shape declares Shaped.
 type Shape interface{ Shaped() }
+
+// T is a Shape.
+var _ Shape = T{}
+
+// Orphan is the dead type: only its own method's receiver names it.
+type Orphan struct{}
+
+// Shaped is declared by Shape, so the method itself is not reported.
+func (o Orphan) Shaped() {}
 
 // Live is called from cmd/app.
 func Live() T { return T{} }

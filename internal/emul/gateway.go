@@ -239,7 +239,8 @@ func (c *DGClient) InstanceBusy(instanceID string) (bool, error) {
 // progresses linearly from its first poll to completion over its duration,
 // and every worker always holds an assignment, so instances run until the
 // order exhausts or the batch completes. It is spequlosd's demo DG and the
-// load harness's, enough to exercise the full QoS loop without middleware.
+// one internal/service's TestStackSurvivesTieredLoad drives the stack over,
+// enough to exercise the full QoS loop without middleware.
 type WallDG struct {
 	duration  time.Duration
 	workerURL string

@@ -30,18 +30,6 @@ func (c Constant) Mean() float64 { return c.Value }
 // String implements Dist.
 func (c Constant) String() string { return fmt.Sprintf("const(%g)", c.Value) }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi).
-type Uniform struct{ Lo, Hi float64 }
-
-// Sample implements Dist.
-func (u Uniform) Sample(r *rand.Rand) float64 { return u.Lo + r.Float64()*(u.Hi-u.Lo) }
-
-// Mean implements Dist.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// String implements Dist.
-func (u Uniform) String() string { return fmt.Sprintf("unif(%g,%g)", u.Lo, u.Hi) }
-
 // Normal is the Gaussian distribution with mean Mu and standard deviation
 // Sigma.
 type Normal struct{ Mu, Sigma float64 }
@@ -81,32 +69,6 @@ func (n TruncatedNormal) Mean() float64 { return n.Mu }
 func (n TruncatedNormal) String() string {
 	return fmt.Sprintf("tnorm(µ=%g,σ=%g,[%g,%g])", n.Mu, n.Sigma, n.Lo, n.Hi)
 }
-
-// LogNormal is the log-normal distribution: ln X ~ N(Mu, Sigma²).
-type LogNormal struct{ Mu, Sigma float64 }
-
-// Sample implements Dist.
-func (l LogNormal) Sample(r *rand.Rand) float64 {
-	return math.Exp(l.Mu + l.Sigma*r.NormFloat64())
-}
-
-// Mean implements Dist.
-func (l LogNormal) Mean() float64 { return math.Exp(l.Mu + l.Sigma*l.Sigma/2) }
-
-// String implements Dist.
-func (l LogNormal) String() string { return fmt.Sprintf("lognorm(µ=%g,σ=%g)", l.Mu, l.Sigma) }
-
-// Exponential is the exponential distribution with the given rate λ.
-type Exponential struct{ Rate float64 }
-
-// Sample implements Dist.
-func (e Exponential) Sample(r *rand.Rand) float64 { return r.ExpFloat64() / e.Rate }
-
-// Mean implements Dist.
-func (e Exponential) Mean() float64 { return 1 / e.Rate }
-
-// String implements Dist.
-func (e Exponential) String() string { return fmt.Sprintf("exp(λ=%g)", e.Rate) }
 
 // Weibull is the Weibull distribution with scale Lambda and shape K, used
 // by the RANDOM BoT class's task inter-arrival process
