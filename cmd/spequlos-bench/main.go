@@ -60,7 +60,6 @@ func main() {
 		ablations  = flag.Bool("ablations", false, "run the design-choice ablation sweeps")
 		comparison = flag.Bool("comparison", false, "run the three-middleware comparison")
 		verbose    = flag.Bool("v", false, "log per-scenario progress")
-		shards     = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; results are byte-identical at any value (spequlos-sim prints a cell's barrier and per-shard event counts, bench/'s churn workload measures them)")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file after the run")
 	)
@@ -69,12 +68,6 @@ func main() {
 	p, err := experiments.ProfileByName(*profile)
 	if err != nil {
 		fatal(err)
-	}
-	if *shards != 0 {
-		if !p.Sharded() {
-			fatal(fmt.Errorf("-shards does not apply to the %s profile (its cells run on the serial engine; only the multi-batch sharded-kernel profiles stress and crowd2k run on sim.Sharded)", p.Name))
-		}
-		p.KernelShards = *shards
 	}
 	if *offsets > 0 {
 		p.Offsets = *offsets

@@ -50,7 +50,6 @@ func main() {
 		offset    = flag.Int("offset", 0, "submission offset index (changes the seed)")
 		storePath = flag.String("store", "", "result store JSON path: load if present, save after the run (resume)")
 		emulate   = flag.Bool("emulate", false, "also run each strategy cell through the deployable HTTP stack and report conformance")
-		shards    = flag.Int("shards", 0, "kernel shard count for the multi-batch sharded-kernel profiles stress and crowd2k (0 = GOMAXPROCS), rejected on any other profile; execution-only, results are byte-identical at any value")
 		verbose   = flag.Bool("v", false, "log per-job progress")
 	)
 	flag.Parse()
@@ -58,12 +57,6 @@ func main() {
 	p, err := experiments.ProfileByName(*profile)
 	if err != nil {
 		fatal(err)
-	}
-	if *shards != 0 {
-		if !p.Sharded() {
-			fatal(fmt.Errorf("-shards does not apply to the %s profile (its cells run on the serial engine; only the multi-batch sharded-kernel profiles stress and crowd2k run on sim.Sharded)", p.Name))
-		}
-		p.KernelShards = *shards
 	}
 	sc := experiments.Scenario{
 		Profile: p, Middleware: *mw, TraceName: *tn, BotClass: *bc, Offset: *offset,

@@ -96,6 +96,14 @@ type daemon struct {
 
 // start serves the stack on ln and starts the daemon's loops.
 func start(ln net.Listener, o options) (*daemon, error) {
+	// time.NewTicker panics on a non-positive period, inside the loops'
+	// goroutines; WallDG divides batch progress by the demo duration.
+	if o.period <= 0 {
+		return nil, fmt.Errorf("-period %v: must be positive", o.period)
+	}
+	if o.demoDur <= 0 {
+		return nil, fmt.Errorf("-demo-duration %v: must be positive", o.demoDur)
+	}
 	st, err := core.StrategyByLabel(o.strategy)
 	if err != nil {
 		return nil, err

@@ -57,6 +57,36 @@ func TestDaemonServesOnItsListener(t *testing.T) {
 	}
 }
 
+// TestStartRejectsNonPositiveDurations: a non-positive -period panics the
+// monitor and snapshot tickers inside their goroutines, after the listener
+// is up, and a non-positive -demo-duration divides the demo DG's progress
+// by zero. start refuses both, naming the flag and its value.
+func TestStartRejectsNonPositiveDurations(t *testing.T) {
+	for _, c := range []struct {
+		o    options
+		flag string
+	}{
+		{options{period: 0, demoDur: time.Minute}, "-period 0s"},
+		{options{period: -time.Second, demoDur: time.Minute}, "-period -1s"},
+		{options{period: time.Hour, demoDur: 0}, "-demo-duration 0s"},
+	} {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.o.strategy, c.o.stateDir = "9C-C-R", t.TempDir()
+		d, err := start(ln, c.o)
+		if err == nil {
+			d.Close()
+			t.Fatalf("%s: start succeeded", c.flag)
+		}
+		ln.Close()
+		if !strings.Contains(err.Error(), c.flag) {
+			t.Errorf("%s: error %q does not name the flag and its value", c.flag, err)
+		}
+	}
+}
+
 func TestLoadStateRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	// Build state, snapshot it manually via the core writers.
@@ -82,7 +112,7 @@ func TestLoadStateRoundTrip(t *testing.T) {
 	write("calibration.json", func(b *bytes.Buffer) error { return cal.WriteJSON(b) })
 
 	in2, cs2, cal2 := loadState(dir)
-	if in2.Get("b") == nil || !in2.Get("b").Done() {
+	if v, ok := in2.View("b"); !ok || !v.Done {
 		t.Fatal("information not restored")
 	}
 	if cs2.AccountOf("u").Balance != 42 {

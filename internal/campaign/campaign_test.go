@@ -235,7 +235,7 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	if stats.Executed != 0 {
 		t.Fatalf("loaded store re-executed %d jobs", stats.Executed)
 	}
-	if _, ok := loaded.Series(jobs[0]); !ok {
+	if e, _ := loaded.Get(jobs[0].Key()); len(e.Series) == 0 {
 		t.Fatal("completion series lost in round-trip")
 	}
 }

@@ -28,7 +28,7 @@ func TestOnDemandCellsDrawAFractionOfTheirTrace(t *testing.T) {
 			t.Fatalf("%s: cell did not complete within its first horizon", sc.Profile.Name)
 		}
 
-		shared, release, err := CachedTrace(sc, horizon)
+		shared, err := CachedTrace(sc, horizon)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +39,6 @@ func TestOnDemandCellsDrawAFractionOfTheirTrace(t *testing.T) {
 			drawn += n.Drawn()
 			total += len(full.Nodes[i].Intervals)
 		}
-		release()
 		t.Logf("%s: drew %d of %d intervals", sc.Profile.Name, drawn, total)
 		if drawn == 0 || drawn*10 >= total {
 			t.Errorf("%s: the cell left %d of the trace's %d intervals drawn, want under a tenth", sc.Profile.Name, drawn, total)
@@ -49,12 +48,11 @@ func TestOnDemandCellsDrawAFractionOfTheirTrace(t *testing.T) {
 		SetTraceBudget(1)
 		SetTraceBudget(0)
 		key := traceKey{name: sc.TraceName, seed: sc.Seed(), horizon: horizon, pool: sc.Profile.PoolCap}
-		got, release, err := sharedTraceCache.get(key, func() (*trace.Trace, error) { return full, nil })
+		got, err := sharedTraceCache.get(key, func() (*trace.Trace, error) { return full, nil })
 		if err != nil || got != full {
 			t.Fatalf("%s: the cache kept the on-demand trace (%v)", sc.Profile.Name, err)
 		}
 		materialised := Execute(j)
-		release()
 		onDemand.Result, materialised.Result = normalizeSharded(onDemand.Result), normalizeSharded(materialised.Result)
 		if !reflect.DeepEqual(onDemand, materialised) {
 			t.Errorf("%s: entry on the on-demand trace\n%+v\non the materialised trace\n%+v", sc.Profile.Name, onDemand, materialised)

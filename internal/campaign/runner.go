@@ -236,14 +236,10 @@ func executeOnce(j Job, horizon float64) Entry {
 		res.Strategy = cfg.Strategy.Label()
 	}
 
-	tr, releaseTrace, err := CachedTrace(sc, horizon)
+	tr, err := CachedTrace(sc, horizon)
 	if err != nil {
 		panic(err)
 	}
-	// The pin is held for the whole simulation (the binding reads the trace
-	// on every worker event) and released at job completion, so peak trace
-	// memory tracks the cache budget plus in-flight jobs, not the campaign.
-	defer releaseTrace()
 
 	// Kernel and DG servers. hosts[k] is where sub-batch k lives: the engine
 	// its submission fires on, its server and that server's listener. (b) The

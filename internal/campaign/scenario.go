@@ -135,13 +135,12 @@ type Profile struct {
 	// knob: any value yields byte-identical results, so it is NOT part of
 	// the job key.
 	KernelShards int `json:",omitempty"`
-	// TraceBudgetBytes bounds the resident bytes of the shared trace cache
-	// while this profile's campaigns run (0 = the process default,
-	// DefaultTraceBudgetBytes). Like KernelShards it is purely an execution
-	// knob — traces regenerate deterministically after eviction, so any
-	// budget yields byte-identical results — and is NOT part of the job
-	// key. The `full` profile sets it so paper-scale campaigns hold peak
-	// trace memory on small machines.
+	// TraceBudgetBytes is the shared trace cache's flush threshold while this
+	// profile's campaigns run (0 = the process default,
+	// DefaultTraceBudgetBytes): an admission that finds the cached traces
+	// above it drops them all. Like KernelShards it is purely an execution
+	// knob — a dropped trace regenerates byte-identically, so any value
+	// yields byte-identical results — and is NOT part of the job key.
 	TraceBudgetBytes int64 `json:",omitempty"`
 }
 
@@ -152,7 +151,7 @@ type Profile struct {
 // is a pure function of the job key, never of the strategy, with no silent
 // serial fallback for any coupling. A single BoT is one DG server on one
 // serial engine whatever the flag says: the sub-batch is the only partition
-// unit. The CLIs check it before accepting -shards.
+// unit.
 func (p Profile) Sharded() bool { return p.ShardedKernel && p.Batches > 1 }
 
 // Quick returns the bench profile (small BoTs, small pools).
@@ -174,8 +173,8 @@ func Standard() Profile {
 // Full returns the paper-scale profile: 2 000-node pools over 15-day
 // horizons, the dimensions behind the paper's headline figures. The matrix
 // needs 180 distinct traces, megabytes each if generated whole; cells draw
-// them on demand, so the whole matrix holds tens of megabytes of them and
-// the profile's trace-cache byte budget does not bind. Like
+// them on demand, so the whole matrix leaves 36 MiB of them in the trace
+// cache, far under its 512 MiB flush threshold. Like
 // every single-BoT profile, each cell is the paper's model — one DG server
 // scheduling over the whole trace on the serial engine — and the campaign
 // spreads across cores cell by cell.
@@ -194,8 +193,8 @@ func Full() Profile {
 // artifact; the churn workload of bench/ is six of its cells.
 // Since PR 7 the cell is a sharded-kernel model: 32 quick-sized BoTs, each
 // on its own server with a dedicated ~78-node slice of the pool, so the
-// simulation spreads across every core (-shards) while staying
-// byte-deterministic at any shard count. A baseline cell unbinds each
+// simulation spreads across every core while staying byte-deterministic at
+// any shard count (Profile.KernelShards). A baseline cell unbinds each
 // slice when its BoT completes, so the 30 days bound the run without being
 // replayed.
 func Stress() Profile {

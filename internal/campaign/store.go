@@ -82,15 +82,6 @@ func (s *ResultStore) Result(j Job) (Result, bool) {
 	return e.Result, ok
 }
 
-// Series looks up the stored completion series for a job.
-func (s *ResultStore) Series(j Job) ([]metrics.SeriesPoint, bool) {
-	e, ok := s.Get(j.Key())
-	if !ok || len(e.Series) == 0 {
-		return nil, false
-	}
-	return e.Series, true
-}
-
 // storeFile is the on-disk format.
 type storeFile struct {
 	Version int     `json:"version"`

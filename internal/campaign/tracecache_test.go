@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"spequlos/internal/core"
 	"spequlos/internal/trace"
 )
 
@@ -33,15 +35,21 @@ func testKey(id int) traceKey {
 	return traceKey{name: fmt.Sprintf("t%02d", id), seed: uint64(id), horizon: 1000, pool: id}
 }
 
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
+// fixed returns a generator of testTrace(id) that never fails.
+func fixed(id int) func() (*trace.Trace, error) {
+	return func() (*trace.Trace, error) { return testTrace(id), nil }
+}
+
+// within fails the test unless wg finishes inside the deadline: a cache
+// that spins or deadlocks fails here instead of hanging the suite.
+func within(t *testing.T, what string, wg *sync.WaitGroup) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
 	}
 }
 
@@ -62,17 +70,17 @@ func TestTraceBytesDeterministic(t *testing.T) {
 	}
 }
 
-// TestTraceCachePinsInFlightEntry is the regression test for the FIFO
-// cache's eviction-during-generation bug: admission pressure while a
-// generation is in flight must not evict the in-flight entry, or a
-// concurrent get for the same key silently starts a second generation.
-// The budget is 1 byte, so every admission triggers maximal pressure.
+// TestTraceCachePinsInFlightEntry holds one generation in flight while
+// eight other keys are admitted into a cache whose 1-byte budget flushes at
+// every admission. The flush must leave the flight where it is: a caller that
+// asks for the key after the churn shares the one generation and its
+// pointer.
 func TestTraceCachePinsInFlightEntry(t *testing.T) {
 	c := newTraceCache(1)
 	var gens atomic.Int32
 	started := make(chan struct{})
 	unblock := make(chan struct{})
-	genA := func() (*trace.Trace, error) {
+	gen := func() (*trace.Trace, error) {
 		if gens.Add(1) == 1 {
 			close(started)
 			<-unblock
@@ -80,63 +88,52 @@ func TestTraceCachePinsInFlightEntry(t *testing.T) {
 		return testTrace(0), nil
 	}
 
-	results := make(chan *trace.Trace, 2)
-	go func() {
-		tr, release, err := c.get(testKey(0), genA)
+	var wg sync.WaitGroup
+	var got [2]*trace.Trace
+	fetch := func(i int) {
+		defer wg.Done()
+		tr, err := c.get(testKey(0), gen)
 		if err != nil {
 			t.Error(err)
 		}
-		release()
-		results <- tr
-	}()
+		got[i] = tr
+	}
+	wg.Add(1)
+	go fetch(0)
 	<-started
 
-	// A waiter joins while the generation is in flight…
-	go func() {
-		tr, release, err := c.get(testKey(0), genA)
-		if err != nil {
-			t.Error(err)
-		}
-		release()
-		results <- tr
-	}()
-	waitFor(t, "waiter pinned on the in-flight entry", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		e, ok := c.entries[testKey(0)]
-		return ok && e.pins >= 2
-	})
-
-	// …and other keys churn through the over-budget cache, each admission
-	// running eviction. With entry-counted FIFO this dropped the in-flight
-	// entry; pinning must keep it.
 	for id := 1; id <= 8; id++ {
-		id := id
-		tr, release, err := c.get(testKey(id), func() (*trace.Trace, error) { return testTrace(id), nil })
-		if err != nil {
-			t.Fatal(err)
+		tr, err := c.get(testKey(id), fixed(id))
+		if err != nil || !reflect.DeepEqual(tr, testTrace(id)) {
+			t.Fatalf("key %d: %v, or not its generator's trace", id, err)
 		}
-		if !reflect.DeepEqual(tr, testTrace(id)) {
-			t.Fatalf("key %d returned wrong trace", id)
-		}
-		release()
+	}
+	if u := c.usage(); u.Entries != 1 || u.ResidentBytes != 0 {
+		t.Fatalf("after the churn: %+v, want the one flight and nothing resident", u)
 	}
 
+	// The waiter asks after the churn. Widen the budget so that, should it
+	// arrive only after the flight lands, it finds the result in the map.
+	wg.Add(1)
+	go fetch(1)
+	c.mu.Lock()
+	c.budget = DefaultTraceBudgetBytes
+	c.mu.Unlock()
 	close(unblock)
-	a, b := <-results, <-results
-	if a != b {
-		t.Fatalf("concurrent gets for one key returned distinct traces — single-flight broken")
+	within(t, "both callers of the in-flight key", &wg)
+
+	if got[0] == nil || got[0] != got[1] {
+		t.Fatalf("callers of one key got %p and %p: single flight broken", got[0], got[1])
 	}
 	if n := gens.Load(); n != 1 {
-		t.Fatalf("GenerateTrace ran %d times for one key, want exactly 1", n)
+		t.Fatalf("the key was generated %d times, want 1", n)
 	}
 }
 
-// TestTraceCacheFailureReentersSingleFlight is the regression test for the
-// failure thundering herd: when a generation fails, the N blocked waiters
-// must re-enter the single-flight path — one of them becomes the sole new
-// generator, its success is admitted to the cache, and everyone shares it —
-// instead of each launching an uncached regeneration.
+// TestTraceCacheFailureReentersSingleFlight fails one generation while 8
+// waiters are queued on it. The failed flight leaves the map, the waiters
+// re-enter get, one of them generates again, and all share that trace: two
+// generations in all, and a later get hits.
 func TestTraceCacheFailureReentersSingleFlight(t *testing.T) {
 	const waiters = 8
 	c := newTraceCache(1 << 20)
@@ -155,85 +152,55 @@ func TestTraceCacheFailureReentersSingleFlight(t *testing.T) {
 
 	errCh := make(chan error, 1)
 	go func() {
-		_, _, err := c.get(testKey(0), gen)
+		_, err := c.get(testKey(0), gen)
 		errCh <- err
 	}()
 	<-started
 
 	var wg sync.WaitGroup
-	results := make(chan *trace.Trace, waiters)
-	for i := 0; i < waiters; i++ {
+	got := make([]*trace.Trace, waiters)
+	for i := range got {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tr, release, err := c.get(testKey(0), gen)
+			tr, err := c.get(testKey(0), gen)
 			if err != nil {
 				t.Error(err)
-				return
 			}
-			release()
-			results <- tr
+			got[i] = tr
 		}()
 	}
-	waitFor(t, "waiters pinned on the in-flight entry", func() bool {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		e, ok := c.entries[testKey(0)]
-		return ok && e.pins == waiters+1
-	})
 	close(unblock)
-
 	if err := <-errCh; !errors.Is(err, failed) {
 		t.Fatalf("generator got %v, want the injected failure", err)
 	}
-	wg.Wait()
-	close(results)
-	var first *trace.Trace
-	for tr := range results {
-		if first == nil {
-			first = tr
-		} else if tr != first {
-			t.Fatal("waiters received distinct traces — retry bypassed the cache")
+	within(t, "the waiters of a failed flight", &wg)
+
+	for i, tr := range got {
+		if tr == nil || tr != got[0] {
+			t.Fatalf("waiter %d got %p, waiter 0 %p: the retry bypassed single flight", i, tr, got[0])
 		}
 	}
-	if first == nil {
-		t.Fatal("no waiter received a trace")
-	}
-	// One failure plus exactly one retried generation — not one per waiter.
 	if n := gens.Load(); n != 2 {
-		t.Fatalf("GenerateTrace ran %d times, want 2 (one failure + one single-flight retry)", n)
+		t.Fatalf("the key was generated %d times, want 2 (the failure and one retry)", n)
 	}
-	// The retried success was admitted: a fresh get is a cache hit.
-	if _, release, err := c.get(testKey(0), gen); err != nil {
-		t.Fatal(err)
-	} else {
-		release()
-	}
-	if n := gens.Load(); n != 2 {
-		t.Fatalf("success was not re-admitted to the cache (gen ran %d times)", n)
+	if tr, err := c.get(testKey(0), gen); err != nil || tr != got[0] || gens.Load() != 2 {
+		t.Fatalf("a later get did not hit the retried trace (%v, %d generations)", err, gens.Load())
 	}
 }
 
-// TestTraceCacheByteBudgetProperty hammers one cache from many goroutines
-// with randomized gets and releases under a budget that fits only a few
-// traces, checking the cache's contract at every step:
-//
-//   - resident bytes ≤ budget + pinned bytes (pins may hold residency over
-//     the line; nothing else may),
-//   - no two generations for the same key run concurrently (single-flight),
-//   - every returned trace — including evicted-then-regenerated ones — is
-//     byte-identical to the deterministic generator output.
-//
-// Run under -race this also shakes out lock-ordering bugs in get/release.
+// TestTraceCacheByteBudgetProperty hammers one cache from 8 goroutines with
+// random gets over 10 traces of fixed size, under a budget of about three
+// of them: every trace returned, flushed and regenerated or not, equals its
+// generator's; no key ever has two generations in flight; and after every
+// get the finished entries fit the budget.
 func TestTraceCacheByteBudgetProperty(t *testing.T) {
 	const (
 		keys       = 10
 		goroutines = 8
 		iters      = 300
 	)
-	// Budget fits roughly three of the larger test traces.
-	budget := 3 * testTrace(keys-1).Bytes()
-	c := newTraceCache(budget)
+	c := newTraceCache(3 * testTrace(keys-1).Bytes())
 
 	var inflight [keys]atomic.Int32
 	gen := func(id int) func() (*trace.Trace, error) {
@@ -246,81 +213,58 @@ func TestTraceCacheByteBudgetProperty(t *testing.T) {
 			return testTrace(id), nil
 		}
 	}
-	checkInvariant := func() {
-		u := c.usage()
-		if u.ResidentBytes > u.BudgetBytes+u.PinnedBytes {
-			t.Errorf("resident %d > budget %d + pinned %d", u.ResidentBytes, u.BudgetBytes, u.PinnedBytes)
-		}
-	}
 
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
 			for i := 0; i < iters; i++ {
 				id := rng.Intn(keys)
-				tr, release, err := c.get(testKey(id), gen(id))
-				if err != nil {
-					t.Error(err)
+				tr, err := c.get(testKey(id), gen(id))
+				if err != nil || !reflect.DeepEqual(tr, testTrace(id)) {
+					t.Errorf("key %d: %v, or not its generator's trace", id, err)
 					return
 				}
-				if !reflect.DeepEqual(tr, testTrace(id)) {
-					t.Errorf("key %d: regenerated trace not byte-identical", id)
-					release()
+				if u := c.usage(); u.ResidentBytes > u.BudgetBytes {
+					t.Errorf("resident %d > budget %d", u.ResidentBytes, u.BudgetBytes)
 					return
-				}
-				checkInvariant()
-				release()
-				if i%16 == 0 {
-					checkInvariant()
 				}
 			}
 		}()
 	}
-	wg.Wait()
-
-	// With every pin released the budget alone bounds residency.
-	u := c.usage()
-	if u.PinnedBytes != 0 {
-		t.Fatalf("pinned bytes %d after all releases", u.PinnedBytes)
-	}
-	if u.ResidentBytes > u.BudgetBytes {
-		t.Fatalf("resident %d > budget %d after all releases", u.ResidentBytes, u.BudgetBytes)
-	}
+	within(t, "the property workers", &wg)
 }
 
-// TestTraceCacheSetBudget pins SetTraceBudget semantics: shrinking the
-// budget evicts immediately; a non-positive budget restores the default.
+// TestTraceCacheSetBudget pins SetTraceBudget: a budget below what is
+// resident empties the cache at once; a non-positive one restores the
+// default.
 func TestTraceCacheSetBudget(t *testing.T) {
-	c := newTraceCache(1 << 20)
+	defer SetTraceBudget(0)
 	for id := 0; id < 4; id++ {
-		id := id
-		_, release, err := c.get(testKey(id), func() (*trace.Trace, error) { return testTrace(id), nil })
-		if err != nil {
+		key := testKey(id)
+		key.name = "setbudget-" + key.name
+		if _, err := sharedTraceCache.get(key, fixed(id)); err != nil {
 			t.Fatal(err)
 		}
-		release()
 	}
-	if u := c.usage(); u.Entries != 4 {
-		t.Fatalf("expected 4 resident entries, got %d", u.Entries)
+	if u := TraceCacheStats(); u.Entries < 4 {
+		t.Fatalf("expected at least 4 entries, got %+v", u)
 	}
-	c.setBudget(1)
-	if u := c.usage(); u.Entries != 0 || u.ResidentBytes != 0 {
-		t.Fatalf("shrinking the budget did not evict: %+v", u)
+	SetTraceBudget(1)
+	if u := TraceCacheStats(); u.Entries != 0 || u.ResidentBytes != 0 || u.BudgetBytes != 1 {
+		t.Fatalf("SetTraceBudget(1) left %+v", u)
 	}
-	c.setBudget(0)
-	if u := c.usage(); u.BudgetBytes != DefaultTraceBudgetBytes {
-		t.Fatalf("budget 0 should restore the default, got %d", u.BudgetBytes)
+	SetTraceBudget(0)
+	if u := TraceCacheStats(); u.BudgetBytes != DefaultTraceBudgetBytes {
+		t.Fatalf("SetTraceBudget(0) set the budget to %d, want the default", u.BudgetBytes)
 	}
 }
 
-// TestTraceCacheRemeasuresGrownEntries pins the accounting of entries that
-// grow while pinned: an on-demand trace is admitted nearly empty, cells draw
-// it, and the budget is charged the drawn size when the last pin goes —
-// eviction stays LRU over unpinned entries and never takes a pinned one.
+// TestTraceCacheRemeasuresGrownEntries admits on-demand traces nearly empty and
+// draws them, as cells do: the next admission counts what was drawn and
+// flushes once the sum passes the budget.
 func TestTraceCacheRemeasuresGrownEntries(t *testing.T) {
 	open := func(id int) func() (*trace.Trace, error) {
 		return func() (*trace.Trace, error) { return trace.G5KLyon.Open(uint64(id), 30*86400, 8), nil }
@@ -344,70 +288,54 @@ func TestTraceCacheRemeasuresGrownEntries(t *testing.T) {
 	budget := 5 * grown / 2
 	c := newTraceCache(budget)
 
-	// Two pins on entry 0; it grows under them and is charged nothing new
-	// until the second is released.
-	tr0, release0a, err := c.get(testKey(0), open(0))
+	var resident int64
+	for id := 0; id < 3; id++ {
+		tr, err := c.get(testKey(id), open(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := c.usage(); u.Entries != id+1 || u.ResidentBytes != resident+admitted {
+			t.Fatalf("admitting %d: %+v, want %d entries holding %d bytes", id, u, id+1, resident+admitted)
+		}
+		draw(tr)
+		resident += tr.Bytes()
+	}
+	// Three drawn traces against a budget of two and a half: drawing carried
+	// residency past the budget, and nothing checks it until an admission.
+	if u := c.usage(); u.Entries != 3 || u.ResidentBytes != resident || resident <= budget {
+		t.Fatalf("after drawing: %+v, want 3 entries holding %d bytes > budget %d", u, resident, budget)
+	}
+	if _, err := c.get(testKey(3), open(3)); err != nil {
+		t.Fatal(err)
+	}
+	if u := c.usage(); u.Entries != 0 || u.ResidentBytes != 0 {
+		t.Fatalf("the admission past the budget left %+v, want an empty cache", u)
+	}
+}
+
+// TestPairedCellsShareOneTrace runs the baseline and every strategy of one
+// environment on all workers: the paired comparison's cells must open their
+// availability trace once between them. Every cell of the scenario completes
+// in its first horizon, so none asks for a longer trace.
+func TestPairedCellsShareOneTrace(t *testing.T) {
+	p := Quick()
+	p.Name = "paired-quick" // own seeds, so own entries in the shared cache
+	sc := Scenario{Profile: p, Middleware: BOINC, TraceName: "seti", BotClass: "SMALL"}
+	jobs := []Job{{Scenario: sc}}
+	for _, st := range core.AllStrategies() {
+		s := sc
+		s.Strategy = &st
+		jobs = append(jobs, Job{Scenario: s})
+	}
+	before := TraceCacheStats().Entries
+	stats, err := New(p, jobs...).Run(context.Background(), NewResultStore())
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, release0b, _ := c.get(testKey(0), open(0))
-	draw(tr0)
-	release0a()
-	if u := c.usage(); u.ResidentBytes != admitted || u.PinnedBytes != admitted {
-		t.Fatalf("one pin left: resident %d, pinned %d, want the admitted %d", u.ResidentBytes, u.PinnedBytes, admitted)
+	if stats.Executed != len(jobs) {
+		t.Fatalf("executed %d of %d cells", stats.Executed, len(jobs))
 	}
-	release0b()
-	if u := c.usage(); u.ResidentBytes != tr0.Bytes() || u.PinnedBytes != 0 || tr0.Bytes() <= grown {
-		t.Fatalf("last pin released: resident %d, pinned %d, want the drawn %d (> %d)", u.ResidentBytes, u.PinnedBytes, tr0.Bytes(), grown)
-	}
-
-	// Entries 1 and 2 grow the same way; entry 2 stays pinned. Residency is
-	// now three drawn traces against a budget of two and a half.
-	tr1, release1, _ := c.get(testKey(1), open(1))
-	tr2, release2, _ := c.get(testKey(2), open(2))
-	draw(tr1)
-	draw(tr2)
-	release1()
-	c.mu.Lock()
-	_, has0 := c.entries[testKey(0)]
-	_, has1 := c.entries[testKey(1)]
-	_, has2 := c.entries[testKey(2)]
-	c.mu.Unlock()
-	if !has0 || !has1 || !has2 {
-		t.Fatalf("evicted before the budget was reached: entries 0 %v, 1 %v, 2 %v", has0, has1, has2)
-	}
-	release2()
-	// Releasing 2 charged its growth and pushed residency over: 0 is the
-	// least recently used and goes, 1 and 2 stay.
-	c.mu.Lock()
-	_, has0 = c.entries[testKey(0)]
-	_, has1 = c.entries[testKey(1)]
-	_, has2 = c.entries[testKey(2)]
-	c.mu.Unlock()
-	if has0 || !has1 || !has2 {
-		t.Fatalf("after the growth was charged: entries 0 %v, 1 %v, 2 %v; want only the LRU entry 0 evicted", has0, has1, has2)
-	}
-	if u := c.usage(); u.ResidentBytes != tr1.Bytes()+tr2.Bytes() || u.ResidentBytes > budget {
-		t.Fatalf("resident %d, want %d within the budget %d", u.ResidentBytes, tr1.Bytes()+tr2.Bytes(), budget)
-	}
-
-	// A pinned entry is never evicted, however far it grows past the budget.
-	c.setBudget(1)
-	tr3, release3, _ := c.get(testKey(3), open(3))
-	draw(tr3)
-	_, release4, _ := c.get(testKey(4), open(4)) // admission pressure
-	release4()
-	if got, _ := tr3.Nodes[0].At(0); got == (trace.Interval{}) {
-		t.Fatal("setup: node 0 of entry 3 has no interval")
-	}
-	c.mu.Lock()
-	e3, has3 := c.entries[testKey(3)]
-	c.mu.Unlock()
-	if !has3 || e3.tr != tr3 {
-		t.Fatal("a pinned entry was evicted")
-	}
-	release3()
-	if u := c.usage(); u.Entries != 0 || u.ResidentBytes != 0 {
-		t.Fatalf("budget 1, nothing pinned: %+v", u)
+	if after := TraceCacheStats().Entries; after != before+1 {
+		t.Fatalf("%d cells of one environment added %d trace cache entries, want 1", len(jobs), after-before)
 	}
 }

@@ -194,9 +194,9 @@ func (d *MockDriver) List() []InstanceInfo {
 }
 
 // Registry holds the drivers available to a SpeQuloS deployment, keyed by
-// provider name.
+// provider name. It is fixed at construction, so any number of goroutines
+// may read it.
 type Registry struct {
-	mu      sync.RWMutex
 	drivers map[string]Driver
 }
 
@@ -220,30 +220,9 @@ func DefaultRegistry() *Registry {
 
 // Get returns the named driver.
 func (r *Registry) Get(name string) (Driver, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	d, ok := r.drivers[name]
 	if !ok {
 		return nil, fmt.Errorf("cloud: unknown provider %q", name)
 	}
 	return d, nil
-}
-
-// Add registers a driver (replacing any with the same name).
-func (r *Registry) Add(d Driver) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.drivers[d.Name()] = d
-}
-
-// Names lists registered providers, sorted.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.drivers))
-	for name := range r.drivers {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
 }

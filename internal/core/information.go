@@ -265,15 +265,6 @@ func (in *Information) Track(batchID, envKey string, size int, submittedAt float
 	return bi, nil
 }
 
-// Get returns the history of a batch, or nil. The history itself is not
-// guarded: Get is for an owner that appends and reads from one goroutine (the
-// simulator's tick); concurrent callers use AddSample and View.
-func (in *Information) Get(batchID string) *BatchInfo {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.batches[batchID]
-}
-
 // AddSample appends a sample to a tracked batch's history under the archive's
 // lock, so it may run beside View and WriteJSON; false if the batch is not
 // tracked.

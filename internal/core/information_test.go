@@ -105,10 +105,10 @@ func TestInformationTracking(t *testing.T) {
 	if _, err := in.Track("b1", "env", 10, 0); err == nil {
 		t.Fatal("duplicate track accepted")
 	}
-	if in.Get("b1") != bi {
-		t.Fatal("get mismatch")
+	if v, ok := in.View("b1"); !ok || v.BatchID != "b1" || v.Size != 10 {
+		t.Fatalf("view = %+v, %v", v, ok)
 	}
-	if in.Get("zz") != nil {
+	if _, ok := in.View("zz"); ok {
 		t.Fatal("phantom batch")
 	}
 	in.Track("a0", "env", 5, 0)

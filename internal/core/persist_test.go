@@ -23,7 +23,7 @@ func TestInformationSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rbi := back.Get("b1")
+	rbi := back.batches["b1"]
 	if rbi == nil {
 		t.Fatal("b1 lost")
 	}

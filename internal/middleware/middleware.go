@@ -66,22 +66,6 @@ type Progress struct {
 // Done reports whether every task completed.
 func (p Progress) Done() bool { return p.Size > 0 && p.Completed >= p.Size }
 
-// CompletedFraction returns Completed/Size (0 for an empty batch).
-func (p Progress) CompletedFraction() float64 {
-	if p.Size == 0 {
-		return 0
-	}
-	return float64(p.Completed) / float64(p.Size)
-}
-
-// AssignedFraction returns EverAssigned/Size (0 for an empty batch).
-func (p Progress) AssignedFraction() float64 {
-	if p.Size == 0 {
-		return 0
-	}
-	return float64(p.EverAssigned) / float64(p.Size)
-}
-
 // Listener observes task lifecycle events. Implementations must not block;
 // they run inside the simulation loop.
 type Listener interface {

@@ -26,7 +26,7 @@ type bulkFixture struct {
 func newBulkFixture(t testing.TB) *bulkFixture {
 	t.Helper()
 	fx := &bulkFixture{info: NewInformationService(core.NewInformation()), credits: core.NewCreditSystem()}
-	if _, err := fx.info.Info().Track("b", "e", 100, 0); err != nil {
+	if _, err := fx.info.info.Track("b", "e", 100, 0); err != nil {
 		t.Fatal(err)
 	}
 	fx.info.addSample("b", core.Sample{T: 60, Completed: 10, Assigned: 100}) //nolint:errcheck
@@ -53,7 +53,7 @@ func (fx *bulkFixture) digest(t testing.TB) string {
 		t.Fatal(err)
 	}
 	o, _ := fx.credits.OrderOf("b")
-	buf, err := json.Marshal([]any{st, o, fx.credits.AccountOf("u"), fx.info.Info().Count()})
+	buf, err := json.Marshal([]any{st, o, fx.credits.AccountOf("u"), fx.info.info.Count()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,8 +293,8 @@ func TestClientsReuseConnections(t *testing.T) {
 	if err := info.Track(TrackRequest{BatchID: "b", EnvKey: "e", Size: 100}); err != nil {
 		t.Fatal(err)
 	}
-	if err := info.AddSample("b", core.Sample{T: 60, Completed: 60, Assigned: 100}); err != nil {
-		t.Fatal(err)
+	if r := info.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: 60, Completed: 60, Assigned: 100}}}); r[0].Error != "" {
+		t.Fatal(r[0].Error)
 	}
 	if err := credit.Deposit("u", 1e6); err != nil {
 		t.Fatal(err)
@@ -311,22 +311,15 @@ func TestClientsReuseConnections(t *testing.T) {
 	}{
 		{"info.Track", infoOpened, func(i int) { info.Track(TrackRequest{BatchID: id("t", i), Size: 1}) }},
 		{"info.Track refused", infoOpened, func(i int) { info.Track(TrackRequest{BatchID: "b", Size: 1}) }},
-		{"info.AddSample", infoOpened, func(i int) { info.AddSample("b", core.Sample{T: float64(61 + i), Completed: 60}) }},
-		{"info.AddSample untracked", infoOpened, func(i int) { info.AddSample("ghost", core.Sample{}) }},
 		{"info.AddSamples", infoOpened, func(i int) { info.AddSamples([]BatchSample{{BatchID: "b"}, {BatchID: "ghost"}}) }},
 		{"info.Status", infoOpened, func(i int) { info.Status("b") }},
 		{"info.Status untracked", infoOpened, func(i int) { info.Status("ghost") }},
 		{"info.Statuses", infoOpened, func(i int) { info.Statuses([]string{"b", "ghost"}) }},
-		{"info.Stats", infoOpened, func(i int) { info.Stats() }},
-		{"info.List", infoOpened, func(i int) { info.List() }},
 		{"credit.Deposit", creditOpened, func(i int) { credit.Deposit("u", 1) }},
 		{"credit.Deposit refused", creditOpened, func(i int) { credit.Deposit("u", -1) }},
 		{"credit.Order", creditOpened, func(i int) { credit.Order("u", id("o", i), 1) }},
 		{"credit.Order refused", creditOpened, func(i int) { credit.Order("u", "b", 1) }},
-		{"credit.Bill", creditOpened, func(i int) { credit.Bill("b", 0.5) }},
-		{"credit.Bill no order", creditOpened, func(i int) { credit.Bill("ghost", 0.5) }},
 		{"credit.Bills", creditOpened, func(i int) { credit.Bills([]BillItem{{BatchID: "b", Credits: []float64{0.5}}}) }},
-		{"credit.HasCredits", creditOpened, func(i int) { credit.HasCredits("b") }},
 		{"credit.OrderOf", creditOpened, func(i int) { credit.OrderOf("b") }},
 		{"credit.OrderOf no order", creditOpened, func(i int) { credit.OrderOf("ghost") }},
 		{"credit.Orders", creditOpened, func(i int) { credit.Orders([]string{"b", "ghost"}) }},
@@ -335,16 +328,13 @@ func TestClientsReuseConnections(t *testing.T) {
 		{"credit.Pay no order", creditOpened, func(i int) { credit.Pay("ghost") }},
 		{"oracle.Predict", oracleOpened, func(i int) { oracle.Predict("b") }},
 		{"oracle.Predict untracked", oracleOpened, func(i int) { oracle.Predict("ghost") }},
-		{"oracle.Plan", oracleOpened, func(i int) { oracle.Plan("b", 2) }},
 		{"oracle.Plans", oracleOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}, {BatchID: "ghost"}}) }},
 		{"oracle.RecordCalibration", oracleOpened, func(i int) { oracle.RecordCalibration("e", 100, 120) }},
 		{"oracle.Calibration", oracleOpened, func(i int) { oracle.Calibration("e") }},
 		{"sched.RegisterQoS", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: id("q", i), Size: 1}) }},
 		{"sched.RegisterQoS refused", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: "q000", Size: 1}) }},
-		{"sched.Status", schedOpened, func(i int) { sched.Status("q000") }},
-		{"sched.Status unregistered", schedOpened, func(i int) { sched.Status("ghost") }},
 		// The Oracle is itself a client of Information.
-		{"oracle.Plan → info.Status", infoOpened, func(i int) { oracle.Plan("b", 2) }},
+		{"oracle.Predict → info.Status", infoOpened, func(i int) { oracle.Predict("b") }},
 		{"oracle.Plans → info.Statuses", infoOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}}) }},
 	}
 	for _, m := range methods {

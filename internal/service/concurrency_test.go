@@ -61,13 +61,13 @@ func TestConcurrentStackTraffic(t *testing.T) {
 	// A second ticker (a replicated scheduler instance, Fig 8).
 	run(func(i int) { stack.Scheduler.Step() }) //nolint:errcheck
 	// External clients.
-	run(func(i int) { stack.Scheduler.Status("b0") })     //nolint:errcheck
-	run(func(i int) { stack.Scheduler.Instances() })      //nolint:errcheck
-	run(func(i int) { stack.InfoClient.Status("b1") })    //nolint:errcheck
-	run(func(i int) { stack.InfoClient.Stats() })         //nolint:errcheck
+	run(func(i int) { stack.Scheduler.Status("b0") })  //nolint:errcheck
+	run(func(i int) { stack.Scheduler.Instances() })   //nolint:errcheck
+	run(func(i int) { stack.InfoClient.Status("b1") }) //nolint:errcheck
+	run(func(i int) { stack.InfoClient.Statuses([]string{"b0", "b1"}) })
 	run(func(i int) { stack.CreditClient.OrderOf("b2") }) //nolint:errcheck
 	run(func(i int) {
-		stack.InfoClient.AddSample("b2", core.Sample{T: float64(i), Completed: i}) //nolint:errcheck
+		stack.InfoClient.AddSamples([]BatchSample{{BatchID: "b2", Sample: core.Sample{T: float64(i), Completed: i}}})
 	})
 	run(func(i int) {
 		resp, err := http.Get(stack.SchedulerClient.BaseURL + "/qos/b1")

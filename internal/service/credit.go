@@ -168,12 +168,6 @@ func (c *CreditClient) Order(user, batchID string, credits float64) error {
 	return c.Post(OrderRequest{User: user, BatchID: batchID, Credits: credits}, nil, "orders")
 }
 
-// Bill charges credits against a batch order.
-func (c *CreditClient) Bill(batchID string, credits float64) (out BillReply, err error) {
-	err = c.Post(BillRequest{Credits: credits}, &out, "orders", batchID, "bill")
-	return out, err
-}
-
 // Bills charges many orders with POST /bills and returns one result per item,
 // in order. A request that fails as a whole is reported in the results of the
 // items it carried, with Applied 0.
@@ -195,13 +189,6 @@ func (c *CreditClient) Pay(batchID string) (float64, error) {
 	var out PayReply
 	err := c.Post(struct{}{}, &out, "orders", batchID, "pay")
 	return out.Refund, err
-}
-
-// HasCredits reports whether a batch has an open, funded order.
-func (c *CreditClient) HasCredits(batchID string) (bool, error) {
-	var out map[string]bool
-	err := c.Get(&out, "has-credits", batchID)
-	return out["has_credits"], err
 }
 
 // Account fetches a user's account.

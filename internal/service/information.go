@@ -147,9 +147,6 @@ func (s *InformationService) status(id string) (BatchStatus, error) {
 	return st, nil
 }
 
-// Info exposes the wrapped archive (used by co-located modules).
-func (s *InformationService) Info() *core.Information { return s.info }
-
 // InformationClient is the typed client of the Information service.
 type InformationClient struct{ Client }
 
@@ -161,11 +158,6 @@ func NewInformationClient(baseURL string) *InformationClient {
 // Track registers a batch.
 func (c *InformationClient) Track(req TrackRequest) error {
 	return c.Post(req, nil, "batches")
-}
-
-// AddSample appends a monitoring sample for a batch.
-func (c *InformationClient) AddSample(batchID string, s core.Sample) error {
-	return c.Post(s, nil, "batches", batchID, "samples")
 }
 
 // AddSamples appends one sample to each of many batches with POST /samples
@@ -187,16 +179,4 @@ func (c *InformationClient) Statuses(batchIDs []string) []StatusResult {
 func (c *InformationClient) Status(batchID string) (st BatchStatus, err error) {
 	err = c.Get(&st, "batches", batchID)
 	return st, err
-}
-
-// Stats fetches the archive summary.
-func (c *InformationClient) Stats() (st InfoStats, err error) {
-	err = c.Get(&st, "stats")
-	return st, err
-}
-
-// List fetches the tracked batch IDs.
-func (c *InformationClient) List() (ids []string, err error) {
-	err = c.Get(&ids, "batches")
-	return ids, err
 }

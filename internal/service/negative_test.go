@@ -214,8 +214,8 @@ func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
 	if _, err := st.Scheduler.Status("b1"); err == nil {
 		t.Fatal("rejected batch is registered")
 	}
-	if ids, err := st.InfoClient.List(); err != nil || len(ids) != 0 {
-		t.Fatalf("rejected registration left Information tracking %v (%v)", ids, err)
+	if ids := st.Information.info.BatchIDs(); len(ids) != 0 {
+		t.Fatalf("rejected registration left Information tracking %v", ids)
 	}
 
 	if err := st.CreditClient.Deposit("alice", 100); err != nil {
@@ -227,8 +227,8 @@ func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
 	if _, err := st.Scheduler.Status("b1"); err != nil {
 		t.Fatalf("status after registration: %v", err)
 	}
-	if ids, err := st.InfoClient.List(); err != nil || len(ids) != 1 || ids[0] != "b1" {
-		t.Fatalf("Information lists %v (%v), want b1 once", ids, err)
+	if ids := st.Information.info.BatchIDs(); len(ids) != 1 || ids[0] != "b1" {
+		t.Fatalf("Information lists %v, want b1 once", ids)
 	}
 	if acc, err := st.CreditClient.Account("alice"); err != nil || acc.Balance != 40 {
 		t.Fatalf("account %+v (%v), want balance 100 − 60", acc, err)
@@ -246,8 +246,8 @@ func TestRejectedQoSRegistrationMutatesNothing(t *testing.T) {
 	if acc, err := st.CreditClient.Account("alice"); err != nil || acc.Balance != 40 {
 		t.Fatalf("account %+v (%v) after the refused registration, want the order paid back", acc, err)
 	}
-	if has, err := st.CreditClient.HasCredits("b2"); err != nil || has {
-		t.Fatalf("refused batch still holds an open order (%v, %v)", has, err)
+	if r := st.CreditClient.Orders([]string{"b2"})[0]; r.Error != "" || r.HasCredits {
+		t.Fatalf("refused batch still holds an open order: %+v", r)
 	}
 }
 

@@ -133,12 +133,6 @@ func (c *OracleClient) Predict(batchID string) (p core.Prediction, err error) {
 	return p, err
 }
 
-// Plan asks for the provisioning decision.
-func (c *OracleClient) Plan(batchID string, creditHours float64) (out PlanReply, err error) {
-	err = c.Post(PlanRequest{BatchID: batchID, CreditCPUHours: creditHours}, &out, "plan")
-	return out, err
-}
-
 // Plans asks for many provisioning decisions with POST /plans and returns one
 // result per request, in order. A request that fails as a whole is reported
 // in the results of the items it carried.

@@ -421,9 +421,3 @@ type SchedulerClient struct{ Client }
 func (c *SchedulerClient) RegisterQoS(req QoSRequest) error {
 	return c.Post(req, nil, "qos")
 }
-
-// Status fetches the Scheduler's view of a batch.
-func (c *SchedulerClient) Status(batchID string) (st QoSStatus, err error) {
-	err = c.Get(&st, "qos", batchID)
-	return st, err
-}

@@ -627,8 +627,11 @@ func TestCapacityAwareOverHTTP(t *testing.T) {
 	if st := step(75, 190); st.Started {
 		t.Fatalf("started with healthy capacity: %+v", st)
 	}
-	if plan, err := stack.OracleClient.Plan("b", 6); err != nil || plan.Start {
-		t.Fatalf("/plan with healthy capacity: %+v, %v", plan, err)
+	plan := func() PlanResult {
+		return stack.OracleClient.Plans([]PlanRequest{{BatchID: "b", CreditCPUHours: 6}})[0]
+	}
+	if r := plan(); r.Error != "" || r.Plan.Start {
+		t.Fatalf("/plans with healthy capacity: %+v", r)
 	}
 	// 70% of the workers vanish.
 	st := step(76, 60)
@@ -639,7 +642,7 @@ func TestCapacityAwareOverHTTP(t *testing.T) {
 	if err != nil || info.PeakWorkers != 200 || info.LastSample.Workers != 60 {
 		t.Fatalf("Information's view: peak %d, now %d workers, %v", info.PeakWorkers, info.LastSample.Workers, err)
 	}
-	if plan, err := stack.OracleClient.Plan("b", 6); err != nil || !plan.Start || plan.Reason != "trigger CA fired" {
-		t.Fatalf("/plan after the drop: %+v, %v", plan, err)
+	if r := plan(); r.Error != "" || !r.Plan.Start || r.Plan.Reason != "trigger CA fired" {
+		t.Fatalf("/plans after the drop: %+v", r)
 	}
 }

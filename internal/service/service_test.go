@@ -68,6 +68,9 @@ func TestInformationServiceHTTP(t *testing.T) {
 	srv := httptest.NewServer(svc)
 	defer srv.Close()
 	c := NewInformationClient(srv.URL)
+	addSample := func(id string, s core.Sample) string {
+		return c.AddSamples([]BatchSample{{BatchID: id, Sample: s}})[0].Error
+	}
 
 	if err := c.Track(TrackRequest{BatchID: "b1", EnvKey: "e", Size: 100}); err != nil {
 		t.Fatal(err)
@@ -75,8 +78,8 @@ func TestInformationServiceHTTP(t *testing.T) {
 	if err := c.Track(TrackRequest{BatchID: "b1", EnvKey: "e", Size: 100}); err == nil {
 		t.Fatal("duplicate track accepted")
 	}
-	if err := c.AddSample("b1", core.Sample{T: 60, Completed: 50, Assigned: 100}); err != nil {
-		t.Fatal(err)
+	if msg := addSample("b1", core.Sample{T: 60, Completed: 50, Assigned: 100}); msg != "" {
+		t.Fatal(msg)
 	}
 	st, err := c.Status("b1")
 	if err != nil {
@@ -88,14 +91,14 @@ func TestInformationServiceHTTP(t *testing.T) {
 	if st.TC50 != 60 {
 		t.Fatalf("tc50 = %v, want 60", st.TC50)
 	}
-	ids, err := c.List()
-	if err != nil || len(ids) != 1 || ids[0] != "b1" {
+	var ids []string
+	if err := c.Get(&ids, "batches"); err != nil || len(ids) != 1 || ids[0] != "b1" {
 		t.Fatalf("list: %v %v", ids, err)
 	}
 	if _, err := c.Status("nope"); err == nil {
 		t.Fatal("unknown batch status accepted")
 	}
-	if err := c.AddSample("nope", core.Sample{}); err == nil {
+	if msg := addSample("nope", core.Sample{}); msg == "" {
 		t.Fatal("sample for unknown batch accepted")
 	}
 }
@@ -137,13 +140,11 @@ func TestCreditServiceHTTP(t *testing.T) {
 	if err := c.Order("alice", "b1", 60); err == nil {
 		t.Fatal("duplicate order accepted")
 	}
-	has, err := c.HasCredits("b1")
-	if err != nil || !has {
-		t.Fatalf("has credits: %v %v", has, err)
+	if r := c.Orders([]string{"b1"})[0]; r.Error != "" || !r.HasCredits {
+		t.Fatalf("has credits: %+v", r)
 	}
-	reply, err := c.Bill("b1", 25)
-	if err != nil || reply.Billed != 25 || reply.Exhausted {
-		t.Fatalf("bill: %+v %v", reply, err)
+	if r := c.Bills([]BillItem{{BatchID: "b1", Credits: []float64{25}}})[0]; r.Error != "" || r.Applied != 1 || r.Exhausted {
+		t.Fatalf("bill: %+v", r)
 	}
 	o, err := c.OrderOf("b1")
 	if err != nil || o.Billed != 25 {
@@ -174,7 +175,7 @@ func TestOracleServiceHTTP(t *testing.T) {
 	if _, err := c.Predict("b"); err == nil {
 		t.Fatal("prediction without progress accepted")
 	}
-	infoClient.AddSample("b", core.Sample{T: 500, Completed: 50, Assigned: 100})
+	infoClient.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: 500, Completed: 50, Assigned: 100}}})
 	p, err := c.Predict("b")
 	if err != nil {
 		t.Fatal(err)
@@ -184,17 +185,17 @@ func TestOracleServiceHTTP(t *testing.T) {
 	}
 
 	// Below the 90% trigger: no start.
-	plan, err := c.Plan("b", 10)
-	if err != nil || plan.Start {
-		t.Fatalf("plan fired early: %+v %v", plan, err)
+	plan := func() PlanResult { return c.Plans([]PlanRequest{{BatchID: "b", CreditCPUHours: 10}})[0] }
+	if r := plan(); r.Error != "" || r.Plan.Start {
+		t.Fatalf("plan fired early: %+v", r)
 	}
-	infoClient.AddSample("b", core.Sample{T: 900, Completed: 90, Assigned: 100})
-	plan, err = c.Plan("b", 10)
-	if err != nil || !plan.Start || plan.Workers < 1 {
-		t.Fatalf("plan: %+v %v", plan, err)
+	infoClient.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: 900, Completed: 90, Assigned: 100}}})
+	r := plan()
+	if r.Error != "" || !r.Plan.Start || r.Plan.Workers < 1 {
+		t.Fatalf("plan: %+v", r)
 	}
-	if plan.Workers > 10 {
-		t.Fatalf("conservative plan too large: %d", plan.Workers)
+	if r.Plan.Workers > 10 {
+		t.Fatalf("conservative plan too large: %d", r.Plan.Workers)
 	}
 
 	// Calibration round trip.

@@ -159,10 +159,13 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				}); err != nil {
 					t.Fatal(err)
 				}
-				qos, err := fx.schedC.Status(id)
-				check("scheduler.Status", err, qos.BatchID, id)
+				// Routes without a typed client method go through Client.
+				var qos service.QoSStatus
+				err := fx.schedC.Get(&qos, "qos", id)
+				check("GET /qos/{id}", err, qos.BatchID, id)
 
-				check("info.AddSample", fx.infoC.AddSample(id, core.Sample{T: 60, Completed: 60, Assigned: 100}), nil, nil)
+				err = fx.infoC.Post(core.Sample{T: 60, Completed: 60, Assigned: 100}, nil, "batches", id, "samples")
+				check("POST /batches/{id}/samples", err, nil, nil)
 				st, err := fx.infoC.Status(id)
 				check("info.Status", err, st.BatchID, id)
 				if st.Samples != 1 {
@@ -171,15 +174,16 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 
 				acct, err := fx.creditC.Account(user)
 				check("credit.Account", err, acct.User, user)
-				_, err = fx.creditC.Bill(id, 1)
-				check("credit.Bill", err, nil, nil)
+				err = fx.creditC.Post(service.BillRequest{Credits: 1}, nil, "orders", id, "bill")
+				check("POST /orders/{id}/bill", err, nil, nil)
 				order, err := fx.creditC.OrderOf(id)
 				check("credit.OrderOf", err, order.BatchID, id)
 				if order.Billed != 1 {
 					t.Errorf("credit.OrderOf: billed %v, want the 1 billed", order.Billed)
 				}
-				has, err := fx.creditC.HasCredits(id)
-				check("credit.HasCredits", err, has, true)
+				var has map[string]bool
+				err = fx.creditC.Get(&has, "has-credits", id)
+				check("GET /has-credits/{id}", err, has["has_credits"], true)
 				refund, err := fx.creditC.Pay(id)
 				check("credit.Pay", err, refund, 9.0)
 
@@ -227,7 +231,7 @@ func TestSnapshotDoesNotRaceSamples(t *testing.T) {
 	}()
 	for i := 0; i < n; i += 2 {
 		s := core.Sample{T: float64(i), Completed: i, Assigned: 1000}
-		if err := c.AddSample("b", s); err != nil {
+		if err := c.Post(s, nil, "batches", "b", "samples"); err != nil {
 			t.Fatal(err)
 		}
 		s.T++

@@ -193,7 +193,7 @@ func TestMeanPriceCalibration(t *testing.T) {
 	for i, p := range prices {
 		counts[i] = float64(InstanceCount(10, p))
 	}
-	mean := stats.Mean(counts)
+	mean := stats.Summarize(counts).Mean
 	if math.Abs(mean-82.186)/82.186 > 0.10 {
 		t.Errorf("mean count %.1f, want ~82.2", mean)
 	}

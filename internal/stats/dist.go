@@ -89,8 +89,3 @@ func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
 
 // String implements Dist.
 func (w Weibull) String() string { return fmt.Sprintf("weib(λ=%g,k=%g)", w.Lambda, w.K) }
-
-// Quantile returns the Weibull inverse CDF at p in (0,1).
-func (w Weibull) Quantile(p float64) float64 {
-	return w.Lambda * math.Pow(-math.Log(1-p), 1/w.K)
-}

@@ -165,10 +165,3 @@ func (d QuartileDist) Mean() float64 {
 func (d QuartileDist) String() string {
 	return fmt.Sprintf("quartiles(%g,%g,%g)", d.Q25, d.Q50, d.Q75)
 }
-
-// Scaled returns a copy with every quantile multiplied by f (floor and cap
-// scale too). Used to stretch unavailability durations when calibrating a
-// trace's duty cycle without touching the published availability quartiles.
-func (d QuartileDist) Scaled(f float64) QuartileDist {
-	return QuartileDist{Q25: d.Q25 * f, Q50: d.Q50 * f, Q75: d.Q75 * f, Min: d.Min * f, TailCap: d.TailCap}
-}

@@ -188,15 +188,3 @@ func WeightedMedian(values, weights []float64) float64 {
 	}
 	return ps[len(ps)-1].v
 }
-
-// Mean returns the arithmetic mean (0 for an empty sample).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, v := range xs {
-		sum += v
-	}
-	return sum / float64(len(xs))
-}
