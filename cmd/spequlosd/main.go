@@ -4,7 +4,7 @@
 // talks to the others through their HTTP APIs, here at the address the
 // listener got).
 //
-//	spequlosd -addr :8080 -strategy 9C-C-R -period 1m
+//	spequlosd -addr :8080 -strategy 9C-C-R -period 1m -state-dir /var/lib/spequlos
 //
 // Routes:
 //
@@ -13,6 +13,10 @@
 //	/oracle/…        predictions, provisioning plans, calibration
 //	/scheduler/…     QoS registration, monitor loop, instances
 //	/healthz
+//
+// One loop ticks the monitor every -period, then writes the modules' state
+// (not the Scheduler's registry, nor the API keys) to -state-dir's state.json;
+// SIGINT and SIGTERM write a last image. Boot restores it or refuses to start.
 //
 // The daemon's Desktop Grid is emul.WallDG, whose batches progress linearly
 // over wall time (-demo-duration) and whose workers are always busy. Driving
@@ -32,14 +36,18 @@
 package main
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"os"
+	"os/signal"
 	"path/filepath"
+	"slices"
+	"syscall"
 	"time"
 
 	"spequlos/internal/campaign"
@@ -66,7 +74,7 @@ func main() {
 	flag.StringVar(&o.strategy, "strategy", "9C-C-R", "provisioning strategy combination")
 	flag.DurationVar(&o.period, "period", time.Minute, "scheduler monitor period")
 	flag.DurationVar(&o.demoDur, "demo-duration", 10*time.Minute, "demo DG: time a batch takes to complete")
-	flag.StringVar(&o.stateDir, "state-dir", "", "directory for JSON state snapshots (empty = in-memory only)")
+	flag.StringVar(&o.stateDir, "state-dir", "", "directory of the state.json image, written each period and at exit (empty = in-memory only)")
 	flag.BoolVar(&o.tiered, "tiers", false, "enable the enterprise/premium/free tier admission policy")
 	flag.IntVar(&o.fleetCap, "fleet-cap", 0, "with -tiers: max batches holding cloud support at once (0 = unlimited)")
 	flag.StringVar(&o.keysFile, "keys", "", "JSON API-key file ([{key,user,tier,unlimited}...]); enables gateway auth + per-tier rate limits")
@@ -81,28 +89,44 @@ func main() {
 	if err != nil {
 		log.Fatalf("spequlosd: %v", err)
 	}
-	defer d.Close()
-	if err := d.Wait(); err != nil {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
+	go func() { served <- d.Wait() }()
+	select {
+	case s := <-sig:
+		log.Printf("spequlosd: %v: stopping", s)
+		d.Close()
+	case err := <-served:
+		d.Close()
 		log.Fatalf("spequlosd: %v", err)
 	}
 }
 
-// daemon is a running spequlosd: the service stack, its monitor loop and,
-// with a state directory, its snapshot loop.
+// daemon is a running spequlosd: the service stack and the one loop that
+// ticks its monitor and writes its state.
 type daemon struct {
 	*service.Stack
-	stop chan struct{}
+	state     core.State
+	statePath string        // empty without -state-dir
+	stop      chan struct{} // Close's handoff to the loop, between ticks
 }
 
-// start serves the stack on ln and starts the daemon's loops.
+// start serves the stack on ln and starts the daemon's loop.
 func start(ln net.Listener, o options) (*daemon, error) {
-	// time.NewTicker panics on a non-positive period, inside the loops'
-	// goroutines; WallDG divides batch progress by the demo duration.
-	if o.period <= 0 {
+	// NewTicker panics on a period ≤ 0, WallDG divides by the demo duration,
+	// a rate ≤ 0 lifts every tier's limit, and only -tiers reads -fleet-cap.
+	switch {
+	case o.period <= 0:
 		return nil, fmt.Errorf("-period %v: must be positive", o.period)
-	}
-	if o.demoDur <= 0 {
+	case o.demoDur <= 0:
 		return nil, fmt.Errorf("-demo-duration %v: must be positive", o.demoDur)
+	case o.rate <= 0:
+		return nil, fmt.Errorf("-rate %v: must be positive", o.rate)
+	case o.fleetCap < 0:
+		return nil, fmt.Errorf("-fleet-cap %d: must not be negative", o.fleetCap)
+	case o.fleetCap > 0 && !o.tiered:
+		return nil, fmt.Errorf("-fleet-cap %d: needs -tiers", o.fleetCap)
 	}
 	st, err := core.StrategyByLabel(o.strategy)
 	if err != nil {
@@ -119,46 +143,97 @@ func start(ln net.Listener, o options) (*daemon, error) {
 		if err != nil {
 			return nil, err
 		}
-		limits := policy
-		if limits == nil {
-			limits = core.DefaultTierPolicy()
-		}
-		km = service.NewKeyManager(service.LimitsFromPolicy(limits, o.rate))
+		km = service.NewKeyManager(service.LimitsFromPolicy(cmp.Or(policy, core.DefaultTierPolicy()), o.rate))
 		for _, k := range keys {
 			km.Add(k)
 		}
 		log.Printf("spequlosd: gateway auth enabled (%d keys, %.0f req/s shared by tier weight)", len(keys), o.rate)
 	}
 
-	information, creditSystem, calibration := loadState(o.stateDir)
-	stack, err := service.NewStack(service.StackConfig{
-		Strategy:    st,
-		DG:          emul.NewWallDG(o.demoDur, fmt.Sprintf("http://demo-dg.local/%d", o.demoDur/time.Second)),
-		Information: information, Credits: creditSystem, Calibration: calibration,
-		Keys:     km,
-		Listener: ln,
-	})
-	if err != nil {
+	d := &daemon{stop: make(chan struct{})}
+	if d.state, d.statePath, err = restore(o.stateDir); err != nil {
 		return nil, err
 	}
-	stack.Scheduler.TierPolicy = policy
-	log.Printf("spequlosd listening on %s (strategy %s, demo DG %v/batch)", ln.Addr(), st.Label(), o.demoDur)
-
-	d := &daemon{Stack: stack, stop: make(chan struct{})}
-	go stack.Scheduler.Run(o.period, d.stop)
-	if o.stateDir != "" {
-		go snapshotLoop(o.stateDir, o.period, information, creditSystem, calibration, d.stop)
+	if d.Stack, err = service.NewStack(service.StackConfig{
+		Strategy: st, State: &d.state, Keys: km, Listener: ln,
+		DG: emul.NewWallDG(o.demoDur, fmt.Sprintf("http://demo-dg.local/%d", o.demoDur/time.Second)),
+	}); err != nil {
+		return nil, err
 	}
+	d.Scheduler.TierPolicy = policy
+	log.Printf("spequlosd listening on %s (strategy %s, demo DG %v/batch)", ln.Addr(), st.Label(), o.demoDur)
+	go d.loop(o.period)
 	return d, nil
 }
 
-// Close stops the loops and the stack.
-func (d *daemon) Close() {
-	close(d.stop)
-	d.Stack.Close()
+// restore reads dir's state image and returns its path ("" without dir):
+// absent, the daemon starts fresh; unreadable, or absent beside the unread
+// per-module files of older versions, it refuses, and nothing is overwritten.
+func restore(dir string) (state core.State, path string, err error) {
+	if dir == "" {
+		return core.NewState(), "", nil
+	}
+	path = filepath.Join(dir, "state.json")
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		old := slices.DeleteFunc([]string{"information.json", "credits.json", "calibration.json"}, func(name string) bool {
+			_, err := os.Stat(filepath.Join(dir, name))
+			return err != nil
+		})
+		if len(old) > 0 {
+			return state, "", fmt.Errorf("%s is absent and the old per-module snapshots %q are not read", path, old)
+		}
+		return core.NewState(), path, os.MkdirAll(dir, 0o755)
+	} else if err != nil {
+		return state, "", err
+	}
+	defer f.Close()
+	if state, err = core.ReadState(f); err != nil {
+		return state, "", fmt.Errorf("%s: %w", path, err)
+	}
+	return state, path, nil
 }
 
-// loadKeys reads a JSON API-key file: an array of service.APIKey objects.
+// loop ticks the monitor every period, then writes the state image, until
+// Close. A failed tick is logged and retried on the next: a DG gateway or
+// sibling module that is down must neither stop the loop nor go unseen.
+func (d *daemon) loop(period time.Duration) {
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-d.stop:
+			return
+		case <-t.C:
+			if err := d.Scheduler.Step(); err != nil {
+				log.Printf("scheduler: tick: %v", err)
+			}
+			d.save()
+		}
+	}
+}
+
+// save writes the state image atomically: a crash or a failure, which is
+// logged, leaves the previous image or the new one, never a torn one.
+func (d *daemon) save() {
+	if d.statePath == "" {
+		return
+	}
+	if err := campaign.WriteFileAtomic(d.statePath, d.state.WriteJSON); err != nil {
+		log.Printf("spequlosd: state: %v", err)
+	}
+}
+
+// Close stops the loop, then serving, then writes the last image, so every
+// request acknowledged before the stop is in it.
+func (d *daemon) Close() {
+	d.stop <- struct{}{}
+	d.Stack.Close()
+	d.save()
+}
+
+// loadKeys reads a JSON API-key file: an array of service.APIKey objects,
+// none empty (it could never be presented) and none listed twice.
 func loadKeys(path string) ([]service.APIKey, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -169,87 +244,18 @@ func loadKeys(path string) ([]service.APIKey, error) {
 	if err := json.NewDecoder(f).Decode(&keys); err != nil {
 		return nil, fmt.Errorf("key file %s: %w", path, err)
 	}
+	owner := map[string]string{}
 	for _, k := range keys {
+		if k.Key == "" {
+			return nil, fmt.Errorf("key file %s: the key of %q is empty", path, k.User)
+		}
+		if prev, dup := owner[k.Key]; dup {
+			return nil, fmt.Errorf("key file %s: %q and %q have the same key", path, prev, k.User)
+		}
+		owner[k.Key] = k.User
 		if _, err := core.ParseTier(string(k.Tier)); err != nil {
 			return nil, fmt.Errorf("key file %s: key %q: %w", path, k.User, err)
 		}
 	}
 	return keys, nil
-}
-
-// loadState restores module state from JSON snapshots (the MySQL role in
-// the paper's prototype); missing files start fresh.
-func loadState(dir string) (*core.Information, *core.CreditSystem, *core.Calibration) {
-	info := core.NewInformation()
-	credits := core.NewCreditSystem()
-	cal := core.NewCalibration()
-	if dir == "" {
-		return info, credits, cal
-	}
-	load := func(name string, fn func(io.Reader) error) {
-		f, err := os.Open(filepath.Join(dir, name))
-		if err != nil {
-			return // fresh start
-		}
-		defer f.Close()
-		if err := fn(f); err != nil {
-			log.Printf("spequlosd: ignoring corrupt snapshot %s: %v", name, err)
-		}
-	}
-	load("information.json", func(r io.Reader) error {
-		in, err := core.ReadInformation(r)
-		if err == nil {
-			info = in
-		}
-		return err
-	})
-	load("credits.json", func(r io.Reader) error {
-		cs, err := core.ReadCreditSystem(r)
-		if err == nil {
-			credits = cs
-		}
-		return err
-	})
-	load("calibration.json", func(r io.Reader) error {
-		c, err := core.ReadCalibration(r)
-		if err == nil {
-			cal = c
-		}
-		return err
-	})
-	return info, credits, cal
-}
-
-// snapshotLoop persists module state each period until stop closes.
-func snapshotLoop(dir string, period time.Duration, info *core.Information,
-	credits *core.CreditSystem, cal *core.Calibration, stop <-chan struct{}) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		log.Printf("spequlosd: state dir: %v", err)
-		return
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			saveState(dir, info, credits, cal)
-		}
-	}
-}
-
-// saveState writes one snapshot per module, each durably and atomically
-// (temp file, fsync, rename): a crash leaves the previous snapshot or the
-// new one under the final name, never a truncated file. A failure is logged
-// and leaves that module's previous snapshot in place.
-func saveState(dir string, info *core.Information, credits *core.CreditSystem, cal *core.Calibration) {
-	save := func(name string, write func(io.Writer) error) {
-		if err := campaign.WriteFileAtomic(filepath.Join(dir, name), write); err != nil {
-			log.Printf("spequlosd: snapshot %s: %v", name, err)
-		}
-	}
-	save("information.json", info.WriteJSON)
-	save("credits.json", credits.WriteJSON)
-	save("calibration.json", cal.WriteJSON)
 }

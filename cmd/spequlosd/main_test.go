@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"log"
 	"net"
@@ -9,12 +10,125 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"spequlos/internal/core"
 	"spequlos/internal/service"
 )
+
+// validOptions are flags start accepts, with the state in dir.
+func validOptions(dir string) options {
+	return options{strategy: "9C-C-R", period: time.Hour, demoDur: time.Minute, stateDir: dir, rate: 100}
+}
+
+// startOn starts the daemon on a loopback port.
+func startOn(t *testing.T, o options) *daemon {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := start(ln, o)
+	if err != nil {
+		ln.Close()
+		t.Fatal(err)
+	}
+	return d
+}
+
+// call sends one request to the daemon and decodes a 2xx reply into out.
+func call(t *testing.T, d *daemon, method, path, body string, out any) {
+	t.Helper()
+	req, _ := http.NewRequest(method, d.URL+path, strings.NewReader(body))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode >= 300 {
+		t.Fatalf("%s %s: %d %s", method, path, resp.StatusCode, raw)
+	}
+	if out != nil {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+	}
+}
+
+// readImage restores the state image in dir.
+func readImage(t *testing.T, dir string) core.State {
+	t.Helper()
+	f, err := os.Open(filepath.Join(dir, "state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	s, err := core.ReadState(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// logTail captures the standard logger for the rest of the test and reports
+// each line written to it.
+type logTail struct {
+	mu    sync.Mutex
+	buf   bytes.Buffer
+	wrote chan struct{}
+}
+
+func captureLog(t *testing.T) *logTail {
+	l := &logTail{wrote: make(chan struct{}, 1)}
+	log.SetOutput(l)
+	t.Cleanup(func() { log.SetOutput(os.Stderr) })
+	return l
+}
+
+func (l *logTail) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	select {
+	case l.wrote <- struct{}{}:
+	default:
+	}
+	return l.buf.Write(p)
+}
+
+func (l *logTail) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.buf.String()
+}
+
+// await waits until the log holds n lines containing each of the parts.
+func (l *logTail) await(t *testing.T, n int, parts ...string) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	for {
+		got := 0
+		for _, line := range strings.Split(l.String(), "\n") {
+			all := true
+			for _, p := range parts {
+				all = all && strings.Contains(line, p)
+			}
+			if all {
+				got++
+			}
+		}
+		if got >= n {
+			return
+		}
+		select {
+		case <-l.wrote:
+		case <-deadline:
+			t.Fatalf("%d of %d log lines containing %q; log: %q", got, n, parts, l.String())
+		}
+	}
+}
 
 // TestDaemonServesOnItsListener starts the daemon, gated, on a host other
 // than 127.0.0.1 and on port 0: its modules must reach one another at the
@@ -57,25 +171,36 @@ func TestDaemonServesOnItsListener(t *testing.T) {
 	}
 }
 
-// TestStartRejectsNonPositiveDurations: a non-positive -period panics the
-// monitor and snapshot tickers inside their goroutines, after the listener
-// is up, and a non-positive -demo-duration divides the demo DG's progress
-// by zero. start refuses both, naming the flag and its value.
-func TestStartRejectsNonPositiveDurations(t *testing.T) {
+// TestStartRejectsBadFlags: start refuses a flag value that would panic or
+// silently do nothing, naming the flag and its value. A non-positive -period
+// panics the loop's ticker inside its goroutine, after the listener is up; a
+// non-positive -demo-duration divides the demo DG's progress by zero; a
+// non-positive -rate lifts every tier's rate limit; -fleet-cap is only read
+// with -tiers, and a negative one would mean unlimited.
+func TestStartRejectsBadFlags(t *testing.T) {
+	keys := filepath.Join(t.TempDir(), "keys.json")
+	if err := os.WriteFile(keys, []byte(`[{"key":"sk-a","user":"alice","tier":"free"}]`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
-		o    options
+		edit func(*options)
 		flag string
 	}{
-		{options{period: 0, demoDur: time.Minute}, "-period 0s"},
-		{options{period: -time.Second, demoDur: time.Minute}, "-period -1s"},
-		{options{period: time.Hour, demoDur: 0}, "-demo-duration 0s"},
+		{func(o *options) { o.period = 0 }, "-period 0s"},
+		{func(o *options) { o.period = -time.Second }, "-period -1s"},
+		{func(o *options) { o.demoDur = 0 }, "-demo-duration 0s"},
+		{func(o *options) { o.keysFile, o.rate = keys, 0 }, "-rate 0"},
+		{func(o *options) { o.keysFile, o.rate = keys, -5 }, "-rate -5"},
+		{func(o *options) { o.fleetCap = 3 }, "-fleet-cap 3"},
+		{func(o *options) { o.tiered, o.fleetCap = true, -1 }, "-fleet-cap -1"},
 	} {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.o.strategy, c.o.stateDir = "9C-C-R", t.TempDir()
-		d, err := start(ln, c.o)
+		o := validOptions(t.TempDir())
+		c.edit(&o)
+		d, err := start(ln, o)
 		if err == nil {
 			d.Close()
 			t.Fatalf("%s: start succeeded", c.flag)
@@ -87,87 +212,141 @@ func TestStartRejectsNonPositiveDurations(t *testing.T) {
 	}
 }
 
-func TestLoadStateRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	// Build state, snapshot it manually via the core writers.
-	info := core.NewInformation()
-	bi, _ := info.Track("b", "env", 10, 0)
-	bi.AddSample(60, 10, 10, 0, 0)
-	credits := core.NewCreditSystem()
-	credits.Deposit("u", 42)
-	cal := core.NewCalibration()
-	cal.Record("env", 100, 150)
-
-	write := func(name string, fn func(*bytes.Buffer) error) {
-		var buf bytes.Buffer
-		if err := fn(&buf); err != nil {
+// TestLoadKeysRejectsDuplicateOrEmpty: a key listed twice would run every
+// request as its last entry's user and tier, and an empty key can never be
+// presented. loadKeys refuses both, naming the users involved.
+func TestLoadKeysRejectsDuplicateOrEmpty(t *testing.T) {
+	for _, c := range []struct{ keys, want string }{
+		{`[{"key":"sk-x","user":"alice","tier":"enterprise"},{"key":"sk-x","user":"bob","tier":"free"}]`, `"alice" and "bob" have the same key`},
+		{`[{"key":"sk-a","user":"alice"},{"key":"","user":"carol"}]`, `the key of "carol" is empty`},
+	} {
+		path := filepath.Join(t.TempDir(), "keys.json")
+		if err := os.WriteFile(path, []byte(c.keys), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+		if _, err := loadKeys(path); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("loadKeys(%s) = %v, want an error containing %q", c.keys, err, c.want)
 		}
-	}
-	write("information.json", func(b *bytes.Buffer) error { return info.WriteJSON(b) })
-	write("credits.json", func(b *bytes.Buffer) error { return credits.WriteJSON(b) })
-	write("calibration.json", func(b *bytes.Buffer) error { return cal.WriteJSON(b) })
-
-	in2, cs2, cal2 := loadState(dir)
-	if v, ok := in2.View("b"); !ok || !v.Done {
-		t.Fatal("information not restored")
-	}
-	if cs2.AccountOf("u").Balance != 42 {
-		t.Fatal("credits not restored")
-	}
-	if cal2.Count("env") != 1 {
-		t.Fatal("calibration not restored")
 	}
 }
 
-func TestLoadStateFreshWhenMissing(t *testing.T) {
-	in, cs, cal := loadState(t.TempDir())
-	if in == nil || cs == nil || cal == nil {
-		t.Fatal("nil state")
-	}
-	in2, _, _ := loadState("")
-	if in2 == nil {
-		t.Fatal("nil state without dir")
-	}
-}
-
-// TestSaveStateReportsFailedSnapshot pins the snapshot error path: a module
-// whose target cannot be renamed onto (its name is a directory) is logged,
-// leaves no temp file behind, and does not stop the other modules' snapshots.
-func TestSaveStateReportsFailedSnapshot(t *testing.T) {
+// TestCloseWritesFinalImage: a deposit acknowledged just before a stop is in
+// the image Close writes, however long the period.
+func TestCloseWritesFinalImage(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.Mkdir(filepath.Join(dir, "credits.json"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	var logged bytes.Buffer
-	log.SetOutput(&logged)
-	defer log.SetOutput(os.Stderr)
-
-	credits := core.NewCreditSystem()
-	credits.Deposit("u", 42)
-	saveState(dir, core.NewInformation(), credits, core.NewCalibration())
-
-	if !strings.Contains(logged.String(), "snapshot credits.json:") {
-		t.Fatalf("failed snapshot not reported, log: %q", logged.String())
-	}
-	if strings.Contains(logged.String(), "information.json") || strings.Contains(logged.String(), "calibration.json") {
-		t.Fatalf("healthy snapshots reported as failed, log: %q", logged.String())
+	d := startOn(t, validOptions(dir))
+	call(t, d, http.MethodPost, "/credit/deposit", `{"user":"alice","credits":42}`, nil)
+	d.Close()
+	if got := readImage(t, dir).Credits.AccountOf("alice").Balance; got != 42 {
+		t.Fatalf("restored balance %v, want the 42 deposited", got)
 	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var names []string
-	for _, e := range entries {
-		names = append(names, e.Name())
+	if len(entries) != 1 || entries[0].Name() != "state.json" {
+		t.Fatalf("state dir holds %v, want state.json alone", entries)
 	}
-	if got := strings.Join(names, " "); got != "calibration.json credits.json information.json" {
-		t.Fatalf("state dir holds %q, want the three snapshot names and no temp file", got)
+}
+
+// TestRestartRestoresState: a second daemon on the first one's state dir
+// serves, over its own socket, the balances, orders, archive and calibration
+// the first one held when it stopped.
+func TestRestartRestoresState(t *testing.T) {
+	dir := t.TempDir()
+	const env = "XWHEP/seti/SMALL"
+	d := startOn(t, validOptions(dir))
+	call(t, d, http.MethodPost, "/credit/deposit", `{"user":"alice","credits":100}`, nil)
+	call(t, d, http.MethodPost, "/scheduler/qos",
+		`{"user":"alice","batch_id":"b1","env_key":"`+env+`","size":100,"credits":40,"provider":"ec2","image":"img"}`, nil)
+	call(t, d, http.MethodPost, "/oracle/calibration", `{"env_key":"`+env+`","base":100,"actual":120}`, nil)
+	d.Close()
+
+	d = startOn(t, validOptions(dir))
+	defer d.Close()
+	var acct core.Account
+	call(t, d, http.MethodGet, "/credit/accounts/alice", "", &acct)
+	var order core.Order
+	call(t, d, http.MethodGet, "/credit/orders/b1", "", &order)
+	var cal service.CalibrationStatus
+	call(t, d, http.MethodGet, "/oracle/calibration/"+env, "", &cal)
+	var batch service.BatchStatus
+	call(t, d, http.MethodGet, "/information/batches/b1", "", &batch)
+	if acct.Balance != 60 || order.Allocated != 40 || order.Closed || cal.Count != 1 || batch.BatchID != "b1" || batch.Size != 100 {
+		t.Fatalf("after restart: account %+v, order %+v, calibration %+v, batch %+v", acct, order, cal, batch)
 	}
-	if fi, err := os.Stat(filepath.Join(dir, "credits.json")); err != nil || !fi.IsDir() {
-		t.Fatalf("rename target was replaced: %v %v", fi, err)
+}
+
+// TestStartRefusesUnreadableState: an image that cannot be restored, or the
+// per-module files of the old layout without one, fail start with the file
+// named, and nothing in the state dir is overwritten.
+func TestStartRefusesUnreadableState(t *testing.T) {
+	for _, c := range []struct{ name, file, body, want string }{
+		{"truncated", "state.json", `{"information":{"batches":null},"credits":{"acc`, "state.json"},
+		{"unparsable section", "state.json", `{"information":{"batches":null},"credits":[],"calibration":{}}`, "state.json"},
+		{"old layout", "credits.json", `{"accounts":[{"user":"alice","balance":100}],"orders":null}`, "credits.json"},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, c.file)
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := start(ln, validOptions(dir))
+		if err == nil {
+			d.Close()
+			t.Fatalf("%s: start succeeded", c.name)
+		}
+		ln.Close()
+		if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name %s", c.name, err, c.want)
+		}
+		entries, _ := os.ReadDir(dir)
+		if body, _ := os.ReadFile(path); len(entries) != 1 || string(body) != c.body {
+			t.Errorf("%s: state dir now holds %v, %s reads %q", c.name, entries, c.file, body)
+		}
 	}
+}
+
+// TestFailedStateWriteIsLogged: an image that cannot be renamed into place
+// (state.json is a directory) is logged, leaves no temp file behind, and does
+// not stop the loop.
+func TestFailedStateWriteIsLogged(t *testing.T) {
+	dir := t.TempDir()
+	logged := captureLog(t)
+	o := validOptions(dir)
+	o.period = 5 * time.Millisecond
+	d := startOn(t, o)
+	path := filepath.Join(dir, "state.json")
+	for os.Mkdir(path, 0o755) != nil { // a tick may have written the file first
+		os.Remove(path)
+	}
+	logged.await(t, 2, "spequlosd: state: ", "state.json")
+	d.Close()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 1 || !entries[0].IsDir() {
+		t.Fatalf("state dir holds %v, want the state.json directory alone", entries)
+	}
+}
+
+// TestRunLogsTickErrors pins the loop's handling of a failed tick: it is
+// logged, and the loop keeps ticking until stopped. The batch's plan starts
+// on the first tick (9A: the demo DG assigns every task at once) and every
+// launch fails, the daemon's registry having no "mock" provider.
+func TestRunLogsTickErrors(t *testing.T) {
+	logged := captureLog(t)
+	o := validOptions("")
+	o.strategy, o.period = "9A-C-R", 2*time.Millisecond
+	d := startOn(t, o)
+	defer d.Close()
+	call(t, d, http.MethodPost, "/credit/deposit", `{"user":"bob","credits":10}`, nil)
+	call(t, d, http.MethodPost, "/scheduler/qos",
+		`{"user":"bob","batch_id":"b","env_key":"e","size":100,"credits":10,"provider":"mock","image":"img"}`, nil)
+	logged.await(t, 2, "scheduler: tick: ", `unknown provider "mock"`)
 }

@@ -127,9 +127,9 @@ func (s *ResultStore) SaveFile(path string) error {
 }
 
 // WriteFileAtomic writes via a same-directory temp file and rename, so the
-// destination always holds a complete write. On failure the destination is
-// untouched and the temp file removed. spequlosd shares it for its state
-// snapshots.
+// destination always holds a complete write. A failure before the rename
+// leaves the destination untouched and removes the temp file. spequlosd
+// shares it for its state image.
 func WriteFileAtomic(path string, write func(io.Writer) error) error {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -159,7 +159,13 @@ func WriteFileAtomic(path string, write func(io.Writer) error) error {
 		os.Remove(tmp)
 		return err
 	}
-	return nil
+	// Without a sync of the directory a power cut can undo the rename.
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	defer dir.Close()
+	return dir.Sync()
 }
 
 // LoadFileIfExists reads a store previously written by SaveFile, returning

@@ -83,7 +83,7 @@ func TestCalibrationIncrementalRejectsNonPositive(t *testing.T) {
 	}
 	snapshot := func() string {
 		var buf bytes.Buffer
-		if err := c.WriteJSON(&buf); err != nil {
+		if err := (State{NewInformation(), NewCreditSystem(), c}).WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()

@@ -148,7 +148,9 @@ func (cs *CreditSystem) bill(batchID string, credits float64) (billed float64, e
 		billed = rem
 		exhausted = true
 	}
-	o.Billed += billed
+	// Billed+rem can round one ulp past Allocated: capped, an order is never
+	// billed past its allocation, nor refunds a negative amount at Pay.
+	o.Billed = min(o.Billed+billed, o.Allocated)
 	cs.account(o.User).Spent += billed
 	return billed, exhausted, nil
 }

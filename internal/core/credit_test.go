@@ -163,21 +163,21 @@ func TestConcurrentCreditOps(t *testing.T) {
 	}
 }
 
-// TestUsersSorted pins the snapshot's account order: by user, whatever the
-// order of first deposit, so two snapshots of one state are byte-identical.
+// TestUsersSorted pins the image's account order: by user, whatever the
+// order of first deposit, so two images of one state are byte-identical.
 func TestUsersSorted(t *testing.T) {
-	cs := NewCreditSystem()
-	cs.Deposit("zoe", 1)
-	cs.Deposit("amy", 1)
+	s := NewState()
+	s.Credits.Deposit("zoe", 1)
+	s.Credits.Deposit("amy", 1)
 	var buf bytes.Buffer
-	if err := cs.WriteJSON(&buf); err != nil {
+	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var snap creditSnapshot
-	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {
+	var img stateImage
+	if err := json.Unmarshal(buf.Bytes(), &img); err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Accounts) != 2 || snap.Accounts[0].User != "amy" || snap.Accounts[1].User != "zoe" {
-		t.Fatalf("accounts = %+v", snap.Accounts)
+	if a := img.Credits.Accounts; len(a) != 2 || a[0].User != "amy" || a[1].User != "zoe" {
+		t.Fatalf("accounts = %+v", a)
 	}
 }

@@ -74,10 +74,13 @@ func (bi *BatchInfo) AddSample(now float64, completed, assigned, queued, running
 // AddSampleWorkers appends an observation including the infrastructure
 // state (attached worker count).
 func (bi *BatchInfo) AddSampleWorkers(now float64, completed, assigned, queued, running, workers int) {
-	t := now - bi.SubmittedAt
-	s := Sample{T: t, Completed: completed, Assigned: assigned, Queued: queued, Running: running, Workers: workers}
-	if workers > bi.PeakWorkers {
-		bi.PeakWorkers = workers
+	bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Queued: queued, Running: running, Workers: workers})
+}
+
+// add appends an observation taken s.T seconds after submission.
+func (bi *BatchInfo) add(s Sample) {
+	if s.Workers > bi.PeakWorkers {
+		bi.PeakWorkers = s.Workers
 	}
 	bi.Samples = append(bi.Samples, s)
 	if bi.Size > 0 {
@@ -88,18 +91,18 @@ func (bi *BatchInfo) AddSampleWorkers(now float64, completed, assigned, queued, 
 			}
 			for i := 1; i <= upto; i++ {
 				if cache[i] < 0 {
-					cache[i] = t
+					cache[i] = s.T
 				}
 			}
 		}
-		fill(&bi.tcAt, completed)
-		fill(&bi.taAt, assigned)
+		fill(&bi.tcAt, s.Completed)
+		fill(&bi.taAt, s.Assigned)
 		if half := milestones / 2; bi.firstHalfMaxVar < 0 && bi.tcAt[half] >= 0 && bi.taAt[half] >= 0 {
 			bi.firstHalfMaxVar = bi.MaxExecutionVarianceUpTo(0.5)
 		}
 	}
-	if completed >= bi.Size && bi.Size > 0 && bi.CompletedAt < 0 {
-		bi.CompletedAt = t
+	if s.Completed >= bi.Size && bi.Size > 0 && bi.CompletedAt < 0 {
+		bi.CompletedAt = s.T
 	}
 }
 

@@ -2,15 +2,73 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
 )
 
 // The paper's prototype persists module state in MySQL so the services can
 // restart without losing QoS history (§3.7). This file provides the
-// equivalent: JSON snapshots of the Information archive, the Credit System
-// and the Oracle calibration, loadable into fresh instances.
+// equivalent: State, the three modules' state as one JSON image with a
+// section per module, which spequlosd writes after each tick and restores.
+
+// State is the module state a SpeQuloS deployment keeps across restarts.
+type State struct {
+	Information *Information
+	Credits     *CreditSystem
+	Calibration *Calibration
+}
+
+// NewState returns empty modules.
+func NewState() State {
+	return State{Information: NewInformation(), Credits: NewCreditSystem(), Calibration: NewCalibration()}
+}
+
+// stateImage is the serialized State; a missing section decodes to nil.
+type stateImage struct {
+	Information *informationSnapshot `json:"information"`
+	Credits     *creditSnapshot      `json:"credits"`
+	Calibration *calibrationSnapshot `json:"calibration"`
+}
+
+// WriteJSON writes the image. It holds the three modules' read locks at once,
+// so the image is the state as of one instant.
+func (s State) WriteJSON(w io.Writer) error {
+	s.Information.mu.RLock()
+	defer s.Information.mu.RUnlock()
+	s.Credits.mu.RLock()
+	defer s.Credits.mu.RUnlock()
+	s.Calibration.mu.RLock()
+	defer s.Calibration.mu.RUnlock()
+	img := stateImage{s.Information.snapshot(), s.Credits.snapshot(), s.Calibration.snapshot()}
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(img)
+}
+
+// ReadState restores an image written by WriteJSON. Every section must be
+// present and valid; anything else is an error, never an empty module.
+func ReadState(r io.Reader) (State, error) {
+	var img stateImage
+	data, err := io.ReadAll(r)
+	if err == nil {
+		err = json.Unmarshal(data, &img)
+	}
+	if err == nil && (img.Information == nil || img.Credits == nil || img.Calibration == nil) {
+		err = errors.New("the information, credits and calibration sections are all required")
+	}
+	s := NewState()
+	if err == nil {
+		err = errors.Join(s.Information.restore(img.Information), s.Credits.restore(img.Credits),
+			s.Calibration.restore(img.Calibration))
+	}
+	if err != nil {
+		return State{}, fmt.Errorf("core: reading state: %w", err)
+	}
+	return s, nil
+}
 
 // informationSnapshot is the serialized Information archive.
 type informationSnapshot struct {
@@ -25,47 +83,34 @@ type batchSnapshot struct {
 	Samples     []Sample `json:"samples"`
 }
 
-// WriteJSON serializes the archive. Milestone caches are derived data and
-// are rebuilt on load by replaying samples.
-func (in *Information) WriteJSON(w io.Writer) error {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	snap := informationSnapshot{}
-	ids := make([]string, 0, len(in.batches))
-	for id := range in.batches {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+// snapshot serializes the archive under the caller's read lock. Milestone
+// caches are derived data and are rebuilt on load by replaying samples.
+func (in *Information) snapshot() *informationSnapshot {
+	snap := &informationSnapshot{}
+	for _, id := range slices.Sorted(maps.Keys(in.batches)) {
 		bi := in.batches[id]
 		snap.Batches = append(snap.Batches, batchSnapshot{
 			BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
 			SubmittedAt: bi.SubmittedAt, Samples: bi.Samples,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	return snap
 }
 
-// ReadInformation loads an archive snapshot, replaying every sample so the
-// milestone caches and completion markers are reconstructed exactly.
-func ReadInformation(r io.Reader) (*Information, error) {
-	var snap informationSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: reading information snapshot: %w", err)
-	}
-	in := NewInformation()
+// restore loads an archive section into an empty archive, replaying every
+// sample so the milestone caches and completion markers are reconstructed
+// exactly.
+func (in *Information) restore(snap *informationSnapshot) error {
 	for _, bs := range snap.Batches {
 		bi, err := in.Track(bs.BatchID, bs.EnvKey, bs.Size, bs.SubmittedAt)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		for _, s := range bs.Samples {
-			bi.AddSampleWorkers(bs.SubmittedAt+s.T, s.Completed, s.Assigned, s.Queued, s.Running, s.Workers)
+			bi.add(s)
 		}
 	}
-	return in, nil
+	return nil
 }
 
 // creditSnapshot is the serialized Credit System state.
@@ -74,46 +119,35 @@ type creditSnapshot struct {
 	Orders   []Order   `json:"orders"`
 }
 
-// WriteJSON serializes accounts and orders.
-func (cs *CreditSystem) WriteJSON(w io.Writer) error {
-	cs.mu.RLock()
-	defer cs.mu.RUnlock()
-	snap := creditSnapshot{}
-	users := make([]string, 0, len(cs.accounts))
-	for u := range cs.accounts {
-		users = append(users, u)
-	}
-	sort.Strings(users)
-	for _, u := range users {
+// snapshot serializes accounts and orders under the caller's read lock.
+func (cs *CreditSystem) snapshot() *creditSnapshot {
+	snap := &creditSnapshot{}
+	for _, u := range slices.Sorted(maps.Keys(cs.accounts)) {
 		snap.Accounts = append(snap.Accounts, *cs.accounts[u])
 	}
-	ids := make([]string, 0, len(cs.orders))
-	for id := range cs.orders {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(cs.orders)) {
 		snap.Orders = append(snap.Orders, *cs.orders[id])
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	return snap
 }
 
-// ReadCreditSystem loads a Credit System snapshot.
-func ReadCreditSystem(r io.Reader) (*CreditSystem, error) {
-	var snap creditSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: reading credit snapshot: %w", err)
-	}
-	cs := NewCreditSystem()
+// restore loads a credit section into an empty ledger, refusing what would
+// invent or drop credits: a second entry for a user or batch would replace
+// the first, a negative amount or an overbilled order would mint credits.
+func (cs *CreditSystem) restore(snap *creditSnapshot) error {
 	for _, a := range snap.Accounts {
+		if cs.accounts[a.User] != nil || a.Balance < 0 || a.Spent < 0 {
+			return fmt.Errorf("credits: account %+v: a second one for the user, or a negative amount", a)
+		}
 		cs.accounts[a.User] = &a
 	}
 	for _, o := range snap.Orders {
+		if cs.orders[o.BatchID] != nil || o.Allocated < 0 || o.Billed < 0 || o.Billed > o.Allocated {
+			return fmt.Errorf("credits: order %+v: a second one for the batch, a negative amount, or billed past its allocation", o)
+		}
 		cs.orders[o.BatchID] = &o
 	}
-	return cs, nil
+	return nil
 }
 
 // calibrationSnapshot is the serialized per-environment fit history.
@@ -127,40 +161,27 @@ type envSnapshot struct {
 	Actuals []float64 `json:"actuals"`
 }
 
-// WriteJSON serializes the calibration history (α is refitted on load).
-func (c *Calibration) WriteJSON(w io.Writer) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	snap := calibrationSnapshot{}
-	keys := make([]string, 0, len(c.byEnv))
-	for k := range c.byEnv {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
+// snapshot serializes the calibration history under the caller's read lock
+// (α is refitted on load).
+func (c *Calibration) snapshot() *calibrationSnapshot {
+	snap := &calibrationSnapshot{}
+	for _, k := range slices.Sorted(maps.Keys(c.byEnv)) {
 		e := c.byEnv[k]
 		snap.Environments = append(snap.Environments, envSnapshot{
 			EnvKey: k, Bases: e.bases, Actuals: e.actuals,
 		})
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(snap)
+	return snap
 }
 
-// ReadCalibration loads a calibration snapshot, fitting each environment's α
-// once over its whole archive.
-func ReadCalibration(r io.Reader) (*Calibration, error) {
-	var snap calibrationSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("core: reading calibration snapshot: %w", err)
-	}
-	c := NewCalibration()
+// restore loads a calibration section into an empty store, fitting each
+// environment's α once over its whole archive.
+func (c *Calibration) restore(snap *calibrationSnapshot) error {
 	for _, e := range snap.Environments {
 		if len(e.Bases) != len(e.Actuals) {
-			return nil, fmt.Errorf("core: calibration snapshot for %q has mismatched lengths", e.EnvKey)
+			return fmt.Errorf("calibration: environment %q has mismatched lengths", e.EnvKey)
 		}
 		c.load(e.EnvKey, e.Bases, e.Actuals)
 	}
-	return c, nil
+	return nil
 }

@@ -8,21 +8,58 @@ import (
 	"testing"
 )
 
-func TestInformationSnapshotRoundTrip(t *testing.T) {
+// roundTrip writes s and reads the image back.
+func roundTrip(t testing.TB, s State) State {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadState(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return back
+}
+
+// informationFixture, creditFixture and calibrationFixture are the sections
+// the round-trip tests restore, and FuzzReadState's seeds.
+func informationFixture() *Information {
 	in := NewInformation()
 	bi, _ := in.Track("b1", "env1", 100, 1000)
 	bi.AddSampleWorkers(1060, 30, 80, 20, 50, 200)
 	bi.AddSampleWorkers(1120, 100, 100, 0, 0, 180)
 	in.Track("b2", "env2", 10, 0)
+	return in
+}
 
-	var buf bytes.Buffer
-	if err := in.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
+func creditFixture() *CreditSystem {
+	cs := NewCreditSystem()
+	cs.Deposit("alice", 100)
+	cs.OrderQoS("alice", "b1", 60)
+	cs.Bill("b1", 25)
+	cs.Deposit("bob", 7)
+	return cs
+}
+
+func calibrationFixture() *Calibration {
+	rng := rand.New(rand.NewSource(1))
+	c := NewCalibration()
+	for i := 0; i < 10; i++ {
+		c.Record("env", 1000+float64(i), 1500+1.5*float64(i))
 	}
-	back, err := ReadInformation(&buf)
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < 300; i++ {
+		base, actual := randomPair(rng, i%2 == 0)
+		c.Record([]string{"env", "other"}[rng.Intn(2)], base, actual)
 	}
+	c.Record("single", 40, 50)
+	return c
+}
+
+func TestInformationSnapshotRoundTrip(t *testing.T) {
+	s := NewState()
+	s.Information = informationFixture()
+	back := roundTrip(t, s).Information
 	rbi := back.batches["b1"]
 	if rbi == nil {
 		t.Fatal("b1 lost")
@@ -46,20 +83,9 @@ func TestInformationSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestCreditSnapshotRoundTrip(t *testing.T) {
-	cs := NewCreditSystem()
-	cs.Deposit("alice", 100)
-	cs.OrderQoS("alice", "b1", 60)
-	cs.Bill("b1", 25)
-	cs.Deposit("bob", 7)
-
-	var buf bytes.Buffer
-	if err := cs.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadCreditSystem(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewState()
+	s.Credits = creditFixture()
+	back := roundTrip(t, s).Credits
 	a := back.AccountOf("alice")
 	if a.Balance != 40 || a.Spent != 25 {
 		t.Fatalf("alice restored: %+v", a)
@@ -78,31 +104,25 @@ func TestCreditSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// ReadCalibration loads each environment's archive in bulk and fits once;
-// what it reaches must be what Record reached pair by pair when the snapshot
-// was taken, to the bit, and must serialize back to the same snapshot.
+// The calibration section is loaded environment by environment in bulk with
+// one fit each; what it reaches must be what Record reached pair by pair
+// when the image was taken, to the bit, and must serialize back to the same
+// image.
 func TestCalibrationSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	envs := []string{"env", "other", "single"}
-	c := NewCalibration()
-	for i := 0; i < 10; i++ {
-		c.Record("env", 1000+float64(i), 1500+1.5*float64(i))
-	}
-	for i := 0; i < 300; i++ {
-		base, actual := randomPair(rng, i%2 == 0)
-		c.Record(envs[rng.Intn(2)], base, actual)
-	}
-	c.Record("single", 40, 50)
+	s := NewState()
+	s.Calibration = calibrationFixture()
+	c := s.Calibration
 	var buf bytes.Buffer
-	if err := c.WriteJSON(&buf); err != nil {
+	if err := s.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	snap := buf.String()
-	back, err := ReadCalibration(&buf)
+	img := buf.String()
+	loaded, err := ReadState(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, env := range envs {
+	back := loaded.Calibration
+	for _, env := range []string{"env", "other", "single"} {
 		if got, want := back.Count(env), c.Count(env); got != want {
 			t.Errorf("%s: count = %d, want %d", env, got, want)
 		}
@@ -114,11 +134,11 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	var again bytes.Buffer
-	if err := back.WriteJSON(&again); err != nil {
+	if err := loaded.WriteJSON(&again); err != nil {
 		t.Fatal(err)
 	}
-	if again.String() != snap {
-		t.Error("the loaded calibration does not serialize back to the snapshot it was read from")
+	if again.String() != img {
+		t.Error("the loaded calibration does not serialize back to the image it was read from")
 	}
 	// A loaded archive keeps fitting incrementally where the original does.
 	c.Record("env", 7, 9)
@@ -128,14 +148,96 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotErrors: ReadState refuses an image it cannot restore whole —
+// bad JSON, a missing section, a section that does not parse or is
+// inconsistent — and above all a credit section that would invent or drop
+// credits. It never answers with an empty module in place of a bad one.
 func TestSnapshotErrors(t *testing.T) {
-	if _, err := ReadInformation(strings.NewReader("{oops")); err == nil {
-		t.Fatal("bad information JSON accepted")
+	const (
+		info = `"information":{"batches":null}`
+		cal  = `"calibration":{"environments":null}`
+	)
+	credits := func(accounts, orders string) string {
+		return `{` + info + `,` + cal + `,"credits":{"accounts":[` + accounts + `],"orders":[` + orders + `]}}`
 	}
-	if _, err := ReadCreditSystem(strings.NewReader("[]")); err == nil {
-		t.Fatal("bad credit JSON accepted")
+	alice := `{"user":"alice","balance":40,"spent":25}`
+	for _, c := range []struct{ name, img, want string }{
+		{"bad JSON", "{oops", "invalid character"},
+		{"truncated", credits(alice, "")[:40], "unexpected end of JSON input"},
+		{"trailing data", credits(alice, "") + "{}", "invalid character"},
+		{"not an object", "[]", "cannot unmarshal array"},
+		{"missing section", `{` + info + `,` + cal + `}`, "sections are all required"},
+		{"null section", `{` + info + `,` + cal + `,"credits":null}`, "sections are all required"},
+		{"section of the wrong type", `{` + info + `,` + cal + `,"credits":[]}`, "cannot unmarshal array"},
+		{"duplicate batch", `{"information":{"batches":[{"batch_id":"b"},{"batch_id":"b"}]},` + cal + `,"credits":{}}`, `batch "b" already tracked`},
+		{"mismatched calibration", `{` + info + `,"credits":{},"calibration":{"environments":[{"env_key":"e","bases":[1],"actuals":[]}]}}`, "mismatched lengths"},
+		{"duplicate user", credits(alice+","+alice, ""), "account {User:alice Balance:40 Spent:25}: a second one for the user"},
+		{"negative balance", credits(`{"user":"u","balance":-1}`, ""), "account {User:u Balance:-1"},
+		{"negative spent", credits(`{"user":"u","spent":-1}`, ""), "Spent:-1}"},
+		{"duplicate order", credits(alice, `{"batch_id":"b","user":"alice","allocated":5},{"batch_id":"b","user":"alice","allocated":5}`), "a second one for the batch"},
+		{"negative allocated", credits(alice, `{"batch_id":"b","user":"alice","allocated":-5}`), "Allocated:-5"},
+		{"negative billed", credits(alice, `{"batch_id":"b","user":"alice","allocated":5,"billed":-1}`), "Billed:-1"},
+		{"billed past allocated", credits(alice, `{"batch_id":"b","user":"alice","allocated":5,"billed":6}`), "Allocated:5 Billed:6"},
+	} {
+		if _, err := ReadState(strings.NewReader(c.img)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: ReadState error %v, want one containing %q", c.name, err, c.want)
+		}
 	}
-	if _, err := ReadCalibration(strings.NewReader(`{"environments":[{"env_key":"e","bases":[1],"actuals":[]}]}`)); err == nil {
-		t.Fatal("mismatched calibration lengths accepted")
+	// The boundaries are accepted: nothing billed, and everything billed.
+	if _, err := ReadState(strings.NewReader(credits(`{"user":"u"}`, `{"batch_id":"b","user":"u","allocated":5,"billed":5}`))); err != nil {
+		t.Errorf("a fully billed order refused: %v", err)
 	}
+}
+
+// A bill that runs an order dry must leave it billed exactly its allocation,
+// not one rounding step past it: the image would be refused, and the refund
+// at Pay would take credits from the account.
+func TestBillRunsAnOrderDryExactly(t *testing.T) {
+	cs := NewCreditSystem()
+	cs.Deposit("u", 17.556492415199802)
+	if err := cs.OrderQoS("u", "b", 17.556492415199802); err != nil {
+		t.Fatal(err)
+	}
+	cs.Bill("b", 0.846126895437946)
+	if _, exhausted, _ := cs.Bill("b", 100); !exhausted {
+		t.Fatal("order not exhausted")
+	}
+	if o, _ := cs.OrderOf("b"); o.Billed != o.Allocated {
+		t.Fatalf("billed %v of %v allocated", o.Billed, o.Allocated)
+	}
+	if refund, _ := cs.Pay("b"); refund != 0 || cs.AccountOf("u").Balance != 0 {
+		t.Fatalf("refund %v, balance %v", refund, cs.AccountOf("u").Balance)
+	}
+}
+
+// FuzzReadState: whatever image ReadState accepts, the state it restores
+// writes an image that reads back to a state writing the same bytes.
+func FuzzReadState(f *testing.F) {
+	s := State{informationFixture(), creditFixture(), calibrationFixture()}
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	buf.Reset()
+	if err := NewState().WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, img []byte) {
+		s, err := ReadState(bytes.NewReader(img))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := s.WriteJSON(&first); err != nil {
+			t.Fatal(err)
+		}
+		if err := roundTrip(t, s).WriteJSON(&second); err != nil {
+			t.Fatal(err)
+		}
+		if first.String() != second.String() {
+			t.Fatalf("image changed across a round trip:\n%s\nbecame:\n%s", first.String(), second.String())
+		}
+	})
 }

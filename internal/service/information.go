@@ -24,7 +24,8 @@ import (
 // the Scheduler's tick and the Oracle's /plans use: each applies the
 // single-item route's function to every item and reports per item. The
 // archive guards itself (core.Information), so a co-located reader — the
-// daemon's snapshot loop — shares it with the handlers without a lock here.
+// daemon's loop writing the state image — shares it with the handlers
+// without a lock here.
 type InformationService struct {
 	Routes
 	info *core.Information

@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"log"
 	"net/http"
 	"slices"
 	"sort"
@@ -392,25 +391,6 @@ func (p *schedulerPorts) Archive(b *core.Batch) error {
 		return err
 	}
 	return p.oracle.RecordCalibration(b.EnvKey, st.TC50/0.5, st.CompletedAt)
-}
-
-// Run ticks the monitor loop every period until stop is closed (the daemon
-// mode of cmd/spequlosd). A failed tick is logged and the next one retries:
-// a DG gateway or sibling module that is down must not stop the loop, and
-// must not stay invisible to the operator either.
-func (s *SchedulerService) Run(period time.Duration, stop <-chan struct{}) {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			if err := s.Step(); err != nil {
-				log.Printf("scheduler: tick: %v", err)
-			}
-		}
-	}
 }
 
 // SchedulerClient is the typed client of the Scheduler service: what a user

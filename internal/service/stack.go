@@ -37,17 +37,13 @@ type Stack struct {
 	served    chan error
 }
 
-// StackConfig parameterizes a deployment. The three core objects are the
-// state the modules serve (a daemon passes what it restored); nil starts
-// each empty.
+// StackConfig parameterizes a deployment. State is what the modules serve
+// (a daemon passes what it restored); nil starts them empty.
 type StackConfig struct {
 	Strategy core.Strategy
 	Registry *cloud.Registry
 	DG       DGGateway
-
-	Information *core.Information
-	Credits     *core.CreditSystem
-	Calibration *core.Calibration
+	State    *core.State
 
 	// Keys, when non-nil, puts KeyManager.Gate in front of the modules.
 	Keys *KeyManager
@@ -65,11 +61,9 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = cloud.DefaultRegistry()
 	}
-	if cfg.Information == nil {
-		cfg.Information = core.NewInformation()
-	}
-	if cfg.Credits == nil {
-		cfg.Credits = core.NewCreditSystem()
+	state := core.NewState()
+	if cfg.State != nil {
+		state = *cfg.State
 	}
 	ln := cfg.Listener
 	if ln == nil {
@@ -102,11 +96,9 @@ func NewStack(cfg StackConfig) (*Stack, error) {
 	st.SchedulerClient = &SchedulerClient{Client{st.URL + "/scheduler", st.HTTP}}
 
 	oracle := core.NewOracle(cfg.Strategy)
-	if cfg.Calibration != nil {
-		oracle.Calibration = cfg.Calibration
-	}
-	st.Information = NewInformationService(cfg.Information)
-	st.Credit = NewCreditService(cfg.Credits)
+	oracle.Calibration = state.Calibration
+	st.Information = NewInformationService(state.Information)
+	st.Credit = NewCreditService(state.Credits)
 	st.Oracle = NewOracleService(oracle, st.InfoClient)
 	st.Scheduler = NewSchedulerService(st.InfoClient, st.CreditClient, st.OracleClient, cfg.Registry, cfg.DG)
 

@@ -50,10 +50,8 @@ func (d *echoDG) InstanceBusy(id string) (bool, error) {
 // read back, each module reachable on a socket of its own or, when muxed,
 // all four in one service.Stack.
 type wireFixture struct {
-	info    *core.Information
-	credits *core.CreditSystem
-	cal     *core.Calibration
-	dg      *echoDG
+	state core.State
+	dg    *echoDG
 
 	// handlers holds the five wire surfaces by name, mounted standalone.
 	handlers map[string]http.Handler
@@ -67,18 +65,14 @@ type wireFixture struct {
 
 func newWireFixture(t *testing.T, muxed bool) *wireFixture {
 	t.Helper()
-	fx := &wireFixture{
-		info: core.NewInformation(), credits: core.NewCreditSystem(),
-		cal: core.NewCalibration(), dg: &echoDG{},
-	}
+	fx := &wireFixture{state: core.NewState(), dg: &echoDG{}}
 	gw := emul.NewGatewayHandler(fx.dg)
 	dgSrv := httptest.NewServer(gw)
 	t.Cleanup(dgSrv.Close)
 	fx.dgC = emul.NewDGClient(dgSrv.URL)
 	if muxed {
 		st, err := service.NewStack(service.StackConfig{
-			Strategy: core.DefaultStrategy(), DG: fx.dgC,
-			Information: fx.info, Credits: fx.credits, Calibration: fx.cal,
+			Strategy: core.DefaultStrategy(), DG: fx.dgC, State: &fx.state,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -103,9 +97,9 @@ func newWireFixture(t *testing.T, muxed bool) *wireFixture {
 	fx.schedC = &service.SchedulerClient{Client: service.Client{BaseURL: urls[3], HTTP: http.DefaultClient}}
 
 	oracle := core.NewOracle(core.DefaultStrategy())
-	oracle.Calibration = fx.cal
-	info := service.NewInformationService(fx.info)
-	credit := service.NewCreditService(fx.credits)
+	oracle.Calibration = fx.state.Calibration
+	info := service.NewInformationService(fx.state.Information)
+	credit := service.NewCreditService(fx.state.Credits)
 	oracleSvc := service.NewOracleService(oracle, fx.infoC)
 	sched := service.NewSchedulerService(fx.infoC, fx.creditC, fx.oracleC, cloud.DefaultRegistry(), fx.dgC)
 	fx.handlers = map[string]http.Handler{
@@ -122,10 +116,8 @@ func newWireFixture(t *testing.T, muxed bool) *wireFixture {
 func (fx *wireFixture) digest(t *testing.T) string {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, write := range []func(io.Writer) error{fx.info.WriteJSON, fx.credits.WriteJSON, fx.cal.WriteJSON} {
-		if err := write(&buf); err != nil {
-			t.Fatal(err)
-		}
+	if err := fx.state.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
 	}
 	return buf.String()
 }
@@ -206,13 +198,13 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotDoesNotRaceSamples: the daemon's snapshot loop serializes the
-// archive while the sample routes append to it. Both go through
+// TestSnapshotDoesNotRaceSamples: the daemon's loop serializes the state
+// image while the sample routes append to the archive. Both go through
 // core.Information's own lock; the race detector fails this test if a
 // handler touches a history under any other.
 func TestSnapshotDoesNotRaceSamples(t *testing.T) {
-	info := core.NewInformation()
-	srv := httptest.NewServer(service.NewInformationService(info))
+	state := core.NewState()
+	srv := httptest.NewServer(service.NewInformationService(state.Information))
 	defer srv.Close()
 	c := service.NewInformationClient(srv.URL)
 	if err := c.Track(service.TrackRequest{BatchID: "b", EnvKey: "e", Size: 1000}); err != nil {
@@ -223,7 +215,7 @@ func TestSnapshotDoesNotRaceSamples(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < n; i++ {
-			if err := info.WriteJSON(io.Discard); err != nil {
+			if err := state.WriteJSON(io.Discard); err != nil {
 				t.Error(err)
 				return
 			}
