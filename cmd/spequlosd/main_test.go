@@ -249,6 +249,59 @@ func TestCloseWritesFinalImage(t *testing.T) {
 	}
 }
 
+// TestLoadStateRoundTrip: the image written to a state dir is what restore
+// hands the next daemon, every module included.
+func TestLoadStateRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	s := core.NewState()
+	bi, _ := s.Information.Track("b", "env", 10, 0)
+	bi.AddSample(60, 10, 10, 0, 0)
+	s.Credits.Deposit("u", 42)
+	s.Calibration.Record("env", 100, 150)
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "state.json"), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, path, err := restore(dir)
+	if err != nil || path != filepath.Join(dir, "state.json") {
+		t.Fatalf("restore: path %q, error %v", path, err)
+	}
+	if v, ok := got.Information.View("b"); !ok || !v.Done {
+		t.Fatal("information not restored")
+	}
+	if got.Credits.AccountOf("u").Balance != 42 {
+		t.Fatal("credits not restored")
+	}
+	if got.Calibration.Count("env") != 1 {
+		t.Fatal("calibration not restored")
+	}
+}
+
+// TestLoadStateFreshWhenMissing: without a state dir, or with one that holds
+// no image, restore starts every module empty and writes nothing.
+func TestLoadStateFreshWhenMissing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "new")
+	for _, d := range []string{dir, ""} {
+		s, _, err := restore(d)
+		if err != nil {
+			t.Fatalf("restore(%q): %v", d, err)
+		}
+		if s.Information == nil || s.Credits == nil || s.Calibration == nil {
+			t.Fatalf("restore(%q): nil module in %+v", d, s)
+		}
+		if s.Credits.AccountOf("u").Balance != 0 {
+			t.Fatalf("restore(%q): fresh state holds credits", d)
+		}
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Fatalf("state dir holds %v (%v), want it created and empty", entries, err)
+	}
+}
+
 // TestRestartRestoresState: a second daemon on the first one's state dir
 // serves, over its own socket, the balances, orders, archive and calibration
 // the first one held when it stopped.
