@@ -47,24 +47,18 @@ func DefaultConfig() Config {
 // the frame (Park), and resumed if the host returns.
 type Server struct {
 	*frame
-	cfg     Config
+	cfg Config
+	// pending is the queue of workunits with unsent replicas; a worker
+	// dedicated to a batch is served from the batch's view of it.
 	pending middleware.Pending[*workunit]
-
-	opDeadline sim.Op // Payload.A = *exec: delay_bound expired
 }
 
 type (
-	frame    = middleware.Frame[replication, replica, pendingView]
-	batch    = middleware.BatchState[replication, replica, pendingView]
-	workunit = middleware.Task[replication, replica, pendingView]
-	exec     = middleware.Exec[replication, replica, pendingView]
+	frame    = middleware.Frame[replication, replica]
+	batch    = middleware.BatchState[replication, replica]
+	workunit = middleware.Task[replication, replica]
+	exec     = middleware.Exec[replication, replica]
 )
-
-// pendingView is the batch's view of the server's pending queue: what a
-// worker dedicated to the batch is served from.
-type pendingView struct {
-	view middleware.PendingView[*workunit]
-}
 
 // replication is the server's bookkeeping of one workunit's replicas.
 type replication struct {
@@ -122,8 +116,7 @@ func New(eng *sim.Engine, cfg Config) *Server {
 		cfg.DelayBound = 86400
 	}
 	s := &Server{cfg: cfg}
-	s.frame = middleware.NewFrame[replication, replica, pendingView](eng, "BOINC", s)
-	s.opDeadline = eng.RegisterOp(func(p sim.Payload) { s.deadline(p.A.(*exec)) })
+	s.frame = middleware.NewFrame[replication, replica](eng, "BOINC", s)
 	return s
 }
 
@@ -133,7 +126,7 @@ var _ middleware.Server = (*Server)(nil)
 // arrived workunit are created.
 func (s *Server) Enqueue(wu *workunit) {
 	wu.M = replication{unsent: s.cfg.TargetNResults}
-	s.pending.Push(wu, &wu.Batch.M.view)
+	s.pending.Push(wu, wu.Batch.Num())
 }
 
 // HasQueued implements middleware.Mechanism.
@@ -147,7 +140,7 @@ func (s *Server) FirstQueued(w *middleware.Worker, bt *batch) *workunit {
 	if bt == nil {
 		return s.pending.First(mayHold)
 	}
-	return s.pending.FirstIn(&bt.M.view, mayHold)
+	return s.pending.FirstIn(bt.Num(), mayHold)
 }
 
 // MayDuplicate implements middleware.Mechanism, and is the filter on unsent
@@ -199,7 +192,7 @@ func (s *Server) Start(ex *exec) {
 	s.Run(ex, dur)
 	// Deadline: if the result has not arrived by then, the replica is
 	// presumed lost and a replacement is created.
-	s.Eng.AfterOp(s.cfg.DelayBound, s.opDeadline, sim.Payload{A: ex})
+	s.Alarm(ex, s.cfg.DelayBound)
 }
 
 // Result implements middleware.Mechanism: min_quorum results complete the
@@ -225,12 +218,12 @@ func (s *Server) Result(ex *exec) bool {
 	return wu.M.results >= s.cfg.MinQuorum
 }
 
-// deadline fires delay_bound after a replica assignment. If that replica's
-// result has not arrived — dead host, or an alive host computing too slowly
-// — the server gives up on it and creates a replacement, keeping
-// target_nresults outstanding. This is the only mechanism through which
+// Expire implements middleware.Mechanism: the replica's deadline, delay_bound
+// after its assignment. If that replica's result has not arrived — dead host,
+// or an alive host computing too slowly — the server gives up on it and
+// creates a replacement, keeping target_nresults outstanding. This is the only mechanism through which
 // BOINC discovers host failures.
-func (s *Server) deadline(ex *exec) {
+func (s *Server) Expire(ex *exec) {
 	wu := ex.Task
 	if wu.Completed() || ex.M.settled {
 		return
@@ -242,8 +235,11 @@ func (s *Server) deadline(ex *exec) {
 		wu.M.unsent += s.cfg.TargetNResults - outstanding
 		if !wu.Queued() {
 			wu.SetQueued(true)
-			s.pending.Push(wu, &wu.Batch.M.view)
+			s.pending.Push(wu, wu.Batch.Num())
 		}
 		s.Dispatch()
 	}
 }
+
+// Clear implements middleware.Mechanism.
+func (s *Server) Clear() { s.pending.Reset() }

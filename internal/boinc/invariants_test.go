@@ -50,7 +50,7 @@ func mark(set map[*workunit]map[int]bool, wu *workunit, id int) {
 func newShadowed(eng *sim.Engine, cfg Config) (*Server, *shadow) {
 	s := New(eng, cfg)
 	sh := &shadow{Server: s, holders: map[*workunit]map[int]bool{}, returned: map[*workunit]map[int]bool{}}
-	s.frame = middleware.NewFrame[replication, replica, pendingView](eng, "BOINC", sh)
+	s.frame = middleware.NewFrame[replication, replica](eng, "BOINC", sh)
 	return s, sh
 }
 
@@ -110,6 +110,50 @@ func TestFrameInvariants(t *testing.T) {
 				t.Fatal("no task completed: the sequences exercise nothing")
 			}
 			t.Logf("%d events checked, %d tasks completed", events, completed)
+		})
+	}
+}
+
+// TestReusedFrameInvariants runs the sequences of TestFrameInvariants
+// through one server per middleware, reset and reopened on one reset engine
+// between seeds as a campaign's cell arena reuses them, with the invariant
+// checker after every event. Each seed must run as it does on a new server.
+func TestReusedFrameInvariants(t *testing.T) {
+	type reusable interface {
+		checkedServer
+		Open(*sim.Engine)
+		Reset()
+	}
+	models := []struct {
+		name string
+		new  func(*sim.Engine) reusable
+	}{
+		{"BOINC", func(eng *sim.Engine) reusable {
+			return New(eng, Config{TargetNResults: 3, MinQuorum: 2, DelayBound: 400, OneResultPerWorker: true})
+		}},
+		{"XWHEP", func(eng *sim.Engine) reusable {
+			return xwhep.New(eng, xwhep.Config{KeepAlivePeriod: 20, WorkerTimeout: 100})
+		}},
+		{"CONDOR", func(eng *sim.Engine) reusable { return condor.New(eng, condor.DefaultConfig()) }},
+	}
+	for _, m := range models {
+		t.Run(m.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			srv := m.new(eng)
+			for seed := int64(1); seed <= 12; seed++ {
+				if seed > 1 {
+					srv.Reset()
+					eng.Reset()
+					srv.Open(eng)
+				}
+				events, completed := driveRandom(t, seed, eng, srv, nil)
+				fresh := sim.NewEngine()
+				wantEvents, wantCompleted := driveRandom(t, seed, fresh, m.new(fresh), nil)
+				if events != wantEvents || completed != wantCompleted || eng.Now() != fresh.Now() {
+					t.Fatalf("seed %d: the reused server ran %d events, completed %d, ended at %v; a new one %d, %d, %v",
+						seed, events, completed, eng.Now(), wantEvents, wantCompleted, fresh.Now())
+				}
+			}
 		})
 	}
 }

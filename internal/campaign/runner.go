@@ -3,6 +3,7 @@ package campaign
 import (
 	"hash/fnv"
 	"runtime"
+	"slices"
 
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
@@ -93,8 +94,14 @@ func (c *completions) watch(id string, size int) {
 	c.at[id] = -1
 	c.running++
 	if c.single {
-		c.tasks = make([]float64, 0, size)
+		c.tasks = slices.Grow(c.tasks[:0], size)
 	}
+}
+
+// reset empties the listener for the next cell, keeping its capacity.
+func (c *completions) reset() {
+	clear(c.at)
+	*c = completions{at: c.at, tasks: c.tasks[:0]}
 }
 
 func (c *completions) TaskAssigned(string, int, float64) {}
@@ -222,7 +229,22 @@ func (q inProcess) Close()                                           {}
 // belong to the shape axis; (f) is the completions listener; (g) is
 // serviceConfig; (h) is the Backend seam: which implementation serves the
 // QoS side is the job's choice, what the executor asks of it is not.
+//
+// A serial cell runs in a cellArena from the pool and returns it reset.
 func executeOnce(j Job, horizon float64) Entry {
+	if j.Scenario.Profile.Sharded() {
+		return runCell(nil, j, horizon)
+	}
+	a := arenas.Get().(*cellArena)
+	defer a.release()
+	return runCell(a, j, horizon)
+}
+
+// runCell is executeOnce in a given arena: a serial cell builds its engine,
+// server, binding and listener from a, which the caller resets afterwards; a
+// sharded cell passes nil. Nothing of the cell outlives it but the Entry,
+// which holds nothing of the arena.
+func runCell(a *cellArena, j Job, horizon float64) Entry {
 	sc := j.Scenario
 	seed := sc.Seed()
 	nb := sc.SubBatches()
@@ -252,8 +274,8 @@ func executeOnce(j Job, horizon float64) Entry {
 	}
 	hosts := make([]host, nb)
 	var listeners []*completions
-	listen := func(eng *sim.Engine, srv middleware.Server) host {
-		l := &completions{at: map[string]float64{}, single: !multi}
+	listen := func(eng *sim.Engine, srv middleware.Server, l *completions) host {
+		l.single = !multi
 		srv.AddListener(l)
 		listeners = append(listeners, l)
 		return host{eng, srv, l}
@@ -261,13 +283,10 @@ func executeOnce(j Job, horizon float64) Entry {
 	var kernel *sim.Sharded // nil on the serial kernel
 	var ctl *sim.Engine     // the engine the service lives on
 	if !sharded {
-		ctl = sim.NewEngine()
-		// Nothing of the cell outlives this function but the Entry, which
-		// holds no engine: the next cell on this worker reuses the arena.
-		defer ctl.Release()
-		srv := newServer(ctl, sc.Middleware)
-		middleware.BindTrace(ctl, tr, srv)
-		h := listen(ctl, srv)
+		ctl = a.eng
+		srv := a.server(sc.Middleware)
+		a.binding.Bind(ctl, tr, srv)
+		h := listen(ctl, srv, &a.done)
 		for k := range hosts {
 			hosts[k] = h
 		}
@@ -281,7 +300,7 @@ func executeOnce(j Job, horizon float64) Entry {
 			// nb, a pure function of the node IDs — invariant under the
 			// shard count.
 			churn := middleware.BindTracePartition(eng, tr, srv, k, nb)
-			hosts[k] = listen(eng, srv)
+			hosts[k] = listen(eng, srv, &completions{at: map[string]float64{}})
 			// A baseline's partition is unbound when its batch completes:
 			// nothing reads its churn after that, and the listener fires on
 			// this shard's goroutine, where the binding lives. A cell with a
@@ -467,14 +486,15 @@ func executeOnce(j Job, horizon float64) Entry {
 	if multi {
 		res.Batches = batches
 	} else if res.Completed {
+		// The arena's completion times, sorted in place: the median is read
+		// off them, as it is off the completion series.
 		done := listeners[0].tasks
+		slices.Sort(done)
 		if tail, ok := metrics.ComputeTail(done); ok {
 			res.Tail = tail
 		}
 		if n := len(done); n >= 2 {
-			series := metrics.CompletionSeries(done)
-			half := series[(n+1)/2-1].T
-			if half > 0 {
+			if half := done[(n+1)/2-1]; half > 0 {
 				res.TC50Base = half / 0.5
 			}
 		}

@@ -19,7 +19,6 @@ import (
 	"spequlos/internal/condor"
 	"spequlos/internal/core"
 	"spequlos/internal/metrics"
-	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
 	"spequlos/internal/spot"
 	"spequlos/internal/trace"
@@ -43,7 +42,7 @@ func AllMiddlewares() []string { return []string{BOINC, XWHEP, CONDOR} }
 // newServer builds a middleware server by name with its default
 // configuration, panicking on an unknown name (the CLIs validate theirs up
 // front).
-func newServer(eng *sim.Engine, mw string) middleware.Server {
+func newServer(eng *sim.Engine, mw string) reusableServer {
 	switch mw {
 	case BOINC:
 		return boinc.New(eng, boinc.DefaultConfig())

@@ -1,6 +1,8 @@
 package middleware
 
 import (
+	"slices"
+
 	"spequlos/internal/sim"
 	"spequlos/internal/trace"
 )
@@ -10,7 +12,8 @@ import (
 // the node's availability intervals. Events are scheduled lazily — one
 // pending event per node, carried as op-code events with inline payloads,
 // so churn allocates nothing beyond the per-node records, which are two
-// slabs sized to the bound nodes.
+// slabs sized to the bound nodes. A Binding reused through Reset and Bind
+// keeps its slabs.
 type Binding struct {
 	eng     *sim.Engine
 	srv     Server
@@ -37,6 +40,18 @@ func BindTrace(eng *sim.Engine, tr *trace.Trace, srv Server) *Binding {
 	return BindTracePartition(eng, tr, srv, 0, 1)
 }
 
+// Bind attaches every node of the trace to the server, as BindTrace does,
+// reusing the binding's slabs. The binding must be new or Reset.
+func (b *Binding) Bind(eng *sim.Engine, tr *trace.Trace, srv Server) { b.bind(eng, tr, srv, 0, 1) }
+
+// Reset empties the binding for a later Bind: it keeps its slabs (recycle)
+// and holds nothing of the engine, trace and server it was bound to.
+// The workers it built are zeroed, so each is a new worker to the server it
+// joins next.
+func (b *Binding) Reset() {
+	*b = Binding{workers: recycle(b.workers), nodes: recycle(b.nodes)}
+}
+
 // BindTracePartition attaches the part-th of parts stable-hash partitions
 // of the trace's nodes to the server. Node→partition assignment is a pure
 // function of the node ID (FNV-32a), so the union of all parts is exactly BindTrace's node set and
@@ -44,6 +59,14 @@ func BindTrace(eng *sim.Engine, tr *trace.Trace, srv Server) *Binding {
 // the same way. The sharded campaign kernel uses this to give every QoS
 // batch a dedicated, disjoint slice of one common trace.
 func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, parts int) *Binding {
+	b := new(Binding)
+	b.bind(eng, tr, srv, part, parts)
+	return b
+}
+
+// bind attaches the part-th of parts partitions to the server: the work of
+// BindTracePartition, on an empty binding.
+func (b *Binding) bind(eng *sim.Engine, tr *trace.Trace, srv Server, part, parts int) {
 	if parts < 1 || part < 0 || part >= parts {
 		parts, part = 1, 0
 	}
@@ -60,7 +83,8 @@ func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, part
 			}
 		}
 	}
-	b := &Binding{eng: eng, srv: srv, workers: make([]Worker, 0, members), nodes: make([]boundNode, 0, members)}
+	b.eng, b.srv = eng, srv
+	b.workers, b.nodes = slices.Grow(b.workers, members), slices.Grow(b.nodes, members)
 	b.opJoin = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).join(p.I, p.X) })
 	b.opLeave = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).leave(p.I, p.X) })
 	base := eng.Now()
@@ -77,7 +101,6 @@ func BindTracePartition(eng *sim.Engine, tr *trace.Trace, srv Server, part, part
 		b.nodes = append(b.nodes, boundNode{b: b, w: &b.workers[len(b.workers)-1], node: node})
 		b.nodes[len(b.nodes)-1].schedule(0, base)
 	}
-	return b
 }
 
 // nodePartition maps a trace-node ID onto one of parts partitions: FNV-32a

@@ -18,23 +18,32 @@ import (
 // (internal/boinc), or the single execution, failure detection and
 // checkpoints that XWHEP and Condor share (internal/xwhep).
 //
-// T, E and B are the state the mechanism keeps per task, per execution and
-// per batch (its pending-queue views); the frame stores them and never looks
-// inside.
+// T and E are the state the mechanism keeps per task and per execution; the
+// frame stores them and never looks inside.
 //
 // The state is dense: a worker's record is a slot of the frame's worker
 // table, numbered at its first Attach; a task's executions are a short slice
-// in worker-ID order; a batch's tasks are one slab.
-type Frame[T, E, B any] struct {
+// in worker-ID order, carved from its batch's slab; a batch's tasks are one
+// slab; executions are records of a bump slab.
+//
+// A server is reusable: Reset empties it and Open readies it on the next
+// cell's engine, which reuses the slabs (recycle). A cell frees nothing
+// while it runs, so no record moves or is recycled under a pointer to it;
+// every slab is zero past what the cell used, so Reset costs what the cell
+// used, not what the slabs hold.
+type Frame[T, E any] struct {
 	Eng  *sim.Engine
 	name string
-	mech Mechanism[T, E, B]
+	mech Mechanism[T, E]
 
 	listeners Listeners
-	batches   map[string]*BatchState[T, E, B]
+	batches   map[string]*BatchState[T, E]
+	// pool holds every batch state the frame has built; batch k of a cell
+	// (BatchState.Num) reuses pool[k].
+	pool []*BatchState[T, E]
 	// workers is every worker the server has seen, by slot, and the idle
 	// set; attached counts the records flagged attached.
-	workers  workerTable[workerState[T, E, B]]
+	workers  workerTable[workerState[T, E]]
 	attached int
 
 	reschedule bool
@@ -43,44 +52,74 @@ type Frame[T, E, B any] struct {
 	// eligible work, reused across rounds to avoid per-tick allocation.
 	barren map[string]bool
 
+	// execs is the bump slab executions are carved from: chunks of
+	// execChunk records that never move, at most keptExecChunks of them. The
+	// cell uses the first usedChunks; free is the rest of the chunk in use.
+	// Past the slab, an execution is an allocation of its own.
+	execs      [][]Exec[T, E]
+	usedChunks int
+	free       []Exec[T, E]
+
 	// Registered op handlers: scheduling an op event carries only an arena
 	// payload, so the hot path allocates no closures.
 	opArrive sim.Op // Payload.A = *Task
 	opResult sim.Op // Payload.A = *Exec: the execution's result arrives
+	opAlarm  sim.Op // Payload.A = *Exec: the mechanism's alarm (Alarm)
 }
+
+const (
+	// execChunk is the number of Exec records in a chunk of the slab.
+	execChunk = 256
+	// keptExecChunks bounds the slab: 8192 records, more than any single-BoT
+	// cell of the standard profile uses (4549 at most). The executions past
+	// it are allocated one by one, so that the collector reclaims each once
+	// it is unreachable: a long multi-batch cell would otherwise hold every
+	// execution it ran until it ends.
+	keptExecChunks = 32
+	// execsPerTask is the capacity of a task's execution list carved from
+	// its batch's slab: BOINC's three replicas and a reissue. A task that
+	// needs more grows its list on its own.
+	execsPerTask = 4
+)
 
 // Mechanism is a middleware's way of coping with host volatility, as the
 // frame sees it: where pending work waits, what a worker may be handed, what
 // starting an execution entails and when a returned result completes its
 // task. WorkerJoin, WorkerLeave and whatever the mechanism schedules on its
 // own (a replica deadline, a failure detection) reach back into the frame
-// through Attach, Detach, Park, Unpark, Offer, Run, Resume and Dispatch.
-type Mechanism[T, E, B any] interface {
+// through Attach, Detach, Park, Unpark, Offer, Run, Resume, Alarm and
+// Dispatch.
+type Mechanism[T, E any] interface {
 	// Enqueue puts a task that just arrived, already flagged queued, into
 	// the pending work.
-	Enqueue(t *Task[T, E, B])
+	Enqueue(t *Task[T, E])
 	// HasQueued reports whether any task waits for a worker.
 	HasQueued() bool
 	// FirstQueued returns the first waiting task the worker may take: from
 	// bt's views of the pending work when the worker is dedicated to that
 	// batch, from all of it when bt is nil.
-	FirstQueued(w *Worker, bt *BatchState[T, E, B]) *Task[T, E, B]
+	FirstQueued(w *Worker, bt *BatchState[T, E]) *Task[T, E]
 	// MayDuplicate reports whether a cloud worker dedicated to t's batch
 	// may run one more execution of the arrived, incomplete task t.
-	MayDuplicate(w *Worker, t *Task[T, E, B]) bool
+	MayDuplicate(w *Worker, t *Task[T, E]) bool
 	// Start begins an execution the frame has just recorded: it takes the
 	// work off the queue, accounts for it and calls Run.
-	Start(ex *Exec[T, E, B])
+	Start(ex *Exec[T, E])
 	// Result accounts for a result that arrived and reports whether it
 	// completes the task.
-	Result(ex *Exec[T, E, B]) bool
+	Result(ex *Exec[T, E]) bool
+	// Expire handles the alarm the mechanism set on an execution (Alarm):
+	// BOINC's replica deadline, XWHEP's and Condor's failure detection.
+	Expire(ex *Exec[T, E])
+	// Clear empties the mechanism's queues, keeping their capacity; the
+	// frame's Reset calls it.
+	Clear()
 }
 
 // BatchState is a submitted batch on a server.
-type BatchState[T, E, B any] struct {
-	Spec Batch
-	// M is the mechanism's per-batch state.
-	M         B
+type BatchState[T, E any] struct {
+	Spec      Batch
+	num       int
 	size      int
 	arrived   int
 	completed int
@@ -89,24 +128,50 @@ type BatchState[T, E, B any] struct {
 	// work scans.
 	running int
 	done    bool
-	tasks   []Task[T, E, B]
+	tasks   []Task[T, E]
 	// index resolves a task by its spec ID: 1 + the task's index in tasks, 0
 	// for no task. IDs are batch-unique but not slice indexes when the batch
 	// is a subset (Cloud Duplication submits only the incomplete tasks to the
 	// cloud server), so the table is as long as the largest ID.
 	index []int32
+	// execs backs the tasks' execution lists, execsPerTask each.
+	execs []*Exec[T, E]
 }
 
+// Num is the batch's number on its server: the count of batches submitted
+// before it. The mechanism's queues list a batch's entries under it.
+func (bt *BatchState[T, E]) Num() int { return bt.num }
+
+// reset empties the batch state for reuse.
+func (bt *BatchState[T, E]) reset() {
+	*bt = BatchState[T, E]{tasks: recycle(bt.tasks), index: recycle(bt.index), execs: recycle(bt.execs)}
+}
+
+// recycle empties a slab for the next cell: cleared and kept when the cell
+// used at least half of it, dropped otherwise, so that one large cell's slabs
+// are not held through the smaller ones after it.
+func recycle[S any](s []S) []S {
+	if 2*len(s) < cap(s) {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// grow returns s resized to n elements, reusing its backing array when it is
+// large enough; the elements are zero if s is zero past its length.
+func grow[S any](s []S, n int) []S { return slices.Grow(s[:0], n)[:n] }
+
 // Task is one task of a batch (a BOINC workunit, an XWHEP or Condor job).
-type Task[T, E, B any] struct {
-	Batch *BatchState[T, E, B]
+type Task[T, E any] struct {
+	Batch *BatchState[T, E]
 	Spec  bot.Task
 	// M is the mechanism's per-task state.
 	M T
 	// execs holds the task's executions the server has not given up on, in
 	// worker-ID order. The mechanism may drop one (DropExec); only the frame
 	// inserts.
-	execs []*Exec[T, E, B]
+	execs []*Exec[T, E]
 
 	arrived   bool
 	completed bool
@@ -116,21 +181,21 @@ type Task[T, E, B any] struct {
 }
 
 // Queued implements Queueable: the task waits for a worker.
-func (t *Task[T, E, B]) Queued() bool { return t.queued }
+func (t *Task[T, E]) Queued() bool { return t.queued }
 
 // SetQueued records whether the task waits for a worker; pushing it onto a
 // Pending queue is the mechanism's business.
-func (t *Task[T, E, B]) SetQueued(queued bool) { t.queued = queued }
+func (t *Task[T, E]) SetQueued(queued bool) { t.queued = queued }
 
 // Completed reports whether the task's result was accepted or merged in.
-func (t *Task[T, E, B]) Completed() bool { return t.completed }
+func (t *Task[T, E]) Completed() bool { return t.completed }
 
 // Running reports whether the server believes the task is executing.
-func (t *Task[T, E, B]) Running() bool { return t.running }
+func (t *Task[T, E]) Running() bool { return t.running }
 
 // SetRunning records whether the server believes the task is executing —
 // what Progress reports as Running and what makes it a Reschedule candidate.
-func (t *Task[T, E, B]) SetRunning(running bool) {
+func (t *Task[T, E]) SetRunning(running bool) {
 	if running != t.running {
 		t.running = running
 		if running {
@@ -142,7 +207,7 @@ func (t *Task[T, E, B]) SetRunning(running bool) {
 }
 
 // ExecOn returns the task's execution on w, nil if there is none.
-func (t *Task[T, E, B]) ExecOn(w *Worker) *Exec[T, E, B] {
+func (t *Task[T, E]) ExecOn(w *Worker) *Exec[T, E] {
 	for _, ex := range t.execs {
 		if ex.W == w {
 			return ex
@@ -152,7 +217,7 @@ func (t *Task[T, E, B]) ExecOn(w *Worker) *Exec[T, E, B] {
 }
 
 // DropExec gives up on the task's execution on w, if there is one.
-func (t *Task[T, E, B]) DropExec(w *Worker) {
+func (t *Task[T, E]) DropExec(w *Worker) {
 	for i, ex := range t.execs {
 		if ex.W == w {
 			t.execs = slices.Delete(t.execs, i, i+1)
@@ -162,11 +227,11 @@ func (t *Task[T, E, B]) DropExec(w *Worker) {
 }
 
 // NumExecs returns the number of executions the server has not given up on.
-func (t *Task[T, E, B]) NumExecs() int { return len(t.execs) }
+func (t *Task[T, E]) NumExecs() int { return len(t.execs) }
 
 // addExec records an execution, in worker-ID order: it replaces one on the
 // same worker.
-func (t *Task[T, E, B]) addExec(ex *Exec[T, E, B]) {
+func (t *Task[T, E]) addExec(ex *Exec[T, E]) {
 	i := 0
 	for ; i < len(t.execs) && t.execs[i].W.ID <= ex.W.ID; i++ {
 		if t.execs[i].W == ex.W {
@@ -178,7 +243,7 @@ func (t *Task[T, E, B]) addExec(ex *Exec[T, E, B]) {
 }
 
 // cloudExecs counts the task's executions on cloud workers.
-func (t *Task[T, E, B]) cloudExecs() int {
+func (t *Task[T, E]) cloudExecs() int {
 	n := 0
 	for _, ex := range t.execs {
 		if ex.W.Cloud {
@@ -189,9 +254,9 @@ func (t *Task[T, E, B]) cloudExecs() int {
 }
 
 // Exec is one execution of a task on a worker.
-type Exec[T, E, B any] struct {
+type Exec[T, E any] struct {
 	W    *Worker
-	Task *Task[T, E, B]
+	Task *Task[T, E]
 	// M is the mechanism's per-execution state.
 	M      E
 	result sim.Event
@@ -200,38 +265,76 @@ type Exec[T, E, B any] struct {
 // workerState is what the frame keeps per worker it has seen: whether it is
 // attached, the task it executes (nil while it is idle or away) and the
 // execution parked on it while it is away (Park).
-type workerState[T, E, B any] struct {
+type workerState[T, E any] struct {
 	attached bool
-	cur      *Task[T, E, B]
-	parked   *Exec[T, E, B]
+	cur      *Task[T, E]
+	parked   *Exec[T, E]
 }
 
 // NewFrame creates the frame of a server called name on the engine.
-func NewFrame[T, E, B any](eng *sim.Engine, name string, mech Mechanism[T, E, B]) *Frame[T, E, B] {
-	f := &Frame[T, E, B]{
-		Eng:     eng,
+func NewFrame[T, E any](eng *sim.Engine, name string, mech Mechanism[T, E]) *Frame[T, E] {
+	f := &Frame[T, E]{
 		name:    name,
 		mech:    mech,
-		batches: map[string]*BatchState[T, E, B]{},
+		batches: map[string]*BatchState[T, E]{},
 		barren:  map[string]bool{},
 	}
-	f.opArrive = eng.RegisterOp(func(p sim.Payload) { f.arrive(p.A.(*Task[T, E, B])) })
-	f.opResult = eng.RegisterOp(func(p sim.Payload) { f.result(p.A.(*Exec[T, E, B])) })
+	f.Open(eng)
 	return f
 }
 
+// Open readies the server on eng, new or after Reset: its handlers are
+// registered there.
+func (f *Frame[T, E]) Open(eng *sim.Engine) {
+	f.Eng = eng
+	f.opArrive = eng.RegisterOp(func(p sim.Payload) { f.arrive(p.A.(*Task[T, E])) })
+	f.opResult = eng.RegisterOp(func(p sim.Payload) { f.result(p.A.(*Exec[T, E])) })
+	f.opAlarm = eng.RegisterOp(func(p sim.Payload) { f.mech.Expire(p.A.(*Exec[T, E])) })
+}
+
+// Reset empties the server — batches, workers, executions, listeners, the
+// mechanism's queues — and detaches it from its engine, keeping its slabs
+// (recycle), so that it holds nothing of the cell it ran. Every worker
+// the server numbered is free to join another server. Open readies it again.
+func (f *Frame[T, E]) Reset() {
+	f.workers.reset()
+	used := len(f.batches)
+	for _, bt := range f.pool[:used] {
+		bt.reset()
+	}
+	if 2*used < len(f.pool) {
+		clear(f.pool[used:])
+		f.pool = f.pool[:used]
+	}
+	clear(f.batches)
+	clear(f.barren)
+	clear(f.listeners)
+	f.listeners = f.listeners[:0]
+	for _, chunk := range f.execs[:f.usedChunks] {
+		clear(chunk)
+	}
+	if 2*f.usedChunks < len(f.execs) {
+		clear(f.execs[f.usedChunks:])
+		f.execs = f.execs[:f.usedChunks]
+	}
+	f.usedChunks, f.free = 0, nil
+	f.attached, f.reschedule = 0, false
+	f.mech.Clear()
+	f.Eng, f.opArrive, f.opResult, f.opAlarm = nil, 0, 0, 0
+}
+
 // MiddlewareName implements Server.
-func (f *Frame[T, E, B]) MiddlewareName() string { return f.name }
+func (f *Frame[T, E]) MiddlewareName() string { return f.name }
 
 // AddListener implements Server.
-func (f *Frame[T, E, B]) AddListener(l Listener) { f.listeners = append(f.listeners, l) }
+func (f *Frame[T, E]) AddListener(l Listener) { f.listeners = append(f.listeners, l) }
 
 // SetReschedule implements Server.
-func (f *Frame[T, E, B]) SetReschedule(enabled bool) { f.reschedule = enabled }
+func (f *Frame[T, E]) SetReschedule(enabled bool) { f.reschedule = enabled }
 
 // Submit implements Server. A repeated or negative task ID panics, as a
 // repeated batch ID does.
-func (f *Frame[T, E, B]) Submit(b Batch) {
+func (f *Frame[T, E]) Submit(b Batch) {
 	if _, ok := f.batches[b.ID]; ok {
 		panic(fmt.Sprintf("%s: duplicate batch %q", f.name, b.ID))
 	}
@@ -242,18 +345,26 @@ func (f *Frame[T, E, B]) Submit(b Batch) {
 		}
 		maxID = max(maxID, spec.ID)
 	}
-	bt := &BatchState[T, E, B]{
-		Spec:  b,
-		size:  len(b.Tasks),
-		tasks: make([]Task[T, E, B], len(b.Tasks)),
-		index: make([]int32, maxID+1),
+	num := len(f.batches)
+	if num == len(f.pool) {
+		f.pool = append(f.pool, new(BatchState[T, E]))
 	}
+	bt := f.pool[num]
+	bt.index = grow(bt.index, maxID+1)
 	for i, spec := range b.Tasks {
 		if bt.index[spec.ID] != 0 {
+			clear(bt.index)
 			panic(fmt.Sprintf("%s: batch %q: duplicate task ID %d", f.name, b.ID, spec.ID))
 		}
 		bt.index[spec.ID] = int32(i + 1)
-		bt.tasks[i] = Task[T, E, B]{Batch: bt, Spec: spec}
+	}
+	n := len(b.Tasks)
+	bt.Spec, bt.num, bt.size = b, num, n
+	bt.tasks = grow(bt.tasks, n)
+	bt.execs = grow(bt.execs, n*execsPerTask)
+	for i, spec := range b.Tasks {
+		execs := bt.execs[i*execsPerTask : i*execsPerTask : (i+1)*execsPerTask]
+		bt.tasks[i] = Task[T, E]{Batch: bt, Spec: spec, execs: execs}
 	}
 	f.batches[b.ID] = bt
 	for i := range bt.tasks {
@@ -263,7 +374,7 @@ func (f *Frame[T, E, B]) Submit(b Batch) {
 }
 
 // arrive makes a task visible to the scheduler at its arrival time.
-func (f *Frame[T, E, B]) arrive(t *Task[T, E, B]) {
+func (f *Frame[T, E]) arrive(t *Task[T, E]) {
 	t.arrived = true
 	t.Batch.arrived++
 	if t.completed {
@@ -279,7 +390,7 @@ func (f *Frame[T, E, B]) arrive(t *Task[T, E, B]) {
 // Attach records a joining worker, reporting false if it was attached
 // already. The caller follows with Resume or Offer. The frame numbers a
 // worker at its first Attach; a worker another server numbered panics.
-func (f *Frame[T, E, B]) Attach(w *Worker) bool {
+func (f *Frame[T, E]) Attach(w *Worker) bool {
 	st := &f.workers.number(w).state
 	if st.attached {
 		return false
@@ -290,7 +401,7 @@ func (f *Frame[T, E, B]) Attach(w *Worker) bool {
 }
 
 // Offer makes an attached worker available for work.
-func (f *Frame[T, E, B]) Offer(w *Worker) {
+func (f *Frame[T, E]) Offer(w *Worker) {
 	f.workers.Add(w)
 	f.Dispatch()
 }
@@ -298,7 +409,7 @@ func (f *Frame[T, E, B]) Offer(w *Worker) {
 // Detach removes a leaving worker. If it was executing, the result it would
 // have returned is cancelled and the execution — still among its task's
 // executions, since the server has not noticed anything — is returned.
-func (f *Frame[T, E, B]) Detach(w *Worker) *Exec[T, E, B] {
+func (f *Frame[T, E]) Detach(w *Worker) *Exec[T, E] {
 	s := f.workers.slot(w)
 	if s == nil || !s.state.attached {
 		return nil
@@ -319,10 +430,10 @@ func (f *Frame[T, E, B]) Detach(w *Worker) *Exec[T, E, B] {
 
 // Park keeps an execution Detach returned on its worker's record until the
 // worker comes back (Unpark). Parking another replaces it.
-func (f *Frame[T, E, B]) Park(ex *Exec[T, E, B]) { f.workers.slot(ex.W).state.parked = ex }
+func (f *Frame[T, E]) Park(ex *Exec[T, E]) { f.workers.slot(ex.W).state.parked = ex }
 
 // Unpark returns and forgets the execution parked on w, nil if there is none.
-func (f *Frame[T, E, B]) Unpark(w *Worker) *Exec[T, E, B] {
+func (f *Frame[T, E]) Unpark(w *Worker) *Exec[T, E] {
 	s := f.workers.slot(w)
 	if s == nil {
 		return nil
@@ -333,19 +444,24 @@ func (f *Frame[T, E, B]) Unpark(w *Worker) *Exec[T, E, B] {
 }
 
 // Run schedules the execution's result dur seconds from now.
-func (f *Frame[T, E, B]) Run(ex *Exec[T, E, B], dur float64) {
+func (f *Frame[T, E]) Run(ex *Exec[T, E], dur float64) {
 	ex.result = f.Eng.AfterOp(dur, f.opResult, sim.Payload{A: ex})
+}
+
+// Alarm schedules the mechanism's Expire(ex) d seconds from now.
+func (f *Frame[T, E]) Alarm(ex *Exec[T, E], d float64) {
+	f.Eng.AfterOp(d, f.opAlarm, sim.Payload{A: ex})
 }
 
 // Resume continues, on its freshly attached worker, an execution Detach
 // interrupted: the result arrives dur seconds from now.
-func (f *Frame[T, E, B]) Resume(ex *Exec[T, E, B], dur float64) {
+func (f *Frame[T, E]) Resume(ex *Exec[T, E], dur float64) {
 	f.workers.slot(ex.W).state.cur = ex.Task
 	f.Run(ex, dur)
 }
 
 // Dispatch pairs idle workers with assignable work until no pair remains.
-func (f *Frame[T, E, B]) Dispatch() {
+func (f *Frame[T, E]) Dispatch() {
 	for {
 		hasQueued := f.mech.HasQueued()
 		if !hasQueued && !(f.reschedule && f.workers.CloudCount() > 0 && f.anyDupCandidate()) {
@@ -355,7 +471,7 @@ func (f *Frame[T, E, B]) Dispatch() {
 		// fleet of same-batch cloud workers costs one scan, not N.
 		clear(f.barren)
 		barren := f.barren
-		var t *Task[T, E, B]
+		var t *Task[T, E]
 		w := f.workers.Pick(func(w *Worker) bool {
 			if barren[w.DedicatedBatch] {
 				return false
@@ -383,7 +499,7 @@ func (f *Frame[T, E, B]) Dispatch() {
 }
 
 // anyDupCandidate reports whether a Reschedule duplicate could be created.
-func (f *Frame[T, E, B]) anyDupCandidate() bool {
+func (f *Frame[T, E]) anyDupCandidate() bool {
 	for _, bt := range f.batches {
 		if !bt.done && bt.running > 0 {
 			return true
@@ -395,8 +511,8 @@ func (f *Frame[T, E, B]) anyDupCandidate() bool {
 // peek returns the task the worker would execute, without dequeuing. Batch
 // dedication (batchid in BOINC, xwgroup in XWHEP; §3.7) is applied here: a
 // dedicated worker is only ever shown its own batch.
-func (f *Frame[T, E, B]) peek(w *Worker) *Task[T, E, B] {
-	var bt *BatchState[T, E, B]
+func (f *Frame[T, E]) peek(w *Worker) *Task[T, E] {
+	var bt *BatchState[T, E]
 	if w.DedicatedBatch != "" {
 		if bt = f.batches[w.DedicatedBatch]; bt == nil {
 			return nil
@@ -412,7 +528,7 @@ func (f *Frame[T, E, B]) peek(w *Worker) *Task[T, E, B] {
 	// incomplete task. Cloud workers stay continuously busy until the batch
 	// completes — the paper's Fig 5 commentary — spreading over the
 	// least-duplicated tasks first.
-	var best *Task[T, E, B]
+	var best *Task[T, E]
 	bestDups := 0
 	for i := range bt.tasks {
 		t := &bt.tasks[i]
@@ -431,7 +547,7 @@ func (f *Frame[T, E, B]) peek(w *Worker) *Task[T, E, B] {
 }
 
 // assign hands an idle worker one execution of t.
-func (f *Frame[T, E, B]) assign(w *Worker, t *Task[T, E, B]) {
+func (f *Frame[T, E]) assign(w *Worker, t *Task[T, E]) {
 	s := f.workers.slot(w)
 	if s == nil || !s.state.attached || s.state.cur != nil {
 		panic(f.name + ": assigning to busy or detached worker")
@@ -442,14 +558,33 @@ func (f *Frame[T, E, B]) assign(w *Worker, t *Task[T, E, B]) {
 		t.Batch.assigned++
 		f.listeners.TaskAssigned(t.Batch.Spec.ID, t.Spec.ID, f.Eng.Now())
 	}
-	ex := &Exec[T, E, B]{W: w, Task: t}
+	ex := f.newExec(w, t)
 	t.addExec(ex)
 	f.mech.Start(ex)
 }
 
+// newExec carves an execution of t on w from the slab, or allocates it once
+// the slab is used up.
+func (f *Frame[T, E]) newExec(w *Worker, t *Task[T, E]) *Exec[T, E] {
+	if len(f.free) == 0 {
+		if f.usedChunks == len(f.execs) {
+			if len(f.execs) == keptExecChunks {
+				return &Exec[T, E]{W: w, Task: t}
+			}
+			f.execs = append(f.execs, make([]Exec[T, E], execChunk))
+		}
+		f.free = f.execs[f.usedChunks]
+		f.usedChunks++
+	}
+	ex := &f.free[0]
+	f.free = f.free[1:]
+	ex.W, ex.Task = w, t
+	return ex
+}
+
 // result handles a result arriving from an execution: the worker is free
 // again whatever the result is worth.
-func (f *Frame[T, E, B]) result(ex *Exec[T, E, B]) {
+func (f *Frame[T, E]) result(ex *Exec[T, E]) {
 	w, t := ex.W, ex.Task
 	f.release(w, t)
 	t.DropExec(w)
@@ -462,7 +597,7 @@ func (f *Frame[T, E, B]) result(ex *Exec[T, E, B]) {
 // complete marks t completed, cancels its other executions and frees their
 // workers. by is the worker whose result completed the task (nil for
 // externally-merged results).
-func (f *Frame[T, E, B]) complete(t *Task[T, E, B], by *Worker) {
+func (f *Frame[T, E]) complete(t *Task[T, E], by *Worker) {
 	bt := t.Batch
 	t.SetRunning(false)
 	t.completed = true
@@ -487,7 +622,7 @@ func (f *Frame[T, E, B]) complete(t *Task[T, E, B], by *Worker) {
 
 // release frees a worker executing t. A worker that left (and maybe came
 // back) is not on t.
-func (f *Frame[T, E, B]) release(w *Worker, t *Task[T, E, B]) {
+func (f *Frame[T, E]) release(w *Worker, t *Task[T, E]) {
 	if s := f.workers.slot(w); s != nil && s.state.cur == t {
 		s.state.cur = nil
 		f.workers.Add(w)
@@ -497,7 +632,7 @@ func (f *Frame[T, E, B]) release(w *Worker, t *Task[T, E, B]) {
 // MarkCompleted implements Server (result merging for Cloud Duplication).
 // Tasks are resolved by spec ID, which stays correct when the batch is a
 // subset whose IDs are not dense slice indexes.
-func (f *Frame[T, E, B]) MarkCompleted(batchID string, taskID int) {
+func (f *Frame[T, E]) MarkCompleted(batchID string, taskID int) {
 	bt := f.batches[batchID]
 	if bt == nil {
 		return
@@ -514,7 +649,7 @@ func (f *Frame[T, E, B]) MarkCompleted(batchID string, taskID int) {
 }
 
 // Progress implements Server.
-func (f *Frame[T, E, B]) Progress(batchID string) Progress {
+func (f *Frame[T, E]) Progress(batchID string) Progress {
 	bt := f.batches[batchID]
 	if bt == nil {
 		return Progress{}
@@ -537,13 +672,13 @@ func (f *Frame[T, E, B]) Progress(batchID string) Progress {
 }
 
 // Done implements Server.
-func (f *Frame[T, E, B]) Done(batchID string) bool {
+func (f *Frame[T, E]) Done(batchID string) bool {
 	bt := f.batches[batchID]
 	return bt != nil && bt.done
 }
 
 // Incomplete implements Server.
-func (f *Frame[T, E, B]) Incomplete(batchID string) []bot.Task {
+func (f *Frame[T, E]) Incomplete(batchID string) []bot.Task {
 	var out []bot.Task
 	tasks := f.Tasks(batchID)
 	for i := range tasks {
@@ -558,7 +693,7 @@ func (f *Frame[T, E, B]) Incomplete(batchID string) []bot.Task {
 
 // Tasks returns a batch's tasks in submission order (nil for an unknown
 // batch).
-func (f *Frame[T, E, B]) Tasks(batchID string) []Task[T, E, B] {
+func (f *Frame[T, E]) Tasks(batchID string) []Task[T, E] {
 	bt := f.batches[batchID]
 	if bt == nil {
 		return nil
@@ -567,7 +702,7 @@ func (f *Frame[T, E, B]) Tasks(batchID string) []Task[T, E, B] {
 }
 
 // WorkerBusy implements Server.
-func (f *Frame[T, E, B]) WorkerBusy(w *Worker) bool {
+func (f *Frame[T, E]) WorkerBusy(w *Worker) bool {
 	s := f.workers.slot(w)
 	return s != nil && s.state.cur != nil
 }
@@ -578,7 +713,7 @@ func (f *Frame[T, E, B]) WorkerBusy(w *Worker) bool {
 // every idle worker is attached with no task; a worker's task has an
 // execution on it; and each task's executions are in strictly increasing
 // worker-ID order.
-func (f *Frame[T, E, B]) CheckInvariants() error {
+func (f *Frame[T, E]) CheckInvariants() error {
 	ws := &f.workers
 	attached, idle, cloud := 0, 0, 0
 	for i := range ws.slots {

@@ -10,10 +10,10 @@ import (
 )
 
 type (
-	stubFrame = Frame[struct{}, struct{}, struct{}]
-	stubBatch = BatchState[struct{}, struct{}, struct{}]
-	stubTask  = Task[struct{}, struct{}, struct{}]
-	stubExec  = Exec[struct{}, struct{}, struct{}]
+	stubFrame = Frame[struct{}, struct{}]
+	stubBatch = BatchState[struct{}, struct{}]
+	stubTask  = Task[struct{}, struct{}]
+	stubExec  = Exec[struct{}, struct{}]
 )
 
 // stubServer is the least a server on the frame can be: one FIFO of tasks,
@@ -27,7 +27,7 @@ type stubServer struct {
 
 func newStub(eng *sim.Engine) *stubServer {
 	s := &stubServer{}
-	s.stubFrame = NewFrame[struct{}, struct{}, struct{}](eng, "STUB", s)
+	s.stubFrame = NewFrame[struct{}, struct{}](eng, "STUB", s)
 	return s
 }
 
@@ -47,6 +47,8 @@ func (s *stubServer) Start(ex *stubExec) {
 	s.Run(ex, 1)
 }
 func (s *stubServer) Result(*stubExec) bool { return false }
+func (s *stubServer) Expire(*stubExec)      {}
+func (s *stubServer) Clear()                { clear(s.queue); s.queue = s.queue[:0] }
 
 func (s *stubServer) WorkerJoin(w *Worker) {
 	if !s.Attach(w) {
@@ -112,8 +114,8 @@ func TestWorkerSlots(t *testing.T) {
 }
 
 // TestDispatchAllocs: a join and leave of a worker the server knows
-// allocates nothing, and an assignment and its result on a task whose
-// executions have spare capacity allocate the execution only.
+// allocates nothing, and nor do an assignment and its result: the execution
+// is a record of the frame's slab and the task's list has room for it.
 func TestDispatchAllocs(t *testing.T) {
 	eng := sim.NewEngine()
 	s := newStub(eng)
@@ -134,8 +136,58 @@ func TestDispatchAllocs(t *testing.T) {
 		task.SetQueued(true)
 		s.Dispatch() // assigns the task to the idle worker
 		eng.Step()   // the result
-	}); n != 1 {
-		t.Fatalf("assign + result: %v allocations, want 1 (the execution)", n)
+	}); n != 0 {
+		t.Fatalf("assign + result: %v allocations, want 0", n)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestResetForgetsWorkers: a reset server keeps its worker table — the same
+// pointer the workers it numbered hold — so Reset must take their numbers
+// back. Each is then a new worker to the reopened server, numbered from 0,
+// and free to join another server; a stale number would be served the
+// previous cell's record.
+func TestResetForgetsWorkers(t *testing.T) {
+	eng := sim.NewEngine()
+	s := newStub(eng)
+	ws := []*Worker{{ID: 3, Power: 1}, {ID: 4, Power: 1}, NewCloudWorker(0, 1, "b")}
+	for _, w := range ws {
+		s.WorkerJoin(w)
+	}
+	s.Submit(Batch{ID: "b", Tasks: []bot.Task{{ID: 0, NOps: 5}, {ID: 1, NOps: 5}}})
+	eng.Step() // an arrival: a worker takes the task
+
+	s.Reset()
+	eng.Reset()
+	for _, w := range ws {
+		if w.table != nil || w.slot != 0 {
+			t.Fatalf("worker %d keeps its number %d on the reset server", w.ID, w.slot)
+		}
+	}
+	if n := len(s.workers.slots[:cap(s.workers.slots)]); n == 0 {
+		t.Fatal("the reset server dropped its worker slab")
+	}
+	for _, sl := range s.workers.slots[:cap(s.workers.slots)] {
+		if sl != (workerSlot[workerState[struct{}, struct{}]]{}) {
+			t.Fatalf("the reset worker table retains %+v", sl)
+		}
+	}
+
+	s.Open(eng)
+	s.WorkerJoin(ws[1])
+	if ws[1].slot != 0 || s.WorkerBusy(ws[1]) || s.Progress("b") != (Progress{}) {
+		t.Fatalf("reopened server: worker slot %d, busy %v, batch %+v", ws[1].slot, s.WorkerBusy(ws[1]), s.Progress("b"))
+	}
+	if s.WorkerBusy(ws[0]) || s.Detach(ws[0]) != nil {
+		t.Fatal("a worker of the last cell answers as if the reopened server knew it")
+	}
+	newStub(eng).WorkerJoin(ws[0]) // another server: no panic
+	s.Submit(Batch{ID: "b", Tasks: []bot.Task{{ID: 7, NOps: 1}}})
+	eng.Run()
+	if p := s.Progress("b"); p.Size != 1 || p.Arrived != 1 || p.Workers != 1 {
+		t.Fatalf("a batch resubmitted after the reset: %+v", p)
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)

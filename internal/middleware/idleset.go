@@ -57,6 +57,18 @@ func (t *workerTable[S]) number(w *Worker) *workerSlot[S] {
 	return &t.slots[w.slot]
 }
 
+// reset forgets every worker, keeping the capacity of the slot and idle
+// slices: each worker the table numbered loses its number, so that it may
+// join another table — or this one again, as a new worker.
+func (t *workerTable[S]) reset() {
+	for i := range t.slots {
+		t.slots[i].w.table, t.slots[i].w.slot = nil, 0
+	}
+	clear(t.slots)
+	clear(t.idle)
+	*t = workerTable[S]{slots: t.slots[:0], idle: t.idle[:0]}
+}
+
 // Len returns the number of idle workers.
 func (t *workerTable[S]) Len() int { return len(t.idle) }
 

@@ -15,20 +15,27 @@ type Queueable interface {
 // so taking from the head is O(1). Such an entry is dropped only once the head
 // passes it; until then, work that is queued again is matched at its old slot.
 //
-// Every entry is also listed in its batch's PendingView, so a worker dedicated
-// to one batch is answered from that batch's entries alone.
+// Every entry is also listed in its batch's view, so a worker dedicated to one
+// batch is answered from that batch's entries alone. A batch is named by its
+// number on the server (BatchState.Num).
+//
+// Every slice the queue holds is zero past its length, so Reset empties it in
+// time proportional to what the last cell used and keeps the capacity.
 type Pending[T Queueable] struct {
 	items []T
 	head  int
 	// compacted counts the entries compaction has removed from the front of
 	// items: items[i] has sequence number compacted+i.
 	compacted int
+	// views lists each batch's entries, by batch number.
+	views []pendingView[T]
 }
 
-// PendingView lists one batch's entries of a Pending queue, in queue order.
-// The zero value is an empty view; a view belongs to one queue.
-type PendingView[T Queueable] struct {
+// pendingView lists one batch's entries of the queue, in queue order, from
+// head on: the entries before it are the ones the queue's head has passed.
+type pendingView[T Queueable] struct {
 	entries []viewEntry[T]
+	head    int
 }
 
 type viewEntry[T Queueable] struct {
@@ -37,23 +44,38 @@ type viewEntry[T Queueable] struct {
 }
 
 // Push appends an entry to the queue and to its batch's view.
-func (q *Pending[T]) Push(item T, v *PendingView[T]) {
+func (q *Pending[T]) Push(item T, batch int) {
+	if batch >= len(q.views) {
+		q.views = append(q.views, make([]pendingView[T], batch+1-len(q.views))...)
+	}
+	v := &q.views[batch]
 	v.entries = append(v.entries, viewEntry[T]{q.compacted + len(q.items), item})
 	q.items = append(q.items, item)
 }
 
-// advance skips dead entries at the head and compacts when more than half
-// the backing slice is consumed.
+// compact moves s[head:] to the front of s in place and clears the vacated
+// tail, so the backing array is reused and retains nothing it no longer lists.
+// It does so once more than half of s, and more than 64 entries, lie before
+// head: every entry is moved O(1) times.
+func compact[E any](s []E, head int) ([]E, int) {
+	if head <= 64 || head*2 <= len(s) {
+		return s, head
+	}
+	n := copy(s, s[head:])
+	clear(s[n:])
+	return s[:n], 0
+}
+
+// advance skips dead entries at the head and compacts.
 func (q *Pending[T]) advance() {
 	var none T
 	for q.head < len(q.items) && !q.items[q.head].Queued() {
 		q.items[q.head] = none
 		q.head++
 	}
-	if q.head > 64 && q.head*2 > len(q.items) {
-		q.items = append(q.items[:0], q.items[q.head:]...)
-		q.compacted += q.head
-		q.head = 0
+	head := q.head
+	if q.items, q.head = compact(q.items, q.head); q.head != head {
+		q.compacted += head
 	}
 }
 
@@ -79,21 +101,36 @@ func (q *Pending[T]) First(match func(T) bool) T {
 }
 
 // FirstIn returns what First would with a filter that also confines it to
-// the view's batch, at a cost that does not depend on the other batches'
-// entries. View entries the head has passed are dropped on the way.
-func (q *Pending[T]) FirstIn(v *PendingView[T], match func(T) bool) T {
+// the batch, at a cost that does not depend on the other batches' entries.
+// View entries the head has passed are dropped on the way.
+func (q *Pending[T]) FirstIn(batch int, match func(T) bool) T {
+	var none T
+	if batch >= len(q.views) {
+		return none
+	}
 	q.advance()
 	head := q.compacted + q.head
-	passed := 0
-	for passed < len(v.entries) && v.entries[passed].seq < head {
-		passed++
+	v := &q.views[batch]
+	for v.head < len(v.entries) && v.entries[v.head].seq < head {
+		v.entries[v.head] = viewEntry[T]{}
+		v.head++
 	}
-	v.entries = v.entries[passed:]
-	for _, e := range v.entries {
+	v.entries, v.head = compact(v.entries, v.head)
+	for _, e := range v.entries[v.head:] {
 		if e.item.Queued() && match(e.item) {
 			return e.item
 		}
 	}
-	var none T
 	return none
+}
+
+// Reset empties the queue and every view, keeping their capacity.
+func (q *Pending[T]) Reset() {
+	clear(q.items)
+	for i := range q.views {
+		v := &q.views[i]
+		clear(v.entries)
+		v.entries, v.head = v.entries[:0], 0
+	}
+	*q = Pending[T]{items: q.items[:0], views: q.views}
 }

@@ -14,6 +14,15 @@ type pendingItem struct {
 
 func (it *pendingItem) Queued() bool { return it.queued }
 
+// listed counts the entries a batch's view holds from its head on.
+func (q *Pending[T]) listed(batch int) int {
+	if batch >= len(q.views) {
+		return 0
+	}
+	v := q.views[batch]
+	return len(v.entries) - v.head
+}
+
 // scanBatch is the reference FirstIn is held to: the scan over the whole
 // queue, its filter confined to one batch — what the servers ran for a
 // dedicated worker before the per-batch view.
@@ -26,10 +35,9 @@ func scanBatch(q *Pending[*pendingItem], batch int, match func(*pendingItem) boo
 // re-queue, until the head passes that slot.
 func TestPendingViewStaleSlot(t *testing.T) {
 	var q Pending[*pendingItem]
-	views := make([]PendingView[*pendingItem], 3)
 	push := func(it *pendingItem) {
 		it.queued = true
-		q.Push(it, &views[it.batch])
+		q.Push(it, it.batch)
 	}
 	anyItem := func(*pendingItem) bool { return true }
 	check := func(step string, batch int, want *pendingItem) {
@@ -37,7 +45,7 @@ func TestPendingViewStaleSlot(t *testing.T) {
 		if got := scanBatch(&q, batch, anyItem); got != want {
 			t.Fatalf("%s: the scan finds %+v, want %+v", step, got, want)
 		}
-		if got := q.FirstIn(&views[batch], anyItem); got != want {
+		if got := q.FirstIn(batch, anyItem); got != want {
 			t.Fatalf("%s: the view finds %+v, want %+v", step, got, want)
 		}
 	}
@@ -51,14 +59,14 @@ func TestPendingViewStaleSlot(t *testing.T) {
 	check("b handed out", 2, c)
 	push(b) // queued again: now at slots 1 and 3
 	check("b queued again", 2, b)
-	if got := len(views[2].entries); got != 3 {
+	if got := q.listed(2); got != 3 {
 		t.Fatalf("batch 2's view holds %d entries, want b's stale one, c and b", got)
 	}
 
 	b.queued = false
 	a.queued = false // the head passes a and b's stale slot, stops at c
 	check("head at c", 2, c)
-	if got := len(views[2].entries); got != 2 {
+	if got := q.listed(2); got != 2 {
 		t.Fatalf("batch 2's view holds %d entries once the head passed b's stale slot, want 2", got)
 	}
 	push(b)
@@ -76,7 +84,6 @@ func TestPendingViewMatchesScan(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		const batches = 50
 		var q Pending[*pendingItem]
-		views := make([]PendingView[*pendingItem], batches)
 		var items []*pendingItem
 		// slot is the sequence number of an item's latest entry, so the test
 		// knows when a re-queue leaves a stale entry ahead of the head.
@@ -86,7 +93,7 @@ func TestPendingViewMatchesScan(t *testing.T) {
 			it.queued = true
 			slot[it] = pushed
 			pushed++
-			q.Push(it, &views[it.batch])
+			q.Push(it, it.batch)
 		}
 		for op := 0; op < 4000; op++ {
 			switch r := rng.Intn(10); {
@@ -110,9 +117,9 @@ func TestPendingViewMatchesScan(t *testing.T) {
 			}
 			refuse := rng.Intn(3)
 			match := func(it *pendingItem) bool { return it.id%3 != refuse }
-			for b := range views {
+			for b := 0; b < batches; b++ {
 				want := scanBatch(&q, b, match)
-				if got := q.FirstIn(&views[b], match); got != want {
+				if got := q.FirstIn(b, match); got != want {
 					t.Fatalf("seed %d op %d batch %d: the view finds %+v, the scan %+v", seed, op, b, got, want)
 				}
 			}
@@ -124,8 +131,8 @@ func TestPendingViewMatchesScan(t *testing.T) {
 			t.Errorf("seed %d: no item was queued again ahead of the head", seed)
 		}
 		listed := 0
-		for b := range views {
-			listed += len(views[b].entries)
+		for b := 0; b < batches; b++ {
+			listed += q.listed(b)
 		}
 		if live := len(q.items) - q.head; listed != live {
 			t.Errorf("seed %d: the views list %d entries, the queue holds %d past its head", seed, listed, live)

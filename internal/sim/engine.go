@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 )
 
 // Time is virtual time in seconds since the start of the simulation.
@@ -119,27 +118,16 @@ type Engine struct {
 	tickerOp Op
 }
 
-// enginePool holds released engines. A campaign runs thousands of cells one
-// after another on each worker, and every cell grew its event arena — slots
-// full of pointers — from nothing and left it to the collector.
-var enginePool = sync.Pool{New: func() any { return new(Engine) }}
-
 // NewEngine returns an engine with the clock at zero, no event pending and
-// no handler registered. It may reuse the arena of a released engine.
-func NewEngine() *Engine { return enginePool.Get().(*Engine) }
+// no handler registered.
+func NewEngine() *Engine { return new(Engine) }
 
-// Release returns the engine, emptied, for a later NewEngine to reuse; the
-// caller must not use it afterwards.
-func (e *Engine) Release() {
-	e.reset()
-	enginePool.Put(e)
-}
-
-// reset empties the engine: pending events are dropped unfired and every
-// payload and handler pointer is cleared. The arena keeps its slots and
-// their generation counters, so an Event handle from before the reset reports
-// not pending whatever is scheduled next.
-func (e *Engine) reset() {
+// Reset empties the engine for reuse, as good as new: pending events are
+// dropped unfired and every payload and handler pointer is cleared. The
+// arena keeps its slots and their generation counters, so an Event handle
+// from before the reset reports not pending whatever is scheduled next. A
+// campaign worker resets its cell arena's engine between cells.
+func (e *Engine) Reset() {
 	e.free = e.free[:0]
 	for i := len(e.slots) - 1; i >= 0; i-- {
 		s := &e.slots[i]

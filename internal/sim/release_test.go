@@ -31,8 +31,9 @@ func churnScript(e *Engine) []string {
 }
 
 // TestReleasedEngineIsFresh stops an engine with closure and op events
-// pending, releases it, and checks what the next cell would get: the state of
-// a new engine, no pointer into the previous cell, and old handles dead.
+// pending, resets it as a campaign's cell arena does between cells, and
+// checks what the next cell would get: the state of a new engine, no pointer
+// into the previous cell, and old handles dead.
 func TestReleasedEngineIsFresh(t *testing.T) {
 	want := churnScript(new(Engine))
 
@@ -61,7 +62,7 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 		}
 	}
 
-	e.reset()
+	e.Reset()
 
 	if e.Now() != 0 || e.Executed() != 0 || e.Pending() != 0 || e.Step() {
 		t.Fatalf("after reset: now %v, executed %d, pending %d", e.Now(), e.Executed(), e.Pending())
@@ -106,14 +107,11 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 		}
 	}
 
-	e.reset()
-	if got := churnScript(e); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("reset engine ran\n%v\nnew engine ran\n%v", got, want)
-	}
-
-	// Whatever the pool hands back after a Release is as good as new.
-	e.Release()
-	if got := churnScript(NewEngine()); fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("engine from the pool ran\n%v\nnew engine ran\n%v", got, want)
+	// Twice, so the second run starts from an arena the first one grew.
+	for run := 0; run < 2; run++ {
+		e.Reset()
+		if got := churnScript(e); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("run %d: reset engine ran\n%v\nnew engine ran\n%v", run, got, want)
+		}
 	}
 }

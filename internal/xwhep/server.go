@@ -33,26 +33,18 @@ type Server struct {
 	model Model
 	// queue is the global FIFO of pending tasks; priority holds tasks
 	// requeued after a detected failure under Model.RequeueFirst and is
-	// served first (it stays empty otherwise).
+	// served first (it stays empty otherwise). A worker dedicated to a
+	// batch is served from the batch's views of the two.
 	priority middleware.Pending[*xtask]
 	queue    middleware.Pending[*xtask]
-
-	opDetect sim.Op // Payload.A = *exec: DetectDelay elapsed since loss
 }
 
 type (
-	frame = middleware.Frame[work, run, queueViews]
-	batch = middleware.BatchState[work, run, queueViews]
-	xtask = middleware.Task[work, run, queueViews]
-	exec  = middleware.Exec[work, run, queueViews]
+	frame = middleware.Frame[work, run]
+	batch = middleware.BatchState[work, run]
+	xtask = middleware.Task[work, run]
+	exec  = middleware.Exec[work, run]
 )
-
-// queueViews are the batch's views of the server's two queues: what a worker
-// dedicated to the batch is served from.
-type queueViews struct {
-	priority middleware.PendingView[*xtask]
-	queue    middleware.PendingView[*xtask]
-}
 
 // work is what is left of a task.
 type work struct {
@@ -73,8 +65,7 @@ type run struct {
 // build a middleware: a Model has no defaults and no validation.
 func NewModel(eng *sim.Engine, m Model) *Server {
 	s := &Server{model: m}
-	s.frame = middleware.NewFrame[work, run, queueViews](eng, m.Name, s)
-	s.opDetect = eng.RegisterOp(func(p sim.Payload) { s.detect(p.A.(*exec)) })
+	s.frame = middleware.NewFrame[work, run](eng, m.Name, s)
 	return s
 }
 
@@ -83,7 +74,7 @@ var _ middleware.Server = (*Server)(nil)
 // Enqueue implements middleware.Mechanism.
 func (s *Server) Enqueue(t *xtask) {
 	t.M.remaining = t.Spec.NOps
-	s.queue.Push(t, &t.Batch.M.queue)
+	s.queue.Push(t, t.Batch.Num())
 }
 
 // HasQueued implements middleware.Mechanism.
@@ -102,10 +93,10 @@ func (s *Server) FirstQueued(w *middleware.Worker, bt *batch) *xtask {
 		}
 		return s.queue.First(anyTask)
 	}
-	if t := s.priority.FirstIn(&bt.M.priority, anyTask); t != nil {
+	if t := s.priority.FirstIn(bt.Num(), anyTask); t != nil {
 		return t
 	}
-	return s.queue.FirstIn(&bt.M.queue, anyTask)
+	return s.queue.FirstIn(bt.Num(), anyTask)
 }
 
 // MayDuplicate implements middleware.Mechanism: Reschedule duplicates running
@@ -137,12 +128,13 @@ func (s *Server) WorkerLeave(w *middleware.Worker) {
 		preserved := float64(ckpts) * period * w.Power
 		t.M.remaining = min(t.M.remaining, max(ex.M.startRemaining-preserved, 0))
 	}
-	s.Eng.AfterOp(s.model.DetectDelay, s.opDetect, sim.Payload{A: ex})
+	s.Alarm(ex, s.model.DetectDelay)
 }
 
-// detect fires when the server notices a lost worker: the execution is
-// abandoned and, if it was the task's last one, the task is requeued.
-func (s *Server) detect(ex *exec) {
+// Expire implements middleware.Mechanism: the server notices a lost worker.
+// The execution is abandoned and, if it was the task's last one, the task is
+// requeued.
+func (s *Server) Expire(ex *exec) {
 	t := ex.Task
 	if t.Completed() || t.ExecOn(ex.W) != ex {
 		return
@@ -152,9 +144,9 @@ func (s *Server) detect(ex *exec) {
 		t.SetRunning(false)
 		t.SetQueued(true)
 		if s.model.RequeueFirst {
-			s.priority.Push(t, &t.Batch.M.priority)
+			s.priority.Push(t, t.Batch.Num())
 		} else {
-			s.queue.Push(t, &t.Batch.M.queue)
+			s.queue.Push(t, t.Batch.Num())
 		}
 		s.Dispatch()
 	}
@@ -174,3 +166,9 @@ func (s *Server) Start(ex *exec) {
 
 // Result implements middleware.Mechanism: the first result completes the task.
 func (s *Server) Result(*exec) bool { return true }
+
+// Clear implements middleware.Mechanism.
+func (s *Server) Clear() {
+	s.priority.Reset()
+	s.queue.Reset()
+}
