@@ -9,10 +9,11 @@
 //
 // The kernel is allocation-free on its hot path: events live in an
 // index-addressed arena recycled through a freelist, the priority queue is a
-// specialized binary heap of arena indices (no interface boxing), and the
-// Event handles returned to callers are small values carrying a generation
-// counter, so a handle to a fired-and-recycled slot can never cancel the
-// slot's next occupant.
+// specialized binary heap whose entries carry their (time, sequence) key
+// inline next to the arena index (no interface boxing, no slot loaded to
+// compare), and the Event handles returned to callers are small values
+// carrying a generation counter, so a handle to a fired-and-recycled slot can
+// never cancel the slot's next occupant.
 //
 // Events come in two flavors. Closure events (At) carry a func() —
 // convenient, but every capture allocates. Op-code events (AtOp/AfterOp)
@@ -90,15 +91,27 @@ type OpFunc func(p Payload)
 // slot is one arena cell. A slot is live while heapIdx >= 0; firing or
 // cancelling bumps gen and returns the slot to the freelist, invalidating
 // every outstanding handle to the previous occupant. An event is either a
-// closure (fn, op == 0) or an op-code event (op > 0, payload inline).
+// closure (fn, op == 0) or an op-code event (op > 0, payload inline). Its
+// time and sequence number live in its heap entry.
 type slot struct {
-	at      Time
-	seq     uint64
 	fn      func()
 	pay     Payload
 	heapIdx int32
 	gen     uint32
 	op      Op
+}
+
+// entry is one heap element: the event's ordering key and its arena index.
+type entry struct {
+	at  Time
+	seq uint64
+	idx int32
+}
+
+// before orders heap entries by (time, scheduling sequence): same-instant
+// events fire in FIFO order, which the determinism guarantees rely on.
+func (a entry) before(b entry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe for
@@ -108,9 +121,12 @@ type Engine struct {
 	seq      uint64
 	executed uint64
 
+	// slots[:len(slots)] have been handed out since the last reset; push
+	// bumps the length into the spare capacity, whose slots keep their
+	// generations, before it grows the arena.
 	slots []slot
 	free  []int32
-	heap  []int32 // arena indices ordered by (at, seq)
+	heap  []entry // ordered by (at, seq)
 
 	// ops is the registered op-handler table; Op n indexes ops[n-1].
 	ops []OpFunc
@@ -125,20 +141,17 @@ func NewEngine() *Engine { return new(Engine) }
 // Reset empties the engine for reuse, as good as new: pending events are
 // dropped unfired and every payload and handler pointer is cleared. The
 // arena keeps its slots and their generation counters, so an Event handle
-// from before the reset reports not pending whatever is scheduled next. A
-// campaign worker resets its cell arena's engine between cells.
+// from before the reset reports not pending whatever is scheduled next, and
+// hands them out again from slot 0 in index order, as a new engine does.
+// It costs O(queued events), not O(arena): a fired or cancelled slot was
+// cleared when it was released. A campaign worker resets its cell arena's
+// engine between cells.
 func (e *Engine) Reset() {
-	e.free = e.free[:0]
-	for i := len(e.slots) - 1; i >= 0; i-- {
-		s := &e.slots[i]
-		if s.heapIdx >= 0 {
-			s.gen++
-		}
-		s.fn, s.pay, s.op, s.heapIdx = nil, Payload{}, 0, -1
-		e.free = append(e.free, int32(i)) // slot 0 is handed out first, as on a new engine
+	for _, h := range e.heap {
+		e.release(h.idx)
 	}
 	clear(e.ops)
-	*e = Engine{slots: e.slots, free: e.free, heap: e.heap[:0], ops: e.ops[:0]}
+	*e = Engine{slots: e.slots[:0], free: e.free[:0], heap: e.heap[:0], ops: e.ops[:0]}
 }
 
 // Now returns the current virtual time.
@@ -205,16 +218,14 @@ func (e *Engine) AtOp(t Time, op Op, p Payload) Event {
 }
 
 // AfterOp schedules a registered op d seconds from now with the given
-// payload. Negative delays clamp to 0, NaN and infinite delays panic. Scheduling an op event performs no heap allocation.
+// payload. Negative delays clamp to 0. A NaN or infinite delay panics, and
+// so does a finite one that puts the event past the largest finite time, as
+// AtOp panics on it. Scheduling an op event performs no heap allocation.
 func (e *Engine) AfterOp(d float64, op Op, p Payload) Event {
 	if math.IsNaN(d) || math.IsInf(d, 0) {
 		panic(fmt.Sprintf("sim: scheduling op event with invalid delay %v", d))
 	}
-	e.checkOp(op)
-	if d < 0 {
-		d = 0
-	}
-	return e.push(e.now+d, nil, op, p)
+	return e.AtOp(e.now+max(d, 0), op, p)
 }
 
 // checkOp validates an op code against the registration table.
@@ -231,18 +242,17 @@ func (e *Engine) push(t Time, fn func(), op Op, p Payload) Event {
 	if n := len(e.free); n > 0 {
 		idx = e.free[n-1]
 		e.free = e.free[:n-1]
+	} else if idx = int32(len(e.slots)); len(e.slots) < cap(e.slots) {
+		e.slots = e.slots[:idx+1]
 	} else {
-		idx = int32(len(e.slots))
 		e.slots = append(e.slots, slot{})
 	}
 	s := &e.slots[idx]
-	s.at = t
-	s.seq = e.seq
 	s.fn = fn
 	s.op = op
 	s.pay = p
 	s.heapIdx = int32(len(e.heap))
-	e.heap = append(e.heap, idx)
+	e.heap = append(e.heap, entry{at: t, seq: e.seq, idx: idx})
 	e.siftUp(len(e.heap) - 1)
 	return Event{eng: e, at: t, idx: idx, gen: s.gen}
 }
@@ -280,18 +290,27 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	idx := e.heap[0]
+	top := e.heap[0]
 	n := len(e.heap) - 1
-	if n > 0 {
-		e.heap[0] = e.heap[n]
-		e.slots[e.heap[0]].heapIdx = 0
-	}
+	last := e.heap[n]
 	e.heap = e.heap[:n]
-	if n > 1 {
-		e.siftDown(0)
+	if n > 0 {
+		// Bottom-up pop: the hole at the root follows the smaller child to
+		// a leaf, one comparison a level, and the last entry rises from there.
+		h, i := e.heap, 0
+		for c := 1; c < n; c = 2*i + 1 {
+			if c+1 < n && h[c+1].before(h[c]) {
+				c++
+			}
+			e.place(i, h[c])
+			i = c
+		}
+		h[i] = last
+		e.siftUp(i)
 	}
+	idx := top.idx
 	s := &e.slots[idx]
-	e.now = s.at
+	e.now = top.at
 	fn := s.fn
 	op := s.op
 	pay := s.pay
@@ -317,7 +336,7 @@ func (e *Engine) Run() {
 // RunUntil fires events with time ≤ t, then sets the clock to t. Events
 // scheduled exactly at t do fire.
 func (e *Engine) RunUntil(t Time) {
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at <= t {
+	for len(e.heap) > 0 && e.heap[0].at <= t {
 		e.Step()
 	}
 	if t > e.now {
@@ -332,7 +351,7 @@ func (e *Engine) RunUntil(t Time) {
 // so cross-shard effects injected at the barrier are never in a shard's
 // past.
 func (e *Engine) RunBefore(t Time) {
-	for len(e.heap) > 0 && e.slots[e.heap[0]].at < t {
+	for len(e.heap) > 0 && e.heap[0].at < t {
 		e.Step()
 	}
 	if t > e.now {
@@ -346,7 +365,7 @@ func (e *Engine) NextEventTime() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.slots[e.heap[0]].at, true
+	return e.heap[0].at, true
 }
 
 // RunWhile fires events while cond() holds and the queue is non-empty.
@@ -355,62 +374,54 @@ func (e *Engine) RunWhile(cond func() bool) {
 	}
 }
 
-// less orders heap entries by (time, scheduling sequence): same-instant
-// events fire in FIFO order, which the determinism guarantees rely on.
-func (e *Engine) less(a, b int32) bool {
-	sa, sb := &e.slots[a], &e.slots[b]
-	if sa.at != sb.at {
-		return sa.at < sb.at
-	}
-	return sa.seq < sb.seq
+// place puts x at heap position i and records the position in its slot.
+func (e *Engine) place(i int, x entry) {
+	e.heap[i] = x
+	e.slots[x.idx].heapIdx = int32(i)
 }
 
+// siftUp moves the entry at i up to its place, shifting the parents it
+// passes down into the hole.
 func (e *Engine) siftUp(i int) {
 	h := e.heap
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !e.less(h[i], h[parent]) {
+		if !x.before(h[parent]) {
 			break
 		}
-		h[i], h[parent] = h[parent], h[i]
-		e.slots[h[i]].heapIdx = int32(i)
-		e.slots[h[parent]].heapIdx = int32(parent)
+		e.place(i, h[parent])
 		i = parent
 	}
+	e.place(i, x)
 }
 
+// siftDown moves the entry at i down to its place, shifting the children it
+// passes up into the hole.
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	for {
-		left := 2*i + 1
-		if left >= n {
-			return
+	x := h[i]
+	for c := 2*i + 1; c < n; c = 2*i + 1 {
+		if c+1 < n && h[c+1].before(h[c]) {
+			c++
 		}
-		least := left
-		if right := left + 1; right < n && e.less(h[right], h[left]) {
-			least = right
+		if !h[c].before(x) {
+			break
 		}
-		if !e.less(h[least], h[i]) {
-			return
-		}
-		h[i], h[least] = h[least], h[i]
-		e.slots[h[i]].heapIdx = int32(i)
-		e.slots[h[least]].heapIdx = int32(least)
-		i = least
+		e.place(i, h[c])
+		i = c
 	}
+	e.place(i, x)
 }
 
 // heapRemove deletes the heap entry at position i.
 func (e *Engine) heapRemove(i int) {
 	n := len(e.heap) - 1
-	if i != n {
-		moved := e.heap[n]
-		e.heap[i] = moved
-		e.slots[moved].heapIdx = int32(i)
-	}
+	last := e.heap[n]
 	e.heap = e.heap[:n]
 	if i < n {
+		e.heap[i] = last
 		e.siftDown(i)
 		e.siftUp(i)
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -411,16 +412,47 @@ func TestEngineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkEngine(b *testing.B) {
-	e := NewEngine()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.At(e.Now()+float64(i%100)+1, func() {})
-		if e.Pending() > 1024 {
-			for e.Pending() > 0 {
+// BenchmarkEngineHold is the hold model of the benchmark's sim.event_ns: an
+// op event that reschedules itself 1–97 s ahead, with a constant number of
+// events pending (the standard and full pool caps, and sim.event_ns's
+// 10 000). One op is one Step: a pop, a handler call and a push.
+func BenchmarkEngineHold(b *testing.B) {
+	for _, pending := range []int{600, 2000, 10_000} {
+		b.Run(strconv.Itoa(pending), func(b *testing.B) {
+			e := NewEngine()
+			var op Op
+			op = e.RegisterOp(func(p Payload) {
+				e.AfterOp(1+float64(p.I%97), op, Payload{I: p.I + 1})
+			})
+			for i := 0; i < pending; i++ {
+				e.AtOp(float64(i%997), op, Payload{I: int32(i)})
+			}
+			b.ReportAllocs()
+			for b.Loop() {
 				e.Step()
 			}
-		}
+		})
+	}
+}
+
+// BenchmarkEngineReset is a cell arena's engine between cells: an arena
+// grown to 5 000 slots, 100 events left queued, then Reset. One op schedules
+// the 100 events and resets.
+func BenchmarkEngineReset(b *testing.B) {
+	e := NewEngine()
+	type task struct{ n int }
+	tk := &task{}
+	op := e.RegisterOp(func(Payload) {})
+	for i := 0; i < 5000; i++ {
+		e.AtOp(float64(i), op, Payload{A: tk})
 	}
 	e.Run()
+	b.ReportAllocs()
+	for b.Loop() {
+		op = e.RegisterOp(func(Payload) {})
+		for j := 0; j < 100; j++ {
+			e.AtOp(float64(j), op, Payload{A: tk, I: int32(j)})
+		}
+		e.Reset()
+	}
 }

@@ -85,6 +85,28 @@ func TestOpValidation(t *testing.T) {
 	mustPanic("AfterOp Inf", func() { e.AfterOp(math.Inf(1), op, Payload{}) })
 }
 
+// TestAfterOpPastLargestTimePanics: a finite delay whose sum with the clock
+// overflows to +Inf is refused as AtOp refuses +Inf, not queued at +Inf.
+func TestAfterOpPastLargestTimePanics(t *testing.T) {
+	e := NewEngine()
+	op := e.RegisterOp(func(Payload) {})
+	e.RunUntil(1e300)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AfterOp(MaxFloat64) at now 1e300 did not panic")
+			}
+		}()
+		e.AfterOp(math.MaxFloat64, op, Payload{})
+	}()
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued after the refused AfterOp, want 0", e.Pending())
+	}
+	if ev := e.AfterOp(math.MaxFloat64/2, op, Payload{}); ev.At() != 1e300+math.MaxFloat64/2 {
+		t.Fatalf("finite sum scheduled at %v", ev.At())
+	}
+}
+
 func TestOpPastTimeClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var at Time = -1
@@ -153,21 +175,4 @@ func TestTickerStopStillWorksOnOpPath(t *testing.T) {
 	if ticks != 3 {
 		t.Fatalf("ticker fired %d times after Stop at 3, want 3", ticks)
 	}
-}
-
-func BenchmarkEngineOp(b *testing.B) {
-	e := NewEngine()
-	type task struct{ n int }
-	tk := &task{}
-	op := e.RegisterOp(func(p Payload) { p.A.(*task).n++ })
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.AfterOp(float64(i%100)+1, op, Payload{A: tk})
-		if e.Pending() > 1024 {
-			for e.Pending() > 0 {
-				e.Step()
-			}
-		}
-	}
-	e.Run()
 }

@@ -31,9 +31,10 @@ func churnScript(e *Engine) []string {
 }
 
 // TestReleasedEngineIsFresh stops an engine with closure and op events
-// pending, resets it as a campaign's cell arena does between cells, and
-// checks what the next cell would get: the state of a new engine, no pointer
-// into the previous cell, and old handles dead.
+// pending and cancelled ones on the freelist, resets it as a campaign's cell
+// arena does between cells, and checks what the next cell would get: the
+// state of a new engine (slots handed out from 0 in index order, each once),
+// no pointer into the previous cell, and old handles dead.
 func TestReleasedEngineIsFresh(t *testing.T) {
 	want := churnScript(new(Engine))
 
@@ -53,14 +54,20 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 	e.NewTicker(3, func(Time) {})
 	e.At(-1, func() {}) // one clamped
 	e.RunUntil(19.75)
-	if e.Pending() == 0 || e.Executed() == 0 {
-		t.Fatalf("setup: %d pending, %d executed", e.Pending(), e.Executed())
+	// Cancel every third pending event: their slots sit on the freelist at
+	// the reset, among the fired ones.
+	for i := 0; i < len(pending); i += 3 {
+		e.Cancel(pending[i])
 	}
-	for _, ev := range pending {
-		if !ev.Pending() {
-			t.Fatal("setup: a scheduled event is not pending")
+	if e.Pending() == 0 || e.Executed() == 0 || len(e.free) == 0 {
+		t.Fatalf("setup: %d pending, %d executed, %d free", e.Pending(), e.Executed(), len(e.free))
+	}
+	for i, ev := range pending {
+		if ev.Pending() != (i%3 != 0) {
+			t.Fatalf("setup: pending event %d reports pending %v", i, ev.Pending())
 		}
 	}
+	arena := len(e.slots)
 
 	e.Reset()
 
@@ -89,11 +96,16 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 		e.AtOp(1, op, Payload{})
 	}()
 
-	// The next user fills the same slots; handles from before must not see or
-	// cancel its events.
-	var fresh []Event
-	for i := 0; i < 120; i++ {
-		fresh = append(fresh, e.At(Time(i), func() {}))
+	// The next user fills the same slots and more: they are handed out from
+	// slot 0 in index order, none twice, and handles from before must not
+	// see or cancel its events.
+	fresh := make([]Event, arena+50)
+	fires := make([]int, len(fresh))
+	for i := range fresh {
+		fresh[i] = e.At(Time(i%7), func() { fires[i]++ })
+		if fresh[i].idx != int32(i) {
+			t.Fatalf("event %d of the next user got slot %d, want %d", i, fresh[i].idx, i)
+		}
 	}
 	for _, ev := range append(pending, fired...) {
 		if ev.Pending() {
@@ -104,6 +116,12 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 	for _, ev := range fresh {
 		if !ev.Pending() {
 			t.Fatal("a handle from before the reset cancelled a new event")
+		}
+	}
+	e.Run()
+	for i, n := range fires {
+		if n != 1 {
+			t.Fatalf("event %d of the next user fired %d times, want 1", i, n)
 		}
 	}
 
