@@ -2,24 +2,11 @@
 // evaluation (§4) from ONE campaign — each unique (scenario, strategy)
 // simulation executes exactly once, and every artifact derives from the
 // shared result store — and writes them under -out (default results/):
-//
-//	figure1.{txt,svg}      example execution profile with tail annotations
-//	figure2.{txt,csv,svg}  tail slowdown CDF per middleware
-//	table1.txt             tail fractions per BE-DCI class
-//	table2.txt             trace statistics vs published values
-//	figure4.txt            Tail Removal Efficiency CCDF per strategy, one
-//	                       figure4{f,r,d}.svg per deployment in the sweep
-//	figure5.{txt,svg}      credit consumption per strategy
-//	figure6.txt            completion times with/without SpeQuloS (9C-C-R),
-//	                       one figure6-<middleware>-<bot>.svg per panel
-//	figure7.txt            execution stability, one figure7-<middleware>.svg
-//	table4.txt             prediction success rates
-//	table5.txt             the EDGI deployment slice
-//	ablation-*.txt         design-choice sweeps (-ablations)
-//	comparison.txt         three-middleware comparison (-comparison)
-//	summary.txt            everything concatenated
-//	crowd.txt              per-user fairness and poll economy (the
-//	                       multi-batch profiles write this file only)
+// each artifact's .txt, Figure 2's .csv and the .svg charts, plus
+// summary.txt, the texts concatenated. The artifacts and their files are
+// declared once, in the artifact table of internal/experiments
+// (artifacts.go); EXPERIMENTS.md lists them. The multi-batch profiles write
+// crowd.txt only: per-user fairness and poll economy.
 //
 // The -profile flag selects quick / standard / full scale, or one of the
 // multi-batch profiles stress / crowd / crowd2k (see internal/experiments);
@@ -33,7 +20,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -144,9 +130,7 @@ func main() {
 		rep, stats, err := experiments.BuildCrowd(ctx, p, opts)
 		campaignDone(stats, err)
 		text := rep.Render()
-		if err := os.WriteFile(filepath.Join(*out, "crowd.txt"), []byte(text), 0o644); err != nil {
-			fatal(err)
-		}
+		writeFile(filepath.Join(*out, "crowd.txt"), []byte(text))
 		fmt.Println(text)
 		fmt.Printf("crowd artifacts written to %s/ in %v\n", *out, time.Since(start).Round(time.Millisecond))
 		return
@@ -186,95 +170,25 @@ func main() {
 	a, stats, err := experiments.BuildArtifacts(ctx, p, opts)
 	campaignDone(stats, err)
 
-	var summary strings.Builder
-	emit := func(name, text, csv string) {
-		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(text), 0o644); err != nil {
-			fatal(err)
-		}
-		if csv != "" {
-			if err := os.WriteFile(filepath.Join(*out, name+".csv"), []byte(csv), 0o644); err != nil {
-				fatal(err)
-			}
-		}
-		summary.WriteString(text)
-		summary.WriteString("\n")
-		fmt.Println(text)
-	}
-	emitSVG := func(name string, chart interface{ WriteSVG(io.Writer) error }) {
-		path := filepath.Join(*out, name+".svg")
-		f, err := os.Create(path)
+	for _, f := range a.Files() {
+		data, err := f.Content()
 		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		if err := chart.WriteSVG(f); err != nil {
 			// Narrowed sweeps leave some panels empty; skip them.
-			fmt.Fprintf(os.Stderr, "skipping %s: %v\n", name, err)
-			os.Remove(path)
+			fmt.Fprintf(os.Stderr, "skipping %s: %v\n", strings.TrimSuffix(f.Name, ".svg"), err)
+			continue
 		}
+		writeFile(filepath.Join(*out, f.Name), data)
 	}
-
-	emit("figure1", a.Figure1.Render(), "")
-	emitSVG("figure1", experiments.Figure1Chart(a.Figure1))
-
-	emit("figure2", a.Figure2.Render(), figure2CSV(a.Figure2))
-	emitSVG("figure2", experiments.Figure2Chart(a.Figure2))
-
-	emit("table1", a.Table1.Render(), "")
-	emit("table2", experiments.RenderTable2(a.Table2), "")
-
-	emit("figure4", a.Figure4.Render(), "")
-	for _, deploy := range []string{"F", "R", "D"} {
-		emitSVG("figure4"+strings.ToLower(deploy), experiments.Figure4Chart(a.Figure4, deploy))
-	}
-
-	emit("figure5", a.Figure5.Render(), "")
-	emitSVG("figure5", experiments.Figure5Chart(a.Figure5))
-
-	emit("figure6", a.Figure6.Render(), "")
-	for _, mw := range experiments.Middlewares() {
-		for _, bc := range experiments.BotClasses() {
-			if len(a.Figure6.Cells[mw][bc]) > 0 {
-				emitSVG("figure6-"+strings.ToLower(mw)+"-"+strings.ToLower(bc),
-					experiments.Figure6Chart(a.Figure6, mw, bc))
-			}
-		}
-	}
-
-	emit("figure7", a.Figure7.Render(), "")
-	for _, mw := range experiments.Middlewares() {
-		emitSVG("figure7-"+strings.ToLower(mw), experiments.Figure7Chart(a.Figure7, mw))
-	}
-
-	emit("table4", a.Table4.Render(), "")
-	emit("table5", a.Table5.Render(), "")
-
-	if *ablations {
-		emit("ablation-credits", experiments.RenderAblation(
-			"Ablation — credit provisioning fraction", a.CreditSweep), "")
-		emit("ablation-period", experiments.RenderAblation(
-			"Ablation — monitoring period", a.PeriodSweep), "")
-		emit("ablation-trigger", experiments.RenderAblation(
-			"Ablation — trigger strategy", a.TriggerSweep), "")
-	}
-	if *comparison {
-		emit("comparison", experiments.RenderMiddlewareComparison(a.Comparison), "")
-	}
-
-	if err := os.WriteFile(filepath.Join(*out, "summary.txt"), []byte(summary.String()), 0o644); err != nil {
-		fatal(err)
-	}
+	summary := a.Summary()
+	writeFile(filepath.Join(*out, "summary.txt"), []byte(summary))
+	fmt.Print(summary)
 	fmt.Printf("all artifacts written to %s/ in %v\n", *out, time.Since(start).Round(time.Second))
 }
 
-func figure2CSV(f experiments.Figure2) string {
-	var b strings.Builder
-	b.WriteString("slowdown,boinc_cdf,xwhep_cdf\n")
-	for _, s := range []float64{1, 1.1, 1.2, 1.33, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7.5, 10, 15, 20, 50, 100} {
-		fmt.Fprintf(&b, "%g,%g,%g\n", s,
-			f.FractionBelow(experiments.BOINC, s), f.FractionBelow(experiments.XWHEP, s))
+func writeFile(path string, data []byte) {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		fatal(err)
 	}
-	return b.String()
 }
 
 // writeMemProfile records the post-run heap (after a forced GC, so the

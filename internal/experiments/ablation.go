@@ -105,7 +105,9 @@ func ablationFrom(store *campaign.ResultStore, p Profile, settings []ablationSet
 	return out, nil
 }
 
-func creditSettings() []ablationSetting {
+// creditSettings sweeps the provisioned credits (the paper fixes them at 10%
+// of the BoT workload): the QoS/cost trade-off.
+func creditSettings(Profile) []ablationSetting {
 	var out []ablationSetting
 	for _, f := range []float64{0.02, 0.05, 0.10, 0.20} {
 		out = append(out, ablationSetting{
@@ -117,6 +119,8 @@ func creditSettings() []ablationSetting {
 	return out
 }
 
+// periodSettings sweeps the Information/Scheduler loop period (the paper
+// monitors per minute; slower monitoring delays tail detection).
 func periodSettings(p Profile) []ablationSetting {
 	var out []ablationSetting
 	for _, period := range []float64{30, 60, 300, 900} {
@@ -129,6 +133,8 @@ func periodSettings(p Profile) []ablationSetting {
 	return out
 }
 
+// triggerSettings compares the plain completion threshold against the
+// capacity-aware anticipation trigger (§7 future work).
 func triggerSettings(p Profile) []ablationSetting {
 	var out []ablationSetting
 	for _, tr := range []core.Trigger{
@@ -145,27 +151,6 @@ func triggerSettings(p Profile) []ablationSetting {
 		})
 	}
 	return out
-}
-
-// CreditFractionSweepFrom derives, from an already-executed store, the sweep
-// over the provisioned credits (the paper fixes them at 10% of the BoT
-// workload): the QoS/cost trade-off.
-func CreditFractionSweepFrom(store *campaign.ResultStore, p Profile) ([]AblationPoint, error) {
-	return ablationFrom(store, p, creditSettings())
-}
-
-// MonitorPeriodSweepFrom derives, from an already-executed store, the sweep
-// over the Information/Scheduler loop period (the paper monitors per minute;
-// slower monitoring delays tail detection).
-func MonitorPeriodSweepFrom(store *campaign.ResultStore, p Profile) ([]AblationPoint, error) {
-	return ablationFrom(store, p, periodSettings(p))
-}
-
-// TriggerAblationFrom derives, from an already-executed store, the comparison
-// of the plain completion threshold against the capacity-aware anticipation
-// trigger (§7 future work).
-func TriggerAblationFrom(store *campaign.ResultStore, p Profile) ([]AblationPoint, error) {
-	return ablationFrom(store, p, triggerSettings(p))
 }
 
 // RenderAblation prints ablation points as a table.

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
+	"strings"
 	"time"
 
 	"spequlos/internal/campaign"
@@ -96,6 +99,197 @@ type ArtifactTiming struct {
 // DefaultStrategyLabel is the strategy Figs 6/7 and Table 4 report on.
 func (a Artifacts) DefaultStrategyLabel() string { return core.DefaultStrategy().Label() }
 
+// artifact is one entry of the artifact table: the campaign jobs one figure
+// or table needs, its derivation into Artifacts and the files it writes.
+type artifact struct {
+	// name is the artifact's file stem and its Timings name.
+	name string
+	// when, if set, is the ArtifactOptions switch that adds the artifact.
+	when func(ArtifactOptions) bool
+	// jobs plans the campaign jobs the derivation reads; nil plans none
+	// (the figures and tables read the matrix's).
+	jobs func(Profile, ArtifactOptions) []campaign.Job
+	// derive fills the artifact's field of Artifacts from the executed store.
+	derive func(*Artifacts, source) error
+	// text is name.txt and the artifact's part of summary.txt; nil writes no
+	// file (the matrix).
+	text func(Artifacts) string
+	// csv is name.csv; nil writes none.
+	csv func(Artifacts) string
+	// charts are the artifact's SVGs, each written to name+suffix+".svg".
+	charts func(Artifacts) []chart
+}
+
+// planned reports whether opts asks for the artifact.
+func (art artifact) planned(opts ArtifactOptions) bool { return art.when == nil || art.when(opts) }
+
+// source is what a derivation reads: the executed store and the campaign's
+// scope.
+type source struct {
+	store *campaign.ResultStore
+	p     Profile
+	opts  ArtifactOptions
+}
+
+// chart is one SVG of an artifact, its file named by the suffix.
+type chart struct {
+	suffix string
+	svg    svgWriter
+}
+
+// svgWriter is a chart of internal/plot.
+type svgWriter interface{ WriteSVG(io.Writer) error }
+
+// artifacts is the artifact table: every figure and table of the
+// evaluation, in the order PlanArtifacts plans their jobs, DeriveArtifacts
+// derives them (and records their Timings) and Files lists their files.
+var artifacts = []artifact{
+	{
+		// The matrix is the completeness gate either way: streaming
+		// derivations validate the store per cell without retaining the
+		// pairs, the default additionally materializes the Matrix view for
+		// consumers (the golden tests pin its JSON).
+		name: "matrix",
+		jobs: func(p Profile, o ArtifactOptions) []campaign.Job { return o.Spec.Jobs(p) },
+		derive: func(a *Artifacts, s source) (err error) {
+			if s.opts.StreamMatrix {
+				return ValidateSpec(s.store, s.p, s.opts.Spec)
+			}
+			a.Matrix, err = MatrixFrom(s.store, s.p, s.opts.Spec)
+			return
+		},
+	},
+	{
+		name:   "figure1",
+		jobs:   func(p Profile, _ ArtifactOptions) []campaign.Job { return []campaign.Job{Figure1Job(p)} },
+		derive: func(a *Artifacts, s source) (err error) { a.Figure1, err = Figure1From(s.store, s.p); return },
+		text:   func(a Artifacts) string { return a.Figure1.Render() },
+		charts: func(a Artifacts) []chart { return []chart{{"", Figure1Chart(a.Figure1)}} },
+	},
+	{
+		name: "figure2",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Figure2, err = Figure2From(s.store, s.p, s.opts.Spec)
+			return
+		},
+		text:   func(a Artifacts) string { return a.Figure2.Render() },
+		csv:    func(a Artifacts) string { return a.Figure2.csv() },
+		charts: func(a Artifacts) []chart { return []chart{{"", Figure2Chart(a.Figure2)}} },
+	},
+	{
+		name: "table1",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Table1, err = Table1From(s.store, s.p, s.opts.Spec)
+			return
+		},
+		text: func(a Artifacts) string { return a.Table1.Render() },
+	},
+	{
+		name:   "table2",
+		derive: func(a *Artifacts, s source) error { a.Table2 = BuildTable2(table2Days, s.opts.Table2Seed); return nil },
+		text:   func(a Artifacts) string { return RenderTable2(a.Table2) },
+	},
+	{
+		name: "figure4",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Figure4, err = Figure4From(s.store, s.p, s.opts.Spec)
+			return
+		},
+		text: func(a Artifacts) string { return a.Figure4.Render() },
+		charts: func(a Artifacts) (out []chart) {
+			for _, deploy := range []string{"F", "R", "D"} {
+				out = append(out, chart{strings.ToLower(deploy), Figure4Chart(a.Figure4, deploy)})
+			}
+			return out
+		},
+	},
+	{
+		name: "figure5",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Figure5, err = Figure5From(s.store, s.p, s.opts.Spec)
+			return
+		},
+		text:   func(a Artifacts) string { return a.Figure5.Render() },
+		charts: func(a Artifacts) []chart { return []chart{{"", Figure5Chart(a.Figure5)}} },
+	},
+	{
+		name: "figure6",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Figure6, err = Figure6From(s.store, s.p, s.opts.Spec, a.DefaultStrategyLabel())
+			return
+		},
+		text: func(a Artifacts) string { return a.Figure6.Render() },
+		charts: func(a Artifacts) (out []chart) {
+			for _, mw := range Middlewares() {
+				for _, bc := range BotClasses() {
+					if len(a.Figure6.Cells[mw][bc]) > 0 {
+						out = append(out, chart{"-" + strings.ToLower(mw) + "-" + strings.ToLower(bc), Figure6Chart(a.Figure6, mw, bc)})
+					}
+				}
+			}
+			return out
+		},
+	},
+	{
+		name: "figure7",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Figure7, err = Figure7From(s.store, s.p, s.opts.Spec, a.DefaultStrategyLabel())
+			return
+		},
+		text: func(a Artifacts) string { return a.Figure7.Render() },
+		charts: func(a Artifacts) (out []chart) {
+			for _, mw := range Middlewares() {
+				out = append(out, chart{"-" + strings.ToLower(mw), Figure7Chart(a.Figure7, mw)})
+			}
+			return out
+		},
+	},
+	{
+		name: "table4",
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Table4, err = Table4From(s.store, s.p, s.opts.Spec, a.DefaultStrategyLabel())
+			return
+		},
+		text: func(a Artifacts) string { return a.Table4.Render() },
+	},
+	{
+		name:   "table5",
+		derive: func(a *Artifacts, s source) error { a.Table5 = BuildTable5(s.opts.Table5Seed); return nil },
+		text:   func(a Artifacts) string { return a.Table5.Render() },
+	},
+	ablation("ablation-credits", "Ablation — credit provisioning fraction", creditSettings,
+		func(a *Artifacts) *[]AblationPoint { return &a.CreditSweep }),
+	ablation("ablation-period", "Ablation — monitoring period", periodSettings,
+		func(a *Artifacts) *[]AblationPoint { return &a.PeriodSweep }),
+	ablation("ablation-trigger", "Ablation — trigger strategy", triggerSettings,
+		func(a *Artifacts) *[]AblationPoint { return &a.TriggerSweep }),
+	{
+		name: "comparison",
+		when: func(o ArtifactOptions) bool { return o.Comparison },
+		jobs: func(p Profile, _ ArtifactOptions) []campaign.Job { return ComparisonJobs(p) },
+		derive: func(a *Artifacts, s source) (err error) {
+			a.Comparison, err = CompareMiddlewareFrom(s.store, s.p)
+			return
+		},
+		text: func(a Artifacts) string { return RenderMiddlewareComparison(a.Comparison) },
+	},
+}
+
+// ablation declares one design-choice sweep (ablation.go): its baselines and
+// variants, their aggregate and its table.
+func ablation(name, title string, settings func(Profile) []ablationSetting, sweep func(*Artifacts) *[]AblationPoint) artifact {
+	return artifact{
+		name: name,
+		when: func(o ArtifactOptions) bool { return o.Ablations },
+		jobs: func(p Profile, _ ArtifactOptions) []campaign.Job { return ablationJobs(p, settings(p)) },
+		derive: func(a *Artifacts, s source) (err error) {
+			*sweep(a), err = ablationFrom(s.store, s.p, settings(s.p))
+			return
+		},
+		text: func(a Artifacts) string { return RenderAblation(title, *sweep(&a)) },
+	}
+}
+
 // PlanArtifacts plans every simulation job the artifact set needs: the full
 // matrix (baselines + strategies), the Fig 1 curve, and optionally the
 // ablation variants and the middleware comparison. Overlapping consumers —
@@ -104,15 +298,10 @@ func (a Artifacts) DefaultStrategyLabel() string { return core.DefaultStrategy()
 func PlanArtifacts(p Profile, opts ArtifactOptions) *campaign.Plan {
 	opts = opts.withDefaults()
 	plan := campaign.NewPlan()
-	plan.Add(opts.Spec.Jobs(p)...)
-	plan.Add(Figure1Job(p))
-	if opts.Ablations {
-		plan.Add(ablationJobs(p, creditSettings())...)
-		plan.Add(ablationJobs(p, periodSettings(p))...)
-		plan.Add(ablationJobs(p, triggerSettings(p))...)
-	}
-	if opts.Comparison {
-		plan.Add(ComparisonJobs(p)...)
+	for _, art := range artifacts {
+		if art.jobs != nil && art.planned(opts) {
+			plan.Add(art.jobs(p, opts)...)
+		}
 	}
 	return plan
 }
@@ -124,76 +313,89 @@ func PlanArtifacts(p Profile, opts ArtifactOptions) *campaign.Plan {
 func DeriveArtifacts(store *campaign.ResultStore, p Profile, opts ArtifactOptions) (Artifacts, error) {
 	opts = opts.withDefaults()
 	a := Artifacts{Profile: p}
-	timed := func(name string, build func() error) error {
+	src := source{store: store, p: p, opts: opts}
+	for _, art := range artifacts {
+		if !art.planned(opts) {
+			continue
+		}
 		start := time.Now()
-		if err := build(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
+		if err := art.derive(&a, src); err != nil {
+			return a, fmt.Errorf("%s: %w", art.name, err)
 		}
-		a.Timings = append(a.Timings, ArtifactTiming{Name: name, Elapsed: time.Since(start)})
-		return nil
-	}
-
-	// The matrix step is the completeness gate either way: streaming
-	// derivations validate the store per cell without retaining the pairs,
-	// the default additionally materializes the Matrix view for consumers
-	// (the golden tests pin its JSON).
-	if err := timed("matrix", func() (err error) {
-		if opts.StreamMatrix {
-			return ValidateSpec(store, p, opts.Spec)
-		}
-		a.Matrix, err = MatrixFrom(store, p, opts.Spec)
-		return
-	}); err != nil {
-		return a, err
-	}
-	defaultLabel := a.DefaultStrategyLabel()
-	type step struct {
-		name  string
-		build func() error
-	}
-	steps := []step{
-		{"figure1", func() (err error) { a.Figure1, err = Figure1From(store, p); return }},
-		{"figure2", func() (err error) { a.Figure2, err = Figure2From(store, p, opts.Spec); return }},
-		{"table1", func() (err error) { a.Table1, err = Table1From(store, p, opts.Spec); return }},
-		{"table2", func() error { a.Table2 = BuildTable2(table2Days, opts.Table2Seed); return nil }},
-		{"figure4", func() (err error) { a.Figure4, err = Figure4From(store, p, opts.Spec); return }},
-		{"figure5", func() (err error) { a.Figure5, err = Figure5From(store, p, opts.Spec); return }},
-		{"figure6", func() (err error) { a.Figure6, err = Figure6From(store, p, opts.Spec, defaultLabel); return }},
-		{"figure7", func() (err error) { a.Figure7, err = Figure7From(store, p, opts.Spec, defaultLabel); return }},
-		{"table4", func() (err error) { a.Table4, err = Table4From(store, p, opts.Spec, defaultLabel); return }},
-		{"table5", func() error {
-			a.Table5 = BuildTable5(opts.Table5Seed)
-			return nil
-		}},
-	}
-	if opts.Ablations {
-		steps = append(steps,
-			step{"ablation-credits", func() (err error) {
-				a.CreditSweep, err = CreditFractionSweepFrom(store, p)
-				return
-			}},
-			step{"ablation-period", func() (err error) {
-				a.PeriodSweep, err = MonitorPeriodSweepFrom(store, p)
-				return
-			}},
-			step{"ablation-trigger", func() (err error) {
-				a.TriggerSweep, err = TriggerAblationFrom(store, p)
-				return
-			}},
-		)
-	}
-	if opts.Comparison {
-		steps = append(steps, step{"comparison", func() (err error) {
-			a.Comparison, err = CompareMiddlewareFrom(store, p)
-			return
-		}})
-	}
-	for _, s := range steps {
-		if err := timed(s.name, s.build); err != nil {
-			return a, err
-		}
+		a.Timings = append(a.Timings, ArtifactTiming{Name: art.name, Elapsed: time.Since(start)})
 	}
 	return a, nil
+}
+
+// File is one file of the artifact set: an artifact's text, Figure 2's CSV
+// or a chart.
+type File struct {
+	Name  string // the artifact's name, a chart's suffix and the extension
+	text  string
+	chart svgWriter
+}
+
+// Content returns the file's bytes. A chart with nothing to draw — a panel
+// a narrowed sweep left empty — returns its error instead, and is not
+// written.
+func (f File) Content() ([]byte, error) {
+	if f.chart == nil {
+		return []byte(f.text), nil
+	}
+	var b bytes.Buffer
+	if err := f.chart.WriteSVG(&b); err != nil {
+		return nil, err
+	}
+	return b.Bytes(), nil
+}
+
+// Files lists the files of every derived artifact, in table order: its
+// .txt, its .csv, then its charts. summary.txt is Summary.
+func (a Artifacts) Files() []File {
+	var files []File
+	for _, art := range a.derived() {
+		if art.text != nil {
+			files = append(files, File{Name: art.name + ".txt", text: art.text(a)})
+		}
+		if art.csv != nil {
+			files = append(files, File{Name: art.name + ".csv", text: art.csv(a)})
+		}
+		if art.charts != nil {
+			for _, c := range art.charts(a) {
+				files = append(files, File{Name: art.name + c.suffix + ".svg", chart: c.svg})
+			}
+		}
+	}
+	return files
+}
+
+// Summary is summary.txt: the text of every derived artifact, each followed
+// by a blank line.
+func (a Artifacts) Summary() string {
+	var b strings.Builder
+	for _, art := range a.derived() {
+		if art.text != nil {
+			b.WriteString(art.text(a))
+			b.WriteString("\n")
+		}
+	}
+	return b.String()
+}
+
+// derived lists the table entries a's derivation ran — the names its
+// Timings record — in table order.
+func (a Artifacts) derived() []artifact {
+	ran := map[string]bool{}
+	for _, t := range a.Timings {
+		ran[t.Name] = true
+	}
+	var out []artifact
+	for _, art := range artifacts {
+		if ran[art.name] {
+			out = append(out, art)
+		}
+	}
+	return out
 }
 
 // BuildArtifacts is the one-campaign pipeline: plan every job, execute each

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -22,24 +23,15 @@ func tinyArtifactOpts() ArtifactOptions {
 	}
 }
 
-// renderAll concatenates every artifact render — the value-comparison
-// fingerprint of a derivation.
+// renderAll concatenates every file of the artifact set — the
+// value-comparison fingerprint of a derivation.
 func renderAll(a Artifacts) string {
 	var b bytes.Buffer
-	b.WriteString(a.Figure1.Render())
-	b.WriteString(a.Figure2.Render())
-	b.WriteString(a.Table1.Render())
-	b.WriteString(RenderTable2(a.Table2))
-	b.WriteString(a.Figure4.Render())
-	b.WriteString(a.Figure5.Render())
-	b.WriteString(a.Figure6.Render())
-	b.WriteString(a.Figure7.Render())
-	b.WriteString(a.Table4.Render())
-	b.WriteString(a.Table5.Render())
-	b.WriteString(RenderAblation("credits", a.CreditSweep))
-	b.WriteString(RenderAblation("period", a.PeriodSweep))
-	b.WriteString(RenderAblation("trigger", a.TriggerSweep))
-	b.WriteString(RenderMiddlewareComparison(a.Comparison))
+	for _, f := range a.Files() {
+		data, err := f.Content()
+		fmt.Fprintf(&b, "%s %v\n", f.Name, err)
+		b.Write(data)
+	}
 	return b.String()
 }
 
@@ -71,11 +63,12 @@ func TestArtifactsExactlyOnce(t *testing.T) {
 	// The consumers overlap (Fig 1 is a matrix baseline; ablation baselines
 	// are matrix cells; the comparison shares the XWHEP/BOINC cells): the
 	// deduplicated plan must be strictly smaller than the naive sum.
-	naive := len(opts.Spec.Jobs(p)) + 1 +
-		len(ablationJobs(p, creditSettings())) +
-		len(ablationJobs(p, periodSettings(p))) +
-		len(ablationJobs(p, triggerSettings(p))) +
-		len(ComparisonJobs(p))
+	naive := 0
+	for _, art := range artifacts {
+		if art.jobs != nil && art.planned(opts) {
+			naive += len(art.jobs(p, opts))
+		}
+	}
 	if plan.Len() >= naive {
 		t.Fatalf("plan %d jobs did not dedupe the naive %d", plan.Len(), naive)
 	}

@@ -295,8 +295,8 @@ func TestTable5EDGI(t *testing.T) {
 
 func TestCreditFractionSweep(t *testing.T) {
 	p := tiny()
-	store := runStore(t, p, ablationJobs(p, creditSettings())...)
-	pts := must(CreditFractionSweepFrom(store, p))
+	store := runStore(t, p, ablationJobs(p, creditSettings(p))...)
+	pts := must(ablationFrom(store, p, creditSettings(p)))
 	if len(pts) != 4 {
 		t.Fatalf("points = %d", len(pts))
 	}
@@ -319,7 +319,7 @@ func TestCreditFractionSweep(t *testing.T) {
 func TestMonitorPeriodSweep(t *testing.T) {
 	p := tiny()
 	store := runStore(t, p, ablationJobs(p, periodSettings(p))...)
-	pts := must(MonitorPeriodSweepFrom(store, p))
+	pts := must(ablationFrom(store, p, periodSettings(p)))
 	if len(pts) != 4 {
 		t.Fatalf("points = %+v", pts)
 	}
@@ -338,7 +338,7 @@ func TestMonitorPeriodSweep(t *testing.T) {
 func TestTriggerAblation(t *testing.T) {
 	p := tiny()
 	store := runStore(t, p, ablationJobs(p, triggerSettings(p))...)
-	pts := must(TriggerAblationFrom(store, p))
+	pts := must(ablationFrom(store, p, triggerSettings(p)))
 	if len(pts) != 2 {
 		t.Fatalf("points = %d", len(pts))
 	}

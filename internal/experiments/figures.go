@@ -100,6 +100,16 @@ func (f Figure2) FractionBelow(mw string, s float64) float64 {
 	return float64(n) / float64(len(xs))
 }
 
+// csv is figure2.csv: the CDF of each middleware at reference slowdowns.
+func (f Figure2) csv() string {
+	var b strings.Builder
+	b.WriteString("slowdown,boinc_cdf,xwhep_cdf\n")
+	for _, s := range []float64{1, 1.1, 1.2, 1.33, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7.5, 10, 15, 20, 50, 100} {
+		fmt.Fprintf(&b, "%g,%g,%g\n", s, f.FractionBelow(BOINC, s), f.FractionBelow(XWHEP, s))
+	}
+	return b.String()
+}
+
 // Render prints the CDF at reference slowdowns.
 func (f Figure2) Render() string {
 	tbl := TextTable{

@@ -7,10 +7,8 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"spequlos/internal/campaign"
@@ -103,82 +101,16 @@ func TestArtifactManifestGolden(t *testing.T) {
 	for _, tm := range a.Timings {
 		fmt.Fprintf(&m, "timing\t%s\n", tm.Name)
 	}
-	for _, f := range cliFiles(a) {
-		data, err := f.content()
+	for _, f := range a.Files() {
+		data, err := f.Content()
 		if err != nil {
-			fmt.Fprintf(&m, "skip\t%s\n", f.name)
+			fmt.Fprintf(&m, "skip\t%s\n", f.Name)
 			continue
 		}
-		fmt.Fprintf(&m, "file\t%s\t%x\n", f.name, sha256.Sum256(data))
+		fmt.Fprintf(&m, "file\t%s\t%x\n", f.Name, sha256.Sum256(data))
 	}
+	fmt.Fprintf(&m, "file\tsummary.txt\t%x\n", sha256.Sum256([]byte(a.Summary())))
 	if !compareGolden(t, "artifacts.manifest", m.Bytes()) {
 		t.Logf("got manifest:\n%s", m.String())
 	}
-}
-
-type cliFile struct {
-	name    string
-	content func() ([]byte, error)
-}
-
-// cliFiles is what spequlos-bench writes, in its order.
-func cliFiles(a Artifacts) []cliFile {
-	var files []cliFile
-	var summary strings.Builder
-	emit := func(name, text, csv string) {
-		files = append(files, cliFile{name + ".txt", func() ([]byte, error) { return []byte(text), nil }})
-		if csv != "" {
-			files = append(files, cliFile{name + ".csv", func() ([]byte, error) { return []byte(csv), nil }})
-		}
-		summary.WriteString(text)
-		summary.WriteString("\n")
-	}
-	emitSVG := func(name string, chart interface{ WriteSVG(io.Writer) error }) {
-		files = append(files, cliFile{name + ".svg", func() ([]byte, error) {
-			var b bytes.Buffer
-			err := chart.WriteSVG(&b)
-			return b.Bytes(), err
-		}})
-	}
-	emit("figure1", a.Figure1.Render(), "")
-	emitSVG("figure1", Figure1Chart(a.Figure1))
-	emit("figure2", a.Figure2.Render(), figure2CSV(a.Figure2))
-	emitSVG("figure2", Figure2Chart(a.Figure2))
-	emit("table1", a.Table1.Render(), "")
-	emit("table2", RenderTable2(a.Table2), "")
-	emit("figure4", a.Figure4.Render(), "")
-	for _, deploy := range []string{"F", "R", "D"} {
-		emitSVG("figure4"+strings.ToLower(deploy), Figure4Chart(a.Figure4, deploy))
-	}
-	emit("figure5", a.Figure5.Render(), "")
-	emitSVG("figure5", Figure5Chart(a.Figure5))
-	emit("figure6", a.Figure6.Render(), "")
-	for _, mw := range Middlewares() {
-		for _, bc := range BotClasses() {
-			if len(a.Figure6.Cells[mw][bc]) > 0 {
-				emitSVG("figure6-"+strings.ToLower(mw)+"-"+strings.ToLower(bc), Figure6Chart(a.Figure6, mw, bc))
-			}
-		}
-	}
-	emit("figure7", a.Figure7.Render(), "")
-	for _, mw := range Middlewares() {
-		emitSVG("figure7-"+strings.ToLower(mw), Figure7Chart(a.Figure7, mw))
-	}
-	emit("table4", a.Table4.Render(), "")
-	emit("table5", a.Table5.Render(), "")
-	emit("ablation-credits", RenderAblation("Ablation — credit provisioning fraction", a.CreditSweep), "")
-	emit("ablation-period", RenderAblation("Ablation — monitoring period", a.PeriodSweep), "")
-	emit("ablation-trigger", RenderAblation("Ablation — trigger strategy", a.TriggerSweep), "")
-	emit("comparison", RenderMiddlewareComparison(a.Comparison), "")
-	text := summary.String()
-	return append(files, cliFile{"summary.txt", func() ([]byte, error) { return []byte(text), nil }})
-}
-
-func figure2CSV(f Figure2) string {
-	var b strings.Builder
-	b.WriteString("slowdown,boinc_cdf,xwhep_cdf\n")
-	for _, s := range []float64{1, 1.1, 1.2, 1.33, 1.5, 1.75, 2, 2.5, 3, 4, 5, 7.5, 10, 15, 20, 50, 100} {
-		fmt.Fprintf(&b, "%g,%g,%g\n", s, f.FractionBelow(BOINC, s), f.FractionBelow(XWHEP, s))
-	}
-	return b.String()
 }
