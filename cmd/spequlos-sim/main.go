@@ -37,7 +37,6 @@ import (
 	"spequlos/internal/core"
 	"spequlos/internal/emul"
 	"spequlos/internal/experiments"
-	"spequlos/internal/stats"
 )
 
 func main() {
@@ -204,45 +203,19 @@ func reportKernel(r experiments.Result) {
 // reportCrowd summarizes a multi-batch cell: per-batch completion spread
 // and aggregate cloud accounting.
 func reportCrowd(r experiments.Result) {
-	completed, triggered := 0, 0
-	var times []float64
-	for _, br := range r.Batches {
-		if br.Completed {
-			completed++
-			times = append(times, br.CompletionTime)
-		}
-		if br.TriggeredAt >= 0 {
-			triggered++
-		}
-	}
-	q := func(f float64) float64 { return stats.NearestRank(times, f) }
+	s := experiments.SummarizeBatches(r.Batches)
 	fmt.Printf("  crowd: %d batches (%d completed, %d triggered), %d tasks, makespan %.0fs\n",
-		len(r.Batches), completed, triggered, r.Size, r.CompletionTime)
+		s.Batches, s.Completed, s.Triggered, r.Size, r.CompletionTime)
 	fmt.Printf("  per-batch completion: median %.0fs, p90 %.0fs, max %.0fs\n",
-		q(0.5), q(0.9), q(1))
+		s.MedianCompletion, s.P90Completion, s.MaxCompletion)
 	if r.Strategy != "" {
 		fmt.Printf("  cloud: %d instances, credits %.1f/%.1f\n",
 			r.Instances, r.CreditsBilled, r.CreditsAllocated)
 	}
 	// Tiered cells break the completion spread down per service class.
-	for _, t := range core.AllTiers() {
-		var tTimes []float64
-		n := 0
-		for _, br := range r.Batches {
-			if br.Tier == "" || core.Tier(br.Tier).OrFree() != t {
-				continue
-			}
-			n++
-			if br.Completed {
-				tTimes = append(tTimes, br.CompletionTime)
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		tq := func(f float64) float64 { return stats.NearestRank(tTimes, f) }
+	for _, t := range experiments.CrowdTiers(r.Batches) {
 		fmt.Printf("  tier %-10s %4d batches (%d completed): median %.0fs, p90 %.0fs, max %.0fs\n",
-			t, n, len(tTimes), tq(0.5), tq(0.9), tq(1))
+			t.Tier, t.Batches, t.Completed, t.MedianCompletion, t.P90Completion, t.MaxCompletion)
 	}
 }
 

@@ -37,27 +37,15 @@ func (s ablationSetting) job(sc Scenario) campaign.Job {
 	return campaign.Job{Scenario: sc, Variant: s.Setting, Config: &cfg, CreditFraction: &frac}
 }
 
-// ablationScenarios is the mini-matrix the sweeps run over: the volatile
+// ablationSpec is the mini-matrix the sweeps run over: the volatile
 // environments where SpeQuloS matters.
-func ablationScenarios(p Profile) []Scenario {
-	var out []Scenario
-	for _, mw := range Middlewares() {
-		for _, tn := range []string{"seti", "g5klyo"} {
-			for off := 0; off < p.Offsets; off++ {
-				out = append(out, Scenario{
-					Profile: p, Middleware: mw, TraceName: tn, BotClass: "SMALL", Offset: off,
-				})
-			}
-		}
-	}
-	return out
-}
+var ablationSpec = MatrixSpec{Traces: []string{"seti", "g5klyo"}, Bots: []string{"SMALL"}}
 
 // ablationJobs plans the baselines of the mini-matrix plus one variant job
 // per (scenario, setting).
 func ablationJobs(p Profile, settings []ablationSetting) []campaign.Job {
 	var jobs []campaign.Job
-	for _, sc := range ablationScenarios(p) {
+	for _, sc := range ablationSpec.scenarios(p) {
 		jobs = append(jobs, campaign.Job{Scenario: sc})
 		for _, s := range settings {
 			jobs = append(jobs, s.job(sc))
@@ -68,7 +56,7 @@ func ablationJobs(p Profile, settings []ablationSetting) []campaign.Job {
 
 // ablationFrom aggregates one sweep from an already-executed store.
 func ablationFrom(store *campaign.ResultStore, p Profile, settings []ablationSetting) ([]AblationPoint, error) {
-	scs := ablationScenarios(p)
+	scs := ablationSpec.scenarios(p)
 	var out []AblationPoint
 	for _, s := range settings {
 		pt := AblationPoint{Setting: s.Setting}
@@ -182,28 +170,10 @@ type MiddlewareComparisonRow struct {
 // desktop grid and one best-effort grid trace.
 const comparisonBot = "BIG"
 
-// comparisonScenarios enumerates the baseline cells of the comparison.
-func comparisonScenarios(p Profile) []Scenario {
-	var out []Scenario
-	for _, mw := range AllMiddlewares() {
-		for _, tn := range []string{"seti", "g5klyo"} {
-			for off := 0; off < p.Offsets; off++ {
-				out = append(out, Scenario{
-					Profile: p, Middleware: mw, TraceName: tn, BotClass: comparisonBot, Offset: off,
-				})
-			}
-		}
-	}
-	return out
-}
-
-// ComparisonJobs plans the baseline jobs of the middleware comparison.
-func ComparisonJobs(p Profile) []campaign.Job {
-	var jobs []campaign.Job
-	for _, sc := range comparisonScenarios(p) {
-		jobs = append(jobs, campaign.Job{Scenario: sc})
-	}
-	return jobs
+// comparisonSpec holds the cells of the comparison; with no strategies, its
+// Jobs are the baselines alone.
+var comparisonSpec = MatrixSpec{
+	Middlewares: AllMiddlewares(), Traces: []string{"seti", "g5klyo"}, Bots: []string{comparisonBot},
 }
 
 // CompareMiddlewareFrom derives, from an already-executed store, the
@@ -213,7 +183,7 @@ func CompareMiddlewareFrom(store *campaign.ResultStore, p Profile) ([]Middleware
 	for _, mw := range AllMiddlewares() {
 		row := MiddlewareComparisonRow{Middleware: mw}
 		var comp, slow float64
-		for _, sc := range comparisonScenarios(p) {
+		for _, sc := range comparisonSpec.scenarios(p) {
 			if sc.Middleware != mw {
 				continue
 			}

@@ -5,6 +5,8 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"path"
+	"slices"
 	"strings"
 	"time"
 
@@ -42,15 +44,9 @@ type ArtifactOptions struct {
 }
 
 func (o ArtifactOptions) withDefaults() ArtifactOptions {
-	hasDefault := false
-	defaultLabel := core.DefaultStrategy().Label()
-	for _, st := range o.Spec.Strategies {
-		if st.Label() == defaultLabel {
-			hasDefault = true
-		}
-	}
-	if !hasDefault {
-		o.Spec.Strategies = append(o.Spec.Strategies, core.DefaultStrategy())
+	def := core.DefaultStrategy()
+	if !slices.ContainsFunc(o.Spec.Strategies, func(st core.Strategy) bool { return st.Label() == def.Label() }) {
+		o.Spec.Strategies = append(o.Spec.Strategies, def)
 	}
 	if o.Table2Seed == 0 {
 		o.Table2Seed = 20260611
@@ -85,8 +81,9 @@ type Artifacts struct {
 	// Comparison rows (when ArtifactOptions.Comparison).
 	Comparison []MiddlewareComparisonRow
 
-	// Timings records per-artifact derivation wall-clock (bench/ reports
-	// them as experiments.derive_s, table2_s and table5_s).
+	// Timings records per-artifact derivation wall-clock in table order
+	// (bench/ reports them as experiments.derive_s, table2_s and table5_s);
+	// Files lists the files of the artifacts it names.
 	Timings []ArtifactTiming
 }
 
@@ -96,49 +93,28 @@ type ArtifactTiming struct {
 	Elapsed time.Duration `json:"elapsed_ns"`
 }
 
-// DefaultStrategyLabel is the strategy Figs 6/7 and Table 4 report on.
-func (a Artifacts) DefaultStrategyLabel() string { return core.DefaultStrategy().Label() }
-
 // artifact is one entry of the artifact table: the campaign jobs one figure
 // or table needs, its derivation into Artifacts and the files it writes.
 type artifact struct {
-	// name is the artifact's file stem and its Timings name.
-	name string
-	// when, if set, is the ArtifactOptions switch that adds the artifact.
-	when func(ArtifactOptions) bool
-	// jobs plans the campaign jobs the derivation reads; nil plans none
-	// (the figures and tables read the matrix's).
-	jobs func(Profile, ArtifactOptions) []campaign.Job
-	// derive fills the artifact's field of Artifacts from the executed store.
-	derive func(*Artifacts, source) error
-	// text is name.txt and the artifact's part of summary.txt; nil writes no
-	// file (the matrix).
-	text func(Artifacts) string
-	// csv is name.csv; nil writes none.
-	csv func(Artifacts) string
-	// charts are the artifact's SVGs, each written to name+suffix+".svg".
-	charts func(Artifacts) []chart
+	name   string                                        // file stem and Timings name
+	when   func(ArtifactOptions) bool                    // the option that adds it; nil: always
+	jobs   func(Profile, ArtifactOptions) []campaign.Job // nil: it reads jobs planned above
+	derive func(*Artifacts, source) error                // fills its field of Artifacts
+	text   func(Artifacts) string                        // name.txt, also in summary.txt; nil: none
+	more   func(Artifacts) []File                        // Figure 2's CSV, the charts; named by suffix
 }
 
 // planned reports whether opts asks for the artifact.
 func (art artifact) planned(opts ArtifactOptions) bool { return art.when == nil || art.when(opts) }
 
-// source is what a derivation reads: the executed store and the campaign's
-// scope.
+// source is what a derivation reads: the executed store, the campaign's
+// scope and the strategy Figs 6/7 and Table 4 report on.
 type source struct {
 	store *campaign.ResultStore
 	p     Profile
-	opts  ArtifactOptions
+	ArtifactOptions
+	label string
 }
-
-// chart is one SVG of an artifact, its file named by the suffix.
-type chart struct {
-	suffix string
-	svg    svgWriter
-}
-
-// svgWriter is a chart of internal/plot.
-type svgWriter interface{ WriteSVG(io.Writer) error }
 
 // artifacts is the artifact table: every figure and table of the
 // evaluation, in the order PlanArtifacts plans their jobs, DeriveArtifacts
@@ -152,10 +128,10 @@ var artifacts = []artifact{
 		name: "matrix",
 		jobs: func(p Profile, o ArtifactOptions) []campaign.Job { return o.Spec.Jobs(p) },
 		derive: func(a *Artifacts, s source) (err error) {
-			if s.opts.StreamMatrix {
-				return ValidateSpec(s.store, s.p, s.opts.Spec)
+			if s.StreamMatrix {
+				return ValidateSpec(s.store, s.p, s.Spec)
 			}
-			a.Matrix, err = MatrixFrom(s.store, s.p, s.opts.Spec)
+			a.Matrix, err = MatrixFrom(s.store, s.p, s.Spec)
 			return
 		},
 	},
@@ -164,66 +140,55 @@ var artifacts = []artifact{
 		jobs:   func(p Profile, _ ArtifactOptions) []campaign.Job { return []campaign.Job{Figure1Job(p)} },
 		derive: func(a *Artifacts, s source) (err error) { a.Figure1, err = Figure1From(s.store, s.p); return },
 		text:   func(a Artifacts) string { return a.Figure1.Render() },
-		charts: func(a Artifacts) []chart { return []chart{{"", Figure1Chart(a.Figure1)}} },
+		more:   func(a Artifacts) []File { return []File{svg("", Figure1Chart(a.Figure1))} },
 	},
 	{
-		name: "figure2",
-		derive: func(a *Artifacts, s source) (err error) {
-			a.Figure2, err = Figure2From(s.store, s.p, s.opts.Spec)
-			return
-		},
+		name:   "figure2",
+		derive: func(a *Artifacts, s source) (err error) { a.Figure2, err = Figure2From(s.store, s.p, s.Spec); return },
 		text:   func(a Artifacts) string { return a.Figure2.Render() },
-		csv:    func(a Artifacts) string { return a.Figure2.csv() },
-		charts: func(a Artifacts) []chart { return []chart{{"", Figure2Chart(a.Figure2)}} },
+		more: func(a Artifacts) []File {
+			return []File{{Name: ".csv", text: a.Figure2.csv()}, svg("", Figure2Chart(a.Figure2))}
+		},
 	},
 	{
-		name: "table1",
-		derive: func(a *Artifacts, s source) (err error) {
-			a.Table1, err = Table1From(s.store, s.p, s.opts.Spec)
-			return
-		},
-		text: func(a Artifacts) string { return a.Table1.Render() },
+		name:   "table1",
+		derive: func(a *Artifacts, s source) (err error) { a.Table1, err = Table1From(s.store, s.p, s.Spec); return },
+		text:   func(a Artifacts) string { return a.Table1.Render() },
 	},
 	{
 		name:   "table2",
-		derive: func(a *Artifacts, s source) error { a.Table2 = BuildTable2(table2Days, s.opts.Table2Seed); return nil },
+		derive: func(a *Artifacts, s source) error { a.Table2 = BuildTable2(table2Days, s.Table2Seed); return nil },
 		text:   func(a Artifacts) string { return RenderTable2(a.Table2) },
 	},
 	{
-		name: "figure4",
-		derive: func(a *Artifacts, s source) (err error) {
-			a.Figure4, err = Figure4From(s.store, s.p, s.opts.Spec)
-			return
-		},
-		text: func(a Artifacts) string { return a.Figure4.Render() },
-		charts: func(a Artifacts) (out []chart) {
+		name:   "figure4",
+		derive: func(a *Artifacts, s source) (err error) { a.Figure4, err = Figure4From(s.store, s.p, s.Spec); return },
+		text:   func(a Artifacts) string { return a.Figure4.Render() },
+		more: func(a Artifacts) (out []File) {
 			for _, deploy := range []string{"F", "R", "D"} {
-				out = append(out, chart{strings.ToLower(deploy), Figure4Chart(a.Figure4, deploy)})
+				out = append(out, svg(strings.ToLower(deploy), Figure4Chart(a.Figure4, deploy)))
 			}
 			return out
 		},
 	},
 	{
-		name: "figure5",
-		derive: func(a *Artifacts, s source) (err error) {
-			a.Figure5, err = Figure5From(s.store, s.p, s.opts.Spec)
-			return
-		},
+		name:   "figure5",
+		derive: func(a *Artifacts, s source) (err error) { a.Figure5, err = Figure5From(s.store, s.p, s.Spec); return },
 		text:   func(a Artifacts) string { return a.Figure5.Render() },
-		charts: func(a Artifacts) []chart { return []chart{{"", Figure5Chart(a.Figure5)}} },
+		more:   func(a Artifacts) []File { return []File{svg("", Figure5Chart(a.Figure5))} },
 	},
 	{
 		name: "figure6",
 		derive: func(a *Artifacts, s source) (err error) {
-			a.Figure6, err = Figure6From(s.store, s.p, s.opts.Spec, a.DefaultStrategyLabel())
+			a.Figure6, err = Figure6From(s.store, s.p, s.Spec, s.label)
 			return
 		},
 		text: func(a Artifacts) string { return a.Figure6.Render() },
-		charts: func(a Artifacts) (out []chart) {
+		more: func(a Artifacts) (out []File) {
 			for _, mw := range Middlewares() {
 				for _, bc := range BotClasses() {
 					if len(a.Figure6.Cells[mw][bc]) > 0 {
-						out = append(out, chart{"-" + strings.ToLower(mw) + "-" + strings.ToLower(bc), Figure6Chart(a.Figure6, mw, bc)})
+						out = append(out, svg("-"+strings.ToLower(mw)+"-"+strings.ToLower(bc), Figure6Chart(a.Figure6, mw, bc)))
 					}
 				}
 			}
@@ -233,13 +198,13 @@ var artifacts = []artifact{
 	{
 		name: "figure7",
 		derive: func(a *Artifacts, s source) (err error) {
-			a.Figure7, err = Figure7From(s.store, s.p, s.opts.Spec, a.DefaultStrategyLabel())
+			a.Figure7, err = Figure7From(s.store, s.p, s.Spec, s.label)
 			return
 		},
 		text: func(a Artifacts) string { return a.Figure7.Render() },
-		charts: func(a Artifacts) (out []chart) {
+		more: func(a Artifacts) (out []File) {
 			for _, mw := range Middlewares() {
-				out = append(out, chart{"-" + strings.ToLower(mw), Figure7Chart(a.Figure7, mw)})
+				out = append(out, svg("-"+strings.ToLower(mw), Figure7Chart(a.Figure7, mw)))
 			}
 			return out
 		},
@@ -247,14 +212,14 @@ var artifacts = []artifact{
 	{
 		name: "table4",
 		derive: func(a *Artifacts, s source) (err error) {
-			a.Table4, err = Table4From(s.store, s.p, s.opts.Spec, a.DefaultStrategyLabel())
+			a.Table4, err = Table4From(s.store, s.p, s.Spec, s.label)
 			return
 		},
 		text: func(a Artifacts) string { return a.Table4.Render() },
 	},
 	{
 		name:   "table5",
-		derive: func(a *Artifacts, s source) error { a.Table5 = BuildTable5(s.opts.Table5Seed); return nil },
+		derive: func(a *Artifacts, s source) error { a.Table5 = BuildTable5(s.Table5Seed); return nil },
 		text:   func(a Artifacts) string { return a.Table5.Render() },
 	},
 	ablation("ablation-credits", "Ablation — credit provisioning fraction", creditSettings,
@@ -266,7 +231,7 @@ var artifacts = []artifact{
 	{
 		name: "comparison",
 		when: func(o ArtifactOptions) bool { return o.Comparison },
-		jobs: func(p Profile, _ ArtifactOptions) []campaign.Job { return ComparisonJobs(p) },
+		jobs: func(p Profile, _ ArtifactOptions) []campaign.Job { return comparisonSpec.Jobs(p) },
 		derive: func(a *Artifacts, s source) (err error) {
 			a.Comparison, err = CompareMiddlewareFrom(s.store, s.p)
 			return
@@ -313,7 +278,7 @@ func PlanArtifacts(p Profile, opts ArtifactOptions) *campaign.Plan {
 func DeriveArtifacts(store *campaign.ResultStore, p Profile, opts ArtifactOptions) (Artifacts, error) {
 	opts = opts.withDefaults()
 	a := Artifacts{Profile: p}
-	src := source{store: store, p: p, opts: opts}
+	src := source{store: store, p: p, ArtifactOptions: opts, label: core.DefaultStrategy().Label()}
 	for _, art := range artifacts {
 		if !art.planned(opts) {
 			continue
@@ -330,9 +295,14 @@ func DeriveArtifacts(store *campaign.ResultStore, p Profile, opts ArtifactOption
 // File is one file of the artifact set: an artifact's text, Figure 2's CSV
 // or a chart.
 type File struct {
-	Name  string // the artifact's name, a chart's suffix and the extension
+	Name  string
 	text  string
-	chart svgWriter
+	chart interface{ WriteSVG(io.Writer) error }
+}
+
+// svg is the file of a chart, named by its suffix to the artifact's name.
+func svg(suffix string, chart interface{ WriteSVG(io.Writer) error }) File {
+	return File{Name: suffix + ".svg", chart: chart}
 }
 
 // Content returns the file's bytes. A chart with nothing to draw — a panel
@@ -349,53 +319,35 @@ func (f File) Content() ([]byte, error) {
 	return b.Bytes(), nil
 }
 
-// Files lists the files of every derived artifact, in table order: its
-// .txt, its .csv, then its charts. summary.txt is Summary.
+// Files lists the files of every derived artifact — those a's Timings
+// name — in table order: its .txt, then its CSV and charts. summary.txt is
+// Summary.
 func (a Artifacts) Files() []File {
 	var files []File
-	for _, art := range a.derived() {
-		if art.text != nil {
+	for _, art := range artifacts {
+		derived := slices.ContainsFunc(a.Timings, func(t ArtifactTiming) bool { return t.Name == art.name })
+		if derived && art.text != nil {
 			files = append(files, File{Name: art.name + ".txt", text: art.text(a)})
 		}
-		if art.csv != nil {
-			files = append(files, File{Name: art.name + ".csv", text: art.csv(a)})
-		}
-		if art.charts != nil {
-			for _, c := range art.charts(a) {
-				files = append(files, File{Name: art.name + c.suffix + ".svg", chart: c.svg})
+		if derived && art.more != nil {
+			for _, f := range art.more(a) {
+				f.Name = art.name + f.Name
+				files = append(files, f)
 			}
 		}
 	}
 	return files
 }
 
-// Summary is summary.txt: the text of every derived artifact, each followed
-// by a blank line.
+// Summary is summary.txt: the .txt files, each followed by a blank line.
 func (a Artifacts) Summary() string {
 	var b strings.Builder
-	for _, art := range a.derived() {
-		if art.text != nil {
-			b.WriteString(art.text(a))
-			b.WriteString("\n")
+	for _, f := range a.Files() {
+		if path.Ext(f.Name) == ".txt" {
+			b.WriteString(f.text + "\n")
 		}
 	}
 	return b.String()
-}
-
-// derived lists the table entries a's derivation ran — the names its
-// Timings record — in table order.
-func (a Artifacts) derived() []artifact {
-	ran := map[string]bool{}
-	for _, t := range a.Timings {
-		ran[t.Name] = true
-	}
-	var out []artifact
-	for _, art := range artifacts {
-		if ran[art.name] {
-			out = append(out, art)
-		}
-	}
-	return out
 }
 
 // BuildArtifacts is the one-campaign pipeline: plan every job, execute each

@@ -10,6 +10,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
@@ -51,21 +52,8 @@ func PlanCrowd(p Profile) *campaign.Plan {
 // CrowdRow is one middleware's crowd outcome.
 type CrowdRow struct {
 	Middleware string
+	BatchSummary
 
-	Batches   int // batches in the cell
-	Completed int // batches that finished within the horizon
-	Triggered int // batches whose QoS trigger fired
-
-	// Per-batch completion-time stats, seconds from each batch's own
-	// submission — the per-user QoS view.
-	MedianCompletion float64
-	P90Completion    float64
-	MaxCompletion    float64
-	// JainIndex is Jain's fairness index over per-batch completion times
-	// (1 = perfectly even service across the crowd). It is 0 unless every
-	// batch completed: fairness over only the served users would read
-	// highest exactly when part of the crowd got no service at all.
-	JainIndex float64
 	// BaselineMedian is the paired no-SpeQuloS cell's median per-batch
 	// completion; MedianSpeedup = BaselineMedian / MedianCompletion.
 	BaselineMedian float64
@@ -87,21 +75,61 @@ type CrowdRow struct {
 // per-tier completion quantiles and fairness the tier contracts are judged
 // on.
 type CrowdTierRow struct {
-	Tier      string
-	Batches   int
-	Completed int
-	Triggered int
-
-	// Completion-time quantiles, seconds from each batch's own submission.
-	MedianCompletion float64
-	P90Completion    float64
-	MaxCompletion    float64
-	// JainIndex is Jain's fairness index over this tier's per-batch
-	// completion times; 0 unless every batch of the tier completed.
-	JainIndex float64
+	Tier string
+	BatchSummary
 
 	CreditsBilled float64
 	Instances     int
+}
+
+// BatchSummary is the per-batch outcome of a multi-batch cell, or of one
+// tier's slice of it: the per-user QoS view.
+type BatchSummary struct {
+	Batches   int // batches in the cell
+	Completed int // batches that finished within the horizon
+	Triggered int // batches whose QoS trigger fired
+
+	// Per-batch completion-time stats, seconds from each batch's own
+	// submission.
+	MedianCompletion float64
+	P90Completion    float64
+	MaxCompletion    float64
+	// JainIndex is Jain's fairness index over per-batch completion times
+	// (1 = perfectly even service across the crowd). It is 0 unless every
+	// batch completed: fairness over only the served users would read
+	// highest exactly when part of the crowd got no service at all.
+	JainIndex float64
+}
+
+// cells formats the summary's columns of the crowd table.
+func (s BatchSummary) cells() []string {
+	return []string{
+		fmt.Sprint(s.Batches), fmt.Sprint(s.Completed), fmt.Sprint(s.Triggered),
+		fmt.Sprintf("%.0fs", s.MedianCompletion), fmt.Sprintf("%.0fs", s.P90Completion),
+		fmt.Sprintf("%.0fs", s.MaxCompletion), fmt.Sprintf("%.3f", s.JainIndex),
+	}
+}
+
+// SummarizeBatches summarizes the batches of a multi-batch cell.
+func SummarizeBatches(batches []campaign.BatchResult) BatchSummary {
+	s := BatchSummary{Batches: len(batches)}
+	var times []float64
+	for _, br := range batches {
+		if br.Completed {
+			s.Completed++
+			times = append(times, br.CompletionTime)
+		}
+		if br.TriggeredAt >= 0 {
+			s.Triggered++
+		}
+	}
+	s.MedianCompletion = stats.NearestRank(times, 0.5)
+	s.P90Completion = stats.NearestRank(times, 0.9)
+	s.MaxCompletion = stats.NearestRank(times, 1)
+	if s.Completed == s.Batches {
+		s.JainIndex = jainIndex(times)
+	}
+	return s
 }
 
 // CrowdReport is the crowd campaign's artifact.
@@ -132,40 +160,18 @@ func CrowdFrom(store *campaign.ResultStore, p Profile) (CrowdReport, error) {
 		}
 		row := CrowdRow{
 			Middleware:       mw,
-			Batches:          len(speq.Batches),
+			BatchSummary:     SummarizeBatches(speq.Batches),
+			BaselineMedian:   SummarizeBatches(base.Batches).MedianCompletion,
 			Makespan:         speq.CompletionTime,
 			CreditsAllocated: speq.CreditsAllocated,
 			CreditsBilled:    speq.CreditsBilled,
 			Instances:        speq.Instances,
 			Events:           speq.Events,
+			Tiers:            CrowdTiers(speq.Batches),
 		}
-		var times []float64
-		for _, br := range speq.Batches {
-			if br.Completed {
-				row.Completed++
-				times = append(times, br.CompletionTime)
-			}
-			if br.TriggeredAt >= 0 {
-				row.Triggered++
-			}
-		}
-		row.MedianCompletion = stats.NearestRank(times, 0.5)
-		row.P90Completion = stats.NearestRank(times, 0.9)
-		row.MaxCompletion = stats.NearestRank(times, 1)
-		if row.Completed == row.Batches {
-			row.JainIndex = jainIndex(times)
-		}
-		var baseTimes []float64
-		for _, br := range base.Batches {
-			if br.Completed {
-				baseTimes = append(baseTimes, br.CompletionTime)
-			}
-		}
-		row.BaselineMedian = stats.NearestRank(baseTimes, 0.5)
 		if row.MedianCompletion > 0 {
 			row.MedianSpeedup = row.BaselineMedian / row.MedianCompletion
 		}
-		row.Tiers = crowdTierRows(speq.Batches)
 		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
@@ -196,80 +202,39 @@ func (r CrowdReport) Render() string {
 			"max", "jain", "speedup", "credits", "fleet"},
 	}
 	for _, row := range r.Rows {
-		tbl.AddRow(
-			row.Middleware,
-			fmt.Sprint(row.Batches),
-			fmt.Sprint(row.Completed),
-			fmt.Sprint(row.Triggered),
-			fmt.Sprintf("%.0fs", row.MedianCompletion),
-			fmt.Sprintf("%.0fs", row.P90Completion),
-			fmt.Sprintf("%.0fs", row.MaxCompletion),
-			fmt.Sprintf("%.3f", row.JainIndex),
+		tbl.AddRow(slices.Concat([]string{row.Middleware}, row.cells(), []string{
 			fmt.Sprintf("%.2fx", row.MedianSpeedup),
 			fmt.Sprintf("%.0f/%.0f", row.CreditsBilled, row.CreditsAllocated),
 			fmt.Sprint(row.Instances),
-		)
+		})...)
 		for _, tr := range row.Tiers {
-			tbl.AddRow(
-				" +"+tr.Tier,
-				fmt.Sprint(tr.Batches),
-				fmt.Sprint(tr.Completed),
-				fmt.Sprint(tr.Triggered),
-				fmt.Sprintf("%.0fs", tr.MedianCompletion),
-				fmt.Sprintf("%.0fs", tr.P90Completion),
-				fmt.Sprintf("%.0fs", tr.MaxCompletion),
-				fmt.Sprintf("%.3f", tr.JainIndex),
-				"",
-				fmt.Sprintf("%.0f", tr.CreditsBilled),
-				fmt.Sprint(tr.Instances),
-			)
+			tbl.AddRow(slices.Concat([]string{" +" + tr.Tier}, tr.cells(), []string{
+				"", fmt.Sprintf("%.0f", tr.CreditsBilled), fmt.Sprint(tr.Instances),
+			})...)
 		}
 	}
 	return tbl.String()
 }
 
-// crowdTierRows aggregates a tiered cell's batches per service class, in
-// descending privilege order; it returns nil for untiered cells.
-func crowdTierRows(batches []campaign.BatchResult) []CrowdTierRow {
-	tiered := false
-	for _, br := range batches {
-		if br.Tier != "" {
-			tiered = true
-			break
-		}
-	}
-	if !tiered {
-		return nil
-	}
+// CrowdTiers summarizes a tiered cell's batches per service class, in
+// descending privilege order, skipping empty classes; it returns nil for
+// untiered cells.
+func CrowdTiers(batches []campaign.BatchResult) []CrowdTierRow {
 	var rows []CrowdTierRow
 	for _, tier := range core.AllTiers() {
 		tr := CrowdTierRow{Tier: string(tier)}
-		var times []float64
+		var in []campaign.BatchResult
 		for _, br := range batches {
-			if core.Tier(br.Tier).OrFree() != tier {
-				continue
-			}
-			tr.Batches++
-			tr.CreditsBilled += br.CreditsBilled
-			tr.Instances += br.Instances
-			if br.Completed {
-				tr.Completed++
-				times = append(times, br.CompletionTime)
-			}
-			if br.TriggeredAt >= 0 {
-				tr.Triggered++
+			if core.Tier(br.Tier) == tier {
+				in = append(in, br)
+				tr.CreditsBilled += br.CreditsBilled
+				tr.Instances += br.Instances
 			}
 		}
-		if tr.Batches == 0 {
-			continue
+		if len(in) > 0 {
+			tr.BatchSummary = SummarizeBatches(in)
+			rows = append(rows, tr)
 		}
-		tr.MedianCompletion = stats.NearestRank(times, 0.5)
-		tr.P90Completion = stats.NearestRank(times, 0.9)
-		tr.MaxCompletion = stats.NearestRank(times, 1)
-		if tr.Completed == tr.Batches {
-			tr.JainIndex = jainIndex(times)
-		}
-		rows = append(rows, tr)
 	}
 	return rows
 }

@@ -8,6 +8,8 @@ import (
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
+	"spequlos/internal/stats"
+	"spequlos/internal/trace"
 )
 
 // tiny returns a profile small enough for unit tests.
@@ -414,7 +416,7 @@ func TestCondorScenarioRuns(t *testing.T) {
 
 func TestCompareMiddleware(t *testing.T) {
 	p := tiny()
-	store := runStore(t, p, ComparisonJobs(p)...)
+	store := runStore(t, p, comparisonSpec.Jobs(p)...)
 	rows := must(CompareMiddlewareFrom(store, p))
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d, want 3", len(rows))
@@ -434,5 +436,58 @@ func TestCompareMiddleware(t *testing.T) {
 	}
 	if !strings.Contains(RenderMiddlewareComparison(rows), "CONDOR") {
 		t.Fatal("render broken")
+	}
+}
+
+// TestFigure2P95UnderItsMiddleware: each p95 row puts its value under its
+// own middleware's column and leaves the other one blank.
+func TestFigure2P95UnderItsMiddleware(t *testing.T) {
+	for _, f := range []Figure2{
+		{Slowdowns: map[string][]float64{BOINC: {1.5, 2.61}, XWHEP: {3.5, 4.25}}},
+		{Slowdowns: map[string][]float64{BOINC: {1.5, 2.61}}},
+	} {
+		lines := strings.Split(f.Render(), "\n")
+		header := lines[1]
+		for mw, xs := range f.Slowdowns {
+			want := f2(stats.QuantileSorted(xs, 0.95))
+			row := ""
+			for _, l := range lines {
+				if strings.HasPrefix(l, "p95:"+mw) {
+					row = l
+				}
+			}
+			if got := strings.Fields(row); len(got) != 2 || strings.Index(row, want) != strings.Index(header, mw) {
+				t.Errorf("p95 row of %s is %q; want %s under the %s column of %q", mw, row, want, mw, header)
+			}
+		}
+	}
+}
+
+// TestTable1EmptyClassIsADash: a class or middleware with no executions
+// renders "-", not a 0.0% that reads like a measurement.
+func TestTable1EmptyClassIsADash(t *testing.T) {
+	tbl := Table1{Rows: map[trace.Class]map[string]table1Cell{
+		trace.ClassDesktopGrid:    {BOINC: {TaskFrac: 0.05, TimeFrac: 0.4, N: 2}},
+		trace.ClassBestEffortGrid: {BOINC: {N: 1}, XWHEP: {TaskFrac: 0.02, TimeFrac: 0.3, N: 1}},
+	}}
+	want := map[trace.Class][]string{
+		trace.ClassDesktopGrid:    {"5.0%", "-", "40.0%", "-"},
+		trace.ClassBestEffortGrid: {"0.0%", "2.0%", "0.0%", "30.0%"},
+		trace.ClassSpotInstances:  {"-", "-", "-", "-"},
+	}
+	out := tbl.Render()
+	for cls, cells := range want {
+		found := false
+		for _, l := range strings.Split(out, "\n") {
+			if rest, ok := strings.CutPrefix(l, string(cls)); ok {
+				found = true
+				if got := strings.Fields(rest); strings.Join(got, " ") != strings.Join(cells, " ") {
+					t.Errorf("%s: cells %q, want %q", cls, got, cells)
+				}
+			}
+		}
+		if !found {
+			t.Errorf("no %s row in\n%s", cls, out)
+		}
 	}
 }

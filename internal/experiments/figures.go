@@ -119,10 +119,11 @@ func (f Figure2) Render() string {
 	for _, s := range []float64{1.0, 1.33, 1.5, 2, 3, 4, 5, 10, 20} {
 		tbl.AddRow(f2(s), f2(f.FractionBelow(BOINC, s)), f2(f.FractionBelow(XWHEP, s)))
 	}
-	for _, mw := range []string{BOINC, XWHEP} {
-		xs := f.Slowdowns[mw]
-		if len(xs) > 0 {
-			tbl.AddRow("p95:"+mw, "", f2(stats.QuantileSorted(xs, 0.95)))
+	for i, mw := range []string{BOINC, XWHEP} {
+		if xs := f.Slowdowns[mw]; len(xs) > 0 {
+			row := []string{"p95:" + mw, "", ""}
+			row[1+i] = f2(stats.QuantileSorted(xs, 0.95))
+			tbl.AddRow(row...)
 		}
 	}
 	return tbl.String()
@@ -188,11 +189,17 @@ func (t Table1) Render() string {
 		Headers: []string{"BE-DCI class", "%BoT in tail BOINC", "%BoT in tail XWHEP",
 			"%time in tail BOINC", "%time in tail XWHEP"},
 	}
+	// A cell with no executions is "-", as in Table 4, not a 0.0% that
+	// reads like a measurement.
+	frac := func(c table1Cell, v float64) string {
+		if c.N == 0 {
+			return "-"
+		}
+		return pc(v)
+	}
 	for _, cls := range []trace.Class{trace.ClassDesktopGrid, trace.ClassBestEffortGrid, trace.ClassSpotInstances} {
-		byMW := t.Rows[cls]
-		b := byMW[BOINC]
-		x := byMW[XWHEP]
-		tbl.AddRow(string(cls), pc(b.TaskFrac), pc(x.TaskFrac), pc(b.TimeFrac), pc(x.TimeFrac))
+		b, x := t.Rows[cls][BOINC], t.Rows[cls][XWHEP]
+		tbl.AddRow(string(cls), frac(b, b.TaskFrac), frac(x, x.TaskFrac), frac(b, b.TimeFrac), frac(x, x.TimeFrac))
 	}
 	return tbl.String()
 }
@@ -346,17 +353,10 @@ func (f Figure4) Render() string {
 		tbl.AddRow(l,
 			f2(f.FractionAbove(l, 0)), f2(f.FractionAbove(l, 0.25)),
 			f2(f.FractionAbove(l, 0.5)), f2(f.FractionAbove(l, 0.75)),
-			f2(float64(full)/float64(maxInt(len(xs), 1))),
+			f2(float64(full)/float64(max(len(xs), 1))),
 			f2(stats.QuantileSorted(xs, 0.5)))
 	}
 	return tbl.String()
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ---------------------------------------------------------------------------
