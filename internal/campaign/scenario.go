@@ -223,10 +223,15 @@ func Crowd() Profile {
 // QoS batches on one 500-node trace, submissions staggered over a day,
 // split across the enterprise/premium/free service classes (SubTier) with
 // a 120-batch cloud fleet cap — the contended-supply shape the tier model
-// arbitrates. It exists to prove the sharded monitor holds at 10× the
-// crowd profile; bench/'s tenants workload is the measured form of it.
-// Since PR 9 it runs on the sharded kernel: tier arbitration executes on the
-// control engine at tick barriers, byte-identical at any shard count.
+// arbitrates. It runs on the sharded kernel: tier arbitration executes on
+// the control engine at tick barriers, byte-identical at any shard count.
+// It was built to show the sharded monitor holding at 10× the crowd
+// profile, and it does not: a sharded cell gives each batch its own DG
+// server on 1/2000 of the pool, and spequlos-bench -profile crowd2k
+// completes 124 (BOINC), 365 (XWHEP) and 365 (CONDOR) of the 2000 batches,
+// Jain index 0.000 (ROADMAP.md, "One simulation kernel", retires the
+// sharded kernel). bench/'s tenants workload runs a serial 1000-batch form
+// of it.
 func Crowd2K() Profile {
 	return Profile{
 		Name: "crowd2k", BotScale: 0.01, Offsets: 1, PoolCap: 500,

@@ -61,8 +61,8 @@ func Stress() Profile { return campaign.Stress() }
 // QoS batches on one 500-node trace); see campaign.Crowd.
 func Crowd() Profile { return campaign.Crowd() }
 
-// Crowd2K returns the tiered two-thousand-batch scale profile (sharded
-// scheduler, tier arbitration under a fleet cap); see campaign.Crowd2K.
+// Crowd2K returns the tiered two-thousand-batch profile, which completes
+// only 124–365 of its batches per middleware; see campaign.Crowd2K.
 func Crowd2K() Profile { return campaign.Crowd2K() }
 
 // ProfileByName resolves quick/standard/full/stress/crowd/crowd2k.
