@@ -218,6 +218,25 @@ func TestHistogram(t *testing.T) {
 	}
 }
 
+// Values far outside [lo, hi] overflow int; they must still land in the
+// edge bins, and a NaN in none.
+func TestHistogramClampsBeyondIntRange(t *testing.T) {
+	h := NewHistogram([]float64{math.Inf(1), 1e300, 4.9, math.Inf(-1), -1e300, math.NaN()}, 0, 5, 25)
+	if h.Counts[24] != 3 || h.Counts[0] != 2 {
+		t.Errorf("counts %v: want 3 in the last bin, 2 in the first", h.Counts)
+	}
+	if h.N != 5 {
+		t.Errorf("N = %d, want 5 (the NaN is not binned)", h.N)
+	}
+	var sum float64
+	for _, f := range h.Frac {
+		sum += f
+	}
+	if sum != 1 {
+		t.Errorf("fractions sum to %v", sum)
+	}
+}
+
 func TestWeightedMedian(t *testing.T) {
 	if got := WeightedMedian([]float64{1, 2, 3}, []float64{1, 1, 1}); got != 2 {
 		t.Errorf("unweighted median = %v, want 2", got)

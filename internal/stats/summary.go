@@ -3,6 +3,7 @@ package stats
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -18,14 +19,23 @@ type Summary struct {
 	InterquartileRange float64
 }
 
-// Summarize computes descriptive statistics. It copies and sorts the input.
+// Summarize computes descriptive statistics of a copy of xs, leaving xs as
+// it was.
 func Summarize(xs []float64) Summary {
 	if len(xs) == 0 {
 		return Summary{}
 	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
+	return SummarizeInPlace(slices.Clone(xs))
+}
+
+// SummarizeInPlace sorts s ascending in place and computes its descriptive
+// statistics: Summarize without the copy, for a caller that owns the
+// sample. Every sum runs over the sorted sample.
+func SummarizeInPlace(s []float64) Summary {
+	if len(s) == 0 {
+		return Summary{}
+	}
+	sortFloats(s)
 	var sum, sq float64
 	for _, v := range s {
 		sum += v
@@ -107,9 +117,10 @@ func NearestRank(xs []float64, p float64) float64 {
 }
 
 // Histogram bins xs into nbins equal-width bins over [lo, hi] and returns
-// the fraction of the sample in each bin. Values outside the range are
-// clamped into the edge bins, matching the paper's "repartition function"
-// plots (Fig 7).
+// the fraction of the sample in each bin. Values outside the range, however
+// far and ±Inf included, are clamped into the edge bins, matching the
+// paper's "repartition function" plots (Fig 7). A NaN lands in no bin and is
+// not counted in N, so Frac sums to 1 over the other values.
 type Histogram struct {
 	Lo, Hi float64
 	Counts []int
@@ -122,21 +133,26 @@ func NewHistogram(xs []float64, lo, hi float64, nbins int) Histogram {
 	if nbins <= 0 || hi <= lo {
 		return Histogram{Lo: lo, Hi: hi}
 	}
-	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins), Frac: make([]float64, nbins), N: len(xs)}
+	h := Histogram{Lo: lo, Hi: hi, Counts: make([]int, nbins), Frac: make([]float64, nbins)}
 	w := (hi - lo) / float64(nbins)
 	for _, v := range xs {
-		i := int((v - lo) / w)
-		if i < 0 {
-			i = 0
+		// Clamp before converting: a float64 beyond int's range has no
+		// defined int value.
+		f := (v - lo) / w
+		switch {
+		case f != f:
+			continue
+		case f < 0:
+			f = 0
+		case f >= float64(nbins):
+			f = float64(nbins - 1)
 		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		h.Counts[i]++
+		h.Counts[int(f)]++
+		h.N++
 	}
-	if len(xs) > 0 {
+	if h.N > 0 {
 		for i, c := range h.Counts {
-			h.Frac[i] = float64(c) / float64(len(xs))
+			h.Frac[i] = float64(c) / float64(h.N)
 		}
 	}
 	return h

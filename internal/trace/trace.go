@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -162,14 +161,28 @@ type Stats struct {
 	Power       stats.Summary // per-node power
 }
 
-// MeasureStats computes trace statistics. Concurrency is sampled every step
-// seconds (a non-positive step defaults to 600 s). Unavailability gaps are
+// MeasureStats computes trace statistics. Concurrency is sampled on a grid
+// of instants step, 2·step, … strictly inside (0, Length), each the running
+// sum at += step (a non-positive step defaults to 600 s); the count at an
+// instant is the intervals started at or before it minus those ended at or
+// before it. Every interval start and end is counted once, into the first
+// grid instant at or after it, and a prefix sum over the grid gives every
+// count, in time linear in the number of intervals. Unavailability gaps are
 // measured between consecutive intervals of the same node (edge gaps at the
 // trace boundaries are excluded, as their true length is censored).
+// No interval endpoint may be NaN.
 func (t *Trace) MeasureStats(step float64) Stats {
 	if step <= 0 {
 		step = 600
 	}
+	// Sample strictly inside the window: at the exact trace end every
+	// interval closes, which would register a spurious zero.
+	grid := make([]float64, 0, max(0, int(t.Length/step)))
+	for at := step; at < t.Length; at += step {
+		grid = append(grid, at)
+	}
+	// delta[k] is the starts minus the ends counted into grid instant k.
+	delta := make([]int, len(grid))
 	total := 0
 	for _, n := range t.Nodes {
 		total += len(n.all())
@@ -177,11 +190,6 @@ func (t *Trace) MeasureStats(step float64) Stats {
 	avail := make([]float64, 0, total)
 	unavail := make([]float64, 0, total)
 	power := make([]float64, 0, len(t.Nodes))
-	// Sweep-line concurrency sampling over the sorted interval starts and
-	// ends: the count at an instant is starts <= it minus ends <= it, so the
-	// order of a start and an end at the same instant cannot matter.
-	starts := make([]float64, 0, total)
-	ends := make([]float64, 0, total)
 	for _, n := range t.Nodes {
 		power = append(power, n.Power)
 		ivs := n.all()
@@ -190,33 +198,49 @@ func (t *Trace) MeasureStats(step float64) Stats {
 			if i > 0 {
 				unavail = append(unavail, iv.Start-ivs[i-1].End)
 			}
-			starts = append(starts, iv.Start)
-			ends = append(ends, iv.End)
+			if k := firstAtOrAfter(grid, step, iv.Start); k < len(grid) {
+				delta[k]++
+			}
+			if k := firstAtOrAfter(grid, step, iv.End); k < len(grid) {
+				delta[k]--
+			}
 		}
 	}
-	slices.Sort(starts)
-	slices.Sort(ends)
-	conc := make([]float64, 0, max(0, int(t.Length/step)))
-	si, ei := 0, 0
-	// Sample strictly inside the window: at the exact trace end every
-	// interval closes, which would register a spurious zero.
-	for at := step; at < t.Length; at += step {
-		for si < len(starts) && starts[si] <= at {
-			si++
-		}
-		for ei < len(ends) && ends[ei] <= at {
-			ei++
-		}
-		conc = append(conc, float64(si-ei))
+	conc := grid // every endpoint is counted: the instants are no longer read
+	count := 0
+	for k, d := range delta {
+		count += d
+		conc[k] = float64(count)
 	}
 	return Stats{
 		Name:        t.Name,
 		LengthDays:  t.Length / 86400,
-		Concurrency: stats.Summarize(conc),
-		Avail:       stats.Summarize(avail),
-		Unavail:     stats.Summarize(unavail),
-		Power:       stats.Summarize(power),
+		Concurrency: stats.SummarizeInPlace(conc),
+		Avail:       stats.SummarizeInPlace(avail),
+		Unavail:     stats.SummarizeInPlace(unavail),
+		Power:       stats.SummarizeInPlace(power),
 	}
+}
+
+// firstAtOrAfter returns the index of the first grid instant at or after x,
+// or len(grid) when x is past the last one. grid is ascending with
+// grid[k] ≈ (k+1)·step; the guess from that is corrected against the
+// instants themselves, so the drift of their repeated addition cannot
+// misplace x.
+func firstAtOrAfter(grid []float64, step, x float64) int {
+	k := len(grid)
+	if q := math.Ceil(x/step) - 1; !(q > 0) {
+		k = 0
+	} else if q < float64(len(grid)) {
+		k = int(q)
+	}
+	for k > 0 && grid[k-1] >= x {
+		k--
+	}
+	for k < len(grid) && grid[k] < x {
+		k++
+	}
+	return k
 }
 
 // Source produces traces; implemented by renewal Profiles here and by the
