@@ -160,7 +160,7 @@ func (s *Server) WorkerJoin(w *middleware.Worker) {
 	}
 	if ex := s.Unpark(w); ex != nil {
 		if !ex.Task.Completed() {
-			ex.M.resumedAt = s.Eng.Now()
+			ex.M.resumedAt = s.Engine().Now()
 			s.Resume(ex, ex.M.remaining)
 			return
 		}
@@ -173,7 +173,7 @@ func (s *Server) WorkerJoin(w *middleware.Worker) {
 // the replica stays counted active until its deadline reveals the absence.
 func (s *Server) WorkerLeave(w *middleware.Worker) {
 	if ex := s.Detach(w); ex != nil {
-		ex.M.remaining = max(ex.M.remaining-(s.Eng.Now()-ex.M.resumedAt), 0)
+		ex.M.remaining = max(ex.M.remaining-(s.Engine().Now()-ex.M.resumedAt), 0)
 		s.Park(ex)
 	}
 }
@@ -188,7 +188,7 @@ func (s *Server) Start(ex *exec) {
 	}
 	setActive(wu, 1)
 	dur := wu.Spec.NOps / w.Power
-	ex.M = replica{remaining: dur, resumedAt: s.Eng.Now()}
+	ex.M = replica{remaining: dur, resumedAt: s.Engine().Now()}
 	s.Run(ex, dur)
 	// Deadline: if the result has not arrived by then, the replica is
 	// presumed lost and a replacement is created.

@@ -44,7 +44,7 @@ func (c *viewChecker) check() {
 		c.checks++
 		if got, want := c.s.FirstQueued(w, dedicatedBatch(c.s, w)), scanPending(c.s, w); got != want {
 			c.t.Fatalf("t=%v worker %d (batch %q): the view finds %v, the scan %v",
-				c.s.Eng.Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
+				c.s.Engine().Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
 		}
 	}
 }

@@ -120,7 +120,11 @@ func strategyJobs(t *testing.T, sc Scenario, keepSeries bool, labels ...string) 
 // replaced by hand when a sharded baseline began to unbind a batch's trace
 // partition at its completion: their entries moved in Events and
 // ShardEvents only (65 443 → 3 220, 64 984 → 2 233, 63 413 → 2 610 for
-// BOINC, CONDOR, XWHEP), every completion time stayed.
+// BOINC, CONDOR, XWHEP), every completion time stayed. The six g-stiered
+// Cloud Duplication keys (9A-G-D, 9C-C-D) were re-recorded when the cloud
+// server moved onto its primary's shard engine: a result merged from the
+// cloud is now stamped at the cloud's completion instant, no longer at the
+// next barrier.
 //
 // Regenerate only deliberately, when the MODEL is meant to move:
 // go test ./internal/campaign -run ExecutorGolden -update-executor-golden

@@ -144,7 +144,7 @@ func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
 	if cfg.MonitorPeriod <= 0 {
 		cfg.MonitorPeriod = DefaultMonitorPeriod
 	}
-	// (g) Tier arbitration is a multi-batch notion — Job.Key keys it only
+	// (f) Tier arbitration is a multi-batch notion — Job.Key keys it only
 	// when Batches > 1 — so a single-BoT cell never runs a tier policy.
 	if p.Tiered && p.Batches > 1 && cfg.Tiers == nil {
 		cfg.Tiers = core.DefaultTierPolicy()
@@ -210,8 +210,9 @@ func (q inProcess) Close()                                           {}
 //   - kernel: one serial engine hosting one DG server over the whole trace,
 //     or (Profile.Sharded) a sim.Sharded kernel whose shard engines run in
 //     parallel windows while the QoS service — monitor, cloud fleet, credit
-//     ledger — lives on the control engine and runs serially at barriers,
-//     so results are byte-identical at any KernelShards value;
+//     ledger — lives on the control engine and runs serially at barriers
+//     (a CloudDuplication cloud server lives on its batch's shard, beside
+//     the primary), so results are byte-identical at any KernelShards value;
 //   - shape: one BoT, reported as the paper does (tail metrics, TC50Base,
 //     optional series, no Batches), or N tenants' BoTs sharing the
 //     infrastructure, each with its own credit order, trigger and
@@ -224,11 +225,11 @@ func (q inProcess) Close()                                           {}
 // combinations (serial single, serial multi, sharded multi) is the model
 // itself, pinned by the goldens and kept explicit below: (a) where
 // registration and submission are scheduled, (b) their order on each
-// engine, (c) the barrier window and (d) the CloudDuplication mirror route
-// belong to the kernel axis; (e) the TriggeredAt origin and the report
-// belong to the shape axis; (f) is the completions listener; (g) is
-// serviceConfig; (h) is the Backend seam: which implementation serves the
-// QoS side is the job's choice, what the executor asks of it is not.
+// engine and (c) the barrier window belong to the kernel axis; (d) the
+// TriggeredAt origin and the report belong to the shape axis; (e) is the
+// completions listener; (f) is serviceConfig; (g) is the Backend seam: which
+// implementation serves the QoS side is the job's choice, what the executor
+// asks of it is not.
 //
 // A serial cell runs in a cellArena from the pool and returns it reset.
 func executeOnce(j Job, horizon float64) Entry {
@@ -313,10 +314,9 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 		}
 	}
 
-	// The service, wired once. (h) This is the only place that knows which
+	// The service, wired once. (g) This is the only place that knows which
 	// backend a cell runs on, and where a job no backend can serve is refused.
 	var qos Backend // nil on a baseline
-	var mirrorBoxes map[string]*sim.Outbox
 	if err := j.Refused(); err != nil {
 		return Entry{Result: res, Err: err.Error()}
 	}
@@ -328,21 +328,7 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 		case !sharded:
 			qos = inProcess{Service: core.NewService(ctl, hosts[0].srv, simCloud, cfg)}
 		default:
-			// (d) CloudDuplication's primary-side completions fire on shard
-			// goroutines, so they ride the barrier exchange: one outbox per
-			// batch, created in batch order (the deterministic merge
-			// tie-break), written only by the batch's own shard. The topic
-			// handler replays a mirrored completion on the control engine at
-			// its exact virtual time (svc is captured by reference; it exists
-			// before the kernel runs).
-			var svc *core.Service
-			mirrorBoxes = make(map[string]*sim.Outbox, nb)
-			topic := kernel.RegisterTopic(func(m sim.Msg) { svc.DeliverMirror(m.S, int(m.I)) })
-			cfg.MirrorPost = func(batchID string, taskID int, at float64) {
-				mirrorBoxes[batchID].Post(sim.Msg{Time: at, Topic: topic, I: int32(taskID), S: batchID})
-			}
-			svc = core.NewShardedService(ctl, simCloud, cfg)
-			qos = inProcess{svc, true}
+			qos = inProcess{core.NewShardedService(ctl, simCloud, cfg), true}
 		}
 		defer qos.Close()
 	}
@@ -402,7 +388,6 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 			// service runs.
 			h.eng.At(at, submit)
 			if qos != nil {
-				mirrorBoxes[id] = kernel.NewOutbox()
 				ctl.At(at, register)
 			}
 		}
@@ -442,7 +427,7 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 		res.BarrierStallSec = st.StallSeconds
 	}
 
-	// Collect per batch. (e) Multi-batch cells — and any cell with a service
+	// Collect per batch. (d) Multi-batch cells — and any cell with a service
 	// — read "never triggered" as -1; a single-BoT baseline keeps 0.
 	if multi || useService {
 		res.TriggeredAt = -1
@@ -478,7 +463,7 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 		}
 	}
 	if !res.Completed {
-		res.CompletionTime = 0 // (e) for any incomplete cell
+		res.CompletionTime = 0 // (d) for any incomplete cell
 	}
 
 	// Report in the cell's shape.

@@ -119,10 +119,10 @@ type Profile struct {
 	// MODEL for multi-core execution on the sim.Sharded kernel by giving
 	// every sub-batch its own DG server plus a stable-hashed dedicated
 	// partition of the trace's nodes. Cross-batch couplings — the QoS
-	// monitor, tier arbitration under FleetCap, CloudDuplication's result
-	// mirror — run on the control engine at tick barriers, fed by the
-	// kernel's barrier exchange, so every strategy family runs sharded with
-	// no serial fallback. This changes what is simulated, so for a
+	// monitor, tier arbitration under FleetCap — run on the control engine
+	// at tick barriers; CloudDuplication's cloud server lives on its
+	// batch's shard, beside the primary. Every strategy family runs sharded
+	// with no serial fallback. This changes what is simulated, so for a
 	// multi-batch cell it IS part of the job key; the kernel shard count is
 	// not (byte-identical results at any value). On a single BoT
 	// (Batches <= 1) the flag has no effect and no key contribution: the
@@ -145,10 +145,10 @@ type Profile struct {
 
 // Sharded reports whether the profile's cells run on the multi-core
 // sim.Sharded kernel: ShardedKernel on a multi-batch profile. Every strategy
-// family is supported — CloudDuplication's result mirror rides the barrier
-// exchange and tier arbitration runs on the control engine — so the answer
-// is a pure function of the job key, never of the strategy, with no silent
-// serial fallback for any coupling. A single BoT is one DG server on one
+// family is supported — CloudDuplication's result merge stays on the
+// batch's shard and tier arbitration runs on the control engine — so the
+// answer is a pure function of the job key, never of the strategy, with no
+// silent serial fallback for any coupling. A single BoT is one DG server on one
 // serial engine whatever the flag says: the sub-batch is the only partition
 // unit.
 func (p Profile) Sharded() bool { return p.ShardedKernel && p.Batches > 1 }

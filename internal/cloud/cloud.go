@@ -49,9 +49,6 @@ func NewSimCloud(eng *sim.Engine, rng *sim.RNG) *SimCloud {
 	return c
 }
 
-// Engine is the engine the cloud's instances boot on.
-func (c *SimCloud) Engine() *sim.Engine { return c.eng }
-
 // Instance is one provisioned cloud worker bound to a DG server.
 type Instance struct {
 	Worker    *middleware.Worker

@@ -20,15 +20,6 @@ type Config struct {
 	// admits every triggered batch immediately — the untiered single-tenant
 	// behavior.
 	Tiers *TierPolicy
-	// MirrorPost routes a primary-side CloudDuplication completion into the
-	// kernel's barrier-exchange stream instead of touching the cloud server
-	// directly. Required (and only used) by a sharded service running the
-	// CloudDuplication deployment: the primary servers live on shard
-	// engines, so their listeners fire during parallel windows and must not
-	// mutate the control-hosted cloud server. The campaign layer wires it to
-	// a per-batch sim.Outbox whose topic handler calls DeliverMirror at the
-	// next barrier.
-	MirrorPost func(batchID string, taskID int, at float64)
 }
 
 // CountDrivenTrigger marks Trigger implementations whose ShouldStart answer
@@ -99,19 +90,13 @@ func NewService(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimC
 // (RegisterQoSShardTier), typically hosted on a shard engine of a
 // sim.Sharded kernel while the service itself — monitor ticker, cloud,
 // ledger — lives on the control engine. Cross-server effects happen inside
-// the monitor tick, which the kernel runs serially at barriers, or arrive
-// as barrier-exchange messages.
+// the monitor tick, which the kernel runs serially at barriers.
 //
-// Every deployment is supported. CloudDuplication's cloud-to-primary
-// mirror runs directly (the cloud server lives on the control engine and
-// its completions fire at barriers, when shard clocks are parked); the
-// primary-to-cloud direction fires on shard goroutines during parallel
-// windows, so it must ride the barrier exchange — Config.MirrorPost is
-// required and DeliverMirror replays the messages.
+// Every deployment is supported. A cloud worker boots on the control
+// engine and joins its batch's server at a barrier; CloudDuplication's
+// cloud-hosted server lives on its primary's engine, so the result merge in
+// both directions stays on the batch's own shard.
 func NewShardedService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
-	if cfg.Strategy.Deploy == CloudDuplication && cfg.MirrorPost == nil {
-		panic("core: sharded CloudDuplication requires Config.MirrorPost")
-	}
 	s := newService(eng, simCloud, cfg)
 	s.sharded = true
 	return s
@@ -131,7 +116,7 @@ func newService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service 
 		Oracle:  NewOracle(cfg.Strategy),
 		Cloud:   simCloud,
 		batches: map[string]*Batch{},
-		deploy:  CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud, MirrorPost: cfg.MirrorPost},
+		deploy:  CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud},
 	}
 	_, countDriven := cfg.Strategy.Trigger.(CountDrivenTrigger)
 	s.mon = &Monitor{Ports: (*simPorts)(s), CountDriven: countDriven}
@@ -342,13 +327,11 @@ func (p *simPorts) Archive(b *Batch) error {
 // workers under one deployment strategy (§3.5). Flat leaves the DG server
 // unmodified, Reschedule has it feed the batch's dedicated cloud workers
 // duplicates, CloudDuplication mirrors the uncompleted tail onto a cloud-hosted
-// server. Service launches through it in process, emul.SimDG from behind the
-// HTTP stack's cloud driver.
+// server on the primary's engine. Service launches through it in process,
+// emul.SimDG from behind the HTTP stack's cloud driver.
 type CloudDeployment struct {
 	Deploy Deployment
 	Cloud  *cloud.SimCloud
-	// MirrorPost is Config's.
-	MirrorPost func(batchID string, taskID int, at float64)
 	// secondaries holds CloudDuplication's cloud-hosted server per batch.
 	secondaries map[string]middleware.Server
 }
@@ -370,25 +353,17 @@ func (d *CloudDeployment) Start(primary middleware.Server, batchID string) *clou
 // merging: results computed in the cloud complete the primary's tasks,
 // results arriving on the primary abort the cloud copies. The cloud side runs
 // trusted resources, so the server is a single-execution XWHEP one whatever
-// the primary middleware, on the engine the cloud's workers boot on.
+// the primary middleware. It lives on the primary's engine, so each direction
+// of the merge is a listener call at the completion instant, on whichever
+// engine (serial, shard) hosts the batch.
 func (d *CloudDeployment) secondary(primary middleware.Server, batchID string) middleware.Server {
 	if sec, ok := d.secondaries[batchID]; ok {
 		return sec
 	}
-	sec := xwhep.New(d.Cloud.Engine(), xwhep.DefaultConfig())
+	sec := xwhep.New(primary.Engine(), xwhep.DefaultConfig())
 	sec.Submit(middleware.Batch{ID: batchID, Tasks: primary.Incomplete(batchID)})
-	sec.AddListener(mirror{batchID: batchID, post: func(taskID int, _ float64) {
-		primary.MarkCompleted(batchID, taskID)
-	}})
-	post := func(taskID int, _ float64) { sec.MarkCompleted(batchID, taskID) }
-	if d.MirrorPost != nil {
-		// The primary lives on a shard engine and its completions fire during
-		// parallel windows, so primary→cloud rides the barrier exchange and
-		// Service.DeliverMirror replays it at the next barrier. (Cloud→primary
-		// is safe as-is: it fires at barriers, with every shard clock parked.)
-		post = func(taskID int, at float64) { d.MirrorPost(batchID, taskID, at) }
-	}
-	primary.AddListener(mirror{batchID: batchID, post: post})
+	sec.AddListener(mirror{batchID: batchID, to: primary})
+	primary.AddListener(mirror{batchID: batchID, to: sec})
 	if d.secondaries == nil {
 		d.secondaries = map[string]middleware.Server{}
 	}
@@ -396,28 +371,18 @@ func (d *CloudDeployment) secondary(primary middleware.Server, batchID string) m
 	return sec
 }
 
-// DeliverMirror completes a task on a batch's CloudDuplication cloud
-// server: the barrier-exchange replay of a primary-side completion posted
-// through Config.MirrorPost. Safe to call for completions that were echoed
-// back (MarkCompleted on a completed task is a no-op) and before the cloud
-// server exists (the message is then dropped).
-func (s *Service) DeliverMirror(batchID string, taskID int) {
-	if sec, ok := s.deploy.secondaries[batchID]; ok {
-		sec.MarkCompleted(batchID, taskID)
-	}
-}
-
-// mirror passes one batch's task completions on a server to post: one
-// direction of the merge between a primary and its cloud server.
+// mirror passes one batch's task completions on a server on to another, on
+// the same engine: one direction of the merge between a primary and its
+// cloud server.
 type mirror struct {
 	batchID string
-	post    func(taskID int, at float64)
+	to      middleware.Server
 }
 
 func (m mirror) TaskAssigned(string, int, float64) {}
-func (m mirror) TaskCompleted(batchID string, taskID int, at float64) {
+func (m mirror) TaskCompleted(batchID string, taskID int, _ float64) {
 	if batchID == m.batchID {
-		m.post(taskID, at)
+		m.to.MarkCompleted(batchID, taskID)
 	}
 }
 func (m mirror) BatchCompleted(string, float64) {}

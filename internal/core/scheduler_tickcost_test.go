@@ -20,6 +20,7 @@ type idleServer struct {
 }
 
 func (s *idleServer) MiddlewareName() string              { return "STUB" }
+func (s *idleServer) Engine() *sim.Engine                 { return nil }
 func (s *idleServer) Submit(middleware.Batch)             {}
 func (s *idleServer) WorkerJoin(*middleware.Worker)       {}
 func (s *idleServer) WorkerLeave(*middleware.Worker)      {}

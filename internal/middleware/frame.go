@@ -32,7 +32,7 @@ import (
 // every slab is zero past what the cell used, so Reset costs what the cell
 // used, not what the slabs hold.
 type Frame[T, E any] struct {
-	Eng  *sim.Engine
+	eng  *sim.Engine
 	name string
 	mech Mechanism[T, E]
 
@@ -286,7 +286,7 @@ func NewFrame[T, E any](eng *sim.Engine, name string, mech Mechanism[T, E]) *Fra
 // Open readies the server on eng, new or after Reset: its handlers are
 // registered there.
 func (f *Frame[T, E]) Open(eng *sim.Engine) {
-	f.Eng = eng
+	f.eng = eng
 	f.opArrive = eng.RegisterOp(func(p sim.Payload) { f.arrive(p.A.(*Task[T, E])) })
 	f.opResult = eng.RegisterOp(func(p sim.Payload) { f.result(p.A.(*Exec[T, E])) })
 	f.opAlarm = eng.RegisterOp(func(p sim.Payload) { f.mech.Expire(p.A.(*Exec[T, E])) })
@@ -320,11 +320,14 @@ func (f *Frame[T, E]) Reset() {
 	f.usedChunks, f.free = 0, nil
 	f.attached, f.reschedule = 0, false
 	f.mech.Clear()
-	f.Eng, f.opArrive, f.opResult, f.opAlarm = nil, 0, 0, 0
+	f.eng, f.opArrive, f.opResult, f.opAlarm = nil, 0, 0, 0
 }
 
 // MiddlewareName implements Server.
 func (f *Frame[T, E]) MiddlewareName() string { return f.name }
+
+// Engine implements Server.
+func (f *Frame[T, E]) Engine() *sim.Engine { return f.eng }
 
 // AddListener implements Server.
 func (f *Frame[T, E]) AddListener(l Listener) { f.listeners = append(f.listeners, l) }
@@ -369,7 +372,7 @@ func (f *Frame[T, E]) Submit(b Batch) {
 	f.batches[b.ID] = bt
 	for i := range bt.tasks {
 		t := &bt.tasks[i]
-		f.Eng.AfterOp(t.Spec.Arrival, f.opArrive, sim.Payload{A: t})
+		f.eng.AfterOp(t.Spec.Arrival, f.opArrive, sim.Payload{A: t})
 	}
 }
 
@@ -423,7 +426,7 @@ func (f *Frame[T, E]) Detach(w *Worker) *Exec[T, E] {
 	}
 	ex := cur.ExecOn(w)
 	if ex != nil {
-		f.Eng.Cancel(ex.result)
+		f.eng.Cancel(ex.result)
 	}
 	return ex
 }
@@ -445,12 +448,12 @@ func (f *Frame[T, E]) Unpark(w *Worker) *Exec[T, E] {
 
 // Run schedules the execution's result dur seconds from now.
 func (f *Frame[T, E]) Run(ex *Exec[T, E], dur float64) {
-	ex.result = f.Eng.AfterOp(dur, f.opResult, sim.Payload{A: ex})
+	ex.result = f.eng.AfterOp(dur, f.opResult, sim.Payload{A: ex})
 }
 
 // Alarm schedules the mechanism's Expire(ex) d seconds from now.
 func (f *Frame[T, E]) Alarm(ex *Exec[T, E], d float64) {
-	f.Eng.AfterOp(d, f.opAlarm, sim.Payload{A: ex})
+	f.eng.AfterOp(d, f.opAlarm, sim.Payload{A: ex})
 }
 
 // Resume continues, on its freshly attached worker, an execution Detach
@@ -556,7 +559,7 @@ func (f *Frame[T, E]) assign(w *Worker, t *Task[T, E]) {
 	if !t.assigned {
 		t.assigned = true
 		t.Batch.assigned++
-		f.listeners.TaskAssigned(t.Batch.Spec.ID, t.Spec.ID, f.Eng.Now())
+		f.listeners.TaskAssigned(t.Batch.Spec.ID, t.Spec.ID, f.eng.Now())
 	}
 	ex := f.newExec(w, t)
 	t.addExec(ex)
@@ -603,13 +606,13 @@ func (f *Frame[T, E]) complete(t *Task[T, E], by *Worker) {
 	t.completed = true
 	t.queued = false
 	bt.completed++
-	now := f.Eng.Now()
+	now := f.eng.Now()
 	f.listeners.TaskCompleted(bt.Spec.ID, t.Spec.ID, now)
 	f.listeners.NotifyExecutedBy(bt.Spec.ID, t.Spec.ID, by, now)
 	// In worker-ID order, so the idle set is refilled the same way on every
 	// run. The usual completion leaves no execution.
 	for _, ex := range t.execs {
-		f.Eng.Cancel(ex.result)
+		f.eng.Cancel(ex.result)
 		f.release(ex.W, t)
 	}
 	clear(t.execs)

@@ -9,6 +9,7 @@ package middleware
 
 import (
 	"spequlos/internal/bot"
+	"spequlos/internal/sim"
 )
 
 // Worker is a computing resource attached to a server. Node workers are
@@ -139,6 +140,8 @@ func ProgressAll(s Server, batchIDs []string) map[string]Progress {
 type Server interface {
 	// MiddlewareName identifies the middleware ("BOINC", "XWHEP").
 	MiddlewareName() string
+	// Engine is the engine the server's events fire on.
+	Engine() *sim.Engine
 	// Submit registers a batch; task arrivals are scheduled relative to
 	// the current virtual time. Task IDs must be distinct and non-negative.
 	Submit(b Batch)

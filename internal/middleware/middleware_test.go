@@ -120,6 +120,7 @@ type fakeServer struct {
 }
 
 func (f *fakeServer) MiddlewareName() string { return "fake" }
+func (f *fakeServer) Engine() *sim.Engine    { return nil }
 func (f *fakeServer) Submit(Batch)           {}
 func (f *fakeServer) WorkerJoin(w *Worker) {
 	if f.attached == nil {

@@ -14,17 +14,14 @@ import (
 //
 //   - Entities hosted on different shards must not interact directly within
 //     a window. The campaign layer guarantees this by giving every QoS
-//     batch its own middleware server and a stable-hashed, dedicated slice
-//     of the availability trace, then mapping batches onto shards.
+//     batch its own middleware server (and, under CloudDuplication, its own
+//     cloud-hosted server on the same shard engine) and a stable-hashed,
+//     dedicated slice of the availability trace, then mapping batches onto
+//     shards.
 //   - Cross-shard effects (the SpeQuloS monitor tick, cloud fleet changes,
 //     credit billing, aggregated progress polling) live on the control
 //     engine and run serially at each barrier, in deterministic order,
 //     while every shard clock sits exactly on the barrier instant.
-//   - Couplings between shard-hosted entities (CloudDuplication result
-//     mirrors) are expressed as barrier exchange: each partition records
-//     effects in its own Outbox during the window and the kernel replays
-//     the merged, deterministically ordered message stream on the control
-//     engine at the barrier (RegisterTopic / NewOutbox).
 //
 // Under that contract the results are byte-identical for ANY shard count,
 // including one: the barrier sequence is derived from the merged
@@ -35,15 +32,7 @@ type Sharded struct {
 	ctl    *Engine
 	shards []*Engine
 
-	// Barrier exchange: per-partition outboxes drained at each barrier and
-	// registered topic handlers replayed on the control engine.
-	topics   []func(Msg)
-	outboxes []*Outbox
-	scratch  []Msg
-	opMsg    Op
-
 	barriers uint64
-	messages uint64
 	stall    time.Duration
 	busy     []time.Duration
 }
@@ -58,7 +47,6 @@ func NewSharded(shards int) *Sharded {
 	for i := range s.shards {
 		s.shards[i] = NewEngine()
 	}
-	s.opMsg = s.ctl.RegisterOp(s.dispatchMsg)
 	return s
 }
 
@@ -169,10 +157,8 @@ func (s *Sharded) Run(window float64, stop func() bool) {
 				s.busy[i] = 0
 			}
 		}
-		// Barrier: merge the shards' outboxes onto the control engine,
-		// then run the serial control window with every shard parked
+		// Barrier: the serial control window, with every shard parked
 		// exactly on the barrier instant.
-		s.exchange()
 		s.ctl.RunUntil(target)
 		s.barriers++
 	}
@@ -189,9 +175,6 @@ type ShardedStats struct {
 	ShardEvents []uint64
 	// ControlEvents is the number of events fired by the control engine.
 	ControlEvents uint64
-	// Messages is the number of barrier-exchange messages merged onto the
-	// control engine (mirror completions).
-	Messages uint64
 	// StallSeconds is wall-clock executor idle time summed across shards:
 	// time spent parked at barriers while sibling shards finished their
 	// window. Zero when the kernel ran with a single shard.
@@ -202,7 +185,6 @@ type ShardedStats struct {
 func (s *Sharded) Stats() ShardedStats {
 	st := ShardedStats{
 		Barriers:      s.barriers,
-		Messages:      s.messages,
 		ControlEvents: s.ctl.Executed(),
 		ShardEvents:   make([]uint64, len(s.shards)),
 		StallSeconds:  s.stall.Seconds(),

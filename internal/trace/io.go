@@ -34,8 +34,9 @@ func (t *Trace) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses the format written by WriteCSV. Rows may appear in any
-// order; intervals are sorted per node. The trace length is the maximum
-// interval end unless the caller overrides Trace.Length afterwards.
+// order; intervals are sorted per node, and every row of a node must give
+// the same power. The trace length is the maximum interval end unless the
+// caller overrides Trace.Length afterwards. The result passes Validate.
 func ReadCSV(r io.Reader, name string) (*Trace, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -74,6 +75,8 @@ func ReadCSV(r io.Reader, name string) (*Trace, error) {
 		if !ok {
 			n = &Node{ID: id, Power: power}
 			nodes[id] = n
+		} else if power != n.Power {
+			return nil, fmt.Errorf("trace: row %d gives node %d power %g, an earlier row %g", i+1, id, power, n.Power)
 		}
 		n.Intervals = append(n.Intervals, Interval{Start: start, End: end})
 		if end > length {

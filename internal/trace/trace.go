@@ -101,15 +101,22 @@ type Trace struct {
 	Nodes  []*Node
 }
 
-// Validate checks structural invariants: intervals sorted, non-overlapping,
-// positive, within [0, Length]; powers positive.
+// Validate checks structural invariants: a finite length; intervals
+// finite, sorted, non-overlapping, positive, within [0, Length]; powers
+// positive and finite.
 func (t *Trace) Validate() error {
+	if !finite(t.Length) {
+		return fmt.Errorf("trace %s: non-finite length %g", t.Name, t.Length)
+	}
 	for _, n := range t.Nodes {
-		if n.Power <= 0 {
-			return fmt.Errorf("trace %s: node %d has non-positive power %g", t.Name, n.ID, n.Power)
+		if !(n.Power > 0) || !finite(n.Power) {
+			return fmt.Errorf("trace %s: node %d has power %g, want positive and finite", t.Name, n.ID, n.Power)
 		}
 		prev := -math.MaxFloat64
 		for _, iv := range n.all() {
+			if !finite(iv.Start) || !finite(iv.End) {
+				return fmt.Errorf("trace %s: node %d has non-finite interval %+v", t.Name, n.ID, iv)
+			}
 			if iv.End <= iv.Start {
 				return fmt.Errorf("trace %s: node %d has empty interval %+v", t.Name, n.ID, iv)
 			}
@@ -124,6 +131,9 @@ func (t *Trace) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Bytes estimates the resident heap size of the trace in bytes: the
 // dominant term is 16 bytes per interval (two float64s), plus fixed

@@ -155,6 +155,12 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		{Name: "empty", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{10, 10}}}}},
 		{Name: "outside", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{90, 200}}}}},
 		{Name: "power", Length: 100, Nodes: []*Node{{ID: 0, Power: 0, Intervals: []Interval{{0, 10}}}}},
+		// A NaN fails every comparison, so each needs a check of its own.
+		{Name: "NaN power", Length: 100, Nodes: []*Node{{ID: 0, Power: math.NaN(), Intervals: []Interval{{0, 10}}}}},
+		{Name: "infinite power", Length: 100, Nodes: []*Node{{ID: 0, Power: math.Inf(1), Intervals: []Interval{{0, 10}}}}},
+		{Name: "NaN start", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{math.NaN(), 10}}}}},
+		{Name: "NaN end", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{0, math.NaN()}}}}},
+		{Name: "infinite length", Length: math.Inf(1), Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{0, math.Inf(1)}}}}},
 	}
 	for _, tr := range bad {
 		if err := tr.Validate(); err == nil {
@@ -221,6 +227,15 @@ func TestReadCSVErrors(t *testing.T) {
 		"node_id,power,start,end\nx,1,0,10\n",
 		"node_id,power,start,end\n0,abc,0,10\n",
 		"node_id,power,start,end\n0,1,10,5\n", // end before start -> invalid interval
+		// Numbers that parse but are not finite: an inf end would make
+		// Length +Inf, and MeasureStats' grid endless.
+		"node_id,power,start,end\n0,1,0,NaN\n",
+		"node_id,power,start,end\n0,1,NaN,10\n",
+		"node_id,power,start,end\n0,1,0,inf\n",
+		"node_id,power,start,end\n0,NaN,0,10\n",
+		"node_id,power,start,end\n0,+Inf,0,10\n",
+		"node_id,power,start,end\n0,1,0,10\n0,1,20,nan\n1,2,5,30\n",
+		"node_id,power,start,end\n0,1,0,10\n0,2,20,30\n", // node 0's rows disagree on power
 	}
 	for i, c := range cases {
 		if _, err := ReadCSV(bytes.NewBufferString(c), "bad"); err == nil {

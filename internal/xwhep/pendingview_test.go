@@ -38,7 +38,7 @@ func (c *viewChecker) check() {
 		c.checks++
 		if got, want := c.s.FirstQueued(w, dedicatedBatch(c.s, w)), scanQueued(c.s, w); got != want {
 			c.t.Fatalf("t=%v worker %d (batch %q): the views find %v, the scan %v",
-				c.s.Eng.Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
+				c.s.Engine().Now(), w.ID, w.DedicatedBatch, describe(got), describe(want))
 		}
 	}
 }

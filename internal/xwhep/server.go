@@ -124,7 +124,7 @@ func (s *Server) WorkerLeave(w *middleware.Worker) {
 		// Work preserved: progress since assignment, rounded down to the
 		// last checkpoint.
 		t := ex.Task
-		ckpts := int((s.Eng.Now() - ex.M.startedAt) / period)
+		ckpts := int((s.Engine().Now() - ex.M.startedAt) / period)
 		preserved := float64(ckpts) * period * w.Power
 		t.M.remaining = min(t.M.remaining, max(ex.M.startRemaining-preserved, 0))
 	}
@@ -160,7 +160,7 @@ func (s *Server) Start(ex *exec) {
 		t.SetQueued(false)
 		t.SetRunning(true)
 	}
-	ex.M = run{startedAt: s.Eng.Now(), startRemaining: t.M.remaining}
+	ex.M = run{startedAt: s.Engine().Now(), startRemaining: t.M.remaining}
 	s.Run(ex, t.M.remaining/ex.W.Power)
 }
 
