@@ -18,7 +18,7 @@ import (
 // viaSeam opens the in-process service through Job.Backend: the same QoS
 // side under another key.
 func viaSeam(eng *sim.Engine, primary middleware.Server, cl *cloud.SimCloud, cfg core.Config) Backend {
-	return inProcess{Service: core.NewService(eng, primary, cl, cfg)}
+	return newInProcess(eng, primary, cl, cfg)
 }
 
 // TestBackendKeyDisjoint: Job.Backend left nil keeps every key of the

@@ -34,7 +34,8 @@ type Job struct {
 	// (needed by Figure 1). Plans merge this flag across duplicate jobs.
 	KeepSeries bool
 	// Backend, when non-nil, opens the cell's QoS side in place of the
-	// in-process core.Service; it takes what core.NewService takes. The one
+	// in-process core.Service: on the service's engine, beside the cell's
+	// first DG server, with its simulated cloud and configuration. The one
 	// other implementation is emul.HTTPStack, the deployable stack on the
 	// cell's virtual clock. The function's name joins the key, so both sides
 	// of a cell fit in one store and neither is ever served for the other.

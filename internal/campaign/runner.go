@@ -177,23 +177,19 @@ type Backend interface {
 // inProcess is the default backend: direct calls into one core.Service. A
 // failure here is a programming error (a batch registered twice, an order
 // without a deposit), so it panics and Err stays nil.
-type inProcess struct {
-	*core.Service
-	sharded bool
+type inProcess struct{ *core.Service }
+
+// newInProcess opens the default backend. The service learns each batch's
+// server when the batch registers, so the cell's first server goes unused.
+func newInProcess(eng *sim.Engine, _ middleware.Server, simCloud *cloud.SimCloud, cfg core.Config) Backend {
+	return inProcess{core.NewService(eng, simCloud, cfg)}
 }
 
 func (q inProcess) Register(id, envKey string, size int, tier core.Tier, credits float64, srv middleware.Server) {
-	var err error
-	if q.sharded {
-		err = q.RegisterQoSShardTier("user", id, envKey, size, tier, srv)
-	} else {
-		err = q.RegisterQoSTier("user", id, envKey, size, tier)
-	}
-	if err == nil && credits > 0 {
+	if credits > 0 {
 		q.Credits.Deposit("user", credits)
-		err = q.OrderQoS("user", id, credits)
 	}
-	if err != nil {
+	if err := q.RegisterQoS("user", id, envKey, size, tier, credits, srv); err != nil {
 		panic(err)
 	}
 }
@@ -321,15 +317,11 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 		return Entry{Result: res, Err: err.Error()}
 	}
 	if useService {
-		simCloud := cloud.NewSimCloud(ctl, sim.NewRNG(seed))
-		switch {
-		case j.Backend != nil:
-			qos = j.Backend(ctl, hosts[0].srv, simCloud, cfg)
-		case !sharded:
-			qos = inProcess{Service: core.NewService(ctl, hosts[0].srv, simCloud, cfg)}
-		default:
-			qos = inProcess{core.NewShardedService(ctl, simCloud, cfg), true}
+		open := j.Backend
+		if open == nil {
+			open = newInProcess
 		}
+		qos = open(ctl, hosts[0].srv, cloud.NewSimCloud(ctl, sim.NewRNG(seed)), cfg)
 		defer qos.Close()
 	}
 

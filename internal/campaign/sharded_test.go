@@ -259,9 +259,10 @@ func runShardedDeterminism(t *testing.T, mk func(shards int) Scenario) Result {
 	return ref
 }
 
-// TestShardedCloudDupDeterminism pins the barrier-exchanged result mirror:
-// a CloudDuplication cell is byte-identical at 1/2/4/8 shards, and the
-// mirror actually engaged (cloud instances started).
+// TestShardedCloudDupDeterminism pins the result mirror between each batch's
+// primary and its cloud-hosted server, both on the batch's shard engine: a
+// CloudDuplication cell is byte-identical at 1/2/4/8 shards, and the mirror
+// actually engaged (cloud instances started).
 func TestShardedCloudDupDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sharded determinism table is not -short")

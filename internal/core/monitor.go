@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 
 	"spequlos/internal/cloud"
@@ -124,8 +125,9 @@ type Ports interface {
 	Archive(b *Batch) error
 }
 
-// Monitor holds the Scheduler's live batches and runs the monitor iteration
-// over them (Algorithms 1 and 2 of §3.6).
+// Monitor is the Scheduler's batch registry: it holds every batch ever
+// registered, and runs the monitor iteration over the live ones (Algorithms 1
+// and 2 of §3.6).
 type Monitor struct {
 	Ports Ports
 	// CountDriven says that something marks batches dirty on their task
@@ -133,15 +135,33 @@ type Monitor struct {
 	// Due then skips the batches nothing happened to.
 	CountDriven bool
 
-	// Mu guards what a tick writes and another goroutine may read: Order, and
-	// the records' lifecycle fields and instance lists. Run takes it for each
-	// write and never across a port call, so readers are served meanwhile.
+	// Mu guards what a tick writes and another goroutine may read: Batches,
+	// Order, and the records' lifecycle fields and instance lists. Run takes
+	// it for each write and never across a port call, so readers are served
+	// meanwhile.
 	Mu sync.Mutex
+	// Batches resolves every batch ever registered, finalized ones included.
+	// Register is its only writer.
+	Batches map[string]*Batch
 	// Order holds the batches not yet finalized, in registration order (map
 	// order would make multi-batch runs non-reproducible for a given seed);
-	// registering a batch appends it, and Due drops it on the first call after
-	// its finalization, so a tick costs nothing for batches that are done.
+	// Register appends a batch, and Due drops it on the first call after its
+	// finalization, so a tick costs nothing for batches that are done.
 	Order []*Batch
+}
+
+// Register adds a batch to the registry and to Order, refusing an ID already
+// registered. Call with Mu held.
+func (m *Monitor) Register(b *Batch) error {
+	if m.Batches[b.ID] != nil {
+		return fmt.Errorf("core: batch %q already registered", b.ID)
+	}
+	if m.Batches == nil {
+		m.Batches = map[string]*Batch{}
+	}
+	m.Batches[b.ID] = b
+	m.Order = append(m.Order, b)
+	return nil
 }
 
 // Due drops the batches finalized since the last call from Order and appends

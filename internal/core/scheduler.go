@@ -45,11 +45,17 @@ type CloudUsage struct {
 	TriggeredAt      float64 // -1 if cloud support never started
 }
 
-// Service is a SpeQuloS deployment bound to one Desktop Grid server inside
-// a simulation: the four modules wired together per Fig 3. Its monitor loop
-// is Monitor.Run over ports that call the modules, the DG server and the
-// simulated cloud directly. (The deployable HTTP flavor lives in
-// internal/service and runs the same loop over its own ports.)
+// Service is a SpeQuloS deployment inside a simulation: the four modules
+// wired together per Fig 3, serving batches hosted on any number of DG
+// servers. Its monitor loop is Monitor.Run over ports that call the modules,
+// each batch's DG server and the simulated cloud directly. (The deployable
+// HTTP flavor lives in internal/service and runs the same loop over its own
+// ports.)
+//
+// The service — monitor ticker, cloud, ledger — lives on one engine. A
+// batch's server may live on another, typically a shard engine of a
+// sim.Sharded kernel; cross-server effects then happen inside the monitor
+// tick, which the kernel runs serially at barriers.
 type Service struct {
 	eng     *sim.Engine
 	cfg     Config
@@ -58,74 +64,53 @@ type Service struct {
 	Oracle  *Oracle
 	Cloud   *cloud.SimCloud
 
-	primary middleware.Server
-	// sharded marks a multi-server deployment (NewShardedService): every
-	// batch binds its own DG server, typically living on a shard engine of a
-	// sim.Sharded kernel while the Service runs on the control engine.
-	sharded bool
-	// batches resolves every batch ever registered (Usage and Predict answer
-	// for finalized ones too), mon holds the live ones. The service runs on
-	// one goroutine — shard engines park while the control engine ticks — so
-	// mon.Mu is not taken here.
-	batches map[string]*Batch
-	mon     *Monitor
-	deploy  CloudDeployment
-	ticker  *sim.Ticker
+	// mon holds the batches. The service runs on one goroutine — shard
+	// engines park while the service's engine ticks — so mon.Mu is not taken
+	// here.
+	mon    *Monitor
+	deploy CloudDeployment
+	ticker *sim.Ticker
+	// listening holds the servers the service's listener is attached to.
+	listening map[middleware.Server]bool
 	// due and work back the per-tick due list and the tick's selections,
 	// reused so a tick allocates nothing proportional to the batch count.
 	due  []*Batch
 	work Scratch
 }
 
-// NewService wires a SpeQuloS service to a DG server and a simulated cloud.
-func NewService(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCloud, cfg Config) *Service {
-	s := newService(eng, simCloud, cfg)
-	s.primary = primary
-	primary.AddListener(serviceListener{s})
-	return s
-}
-
-// NewShardedService wires a SpeQuloS service that spans multiple DG
-// servers: every batch registers with its own server
-// (RegisterQoSShardTier), typically hosted on a shard engine of a
-// sim.Sharded kernel while the service itself — monitor ticker, cloud,
-// ledger — lives on the control engine. Cross-server effects happen inside
-// the monitor tick, which the kernel runs serially at barriers.
-//
-// Every deployment is supported. A cloud worker boots on the control
-// engine and joins its batch's server at a barrier; CloudDuplication's
-// cloud-hosted server lives on its primary's engine, so the result merge in
-// both directions stays on the batch's own shard.
-func NewShardedService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
-	s := newService(eng, simCloud, cfg)
-	s.sharded = true
-	return s
-}
-
-// newService resolves the config defaults and builds the service both
-// deployments share; the caller binds it to its server(s).
-func newService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
+// NewService wires a SpeQuloS service to a simulated cloud; each batch names
+// its DG server when it registers.
+func NewService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
 	if cfg.MonitorPeriod <= 0 {
 		cfg.MonitorPeriod = 60
 	}
 	s := &Service{
-		eng:     eng,
-		cfg:     cfg,
-		Info:    NewInformation(),
-		Credits: NewCreditSystem(),
-		Oracle:  NewOracle(cfg.Strategy),
-		Cloud:   simCloud,
-		batches: map[string]*Batch{},
-		deploy:  CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud},
+		eng:       eng,
+		cfg:       cfg,
+		Info:      NewInformation(),
+		Credits:   NewCreditSystem(),
+		Oracle:    NewOracle(cfg.Strategy),
+		Cloud:     simCloud,
+		deploy:    CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud},
+		listening: map[middleware.Server]bool{},
 	}
 	_, countDriven := cfg.Strategy.Trigger.(CountDrivenTrigger)
 	s.mon = &Monitor{Ports: (*simPorts)(s), CountDriven: countDriven}
 	return s
 }
 
-// serviceListener keeps the due list current and finalizes QoS support the
-// instant a batch completes.
-type serviceListener struct{ s *Service }
+// serviceListener keeps the due list current and finalizes QoS support for a
+// completed batch: at the completion instant when the server shares the
+// service's engine, else at the next tick.
+type serviceListener struct {
+	s *Service
+	// deferred: the server's events fire on another engine, during a
+	// parallel window of a sharded kernel. Finalization touches the shared
+	// calibration archive and the cloud on the service's engine, so the
+	// completion only marks the batch, routing it into the next tick — a
+	// barrier — which finds it done and finalizes it serially.
+	deferred bool
+}
 
 func (l serviceListener) TaskAssigned(batchID string, _ int, _ float64) {
 	l.s.markDirty(batchID)
@@ -134,100 +119,65 @@ func (l serviceListener) TaskCompleted(batchID string, _ int, _ float64) {
 	l.s.markDirty(batchID)
 }
 func (l serviceListener) BatchCompleted(batchID string, at float64) {
-	if l.s.sharded {
-		// Sharded mode: the completion fires on a shard engine during a
-		// parallel window. Finalization touches the shared calibration
-		// archive and the control-engine cloud, so it is deferred — the mark
-		// routes the batch into the next barrier tick, which finds it done
-		// and finalizes serially.
+	if l.deferred {
 		l.s.markDirty(batchID)
 		return
 	}
 	// A tick over the one batch: its last sample, its final bill and its
 	// finalization, at the completion instant.
-	if b := l.s.batches[batchID]; b != nil && !b.Finalized {
+	if b := l.s.mon.Batches[batchID]; b != nil && !b.Finalized {
 		_ = l.s.mon.Run(at, l.s.cfg.Tiers, []*Batch{b}, &Scratch{})
 	}
 }
 
 // markDirty queues a batch for the next monitor tick.
 func (s *Service) markDirty(batchID string) {
-	if b := s.batches[batchID]; b != nil {
+	if b := s.mon.Batches[batchID]; b != nil {
 		b.dirty = true
 	}
 }
 
-// RegisterQoS starts QoS support for a batch (the registerQoS call of
-// Fig 3). envKey identifies the execution environment for α calibration;
-// size is the BoT size. The batch must be submitted to the DG server by the
-// user separately, tagged with the same ID.
-func (s *Service) RegisterQoS(user, batchID, envKey string, size int) error {
-	return s.RegisterQoSTier(user, batchID, envKey, size, "")
-}
-
-// RegisterQoSTier registers a batch under a QoS service class. The tier
-// only matters when Config.Tiers is set; it then decides admission priority
-// and the share of contended cloud supply the batch competes for.
-func (s *Service) RegisterQoSTier(user, batchID, envKey string, size int, tier Tier) error {
-	if s.sharded {
-		return fmt.Errorf("core: sharded service requires RegisterQoSShardTier (batch %q)", batchID)
-	}
-	return s.register(batchID, envKey, size, tier, s.primary)
-}
-
-// RegisterQoSShardTier registers a batch of a sharded service under a QoS
-// service class, together with the DG server hosting it. The server must
-// host only this service's batches and must not be shared across shard
-// engines; the service attaches its activity listener to it. The tier only
-// matters when Config.Tiers is set: admission is arbitrated inside the
-// monitor tick, on the control engine. Only valid on a NewShardedService
-// instance.
-func (s *Service) RegisterQoSShardTier(user, batchID, envKey string, size int, tier Tier, srv middleware.Server) error {
-	if !s.sharded {
-		return fmt.Errorf("core: RegisterQoSShardTier requires NewShardedService (batch %q)", batchID)
-	}
-	if err := s.register(batchID, envKey, size, tier, srv); err != nil {
-		return err
-	}
-	srv.AddListener(serviceListener{s})
-	return nil
-}
-
-func (s *Service) register(batchID, envKey string, size int, tier Tier, srv middleware.Server) error {
-	if s.batches[batchID] != nil {
+// RegisterQoS starts QoS support for a batch hosted on srv: the registerQoS
+// and orderQoS calls of Fig 3 in one. envKey identifies the execution
+// environment for α calibration; size is the BoT size; the tier only matters
+// when Config.Tiers is set, where it decides admission priority and the share
+// of contended cloud supply the batch competes for. When credits > 0 they are
+// ordered from the user's account first, so a refused order, like a
+// duplicate ID, registers nothing. The batch must be submitted to srv by the
+// user separately, tagged with the same ID. srv must host only this service's
+// batches; the service attaches its listener to it on its first batch.
+func (s *Service) RegisterQoS(user, batchID, envKey string, size int, tier Tier, credits float64, srv middleware.Server) error {
+	if s.mon.Batches[batchID] != nil {
 		return fmt.Errorf("core: batch %q already registered", batchID)
+	}
+	if credits > 0 {
+		if err := s.Credits.OrderQoS(user, batchID, credits); err != nil {
+			return err
+		}
 	}
 	bi, err := s.Info.Track(batchID, envKey, size, s.eng.Now())
 	if err != nil {
+		if credits > 0 {
+			_, _ = s.Credits.Pay(batchID) // refunds the order just placed; cannot fail, it exists
+		}
 		return err
 	}
 	b := NewBatch(batchID, envKey, tier, s.eng.Now())
-	b.srv, b.bi = srv, bi
-	s.batches[batchID] = b
-	s.mon.Order = append(s.mon.Order, b)
+	b.srv, b.bi, b.Ordered = srv, bi, credits > 0
+	_ = s.mon.Register(b) // cannot fail: the ID was checked above
+	if !s.listening[srv] {
+		s.listening[srv] = true
+		srv.AddListener(serviceListener{s: s, deferred: srv.Engine() != s.eng})
+	}
 	if s.ticker == nil {
 		s.ticker = s.eng.NewTicker(s.cfg.MonitorPeriod, s.tick)
 	}
 	return nil
 }
 
-// OrderQoS provisions credits for a batch from the user's account.
-func (s *Service) OrderQoS(user, batchID string, credits float64) error {
-	b := s.batches[batchID]
-	if b == nil {
-		return fmt.Errorf("core: batch %q not registered", batchID)
-	}
-	if err := s.Credits.OrderQoS(user, batchID, credits); err != nil {
-		return err
-	}
-	// Fresh credits can turn an idle batch startable: re-examine it.
-	b.Ordered, b.dirty = true, true
-	return nil
-}
-
 // Usage reports the cloud consumption of a batch so far.
 func (s *Service) Usage(batchID string) (CloudUsage, error) {
-	b := s.batches[batchID]
+	b := s.mon.Batches[batchID]
 	if b == nil {
 		return CloudUsage{}, fmt.Errorf("core: batch %q not registered", batchID)
 	}

@@ -48,12 +48,12 @@ func liveOrderIDs(svc *Service) []string {
 // ticker stops when the last batch is finalized.
 func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	eng := sim.NewEngine()
-	srv := &scriptedServer{script: map[string]middleware.Progress{}, polls: map[string]int{}}
+	srv := &scriptedServer{idleServer: idleServer{eng: eng}, script: map[string]middleware.Progress{}, polls: map[string]int{}}
 	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
-	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+	svc := NewService(eng, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 	for _, id := range []string{"a", "b", "c"} {
 		srv.script[id] = middleware.Progress{Size: 4, Arrived: 4, Completed: 2, EverAssigned: 4, Running: 2}
-		if err := svc.RegisterQoS("u", id, "env", 4); err != nil {
+		if err := svc.RegisterQoS("u", id, "env", 4, "", 0, srv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,7 +75,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	// b completes between ticks and is finalized by its completion event.
 	eng.At(90, func() { srv.complete("b", 90, true) })
 	eng.RunUntil(91)
-	if !svc.batches["b"].Finalized {
+	if !svc.mon.Batches["b"].Finalized {
 		t.Fatal("b not finalized by its completion event")
 	}
 	pollsB := srv.polls["b"]
@@ -99,7 +99,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	if err != nil || u.TriggeredAt != -1 || u.InstancesStarted != 0 {
 		t.Fatalf("Usage(b) after finalization = %+v, %v", u, err)
 	}
-	if p, err := svc.Oracle.Predict(svc.batches["b"].bi, eng.Now()); err != nil || p.CompletedFraction != 1 || p.PredictedTime <= 0 {
+	if p, err := svc.Oracle.Predict(svc.mon.Batches["b"].bi, eng.Now()); err != nil || p.CompletedFraction != 1 || p.PredictedTime <= 0 {
 		t.Fatalf("prediction for b after finalization = %+v, %v", p, err)
 	}
 	if got := srv.polls["b"]; got != pollsB {
@@ -110,7 +110,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	// tick finalizes it, the one after drops it.
 	eng.At(200, func() { srv.complete("c", 200, false) })
 	eng.RunUntil(241)
-	if !svc.batches["c"].Finalized {
+	if !svc.mon.Batches["c"].Finalized {
 		t.Fatal("c not finalized by the tick after its completion")
 	}
 	wantOrder("after the tick that finalized c", "a", "c")

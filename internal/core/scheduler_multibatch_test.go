@@ -10,10 +10,16 @@ import (
 	"spequlos/internal/xwhep"
 )
 
-// pollCounter wraps a Server and counts the monitor's per-batch polls.
+// pollCounter wraps a Server and counts the monitor's per-batch polls and
+// the listeners attached to it.
 type pollCounter struct {
 	middleware.Server
-	polls int
+	polls, listeners int
+}
+
+func (p *pollCounter) AddListener(l middleware.Listener) {
+	p.listeners++
+	p.Server.AddListener(l)
 }
 
 func (p *pollCounter) Progress(id string) middleware.Progress {
@@ -44,12 +50,12 @@ func TestMultiBatchPollEconomy(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := &pollCounter{Server: xwhep.New(eng, xwhep.DefaultConfig())}
 	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
-	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+	svc := NewService(eng, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
 	const batches = 50
 	for i := 0; i < batches; i++ {
 		id := string(rune('A'+i%26)) + string(rune('a'+i/26))
-		if err := svc.RegisterQoS("u", id, "env", 4); err != nil {
+		if err := svc.RegisterQoS("u", id, "env", 4, "", 0, srv); err != nil {
 			t.Fatal(err)
 		}
 		specs := make([]bot.Task, 4)
@@ -57,6 +63,9 @@ func TestMultiBatchPollEconomy(t *testing.T) {
 			specs[j] = bot.Task{ID: j, NOps: 1e12} // effectively never finishes
 		}
 		srv.Submit(middleware.Batch{ID: id, Tasks: specs})
+	}
+	if srv.listeners != 1 {
+		t.Fatalf("%d batches on one server attached %d service listeners, want one", batches, srv.listeners)
 	}
 	// No worker ever joins, so after the first tick drains the registration
 	// dirty marks, the due list stays empty.

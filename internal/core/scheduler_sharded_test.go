@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"spequlos/internal/bot"
@@ -46,19 +47,16 @@ func TestShardedCloudDupMergesAtCompletionInstant(t *testing.T) {
 	ctl, eng := kernel.Control(), kernel.Shard(1)
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	strategy := Strategy{Trigger: CompletionThreshold{0.5}, Sizing: Conservative{}, Deploy: CloudDuplication}
-	svc := NewShardedService(ctl, cloud.NewSimCloud(ctl, sim.NewRNG(7)), Config{Strategy: strategy, MonitorPeriod: period})
+	svc := NewService(ctl, cloud.NewSimCloud(ctl, sim.NewRNG(7)), Config{Strategy: strategy, MonitorPeriod: period})
 	specs := make([]bot.Task, 10)
 	for i := range specs {
 		specs[i] = bot.Task{ID: i, NOps: 1000}
 	}
-	if err := svc.RegisterQoSShardTier("alice", "b", "test-env", len(specs), "", srv); err != nil {
+	svc.Credits.Deposit("alice", 10)
+	if err := svc.RegisterQoS("alice", "b", "test-env", len(specs), "", 10, srv); err != nil {
 		t.Fatal(err)
 	}
 	srv.Submit(middleware.Batch{ID: "b", Tasks: specs})
-	svc.Credits.Deposit("alice", 10)
-	if err := svc.OrderQoS("alice", "b", 10); err != nil {
-		t.Fatal(err)
-	}
 	srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
 
 	primary := newCompletionLog("b")
@@ -97,5 +95,74 @@ func TestShardedCloudDupMergesAtCompletionInstant(t *testing.T) {
 	}
 	if done := eng.Now(); done >= 10000 {
 		t.Fatalf("completion %v: cloud duplication did not rescue the tail", done)
+	}
+}
+
+// finalizeProbe records a batch's BatchCompleted instant and whether the
+// service had finalized the batch by then. Attached after the service's
+// listener, it sees what the service did at the completion.
+type finalizeProbe struct {
+	svc       *Service
+	batchID   string
+	at        float64
+	finalized bool
+}
+
+func (p *finalizeProbe) TaskAssigned(string, int, float64)  {}
+func (p *finalizeProbe) TaskCompleted(string, int, float64) {}
+func (p *finalizeProbe) BatchCompleted(batchID string, at float64) {
+	if batchID == p.batchID {
+		p.at, p.finalized = at, p.svc.mon.Batches[batchID].Finalized
+	}
+}
+
+// TestFinalizeInstantFollowsTheServersEngine: one service over two servers,
+// one on the service's own engine and one on a shard engine. The first batch
+// is finalized at its BatchCompleted instant; the second only marks itself
+// there, inside the shard's window, and is finalized by the next monitor
+// tick, at a barrier. The last sample of a batch is its finalizing tick's, so
+// its completion time tells the instant.
+func TestFinalizeInstantFollowsTheServersEngine(t *testing.T) {
+	const period = 60
+	kernel := sim.NewSharded(2)
+	ctl := kernel.Control()
+	svc := NewService(ctl, cloud.NewSimCloud(ctl, sim.NewRNG(7)), Config{Strategy: DefaultStrategy(), MonitorPeriod: period})
+	probes := map[string]*finalizeProbe{}
+	for _, b := range []struct {
+		id   string
+		eng  *sim.Engine
+		nops float64
+	}{{"own", ctl, 1010}, {"shard", kernel.Shard(1), 1030}} {
+		srv := xwhep.New(b.eng, xwhep.DefaultConfig())
+		specs := make([]bot.Task, 3)
+		for i := range specs {
+			specs[i] = bot.Task{ID: i, NOps: b.nops}
+		}
+		if err := svc.RegisterQoS("u", b.id, "env", len(specs), "", 0, srv); err != nil {
+			t.Fatal(err)
+		}
+		probes[b.id] = &finalizeProbe{svc: svc, batchID: b.id}
+		srv.AddListener(probes[b.id])
+		srv.Submit(middleware.Batch{ID: b.id, Tasks: specs})
+		srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
+	}
+	kernel.Run(period, nil) // drains: the ticker stops with the last live batch
+
+	own, shard := probes["own"], probes["shard"]
+	if own.at != 3030 || shard.at != 3090 {
+		t.Fatalf("completions at %v and %v, want 3030 and 3090", own.at, shard.at)
+	}
+	if !own.finalized {
+		t.Fatal("the batch on the service's engine was not finalized at its completion instant")
+	}
+	if got := svc.mon.Batches["own"].bi.CompletedAt; got != own.at {
+		t.Fatalf("the batch on the service's engine was finalized at %v, want its completion %v", got, own.at)
+	}
+	if shard.finalized {
+		t.Fatal("the batch on a shard engine was finalized inside the shard's window")
+	}
+	b := svc.mon.Batches["shard"]
+	if next := math.Ceil(shard.at/period) * period; !b.Finalized || b.bi.CompletedAt != next {
+		t.Fatalf("the batch on a shard engine: finalized %v at %v, want at the next tick %v", b.Finalized, b.bi.CompletedAt, next)
 	}
 }

@@ -19,19 +19,16 @@ func slowTailScenario(t *testing.T, strategy Strategy, credits float64) (*sim.En
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
 	cfg := Config{Strategy: strategy, MonitorPeriod: 60}
-	svc := NewService(eng, srv, simCloud, cfg)
+	svc := NewService(eng, simCloud, cfg)
 	specs := make([]bot.Task, 10)
 	for i := range specs {
 		specs[i] = bot.Task{ID: i, NOps: 1000}
 	}
-	if err := svc.RegisterQoS("alice", "b", "test-env", len(specs)); err != nil {
+	svc.Credits.Deposit("alice", credits)
+	if err := svc.RegisterQoS("alice", "b", "test-env", len(specs), "", credits, srv); err != nil {
 		t.Fatal(err)
 	}
 	srv.Submit(middleware.Batch{ID: "b", Tasks: specs})
-	svc.Credits.Deposit("alice", credits)
-	if err := svc.OrderQoS("alice", "b", credits); err != nil {
-		t.Fatal(err)
-	}
 	srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
 	return eng, srv, svc
 }
@@ -92,7 +89,7 @@ func TestFlatCannotHelpWithoutQueuedTasks(t *testing.T) {
 		t.Fatal("no instance was even started")
 	}
 	// All instances were stopped as idle before completion.
-	for _, qb := range svc.batches {
+	for _, qb := range svc.mon.Batches {
 		for _, inst := range qb.Instances {
 			if inst.Live() || inst.Sim.Running() {
 				t.Fatal("idle flat instance not stopped by Greedy")
@@ -147,12 +144,12 @@ func TestNoTriggerWithoutCredits(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(1))
-	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+	svc := NewService(eng, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 	specs := make([]bot.Task, 10)
 	for i := range specs {
 		specs[i] = bot.Task{ID: i, NOps: 1000}
 	}
-	svc.RegisterQoS("alice", "b", "env", len(specs))
+	svc.RegisterQoS("alice", "b", "env", len(specs), "", 0, srv)
 	srv.Submit(middleware.Batch{ID: "b", Tasks: specs})
 	srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1})
 	runBatch(eng, srv, "b")
@@ -169,7 +166,7 @@ func TestPredictionThroughService(t *testing.T) {
 	eng, srv, svc := slowTailScenario(t, DefaultStrategy(), 10)
 	var pred Prediction
 	var perr error
-	eng.At(5100, func() { pred, perr = svc.Oracle.Predict(svc.batches["b"].bi, eng.Now()) })
+	eng.At(5100, func() { pred, perr = svc.Oracle.Predict(svc.mon.Batches["b"].bi, eng.Now()) })
 	runBatch(eng, srv, "b")
 	if perr != nil {
 		t.Fatal(perr)
@@ -184,18 +181,84 @@ func TestPredictionThroughService(t *testing.T) {
 func TestRegisterValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
-	svc := NewService(eng, srv, cloud.NewSimCloud(eng, sim.NewRNG(1)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
-	if err := svc.RegisterQoS("u", "b", "env", 10); err != nil {
+	svc := NewService(eng, cloud.NewSimCloud(eng, sim.NewRNG(1)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+	if err := svc.RegisterQoS("u", "b", "env", 10, "", 0, srv); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.RegisterQoS("u", "b", "env", 10); err == nil {
+	if err := svc.RegisterQoS("u", "b", "env", 10, "", 0, srv); err == nil {
 		t.Fatal("duplicate registration accepted")
-	}
-	if err := svc.OrderQoS("u", "unregistered", 10); err == nil {
-		t.Fatal("order for unregistered batch accepted")
 	}
 	if _, err := svc.Usage("unregistered"); err == nil {
 		t.Fatal("usage for unregistered batch accepted")
+	}
+}
+
+// TestRefusedRegistrationMutatesNothing: RegisterQoS refused — the ledger
+// short of credits, a duplicate ID, Information already tracking the batch —
+// leaves no Information or Monitor record, arms no ticker, attaches no
+// listener and leaves the balance as it was, on a service with batches and on
+// one without. A refusal a deposit cures then lets the same request through,
+// as SchedulerService.RegisterQoS does over HTTP.
+func TestRefusedRegistrationMutatesNothing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		busy    bool    // batch "a" (3 of the 8 credits ordered) registered first
+		id      string  // the refused request's batch
+		credits float64 // what it orders
+		behind  bool    // Information tracks id behind the service's back
+		cured   bool    // a deposit lets the same request through
+	}{
+		{name: "short balance, no batches yet", id: "b", credits: 10, cured: true},
+		{name: "short balance, beside a batch", busy: true, id: "b", credits: 10, cured: true},
+		{name: "duplicate ID", busy: true, id: "a", credits: 2},
+		{name: "tracked behind the service, no batches yet", id: "b", credits: 4, behind: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			srv := xwhep.New(eng, xwhep.DefaultConfig())
+			svc := NewService(eng, cloud.NewSimCloud(eng, sim.NewRNG(1)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+			svc.Credits.Deposit("u", 8)
+			if tc.busy {
+				if err := svc.RegisterQoS("u", "a", "env", 10, "", 3, srv); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.behind {
+				if _, err := svc.Info.Track(tc.id, "env", 10, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			type state struct {
+				tracked, registered, live, pending, listeners int
+				balance                                       float64
+				funded                                        bool // an open order with credits for tc.id
+			}
+			snapshot := func() state {
+				_, _, funded := svc.Credits.Lookup(tc.id)
+				return state{svc.Info.Count(), len(svc.mon.Batches), len(svc.mon.Order), eng.Pending(),
+					len(svc.listening), svc.Credits.AccountOf("u").Balance, funded}
+			}
+			before := snapshot()
+			if err := svc.RegisterQoS("u", tc.id, "env", 10, "", tc.credits, srv); err == nil {
+				t.Fatal("registration accepted")
+			}
+			if after := snapshot(); after != before {
+				t.Fatalf("the refusal mutated the service:\n before %+v\n after  %+v", before, after)
+			}
+			if !tc.busy && (svc.ticker != nil || eng.Pending() != 0) {
+				t.Fatal("a refused first registration armed the monitor ticker")
+			}
+			if !tc.cured {
+				return
+			}
+			svc.Credits.Deposit("u", tc.credits)
+			if err := svc.RegisterQoS("u", tc.id, "env", 10, "", tc.credits, srv); err != nil {
+				t.Fatalf("the same request after a deposit: %v", err)
+			}
+			if o, ok := svc.Credits.OrderOf(tc.id); !ok || o.Allocated != tc.credits || svc.mon.Batches[tc.id] == nil || svc.ticker == nil {
+				t.Fatalf("the accepted request left order %+v, record %v, ticker %v", o, svc.mon.Batches[tc.id], svc.ticker)
+			}
+		})
 	}
 }
 
@@ -213,12 +276,12 @@ func TestDeterministicWithAndWithoutCloudBase(t *testing.T) {
 	run := func() float64 {
 		eng := sim.NewEngine()
 		srv := xwhep.New(eng, xwhep.DefaultConfig())
-		svc := NewService(eng, srv, cloud.NewSimCloud(eng, sim.NewRNG(3)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+		svc := NewService(eng, cloud.NewSimCloud(eng, sim.NewRNG(3)), Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 		specs := make([]bot.Task, 7)
 		for i := range specs {
 			specs[i] = bot.Task{ID: i, NOps: 500 + float64(i)*37}
 		}
-		svc.RegisterQoS("u", "b", "env", len(specs))
+		svc.RegisterQoS("u", "b", "env", len(specs), "", 0, srv)
 		srv.Submit(middleware.Batch{ID: "b", Tasks: specs})
 		srv.WorkerJoin(&middleware.Worker{ID: 0, Power: 1.3})
 		srv.WorkerJoin(&middleware.Worker{ID: 1, Power: 0.9})
@@ -238,7 +301,7 @@ func TestMultiBoTArbitration(t *testing.T) {
 	eng := sim.NewEngine()
 	srv := xwhep.New(eng, xwhep.DefaultConfig())
 	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
-	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+	svc := NewService(eng, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
 	// 11 tasks on 2 workers leave a lone straggler after 90%% completion —
 	// a genuine tail in both batches.
@@ -253,11 +316,8 @@ func TestMultiBoTArbitration(t *testing.T) {
 		user, batch string
 		credits     float64
 	}{{"alice", "a", 10}, {"bob", "b", 10}} {
-		if err := svc.RegisterQoS(u.user, u.batch, "env", 11); err != nil {
-			t.Fatal(err)
-		}
 		svc.Credits.Deposit(u.user, u.credits)
-		if err := svc.OrderQoS(u.user, u.batch, u.credits); err != nil {
+		if err := svc.RegisterQoS(u.user, u.batch, "env", 11, "", u.credits, srv); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -289,7 +349,7 @@ func TestMultiBoTArbitration(t *testing.T) {
 		}
 	}
 	// Cloud workers were dedicated: no instance of batch a served batch b.
-	for id, qb := range svc.batches {
+	for id, qb := range svc.mon.Batches {
 		for _, inst := range qb.Instances {
 			if inst.Sim.Worker.DedicatedBatch != id {
 				t.Fatalf("instance for %s dedicated to %s", id, inst.Sim.Worker.DedicatedBatch)

@@ -15,12 +15,13 @@ import (
 // measure pure monitor-tick cost: batches never finish, workers never join,
 // and the test injects task activity directly through the listeners.
 type idleServer struct {
+	eng       *sim.Engine
 	listeners middleware.Listeners
 	progress  middleware.Progress
 }
 
 func (s *idleServer) MiddlewareName() string              { return "STUB" }
-func (s *idleServer) Engine() *sim.Engine                 { return nil }
+func (s *idleServer) Engine() *sim.Engine                 { return s.eng }
 func (s *idleServer) Submit(middleware.Batch)             {}
 func (s *idleServer) WorkerJoin(*middleware.Worker)       {}
 func (s *idleServer) WorkerLeave(*middleware.Worker)      {}
@@ -38,14 +39,14 @@ func (s *idleServer) AddListener(l middleware.Listener)   { s.listeners = append
 // drains the registration dirty marks is excluded.
 func tickWallTime(b int, ticks, activePerTick int) time.Duration {
 	eng := sim.NewEngine()
-	srv := &idleServer{progress: middleware.Progress{Size: 8, Arrived: 8, Running: 8}}
+	srv := &idleServer{eng: eng, progress: middleware.Progress{Size: 8, Arrived: 8, Running: 8}}
 	simCloud := cloud.NewSimCloud(eng, sim.NewRNG(7))
-	svc := NewService(eng, srv, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
+	svc := NewService(eng, simCloud, Config{Strategy: DefaultStrategy(), MonitorPeriod: 60})
 
 	ids := make([]string, b)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("b%05d", i)
-		if err := svc.RegisterQoS("u", ids[i], "env", 8); err != nil {
+		if err := svc.RegisterQoS("u", ids[i], "env", 8, "", 0, srv); err != nil {
 			panic(err)
 		}
 	}

@@ -81,11 +81,9 @@ func BuildTable5(seed uint64) Table5 {
 	// SpeQuloS per DG, each with its supporting cloud.
 	stratus := cloud.NewSimCloud(eng, sim.NewRNG(seed).Fork("stratuslab"))
 	ec2 := cloud.NewSimCloud(eng, sim.NewRNG(seed).Fork("ec2"))
-	mkService := func(srv middleware.Server, sc *cloud.SimCloud) *core.Service {
-		return core.NewService(eng, srv, sc, core.Config{Strategy: core.DefaultStrategy(), MonitorPeriod: 60})
-	}
-	svcLAL := mkService(lal, stratus)
-	svcLRI := mkService(lri, ec2)
+	cfg := core.Config{Strategy: core.DefaultStrategy(), MonitorPeriod: 60}
+	svcLAL := core.NewService(eng, stratus, cfg)
+	svcLRI := core.NewService(eng, ec2, cfg)
 
 	lalDone, lriDone := &completionCounter{}, &completionCounter{}
 	lalCloud, lriCloud := &cloudCounter{}, &cloudCounter{}
@@ -120,12 +118,11 @@ func BuildTable5(seed uint64) Table5 {
 		svc2, target2 := svc, target
 		eng.At(at, func() {
 			env := "XWHEP/edgi/" + cls.Name
-			if err := svc2.RegisterQoS("edgi-user", id, env, workload.Size()); err != nil {
-				panic(err)
-			}
 			credits := 0.10 * workload.WorkloadCPUHours() * core.CreditsPerCPUHour
 			svc2.Credits.Deposit("edgi-user", credits)
-			svc2.OrderQoS("edgi-user", id, credits)
+			if err := svc2.RegisterQoS("edgi-user", id, env, workload.Size(), "", credits, target2); err != nil {
+				panic(err)
+			}
 			if viaEGI {
 				if err := egi.SubmitGridBatch("egi", middleware.BatchFromBoT(workload)); err != nil {
 					panic(err)

@@ -66,16 +66,15 @@ type SchedulerService struct {
 	// Now is the clock used for billing; overridable in tests.
 	Now func() time.Time
 
-	// mon holds the live order and runs the tick; mon.Mu also guards the two
-	// maps. No lock is held across a call to a module, the DG or a cloud
-	// driver: the claim keeps other ticks off a batch, and the tick writes a
-	// record under mon.Mu only for the benefit of Status and Instances.
+	// mon holds every batch ever registered (Status answers for the
+	// finalized ones too) and runs the tick; mon.Mu also guards stepping. No
+	// lock is held across a call to a module, the DG or a cloud driver: the
+	// claim keeps other ticks off a batch, and the tick writes a record under
+	// mon.Mu only for the benefit of Status and Instances.
 	mon *core.Monitor
-	// batches resolves every batch ever registered: Status answers for the
-	// finalized ones too. stepping holds those claimed by a tick in progress:
-	// the daemon ticker and external POST /step clients may race, and a double
-	// step must not double-bill or double-launch.
-	batches  map[string]*core.Batch
+	// stepping holds the batches claimed by a tick in progress: the daemon
+	// ticker and external POST /step clients may race, and a double step must
+	// not double-bill or double-launch.
 	stepping map[*core.Batch]bool
 }
 
@@ -114,7 +113,6 @@ func NewSchedulerService(info *InformationClient, credits *CreditClient, oracle 
 	s := &SchedulerService{
 		info: info, credits: credits, oracle: oracle, registry: registry, dg: dg,
 		Now:      time.Now,
-		batches:  map[string]*core.Batch{},
 		stepping: map[*core.Batch]bool{},
 	}
 	s.mon = &core.Monitor{Ports: (*schedulerPorts)(s)}
@@ -173,7 +171,7 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 		return fmt.Errorf("scheduler: %w", err)
 	}
 	s.mon.Mu.Lock()
-	_, dup := s.batches[req.BatchID]
+	dup := s.mon.Batches[req.BatchID] != nil
 	s.mon.Mu.Unlock()
 	if dup {
 		return fmt.Errorf("scheduler: batch %q already registered", req.BatchID)
@@ -197,9 +195,7 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 	b.Provider, b.Image, b.Ordered = req.Provider, req.Image, req.Credits > 0
 	s.mon.Mu.Lock()
 	defer s.mon.Mu.Unlock()
-	s.batches[req.BatchID] = b
-	s.mon.Order = append(s.mon.Order, b)
-	return nil
+	return s.mon.Register(b)
 }
 
 // unixSeconds puts the service clock on the monitor's time base.
@@ -209,8 +205,8 @@ func unixSeconds(t time.Time) float64 { return float64(t.Unix()) + float64(t.Nan
 func (s *SchedulerService) Status(batchID string) (QoSStatus, error) {
 	s.mon.Mu.Lock()
 	defer s.mon.Mu.Unlock()
-	b, ok := s.batches[batchID]
-	if !ok {
+	b := s.mon.Batches[batchID]
+	if b == nil {
 		return QoSStatus{}, fmt.Errorf("scheduler: batch %q not registered", batchID)
 	}
 	st := QoSStatus{BatchID: b.ID, Tier: string(b.Tier), Started: b.Started,
@@ -229,7 +225,7 @@ func (s *SchedulerService) Instances() []cloud.InstanceInfo {
 	s.mon.Mu.Lock()
 	defer s.mon.Mu.Unlock()
 	var out []cloud.InstanceInfo
-	for _, b := range s.batches {
+	for _, b := range s.mon.Batches {
 		for _, inst := range b.Instances {
 			out = append(out, inst.Info)
 		}
@@ -257,7 +253,7 @@ func (s *SchedulerService) step(only string) error {
 	var due []*core.Batch
 	if only == "" {
 		due = s.mon.Due(nil)
-	} else if b := s.batches[only]; b != nil && !b.Finalized {
+	} else if b := s.mon.Batches[only]; b != nil && !b.Finalized {
 		due = []*core.Batch{b}
 	}
 	due = slices.DeleteFunc(due, func(b *core.Batch) bool { return s.stepping[b] })

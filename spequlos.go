@@ -91,10 +91,10 @@ func AllStrategies() []Strategy { return core.AllStrategies() }
 // StrategyByLabel parses a label like "9A-G-D".
 func StrategyByLabel(label string) (Strategy, error) { return core.StrategyByLabel(label) }
 
-// Scenario selects one simulated execution: middleware (BOINC or XWHEP),
-// BE-DCI trace (seti, nd, g5klyo, g5kgre, spot10, spot100), BoT class
-// (SMALL, BIG, RANDOM), submission offset, and optionally a SpeQuloS
-// strategy (nil = baseline).
+// Scenario selects one simulated execution: middleware (BOINC, XWHEP or the
+// CONDOR extension), BE-DCI trace (seti, nd, g5klyo, g5kgre, spot10,
+// spot100), BoT class (SMALL, BIG, RANDOM), submission offset, and
+// optionally a SpeQuloS strategy (nil = baseline).
 type Scenario = experiments.Scenario
 
 // Result is the outcome and metrics of one simulated execution.
@@ -207,7 +207,8 @@ func RunConformance(ctx context.Context, spec ConformanceSpec) (ConformanceRepor
 	return emul.RunConformance(ctx, spec)
 }
 
-// Middlewares lists the supported middleware names.
+// Middlewares lists the middleware of the paper's evaluation matrix, BOINC
+// and XWHEP. Simulate also accepts CONDOR, the extension middleware.
 func Middlewares() []string { return experiments.Middlewares() }
 
 // TraceNames lists the six BE-DCI traces of Table 2.
