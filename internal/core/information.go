@@ -45,9 +45,11 @@ type BatchInfo struct {
 	PeakWorkers int
 
 	// tcAt[i] is the elapsed time at which completion first reached i
-	// percent; -1 if not yet. taAt is the same for assignment.
-	tcAt [milestones + 1]float64
-	taAt [milestones + 1]float64
+	// percent; -1 if not yet. taAt is the same for assignment. tcHi and taHi
+	// are their high-water marks: every index up to one is filled.
+	tcAt       [milestones + 1]float64
+	taAt       [milestones + 1]float64
+	tcHi, taHi int
 	// firstHalfMaxVar is max var(x) over x ≤ 50%, fixed once both series have
 	// passed 50% (no milestone it spans can move after that); -1 until then.
 	firstHalfMaxVar float64
@@ -84,19 +86,23 @@ func (bi *BatchInfo) add(s Sample) {
 	}
 	bi.Samples = append(bi.Samples, s)
 	if bi.Size > 0 {
-		fill := func(cache *[milestones + 1]float64, count int) {
+		fill := func(cache *[milestones + 1]float64, hi *int, count int) {
 			upto := count * milestones / bi.Size
 			if upto > milestones {
 				upto = milestones
 			}
-			for i := 1; i <= upto; i++ {
+			for i := *hi + 1; i <= upto; i++ {
 				if cache[i] < 0 {
 					cache[i] = s.T
 				}
 			}
+			// A negative time leaves what it wrote unfilled for the next sample.
+			if upto > *hi && !(s.T < 0) {
+				*hi = upto
+			}
 		}
-		fill(&bi.tcAt, s.Completed)
-		fill(&bi.taAt, s.Assigned)
+		fill(&bi.tcAt, &bi.tcHi, s.Completed)
+		fill(&bi.taAt, &bi.taHi, s.Assigned)
 		if half := milestones / 2; bi.firstHalfMaxVar < 0 && bi.tcAt[half] >= 0 && bi.taAt[half] >= 0 {
 			bi.firstHalfMaxVar = bi.MaxExecutionVarianceUpTo(0.5)
 		}

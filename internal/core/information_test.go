@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +126,50 @@ func TestLastOnEmpty(t *testing.T) {
 	}
 	if bi.CompletedFraction() != 0 {
 		t.Fatal("fraction on empty should be 0")
+	}
+}
+
+// rewalkFill is the milestone fill add used before it kept high-water marks:
+// every sample rewalks the cache from index 1.
+func rewalkFill(cache *[milestones + 1]float64, size, count int, t float64) {
+	upto := min(count*milestones/size, milestones)
+	for i := 1; i <= upto; i++ {
+		if cache[i] < 0 {
+			cache[i] = t
+		}
+	}
+}
+
+// TestMilestoneFillMatchesRewalk holds add's high-water-mark fill to the
+// rewalk from index 1, both caches after every sample, on random sample
+// sequences: counts monotone or not (falling back, past the size, negative),
+// times monotone or not (negative ones included, which leave what they wrote
+// unfilled).
+func TestMilestoneFillMatchesRewalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		size := 1 + rng.Intn(300)
+		monotone := trial%2 == 0
+		bi := NewBatchInfo("b", "e", size, 0)
+		ref := NewBatchInfo("b", "e", size, 0)
+		completed, assigned, now := 0, 0, 0.0
+		for k := 0; k < 1+rng.Intn(60); k++ {
+			if monotone {
+				now += float64(rng.Intn(120))
+				assigned += rng.Intn(size/4 + 2)
+				completed = min(assigned, completed+rng.Intn(size/4+2))
+			} else {
+				now = float64(rng.Intn(2000) - 200)
+				assigned = rng.Intn(size+size/2+2) - size/8
+				completed = rng.Intn(size+size/2+2) - size/8
+			}
+			bi.AddSample(now, completed, assigned, 0, 0)
+			rewalkFill(&ref.tcAt, size, completed, now)
+			rewalkFill(&ref.taAt, size, assigned, now)
+			if bi.tcAt != ref.tcAt || bi.taAt != ref.taAt {
+				t.Fatalf("trial %d (size %d, monotone %v), sample %d (t=%v completed=%d assigned=%d):\n tc %v\n want %v\n ta %v\n want %v",
+					trial, size, monotone, k, now, completed, assigned, bi.tcAt, ref.tcAt, bi.taAt, ref.taAt)
+			}
+		}
 	}
 }

@@ -118,11 +118,11 @@ type Ports interface {
 	// Stop terminates an instance; Launch starts one worker for the batch.
 	Stop(b *Batch, inst *Instance) error
 	Launch(b *Batch) (Instance, error)
-	// Pay closes the batch's order, refunding what is left of it; paying a
-	// closed order is not an error. Archive records the completed batch's
-	// execution for α calibration.
-	Pay(b *Batch) error
-	Archive(b *Batch) error
+	// Pay closes each batch's order, refunding what is left of it; paying a
+	// closed order is not an error.
+	Pay(bs []*Batch)
+	// Archive records each completed batch's execution for α calibration.
+	Archive(bs []*Batch)
 }
 
 // Monitor is the Scheduler's batch registry: it holds every batch ever
@@ -190,6 +190,7 @@ func (m *Monitor) Due(dst []*Batch) []*Batch {
 // caller that ticks from one goroutine, it keeps a tick allocation-free.
 type Scratch struct {
 	sel   []*Batch
+	fin   []*Batch // the completed batches whose fleet this tick stopped
 	cands []TierCandidate
 }
 
@@ -217,15 +218,23 @@ func (w *Scratch) pick(due []*Batch, keep func(*Batch) bool) []*Batch {
 //     that say start, against the fleets held before any is stopped or
 //     started: a slot freed this tick is granted on the next, and a denied
 //     batch asks again then;
-//  5. apply, batch by batch: finalize a completed batch, stop the fleet of an
+//  5. apply, batch by batch: stop the fleet of a completed batch or of an
 //     exhausted order, or release idle workers (Greedy) and launch what an
-//     admitted plan is short of.
+//     admitted plan is short of;
+//  6. finalize the completed batches whose fleet stopped: one Pay over those
+//     with an order (refunding the rest), then one Archive. A batch is
+//     finalized once its stop, Pay and Archive have all succeeded; a retry
+//     repeats nothing — stopped instances are skipped, Pay is idempotent, and
+//     the archive comes last.
 //
 // Steps 1 to 3 touch only what belongs to one batch (its samples, its order),
 // so running each for every batch before the next changes no decision; what
-// batches share — cloud supply, the DG's workers, the calibration archive —
-// is touched in step 5 alone. A batch a port failed for sits the rest of the
-// tick out and is retried on the next; Run returns the first such failure.
+// batches share — cloud supply, the DG's workers — is touched in step 5
+// alone. Nothing in step 5 reads what step 6 writes (closed orders, refunds,
+// the calibration archive), so finalizing after every batch's apply step
+// decides what finalizing each batch in its turn did. A batch a port failed
+// for sits the rest of the tick out and is retried on the next; Run returns
+// the first such failure.
 func (m *Monitor) Run(now float64, tiers *TierPolicy, due []*Batch, w *Scratch) error {
 	p := m.Ports
 	for _, b := range due {
@@ -294,13 +303,15 @@ func (m *Monitor) Run(now float64, tiers *TierPolicy, due []*Batch, w *Scratch) 
 		}
 	}
 
-	var first error
+	w.fin = w.fin[:0]
 	for _, b := range due {
 		switch {
 		case b.Err != nil || b.Finalized:
 			// Failed, or finalized by an earlier batch's side effects.
 		case b.Progress.Done():
-			m.finalize(b)
+			if m.stop(b, false); b.Err == nil {
+				w.fin = append(w.fin, b)
+			}
 		case b.Exhausted:
 			m.stop(b, false)
 		default:
@@ -311,11 +322,21 @@ func (m *Monitor) Run(now float64, tiers *TierPolicy, due []*Batch, w *Scratch) 
 				m.launch(now, b)
 			}
 		}
-		if first == nil {
-			first = b.Err
+	}
+
+	p.Pay(w.pick(w.fin, func(b *Batch) bool { return b.Ordered }))
+	p.Archive(w.pick(w.fin, func(*Batch) bool { return true }))
+	m.Mu.Lock()
+	for _, b := range w.fin {
+		b.Finalized = b.Err == nil
+	}
+	m.Mu.Unlock()
+	for _, b := range due {
+		if b.Err != nil {
+			return b.Err
 		}
 	}
-	return first
+	return nil
 }
 
 // stop terminates the batch's live instances, or only the idle ones. One the
@@ -354,24 +375,4 @@ func (m *Monitor) launch(now float64, b *Batch) {
 	m.Mu.Lock()
 	b.Started, b.TriggeredAt, b.ReleaseIdle = true, now, b.Plan.ReleaseIdle
 	m.Mu.Unlock()
-}
-
-// finalize ends QoS support for a completed batch, whose final usage this
-// tick's bills already charged: stop the workers, pay the order if there is
-// one (refunding the rest), archive the execution. The batch is finalized
-// once each has succeeded; a retry repeats nothing — stopped instances are
-// skipped, Pay is idempotent, and the archive comes last.
-func (m *Monitor) finalize(b *Batch) {
-	m.stop(b, false)
-	if b.Err == nil && b.Ordered {
-		b.Err = m.Ports.Pay(b)
-	}
-	if b.Err == nil {
-		b.Err = m.Ports.Archive(b)
-	}
-	if b.Err == nil {
-		m.Mu.Lock()
-		b.Finalized = true
-		m.Mu.Unlock()
-	}
 }

@@ -98,21 +98,21 @@ func (p *fakePorts) Launch(b *Batch) (Instance, error) {
 	return Instance{Info: cloud.InstanceInfo{ID: id, State: cloud.StateRunning}}, p.trip("launch", b)
 }
 
-func (p *fakePorts) Pay(b *Batch) error {
-	if err := p.trip("pay", b); err != nil {
-		return err
+func (p *fakePorts) Pay(bs []*Batch) {
+	for _, b := range bs {
+		if b.Err = p.trip("pay", b); b.Err == nil {
+			_, b.Err = p.credits.Pay(b.ID)
+		}
 	}
-	_, err := p.credits.Pay(b.ID)
-	return err
 }
 
-func (p *fakePorts) Archive(b *Batch) error {
-	if err := p.trip("archive", b); err != nil {
-		return err
+func (p *fakePorts) Archive(bs []*Batch) {
+	for _, b := range bs {
+		if b.Err = p.trip("archive", b); b.Err == nil {
+			tc50, _ := b.bi.TimeAtCompletion(0.5)
+			p.oracle.Calibration.Record(b.EnvKey, tc50/0.5, b.bi.CompletedAt)
+		}
 	}
-	tc50, _ := b.bi.TimeAtCompletion(0.5)
-	p.oracle.Calibration.Record(b.EnvKey, tc50/0.5, b.bi.CompletedAt)
-	return nil
 }
 
 // snapshot is everything a tick may change about one batch: its record and
@@ -266,6 +266,54 @@ func TestPortContract(t *testing.T) {
 		}
 		if ledger != wantLedger {
 			t.Errorf("%+v: final ledger %s, want %s", f, ledger, wantLedger)
+		}
+	}
+}
+
+// donePorts answers every batch as completed and every call as successful,
+// allocating nothing.
+type donePorts struct{}
+
+func (donePorts) Progress(bs []*Batch) {
+	for _, b := range bs {
+		b.Progress = middleware.Progress{Size: 1, Arrived: 1, Completed: 1}
+	}
+}
+func (donePorts) Sample(float64, []*Batch)        {}
+func (donePorts) Bill([]*Batch)                   {}
+func (donePorts) Orders([]*Batch)                 {}
+func (donePorts) Plan([]*Batch)                   {}
+func (donePorts) Idle(*Batch, *Instance) bool     { return false }
+func (donePorts) Stop(*Batch, *Instance) error    { return nil }
+func (donePorts) Launch(*Batch) (Instance, error) { return Instance{}, nil }
+func (donePorts) Pay([]*Batch)                    {}
+func (donePorts) Archive([]*Batch)                {}
+
+// TestRunFinalizesWithoutAllocating: the finalizing list lives in Scratch,
+// so a reused Scratch ticks a hundred completing batches without allocating.
+func TestRunFinalizesWithoutAllocating(t *testing.T) {
+	m := &Monitor{Ports: donePorts{}}
+	due := make([]*Batch, 100)
+	for i := range due {
+		due[i] = NewBatch(fmt.Sprint(i), "e", TierFree, 0)
+		due[i].Ordered = i%2 == 0
+	}
+	var w Scratch
+	run := func() {
+		for _, b := range due {
+			b.Finalized = false
+		}
+		if err := m.Run(60, nil, due, &w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("a tick finalizing %d batches allocated %v times with a reused Scratch", len(due), n)
+	}
+	for _, b := range due {
+		if !b.Finalized {
+			t.Fatalf("batch %s not finalized", b.ID)
 		}
 	}
 }

@@ -259,18 +259,20 @@ func (p *simPorts) Launch(b *Batch) (Instance, error) {
 	return Instance{Sim: p.deploy.Start(b.srv, b.ID)}, nil
 }
 
-func (p *simPorts) Pay(b *Batch) error {
-	_, err := p.Credits.Pay(b.ID)
-	return err
+func (p *simPorts) Pay(bs []*Batch) {
+	for _, b := range bs {
+		_, b.Err = p.Credits.Pay(b.ID)
+	}
 }
 
 // Archive records the (base, actual) pair measured at 50% completion, the
 // evaluation point of Table 4.
-func (p *simPorts) Archive(b *Batch) error {
-	if tc50, ok := b.bi.TimeAtCompletion(0.5); b.bi.Done() && ok && tc50 > 0 {
-		p.Oracle.Calibration.Record(b.bi.EnvKey, tc50/0.5, b.bi.CompletedAt)
+func (p *simPorts) Archive(bs []*Batch) {
+	for _, b := range bs {
+		if tc50, ok := b.bi.TimeAtCompletion(0.5); b.bi.Done() && ok && tc50 > 0 {
+			p.Oracle.Calibration.Record(b.bi.EnvKey, tc50/0.5, b.bi.CompletedAt)
+		}
 	}
-	return nil
 }
 
 // CloudDeployment is the DG side of a cloud launch: it starts simulated cloud

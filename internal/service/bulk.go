@@ -5,8 +5,8 @@ package service
 // trip per module and step instead of one per batch. Every bulk route
 //
 //	Information  POST /samples         POST /statuses
-//	Credit       POST /bills           POST /orders/lookup
-//	Oracle       POST /plans
+//	Credit       POST /bills           POST /orders/lookup   POST /orders/pay
+//	Oracle       POST /plans           POST /calibrations
 //
 // takes {"items":[…]} and answers 200 {"results":[…]} with exactly one result
 // per item, in request order. Each item goes through the same function as the

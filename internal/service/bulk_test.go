@@ -20,12 +20,14 @@ import (
 type bulkFixture struct {
 	info    *InformationService
 	credits *core.CreditSystem
+	oracle  *core.Oracle
 	modules map[string]http.Handler
 }
 
 func newBulkFixture(t testing.TB) *bulkFixture {
 	t.Helper()
-	fx := &bulkFixture{info: NewInformationService(core.NewInformation()), credits: core.NewCreditSystem()}
+	fx := &bulkFixture{info: NewInformationService(core.NewInformation()), credits: core.NewCreditSystem(),
+		oracle: core.NewOracle(core.DefaultStrategy())}
 	if _, err := fx.info.info.Track("b", "e", 100, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +43,7 @@ func newBulkFixture(t testing.TB) *bulkFixture {
 	fx.modules = map[string]http.Handler{
 		"information": fx.info,
 		"credit":      NewCreditService(fx.credits),
-		"oracle":      NewOracleService(core.NewOracle(core.DefaultStrategy()), NewInformationClient("http://127.0.0.1:1")),
+		"oracle":      NewOracleService(fx.oracle, NewInformationClient("http://127.0.0.1:1")),
 	}
 	return fx
 }
@@ -53,7 +55,7 @@ func (fx *bulkFixture) digest(t testing.TB) string {
 		t.Fatal(err)
 	}
 	o, _ := fx.credits.OrderOf("b")
-	buf, err := json.Marshal([]any{st, o, fx.credits.AccountOf("u"), fx.info.info.Count()})
+	buf, err := json.Marshal([]any{st, o, fx.credits.AccountOf("u"), fx.info.info.Count(), fx.oracle.Calibration.Count("e")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +75,10 @@ var bulkRoutes = []struct {
 	{"credit", "/bills", func(id string) string { return fmt.Sprintf(`{"batch_id":%q,"credits":[1,2]}`, id) }},
 	{"credit", "/orders/lookup", func(id string) string { return fmt.Sprintf("%q", id) }},
 	{"oracle", "/plans", func(id string) string { return fmt.Sprintf(`{"batch_id":%q,"credit_cpu_hours":2}`, id) }},
+	{"credit", "/orders/pay", func(id string) string { return fmt.Sprintf("%q", id) }},
+	{"oracle", "/calibrations", func(id string) string {
+		return fmt.Sprintf(`{"batch_id":%q,"env_key":"e","base":100,"actual":120}`, id)
+	}},
 }
 
 // TestBulkNegativePaths: a bulk request that is malformed, carries unknown
@@ -168,6 +174,30 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	post("oracle", "/plans", `{"items":[`+item(4, "ghost")+`,`+item(4, "b")+`]}`, &plans)
 	if r := plans.Results; len(r) != 2 || r[0].Error == "" || r[1].Error == "" || r[1].BatchID != "b" {
 		t.Fatalf("plans: %+v", r)
+	}
+
+	// Paying closes b's order and refunds what the bills left of it (none);
+	// paying it again is not an error and refunds nothing.
+	var pays BulkReply[PayResult]
+	post("credit", "/orders/pay", `{"items":["ghost","b"]}`, &pays)
+	if r := pays.Results; len(r) != 2 || r[0].Error == "" || r[1] != (PayResult{BatchID: "b"}) {
+		t.Fatalf("pays: %+v", r)
+	}
+	if o, _ := fx.credits.OrderOf("b"); !o.Closed {
+		t.Fatalf("order after pays: %+v", o)
+	}
+	var again BulkReply[PayResult]
+	post("credit", "/orders/pay", `{"items":["b"]}`, &again)
+	if r := again.Results; len(r) != 1 || r[0] != (PayResult{BatchID: "b"}) {
+		t.Fatalf("pays of a closed order: %+v", r)
+	}
+	var cals BulkReply[ItemResult]
+	post("oracle", "/calibrations", `{"items":[`+item(6, "b")+`,`+item(6, "other")+`]}`, &cals)
+	if r := cals.Results; len(r) != 2 || r[0] != (ItemResult{BatchID: "b"}) || r[1] != (ItemResult{BatchID: "other"}) {
+		t.Fatalf("calibrations: %+v", r)
+	}
+	if n := fx.oracle.Calibration.Count("e"); n != 2 {
+		t.Fatalf("%d executions archived, want the 2 of the request", n)
 	}
 }
 
@@ -329,7 +359,10 @@ func TestClientsReuseConnections(t *testing.T) {
 		{"oracle.Predict", oracleOpened, func(i int) { oracle.Predict("b") }},
 		{"oracle.Predict untracked", oracleOpened, func(i int) { oracle.Predict("ghost") }},
 		{"oracle.Plans", oracleOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}, {BatchID: "ghost"}}) }},
-		{"oracle.RecordCalibration", oracleOpened, func(i int) { oracle.RecordCalibration("e", 100, 120) }},
+		{"credit.Pays", creditOpened, func(i int) { credit.Pays([]string{id("o", i), "ghost"}) }},
+		{"oracle.Calibrations", oracleOpened, func(i int) {
+			oracle.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: CalibrationRecord{EnvKey: "e", Base: 100, Actual: 120}}})
+		}},
 		{"oracle.Calibration", oracleOpened, func(i int) { oracle.Calibration("e") }},
 		{"sched.RegisterQoS", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: id("q", i), Size: 1}) }},
 		{"sched.RegisterQoS refused", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: "q000", Size: 1}) }},

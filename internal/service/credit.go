@@ -18,10 +18,12 @@ import (
 //	GET  /has-credits/{id}   → {has_credits}
 //	POST /bills              charge many orders, each an ordered list of bills
 //	POST /orders/lookup      order and has-credits of many batches
+//	POST /orders/pay         close and refund many orders
 //
-// The two bulk routes (see bulk.go) are the Scheduler tick's: /bills is
+// The three bulk routes (see bulk.go) are the Scheduler tick's: /bills is
 // /orders/{id}/bill applied charge by charge, /orders/lookup is
-// /has-credits/{id} and /orders/{id} in one answer.
+// /has-credits/{id} and /orders/{id} in one answer, /orders/pay is
+// /orders/{id}/pay for each batch.
 type CreditService struct {
 	Routes
 	credits *core.CreditSystem
@@ -73,6 +75,14 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 	s.Handle("POST /orders/lookup", serveBulk(sameID, func(id string) OrderLookup {
 		o, found, has := cs.Lookup(id)
 		return OrderLookup{BatchID: id, Found: found, HasCredits: has, Order: o}
+	}))
+	s.Handle("POST /orders/pay", serveBulk(sameID, func(id string) PayResult {
+		res := PayResult{BatchID: id}
+		var err error
+		if res.Refund, err = cs.Pay(id); err != nil {
+			res.Error = err.Error()
+		}
+		return res
 	}))
 	return s
 }
@@ -150,6 +160,18 @@ type PayReply struct {
 	Refund float64 `json:"refund"`
 }
 
+// PayResult is one result of POST /orders/pay: what /orders/{id}/pay answers
+// for the batch.
+type PayResult struct {
+	// BatchID names the order.
+	BatchID string `json:"batch_id"`
+	// Refund is the credits returned to the user; 0 for an order already
+	// closed.
+	Refund float64 `json:"refund"`
+	// Error is empty on success.
+	Error string `json:"error,omitempty"`
+}
+
 // CreditClient is the typed client of the Credit service.
 type CreditClient struct{ Client }
 
@@ -182,6 +204,13 @@ func (c *CreditClient) Bills(items []BillItem) []BillResult {
 func (c *CreditClient) Orders(batchIDs []string) []OrderLookup {
 	return bulkCall(&c.Client, []string{"orders", "lookup"}, batchIDs, oneEach,
 		func(id, msg string) OrderLookup { return OrderLookup{BatchID: id, Error: msg} })
+}
+
+// Pays closes many orders with POST /orders/pay and returns one result per
+// id, in order.
+func (c *CreditClient) Pays(batchIDs []string) []PayResult {
+	return bulkCall(&c.Client, []string{"orders", "pay"}, batchIDs, oneEach,
+		func(id, msg string) PayResult { return PayResult{BatchID: id, Error: msg} })
 }
 
 // Pay closes an order, returning the refund.

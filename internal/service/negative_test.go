@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -363,10 +366,11 @@ func TestCalibrationSurvivesInformationError(t *testing.T) {
 	now := time.Unix(0, 0).UTC()
 	stack.SetClock(func() time.Time { return now })
 
-	// Information behind a proxy that fails the first status read it is told to.
+	// Information behind a proxy that fails the first status read it is told
+	// to: the archive reads the batch's status with POST /statuses.
 	var failStatus atomic.Bool
 	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method == http.MethodGet && r.URL.Path == "/batches/b" && failStatus.CompareAndSwap(true, false) {
+		if r.Method == http.MethodPost && r.URL.Path == "/statuses" && failStatus.CompareAndSwap(true, false) {
 			writeErr(w, http.StatusServiceUnavailable, errors.New("archive unavailable"))
 			return
 		}
@@ -408,4 +412,152 @@ func TestCalibrationSurvivesInformationError(t *testing.T) {
 	if acc, err := stack.CreditClient.Account("u"); err != nil || acc.Balance != 10 {
 		t.Fatalf("account %+v, %v; want the unspent order refunded once", acc, err)
 	}
+}
+
+// finalizeFaults stands in front of Credit and the Oracle and fails what a
+// test arms it to: one item of POST /orders/pay, the rest of the request
+// being applied, or a whole POST /orders/pay or POST /calibrations request,
+// lost before the module sees it.
+type finalizeFaults struct {
+	failPay          atomic.Value // string: the batch whose pay item fails
+	losePay, loseCal atomic.Int64 // how many requests to lose
+}
+
+func (f *finalizeFaults) credit(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost || r.URL.Path != "/orders/pay" {
+			next.ServeHTTP(w, r)
+			return
+		}
+		if f.losePay.Add(-1) >= 0 {
+			writeErr(w, http.StatusServiceUnavailable, errors.New("credit unavailable"))
+			return
+		}
+		var req BulkRequest[string]
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		failing, _ := f.failPay.Load().(string)
+		rest := slices.DeleteFunc(slices.Clone(req.Items), func(id string) bool { return id == failing })
+		var applied BulkReply[PayResult]
+		if len(rest) > 0 {
+			body, _ := json.Marshal(BulkRequest[string]{Items: rest})
+			rec := httptest.NewRecorder()
+			next.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/orders/pay", bytes.NewReader(body)))
+			if err := json.Unmarshal(rec.Body.Bytes(), &applied); err != nil || len(applied.Results) != len(rest) {
+				writeErr(w, http.StatusBadGateway, fmt.Errorf("credit answered %d %q", rec.Code, rec.Body))
+				return
+			}
+		}
+		var reply BulkReply[PayResult]
+		for _, id := range req.Items {
+			if id == failing {
+				reply.Results = append(reply.Results, PayResult{BatchID: id, Error: "ledger unavailable"})
+				continue
+			}
+			reply.Results, applied.Results = append(reply.Results, applied.Results[0]), applied.Results[1:]
+		}
+		writeJSON(w, http.StatusOK, reply)
+	})
+}
+
+func (f *finalizeFaults) oracle(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/calibrations" && f.loseCal.Add(-1) >= 0 {
+			writeErr(w, http.StatusServiceUnavailable, errors.New("oracle unavailable"))
+			return
+		}
+		next.ServeHTTP(w, r)
+	})
+}
+
+// TestBulkFinalizationFaults: three batches complete in one tick, so one
+// POST /orders/pay and one POST /calibrations finalize them all. A pay item
+// that fails sidelines its own batch only: the others are paid, archived and
+// finalized, and the next tick finishes the failed one. A bulk request lost
+// whole fails every batch it carried, and the next tick retries them all:
+// each execution is archived exactly once, each order refunded once.
+func TestBulkFinalizationFaults(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	const credits = 10.0
+	run := func(t *testing.T, arm func(*finalizeFaults), sidelined []string) {
+		dg := &scriptedDG{size: 10}
+		stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: dg})
+		now := time.Unix(0, 0).UTC()
+		stack.SetClock(func() time.Time { return now })
+		faults := &finalizeFaults{}
+		for _, p := range []struct {
+			client *Client
+			h      http.Handler
+		}{{&stack.CreditClient.Client, faults.credit(stack.Credit)}, {&stack.OracleClient.Client, faults.oracle(stack.Oracle)}} {
+			proxy := httptest.NewServer(p.h)
+			t.Cleanup(proxy.Close)
+			p.client.BaseURL = proxy.URL
+		}
+		for _, id := range ids {
+			if err := stack.CreditClient.Deposit("u-"+id, credits); err != nil {
+				t.Fatal(err)
+			}
+			if err := stack.Scheduler.RegisterQoS(QoSRequest{User: "u-" + id, BatchID: id, EnvKey: "env-" + id, Size: 10, Credits: credits}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tick := func(done int) error {
+			now = now.Add(time.Minute)
+			dg.set(done, 10)
+			return stack.Scheduler.Step()
+		}
+		// check: the finalized batches are paid and archived once, the others
+		// neither.
+		check := func(when string, finalized ...string) {
+			t.Helper()
+			for _, id := range ids {
+				want := slices.Contains(finalized, id)
+				st, err := stack.Scheduler.Status(id)
+				if err != nil || st.Finalized != want {
+					t.Errorf("%s: %s: %+v, %v; want finalized %v", when, id, st, err, want)
+				}
+				archived := 0
+				if want {
+					archived = 1
+				}
+				if cal, err := stack.OracleClient.Calibration("env-" + id); err != nil || cal.Count != archived {
+					t.Errorf("%s: %s: calibration %+v, %v; want %d archived", when, id, cal, err, archived)
+				}
+				if acc, err := stack.CreditClient.Account("u-" + id); err != nil || want && acc.Balance != credits {
+					t.Errorf("%s: %s: account %+v, %v; want the order refunded once", when, id, acc, err)
+				}
+			}
+		}
+
+		if err := tick(5); err != nil {
+			t.Fatal(err)
+		}
+		arm(faults)
+		if err := tick(10); err == nil || !strings.Contains(err.Error(), "unavailable") {
+			t.Fatalf("completion tick: error %v, want the injected failure", err)
+		}
+		var finalized []string
+		for _, id := range ids {
+			if !slices.Contains(sidelined, id) {
+				finalized = append(finalized, id)
+			}
+		}
+		check("after the failed tick", finalized...)
+		faults.failPay.Store("")
+		if err := tick(10); err != nil {
+			t.Fatalf("retry tick: %v", err)
+		}
+		check("after the retry", ids...)
+	}
+	t.Run("one pay item fails", func(t *testing.T) {
+		run(t, func(f *finalizeFaults) { f.failPay.Store("b") }, []string{"b"})
+	})
+	t.Run("pays lost", func(t *testing.T) {
+		run(t, func(f *finalizeFaults) { f.losePay.Store(1) }, ids)
+	})
+	t.Run("calibrations lost", func(t *testing.T) {
+		run(t, func(f *finalizeFaults) { f.loseCal.Store(1) }, ids)
+	})
 }

@@ -14,11 +14,13 @@ import (
 //	POST /plan                  {batch_id, credit_cpu_hours} → start decision
 //	POST /plans                 start decisions for many batches
 //	POST /calibration           {env_key, base, actual} archive an execution
+//	POST /calibrations          archive many batches' executions
 //	GET  /calibration/{env...}  α and success rate of an environment (env keys contain "/")
 //
-// The bulk route /plans (see bulk.go) is the Scheduler tick's: it reads every
-// batch's state with one POST /statuses to Information and runs /plan's
-// decision on each.
+// The two bulk routes (see bulk.go) are the Scheduler tick's: /plans reads
+// every batch's state with one POST /statuses to Information and runs /plan's
+// decision on each; /calibrations is /calibration for each item, which names
+// the batch whose execution it archives.
 type OracleService struct {
 	Routes
 	oracle *core.Oracle
@@ -48,6 +50,10 @@ func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
 	s.Handle("POST /calibration", Endpoint(http.StatusAccepted, func(_ *http.Request, rec CalibrationRecord) (map[string]string, error) {
 		o.Calibration.Record(rec.EnvKey, rec.Base, rec.Actual)
 		return map[string]string{"env_key": rec.EnvKey}, nil
+	}))
+	s.Handle("POST /calibrations", serveBulk(func(it CalibrationItem) string { return it.BatchID }, func(it CalibrationItem) ItemResult {
+		o.Calibration.Record(it.EnvKey, it.Base, it.Actual)
+		return ItemResult{BatchID: it.BatchID}
 	}))
 	s.Handle("GET /calibration/{env...}", EndpointNoBody(http.StatusOK, func(r *http.Request) (CalibrationStatus, error) {
 		env, cal := r.PathValue("env"), o.Calibration
@@ -82,6 +88,13 @@ type CalibrationRecord struct {
 	EnvKey string  `json:"env_key"`
 	Base   float64 `json:"base"`   // tc(0.5)/0.5 at prediction time
 	Actual float64 `json:"actual"` // observed completion time
+}
+
+// CalibrationItem is one item of POST /calibrations: the execution of the
+// named batch.
+type CalibrationItem struct {
+	BatchID string `json:"batch_id"`
+	CalibrationRecord
 }
 
 // CalibrationStatus reports an environment's fitted α.
@@ -141,9 +154,11 @@ func (c *OracleClient) Plans(reqs []PlanRequest) []PlanResult {
 		func(p PlanRequest, msg string) PlanResult { return PlanResult{BatchID: p.BatchID, Error: msg} })
 }
 
-// RecordCalibration archives a finished execution.
-func (c *OracleClient) RecordCalibration(envKey string, base, actual float64) error {
-	return c.Post(CalibrationRecord{EnvKey: envKey, Base: base, Actual: actual}, nil, "calibration")
+// Calibrations archives many finished executions with POST /calibrations and
+// returns one result per item, in order.
+func (c *OracleClient) Calibrations(items []CalibrationItem) []ItemResult {
+	return bulkCall(&c.Client, []string{"calibrations"}, items, oneEach,
+		func(it CalibrationItem, msg string) ItemResult { return ItemResult{BatchID: it.BatchID, Error: msg} })
 }
 
 // Calibration fetches an environment's α status.

@@ -45,10 +45,11 @@ type DGGateway interface {
 // ports that are this module's bulk clients, so its cost in round trips does
 // not depend on how many batches there are: one DG poll, then POST /samples
 // to Information, POST /bills and POST /orders/lookup to Credit, POST /plans
-// to the Oracle (which makes one POST /statuses to Information), and per
-// batch only what its apply step does — three calls to finalize, one per
-// instance launched or stopped. Step and StepBatch are that tick, over every
-// batch and over one.
+// to the Oracle (which makes one POST /statuses to Information); to finalize
+// the batches that completed, POST /orders/pay to Credit, POST /statuses to
+// Information and POST /calibrations to the Oracle; and per batch only one
+// call per instance launched or stopped. Step and StepBatch are that tick,
+// over every batch and over one.
 type SchedulerService struct {
 	Routes
 	info     *InformationClient
@@ -375,18 +376,33 @@ func (p *schedulerPorts) Launch(b *core.Batch) (core.Instance, error) {
 	return core.Instance{Info: info}, err
 }
 
-func (p *schedulerPorts) Pay(b *core.Batch) error {
-	_, err := p.credits.Pay(b.ID)
-	return err
+func (p *schedulerPorts) Pay(bs []*core.Batch) {
+	for i, res := range p.credits.Pays(batchIDs(bs)) {
+		bs[i].Err = itemErr(res.Error)
+	}
 }
 
-// Archive sends the Oracle the (base, actual) pair Information measured.
-func (p *schedulerPorts) Archive(b *core.Batch) error {
-	st, err := p.info.Status(b.ID)
-	if err != nil || st.TC50 <= 0 {
-		return err
+// Archive sends the Oracle the (base, actual) pair Information measured for
+// each batch: one POST /statuses, then one POST /calibrations for the batches
+// that reached 50 % completion.
+func (p *schedulerPorts) Archive(bs []*core.Batch) {
+	var items []CalibrationItem
+	var archived []*core.Batch
+	for i, st := range p.info.Statuses(batchIDs(bs)) {
+		switch {
+		case st.Error != "":
+			bs[i].Err = itemErr(st.Error)
+		case st.Status == nil:
+			bs[i].Err = fmt.Errorf("service: information returned neither a status nor an error for %q", bs[i].ID)
+		case st.Status.TC50 > 0:
+			items = append(items, CalibrationItem{BatchID: bs[i].ID,
+				CalibrationRecord: CalibrationRecord{EnvKey: bs[i].EnvKey, Base: st.Status.TC50 / 0.5, Actual: st.Status.CompletedAt}})
+			archived = append(archived, bs[i])
+		}
 	}
-	return p.oracle.RecordCalibration(b.EnvKey, st.TC50/0.5, st.CompletedAt)
+	for i, res := range p.oracle.Calibrations(items) {
+		archived[i].Err = itemErr(res.Error)
+	}
 }
 
 // SchedulerClient is the typed client of the Scheduler service: what a user

@@ -81,9 +81,11 @@ func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // 50 or 500. Half the batches sit below the trigger and are planned for every
 // tick; the other half start on the first tick and are billed from the
 // second, so the second tick runs every step there is: samples, bills, order
-// lookups, plans, and the Oracle's own status fetch.
+// lookups, plans, and the Oracle's own status fetch. Then every batch
+// completes at once, and the tick that finalizes them all costs samples,
+// bills (the started half's final usage), pays, statuses and calibrations.
 func TestStepBatchedPollingIsO1(t *testing.T) {
-	tickCost := func(batches int) (first, steady int64) {
+	tickCost := func(batches int) (first, steady, final int64) {
 		dg := newMultiDG()
 		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
 		stack := newStack(t, StackConfig{
@@ -132,18 +134,40 @@ func TestStepBatchedPollingIsO1(t *testing.T) {
 		if cost[1] != cost[2] {
 			t.Fatalf("%d batches: steady ticks cost %d then %d module round trips", batches, cost[1], cost[2])
 		}
-		return cost[0], cost[1]
+
+		for i := 0; i < batches; i++ {
+			dg.set(fmt.Sprintf("b%03d", i), middleware.Progress{Size: 100, Arrived: 100, Completed: 100, EverAssigned: 100})
+		}
+		now = now.Add(time.Minute)
+		before := sent.Load()
+		if err := stack.Scheduler.Step(); err != nil {
+			t.Fatal(err)
+		}
+		final = sent.Load() - before
+		for i := 0; i < batches; i++ {
+			if st, err := stack.Scheduler.Status(fmt.Sprintf("b%03d", i)); err != nil || !st.Finalized {
+				t.Fatalf("%d batches: b%03d not finalized by the completion tick: %+v, %v", batches, i, st, err)
+			}
+		}
+		if cal, err := stack.OracleClient.Calibration("e"); err != nil || cal.Count != batches {
+			t.Fatalf("%d batches: calibration %+v, %v; want one archived execution per batch", batches, cal, err)
+		}
+		return cost[0], cost[1], final
 	}
-	first50, steady50 := tickCost(50)
-	first500, steady500 := tickCost(500)
-	if first50 != first500 || steady50 != steady500 {
-		t.Fatalf("module round trips per tick grew with the batch count: %d/%d at 50 batches, %d/%d at 500",
-			first50, steady50, first500, steady500)
+	first50, steady50, final50 := tickCost(50)
+	first500, steady500, final500 := tickCost(500)
+	if first50 != first500 || steady50 != steady500 || final50 != final500 {
+		t.Fatalf("module round trips per tick grew with the batch count: %d/%d/%d at 50 batches, %d/%d/%d at 500",
+			first50, steady50, final50, first500, steady500, final500)
 	}
 	// samples, bills, lookup, plans, statuses; the operator's POST /step and
 	// slack for one more step make the issue's budget of 8.
 	if steady50 != 5 || first50 > 8 {
 		t.Fatalf("module round trips per tick = %d (first tick %d), want 5 (at most 8)", steady50, first50)
+	}
+	// samples, bills, pays, statuses, calibrations.
+	if final50 != 5 {
+		t.Fatalf("the tick finalizing every batch made %d module round trips, want 5", final50)
 	}
 }
 

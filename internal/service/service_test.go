@@ -194,12 +194,16 @@ func TestOracleServiceHTTP(t *testing.T) {
 		t.Fatalf("conservative plan too large: %d", r.Plan.Workers)
 	}
 
-	// Calibration round trip.
-	if err := c.RecordCalibration("env", 1000, 1500); err != nil {
+	// Calibration round trip, through the single-item route and the bulk one.
+	rec := CalibrationRecord{EnvKey: "env", Base: 1000, Actual: 1500}
+	if err := c.Post(rec, nil, "calibration"); err != nil {
 		t.Fatal(err)
 	}
+	if res := c.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: rec}}); len(res) != 1 || res[0] != (ItemResult{BatchID: "b"}) {
+		t.Fatalf("calibrations: %+v", res)
+	}
 	st, err := c.Calibration("env")
-	if err != nil || st.Alpha != 1.5 || st.Count != 1 {
+	if err != nil || st.Alpha != 1.5 || st.Count != 2 {
 		t.Fatalf("calibration: %+v %v", st, err)
 	}
 }

@@ -188,8 +188,9 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				check("dg.InstanceBusy", err, fx.dg.last, id)
 			})
 		}
-		if err := fx.oracleC.RecordCalibration(env, 100, 120); err != nil {
-			t.Fatal(err)
+		item := service.CalibrationItem{BatchID: "b", CalibrationRecord: service.CalibrationRecord{EnvKey: env, Base: 100, Actual: 120}}
+		if res := fx.oracleC.Calibrations([]service.CalibrationItem{item}); res[0].Error != "" {
+			t.Fatal(res[0].Error)
 		}
 		cal, err := fx.oracleC.Calibration(env)
 		if err != nil || cal.EnvKey != env || cal.Count != 1 {
@@ -347,8 +348,8 @@ func TestWireContract(t *testing.T) {
 			}
 		}
 	}
-	if total != 28 {
-		t.Errorf("%d routes under contract, want the 25 of the modules and the 3 of the DG gateway", total)
+	if total != 30 {
+		t.Errorf("%d routes under contract, want the 27 of the modules and the 3 of the DG gateway", total)
 	}
 
 	// What the parent's hand-written routers answered differently, pinned.
