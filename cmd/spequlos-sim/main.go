@@ -160,7 +160,6 @@ func main() {
 
 func report(label string, r experiments.Result) {
 	fmt.Printf("[%s] %s/%s/%s seed=%d\n", label, r.Middleware, r.TraceName, r.BotClass, r.Seed)
-	reportKernel(r)
 	if len(r.Batches) > 0 {
 		// A multi-batch cell reports its per-batch spread even when some
 		// batches missed the horizon — the partial view is the point.
@@ -178,26 +177,6 @@ func report(label string, r experiments.Result) {
 		fmt.Printf("  cloud: %d instances, %.0f cpu·s, credits %.1f/%.1f (triggered at %.0fs)\n",
 			r.Instances, r.CloudCPUSeconds, r.CreditsBilled, r.CreditsAllocated, r.TriggeredAt)
 	}
-}
-
-// reportKernel prints the sharded-kernel execution counters of a run that
-// executed multi-core: how the work spread across shards and what barrier
-// synchronization cost. Serial runs print nothing.
-func reportKernel(r experiments.Result) {
-	if r.KernelShards == 0 {
-		return
-	}
-	var min, max uint64
-	for i, n := range r.ShardEvents {
-		if i == 0 || n < min {
-			min = n
-		}
-		if n > max {
-			max = n
-		}
-	}
-	fmt.Printf("  kernel: %d shards, %d barriers, shard events %d..%d, barrier stall %.2fs\n",
-		r.KernelShards, r.Barriers, min, max, r.BarrierStallSec)
 }
 
 // reportCrowd summarizes a multi-batch cell: per-batch completion spread

@@ -312,7 +312,7 @@ func TestRestartRestoresState(t *testing.T) {
 	call(t, d, http.MethodPost, "/credit/deposit", `{"user":"alice","credits":100}`, nil)
 	call(t, d, http.MethodPost, "/scheduler/qos",
 		`{"user":"alice","batch_id":"b1","env_key":"`+env+`","size":100,"credits":40,"provider":"ec2","image":"img"}`, nil)
-	call(t, d, http.MethodPost, "/oracle/calibration", `{"env_key":"`+env+`","base":100,"actual":120}`, nil)
+	call(t, d, http.MethodPost, "/oracle/calibrations", `{"items":[{"batch_id":"b0","env_key":"`+env+`","base":100,"actual":120}]}`, nil)
 	d.Close()
 
 	d = startOn(t, validOptions(dir))

@@ -119,12 +119,6 @@ func (cs *CreditSystem) Lookup(batchID string) (o Order, found, hasCredits bool)
 	return *e, true, !e.Closed && e.Remaining() > 1e-9
 }
 
-// HasCredits reports whether the batch has an open order with credits left.
-func (cs *CreditSystem) HasCredits(batchID string) bool {
-	_, _, has := cs.Lookup(batchID)
-	return has
-}
-
 // Bill charges cloud usage against the batch's order (Algorithm 2's
 // CreditSystem.bill). It bills at most the remaining credits and returns
 // the amount actually billed; exhausted reports whether the order ran dry.

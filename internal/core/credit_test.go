@@ -20,8 +20,8 @@ func TestCreditLifecycle(t *testing.T) {
 	if got := cs.AccountOf("alice").Balance; got != 40 {
 		t.Fatalf("balance after order = %v, want 40", got)
 	}
-	if !cs.HasCredits("b1") {
-		t.Fatal("fresh order should have credits")
+	if o, found, has := cs.Lookup("b1"); !found || !has || o.Allocated != 60 {
+		t.Fatalf("fresh order: %+v found %v has credits %v", o, found, has)
 	}
 	billed, exhausted, err := cs.Bill("b1", 25)
 	if err != nil || billed != 25 || exhausted {
@@ -35,8 +35,8 @@ func TestCreditLifecycle(t *testing.T) {
 	if a.Balance != 75 || a.Spent != 25 {
 		t.Fatalf("final account = %+v", a)
 	}
-	if cs.HasCredits("b1") {
-		t.Fatal("closed order still has credits")
+	if o, found, has := cs.Lookup("b1"); !found || has || !o.Closed {
+		t.Fatalf("closed order: %+v found %v has credits %v", o, found, has)
 	}
 	// Idempotent pay.
 	if refund, _ := cs.Pay("b1"); refund != 0 {
@@ -151,7 +151,7 @@ func TestConcurrentCreditOps(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
 				cs.Bill("b", 1)
-				cs.HasCredits("b")
+				cs.Lookup("b")
 				cs.AccountOf("u")
 			}
 		}()

@@ -40,7 +40,7 @@ func history(size int, samples []sample) *BatchInfo {
 // rows pin each trigger and each sizing on a known history; its random rows
 // run every paper strategy, and CapacityAware, over generated histories. Every
 // row is decided twice — from BatchInfo.View, as the simulator does, and from
-// that view's JSON round trip, as the Oracle module does behind /plan — and
+// that view's JSON round trip, as the Oracle module does behind /plans — and
 // the two plans must be the same value.
 func TestPlanTable(t *testing.T) {
 	c9, a9, d := CompletionThreshold{0.9}, AssignmentThreshold{0.9}, ExecutionVariance{}

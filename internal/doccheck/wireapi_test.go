@@ -160,9 +160,9 @@ func TestWireAPIMatchesRoutes(t *testing.T) {
 	}
 	got := routeDiff("fixture", tableRoutes(string(stale))["Credit"], registered["Credit"])
 	want := []string{
-		"fixture: documents POST /orders/{}/charge, which is not a route",
+		"fixture: documents GET /balances/{}, which is not a route",
+		"fixture: does not document the route GET /accounts/{}",
 		"fixture: does not document the route POST /orders/lookup",
-		"fixture: does not document the route POST /orders/{}/bill",
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("stale fixture: findings %q, want %q", got, want)

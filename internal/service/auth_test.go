@@ -393,18 +393,21 @@ func TestGateBlocksStateMutation(t *testing.T) {
 	}
 }
 
-// TestQoSTierEscalationForbidden pins the tier-binding rule end to end
-// through the gate: a key may order at or below its own tier, never above.
+// TestQoSTierEscalationForbidden pins the identity-binding rules end to end
+// through the gate: a key may order at or below its own tier, never above,
+// and only for its own user, who pays.
 func TestQoSTierEscalationForbidden(t *testing.T) {
 	km := NewKeyManager(nil)
 	st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}, Keys: km})
-	if err := st.Credit.Credits().Deposit("climber", 1000); err != nil {
-		t.Fatal(err)
+	for _, user := range []string{"climber", "alice"} {
+		if err := st.Credit.Credits().Deposit(user, 1000); err != nil {
+			t.Fatal(err)
+		}
 	}
 	k := km.Issue("climber", core.TierFree)
 
-	post := func(id, tier string) int {
-		body := fmt.Sprintf(`{"batch_id":%q,"env_key":"e","size":10,"credits":10,"tier":%q,"provider":"ec2","image":"img"}`, id, tier)
+	postAs := func(user, id, tier string) int {
+		body := fmt.Sprintf(`{"user":%q,"batch_id":%q,"env_key":"e","size":10,"credits":10,"tier":%q,"provider":"ec2","image":"img"}`, user, id, tier)
 		req, err := http.NewRequest(http.MethodPost, st.URL+"/scheduler/qos", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -418,6 +421,7 @@ func TestQoSTierEscalationForbidden(t *testing.T) {
 		resp.Body.Close()
 		return resp.StatusCode
 	}
+	post := func(id, tier string) int { return postAs("", id, tier) }
 
 	if code := post("b-esc", "enterprise"); code != http.StatusForbidden {
 		t.Errorf("free key ordered enterprise service: status %d, want 403", code)
@@ -438,5 +442,26 @@ func TestQoSTierEscalationForbidden(t *testing.T) {
 	}
 	if stt.Tier != string(core.TierFree) {
 		t.Errorf("inherited tier %q, want free", stt.Tier)
+	}
+
+	// Another user in the body would have that user pay: refused, and
+	// nothing moved.
+	if code := postAs("alice", "b-theft", "free"); code != http.StatusForbidden {
+		t.Errorf("climber's key ordered for alice: status %d, want 403", code)
+	}
+	if got := st.Credit.Credits().AccountOf("alice").Balance; got != 1000 {
+		t.Errorf("alice's balance %v after climber's order, want 1000", got)
+	}
+	if _, err := st.Scheduler.Status("b-theft"); err == nil {
+		t.Error("an order for another user registered a batch")
+	}
+	if _, ok := st.Credit.Credits().OrderOf("b-theft"); ok {
+		t.Error("an order for another user placed a credit order")
+	}
+	if code := postAs("climber", "b-named", "free"); code != http.StatusCreated {
+		t.Errorf("climber's key ordering as climber: status %d, want 201", code)
+	}
+	if got := st.Credit.Credits().AccountOf("climber").Balance; got != 970 {
+		t.Errorf("climber's balance %v after three orders of 10, want 970", got)
 	}
 }

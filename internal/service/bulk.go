@@ -9,11 +9,11 @@ package service
 //	Oracle       POST /plans           POST /calibrations
 //
 // takes {"items":[…]} and answers 200 {"results":[…]} with exactly one result
-// per item, in request order. Each item goes through the same function as the
-// module's single-item route and fails on its own: a result carrying "error"
-// says nothing about its neighbours. The request as a whole is refused with
-// a 4xx — before any item is applied — when it is malformed, carries unknown
-// fields, is empty, names a batch twice, or exceeds maxBodyBytes.
+// per item, in request order. Each item is one call of the module's core
+// function and fails on its own: a result carrying "error" says nothing about
+// its neighbours. The request as a whole is refused with a 4xx — before any
+// item is applied — when it is malformed, carries unknown fields, is empty,
+// names a batch twice, or exceeds maxBodyBytes.
 
 import (
 	"fmt"
@@ -48,8 +48,8 @@ type ItemResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// itemErr turns a result's error text into the error the single-item client
-// call would have returned for the same failure.
+// itemErr turns a result's error text into an error worded as a client call
+// words a refused request.
 func itemErr(msg string) error {
 	if msg == "" {
 		return nil

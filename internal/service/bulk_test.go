@@ -31,7 +31,7 @@ func newBulkFixture(t testing.TB) *bulkFixture {
 	if _, err := fx.info.info.Track("b", "e", 100, 0); err != nil {
 		t.Fatal(err)
 	}
-	fx.info.addSample("b", core.Sample{T: 60, Completed: 10, Assigned: 100}) //nolint:errcheck
+	fx.info.info.AddSample("b", core.Sample{T: 60, Completed: 10, Assigned: 100})
 	if err := fx.credits.Deposit("u", 100); err != nil {
 		t.Fatal(err)
 	}
@@ -354,8 +354,6 @@ func TestClientsReuseConnections(t *testing.T) {
 		{"credit.OrderOf no order", creditOpened, func(i int) { credit.OrderOf("ghost") }},
 		{"credit.Orders", creditOpened, func(i int) { credit.Orders([]string{"b", "ghost"}) }},
 		{"credit.Account", creditOpened, func(i int) { credit.Account("u") }},
-		{"credit.Pay", creditOpened, func(i int) { credit.Pay(id("o", i)) }},
-		{"credit.Pay no order", creditOpened, func(i int) { credit.Pay("ghost") }},
 		{"oracle.Predict", oracleOpened, func(i int) { oracle.Predict("b") }},
 		{"oracle.Predict untracked", oracleOpened, func(i int) { oracle.Predict("ghost") }},
 		{"oracle.Plans", oracleOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}, {BatchID: "ghost"}}) }},

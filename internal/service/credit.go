@@ -11,19 +11,15 @@ import (
 //
 //	POST /deposit            {user, credits}
 //	POST /orders             {user, batch_id, credits}
-//	POST /orders/{id}/bill   {credits} → {billed, exhausted}
-//	POST /orders/{id}/pay    → {refund}
 //	GET  /orders/{id}
 //	GET  /accounts/{user}
-//	GET  /has-credits/{id}   → {has_credits}
 //	POST /bills              charge many orders, each an ordered list of bills
 //	POST /orders/lookup      order and has-credits of many batches
 //	POST /orders/pay         close and refund many orders
 //
-// The three bulk routes (see bulk.go) are the Scheduler tick's: /bills is
-// /orders/{id}/bill applied charge by charge, /orders/lookup is
-// /has-credits/{id} and /orders/{id} in one answer, /orders/pay is
-// /orders/{id}/pay for each batch.
+// The three bulk routes (see bulk.go) are the Scheduler's only way to bill,
+// query and close orders: a tick sends each of them once, and a refused
+// registration refunds its order through /orders/pay.
 type CreditService struct {
 	Routes
 	credits *core.CreditSystem
@@ -43,14 +39,6 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 		o, _ := cs.OrderOf(req.BatchID)
 		return o, Fail(http.StatusConflict, err)
 	}))
-	s.Handle("POST /orders/{id}/bill", Endpoint(http.StatusOK, func(r *http.Request, req BillRequest) (BillReply, error) {
-		billed, exhausted, err := cs.Bill(r.PathValue("id"), req.Credits)
-		return BillReply{Billed: billed, Exhausted: exhausted}, Fail(http.StatusConflict, err)
-	}))
-	s.Handle("POST /orders/{id}/pay", EndpointNoBody(http.StatusOK, func(r *http.Request) (PayReply, error) {
-		refund, err := cs.Pay(r.PathValue("id"))
-		return PayReply{Refund: refund}, Fail(http.StatusNotFound, err)
-	}))
 	s.Handle("GET /orders/{id}", EndpointNoBody(http.StatusOK, func(r *http.Request) (core.Order, error) {
 		o, ok := cs.OrderOf(r.PathValue("id"))
 		if !ok {
@@ -60,9 +48,6 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 	}))
 	s.Handle("GET /accounts/{user}", EndpointNoBody(http.StatusOK, func(r *http.Request) (core.Account, error) {
 		return cs.AccountOf(r.PathValue("user")), nil
-	}))
-	s.Handle("GET /has-credits/{id}", EndpointNoBody(http.StatusOK, func(r *http.Request) (map[string]bool, error) {
-		return map[string]bool{"has_credits": cs.HasCredits(r.PathValue("id"))}, nil
 	}))
 	s.Handle("POST /bills", serveBulk(func(it BillItem) string { return it.BatchID }, func(it BillItem) BillResult {
 		res := BillResult{BatchID: it.BatchID}
@@ -103,21 +88,10 @@ type OrderRequest struct {
 	Credits float64 `json:"credits"`
 }
 
-// BillRequest charges cloud usage to a batch order.
-type BillRequest struct {
-	Credits float64 `json:"credits"`
-}
-
-// BillReply reports the outcome of a billing call.
-type BillReply struct {
-	Billed    float64 `json:"billed"`
-	Exhausted bool    `json:"exhausted"`
-}
-
 // BillItem is one item of POST /bills: the charges against one batch's order,
 // in the order they are to be applied (one per cloud instance). The amounts
-// are applied one by one, never summed, so a bulk tick bills exactly what the
-// same charges sent one request each would.
+// are applied one by one, never summed (core.CreditSystem.BillAll), so a bulk
+// tick bills exactly what the simulator's tick does.
 type BillItem struct {
 	// BatchID names the order.
 	BatchID string `json:"batch_id"`
@@ -147,7 +121,8 @@ type OrderLookup struct {
 	BatchID string `json:"batch_id"`
 	// Found reports whether the batch has an order, open or closed.
 	Found bool `json:"found"`
-	// HasCredits is what GET /has-credits/{id} answers.
+	// HasCredits reports an open order with credits left (Algorithm 1's
+	// CreditSystem.hasCredits).
 	HasCredits bool `json:"has_credits"`
 	// Order is what GET /orders/{id} answers (zero unless Found).
 	Order core.Order `json:"order"`
@@ -155,13 +130,8 @@ type OrderLookup struct {
 	Error string `json:"error,omitempty"`
 }
 
-// PayReply reports the refund of a closed order.
-type PayReply struct {
-	Refund float64 `json:"refund"`
-}
-
-// PayResult is one result of POST /orders/pay: what /orders/{id}/pay answers
-// for the batch.
+// PayResult is one result of POST /orders/pay: the batch's order closed and
+// its unspent credits refunded.
 type PayResult struct {
 	// BatchID names the order.
 	BatchID string `json:"batch_id"`
@@ -211,13 +181,6 @@ func (c *CreditClient) Orders(batchIDs []string) []OrderLookup {
 func (c *CreditClient) Pays(batchIDs []string) []PayResult {
 	return bulkCall(&c.Client, []string{"orders", "pay"}, batchIDs, oneEach,
 		func(id, msg string) PayResult { return PayResult{BatchID: id, Error: msg} })
-}
-
-// Pay closes an order, returning the refund.
-func (c *CreditClient) Pay(batchID string) (float64, error) {
-	var out PayReply
-	err := c.Post(struct{}{}, &out, "orders", batchID, "pay")
-	return out.Refund, err
 }
 
 // Account fetches a user's account.

@@ -10,8 +10,7 @@ import (
 
 // InformationService exposes the Information module over HTTP:
 //
-//	POST /batches                     register a batch for monitoring
-//	POST /batches/{id}/samples       append a monitoring sample
+//	POST /batches                    register a batch for monitoring
 //	POST /samples                    append one sample to each of many batches
 //	GET  /batches/{id}               batch status summary
 //	POST /statuses                   status summaries of many batches
@@ -21,11 +20,10 @@ import (
 // Samples arrive from DG-side monitors (a few hundred bytes per minute per
 // BoT, as §3.2 notes), so one Information service can archive many BoTs and
 // infrastructures simultaneously. The two bulk routes (see bulk.go) are what
-// the Scheduler's tick and the Oracle's /plans use: each applies the
-// single-item route's function to every item and reports per item. The
-// archive guards itself (core.Information), so a co-located reader — the
-// daemon's loop writing the state image — shares it with the handlers
-// without a lock here.
+// the Scheduler's tick and the Oracle's /plans use; /statuses answers each
+// batch as GET /batches/{id} does. The archive guards itself
+// (core.Information), so a co-located reader — the daemon's loop writing the
+// state image — shares it with the handlers without a lock here.
 type InformationService struct {
 	Routes
 	info *core.Information
@@ -40,16 +38,11 @@ type InformationService struct {
 func NewInformationService(info *core.Information) *InformationService {
 	s := &InformationService{info: info, Now: time.Now, start: time.Now()}
 	s.Handle("POST /batches", Endpoint(http.StatusCreated, s.track))
-	s.Handle("POST /batches/{id}/samples", Endpoint(http.StatusAccepted,
-		func(r *http.Request, sample core.Sample) (map[string]string, error) {
-			id := r.PathValue("id")
-			return map[string]string{"batch_id": id}, Fail(http.StatusNotFound, s.addSample(id, sample))
-		}))
 	s.Handle("POST /samples", serveBulk(func(it BatchSample) string { return it.BatchID },
 		func(it BatchSample) ItemResult {
 			res := ItemResult{BatchID: it.BatchID}
-			if err := s.addSample(it.BatchID, it.Sample); err != nil {
-				res.Error = err.Error()
+			if !info.AddSample(it.BatchID, it.Sample) {
+				res.Error = fmt.Sprintf("batch %q not tracked", it.BatchID)
 			}
 			return res
 		}))
@@ -104,7 +97,7 @@ type BatchStatus = core.BatchView
 type BatchSample struct {
 	// BatchID names the batch.
 	BatchID string `json:"batch_id"`
-	// Sample is what POST /batches/{id}/samples takes as its body.
+	// Sample is the monitoring sample to append.
 	Sample core.Sample `json:"sample"`
 }
 
@@ -127,15 +120,6 @@ func (s *InformationService) track(_ *http.Request, req TrackRequest) (map[strin
 		return nil, Fail(http.StatusConflict, err)
 	}
 	return map[string]string{"batch_id": req.BatchID}, nil
-}
-
-// addSample appends one monitoring sample to a tracked batch: the per-item
-// function of both sample routes.
-func (s *InformationService) addSample(id string, sample core.Sample) error {
-	if !s.info.AddSample(id, sample) {
-		return fmt.Errorf("batch %q not tracked", id)
-	}
-	return nil
 }
 
 // status summarizes one tracked batch: the per-item function of both status

@@ -37,12 +37,13 @@ func negativeModules() map[string]http.Handler {
 // must be an HTTP error carrying a JSON {"error": ...} payload — never an
 // empty 200.
 func TestNegativePaths(t *testing.T) {
+	const gone = -1
 	cases := []struct {
 		module string
 		method string
 		path   string
 		body   string
-		want   int // 0 means "any 4xx/5xx"
+		want   int // 0 means "any 4xx/5xx", gone "404 no route METHOD PATH"
 	}{
 		// Information.
 		{"information", http.MethodDelete, "/batches", "", 0},
@@ -50,8 +51,6 @@ func TestNegativePaths(t *testing.T) {
 		{"information", http.MethodPost, "/batches", `{bogus`, http.StatusBadRequest},
 		{"information", http.MethodPost, "/batches", `{"batch_id":"b","size":10,"nope":1}`, http.StatusBadRequest},
 		{"information", http.MethodPost, "/batches", `{"batch_id":"b","size":-1}`, http.StatusBadRequest},
-		{"information", http.MethodPost, "/batches/b/samples", `{bogus`, http.StatusBadRequest},
-		{"information", http.MethodPost, "/batches/b/samples", `{"t":1}`, http.StatusNotFound},
 		{"information", http.MethodGet, "/batches/ghost", "", http.StatusNotFound},
 		{"information", http.MethodGet, "/nope", "", http.StatusNotFound},
 		{"information", http.MethodPost, "/stats", "", 0},
@@ -63,18 +62,10 @@ func TestNegativePaths(t *testing.T) {
 		{"credit", http.MethodPost, "/deposit", `{"user":"u","credits":-5}`, http.StatusBadRequest},
 		{"credit", http.MethodPost, "/orders", `{bogus`, http.StatusBadRequest},
 		{"credit", http.MethodPost, "/orders", `{"user":"u","batch_id":"b","credits":1}`, http.StatusConflict},
-		{"credit", http.MethodPost, "/orders/b/bill", `{bogus`, http.StatusBadRequest},
-		{"credit", http.MethodPost, "/orders/ghost/bill", `{"credits":1}`, http.StatusConflict},
-		{"credit", http.MethodPost, "/orders/ghost/pay", "", http.StatusNotFound},
 		{"credit", http.MethodGet, "/orders/ghost", "", http.StatusNotFound},
 		{"credit", http.MethodGet, "/nope", "", http.StatusNotFound},
 
 		// Oracle.
-		{"oracle", http.MethodDelete, "/plan", "", 0},
-		{"oracle", http.MethodPost, "/plan", `{bogus`, http.StatusBadRequest},
-		{"oracle", http.MethodPost, "/plan", `{"batch_id":"b","surprise":1}`, http.StatusBadRequest},
-		{"oracle", http.MethodPost, "/calibration", `{bogus`, http.StatusBadRequest},
-		{"oracle", http.MethodPost, "/calibration", `{"env_key":"e","base":1,"actual":2,"x":3}`, http.StatusBadRequest},
 		{"oracle", http.MethodGet, "/nope", "", http.StatusNotFound},
 
 		// Scheduler.
@@ -85,6 +76,21 @@ func TestNegativePaths(t *testing.T) {
 		{"scheduler", http.MethodGet, "/qos/ghost", "", http.StatusNotFound},
 		{"scheduler", http.MethodPatch, "/instances", "", 0},
 		{"scheduler", http.MethodGet, "/nope", "", http.StatusNotFound},
+
+		// The single-item routes the bulk ones replaced are gone: each
+		// request these rows once made of them, well-formed or not, finds
+		// no route.
+		{"information", http.MethodPost, "/batches/b/samples", `{bogus`, gone},
+		{"information", http.MethodPost, "/batches/b/samples", `{"t":1}`, gone},
+		{"credit", http.MethodPost, "/orders/b/bill", `{bogus`, gone},
+		{"credit", http.MethodPost, "/orders/ghost/bill", `{"credits":1}`, gone},
+		{"credit", http.MethodPost, "/orders/ghost/pay", "", gone},
+		{"credit", http.MethodGet, "/has-credits/b", "", gone},
+		{"oracle", http.MethodDelete, "/plan", "", gone},
+		{"oracle", http.MethodPost, "/plan", `{bogus`, gone},
+		{"oracle", http.MethodPost, "/plan", `{"batch_id":"b","surprise":1}`, gone},
+		{"oracle", http.MethodPost, "/calibration", `{bogus`, gone},
+		{"oracle", http.MethodPost, "/calibration", `{"env_key":"e","base":1,"actual":2,"x":3}`, gone},
 	}
 
 	servers := map[string]*httptest.Server{}
@@ -107,7 +113,10 @@ func TestNegativePaths(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer resp.Body.Close()
-			if tc.want != 0 && resp.StatusCode != tc.want {
+			if tc.want == gone && resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("status %d, want 404", resp.StatusCode)
+			}
+			if tc.want > 0 && resp.StatusCode != tc.want {
 				t.Fatalf("status %d, want %d", resp.StatusCode, tc.want)
 			}
 			if tc.want == 0 && resp.StatusCode < 400 {
@@ -126,6 +135,9 @@ func TestNegativePaths(t *testing.T) {
 			}
 			if e.Error == "" {
 				t.Fatalf("empty error payload: %q", body)
+			}
+			if want := "no route " + tc.method + " " + tc.path; tc.want == gone && e.Error != want {
+				t.Fatalf("error %q, want %q", e.Error, want)
 			}
 		})
 	}

@@ -11,16 +11,14 @@ import (
 // modules can be deployed on different hosts, as in the EDGI setup.
 //
 //	GET  /predict/{batch}       completion-time prediction
-//	POST /plan                  {batch_id, credit_cpu_hours} → start decision
 //	POST /plans                 start decisions for many batches
-//	POST /calibration           {env_key, base, actual} archive an execution
 //	POST /calibrations          archive many batches' executions
 //	GET  /calibration/{env...}  α and success rate of an environment (env keys contain "/")
 //
 // The two bulk routes (see bulk.go) are the Scheduler tick's: /plans reads
-// every batch's state with one POST /statuses to Information and runs /plan's
-// decision on each; /calibrations is /calibration for each item, which names
-// the batch whose execution it archives.
+// every batch's state with one POST /statuses to Information and runs
+// core.Oracle.Plan on each; /calibrations archives each item's execution
+// under its environment key.
 type OracleService struct {
 	Routes
 	oracle *core.Oracle
@@ -39,18 +37,7 @@ func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
 		p, err := o.PredictView(st)
 		return p, Fail(http.StatusConflict, err)
 	}))
-	s.Handle("POST /plan", Endpoint(http.StatusOK, func(_ *http.Request, req PlanRequest) (PlanReply, error) {
-		st, err := info.Status(req.BatchID)
-		if err != nil {
-			return PlanReply{}, Fail(http.StatusBadGateway, err)
-		}
-		return o.Plan(st, req.CreditCPUHours), nil
-	}))
 	s.Handle("POST /plans", Endpoint(http.StatusOK, s.plans))
-	s.Handle("POST /calibration", Endpoint(http.StatusAccepted, func(_ *http.Request, rec CalibrationRecord) (map[string]string, error) {
-		o.Calibration.Record(rec.EnvKey, rec.Base, rec.Actual)
-		return map[string]string{"env_key": rec.EnvKey}, nil
-	}))
 	s.Handle("POST /calibrations", serveBulk(func(it CalibrationItem) string { return it.BatchID }, func(it CalibrationItem) ItemResult {
 		o.Calibration.Record(it.EnvKey, it.Base, it.Actual)
 		return ItemResult{BatchID: it.BatchID}
@@ -105,8 +92,8 @@ type CalibrationStatus struct {
 	Count       int     `json:"count"`
 }
 
-// plans is POST /plans: one POST /statuses to Information, then /plan's
-// decision on each status.
+// plans is POST /plans: one POST /statuses to Information, then
+// core.Oracle.Plan on each status.
 func (s *OracleService) plans(_ *http.Request, req BulkRequest[PlanRequest]) (BulkReply[PlanResult], error) {
 	reqs := req.Items
 	if err := checkBulk(reqs, func(p PlanRequest) string { return p.BatchID }); err != nil {
@@ -121,7 +108,7 @@ func (s *OracleService) plans(_ *http.Request, req BulkRequest[PlanRequest]) (Bu
 		results[i] = PlanResult{BatchID: ids[i]}
 		switch {
 		case st.Error != "":
-			// The text /plan answers when its status fetch fails.
+			// Information refused the batch: pass its reason on.
 			results[i].Error = itemErr(st.Error).Error()
 		case st.Status == nil:
 			results[i].Error = "information returned neither a status nor an error"

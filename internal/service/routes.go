@@ -18,8 +18,8 @@ import (
 	"strings"
 )
 
-// Routes is a module's route table: net/http's ServeMux patterns ("POST
-// /orders/{id}/bill"; handlers read ids with r.PathValue), registered once by
+// Routes is a module's route table: net/http's ServeMux patterns ("GET
+// /orders/{id}"; handlers read ids with r.PathValue), registered once by
 // the module's constructor. Whatever matches no pattern is answered 404 with
 // the JSON error body every other failure has — the mux's own answers (a
 // plain-text 404 or 405, an HTML redirect for an unclean path) never reach a

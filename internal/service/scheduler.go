@@ -138,9 +138,10 @@ func (s *SchedulerService) qos(r *http.Request, req QoSRequest) (map[string]stri
 		return nil, Fail(http.StatusBadRequest, fmt.Errorf("scheduler: %w", err))
 	}
 	// Behind an auth gate (see auth.go) the request runs as the key's
-	// identity: an absent body tier/user inherits the credential's, and a
-	// body tier outranking the credential's is rejected — a free key
-	// cannot order enterprise service.
+	// identity: an absent body tier/user inherits the credential's, a body
+	// tier outranking the credential's is rejected — a free key cannot order
+	// enterprise service — and so is a body user other than the key's, who
+	// would pay for the order.
 	if kt := r.Header.Get(AuthTierHeader); kt != "" {
 		keyTier, err := core.ParseTier(kt)
 		if err == nil {
@@ -152,8 +153,12 @@ func (s *SchedulerService) qos(r *http.Request, req QoSRequest) (map[string]stri
 					"scheduler: tier %s exceeds the API key's tier %s", reqTier, keyTier.OrFree()))
 			}
 		}
+		keyUser := r.Header.Get(AuthUserHeader)
 		if req.User == "" {
-			req.User = r.Header.Get(AuthUserHeader)
+			req.User = keyUser
+		} else if req.User != keyUser {
+			return nil, Fail(http.StatusForbidden, fmt.Errorf(
+				"scheduler: user %q is not the API key's user %q", req.User, keyUser))
 		}
 	}
 	return map[string]string{"batch_id": req.BatchID}, Fail(http.StatusConflict, s.RegisterQoS(req))
@@ -186,8 +191,8 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 		BatchID: req.BatchID, EnvKey: req.EnvKey, Size: req.Size,
 	}); err != nil {
 		if req.Credits > 0 {
-			if _, perr := s.credits.Pay(req.BatchID); perr != nil {
-				return fmt.Errorf("%w (order not paid back: %v)", err, perr)
+			if perr := s.credits.Pays([]string{req.BatchID})[0].Error; perr != "" {
+				return fmt.Errorf("%w (order not paid back: %s)", err, perr)
 			}
 		}
 		return err

@@ -611,7 +611,7 @@ func TestTierAdmissionCaps(t *testing.T) {
 
 // TestCapacityAwareOverHTTP drives the tail-anticipation trigger through the
 // whole stack: the Scheduler forwards the DG's attached-worker count with
-// each sample, Information keeps the peak, and the Oracle's /plan fires on a
+// each sample, Information keeps the peak, and the Oracle's /plans fires on a
 // capacity drop at 76% completion — below the trigger's 90% fallback, where
 // only the infrastructure signal can fire it.
 func TestCapacityAwareOverHTTP(t *testing.T) {

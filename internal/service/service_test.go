@@ -146,9 +146,8 @@ func TestCreditServiceHTTP(t *testing.T) {
 	if err != nil || o.Billed != 25 {
 		t.Fatalf("order: %+v %v", o, err)
 	}
-	refund, err := c.Pay("b1")
-	if err != nil || refund != 35 {
-		t.Fatalf("pay: %v %v", refund, err)
+	if r := c.Pays([]string{"b1"})[0]; r.Error != "" || r.Refund != 35 {
+		t.Fatalf("pay: %+v", r)
 	}
 	a, err := c.Account("alice")
 	if err != nil || a.Balance != 75 || a.Spent != 25 {
@@ -194,12 +193,10 @@ func TestOracleServiceHTTP(t *testing.T) {
 		t.Fatalf("conservative plan too large: %d", r.Plan.Workers)
 	}
 
-	// Calibration round trip, through the single-item route and the bulk one.
+	// Calibration round trip: two executions of one environment in one request.
 	rec := CalibrationRecord{EnvKey: "env", Base: 1000, Actual: 1500}
-	if err := c.Post(rec, nil, "calibration"); err != nil {
-		t.Fatal(err)
-	}
-	if res := c.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: rec}}); len(res) != 1 || res[0] != (ItemResult{BatchID: "b"}) {
+	res := c.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: rec}, {BatchID: "b2", CalibrationRecord: rec}})
+	if len(res) != 2 || res[0] != (ItemResult{BatchID: "b"}) || res[1] != (ItemResult{BatchID: "b2"}) {
 		t.Fatalf("calibrations: %+v", res)
 	}
 	st, err := c.Calibration("env")
@@ -443,11 +440,16 @@ func TestMuxMountsAllModules(t *testing.T) {
 				t.Fatalf("gated %v: GET %s without a key: %d, want %d", gated, path, resp.StatusCode, want)
 			}
 		}
-		// Registration crosses three modules over the stack's client.
+		// Registration crosses three modules over the stack's client. Gated,
+		// the user orders with a key of their own.
 		if err := stack.CreditClient.Deposit("u", 5); err != nil {
 			t.Fatal(err)
 		}
-		if err := stack.SchedulerClient.RegisterQoS(QoSRequest{User: "u", BatchID: "b", EnvKey: "e", Size: 1, Credits: 5}); err != nil {
+		sched := stack.SchedulerClient
+		if gated {
+			sched = &SchedulerClient{Client{BaseURL: sched.BaseURL, HTTP: KeyedClient(km.Issue("u", core.TierFree).Key)}}
+		}
+		if err := sched.RegisterQoS(QoSRequest{User: "u", BatchID: "b", EnvKey: "e", Size: 1, Credits: 5}); err != nil {
 			t.Fatalf("gated %v: %v", gated, err)
 		}
 	}

@@ -3,6 +3,7 @@ package service_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -124,7 +125,8 @@ func (fx *wireFixture) digest(t *testing.T) string {
 
 // TestIdentifiersRoundTrip: an identifier travels as one escaped path segment
 // whatever it contains, through every client method that puts one in a path,
-// with each module on its own socket and with all four in one service.Stack.
+// and intact in the body of every bulk call a batch's lifetime makes, with
+// each module on its own socket and with all four in one service.Stack.
 // (Spliced in unescaped, "a?b" was read back as batch "a", "a#b" and "a/b"
 // found no route, and "100%" was not a URL.)
 func TestIdentifiersRoundTrip(t *testing.T) {
@@ -156,8 +158,8 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				err := fx.schedC.Get(&qos, "qos", id)
 				check("GET /qos/{id}", err, qos.BatchID, id)
 
-				err = fx.infoC.Post(core.Sample{T: 60, Completed: 60, Assigned: 100}, nil, "batches", id, "samples")
-				check("POST /batches/{id}/samples", err, nil, nil)
+				sample := fx.infoC.AddSamples([]service.BatchSample{{BatchID: id, Sample: core.Sample{T: 60, Completed: 60, Assigned: 100}}})[0]
+				check("info.AddSamples", itemError(sample.Error), sample.BatchID, id)
 				st, err := fx.infoC.Status(id)
 				check("info.Status", err, st.BatchID, id)
 				if st.Samples != 1 {
@@ -166,18 +168,17 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 
 				acct, err := fx.creditC.Account(user)
 				check("credit.Account", err, acct.User, user)
-				err = fx.creditC.Post(service.BillRequest{Credits: 1}, nil, "orders", id, "bill")
-				check("POST /orders/{id}/bill", err, nil, nil)
+				bill := fx.creditC.Bills([]service.BillItem{{BatchID: id, Credits: []float64{1}}})[0]
+				check("credit.Bills", itemError(bill.Error), bill.Applied, 1)
 				order, err := fx.creditC.OrderOf(id)
 				check("credit.OrderOf", err, order.BatchID, id)
 				if order.Billed != 1 {
 					t.Errorf("credit.OrderOf: billed %v, want the 1 billed", order.Billed)
 				}
-				var has map[string]bool
-				err = fx.creditC.Get(&has, "has-credits", id)
-				check("GET /has-credits/{id}", err, has["has_credits"], true)
-				refund, err := fx.creditC.Pay(id)
-				check("credit.Pay", err, refund, 9.0)
+				lookup := fx.creditC.Orders([]string{id})[0]
+				check("credit.Orders", itemError(lookup.Error), lookup.HasCredits, true)
+				pay := fx.creditC.Pays([]string{id})[0]
+				check("credit.Pays", itemError(pay.Error), pay.Refund, 9.0)
 
 				pred, err := fx.oracleC.Predict(id)
 				check("oracle.Predict", err, pred.CompletedFraction, 0.6)
@@ -200,7 +201,7 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 }
 
 // TestSnapshotDoesNotRaceSamples: the daemon's loop serializes the state
-// image while the sample routes append to the archive. Both go through
+// image while POST /samples appends to the archive. Both go through
 // core.Information's own lock; the race detector fails this test if a
 // handler touches a history under any other.
 func TestSnapshotDoesNotRaceSamples(t *testing.T) {
@@ -222,12 +223,8 @@ func TestSnapshotDoesNotRaceSamples(t *testing.T) {
 			}
 		}
 	}()
-	for i := 0; i < n; i += 2 {
+	for i := 0; i < n; i++ {
 		s := core.Sample{T: float64(i), Completed: i, Assigned: 1000}
-		if err := c.Post(s, nil, "batches", "b", "samples"); err != nil {
-			t.Fatal(err)
-		}
-		s.T++
 		if res := c.AddSamples([]service.BatchSample{{BatchID: "b", Sample: s}}); res[0].Error != "" {
 			t.Fatal(res[0].Error)
 		}
@@ -238,8 +235,16 @@ func TestSnapshotDoesNotRaceSamples(t *testing.T) {
 	}
 }
 
+// itemError is a bulk result's error text as an error, nil if there is none.
+func itemError(msg string) error {
+	if msg == "" {
+		return nil
+	}
+	return errors.New(msg)
+}
+
 // noBodyPosts are the POST routes that read nothing but their path.
-var noBodyPosts = []string{"POST /orders/{id}/pay", "POST /step"}
+var noBodyPosts = []string{"POST /step"}
 
 // concretePath fills a pattern's wildcards in.
 func concretePath(pattern string) (method, path string) {
@@ -348,8 +353,8 @@ func TestWireContract(t *testing.T) {
 			}
 		}
 	}
-	if total != 30 {
-		t.Errorf("%d routes under contract, want the 27 of the modules and the 3 of the DG gateway", total)
+	if total != 24 {
+		t.Errorf("%d routes under contract, want the 21 of the modules and the 3 of the DG gateway", total)
 	}
 
 	// What the parent's hand-written routers answered differently, pinned.
