@@ -133,14 +133,16 @@ func (l *logTail) await(t *testing.T, n int, parts ...string) {
 // TestDaemonServesOnItsListener starts the daemon, gated, on a host other
 // than 127.0.0.1 and on port 0: its modules must reach one another at the
 // address the listener got, or every tick fails. A QoS batch registered
-// through the gate is then stepped with 200.
+// through the gate with a tenant's key, on credits the operator's key
+// deposited, is then stepped with 200 by the operator.
 func TestDaemonServesOnItsListener(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.2:0")
 	if err != nil {
 		t.Skipf("no second loopback address: %v", err)
 	}
 	keys := filepath.Join(t.TempDir(), "keys.json")
-	if err := os.WriteFile(keys, []byte(`[{"key":"sk-alice","user":"alice","tier":"enterprise"}]`), 0o644); err != nil {
+	if err := os.WriteFile(keys, []byte(`[{"key":"sk-alice","user":"alice","tier":"enterprise"},
+		{"key":"sk-op","user":"operator","tier":"enterprise","unlimited":true}]`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	d, err := start(ln, options{strategy: "9C-C-R", period: time.Hour, demoDur: time.Minute, keysFile: keys, rate: 100})
@@ -152,13 +154,13 @@ func TestDaemonServesOnItsListener(t *testing.T) {
 		t.Fatalf("stack addresses %s, want the listener's host", d.URL)
 	}
 	base := "http://" + ln.Addr().String()
-	for _, c := range []struct{ path, body string }{
-		{"/credit/deposit", `{"user":"alice","credits":100}`},
-		{"/scheduler/qos", `{"batch_id":"b1","env_key":"XWHEP/seti/SMALL","size":100,"credits":50,"provider":"ec2","image":"img"}`},
-		{"/scheduler/step", ``},
+	for _, c := range []struct{ key, path, body string }{
+		{"sk-op", "/credit/deposit", `{"user":"alice","credits":100}`},
+		{"sk-alice", "/scheduler/qos", `{"batch_id":"b1","env_key":"XWHEP/seti/SMALL","size":100,"credits":50,"provider":"ec2","image":"img"}`},
+		{"sk-op", "/scheduler/step", ``},
 	} {
 		req, _ := http.NewRequest(http.MethodPost, base+c.path, strings.NewReader(c.body))
-		req.Header.Set(service.APIKeyHeader, "sk-alice")
+		req.Header.Set(service.APIKeyHeader, c.key)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -276,7 +278,7 @@ func TestLoadStateRoundTrip(t *testing.T) {
 	if got.Credits.AccountOf("u").Balance != 42 {
 		t.Fatal("credits not restored")
 	}
-	if got.Calibration.Count("env") != 1 {
+	if got.Calibration.Fit("env").Count != 1 {
 		t.Fatal("calibration not restored")
 	}
 }

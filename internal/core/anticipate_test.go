@@ -5,7 +5,7 @@ import "testing"
 func TestCapacityAwareFallback(t *testing.T) {
 	tr := DefaultCapacityAware()
 	bi := NewBatchInfo("b", "e", 100, 0)
-	bi.AddSampleWorkers(60, 92, 100, 0, 8, 50) // healthy infra, 92% done
+	bi.add(Sample{T: 60, Completed: 92, Assigned: 100, Running: 8, Workers: 50}) // healthy infra, 92% done
 	if !tr.ShouldStart(bi.View()) {
 		t.Fatal("fallback threshold did not fire at 92%")
 	}
@@ -14,14 +14,14 @@ func TestCapacityAwareFallback(t *testing.T) {
 func TestCapacityAwareAnticipatesDrop(t *testing.T) {
 	tr := DefaultCapacityAware()
 	bi := NewBatchInfo("b", "e", 100, 0)
-	bi.AddSampleWorkers(60, 40, 100, 0, 60, 200) // peak 200 workers
-	bi.AddSampleWorkers(120, 75, 100, 0, 25, 190)
+	bi.add(Sample{T: 60, Completed: 40, Assigned: 100, Running: 60, Workers: 200}) // peak 200 workers
+	bi.add(Sample{T: 120, Completed: 75, Assigned: 100, Running: 25, Workers: 190})
 	if tr.ShouldStart(bi.View()) {
 		t.Fatal("fired with healthy capacity")
 	}
 	// Massive failure: 70% of the workers vanish at 75% completion — the
 	// plain 9C trigger would wait for 90%.
-	bi.AddSampleWorkers(180, 76, 100, 0, 24, 60)
+	bi.add(Sample{T: 180, Completed: 76, Assigned: 100, Running: 24, Workers: 60})
 	if !tr.ShouldStart(bi.View()) {
 		t.Fatal("did not anticipate the capacity drop")
 	}
@@ -33,8 +33,8 @@ func TestCapacityAwareAnticipatesDrop(t *testing.T) {
 func TestCapacityAwareRespectsMinCompleted(t *testing.T) {
 	tr := DefaultCapacityAware()
 	bi := NewBatchInfo("b", "e", 100, 0)
-	bi.AddSampleWorkers(60, 10, 100, 0, 90, 200)
-	bi.AddSampleWorkers(120, 20, 100, 0, 80, 20) // huge drop, but only 20% done
+	bi.add(Sample{T: 60, Completed: 10, Assigned: 100, Running: 90, Workers: 200})
+	bi.add(Sample{T: 120, Completed: 20, Assigned: 100, Running: 80, Workers: 20}) // huge drop, but only 20% done
 	if tr.ShouldStart(bi.View()) {
 		t.Fatal("fired below MinCompleted: cloud would compute the bulk")
 	}

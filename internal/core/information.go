@@ -70,13 +70,7 @@ func NewBatchInfo(batchID, envKey string, size int, submittedAt float64) *BatchI
 
 // AddSample appends an observation taken at absolute time now.
 func (bi *BatchInfo) AddSample(now float64, completed, assigned, queued, running int) {
-	bi.AddSampleWorkers(now, completed, assigned, queued, running, 0)
-}
-
-// AddSampleWorkers appends an observation including the infrastructure
-// state (attached worker count).
-func (bi *BatchInfo) AddSampleWorkers(now float64, completed, assigned, queued, running, workers int) {
-	bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Queued: queued, Running: running, Workers: workers})
+	bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Queued: queued, Running: running})
 }
 
 // add appends an observation taken s.T seconds after submission.
@@ -220,6 +214,16 @@ type BatchView struct {
 	PeakWorkers int `json:"peak_workers,omitempty"`
 }
 
+// Execution is what the Oracle archives of a done batch (Table 4's point):
+// base = tc(0.5)/0.5, the constant-rate estimate at half completion, and
+// actual = the completion time; ok is false for a running batch or tc(0.5) 0.
+func (v BatchView) Execution() (base, actual float64, ok bool) {
+	if !v.Done || v.TC50 <= 0 {
+		return 0, 0, false
+	}
+	return v.TC50 / 0.5, v.CompletedAt, true
+}
+
 // View summarizes the batch as of its latest sample.
 func (bi *BatchInfo) View() BatchView {
 	v := BatchView{
@@ -282,7 +286,7 @@ func (in *Information) AddSample(batchID string, s Sample) bool {
 	defer in.mu.Unlock()
 	bi := in.batches[batchID]
 	if bi != nil {
-		bi.AddSampleWorkers(bi.SubmittedAt+s.T, s.Completed, s.Assigned, s.Queued, s.Running, s.Workers)
+		bi.add(s)
 	}
 	return bi != nil
 }

@@ -59,7 +59,8 @@ func (p *fakePorts) Sample(now float64, bs []*Batch) {
 	for _, b := range bs {
 		if b.Err = p.trip("sample", b); b.Err == nil {
 			pr := b.Progress
-			b.bi.AddSampleWorkers(now, pr.Completed, pr.EverAssigned, pr.Queued, pr.Running, pr.Workers)
+			b.bi.add(Sample{T: now - b.bi.SubmittedAt, Completed: pr.Completed, Assigned: pr.EverAssigned,
+				Queued: pr.Queued, Running: pr.Running, Workers: pr.Workers})
 		}
 	}
 }
@@ -109,8 +110,9 @@ func (p *fakePorts) Pay(bs []*Batch) {
 func (p *fakePorts) Archive(bs []*Batch) {
 	for _, b := range bs {
 		if b.Err = p.trip("archive", b); b.Err == nil {
-			tc50, _ := b.bi.TimeAtCompletion(0.5)
-			p.oracle.Calibration.Record(b.EnvKey, tc50/0.5, b.bi.CompletedAt)
+			if base, actual, ok := b.bi.View().Execution(); ok {
+				p.oracle.Calibration.Record(b.EnvKey, base, actual)
+			}
 		}
 	}
 }
@@ -216,7 +218,7 @@ func contractEpisode(t *testing.T, f fault, ref [][]string) (ticks [][]string, l
 	if a.Balance+a.Spent+held != deposited {
 		t.Errorf("%+v: credits not conserved: balance %v + spent %v + held %v != %v", f, a.Balance, a.Spent, held, deposited)
 	}
-	if n := p.oracle.Calibration.Count("env"); n != len(all) {
+	if n := p.oracle.Calibration.Fit("env").Count; n != len(all) {
 		t.Errorf("%+v: %d executions archived, want one per batch", f, n)
 	}
 	return ticks, fmt.Sprintf("%+v", a)

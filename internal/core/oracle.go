@@ -302,12 +302,21 @@ func (e *envCal) refit() {
 // NewCalibration returns an empty calibration store.
 func NewCalibration() *Calibration { return &Calibration{byEnv: map[string]*envCal{}} }
 
+// execution reports whether a (base, actual) pair is an execution to archive:
+// both sides positive, and both and their ratio finite, so α is a number
+// and the pair survives the JSON state image.
+func execution(base, actual float64) bool {
+	inf := math.Inf(1)
+	return base > 0 && actual > 0 && base < inf && actual < inf && actual/base < inf
+}
+
 // Record archives one finished execution's (base, actual) pair and refits α
 // for the environment: one sorted insert and one prefix walk, whatever the
 // archive holds. The α is bit-for-bit stats.WeightedMedian's over the
-// archive's ratios weighted by their bases.
+// archive's ratios weighted by their bases. A pair that is not an execution
+// is dropped.
 func (c *Calibration) Record(envKey string, base, actual float64) {
-	if base <= 0 || actual <= 0 {
+	if !execution(base, actual) {
 		return
 	}
 	c.mu.Lock()
@@ -336,7 +345,7 @@ func (c *Calibration) load(envKey string, bases, actuals []float64) {
 		e = &envCal{alpha: 1}
 	}
 	for i, base := range bases {
-		if actual := actuals[i]; base > 0 && actual > 0 {
+		if actual := actuals[i]; execution(base, actual) {
 			e.bases = append(e.bases, base)
 			e.actuals = append(e.actuals, actual)
 			e.total += base
@@ -351,44 +360,39 @@ func (c *Calibration) load(envKey string, bases, actuals []float64) {
 	c.byEnv[envKey] = e
 }
 
-// Alpha returns the fitted α for the environment (1 with no history).
-func (c *Calibration) Alpha(envKey string) float64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if e, ok := c.byEnv[envKey]; ok && !math.IsNaN(e.alpha) {
-		return e.alpha
-	}
-	return 1
+// CalibrationFit is one environment's calibration as of one instant: α (1
+// with no history), and how many of the Count archived executions α·base
+// predicted within ±PredictionTolerance of the actual completion time.
+type CalibrationFit struct {
+	Alpha       float64
+	Hits, Count int
 }
 
-// SuccessRate returns the fraction of archived executions whose prediction
-// α·base fell within ±tolerance of the actual completion time — the
-// statistical uncertainty reported to users.
-func (c *Calibration) SuccessRate(envKey string) float64 {
+// SuccessRate is Hits/Count (0 with no history): the uncertainty reported
+// to users.
+func (f CalibrationFit) SuccessRate() float64 {
+	if f.Count == 0 {
+		return 0
+	}
+	return float64(f.Hits) / float64(f.Count)
+}
+
+// Fit reads the environment's α, hits and archive size under one read lock.
+func (c *Calibration) Fit(envKey string) CalibrationFit {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	e, ok := c.byEnv[envKey]
-	if !ok || len(e.bases) == 0 {
-		return 0
+	if !ok {
+		return CalibrationFit{Alpha: 1}
 	}
-	hits := 0
-	for i := range e.bases {
-		tp := e.alpha * e.bases[i]
+	f := CalibrationFit{Alpha: e.alpha, Count: len(e.bases)}
+	for i, base := range e.bases {
+		tp := e.alpha * base
 		if math.Abs(e.actuals[i]-tp) <= PredictionTolerance*tp {
-			hits++
+			f.Hits++
 		}
 	}
-	return float64(hits) / float64(len(e.bases))
-}
-
-// Count returns the number of archived executions for the environment.
-func (c *Calibration) Count(envKey string) int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if e, ok := c.byEnv[envKey]; ok {
-		return len(e.bases)
-	}
-	return 0
+	return f
 }
 
 // Oracle is the SpeQuloS Oracle module: completion-time prediction plus the
@@ -428,11 +432,11 @@ func (o *Oracle) predict(batchID, envKey string, elapsed, r float64) (Prediction
 	if r <= 0 {
 		return Prediction{}, fmt.Errorf("oracle: batch %q has no completed tasks yet", batchID)
 	}
-	alpha := o.Calibration.Alpha(envKey)
+	fit := o.Calibration.Fit(envKey)
 	return Prediction{
-		PredictedTime:     alpha * elapsed / r,
-		Uncertainty:       o.Calibration.SuccessRate(envKey),
-		Alpha:             alpha,
+		PredictedTime:     fit.Alpha * elapsed / r,
+		Uncertainty:       fit.SuccessRate(),
+		Alpha:             fit.Alpha,
 		CompletedFraction: r,
 	}, nil
 }

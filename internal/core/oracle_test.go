@@ -39,25 +39,23 @@ func TestStrategyLabels(t *testing.T) {
 
 func TestCalibrationFit(t *testing.T) {
 	c := NewCalibration()
-	if c.Alpha("env") != 1 {
-		t.Fatal("default alpha should be 1")
+	if f := c.Fit("env"); f != (CalibrationFit{Alpha: 1}) || f.SuccessRate() != 0 {
+		t.Fatalf("fit with no history = %+v, rate %v; want α 1, nothing archived", f, f.SuccessRate())
 	}
 	// Actual completion always 1.5× the constant-rate estimate.
 	for i := 0; i < 20; i++ {
 		base := 1000.0 + float64(i)*100
 		c.Record("env", base, 1.5*base)
 	}
-	if a := c.Alpha("env"); math.Abs(a-1.5) > 1e-9 {
-		t.Fatalf("alpha = %v, want 1.5", a)
+	f := c.Fit("env")
+	if math.Abs(f.Alpha-1.5) > 1e-9 {
+		t.Fatalf("alpha = %v, want 1.5", f.Alpha)
 	}
-	if sr := c.SuccessRate("env"); sr != 1 {
-		t.Fatalf("success rate = %v, want 1 (perfect fit)", sr)
-	}
-	if c.Count("env") != 20 {
-		t.Fatalf("count = %d", c.Count("env"))
+	if f.Hits != 20 || f.Count != 20 || f.SuccessRate() != 1 {
+		t.Fatalf("fit = %+v, rate %v; want 20 hits of 20 (perfect fit)", f, f.SuccessRate())
 	}
 	// Unrelated environment unaffected.
-	if c.Alpha("other") != 1 || c.SuccessRate("other") != 0 {
+	if c.Fit("other") != (CalibrationFit{Alpha: 1}) {
 		t.Fatal("environment isolation broken")
 	}
 }
@@ -69,15 +67,44 @@ func TestCalibrationSuccessRateWithNoise(t *testing.T) {
 		c.Record("env", 1000, 1000)
 		c.Record("env", 1000, 2000)
 	}
-	sr := c.SuccessRate("env")
-	if sr < 0.4 || sr > 0.6 {
-		t.Fatalf("success rate = %v, want ~0.5", sr)
+	want := CalibrationFit{Alpha: 1, Hits: 10, Count: 20}
+	if f := c.Fit("env"); f != want || f.SuccessRate() != 0.5 {
+		t.Fatalf("fit = %+v, rate %v; want %+v, rate 0.5", f, f.SuccessRate(), want)
 	}
 	// Invalid pairs ignored.
 	c.Record("env", 0, 100)
 	c.Record("env", 100, -1)
-	if c.Count("env") != 20 {
-		t.Fatal("invalid pairs recorded")
+	if f := c.Fit("env"); f != want {
+		t.Fatalf("invalid pairs recorded: %+v", f)
+	}
+}
+
+// A prediction α·base is a hit when the actual completion time lies within
+// ±PredictionTolerance of it, both bounds included. Each case archives four
+// exact executions, which hold α at 1, and the probe (base 100, actual).
+func TestPredictionSuccess(t *testing.T) {
+	for _, tc := range []struct {
+		actual float64
+		hit    bool
+	}{{100, true}, {119, true}, {81, true}, {120, true}, {80, true}, {121, false}, {79, false}} {
+		c := NewCalibration()
+		for i := 0; i < 4; i++ {
+			c.Record("env", 100, 100)
+		}
+		c.Record("env", 100, tc.actual)
+		want := CalibrationFit{Alpha: 1, Hits: 4, Count: 5}
+		if tc.hit {
+			want.Hits = 5
+		}
+		if got := c.Fit("env"); got != want {
+			t.Errorf("actual %v: fit = %+v, want %+v", tc.actual, got, want)
+		}
+	}
+	// A pair with no positive prediction is no execution: nothing to score.
+	c := NewCalibration()
+	c.Record("env", 0, 10)
+	if got := c.Fit("env"); got != (CalibrationFit{Alpha: 1}) {
+		t.Errorf("a zero base was archived: %+v", got)
 	}
 }
 

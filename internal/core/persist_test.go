@@ -27,8 +27,8 @@ func roundTrip(t testing.TB, s State) State {
 func informationFixture() *Information {
 	in := NewInformation()
 	bi, _ := in.Track("b1", "env1", 100, 1000)
-	bi.AddSampleWorkers(1060, 30, 80, 20, 50, 200)
-	bi.AddSampleWorkers(1120, 100, 100, 0, 0, 180)
+	bi.add(Sample{T: 60, Completed: 30, Assigned: 80, Queued: 20, Running: 50, Workers: 200})
+	bi.add(Sample{T: 120, Completed: 100, Assigned: 100, Workers: 180})
 	in.Track("b2", "env2", 10, 0)
 	return in
 }
@@ -123,14 +123,12 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	}
 	back := loaded.Calibration
 	for _, env := range []string{"env", "other", "single"} {
-		if got, want := back.Count(env), c.Count(env); got != want {
-			t.Errorf("%s: count = %d, want %d", env, got, want)
+		got, want := back.Fit(env), c.Fit(env)
+		if got.Count != want.Count || got.Hits != want.Hits {
+			t.Errorf("%s: loaded %d hits of %d, replayed %d of %d", env, got.Hits, got.Count, want.Hits, want.Count)
 		}
-		if got, want := back.Alpha(env), c.Alpha(env); math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: loaded α = %v, replayed α = %v", env, got, want)
-		}
-		if got, want := back.SuccessRate(env), c.SuccessRate(env); got != want {
-			t.Errorf("%s: success rate = %v, want %v", env, got, want)
+		if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) {
+			t.Errorf("%s: loaded α = %v, replayed α = %v", env, got.Alpha, want.Alpha)
 		}
 	}
 	var again bytes.Buffer
@@ -143,7 +141,7 @@ func TestCalibrationSnapshotRoundTrip(t *testing.T) {
 	// A loaded archive keeps fitting incrementally where the original does.
 	c.Record("env", 7, 9)
 	back.Record("env", 7, 9)
-	if got, want := back.Alpha("env"), c.Alpha("env"); math.Float64bits(got) != math.Float64bits(want) {
+	if got, want := back.Fit("env").Alpha, c.Fit("env").Alpha; math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("after one more record: loaded α = %v, replayed α = %v", got, want)
 	}
 }

@@ -22,7 +22,7 @@ func overWire(t *testing.T, v BatchView) BatchView {
 	return out
 }
 
-// sample is one AddSampleWorkers call of a scripted history.
+// sample is one observation of a scripted history, at seconds after submission.
 type sample struct {
 	at                                            float64
 	completed, assigned, queued, running, workers int
@@ -31,7 +31,8 @@ type sample struct {
 func history(size int, samples []sample) *BatchInfo {
 	bi := NewBatchInfo("b", "env", size, 0)
 	for _, s := range samples {
-		bi.AddSampleWorkers(s.at, s.completed, s.assigned, s.queued, s.running, s.workers)
+		bi.add(Sample{T: s.at, Completed: s.completed, Assigned: s.assigned,
+			Queued: s.queued, Running: s.running, Workers: s.workers})
 	}
 	return bi
 }
@@ -136,7 +137,7 @@ func TestPlanTable(t *testing.T) {
 					if rng.Intn(4) > 0 {
 						completed = min(completed, assigned)
 					}
-					bi.AddSampleWorkers(now, completed, assigned, 0, assigned-completed, rng.Intn(50))
+					bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Running: assigned - completed, Workers: rng.Intn(50)})
 					v := bi.View()
 					if v.CompletedFraction >= 0.5 && v.MaxVarianceFirstHalf != bi.MaxExecutionVarianceUpTo(0.5) {
 						t.Fatalf("first-half variance maximum %v, recomputed %v",

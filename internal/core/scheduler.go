@@ -225,7 +225,8 @@ func (p *simPorts) Progress(bs []*Batch) {
 func (p *simPorts) Sample(now float64, bs []*Batch) {
 	for _, b := range bs {
 		pr := b.Progress
-		b.bi.AddSampleWorkers(now, pr.Completed, pr.EverAssigned, pr.Queued, pr.Running, pr.Workers)
+		b.bi.add(Sample{T: now - b.bi.SubmittedAt, Completed: pr.Completed, Assigned: pr.EverAssigned,
+			Queued: pr.Queued, Running: pr.Running, Workers: pr.Workers})
 	}
 }
 
@@ -265,12 +266,11 @@ func (p *simPorts) Pay(bs []*Batch) {
 	}
 }
 
-// Archive records the (base, actual) pair measured at 50% completion, the
-// evaluation point of Table 4.
+// Archive records each batch's execution (BatchView.Execution).
 func (p *simPorts) Archive(bs []*Batch) {
 	for _, b := range bs {
-		if tc50, ok := b.bi.TimeAtCompletion(0.5); b.bi.Done() && ok && tc50 > 0 {
-			p.Oracle.Calibration.Record(b.bi.EnvKey, tc50/0.5, b.bi.CompletedAt)
+		if base, actual, ok := b.bi.View().Execution(); ok {
+			p.Oracle.Calibration.Record(b.bi.EnvKey, base, actual)
 		}
 	}
 }

@@ -70,7 +70,7 @@ func TestRescheduleRescuesTail(t *testing.T) {
 		t.Fatalf("refund wrong: balance %v, billed %v", bal, u.CreditsBilled)
 	}
 	// Execution archived for calibration.
-	if svc.Oracle.Calibration.Count("test-env") != 1 {
+	if svc.Oracle.Calibration.Fit("test-env").Count != 1 {
 		t.Fatal("execution not archived")
 	}
 }

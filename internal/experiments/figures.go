@@ -596,61 +596,42 @@ type Table4 struct {
 }
 
 // Table4From fits α per environment over the SpeQuloS runs of one strategy
-// (perfect-knowledge calibration, as §4.3.3 does) and evaluates the ±20%
-// success rate of predictions made at 50% completion. Calibration needs
-// every run before any prediction is judged, so the store is streamed
-// twice — per cell both times, never materialized.
+// (perfect-knowledge calibration, as §4.3.3 does) and scores the ±20%
+// success rate of predictions made at 50% completion as the Oracle reports
+// it: one stream of the store records every run, per cell and never
+// materialized, then each environment's core.Calibration.Fit gives its hits.
 func Table4From(store *campaign.ResultStore, p Profile, spec MatrixSpec, label string) (Table4, error) {
 	cal := core.NewCalibration()
+	type cell struct{ trace, key string }
+	cells := map[string]cell{} // by environment key
 	err := EachPair(store, p, spec, func(pair Pair) error {
 		if r, ok := pair.Speq[label]; ok && r.Completed && r.TC50Base > 0 {
 			cal.Record(r.EnvKey(), r.TC50Base, r.CompletionTime)
+			cells[r.EnvKey()] = cell{r.TraceName, r.BotClass + "/" + r.Middleware}
 		}
-		return nil
-	})
-	if err != nil {
-		return Table4{}, err
-	}
-	hit := map[string]map[string][]bool{}
-	err = EachPair(store, p, spec, func(pair Pair) error {
-		r, okRun := pair.Speq[label]
-		if !okRun || !r.Completed || r.TC50Base <= 0 {
-			return nil
-		}
-		alpha := cal.Alpha(r.EnvKey())
-		ok := metrics.PredictionSuccess(alpha*r.TC50Base, r.CompletionTime, core.PredictionTolerance)
-		if hit[r.TraceName] == nil {
-			hit[r.TraceName] = map[string][]bool{}
-		}
-		key := r.BotClass + "/" + r.Middleware
-		hit[r.TraceName][key] = append(hit[r.TraceName][key], ok)
-		hit[r.TraceName]["Mixed"] = append(hit[r.TraceName]["Mixed"], ok)
 		return nil
 	})
 	if err != nil {
 		return Table4{}, err
 	}
 	out := Table4{Strategy: label, Success: map[string]map[string]float64{}}
-	var allHits, allN int
-	for tn, byKey := range hit {
-		out.Success[tn] = map[string]float64{}
-		for key, oks := range byKey {
-			n := 0
-			for _, v := range oks {
-				if v {
-					n++
-				}
-			}
-			out.Success[tn][key] = float64(n) / float64(len(oks))
-			if key == "Mixed" {
-				allHits += n
-				allN += len(oks)
-			}
+	mixed := map[string]core.CalibrationFit{}
+	var all core.CalibrationFit
+	for env, c := range cells {
+		fit := cal.Fit(env)
+		if out.Success[c.trace] == nil {
+			out.Success[c.trace] = map[string]float64{}
 		}
+		out.Success[c.trace][c.key] = fit.SuccessRate()
+		m := mixed[c.trace]
+		m.Hits, m.Count = m.Hits+fit.Hits, m.Count+fit.Count
+		mixed[c.trace] = m
+		all.Hits, all.Count = all.Hits+fit.Hits, all.Count+fit.Count
 	}
-	if allN > 0 {
-		out.Overall = float64(allHits) / float64(allN)
+	for tn, m := range mixed {
+		out.Success[tn]["Mixed"] = m.SuccessRate()
 	}
+	out.Overall = all.SuccessRate()
 	return out, nil
 }
 

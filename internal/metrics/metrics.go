@@ -115,15 +115,6 @@ func NormalizeByMean(values []float64) []float64 {
 	return out
 }
 
-// PredictionSuccess reports whether an actual completion time falls within
-// ±tolerance of the predicted one (§3.4, Table 4).
-func PredictionSuccess(predicted, actual, tolerance float64) bool {
-	if predicted <= 0 {
-		return false
-	}
-	return math.Abs(actual-predicted) <= tolerance*predicted
-}
-
 // CompletionSeries converts per-task completion times into the cumulative
 // completion-ratio curve of Fig 1: points (t_i, i/n) on sorted times.
 type SeriesPoint struct{ T, Ratio float64 }

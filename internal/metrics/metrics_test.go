@@ -141,21 +141,6 @@ func TestNormalizeByMean(t *testing.T) {
 	}
 }
 
-func TestPredictionSuccess(t *testing.T) {
-	if !PredictionSuccess(100, 100, 0.2) {
-		t.Fatal("exact prediction failed")
-	}
-	if !PredictionSuccess(100, 119, 0.2) || !PredictionSuccess(100, 81, 0.2) {
-		t.Fatal("within-band prediction failed")
-	}
-	if PredictionSuccess(100, 121, 0.2) || PredictionSuccess(100, 79, 0.2) {
-		t.Fatal("out-of-band prediction succeeded")
-	}
-	if PredictionSuccess(0, 10, 0.2) {
-		t.Fatal("non-positive prediction succeeded")
-	}
-}
-
 func TestCompletionSeries(t *testing.T) {
 	pts := CompletionSeries([]float64{30, 10, 20})
 	if len(pts) != 3 {

@@ -7,9 +7,9 @@ package service
 // class (core.Tier); each tier carries a request rate derived from the same
 // TierPolicy weights that arbitrate cloud admission, so the HTTP front door
 // and the fleet scheduler share one notion of what a tier is worth.
-// Unauthenticated requests answer 401 and throttled requests answer 429
-// (with Retry-After) BEFORE any module handler runs — a rejected request
-// can never place a partial order or ghost-bill an account.
+// Unauthenticated requests answer 401, a tenant's module writes 403 and
+// throttled requests 429 (with Retry-After) BEFORE any module handler runs —
+// a rejected request can never place a partial order or mint credits.
 
 import (
 	"crypto/rand"
@@ -94,8 +94,8 @@ type APIKey struct {
 	Tier core.Tier `json:"tier"`
 	// Revoked keys authenticate nothing but keep their metrics.
 	Revoked bool `json:"revoked,omitempty"`
-	// Unlimited exempts the key from rate limiting — for operator keys and
-	// the daemon's own monitor traffic, not for tenants.
+	// Unlimited exempts the key from rate limiting and lets it write to the
+	// modules (see Gate) — for operator and service keys, not for tenants.
 	Unlimited bool `json:"unlimited,omitempty"`
 }
 
@@ -258,6 +258,7 @@ type admitOutcome int
 const (
 	admitOK admitOutcome = iota
 	admitUnauthorized
+	admitForbidden
 	admitThrottled
 )
 
@@ -286,9 +287,10 @@ func (m *KeyManager) authenticate(key string) bool {
 	return ok
 }
 
-// admit authenticates a key and takes one token from its bucket. retryAfter
-// is the seconds until a token is available when throttled.
-func (m *KeyManager) admit(key string) (k APIKey, outcome admitOutcome, retryAfter float64) {
+// admit authenticates a key, refuses a tenant a request it may not send
+// (tenantOK false), and takes one token from its bucket. retryAfter is the
+// seconds until a token is available when throttled.
+func (m *KeyManager) admit(key string, tenantOK bool) (k APIKey, outcome admitOutcome, retryAfter float64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	ks, ok := m.known(key)
@@ -296,6 +298,9 @@ func (m *KeyManager) admit(key string) (k APIKey, outcome admitOutcome, retryAft
 		return APIKey{}, admitUnauthorized, 0
 	}
 	ks.metrics.Requests++
+	if !ks.key.Unlimited && !tenantOK {
+		return ks.key, admitForbidden, 0
+	}
 	lim := m.limitFor(ks.key.Tier)
 	if ks.key.Unlimited || lim.PerSec <= 0 {
 		m.gate.Allowed++
@@ -330,7 +335,10 @@ type authzReply struct {
 // Gate wraps a handler with API-key authentication and per-tier rate
 // limiting. /healthz stays open (load balancers probe it unauthenticated);
 // every other route requires a known, unrevoked key in X-API-Key or
-// Authorization: Bearer, and a token in the key's tier bucket. Admitted
+// Authorization: Bearer, and a token in the key's tier bucket. A tenant's
+// key (not Unlimited) may send GET requests and POST /scheduler/qos: every
+// other route is a module write or a tick's bulk query, so it answers 403
+// without spending a token. Admitted
 // requests carry the key's user and tier in trusted headers
 // (AuthUserHeader/AuthTierHeader) for handlers that bind request bodies to
 // the authenticated identity.
@@ -361,10 +369,15 @@ func (m *KeyManager) Gate(next http.Handler) http.Handler {
 			writeJSON(w, http.StatusOK, authzReply{Gate: m.GateStats(), Keys: m.Snapshot()})
 			return
 		}
-		k, outcome, retry := m.admit(key)
+		tenantOK := r.Method == http.MethodGet || r.Method == http.MethodPost && r.URL.Path == "/scheduler/qos"
+		k, outcome, retry := m.admit(key, tenantOK)
 		switch outcome {
 		case admitUnauthorized:
 			writeErr(w, http.StatusUnauthorized, fmt.Errorf("service: unknown or revoked API key"))
+			return
+		case admitForbidden:
+			writeErr(w, http.StatusForbidden,
+				fmt.Errorf("service: %s %s needs an unlimited key; tenant keys read and order QoS", r.Method, r.URL.Path))
 			return
 		case admitThrottled:
 			w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry))))

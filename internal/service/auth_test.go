@@ -465,3 +465,79 @@ func TestQoSTierEscalationForbidden(t *testing.T) {
 		t.Errorf("climber's balance %v after three orders of 10, want 970", got)
 	}
 }
+
+// TestTenantKeyCannotWriteModules: behind the gate, a key without Unlimited
+// may read and order QoS, and nothing else. Each module write — a deposit
+// above all, which would mint credits — answers 403 with the JSON error body
+// before any handler runs, and leaves every module as it was.
+func TestTenantKeyCannotWriteModules(t *testing.T) {
+	km := NewKeyManager(nil)
+	state := core.NewState()
+	dg := &scriptedDG{size: 10}
+	st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: dg, Keys: km, State: &state})
+	if err := st.Credit.Credits().Deposit("mallory", 100); err != nil {
+		t.Fatal(err)
+	}
+	k := km.Issue("mallory", core.TierFree)
+	send := func(method, path, body string) (int, string) {
+		req, err := http.NewRequest(method, st.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(APIKeyHeader, k.Key)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		reply, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(reply)
+	}
+	if code, reply := send(http.MethodPost, "/scheduler/qos",
+		`{"batch_id":"b","env_key":"e","size":10,"credits":10,"provider":"ec2","image":"img"}`); code != http.StatusCreated {
+		t.Fatalf("the tenant's own order: %d %s, want 201", code, reply)
+	}
+	// A tick now would sample b into Information.
+	dg.set(6, 8)
+	modules := func() string {
+		var buf strings.Builder
+		if err := state.WriteJSON(&buf); err != nil {
+			t.Fatal(err)
+		}
+		qos, err := st.Scheduler.Status("b")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&buf, "%+v", qos)
+		return buf.String()
+	}
+	before := modules()
+
+	for _, w := range []struct{ path, body string }{
+		{"/credit/deposit", `{"user":"mallory","credits":1000000}`},
+		{"/credit/orders", `{"user":"mallory","batch_id":"c","credits":5}`},
+		{"/credit/bills", `{"items":[{"batch_id":"b","credits":[1]}]}`},
+		{"/credit/orders/pay", `{"items":["b"]}`},
+		{"/information/batches", `{"batch_id":"c","env_key":"e","size":10}`},
+		{"/information/samples", `{"items":[{"batch_id":"b","sample":{"t":60,"completed":10,"assigned":10}}]}`},
+		{"/oracle/calibrations", `{"items":[{"batch_id":"b","env_key":"e","base":100,"actual":100}]}`},
+		{"/scheduler/step", ``},
+	} {
+		code, reply := send(http.MethodPost, w.path, w.body)
+		var body struct{ Error string }
+		if code != http.StatusForbidden || json.Unmarshal([]byte(reply), &body) != nil || body.Error == "" {
+			t.Errorf("POST %s with a tenant key: %d %s, want 403 with a JSON error", w.path, code, reply)
+		}
+		if after := modules(); after != before {
+			t.Fatalf("POST %s with a tenant key changed the modules:\n%s\nwas:\n%s", w.path, after, before)
+		}
+	}
+	for _, path := range []string{"/credit/accounts/mallory", "/scheduler/qos/b", "/information/batches/b", "/oracle/calibration/e"} {
+		if code, reply := send(http.MethodGet, path, ""); code != http.StatusOK {
+			t.Errorf("GET %s with a tenant key: %d %s, want 200", path, code, reply)
+		}
+	}
+	if got := st.Credit.Credits().AccountOf("mallory").Balance; got != 90 {
+		t.Errorf("mallory's balance %v, want 90 (100 deposited, 10 ordered)", got)
+	}
+}

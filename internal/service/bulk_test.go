@@ -55,7 +55,7 @@ func (fx *bulkFixture) digest(t testing.TB) string {
 		t.Fatal(err)
 	}
 	o, _ := fx.credits.OrderOf("b")
-	buf, err := json.Marshal([]any{st, o, fx.credits.AccountOf("u"), fx.info.info.Count(), fx.oracle.Calibration.Count("e")})
+	buf, err := json.Marshal([]any{st, o, fx.credits.AccountOf("u"), fx.info.info.Count(), fx.oracle.Calibration.Fit("e").Count})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	if r := cals.Results; len(r) != 2 || r[0] != (ItemResult{BatchID: "b"}) || r[1] != (ItemResult{BatchID: "other"}) {
 		t.Fatalf("calibrations: %+v", r)
 	}
-	if n := fx.oracle.Calibration.Count("e"); n != 2 {
+	if n := fx.oracle.Calibration.Fit("e").Count; n != 2 {
 		t.Fatalf("%d executions archived, want the 2 of the request", n)
 	}
 }

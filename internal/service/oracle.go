@@ -13,7 +13,7 @@ import (
 //	GET  /predict/{batch}       completion-time prediction
 //	POST /plans                 start decisions for many batches
 //	POST /calibrations          archive many batches' executions
-//	GET  /calibration/{env...}  α and success rate of an environment (env keys contain "/")
+//	GET  /calibration/{env...}  α, success rate and count of an environment, as of one instant (env keys contain "/")
 //
 // The two bulk routes (see bulk.go) are the Scheduler tick's: /plans reads
 // every batch's state with one POST /statuses to Information and runs
@@ -43,8 +43,9 @@ func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
 		return ItemResult{BatchID: it.BatchID}
 	}))
 	s.Handle("GET /calibration/{env...}", EndpointNoBody(http.StatusOK, func(r *http.Request) (CalibrationStatus, error) {
-		env, cal := r.PathValue("env"), o.Calibration
-		return CalibrationStatus{EnvKey: env, Alpha: cal.Alpha(env), SuccessRate: cal.SuccessRate(env), Count: cal.Count(env)}, nil
+		env := r.PathValue("env")
+		fit := o.Calibration.Fit(env)
+		return CalibrationStatus{EnvKey: env, Alpha: fit.Alpha, SuccessRate: fit.SuccessRate(), Count: fit.Count}, nil
 	}))
 	return s
 }
@@ -84,7 +85,7 @@ type CalibrationItem struct {
 	CalibrationRecord
 }
 
-// CalibrationStatus reports an environment's fitted α.
+// CalibrationStatus reports an environment's fit (core.Calibration.Fit).
 type CalibrationStatus struct {
 	EnvKey      string  `json:"env_key"`
 	Alpha       float64 `json:"alpha"`

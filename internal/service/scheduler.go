@@ -387,9 +387,9 @@ func (p *schedulerPorts) Pay(bs []*core.Batch) {
 	}
 }
 
-// Archive sends the Oracle the (base, actual) pair Information measured for
-// each batch: one POST /statuses, then one POST /calibrations for the batches
-// that reached 50 % completion.
+// Archive sends the Oracle each batch's execution as Information summarizes
+// it (core.BatchView.Execution): one POST /statuses, then one POST
+// /calibrations for the batches that have one.
 func (p *schedulerPorts) Archive(bs []*core.Batch) {
 	var items []CalibrationItem
 	var archived []*core.Batch
@@ -399,10 +399,12 @@ func (p *schedulerPorts) Archive(bs []*core.Batch) {
 			bs[i].Err = itemErr(st.Error)
 		case st.Status == nil:
 			bs[i].Err = fmt.Errorf("service: information returned neither a status nor an error for %q", bs[i].ID)
-		case st.Status.TC50 > 0:
-			items = append(items, CalibrationItem{BatchID: bs[i].ID,
-				CalibrationRecord: CalibrationRecord{EnvKey: bs[i].EnvKey, Base: st.Status.TC50 / 0.5, Actual: st.Status.CompletedAt}})
-			archived = append(archived, bs[i])
+		default:
+			if base, actual, ok := st.Status.Execution(); ok {
+				items = append(items, CalibrationItem{BatchID: bs[i].ID,
+					CalibrationRecord: CalibrationRecord{EnvKey: bs[i].EnvKey, Base: base, Actual: actual}})
+				archived = append(archived, bs[i])
+			}
 		}
 	}
 	for i, res := range p.oracle.Calibrations(items) {

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"net/http"
@@ -96,6 +97,41 @@ func TestInformationServiceHTTP(t *testing.T) {
 	}
 	if msg := addSample("nope", core.Sample{}); msg == "" {
 		t.Fatal("sample for unknown batch accepted")
+	}
+}
+
+// A sample's time is seconds since submission, and Information stores it as
+// sent: served back, and through a state image, it is the same float, bit for
+// bit, however large the submission time.
+func TestSampleTimeSurvivesInformation(t *testing.T) {
+	info := core.NewInformation()
+	srv := httptest.NewServer(NewInformationService(info))
+	defer srv.Close()
+	c := NewInformationClient(srv.URL)
+	if err := c.Track(TrackRequest{BatchID: "b", EnvKey: "e", Size: 100, SubmittedAt: 1.7e9 + 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	const at = 60.3
+	if res := c.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: at, Completed: 10, Assigned: 20}}}); res[0].Error != "" {
+		t.Fatal(res[0].Error)
+	}
+	st, err := c.Status("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.LastSample.T; math.Float64bits(got) != math.Float64bits(at) {
+		t.Errorf("GET /batches/b: last_sample.t = %v, want %v", got, at)
+	}
+	var img bytes.Buffer
+	if err := (core.State{Information: info, Credits: core.NewCreditSystem(), Calibration: core.NewCalibration()}).WriteJSON(&img); err != nil {
+		t.Fatal(err)
+	}
+	back, err := core.ReadState(&img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := back.Information.View("b"); math.Float64bits(v.LastSample.T) != math.Float64bits(at) {
+		t.Errorf("through a state image: last sample t = %v, want %v", v.LastSample.T, at)
 	}
 }
 

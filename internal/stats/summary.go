@@ -172,7 +172,8 @@ func (h Histogram) BinCenter(i int) float64 {
 // Only tests call it: core.Calibration keeps each archive sorted and fits
 // incrementally, and its differential test holds every α it yields to this
 // function's, bit for bit. Weights are summed in input order for the total
-// and in sorted order for the prefix; an incremental fit must do the same.
+// and in sorted order for the prefix, values that tie in input order; an
+// incremental fit must do the same.
 func WeightedMedian(values, weights []float64) float64 {
 	if len(values) == 0 {
 		return math.NaN()
@@ -194,7 +195,7 @@ func WeightedMedian(values, weights []float64) float64 {
 	if len(ps) == 0 {
 		return math.NaN()
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
+	sort.SliceStable(ps, func(i, j int) bool { return ps[i].v < ps[j].v })
 	acc := 0.0
 	for _, p := range ps {
 		acc += p.w

@@ -13,9 +13,10 @@ import (
 //
 //	node_id,power,start,end
 //
-// preceded by a comment-free header row. Real FTA-derived traces converted
-// to this format can be loaded back with ReadCSV and used everywhere a
-// synthesized trace is.
+// preceded by a comment-free header row. tracegen -csv writes it, and
+// ReadCSV reads it back into a Trace that passes Validate. No campaign and
+// no command reads a trace file: every cell draws its trace from a
+// generator, so a converted FTA trace is usable only from Go code.
 func (t *Trace) WriteCSV(w io.Writer) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write([]string{"node_id", "power", "start", "end"}); err != nil {
