@@ -38,18 +38,18 @@ func DefaultCapacityAware() CapacityAware {
 func (t CapacityAware) Code() string { return "CA" }
 
 // ShouldStart implements Trigger.
-func (t CapacityAware) ShouldStart(v BatchView) bool {
-	c := v.CompletedFraction
+func (t CapacityAware) ShouldStart(v TickView) bool {
+	c := v.CompletedFraction()
 	if t.Fallback > 0 && c >= t.Fallback {
 		return true
 	}
 	if c < t.MinCompleted {
 		return false
 	}
-	if v.PeakWorkers <= 0 || v.LastSample.Workers <= 0 {
+	if v.PeakWorkers <= 0 || v.Workers <= 0 {
 		return false
 	}
-	lost := 1 - float64(v.LastSample.Workers)/float64(v.PeakWorkers)
+	lost := 1 - float64(v.Workers)/float64(v.PeakWorkers)
 	return lost >= t.DropFraction
 }
 

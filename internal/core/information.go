@@ -122,17 +122,6 @@ func (bi *BatchInfo) CompletedFraction() float64 {
 	return float64(bi.Last().Completed) / float64(bi.Size)
 }
 
-// AssignedFraction returns the latest ever-assigned ratio.
-func (bi *BatchInfo) AssignedFraction() float64 {
-	if bi.Size == 0 {
-		return 0
-	}
-	return float64(bi.Last().Assigned) / float64(bi.Size)
-}
-
-// Done reports whether the batch completed.
-func (bi *BatchInfo) Done() bool { return bi.CompletedAt >= 0 }
-
 // TimeAtCompletion returns tc(x): the elapsed time at which completion
 // first reached fraction x, at 1% resolution. ok is false if not reached.
 func (bi *BatchInfo) TimeAtCompletion(x float64) (t float64, ok bool) {
@@ -186,61 +175,79 @@ func (bi *BatchInfo) MaxExecutionVarianceUpTo(x float64) float64 {
 	return max
 }
 
-// BatchView is the monitoring summary of one batch: every input of the
-// Oracle's decision (Oracle.Plan) and prediction. The simulator builds it
-// from a BatchInfo in O(1) each tick; the Information service serves the same
-// value as JSON, so the Oracle module decides from the same inputs on the far
-// side of the wire.
-type BatchView struct {
-	BatchID           string  `json:"batch_id"`
-	EnvKey            string  `json:"env_key"`
-	Size              int     `json:"size"`
-	Samples           int     `json:"samples"`
-	CompletedFraction float64 `json:"completed_fraction"`
-	AssignedFraction  float64 `json:"assigned_fraction"`
-	Done              bool    `json:"done"`
-	CompletedAt       float64 `json:"completed_at"`
-	LastSample        Sample  `json:"last_sample"`
+// TickView is what one monitor tick reads of a batch: the inputs of the
+// Oracle's decision (Oracle.Plan: every Trigger and Sizing) and of the archive
+// rule (Execution), and nothing else. It carries the latest sample's counts,
+// not fractions; CompletedFraction and AssignedFraction divide them by the
+// size, as BatchInfo.CompletedFraction does, so a plan from the view is the
+// plan from the history, in process or after a JSON round trip. The simulator
+// builds it from a BatchInfo in O(1) each tick; the Information service
+// answers it to POST /statuses.
+type TickView struct {
+	Size int `json:"size"`
+	// T, Completed, Assigned and Workers are the latest sample's (all 0
+	// before the first).
+	T         float64 `json:"t"`
+	Completed int     `json:"completed"`
+	Assigned  int     `json:"assigned"`
+	Workers   int     `json:"workers"`
+	// PeakWorkers is the largest attached-worker count observed so far; 0
+	// when the DG does not report it.
+	PeakWorkers int `json:"peak_workers"`
 	// ExecVariance is var(c) at the current completion fraction;
 	// MaxVarianceFirstHalf is max var(x) for x ≤ 50%. Both are -1 when
 	// not yet defined.
 	ExecVariance         float64 `json:"exec_variance"`
 	MaxVarianceFirstHalf float64 `json:"max_variance_first_half"`
-	// TC50 is tc(0.5) (elapsed seconds), or -1 before half completion;
-	// the Oracle's calibration input.
+	// TC50 is tc(0.5) (elapsed seconds), or -1 before half completion.
 	TC50 float64 `json:"tc50"`
-	// PeakWorkers is the largest attached-worker count observed so far (the
-	// current one is LastSample.Workers); 0 when the DG does not report it.
-	PeakWorkers int `json:"peak_workers,omitempty"`
+	// CompletedAt is the elapsed time of the completing sample, -1 while
+	// the batch runs.
+	CompletedAt float64 `json:"completed_at"`
 }
+
+// CompletedFraction returns the latest completion ratio.
+func (v TickView) CompletedFraction() float64 {
+	if v.Size == 0 {
+		return 0
+	}
+	return float64(v.Completed) / float64(v.Size)
+}
+
+// AssignedFraction returns the latest ever-assigned ratio.
+func (v TickView) AssignedFraction() float64 {
+	if v.Size == 0 {
+		return 0
+	}
+	return float64(v.Assigned) / float64(v.Size)
+}
+
+// Done reports whether the batch completed.
+func (v TickView) Done() bool { return v.CompletedAt >= 0 }
 
 // Execution is what the Oracle archives of a done batch (Table 4's point):
 // base = tc(0.5)/0.5, the constant-rate estimate at half completion, and
 // actual = the completion time; ok is false for a running batch or tc(0.5) 0.
-func (v BatchView) Execution() (base, actual float64, ok bool) {
-	if !v.Done || v.TC50 <= 0 {
+func (v TickView) Execution() (base, actual float64, ok bool) {
+	if !v.Done() || v.TC50 <= 0 {
 		return 0, 0, false
 	}
 	return v.TC50 / 0.5, v.CompletedAt, true
 }
 
-// View summarizes the batch as of its latest sample.
-func (bi *BatchInfo) View() BatchView {
-	v := BatchView{
-		BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
-		Samples:           len(bi.Samples),
-		CompletedFraction: bi.CompletedFraction(),
-		AssignedFraction:  bi.AssignedFraction(),
-		Done:              bi.Done(),
-		CompletedAt:       bi.CompletedAt,
-		LastSample:        bi.Last(),
-		ExecVariance:      -1, MaxVarianceFirstHalf: -1, TC50: -1,
-		PeakWorkers: bi.PeakWorkers,
+// TickView summarizes the batch as of its latest sample, for a tick.
+func (bi *BatchInfo) TickView() TickView {
+	last := bi.Last()
+	v := TickView{
+		Size: bi.Size, T: last.T, Completed: last.Completed, Assigned: last.Assigned, Workers: last.Workers,
+		PeakWorkers: bi.PeakWorkers, ExecVariance: -1, MaxVarianceFirstHalf: -1, TC50: -1,
+		CompletedAt: bi.CompletedAt,
 	}
-	if x, ok := bi.ExecutionVariance(v.CompletedFraction); ok {
+	c := v.CompletedFraction()
+	if x, ok := bi.ExecutionVariance(c); ok {
 		v.ExecVariance = x
 	}
-	if v.CompletedFraction >= 0.5 {
+	if c >= 0.5 {
 		v.MaxVarianceFirstHalf = bi.firstHalfMaxVar
 		if v.MaxVarianceFirstHalf < 0 {
 			// Assignment lags completion in the history: not fixed yet.
@@ -251,6 +258,46 @@ func (bi *BatchInfo) View() BatchView {
 		v.TC50 = tc
 	}
 	return v
+}
+
+// BatchView is the full monitoring summary of one batch, as GET
+// /information/batches/{id} serves it and the Oracle's prediction reads it:
+// the tick's inputs (TickView) plus the batch's identity, its sample count,
+// its fractions and its whole latest sample.
+type BatchView struct {
+	BatchID           string  `json:"batch_id"`
+	EnvKey            string  `json:"env_key"`
+	Size              int     `json:"size"`
+	Samples           int     `json:"samples"`
+	CompletedFraction float64 `json:"completed_fraction"`
+	AssignedFraction  float64 `json:"assigned_fraction"`
+	Done              bool    `json:"done"`
+	CompletedAt       float64 `json:"completed_at"`
+	LastSample        Sample  `json:"last_sample"`
+	// ExecVariance and MaxVarianceFirstHalf are TickView's.
+	ExecVariance         float64 `json:"exec_variance"`
+	MaxVarianceFirstHalf float64 `json:"max_variance_first_half"`
+	// TC50 is tc(0.5) (elapsed seconds), or -1 before half completion.
+	TC50 float64 `json:"tc50"`
+	// PeakWorkers is the largest attached-worker count observed so far (the
+	// current one is LastSample.Workers); 0 when the DG does not report it.
+	PeakWorkers int `json:"peak_workers,omitempty"`
+}
+
+// View summarizes the batch as of its latest sample.
+func (bi *BatchInfo) View() BatchView {
+	t := bi.TickView()
+	return BatchView{
+		BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
+		Samples:           len(bi.Samples),
+		CompletedFraction: t.CompletedFraction(),
+		AssignedFraction:  t.AssignedFraction(),
+		Done:              t.Done(),
+		CompletedAt:       t.CompletedAt,
+		LastSample:        bi.Last(),
+		ExecVariance:      t.ExecVariance, MaxVarianceFirstHalf: t.MaxVarianceFirstHalf, TC50: t.TC50,
+		PeakWorkers: t.PeakWorkers,
+	}
 }
 
 // Information is the SpeQuloS Information module: it archives the
@@ -301,6 +348,18 @@ func (in *Information) View(batchID string) (BatchView, bool) {
 		return BatchView{}, false
 	}
 	return bi.View(), true
+}
+
+// TickView summarizes a tracked batch for a tick under the archive's lock;
+// false if the batch is not tracked.
+func (in *Information) TickView(batchID string) (TickView, bool) {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	bi := in.batches[batchID]
+	if bi == nil {
+		return TickView{}, false
+	}
+	return bi.TickView(), true
 }
 
 // Count returns the number of tracked batches.

@@ -25,10 +25,10 @@ func TestBatchInfoMilestones(t *testing.T) {
 	if got, ok := bi.TimeAtAssignment(0.9); !ok || got != 120 {
 		t.Errorf("ta(0.9) = %v,%v want 120", got, ok)
 	}
-	if !bi.Done() || bi.CompletedAt != 240 {
-		t.Errorf("completion: done=%v at=%v", bi.Done(), bi.CompletedAt)
+	if v := bi.TickView(); !v.Done() || v.CompletedAt != 240 {
+		t.Errorf("completion: done=%v at=%v", v.Done(), v.CompletedAt)
 	}
-	if bi.CompletedFraction() != 1 || bi.AssignedFraction() != 1 {
+	if v := bi.TickView(); v.CompletedFraction() != 1 || v.AssignedFraction() != 1 {
 		t.Error("fractions wrong at completion")
 	}
 	// Intermediate milestone (31%) first reached at the same sample as 90%.

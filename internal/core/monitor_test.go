@@ -85,7 +85,7 @@ func (p *fakePorts) Orders(bs []*Batch) {
 func (p *fakePorts) Plan(bs []*Batch) {
 	for _, b := range bs {
 		if b.Err = p.trip("plan", b); b.Err == nil {
-			b.Plan = p.oracle.Plan(b.bi.View(), b.Remaining/CreditsPerCPUHour)
+			b.Plan = p.oracle.Plan(b.bi.TickView(), b.Remaining/CreditsPerCPUHour)
 		}
 	}
 }
@@ -110,7 +110,7 @@ func (p *fakePorts) Pay(bs []*Batch) {
 func (p *fakePorts) Archive(bs []*Batch) {
 	for _, b := range bs {
 		if b.Err = p.trip("archive", b); b.Err == nil {
-			if base, actual, ok := b.bi.View().Execution(); ok {
+			if base, actual, ok := b.bi.TickView().Execution(); ok {
 				p.oracle.Calibration.Record(b.EnvKey, base, actual)
 			}
 		}

@@ -8,13 +8,14 @@ import (
 	"sync"
 )
 
-// Trigger decides when cloud workers should be started for a BoT (§3.5).
+// Trigger decides when cloud workers should be started for a BoT (§3.5), from
+// what a tick reads of it (TickView).
 type Trigger interface {
 	// Code is the short name used in strategy-combination labels
 	// ("9C", "9A", "D").
 	Code() string
 	// ShouldStart reports whether cloud support should begin now.
-	ShouldStart(v BatchView) bool
+	ShouldStart(v TickView) bool
 }
 
 // CompletionThreshold (9C) starts cloud workers once the completed-task
@@ -27,8 +28,8 @@ func (t CompletionThreshold) Code() string {
 }
 
 // ShouldStart implements Trigger.
-func (t CompletionThreshold) ShouldStart(v BatchView) bool {
-	return v.CompletedFraction >= t.Frac
+func (t CompletionThreshold) ShouldStart(v TickView) bool {
+	return v.CompletedFraction() >= t.Frac
 }
 
 // CountDriven implements CountDrivenTrigger: the answer only changes with
@@ -45,8 +46,8 @@ func (t AssignmentThreshold) Code() string {
 }
 
 // ShouldStart implements Trigger.
-func (t AssignmentThreshold) ShouldStart(v BatchView) bool {
-	return v.AssignedFraction >= t.Frac
+func (t AssignmentThreshold) ShouldStart(v TickView) bool {
+	return v.AssignedFraction() >= t.Frac
 }
 
 // CountDriven implements CountDrivenTrigger: the answer only changes with
@@ -62,8 +63,8 @@ type ExecutionVariance struct{}
 func (ExecutionVariance) Code() string { return "D" }
 
 // ShouldStart implements Trigger.
-func (ExecutionVariance) ShouldStart(v BatchView) bool {
-	if v.CompletedFraction < 0.5 {
+func (ExecutionVariance) ShouldStart(v TickView) bool {
+	if v.CompletedFraction() < 0.5 {
 		return false // the reference maximum spans the first half
 	}
 	cur, ref := v.ExecVariance, v.MaxVarianceFirstHalf
@@ -82,13 +83,13 @@ func (ExecutionVariance) ShouldStart(v BatchView) bool {
 // tc/ta milestone caches, which only move when task counters move.
 func (ExecutionVariance) CountDriven() {}
 
-// Sizing decides how many cloud workers to start, given the credit
-// allowance expressed in CPU·hours (§3.5).
+// Sizing decides how many cloud workers to start, given what a tick reads of
+// the BoT (TickView) and the credit allowance expressed in CPU·hours (§3.5).
 type Sizing interface {
 	// Code is the short name ("G", "C").
 	Code() string
 	// Workers returns the number of cloud workers to start now.
-	Workers(v BatchView, creditCPUHours float64) int
+	Workers(v TickView, creditCPUHours float64) int
 	// ReleasesIdle reports whether booted cloud workers that obtained no work
 	// are stopped at once, releasing their credits.
 	ReleasesIdle() bool
@@ -102,7 +103,7 @@ type Greedy struct{}
 func (Greedy) Code() string { return "G" }
 
 // Workers implements Sizing.
-func (Greedy) Workers(_ BatchView, creditCPUHours float64) int {
+func (Greedy) Workers(_ TickView, creditCPUHours float64) int {
 	if creditCPUHours <= 0 {
 		return 0
 	}
@@ -126,17 +127,17 @@ type Conservative struct{}
 func (Conservative) Code() string { return "C" }
 
 // Workers implements Sizing.
-func (Conservative) Workers(v BatchView, creditCPUHours float64) int {
+func (Conservative) Workers(v TickView, creditCPUHours float64) int {
 	if creditCPUHours <= 0 {
 		return 0
 	}
-	xe := v.CompletedFraction
+	xe := v.CompletedFraction()
 	if xe <= 0 {
 		// No completion rate yet (a 9A trigger can fire on assignments
 		// alone): the whole allowance starts.
 		return maxInt(1, int(creditCPUHours))
 	}
-	elapsed := v.LastSample.T
+	elapsed := v.T
 	tr := elapsed/xe - elapsed // estimated remaining seconds at constant rate
 	trHours := tr / 3600
 	n := creditCPUHours
@@ -456,10 +457,12 @@ type Plan struct {
 // Plan is Algorithm 1's Oracle.shouldUseCloud and cloudWorkersToStart in one
 // decision: whether the strategy's trigger fires on the batch as summarized,
 // and how many workers its sizing funds with creditCPUHours of remaining
-// credits, never more than there are tasks left. The in-process Scheduler and
-// the Oracle service both decide here.
-func (o *Oracle) Plan(v BatchView, creditCPUHours float64) Plan {
-	if v.Done {
+// credits, never more than there are tasks left. It reads the batch as a tick
+// does (TickView), so the in-process Scheduler and the Oracle service, which
+// reads the view from Information's POST /statuses, both decide here on the
+// same inputs.
+func (o *Oracle) Plan(v TickView, creditCPUHours float64) Plan {
+	if v.Done() {
 		return Plan{Reason: "batch complete"}
 	}
 	st := o.Strategy
@@ -467,7 +470,7 @@ func (o *Oracle) Plan(v BatchView, creditCPUHours float64) Plan {
 		return Plan{Reason: o.notFired}
 	}
 	n := st.Sizing.Workers(v, creditCPUHours)
-	if remaining := v.Size - v.LastSample.Completed; n > remaining {
+	if remaining := v.Size - v.Completed; n > remaining {
 		n = remaining
 	}
 	return Plan{Start: n > 0, Workers: n, ReleaseIdle: st.Sizing.ReleasesIdle(), Reason: o.fired}

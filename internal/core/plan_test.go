@@ -8,14 +8,14 @@ import (
 )
 
 // overWire is the view the Oracle module decides from: the Information
-// module's JSON, decoded.
-func overWire(t *testing.T, v BatchView) BatchView {
+// module's JSON of it (POST /statuses), decoded.
+func overWire(t testing.TB, v TickView) TickView {
 	t.Helper()
 	buf, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out BatchView
+	var out TickView
 	if err := json.Unmarshal(buf, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +40,9 @@ func history(size int, samples []sample) *BatchInfo {
 // TestPlanTable is the one table of the provisioning decision. Its scripted
 // rows pin each trigger and each sizing on a known history; its random rows
 // run every paper strategy, and CapacityAware, over generated histories. Every
-// row is decided twice — from BatchInfo.View, as the simulator does, and from
-// that view's JSON round trip, as the Oracle module does behind /plans — and
-// the two plans must be the same value.
+// row is decided twice — from BatchInfo.TickView, as the simulator does, and
+// from that view's JSON round trip, as the Oracle module does behind /plans —
+// and the two plans must be the same value.
 func TestPlanTable(t *testing.T) {
 	c9, a9, d := CompletionThreshold{0.9}, AssignmentThreshold{0.9}, ExecutionVariance{}
 	steady := []sample{ // assignments at t, completions lag by ~100 s
@@ -105,7 +105,7 @@ func TestPlanTable(t *testing.T) {
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
 			o := NewOracle(Strategy{Trigger: r.trigger, Sizing: r.sizing, Deploy: Reschedule})
-			v := history(r.size, r.samples).View()
+			v := history(r.size, r.samples).TickView()
 			got := o.Plan(v, r.credit)
 			if got.Start != r.want.Start || got.Workers != r.want.Workers ||
 				got.ReleaseIdle != r.want.ReleaseIdle || !strings.Contains(got.Reason, r.want.Reason) {
@@ -138,8 +138,8 @@ func TestPlanTable(t *testing.T) {
 						completed = min(completed, assigned)
 					}
 					bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Running: assigned - completed, Workers: rng.Intn(50)})
-					v := bi.View()
-					if v.CompletedFraction >= 0.5 && v.MaxVarianceFirstHalf != bi.MaxExecutionVarianceUpTo(0.5) {
+					v := bi.TickView()
+					if v.CompletedFraction() >= 0.5 && v.MaxVarianceFirstHalf != bi.MaxExecutionVarianceUpTo(0.5) {
 						t.Fatalf("first-half variance maximum %v, recomputed %v",
 							v.MaxVarianceFirstHalf, bi.MaxExecutionVarianceUpTo(0.5))
 					}
@@ -158,4 +158,59 @@ func TestPlanTable(t *testing.T) {
 			}
 		})
 	}
+}
+
+// tickSamples encodes samples as FuzzTickView reads them: per sample, the
+// time in quarter seconds (int16, so negative and non-monotone times occur),
+// the completed, assigned and worker counts, and the credit in CPU·hours.
+func tickSamples(rows ...[5]int) []byte {
+	var out []byte
+	for _, r := range rows {
+		t := uint16(int16(r[0]))
+		out = append(out, byte(t>>8), byte(t), byte(r[1]), byte(r[2]), byte(r[3]), byte(r[4]))
+	}
+	return out
+}
+
+// FuzzTickView feeds arbitrary sample sequences into a BatchInfo and, after
+// each, checks the tick view two ways: every paper strategy and CapacityAware
+// plan the same from the view and from its JSON round trip (what the Oracle
+// module reads behind /plans), and the archived execution of the view and of
+// its round trip is (tc(0.5)/0.5, CompletedAt) read directly off the history.
+func FuzzTickView(f *testing.F) {
+	f.Add(uint8(100), tickSamples([5]int{400, 10, 40, 8, 3}, [5]int{800, 50, 90, 8, 3}, [5]int{1600, 95, 100, 2, 3}, [5]int{2000, 100, 100, 0, 3}))
+	f.Add(uint8(0), tickSamples([5]int{400, 10, 40, 8, 3}, [5]int{800, 0, 0, 0, 0}))
+	f.Add(uint8(20), tickSamples([5]int{-400, 30, 5, 9, 1}, [5]int{-800, 10, 255, 1, 0}, [5]int{100, 255, 255, 4, 9}, [5]int{50, 1, 1, 0, 2}))
+	strategies := append(AllStrategies(),
+		Strategy{Trigger: DefaultCapacityAware(), Sizing: Conservative{}, Deploy: Reschedule})
+	oracles := make([]*Oracle, len(strategies))
+	for i, st := range strategies {
+		oracles[i] = NewOracle(st)
+	}
+	f.Fuzz(func(t *testing.T, size uint8, script []byte) {
+		bi := NewBatchInfo("b", "env", int(size), 0)
+		for ; len(script) >= 6; script = script[6:] {
+			bi.add(Sample{T: float64(int16(uint16(script[0])<<8|uint16(script[1]))) / 4,
+				Completed: int(script[2]), Assigned: int(script[3]), Workers: int(script[4])})
+			v := bi.TickView()
+			wire := overWire(t, v)
+			if c := v.CompletedFraction(); c != bi.CompletedFraction() {
+				t.Fatalf("view completed fraction %v, history %v", c, bi.CompletedFraction())
+			}
+			credit := float64(script[5]) / 4
+			for _, o := range oracles {
+				if got, over := o.Plan(v, credit), o.Plan(wire, credit); got != over {
+					t.Fatalf("%s: in process %+v, over the wire %+v\nview %+v", o.Strategy.Label(), got, over, v)
+				}
+			}
+			tc, half := bi.TimeAtCompletion(0.5)
+			want := bi.CompletedAt >= 0 && half && tc > 0
+			for _, view := range []TickView{v, wire} {
+				base, actual, ok := view.Execution()
+				if ok != want || ok && (base != tc/0.5 || actual != bi.CompletedAt) {
+					t.Fatalf("archived (%v, %v, %v), want (%v, %v, %v)\nview %+v", base, actual, ok, tc/0.5, bi.CompletedAt, want, view)
+				}
+			}
+		}
+	})
 }

@@ -245,7 +245,7 @@ func (p *simPorts) Orders(bs []*Batch) {
 
 func (p *simPorts) Plan(bs []*Batch) {
 	for _, b := range bs {
-		b.Plan = p.Oracle.Plan(b.bi.View(), p.Credits.CPUHoursFor(b.Remaining))
+		b.Plan = p.Oracle.Plan(b.bi.TickView(), p.Credits.CPUHoursFor(b.Remaining))
 	}
 }
 
@@ -266,10 +266,10 @@ func (p *simPorts) Pay(bs []*Batch) {
 	}
 }
 
-// Archive records each batch's execution (BatchView.Execution).
+// Archive records each batch's execution (TickView.Execution).
 func (p *simPorts) Archive(bs []*Batch) {
 	for _, b := range bs {
-		if base, actual, ok := b.bi.View().Execution(); ok {
+		if base, actual, ok := b.bi.TickView().Execution(); ok {
 			p.Oracle.Calibration.Record(b.bi.EnvKey, base, actual)
 		}
 	}

@@ -21,10 +21,11 @@ import (
 	"strings"
 )
 
-// bulkChunk is the most items a client puts in one bulk request. The largest
-// item on the wire (a sample, a plan request, a status in the reply) is a few
-// hundred bytes, so a full chunk stays far below maxBodyBytes; a tick over
-// more batches sends ⌈batches/bulkChunk⌉ requests per step.
+// bulkChunk is the most items a client puts in one bulk request. An item on
+// the wire (a sample, a plan request, a tick view in a /statuses reply) is
+// about two hundred bytes and its batch id, and a bill item counts once per
+// charge, so a full chunk stays far below maxBodyBytes; a tick over more
+// batches sends ⌈batches/bulkChunk⌉ requests per step.
 const bulkChunk = 1000
 
 // BulkRequest is the body of every bulk route: the items to apply, in order.

@@ -147,7 +147,7 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	}
 	var statuses BulkReply[StatusResult]
 	post("information", "/statuses", `{"items":["ghost","b"]}`, &statuses)
-	if r := statuses.Results; len(r) != 2 || r[0].Status != nil || r[0].Error == "" || r[1].Error != "" || r[1].Status.Samples != 2 {
+	if r := statuses.Results; len(r) != 2 || r[0].Status != nil || r[0].Error == "" || r[1].Error != "" || r[1].Status.T != 120 || r[1].Status.Completed != 20 {
 		t.Fatalf("statuses: %+v", r)
 	}
 
@@ -164,7 +164,7 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	}
 	var lookups BulkReply[OrderLookup]
 	post("credit", "/orders/lookup", `{"items":["ghost","b"]}`, &lookups)
-	if r := lookups.Results; len(r) != 2 || r[0].Found || r[0].HasCredits || !r[1].Found || r[1].HasCredits || r[1].Order.Billed != 50 {
+	if r := lookups.Results; len(r) != 2 || r[0].Found || r[0].HasCredits || !r[1].Found || r[1].HasCredits || r[1].Remaining != 0 {
 		t.Fatalf("lookups: %+v", r)
 	}
 

@@ -14,7 +14,7 @@ import (
 //	GET  /orders/{id}
 //	GET  /accounts/{user}
 //	POST /bills              charge many orders, each an ordered list of bills
-//	POST /orders/lookup      order and has-credits of many batches
+//	POST /orders/lookup      has-credits and remaining credits of many batches
 //	POST /orders/pay         close and refund many orders
 //
 // The three bulk routes (see bulk.go) are the Scheduler's only way to bill,
@@ -59,7 +59,7 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 	}))
 	s.Handle("POST /orders/lookup", serveBulk(sameID, func(id string) OrderLookup {
 		o, found, has := cs.Lookup(id)
-		return OrderLookup{BatchID: id, Found: found, HasCredits: has, Order: o}
+		return OrderLookup{BatchID: id, Found: found, HasCredits: has, Remaining: o.Remaining()}
 	}))
 	s.Handle("POST /orders/pay", serveBulk(sameID, func(id string) PayResult {
 		res := PayResult{BatchID: id}
@@ -114,8 +114,9 @@ type BillResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// OrderLookup is one result of POST /orders/lookup. A batch without an order
-// is not an error: Found and HasCredits are false.
+// OrderLookup is one result of POST /orders/lookup: what a Scheduler tick
+// reads of an order (GET /orders/{id} answers the whole order). A batch
+// without an order is not an error: Found and HasCredits are false.
 type OrderLookup struct {
 	// BatchID names the batch.
 	BatchID string `json:"batch_id"`
@@ -124,8 +125,9 @@ type OrderLookup struct {
 	// HasCredits reports an open order with credits left (Algorithm 1's
 	// CreditSystem.hasCredits).
 	HasCredits bool `json:"has_credits"`
-	// Order is what GET /orders/{id} answers (zero unless Found).
-	Order core.Order `json:"order"`
+	// Remaining is the order's unbilled credits (core.Order.Remaining; 0
+	// unless Found).
+	Remaining float64 `json:"remaining"`
 	// Error is set only by the client, when the request as a whole failed.
 	Error string `json:"error,omitempty"`
 }

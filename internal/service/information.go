@@ -13,7 +13,7 @@ import (
 //	POST /batches                    register a batch for monitoring
 //	POST /samples                    append one sample to each of many batches
 //	GET  /batches/{id}               batch status summary
-//	POST /statuses                   status summaries of many batches
+//	POST /statuses                   tick views of many batches
 //	GET  /batches                    list tracked batch IDs
 //	GET  /stats                      archive size and service uptime
 //
@@ -21,7 +21,8 @@ import (
 // BoT, as §3.2 notes), so one Information service can archive many BoTs and
 // infrastructures simultaneously. The two bulk routes (see bulk.go) are what
 // the Scheduler's tick and the Oracle's /plans use; /statuses answers each
-// batch as GET /batches/{id} does. The archive guards itself
+// batch's core.TickView, the part of GET /batches/{id}'s summary that a tick
+// reads. The archive guards itself
 // (core.Information), so a co-located reader — the daemon's loop writing the
 // state image — shares it with the handlers without a lock here.
 type InformationService struct {
@@ -51,11 +52,11 @@ func NewInformationService(info *core.Information) *InformationService {
 		return st, Fail(http.StatusNotFound, err)
 	}))
 	s.Handle("POST /statuses", serveBulk(sameID, func(id string) StatusResult {
-		st, err := s.status(id)
-		if err != nil {
-			return StatusResult{BatchID: id, Error: err.Error()}
+		v, ok := info.TickView(id)
+		if !ok {
+			return StatusResult{BatchID: id, Error: fmt.Sprintf("batch %q not tracked", id)}
 		}
-		return StatusResult{BatchID: id, Status: &st}
+		return StatusResult{BatchID: id, Status: &v}
 	}))
 	s.Handle("GET /batches", EndpointNoBody(http.StatusOK, func(*http.Request) ([]string, error) {
 		return s.info.BatchIDs(), nil
@@ -87,9 +88,8 @@ type TrackRequest struct {
 	SubmittedAt float64 `json:"submitted_at"`
 }
 
-// BatchStatus is the monitoring summary of one batch as Information serves
-// it: the view every Oracle decision is computed from, so a remote Oracle
-// evaluates any strategy on exactly what the in-process one reads.
+// BatchStatus is the full monitoring summary of one batch, as GET
+// /batches/{id} serves it and the Oracle's prediction reads it.
 type BatchStatus = core.BatchView
 
 // BatchSample is one item of POST /samples: a monitoring sample and the batch
@@ -101,12 +101,16 @@ type BatchSample struct {
 	Sample core.Sample `json:"sample"`
 }
 
-// StatusResult is one result of POST /statuses.
+// StatusResult is one result of POST /statuses. Its two readers, the
+// Oracle's /plans and the Scheduler's archive step, read nothing but the
+// batch's tick view: every input of core.Oracle.Plan and of
+// core.TickView.Execution, so a remote Oracle evaluates any strategy on
+// exactly what the in-process one reads.
 type StatusResult struct {
 	// BatchID names the batch.
 	BatchID string `json:"batch_id"`
-	// Status is the batch's summary; nil when Error is set.
-	Status *BatchStatus `json:"status,omitempty"`
+	// Status is the batch's tick view; nil when Error is set.
+	Status *core.TickView `json:"status,omitempty"`
 	// Error is empty on success.
 	Error string `json:"error,omitempty"`
 }
@@ -122,8 +126,7 @@ func (s *InformationService) track(_ *http.Request, req TrackRequest) (map[strin
 	return map[string]string{"batch_id": req.BatchID}, nil
 }
 
-// status summarizes one tracked batch: the per-item function of both status
-// routes.
+// status summarizes one tracked batch for GET /batches/{id}.
 func (s *InformationService) status(id string) (BatchStatus, error) {
 	st, ok := s.info.View(id)
 	if !ok {
@@ -153,7 +156,7 @@ func (c *InformationClient) AddSamples(items []BatchSample) []ItemResult {
 		func(it BatchSample, msg string) ItemResult { return ItemResult{BatchID: it.BatchID, Error: msg} })
 }
 
-// Statuses fetches the summaries of many batches with POST /statuses and
+// Statuses fetches the tick views of many batches with POST /statuses and
 // returns one result per id, in order.
 func (c *InformationClient) Statuses(batchIDs []string) []StatusResult {
 	return bulkCall(&c.Client, []string{"statuses"}, batchIDs, oneEach,

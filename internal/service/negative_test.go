@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -572,4 +573,49 @@ func TestBulkFinalizationFaults(t *testing.T) {
 	t.Run("calibrations lost", func(t *testing.T) {
 		run(t, func(f *finalizeFaults) { f.loseCal.Store(1) }, ids)
 	})
+}
+
+// TestUnencodableReplyIs500: a reply encoding/json refuses (a NaN) answers
+// 500 with the JSON error body, which a typed client reports as the cause,
+// and a reply that encodes goes out byte for byte as the encoder writes it.
+// (The status line used to go out before the encoding: 200 with an empty
+// body, which the client reported as a bare EOF.)
+func TestUnencodableReplyIs500(t *testing.T) {
+	var rt Routes
+	rt.Handle("GET /nan", EndpointNoBody(http.StatusOK, func(*http.Request) (map[string]float64, error) {
+		return map[string]float64{"x": math.NaN()}, nil
+	}))
+	rt.Handle("GET /ok", EndpointNoBody(http.StatusOK, func(*http.Request) (map[string]any, error) {
+		return map[string]any{"x": 1.5, "s": "<a&b>"}, nil
+	}))
+	srv := httptest.NewServer(&rt)
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL + "/nan")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var e apiError
+	if resp.StatusCode != http.StatusInternalServerError || json.Unmarshal(raw, &e) != nil ||
+		!strings.Contains(e.Error, "unsupported value: NaN") {
+		t.Errorf("GET /nan answered %d %q, want 500 with the encoding error", resp.StatusCode, raw)
+	}
+	c := Client{BaseURL: srv.URL, HTTP: http.DefaultClient}
+	var out map[string]float64
+	if err := c.Get(&out, "nan"); err == nil || !strings.Contains(err.Error(), "unsupported value: NaN") {
+		t.Errorf("client read of /nan: %v, want the encoding error", err)
+	}
+
+	resp, err = http.Get(srv.URL + "/ok")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := `{"s":"\u003ca\u0026b\u003e","x":1.5}` + "\n"; resp.StatusCode != http.StatusOK || string(raw) != want ||
+		resp.Header.Get("Content-Type") != "application/json" {
+		t.Errorf("GET /ok answered %d %q (%s), want 200 %q", resp.StatusCode, raw, resp.Header.Get("Content-Type"), want)
+	}
 }

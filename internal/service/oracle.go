@@ -8,7 +8,9 @@ import (
 
 // OracleService exposes the Oracle module over HTTP (§3.4, §3.5). It reads
 // BoT state from a (possibly remote) Information service, so the two
-// modules can be deployed on different hosts, as in the EDGI setup.
+// modules can be deployed on different hosts, as in the EDGI setup: the full
+// summary (GET /batches/{id}) for a prediction, the tick view (POST
+// /statuses) for a plan.
 //
 //	GET  /predict/{batch}       completion-time prediction
 //	POST /plans                 start decisions for many batches
@@ -16,7 +18,7 @@ import (
 //	GET  /calibration/{env...}  α, success rate and count of an environment, as of one instant (env keys contain "/")
 //
 // The two bulk routes (see bulk.go) are the Scheduler tick's: /plans reads
-// every batch's state with one POST /statuses to Information and runs
+// every batch's tick view with one POST /statuses to Information and runs
 // core.Oracle.Plan on each; /calibrations archives each item's execution
 // under its environment key.
 type OracleService struct {
@@ -58,7 +60,7 @@ type PlanRequest struct {
 }
 
 // PlanReply is the Oracle's provisioning decision (Algorithm 1), computed by
-// core.Oracle.Plan from the batch's status and the credits in the request.
+// core.Oracle.Plan from the batch's tick view and the credits in the request.
 type PlanReply = core.Plan
 
 // PlanResult is one result of POST /plans.
@@ -94,7 +96,7 @@ type CalibrationStatus struct {
 }
 
 // plans is POST /plans: one POST /statuses to Information, then
-// core.Oracle.Plan on each status.
+// core.Oracle.Plan on each tick view.
 func (s *OracleService) plans(_ *http.Request, req BulkRequest[PlanRequest]) (BulkReply[PlanResult], error) {
 	reqs := req.Items
 	if err := checkBulk(reqs, func(p PlanRequest) string { return p.BatchID }); err != nil {

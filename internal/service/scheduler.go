@@ -336,7 +336,7 @@ func (p *schedulerPorts) Bill(bs []*core.Batch) {
 
 func (p *schedulerPorts) Orders(bs []*core.Batch) {
 	for i, o := range p.credits.Orders(batchIDs(bs)) {
-		bs[i].Funded, bs[i].Remaining, bs[i].Err = o.HasCredits, o.Order.Remaining(), itemErr(o.Error)
+		bs[i].Funded, bs[i].Remaining, bs[i].Err = o.HasCredits, o.Remaining, itemErr(o.Error)
 	}
 }
 
@@ -388,7 +388,7 @@ func (p *schedulerPorts) Pay(bs []*core.Batch) {
 }
 
 // Archive sends the Oracle each batch's execution as Information summarizes
-// it (core.BatchView.Execution): one POST /statuses, then one POST
+// it (core.TickView.Execution): one POST /statuses, then one POST
 // /calibrations for the batches that have one.
 func (p *schedulerPorts) Archive(bs []*core.Batch) {
 	var items []CalibrationItem

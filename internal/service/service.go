@@ -12,17 +12,34 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 )
 
-// writeJSON writes v with the given status code.
+// replyBufs holds the buffers replies are encoded into before they are sent.
+var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeJSON writes v with the given status code. v is encoded before the
+// status line goes out, so a value encoding/json refuses (a NaN) answers 500
+// with the error body instead of the status with no body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusInternalServerError
+		json.NewEncoder(buf).Encode(apiError{Error: "encoding the reply: " + err.Error()}) //nolint:errcheck // a string always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes()) //nolint:errcheck // a failed write is the client's to notice
+	if buf.Cap() <= maxBodyBytes {
+		replyBufs.Put(buf)
+	}
 }
 
 // writeErr writes a JSON error payload.
