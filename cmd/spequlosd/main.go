@@ -19,20 +19,20 @@
 // SIGINT and SIGTERM write a last image. Boot restores it or refuses to start.
 //
 // The daemon's Desktop Grid is emul.WallDG, whose batches progress linearly
-// over wall time (-demo-duration) and whose workers are always busy. Driving
-// a real DG means giving the stack a service.DGGateway written against the
-// BOINC/XWHEP server's status API; the daemon has no flag for one. The same
-// stack over the same DG, gated and under tiered load on real sockets, is
-// internal/service's TestStackSurvivesTieredLoad.
+// over wall time (-demo-duration) and whose progress names no idle worker,
+// so Greedy releases none. Driving a real DG means giving the stack a
+// service.DGGateway written against the BOINC/XWHEP server's status API; the
+// daemon has no flag for one. The same stack over the same DG, gated and
+// under tiered load on real sockets, is internal/service's
+// TestStackSurvivesTieredLoad.
 //
 // To drive these same four modules from a fully simulated Desktop Grid —
 // a BOINC/XWHEP/Condor batch generated from the paper's availability
 // traces, on a virtual clock, with launches turning into simulated cloud
 // workers — use the emulation harness instead of the daemon: internal/emul
 // hosts the stack behind the same DGGateway HTTP wire format (POST
-// /progress-batch, GET /busy/{instance}, GET /worker-url), and `spequlos-sim
-// -emulate` reports whether the stack's decisions match the in-process
-// simulator cell by cell.
+// /progress-batch, GET /worker-url), and `spequlos-sim -emulate` reports
+// whether the stack's decisions match the in-process simulator cell by cell.
 package main
 
 import (

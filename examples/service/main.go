@@ -40,8 +40,6 @@ func (d *scriptDG) ProgressBatch(ids []string) (map[string]middleware.Progress, 
 	return out, nil
 }
 
-func (d *scriptDG) InstanceBusy(string) (bool, error) { return true, nil }
-
 func (d *scriptDG) WorkerURL() string { return "http://xwhep.lal.example:4330" }
 
 func main() {

@@ -168,8 +168,8 @@ func (s *SchedulerService) apply(tb *tickBatch, qb *schedBatch) {
 	case qb.Exhausted:
 		s.stopAll(qb)
 	}
-	if gw, ok := s.dg.(interface{ InstanceBusy(string) (bool, error) }); !ok || !qb.ReleaseIdle {
-		_ = gw
+	if qb.ReleaseIdle {
+		s.stopIdle(qb)
 	}
 	if tb.err == nil && !tb.qb.Started {
 		s.launch(qb)

@@ -59,6 +59,16 @@ func TestCrowdConformance(t *testing.T) {
 			t.Error("no batch started at another tick than without the fleet cap: admission was never contended")
 		}
 	})
+	// Greedy releases idle cloud workers, which the deployable Scheduler
+	// learns from the one progress poll: on a shared server, each batch's
+	// reply must name exactly its own idle instances, and Cloud Duplication
+	// puts each batch's workers on a secondary server of its own.
+	t.Run("greedy", func(t *testing.T) {
+		for _, spec := range []Spec{crowdSpec(), tieredCrowdSpec()} {
+			spec.Strategies = mustStrategies("9A-G-D")
+			run(t, spec)
+		}
+	})
 }
 
 // tieredCrowdSpec is crowdSpec under tier arbitration: the eight batches span

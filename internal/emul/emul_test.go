@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"spequlos/internal/campaign"
@@ -99,8 +100,8 @@ func TestRunCellRequiresStrategy(t *testing.T) {
 	}
 }
 
-// TestGatewayHTTP exercises the DG wire protocol: progress, worker-url and
-// busy over real HTTP, plus error paths.
+// TestGatewayHTTP exercises the DG wire protocol: progress and worker-url
+// over real HTTP, plus error paths.
 func TestGatewayHTTP(t *testing.T) {
 	eng := sim.NewEngine()
 	primary := xwhep.New(eng, xwhep.DefaultConfig())
@@ -128,9 +129,6 @@ func TestGatewayHTTP(t *testing.T) {
 	if p := all["b"]; p.Size == 0 || p.Arrived == 0 {
 		t.Fatalf("progress: %+v", p)
 	}
-	if _, err := c.InstanceBusy("ghost"); err == nil {
-		t.Fatal("unknown instance busy accepted")
-	}
 	// Unknown routes return JSON errors.
 	resp, err := http.Get(srv.URL + "/nope")
 	if err != nil {
@@ -149,7 +147,9 @@ func TestGatewayHTTP(t *testing.T) {
 }
 
 // TestDriverLifecycle drives the emulated provider directly: launch boots a
-// simulated worker, describe tracks its state, terminate stops it.
+// simulated worker, describe tracks its state, terminate stops it, and the
+// batch's progress names the instance idle exactly while its worker is
+// connected with nothing to do.
 func TestDriverLifecycle(t *testing.T) {
 	eng := sim.NewEngine()
 	primary := xwhep.New(eng, xwhep.DefaultConfig())
@@ -168,6 +168,16 @@ func TestDriverLifecycle(t *testing.T) {
 	if info.State != cloud.StatePending || info.Provider != ProviderName {
 		t.Fatalf("launched: %+v", info)
 	}
+	idle := func() []string {
+		all, err := gw.ProgressBatch([]string{"b"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return all["b"].IdleInstances
+	}
+	if got := idle(); got != nil {
+		t.Fatalf("a booting instance is idle: %q", got)
+	}
 	// The worker connects after the simulated boot delay.
 	eng.RunUntil(121) // past the 120 s cloud boot
 	desc, err := d.Describe(info.ID)
@@ -176,6 +186,9 @@ func TestDriverLifecycle(t *testing.T) {
 	}
 	if got := len(d.List()); got != 1 {
 		t.Fatalf("list: %d instances", got)
+	}
+	if got := idle(); !slices.Equal(got, []string{info.ID}) {
+		t.Fatalf("idle after boot, with no task to run: %q, want [%s]", got, info.ID)
 	}
 	if err := d.Terminate(info.ID); err != nil {
 		t.Fatal(err)
@@ -186,6 +199,9 @@ func TestDriverLifecycle(t *testing.T) {
 	}
 	if got := len(d.List()); got != 0 {
 		t.Fatalf("list after terminate: %d instances", got)
+	}
+	if got := idle(); got != nil {
+		t.Fatalf("a terminated instance is idle: %q", got)
 	}
 	if err := d.Terminate("ghost"); err == nil {
 		t.Fatal("terminating unknown instance accepted")

@@ -6,31 +6,26 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 
 	"spequlos/internal/middleware"
 )
 
 // fuzzWire is a minimal DG gateway: deterministic progress for any batch,
-// one known instance.
+// naming one idle instance.
 type fuzzWire struct{}
 
 func (fuzzWire) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	out := make(map[string]middleware.Progress, len(ids))
 	for _, id := range ids {
-		out[id] = middleware.Progress{Size: 3, Arrived: 3, Completed: 1, EverAssigned: 2, Running: 1}
+		out[id] = middleware.Progress{Size: 3, Arrived: 3, Completed: 1, EverAssigned: 2, Running: 1,
+			IdleInstances: []string{"i-1"}}
 	}
 	return out, nil
 }
 
 func (fuzzWire) WorkerURL() string { return "http://fuzz.invalid/worker" }
-
-func (fuzzWire) InstanceBusy(id string) (bool, error) {
-	if id != "i-1" {
-		return false, fmt.Errorf("emul: unknown instance %q", id)
-	}
-	return true, nil
-}
 
 // FuzzProgressBatch fuzzes the DG gateway's aggregated progress route — the
 // wire endpoint every Scheduler tick hits. Whatever the body (malformed
@@ -64,6 +59,11 @@ func FuzzProgressBatch(f *testing.F) {
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
 				t.Fatalf("200 reply does not decode as a progress map: %v", err)
+			}
+			for id, p := range reply.Progress {
+				if !slices.Equal(p.IdleInstances, []string{"i-1"}) {
+					t.Fatalf("batch %q: idle instances %q, want [i-1]", id, p.IdleInstances)
+				}
 			}
 		}
 	})

@@ -2,7 +2,9 @@ package emul
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,15 +34,17 @@ type SimDG struct {
 
 	workerURL string
 
-	seq       int
+	// instances holds every launched instance by id; fleets holds each
+	// batch's, in launch order.
 	instances map[string]*core.Instance
+	fleets    map[string][]*core.Instance
 }
 
 // NewSimDG wraps a middleware simulation as a DG gateway.
 func NewSimDG(eng *sim.Engine, primary middleware.Server, deploy core.CloudDeployment) *SimDG {
 	return &SimDG{
 		eng: eng, primary: primary, deploy: deploy,
-		instances: map[string]*core.Instance{},
+		instances: map[string]*core.Instance{}, fleets: map[string][]*core.Instance{},
 	}
 }
 
@@ -50,23 +54,24 @@ func (g *SimDG) SetWorkerURL(url string) { g.workerURL = url }
 
 // ProgressBatch implements service.DGGateway: the primary server's view of
 // every named batch — exactly what the in-process simulator's monitor
-// observes.
+// observes — naming the batch's running instances whose worker holds no
+// assignment.
 func (g *SimDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error) {
-	return middleware.ProgressAll(g.primary, batchIDs), nil
+	out := make(map[string]middleware.Progress, len(batchIDs))
+	for _, id := range batchIDs {
+		p := g.primary.Progress(id)
+		for _, si := range g.fleets[id] {
+			if g.refresh(si).State == cloud.StateRunning && !si.Sim.Busy() {
+				p.IdleInstances = append(p.IdleInstances, si.Info.ID)
+			}
+		}
+		out[id] = p
+	}
+	return out, nil
 }
 
 // WorkerURL implements service.DGGateway.
 func (g *SimDG) WorkerURL() string { return g.workerURL }
-
-// InstanceBusy implements service.DGGateway: whether the worker booted from
-// an instance currently holds an assignment.
-func (g *SimDG) InstanceBusy(instanceID string) (bool, error) {
-	si, ok := g.instances[instanceID]
-	if !ok {
-		return false, fmt.Errorf("emul: unknown instance %q", instanceID)
-	}
-	return si.Sim.Busy(), nil
-}
 
 // Launch implements cloud.Driver: it starts one simulated cloud worker for the
 // request's batch under the configured deployment strategy.
@@ -75,8 +80,7 @@ func (g *SimDG) Launch(req cloud.LaunchRequest) (cloud.InstanceInfo, error) {
 		return cloud.InstanceInfo{}, fmt.Errorf("emul: launch request needs a batch id")
 	}
 	inst := g.deploy.Start(g.primary, req.BatchID)
-	g.seq++
-	id := fmt.Sprintf("%s-%06d", ProviderName, g.seq)
+	id := fmt.Sprintf("%s-%06d", ProviderName, len(g.instances)+1)
 	si := &core.Instance{
 		Info: cloud.InstanceInfo{
 			ID: id, Provider: ProviderName, State: cloud.StatePending,
@@ -86,6 +90,7 @@ func (g *SimDG) Launch(req cloud.LaunchRequest) (cloud.InstanceInfo, error) {
 		Sim: inst,
 	}
 	g.instances[id] = si
+	g.fleets[req.BatchID] = append(g.fleets[req.BatchID], si)
 	return si.Info, nil
 }
 
@@ -134,12 +139,12 @@ func virtualTime(sec float64) time.Time {
 // the in-process simulator does.
 func (g *SimDG) Name() string { return ProviderName }
 
-// List implements cloud.Driver.
+// List implements cloud.Driver: the live instances by batch id, each batch's
+// in launch order.
 func (g *SimDG) List() []cloud.InstanceInfo {
 	var out []cloud.InstanceInfo
-	for i := 1; i <= g.seq; i++ {
-		id := fmt.Sprintf("%s-%06d", ProviderName, i)
-		if si, ok := g.instances[id]; ok {
+	for _, batch := range slices.Sorted(maps.Keys(g.fleets)) {
+		for _, si := range g.fleets[batch] {
 			if info := g.refresh(si); info.State != cloud.StateTerminated {
 				out = append(out, info)
 			}
@@ -154,17 +159,12 @@ func (g *SimDG) List() []cloud.InstanceInfo {
 // endpoint the four modules use:
 //
 //	POST /progress-batch    {"ids": [...]} → {"progress": {id: Progress}}
-//	GET  /busy/{instance}   → {"busy": bool}
 //	GET  /worker-url        → {"worker_url": string}
 func NewGatewayHandler(gw service.DGGateway) http.Handler {
 	rt := &service.Routes{}
 	rt.Handle("POST /progress-batch", service.Endpoint(http.StatusOK, func(_ *http.Request, req progressBatchRequest) (progressBatchReply, error) {
 		progress, err := gw.ProgressBatch(req.IDs)
 		return progressBatchReply{Progress: progress}, service.Fail(http.StatusBadGateway, err)
-	}))
-	rt.Handle("GET /busy/{instance}", service.EndpointNoBody(http.StatusOK, func(r *http.Request) (map[string]bool, error) {
-		busy, err := gw.InstanceBusy(r.PathValue("instance"))
-		return map[string]bool{"busy": busy}, service.Fail(http.StatusNotFound, err)
 	}))
 	rt.Handle("GET /worker-url", service.EndpointNoBody(http.StatusOK, func(*http.Request) (map[string]string, error) {
 		return map[string]string{"worker_url": gw.WorkerURL()}, nil
@@ -228,18 +228,11 @@ func (c *DGClient) WorkerURL() string {
 	return c.workerURL
 }
 
-// InstanceBusy implements service.DGGateway.
-func (c *DGClient) InstanceBusy(instanceID string) (bool, error) {
-	var out map[string]bool
-	err := c.Get(&out, "busy", instanceID)
-	return out["busy"], err
-}
-
 // WallDG is a stand-in Desktop Grid on the wall clock: a batch of 100 tasks
 // progresses linearly from its first poll to completion over its duration,
-// and every worker always holds an assignment, so instances run until the
-// order exhausts or the batch completes. It is spequlosd's demo DG and the
-// one internal/service's TestStackSurvivesTieredLoad drives the stack over,
+// and its progress names no idle instance, so instances run until the order
+// exhausts or the batch completes. It is spequlosd's demo DG and the one
+// internal/service's TestStackSurvivesTieredLoad drives the stack over,
 // enough to exercise the full QoS loop without middleware.
 type WallDG struct {
 	duration  time.Duration
@@ -272,9 +265,6 @@ func (d *WallDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progres
 	}
 	return out, nil
 }
-
-// InstanceBusy implements service.DGGateway: always busy.
-func (d *WallDG) InstanceBusy(string) (bool, error) { return true, nil }
 
 // WorkerURL implements service.DGGateway.
 func (d *WallDG) WorkerURL() string { return d.workerURL }

@@ -4,14 +4,17 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"spequlos/internal/service"
 )
 
 // TestDGClientReusesConnections is service's TestClientsReuseConnections for
-// the DG wire: a hundred sequential calls of every DGClient method, failing
-// ones included, open at most one TCP connection to the gateway.
+// the DG wire: a hundred sequential calls of every DGClient method open at
+// most one TCP connection to the gateway.
 func TestDGClientReusesConnections(t *testing.T) {
 	var opened atomic.Int64
 	srv := httptest.NewUnstartedServer(NewGatewayHandler(fuzzWire{}))
@@ -26,10 +29,8 @@ func TestDGClientReusesConnections(t *testing.T) {
 	c.HTTP = &http.Client{Transport: &http.Transport{}}
 
 	for name, call := range map[string]func(){
-		"ProgressBatch":        func() { c.ProgressBatch([]string{"b1", "b2"}) },
-		"InstanceBusy":         func() { c.InstanceBusy("i-1") },
-		"InstanceBusy unknown": func() { c.InstanceBusy("ghost") },
-		"WorkerURL":            func() { c.workerURL = ""; c.WorkerURL() },
+		"ProgressBatch": func() { c.ProgressBatch([]string{"b1", "b2"}) },
+		"WorkerURL":     func() { c.workerURL = ""; c.WorkerURL() },
 	} {
 		before := opened.Load()
 		for i := 0; i < 100; i++ {
@@ -42,7 +43,8 @@ func TestDGClientReusesConnections(t *testing.T) {
 }
 
 // TestWallDGProgressesLinearly: a wall-clock batch starts near zero at its
-// first poll, is done once its duration has passed, and its workers are busy.
+// first poll, is done once its duration has passed, and names no idle
+// instance.
 func TestWallDGProgressesLinearly(t *testing.T) {
 	dg := NewWallDG(100*time.Millisecond, "http://dg.example/worker")
 	p0, err := dg.ProgressBatch([]string{"x"})
@@ -57,10 +59,32 @@ func TestWallDGProgressesLinearly(t *testing.T) {
 	if !p1["x"].Done() || p1["y"].Done() {
 		t.Fatalf("after one duration: %+v, want x done and y just started", p1)
 	}
-	if busy, err := dg.InstanceBusy("i-1"); !busy || err != nil {
-		t.Fatalf("InstanceBusy = %v, %v; want always busy", busy, err)
+	if idle := p1["x"].IdleInstances; idle != nil {
+		t.Fatalf("idle instances %q, want none", idle)
 	}
 	if dg.WorkerURL() != "http://dg.example/worker" {
 		t.Fatalf("worker url %q", dg.WorkerURL())
+	}
+}
+
+// TestProgressReplyBytes pins the POST /progress-batch reply: a batch with
+// no idle instance answers exactly the bytes it did before a reply could
+// name any, and one with an idle instance only adds its list.
+func TestProgressReplyBytes(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gw   service.DGGateway
+		want string
+	}{
+		{"none idle", NewWallDG(time.Hour, ""),
+			`{"progress":{"b1":{"Size":100,"Arrived":100,"Completed":0,"EverAssigned":100,"Running":100,"Queued":0,"Workers":0}}}`},
+		{"one idle", fuzzWire{},
+			`{"progress":{"b1":{"Size":3,"Arrived":3,"Completed":1,"EverAssigned":2,"Running":1,"Queued":0,"Workers":0,"IdleInstances":["i-1"]}}}`},
+	} {
+		rec := httptest.NewRecorder()
+		NewGatewayHandler(c.gw).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/progress-batch", strings.NewReader(`{"ids":["b1"]}`)))
+		if got := strings.TrimSuffix(rec.Body.String(), "\n"); rec.Code != http.StatusOK || got != c.want {
+			t.Errorf("%s: %d %s, want 200 %s", c.name, rec.Code, got, c.want)
+		}
 	}
 }

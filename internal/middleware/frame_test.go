@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -177,7 +178,7 @@ func TestResetForgetsWorkers(t *testing.T) {
 
 	s.Open(eng)
 	s.WorkerJoin(ws[1])
-	if ws[1].slot != 0 || s.WorkerBusy(ws[1]) || s.Progress("b") != (Progress{}) {
+	if ws[1].slot != 0 || s.WorkerBusy(ws[1]) || !reflect.DeepEqual(s.Progress("b"), Progress{}) {
 		t.Fatalf("reopened server: worker slot %d, busy %v, batch %+v", ws[1].slot, s.WorkerBusy(ws[1]), s.Progress("b"))
 	}
 	if s.WorkerBusy(ws[0]) || s.Detach(ws[0]) != nil {

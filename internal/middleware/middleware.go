@@ -62,6 +62,11 @@ type Progress struct {
 	Running      int // tasks the server believes are executing
 	Queued       int // tasks waiting for a worker
 	Workers      int // workers currently attached to the server
+	// IdleInstances names, by instance id, the batch's cloud instances whose
+	// workers are connected and hold no assignment: what Greedy releases
+	// (§3.5). Only a DG gateway that knows the cloud instances fills it; a
+	// server's own Progress leaves it nil.
+	IdleInstances []string `json:",omitempty"`
 }
 
 // Done reports whether every task completed.
@@ -117,19 +122,6 @@ func (ls Listeners) NotifyExecutedBy(b string, t int, w *Worker, at float64) {
 			o.TaskExecutedBy(b, t, w, at)
 		}
 	}
-}
-
-// ProgressAll answers an aggregated progress query against a server: the
-// view of every named batch, keyed by batch ID (unknown IDs map to a zero
-// Progress, as Progress does). In process a Progress call is a map lookup,
-// so the loop is the whole implementation; where a round trip has a price
-// (the emulation gateway's POST /progress-batch) this is what serves it.
-func ProgressAll(s Server, batchIDs []string) map[string]Progress {
-	out := make(map[string]Progress, len(batchIDs))
-	for _, id := range batchIDs {
-		out[id] = s.Progress(id)
-	}
-	return out
 }
 
 // Server is the middleware-neutral surface consumed by the trace binding,

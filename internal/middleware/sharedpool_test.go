@@ -2,6 +2,7 @@ package middleware_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -236,12 +237,12 @@ func TestServerContract(t *testing.T) {
 			join(s.srv, s.quorum)
 			s.eng.RunUntil(50)
 			want := middleware.Progress{Size: 3, Arrived: 2, EverAssigned: 1, Running: 1, Queued: 1, Workers: s.quorum}
-			if p := s.srv.Progress("b"); p != want {
+			if p := s.srv.Progress("b"); !reflect.DeepEqual(p, want) {
 				t.Fatalf("at 50: %+v, want %+v", p, want)
 			}
 			s.eng.RunUntil(90)
 			want.Arrived, want.Queued = 3, 2
-			if p := s.srv.Progress("b"); p != want {
+			if p := s.srv.Progress("b"); !reflect.DeepEqual(p, want) {
 				t.Fatalf("at 90, after the late arrival: %+v, want %+v", p, want)
 			}
 			if s.srv.Done("b") {
@@ -249,10 +250,10 @@ func TestServerContract(t *testing.T) {
 			}
 			s.eng.Run()
 			want = middleware.Progress{Size: 3, Arrived: 3, Completed: 3, EverAssigned: 3, Workers: s.quorum}
-			if p := s.srv.Progress("b"); p != want || !p.Done() || !s.srv.Done("b") {
+			if p := s.srv.Progress("b"); !reflect.DeepEqual(p, want) || !p.Done() || !s.srv.Done("b") {
 				t.Fatalf("final: %+v (Done %v), want %+v", p, s.srv.Done("b"), want)
 			}
-			if p := s.srv.Progress("nope"); p != (middleware.Progress{}) || s.srv.Done("nope") {
+			if p := s.srv.Progress("nope"); !reflect.DeepEqual(p, middleware.Progress{}) || s.srv.Done("nope") {
 				t.Fatalf("unknown batch: %+v", p)
 			}
 		}},
@@ -374,7 +375,7 @@ func TestServerContract(t *testing.T) {
 				if !strings.Contains(msg, s.name) || !strings.Contains(msg, `"`+c.batch+`"`) || !strings.Contains(msg, c.want) {
 					t.Fatalf("Submit of task IDs %v: panic %q, want one naming %s, the batch and %q", c.ids, msg, s.name, c.want)
 				}
-				if p := s.srv.Progress(c.batch); p != (middleware.Progress{}) {
+				if p := s.srv.Progress(c.batch); !reflect.DeepEqual(p, middleware.Progress{}) {
 					t.Fatalf("refused batch %q is registered: %+v", c.batch, p)
 				}
 			}

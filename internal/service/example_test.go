@@ -21,8 +21,7 @@ func (exampleDG) ProgressBatch(ids []string) (map[string]middleware.Progress, er
 	}
 	return out, nil
 }
-func (exampleDG) InstanceBusy(string) (bool, error) { return true, nil }
-func (exampleDG) WorkerURL() string                 { return "http://dg.example:4321" }
+func (exampleDG) WorkerURL() string { return "http://dg.example:4321" }
 
 // ExampleNewStack deploys the four SpeQuloS modules — Information, Credit
 // System, Oracle, Scheduler — on one loopback HTTP listener, registers a

@@ -17,6 +17,7 @@ import (
 
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
+	"spequlos/internal/middleware"
 )
 
 // negativeModules builds each module mounted standalone, the way every
@@ -148,8 +149,8 @@ func TestNegativePaths(t *testing.T) {
 // deployable Scheduler: booted workers that hold no assignment are settled
 // and terminated, matching the in-process simulator (§3.5).
 func TestGreedyReleaseStopsIdleWorkers(t *testing.T) {
-	dg := &idleStatusDG{scriptedDG: scriptedDG{size: 100}}
 	ec2 := cloud.NewMockEC2()
+	dg := &idleStatusDG{scriptedDG: scriptedDG{size: 100}, driver: ec2}
 	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9},
 			Sizing: core.Greedy{}, Deploy: core.Reschedule},
@@ -202,10 +203,16 @@ func TestGreedyReleaseStopsIdleWorkers(t *testing.T) {
 	}
 }
 
-// idleStatusDG reports every instance idle.
-type idleStatusDG struct{ scriptedDG }
+// idleStatusDG reports every running instance idle.
+type idleStatusDG struct {
+	scriptedDG
+	driver *cloud.MockDriver
+}
 
-func (d *idleStatusDG) InstanceBusy(string) (bool, error) { return false, nil }
+func (d *idleStatusDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
+	out, err := d.scriptedDG.ProgressBatch(ids)
+	return nameIdle(out, d.driver, func(string) bool { return true }), err
+}
 
 // TestRejectedQoSRegistrationMutatesNothing is the regression test for the
 // half-registered batch: POST /qos used to track the batch in Information

@@ -20,13 +20,11 @@ import (
 type DGGateway interface {
 	// ProgressBatch returns the server's view of every named batch, keyed
 	// by batch ID: one round trip per tick however many batches there are.
+	// Each batch's IdleInstances names its cloud instances whose worker is
+	// connected and holds no assignment; the Greedy release policy stops
+	// them (§3.5: "Cloud workers that do not have tasks assigned stop
+	// immediately"). A gateway that cannot tell names none.
 	ProgressBatch(batchIDs []string) (map[string]middleware.Progress, error)
-	// InstanceBusy reports whether the worker booted from the given cloud
-	// instance currently holds an assignment on the DG server; the Greedy
-	// release policy stops the ones that do not (§3.5: "Cloud workers that
-	// do not have tasks assigned stop immediately"). A gateway that cannot
-	// tell answers true.
-	InstanceBusy(instanceID string) (bool, error)
 	// WorkerURL is the endpoint cloud workers connect to.
 	WorkerURL() string
 }
@@ -43,13 +41,14 @@ type DGGateway interface {
 //
 // One monitor iteration is core.Monitor.Run — the simulator's tick — over
 // ports that are this module's bulk clients, so its cost in round trips does
-// not depend on how many batches there are: one DG poll, then POST /samples
-// to Information, POST /bills and POST /orders/lookup to Credit, POST /plans
-// to the Oracle (which makes one POST /statuses to Information); to finalize
-// the batches that completed, POST /orders/pay to Credit, POST /statuses to
-// Information and POST /calibrations to the Oracle; and per batch only one
-// call per instance launched or stopped. Step and StepBatch are that tick,
-// over every batch and over one.
+// not depend on how many batches there are: one DG poll, which also names
+// the idle instances Greedy releases, then POST /samples to Information,
+// POST /bills and POST /orders/lookup to Credit, POST /plans to the Oracle
+// (which makes one POST /statuses to Information); to finalize the batches
+// that completed, POST /orders/pay to Credit, POST /statuses to Information
+// and POST /calibrations to the Oracle; and per batch only one call per
+// instance launched or stopped. Step and StepBatch are that tick, over every
+// batch and over one.
 type SchedulerService struct {
 	Routes
 	info     *InformationClient
@@ -350,18 +349,10 @@ func (p *schedulerPorts) Plan(bs []*core.Batch) {
 	}
 }
 
-// Idle: an instance still booting, or one the provider or the gateway cannot
-// answer for, is not idle.
+// Idle reads the tick's DG poll: an instance the gateway does not name idle
+// is not.
 func (p *schedulerPorts) Idle(b *core.Batch, inst *core.Instance) bool {
-	driver, err := p.registry.Get(b.Provider)
-	if err != nil {
-		return false
-	}
-	if desc, err := driver.Describe(inst.Info.ID); err != nil || desc.State != cloud.StateRunning {
-		return false
-	}
-	busy, err := p.dg.InstanceBusy(inst.Info.ID)
-	return err == nil && !busy
+	return slices.Contains(b.Progress.IdleInstances, inst.Info.ID)
 }
 
 func (p *schedulerPorts) Stop(b *core.Batch, inst *core.Instance) error {

@@ -17,14 +17,14 @@ import (
 )
 
 // multiDG scripts per-batch progress under test control and counts every
-// gateway round-trip, so tests can assert the monitor loop's poll economy.
-// Its reply leaves out the batches in omit.
+// gateway call, so tests can assert the monitor loop's poll economy. Its
+// reply leaves out the batches in omit and names no idle instance.
 type multiDG struct {
-	mu         sync.Mutex
-	progress   map[string]middleware.Progress
-	omit       map[string]bool
-	batchCalls int
-	lastBatch  []string // the ids of the latest poll
+	mu        sync.Mutex
+	progress  map[string]middleware.Progress
+	omit      map[string]bool
+	gwCalls   int
+	lastBatch []string // the ids of the latest poll
 }
 
 func newMultiDG() *multiDG {
@@ -40,7 +40,7 @@ func (d *multiDG) set(id string, p middleware.Progress) {
 func (d *multiDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.batchCalls++
+	d.gwCalls++
 	d.lastBatch = append([]string(nil), ids...)
 	out := make(map[string]middleware.Progress, len(ids))
 	for _, id := range ids {
@@ -51,9 +51,12 @@ func (d *multiDG) ProgressBatch(ids []string) (map[string]middleware.Progress, e
 	return out, nil
 }
 
-func (d *multiDG) InstanceBusy(string) (bool, error) { return true, nil }
-
-func (d *multiDG) WorkerURL() string { return "http://dg.example:4321" }
+func (d *multiDG) WorkerURL() string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.gwCalls++
+	return "http://dg.example:4321"
+}
 
 func (d *multiDG) setOmit(id string, omit bool) {
 	d.mu.Lock()
@@ -64,7 +67,7 @@ func (d *multiDG) setOmit(id string, omit bool) {
 func (d *multiDG) calls() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.batchCalls
+	return d.gwCalls
 }
 
 // countingTransport counts the requests a module client sends.
@@ -76,20 +79,32 @@ func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 }
 
 // TestStepBatchedPollingIsO1 is the tentpole scaling assertion: one monitor
-// tick over N registered batches costs ONE gateway poll and a fixed number of
+// tick over N registered batches costs ONE gateway call and a fixed number of
 // module round trips — one bulk request per module and step — whether N is
-// 50 or 500. Half the batches sit below the trigger and are planned for every
-// tick; the other half start on the first tick and are billed from the
-// second, so the second tick runs every step there is: samples, bills, order
-// lookups, plans, and the Oracle's own status fetch. Then every batch
-// completes at once, and the tick that finalizes them all costs samples,
-// bills (the started half's final usage), pays, statuses and calibrations.
+// 50 or 500, under Conservative and under Greedy, whose idle release reads
+// the poll. Half the batches sit below the trigger and are planned for every
+// tick; the other half start on the first tick (which also asks the gateway
+// for the worker URL once per launch) and are billed from the second, so the
+// second tick runs every step there is: samples, bills, order lookups, plans,
+// and the Oracle's own status fetch. Then every batch completes at once, and
+// the tick that finalizes them all costs samples, bills (the started half's
+// final usage), pays, statuses and calibrations.
 func TestStepBatchedPollingIsO1(t *testing.T) {
+	for _, label := range []string{core.DefaultStrategy().Label(), "9C-G-R"} {
+		t.Run(label, func(t *testing.T) { testStepBatchedPollingIsO1(t, label) })
+	}
+}
+
+func testStepBatchedPollingIsO1(t *testing.T, label string) {
+	strategy, err := core.StrategyByLabel(label)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tickCost := func(batches int) (first, steady, final int64) {
 		dg := newMultiDG()
 		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
 		stack := newStack(t, StackConfig{
-			Strategy: core.DefaultStrategy(),
+			Strategy: strategy,
 			Registry: cloud.NewRegistry(driver),
 			DG:       dg,
 		})
@@ -113,17 +128,23 @@ func TestStepBatchedPollingIsO1(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		var cost [3]int64
-		for k := range cost {
+		// step runs one tick and returns its module round trips and its
+		// gateway calls beyond the worker URL of each instance it launched.
+		step := func() (modules int64, dgCalls int) {
 			now = now.Add(time.Minute)
-			before := sent.Load()
+			before, dgBefore, instBefore := sent.Load(), dg.calls(), len(stack.Scheduler.Instances())
 			if err := stack.Scheduler.Step(); err != nil {
 				t.Fatal(err)
 			}
-			cost[k] = sent.Load() - before
+			launched := len(stack.Scheduler.Instances()) - instBefore
+			return sent.Load() - before, dg.calls() - dgBefore - launched
 		}
-		if polls := dg.calls(); polls != len(cost) {
-			t.Fatalf("%d batches: %d DG polls for %d ticks", batches, polls, len(cost))
+		var cost [3]int64
+		for k := range cost {
+			var dgCalls int
+			if cost[k], dgCalls = step(); dgCalls != 1 {
+				t.Fatalf("%d batches: tick %d made %d DG calls beyond its launches, want 1", batches, k+1, dgCalls)
+			}
 		}
 		if got := len(stack.Scheduler.Instances()); got < batches/2 {
 			t.Fatalf("%d batches: only %d instances, the triggered half never started", batches, got)
@@ -138,12 +159,10 @@ func TestStepBatchedPollingIsO1(t *testing.T) {
 		for i := 0; i < batches; i++ {
 			dg.set(fmt.Sprintf("b%03d", i), middleware.Progress{Size: 100, Arrived: 100, Completed: 100, EverAssigned: 100})
 		}
-		now = now.Add(time.Minute)
-		before := sent.Load()
-		if err := stack.Scheduler.Step(); err != nil {
-			t.Fatal(err)
+		var dgCalls int
+		if final, dgCalls = step(); dgCalls != 1 {
+			t.Fatalf("%d batches: the completion tick made %d DG calls, want 1", batches, dgCalls)
 		}
-		final = sent.Load() - before
 		for i := 0; i < batches; i++ {
 			if st, err := stack.Scheduler.Status(fmt.Sprintf("b%03d", i)); err != nil || !st.Finalized {
 				t.Fatalf("%d batches: b%03d not finalized by the completion tick: %+v, %v", batches, i, st, err)

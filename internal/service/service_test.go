@@ -45,8 +45,6 @@ func (d *scriptedDG) ProgressBatch(ids []string) (map[string]middleware.Progress
 	return out, nil
 }
 
-func (d *scriptedDG) InstanceBusy(string) (bool, error) { return true, nil }
-
 func (d *scriptedDG) WorkerURL() string { return "http://dg.example:4321" }
 
 // newStack is NewStack for a test: the stack is closed when the test ends.

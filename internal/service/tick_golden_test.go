@@ -20,17 +20,32 @@ import (
 
 var updateTickGolden = flag.Bool("update-tick-golden", false, "rewrite testdata/tick_golden.json")
 
-// tickGoldenDG scripts per-batch progress and per-instance idleness.
+// tickGoldenDG scripts per-batch progress and per-instance idleness: its
+// poll names the instances in idle that the driver lists as running.
 type tickGoldenDG struct {
 	*multiDG
-	mu   sync.Mutex
-	idle map[string]bool
+	driver *cloud.MockDriver
+	mu     sync.Mutex
+	idle   map[string]bool
 }
 
-func (d *tickGoldenDG) InstanceBusy(id string) (bool, error) {
+func (d *tickGoldenDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
+	out, err := d.multiDG.ProgressBatch(ids)
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return !d.idle[id], nil
+	return nameIdle(out, d.driver, func(id string) bool { return d.idle[id] }), err
+}
+
+// nameIdle adds to each batch's progress the instances the driver lists as
+// running for it and idle reports.
+func nameIdle(out map[string]middleware.Progress, driver *cloud.MockDriver, idle func(id string) bool) map[string]middleware.Progress {
+	for _, inst := range driver.List() {
+		if p, ok := out[inst.BatchID]; ok && inst.State == cloud.StateRunning && idle(inst.ID) {
+			p.IdleInstances = append(p.IdleInstances, inst.ID)
+			out[inst.BatchID] = p
+		}
+	}
+	return out
 }
 
 // tickRecord is the observable state after one monitor iteration.
@@ -62,8 +77,8 @@ type tickRecord struct {
 // between ticks, and a batch Information never tracked, whose error every
 // tick must not disturb its neighbours.
 func TestTickGolden(t *testing.T) {
-	dg := &tickGoldenDG{multiDG: newMultiDG(), idle: map[string]bool{}}
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
+	dg := &tickGoldenDG{multiDG: newMultiDG(), driver: driver, idle: map[string]bool{}}
 	stack := newStack(t, StackConfig{
 		Strategy: core.Strategy{Trigger: core.CompletionThreshold{Frac: 0.9},
 			Sizing: core.Greedy{}, Deploy: core.Reschedule},

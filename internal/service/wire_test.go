@@ -19,7 +19,8 @@ import (
 	"spequlos/internal/service"
 )
 
-// echoDG is a DG gateway that remembers the last id it was asked about.
+// echoDG is a DG gateway that remembers the last id it was asked about and
+// names one idle instance per batch, "i " and the batch id.
 type echoDG struct {
 	mu   sync.Mutex
 	last string
@@ -35,17 +36,13 @@ func (d *echoDG) ProgressBatch(ids []string) (map[string]middleware.Progress, er
 	out := map[string]middleware.Progress{}
 	for _, id := range ids {
 		d.saw(id)
-		out[id] = middleware.Progress{Size: 100, Arrived: 100, Completed: 60, EverAssigned: 100, Running: 40}
+		out[id] = middleware.Progress{Size: 100, Arrived: 100, Completed: 60, EverAssigned: 100, Running: 40,
+			IdleInstances: []string{"i " + id}}
 	}
 	return out, nil
 }
 
 func (d *echoDG) WorkerURL() string { return "http://dg.invalid/worker" }
-
-func (d *echoDG) InstanceBusy(id string) (bool, error) {
-	d.saw(id)
-	return true, nil
-}
 
 // wireFixture is the four modules and a DG gateway over state the test can
 // read back, each module reachable on a socket of its own or, when muxed,
@@ -183,10 +180,9 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				pred, err := fx.oracleC.Predict(id)
 				check("oracle.Predict", err, pred.CompletedFraction, 0.6)
 
-				_, err = fx.dgC.ProgressBatch([]string{id})
+				progress, err := fx.dgC.ProgressBatch([]string{id})
 				check("dg.ProgressBatch", err, fx.dg.last, id)
-				_, err = fx.dgC.InstanceBusy(id)
-				check("dg.InstanceBusy", err, fx.dg.last, id)
+				check("dg.ProgressBatch idle instances", err, strings.Join(progress[id].IdleInstances, ","), "i "+id)
 			})
 		}
 		item := service.CalibrationItem{BatchID: "b", CalibrationRecord: service.CalibrationRecord{EnvKey: env, Base: 100, Actual: 120}}
@@ -353,8 +349,8 @@ func TestWireContract(t *testing.T) {
 			}
 		}
 	}
-	if total != 24 {
-		t.Errorf("%d routes under contract, want the 21 of the modules and the 3 of the DG gateway", total)
+	if total != 23 {
+		t.Errorf("%d routes under contract, want the 21 of the modules and the 2 of the DG gateway", total)
 	}
 
 	// What the parent's hand-written routers answered differently, pinned.
