@@ -402,9 +402,9 @@ type Oracle struct {
 	// Strategy is fixed once the Oracle is built.
 	Strategy    Strategy
 	Calibration *Calibration
-	// notFired and fired are Plan's reasons, worded once from the trigger's
-	// code: the simulator plans every waiting batch every tick.
-	notFired, fired string
+	// fired is Plan's reason, worded once from the trigger's code: the
+	// simulator plans every waiting batch every tick.
+	fired string
 }
 
 // NewOracle builds an Oracle with the given strategy and a fresh
@@ -412,7 +412,6 @@ type Oracle struct {
 func NewOracle(s Strategy) *Oracle {
 	o := &Oracle{Strategy: s, Calibration: NewCalibration()}
 	if s.Trigger != nil {
-		o.notFired = "trigger " + s.Trigger.Code() + " not fired"
 		o.fired = "trigger " + s.Trigger.Code() + " fired"
 	}
 	return o
@@ -443,15 +442,19 @@ func (o *Oracle) predict(batchID, envKey string, elapsed, r float64) (Prediction
 }
 
 // Plan is the Oracle's provisioning decision for one batch at one monitor
-// tick (Algorithm 1).
+// tick (Algorithm 1). The zero Plan starts nothing: it is the decision for a
+// complete batch and for one whose trigger has not fired, and every field is
+// omitted from the JSON when zero, so on the wire it is {}.
 type Plan struct {
 	// Start says cloud workers should be started now, Workers how many.
-	Start   bool   `json:"start"`
-	Workers int    `json:"workers"`
-	Reason  string `json:"reason"`
+	Start   bool `json:"start,omitempty"`
+	Workers int  `json:"workers,omitempty"`
+	// Reason says why the trigger fired ("trigger 9C fired"); it is empty
+	// when the trigger did not fire.
+	Reason string `json:"reason,omitempty"`
 	// ReleaseIdle tells the Scheduler to stop booted workers that obtained
 	// no work, releasing their credits (see Sizing.ReleasesIdle).
-	ReleaseIdle bool `json:"release_idle"`
+	ReleaseIdle bool `json:"release_idle,omitempty"`
 }
 
 // Plan is Algorithm 1's Oracle.shouldUseCloud and cloudWorkersToStart in one
@@ -460,14 +463,12 @@ type Plan struct {
 // credits, never more than there are tasks left. It reads the batch as a tick
 // does (TickView), so the in-process Scheduler and the Oracle service, which
 // reads the view from Information's POST /statuses, both decide here on the
-// same inputs.
+// same inputs. A complete batch, or one whose trigger has not fired, gets the
+// zero Plan.
 func (o *Oracle) Plan(v TickView, creditCPUHours float64) Plan {
-	if v.Done() {
-		return Plan{Reason: "batch complete"}
-	}
 	st := o.Strategy
-	if !st.Trigger.ShouldStart(v) {
-		return Plan{Reason: o.notFired}
+	if v.Done() || !st.Trigger.ShouldStart(v) {
+		return Plan{}
 	}
 	n := st.Sizing.Workers(v, creditCPUHours)
 	if remaining := v.Size - v.Completed; n > remaining {

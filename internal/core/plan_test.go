@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -56,23 +55,23 @@ func TestPlanTable(t *testing.T) {
 		size    int
 		samples []sample
 		credit  float64 // CPU·hours
-		want    Plan    // Reason is checked by substring
+		want    Plan
 	}{
 		{"9C below the threshold", c9, Greedy{}, 100, []sample{{60, 89, 100, 0, 0, 0}}, 3,
-			Plan{Reason: "trigger 9C not fired"}},
+			Plan{}},
 		{"9C at the threshold", c9, Greedy{}, 100, []sample{{60, 89, 100, 0, 0, 0}, {120, 90, 100, 0, 0, 0}}, 3,
 			Plan{Start: true, Workers: 3, ReleaseIdle: true, Reason: "trigger 9C fired"}},
 		{"9A fires on assignments alone", a9, Conservative{}, 100, []sample{{60, 10, 95, 0, 0, 0}}, 4,
 			Plan{Start: true, Workers: 4, Reason: "trigger 9A fired"}},
 		{"9A below the threshold", a9, Conservative{}, 100, []sample{{60, 10, 50, 0, 0, 0}}, 4,
-			Plan{Reason: "trigger 9A not fired"}},
+			Plan{}},
 		{"D quiet in steady state", d, Conservative{}, 100, steady, 10,
-			Plan{Reason: "trigger D not fired"}},
+			Plan{}},
 		{"D fires in the tail", d, Greedy{}, 100, tail, 2,
 			Plan{Start: true, Workers: 2, ReleaseIdle: true, Reason: "trigger D fired"}},
 		{"D never before half completion", d, Greedy{}, 100,
 			[]sample{{100, 10, 100, 0, 90, 0}, {5000, 40, 100, 0, 60, 0}}, 2,
-			Plan{Reason: "trigger D not fired"}},
+			Plan{}},
 
 		{"G starts the whole allowance", a9, Greedy{}, 1000, []sample{{60, 100, 950, 0, 0, 0}}, 305.5,
 			Plan{Start: true, Workers: 305, ReleaseIdle: true, Reason: "trigger 9A fired"}},
@@ -97,7 +96,7 @@ func TestPlanTable(t *testing.T) {
 			Plan{Start: true, Workers: 5, ReleaseIdle: true, Reason: "trigger 9C fired"}},
 		{"a finished batch starts nothing", c9, Greedy{}, 100,
 			[]sample{{60, 95, 100, 0, 5, 0}, {120, 100, 100, 0, 0, 0}}, 40,
-			Plan{Reason: "batch complete"}},
+			Plan{}},
 		{"CA anticipates a capacity drop", DefaultCapacityAware(), Conservative{}, 100,
 			[]sample{{60, 40, 100, 0, 60, 200}, {120, 76, 100, 0, 24, 60}}, 2,
 			Plan{Start: true, Workers: 2, Reason: "trigger CA fired"}},
@@ -107,8 +106,7 @@ func TestPlanTable(t *testing.T) {
 			o := NewOracle(Strategy{Trigger: r.trigger, Sizing: r.sizing, Deploy: Reschedule})
 			v := history(r.size, r.samples).TickView()
 			got := o.Plan(v, r.credit)
-			if got.Start != r.want.Start || got.Workers != r.want.Workers ||
-				got.ReleaseIdle != r.want.ReleaseIdle || !strings.Contains(got.Reason, r.want.Reason) {
+			if got != r.want {
 				t.Errorf("plan = %+v, want %+v", got, r.want)
 			}
 			if wire := o.Plan(overWire(t, v), r.credit); wire != got {

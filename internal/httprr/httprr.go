@@ -14,7 +14,8 @@
 // query, headers, body). The default scrub normalizes the target host — a
 // recording made against an ephemeral 127.0.0.1 port replays against any
 // base URL — and callers add scrubs for other nondeterminism (dates, tokens)
-// with ScrubReq.
+// with ScrubReq. A response is recorded without its Date header, so
+// recording an unchanged exchange again writes the same bytes.
 package httprr
 
 import (
@@ -136,8 +137,13 @@ func (rr *RecordReplay) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp.Body = io.NopCloser(bytes.NewReader(respBody))
-	respDump, err := httputil.DumpResponse(resp, true)
+	// The Date header is not recorded: it changes every time the same
+	// exchange is recorded again, and nothing replays against it.
+	undated := *resp
+	undated.Header = resp.Header.Clone()
+	undated.Header.Del("Date")
+	undated.Body = io.NopCloser(bytes.NewReader(respBody))
+	respDump, err := httputil.DumpResponse(&undated, true)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package httprr
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // startServer serves a tiny JSON API whose responses depend on method, path
@@ -100,6 +102,38 @@ func TestRecordThenReplay(t *testing.T) {
 		if recorded[i] != replayed[i] {
 			t.Errorf("exchange %d: recorded %q, replayed %q", i, recorded[i], replayed[i])
 		}
+	}
+}
+
+// TestRecordingIsStable: recording the same exchanges twice writes the same
+// bytes, although the server dates every response differently.
+func TestRecordingIsStable(t *testing.T) {
+	var hits atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Date", time.Unix(hits.Add(1)*3600, 0).UTC().Format(http.TimeFormat))
+		fmt.Fprintf(w, `{"path":%q}`, r.URL.Path)
+	}))
+	defer srv.Close()
+	record := func() []byte {
+		file := filepath.Join(t.TempDir(), "session.httprr")
+		rr := &RecordReplay{file: file, real: http.DefaultTransport, recording: true}
+		rr.scrubs = append(rr.scrubs, scrubHost)
+		driveClient(t, srv.URL, rr.Client())
+		if err := rr.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	first, second := record(), record()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two recordings of the same exchanges differ:\n%s\n---\n%s", first, second)
+	}
+	if bytes.Contains(first, []byte("Date:")) {
+		t.Fatalf("the trace records a Date header:\n%s", first)
 	}
 }
 

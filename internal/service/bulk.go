@@ -9,11 +9,14 @@ package service
 //	Oracle       POST /plans           POST /calibrations
 //
 // takes {"items":[…]} and answers 200 {"results":[…]} with exactly one result
-// per item, in request order. Each item is one call of the module's core
-// function and fails on its own: a result carrying "error" says nothing about
-// its neighbours. The request as a whole is refused with a 4xx — before any
-// item is applied — when it is malformed, carries unknown fields, is empty,
-// names a batch twice, or exceeds maxBodyBytes.
+// per item, in request order. Results are positional: none names its batch,
+// the caller pairs result i with item i, and a result carries only what its
+// caller reads (an item that just succeeded answers {}). Each item is one
+// call of the module's core function and fails on its own: a result carrying
+// "error" says nothing about its neighbours. The request as a whole is
+// refused with a 4xx — before any item is applied — when it is malformed,
+// carries unknown fields, is empty, names a batch twice, or exceeds
+// maxBodyBytes.
 
 import (
 	"fmt"
@@ -22,10 +25,10 @@ import (
 )
 
 // bulkChunk is the most items a client puts in one bulk request. An item on
-// the wire (a sample, a plan request, a tick view in a /statuses reply) is
-// about two hundred bytes and its batch id, and a bill item counts once per
-// charge, so a full chunk stays far below maxBodyBytes; a tick over more
-// batches sends ⌈batches/bulkChunk⌉ requests per step.
+// the wire (a sample or a plan request and its batch id, a tick view in a
+// /statuses reply) is at most about two hundred bytes, and a bill item counts
+// once per charge, so a full chunk stays far below maxBodyBytes; a tick over
+// more batches sends ⌈batches/bulkChunk⌉ requests per step.
 const bulkChunk = 1000
 
 // BulkRequest is the body of every bulk route: the items to apply, in order.
@@ -41,10 +44,8 @@ type BulkReply[R any] struct {
 }
 
 // ItemResult is the outcome of a bulk item that returns nothing but success
-// or failure.
+// or failure: {} on success.
 type ItemResult struct {
-	// BatchID names the batch the item was about.
-	BatchID string `json:"batch_id"`
 	// Error is empty on success.
 	Error string `json:"error,omitempty"`
 }
@@ -96,10 +97,11 @@ func serveBulk[I, R any](id func(I) string, apply func(I) R) http.HandlerFunc {
 // bulkCall sends items to a bulk route in chunks of at most bulkChunk (by
 // weight: an item counts for the number of wire entries it carries) and
 // returns one result per item, in order. It never fails as a whole: when a
-// chunk's request fails, or its reply does not line up with it, each item of
-// that chunk gets the result fail builds from the error text, and the other
-// chunks stand — their items were applied, and the caller must know.
-func bulkCall[I, R any](c *Client, route []string, items []I, weight func(I) int, fail func(I, string) R) []R {
+// chunk's request fails, or its reply does not carry one result per item,
+// each item of that chunk gets the result fail builds from the error text,
+// and the other chunks stand — their items were applied, and the caller must
+// know.
+func bulkCall[I, R any](c *Client, route []string, items []I, weight func(I) int, fail func(string) R) []R {
 	results := make([]R, 0, len(items))
 	for lo := 0; lo < len(items); {
 		hi, load := lo, 0
@@ -115,8 +117,9 @@ func bulkCall[I, R any](c *Client, route []string, items []I, weight func(I) int
 		if err != nil {
 			// itemErr puts the prefix back.
 			msg := strings.TrimPrefix(err.Error(), "service: ")
-			for _, it := range items[lo:hi] {
-				results = append(results, fail(it, msg))
+			failed := fail(msg)
+			for range items[lo:hi] {
+				results = append(results, failed)
 			}
 		} else {
 			results = append(results, reply.Results...)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -125,6 +126,8 @@ func TestBulkNegativePaths(t *testing.T) {
 // TestBulkItemsFailAlone: a well-formed request is answered 200 with one
 // result per item in request order, and an item that fails (an untracked
 // batch, a batch without an order) leaves its neighbours' results intact.
+// Results name no batch: the failed result at index i names item i's batch in
+// its error, and the result after it is its neighbour's.
 func TestBulkItemsFailAlone(t *testing.T) {
 	fx := newBulkFixture(t)
 	post := func(module, path, body string, out any) {
@@ -142,12 +145,12 @@ func TestBulkItemsFailAlone(t *testing.T) {
 
 	var samples BulkReply[ItemResult]
 	post("information", "/samples", `{"items":[`+item(0, "ghost")+`,`+item(0, "b")+`]}`, &samples)
-	if r := samples.Results; len(r) != 2 || r[0].BatchID != "ghost" || r[0].Error != `batch "ghost" not tracked` || r[1] != (ItemResult{BatchID: "b"}) {
+	if r := samples.Results; len(r) != 2 || r[0].Error != `batch "ghost" not tracked` || r[1] != (ItemResult{}) {
 		t.Fatalf("samples: %+v", r)
 	}
 	var statuses BulkReply[StatusResult]
 	post("information", "/statuses", `{"items":["ghost","b"]}`, &statuses)
-	if r := statuses.Results; len(r) != 2 || r[0].Status != nil || r[0].Error == "" || r[1].Error != "" || r[1].Status.T != 120 || r[1].Status.Completed != 20 {
+	if r := statuses.Results; len(r) != 2 || r[0].Status != nil || r[0].Error != `batch "ghost" not tracked` || r[1].Error != "" || r[1].Status.T != 120 || r[1].Status.Completed != 20 {
 		t.Fatalf("statuses: %+v", r)
 	}
 
@@ -155,8 +158,8 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	// of 30, 30, 5 the second exhausts it and the third is never applied.
 	var bills BulkReply[BillResult]
 	post("credit", "/bills", `{"items":[{"batch_id":"ghost","credits":[1]},{"batch_id":"b","credits":[30,30,5]}]}`, &bills)
-	if r := bills.Results; len(r) != 2 || r[0].Applied != 0 || r[0].Error == "" ||
-		r[1] != (BillResult{BatchID: "b", Applied: 2, Exhausted: true}) {
+	if r := bills.Results; len(r) != 2 || r[0].Applied != 0 || !strings.Contains(r[0].Error, `"ghost"`) ||
+		r[1] != (BillResult{Applied: 2, Exhausted: true}) {
 		t.Fatalf("bills: %+v", r)
 	}
 	if o, _ := fx.credits.OrderOf("b"); o.Billed != 50 {
@@ -172,15 +175,26 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	// it, and the request still answers 200.
 	var plans BulkReply[PlanResult]
 	post("oracle", "/plans", `{"items":[`+item(4, "ghost")+`,`+item(4, "b")+`]}`, &plans)
-	if r := plans.Results; len(r) != 2 || r[0].Error == "" || r[1].Error == "" || r[1].BatchID != "b" {
+	if r := plans.Results; len(r) != 2 || r[0].Error == "" || r[1].Error == "" {
 		t.Fatalf("plans: %+v", r)
+	}
+	// One that can passes Information's refusal of the untracked batch on at
+	// its index, and plans b at the next: only 20% of b's tasks are complete,
+	// so 9C-C-R starts nothing.
+	infoSrv := httptest.NewServer(fx.info)
+	defer infoSrv.Close()
+	fx.modules["oracle"] = NewOracleService(fx.oracle, NewInformationClient(infoSrv.URL))
+	var reached BulkReply[PlanResult]
+	post("oracle", "/plans", `{"items":[`+item(4, "ghost")+`,`+item(4, "b")+`]}`, &reached)
+	if r := reached.Results; len(r) != 2 || r[0].Error != `service: batch "ghost" not tracked` || r[1] != (PlanResult{}) {
+		t.Fatalf("plans with Information reachable: %+v", r)
 	}
 
 	// Paying closes b's order and refunds what the bills left of it (none);
 	// paying it again is not an error and refunds nothing.
 	var pays BulkReply[PayResult]
 	post("credit", "/orders/pay", `{"items":["ghost","b"]}`, &pays)
-	if r := pays.Results; len(r) != 2 || r[0].Error == "" || r[1] != (PayResult{BatchID: "b"}) {
+	if r := pays.Results; len(r) != 2 || !strings.Contains(r[0].Error, `"ghost"`) || r[1] != (PayResult{}) {
 		t.Fatalf("pays: %+v", r)
 	}
 	if o, _ := fx.credits.OrderOf("b"); !o.Closed {
@@ -188,12 +202,12 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	}
 	var again BulkReply[PayResult]
 	post("credit", "/orders/pay", `{"items":["b"]}`, &again)
-	if r := again.Results; len(r) != 1 || r[0] != (PayResult{BatchID: "b"}) {
+	if r := again.Results; len(r) != 1 || r[0] != (PayResult{}) {
 		t.Fatalf("pays of a closed order: %+v", r)
 	}
 	var cals BulkReply[ItemResult]
 	post("oracle", "/calibrations", `{"items":[`+item(6, "b")+`,`+item(6, "other")+`]}`, &cals)
-	if r := cals.Results; len(r) != 2 || r[0] != (ItemResult{BatchID: "b"}) || r[1] != (ItemResult{BatchID: "other"}) {
+	if r := cals.Results; len(r) != 2 || r[0] != (ItemResult{}) || r[1] != (ItemResult{}) {
 		t.Fatalf("calibrations: %+v", r)
 	}
 	if n := fx.oracle.Calibration.Fit("e").Count; n != 2 {
@@ -239,7 +253,8 @@ func FuzzBulkBodies(f *testing.F) {
 
 // TestBulkCallChunks: a list longer than bulkChunk goes out as several
 // requests, a failed chunk is reported in the results of exactly its own
-// items, and a heavy item is never split.
+// items, and a heavy item is never split. The server answers each item with
+// an error naming it, so a result out of place shows.
 func TestBulkCallChunks(t *testing.T) {
 	var sizes []int
 	srv := httptest.NewServer(Endpoint(http.StatusOK, func(_ *http.Request, req BulkRequest[string]) (reply BulkReply[ItemResult], err error) {
@@ -249,7 +264,7 @@ func TestBulkCallChunks(t *testing.T) {
 		}
 		reply.Results = make([]ItemResult, len(req.Items))
 		for i, id := range req.Items {
-			reply.Results[i].BatchID = id
+			reply.Results[i].Error = "item " + id
 		}
 		return reply, nil
 	}))
@@ -258,16 +273,19 @@ func TestBulkCallChunks(t *testing.T) {
 	for i := range ids {
 		ids[i] = fmt.Sprintf("b%05d", i)
 	}
-	fail := func(id, msg string) ItemResult { return ItemResult{BatchID: id, Error: msg} }
+	fail := func(msg string) ItemResult { return ItemResult{Error: msg} }
 	c := &Client{BaseURL: srv.URL, HTTP: srv.Client()}
 	res := bulkCall(c, nil, ids, oneEach, fail)
 	if fmt.Sprint(sizes) != fmt.Sprint([]int{bulkChunk, bulkChunk, 7}) {
 		t.Fatalf("chunk sizes %v", sizes)
 	}
 	for i, r := range res {
-		failed := i >= bulkChunk && i < 2*bulkChunk
-		if r.BatchID != ids[i] || (r.Error != "") != failed {
-			t.Fatalf("result %d: %+v (failed chunk: %v)", i, r, failed)
+		want := "item " + ids[i]
+		if i >= bulkChunk && i < 2*bulkChunk {
+			want = "second chunk lost"
+		}
+		if r.Error != want {
+			t.Fatalf("result %d: %+v, want error %q", i, r, want)
 		}
 	}
 	if got := itemErr(res[bulkChunk].Error).Error(); got != "service: second chunk lost" {
@@ -376,5 +394,64 @@ func TestClientsReuseConnections(t *testing.T) {
 		if opened := m.opened.Load() - before; opened > 1 {
 			t.Errorf("%s: %d new connections for 100 calls, want at most 1", m.name, opened)
 		}
+	}
+}
+
+// TestClientReplyFraming: a bulk reply larger than net/http's 2 KB write
+// buffer arrives with a Content-Length, not chunked, and the client decodes
+// it; a 4xx reply still surfaces the API's error text; and a decoded value
+// keeps its bytes after the pooled buffer it was read from serves the next
+// reply.
+func TestClientReplyFraming(t *testing.T) {
+	info := NewInformationService(core.NewInformation())
+	srv := httptest.NewServer(info)
+	defer srv.Close()
+	c := NewInformationClient(srv.URL)
+	ids := make([]string, 40)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("batch-%02d", i)
+		if err := c.Track(TrackRequest{BatchID: ids[i], EnvKey: "e", Size: 100}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	body, _ := json.Marshal(BulkRequest[string]{Items: ids})
+	resp, err := http.Post(srv.URL+"/statuses", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(raw) <= 2048 || resp.ContentLength != int64(len(raw)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("a %d-byte reply arrived with Content-Length %d and Transfer-Encoding %q",
+			len(raw), resp.ContentLength, resp.TransferEncoding)
+	}
+	for i, st := range c.Statuses(ids) {
+		if st.Error != "" || st.Status == nil || st.Status.Size != 100 {
+			t.Fatalf("status %d: %+v", i, st)
+		}
+	}
+
+	if err := c.Track(TrackRequest{BatchID: ids[0], EnvKey: "e", Size: 100}); err == nil ||
+		!strings.Contains(err.Error(), `"batch-00"`) {
+		t.Errorf("a refused track answered %v, want the API's error naming the batch", err)
+	}
+	if err := c.Post(BulkRequest[string]{}, nil, "statuses"); err == nil ||
+		err.Error() != "service: service: bulk request has no items" {
+		t.Errorf("an empty bulk request answered %v, want the API's error", err)
+	}
+
+	var first, second BulkReply[json.RawMessage]
+	if err := c.Post(BulkRequest[string]{Items: ids[:1]}, &first, "statuses"); err != nil {
+		t.Fatal(err)
+	}
+	kept := string(first.Results[0])
+	if err := c.Post(BulkRequest[string]{Items: []string{"ghost"}}, &second, "statuses"); err != nil {
+		t.Fatal(err)
+	}
+	if string(first.Results[0]) != kept {
+		t.Fatalf("a decoded result changed when the next reply was read: %s, was %s", first.Results[0], kept)
 	}
 }

@@ -50,7 +50,7 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 		return cs.AccountOf(r.PathValue("user")), nil
 	}))
 	s.Handle("POST /bills", serveBulk(func(it BillItem) string { return it.BatchID }, func(it BillItem) BillResult {
-		res := BillResult{BatchID: it.BatchID}
+		var res BillResult
 		var err error
 		if res.Applied, res.Exhausted, err = cs.BillAll(it.BatchID, it.Credits); err != nil {
 			res.Error = err.Error()
@@ -59,10 +59,10 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 	}))
 	s.Handle("POST /orders/lookup", serveBulk(sameID, func(id string) OrderLookup {
 		o, found, has := cs.Lookup(id)
-		return OrderLookup{BatchID: id, Found: found, HasCredits: has, Remaining: o.Remaining()}
+		return OrderLookup{Found: found, HasCredits: has, Remaining: o.Remaining()}
 	}))
 	s.Handle("POST /orders/pay", serveBulk(sameID, func(id string) PayResult {
-		res := PayResult{BatchID: id}
+		var res PayResult
 		var err error
 		if res.Refund, err = cs.Pay(id); err != nil {
 			res.Error = err.Error()
@@ -102,8 +102,6 @@ type BillItem struct {
 
 // BillResult is one result of POST /bills.
 type BillResult struct {
-	// BatchID names the order.
-	BatchID string `json:"batch_id"`
 	// Applied is how many of the item's charges were applied, counted from
 	// the first and including the one that ran the order dry. The rest were
 	// not: the caller's usage windows for them stay open.
@@ -118,8 +116,6 @@ type BillResult struct {
 // reads of an order (GET /orders/{id} answers the whole order). A batch
 // without an order is not an error: Found and HasCredits are false.
 type OrderLookup struct {
-	// BatchID names the batch.
-	BatchID string `json:"batch_id"`
 	// Found reports whether the batch has an order, open or closed.
 	Found bool `json:"found"`
 	// HasCredits reports an open order with credits left (Algorithm 1's
@@ -135,8 +131,6 @@ type OrderLookup struct {
 // PayResult is one result of POST /orders/pay: the batch's order closed and
 // its unspent credits refunded.
 type PayResult struct {
-	// BatchID names the order.
-	BatchID string `json:"batch_id"`
 	// Refund is the credits returned to the user; 0 for an order already
 	// closed.
 	Refund float64 `json:"refund"`
@@ -168,21 +162,21 @@ func (c *CreditClient) Order(user, batchID string, credits float64) error {
 func (c *CreditClient) Bills(items []BillItem) []BillResult {
 	return bulkCall(&c.Client, []string{"bills"}, items,
 		func(it BillItem) int { return max(1, len(it.Credits)) },
-		func(it BillItem, msg string) BillResult { return BillResult{BatchID: it.BatchID, Error: msg} })
+		func(msg string) BillResult { return BillResult{Error: msg} })
 }
 
 // Orders looks many batches' orders up with POST /orders/lookup and returns
 // one result per id, in order.
 func (c *CreditClient) Orders(batchIDs []string) []OrderLookup {
 	return bulkCall(&c.Client, []string{"orders", "lookup"}, batchIDs, oneEach,
-		func(id, msg string) OrderLookup { return OrderLookup{BatchID: id, Error: msg} })
+		func(msg string) OrderLookup { return OrderLookup{Error: msg} })
 }
 
 // Pays closes many orders with POST /orders/pay and returns one result per
 // id, in order.
 func (c *CreditClient) Pays(batchIDs []string) []PayResult {
 	return bulkCall(&c.Client, []string{"orders", "pay"}, batchIDs, oneEach,
-		func(id, msg string) PayResult { return PayResult{BatchID: id, Error: msg} })
+		func(msg string) PayResult { return PayResult{Error: msg} })
 }
 
 // Account fetches a user's account.

@@ -41,11 +41,10 @@ func NewInformationService(info *core.Information) *InformationService {
 	s.Handle("POST /batches", Endpoint(http.StatusCreated, s.track))
 	s.Handle("POST /samples", serveBulk(func(it BatchSample) string { return it.BatchID },
 		func(it BatchSample) ItemResult {
-			res := ItemResult{BatchID: it.BatchID}
 			if !info.AddSample(it.BatchID, it.Sample) {
-				res.Error = fmt.Sprintf("batch %q not tracked", it.BatchID)
+				return ItemResult{Error: fmt.Sprintf("batch %q not tracked", it.BatchID)}
 			}
-			return res
+			return ItemResult{}
 		}))
 	s.Handle("GET /batches/{id}", EndpointNoBody(http.StatusOK, func(r *http.Request) (BatchStatus, error) {
 		st, err := s.status(r.PathValue("id"))
@@ -54,9 +53,9 @@ func NewInformationService(info *core.Information) *InformationService {
 	s.Handle("POST /statuses", serveBulk(sameID, func(id string) StatusResult {
 		v, ok := info.TickView(id)
 		if !ok {
-			return StatusResult{BatchID: id, Error: fmt.Sprintf("batch %q not tracked", id)}
+			return StatusResult{Error: fmt.Sprintf("batch %q not tracked", id)}
 		}
-		return StatusResult{BatchID: id, Status: &v}
+		return StatusResult{Status: &v}
 	}))
 	s.Handle("GET /batches", EndpointNoBody(http.StatusOK, func(*http.Request) ([]string, error) {
 		return s.info.BatchIDs(), nil
@@ -107,8 +106,6 @@ type BatchSample struct {
 // core.TickView.Execution, so a remote Oracle evaluates any strategy on
 // exactly what the in-process one reads.
 type StatusResult struct {
-	// BatchID names the batch.
-	BatchID string `json:"batch_id"`
 	// Status is the batch's tick view; nil when Error is set.
 	Status *core.TickView `json:"status,omitempty"`
 	// Error is empty on success.
@@ -153,14 +150,14 @@ func (c *InformationClient) Track(req TrackRequest) error {
 // is reported in the results of the items it carried.
 func (c *InformationClient) AddSamples(items []BatchSample) []ItemResult {
 	return bulkCall(&c.Client, []string{"samples"}, items, oneEach,
-		func(it BatchSample, msg string) ItemResult { return ItemResult{BatchID: it.BatchID, Error: msg} })
+		func(msg string) ItemResult { return ItemResult{Error: msg} })
 }
 
 // Statuses fetches the tick views of many batches with POST /statuses and
 // returns one result per id, in order.
 func (c *InformationClient) Statuses(batchIDs []string) []StatusResult {
 	return bulkCall(&c.Client, []string{"statuses"}, batchIDs, oneEach,
-		func(id, msg string) StatusResult { return StatusResult{BatchID: id, Error: msg} })
+		func(msg string) StatusResult { return StatusResult{Error: msg} })
 }
 
 // Status fetches a batch summary.

@@ -473,7 +473,7 @@ func (f *finalizeFaults) credit(next http.Handler) http.Handler {
 		var reply BulkReply[PayResult]
 		for _, id := range req.Items {
 			if id == failing {
-				reply.Results = append(reply.Results, PayResult{BatchID: id, Error: "ledger unavailable"})
+				reply.Results = append(reply.Results, PayResult{Error: "ledger unavailable"})
 				continue
 			}
 			reply.Results, applied.Results = append(reply.Results, applied.Results[0]), applied.Results[1:]

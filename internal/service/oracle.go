@@ -42,7 +42,7 @@ func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
 	s.Handle("POST /plans", Endpoint(http.StatusOK, s.plans))
 	s.Handle("POST /calibrations", serveBulk(func(it CalibrationItem) string { return it.BatchID }, func(it CalibrationItem) ItemResult {
 		o.Calibration.Record(it.EnvKey, it.Base, it.Actual)
-		return ItemResult{BatchID: it.BatchID}
+		return ItemResult{}
 	}))
 	s.Handle("GET /calibration/{env...}", EndpointNoBody(http.StatusOK, func(r *http.Request) (CalibrationStatus, error) {
 		env := r.PathValue("env")
@@ -65,8 +65,6 @@ type PlanReply = core.Plan
 
 // PlanResult is one result of POST /plans.
 type PlanResult struct {
-	// BatchID names the batch.
-	BatchID string `json:"batch_id"`
 	// Plan is the decision; meaningful only when Error is empty.
 	Plan PlanReply `json:"plan"`
 	// Error is empty on success.
@@ -108,7 +106,6 @@ func (s *OracleService) plans(_ *http.Request, req BulkRequest[PlanRequest]) (Bu
 	}
 	results := make([]PlanResult, len(reqs))
 	for i, st := range s.info.Statuses(ids) {
-		results[i] = PlanResult{BatchID: ids[i]}
 		switch {
 		case st.Error != "":
 			// Information refused the batch: pass its reason on.
@@ -141,14 +138,14 @@ func (c *OracleClient) Predict(batchID string) (p core.Prediction, err error) {
 // in the results of the items it carried.
 func (c *OracleClient) Plans(reqs []PlanRequest) []PlanResult {
 	return bulkCall(&c.Client, []string{"plans"}, reqs, oneEach,
-		func(p PlanRequest, msg string) PlanResult { return PlanResult{BatchID: p.BatchID, Error: msg} })
+		func(msg string) PlanResult { return PlanResult{Error: msg} })
 }
 
 // Calibrations archives many finished executions with POST /calibrations and
 // returns one result per item, in order.
 func (c *OracleClient) Calibrations(items []CalibrationItem) []ItemResult {
 	return bulkCall(&c.Client, []string{"calibrations"}, items, oneEach,
-		func(it CalibrationItem, msg string) ItemResult { return ItemResult{BatchID: it.BatchID, Error: msg} })
+		func(msg string) ItemResult { return ItemResult{Error: msg} })
 }
 
 // Calibration fetches an environment's α status.

@@ -15,17 +15,28 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"sync"
 )
 
-// replyBufs holds the buffers replies are encoded into before they are sent.
+// replyBufs holds the buffers replies are encoded into before they are sent,
+// and the buffers decodeReply reads reply bodies into.
 var replyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// putReplyBuf returns a buffer to replyBufs unless one oversized reply grew
+// it past what the pool should keep.
+func putReplyBuf(buf *bytes.Buffer) {
+	if buf.Cap() <= maxBodyBytes {
+		replyBufs.Put(buf)
+	}
+}
 
 // writeJSON writes v with the given status code. v is encoded before the
 // status line goes out, so a value encoding/json refuses (a NaN) answers 500
-// with the error body instead of the status with no body.
+// with the error body instead of the status with no body, and the reply
+// carries a Content-Length: net/http would send a reply larger than its
+// 2 KB write buffer chunked.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	buf := replyBufs.Get().(*bytes.Buffer)
 	buf.Reset()
@@ -34,12 +45,12 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 		status = http.StatusInternalServerError
 		json.NewEncoder(buf).Encode(apiError{Error: "encoding the reply: " + err.Error()}) //nolint:errcheck // a string always encodes
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
 	w.Write(buf.Bytes()) //nolint:errcheck // a failed write is the client's to notice
-	if buf.Cap() <= maxBodyBytes {
-		replyBufs.Put(buf)
-	}
+	putReplyBuf(buf)
 }
 
 // writeErr writes a JSON error payload.
@@ -70,24 +81,27 @@ type apiError struct {
 	Error string `json:"error"`
 }
 
-// maxDrainBytes bounds what decodeReply reads past the value it wanted: more
-// than any reply a module sends, so the connection is reused, but a bound, so
-// a misbehaving peer cannot hold the caller.
-const maxDrainBytes = 1 << 20
-
 // decodeReply parses a response, turning API error payloads into Go errors.
-// The body is drained before it is closed on every path: net/http only puts
-// a connection back in the keep-alive pool once its body was read to the end,
-// so a caller that ignores the reply (v == nil) would otherwise open a new
-// TCP connection per call.
+// It reads the body to its end into a pooled buffer, sized up front from
+// Content-Length when the reply has one, closes it and decodes the buffer
+// with one json.Unmarshal, which copies what it keeps: no decoded value
+// shares memory with the buffer. Reading to the end on every path, a reply
+// the caller ignores (v == nil) included, is what lets net/http put the
+// connection back in the keep-alive pool.
 func decodeReply(resp *http.Response, v any) error {
-	defer func() {
-		io.CopyN(io.Discard, resp.Body, maxDrainBytes) //nolint:errcheck // a failed drain only costs the connection
-		resp.Body.Close()
-	}()
+	buf := replyBufs.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer putReplyBuf(buf)
+	if n := resp.ContentLength; n > 0 {
+		// MinRead more, so the read that finds the end needs no growth; at
+		// most maxBodyBytes up front, whatever the header claims.
+		buf.Grow(int(min(n, maxBodyBytes)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(resp.Body)
+	resp.Body.Close()
 	if resp.StatusCode >= 400 {
 		var e apiError
-		if err := json.NewDecoder(resp.Body).Decode(&e); err == nil && e.Error != "" {
+		if json.Unmarshal(buf.Bytes(), &e) == nil && e.Error != "" {
 			return fmt.Errorf("service: %s", e.Error)
 		}
 		return fmt.Errorf("service: HTTP %d", resp.StatusCode)
@@ -95,5 +109,8 @@ func decodeReply(resp *http.Response, v any) error {
 	if v == nil {
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	if err != nil {
+		return fmt.Errorf("service: reading the reply: %w", err)
+	}
+	return json.Unmarshal(buf.Bytes(), v)
 }

@@ -213,9 +213,17 @@ func TestOracleServiceHTTP(t *testing.T) {
 		t.Fatalf("prediction = %v, want 1000", p.PredictedTime)
 	}
 
-	// Below the 90% trigger: no start.
-	plan := func() PlanResult { return c.Plans([]PlanRequest{{BatchID: "b", CreditCPUHours: 10}})[0] }
-	if r := plan(); r.Error != "" || r.Plan.Start {
+	// Below the 90% trigger: no start. An untracked batch ahead of b fails
+	// at its own index, naming itself.
+	plan := func() PlanResult {
+		t.Helper()
+		res := c.Plans([]PlanRequest{{BatchID: "ghost", CreditCPUHours: 10}, {BatchID: "b", CreditCPUHours: 10}})
+		if len(res) != 2 || !strings.Contains(res[0].Error, `"ghost"`) {
+			t.Fatalf("plans: %+v", res)
+		}
+		return res[1]
+	}
+	if r := plan(); r.Error != "" || r.Plan != (PlanReply{}) {
 		t.Fatalf("plan fired early: %+v", r)
 	}
 	infoClient.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: 900, Completed: 90, Assigned: 100}}})
@@ -230,7 +238,7 @@ func TestOracleServiceHTTP(t *testing.T) {
 	// Calibration round trip: two executions of one environment in one request.
 	rec := CalibrationRecord{EnvKey: "env", Base: 1000, Actual: 1500}
 	res := c.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: rec}, {BatchID: "b2", CalibrationRecord: rec}})
-	if len(res) != 2 || res[0] != (ItemResult{BatchID: "b"}) || res[1] != (ItemResult{BatchID: "b2"}) {
+	if len(res) != 2 || res[0] != (ItemResult{}) || res[1] != (ItemResult{}) {
 		t.Fatalf("calibrations: %+v", res)
 	}
 	st, err := c.Calibration("env")

@@ -155,8 +155,11 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				err := fx.schedC.Get(&qos, "qos", id)
 				check("GET /qos/{id}", err, qos.BatchID, id)
 
+				// A bulk result names no batch: what the item did is read back
+				// from the state stored under the id.
 				sample := fx.infoC.AddSamples([]service.BatchSample{{BatchID: id, Sample: core.Sample{T: 60, Completed: 60, Assigned: 100}}})[0]
-				check("info.AddSamples", itemError(sample.Error), sample.BatchID, id)
+				stored, _ := fx.state.Information.View(id)
+				check("info.AddSamples", itemError(sample.Error), stored.LastSample.T, 60.0)
 				st, err := fx.infoC.Status(id)
 				check("info.Status", err, st.BatchID, id)
 				if st.Samples != 1 {
@@ -176,6 +179,8 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				check("credit.Orders", itemError(lookup.Error), lookup.HasCredits, true)
 				pay := fx.creditC.Pays([]string{id})[0]
 				check("credit.Pays", itemError(pay.Error), pay.Refund, 9.0)
+				closed, _ := fx.state.Credits.OrderOf(id)
+				check("credit.Pays stored", nil, closed.Closed, true)
 
 				pred, err := fx.oracleC.Predict(id)
 				check("oracle.Predict", err, pred.CompletedFraction, 0.6)

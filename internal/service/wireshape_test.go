@@ -65,18 +65,22 @@ func replyBody(t *testing.T, method, url, req string) string {
 	return string(b)
 }
 
-// firstResult is the first result of a bulk reply, as raw JSON.
-func firstResult(t *testing.T, reply string) json.RawMessage {
+// bulkResults is the results of a bulk reply, each as compact raw JSON; the
+// reply must carry n of them.
+func bulkResults(t *testing.T, reply string, n int) []json.RawMessage {
 	t.Helper()
 	var r service.BulkReply[json.RawMessage]
-	if err := json.Unmarshal([]byte(reply), &r); err != nil || len(r.Results) != 1 {
-		t.Fatalf("bulk reply %s: %v", reply, err)
+	if err := json.Unmarshal([]byte(reply), &r); err != nil || len(r.Results) != n {
+		t.Fatalf("bulk reply %s (want %d results): %v", reply, n, err)
 	}
-	var compact bytes.Buffer
-	if err := json.Compact(&compact, r.Results[0]); err != nil {
-		t.Fatal(err)
+	for i, res := range r.Results {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, res); err != nil {
+			t.Fatal(err)
+		}
+		r.Results[i] = compact.Bytes()
 	}
-	return compact.Bytes()
+	return r.Results
 }
 
 // jsonKeys is the key set of a JSON object, nested objects' keys prefixed
@@ -102,13 +106,19 @@ func jsonKeys(t *testing.T, obj json.RawMessage) []string {
 
 // TestWireShapes pins the bodies a client reads. The two single-item reads,
 // GET /information/batches/{id} and GET /credit/orders/{id}, answer the full
-// summary and the full order byte for byte. The two bulk reads a Scheduler
-// tick makes, POST /information/statuses and POST /credit/orders/lookup,
-// answer only what the tick reads: a field added back to them is an edit of
-// this test.
+// summary and the full order byte for byte. Every bulk route answers only
+// what its caller reads, and no result names its batch (results are
+// positional): the key set of one result of each of the seven is pinned, and
+// so are the bytes of a plan that starts nothing and of an item that only
+// succeeded. A field added back to any of them is an edit of this test.
 func TestWireShapes(t *testing.T) {
 	fx := shapeFixture(t)
-	infoURL, creditURL := fx.infoC.BaseURL, fx.creditC.BaseURL
+	infoURL, creditURL, oracleURL := fx.infoC.BaseURL, fx.creditC.BaseURL, fx.oracleC.BaseURL
+	// b2 has no sample yet, so the default strategy's 9C trigger has not
+	// fired for it.
+	if err := fx.infoC.Track(service.TrackRequest{BatchID: "b2", EnvKey: "XWHEP/seti/SMALL", Size: 10}); err != nil {
+		t.Fatal(err)
+	}
 
 	const wantStatus = `{"batch_id":"b1","env_key":"XWHEP/seti/SMALL","size":200,"samples":3,` +
 		`"completed_fraction":0.925,"assigned_fraction":1,"done":false,"completed_at":-1,` +
@@ -122,25 +132,49 @@ func TestWireShapes(t *testing.T) {
 		t.Errorf("GET /credit/orders/b1 answered\n%s\nwant\n%s", got, wantOrder)
 	}
 
+	keys := func(route string, result json.RawMessage, want ...string) {
+		t.Helper()
+		if got := jsonKeys(t, result); !slices.Equal(got, want) {
+			t.Errorf("POST %s result keys %q, want %q", route, got, want)
+		}
+	}
+	bytesOf := func(route string, result json.RawMessage, want string) {
+		t.Helper()
+		if string(result) != want {
+			t.Errorf("POST %s result %s, want %s", route, result, want)
+		}
+	}
+
 	// What Oracle.Plan and the archive rule read (core.TickView), under the
 	// two thirds of the 359 bytes the item took as the full summary.
 	const fullStatusItem = 359
-	status := firstResult(t, replyBody(t, "POST", infoURL+"/statuses", `{"items":["b1"]}`))
-	wantKeys := []string{"batch_id", "status", "status.assigned", "status.completed", "status.completed_at",
+	status := bulkResults(t, replyBody(t, "POST", infoURL+"/statuses", `{"items":["b1"]}`), 1)[0]
+	keys("/information/statuses", status, "status", "status.assigned", "status.completed", "status.completed_at",
 		"status.exec_variance", "status.max_variance_first_half", "status.peak_workers", "status.size",
-		"status.t", "status.tc50", "status.workers"}
-	if got := jsonKeys(t, status); !slices.Equal(got, wantKeys) {
-		t.Errorf("POST /information/statuses item keys %q, want %q", got, wantKeys)
-	}
+		"status.t", "status.tc50", "status.workers")
 	if len(status) >= fullStatusItem*2/3 {
 		t.Errorf("POST /information/statuses item is %d bytes, want under %d: %s", len(status), fullStatusItem*2/3, status)
 	}
 	// What the tick's Orders step reads.
-	lookup := firstResult(t, replyBody(t, "POST", creditURL+"/orders/lookup", `{"items":["b1"]}`))
-	if got, want := jsonKeys(t, lookup), []string{"batch_id", "found", "has_credits", "remaining"}; !slices.Equal(got, want) {
-		t.Errorf("POST /credit/orders/lookup item keys %q, want %q", got, want)
-	}
-	if want := `{"batch_id":"b1","found":true,"has_credits":true,"remaining":36.25}`; string(lookup) != want {
-		t.Errorf("POST /credit/orders/lookup item %s, want %s", lookup, want)
-	}
+	lookup := bulkResults(t, replyBody(t, "POST", creditURL+"/orders/lookup", `{"items":["b1"]}`), 1)[0]
+	keys("/credit/orders/lookup", lookup, "found", "has_credits", "remaining")
+	bytesOf("/credit/orders/lookup", lookup, `{"found":true,"has_credits":true,"remaining":36.25}`)
+
+	// b1 is 92.5% complete, so 9C-C-R starts workers for it and says why; b2's
+	// plan starts nothing and is empty.
+	plans := bulkResults(t, replyBody(t, "POST", oracleURL+"/plans",
+		`{"items":[{"batch_id":"b1","credit_cpu_hours":2},{"batch_id":"b2","credit_cpu_hours":2}]}`), 2)
+	keys("/oracle/plans", plans[0], "plan", "plan.reason", "plan.start", "plan.workers")
+	bytesOf("/oracle/plans", plans[1], `{"plan":{}}`)
+
+	bill := bulkResults(t, replyBody(t, "POST", creditURL+"/bills", `{"items":[{"batch_id":"b1","credits":[0.25]}]}`), 1)[0]
+	keys("/credit/bills", bill, "applied", "exhausted")
+	sample := bulkResults(t, replyBody(t, "POST", infoURL+"/samples",
+		`{"items":[{"batch_id":"b1","sample":{"t":1300,"completed":190,"assigned":200}}]}`), 1)[0]
+	bytesOf("/information/samples", sample, `{}`)
+	pay := bulkResults(t, replyBody(t, "POST", creditURL+"/orders/pay", `{"items":["b1"]}`), 1)[0]
+	keys("/credit/orders/pay", pay, "refund")
+	cal := bulkResults(t, replyBody(t, "POST", oracleURL+"/calibrations",
+		`{"items":[{"batch_id":"b1","env_key":"XWHEP/seti/SMALL","base":1200,"actual":1300}]}`), 1)[0]
+	bytesOf("/oracle/calibrations", cal, `{}`)
 }
