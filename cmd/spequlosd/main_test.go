@@ -314,7 +314,11 @@ func TestRestartRestoresState(t *testing.T) {
 	call(t, d, http.MethodPost, "/credit/deposit", `{"user":"alice","credits":100}`, nil)
 	call(t, d, http.MethodPost, "/scheduler/qos",
 		`{"user":"alice","batch_id":"b1","env_key":"`+env+`","size":100,"credits":40,"provider":"ec2","image":"img"}`, nil)
-	call(t, d, http.MethodPost, "/oracle/calibrations", `{"items":[{"batch_id":"b0","env_key":"`+env+`","base":100,"actual":120}]}`, nil)
+	// b0 is half done at 50 s and done at 120 s: the Oracle archives it.
+	call(t, d, http.MethodPost, "/information/batches", `{"batch_id":"b0","env_key":"`+env+`","size":10}`, nil)
+	call(t, d, http.MethodPost, "/information/samples", `{"items":[{"batch_id":"b0","sample":{"t":50,"completed":5,"assigned":10}}]}`, nil)
+	call(t, d, http.MethodPost, "/information/samples", `{"items":[{"batch_id":"b0","sample":{"t":120,"completed":10,"assigned":10}}]}`, nil)
+	call(t, d, http.MethodPost, "/oracle/calibrations", `{"items":[{"batch_id":"b0","env_key":"`+env+`"}]}`, nil)
 	d.Close()
 
 	d = startOn(t, validOptions(dir))

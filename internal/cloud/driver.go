@@ -19,8 +19,6 @@ type Driver interface {
 	Launch(req LaunchRequest) (InstanceInfo, error)
 	// Terminate shuts an instance down. Unknown IDs return an error.
 	Terminate(id string) error
-	// Describe returns the current descriptor of an instance.
-	Describe(id string) (InstanceInfo, error)
 	// List returns all non-terminated instances.
 	List() []InstanceInfo
 }
@@ -168,7 +166,7 @@ func (d *MockDriver) Terminate(id string) error {
 	return nil
 }
 
-// Describe implements Driver.
+// Describe returns the current descriptor of an instance.
 func (d *MockDriver) Describe(id string) (InstanceInfo, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -177,12 +177,12 @@ func (bi *BatchInfo) MaxExecutionVarianceUpTo(x float64) float64 {
 
 // TickView is what one monitor tick reads of a batch: the inputs of the
 // Oracle's decision (Oracle.Plan: every Trigger and Sizing) and of the archive
-// rule (Execution), and nothing else. It carries the latest sample's counts,
-// not fractions; CompletedFraction and AssignedFraction divide them by the
-// size, as BatchInfo.CompletedFraction does, so a plan from the view is the
-// plan from the history, in process or after a JSON round trip. The simulator
-// builds it from a BatchInfo in O(1) each tick; the Information service
-// answers it to POST /statuses.
+// rule (Oracle.Archive), and nothing else. It carries the latest sample's
+// counts, not fractions; CompletedFraction and AssignedFraction divide them by
+// the size, as BatchInfo.CompletedFraction does, so a plan from the view is
+// the plan from the history, in process or after a JSON round trip. The
+// simulator builds it from a BatchInfo in O(1) each tick; the Information
+// service answers it to POST /statuses.
 type TickView struct {
 	Size int `json:"size"`
 	// T, Completed, Assigned and Workers are the latest sample's (all 0
@@ -225,7 +225,7 @@ func (v TickView) AssignedFraction() float64 {
 // Done reports whether the batch completed.
 func (v TickView) Done() bool { return v.CompletedAt >= 0 }
 
-// Execution is what the Oracle archives of a done batch (Table 4's point):
+// Execution is what Oracle.Archive records of a done batch (Table 4's point):
 // base = tc(0.5)/0.5, the constant-rate estimate at half completion, and
 // actual = the completion time; ok is false for a running batch or tc(0.5) 0.
 func (v TickView) Execution() (base, actual float64, ok bool) {

@@ -441,6 +441,17 @@ func (o *Oracle) predict(batchID, envKey string, elapsed, r float64) (Prediction
 	}, nil
 }
 
+// Archive is the archive rule, the one place it is applied: a done batch's
+// execution (TickView.Execution) joins its environment's α archive, and a
+// running batch, or one whose tc(0.5) is 0, archives nothing. The in-process
+// Scheduler and the Oracle service, which reads the view from Information's
+// POST /statuses, both archive here.
+func (o *Oracle) Archive(envKey string, v TickView) {
+	if base, actual, ok := v.Execution(); ok {
+		o.Calibration.Record(envKey, base, actual)
+	}
+}
+
 // Plan is the Oracle's provisioning decision for one batch at one monitor
 // tick (Algorithm 1). The zero Plan starts nothing: it is the decision for a
 // complete batch and for one whose trigger has not fired, and every field is

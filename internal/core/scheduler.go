@@ -266,12 +266,10 @@ func (p *simPorts) Pay(bs []*Batch) {
 	}
 }
 
-// Archive records each batch's execution (TickView.Execution).
+// Archive hands each batch's tick view to the Oracle's archive rule.
 func (p *simPorts) Archive(bs []*Batch) {
 	for _, b := range bs {
-		if base, actual, ok := b.bi.TickView().Execution(); ok {
-			p.Oracle.Calibration.Record(b.bi.EnvKey, base, actual)
-		}
+		p.Oracle.Archive(b.bi.EnvKey, b.bi.TickView())
 	}
 }
 

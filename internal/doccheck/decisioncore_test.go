@@ -23,8 +23,10 @@ var strategyTypes = map[string]bool{
 // apart (a second implementation of a trigger or sizing rule), a comparison
 // against a tier's MaxActive or the policy's FleetCap or a call to the
 // policy's Admit (a second tier admission, or a second place that orders it
-// among a tick's steps), or a branch on a batch's Started, Exhausted or
-// ReleaseIdle (a second apply step choosing between stopping and launching).
+// among a tick's steps), a call to a tick view's Execution (a second place
+// that applies the archive rule), or a branch on a batch's Started, Exhausted
+// or ReleaseIdle (a second apply step choosing between stopping and
+// launching).
 func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 	var out []string
 	report := func(n ast.Node, what string) {
@@ -63,8 +65,13 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 				}
 			}
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Admit" {
-				report(n, "call to a tier policy's Admit")
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+				switch sel.Sel.Name {
+				case "Admit":
+					report(n, "call to a tier policy's Admit")
+				case "Execution":
+					report(n, "call to a tick view's Execution")
+				}
 			}
 		case *ast.TypeAssertExpr:
 			if n.Type == nil { // x.(type)
@@ -100,10 +107,11 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 // TestDecisionsLiveInCore is the one-decision-core guard: outside
 // internal/core no non-test file of the repository (the bench module
 // included) switches or asserts on a core.Trigger or core.Sizing, compares
-// anything to MaxActive or FleetCap, calls a tier policy's Admit, or branches
-// on a batch's Started, Exhausted or ReleaseIdle. Triggers, sizings, idle
-// release and tier admission are computed by core.Oracle.Plan and
-// core.TierPolicy.Admit, and ordered into a tick by core.Monitor.Run, on both
+// anything to MaxActive or FleetCap, calls a tier policy's Admit or a tick
+// view's Execution, or branches on a batch's Started, Exhausted or
+// ReleaseIdle. Triggers, sizings, idle release, tier admission and the archive
+// rule are computed by core.Oracle.Plan, core.TierPolicy.Admit and
+// core.Oracle.Archive, and ordered into a tick by core.Monitor.Run, on both
 // sides of the wire; a second copy would start here.
 func TestDecisionsLiveInCore(t *testing.T) {
 	root := "../.."
@@ -176,12 +184,19 @@ func (s *SchedulerService) apply(tb *tickBatch, qb *schedBatch) {
 	}
 	status := QoSStatus{Started: qb.Started, Exhausted: qb.Exhausted} // a report, not a branch
 	_ = status
+}
+func (p *schedulerPorts) Archive(bs []*core.Batch) {
+	for i, st := range p.info.Statuses(batchIDs(bs)) {
+		if base, actual, ok := st.Status.Execution(); ok {
+			p.record(bs[i], base, actual)
+		}
+	}
 }`
 	file, err := parser.ParseFile(fset, "old.go", old, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decisionLeaks(fset, file); len(got) != 10 {
-		t.Errorf("the guard found %d of the 10 leaks in the old service code: %v", len(got), got)
+	if got := decisionLeaks(fset, file); len(got) != 11 {
+		t.Errorf("the guard found %d of the 11 leaks in the old service code: %v", len(got), got)
 	}
 }

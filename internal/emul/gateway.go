@@ -105,15 +105,6 @@ func (g *SimDG) Terminate(id string) error {
 	return nil
 }
 
-// Describe implements cloud.Driver: the instance's refreshed descriptor.
-func (g *SimDG) Describe(id string) (cloud.InstanceInfo, error) {
-	si, ok := g.instances[id]
-	if !ok {
-		return cloud.InstanceInfo{}, fmt.Errorf("emul: unknown instance %q", id)
-	}
-	return g.refresh(si), nil
-}
-
 // refresh derives the driver-visible lifecycle state from the simulated
 // instance: pending until the worker connects, running until stopped.
 func (g *SimDG) refresh(si *core.Instance) cloud.InstanceInfo {

@@ -67,9 +67,9 @@ func TestWallDGProgressesLinearly(t *testing.T) {
 	}
 }
 
-// TestProgressReplyBytes pins the POST /progress-batch reply: a batch with
-// no idle instance answers exactly the bytes it did before a reply could
-// name any, and one with an idle instance only adds its list.
+// TestProgressReplyBytes pins the POST /progress-batch reply: snake_case
+// names and no zero counter, and a batch with an idle instance only adds its
+// list.
 func TestProgressReplyBytes(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -77,9 +77,9 @@ func TestProgressReplyBytes(t *testing.T) {
 		want string
 	}{
 		{"none idle", NewWallDG(time.Hour, ""),
-			`{"progress":{"b1":{"Size":100,"Arrived":100,"Completed":0,"EverAssigned":100,"Running":100,"Queued":0,"Workers":0}}}`},
+			`{"progress":{"b1":{"size":100,"arrived":100,"ever_assigned":100,"running":100}}}`},
 		{"one idle", fuzzWire{},
-			`{"progress":{"b1":{"Size":3,"Arrived":3,"Completed":1,"EverAssigned":2,"Running":1,"Queued":0,"Workers":0,"IdleInstances":["i-1"]}}}`},
+			`{"progress":{"b1":{"size":3,"arrived":3,"completed":1,"ever_assigned":2,"running":1,"idle_instances":["i-1"]}}}`},
 	} {
 		rec := httptest.NewRecorder()
 		NewGatewayHandler(c.gw).ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/progress-batch", strings.NewReader(`{"ids":["b1"]}`)))

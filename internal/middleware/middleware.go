@@ -54,19 +54,22 @@ func BatchFromBoT(b *bot.BoT) Batch {
 // Progress is the server-side view of one batch, the only information
 // SpeQuloS needs (§3.2: "Because we monitor the BoT execution progress, a
 // single QoS mechanism can be applied to a variety of infrastructures").
+//
+// On the DG gateway's wire every field is omitted when zero, so a batch
+// waiting in the queue reads {"size":40,"arrived":40,"queued":40}.
 type Progress struct {
-	Size         int // total tasks in the batch
-	Arrived      int // tasks submitted so far
-	Completed    int // tasks completed
-	EverAssigned int // tasks assigned to a worker at least once (monotone)
-	Running      int // tasks the server believes are executing
-	Queued       int // tasks waiting for a worker
-	Workers      int // workers currently attached to the server
+	Size         int `json:"size,omitempty"`          // total tasks in the batch
+	Arrived      int `json:"arrived,omitempty"`       // tasks submitted so far
+	Completed    int `json:"completed,omitempty"`     // tasks completed
+	EverAssigned int `json:"ever_assigned,omitempty"` // tasks assigned to a worker at least once (monotone)
+	Running      int `json:"running,omitempty"`       // tasks the server believes are executing
+	Queued       int `json:"queued,omitempty"`        // tasks waiting for a worker
+	Workers      int `json:"workers,omitempty"`       // workers currently attached to the server
 	// IdleInstances names, by instance id, the batch's cloud instances whose
 	// workers are connected and hold no assignment: what Greedy releases
 	// (§3.5). Only a DG gateway that knows the cloud instances fills it; a
 	// server's own Progress leaves it nil.
-	IdleInstances []string `json:",omitempty"`
+	IdleInstances []string `json:"idle_instances,omitempty"`
 }
 
 // Done reports whether every task completed.

@@ -520,7 +520,7 @@ func TestTenantKeyCannotWriteModules(t *testing.T) {
 		{"/credit/orders/pay", `{"items":["b"]}`},
 		{"/information/batches", `{"batch_id":"c","env_key":"e","size":10}`},
 		{"/information/samples", `{"items":[{"batch_id":"b","sample":{"t":60,"completed":10,"assigned":10}}]}`},
-		{"/oracle/calibrations", `{"items":[{"batch_id":"b","env_key":"e","base":100,"actual":100}]}`},
+		{"/oracle/calibrations", `{"items":[{"batch_id":"b","env_key":"e"}]}`},
 		{"/scheduler/step", ``},
 	} {
 		code, reply := send(http.MethodPost, w.path, w.body)

@@ -13,7 +13,10 @@ package service
 // the caller pairs result i with item i, and a result carries only what its
 // caller reads (an item that just succeeded answers {}). Each item is one
 // call of the module's core function and fails on its own: a result carrying
-// "error" says nothing about its neighbours. The request as a whole is
+// "error" says nothing about its neighbours. The Oracle's two routes first
+// read every item's tick view from Information with one POST /statuses
+// (serveViews), so a batch Information refuses fails there alone; the
+// others apply their items directly (serveBulk). The request as a whole is
 // refused with a 4xx — before any item is applied — when it is malformed,
 // carries unknown fields, is empty, names a batch twice, or exceeds
 // maxBodyBytes.
@@ -49,6 +52,9 @@ type ItemResult struct {
 	// Error is empty on success.
 	Error string `json:"error,omitempty"`
 }
+
+// itemFailed is the result of an item that failed.
+func itemFailed(msg string) ItemResult { return ItemResult{Error: msg} }
 
 // itemErr turns a result's error text into an error worded as a client call
 // words a refused request.

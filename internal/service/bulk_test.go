@@ -78,7 +78,7 @@ var bulkRoutes = []struct {
 	{"oracle", "/plans", func(id string) string { return fmt.Sprintf(`{"batch_id":%q,"credit_cpu_hours":2}`, id) }},
 	{"credit", "/orders/pay", func(id string) string { return fmt.Sprintf("%q", id) }},
 	{"oracle", "/calibrations", func(id string) string {
-		return fmt.Sprintf(`{"batch_id":%q,"env_key":"e","base":100,"actual":120}`, id)
+		return fmt.Sprintf(`{"batch_id":%q,"env_key":"e"}`, id)
 	}},
 }
 
@@ -167,7 +167,7 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	}
 	var lookups BulkReply[OrderLookup]
 	post("credit", "/orders/lookup", `{"items":["ghost","b"]}`, &lookups)
-	if r := lookups.Results; len(r) != 2 || r[0].Found || r[0].HasCredits || !r[1].Found || r[1].HasCredits || r[1].Remaining != 0 {
+	if r := lookups.Results; len(r) != 2 || r[0] != (OrderLookup{}) || r[1] != (OrderLookup{}) {
 		t.Fatalf("lookups: %+v", r)
 	}
 
@@ -205,13 +205,23 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	if r := again.Results; len(r) != 1 || r[0] != (PayResult{}) {
 		t.Fatalf("pays of a closed order: %+v", r)
 	}
+
+	// The Oracle archives what Information says of each batch: b is still
+	// running, so it archives nothing and succeeds; the untracked batch fails
+	// at its own index with Information's reason; the finished one, half done
+	// at 60 s and done at 100 s, archives base 120 and actual 100.
+	if _, err := fx.info.info.Track("done", "e", 10, 0); err != nil {
+		t.Fatal(err)
+	}
+	fx.info.info.AddSample("done", core.Sample{T: 60, Completed: 5, Assigned: 10})
+	fx.info.info.AddSample("done", core.Sample{T: 100, Completed: 10, Assigned: 10})
 	var cals BulkReply[ItemResult]
-	post("oracle", "/calibrations", `{"items":[`+item(6, "b")+`,`+item(6, "other")+`]}`, &cals)
-	if r := cals.Results; len(r) != 2 || r[0] != (ItemResult{}) || r[1] != (ItemResult{}) {
+	post("oracle", "/calibrations", `{"items":[`+item(6, "b")+`,`+item(6, "other")+`,`+item(6, "done")+`]}`, &cals)
+	if r := cals.Results; len(r) != 3 || r[0] != (ItemResult{}) || r[1].Error != `service: batch "other" not tracked` || r[2] != (ItemResult{}) {
 		t.Fatalf("calibrations: %+v", r)
 	}
-	if n := fx.oracle.Calibration.Fit("e").Count; n != 2 {
-		t.Fatalf("%d executions archived, want the 2 of the request", n)
+	if fit := fx.oracle.Calibration.Fit("e"); fit.Count != 1 || fit.Alpha != 100.0/120 {
+		t.Fatalf("archive %+v, want the finished batch's execution alone", fit)
 	}
 }
 
@@ -377,7 +387,7 @@ func TestClientsReuseConnections(t *testing.T) {
 		{"oracle.Plans", oracleOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}, {BatchID: "ghost"}}) }},
 		{"credit.Pays", creditOpened, func(i int) { credit.Pays([]string{id("o", i), "ghost"}) }},
 		{"oracle.Calibrations", oracleOpened, func(i int) {
-			oracle.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: CalibrationRecord{EnvKey: "e", Base: 100, Actual: 120}}})
+			oracle.Calibrations([]CalibrationItem{{BatchID: "b", EnvKey: "e"}})
 		}},
 		{"oracle.Calibration", oracleOpened, func(i int) { oracle.Calibration("e") }},
 		{"sched.RegisterQoS", schedOpened, func(i int) { sched.RegisterQoS(QoSRequest{BatchID: id("q", i), Size: 1}) }},
@@ -385,6 +395,7 @@ func TestClientsReuseConnections(t *testing.T) {
 		// The Oracle is itself a client of Information.
 		{"oracle.Predict → info.Status", infoOpened, func(i int) { oracle.Predict("b") }},
 		{"oracle.Plans → info.Statuses", infoOpened, func(i int) { oracle.Plans([]PlanRequest{{BatchID: "b"}}) }},
+		{"oracle.Calibrations → info.Statuses", infoOpened, func(i int) { oracle.Calibrations([]CalibrationItem{{BatchID: "b", EnvKey: "e"}}) }},
 	}
 	for _, m := range methods {
 		before := m.opened.Load()

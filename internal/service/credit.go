@@ -58,8 +58,8 @@ func NewCreditService(cs *core.CreditSystem) *CreditService {
 		return res
 	}))
 	s.Handle("POST /orders/lookup", serveBulk(sameID, func(id string) OrderLookup {
-		o, found, has := cs.Lookup(id)
-		return OrderLookup{Found: found, HasCredits: has, Remaining: o.Remaining()}
+		o, _, has := cs.Lookup(id)
+		return OrderLookup{HasCredits: has, Remaining: o.Remaining()}
 	}))
 	s.Handle("POST /orders/pay", serveBulk(sameID, func(id string) PayResult {
 		var res PayResult
@@ -114,15 +114,13 @@ type BillResult struct {
 
 // OrderLookup is one result of POST /orders/lookup: what a Scheduler tick
 // reads of an order (GET /orders/{id} answers the whole order). A batch
-// without an order is not an error: Found and HasCredits are false.
+// without an order is not an error: HasCredits is false and Remaining 0.
 type OrderLookup struct {
-	// Found reports whether the batch has an order, open or closed.
-	Found bool `json:"found"`
 	// HasCredits reports an open order with credits left (Algorithm 1's
 	// CreditSystem.hasCredits).
 	HasCredits bool `json:"has_credits"`
 	// Remaining is the order's unbilled credits (core.Order.Remaining; 0
-	// unless Found).
+	// for a batch without an order).
 	Remaining float64 `json:"remaining"`
 	// Error is set only by the client, when the request as a whole failed.
 	Error string `json:"error,omitempty"`

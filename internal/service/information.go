@@ -20,9 +20,9 @@ import (
 // Samples arrive from DG-side monitors (a few hundred bytes per minute per
 // BoT, as §3.2 notes), so one Information service can archive many BoTs and
 // infrastructures simultaneously. The two bulk routes (see bulk.go) are what
-// the Scheduler's tick and the Oracle's /plans use; /statuses answers each
-// batch's core.TickView, the part of GET /batches/{id}'s summary that a tick
-// reads. The archive guards itself
+// the Scheduler's tick and the Oracle's /plans and /calibrations use;
+// /statuses answers each batch's core.TickView, the part of GET
+// /batches/{id}'s summary that a tick reads. The archive guards itself
 // (core.Information), so a co-located reader — the daemon's loop writing the
 // state image — shares it with the handlers without a lock here.
 type InformationService struct {
@@ -100,11 +100,10 @@ type BatchSample struct {
 	Sample core.Sample `json:"sample"`
 }
 
-// StatusResult is one result of POST /statuses. Its two readers, the
-// Oracle's /plans and the Scheduler's archive step, read nothing but the
-// batch's tick view: every input of core.Oracle.Plan and of
-// core.TickView.Execution, so a remote Oracle evaluates any strategy on
-// exactly what the in-process one reads.
+// StatusResult is one result of POST /statuses. Its one reader, the Oracle
+// (its /plans and /calibrations), reads nothing but the batch's tick view:
+// every input of core.Oracle.Plan and of core.Oracle.Archive, so a remote
+// Oracle plans and archives on exactly what the in-process one reads.
 type StatusResult struct {
 	// Status is the batch's tick view; nil when Error is set.
 	Status *core.TickView `json:"status,omitempty"`
@@ -149,8 +148,7 @@ func (c *InformationClient) Track(req TrackRequest) error {
 // and returns one result per item, in order. A request that fails as a whole
 // is reported in the results of the items it carried.
 func (c *InformationClient) AddSamples(items []BatchSample) []ItemResult {
-	return bulkCall(&c.Client, []string{"samples"}, items, oneEach,
-		func(msg string) ItemResult { return ItemResult{Error: msg} })
+	return bulkCall(&c.Client, []string{"samples"}, items, oneEach, itemFailed)
 }
 
 // Statuses fetches the tick views of many batches with POST /statuses and

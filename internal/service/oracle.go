@@ -10,27 +10,23 @@ import (
 // BoT state from a (possibly remote) Information service, so the two
 // modules can be deployed on different hosts, as in the EDGI setup: the full
 // summary (GET /batches/{id}) for a prediction, the tick view (POST
-// /statuses) for a plan.
+// /statuses) to plan and to archive.
 //
 //	GET  /predict/{batch}       completion-time prediction
 //	POST /plans                 start decisions for many batches
-//	POST /calibrations          archive many batches' executions
+//	POST /calibrations          archive many finished batches' executions
 //	GET  /calibration/{env...}  α, success rate and count of an environment, as of one instant (env keys contain "/")
 //
-// The two bulk routes (see bulk.go) are the Scheduler tick's: /plans reads
-// every batch's tick view with one POST /statuses to Information and runs
-// core.Oracle.Plan on each; /calibrations archives each item's execution
-// under its environment key.
-type OracleService struct {
-	Routes
-	oracle *core.Oracle
-	info   *InformationClient
-}
+// The two bulk routes (see bulk.go) are the Scheduler tick's, and they have
+// one shape (serveViews): read every item's tick view with one POST /statuses
+// to Information, then run core.Oracle.Plan on each for /plans, or
+// core.Oracle.Archive under the item's environment key for /calibrations.
+type OracleService struct{ Routes }
 
 // NewOracleService builds an Oracle service reading from the given
 // Information service.
 func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
-	s := &OracleService{oracle: o, info: info}
+	s := &OracleService{}
 	s.Handle("GET /predict/{batch}", EndpointNoBody(http.StatusOK, func(r *http.Request) (core.Prediction, error) {
 		st, err := info.Status(r.PathValue("batch"))
 		if err != nil {
@@ -39,17 +35,48 @@ func NewOracleService(o *core.Oracle, info *InformationClient) *OracleService {
 		p, err := o.PredictView(st)
 		return p, Fail(http.StatusConflict, err)
 	}))
-	s.Handle("POST /plans", Endpoint(http.StatusOK, s.plans))
-	s.Handle("POST /calibrations", serveBulk(func(it CalibrationItem) string { return it.BatchID }, func(it CalibrationItem) ItemResult {
-		o.Calibration.Record(it.EnvKey, it.Base, it.Actual)
-		return ItemResult{}
-	}))
+	s.Handle("POST /plans", serveViews(info, func(p PlanRequest) string { return p.BatchID },
+		func(p PlanRequest, v core.TickView) PlanResult { return PlanResult{Plan: o.Plan(v, p.CreditCPUHours)} },
+		planFailed))
+	s.Handle("POST /calibrations", serveViews(info, func(it CalibrationItem) string { return it.BatchID },
+		func(it CalibrationItem, v core.TickView) ItemResult {
+			o.Archive(it.EnvKey, v)
+			return ItemResult{}
+		}, itemFailed))
 	s.Handle("GET /calibration/{env...}", EndpointNoBody(http.StatusOK, func(r *http.Request) (CalibrationStatus, error) {
 		env := r.PathValue("env")
 		fit := o.Calibration.Fit(env)
 		return CalibrationStatus{EnvKey: env, Alpha: fit.Alpha, SuccessRate: fit.SuccessRate(), Count: fit.Count}, nil
 	}))
 	return s
+}
+
+// serveViews is the endpoint of an Oracle bulk route: validate the request as
+// serveBulk does, read every item's tick view with one POST /statuses to
+// Information, then decide on each. An item Information refuses fails alone,
+// with Information's reason.
+func serveViews[I, R any](info *InformationClient, id func(I) string, decide func(I, core.TickView) R, fail func(string) R) http.HandlerFunc {
+	return Endpoint(http.StatusOK, func(_ *http.Request, req BulkRequest[I]) (BulkReply[R], error) {
+		if err := checkBulk(req.Items, id); err != nil {
+			return BulkReply[R]{}, Fail(http.StatusBadRequest, err)
+		}
+		ids := make([]string, len(req.Items))
+		for i, it := range req.Items {
+			ids[i] = id(it)
+		}
+		results := make([]R, len(req.Items))
+		for i, st := range info.Statuses(ids) {
+			switch {
+			case st.Error != "":
+				results[i] = fail(itemErr(st.Error).Error())
+			case st.Status == nil:
+				results[i] = fail("information returned neither a status nor an error")
+			default:
+				results[i] = decide(req.Items[i], *st.Status)
+			}
+		}
+		return BulkReply[R]{Results: results}, nil
+	})
 }
 
 // PlanRequest asks whether (and with how many workers) to start cloud
@@ -71,18 +98,11 @@ type PlanResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// CalibrationRecord archives one finished execution.
-type CalibrationRecord struct {
-	EnvKey string  `json:"env_key"`
-	Base   float64 `json:"base"`   // tc(0.5)/0.5 at prediction time
-	Actual float64 `json:"actual"` // observed completion time
-}
-
-// CalibrationItem is one item of POST /calibrations: the execution of the
-// named batch.
+// CalibrationItem is one item of POST /calibrations: a finished batch, whose
+// execution the Oracle reads from Information and archives under EnvKey.
 type CalibrationItem struct {
 	BatchID string `json:"batch_id"`
-	CalibrationRecord
+	EnvKey  string `json:"env_key"`
 }
 
 // CalibrationStatus reports an environment's fit (core.Calibration.Fit).
@@ -91,32 +111,6 @@ type CalibrationStatus struct {
 	Alpha       float64 `json:"alpha"`
 	SuccessRate float64 `json:"success_rate"`
 	Count       int     `json:"count"`
-}
-
-// plans is POST /plans: one POST /statuses to Information, then
-// core.Oracle.Plan on each tick view.
-func (s *OracleService) plans(_ *http.Request, req BulkRequest[PlanRequest]) (BulkReply[PlanResult], error) {
-	reqs := req.Items
-	if err := checkBulk(reqs, func(p PlanRequest) string { return p.BatchID }); err != nil {
-		return BulkReply[PlanResult]{}, Fail(http.StatusBadRequest, err)
-	}
-	ids := make([]string, len(reqs))
-	for i, req := range reqs {
-		ids[i] = req.BatchID
-	}
-	results := make([]PlanResult, len(reqs))
-	for i, st := range s.info.Statuses(ids) {
-		switch {
-		case st.Error != "":
-			// Information refused the batch: pass its reason on.
-			results[i].Error = itemErr(st.Error).Error()
-		case st.Status == nil:
-			results[i].Error = "information returned neither a status nor an error"
-		default:
-			results[i].Plan = s.oracle.Plan(*st.Status, reqs[i].CreditCPUHours)
-		}
-	}
-	return BulkReply[PlanResult]{Results: results}, nil
 }
 
 // OracleClient is the typed client of the Oracle service.
@@ -137,15 +131,16 @@ func (c *OracleClient) Predict(batchID string) (p core.Prediction, err error) {
 // result per request, in order. A request that fails as a whole is reported
 // in the results of the items it carried.
 func (c *OracleClient) Plans(reqs []PlanRequest) []PlanResult {
-	return bulkCall(&c.Client, []string{"plans"}, reqs, oneEach,
-		func(msg string) PlanResult { return PlanResult{Error: msg} })
+	return bulkCall(&c.Client, []string{"plans"}, reqs, oneEach, planFailed)
 }
 
-// Calibrations archives many finished executions with POST /calibrations and
-// returns one result per item, in order.
+// planFailed is the result of a plan request that failed.
+func planFailed(msg string) PlanResult { return PlanResult{Error: msg} }
+
+// Calibrations has the Oracle archive many finished batches' executions with
+// POST /calibrations and returns one result per item, in order.
 func (c *OracleClient) Calibrations(items []CalibrationItem) []ItemResult {
-	return bulkCall(&c.Client, []string{"calibrations"}, items, oneEach,
-		func(msg string) ItemResult { return ItemResult{Error: msg} })
+	return bulkCall(&c.Client, []string{"calibrations"}, items, oneEach, itemFailed)
 }
 
 // Calibration fetches an environment's α status.

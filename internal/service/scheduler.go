@@ -45,10 +45,11 @@ type DGGateway interface {
 // the idle instances Greedy releases, then POST /samples to Information,
 // POST /bills and POST /orders/lookup to Credit, POST /plans to the Oracle
 // (which makes one POST /statuses to Information); to finalize the batches
-// that completed, POST /orders/pay to Credit, POST /statuses to Information
-// and POST /calibrations to the Oracle; and per batch only one call per
-// instance launched or stopped. Step and StepBatch are that tick, over every
-// batch and over one.
+// that completed, POST /orders/pay to Credit and POST /calibrations to the
+// Oracle (which again makes one POST /statuses); and per batch only one call
+// per instance launched or stopped. The Scheduler reads no tick view: the
+// Oracle plans and archives from Information. Step and StepBatch are that
+// tick, over every batch and over one.
 type SchedulerService struct {
 	Routes
 	info     *InformationClient
@@ -378,28 +379,16 @@ func (p *schedulerPorts) Pay(bs []*core.Batch) {
 	}
 }
 
-// Archive sends the Oracle each batch's execution as Information summarizes
-// it (core.TickView.Execution): one POST /statuses, then one POST
-// /calibrations for the batches that have one.
+// Archive has the Oracle archive each batch's execution: one POST
+// /calibrations, for which the Oracle reads the batches' tick views from
+// Information itself.
 func (p *schedulerPorts) Archive(bs []*core.Batch) {
-	var items []CalibrationItem
-	var archived []*core.Batch
-	for i, st := range p.info.Statuses(batchIDs(bs)) {
-		switch {
-		case st.Error != "":
-			bs[i].Err = itemErr(st.Error)
-		case st.Status == nil:
-			bs[i].Err = fmt.Errorf("service: information returned neither a status nor an error for %q", bs[i].ID)
-		default:
-			if base, actual, ok := st.Status.Execution(); ok {
-				items = append(items, CalibrationItem{BatchID: bs[i].ID,
-					CalibrationRecord: CalibrationRecord{EnvKey: bs[i].EnvKey, Base: base, Actual: actual}})
-				archived = append(archived, bs[i])
-			}
-		}
+	items := make([]CalibrationItem, len(bs))
+	for i, b := range bs {
+		items[i] = CalibrationItem{BatchID: b.ID, EnvKey: b.EnvKey}
 	}
 	for i, res := range p.oracle.Calibrations(items) {
-		archived[i].Err = itemErr(res.Error)
+		bs[i].Err = itemErr(res.Error)
 	}
 }
 

@@ -88,7 +88,8 @@ func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // second tick runs every step there is: samples, bills, order lookups, plans,
 // and the Oracle's own status fetch. Then every batch completes at once, and
 // the tick that finalizes them all costs samples, bills (the started half's
-// final usage), pays, statuses and calibrations.
+// final usage), pays, calibrations and the Oracle's own status fetch for
+// them.
 func TestStepBatchedPollingIsO1(t *testing.T) {
 	for _, label := range []string{core.DefaultStrategy().Label(), "9C-G-R"} {
 		t.Run(label, func(t *testing.T) { testStepBatchedPollingIsO1(t, label) })
@@ -184,7 +185,7 @@ func testStepBatchedPollingIsO1(t *testing.T, label string) {
 	if steady50 != 5 || first50 > 8 {
 		t.Fatalf("module round trips per tick = %d (first tick %d), want 5 (at most 8)", steady50, first50)
 	}
-	// samples, bills, pays, statuses, calibrations.
+	// samples, bills, pays, calibrations, and the Oracle's statuses.
 	if final50 != 5 {
 		t.Fatalf("the tick finalizing every batch made %d module round trips, want 5", final50)
 	}

@@ -235,14 +235,16 @@ func TestOracleServiceHTTP(t *testing.T) {
 		t.Fatalf("conservative plan too large: %d", r.Plan.Workers)
 	}
 
-	// Calibration round trip: two executions of one environment in one request.
-	rec := CalibrationRecord{EnvKey: "env", Base: 1000, Actual: 1500}
-	res := c.Calibrations([]CalibrationItem{{BatchID: "b", CalibrationRecord: rec}, {BatchID: "b2", CalibrationRecord: rec}})
-	if len(res) != 2 || res[0] != (ItemResult{}) || res[1] != (ItemResult{}) {
+	// Calibration round trip: b, half done at 500 s, completes at 1500 s, so
+	// the Oracle archives base 1000 and actual 1500; b2, which Information
+	// does not track, fails alone.
+	infoClient.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: 1500, Completed: 100, Assigned: 100}}})
+	res := c.Calibrations([]CalibrationItem{{BatchID: "b", EnvKey: "env"}, {BatchID: "b2", EnvKey: "env"}})
+	if len(res) != 2 || res[0] != (ItemResult{}) || !strings.Contains(res[1].Error, `"b2"`) {
 		t.Fatalf("calibrations: %+v", res)
 	}
 	st, err := c.Calibration("env")
-	if err != nil || st.Alpha != 1.5 || st.Count != 2 {
+	if err != nil || st.Alpha != 1.5 || st.Count != 1 {
 		t.Fatalf("calibration: %+v %v", st, err)
 	}
 }

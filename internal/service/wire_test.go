@@ -130,7 +130,8 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 	const env = "XWHEP/seti/SMALL"
 	for _, muxed := range []bool{false, true} {
 		fx := newWireFixture(t, muxed)
-		for _, id := range []string{"a b", "a?b", "a#b", "a/b", "a%2Fb", "100%"} {
+		ids := []string{"a b", "a?b", "a#b", "a/b", "a%2Fb", "100%"}
+		for _, id := range ids {
 			name := map[bool]string{false: "standalone ", true: "muxed "}[muxed] + id
 			t.Run(name, func(t *testing.T) {
 				check := func(what string, err error, got, want any) {
@@ -188,14 +189,17 @@ func TestIdentifiersRoundTrip(t *testing.T) {
 				progress, err := fx.dgC.ProgressBatch([]string{id})
 				check("dg.ProgressBatch", err, fx.dg.last, id)
 				check("dg.ProgressBatch idle instances", err, strings.Join(progress[id].IdleInstances, ","), "i "+id)
+
+				// Once the batch is done, the Oracle reads its tick view from
+				// Information under the id and archives its execution.
+				archived := fx.state.Calibration.Fit(env).Count
+				fx.infoC.AddSamples([]service.BatchSample{{BatchID: id, Sample: core.Sample{T: 120, Completed: 100, Assigned: 100}}})
+				cal := fx.oracleC.Calibrations([]service.CalibrationItem{{BatchID: id, EnvKey: env}})[0]
+				check("oracle.Calibrations", itemError(cal.Error), fx.state.Calibration.Fit(env).Count, archived+1)
 			})
 		}
-		item := service.CalibrationItem{BatchID: "b", CalibrationRecord: service.CalibrationRecord{EnvKey: env, Base: 100, Actual: 120}}
-		if res := fx.oracleC.Calibrations([]service.CalibrationItem{item}); res[0].Error != "" {
-			t.Fatal(res[0].Error)
-		}
 		cal, err := fx.oracleC.Calibration(env)
-		if err != nil || cal.EnvKey != env || cal.Count != 1 {
+		if err != nil || cal.EnvKey != env || cal.Count != len(ids) {
 			t.Errorf("oracle.Calibration(%q) (muxed %v): %+v, %v", env, muxed, cal, err)
 		}
 	}

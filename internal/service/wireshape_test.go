@@ -157,8 +157,8 @@ func TestWireShapes(t *testing.T) {
 	}
 	// What the tick's Orders step reads.
 	lookup := bulkResults(t, replyBody(t, "POST", creditURL+"/orders/lookup", `{"items":["b1"]}`), 1)[0]
-	keys("/credit/orders/lookup", lookup, "found", "has_credits", "remaining")
-	bytesOf("/credit/orders/lookup", lookup, `{"found":true,"has_credits":true,"remaining":36.25}`)
+	keys("/credit/orders/lookup", lookup, "has_credits", "remaining")
+	bytesOf("/credit/orders/lookup", lookup, `{"has_credits":true,"remaining":36.25}`)
 
 	// b1 is 92.5% complete, so 9C-C-R starts workers for it and says why; b2's
 	// plan starts nothing and is empty.
@@ -175,6 +175,6 @@ func TestWireShapes(t *testing.T) {
 	pay := bulkResults(t, replyBody(t, "POST", creditURL+"/orders/pay", `{"items":["b1"]}`), 1)[0]
 	keys("/credit/orders/pay", pay, "refund")
 	cal := bulkResults(t, replyBody(t, "POST", oracleURL+"/calibrations",
-		`{"items":[{"batch_id":"b1","env_key":"XWHEP/seti/SMALL","base":1200,"actual":1300}]}`), 1)[0]
+		`{"items":[{"batch_id":"b1","env_key":"XWHEP/seti/SMALL"}]}`), 1)[0]
 	bytesOf("/oracle/calibrations", cal, `{}`)
 }
