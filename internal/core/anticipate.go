@@ -1,5 +1,7 @@
 package core
 
+import "math"
+
 // This file implements the paper's stated future work (§7): "anticipate
 // when a BoT is likely to produce a tail by correlating the execution with
 // the state of the infrastructure: resource heterogeneity, variation in the
@@ -51,6 +53,15 @@ func (t CapacityAware) ShouldStart(v TickView) bool {
 	}
 	lost := 1 - float64(v.Workers)/float64(v.PeakWorkers)
 	return lost >= t.DropFraction
+}
+
+// Floor implements Trigger: nothing below MinCompleted completed, or below
+// Fallback if that is set and lower.
+func (t CapacityAware) Floor() (completed, assigned float64) {
+	if t.Fallback > 0 {
+		return math.Min(t.Fallback, t.MinCompleted), 0
+	}
+	return t.MinCompleted, 0
 }
 
 var _ Trigger = CapacityAware{}

@@ -65,6 +65,10 @@ type Batch struct {
 	// nothing else of a batch it skips.)
 	dirty, armed bool
 	Instances    []Instance
+	// wait is the Wait of the batch's last plan that succeeded: while the
+	// DG's counts are below it the trigger cannot fire, so Run asks neither
+	// Credit nor the Oracle about the batch.
+	wait Wait
 	// The simulated DG server hosting the batch and its monitored history,
 	// which core.Service's ports answer from; nil over HTTP.
 	srv middleware.Server
@@ -213,7 +217,12 @@ func (w *Scratch) pick(due []*Batch, keep func(*Batch) bool) []*Batch {
 //  2. bill — charge each live instance's usage since its last bill
 //     (Algorithm 2), a completing batch's final usage included;
 //  3. plan — for a batch still running without cloud support, look its order
-//     up and, if it has credits left, ask the Oracle (Algorithm 1);
+//     up and, if it has credits left, ask the Oracle (Algorithm 1); a batch
+//     whose DG progress is still below the Wait of its last plan that
+//     succeeded is not asked about, since its trigger cannot fire there
+//     (Trigger.Floor). This is the one place that decides when to skip the
+//     Oracle; a failed plan leaves the Wait as it was, and the zero Wait
+//     (no plan yet, or one that waits for nothing) asks every tick;
 //  4. admit — with a tier policy, one TierPolicy.Admit call over the plans
 //     that say start, against the fleets held before any is stopped or
 //     started: a slot freed this tick is granted on the next, and a denied
@@ -267,14 +276,21 @@ func (m *Monitor) Run(now float64, tiers *TierPolicy, due []*Batch, w *Scratch) 
 	m.Mu.Unlock()
 
 	p.Orders(w.pick(due, func(b *Batch) bool {
-		return !b.Progress.Done() && !b.Exhausted && !b.Started
+		return !b.Progress.Done() && !b.Exhausted && !b.Started &&
+			!b.wait.below(b.Progress.Completed, b.Progress.EverAssigned)
 	}))
-	p.Plan(w.pick(due, func(b *Batch) bool {
+	planned := w.pick(due, func(b *Batch) bool {
 		// An order with credits left is an order: one placed with Credit
 		// directly, behind the Scheduler's back, is paid like any other.
 		b.Ordered = b.Ordered || b.Funded
 		return b.Funded
-	}))
+	})
+	p.Plan(planned)
+	for _, b := range planned {
+		if b.Err == nil {
+			b.wait = b.Plan.Wait
+		}
+	}
 
 	// A batch a failed launch left with part of its fleet holds its slot
 	// already: only the plans that would open a fleet are up for admission.

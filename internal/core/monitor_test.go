@@ -23,7 +23,11 @@ type fakePorts struct {
 	credits *CreditSystem
 	oracle  *Oracle
 	dg      map[string]int  // completed tasks per batch
+	workers map[string]int  // attached DG workers per batch (0 if absent)
 	idle    map[string]bool // instance id → booted and holding no work
+	// calls, when non-nil, counts each port method's calls per batch
+	// ("lookup b").
+	calls map[string]int
 
 	tick  int
 	fault fault
@@ -34,6 +38,9 @@ type fakePorts struct {
 var errInjected = errors.New("injected")
 
 func (p *fakePorts) trip(method string, b *Batch) error {
+	if p.calls != nil {
+		p.calls[method+" "+b.ID]++
+	}
 	f := &p.fault
 	if f.method != method || f.batch != b.ID || f.tick != p.tick {
 		return nil
@@ -50,7 +57,8 @@ func (p *fakePorts) Progress(bs []*Batch) {
 	for _, b := range bs {
 		if b.Err = p.trip("progress", b); b.Err == nil {
 			done := p.dg[b.ID]
-			b.Progress = middleware.Progress{Size: 100, Arrived: 100, Completed: done, EverAssigned: 100, Running: 100 - done}
+			b.Progress = middleware.Progress{Size: 100, Arrived: 100, Completed: done, EverAssigned: 100, Running: 100 - done,
+				Workers: p.workers[b.ID]}
 		}
 	}
 }
@@ -270,6 +278,121 @@ func TestPortContract(t *testing.T) {
 			t.Errorf("%+v: final ledger %s, want %s", f, ledger, wantLedger)
 		}
 	}
+}
+
+// TestWaitSkipsLookupAndPlan: a batch below the Wait of its last plan costs
+// its tick no order lookup and no plan, and the decisions are those of a tick
+// that asks every time. Each case scripts one batch of 100 tasks tick by tick
+// (completed, attached workers) and checks what Run asked about it.
+func TestWaitSkipsLookupAndPlan(t *testing.T) {
+	type tick struct {
+		completed, workers int
+		fail               string // a port method that fails for the batch this tick
+		asked              string // the lookup and plan calls the tick makes
+	}
+	run := func(t *testing.T, tr Trigger, credits float64, ticks []tick, between func(int, *fakePorts)) (*Batch, *fakePorts) {
+		t.Helper()
+		p := &fakePorts{
+			credits: NewCreditSystem(),
+			oracle:  NewOracle(Strategy{Trigger: tr, Sizing: Greedy{}, Deploy: Reschedule}),
+			dg:      map[string]int{}, workers: map[string]int{}, idle: map[string]bool{},
+			calls: map[string]int{},
+		}
+		if err := p.credits.Deposit("u", 100); err != nil {
+			t.Fatal(err)
+		}
+		b := NewBatch("b", "env", TierFree, 0)
+		b.bi = NewBatchInfo("b", "env", 100, 0)
+		if credits > 0 {
+			if err := p.credits.OrderQoS("u", "b", credits); err != nil {
+				t.Fatal(err)
+			}
+			b.Ordered = true
+		}
+		m := &Monitor{Ports: p}
+		if err := m.Register(b); err != nil {
+			t.Fatal(err)
+		}
+		var w Scratch
+		for k, tk := range ticks {
+			p.tick, p.dg["b"], p.workers["b"] = k+1, tk.completed, tk.workers
+			if tk.fail != "" {
+				p.fault = fault{method: tk.fail, batch: "b", tick: k + 1}
+			}
+			lookups, plans := p.calls["lookup b"], p.calls["plan b"]
+			err := m.Run(60*float64(k+1), nil, m.Due(nil), &w)
+			if (err != nil) != (tk.fail != "") {
+				t.Fatalf("tick %d: %v", k+1, err)
+			}
+			asked := strings.TrimSpace(strings.Repeat("lookup ", p.calls["lookup b"]-lookups) +
+				strings.Repeat("plan ", p.calls["plan b"]-plans))
+			if asked != tk.asked {
+				t.Fatalf("tick %d at %d completed: asked %q, want %q", k+1, tk.completed, asked, tk.asked)
+			}
+			if between != nil {
+				between(k+1, p)
+			}
+		}
+		return b, p
+	}
+
+	t.Run("an order placed behind the Scheduler's back", func(t *testing.T) {
+		// Registered without credits: looked up every tick, never planned,
+		// until the user orders with Credit directly after tick 2. Then the
+		// first plan waits for 90, and the order is paid at finalization.
+		b, p := run(t, CompletionThreshold{0.9}, 0, []tick{
+			{completed: 50, asked: "lookup"},
+			{completed: 50, asked: "lookup"},
+			{completed: 55, asked: "lookup plan"},
+			{completed: 60},
+			{completed: 89},
+			{completed: 92, asked: "lookup plan"},
+			{completed: 100},
+		}, func(k int, p *fakePorts) {
+			if k == 2 {
+				if err := p.credits.OrderQoS("u", "b", 15); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+		if !b.Ordered || !b.Finalized || b.TriggeredAt != 360 {
+			t.Fatalf("ordered %v, finalized %v, triggered at %v; want true, true, 360", b.Ordered, b.Finalized, b.TriggeredAt)
+		}
+		if o, _ := p.credits.OrderOf("b"); !o.Closed || o.Billed <= 0 {
+			t.Fatalf("order %+v: not billed and paid", o)
+		}
+	})
+
+	t.Run("a failed plan keeps the Wait", func(t *testing.T) {
+		// A first plan that fails leaves no Wait, so the batch is asked again;
+		// a later one that fails keeps the Wait it had, so when the DG
+		// re-counts below it the batch is not asked.
+		b, _ := run(t, CompletionThreshold{0.9}, 15, []tick{
+			{completed: 50, fail: "plan", asked: "lookup plan"},
+			{completed: 50, asked: "lookup plan"},
+			{completed: 60},
+			{completed: 95, fail: "plan", asked: "lookup plan"},
+			{completed: 85},
+			{completed: 95, asked: "lookup plan"},
+		}, nil)
+		if b.TriggeredAt != 360 {
+			t.Fatalf("triggered at %v, want 360", b.TriggeredAt)
+		}
+	})
+
+	t.Run("CapacityAware fires on the tick it reaches its floor", func(t *testing.T) {
+		// The ablation's CA trigger waits for 70 completed; the workers drop
+		// while the batch waits, and it launches on the first tick at 70.
+		b, _ := run(t, DefaultCapacityAware(), 15, []tick{
+			{completed: 40, workers: 200, asked: "lookup plan"},
+			{completed: 60, workers: 60},
+			{completed: 69, workers: 60},
+			{completed: 70, workers: 60, asked: "lookup plan"},
+		}, nil)
+		if !b.Started || b.TriggeredAt != 240 {
+			t.Fatalf("started %v at %v, want at 240", b.Started, b.TriggeredAt)
+		}
+	})
 }
 
 // donePorts answers every batch as completed and every call as successful,

@@ -10,12 +10,24 @@ import (
 
 // Trigger decides when cloud workers should be started for a BoT (§3.5), from
 // what a tick reads of it (TickView).
+//
+// Floor is the trigger's necessary condition, not its rule: ShouldStart is
+// false on every view whose completed fraction is below completed or whose
+// assigned fraction is below assigned, whatever else it reads. Oracle.Plan
+// turns it into the counts a batch must reach before it is worth asking again
+// (Plan.Wait). It differs from the CountDrivenTrigger marker, which says
+// which inputs the answer reads (task counters only), where the floor says
+// which values of two of them can never fire; a trigger that reads the
+// infrastructure too (CapacityAware) has a floor but no marker.
 type Trigger interface {
 	// Code is the short name used in strategy-combination labels
 	// ("9C", "9A", "D").
 	Code() string
 	// ShouldStart reports whether cloud support should begin now.
 	ShouldStart(v TickView) bool
+	// Floor returns the fractions below which ShouldStart is false; 0 bounds
+	// nothing.
+	Floor() (completed, assigned float64)
 }
 
 // CompletionThreshold (9C) starts cloud workers once the completed-task
@@ -31,6 +43,9 @@ func (t CompletionThreshold) Code() string {
 func (t CompletionThreshold) ShouldStart(v TickView) bool {
 	return v.CompletedFraction() >= t.Frac
 }
+
+// Floor implements Trigger: nothing below Frac completed.
+func (t CompletionThreshold) Floor() (completed, assigned float64) { return t.Frac, 0 }
 
 // CountDriven implements CountDrivenTrigger: the answer only changes with
 // the completed-task count.
@@ -49,6 +64,9 @@ func (t AssignmentThreshold) Code() string {
 func (t AssignmentThreshold) ShouldStart(v TickView) bool {
 	return v.AssignedFraction() >= t.Frac
 }
+
+// Floor implements Trigger: nothing below Frac ever assigned.
+func (t AssignmentThreshold) Floor() (completed, assigned float64) { return 0, t.Frac }
 
 // CountDriven implements CountDrivenTrigger: the answer only changes with
 // the ever-assigned count.
@@ -78,6 +96,9 @@ func (ExecutionVariance) ShouldStart(v TickView) bool {
 	}
 	return cur >= 2*ref
 }
+
+// Floor implements Trigger: nothing before half completion.
+func (ExecutionVariance) Floor() (completed, assigned float64) { return 0.5, 0 }
 
 // CountDriven implements CountDrivenTrigger: var(c) is built from the
 // tc/ta milestone caches, which only move when task counters move.
@@ -453,9 +474,10 @@ func (o *Oracle) Archive(envKey string, v TickView) {
 }
 
 // Plan is the Oracle's provisioning decision for one batch at one monitor
-// tick (Algorithm 1). The zero Plan starts nothing: it is the decision for a
-// complete batch and for one whose trigger has not fired, and every field is
-// omitted from the JSON when zero, so on the wire it is {}.
+// tick (Algorithm 1). The zero Plan starts nothing and waits for nothing: it
+// is the decision for a complete batch. Every field is omitted from the JSON
+// when zero, so on the wire it is {}, and a plan that starts nothing because
+// the trigger has not fired is {"wait":{…}}.
 type Plan struct {
 	// Start says cloud workers should be started now, Workers how many.
 	Start   bool `json:"start,omitempty"`
@@ -466,6 +488,46 @@ type Plan struct {
 	// ReleaseIdle tells the Scheduler to stop booted workers that obtained
 	// no work, releasing their credits (see Sizing.ReleasesIdle).
 	ReleaseIdle bool `json:"release_idle,omitempty"`
+	// Wait is set when the trigger has not fired: the task counts below
+	// which it cannot fire (Trigger.Floor), so the Scheduler need not ask
+	// again until the batch reaches them. The zero Wait asks every tick.
+	Wait Wait `json:"wait,omitzero"`
+}
+
+// Wait is how far a batch must get before a plan for it can say start: a tick
+// whose DG progress has fewer than Completed tasks completed, or fewer than
+// Assigned ever assigned, gets the plan that started nothing again.
+type Wait struct {
+	Completed int `json:"completed,omitempty"`
+	Assigned  int `json:"assigned,omitempty"`
+}
+
+// below reports whether counts of completed and ever-assigned tasks are short
+// of the wait.
+func (w Wait) below(completed, assigned int) bool {
+	return completed < w.Completed || assigned < w.Assigned
+}
+
+// atLeast is the smallest count k with float64(k)/float64(size) >= frac, the
+// test CompletedFraction and AssignedFraction apply; 0, which bounds nothing,
+// when size or frac is not positive (or frac is NaN), and math.MaxInt when
+// frac·size is 2^52 or more, past any task count.
+func atLeast(frac float64, size int) int {
+	if size <= 0 || !(frac > 0) {
+		return 0
+	}
+	x := frac * float64(size)
+	if !(x < 1<<52) {
+		return math.MaxInt
+	}
+	k, n := int(math.Ceil(x)), float64(size)
+	for k > 0 && float64(k-1)/n >= frac {
+		k--
+	}
+	for float64(k)/n < frac {
+		k++
+	}
+	return k
 }
 
 // Plan is Algorithm 1's Oracle.shouldUseCloud and cloudWorkersToStart in one
@@ -474,12 +536,18 @@ type Plan struct {
 // credits, never more than there are tasks left. It reads the batch as a tick
 // does (TickView), so the in-process Scheduler and the Oracle service, which
 // reads the view from Information's POST /statuses, both decide here on the
-// same inputs. A complete batch, or one whose trigger has not fired, gets the
-// zero Plan.
+// same inputs. A complete batch gets the zero Plan. One whose trigger has not
+// fired gets a Plan that starts nothing and carries the trigger's Floor as
+// counts of the view's Size (Wait): below them no credits and no history
+// would make the plan say start.
 func (o *Oracle) Plan(v TickView, creditCPUHours float64) Plan {
 	st := o.Strategy
-	if v.Done() || !st.Trigger.ShouldStart(v) {
+	if v.Done() {
 		return Plan{}
+	}
+	if !st.Trigger.ShouldStart(v) {
+		completed, assigned := st.Trigger.Floor()
+		return Plan{Wait: Wait{Completed: atLeast(completed, v.Size), Assigned: atLeast(assigned, v.Size)}}
 	}
 	n := st.Sizing.Workers(v, creditCPUHours)
 	if remaining := v.Size - v.Completed; n > remaining {

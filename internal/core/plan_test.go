@@ -58,20 +58,21 @@ func TestPlanTable(t *testing.T) {
 		want    Plan
 	}{
 		{"9C below the threshold", c9, Greedy{}, 100, []sample{{60, 89, 100, 0, 0, 0}}, 3,
-			Plan{}},
+			Plan{Wait: Wait{Completed: 90}}},
 		{"9C at the threshold", c9, Greedy{}, 100, []sample{{60, 89, 100, 0, 0, 0}, {120, 90, 100, 0, 0, 0}}, 3,
 			Plan{Start: true, Workers: 3, ReleaseIdle: true, Reason: "trigger 9C fired"}},
 		{"9A fires on assignments alone", a9, Conservative{}, 100, []sample{{60, 10, 95, 0, 0, 0}}, 4,
 			Plan{Start: true, Workers: 4, Reason: "trigger 9A fired"}},
 		{"9A below the threshold", a9, Conservative{}, 100, []sample{{60, 10, 50, 0, 0, 0}}, 4,
-			Plan{}},
+			Plan{Wait: Wait{Assigned: 90}}},
+		// D's Wait is half the batch, which it has passed: asked every tick.
 		{"D quiet in steady state", d, Conservative{}, 100, steady, 10,
-			Plan{}},
+			Plan{Wait: Wait{Completed: 50}}},
 		{"D fires in the tail", d, Greedy{}, 100, tail, 2,
 			Plan{Start: true, Workers: 2, ReleaseIdle: true, Reason: "trigger D fired"}},
 		{"D never before half completion", d, Greedy{}, 100,
 			[]sample{{100, 10, 100, 0, 90, 0}, {5000, 40, 100, 0, 60, 0}}, 2,
-			Plan{}},
+			Plan{Wait: Wait{Completed: 50}}},
 
 		{"G starts the whole allowance", a9, Greedy{}, 1000, []sample{{60, 100, 950, 0, 0, 0}}, 305.5,
 			Plan{Start: true, Workers: 305, ReleaseIdle: true, Reason: "trigger 9A fired"}},
@@ -97,6 +98,9 @@ func TestPlanTable(t *testing.T) {
 		{"a finished batch starts nothing", c9, Greedy{}, 100,
 			[]sample{{60, 95, 100, 0, 5, 0}, {120, 100, 100, 0, 0, 0}}, 40,
 			Plan{}},
+		{"CA waits for the lower of its two fractions", DefaultCapacityAware(), Conservative{}, 100,
+			[]sample{{60, 69, 100, 0, 31, 10}}, 2,
+			Plan{Wait: Wait{Completed: 70}}},
 		{"CA anticipates a capacity drop", DefaultCapacityAware(), Conservative{}, 100,
 			[]sample{{60, 40, 100, 0, 60, 200}, {120, 76, 100, 0, 24, 60}}, 2,
 			Plan{Start: true, Workers: 2, Reason: "trigger CA fired"}},

@@ -29,7 +29,11 @@ type Config struct {
 // infrastructure activity instead of registered batch count. A trigger that
 // also reads infrastructure state (CapacityAware watches the attached worker
 // count) must not implement it; every batch then stays on the every-tick
-// path.
+// path. The marker says which inputs the answer can change with, and skips
+// the whole tick for a batch whose inputs did not move; Trigger.Floor says
+// which values of the counters can never fire, and skips only the order
+// lookup and the plan of a batch below them (Plan.Wait), every trigger
+// having one.
 type CountDrivenTrigger interface {
 	// CountDriven is a marker; it is never called.
 	CountDriven()

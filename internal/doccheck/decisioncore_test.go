@@ -24,9 +24,10 @@ var strategyTypes = map[string]bool{
 // against a tier's MaxActive or the policy's FleetCap or a call to the
 // policy's Admit (a second tier admission, or a second place that orders it
 // among a tick's steps), a call to a tick view's Execution (a second place
-// that applies the archive rule), or a branch on a batch's Started, Exhausted
-// or ReleaseIdle (a second apply step choosing between stopping and
-// launching).
+// that applies the archive rule), a call to a trigger's Floor or a use of a
+// plan's Wait (a second place that decides when to skip the Oracle), or a
+// branch on a batch's Started, Exhausted or ReleaseIdle (a second apply step
+// choosing between stopping and launching).
 func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 	var out []string
 	report := func(n ast.Node, what string) {
@@ -71,7 +72,15 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 					report(n, "call to a tier policy's Admit")
 				case "Execution":
 					report(n, "call to a tick view's Execution")
+				case "Floor":
+					if len(n.Args) == 0 { // math.Floor takes one
+						report(n, "call to a trigger's Floor")
+					}
 				}
+			}
+		case *ast.SelectorExpr:
+			if n.Sel.Name == "Wait" && strings.EqualFold(selector(n.X), "plan") {
+				report(n, "use of a plan's Wait")
 			}
 		case *ast.TypeAssertExpr:
 			if n.Type == nil { // x.(type)
@@ -107,12 +116,13 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 // TestDecisionsLiveInCore is the one-decision-core guard: outside
 // internal/core no non-test file of the repository (the bench module
 // included) switches or asserts on a core.Trigger or core.Sizing, compares
-// anything to MaxActive or FleetCap, calls a tier policy's Admit or a tick
-// view's Execution, or branches on a batch's Started, Exhausted or
-// ReleaseIdle. Triggers, sizings, idle release, tier admission and the archive
-// rule are computed by core.Oracle.Plan, core.TierPolicy.Admit and
-// core.Oracle.Archive, and ordered into a tick by core.Monitor.Run, on both
-// sides of the wire; a second copy would start here.
+// anything to MaxActive or FleetCap, calls a tier policy's Admit, a tick
+// view's Execution or a trigger's Floor, uses a plan's Wait, or branches on a
+// batch's Started, Exhausted or ReleaseIdle. Triggers, sizings, idle release,
+// tier admission, the archive rule and when to skip the Oracle are computed by
+// core.Oracle.Plan, core.TierPolicy.Admit and core.Oracle.Archive, and ordered
+// into a tick by core.Monitor.Run, on both sides of the wire; a second copy
+// would start here.
 func TestDecisionsLiveInCore(t *testing.T) {
 	root := "../.."
 	fset := token.NewFileSet()
@@ -153,7 +163,8 @@ func TestDecisionsLiveInCore(t *testing.T) {
 		t.Fatalf("only %d files scanned: the walk is not reaching the repository", files)
 	}
 
-	// Not vacuous: the shapes the service layer used to carry are all caught.
+	// Not vacuous: the shapes the service layer used to carry, and a skip of
+	// the Oracle decided in its Orders port, are all caught; math.Floor is not.
 	const old = `package service
 func plan(o *core.Oracle, p *core.TierPolicy, active int) {
 	switch tr := o.Strategy.Trigger.(type) {
@@ -191,12 +202,20 @@ func (p *schedulerPorts) Archive(bs []*core.Batch) {
 			p.record(bs[i], base, actual)
 		}
 	}
+}
+func (p *schedulerPorts) Orders(bs []*core.Batch) {
+	frac, _ := p.strategy.Trigger.Floor()
+	for _, b := range bs {
+		if b.Progress.Completed < b.Plan.Wait.Completed || float64(b.Progress.Completed) < math.Floor(frac*100) {
+			continue
+		}
+	}
 }`
 	file, err := parser.ParseFile(fset, "old.go", old, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decisionLeaks(fset, file); len(got) != 11 {
-		t.Errorf("the guard found %d of the 11 leaks in the old service code: %v", len(got), got)
+	if got := decisionLeaks(fset, file); len(got) != 13 {
+		t.Errorf("the guard found %d of the 13 leaks in the old service code: %v", len(got), got)
 	}
 }

@@ -180,13 +180,14 @@ func TestBulkItemsFailAlone(t *testing.T) {
 	}
 	// One that can passes Information's refusal of the untracked batch on at
 	// its index, and plans b at the next: only 20% of b's tasks are complete,
-	// so 9C-C-R starts nothing.
+	// so 9C-C-R starts nothing and waits for 90%.
 	infoSrv := httptest.NewServer(fx.info)
 	defer infoSrv.Close()
 	fx.modules["oracle"] = NewOracleService(fx.oracle, NewInformationClient(infoSrv.URL))
 	var reached BulkReply[PlanResult]
 	post("oracle", "/plans", `{"items":[`+item(4, "ghost")+`,`+item(4, "b")+`]}`, &reached)
-	if r := reached.Results; len(r) != 2 || r[0].Error != `service: batch "ghost" not tracked` || r[1] != (PlanResult{}) {
+	if r := reached.Results; len(r) != 2 || r[0].Error != `service: batch "ghost" not tracked` ||
+		r[1] != (PlanResult{Plan: core.Plan{Wait: core.Wait{Completed: 90}}}) {
 		t.Fatalf("plans with Information reachable: %+v", r)
 	}
 

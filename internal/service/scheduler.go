@@ -44,7 +44,9 @@ type DGGateway interface {
 // not depend on how many batches there are: one DG poll, which also names
 // the idle instances Greedy releases, then POST /samples to Information,
 // POST /bills and POST /orders/lookup to Credit, POST /plans to the Oracle
-// (which makes one POST /statuses to Information); to finalize the batches
+// (which makes one POST /statuses to Information) — the last three only for
+// the batches whose DG progress has reached the Wait of their last plan, so
+// a tick where every batch waits makes none of them; to finalize the batches
 // that completed, POST /orders/pay to Credit and POST /calibrations to the
 // Oracle (which again makes one POST /statuses); and per batch only one call
 // per instance launched or stopped. The Scheduler reads no tick view: the

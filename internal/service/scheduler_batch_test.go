@@ -82,14 +82,16 @@ func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 // tick over N registered batches costs ONE gateway call and a fixed number of
 // module round trips — one bulk request per module and step — whether N is
 // 50 or 500, under Conservative and under Greedy, whose idle release reads
-// the poll. Half the batches sit below the trigger and are planned for every
-// tick; the other half start on the first tick (which also asks the gateway
-// for the worker URL once per launch) and are billed from the second, so the
-// second tick runs every step there is: samples, bills, order lookups, plans,
-// and the Oracle's own status fetch. Then every batch completes at once, and
-// the tick that finalizes them all costs samples, bills (the started half's
-// final usage), pays, calibrations and the Oracle's own status fetch for
-// them.
+// the poll. Half the batches sit below the 90% trigger; the other half start
+// on the first tick (which also asks the gateway for the worker URL once per
+// launch), which costs samples, order lookups, plans and the Oracle's own
+// status fetch. From the second tick the started half is billed, and the half
+// below the trigger waits out the Wait its first plan carried, so a tick costs
+// samples and bills. Then the waiting half reaches the trigger region, and
+// that tick runs every step there is: samples, bills, order lookups, plans
+// and the Oracle's status fetch. Then every batch completes at once, and the
+// tick that finalizes them all costs samples, bills (the final usage), pays,
+// calibrations and the Oracle's own status fetch for them.
 func TestStepBatchedPollingIsO1(t *testing.T) {
 	for _, label := range []string{core.DefaultStrategy().Label(), "9C-G-R"} {
 		t.Run(label, func(t *testing.T) { testStepBatchedPollingIsO1(t, label) })
@@ -101,7 +103,7 @@ func testStepBatchedPollingIsO1(t *testing.T, label string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tickCost := func(batches int) (first, steady, final int64) {
+	tickCost := func(batches int) (first, waiting, trigger, final int64) {
 		dg := newMultiDG()
 		driver := cloud.NewMockDriver("mock", time.Second, 0.10)
 		stack := newStack(t, StackConfig{
@@ -154,13 +156,23 @@ func testStepBatchedPollingIsO1(t *testing.T, label string) {
 			t.Fatalf("%d batches: started batch never billed: %+v, %v", batches, o, err)
 		}
 		if cost[1] != cost[2] {
-			t.Fatalf("%d batches: steady ticks cost %d then %d module round trips", batches, cost[1], cost[2])
+			t.Fatalf("%d batches: waiting ticks cost %d then %d module round trips", batches, cost[1], cost[2])
+		}
+
+		for i := 0; i < batches; i += 2 {
+			dg.set(fmt.Sprintf("b%03d", i), middleware.Progress{Size: 100, Arrived: 100, Completed: 92, EverAssigned: 100, Running: 8})
+		}
+		var dgCalls int
+		if trigger, dgCalls = step(); dgCalls != 1 {
+			t.Fatalf("%d batches: the trigger tick made %d DG calls beyond its launches, want 1", batches, dgCalls)
+		}
+		if got := len(stack.Scheduler.Instances()); got < batches {
+			t.Fatalf("%d batches: only %d instances, the half that reached the trigger never started", batches, got)
 		}
 
 		for i := 0; i < batches; i++ {
 			dg.set(fmt.Sprintf("b%03d", i), middleware.Progress{Size: 100, Arrived: 100, Completed: 100, EverAssigned: 100})
 		}
-		var dgCalls int
 		if final, dgCalls = step(); dgCalls != 1 {
 			t.Fatalf("%d batches: the completion tick made %d DG calls, want 1", batches, dgCalls)
 		}
@@ -172,18 +184,25 @@ func testStepBatchedPollingIsO1(t *testing.T, label string) {
 		if cal, err := stack.OracleClient.Calibration("e"); err != nil || cal.Count != batches {
 			t.Fatalf("%d batches: calibration %+v, %v; want one archived execution per batch", batches, cal, err)
 		}
-		return cost[0], cost[1], final
+		return cost[0], cost[1], trigger, final
 	}
-	first50, steady50, final50 := tickCost(50)
-	first500, steady500, final500 := tickCost(500)
-	if first50 != first500 || steady50 != steady500 || final50 != final500 {
-		t.Fatalf("module round trips per tick grew with the batch count: %d/%d/%d at 50 batches, %d/%d/%d at 500",
-			first50, steady50, final50, first500, steady500, final500)
+	first50, waiting50, trigger50, final50 := tickCost(50)
+	first500, waiting500, trigger500, final500 := tickCost(500)
+	if first50 != first500 || waiting50 != waiting500 || trigger50 != trigger500 || final50 != final500 {
+		t.Fatalf("module round trips per tick grew with the batch count: %d/%d/%d/%d at 50 batches, %d/%d/%d/%d at 500",
+			first50, waiting50, trigger50, final50, first500, waiting500, trigger500, final500)
 	}
-	// samples, bills, lookup, plans, statuses; the operator's POST /step and
-	// slack for one more step make the issue's budget of 8.
-	if steady50 != 5 || first50 > 8 {
-		t.Fatalf("module round trips per tick = %d (first tick %d), want 5 (at most 8)", steady50, first50)
+	// samples, lookups, plans, statuses.
+	if first50 != 4 {
+		t.Fatalf("the first tick made %d module round trips, want 4", first50)
+	}
+	// samples and bills: no batch is worth a lookup or a plan.
+	if waiting50 != 2 {
+		t.Fatalf("a tick with every unstarted batch below its Wait made %d module round trips, want 2", waiting50)
+	}
+	// samples, bills, lookups, plans, statuses.
+	if trigger50 != 5 {
+		t.Fatalf("the tick that reaches the trigger made %d module round trips, want 5", trigger50)
 	}
 	// samples, bills, pays, calibrations, and the Oracle's statuses.
 	if final50 != 5 {

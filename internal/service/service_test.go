@@ -213,8 +213,8 @@ func TestOracleServiceHTTP(t *testing.T) {
 		t.Fatalf("prediction = %v, want 1000", p.PredictedTime)
 	}
 
-	// Below the 90% trigger: no start. An untracked batch ahead of b fails
-	// at its own index, naming itself.
+	// Below the 90% trigger: no start, and ask again at 90 of 100 complete.
+	// An untracked batch ahead of b fails at its own index, naming itself.
 	plan := func() PlanResult {
 		t.Helper()
 		res := c.Plans([]PlanRequest{{BatchID: "ghost", CreditCPUHours: 10}, {BatchID: "b", CreditCPUHours: 10}})
@@ -223,7 +223,7 @@ func TestOracleServiceHTTP(t *testing.T) {
 		}
 		return res[1]
 	}
-	if r := plan(); r.Error != "" || r.Plan != (PlanReply{}) {
+	if r := plan(); r.Error != "" || r.Plan != (PlanReply{Wait: core.Wait{Completed: 90}}) {
 		t.Fatalf("plan fired early: %+v", r)
 	}
 	infoClient.AddSamples([]BatchSample{{BatchID: "b", Sample: core.Sample{T: 900, Completed: 90, Assigned: 100}}})

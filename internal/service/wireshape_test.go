@@ -109,8 +109,8 @@ func jsonKeys(t *testing.T, obj json.RawMessage) []string {
 // summary and the full order byte for byte. Every bulk route answers only
 // what its caller reads, and no result names its batch (results are
 // positional): the key set of one result of each of the seven is pinned, and
-// so are the bytes of a plan that starts nothing and of an item that only
-// succeeded. A field added back to any of them is an edit of this test.
+// so are the bytes of a plan that starts nothing (it carries only its Wait)
+// and of an item that only succeeded. A field added back to any of them is an edit of this test.
 func TestWireShapes(t *testing.T) {
 	fx := shapeFixture(t)
 	infoURL, creditURL, oracleURL := fx.infoC.BaseURL, fx.creditC.BaseURL, fx.oracleC.BaseURL
@@ -161,11 +161,11 @@ func TestWireShapes(t *testing.T) {
 	bytesOf("/credit/orders/lookup", lookup, `{"has_credits":true,"remaining":36.25}`)
 
 	// b1 is 92.5% complete, so 9C-C-R starts workers for it and says why; b2's
-	// plan starts nothing and is empty.
+	// plan starts nothing and says to ask again at 9 of its 10 tasks complete.
 	plans := bulkResults(t, replyBody(t, "POST", oracleURL+"/plans",
 		`{"items":[{"batch_id":"b1","credit_cpu_hours":2},{"batch_id":"b2","credit_cpu_hours":2}]}`), 2)
 	keys("/oracle/plans", plans[0], "plan", "plan.reason", "plan.start", "plan.workers")
-	bytesOf("/oracle/plans", plans[1], `{"plan":{}}`)
+	bytesOf("/oracle/plans", plans[1], `{"plan":{"wait":{"completed":9}}}`)
 
 	bill := bulkResults(t, replyBody(t, "POST", creditURL+"/bills", `{"items":[{"batch_id":"b1","credits":[0.25]}]}`), 1)[0]
 	keys("/credit/bills", bill, "applied", "exhausted")
