@@ -104,11 +104,6 @@ type failing struct {
 func (f *failing) Register(id, _ string, _ int, _ core.Tier, _ float64, _ middleware.Server) {
 	f.err = errors.New("boom registering " + id)
 }
-func (f *failing) Submit(srv middleware.Server, b middleware.Batch) {
-	if f.err == nil {
-		f.Backend.Submit(srv, b)
-	}
-}
 func (f *failing) Err() error { return f.err }
 
 // TestBackendFailureIsData: a backend failure lands on the entry instead of

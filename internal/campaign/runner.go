@@ -156,14 +156,15 @@ func serviceConfig(j Job) (cfg core.Config, creditFraction float64, ok bool) {
 // Backend is the QoS side of a cell as executeOnce drives it, on the engine
 // it was opened on. Two types implement it: inProcess, the core.Service every
 // cell ran on before the seam existed, and emul.HTTPBackend, the four web
-// services of §3.7 over loopback HTTP (Job.Backend).
+// services of §3.7 over loopback HTTP (Job.Backend). A backend serves the
+// QoS side only: the executor submits every batch to its DG server itself,
+// the same way whichever backend runs, so two backends differ in nothing
+// but their answers.
 type Backend interface {
 	// Register starts QoS support for a batch hosted on srv, at its
 	// submission instant: registerQoS under its tier, then — when credits > 0
 	// — the deposit and the credit order (Fig 3).
 	Register(id, envKey string, size int, tier core.Tier, credits float64, srv middleware.Server)
-	// Submit is the user's submission path to the batch's DG server.
-	Submit(srv middleware.Server, b middleware.Batch)
 	// Usage reads a batch's cloud consumption back for the report, times on
 	// the engine's clock.
 	Usage(id string) (core.CloudUsage, error)
@@ -193,9 +194,8 @@ func (q inProcess) Register(id, envKey string, size int, tier core.Tier, credits
 		panic(err)
 	}
 }
-func (q inProcess) Submit(srv middleware.Server, b middleware.Batch) { srv.Submit(b) }
-func (q inProcess) Err() error                                       { return nil }
-func (q inProcess) Close()                                           {}
+func (q inProcess) Err() error { return nil }
+func (q inProcess) Close()     {}
 
 // executeOnce is one bounded-horizon simulation of a job — the only function
 // that builds and runs a cell. All randomness derives from the scenario
@@ -351,13 +351,7 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 			qos.Register(id, sc.EnvKey(), workload.Size(), tier, credits, h.srv)
 			br.CreditsAllocated = max(credits, 0)
 		}
-		submit := func() {
-			if b := middleware.BatchFromBoT(workload); qos != nil {
-				qos.Submit(h.srv, b)
-			} else {
-				h.srv.Submit(b)
-			}
-		}
+		submit := func() { h.srv.Submit(middleware.BatchFromBoT(workload)) }
 		// (a) Result.Events is in the goldens, so each combination keeps its
 		// own number of scheduling events.
 		switch {

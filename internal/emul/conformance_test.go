@@ -2,6 +2,7 @@ package emul
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -13,9 +14,8 @@ import (
 // TestQuickConformance is the acceptance gate of the emulation mode: every
 // cell of the quick-profile subset — all middleware, two contrasting
 // traces, strategies covering every trigger, sizing and deployment — must
-// agree between the in-process simulator and the deployable HTTP stack on
-// the trigger decision, the fleet size, the credits billed, and the
-// completion time (±1%).
+// give the in-process simulator's result through the deployable HTTP stack:
+// every field equal, the credits billed within clockRoundOff.
 func TestQuickConformance(t *testing.T) {
 	rep, err := RunConformance(context.Background(), QuickSpec())
 	if err != nil {
@@ -29,8 +29,8 @@ func TestQuickConformance(t *testing.T) {
 		if c.Pass {
 			continue
 		}
-		t.Errorf("cell %s diverged (trigger=%v instances=%v credits=%v completion=%v err=%q)\n  sim:  %+v\n  emul: %+v",
-			c.Label(), c.TriggerMatch, c.InstancesMatch, c.CreditsMatch, c.CompletionMatch, c.Err, c.Sim, c.Emul)
+		t.Errorf("cell %s diverged (diff=%q err=%q)\n  sim:  %+v\n  emul: %+v",
+			c.Label(), c.Diff, c.Err, c.Sim, c.Emul)
 	}
 	if !rep.Pass() {
 		t.Logf("\n%s", rep.Text())
@@ -40,9 +40,9 @@ func TestQuickConformance(t *testing.T) {
 func TestConformanceReportText(t *testing.T) {
 	rep := Report{Profile: "quick", Cells: []Cell{
 		{Middleware: "XWHEP", Trace: "seti", Bot: "SMALL", Strategy: "9C-C-R",
-			Sim:          campaign.Result{Completed: true, CompletionTime: 1000, Instances: 2, CreditsBilled: 3},
-			Emul:         campaign.Result{Completed: true, CompletionTime: 1000, Instances: 2, CreditsBilled: 3},
-			TriggerMatch: true, InstancesMatch: true, CreditsMatch: true, CompletionMatch: true, Pass: true},
+			Sim:  campaign.Result{Completed: true, CompletionTime: 1000, Instances: 2, CreditsBilled: 3},
+			Emul: campaign.Result{Completed: true, CompletionTime: 1000, Instances: 2, CreditsBilled: 3},
+			Pass: true},
 		{Middleware: "BOINC", Trace: "nd", Bot: "BIG", Strategy: "9C-G-F", Err: "boom"},
 	}}
 	if rep.Pass() {
@@ -158,44 +158,54 @@ func TestConformanceResumes(t *testing.T) {
 // TestReportIsTheDiff: a failing cell says where its two results part — the
 // first differing field with both values, the aggregate before the batches,
 // and for a multi-batch cell the first batch that differs — so a conformance
-// failure reads as a diff.
+// failure reads as a diff. Every field is compared, by ==, but the credits
+// billed, which may part by clockRoundOff.
 func TestReportIsTheDiff(t *testing.T) {
 	sc := quickScenario("XWHEP", "seti", "9C-C-R")
-	batches := func(ct1 float64) []campaign.BatchResult {
-		return []campaign.BatchResult{
+	res := campaign.Result{Completed: true, CompletionTime: 1000, TriggeredAt: 120, Instances: 1, CreditsBilled: 2}
+	store := campaign.NewResultStore()
+	// put stores the job's result with batch b001 completing at ct1, after
+	// mutate.
+	put := func(j campaign.Job, ct1 float64, mutate func(*campaign.Result)) {
+		r := res
+		r.Batches = []campaign.BatchResult{
 			{BatchID: "b000", Completed: true, CompletionTime: 500, TriggeredAt: 120, Instances: 1, CreditsBilled: 2},
 			{BatchID: "b001", Completed: true, CompletionTime: ct1, TriggeredAt: -1},
 		}
-	}
-	res := campaign.Result{Completed: true, CompletionTime: 1000, TriggeredAt: 120, Instances: 1, CreditsBilled: 2}
-	store := campaign.NewResultStore()
-	put := func(j campaign.Job, ct1 float64) {
-		r := res
-		r.Batches = batches(ct1)
+		mutate(&r)
 		store.Put(campaign.Entry{Key: j.Key(), Result: r})
 	}
-	put(campaign.Job{Scenario: sc}, 800)
-	put(Job(sc), 900)
+	same := func(*campaign.Result) {}
+	put(campaign.Job{Scenario: sc}, 800, same)
+	put(Job(sc), 900, same)
 	cell := compareCell(sc, store)
-	if cell.Pass || cell.CompletionMatch || !cell.TriggerMatch || !cell.InstancesMatch || !cell.CreditsMatch {
-		t.Errorf("only the completion of one batch differs: %+v", cell)
-	}
-	if want := "batch b001 CompletionTime: sim 800, emul 900"; cell.Diff != want {
-		t.Errorf("diff %q, want %q", cell.Diff, want)
+	if want := "batch b001 CompletionTime: sim 800, emul 900"; cell.Pass || cell.Diff != want {
+		t.Errorf("only the completion of one batch differs: pass %v, diff %q, want %q", cell.Pass, cell.Diff, want)
 	}
 	txt := Report{Profile: "quick", Cells: []Cell{cell}}.Text()
 	if !strings.Contains(txt, "FAIL\n    first difference: batch b001 CompletionTime: sim 800, emul 900\n") {
 		t.Errorf("report does not print the difference under the failing row:\n%s", txt)
 	}
-	// An aggregate difference comes first, and a conforming cell has none.
-	put(Job(sc), 800)
-	if cell = compareCell(sc, store); !cell.Pass || cell.Diff != "" {
-		t.Errorf("equal results: %+v", cell)
-	}
-	e, _ := store.Get(Job(sc).Key())
-	e.Result.Instances, e.Result.Batches[1].Completed = 3, false
-	store.Put(e)
-	if cell = compareCell(sc, store); cell.Diff != "Instances: sim 1, emul 3" || cell.CompletionMatch {
-		t.Errorf("aggregate difference: diff %q, completion match %v", cell.Diff, cell.CompletionMatch)
+	for _, c := range []struct {
+		name   string
+		mutate func(*campaign.Result)
+		diff   string // "" for a conforming cell
+	}{
+		{"equal results", same, ""},
+		{"aggregate first", func(r *campaign.Result) { r.Instances, r.Batches[1].Completed = 3, false },
+			"Instances: sim 1, emul 3"},
+		{"one ulp of completion", func(r *campaign.Result) { r.Batches[0].CompletionTime = math.Nextafter(500, 501) },
+			"batch b000 CompletionTime: sim 500, emul 500.00000000000006"},
+		{"credits allocated", func(r *campaign.Result) { r.Batches[1].CreditsAllocated = 5 },
+			"batch b001 CreditsAllocated: sim 0, emul 5"},
+		{"tier", func(r *campaign.Result) { r.Batches[1].Tier = "free" }, "batch b001 Tier: sim , emul free"},
+		{"credits billed within the clock's round-off", func(r *campaign.Result) { r.Batches[0].CreditsBilled *= 1 + clockRoundOff/2 }, ""},
+		{"credits billed past it", func(r *campaign.Result) { r.Batches[0].CreditsBilled *= 1 + 2*clockRoundOff },
+			"batch b000 CreditsBilled: sim 2, emul 2.0000000004"},
+	} {
+		put(Job(sc), 800, c.mutate)
+		if cell = compareCell(sc, store); cell.Diff != c.diff || cell.Pass != (c.diff == "") {
+			t.Errorf("%s: pass %v, diff %q, want %q", c.name, cell.Pass, cell.Diff, c.diff)
+		}
 	}
 }

@@ -10,8 +10,7 @@ import (
 // TestCrowdConformance is the concurrency acceptance gate: a reduced crowd
 // cell (eight interleaved QoS batches on one trace) per middleware must
 // agree between the in-process simulator and the deployable HTTP stack —
-// batch by batch — on trigger tick, fleet size, credits billed and
-// completion time, while the Scheduler polls the DG through one aggregated
+// batch by batch and field by field — while the Scheduler polls the DG through one aggregated
 // query per tick. The tiered run repeats it with three service classes
 // contending for a fleet cap of three: agreement then also means the same
 // batch won every contended slot on both sides.
@@ -32,8 +31,7 @@ func TestCrowdConformance(t *testing.T) {
 			if c.Pass {
 				continue
 			}
-			t.Errorf("cell %s diverged (trigger=%v instances=%v credits=%v completion=%v err=%q)",
-				c.Label(), c.TriggerMatch, c.InstancesMatch, c.CreditsMatch, c.CompletionMatch, c.Err)
+			t.Errorf("cell %s diverged (diff=%q err=%q)", c.Label(), c.Diff, c.Err)
 		}
 		if !rep.Pass() {
 			t.Log(rep.Text())

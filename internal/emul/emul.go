@@ -2,24 +2,27 @@
 // HTTP service stack (internal/service — the four web-service modules of
 // §3.7/Fig 8) inside the discrete-event simulation. A virtual clock is
 // injected into every module, a simulated BOINC/XWHEP/Condor batch is
-// exposed behind the DGGateway HTTP interface (fed through the 3G-Bridge
-// path of internal/bridge), cloud launches become simulated cloud workers,
-// and a simulation ticker drives the Scheduler's monitor loop — so an
-// emulated run is deterministic, wall-clock-free, and directly comparable
-// to the same scenario executed by the in-process simulator.
+// exposed behind the DGGateway HTTP interface, cloud launches become
+// simulated cloud workers, and a simulation ticker drives the Scheduler's
+// monitor loop — so an emulated run is deterministic, wall-clock-free, and
+// directly comparable to the same scenario executed by the in-process
+// simulator.
 //
 // There is one cell executor, internal/campaign's: an emulated cell is a
 // campaign job whose QoS side (campaign.Job.Backend) is HTTPStack instead of
 // the in-process core.Service. Everything else of a cell — engine, DG server,
-// trace, workloads, cloud, horizon retry, worker pool, store, Result — is the
-// campaign's; this package holds only what is the emulation.
+// the submission of its batches, trace, workloads, cloud, horizon retry,
+// worker pool, store, Result — is the campaign's; this package holds only
+// what is the emulation.
 //
 // RunConformance plans every cell of a (trace × BoT class × middleware ×
 // strategy) subset as two jobs, in-process and through the HTTP stack, and
-// its per-cell report proves the two results agree on the trigger decision,
-// the cloud fleet size, the credits billed, and the completion time. CI runs
-// the quick-profile subset on every change, so the deployable service and
-// the simulator cannot silently drift apart.
+// its per-cell report requires the two results to be equal, field by field
+// and batch by batch: completion, trigger, fleet and credits allocated by ==,
+// and the credits billed within the one bound the HTTP stack's time.Time
+// clock accounts for (clockRoundOff). CI runs the quick-profile subset on
+// every change, so the deployable service and the simulator cannot silently
+// drift apart.
 package emul
 
 import (
@@ -28,7 +31,6 @@ import (
 	"net/http/httptest"
 	"time"
 
-	"spequlos/internal/bridge"
 	"spequlos/internal/campaign"
 	"spequlos/internal/cloud"
 	"spequlos/internal/core"
@@ -65,14 +67,6 @@ func RunCell(sc campaign.Scenario) (campaign.Result, error) {
 // so billing settles at the completion instant without advancing the other
 // batches' monitor state between ticks.
 type HTTPBackend struct {
-	// Ticks counts Scheduler monitor iterations, whole ticks and
-	// per-completion steps alike.
-	Ticks int
-	// Bridge is the 3G-Bridge every submission arrives through, the grid
-	// path of §3.7: the stack recognizes a grid-submitted BoT exactly as a
-	// natively-submitted one.
-	Bridge *bridge.Bridge
-
 	eng    *sim.Engine
 	dgSrv  *httptest.Server
 	stack  *service.Stack
@@ -96,8 +90,7 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 	// simulated workers.
 	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud})
 	b := &HTTPBackend{
-		Bridge: bridge.New(primary), eng: eng, dgSrv: httptest.NewServer(gw.Handler()),
-		registered: map[string]registration{},
+		eng: eng, dgSrv: httptest.NewServer(gw.Handler()), registered: map[string]registration{},
 	}
 	gw.SetWorkerURL(b.dgSrv.URL)
 	var err error
@@ -114,7 +107,7 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 	// arbitrates with the same TierPolicy.Admit call per tick.
 	b.stack.Scheduler.TierPolicy = cfg.Tiers
 	b.stack.SetClock(func() time.Time { return virtualTime(eng.Now()) })
-	b.ticker = eng.NewTicker(cfg.MonitorPeriod, func(sim.Time) { b.step(b.stack.Scheduler.Step) })
+	b.ticker = eng.NewTicker(cfg.MonitorPeriod, func(sim.Time) { b.do("monitor step", b.stack.Scheduler.Step) })
 	primary.AddListener(completionHook{b})
 	return b
 }
@@ -130,14 +123,6 @@ func (b *HTTPBackend) do(op string, f func() error) {
 	if err := f(); err != nil {
 		b.err = fmt.Errorf("emul: %s: %w", op, err)
 	}
-}
-
-// step runs one monitor iteration.
-func (b *HTTPBackend) step(tick func() error) {
-	b.do("monitor step", func() error {
-		b.Ticks++
-		return tick()
-	})
 }
 
 // Register is registerQoS + orderQoS of Fig 3, over the wire.
@@ -157,11 +142,6 @@ func (b *HTTPBackend) Register(id, envKey string, size int, tier core.Tier, cred
 		}
 		return err
 	})
-}
-
-// Submit forwards the batch through the bridge to the cell's DG server.
-func (b *HTTPBackend) Submit(_ middleware.Server, batch middleware.Batch) {
-	b.do("grid submission of "+batch.ID, func() error { return b.Bridge.SubmitGridBatch("emul-grid", batch) })
 }
 
 // Usage reads a batch's fleet and trigger from the Scheduler's status and its
@@ -210,6 +190,6 @@ func (h completionHook) TaskAssigned(string, int, float64)  {}
 func (h completionHook) TaskCompleted(string, int, float64) {}
 func (h completionHook) BatchCompleted(id string, _ float64) {
 	if _, ok := h.b.registered[id]; ok {
-		h.b.step(func() error { return h.b.stack.Scheduler.StepBatch(id) })
+		h.b.do("monitor step", func() error { return h.b.stack.Scheduler.StepBatch(id) })
 	}
 }

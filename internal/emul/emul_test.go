@@ -29,49 +29,19 @@ func quickScenario(mw, tn, label string) campaign.Scenario {
 
 // TestRunCellMatchesSimulator is the single-cell conformance check: the
 // deployable HTTP stack on the virtual clock must reproduce the in-process
-// simulator's trigger time, fleet size, billing and completion time.
+// simulator's result, as the one comparator (compareCell) reads the two.
 func TestRunCellMatchesSimulator(t *testing.T) {
 	sc := quickScenario("XWHEP", "seti", "9C-C-R")
-	// The emulation's own accounting lives on the backend value, not on the
-	// result: open it as Job does and keep a handle.
-	var stack *HTTPBackend
-	job := Job(sc)
-	job.Backend = func(eng *sim.Engine, primary middleware.Server, cl *cloud.SimCloud, cfg core.Config) campaign.Backend {
-		stack = HTTPStack(eng, primary, cl, cfg).(*HTTPBackend)
-		return stack
+	store := campaign.NewResultStore()
+	for _, j := range []campaign.Job{{Scenario: sc}, Job(sc)} {
+		store.Put(campaign.Execute(j))
 	}
-	sim := campaign.Run(sc)
-	e := campaign.Execute(job)
-	if e.Err != "" {
-		t.Fatal(e.Err)
+	cell := compareCell(sc, store)
+	if !cell.Pass {
+		t.Fatalf("diverged (diff=%q err=%q)\n  sim:  %+v\n  emul: %+v", cell.Diff, cell.Err, cell.Sim, cell.Emul)
 	}
-	out := e.Result
-	if !sim.Completed || !out.Completed {
-		t.Fatalf("completed: sim=%v emul=%v", sim.Completed, out.Completed)
-	}
-	if out.TriggeredAt != sim.TriggeredAt {
-		t.Errorf("trigger: sim=%.0f emul=%.0f", sim.TriggeredAt, out.TriggeredAt)
-	}
-	if out.Instances != sim.Instances {
-		t.Errorf("instances: sim=%d emul=%d", sim.Instances, out.Instances)
-	}
-	if !within(sim.CreditsBilled, out.CreditsBilled, 1e-6) {
-		t.Errorf("credits: sim=%v emul=%v", sim.CreditsBilled, out.CreditsBilled)
-	}
-	if !within(sim.CompletionTime, out.CompletionTime, 0.01) {
-		t.Errorf("completion: sim=%.1f emul=%.1f", sim.CompletionTime, out.CompletionTime)
-	}
-	forwarded, completed := 0, 0
-	for _, s := range stack.Bridge.StatsBySource() {
-		forwarded += s.Forwarded
-		completed += s.Completed
-	}
-	if out.Size != sim.Size || forwarded != out.Size || completed != out.Size {
-		t.Errorf("bridge accounting: size=%d forwarded=%d completed=%d (sim size %d)",
-			out.Size, forwarded, completed, sim.Size)
-	}
-	if stack.Ticks == 0 || out.Events == 0 {
-		t.Errorf("no ticks/events recorded: ticks=%d %+v", stack.Ticks, out)
+	if !cell.Emul.Completed || cell.Emul.Events == 0 {
+		t.Errorf("the emulated cell did not run: %+v", cell.Emul)
 	}
 }
 

@@ -189,8 +189,11 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 			return err
 		}
 	}
+	// One reading of the clock: Information's submission instant and the
+	// monitor's registration instant are the same, as in core.Service.
+	now := unixSeconds(s.Now())
 	if err := s.info.Track(TrackRequest{
-		BatchID: req.BatchID, EnvKey: req.EnvKey, Size: req.Size,
+		BatchID: req.BatchID, EnvKey: req.EnvKey, Size: req.Size, SubmittedAt: now,
 	}); err != nil {
 		if req.Credits > 0 {
 			if perr := s.credits.Pays([]string{req.BatchID})[0].Error; perr != "" {
@@ -199,7 +202,7 @@ func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
 		}
 		return err
 	}
-	b := core.NewBatch(req.BatchID, req.EnvKey, tier, unixSeconds(s.Now()))
+	b := core.NewBatch(req.BatchID, req.EnvKey, tier, now)
 	b.Provider, b.Image, b.Ordered = req.Provider, req.Image, req.Credits > 0
 	s.mon.Mu.Lock()
 	defer s.mon.Mu.Unlock()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -557,5 +558,38 @@ func TestConcurrentSchedulerSteps(t *testing.T) {
 		if err != nil || math.Abs(o.Billed-want) > 1e-9 {
 			t.Fatalf("batch %d billed %v for one minute of %d instances, want %v (%v)", i, o.Billed, fleet, want, err)
 		}
+	}
+}
+
+// TestRegistrationRecordsSubmission: a batch the Scheduler registers is
+// tracked in Information with the registration instant as its submission
+// time, which the state image then carries — as the simulator's Information
+// does — and not the epoch.
+func TestRegistrationRecordsSubmission(t *testing.T) {
+	state := core.NewState()
+	stack := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}, State: &state})
+	now := time.Unix(1_700_000_000, 250_000_000)
+	stack.SetClock(func() time.Time { return now })
+	if err := stack.Scheduler.RegisterQoS(QoSRequest{User: "u", BatchID: "b", EnvKey: "e", Size: 10}); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := state.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var img struct {
+		Information struct {
+			Batches []struct {
+				BatchID     string  `json:"batch_id"`
+				SubmittedAt float64 `json:"submitted_at"`
+			} `json:"batches"`
+		} `json:"information"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &img); err != nil {
+		t.Fatal(err)
+	}
+	bs := img.Information.Batches
+	if want := unixSeconds(now); len(bs) != 1 || bs[0].BatchID != "b" || bs[0].SubmittedAt != want {
+		t.Fatalf("state image batches %+v, want b submitted at %v", bs, want)
 	}
 }

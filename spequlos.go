@@ -184,7 +184,8 @@ type ConformanceSpec = emul.Spec
 type ConformanceReport = emul.Report
 
 // ConformanceCell is one cell of a conformance report: the Result of the
-// in-process run, the Result of the emulated one, and where they agree.
+// in-process run, the Result of the emulated one, and the first field where
+// they differ.
 type ConformanceCell = emul.Cell
 
 // Emulate executes one scenario (which must carry a strategy) through the
@@ -201,8 +202,9 @@ func Emulate(sc Scenario) (Result, error) { return emul.RunCell(sc) }
 func QuickConformanceSpec() ConformanceSpec { return emul.QuickSpec() }
 
 // RunConformance executes every cell of the spec both in-process and through
-// the HTTP stack and reports per-cell agreement on trigger decision, fleet
-// size, credits billed and completion time.
+// the HTTP stack and reports per cell whether the two Results are equal,
+// field by field and batch by batch (the credits billed within the HTTP
+// clock's nanosecond round-off).
 func RunConformance(ctx context.Context, spec ConformanceSpec) (ConformanceReport, error) {
 	return emul.RunConformance(ctx, spec)
 }
