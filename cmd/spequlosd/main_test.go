@@ -336,14 +336,63 @@ func TestRestartRestoresState(t *testing.T) {
 	}
 }
 
-// TestStartRefusesUnreadableState: an image that cannot be restored, or the
-// per-module files of the old layout without one, fail start with the file
-// named, and nothing in the state dir is overwritten.
+// olderImage is a state.json as versions that stored every sample wrote it.
+const olderImage = `{
+  "information": {
+    "batches": [
+      {
+        "batch_id": "b1",
+        "env_key": "XWHEP/seti/SMALL",
+        "size": 100,
+        "submitted_at": 1700000000,
+        "samples": [
+          {
+            "t": 60,
+            "completed": 12,
+            "assigned": 40,
+            "queued": 60,
+            "running": 28,
+            "workers": 30
+          }
+        ]
+      }
+    ]
+  },
+  "credits": {
+    "accounts": [
+      {
+        "user": "alice",
+        "balance": 40,
+        "spent": 0
+      }
+    ],
+    "orders": [
+      {
+        "batch_id": "b1",
+        "user": "alice",
+        "allocated": 60,
+        "billed": 0,
+        "closed": false
+      }
+    ]
+  },
+  "calibration": {
+    "environments": null
+  }
+}
+`
+
+// TestStartRefusesUnreadableState: an image that cannot be restored (one an
+// older version wrote included), or the per-module files of the old layout
+// without one, fail start with the file named, and nothing in the state dir
+// is overwritten.
 func TestStartRefusesUnreadableState(t *testing.T) {
 	for _, c := range []struct{ name, file, body, want string }{
 		{"truncated", "state.json", `{"information":{"batches":null},"credits":{"acc`, "state.json"},
 		{"unparsable section", "state.json", `{"information":{"batches":null},"credits":[],"calibration":{}}`, "state.json"},
 		{"old layout", "credits.json", `{"accounts":[{"user":"alice","balance":100}],"orders":null}`, "credits.json"},
+		{"image of an older version", "state.json", olderImage,
+			`state.json: core: reading state: batch "b1" holds a per-sample history ("samples"), the layout of an older version`},
 	} {
 		dir := t.TempDir()
 		path := filepath.Join(dir, c.file)

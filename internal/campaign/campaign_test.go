@@ -3,8 +3,10 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,6 +239,63 @@ func TestStoreSaveLoadRoundTrip(t *testing.T) {
 	}
 	if e, _ := loaded.Get(jobs[0].Key()); len(e.Series) == 0 {
 		t.Fatal("completion series lost in round-trip")
+	}
+}
+
+// TestStoreLayout: Save writes the header, one json.Marshal-ed entry per
+// line and the closing brackets, and a store in the indented layout older
+// versions wrote loads to the same entries as the one Save writes, and saves
+// back to the same bytes.
+func TestStoreLayout(t *testing.T) {
+	p := tiny()
+	jobs := tinyJobs(p)
+	jobs[0].KeepSeries = true
+	store, err := runStore(p, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := store.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(saved.String(), "\n")
+	entries := store.Entries()
+	if len(lines) != len(entries)+3 || lines[0] != `{"version":1,"entries":[` || lines[len(lines)-2] != "]}" || lines[len(lines)-1] != "" {
+		t.Fatalf("layout: %d lines for %d entries, header %q, trailer %q", len(lines), len(entries), lines[0], lines[len(lines)-2:])
+	}
+	for i, e := range entries {
+		want, err := json.Marshal(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < len(entries)-1 {
+			want = append(want, ',')
+		}
+		if lines[i+1] != string(want) {
+			t.Errorf("line %d is not entry %q as json.Marshal encodes it", i+1, e.Key)
+		}
+	}
+
+	indented, err := json.MarshalIndent(storeFile{Version: storeVersion, Entries: entries}, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromIndented, fromSaved := NewResultStore(), NewResultStore()
+	if err := fromIndented.Load(bytes.NewReader(indented)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromSaved.Load(bytes.NewReader(saved.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(fromIndented.Entries(), fromSaved.Entries()) {
+		t.Fatal("the indented layout loads to other entries than Save's")
+	}
+	var again bytes.Buffer
+	if err := fromIndented.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+		t.Fatal("a store loaded from the indented layout saves to other bytes")
 	}
 }
 

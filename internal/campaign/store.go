@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -90,11 +91,26 @@ type storeFile struct {
 
 const storeVersion = 1
 
-// Save writes the store as JSON, entries sorted by key.
+// Save writes the store as a storeFile in one pass: the header
+// {"version":1,"entries":[, then one entry per line, each as json.Marshal
+// encodes it, sorted by key, then ]}. Load reads any layout of the format,
+// the indented one older versions wrote included.
 func (s *ResultStore) Save(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(storeFile{Version: storeVersion, Entries: s.Entries()})
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, `{"version":%d,"entries":[`, storeVersion)
+	for i, e := range s.Entries() {
+		line, err := json.Marshal(e)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			bw.WriteByte(',')
+		}
+		bw.WriteByte('\n')
+		bw.Write(line)
+	}
+	bw.WriteString("\n]}\n")
+	return bw.Flush()
 }
 
 // Load merges JSON-encoded entries into the store.

@@ -30,20 +30,24 @@ type Sample struct {
 // milestones is the per-percent resolution of the tc(x)/ta(x) caches.
 const milestones = 100
 
-// BatchInfo is the monitored history of one BoT execution. The milestone
-// caches give O(1) access to tc(x) (time at which x% of the BoT was
-// completed) and ta(x) (time at which x% was assigned), the two series
-// every Oracle strategy is built from.
+// BatchInfo is the monitored history of one BoT execution, kept as the
+// series the Oracle reads rather than as its samples: the latest sample, the
+// number taken, the largest worker count, the completion instant and, per
+// percent, tc(x) (the time at which x% of the BoT was completed) and ta(x)
+// (the time at which x% was assigned), the two series every Oracle strategy
+// is built from. Its size does not grow with the samples added.
 type BatchInfo struct {
 	BatchID     string
 	EnvKey      string // environment (middleware/BE-DCI/BoT class) for α calibration
 	Size        int
 	SubmittedAt float64
-	Samples     []Sample
 	CompletedAt float64 // -1 while running
 	// PeakWorkers is the largest worker count observed so far.
 	PeakWorkers int
 
+	// last is the latest sample and samples the number added.
+	last    Sample
+	samples int
 	// tcAt[i] is the elapsed time at which completion first reached i
 	// percent; -1 if not yet. taAt is the same for assignment. tcHi and taHi
 	// are their high-water marks: every index up to one is filled.
@@ -68,23 +72,21 @@ func NewBatchInfo(batchID, envKey string, size int, submittedAt float64) *BatchI
 	return bi
 }
 
-// AddSample appends an observation taken at absolute time now.
+// AddSample records an observation taken at absolute time now.
 func (bi *BatchInfo) AddSample(now float64, completed, assigned, queued, running int) {
 	bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Queued: queued, Running: running})
 }
 
-// add appends an observation taken s.T seconds after submission.
+// add records an observation taken s.T seconds after submission.
 func (bi *BatchInfo) add(s Sample) {
 	if s.Workers > bi.PeakWorkers {
 		bi.PeakWorkers = s.Workers
 	}
-	bi.Samples = append(bi.Samples, s)
+	bi.last = s
+	bi.samples++
 	if bi.Size > 0 {
 		fill := func(cache *[milestones + 1]float64, hi *int, count int) {
-			upto := count * milestones / bi.Size
-			if upto > milestones {
-				upto = milestones
-			}
+			upto := bi.percent(count)
 			for i := *hi + 1; i <= upto; i++ {
 				if cache[i] < 0 {
 					cache[i] = s.T
@@ -98,7 +100,7 @@ func (bi *BatchInfo) add(s Sample) {
 		fill(&bi.tcAt, &bi.tcHi, s.Completed)
 		fill(&bi.taAt, &bi.taHi, s.Assigned)
 		if half := milestones / 2; bi.firstHalfMaxVar < 0 && bi.tcAt[half] >= 0 && bi.taAt[half] >= 0 {
-			bi.firstHalfMaxVar = bi.MaxExecutionVarianceUpTo(0.5)
+			bi.firstHalfMaxVar = bi.maxVarianceUpTo(half)
 		}
 	}
 	if s.Completed >= bi.Size && bi.Size > 0 && bi.CompletedAt < 0 {
@@ -106,13 +108,21 @@ func (bi *BatchInfo) add(s Sample) {
 	}
 }
 
-// Last returns the most recent sample (zero Sample if none).
-func (bi *BatchInfo) Last() Sample {
-	if len(bi.Samples) == 0 {
-		return Sample{}
+// percent is the milestone a count reaches: ⌊count·100/size⌋ within
+// [0, milestones], 0 for an empty batch. Filling and reading both index by
+// it, so a tick reads the milestone its counts filled.
+func (bi *BatchInfo) percent(count int) int {
+	switch {
+	case bi.Size <= 0 || count <= 0:
+		return 0
+	case count >= bi.Size:
+		return milestones
 	}
-	return bi.Samples[len(bi.Samples)-1]
+	return count * milestones / bi.Size
 }
+
+// Last returns the most recent sample (zero Sample if none).
+func (bi *BatchInfo) Last() Sample { return bi.last }
 
 // CompletedFraction returns the latest completion ratio.
 func (bi *BatchInfo) CompletedFraction() float64 {
@@ -122,34 +132,18 @@ func (bi *BatchInfo) CompletedFraction() float64 {
 	return float64(bi.Last().Completed) / float64(bi.Size)
 }
 
-// TimeAtCompletion returns tc(x): the elapsed time at which completion
-// first reached fraction x, at 1% resolution. ok is false if not reached.
-func (bi *BatchInfo) TimeAtCompletion(x float64) (t float64, ok bool) {
-	return bi.at(&bi.tcAt, x)
-}
+// tc returns tc(i%): the elapsed time at which completion first reached i
+// percent; ok is false if not reached.
+func (bi *BatchInfo) tc(i int) (t float64, ok bool) { return bi.tcAt[i], bi.tcAt[i] >= 0 }
 
-// TimeAtAssignment returns ta(x) for the ever-assigned series.
-func (bi *BatchInfo) TimeAtAssignment(x float64) (t float64, ok bool) {
-	return bi.at(&bi.taAt, x)
-}
+// ta returns ta(i%) for the ever-assigned series.
+func (bi *BatchInfo) ta(i int) (t float64, ok bool) { return bi.taAt[i], bi.taAt[i] >= 0 }
 
-func (bi *BatchInfo) at(cache *[milestones + 1]float64, x float64) (float64, bool) {
-	if x < 0 {
-		x = 0
-	}
-	if x > 1 {
-		x = 1
-	}
-	i := int(x * milestones)
-	v := cache[i]
-	return v, v >= 0
-}
-
-// ExecutionVariance returns var(x) = tc(x) − ta(x) (§3.5), or ok=false if
-// fraction x has not completed yet.
-func (bi *BatchInfo) ExecutionVariance(x float64) (float64, bool) {
-	tc, ok1 := bi.TimeAtCompletion(x)
-	ta, ok2 := bi.TimeAtAssignment(x)
+// variance returns var(i%) = tc(i%) − ta(i%) (§3.5), or ok=false if i
+// percent has not completed yet.
+func (bi *BatchInfo) variance(i int) (float64, bool) {
+	tc, ok1 := bi.tc(i)
+	ta, ok2 := bi.ta(i)
 	if !ok1 || !ok2 {
 		return 0, false
 	}
@@ -160,19 +154,15 @@ func (bi *BatchInfo) ExecutionVariance(x float64) (float64, bool) {
 	return v, true
 }
 
-// MaxExecutionVarianceUpTo returns max var(x) over milestones in (0, x].
-func (bi *BatchInfo) MaxExecutionVarianceUpTo(x float64) float64 {
-	max := 0.0
-	limit := int(x * milestones)
-	if limit > milestones {
-		limit = milestones
-	}
+// maxVarianceUpTo returns max var(i%) over the milestones 1..limit.
+func (bi *BatchInfo) maxVarianceUpTo(limit int) float64 {
+	m := 0.0
 	for i := 1; i <= limit; i++ {
-		if v, ok := bi.ExecutionVariance(float64(i) / milestones); ok && v > max {
-			max = v
+		if v, ok := bi.variance(i); ok && v > m {
+			m = v
 		}
 	}
-	return max
+	return m
 }
 
 // TickView is what one monitor tick reads of a batch: the inputs of the
@@ -243,18 +233,17 @@ func (bi *BatchInfo) TickView() TickView {
 		PeakWorkers: bi.PeakWorkers, ExecVariance: -1, MaxVarianceFirstHalf: -1, TC50: -1,
 		CompletedAt: bi.CompletedAt,
 	}
-	c := v.CompletedFraction()
-	if x, ok := bi.ExecutionVariance(c); ok {
+	if x, ok := bi.variance(bi.percent(last.Completed)); ok {
 		v.ExecVariance = x
 	}
-	if c >= 0.5 {
+	if v.CompletedFraction() >= 0.5 {
 		v.MaxVarianceFirstHalf = bi.firstHalfMaxVar
 		if v.MaxVarianceFirstHalf < 0 {
 			// Assignment lags completion in the history: not fixed yet.
-			v.MaxVarianceFirstHalf = bi.MaxExecutionVarianceUpTo(0.5)
+			v.MaxVarianceFirstHalf = bi.maxVarianceUpTo(milestones / 2)
 		}
 	}
-	if tc, ok := bi.TimeAtCompletion(0.5); ok {
+	if tc, ok := bi.tc(milestones / 2); ok {
 		v.TC50 = tc
 	}
 	return v
@@ -289,7 +278,7 @@ func (bi *BatchInfo) View() BatchView {
 	t := bi.TickView()
 	return BatchView{
 		BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
-		Samples:           len(bi.Samples),
+		Samples:           bi.samples,
 		CompletedFraction: t.CompletedFraction(),
 		AssignedFraction:  t.AssignedFraction(),
 		Done:              t.Done(),
@@ -325,7 +314,7 @@ func (in *Information) Track(batchID, envKey string, size int, submittedAt float
 	return bi, nil
 }
 
-// AddSample appends a sample to a tracked batch's history under the archive's
+// AddSample adds a sample to a tracked batch's history under the archive's
 // lock, so it may run beside View and WriteJSON; false if the batch is not
 // tracked.
 func (in *Information) AddSample(batchID string, s Sample) bool {

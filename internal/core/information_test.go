@@ -13,16 +13,16 @@ func TestBatchInfoMilestones(t *testing.T) {
 	bi.AddSample(1180, 90, 100, 0, 0)
 	bi.AddSample(1240, 100, 100, 0, 0)
 
-	if got, ok := bi.TimeAtCompletion(0.3); !ok || got != 120 {
+	if got, ok := bi.tc(30); !ok || got != 120 {
 		t.Errorf("tc(0.3) = %v,%v want 120", got, ok)
 	}
-	if got, ok := bi.TimeAtCompletion(0.9); !ok || got != 180 {
+	if got, ok := bi.tc(90); !ok || got != 180 {
 		t.Errorf("tc(0.9) = %v,%v want 180", got, ok)
 	}
-	if got, ok := bi.TimeAtAssignment(0.5); !ok || got != 60 {
+	if got, ok := bi.ta(50); !ok || got != 60 {
 		t.Errorf("ta(0.5) = %v,%v want 60", got, ok)
 	}
-	if got, ok := bi.TimeAtAssignment(0.9); !ok || got != 120 {
+	if got, ok := bi.ta(90); !ok || got != 120 {
 		t.Errorf("ta(0.9) = %v,%v want 120", got, ok)
 	}
 	if v := bi.TickView(); !v.Done() || v.CompletedAt != 240 {
@@ -32,13 +32,13 @@ func TestBatchInfoMilestones(t *testing.T) {
 		t.Error("fractions wrong at completion")
 	}
 	// Intermediate milestone (31%) first reached at the same sample as 90%.
-	if got, ok := bi.TimeAtCompletion(0.31); !ok || got != 180 {
+	if got, ok := bi.tc(31); !ok || got != 180 {
 		t.Errorf("tc(0.31) = %v,%v want 180", got, ok)
 	}
 	// Unreached milestone before completion.
 	bi2 := NewBatchInfo("b2", "env", 100, 0)
 	bi2.AddSample(60, 10, 20, 0, 0)
-	if _, ok := bi2.TimeAtCompletion(0.5); ok {
+	if _, ok := bi2.tc(50); ok {
 		t.Error("tc(0.5) should be unknown at 10% completion")
 	}
 }
@@ -48,18 +48,18 @@ func TestExecutionVarianceSeries(t *testing.T) {
 	bi.AddSample(10, 0, 10, 0, 10) // everything assigned at t=10
 	bi.AddSample(50, 5, 10, 0, 5)  // 50% completed at t=50
 	bi.AddSample(500, 9, 10, 0, 1) // stragglers
-	v, ok := bi.ExecutionVariance(0.5)
+	v, ok := bi.variance(50)
 	if !ok || v != 40 {
 		t.Errorf("var(0.5) = %v,%v want 40", v, ok)
 	}
-	v, ok = bi.ExecutionVariance(0.9)
+	v, ok = bi.variance(90)
 	if !ok || v != 490 {
 		t.Errorf("var(0.9) = %v,%v want 490", v, ok)
 	}
-	if m := bi.MaxExecutionVarianceUpTo(0.5); m != 40 {
+	if m := bi.maxVarianceUpTo(50); m != 40 {
 		t.Errorf("max var first half = %v, want 40", m)
 	}
-	if _, ok := bi.ExecutionVariance(0.95); ok {
+	if _, ok := bi.variance(95); ok {
 		t.Error("var(0.95) should be unknown")
 	}
 }
@@ -81,7 +81,7 @@ func TestMilestoneMonotonicityProperty(t *testing.T) {
 		}
 		prev := 0.0
 		for i := 1; i <= 100; i++ {
-			v, ok := bi.TimeAtCompletion(float64(i) / 100)
+			v, ok := bi.tc(i)
 			if !ok {
 				break
 			}
@@ -171,5 +171,24 @@ func TestMilestoneFillMatchesRewalk(t *testing.T) {
 					trial, size, monotone, k, now, completed, assigned, bi.tcAt, ref.tcAt, bi.taAt, ref.taAt)
 			}
 		}
+	}
+}
+
+// TestMilestoneReadWhereFilled: a tick reads the milestone add filled, the
+// percent of the counts, not the percent of a fraction. float64(29)/100*100
+// truncates to 28, so reading var(0.29) through the fraction took milestone
+// 28 in place of 29, both at the current completion and in the first-half
+// maximum.
+func TestMilestoneReadWhereFilled(t *testing.T) {
+	bi := NewBatchInfo("b", "env", 100, 0)
+	bi.AddSample(50, 0, 29, 71, 29)  // ta(29%) = 50
+	bi.AddSample(100, 28, 29, 71, 1) // tc(28%) = 100
+	bi.AddSample(300, 29, 29, 71, 0) // tc(29%) = 300
+	if v := bi.TickView(); v.ExecVariance != 250 {
+		t.Errorf("var at 29 of 100 = %v, want tc(29%%) − ta(29%%) = 250", v.ExecVariance)
+	}
+	bi.AddSample(400, 50, 60, 40, 10) // tc and ta reach 50% together: var(30..50%) = 0
+	if v := bi.TickView(); v.MaxVarianceFirstHalf != 250 {
+		t.Errorf("max var over the first half = %v, want var(29%%) = 250", v.MaxVarianceFirstHalf)
 	}
 }

@@ -14,7 +14,10 @@ import (
 // equivalent: State, the three modules' state as one JSON image with a
 // section per module, which spequlosd writes after each tick and restores.
 
-// State is the module state a SpeQuloS deployment keeps across restarts.
+// State is the module state a SpeQuloS deployment keeps across restarts. Its
+// image holds each batch's series, not its samples (BatchInfo), so a batch
+// costs the image the same however many ticks it lived; an image of an
+// older version, which held every sample, is refused.
 type State struct {
 	Information *Information
 	Credits     *CreditSystem
@@ -33,8 +36,8 @@ type stateImage struct {
 	Calibration *calibrationSnapshot `json:"calibration"`
 }
 
-// WriteJSON writes the image. It holds the three modules' read locks at once,
-// so the image is the state as of one instant.
+// WriteJSON writes the image as compact JSON. It holds the three modules'
+// read locks at once, so the image is the state as of one instant.
 func (s State) WriteJSON(w io.Writer) error {
 	s.Information.mu.RLock()
 	defer s.Information.mu.RUnlock()
@@ -43,9 +46,7 @@ func (s State) WriteJSON(w io.Writer) error {
 	s.Calibration.mu.RLock()
 	defer s.Calibration.mu.RUnlock()
 	img := stateImage{s.Information.snapshot(), s.Credits.snapshot(), s.Calibration.snapshot()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(img)
+	return json.NewEncoder(w).Encode(img)
 }
 
 // ReadState restores an image written by WriteJSON. Every section must be
@@ -75,40 +76,64 @@ type informationSnapshot struct {
 	Batches []batchSnapshot `json:"batches"`
 }
 
+// batchSnapshot is one batch's series, as BatchInfo keeps it: a batch costs
+// the image the same whatever the number of samples it took, and restoring
+// replays nothing.
 type batchSnapshot struct {
-	BatchID     string   `json:"batch_id"`
-	EnvKey      string   `json:"env_key"`
-	Size        int      `json:"size"`
-	SubmittedAt float64  `json:"submitted_at"`
-	Samples     []Sample `json:"samples"`
+	BatchID     string  `json:"batch_id"`
+	EnvKey      string  `json:"env_key"`
+	Size        int     `json:"size"`
+	SubmittedAt float64 `json:"submitted_at"`
+	SampleCount int     `json:"sample_count"`
+	Last        Sample  `json:"last"`
+	PeakWorkers int     `json:"peak_workers"`
+	CompletedAt float64 `json:"completed_at"`
+	// TC and TA are tc(i%) and ta(i%) for i from 1 to the highest percent
+	// reached.
+	TC []float64 `json:"tc"`
+	TA []float64 `json:"ta"`
+	// Samples is the per-sample history of an older layout; an image that
+	// holds one is refused, not read as a batch without history.
+	Samples json.RawMessage `json:"samples,omitempty"`
 }
 
-// snapshot serializes the archive under the caller's read lock. Milestone
-// caches are derived data and are rebuilt on load by replaying samples.
+// snapshot serializes the archive under the caller's read lock.
 func (in *Information) snapshot() *informationSnapshot {
 	snap := &informationSnapshot{}
 	for _, id := range slices.Sorted(maps.Keys(in.batches)) {
 		bi := in.batches[id]
 		snap.Batches = append(snap.Batches, batchSnapshot{
-			BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size,
-			SubmittedAt: bi.SubmittedAt, Samples: bi.Samples,
+			BatchID: bi.BatchID, EnvKey: bi.EnvKey, Size: bi.Size, SubmittedAt: bi.SubmittedAt,
+			SampleCount: bi.samples, Last: bi.last, PeakWorkers: bi.PeakWorkers, CompletedAt: bi.CompletedAt,
+			TC: bi.tcAt[1 : bi.tcHi+1], TA: bi.taAt[1 : bi.taHi+1],
 		})
 	}
 	return snap
 }
 
-// restore loads an archive section into an empty archive, replaying every
-// sample so the milestone caches and completion markers are reconstructed
-// exactly.
+// restore loads an archive section into an empty archive, each batch's
+// series as written. The first-half maximum is a cache of the milestones: a
+// tick recomputes it until the batch's next sample fixes it again.
 func (in *Information) restore(snap *informationSnapshot) error {
 	for _, bs := range snap.Batches {
+		reached := func(ts []float64) bool {
+			return len(ts) <= milestones && (bs.Size > 0 || len(ts) == 0) && !slices.ContainsFunc(ts, func(t float64) bool { return t < 0 })
+		}
+		switch {
+		case bs.Samples != nil:
+			return fmt.Errorf("batch %q holds a per-sample history (\"samples\"), the layout of an older version, which is not read", bs.BatchID)
+		case bs.SampleCount < 0:
+			return fmt.Errorf("batch %q: negative sample count %d", bs.BatchID, bs.SampleCount)
+		case !reached(bs.TC) || !reached(bs.TA):
+			return fmt.Errorf("batch %q: more milestones than its size %d allows, or one at a negative time", bs.BatchID, bs.Size)
+		}
 		bi, err := in.Track(bs.BatchID, bs.EnvKey, bs.Size, bs.SubmittedAt)
 		if err != nil {
 			return err
 		}
-		for _, s := range bs.Samples {
-			bi.add(s)
-		}
+		bi.samples, bi.last, bi.PeakWorkers, bi.CompletedAt = bs.SampleCount, bs.Last, bs.PeakWorkers, bs.CompletedAt
+		bi.tcHi = copy(bi.tcAt[1:], bs.TC)
+		bi.taHi = copy(bi.taAt[1:], bs.TA)
 	}
 	return nil
 }

@@ -141,9 +141,9 @@ func TestPlanTable(t *testing.T) {
 					}
 					bi.add(Sample{T: now - bi.SubmittedAt, Completed: completed, Assigned: assigned, Running: assigned - completed, Workers: rng.Intn(50)})
 					v := bi.TickView()
-					if v.CompletedFraction() >= 0.5 && v.MaxVarianceFirstHalf != bi.MaxExecutionVarianceUpTo(0.5) {
+					if v.CompletedFraction() >= 0.5 && v.MaxVarianceFirstHalf != bi.maxVarianceUpTo(50) {
 						t.Fatalf("first-half variance maximum %v, recomputed %v",
-							v.MaxVarianceFirstHalf, bi.MaxExecutionVarianceUpTo(0.5))
+							v.MaxVarianceFirstHalf, bi.maxVarianceUpTo(50))
 					}
 					credit := 20 * rng.Float64()
 					got, wire := o.Plan(v, credit), o.Plan(overWire(t, v), credit)
@@ -174,6 +174,12 @@ func tickSamples(rows ...[5]int) []byte {
 	return out
 }
 
+// tickSample decodes the sample at the head of a tickSamples script.
+func tickSample(row []byte) Sample {
+	return Sample{T: float64(int16(uint16(row[0])<<8|uint16(row[1]))) / 4,
+		Completed: int(row[2]), Assigned: int(row[3]), Workers: int(row[4])}
+}
+
 // FuzzTickView feeds arbitrary sample sequences into a BatchInfo and, after
 // each, checks the tick view two ways: every paper strategy and CapacityAware
 // plan the same from the view and from its JSON round trip (what the Oracle
@@ -192,8 +198,7 @@ func FuzzTickView(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size uint8, script []byte) {
 		bi := NewBatchInfo("b", "env", int(size), 0)
 		for ; len(script) >= 6; script = script[6:] {
-			bi.add(Sample{T: float64(int16(uint16(script[0])<<8|uint16(script[1]))) / 4,
-				Completed: int(script[2]), Assigned: int(script[3]), Workers: int(script[4])})
+			bi.add(tickSample(script))
 			v := bi.TickView()
 			wire := overWire(t, v)
 			if c := v.CompletedFraction(); c != bi.CompletedFraction() {
@@ -205,7 +210,7 @@ func FuzzTickView(f *testing.F) {
 					t.Fatalf("%s: in process %+v, over the wire %+v\nview %+v", o.Strategy.Label(), got, over, v)
 				}
 			}
-			tc, half := bi.TimeAtCompletion(0.5)
+			tc, half := bi.tc(50)
 			want := bi.CompletedAt >= 0 && half && tc > 0
 			for _, view := range []TickView{v, wire} {
 				base, actual, ok := view.Execution()
