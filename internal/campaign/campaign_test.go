@@ -299,6 +299,40 @@ func TestStoreLayout(t *testing.T) {
 	}
 }
 
+// TestStoreLoadRefusesWhatItCannotMerge: Load refuses data after the store,
+// an entry without a key and a key stored twice, and a refused load leaves
+// the store as it was. Whitespace after the store is no data.
+func TestStoreLoadRefusesWhatItCannotMerge(t *testing.T) {
+	for _, tc := range []struct{ name, file, refusal string }{
+		{"garbage after the store", `{"version":1,"entries":[{"key":"a"}]} garbage`, "after the store"},
+		{"a second store after the first", `{"version":1,"entries":[{"key":"a"}]}{"version":1,"entries":[{"key":"b"}]}`, "after the store"},
+		{"an entry without a key", `{"version":1,"entries":[{"key":"a"},{"key":""}]}`, `"" is keyless`},
+		{"a key stored twice", `{"version":1,"entries":[{"key":"a"},{"key":"a","profile":"p"}]}`, `"a" is keyless or stored twice`},
+		{"another version", `{"version":2,"entries":[{"key":"a"}]}`, "version 2"},
+		{"a truncated store", `{"version":1,"entries":[{"key":"a"}`, "decoding"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewResultStore()
+			s.Put(Entry{Key: "z", Profile: "kept"})
+			err := s.Load(strings.NewReader(tc.file))
+			if err == nil || !strings.Contains(err.Error(), tc.refusal) {
+				t.Fatalf("Load: %v, want a refusal naming %q", err, tc.refusal)
+			}
+			if got := s.Entries(); len(got) != 1 || !reflect.DeepEqual(got[0], Entry{Key: "z", Profile: "kept"}) {
+				t.Fatalf("the refused load changed the store: %+v", got)
+			}
+		})
+	}
+	s := NewResultStore()
+	s.Put(Entry{Key: "a", Profile: "old"})
+	if err := s.Load(strings.NewReader("{\"version\":1,\"entries\":[{\"key\":\"a\",\"profile\":\"new\"},{\"key\":\"b\"}]}\n\n")); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := s.Get("a"); s.Len() != 2 || e.Profile != "new" {
+		t.Fatalf("a load merges its entries over the store's: %+v", s.Entries())
+	}
+}
+
 func TestStoreFilePersistence(t *testing.T) {
 	p := tiny()
 	jobs := tinyJobs(p)[:2]

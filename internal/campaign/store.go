@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -113,23 +114,31 @@ func (s *ResultStore) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load merges JSON-encoded entries into the store.
+// Load merges a storeFile's entries into the store, replacing the entries
+// stored under the same keys. It refuses data after the store, an entry
+// without a key and a key stored twice, and a refused load merges nothing.
 func (s *ResultStore) Load(r io.Reader) error {
 	var f storeFile
-	if err := json.NewDecoder(r).Decode(&f); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&f); err != nil {
 		return fmt.Errorf("campaign: decoding store: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("campaign: data after the store")
 	}
 	if f.Version != storeVersion {
 		return fmt.Errorf("campaign: unsupported store version %d", f.Version)
 	}
+	entries := make(map[string]Entry, len(f.Entries))
+	for _, e := range f.Entries {
+		if _, dup := entries[e.Key]; dup || e.Key == "" {
+			return fmt.Errorf("campaign: store entry %q is keyless or stored twice", e.Key)
+		}
+		entries[e.Key] = e
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, e := range f.Entries {
-		if e.Key == "" {
-			return fmt.Errorf("campaign: store entry without key")
-		}
-		s.entries[e.Key] = e
-	}
+	maps.Copy(s.entries, entries)
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -52,10 +53,11 @@ func NewCreditSystem() *CreditSystem {
 // CPUHoursFor converts credits to CPU·hours of cloud usage.
 func (cs *CreditSystem) CPUHoursFor(credits float64) float64 { return credits / CreditsPerCPUHour }
 
-// Deposit adds credits to a user account, creating it on first use.
+// Deposit adds credits to a user account, creating it on first use. It
+// refuses an empty user and a negative or non-finite amount (ErrMalformed).
 func (cs *CreditSystem) Deposit(user string, credits float64) error {
-	if credits < 0 {
-		return fmt.Errorf("credit: negative deposit %g", credits)
+	if user == "" || !(credits >= 0) || math.IsInf(credits, 1) {
+		return fmt.Errorf("credit: %w: deposit of %g credits for user %q", ErrMalformed, credits, user)
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -88,18 +90,20 @@ func (cs *CreditSystem) AccountOf(user string) Account {
 // OrderQoS provisions credits from the user's account for a BoT (§3.3:
 // "The Credit System verifies that there are enough credits on the user's
 // account to allow the order, and then it provisions credits to the BoT").
+// It refuses an empty user or batch ID and an amount that is not a positive
+// finite number (ErrMalformed).
 func (cs *CreditSystem) OrderQoS(user, batchID string, credits float64) error {
-	if credits <= 0 {
-		return fmt.Errorf("credit: order must be positive, got %g", credits)
+	if user == "" || batchID == "" || !(credits > 0) || math.IsInf(credits, 1) {
+		return fmt.Errorf("credit: %w: order of %g credits by user %q for batch %q", ErrMalformed, credits, user, batchID)
 	}
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if o, ok := cs.orders[batchID]; ok && !o.Closed {
 		return fmt.Errorf("credit: batch %q already has an open order", batchID)
 	}
-	a := cs.account(user)
-	if a.Balance < credits {
-		return fmt.Errorf("credit: %s has %.1f credits, needs %.1f", user, a.Balance, credits)
+	a := cs.accounts[user] // a refused order opens no account
+	if a == nil || a.Balance < credits {
+		return fmt.Errorf("credit: %s has too few credits for an order of %.1f", user, credits)
 	}
 	a.Balance -= credits
 	cs.orders[batchID] = &Order{BatchID: batchID, User: user, Allocated: credits}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"sync"
 	"testing"
@@ -61,6 +62,46 @@ func TestOrderValidation(t *testing.T) {
 	}
 	if err := cs.Deposit("bob", -1); err == nil {
 		t.Fatal("negative deposit accepted")
+	}
+}
+
+// TestMalformedCreditWritesChangeNothing: a deposit or order for an empty
+// user or batch, or of a negative or non-finite amount, is refused as
+// malformed and leaves the ledger as it was; a NaN once turned the balance
+// into NaN.
+func TestMalformedCreditWritesChangeNothing(t *testing.T) {
+	cs := NewCreditSystem()
+	if err := cs.Deposit("u", 10); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		do   func() error
+	}{
+		{"deposit for no user", func() error { return cs.Deposit("", 5) }},
+		{"deposit of NaN", func() error { return cs.Deposit("u", math.NaN()) }},
+		{"deposit of +Inf", func() error { return cs.Deposit("u", math.Inf(1)) }},
+		{"deposit of -Inf", func() error { return cs.Deposit("u", math.Inf(-1)) }},
+		{"order by no user", func() error { return cs.OrderQoS("", "b", 5) }},
+		{"order for no batch", func() error { return cs.OrderQoS("u", "", 5) }},
+		{"order of NaN", func() error { return cs.OrderQoS("u", "b", math.NaN()) }},
+		{"order of +Inf", func() error { return cs.OrderQoS("u", "b", math.Inf(1)) }},
+		{"order of nothing", func() error { return cs.OrderQoS("u", "b", 0) }},
+	} {
+		if err := tc.do(); !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: %v, want a malformed-request refusal", tc.name, err)
+		}
+		if a := cs.AccountOf("u"); a.Balance != 10 || a.Spent != 0 {
+			t.Fatalf("%s: account %+v, want balance 10", tc.name, a)
+		}
+		if a := cs.AccountOf(""); a.Balance != 0 {
+			t.Fatalf("%s: the empty user holds %v credits", tc.name, a.Balance)
+		}
+		for _, id := range []string{"", "b"} {
+			if o, ok := cs.OrderOf(id); ok {
+				t.Fatalf("%s: order %+v placed", tc.name, o)
+			}
+		}
 	}
 }
 

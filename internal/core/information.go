@@ -302,8 +302,12 @@ func NewInformation() *Information {
 	return &Information{batches: map[string]*BatchInfo{}}
 }
 
-// Track registers a batch; it errors if the ID is already tracked.
+// Track registers a batch; it errors if the ID is empty (ErrMalformed) or
+// already tracked.
 func (in *Information) Track(batchID, envKey string, size int, submittedAt float64) (*BatchInfo, error) {
+	if batchID == "" {
+		return nil, fmt.Errorf("information: %w: empty batch ID", ErrMalformed)
+	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	if _, ok := in.batches[batchID]; ok {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -116,6 +117,18 @@ func TestInformationTracking(t *testing.T) {
 	ids := in.BatchIDs()
 	if len(ids) != 2 || ids[0] != "a0" || ids[1] != "b1" {
 		t.Fatalf("ids = %v", ids)
+	}
+}
+
+// TestTrackRefusesEmptyID: Information tracks no batch that no route can
+// address.
+func TestTrackRefusesEmptyID(t *testing.T) {
+	in := NewInformation()
+	if _, err := in.Track("", "env", 10, 0); !errors.Is(err, ErrMalformed) {
+		t.Fatalf("empty batch ID: %v, want a malformed-request refusal", err)
+	}
+	if n := in.Count(); n != 0 {
+		t.Fatalf("%d batches tracked", n)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -100,15 +101,22 @@ func (b *Batch) live() int {
 
 // Ports are the module calls that differ between the Scheduler's two
 // deployments: core.Service answers them from the simulation's modules in
-// process, service.SchedulerService with one bulk round trip each. A method
-// over a list answers per batch, in its Step, Err included, so a failure
-// sidelines that batch and nobody else. Ports decide nothing: who is asked
-// what, and what follows from the answers, is Monitor.Run's.
+// process, service.SchedulerService with one request each (a bulk one for a
+// method over a list). A method over a list answers per batch, in its Step,
+// Err included, so a failure sidelines that batch and nobody else. Ports
+// decide nothing and build nothing: who is asked what, the samples handed
+// on, and what follows from the answers are Monitor.RegisterQoS's and
+// Monitor.Run's.
 type Ports interface {
+	// Order places the batch's credit order: credits from the user's account.
+	Order(b *Batch, user string, credits float64) error
+	// Track has Information track the batch, of size tasks, as submitted at
+	// its RegisteredAt.
+	Track(b *Batch, size int) error
 	// Progress polls the DG server: Step.Progress.
 	Progress(bs []*Batch)
-	// Sample hands Information each batch's progress as its sample at now.
-	Sample(now float64, bs []*Batch)
+	// Sample hands Information ss[i] as the sample of bs[i].
+	Sample(bs []*Batch, ss []Sample)
 	// Bill charges each batch's order with its Charges, in order, until one
 	// fails or runs the order dry: Step.Applied and Dry.
 	Bill(bs []*Batch)
@@ -145,21 +153,52 @@ type Monitor struct {
 	// meanwhile.
 	Mu sync.Mutex
 	// Batches resolves every batch ever registered, finalized ones included.
-	// Register is its only writer.
+	// RegisterQoS is its only writer.
 	Batches map[string]*Batch
 	// Order holds the batches not yet finalized, in registration order (map
 	// order would make multi-batch runs non-reproducible for a given seed);
-	// Register appends a batch, and Due drops it on the first call after its
-	// finalization, so a tick costs nothing for batches that are done.
+	// RegisterQoS appends a batch, and Due drops it on the first call after
+	// its finalization, so a tick costs nothing for batches that are done.
 	Order []*Batch
 }
 
-// Register adds a batch to the registry and to Order, refusing an ID already
-// registered. Call with Mu held.
-func (m *Monitor) Register(b *Batch) error {
-	if m.Batches[b.ID] != nil {
+// ErrMalformed marks a request refused for its content alone: an empty user
+// or batch ID, a size ≤ 0, a negative or non-finite amount. HTTP answers 400.
+var ErrMalformed = errors.New("malformed request")
+
+// RegisterQoS starts QoS support for a batch, the registerQoS and orderQoS of
+// Fig 3, for both deployments. It refuses a malformed request or a known ID;
+// then, when credits > 0, orders them for the user, and has Information track
+// the batch, submitted at b.RegisteredAt. The order comes first, the step most
+// likely to refuse, and is paid back if Information refuses, so a refused
+// request changes nothing (but an order whose payback failed, which the error
+// names) and can be retried. Mu is not held across a port call.
+func (m *Monitor) RegisterQoS(b *Batch, user string, size int, credits float64) error {
+	if b.ID == "" || size <= 0 {
+		return fmt.Errorf("core: %w: batch ID and a positive size required", ErrMalformed)
+	}
+	m.Mu.Lock()
+	known := m.Batches[b.ID] != nil
+	m.Mu.Unlock()
+	if known {
 		return fmt.Errorf("core: batch %q already registered", b.ID)
 	}
+	if b.Ordered = credits > 0; b.Ordered {
+		if err := m.Ports.Order(b, user, credits); err != nil {
+			return err
+		}
+	}
+	if err := m.Ports.Track(b, size); err != nil {
+		if b.Ordered {
+			if m.Ports.Pay([]*Batch{b}); b.Err != nil {
+				return fmt.Errorf("%w (order not paid back: %v)", err, b.Err)
+			}
+		}
+		return err
+	}
+	// Information tracks an ID once, so no other registration of it got here.
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
 	if m.Batches == nil {
 		m.Batches = map[string]*Batch{}
 	}
@@ -193,9 +232,10 @@ func (m *Monitor) Due(dst []*Batch) []*Batch {
 // Scratch is one tick's working memory; the zero value is ready. Reused by a
 // caller that ticks from one goroutine, it keeps a tick allocation-free.
 type Scratch struct {
-	sel   []*Batch
-	fin   []*Batch // the completed batches whose fleet this tick stopped
-	cands []TierCandidate
+	sel     []*Batch
+	samples []Sample // the observed batches' samples, in their order
+	fin     []*Batch // the completed batches whose fleet this tick stopped
+	cands   []TierCandidate
 }
 
 // pick selects the batches that have not failed this tick and that keep
@@ -213,7 +253,8 @@ func (w *Scratch) pick(due []*Batch, keep func(*Batch) bool) []*Batch {
 // Run is the monitor iteration over the given batches, none finalized, in
 // registration order:
 //
-//  1. observe — poll the DG, hand Information the samples;
+//  1. observe — poll the DG, and hand Information each answered batch's
+//     progress as its sample, at now − RegisteredAt;
 //  2. bill — charge each live instance's usage since its last bill
 //     (Algorithm 2), a completing batch's final usage included;
 //  3. plan — for a batch still running without cloud support, look its order
@@ -251,7 +292,14 @@ func (m *Monitor) Run(now float64, tiers *TierPolicy, due []*Batch, w *Scratch) 
 		b.dirty, b.armed = false, false
 	}
 	p.Progress(due)
-	p.Sample(now, w.pick(due, func(*Batch) bool { return true }))
+	observed := w.pick(due, func(*Batch) bool { return true })
+	w.samples = w.samples[:0]
+	for _, b := range observed {
+		pr := &b.Progress
+		w.samples = append(w.samples, Sample{T: now - b.RegisteredAt, Completed: pr.Completed,
+			Assigned: pr.EverAssigned, Queued: pr.Queued, Running: pr.Running, Workers: pr.Workers})
+	}
+	p.Sample(observed, w.samples)
 
 	unbilled := func(inst *Instance) bool { return inst.Live() && now > inst.LastBill }
 	bills := w.pick(due, func(b *Batch) bool {

@@ -21,6 +21,7 @@ type fault struct {
 // modules, a scripted DG, a cloud that is a counter — and one fault to inject.
 type fakePorts struct {
 	credits *CreditSystem
+	info    *Information // where Track tracks; only a registration reads it
 	oracle  *Oracle
 	dg      map[string]int  // completed tasks per batch
 	workers map[string]int  // attached DG workers per batch (0 if absent)
@@ -53,6 +54,20 @@ func (p *fakePorts) trip(method string, b *Batch) error {
 	return errInjected
 }
 
+func (p *fakePorts) Order(b *Batch, user string, credits float64) error {
+	if err := p.trip("order", b); err != nil {
+		return err
+	}
+	return p.credits.OrderQoS(user, b.ID, credits)
+}
+
+func (p *fakePorts) Track(b *Batch, size int) (err error) {
+	if err = p.trip("track", b); err == nil {
+		b.bi, err = p.info.Track(b.ID, b.EnvKey, size, b.RegisteredAt)
+	}
+	return err
+}
+
 func (p *fakePorts) Progress(bs []*Batch) {
 	for _, b := range bs {
 		if b.Err = p.trip("progress", b); b.Err == nil {
@@ -63,12 +78,10 @@ func (p *fakePorts) Progress(bs []*Batch) {
 	}
 }
 
-func (p *fakePorts) Sample(now float64, bs []*Batch) {
-	for _, b := range bs {
+func (p *fakePorts) Sample(bs []*Batch, ss []Sample) {
+	for i, b := range bs {
 		if b.Err = p.trip("sample", b); b.Err == nil {
-			pr := b.Progress
-			b.bi.add(Sample{T: now - b.bi.SubmittedAt, Completed: pr.Completed, Assigned: pr.EverAssigned,
-				Queued: pr.Queued, Running: pr.Running, Workers: pr.Workers})
+			b.bi.add(ss[i])
 		}
 	}
 }
@@ -309,10 +322,7 @@ func TestWaitSkipsLookupAndPlan(t *testing.T) {
 			}
 			b.Ordered = true
 		}
-		m := &Monitor{Ports: p}
-		if err := m.Register(b); err != nil {
-			t.Fatal(err)
-		}
+		m := &Monitor{Ports: p, Batches: map[string]*Batch{"b": b}, Order: []*Batch{b}}
 		var w Scratch
 		for k, tk := range ticks {
 			p.tick, p.dg["b"], p.workers["b"] = k+1, tk.completed, tk.workers
@@ -404,15 +414,17 @@ func (donePorts) Progress(bs []*Batch) {
 		b.Progress = middleware.Progress{Size: 1, Arrived: 1, Completed: 1}
 	}
 }
-func (donePorts) Sample(float64, []*Batch)        {}
-func (donePorts) Bill([]*Batch)                   {}
-func (donePorts) Orders([]*Batch)                 {}
-func (donePorts) Plan([]*Batch)                   {}
-func (donePorts) Idle(*Batch, *Instance) bool     { return false }
-func (donePorts) Stop(*Batch, *Instance) error    { return nil }
-func (donePorts) Launch(*Batch) (Instance, error) { return Instance{}, nil }
-func (donePorts) Pay([]*Batch)                    {}
-func (donePorts) Archive([]*Batch)                {}
+func (donePorts) Order(*Batch, string, float64) error { return nil }
+func (donePorts) Track(*Batch, int) error             { return nil }
+func (donePorts) Sample([]*Batch, []Sample)           {}
+func (donePorts) Bill([]*Batch)                       {}
+func (donePorts) Orders([]*Batch)                     {}
+func (donePorts) Plan([]*Batch)                       {}
+func (donePorts) Idle(*Batch, *Instance) bool         { return false }
+func (donePorts) Stop(*Batch, *Instance) error        { return nil }
+func (donePorts) Launch(*Batch) (Instance, error)     { return Instance{}, nil }
+func (donePorts) Pay([]*Batch)                        {}
+func (donePorts) Archive([]*Batch)                    {}
 
 // TestRunFinalizesWithoutAllocating: the finalizing list lives in Scratch,
 // so a reused Scratch ticks a hundred completing batches without allocating.

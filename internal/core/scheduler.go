@@ -69,8 +69,8 @@ type Service struct {
 	Cloud   *cloud.SimCloud
 
 	// mon holds the batches. The service runs on one goroutine — shard
-	// engines park while the service's engine ticks — so mon.Mu is not taken
-	// here.
+	// engines park while the service's engine ticks — so mon.Mu is never
+	// contended here.
 	mon    *Monitor
 	deploy CloudDeployment
 	ticker *sim.Ticker
@@ -141,34 +141,19 @@ func (s *Service) markDirty(batchID string) {
 	}
 }
 
-// RegisterQoS starts QoS support for a batch hosted on srv: the registerQoS
-// and orderQoS calls of Fig 3 in one. envKey identifies the execution
-// environment for α calibration; size is the BoT size; the tier only matters
-// when Config.Tiers is set, where it decides admission priority and the share
-// of contended cloud supply the batch competes for. When credits > 0 they are
-// ordered from the user's account first, so a refused order, like a
-// duplicate ID, registers nothing. The batch must be submitted to srv by the
-// user separately, tagged with the same ID. srv must host only this service's
+// RegisterQoS starts QoS support for a batch hosted on srv: Monitor.RegisterQoS
+// at the engine's now. envKey identifies the execution environment for α
+// calibration; size is the BoT size; the tier only matters when Config.Tiers
+// is set, where it decides admission priority and the share of contended
+// cloud supply the batch competes for. The user submits the batch to srv
+// separately, tagged with the same ID. srv must host only this service's
 // batches; the service attaches its listener to it on its first batch.
 func (s *Service) RegisterQoS(user, batchID, envKey string, size int, tier Tier, credits float64, srv middleware.Server) error {
-	if s.mon.Batches[batchID] != nil {
-		return fmt.Errorf("core: batch %q already registered", batchID)
-	}
-	if credits > 0 {
-		if err := s.Credits.OrderQoS(user, batchID, credits); err != nil {
-			return err
-		}
-	}
-	bi, err := s.Info.Track(batchID, envKey, size, s.eng.Now())
-	if err != nil {
-		if credits > 0 {
-			_, _ = s.Credits.Pay(batchID) // refunds the order just placed; cannot fail, it exists
-		}
+	b := NewBatch(batchID, envKey, tier, s.eng.Now())
+	b.srv = srv
+	if err := s.mon.RegisterQoS(b, user, size, credits); err != nil {
 		return err
 	}
-	b := NewBatch(batchID, envKey, tier, s.eng.Now())
-	b.srv, b.bi, b.Ordered = srv, bi, credits > 0
-	_ = s.mon.Register(b) // cannot fail: the ID was checked above
 	if !s.listening[srv] {
 		s.listening[srv] = true
 		srv.AddListener(serviceListener{s: s, deferred: srv.Engine() != s.eng})
@@ -220,17 +205,24 @@ func (s *Service) tick(now float64) {
 // simulation's own modules, the batch's DG server and the simulated cloud.
 type simPorts Service
 
+func (p *simPorts) Order(b *Batch, user string, credits float64) error {
+	return p.Credits.OrderQoS(user, b.ID, credits)
+}
+
+func (p *simPorts) Track(b *Batch, size int) (err error) {
+	b.bi, err = p.Info.Track(b.ID, b.EnvKey, size, b.RegisteredAt)
+	return err
+}
+
 func (p *simPorts) Progress(bs []*Batch) {
 	for _, b := range bs {
 		b.Progress = b.srv.Progress(b.ID)
 	}
 }
 
-func (p *simPorts) Sample(now float64, bs []*Batch) {
-	for _, b := range bs {
-		pr := b.Progress
-		b.bi.add(Sample{T: now - b.bi.SubmittedAt, Completed: pr.Completed, Assigned: pr.EverAssigned,
-			Queued: pr.Queued, Running: pr.Running, Workers: pr.Workers})
+func (p *simPorts) Sample(bs []*Batch, ss []Sample) {
+	for i, b := range bs {
+		b.bi.add(ss[i])
 	}
 }
 

@@ -25,9 +25,10 @@ var strategyTypes = map[string]bool{
 // policy's Admit (a second tier admission, or a second place that orders it
 // among a tick's steps), a call to a tick view's Execution (a second place
 // that applies the archive rule), a call to a trigger's Floor or a use of a
-// plan's Wait (a second place that decides when to skip the Oracle), or a
+// plan's Wait (a second place that decides when to skip the Oracle), a
 // branch on a batch's Started, Exhausted or ReleaseIdle (a second apply step
-// choosing between stopping and launching).
+// choosing between stopping and launching), or a core.Sample built (a second
+// place that turns a DG poll into a tick's sample).
 func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 	var out []string
 	report := func(n ast.Node, what string) {
@@ -78,6 +79,12 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 					}
 				}
 			}
+		case *ast.CompositeLit:
+			if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sample" {
+				if pkg, ok := sel.X.(*ast.Ident); ok && (pkg.Name == "core" || pkg.Name == "spequlos") {
+					report(n, "a "+pkg.Name+".Sample built")
+				}
+			}
 		case *ast.SelectorExpr:
 			if n.Sel.Name == "Wait" && strings.EqualFold(selector(n.X), "plan") {
 				report(n, "use of a plan's Wait")
@@ -117,11 +124,12 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 // internal/core no non-test file of the repository (the bench module
 // included) switches or asserts on a core.Trigger or core.Sizing, compares
 // anything to MaxActive or FleetCap, calls a tier policy's Admit, a tick
-// view's Execution or a trigger's Floor, uses a plan's Wait, or branches on a
-// batch's Started, Exhausted or ReleaseIdle. Triggers, sizings, idle release,
-// tier admission, the archive rule and when to skip the Oracle are computed by
-// core.Oracle.Plan, core.TierPolicy.Admit and core.Oracle.Archive, and ordered
-// into a tick by core.Monitor.Run, on both sides of the wire; a second copy
+// view's Execution or a trigger's Floor, uses a plan's Wait, branches on a
+// batch's Started, Exhausted or ReleaseIdle, or builds a core.Sample.
+// Triggers, sizings, idle release, tier admission, the archive rule and when
+// to skip the Oracle are computed by core.Oracle.Plan, core.TierPolicy.Admit
+// and core.Oracle.Archive, and ordered into a tick by core.Monitor.Run, which
+// also builds each tick's samples, on both sides of the wire; a second copy
 // would start here.
 func TestDecisionsLiveInCore(t *testing.T) {
 	root := "../.."
@@ -163,8 +171,9 @@ func TestDecisionsLiveInCore(t *testing.T) {
 		t.Fatalf("only %d files scanned: the walk is not reaching the repository", files)
 	}
 
-	// Not vacuous: the shapes the service layer used to carry, and a skip of
-	// the Oracle decided in its Orders port, are all caught; math.Floor is not.
+	// Not vacuous: the shapes the service layer used to carry, a skip of the
+	// Oracle decided in its Orders port and a sample built in its Sample port
+	// are all caught; math.Floor and BatchSample are not.
 	const old = `package service
 func plan(o *core.Oracle, p *core.TierPolicy, active int) {
 	switch tr := o.Strategy.Trigger.(type) {
@@ -203,6 +212,11 @@ func (p *schedulerPorts) Archive(bs []*core.Batch) {
 		}
 	}
 }
+func (p *schedulerPorts) Sample(now float64, bs []*core.Batch) {
+	for i, b := range bs {
+		items[i] = BatchSample{BatchID: b.ID, Sample: core.Sample{T: now - b.RegisteredAt, Completed: b.Progress.Completed}}
+	}
+}
 func (p *schedulerPorts) Orders(bs []*core.Batch) {
 	frac, _ := p.strategy.Trigger.Floor()
 	for _, b := range bs {
@@ -215,7 +229,7 @@ func (p *schedulerPorts) Orders(bs []*core.Batch) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decisionLeaks(fset, file); len(got) != 13 {
-		t.Errorf("the guard found %d of the 13 leaks in the old service code: %v", len(got), got)
+	if got := decisionLeaks(fset, file); len(got) != 14 {
+		t.Errorf("the guard found %d of the 14 leaks in the old service code: %v", len(got), got)
 	}
 }

@@ -29,10 +29,8 @@ type CreditService struct {
 func NewCreditService(cs *core.CreditSystem) *CreditService {
 	s := &CreditService{credits: cs}
 	s.Handle("POST /deposit", Endpoint(http.StatusOK, func(_ *http.Request, req DepositRequest) (core.Account, error) {
-		if err := cs.Deposit(req.User, req.Credits); err != nil {
-			return core.Account{}, Fail(http.StatusBadRequest, err)
-		}
-		return cs.AccountOf(req.User), nil
+		err := cs.Deposit(req.User, req.Credits)
+		return cs.AccountOf(req.User), Fail(http.StatusBadRequest, err)
 	}))
 	s.Handle("POST /orders", Endpoint(http.StatusCreated, func(_ *http.Request, req OrderRequest) (core.Order, error) {
 		err := cs.OrderQoS(req.User, req.BatchID, req.Credits)

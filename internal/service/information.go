@@ -38,7 +38,13 @@ type InformationService struct {
 // NewInformationService wraps an Information archive.
 func NewInformationService(info *core.Information) *InformationService {
 	s := &InformationService{info: info, Now: time.Now, start: time.Now()}
-	s.Handle("POST /batches", Endpoint(http.StatusCreated, s.track))
+	s.Handle("POST /batches", Endpoint(http.StatusCreated, func(_ *http.Request, req TrackRequest) (map[string]string, error) {
+		if req.Size <= 0 {
+			return nil, Fail(http.StatusBadRequest, fmt.Errorf("size must be positive"))
+		}
+		_, err := info.Track(req.BatchID, req.EnvKey, req.Size, req.SubmittedAt)
+		return map[string]string{"batch_id": req.BatchID}, Fail(http.StatusConflict, err)
+	}))
 	s.Handle("POST /samples", serveBulk(func(it BatchSample) string { return it.BatchID },
 		func(it BatchSample) ItemResult {
 			if !info.AddSample(it.BatchID, it.Sample) {
@@ -109,17 +115,6 @@ type StatusResult struct {
 	Status *core.TickView `json:"status,omitempty"`
 	// Error is empty on success.
 	Error string `json:"error,omitempty"`
-}
-
-// track is POST /batches.
-func (s *InformationService) track(_ *http.Request, req TrackRequest) (map[string]string, error) {
-	if req.Size <= 0 {
-		return nil, Fail(http.StatusBadRequest, fmt.Errorf("size must be positive"))
-	}
-	if _, err := s.info.Track(req.BatchID, req.EnvKey, req.Size, req.SubmittedAt); err != nil {
-		return nil, Fail(http.StatusConflict, err)
-	}
-	return map[string]string{"batch_id": req.BatchID}, nil
 }
 
 // status summarizes one tracked batch for GET /batches/{id}.

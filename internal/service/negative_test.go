@@ -53,6 +53,7 @@ func TestNegativePaths(t *testing.T) {
 		{"information", http.MethodPost, "/batches", `{bogus`, http.StatusBadRequest},
 		{"information", http.MethodPost, "/batches", `{"batch_id":"b","size":10,"nope":1}`, http.StatusBadRequest},
 		{"information", http.MethodPost, "/batches", `{"batch_id":"b","size":-1}`, http.StatusBadRequest},
+		{"information", http.MethodPost, "/batches", `{"batch_id":"","size":10}`, http.StatusBadRequest},
 		{"information", http.MethodGet, "/batches/ghost", "", http.StatusNotFound},
 		{"information", http.MethodGet, "/nope", "", http.StatusNotFound},
 		{"information", http.MethodPost, "/stats", "", 0},
@@ -62,8 +63,12 @@ func TestNegativePaths(t *testing.T) {
 		{"credit", http.MethodPost, "/deposit", `{bogus`, http.StatusBadRequest},
 		{"credit", http.MethodPost, "/deposit", `{"user":"u","credits":5,"extra":true}`, http.StatusBadRequest},
 		{"credit", http.MethodPost, "/deposit", `{"user":"u","credits":-5}`, http.StatusBadRequest},
+		{"credit", http.MethodPost, "/deposit", `{"user":"","credits":5}`, http.StatusBadRequest},
 		{"credit", http.MethodPost, "/orders", `{bogus`, http.StatusBadRequest},
 		{"credit", http.MethodPost, "/orders", `{"user":"u","batch_id":"b","credits":1}`, http.StatusConflict},
+		{"credit", http.MethodPost, "/orders", `{"user":"u","batch_id":"","credits":1}`, http.StatusBadRequest},
+		{"credit", http.MethodPost, "/orders", `{"user":"","batch_id":"b","credits":1}`, http.StatusBadRequest},
+		{"credit", http.MethodPost, "/orders", `{"user":"u","batch_id":"b","credits":0}`, http.StatusBadRequest},
 		{"credit", http.MethodGet, "/orders/ghost", "", http.StatusNotFound},
 		{"credit", http.MethodGet, "/nope", "", http.StatusNotFound},
 
@@ -74,7 +79,8 @@ func TestNegativePaths(t *testing.T) {
 		{"scheduler", http.MethodDelete, "/qos", "", 0},
 		{"scheduler", http.MethodPost, "/qos", `{bogus`, http.StatusBadRequest},
 		{"scheduler", http.MethodPost, "/qos", `{"batch_id":"b","size":1,"spare":"x"}`, http.StatusBadRequest},
-		{"scheduler", http.MethodPost, "/qos", `{"batch_id":"","size":1}`, http.StatusConflict},
+		{"scheduler", http.MethodPost, "/qos", `{"batch_id":"","size":1}`, http.StatusBadRequest},
+		{"scheduler", http.MethodPost, "/qos", `{"batch_id":"b","size":0}`, http.StatusBadRequest},
 		{"scheduler", http.MethodGet, "/qos/ghost", "", http.StatusNotFound},
 		{"scheduler", http.MethodPatch, "/instances", "", 0},
 		{"scheduler", http.MethodGet, "/nope", "", http.StatusNotFound},
@@ -212,6 +218,44 @@ type idleStatusDG struct {
 func (d *idleStatusDG) ProgressBatch(ids []string) (map[string]middleware.Progress, error) {
 	out, err := d.scriptedDG.ProgressBatch(ids)
 	return nameIdle(out, d.driver, func(string) bool { return true }), err
+}
+
+// TestMalformedWritesChangeNothing: the module write routes refuse an empty
+// user or batch ID with 400 and change nothing. Credit once moved a funded
+// user's credits into an order for batch "" that no route can address or
+// pay, and Information tracked a batch "".
+func TestMalformedWritesChangeNothing(t *testing.T) {
+	st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}})
+	if err := st.CreditClient.Deposit("alice", 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ url, body string }{
+		{st.CreditClient.BaseURL + "/deposit", `{"user":"","credits":5}`},
+		{st.CreditClient.BaseURL + "/orders", `{"user":"alice","batch_id":"","credits":5}`},
+		{st.InfoClient.BaseURL + "/batches", `{"batch_id":"","env_key":"e","size":10}`},
+		{st.SchedulerClient.BaseURL + "/qos", `{"user":"alice","batch_id":"","env_key":"e","size":10,"credits":5}`},
+	} {
+		resp, err := http.Post(tc.url, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400", tc.url, tc.body, resp.StatusCode)
+		}
+	}
+	if a := st.Credit.Credits().AccountOf("alice"); a.Balance != 5 {
+		t.Errorf("alice's balance %v, want 5", a.Balance)
+	}
+	if a := st.Credit.Credits().AccountOf(""); a.Balance != 0 {
+		t.Errorf("the empty user holds %v credits", a.Balance)
+	}
+	if o, ok := st.Credit.Credits().OrderOf(""); ok {
+		t.Errorf("order %+v for batch \"\"", o)
+	}
+	if ids := st.Information.info.BatchIDs(); len(ids) != 0 {
+		t.Errorf("Information tracks %q", ids)
+	}
 }
 
 // TestRejectedQoSRegistrationMutatesNothing is the regression test for the

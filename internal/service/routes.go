@@ -16,6 +16,8 @@ import (
 	"path"
 	"slices"
 	"strings"
+
+	"spequlos/internal/core"
 )
 
 // Routes is a module's route table: net/http's ServeMux patterns ("GET
@@ -73,11 +75,16 @@ type statusError struct {
 	status int
 }
 
-// Fail gives err the status the endpoint answers it with; nil stays nil. An
-// endpoint error without one is a 500.
+// Fail gives err the status the endpoint answers it with; nil stays nil. A
+// request refused for its own content (core.ErrMalformed) answers 400, like
+// a body that does not decode, whatever the status given. An endpoint error
+// without one is a 500.
 func Fail(status int, err error) error {
 	if err == nil {
 		return nil
+	}
+	if errors.Is(err, core.ErrMalformed) {
+		status = http.StatusBadRequest
 	}
 	return statusError{err, status}
 }

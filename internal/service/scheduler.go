@@ -166,47 +166,17 @@ func (s *SchedulerService) qos(r *http.Request, req QoSRequest) (map[string]stri
 	return map[string]string{"batch_id": req.BatchID}, Fail(http.StatusConflict, s.RegisterQoS(req))
 }
 
-// RegisterQoS places the credit order and registers the batch with the
-// Information service. A rejected registration mutates nothing: the order
-// comes first (the step most likely to refuse), and is paid back in full if
-// Information then refuses the batch, so the same request can be retried.
+// RegisterQoS is core.Monitor.RegisterQoS over this module's ports, with the
+// batch's tier parsed, its Provider and Image kept for its launches, and one
+// reading of the clock as its registration and submission instant.
 func (s *SchedulerService) RegisterQoS(req QoSRequest) error {
-	if req.BatchID == "" || req.Size <= 0 {
-		return fmt.Errorf("scheduler: batch_id and positive size required")
-	}
 	tier, err := core.ParseTier(req.Tier)
 	if err != nil {
 		return fmt.Errorf("scheduler: %w", err)
 	}
-	s.mon.Mu.Lock()
-	dup := s.mon.Batches[req.BatchID] != nil
-	s.mon.Mu.Unlock()
-	if dup {
-		return fmt.Errorf("scheduler: batch %q already registered", req.BatchID)
-	}
-	if req.Credits > 0 {
-		if err := s.credits.Order(req.User, req.BatchID, req.Credits); err != nil {
-			return err
-		}
-	}
-	// One reading of the clock: Information's submission instant and the
-	// monitor's registration instant are the same, as in core.Service.
-	now := unixSeconds(s.Now())
-	if err := s.info.Track(TrackRequest{
-		BatchID: req.BatchID, EnvKey: req.EnvKey, Size: req.Size, SubmittedAt: now,
-	}); err != nil {
-		if req.Credits > 0 {
-			if perr := s.credits.Pays([]string{req.BatchID})[0].Error; perr != "" {
-				return fmt.Errorf("%w (order not paid back: %s)", err, perr)
-			}
-		}
-		return err
-	}
-	b := core.NewBatch(req.BatchID, req.EnvKey, tier, now)
-	b.Provider, b.Image, b.Ordered = req.Provider, req.Image, req.Credits > 0
-	s.mon.Mu.Lock()
-	defer s.mon.Mu.Unlock()
-	return s.mon.Register(b)
+	b := core.NewBatch(req.BatchID, req.EnvKey, tier, unixSeconds(s.Now()))
+	b.Provider, b.Image = req.Provider, req.Image
+	return s.mon.RegisterQoS(b, req.User, req.Size, req.Credits)
 }
 
 // unixSeconds puts the service clock on the monitor's time base.
@@ -286,7 +256,7 @@ func (s *SchedulerService) step(only string) error {
 }
 
 // schedulerPorts is a SchedulerService as the monitor's ports: one bulk
-// request per list, one call per instance or order otherwise.
+// request per list, one call per registration, instance or order otherwise.
 type schedulerPorts SchedulerService
 
 func batchIDs(bs []*core.Batch) []string {
@@ -295,6 +265,14 @@ func batchIDs(bs []*core.Batch) []string {
 		ids[i] = b.ID
 	}
 	return ids
+}
+
+func (p *schedulerPorts) Order(b *core.Batch, user string, credits float64) error {
+	return p.credits.Order(user, b.ID, credits)
+}
+
+func (p *schedulerPorts) Track(b *core.Batch, size int) error {
+	return p.info.Track(TrackRequest{BatchID: b.ID, EnvKey: b.EnvKey, Size: size, SubmittedAt: b.RegisteredAt})
 }
 
 // Progress is one aggregated query to the gateway. A failed query sidelines
@@ -315,14 +293,10 @@ func (p *schedulerPorts) Progress(bs []*core.Batch) {
 	}
 }
 
-func (p *schedulerPorts) Sample(now float64, bs []*core.Batch) {
+func (p *schedulerPorts) Sample(bs []*core.Batch, ss []core.Sample) {
 	items := make([]BatchSample, len(bs))
 	for i, b := range bs {
-		pr := b.Progress
-		items[i] = BatchSample{BatchID: b.ID, Sample: core.Sample{
-			T: now - b.RegisteredAt, Completed: pr.Completed, Assigned: pr.EverAssigned,
-			Queued: pr.Queued, Running: pr.Running, Workers: pr.Workers,
-		}}
+		items[i] = BatchSample{BatchID: b.ID, Sample: ss[i]}
 	}
 	for i, res := range p.info.AddSamples(items) {
 		bs[i].Err = itemErr(res.Error)
