@@ -116,13 +116,9 @@ func (c *SimCloud) Stop(inst *Instance) {
 	}
 }
 
-// Busy reports whether the instance's worker currently holds work.
-func (i *Instance) Busy() bool {
-	if !i.Booted() || !i.Running() {
-		return false
-	}
-	return i.target.WorkerBusy(i.Worker)
-}
+// Idle reports whether the instance has booted, is running, and its worker
+// holds no work: what the Greedy release policy stops.
+func (i *Instance) Idle() bool { return i.Booted() && i.Running() && !i.target.WorkerBusy(i.Worker) }
 
 // String identifies the instance for logs and test failures.
 func (i *Instance) String() string {

@@ -84,11 +84,11 @@ func TestSimCloudStopDetachesWorker(t *testing.T) {
 	c := NewSimCloud(eng, sim.NewRNG(1))
 	inst := c.Start(srv, "b", false)
 	eng.RunUntil(500) // booted at 120, computing
-	if !inst.Busy() {
+	if !inst.Booted() || inst.Idle() {
 		t.Fatal("instance should be computing")
 	}
 	c.Stop(inst)
-	if inst.Running() || inst.Busy() {
+	if inst.Running() || inst.Idle() {
 		t.Fatal("instance still running after stop")
 	}
 	eng.RunUntil(200000)

@@ -138,8 +138,10 @@ type Ports interface {
 }
 
 // Monitor is the Scheduler's batch registry: it holds every batch ever
-// registered, and runs the monitor iteration over the live ones (Algorithms 1
-// and 2 of §3.6).
+// registered, runs the monitor iteration over the live ones (Algorithms 1
+// and 2 of §3.6), and reports each batch's usage. Both deployments step it
+// through Step alone and read a batch back through Usage alone; they decide
+// only when to call Step.
 type Monitor struct {
 	Ports Ports
 	// CountDriven says that something marks batches dirty on their task
@@ -148,10 +150,14 @@ type Monitor struct {
 	CountDriven bool
 
 	// Mu guards what a tick writes and another goroutine may read: Batches,
-	// Order, and the records' lifecycle fields and instance lists. Run takes
-	// it for each write and never across a port call, so readers are served
-	// meanwhile.
+	// Order, the records' lifecycle fields and instance lists, and stepping.
+	// Run takes it for each write and never across a port call, so readers
+	// are served meanwhile.
 	Mu sync.Mutex
+	// stepping is set while a Step runs, the guard that lets one tick run at
+	// a time; work, Step's Scratch, thus has one user.
+	stepping bool
+	work     Scratch
 	// Batches resolves every batch ever registered, finalized ones included.
 	// RegisterQoS is its only writer.
 	Batches map[string]*Batch
@@ -229,9 +235,71 @@ func (m *Monitor) Due(dst []*Batch) []*Batch {
 	return dst
 }
 
+// Step runs one tick at now: Run over the due batches — the whole fleet's
+// (Due), or only the live batch named only — with the Monitor's own Scratch.
+// One tick runs at a time: a Step that finds one running returns nil and does
+// nothing, leaving its batches to the next tick, so no two ticks bill one
+// window or launch one plan. A Step that finds nothing due returns at once.
+func (m *Monitor) Step(now float64, tiers *TierPolicy, only string) error {
+	m.Mu.Lock()
+	if m.stepping {
+		m.Mu.Unlock()
+		return nil
+	}
+	w := &m.work
+	if w.due = w.due[:0]; only == "" {
+		w.due = m.Due(w.due)
+	} else if b := m.Batches[only]; b != nil && !b.Finalized {
+		w.due = append(w.due, b)
+	}
+	m.stepping = len(w.due) > 0
+	m.Mu.Unlock()
+	if len(w.due) == 0 {
+		return nil
+	}
+	defer func() {
+		m.Mu.Lock()
+		m.stepping = false
+		m.Mu.Unlock()
+	}()
+	return m.Run(now, tiers, w.due, w)
+}
+
+// CloudUsage summarizes the cloud resources consumed for one batch.
+type CloudUsage struct {
+	InstancesStarted int
+	CPUSeconds       float64
+	CreditsBilled    float64
+	TriggeredAt      float64 // -1 if cloud support never started
+}
+
+// ErrUnknownBatch marks a read of a batch that never registered.
+var ErrUnknownBatch = errors.New("batch not registered")
+
+// Usage is the one read of a batch's record, at now: the instances started,
+// the trigger instant on the deployment's time base, the CPU seconds of its
+// simulated instances (none over HTTP), and whether it has a credit order.
+// The bill is the Credit module's to add.
+func (m *Monitor) Usage(id string, now float64) (u CloudUsage, ordered bool, err error) {
+	m.Mu.Lock()
+	defer m.Mu.Unlock()
+	b := m.Batches[id]
+	if b == nil {
+		return u, false, fmt.Errorf("core: %w: %q", ErrUnknownBatch, id)
+	}
+	u = CloudUsage{InstancesStarted: len(b.Instances), TriggeredAt: b.TriggeredAt}
+	for i := range b.Instances {
+		if sim := b.Instances[i].Sim; sim != nil {
+			u.CPUSeconds += sim.CPUSeconds(now)
+		}
+	}
+	return u, b.Ordered, nil
+}
+
 // Scratch is one tick's working memory; the zero value is ready. Reused by a
 // caller that ticks from one goroutine, it keeps a tick allocation-free.
 type Scratch struct {
+	due     []*Batch // Step's due list
 	sel     []*Batch
 	samples []Sample // the observed batches' samples, in their order
 	fin     []*Batch // the completed batches whose fleet this tick stopped

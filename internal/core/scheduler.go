@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"spequlos/internal/cloud"
 	"spequlos/internal/middleware"
 	"spequlos/internal/sim"
@@ -39,16 +37,6 @@ type CountDrivenTrigger interface {
 	CountDriven()
 }
 
-// CloudUsage summarizes the cloud resources consumed for one batch.
-type CloudUsage struct {
-	InstancesStarted int
-	CPUSeconds       float64
-	CreditsBilled    float64
-	CreditsAllocated float64
-	Exhausted        bool
-	TriggeredAt      float64 // -1 if cloud support never started
-}
-
 // Service is a SpeQuloS deployment inside a simulation: the four modules
 // wired together per Fig 3, serving batches hosted on any number of DG
 // servers. Its monitor loop is Monitor.Run over ports that call the modules,
@@ -76,10 +64,6 @@ type Service struct {
 	ticker *sim.Ticker
 	// listening holds the servers the service's listener is attached to.
 	listening map[middleware.Server]bool
-	// due and work back the per-tick due list and the tick's selections,
-	// reused so a tick allocates nothing proportional to the batch count.
-	due  []*Batch
-	work Scratch
 }
 
 // NewService wires a SpeQuloS service to a simulated cloud; each batch names
@@ -129,9 +113,7 @@ func (l serviceListener) BatchCompleted(batchID string, at float64) {
 	}
 	// A tick over the one batch: its last sample, its final bill and its
 	// finalization, at the completion instant.
-	if b := l.s.mon.Batches[batchID]; b != nil && !b.Finalized {
-		_ = l.s.mon.Run(at, l.s.cfg.Tiers, []*Batch{b}, &Scratch{})
-	}
+	_ = l.s.mon.Step(at, l.s.cfg.Tiers, batchID)
 }
 
 // markDirty queues a batch for the next monitor tick.
@@ -164,41 +146,29 @@ func (s *Service) RegisterQoS(user, batchID, envKey string, size int, tier Tier,
 	return nil
 }
 
-// Usage reports the cloud consumption of a batch so far.
+// Usage reports the cloud consumption of a batch so far: Monitor.Usage, and
+// the ledger's bill of its order.
 func (s *Service) Usage(batchID string) (CloudUsage, error) {
-	b := s.mon.Batches[batchID]
-	if b == nil {
-		return CloudUsage{}, fmt.Errorf("core: batch %q not registered", batchID)
-	}
-	u := CloudUsage{
-		InstancesStarted: len(b.Instances),
-		Exhausted:        b.Exhausted,
-		TriggeredAt:      b.TriggeredAt,
-	}
-	for i := range b.Instances {
-		u.CPUSeconds += b.Instances[i].Sim.CPUSeconds(s.eng.Now())
-	}
-	if o, ok := s.Credits.OrderOf(batchID); ok {
+	u, ordered, err := s.mon.Usage(batchID, s.eng.Now())
+	if ordered {
+		o, _ := s.Credits.OrderOf(batchID)
 		u.CreditsBilled = o.Billed
-		u.CreditsAllocated = o.Allocated
 	}
-	return u, nil
+	return u, err
 }
 
 // tick is the combined Information/Scheduler monitor loop (Algorithms 1
-// and 2 of §3.6): Monitor.Run over the due batches (see Monitor.Due; idle
+// and 2 of §3.6): Monitor.Step over the whole fleet (see Monitor.Due; idle
 // live batches cost nothing beyond the scan). The ticker stops with the last
 // live batch.
 func (s *Service) tick(now float64) {
-	s.due = s.mon.Due(s.due[:0])
+	// These ports fail only where the ledger refuses (an order closed behind
+	// the service's back); the batch is retried next tick like any failed one.
+	_ = s.mon.Step(now, s.cfg.Tiers, "")
 	if len(s.mon.Order) == 0 {
 		s.ticker.Stop()
 		s.ticker = nil
-		return
 	}
-	// These ports fail only where the ledger refuses (an order closed behind
-	// the service's back); the batch is retried next tick like any failed one.
-	_ = s.mon.Run(now, s.cfg.Tiers, s.due, &s.work)
 }
 
 // simPorts is a Service as the monitor's ports: each answers from the
@@ -245,7 +215,7 @@ func (p *simPorts) Plan(bs []*Batch) {
 	}
 }
 
-func (p *simPorts) Idle(_ *Batch, inst *Instance) bool { return inst.Sim.Booted() && !inst.Sim.Busy() }
+func (p *simPorts) Idle(_ *Batch, inst *Instance) bool { return inst.Sim.Idle() }
 
 func (p *simPorts) Stop(_ *Batch, inst *Instance) error {
 	p.Cloud.Stop(inst.Sim)

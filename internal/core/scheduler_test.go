@@ -128,7 +128,7 @@ func TestExhaustionStopsCloudWorkers(t *testing.T) {
 		t.Fatalf("completion %v: underfunded cloud still rescued the tail", eng.Now())
 	}
 	u, _ := svc.Usage("b")
-	if !u.Exhausted {
+	if !svc.mon.Batches["b"].Exhausted {
 		t.Fatal("order not marked exhausted")
 	}
 	if u.CreditsBilled > 0.05+1e-9 {

@@ -30,13 +30,13 @@ const (
 func AllTiers() []Tier { return []Tier{TierEnterprise, TierPremium, TierFree} }
 
 // ParseTier validates a wire-format tier name. The empty string is valid
-// and maps to the empty (untiered) value.
+// and maps to the empty (untiered) value; an unknown name is ErrMalformed.
 func ParseTier(s string) (Tier, error) {
 	switch t := Tier(s); t {
 	case "", TierEnterprise, TierPremium, TierFree:
 		return t, nil
 	}
-	return "", fmt.Errorf("core: unknown tier %q (use enterprise, premium or free)", s)
+	return "", fmt.Errorf("core: %w: unknown tier %q (use enterprise, premium or free)", ErrMalformed, s)
 }
 
 // OrFree maps the untiered zero value to TierFree.

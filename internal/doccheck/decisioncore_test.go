@@ -27,8 +27,11 @@ var strategyTypes = map[string]bool{
 // that applies the archive rule), a call to a trigger's Floor or a use of a
 // plan's Wait (a second place that decides when to skip the Oracle), a
 // branch on a batch's Started, Exhausted or ReleaseIdle (a second apply step
-// choosing between stopping and launching), or a core.Sample built (a second
-// place that turns a DG poll into a tick's sample).
+// choosing between stopping and launching), a core.Sample built (a second
+// place that turns a DG poll into a tick's sample), or a call to a Monitor's
+// Due or Run (a second place that picks a tick's batches). Monitor.Run is the
+// one Run with four arguments, so campaign.Run, Campaign.Run and
+// sim.Engine.Run pass.
 func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 	var out []string
 	report := func(n ast.Node, what string) {
@@ -76,6 +79,12 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 				case "Floor":
 					if len(n.Args) == 0 { // math.Floor takes one
 						report(n, "call to a trigger's Floor")
+					}
+				case "Due":
+					report(n, "call to a Monitor's Due")
+				case "Run":
+					if len(n.Args) == 4 {
+						report(n, "call to a Monitor's Run")
 					}
 				}
 			}
@@ -125,12 +134,13 @@ func decisionLeaks(fset *token.FileSet, file *ast.File) []string {
 // included) switches or asserts on a core.Trigger or core.Sizing, compares
 // anything to MaxActive or FleetCap, calls a tier policy's Admit, a tick
 // view's Execution or a trigger's Floor, uses a plan's Wait, branches on a
-// batch's Started, Exhausted or ReleaseIdle, or builds a core.Sample.
-// Triggers, sizings, idle release, tier admission, the archive rule and when
-// to skip the Oracle are computed by core.Oracle.Plan, core.TierPolicy.Admit
-// and core.Oracle.Archive, and ordered into a tick by core.Monitor.Run, which
-// also builds each tick's samples, on both sides of the wire; a second copy
-// would start here.
+// batch's Started, Exhausted or ReleaseIdle, builds a core.Sample, or calls a
+// Monitor's Due or Run. Triggers, sizings, idle release, tier admission, the
+// archive rule and when to skip the Oracle are computed by core.Oracle.Plan,
+// core.TierPolicy.Admit and core.Oracle.Archive, and ordered into a tick by
+// core.Monitor.Run, which also builds each tick's samples, on both sides of
+// the wire; which batches a tick steps, and that one tick runs at a time, is
+// core.Monitor.Step's; a second copy would start here.
 func TestDecisionsLiveInCore(t *testing.T) {
 	root := "../.."
 	fset := token.NewFileSet()
@@ -172,8 +182,9 @@ func TestDecisionsLiveInCore(t *testing.T) {
 	}
 
 	// Not vacuous: the shapes the service layer used to carry, a skip of the
-	// Oracle decided in its Orders port and a sample built in its Sample port
-	// are all caught; math.Floor and BatchSample are not.
+	// Oracle decided in its Orders port, a sample built in its Sample port and
+	// its own pick of a tick's batches are all caught; math.Floor,
+	// BatchSample and the campaign's and the engine's Run are not.
 	const old = `package service
 func plan(o *core.Oracle, p *core.TierPolicy, active int) {
 	switch tr := o.Strategy.Trigger.(type) {
@@ -224,12 +235,21 @@ func (p *schedulerPorts) Orders(bs []*core.Batch) {
 			continue
 		}
 	}
+}
+func (s *SchedulerService) step(only string) error {
+	due := s.mon.Due(nil)
+	return s.mon.Run(unixSeconds(s.Now()), s.TierPolicy, due, &core.Scratch{})
+}
+func run(c *campaign.Campaign, eng *sim.Engine, sc campaign.Scenario) {
+	_ = campaign.Run(sc)
+	_, _ = c.Run(context.Background(), nil)
+	eng.Run()
 }`
 	file, err := parser.ParseFile(fset, "old.go", old, parser.SkipObjectResolution)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := decisionLeaks(fset, file); len(got) != 14 {
-		t.Errorf("the guard found %d of the 14 leaks in the old service code: %v", len(got), got)
+	if got := decisionLeaks(fset, file); len(got) != 16 {
+		t.Errorf("the guard found %d of the 16 leaks in the old service code: %v", len(got), got)
 	}
 }

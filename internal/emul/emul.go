@@ -65,21 +65,13 @@ func RunCell(sc campaign.Scenario) (campaign.Result, error) {
 // round trip per tick for every registered batch — and each completion steps
 // just its own batch, inside the completion callback as core.Service does,
 // so billing settles at the completion instant without advancing the other
-// batches' monitor state between ticks.
+// batches' monitor state between ticks. What a batch registered as, and what
+// it used, is the Scheduler's record alone (SchedulerService.Usage).
 type HTTPBackend struct {
-	eng    *sim.Engine
 	dgSrv  *httptest.Server
 	stack  *service.Stack
 	ticker *sim.Ticker
-	// registered holds, per batch, the instant of its registration and
-	// whether it placed a credit order.
-	registered map[string]registration
-	err        error
-}
-
-type registration struct {
-	at      float64
-	ordered bool
+	err    error
 }
 
 // HTTPStack opens the HTTP-stack backend of a cell: the campaign.Job.Backend
@@ -89,9 +81,7 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 	// interface, plus the cloud driver that turns Scheduler launches into
 	// simulated workers.
 	gw := NewSimDG(eng, primary, core.CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud})
-	b := &HTTPBackend{
-		eng: eng, dgSrv: httptest.NewServer(gw.Handler()), registered: map[string]registration{},
-	}
+	b := &HTTPBackend{dgSrv: httptest.NewServer(gw.Handler())}
 	gw.SetWorkerURL(b.dgSrv.URL)
 	var err error
 	if b.stack, err = service.NewStack(service.StackConfig{
@@ -133,42 +123,26 @@ func (b *HTTPBackend) Register(id, envKey string, size int, tier core.Tier, cred
 				return err
 			}
 		}
-		err := b.stack.SchedulerClient.RegisterQoS(service.QoSRequest{
+		return b.stack.SchedulerClient.RegisterQoS(service.QoSRequest{
 			User: "user", BatchID: id, EnvKey: envKey, Size: size, Credits: credits,
 			Tier: string(tier), Provider: ProviderName, Image: "emul-worker",
 		})
-		if err == nil {
-			b.registered[id] = registration{at: b.eng.Now(), ordered: credits > 0}
-		}
-		return err
 	})
 }
 
-// Usage reads a batch's fleet and trigger from the Scheduler's status and its
-// bill from the Credit System's order. CPU seconds stay zero: the stack
-// bills credits and does not expose the cloud workers' clocks.
-func (b *HTTPBackend) Usage(id string) (core.CloudUsage, error) {
-	reg, ok := b.registered[id]
-	if !ok {
-		return core.CloudUsage{}, fmt.Errorf("emul: batch %q not registered", id)
+// Usage is SchedulerService.Usage: the Scheduler's record, on the virtual
+// clock's seconds, and its order's bill. CPU seconds stay zero: the stack
+// bills credits and does not expose the cloud workers' clocks. A batch the
+// Scheduler never registered is refused as core.Service refuses it; a failed
+// bill lookup fails the cell.
+func (b *HTTPBackend) Usage(id string) (u core.CloudUsage, err error) {
+	if b.err != nil {
+		return u, b.err
 	}
-	st, err := b.stack.Scheduler.Status(id)
-	if err != nil {
-		return core.CloudUsage{}, err
+	if u, err = b.stack.Scheduler.Usage(id); err != nil && !errors.Is(err, core.ErrUnknownBatch) {
+		b.err = fmt.Errorf("emul: usage of %s: %w", id, err)
 	}
-	u := core.CloudUsage{InstancesStarted: len(st.Instances), Exhausted: st.Exhausted, TriggeredAt: -1}
-	if st.TriggeredAt >= 0 {
-		// The Scheduler counts from the registration.
-		u.TriggeredAt = reg.at + st.TriggeredAt
-	}
-	if reg.ordered {
-		b.do("order of "+id, func() error {
-			order, err := b.stack.CreditClient.OrderOf(id)
-			u.CreditsBilled, u.CreditsAllocated = order.Billed, order.Allocated
-			return err
-		})
-	}
-	return u, b.err
+	return u, err
 }
 
 // Err is the first failed round trip.
@@ -183,13 +157,12 @@ func (b *HTTPBackend) Close() {
 	b.dgSrv.Close()
 }
 
-// completionHook steps a registered batch the moment it completes.
+// completionHook steps a batch the moment it completes; StepBatch ignores
+// one the Scheduler does not know.
 type completionHook struct{ b *HTTPBackend }
 
 func (h completionHook) TaskAssigned(string, int, float64)  {}
 func (h completionHook) TaskCompleted(string, int, float64) {}
 func (h completionHook) BatchCompleted(id string, _ float64) {
-	if _, ok := h.b.registered[id]; ok {
-		h.b.do("monitor step", func() error { return h.b.stack.Scheduler.StepBatch(id) })
-	}
+	h.b.do("monitor step", func() error { return h.b.stack.Scheduler.StepBatch(id) })
 }

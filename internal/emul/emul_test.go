@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"slices"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"spequlos/internal/campaign"
@@ -59,6 +61,57 @@ func TestRunCellDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("nondeterministic emulation:\n a=%+v\n b=%+v", a, b)
+	}
+}
+
+// countingTransport counts the Credit order reads (GET /credit/orders/{id})
+// a stack's clients send.
+type countingTransport struct {
+	base       http.RoundTripper
+	orderReads *atomic.Int64
+}
+
+func (c countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	if r.Method == http.MethodGet && strings.HasPrefix(r.URL.Path, "/credit/orders/") {
+		c.orderReads.Add(1)
+	}
+	return c.base.RoundTrip(r)
+}
+
+// TestZeroCreditCellReadsNoOrder: a cell whose batches get no credits places
+// no order, so reading its usage back asks Credit for none — the Scheduler's
+// record says the batch has no order — and it reports zero credits, as the
+// in-process cell does. The same cell with credits reads its one order.
+func TestZeroCreditCellReadsNoOrder(t *testing.T) {
+	for _, c := range []struct {
+		fraction float64
+		reads    int64
+	}{{campaign.Quick().CreditFraction, 1}, {0, 0}} {
+		sc := quickScenario("XWHEP", "seti", "9C-C-R")
+		sc.Profile.CreditFraction = c.fraction
+		var orderReads atomic.Int64
+		open := func(eng *sim.Engine, primary middleware.Server, cl *cloud.SimCloud, cfg core.Config) campaign.Backend {
+			b := HTTPStack(eng, primary, cl, cfg).(*HTTPBackend)
+			b.stack.HTTP.Transport = countingTransport{base: b.stack.HTTP.Transport, orderReads: &orderReads}
+			return b
+		}
+		emulated := campaign.Execute(campaign.Job{Scenario: sc, Backend: open})
+		if emulated.Err != "" {
+			t.Fatal(emulated.Err)
+		}
+		if n := orderReads.Load(); n != c.reads {
+			t.Errorf("credit fraction %g: reading the usage back made %d order reads, want %d", c.fraction, n, c.reads)
+		}
+		if c.fraction > 0 {
+			continue
+		}
+		if r := emulated.Result; !r.Completed || r.Events == 0 || r.CreditsBilled != 0 || r.CreditsAllocated != 0 {
+			t.Errorf("zero-credit cell: %+v, want completed with no credits", r)
+		}
+		// No cloud worker runs, so no clock rounding parts the two.
+		if inProcess := campaign.Execute(campaign.Job{Scenario: sc}).Result; !reflect.DeepEqual(inProcess, emulated.Result) {
+			t.Errorf("the deployments part:\n  sim:  %+v\n  emul: %+v", inProcess, emulated.Result)
+		}
 	}
 }
 

@@ -61,7 +61,7 @@ func (g *SimDG) ProgressBatch(batchIDs []string) (map[string]middleware.Progress
 	for _, id := range batchIDs {
 		p := g.primary.Progress(id)
 		for _, si := range g.fleets[id] {
-			if g.refresh(si).State == cloud.StateRunning && !si.Sim.Busy() {
+			if si.Sim.Idle() {
 				p.IdleInstances = append(p.IdleInstances, si.Info.ID)
 			}
 		}

@@ -466,6 +466,56 @@ func TestQoSTierEscalationForbidden(t *testing.T) {
 	}
 }
 
+// TestQoSUnknownTier pins the three answers to an order for an unknown tier,
+// which core.ParseTier refuses as malformed: 400 with no gate, 400 under the
+// caller's own key, and 403 when the body also names another user — the
+// user check runs before the tier is parsed. None of them registers a batch
+// or places an order.
+func TestQoSUnknownTier(t *testing.T) {
+	km := NewKeyManager(nil)
+	for _, c := range []struct {
+		name, user string
+		keys       *KeyManager
+		want       int
+	}{
+		{"no gate", "climber", nil, http.StatusBadRequest},
+		{"own key", "", km, http.StatusBadRequest},
+		{"another user", "alice", km, http.StatusForbidden},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := newStack(t, StackConfig{Strategy: core.DefaultStrategy(), DG: &scriptedDG{size: 10}, Keys: c.keys})
+			for _, user := range []string{"climber", "alice"} {
+				if err := st.Credit.Credits().Deposit(user, 1000); err != nil {
+					t.Fatal(err)
+				}
+			}
+			body := fmt.Sprintf(`{"user":%q,"batch_id":"b","env_key":"e","size":10,"credits":10,"tier":"platinum","provider":"ec2","image":"img"}`, c.user)
+			req, err := http.NewRequest(http.MethodPost, st.URL+"/scheduler/qos", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.keys != nil {
+				req.Header.Set(APIKeyHeader, km.Issue("climber", core.TierFree).Key)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck
+			resp.Body.Close()
+			if resp.StatusCode != c.want {
+				t.Errorf("status %d, want %d", resp.StatusCode, c.want)
+			}
+			if _, err := st.Scheduler.Status("b"); err == nil {
+				t.Error("an unknown tier registered a batch")
+			}
+			if _, ok := st.Credit.Credits().OrderOf("b"); ok {
+				t.Error("an unknown tier placed a credit order")
+			}
+		})
+	}
+}
+
 // TestTenantKeyCannotWriteModules: behind the gate, a key without Unlimited
 // may read and order QoS, and nothing else. Each module write — a deposit
 // above all, which would mint credits — answers 403 with the JSON error body

@@ -51,7 +51,8 @@ type DGGateway interface {
 // Oracle (which again makes one POST /statuses); and per batch only one call
 // per instance launched or stopped. The Scheduler reads no tick view: the
 // Oracle plans and archives from Information. Step and StepBatch are that
-// tick, over every batch and over one.
+// tick, over every batch and over one: core.Monitor.Step, which runs one
+// tick at a time, so a step that finds one running returns nil at once.
 type SchedulerService struct {
 	Routes
 	info     *InformationClient
@@ -70,15 +71,12 @@ type SchedulerService struct {
 	Now func() time.Time
 
 	// mon holds every batch ever registered (Status answers for the
-	// finalized ones too) and runs the tick; mon.Mu also guards stepping. No
-	// lock is held across a call to a module, the DG or a cloud driver: the
-	// claim keeps other ticks off a batch, and the tick writes a record under
-	// mon.Mu only for the benefit of Status and Instances.
+	// finalized ones too) and runs the tick. No lock is held across a call to
+	// a module, the DG or a cloud driver: the daemon ticker and external POST
+	// /step clients may race, and mon.Step lets one tick run at a time, so a
+	// double step neither double-bills nor double-launches; the tick writes a
+	// record under mon.Mu only for the benefit of Status and Instances.
 	mon *core.Monitor
-	// stepping holds the batches claimed by a tick in progress: the daemon
-	// ticker and external POST /step clients may race, and a double step must
-	// not double-bill or double-launch.
-	stepping map[*core.Batch]bool
 }
 
 // QoSRequest registers a batch for QoS support (registerQoS + orderQoS of
@@ -115,8 +113,7 @@ func NewSchedulerService(info *InformationClient, credits *CreditClient, oracle 
 	registry *cloud.Registry, dg DGGateway) *SchedulerService {
 	s := &SchedulerService{
 		info: info, credits: credits, oracle: oracle, registry: registry, dg: dg,
-		Now:      time.Now,
-		stepping: map[*core.Batch]bool{},
+		Now: time.Now,
 	}
 	s.mon = &core.Monitor{Ports: (*schedulerPorts)(s)}
 	s.Handle("POST /qos", Endpoint(http.StatusCreated, s.qos))
@@ -136,9 +133,6 @@ func NewSchedulerService(info *InformationClient, credits *CreditClient, oracle 
 // qos is POST /qos: RegisterQoS as the identity the auth gate stamped on the
 // request, if one did.
 func (s *SchedulerService) qos(r *http.Request, req QoSRequest) (map[string]string, error) {
-	if _, err := core.ParseTier(req.Tier); err != nil {
-		return nil, Fail(http.StatusBadRequest, fmt.Errorf("scheduler: %w", err))
-	}
 	// Behind an auth gate (see auth.go) the request runs as the key's
 	// identity: an absent body tier/user inherits the credential's, a body
 	// tier outranking the credential's is rejected — a free key cannot order
@@ -217,42 +211,28 @@ func (s *SchedulerService) Instances() []cloud.InstanceInfo {
 
 // Step runs one monitor iteration over every registered batch (the body of
 // Algorithms 1 and 2).
-func (s *SchedulerService) Step() error { return s.step("") }
+func (s *SchedulerService) Step() error { return s.mon.Step(unixSeconds(s.Now()), s.TierPolicy, "") }
 
 // StepBatch runs one monitor iteration for a single batch: the same tick on
 // a one-element list. The emulation's event-driven finalization uses it so
 // one batch's completion settles its own billing at the completion instant
 // without advancing the other batches' monitor state between ticks (the
 // in-process simulator finalizes exactly one batch per completion event).
-func (s *SchedulerService) StepBatch(id string) error { return s.step(id) }
+// An unknown or finalized batch is not an error: there is nothing to step.
+func (s *SchedulerService) StepBatch(id string) error {
+	return s.mon.Step(unixSeconds(s.Now()), s.TierPolicy, id)
+}
 
-// step claims the one named batch, or every live batch, and runs the monitor
-// iteration over the claimed ones. A batch another tick holds is skipped, not
-// an error: the other tick is doing the same work.
-func (s *SchedulerService) step(only string) error {
-	s.mon.Mu.Lock()
-	var due []*core.Batch
-	if only == "" {
-		due = s.mon.Due(nil)
-	} else if b := s.mon.Batches[only]; b != nil && !b.Finalized {
-		due = []*core.Batch{b}
+// Usage reports a batch's cloud consumption: core.Monitor.Usage, times in
+// Unix seconds, and the Credit module's bill of its order, if it has one.
+func (s *SchedulerService) Usage(id string) (core.CloudUsage, error) {
+	u, ordered, err := s.mon.Usage(id, unixSeconds(s.Now()))
+	if ordered {
+		var o core.Order
+		o, err = s.credits.OrderOf(id)
+		u.CreditsBilled = o.Billed
 	}
-	due = slices.DeleteFunc(due, func(b *core.Batch) bool { return s.stepping[b] })
-	for _, b := range due {
-		s.stepping[b] = true
-	}
-	s.mon.Mu.Unlock()
-	if len(due) == 0 {
-		return nil
-	}
-	defer func() {
-		s.mon.Mu.Lock()
-		defer s.mon.Mu.Unlock()
-		for _, b := range due {
-			delete(s.stepping, b)
-		}
-	}()
-	return s.mon.Run(unixSeconds(s.Now()), s.TierPolicy, due, &core.Scratch{})
+	return u, err
 }
 
 // schedulerPorts is a SchedulerService as the monitor's ports: one bulk

@@ -368,6 +368,70 @@ func TestStatusNotBlockedByRemoteCalls(t *testing.T) {
 	})
 }
 
+// TestStepWhileTickParkedReturns: one tick runs at a time. While a tick is
+// parked in its bill, a POST /scheduler/step and a StepBatch of the same
+// batch each return nil at once, doing nothing; once the park is released
+// the batch has been launched once and its window billed once.
+func TestStepWhileTickParkedReturns(t *testing.T) {
+	const workers = 2
+	stack, fc, driver, advance := billingStack(t, workers)
+	fc.park = make(chan struct{})
+	// Released before the servers close, however the test ends: a second
+	// tick parked behind the first would otherwise hold them open.
+	release := sync.OnceFunc(func() {
+		close(fc.park)
+		go func() {
+			for range fc.parked {
+			}
+		}()
+	})
+	t.Cleanup(release)
+	advance(time.Minute)
+	stepped := make(chan error, 1)
+	go func() { stepped <- stack.Scheduler.Step() }()
+	select {
+	case <-fc.parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the tick never reached the parked bill")
+	}
+	others := make(chan error, 2)
+	go func() {
+		resp, err := http.Post(stack.URL+"/scheduler/step", "application/json", nil)
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				err = fmt.Errorf("POST /scheduler/step: status %d", resp.StatusCode)
+			}
+		}
+		others <- err
+	}()
+	go func() { others <- stack.Scheduler.StepBatch("b") }()
+	for range 2 {
+		select {
+		case err := <-others:
+			if err != nil {
+				t.Error(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a step waited for the parked tick")
+		}
+	}
+	release()
+	if err := <-stepped; err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := stack.Scheduler.Status("b"); len(st.Instances) != workers || len(driver.List()) != workers {
+		t.Errorf("%d instances managed, %d live, want %d launched once", len(st.Instances), len(driver.List()), workers)
+	}
+	o, err := stack.CreditClient.OrderOf("b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := workers * 60.0 / 3600 * core.CreditsPerCPUHour; math.Abs(o.Billed-want) > 1e-9 {
+		t.Errorf("billed %v credits for one minute of %d workers, want %v", o.Billed, workers, want)
+	}
+}
+
 // The Scheduler's order lists live batches only: a finalized batch leaves it at
 // the next whole-fleet tick, the others keep their registration order, no
 // later tick polls or claims the finalized one, and GET /qos/{id} still

@@ -501,8 +501,8 @@ func TestMuxMountsAllModules(t *testing.T) {
 }
 
 // TestConcurrentSchedulerSteps races eight ticks over the same batches, twice:
-// whichever tick claims a batch, it is launched once and each usage window is
-// billed once.
+// one tick runs at a time, so each batch is launched once and each usage
+// window is billed once.
 func TestConcurrentSchedulerSteps(t *testing.T) {
 	dg := &scriptedDG{size: 100}
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
@@ -529,7 +529,7 @@ func TestConcurrentSchedulerSteps(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				stack.Scheduler.Step() //nolint:errcheck // losing a claim is not an error
+				stack.Scheduler.Step() //nolint:errcheck // finding a tick running is not an error
 			}()
 		}
 		wg.Wait()
