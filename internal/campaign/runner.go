@@ -176,8 +176,9 @@ type Backend interface {
 }
 
 // inProcess is the default backend: direct calls into one core.Service. A
-// failure here is a programming error (a batch registered twice, an order
-// without a deposit), so it panics and Err stays nil.
+// refused registration is a programming error (a batch registered twice, an
+// order without a deposit), so it panics; Err is the service's first failed
+// monitor step (core.Service.Err).
 type inProcess struct{ *core.Service }
 
 // newInProcess opens the default backend. The service learns each batch's
@@ -194,8 +195,7 @@ func (q inProcess) Register(id, envKey string, size int, tier core.Tier, credits
 		panic(err)
 	}
 }
-func (q inProcess) Err() error { return nil }
-func (q inProcess) Close()     {}
+func (q inProcess) Close() {}
 
 // executeOnce is one bounded-horizon simulation of a job — the only function
 // that builds and runs a cell. All randomness derives from the scenario

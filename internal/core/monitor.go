@@ -140,13 +140,13 @@ type Ports interface {
 // Monitor is the Scheduler's batch registry: it holds every batch ever
 // registered, runs the monitor iteration over the live ones (Algorithms 1
 // and 2 of §3.6), and reports each batch's usage. Both deployments step it
-// through Step alone and read a batch back through Usage alone; they decide
-// only when to call Step.
+// through Step alone and read a batch back through Usage alone; in a
+// simulation a Driver decides when, for both.
 type Monitor struct {
 	Ports Ports
-	// CountDriven says that something marks batches dirty on their task
+	// CountDriven says that a Driver marks batches dirty on their task
 	// events and that the trigger reads nothing else (CountDrivenTrigger):
-	// Due then skips the batches nothing happened to.
+	// Due then skips the batches nothing happened to. NewDriver sets it.
 	CountDriven bool
 
 	// Mu guards what a tick writes and another goroutine may read: Batches,

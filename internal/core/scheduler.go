@@ -40,9 +40,9 @@ type CountDrivenTrigger interface {
 // Service is a SpeQuloS deployment inside a simulation: the four modules
 // wired together per Fig 3, serving batches hosted on any number of DG
 // servers. Its monitor loop is Monitor.Run over ports that call the modules,
-// each batch's DG server and the simulated cloud directly. (The deployable
-// HTTP flavor lives in internal/service and runs the same loop over its own
-// ports.)
+// each batch's DG server and the simulated cloud directly, stepped by a
+// Driver. (The deployable HTTP flavor lives in internal/service and runs the
+// same loop over its own ports.)
 //
 // The service — monitor ticker, cloud, ledger — lives on one engine. A
 // batch's server may live on another, typically a shard engine of a
@@ -50,7 +50,6 @@ type CountDrivenTrigger interface {
 // tick, which the kernel runs serially at barriers.
 type Service struct {
 	eng     *sim.Engine
-	cfg     Config
 	Info    *Information
 	Credits *CreditSystem
 	Oracle  *Oracle
@@ -61,88 +60,39 @@ type Service struct {
 	// contended here.
 	mon    *Monitor
 	deploy CloudDeployment
-	ticker *sim.Ticker
-	// listening holds the servers the service's listener is attached to.
-	listening map[middleware.Server]bool
+	drv    *Driver
 }
 
 // NewService wires a SpeQuloS service to a simulated cloud; each batch names
 // its DG server when it registers.
 func NewService(eng *sim.Engine, simCloud *cloud.SimCloud, cfg Config) *Service {
-	if cfg.MonitorPeriod <= 0 {
-		cfg.MonitorPeriod = 60
-	}
 	s := &Service{
-		eng:       eng,
-		cfg:       cfg,
-		Info:      NewInformation(),
-		Credits:   NewCreditSystem(),
-		Oracle:    NewOracle(cfg.Strategy),
-		Cloud:     simCloud,
-		deploy:    CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud},
-		listening: map[middleware.Server]bool{},
+		eng:     eng,
+		Info:    NewInformation(),
+		Credits: NewCreditSystem(),
+		Oracle:  NewOracle(cfg.Strategy),
+		Cloud:   simCloud,
+		deploy:  CloudDeployment{Deploy: cfg.Strategy.Deploy, Cloud: simCloud},
 	}
-	_, countDriven := cfg.Strategy.Trigger.(CountDrivenTrigger)
-	s.mon = &Monitor{Ports: (*simPorts)(s), CountDriven: countDriven}
+	s.mon = &Monitor{Ports: (*simPorts)(s)}
+	s.drv = NewDriver(eng, s.mon, cfg)
 	return s
 }
 
-// serviceListener keeps the due list current and finalizes QoS support for a
-// completed batch: at the completion instant when the server shares the
-// service's engine, else at the next tick.
-type serviceListener struct {
-	s *Service
-	// deferred: the server's events fire on another engine, during a
-	// parallel window of a sharded kernel. Finalization touches the shared
-	// calibration archive and the cloud on the service's engine, so the
-	// completion only marks the batch, routing it into the next tick — a
-	// barrier — which finds it done and finalizes it serially.
-	deferred bool
-}
-
-func (l serviceListener) TaskAssigned(batchID string, _ int, _ float64) {
-	l.s.markDirty(batchID)
-}
-func (l serviceListener) TaskCompleted(batchID string, _ int, _ float64) {
-	l.s.markDirty(batchID)
-}
-func (l serviceListener) BatchCompleted(batchID string, at float64) {
-	if l.deferred {
-		l.s.markDirty(batchID)
-		return
-	}
-	// A tick over the one batch: its last sample, its final bill and its
-	// finalization, at the completion instant.
-	_ = l.s.mon.Step(at, l.s.cfg.Tiers, batchID)
-}
-
-// markDirty queues a batch for the next monitor tick.
-func (s *Service) markDirty(batchID string) {
-	if b := s.mon.Batches[batchID]; b != nil {
-		b.dirty = true
-	}
-}
-
 // RegisterQoS starts QoS support for a batch hosted on srv: Monitor.RegisterQoS
-// at the engine's now. envKey identifies the execution environment for α
-// calibration; size is the BoT size; the tier only matters when Config.Tiers
-// is set, where it decides admission priority and the share of contended
-// cloud supply the batch competes for. The user submits the batch to srv
-// separately, tagged with the same ID. srv must host only this service's
-// batches; the service attaches its listener to it on its first batch.
+// at the engine's now, then Driver.Registered. envKey identifies the
+// execution environment for α calibration; size is the BoT size; the tier
+// only matters when Config.Tiers is set, where it decides admission priority
+// and the share of contended cloud supply the batch competes for. The user
+// submits the batch to srv separately, tagged with the same ID. srv must host
+// only this service's batches.
 func (s *Service) RegisterQoS(user, batchID, envKey string, size int, tier Tier, credits float64, srv middleware.Server) error {
 	b := NewBatch(batchID, envKey, tier, s.eng.Now())
 	b.srv = srv
 	if err := s.mon.RegisterQoS(b, user, size, credits); err != nil {
 		return err
 	}
-	if !s.listening[srv] {
-		s.listening[srv] = true
-		srv.AddListener(serviceListener{s: s, deferred: srv.Engine() != s.eng})
-	}
-	if s.ticker == nil {
-		s.ticker = s.eng.NewTicker(s.cfg.MonitorPeriod, s.tick)
-	}
+	s.drv.Registered(srv)
 	return nil
 }
 
@@ -157,17 +107,101 @@ func (s *Service) Usage(batchID string) (CloudUsage, error) {
 	return u, err
 }
 
+// Err is the first monitor step that failed (Driver.Err). The ports fail only
+// where the ledger refuses (an order closed behind the service's back).
+func (s *Service) Err() error { return s.drv.Err() }
+
+// Driver decides when a Monitor on a simulation engine steps, whichever ports
+// it runs over (core.Service's, or the deployable Scheduler's in internal/emul).
+// Every step is at the engine's instant:
+//   - a registration that finds no ticker armed arms one at the monitor
+//     period, and the first tick that finds Monitor.Order empty stops it;
+//   - its listener marks a batch dirty on each of its task events, so the
+//     Monitor is count-driven exactly when the trigger is (CountDrivenTrigger);
+//   - a completion steps the completed batch alone, at the completion instant:
+//     its last sample, its final bill and its finalization. When the batch's
+//     server runs on another engine — a shard's, in a parallel window of a
+//     sharded kernel — the completion only marks the batch: finalization
+//     touches the shared calibration archive and the cloud on the driver's
+//     engine, so the next tick, a barrier, finds it done and finalizes it
+//     serially.
+//
+// A failed step leaves its batches to the next one; Err keeps the first.
+type Driver struct {
+	eng    *sim.Engine
+	mon    *Monitor
+	cfg    Config
+	ticker *sim.Ticker
+	// listening holds the servers the listener is attached to.
+	listening map[middleware.Server]bool
+	err       error
+}
+
+// NewDriver schedules mon's steps on eng under cfg: its monitor period (60 s
+// when unset, the per-minute monitoring of §3.2), its tier policy and its
+// trigger, which sets mon.CountDriven.
+func NewDriver(eng *sim.Engine, mon *Monitor, cfg Config) *Driver {
+	if cfg.MonitorPeriod <= 0 {
+		cfg.MonitorPeriod = 60
+	}
+	_, mon.CountDriven = cfg.Strategy.Trigger.(CountDrivenTrigger)
+	return &Driver{eng: eng, mon: mon, cfg: cfg, listening: map[middleware.Server]bool{}}
+}
+
+// Registered follows a batch the Monitor registered on srv: the listener is
+// attached to srv on its first batch, and the ticker armed if it is not.
+func (d *Driver) Registered(srv middleware.Server) {
+	if !d.listening[srv] {
+		d.listening[srv] = true
+		srv.AddListener(driverListener{d: d, deferred: srv.Engine() != d.eng})
+	}
+	if d.ticker == nil {
+		d.ticker = d.eng.NewTicker(d.cfg.MonitorPeriod, d.tick)
+	}
+}
+
+// Err is the first step that failed, nil while none has.
+func (d *Driver) Err() error { return d.err }
+
+// step is Monitor.Step at now, keeping the first failure.
+func (d *Driver) step(now float64, only string) {
+	if err := d.mon.Step(now, d.cfg.Tiers, only); err != nil && d.err == nil {
+		d.err = err
+	}
+}
+
 // tick is the combined Information/Scheduler monitor loop (Algorithms 1
-// and 2 of §3.6): Monitor.Step over the whole fleet (see Monitor.Due; idle
-// live batches cost nothing beyond the scan). The ticker stops with the last
-// live batch.
-func (s *Service) tick(now float64) {
-	// These ports fail only where the ledger refuses (an order closed behind
-	// the service's back); the batch is retried next tick like any failed one.
-	_ = s.mon.Step(now, s.cfg.Tiers, "")
-	if len(s.mon.Order) == 0 {
-		s.ticker.Stop()
-		s.ticker = nil
+// and 2 of §3.6) over the whole fleet (see Monitor.Due; idle live batches
+// cost nothing beyond the scan). The ticker stops with the last live batch.
+func (d *Driver) tick(now float64) {
+	d.step(now, "")
+	if len(d.mon.Order) == 0 {
+		d.ticker.Stop()
+		d.ticker = nil
+	}
+}
+
+// driverListener is the Driver's listener on one DG server; deferred means
+// the server's events fire on another engine than the driver's.
+type driverListener struct {
+	d        *Driver
+	deferred bool
+}
+
+func (l driverListener) TaskAssigned(batchID string, _ int, _ float64)  { l.d.markDirty(batchID) }
+func (l driverListener) TaskCompleted(batchID string, _ int, _ float64) { l.d.markDirty(batchID) }
+func (l driverListener) BatchCompleted(batchID string, at float64) {
+	if l.deferred {
+		l.d.markDirty(batchID)
+		return
+	}
+	l.d.step(at, batchID)
+}
+
+// markDirty queues a batch for the next monitor tick: one map read.
+func (d *Driver) markDirty(batchID string) {
+	if b := d.mon.Batches[batchID]; b != nil {
+		b.dirty = true
 	}
 }
 

@@ -116,14 +116,14 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	wantOrder("after the tick that finalized c", "a", "c")
 	eng.RunUntil(301)
 	wantOrder("after the tick that follows c's finalization", "a")
-	if svc.ticker == nil {
+	if svc.drv.ticker == nil {
 		t.Fatal("ticker stopped while a is live")
 	}
 
 	eng.At(310, func() { srv.complete("a", 310, true) })
 	eng.Run() // must drain: the tick that finds no live batch stops the ticker
 	wantOrder("after the last finalization")
-	if svc.ticker != nil || eng.Pending() != 0 {
+	if svc.drv.ticker != nil || eng.Pending() != 0 {
 		t.Fatalf("ticker still armed with no live batch (%d events pending)", eng.Pending())
 	}
 	for _, id := range []string{"a", "b", "c"} {

@@ -236,7 +236,7 @@ func TestRefusedRegistrationMutatesNothing(t *testing.T) {
 			snapshot := func() state {
 				_, _, funded := svc.Credits.Lookup(tc.id)
 				return state{svc.Info.Count(), len(svc.mon.Batches), len(svc.mon.Order), eng.Pending(),
-					len(svc.listening), svc.Credits.AccountOf("u").Balance, funded}
+					len(svc.drv.listening), svc.Credits.AccountOf("u").Balance, funded}
 			}
 			before := snapshot()
 			if err := svc.RegisterQoS("u", tc.id, "env", 10, "", tc.credits, srv); err == nil {
@@ -245,7 +245,7 @@ func TestRefusedRegistrationMutatesNothing(t *testing.T) {
 			if after := snapshot(); after != before {
 				t.Fatalf("the refusal mutated the service:\n before %+v\n after  %+v", before, after)
 			}
-			if !tc.busy && (svc.ticker != nil || eng.Pending() != 0) {
+			if !tc.busy && (svc.drv.ticker != nil || eng.Pending() != 0) {
 				t.Fatal("a refused first registration armed the monitor ticker")
 			}
 			if !tc.cured {
@@ -255,10 +255,33 @@ func TestRefusedRegistrationMutatesNothing(t *testing.T) {
 			if err := svc.RegisterQoS("u", tc.id, "env", 10, "", tc.credits, srv); err != nil {
 				t.Fatalf("the same request after a deposit: %v", err)
 			}
-			if o, ok := svc.Credits.OrderOf(tc.id); !ok || o.Allocated != tc.credits || svc.mon.Batches[tc.id] == nil || svc.ticker == nil {
-				t.Fatalf("the accepted request left order %+v, record %v, ticker %v", o, svc.mon.Batches[tc.id], svc.ticker)
+			if o, ok := svc.Credits.OrderOf(tc.id); !ok || o.Allocated != tc.credits || svc.mon.Batches[tc.id] == nil || svc.drv.ticker == nil {
+				t.Fatalf("the accepted request left order %+v, record %v, ticker %v", o, svc.mon.Batches[tc.id], svc.drv.ticker)
 			}
 		})
+	}
+}
+
+// TestFailedStepIsTheServiceErr: a step the ledger refuses — the order of a
+// batch whose fleet runs, closed behind the service's back — is the service's
+// Err, and the first such failure is the one kept.
+func TestFailedStepIsTheServiceErr(t *testing.T) {
+	eng, _, svc := slowTailScenario(t, DefaultStrategy(), 10)
+	eng.RunUntil(9100)
+	if u, _ := svc.Usage("b"); u.InstancesStarted == 0 || svc.Err() != nil {
+		t.Fatalf("before the order closes: usage %+v, Err %v; want a fleet and no failure", u, svc.Err())
+	}
+	if _, err := svc.Credits.Pay("b"); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(9200)
+	first := svc.Err()
+	if first == nil {
+		t.Fatal("a bill the ledger refused left Err nil")
+	}
+	eng.RunUntil(9600)
+	if svc.Err() != first {
+		t.Fatalf("Err moved from %v to %v", first, svc.Err())
 	}
 }
 

@@ -31,7 +31,6 @@ func (q *inProcessArchive) Register(id, envKey string, size int, tier core.Tier,
 	}
 	q.envs[envKey] = true
 }
-func (q *inProcessArchive) Err() error { return nil }
 func (q *inProcessArchive) Close() {
 	for env := range q.envs {
 		q.out[env] = q.Oracle.Calibration.Fit(env)
@@ -65,8 +64,8 @@ func (b *httpArchive) Close() {
 // TestDeploymentsArchiveAlike: the α archive a cell leaves behind is the same
 // whether the Oracle runs in process or behind the HTTP stack, where it reads
 // each finished batch's tick view from Information itself. One QuickSpec cell
-// and one crowd cell run both ways; per environment, the archived count
-// matches exactly and α within clockRoundOff, the credits' one bound.
+// and one crowd cell run both ways; per environment, the archived count and α
+// are equal.
 func TestDeploymentsArchiveAlike(t *testing.T) {
 	for name, spec := range map[string]Spec{"quick": QuickSpec(), "crowd": crowdSpec()} {
 		sc := spec.withDefaults().scenarios()[0]
@@ -91,7 +90,7 @@ func TestDeploymentsArchiveAlike(t *testing.T) {
 				if s.Count == 0 {
 					t.Errorf("%s: nothing archived in process", env)
 				}
-				if s.Count != e.Count || !within(s.Alpha, e.Alpha, clockRoundOff) {
+				if s.Count != e.Count || s.Alpha != e.Alpha {
 					t.Errorf("%s: sim archived %d executions at α %v, emul %d at α %v", env, s.Count, s.Alpha, e.Count, e.Alpha)
 				}
 			}

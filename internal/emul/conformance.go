@@ -3,7 +3,6 @@ package emul
 import (
 	"context"
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 
@@ -94,17 +93,6 @@ func (s Spec) scenarios() []campaign.Scenario {
 	}
 	return out
 }
-
-// clockRoundOff is the one bound of the comparison, relative (as within
-// scales it), on the credits billed and on the α the two Oracles archive. The
-// HTTP stack's clock is a time.Time: virtualTime turns the engine's seconds
-// into whole nanoseconds and the Scheduler's unixSeconds turns them back, so
-// each charge (now−LastBill)/3600·CreditsPerCPUHour can part from the
-// simulator's in its last digits. The largest difference measured, over
-// every strategy of the standard XWHEP/g5klyo row and 18 full crowd cells, is
-// 8.1e-12 on a batch's bill; α parts by 4.5e-14. Every other field is equal
-// on both sides.
-const clockRoundOff = 1e-10
 
 // Cell is the conformance report of one scenario: the stored result of its
 // in-process job and of its emulated one, and the first field they differ
@@ -272,25 +260,13 @@ func aggregate(r campaign.Result) campaign.BatchResult {
 }
 
 // diff is the one comparator: the first field s and e differ in, with both
-// values, or "" when every field is == (CreditsBilled: within clockRoundOff).
+// values, or "" when every field is ==.
 func diff(where string, s, e campaign.BatchResult) string {
 	sv, ev := reflect.ValueOf(s), reflect.ValueOf(e)
 	for i := range sv.NumField() {
-		field := sv.Type().Field(i).Name
-		a, b := sv.Field(i).Interface(), ev.Field(i).Interface()
-		same := a == b
-		if field == "CreditsBilled" {
-			same = within(s.CreditsBilled, e.CreditsBilled, clockRoundOff)
-		}
-		if !same {
-			return fmt.Sprintf("%s%s: sim %v, emul %v", where, field, a, b)
+		if a, b := sv.Field(i).Interface(), ev.Field(i).Interface(); a != b {
+			return fmt.Sprintf("%s%s: sim %v, emul %v", where, sv.Type().Field(i).Name, a, b)
 		}
 	}
 	return ""
-}
-
-// within reports |a−b| ≤ tol·max(1, |a|, |b|).
-func within(a, b, tol float64) bool {
-	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
-	return math.Abs(a-b) <= tol*scale
 }

@@ -15,7 +15,7 @@ import (
 // cell of the quick-profile subset — all middleware, two contrasting
 // traces, strategies covering every trigger, sizing and deployment — must
 // give the in-process simulator's result through the deployable HTTP stack:
-// every field equal, the credits billed within clockRoundOff.
+// every field equal.
 func TestQuickConformance(t *testing.T) {
 	rep, err := RunConformance(context.Background(), QuickSpec())
 	if err != nil {
@@ -158,8 +158,7 @@ func TestConformanceResumes(t *testing.T) {
 // TestReportIsTheDiff: a failing cell says where its two results part — the
 // first differing field with both values, the aggregate before the batches,
 // and for a multi-batch cell the first batch that differs — so a conformance
-// failure reads as a diff. Every field is compared, by ==, but the credits
-// billed, which may part by clockRoundOff.
+// failure reads as a diff. Every field is compared by ==.
 func TestReportIsTheDiff(t *testing.T) {
 	sc := quickScenario("XWHEP", "seti", "9C-C-R")
 	res := campaign.Result{Completed: true, CompletionTime: 1000, TriggeredAt: 120, Instances: 1, CreditsBilled: 2}
@@ -199,9 +198,8 @@ func TestReportIsTheDiff(t *testing.T) {
 		{"credits allocated", func(r *campaign.Result) { r.Batches[1].CreditsAllocated = 5 },
 			"batch b001 CreditsAllocated: sim 0, emul 5"},
 		{"tier", func(r *campaign.Result) { r.Batches[1].Tier = "free" }, "batch b001 Tier: sim , emul free"},
-		{"credits billed within the clock's round-off", func(r *campaign.Result) { r.Batches[0].CreditsBilled *= 1 + clockRoundOff/2 }, ""},
-		{"credits billed past it", func(r *campaign.Result) { r.Batches[0].CreditsBilled *= 1 + 2*clockRoundOff },
-			"batch b000 CreditsBilled: sim 2, emul 2.0000000004"},
+		{"one ulp of credits billed", func(r *campaign.Result) { r.Batches[0].CreditsBilled = math.Nextafter(2, 3) },
+			"batch b000 CreditsBilled: sim 2, emul 2.0000000000000004"},
 	} {
 		put(Job(sc), 800, c.mutate)
 		if cell = compareCell(sc, store); cell.Diff != c.diff || cell.Pass != (c.diff == "") {

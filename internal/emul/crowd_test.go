@@ -20,7 +20,7 @@ func TestCrowdConformance(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := len(campaign.AllMiddlewares()); len(rep.Cells) != want {
+		if want := len(campaign.AllMiddlewares()) * len(spec.Strategies); len(rep.Cells) != want {
 			t.Fatalf("cells: %d, want %d", len(rep.Cells), want)
 		}
 		for _, c := range rep.Cells {
@@ -56,6 +56,15 @@ func TestCrowdConformance(t *testing.T) {
 		if delayed == 0 {
 			t.Error("no batch started at another tick than without the fleet cap: admission was never contended")
 		}
+	})
+	// Batch 1 registers off the monitor period's grid, after batch 0 finished
+	// and the last tick stopped the ticker: the re-armed ticks keep the
+	// registration's phase on both sides, or every later tick parts them.
+	t.Run("gap", func(t *testing.T) {
+		spec := crowdSpec()
+		spec.Profile.Batches, spec.Profile.HorizonDays, spec.Profile.SubmitSpread = 2, 12, 518437
+		spec.Strategies = mustStrategies("9C-C-R", "9C-G-F")
+		run(t, spec)
 	})
 	// Greedy releases idle cloud workers, which the deployable Scheduler
 	// learns from the one progress poll: on a shared server, each batch's

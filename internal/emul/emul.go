@@ -3,10 +3,10 @@
 // §3.7/Fig 8) inside the discrete-event simulation. A virtual clock is
 // injected into every module, a simulated BOINC/XWHEP/Condor batch is
 // exposed behind the DGGateway HTTP interface, cloud launches become
-// simulated cloud workers, and a simulation ticker drives the Scheduler's
-// monitor loop — so an emulated run is deterministic, wall-clock-free, and
-// directly comparable to the same scenario executed by the in-process
-// simulator.
+// simulated cloud workers, and the Scheduler's monitor loop is stepped by
+// core.Driver, the schedule the in-process simulator steps its own by — so an
+// emulated run is deterministic, wall-clock-free, and directly comparable to
+// the same scenario executed by the in-process simulator.
 //
 // There is one cell executor, internal/campaign's: an emulated cell is a
 // campaign job whose QoS side (campaign.Job.Backend) is HTTPStack instead of
@@ -18,11 +18,10 @@
 // RunConformance plans every cell of a (trace × BoT class × middleware ×
 // strategy) subset as two jobs, in-process and through the HTTP stack, and
 // its per-cell report requires the two results to be equal, field by field
-// and batch by batch: completion, trigger, fleet and credits allocated by ==,
-// and the credits billed within the one bound the HTTP stack's time.Time
-// clock accounts for (clockRoundOff). CI runs the quick-profile subset on
-// every change, so the deployable service and the simulator cannot silently
-// drift apart.
+// and batch by batch, every field by ==: both sides step one core.Monitor at
+// the engine's own instants, so nothing but their ports differs. CI runs the
+// quick-profile subset on every change, so the deployable service and the
+// simulator cannot silently drift apart.
 package emul
 
 import (
@@ -60,18 +59,17 @@ func RunCell(sc campaign.Scenario) (campaign.Result, error) {
 
 // HTTPBackend is the QoS side of one emulated cell: the cell's DG server
 // behind the gateway wire format, and the four modules on one loopback
-// listener with every clock replaced by the engine's. A simulation ticker
-// steps the Scheduler at the monitor period — ONE aggregated progress-batch
-// round trip per tick for every registered batch — and each completion steps
-// just its own batch, inside the completion callback as core.Service does,
-// so billing settles at the completion instant without advancing the other
-// batches' monitor state between ticks. What a batch registered as, and what
-// it used, is the Scheduler's record alone (SchedulerService.Usage).
+// listener with every clock replaced by the engine's. The deployable
+// Scheduler's Monitor is stepped by the core.Driver that steps core.Service's
+// — at the same instants, the engine's own, with ONE aggregated progress-batch
+// round trip per tick for every batch due — so the two deployments differ
+// only in their ports. What a batch registered as, and what it used, is the
+// Scheduler's record alone (SchedulerService.Usage).
 type HTTPBackend struct {
-	dgSrv  *httptest.Server
-	stack  *service.Stack
-	ticker *sim.Ticker
-	err    error
+	dgSrv *httptest.Server
+	stack *service.Stack
+	drv   *core.Driver
+	err   error
 }
 
 // HTTPStack opens the HTTP-stack backend of a cell: the campaign.Job.Backend
@@ -93,12 +91,8 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 		b.err = fmt.Errorf("emul: %w", err)
 		return b
 	}
-	// The policy of a tiered cell, if any: the deployable Scheduler
-	// arbitrates with the same TierPolicy.Admit call per tick.
-	b.stack.Scheduler.TierPolicy = cfg.Tiers
 	b.stack.SetClock(func() time.Time { return virtualTime(eng.Now()) })
-	b.ticker = eng.NewTicker(cfg.MonitorPeriod, func(sim.Time) { b.do("monitor step", b.stack.Scheduler.Step) })
-	primary.AddListener(completionHook{b})
+	b.drv = core.NewDriver(eng, b.stack.Scheduler.Monitor(), cfg)
 	return b
 }
 
@@ -107,7 +101,7 @@ func HTTPStack(eng *sim.Engine, primary middleware.Server, simCloud *cloud.SimCl
 // crowd debugging session is pointed at the failing registration, not at the
 // monitor loop.
 func (b *HTTPBackend) do(op string, f func() error) {
-	if b.err != nil {
+	if b.Err() != nil {
 		return
 	}
 	if err := f(); err != nil {
@@ -116,17 +110,21 @@ func (b *HTTPBackend) do(op string, f func() error) {
 }
 
 // Register is registerQoS + orderQoS of Fig 3, over the wire.
-func (b *HTTPBackend) Register(id, envKey string, size int, tier core.Tier, credits float64, _ middleware.Server) {
+func (b *HTTPBackend) Register(id, envKey string, size int, tier core.Tier, credits float64, srv middleware.Server) {
 	b.do("registration of "+id, func() error {
 		if credits > 0 {
 			if err := b.stack.CreditClient.Deposit("user", credits); err != nil {
 				return err
 			}
 		}
-		return b.stack.SchedulerClient.RegisterQoS(service.QoSRequest{
+		if err := b.stack.SchedulerClient.RegisterQoS(service.QoSRequest{
 			User: "user", BatchID: id, EnvKey: envKey, Size: size, Credits: credits,
 			Tier: string(tier), Provider: ProviderName, Image: "emul-worker",
-		})
+		}); err != nil {
+			return err
+		}
+		b.drv.Registered(srv)
+		return nil
 	})
 }
 
@@ -136,8 +134,8 @@ func (b *HTTPBackend) Register(id, envKey string, size int, tier core.Tier, cred
 // Scheduler never registered is refused as core.Service refuses it; a failed
 // bill lookup fails the cell.
 func (b *HTTPBackend) Usage(id string) (u core.CloudUsage, err error) {
-	if b.err != nil {
-		return u, b.err
+	if err = b.Err(); err != nil {
+		return u, err
 	}
 	if u, err = b.stack.Scheduler.Usage(id); err != nil && !errors.Is(err, core.ErrUnknownBatch) {
 		b.err = fmt.Errorf("emul: usage of %s: %w", id, err)
@@ -145,24 +143,19 @@ func (b *HTTPBackend) Usage(id string) (u core.CloudUsage, err error) {
 	return u, err
 }
 
-// Err is the first failed round trip.
-func (b *HTTPBackend) Err() error { return b.err }
+// Err is the first failed round trip, or else the first failed monitor step.
+func (b *HTTPBackend) Err() error {
+	if b.err == nil && b.drv != nil && b.drv.Err() != nil {
+		return fmt.Errorf("emul: monitor step: %w", b.drv.Err())
+	}
+	return b.err
+}
 
-// Close stops the ticker and shuts the loopback servers down.
+// Close shuts the loopback servers down. The ticker dies with the cell's
+// engine, as core.Service's does.
 func (b *HTTPBackend) Close() {
 	if b.stack != nil {
-		b.ticker.Stop()
 		b.stack.Close()
 	}
 	b.dgSrv.Close()
-}
-
-// completionHook steps a batch the moment it completes; StepBatch ignores
-// one the Scheduler does not know.
-type completionHook struct{ b *HTTPBackend }
-
-func (h completionHook) TaskAssigned(string, int, float64)  {}
-func (h completionHook) TaskCompleted(string, int, float64) {}
-func (h completionHook) BatchCompleted(id string, _ float64) {
-	h.b.do("monitor step", func() error { return h.b.stack.Scheduler.StepBatch(id) })
 }

@@ -50,9 +50,9 @@ type DGGateway interface {
 // that completed, POST /orders/pay to Credit and POST /calibrations to the
 // Oracle (which again makes one POST /statuses); and per batch only one call
 // per instance launched or stopped. The Scheduler reads no tick view: the
-// Oracle plans and archives from Information. Step and StepBatch are that
-// tick, over every batch and over one: core.Monitor.Step, which runs one
-// tick at a time, so a step that finds one running returns nil at once.
+// Oracle plans and archives from Information. Step is that tick over every
+// batch: core.Monitor.Step, which runs one tick at a time, so a step that
+// finds one running returns nil at once.
 type SchedulerService struct {
 	Routes
 	info     *InformationClient
@@ -213,15 +213,10 @@ func (s *SchedulerService) Instances() []cloud.InstanceInfo {
 // Algorithms 1 and 2).
 func (s *SchedulerService) Step() error { return s.mon.Step(unixSeconds(s.Now()), s.TierPolicy, "") }
 
-// StepBatch runs one monitor iteration for a single batch: the same tick on
-// a one-element list. The emulation's event-driven finalization uses it so
-// one batch's completion settles its own billing at the completion instant
-// without advancing the other batches' monitor state between ticks (the
-// in-process simulator finalizes exactly one batch per completion event).
-// An unknown or finalized batch is not an error: there is nothing to step.
-func (s *SchedulerService) StepBatch(id string) error {
-	return s.mon.Step(unixSeconds(s.Now()), s.TierPolicy, id)
-}
+// Monitor is the Scheduler's batch registry and tick, for a caller that
+// steps it on a schedule of its own: internal/emul's core.Driver, at the
+// simulation engine's instants.
+func (s *SchedulerService) Monitor() *core.Monitor { return s.mon }
 
 // Usage reports a batch's cloud consumption: core.Monitor.Usage, times in
 // Unix seconds, and the Credit module's bill of its order, if it has one.

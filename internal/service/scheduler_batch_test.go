@@ -210,13 +210,33 @@ func testStepBatchedPollingIsO1(t *testing.T, label string) {
 	}
 }
 
+// parkLimit bounds how long a parked request waits for its release, longer
+// than any wait of a test on it: a park the test never releases fails the
+// parked call instead of hanging the test in its servers' Close.
+const parkLimit = 20 * time.Second
+
+// park signals on parked, unless a signal already waits there, and holds the
+// caller until release is closed (true) or parkLimit has passed (false).
+func park(parked chan<- struct{}, release <-chan struct{}) bool {
+	select {
+	case parked <- struct{}{}:
+	default:
+	}
+	select {
+	case <-release:
+		return true
+	case <-time.After(parkLimit):
+		return false
+	}
+}
+
 // faultyCredit is the Credit module behind a proxy that can lose or park
 // billing requests (single or bulk).
 type faultyCredit struct {
 	next     http.Handler
 	failNext atomic.Int64  // how many billing requests to answer 500, unapplied
 	park     chan struct{} // non-nil: billing requests wait until it is closed
-	parked   chan struct{} // receives once per parked request
+	parked   chan struct{} // signalled when a request parks
 }
 
 func (f *faultyCredit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -225,9 +245,9 @@ func (f *faultyCredit) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			writeErr(w, http.StatusInternalServerError, fmt.Errorf("credit store unavailable"))
 			return
 		}
-		if f.park != nil {
-			f.parked <- struct{}{}
-			<-f.park
+		if f.park != nil && !park(f.parked, f.park) {
+			writeErr(w, http.StatusGatewayTimeout, fmt.Errorf("billing request parked past %v", parkLimit))
+			return
 		}
 	}
 	f.next.ServeHTTP(w, r)
@@ -304,6 +324,12 @@ func TestFailedBillKeepsUsageWindowOpen(t *testing.T) {
 	}
 }
 
+// stepBatch is one tick over the batch id alone, at the Scheduler's clock:
+// the step core.Driver takes at a batch's completion.
+func stepBatch(s *SchedulerService, id string) error {
+	return s.Monitor().Step(unixSeconds(s.Now()), s.TierPolicy, id)
+}
+
 // parkingDriver parks Terminate until released.
 type parkingDriver struct {
 	cloud.Driver
@@ -311,8 +337,9 @@ type parkingDriver struct {
 }
 
 func (d parkingDriver) Terminate(id string) error {
-	d.parked <- struct{}{}
-	<-d.park
+	if !park(d.parked, d.park) {
+		return fmt.Errorf("terminate of %s parked past %v", id, parkLimit)
+	}
 	return d.Driver.Terminate(id)
 }
 
@@ -322,6 +349,9 @@ func (d parkingDriver) Terminate(id string) error {
 func TestStatusNotBlockedByRemoteCalls(t *testing.T) {
 	statusReturns := func(t *testing.T, stack *Stack, parked <-chan struct{}, release func()) {
 		t.Helper()
+		// Released before the servers close, however the test ends.
+		release = sync.OnceFunc(release)
+		t.Cleanup(release)
 		stepped := make(chan error, 1)
 		go func() { stepped <- stack.Scheduler.Step() }()
 		select {
@@ -369,8 +399,8 @@ func TestStatusNotBlockedByRemoteCalls(t *testing.T) {
 }
 
 // TestStepWhileTickParkedReturns: one tick runs at a time. While a tick is
-// parked in its bill, a POST /scheduler/step and a StepBatch of the same
-// batch each return nil at once, doing nothing; once the park is released
+// parked in its bill, a POST /scheduler/step and a one-batch step of the
+// same batch each return nil at once, doing nothing; once the park is released
 // the batch has been launched once and its window billed once.
 func TestStepWhileTickParkedReturns(t *testing.T) {
 	const workers = 2
@@ -378,13 +408,7 @@ func TestStepWhileTickParkedReturns(t *testing.T) {
 	fc.park = make(chan struct{})
 	// Released before the servers close, however the test ends: a second
 	// tick parked behind the first would otherwise hold them open.
-	release := sync.OnceFunc(func() {
-		close(fc.park)
-		go func() {
-			for range fc.parked {
-			}
-		}()
-	})
+	release := sync.OnceFunc(func() { close(fc.park) })
 	t.Cleanup(release)
 	advance(time.Minute)
 	stepped := make(chan error, 1)
@@ -405,7 +429,7 @@ func TestStepWhileTickParkedReturns(t *testing.T) {
 		}
 		others <- err
 	}()
-	go func() { others <- stack.Scheduler.StepBatch("b") }()
+	go func() { others <- stepBatch(stack.Scheduler, "b") }()
 	for range 2 {
 		select {
 		case err := <-others:
@@ -475,7 +499,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	if st, err := stack.Scheduler.Status("b"); err != nil || !st.Finalized {
 		t.Fatalf("b not finalized: %+v, %v", st, err)
 	}
-	if err := stack.Scheduler.StepBatch("a"); err != nil { // a one-batch tick leaves the order alone
+	if err := stepBatch(stack.Scheduler, "a"); err != nil { // a one-batch tick leaves the order alone
 		t.Fatal(err)
 	}
 	if got := order(); got != "a b c" {
@@ -491,7 +515,7 @@ func TestLiveOrderDropsFinalizedBatches(t *testing.T) {
 	if st, err := stack.Scheduler.Status("b"); err != nil || !st.Finalized {
 		t.Fatalf("Status(b) once out of the order: %+v, %v", st, err)
 	}
-	if err := stack.Scheduler.StepBatch("b"); err != nil {
+	if err := stepBatch(stack.Scheduler, "b"); err != nil {
 		t.Fatal(err)
 	}
 	if got := strings.Join(dg.lastBatch, " "); got != "a c" {

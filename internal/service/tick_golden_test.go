@@ -73,9 +73,11 @@ type tickRecord struct {
 //
 // The episode covers: three tiers under a fleet cap of two (a denied batch is
 // admitted the tick after a holder's fleet stops), an order that runs dry
-// mid-run, Greedy idle release, an event-driven StepBatch finalization
-// between ticks, and a batch Information never tracked, whose error every
-// tick must not disturb its neighbours.
+// mid-run, Greedy idle release, an event-driven one-batch finalization
+// between ticks (the step core.Driver takes at a completion; its golden label
+// keeps the name of the method that used to take it), and a batch
+// Information never tracked, whose error every tick must not disturb its
+// neighbours.
 func TestTickGolden(t *testing.T) {
 	driver := cloud.NewMockDriver("mock", time.Second, 0.10)
 	dg := &tickGoldenDG{multiDG: newMultiDG(), driver: driver, idle: map[string]bool{}}
@@ -183,7 +185,7 @@ func TestTickGolden(t *testing.T) {
 	// ent-a completes between two ticks and is finalized alone.
 	now = now.Add(30 * time.Second)
 	progress(map[string]int{"ent-a": 100, "ghost": 96, "prem-dry": 96, "free-idle": 95, "free-late": 95})
-	record("t5.5 StepBatch finalizes ent-a", stack.Scheduler.StepBatch("ent-a"))
+	record("t5.5 StepBatch finalizes ent-a", stepBatch(stack.Scheduler, "ent-a"))
 
 	tick("t6 idle workers released, free-late admitted", 30*time.Second, map[string]int{"ent-a": 100, "ghost": 97, "prem-dry": 97, "free-idle": 97, "free-late": 96})
 	tick("t7 free-idle and prem-dry finalize", time.Minute, map[string]int{"ent-a": 100, "ghost": 98, "prem-dry": 100, "free-idle": 100, "free-late": 98})
