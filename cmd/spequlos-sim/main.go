@@ -18,9 +18,9 @@
 // The -emulate flag additionally runs every strategy cell through the
 // deployable HTTP service stack (internal/service) on the virtual clock —
 // the emulation mode of internal/emul — and prints a conformance report
-// proving the stack's Result equals the simulator's, field by field (the
-// credits billed within the HTTP clock's nanosecond round-off), with the
-// first differing field under each cell that does not. Emulated cells are jobs of the same campaign
+// proving the stack's Result equals the simulator's, every field by == with
+// no tolerance, with the first differing field under each cell that does
+// not. Emulated cells are jobs of the same campaign
 // engine, so -store resumes them too. The command exits non-zero if any cell
 // diverges, and refuses the sharded-kernel profiles (stress, crowd2k), whose
 // cells are a model the stack does not serve.

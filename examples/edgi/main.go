@@ -8,17 +8,23 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"spequlos/internal/experiments"
 )
 
 func main() {
-	fmt.Println("simulating the EDGI Paris-XI deployment (2 DGs + EGI bridge + 2 clouds)…")
-	t5 := experiments.BuildTable5(2012)
+	fmt.Println("simulating the EDGI Paris-XI deployment: one campaign cell per DG, each with its cloud…")
+	t5, err := experiments.BuildTable5(2012)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "edgi:", err)
+		os.Exit(1)
+	}
 	fmt.Println()
 	fmt.Print(t5.Render())
 	fmt.Println()
 	fmt.Println("Columns mirror Table 5 of the paper: tasks executed on each")
-	fmt.Println("Desktop Grid, tasks that arrived from EGI through the 3G-Bridge,")
-	fmt.Println("and tasks SpeQuloS executed on each supporting cloud.")
+	fmt.Println("Desktop Grid, tasks that arrived from EGI through the 3G-Bridge")
+	fmt.Println("(every other XW@LAL BoT, forwarded unchanged), and tasks SpeQuloS")
+	fmt.Println("executed on each supporting cloud.")
 }

@@ -19,7 +19,7 @@ func newRecorder() *recorder {
 	return &recorder{completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
 }
 func (r *recorder) TaskAssigned(string, int, float64) {}
-func (r *recorder) TaskCompleted(b string, id int, at float64) {
+func (r *recorder) TaskCompleted(b string, id int, _ *middleware.Worker, at float64) {
 	r.completed[id]++
 	r.compTimes[id] = at
 }
@@ -229,7 +229,7 @@ func TestMarkCompletedSatisfiesQuorum(t *testing.T) {
 	s.Submit(middleware.Batch{ID: "b", Tasks: tasks(1000, 1000)})
 	s.WorkerJoin(&middleware.Worker{ID: 1, Power: 1})
 	s.WorkerJoin(&middleware.Worker{ID: 2, Power: 1})
-	eng.At(100, func() { s.MarkCompleted("b", 0) })
+	eng.At(100, func() { s.MarkCompleted("b", 0, nil) })
 	eng.Run()
 	if rec.compTimes[0] != 100 {
 		t.Fatalf("external completion at %v, want 100", rec.compTimes[0])

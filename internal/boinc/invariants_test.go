@@ -182,7 +182,7 @@ func driveRandom(t *testing.T, seed int64, eng *sim.Engine, srv checkedServer, e
 			if k == 1 {
 				tid = 30 + rng.Intn(5) // not in the batch
 			}
-			eng.At(horizon*rng.Float64(), func() { srv.MarkCompleted(id, tid) })
+			eng.At(horizon*rng.Float64(), func() { srv.MarkCompleted(id, tid, nil) })
 		}
 	}
 

@@ -56,9 +56,9 @@ func describe(wu *workunit) string {
 	return fmt.Sprintf("%s/%d", wu.Batch.Spec.ID, wu.Spec.ID)
 }
 
-func (c *viewChecker) TaskAssigned(string, int, float64)  { c.check() }
-func (c *viewChecker) TaskCompleted(string, int, float64) { c.check() }
-func (c *viewChecker) BatchCompleted(string, float64)     { c.check() }
+func (c *viewChecker) TaskAssigned(string, int, float64)                      { c.check() }
+func (c *viewChecker) TaskCompleted(string, int, *middleware.Worker, float64) { c.check() }
+func (c *viewChecker) BatchCompleted(string, float64)                         { c.check() }
 
 // A seeded multi-tenant run with everything that reorders the pending queue:
 // 60 batches backed up behind a handful of free workers, five cloud workers

@@ -40,7 +40,7 @@ type reusableServer interface {
 var arenas = sync.Pool{New: func() any { return newArena() }}
 
 func newArena() *cellArena {
-	return &cellArena{eng: sim.NewEngine(), done: completions{at: map[string]float64{}}}
+	return &cellArena{eng: sim.NewEngine(), done: completions{at: map[string]float64{}, cloud: map[string]int{}}}
 }
 
 // server returns a server for the middleware, open on the arena's engine.

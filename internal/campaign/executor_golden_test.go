@@ -124,7 +124,10 @@ func strategyJobs(t *testing.T, sc Scenario, keepSeries bool, labels ...string) 
 // Cloud Duplication keys (9A-G-D, 9C-C-D) were re-recorded when the cloud
 // server moved onto its primary's shard engine: a result merged from the
 // cloud is now stamped at the cloud's completion instant, no longer at the
-// next barrier.
+// next barrier. The 31 multi-batch strategy keys whose batches had tasks
+// completed by cloud workers were re-recorded when BatchResult gained
+// CloudTasks; with the field kept out of the JSON, all 107 digests matched
+// the file as it was.
 //
 // Regenerate only deliberately, when the MODEL is meant to move:
 // go test ./internal/campaign -run ExecutorGolden -update-executor-golden

@@ -69,8 +69,10 @@ func batchShard(id string, shards int) int {
 
 // completions is the executor's one listener type, attached once per DG
 // server: the completion instant of every watched batch (negative while it
-// runs), how many are still running, and — for a single-BoT cell only — the
-// exact per-task completion times behind the tail metrics. On a sharded
+// runs), how many are still running, how many of each batch's tasks a cloud
+// worker completed (BatchResult.CloudTasks; a result Cloud Duplication
+// merges in from its cloud server counts), and — for a single-BoT cell only
+// — the exact per-task completion times behind the tail metrics. On a sharded
 // baseline it also holds the trace binding of its server, to unbind the
 // partition the moment nothing watched is left running on it.
 //
@@ -82,6 +84,7 @@ func batchShard(id string, shards int) int {
 // it is written only by that shard and read only between barriers.
 type completions struct {
 	at      map[string]float64
+	cloud   map[string]int
 	running int
 	tasks   []float64
 	single  bool
@@ -101,12 +104,16 @@ func (c *completions) watch(id string, size int) {
 // reset empties the listener for the next cell, keeping its capacity.
 func (c *completions) reset() {
 	clear(c.at)
-	*c = completions{at: c.at, tasks: c.tasks[:0]}
+	clear(c.cloud)
+	*c = completions{at: c.at, cloud: c.cloud, tasks: c.tasks[:0]}
 }
 
 func (c *completions) TaskAssigned(string, int, float64) {}
-func (c *completions) TaskCompleted(id string, _ int, at float64) {
+func (c *completions) TaskCompleted(id string, _ int, by *middleware.Worker, at float64) {
 	if !c.single {
+		if by != nil && by.Cloud {
+			c.cloud[id]++
+		}
 		return
 	}
 	if _, watched := c.at[id]; watched {
@@ -297,7 +304,7 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 			// nb, a pure function of the node IDs — invariant under the
 			// shard count.
 			churn := middleware.BindTracePartition(eng, tr, srv, k, nb)
-			hosts[k] = listen(eng, srv, &completions{at: map[string]float64{}})
+			hosts[k] = listen(eng, srv, &completions{at: map[string]float64{}, cloud: map[string]int{}})
 			// A baseline's partition is unbound when its batch completes:
 			// nothing reads its churn after that, and the listener fires on
 			// this shard's goroutine, where the binding lives. A cell with a
@@ -421,6 +428,7 @@ func runCell(a *cellArena, j Job, horizon float64) Entry {
 	res.Completed = true
 	for k := range batches {
 		br := &batches[k]
+		br.CloudTasks = hosts[k].done.cloud[br.BatchID]
 		if at := hosts[k].done.at[br.BatchID]; at >= 0 {
 			br.Completed = true
 			br.CompletionTime = at - br.SubmittedAt

@@ -471,6 +471,10 @@ type BatchResult struct {
 	CreditsBilled    float64
 	Instances        int
 	TriggeredAt      float64 // seconds from submission; -1 if never
+	// CloudTasks counts the batch's tasks whose accepted result a cloud
+	// worker computed, on the batch's DG server or, under Cloud Duplication,
+	// on its cloud server (0 for a baseline; omitted from JSON when zero).
+	CloudTasks int `json:",omitempty"`
 	// Tier is the batch's QoS service class in a tiered cell ("" when the
 	// cell ran untiered; omitted from JSON so untiered stores keep their
 	// byte shape).

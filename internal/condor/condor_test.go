@@ -19,7 +19,7 @@ func newRecorder() *recorder {
 	return &recorder{completed: map[int]int{}, compTimes: map[int]float64{}, batchDone: -1}
 }
 func (r *recorder) TaskAssigned(string, int, float64) {}
-func (r *recorder) TaskCompleted(b string, id int, at float64) {
+func (r *recorder) TaskCompleted(b string, id int, _ *middleware.Worker, at float64) {
 	r.completed[id]++
 	r.compTimes[id] = at
 }

@@ -188,8 +188,10 @@ type driverListener struct {
 	deferred bool
 }
 
-func (l driverListener) TaskAssigned(batchID string, _ int, _ float64)  { l.d.markDirty(batchID) }
-func (l driverListener) TaskCompleted(batchID string, _ int, _ float64) { l.d.markDirty(batchID) }
+func (l driverListener) TaskAssigned(batchID string, _ int, _ float64) { l.d.markDirty(batchID) }
+func (l driverListener) TaskCompleted(batchID string, _ int, _ *middleware.Worker, _ float64) {
+	l.d.markDirty(batchID)
+}
 func (l driverListener) BatchCompleted(batchID string, at float64) {
 	if l.deferred {
 		l.d.markDirty(batchID)
@@ -322,17 +324,17 @@ func (d *CloudDeployment) secondary(primary middleware.Server, batchID string) m
 }
 
 // mirror passes one batch's task completions on a server on to another, on
-// the same engine: one direction of the merge between a primary and its
-// cloud server.
+// the same engine, with the worker that computed each: one direction of the
+// merge between a primary and its cloud server.
 type mirror struct {
 	batchID string
 	to      middleware.Server
 }
 
 func (m mirror) TaskAssigned(string, int, float64) {}
-func (m mirror) TaskCompleted(batchID string, taskID int, _ float64) {
+func (m mirror) TaskCompleted(batchID string, taskID int, by *middleware.Worker, _ float64) {
 	if batchID == m.batchID {
-		m.to.MarkCompleted(batchID, taskID)
+		m.to.MarkCompleted(batchID, taskID, by)
 	}
 }
 func (m mirror) BatchCompleted(string, float64) {}

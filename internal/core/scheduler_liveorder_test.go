@@ -28,7 +28,7 @@ func (s *scriptedServer) complete(id string, at float64, withBatchEvent bool) {
 	p := s.script[id]
 	p.Completed, p.Running = p.Size, 0
 	s.script[id] = p
-	s.listeners.TaskCompleted(id, p.Size-1, at)
+	s.listeners.TaskCompleted(id, p.Size-1, nil, at)
 	if withBatchEvent {
 		s.listeners.BatchCompleted(id, at)
 	}

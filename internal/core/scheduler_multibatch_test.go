@@ -33,8 +33,8 @@ type completionTimes struct {
 	done  *int
 }
 
-func (c completionTimes) TaskAssigned(string, int, float64)  {}
-func (c completionTimes) TaskCompleted(string, int, float64) {}
+func (c completionTimes) TaskAssigned(string, int, float64)                      {}
+func (c completionTimes) TaskCompleted(string, int, *middleware.Worker, float64) {}
 func (c completionTimes) BatchCompleted(id string, at float64) {
 	if _, ok := c.times[id]; !ok {
 		c.times[id] = at

@@ -12,7 +12,7 @@ import (
 )
 
 // completionLog records when a server reports each task of a batch
-// completed, and which of them one of its own workers computed.
+// completed, and which of them a cloud worker computed.
 type completionLog struct {
 	batchID  string
 	at       map[int]float64
@@ -24,17 +24,15 @@ func newCompletionLog(batchID string) *completionLog {
 }
 
 func (l *completionLog) TaskAssigned(string, int, float64) {}
-func (l *completionLog) TaskCompleted(batchID string, taskID int, at float64) {
+func (l *completionLog) TaskCompleted(batchID string, taskID int, by *middleware.Worker, at float64) {
 	if batchID == l.batchID {
 		l.at[taskID] = at
+		if by != nil && by.Cloud {
+			l.computed[taskID] = true
+		}
 	}
 }
 func (l *completionLog) BatchCompleted(string, float64) {}
-func (l *completionLog) TaskExecutedBy(batchID string, taskID int, w *middleware.Worker, _ float64) {
-	if batchID == l.batchID && w != nil {
-		l.computed[taskID] = true
-	}
-}
 
 // TestShardedCloudDupMergesAtCompletionInstant runs the slow tail of
 // slowTailScenario on a sharded kernel: the primary on a shard engine, the
@@ -108,8 +106,8 @@ type finalizeProbe struct {
 	finalized bool
 }
 
-func (p *finalizeProbe) TaskAssigned(string, int, float64)  {}
-func (p *finalizeProbe) TaskCompleted(string, int, float64) {}
+func (p *finalizeProbe) TaskAssigned(string, int, float64)                      {}
+func (p *finalizeProbe) TaskCompleted(string, int, *middleware.Worker, float64) {}
 func (p *finalizeProbe) BatchCompleted(batchID string, at float64) {
 	if batchID == p.batchID {
 		p.at, p.finalized = at, p.svc.mon.Batches[batchID].Finalized

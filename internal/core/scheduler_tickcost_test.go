@@ -20,18 +20,18 @@ type idleServer struct {
 	progress  middleware.Progress
 }
 
-func (s *idleServer) MiddlewareName() string              { return "STUB" }
-func (s *idleServer) Engine() *sim.Engine                 { return s.eng }
-func (s *idleServer) Submit(middleware.Batch)             {}
-func (s *idleServer) WorkerJoin(*middleware.Worker)       {}
-func (s *idleServer) WorkerLeave(*middleware.Worker)      {}
-func (s *idleServer) Progress(string) middleware.Progress { return s.progress }
-func (s *idleServer) Done(string) bool                    { return false }
-func (s *idleServer) Incomplete(string) []bot.Task        { return nil }
-func (s *idleServer) MarkCompleted(string, int)           {}
-func (s *idleServer) WorkerBusy(*middleware.Worker) bool  { return false }
-func (s *idleServer) SetReschedule(bool)                  {}
-func (s *idleServer) AddListener(l middleware.Listener)   { s.listeners = append(s.listeners, l) }
+func (s *idleServer) MiddlewareName() string                        { return "STUB" }
+func (s *idleServer) Engine() *sim.Engine                           { return s.eng }
+func (s *idleServer) Submit(middleware.Batch)                       {}
+func (s *idleServer) WorkerJoin(*middleware.Worker)                 {}
+func (s *idleServer) WorkerLeave(*middleware.Worker)                {}
+func (s *idleServer) Progress(string) middleware.Progress           { return s.progress }
+func (s *idleServer) Done(string) bool                              { return false }
+func (s *idleServer) Incomplete(string) []bot.Task                  { return nil }
+func (s *idleServer) MarkCompleted(string, int, *middleware.Worker) {}
+func (s *idleServer) WorkerBusy(*middleware.Worker) bool            { return false }
+func (s *idleServer) SetReschedule(bool)                            {}
+func (s *idleServer) AddListener(l middleware.Listener)             { s.listeners = append(s.listeners, l) }
 
 // tickWallTime measures the wall-clock cost of `ticks` monitor ticks over
 // `batches` registered QoS batches of which exactly `activePerTick` see task

@@ -28,7 +28,6 @@ var auditedDirs = []string{
 	"internal/boinc",       // BOINC simulator
 	"internal/xwhep",       // XWHEP simulator
 	"internal/condor",      // Condor simulator
-	"internal/bridge",      // 3G-Bridge
 	"internal/metrics",     // tail metrics
 	"internal/stats",       // distributions
 	"internal/spot",        // spot-market traces

@@ -9,6 +9,7 @@ import (
 
 	"spequlos/internal/campaign"
 	"spequlos/internal/core"
+	"spequlos/internal/experiments"
 )
 
 // TestQuickConformance is the acceptance gate of the emulation mode: every
@@ -34,6 +35,34 @@ func TestQuickConformance(t *testing.T) {
 	}
 	if !rep.Pass() {
 		t.Logf("\n%s", rep.Text())
+	}
+}
+
+// TestTable5Conformance runs the two cells of Table 5's EDGI slice, XW@LAL
+// and XW@LRI, through the deployable HTTP stack: one conformance spec per
+// site profile, each one DG server with its cloud. Every field of the cell
+// and of each of its batches, CloudTasks (the StratusLab and EC2 columns)
+// included, must be equal.
+func TestTable5Conformance(t *testing.T) {
+	cloudTasks := 0
+	for _, j := range experiments.Table5Jobs(20260611) {
+		sc := j.Scenario
+		rep, err := RunConformance(context.Background(), Spec{
+			Profile: sc.Profile, Middlewares: []string{sc.Middleware}, Traces: []string{sc.TraceName},
+			Bots: []string{sc.BotClass}, Strategies: []core.Strategy{*sc.Strategy},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.Cells) != 1 || !rep.Pass() {
+			t.Fatalf("%s diverged:\n%s", sc.BotID(), rep.Text())
+		}
+		for _, b := range rep.Cells[0].Emul.Batches {
+			cloudTasks += b.CloudTasks
+		}
+	}
+	if cloudTasks == 0 {
+		t.Fatal("no Table 5 task ran in the cloud: the cloud columns were not compared")
 	}
 }
 
@@ -198,6 +227,7 @@ func TestReportIsTheDiff(t *testing.T) {
 		{"credits allocated", func(r *campaign.Result) { r.Batches[1].CreditsAllocated = 5 },
 			"batch b001 CreditsAllocated: sim 0, emul 5"},
 		{"tier", func(r *campaign.Result) { r.Batches[1].Tier = "free" }, "batch b001 Tier: sim , emul free"},
+		{"cloud tasks", func(r *campaign.Result) { r.Batches[0].CloudTasks = 1 }, "batch b000 CloudTasks: sim 0, emul 1"},
 		{"one ulp of credits billed", func(r *campaign.Result) { r.Batches[0].CreditsBilled = math.Nextafter(2, 3) },
 			"batch b000 CreditsBilled: sim 2, emul 2.0000000000000004"},
 	} {

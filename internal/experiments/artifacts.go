@@ -28,7 +28,8 @@ type ArtifactOptions struct {
 	Comparison bool
 	// Table2Seed seeds the trace-statistics validation (over table2Days).
 	Table2Seed uint64
-	// Table5Seed seeds the EDGI deployment simulation.
+	// Table5Seed seeds the EDGI deployment's two cells (Table5Jobs): it is
+	// part of their profile name, so of their keys.
 	Table5Seed uint64
 	// StreamMatrix skips materializing Artifacts.Matrix: the store is
 	// validated per cell (ValidateSpec) and every figure/table streams
@@ -219,7 +220,8 @@ var artifacts = []artifact{
 	},
 	{
 		name:   "table5",
-		derive: func(a *Artifacts, s source) error { a.Table5 = BuildTable5(s.Table5Seed); return nil },
+		jobs:   func(_ Profile, o ArtifactOptions) []campaign.Job { return Table5Jobs(o.Table5Seed) },
+		derive: func(a *Artifacts, s source) (err error) { a.Table5, err = Table5From(s.store, s.Table5Seed); return },
 		text:   func(a Artifacts) string { return a.Table5.Render() },
 	},
 	ablation("ablation-credits", "Ablation — credit provisioning fraction", creditSettings,
@@ -272,9 +274,9 @@ func PlanArtifacts(p Profile, opts ArtifactOptions) *campaign.Plan {
 }
 
 // DeriveArtifacts builds every figure and table from an already-executed
-// store. It runs no scenario simulations: Tables 2 and 5 (the trace
-// generator validation and the EDGI deployment) are independent
-// simulations and execute here.
+// store, Table 5's EDGI cells included. The one thing it simulates is Table
+// 2's trace-generator validation, which measures traces rather than running
+// a cell; every other artifact is a pure function of the store.
 func DeriveArtifacts(store *campaign.ResultStore, p Profile, opts ArtifactOptions) (Artifacts, error) {
 	opts = opts.withDefaults()
 	a := Artifacts{Profile: p}

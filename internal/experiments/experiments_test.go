@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -276,7 +277,13 @@ func TestEnvKeyAndSeed(t *testing.T) {
 }
 
 func TestTable5EDGI(t *testing.T) {
-	t5 := BuildTable5(42)
+	t5, err := BuildTable5(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t5.BoTs != 12 {
+		t.Fatalf("BoTs = %d, want 12", t5.BoTs)
+	}
 	if t5.LALTasks == 0 || t5.LRITasks == 0 {
 		t.Fatalf("no tasks executed: %+v", t5)
 	}
@@ -290,8 +297,31 @@ func TestTable5EDGI(t *testing.T) {
 	if t5.StratusLabTasks > t5.LALTasks || t5.EC2Tasks > t5.LRITasks {
 		t.Fatalf("cloud executed more than its DG total: %+v", t5)
 	}
+	if t5.EGITasks >= t5.LALTasks {
+		t.Fatalf("EGI is half of XW@LAL's BoTs, not all of them: %+v", t5)
+	}
 	if !strings.Contains(t5.Render(), "Table 5") {
 		t.Fatal("render broken")
+	}
+
+	// Table 5 reads the store like every other artifact: without its two
+	// cells, derivation fails and names what is missing.
+	_, err = Table5From(campaign.NewResultStore(), 42)
+	if err == nil || !strings.Contains(err.Error(), "missing Table 5 cell") {
+		t.Fatalf("Table5From on an empty store: %v", err)
+	}
+	p, opts := tiny(), ArtifactOptions{Spec: tinyArtifactOpts().Spec, Table5Seed: 42}
+	table5 := map[string]bool{}
+	for _, j := range Table5Jobs(42) {
+		table5[j.Key()] = true
+	}
+	plan := PlanArtifacts(p, opts).Jobs()
+	jobs := slices.DeleteFunc(slices.Clone(plan), func(j campaign.Job) bool { return table5[j.Key()] })
+	if len(jobs) != len(plan)-2 {
+		t.Fatalf("the plan holds %d of Table 5's 2 cells", len(plan)-len(jobs))
+	}
+	if _, err := DeriveArtifacts(runStore(t, p, jobs...), p, opts); err == nil || !strings.Contains(err.Error(), "table5: experiments: store missing Table 5 cell") {
+		t.Fatalf("deriving without the Table 5 cells: %v", err)
 	}
 }
 

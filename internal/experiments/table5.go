@@ -3,14 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"spequlos/internal/bot"
-	"spequlos/internal/bridge"
-	"spequlos/internal/cloud"
+	"spequlos/internal/campaign"
 	"spequlos/internal/core"
-	"spequlos/internal/middleware"
-	"spequlos/internal/sim"
-	"spequlos/internal/trace"
-	"spequlos/internal/xwhep"
 )
 
 // Table5 reproduces the University Paris-XI slice of the EDGI
@@ -31,144 +25,75 @@ type Table5 struct {
 	SimDays         float64
 }
 
-// cloudCounter counts completions attributed to cloud workers.
-type cloudCounter struct{ n int }
+// table5Days is the EDGI simulation's window.
+const table5Days = 4
 
-func (c *cloudCounter) TaskAssigned(string, int, float64)  {}
-func (c *cloudCounter) TaskCompleted(string, int, float64) {}
-func (c *cloudCounter) BatchCompleted(string, float64)     {}
-func (c *cloudCounter) TaskExecutedBy(_ string, _ int, w *middleware.Worker, _ float64) {
-	if w != nil && w.Cloud {
-		c.n++
-	}
-}
-
-// completionCounter counts all completions on a server.
-type completionCounter struct{ n int }
-
-func (c *completionCounter) TaskAssigned(string, int, float64) {}
-func (c *completionCounter) TaskCompleted(string, int, float64) {
-	c.n++
-}
-func (c *completionCounter) BatchCompleted(string, float64) {}
-
-// The EDGI simulation's window and the number of BoTs submitted over it.
-const (
-	table5Days = 4
-	table5BoTs = 12
-)
-
-// BuildTable5 simulates the EDGI deployment over table5Days, submitting a
-// stream of table5BoTs BoTs to both DGs and through the EGI bridge.
-func BuildTable5(seed uint64) Table5 {
-	horizon := table5Days * 86400.0
-	eng := sim.NewEngine()
-
-	// XW@LAL: the laboratory's local desktop grid. Notre-Dame-like
-	// institutional desktop pool stands in for the LAL machines.
-	lal := xwhep.New(eng, xwhep.DefaultConfig())
-	lalTrace := trace.NotreDame.Generate(sim.SeedFrom("edgi", "lal", fmt.Sprint(seed)), horizon, 180)
-	middleware.BindTrace(eng, lalTrace, lal)
-
-	// XW@LRI: Grid'5000 best-effort nodes, bounded to 200 (§5).
-	lri := xwhep.New(eng, xwhep.DefaultConfig())
-	lriTrace := trace.G5KLyon.Generate(sim.SeedFrom("edgi", "lri", fmt.Sprint(seed)), horizon, 200)
-	middleware.BindTrace(eng, lriTrace, lri)
-
-	// The 3G-Bridge forwards EGI tasks onto XW@LAL.
-	egi := bridge.New(lal)
-
-	// SpeQuloS per DG, each with its supporting cloud.
-	stratus := cloud.NewSimCloud(eng, sim.NewRNG(seed).Fork("stratuslab"))
-	ec2 := cloud.NewSimCloud(eng, sim.NewRNG(seed).Fork("ec2"))
-	cfg := core.Config{Strategy: core.DefaultStrategy(), MonitorPeriod: 60}
-	svcLAL := core.NewService(eng, stratus, cfg)
-	svcLRI := core.NewService(eng, ec2, cfg)
-
-	lalDone, lriDone := &completionCounter{}, &completionCounter{}
-	lalCloud, lriCloud := &cloudCounter{}, &cloudCounter{}
-	lal.AddListener(lalDone)
-	lal.AddListener(lalCloud)
-	lri.AddListener(lriDone)
-	lri.AddListener(lriCloud)
-
-	// Submission stream: alternate LAL-native, LRI-native and EGI-bridged
-	// BoTs, spread over the simulated window. DART/BNB-Grid/ISDEP-style
-	// workloads are approximated by the RANDOM class.
-	rng := sim.NewRNG(seed).Fork("edgi:submissions")
-	classes := []string{"RANDOM", "BIG", "RANDOM"}
-	var batchIDs []string
-	for i := 0; i < table5BoTs; i++ {
-		cls := mustClass(classes[i%len(classes)]).Scaled(0.05)
-		id := fmt.Sprintf("edgi-bot-%02d", i)
-		batchIDs = append(batchIDs, id)
-		workload := cls.Generate(id, sim.SeedFrom("edgi", id))
-		at := rng.Float64() * horizon * 0.4
-		var svc *core.Service
-		var target middleware.Server
-		viaEGI := false
-		switch i % 3 {
-		case 0:
-			svc, target = svcLAL, lal
-		case 1:
-			svc, target = svcLRI, lri
-		case 2:
-			svc, target, viaEGI = svcLAL, lal, true
+// Table5Jobs plans the EDGI slice of one seed as two campaign cells, one per
+// Desktop Grid. The two DGs share nothing but the clock — each has its own
+// pool, cloud and SpeQuloS service — so each is an ordinary serial
+// multi-batch cell: XWHEP under the default strategy, BoTs at 5 % of the
+// paper's sizes with 10 % of their workload in credits, submissions spread
+// evenly over the first 40 % of the window.
+//   - XW@LAL: a Notre-Dame-like institutional desktop pool of 180 nodes
+//     stands in for the laboratory's machines; 8 RANDOM BoTs stand in for
+//     the DART, BNB-Grid and ISDEP workloads.
+//   - XW@LRI: Grid'5000 Lyon, bounded to 200 nodes (§5); 4 BIG BoTs.
+//
+// The profile name carries the seed, so each seed has its own pair of keys.
+func Table5Jobs(seed uint64) []campaign.Job {
+	st := core.DefaultStrategy()
+	site := func(traceName, class string, pool, bots int) campaign.Job {
+		p := campaign.Profile{
+			Name: fmt.Sprintf("edgi-%d", seed), BotScale: 0.05, Offsets: 1, PoolCap: pool,
+			HorizonDays: table5Days, CreditFraction: 0.10,
+			Batches: bots, SubmitSpread: 0.4 * table5Days * 86400,
 		}
-		svc2, target2 := svc, target
-		eng.At(at, func() {
-			env := "XWHEP/edgi/" + cls.Name
-			credits := 0.10 * workload.WorkloadCPUHours() * core.CreditsPerCPUHour
-			svc2.Credits.Deposit("edgi-user", credits)
-			if err := svc2.RegisterQoS("edgi-user", id, env, workload.Size(), "", credits, target2); err != nil {
-				panic(err)
-			}
-			if viaEGI {
-				if err := egi.SubmitGridBatch("egi", middleware.BatchFromBoT(workload)); err != nil {
-					panic(err)
+		return campaign.Job{Scenario: campaign.Scenario{
+			Profile: p, Middleware: campaign.XWHEP, TraceName: traceName, BotClass: class, Strategy: &st,
+		}}
+	}
+	return []campaign.Job{site("nd", "RANDOM", 180, 8), site("g5klyo", "BIG", 200, 4)}
+}
+
+// Table5From reads Table 5 off the two EDGI cells of a seed: each DG's
+// column sums the sizes of its completed BoTs, each cloud's the tasks of
+// those BoTs a cloud worker completed. Every other XW@LAL BoT (the odd
+// ones) arrives from EGI: the 3G-Bridge forwards a batch to XW@LAL
+// unchanged, QoS identifier included, so an EGI BoT is an XW@LAL BoT that
+// the EGI column also counts.
+func Table5From(store *campaign.ResultStore, seed uint64) (Table5, error) {
+	t5 := Table5{SimDays: table5Days}
+	for site, j := range Table5Jobs(seed) {
+		e, ok := store.Get(j.Key())
+		if !ok {
+			return t5, fmt.Errorf("experiments: store missing Table 5 cell %s", j.Key())
+		}
+		for k, b := range e.Result.Batches {
+			t5.BoTs++
+			switch {
+			case !b.Completed:
+			case site == 0: // XW@LAL
+				t5.LALTasks += b.Size
+				t5.StratusLabTasks += b.CloudTasks
+				if k%2 == 1 {
+					t5.EGITasks += b.Size
 				}
-			} else {
-				target2.Submit(middleware.BatchFromBoT(workload))
-			}
-		})
-	}
-
-	allDone := func() bool {
-		for i, id := range batchIDs {
-			var srv middleware.Server
-			if i%3 == 1 {
-				srv = lri
-			} else {
-				srv = lal
-			}
-			if !srv.Done(id) {
-				return false
+			default: // XW@LRI
+				t5.LRITasks += b.Size
+				t5.EC2Tasks += b.CloudTasks
 			}
 		}
-		return true
 	}
-	eng.RunWhile(func() bool { return !allDone() && eng.Now() <= horizon })
-
-	t5 := Table5{
-		LALTasks:        lalDone.n,
-		LRITasks:        lriDone.n,
-		StratusLabTasks: lalCloud.n,
-		EC2Tasks:        lriCloud.n,
-		BoTs:            table5BoTs,
-		SimDays:         table5Days,
-	}
-	for _, st := range egi.StatsBySource() {
-		t5.EGITasks += st.Completed
-	}
-	return t5
+	return t5, nil
 }
 
-func mustClass(name string) bot.Class {
-	c, ok := bot.ClassByName(name)
-	if !ok {
-		panic("experiments: unknown class " + name)
+// BuildTable5 runs the two EDGI cells of a seed and reads Table 5 off them.
+func BuildTable5(seed uint64) (Table5, error) {
+	store := campaign.NewResultStore()
+	for _, j := range Table5Jobs(seed) {
+		store.Put(campaign.Execute(j))
 	}
-	return c
+	return Table5From(store, seed)
 }
 
 // Render prints the Table 5 layout.

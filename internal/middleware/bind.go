@@ -34,14 +34,9 @@ type boundNode struct {
 	node *trace.Node
 }
 
-// BindTrace attaches every node of the trace to the server, starting at the
-// current virtual time (trace time zero is "now").
-func BindTrace(eng *sim.Engine, tr *trace.Trace, srv Server) *Binding {
-	return BindTracePartition(eng, tr, srv, 0, 1)
-}
-
-// Bind attaches every node of the trace to the server, as BindTrace does,
-// reusing the binding's slabs. The binding must be new or Reset.
+// Bind attaches every node of the trace to the server, starting at the
+// current virtual time (trace time zero is "now"), reusing the binding's
+// slabs. The binding must be new or Reset.
 func (b *Binding) Bind(eng *sim.Engine, tr *trace.Trace, srv Server) { b.bind(eng, tr, srv, 0, 1) }
 
 // Reset empties the binding for a later Bind: it keeps its slabs (recycle)
@@ -54,7 +49,7 @@ func (b *Binding) Reset() {
 
 // BindTracePartition attaches the part-th of parts stable-hash partitions
 // of the trace's nodes to the server. Node→partition assignment is a pure
-// function of the node ID (FNV-32a), so the union of all parts is exactly BindTrace's node set and
+// function of the node ID (FNV-32a), so the union of all parts is exactly Bind's node set and
 // a node lands on the same partition at any partition count that divides
 // the same way. The sharded campaign kernel uses this to give every QoS
 // batch a dedicated, disjoint slice of one common trace.

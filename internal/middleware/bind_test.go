@@ -29,10 +29,11 @@ func TestNodePartitionIsFNV32a(t *testing.T) {
 
 // TestBindTracePartitionDrawsOnlyItsNodes binds each partition of an
 // on-demand trace: a partition draws its own nodes only, the partitions'
-// workers are disjoint and together are BindTrace's.
+// workers are disjoint and together are Bind's.
 func TestBindTracePartitionDrawsOnlyItsNodes(t *testing.T) {
 	const parts = 8
-	whole := BindTrace(sim.NewEngine(), trace.SETI.Open(5, 86400, 200), &fakeServer{})
+	whole := new(Binding)
+	whole.Bind(sim.NewEngine(), trace.SETI.Open(5, 86400, 200), &fakeServer{})
 	seen := map[int]bool{}
 	for part := 0; part < parts; part++ {
 		tr := trace.SETI.Open(5, 86400, 200)
@@ -50,6 +51,6 @@ func TestBindTracePartitionDrawsOnlyItsNodes(t *testing.T) {
 		}
 	}
 	if len(seen) != len(whole.workers) || len(seen) == 0 {
-		t.Fatalf("partitions bind %d nodes, BindTrace %d", len(seen), len(whole.workers))
+		t.Fatalf("partitions bind %d nodes, Bind %d", len(seen), len(whole.workers))
 	}
 }

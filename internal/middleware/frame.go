@@ -598,8 +598,8 @@ func (f *Frame[T, E]) result(ex *Exec[T, E]) {
 }
 
 // complete marks t completed, cancels its other executions and frees their
-// workers. by is the worker whose result completed the task (nil for
-// externally-merged results).
+// workers. by is the worker whose result completed the task (for a merged
+// result, the worker on the other server; nil when none is known).
 func (f *Frame[T, E]) complete(t *Task[T, E], by *Worker) {
 	bt := t.Batch
 	t.SetRunning(false)
@@ -607,8 +607,7 @@ func (f *Frame[T, E]) complete(t *Task[T, E], by *Worker) {
 	t.queued = false
 	bt.completed++
 	now := f.eng.Now()
-	f.listeners.TaskCompleted(bt.Spec.ID, t.Spec.ID, now)
-	f.listeners.NotifyExecutedBy(bt.Spec.ID, t.Spec.ID, by, now)
+	f.listeners.TaskCompleted(bt.Spec.ID, t.Spec.ID, by, now)
 	// In worker-ID order, so the idle set is refilled the same way on every
 	// run. The usual completion leaves no execution.
 	for _, ex := range t.execs {
@@ -635,7 +634,7 @@ func (f *Frame[T, E]) release(w *Worker, t *Task[T, E]) {
 // MarkCompleted implements Server (result merging for Cloud Duplication).
 // Tasks are resolved by spec ID, which stays correct when the batch is a
 // subset whose IDs are not dense slice indexes.
-func (f *Frame[T, E]) MarkCompleted(batchID string, taskID int) {
+func (f *Frame[T, E]) MarkCompleted(batchID string, taskID int, by *Worker) {
 	bt := f.batches[batchID]
 	if bt == nil {
 		return
@@ -647,7 +646,7 @@ func (f *Frame[T, E]) MarkCompleted(batchID string, taskID int) {
 	if t.completed {
 		return
 	}
-	f.complete(t, nil)
+	f.complete(t, by)
 	f.Dispatch()
 }
 

@@ -80,18 +80,13 @@ func (p Progress) Done() bool { return p.Size > 0 && p.Completed >= p.Size }
 type Listener interface {
 	// TaskAssigned fires on a task's first assignment to any worker.
 	TaskAssigned(batchID string, taskID int, at float64)
-	// TaskCompleted fires once per task, when its result is accepted.
-	TaskCompleted(batchID string, taskID int, at float64)
+	// TaskCompleted fires once per task, when its result is accepted. by is
+	// the worker whose result completed it: for a merged result
+	// (MarkCompleted), the worker that computed it on the other server, or
+	// nil when none is known.
+	TaskCompleted(batchID string, taskID int, by *Worker, at float64)
 	// BatchCompleted fires when the last task of a batch completes.
 	BatchCompleted(batchID string, at float64)
-}
-
-// WorkerObserver is an optional extension of Listener: servers notify it of
-// which worker's result completed each task (nil for externally-merged
-// results), enabling per-resource accounting such as Table 5's "tasks
-// assigned by SpeQuloS to StratusLab and EC2".
-type WorkerObserver interface {
-	TaskExecutedBy(batchID string, taskID int, w *Worker, at float64)
 }
 
 // Listeners fans events out to multiple listeners.
@@ -105,9 +100,9 @@ func (ls Listeners) TaskAssigned(b string, t int, at float64) {
 }
 
 // TaskCompleted implements Listener by fan-out.
-func (ls Listeners) TaskCompleted(b string, t int, at float64) {
+func (ls Listeners) TaskCompleted(b string, t int, by *Worker, at float64) {
 	for _, l := range ls {
-		l.TaskCompleted(b, t, at)
+		l.TaskCompleted(b, t, by, at)
 	}
 }
 
@@ -115,15 +110,6 @@ func (ls Listeners) TaskCompleted(b string, t int, at float64) {
 func (ls Listeners) BatchCompleted(b string, at float64) {
 	for _, l := range ls {
 		l.BatchCompleted(b, at)
-	}
-}
-
-// NotifyExecutedBy invokes TaskExecutedBy on listeners that observe workers.
-func (ls Listeners) NotifyExecutedBy(b string, t int, w *Worker, at float64) {
-	for _, l := range ls {
-		if o, ok := l.(WorkerObserver); ok {
-			o.TaskExecutedBy(b, t, w, at)
-		}
 	}
 }
 
@@ -157,8 +143,9 @@ type Server interface {
 	// server).
 	Incomplete(batchID string) []bot.Task
 	// MarkCompleted records an externally-computed result for a task
-	// (result merging in Cloud Duplication). Unknown IDs are ignored.
-	MarkCompleted(batchID string, taskID int)
+	// (result merging in Cloud Duplication), computed by worker by on
+	// another server. Unknown IDs are ignored.
+	MarkCompleted(batchID string, taskID int, by *Worker)
 	// WorkerBusy reports whether the worker currently holds an
 	// assignment. The SpeQuloS Scheduler uses it to stop idle cloud
 	// workers under the Greedy provisioning strategy.

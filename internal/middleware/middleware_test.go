@@ -139,12 +139,12 @@ func (f *fakeServer) WorkerLeave(w *Worker) {
 	delete(f.attached, w.ID)
 	f.leaves = append(f.leaves, w.ID)
 }
-func (f *fakeServer) Progress(string) Progress     { return Progress{} }
-func (f *fakeServer) Done(string) bool             { return false }
-func (f *fakeServer) Incomplete(string) []bot.Task { return nil }
-func (f *fakeServer) MarkCompleted(string, int)    {}
-func (f *fakeServer) SetReschedule(bool)           {}
-func (f *fakeServer) AddListener(Listener)         {}
+func (f *fakeServer) Progress(string) Progress           { return Progress{} }
+func (f *fakeServer) Done(string) bool                   { return false }
+func (f *fakeServer) Incomplete(string) []bot.Task       { return nil }
+func (f *fakeServer) MarkCompleted(string, int, *Worker) {}
+func (f *fakeServer) SetReschedule(bool)                 {}
+func (f *fakeServer) AddListener(Listener)               {}
 
 func TestBindTraceChurn(t *testing.T) {
 	eng := sim.NewEngine()
@@ -154,7 +154,8 @@ func TestBindTraceChurn(t *testing.T) {
 		{ID: 2, Power: 1}, // no intervals: never joins
 	}}
 	srv := &fakeServer{}
-	b := BindTrace(eng, tr, srv)
+	b := new(Binding)
+	b.Bind(eng, tr, srv)
 	if len(b.workers) != 2 {
 		t.Fatalf("workers = %d, want 2 (interval-less node skipped)", len(b.workers))
 	}
@@ -170,7 +171,8 @@ func TestBindTraceStop(t *testing.T) {
 		{ID: 0, Power: 1, Intervals: []trace.Interval{{Start: 0, End: 10}, {Start: 20, End: 30}}},
 	}}
 	srv := &fakeServer{}
-	b := BindTrace(eng, tr, srv)
+	b := new(Binding)
+	b.Bind(eng, tr, srv)
 	eng.RunUntil(5)
 	b.Stop()
 	eng.Run()
@@ -188,7 +190,7 @@ func TestBindTraceOffsetBase(t *testing.T) {
 	}}
 	joined := -1.0
 	srv := &fakeServer{}
-	BindTrace(eng, tr, srv)
+	new(Binding).Bind(eng, tr, srv)
 	eng.At(1010, func() {
 		if len(srv.joins) != 1 {
 			t.Error("join not at base+10")
@@ -212,7 +214,7 @@ func TestListenersFanOut(t *testing.T) {
 	}
 	ls := Listeners{mk("x"), mk("y")}
 	ls.TaskAssigned("b", 1, 0)
-	ls.TaskCompleted("b", 1, 0)
+	ls.TaskCompleted("b", 1, nil, 0)
 	ls.BatchCompleted("b", 0)
 	if len(calls) != 6 {
 		t.Fatalf("calls = %v", calls)
@@ -225,8 +227,10 @@ type funcListener struct {
 	onBatch     func(string, float64)
 }
 
-func (f funcListener) TaskAssigned(b string, id int, at float64)  { f.onAssigned(b, id, at) }
-func (f funcListener) TaskCompleted(b string, id int, at float64) { f.onCompleted(b, id, at) }
-func (f funcListener) BatchCompleted(b string, at float64)        { f.onBatch(b, at) }
+func (f funcListener) TaskAssigned(b string, id int, at float64) { f.onAssigned(b, id, at) }
+func (f funcListener) TaskCompleted(b string, id int, _ *Worker, at float64) {
+	f.onCompleted(b, id, at)
+}
+func (f funcListener) BatchCompleted(b string, at float64) { f.onBatch(b, at) }
 
 func (f *fakeServer) WorkerBusy(*Worker) bool { return false }

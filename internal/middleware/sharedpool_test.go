@@ -42,23 +42,18 @@ type assignmentAuditor struct {
 }
 
 func (a *assignmentAuditor) TaskAssigned(string, int, float64) {}
-func (a *assignmentAuditor) TaskCompleted(batchID string, taskID int, _ float64) {
+func (a *assignmentAuditor) TaskCompleted(batchID string, taskID int, w *middleware.Worker, _ float64) {
 	key := fmt.Sprintf("%s/%d", batchID, taskID)
 	a.completed[key]++
 	if a.completed[key] > 1 {
 		a.t.Errorf("task %s completed %d times", key, a.completed[key])
 	}
-}
-func (a *assignmentAuditor) BatchCompleted(string, float64) {}
-func (a *assignmentAuditor) TaskExecutedBy(batchID string, taskID int, w *middleware.Worker, _ float64) {
-	if w == nil {
-		return
-	}
-	if w.DedicatedBatch != "" && w.DedicatedBatch != batchID {
+	if w != nil && w.DedicatedBatch != "" && w.DedicatedBatch != batchID {
 		a.t.Errorf("worker %d dedicated to %q executed task %d of batch %q",
 			w.ID, w.DedicatedBatch, taskID, batchID)
 	}
 }
+func (a *assignmentAuditor) BatchCompleted(string, float64) {}
 
 // TestTwoBatchesSharedPoolNoDoubleAssign runs two interleaved batches over
 // one churning idle pool — with dedicated cloud workers and Reschedule
@@ -142,7 +137,7 @@ func newLifecycleCounter() *lifecycleCounter {
 }
 
 func (c *lifecycleCounter) TaskAssigned(_ string, id int, _ float64) { c.assigned[id]++ }
-func (c *lifecycleCounter) TaskCompleted(_ string, id int, at float64) {
+func (c *lifecycleCounter) TaskCompleted(_ string, id int, _ *middleware.Worker, at float64) {
 	c.completed[id]++
 	c.completedAt[id] = at
 }
@@ -165,7 +160,7 @@ func TestCompletedBeforeArrivalNeverRuns(t *testing.T) {
 				{ID: 0, NOps: 100, Arrival: 10},
 				{ID: 1, NOps: 100},
 			}})
-			eng.At(5, func() { srv.MarkCompleted("b", 0) })
+			eng.At(5, func() { srv.MarkCompleted("b", 0, nil) })
 			// Enough hosts for a BOINC quorum on task 1 and to spare.
 			for i := 0; i < 4; i++ {
 				srv.WorkerJoin(&middleware.Worker{ID: i, Power: 1})
@@ -308,11 +303,11 @@ func TestServerContract(t *testing.T) {
 				t.Fatalf("incomplete = %d", got)
 			}
 			s.eng.At(500, func() {
-				s.srv.MarkCompleted("b", 5)  // external result for the running task
-				s.srv.MarkCompleted("b", 5)  // idempotent
-				s.srv.MarkCompleted("b", 0)  // a slice index is not an ID: ignored
-				s.srv.MarkCompleted("b", 99) // unknown id ignored
-				s.srv.MarkCompleted("zz", 5) // unknown batch ignored
+				s.srv.MarkCompleted("b", 5, nil)  // external result for the running task
+				s.srv.MarkCompleted("b", 5, nil)  // idempotent
+				s.srv.MarkCompleted("b", 0, nil)  // a slice index is not an ID: ignored
+				s.srv.MarkCompleted("b", 99, nil) // unknown id ignored
+				s.srv.MarkCompleted("zz", 5, nil) // unknown batch ignored
 			})
 			s.eng.Run()
 			// Task 5 completed externally at 500; its hosts, freed, run task 9

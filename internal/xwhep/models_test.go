@@ -49,7 +49,7 @@ type recorder struct {
 }
 
 func (r *recorder) TaskAssigned(string, int, float64) {}
-func (r *recorder) TaskCompleted(b string, id int, at float64) {
+func (r *recorder) TaskCompleted(b string, id int, _ *middleware.Worker, at float64) {
 	r.completed[id]++
 	r.compTimes[id] = at
 }

@@ -60,9 +60,9 @@ func describe(t *xtask) string {
 	return fmt.Sprintf("%s/%d", t.Batch.Spec.ID, t.Spec.ID)
 }
 
-func (c *viewChecker) TaskAssigned(string, int, float64)  { c.check() }
-func (c *viewChecker) TaskCompleted(string, int, float64) { c.check() }
-func (c *viewChecker) BatchCompleted(string, float64)     { c.check() }
+func (c *viewChecker) TaskAssigned(string, int, float64)                      { c.check() }
+func (c *viewChecker) TaskCompleted(string, int, *middleware.Worker, float64) { c.check() }
+func (c *viewChecker) BatchCompleted(string, float64)                         { c.check() }
 
 // A seeded multi-tenant run under both parameter sets — XWHEP's, which
 // requeues a lost task into the priority queue, and Condor's, which requeues

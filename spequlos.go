@@ -203,8 +203,7 @@ func QuickConformanceSpec() ConformanceSpec { return emul.QuickSpec() }
 
 // RunConformance executes every cell of the spec both in-process and through
 // the HTTP stack and reports per cell whether the two Results are equal,
-// field by field and batch by batch (the credits billed within the HTTP
-// clock's nanosecond round-off).
+// field by field and batch by batch, every field by == with no tolerance.
 func RunConformance(ctx context.Context, spec ConformanceSpec) (ConformanceReport, error) {
 	return emul.RunConformance(ctx, spec)
 }
