@@ -63,7 +63,6 @@ type CrowdRow struct {
 	CreditsAllocated float64
 	CreditsBilled    float64
 	Instances        int
-	Events           uint64
 
 	// Tiers is the per-service-class breakdown of a tiered cell, in
 	// descending privilege order (nil for untiered cells, whose rendered
@@ -166,7 +165,6 @@ func CrowdFrom(store *campaign.ResultStore, p Profile) (CrowdReport, error) {
 			CreditsAllocated: speq.CreditsAllocated,
 			CreditsBilled:    speq.CreditsBilled,
 			Instances:        speq.Instances,
-			Events:           speq.Events,
 			Tiers:            CrowdTiers(speq.Batches),
 		}
 		if row.MedianCompletion > 0 {

@@ -12,26 +12,35 @@ import (
 // the node's availability intervals. Events are scheduled lazily — one
 // pending event per node, carried as op-code events with inline payloads,
 // so churn allocates nothing beyond the per-node records, which are two
-// slabs sized to the bound nodes. A Binding reused through Reset and Bind
-// keeps its slabs.
+// slabs sized to the bound nodes. The nodes up at the bind time share one
+// start event, which joins them in node order. A Binding reused through
+// Reset and Bind keeps its slabs.
 type Binding struct {
 	eng     *sim.Engine
 	srv     Server
 	workers []Worker
 	nodes   []boundNode
 	stopped bool
+	// base is the virtual time of the bind: trace time zero.
+	base float64
 
-	// opJoin/opLeave are the binding's registered churn handlers
-	// (Payload.A = *boundNode, I = interval index, X = trace time base).
+	// opStart/opJoin/opLeave are the binding's registered churn handlers
+	// (start: Payload.A = *Binding; join, leave: A = *boundNode, I =
+	// interval index).
+	opStart sim.Op
 	opJoin  sim.Op
 	opLeave sim.Op
 }
 
-// boundNode ties a worker to its trace node for the churn op handlers.
+// boundNode ties a worker to its trace node for the churn op handlers. end
+// is the trace time at which the period whose join is pending or done ends,
+// read with its start, so that a period costs one trace read.
 type boundNode struct {
-	b    *Binding
-	w    *Worker
-	node *trace.Node
+	b      *Binding
+	w      *Worker
+	node   *trace.Node
+	end    float64
+	atBind bool // the first period starts at the bind time: the start event joins it
 }
 
 // Bind attaches every node of the trace to the server, starting at the
@@ -78,23 +87,48 @@ func (b *Binding) bind(eng *sim.Engine, tr *trace.Trace, srv Server, part, parts
 			}
 		}
 	}
-	b.eng, b.srv = eng, srv
+	b.eng, b.srv, b.base = eng, srv, eng.Now()
 	b.workers, b.nodes = slices.Grow(b.workers, members), slices.Grow(b.nodes, members)
-	b.opJoin = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).join(p.I, p.X) })
-	b.opLeave = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).leave(p.I, p.X) })
-	base := eng.Now()
+	b.opStart = eng.RegisterOp(func(p sim.Payload) { p.A.(*Binding).start() })
+	b.opJoin = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).join(p.I) })
+	b.opLeave = eng.RegisterOp(func(p sim.Payload) { p.A.(*boundNode).leave(p.I) })
+	atBind := false
 	for _, node := range tr.Nodes {
 		// Membership first: reading a node of an on-demand trace draws it, and
 		// a partition must not draw the nodes of the others.
 		if parts > 1 && nodePartition(node.ID, parts) != part {
 			continue
 		}
-		if _, ok := node.At(0); !ok {
+		iv, ok := node.At(0)
+		if !ok {
 			continue
 		}
 		b.workers = append(b.workers, Worker{ID: node.ID, Power: node.Power})
 		b.nodes = append(b.nodes, boundNode{b: b, w: &b.workers[len(b.workers)-1], node: node})
-		b.nodes[len(b.nodes)-1].schedule(0, base)
+		bn := &b.nodes[len(b.nodes)-1]
+		// The event time, not the trace's start: a start too small to move
+		// the bind time joins at it, and AtOp would clamp an earlier one to it.
+		if b.base+iv.Start <= b.base {
+			bn.end, bn.atBind, atBind = iv.End, true, true
+			continue
+		}
+		bn.schedule(0, iv)
+	}
+	// Every other first join is later than the bind time, and nothing else
+	// is pushed during the loop, so the nodes up at the bind time join in
+	// the order their own events would have fired in.
+	if atBind {
+		eng.AtOp(sim.Time(b.base), b.opStart, sim.Payload{A: b})
+	}
+}
+
+// start joins the nodes whose first period starts at the bind time, in node
+// order.
+func (b *Binding) start() {
+	for i := range b.nodes {
+		if b.nodes[i].atBind {
+			b.nodes[i].join(0)
+		}
 	}
 }
 
@@ -109,38 +143,38 @@ func nodePartition(id, parts int) int {
 	return int(h % uint32(parts))
 }
 
-// schedule arms the node's next join event, if any intervals remain.
-func (bn *boundNode) schedule(idx int32, base float64) {
-	iv, ok := bn.node.At(int(idx))
-	if !ok {
-		return
-	}
-	bn.b.eng.AtOp(sim.Time(base+iv.Start), bn.b.opJoin, sim.Payload{A: bn, I: idx, X: base})
+// schedule arms the node's join event for its period idx, iv, and keeps the
+// period's end for the join.
+func (bn *boundNode) schedule(idx int32, iv trace.Interval) {
+	bn.end = iv.End
+	bn.b.eng.AtOp(sim.Time(bn.b.base+iv.Start), bn.b.opJoin, sim.Payload{A: bn, I: idx})
 }
 
-func (bn *boundNode) join(idx int32, base float64) {
+func (bn *boundNode) join(idx int32) {
 	b := bn.b
 	if b.stopped {
 		return
 	}
 	b.srv.WorkerJoin(bn.w)
-	iv, _ := bn.node.At(int(idx)) // scheduled from it, so it exists
-	b.eng.AtOp(sim.Time(base+iv.End), b.opLeave, sim.Payload{A: bn, I: idx, X: base})
+	b.eng.AtOp(sim.Time(b.base+bn.end), b.opLeave, sim.Payload{A: bn, I: idx})
 }
 
-func (bn *boundNode) leave(idx int32, base float64) {
+func (bn *boundNode) leave(idx int32) {
 	b := bn.b
 	if b.stopped {
 		return
 	}
 	b.srv.WorkerLeave(bn.w)
-	bn.schedule(idx+1, base)
+	if iv, ok := bn.node.At(int(idx + 1)); ok {
+		bn.schedule(idx+1, iv)
+	}
 }
 
 // Stop detaches the binding: future churn events become no-ops. Workers
 // currently attached stay attached. Every node has at most one churn event
-// pending, so after Stop each fires once more without effect and schedules
-// nothing: the binding's share of the engine's heap drains. It must be
+// pending (the start event stands for those up at the bind time), so after
+// Stop each fires once more without effect and schedules nothing: the
+// binding's share of the engine's heap drains. It must be
 // called on the goroutine that runs the binding's engine; the campaign
 // executor calls it from a sharded baseline's completion listener so that a
 // finished batch's partition is not replayed to the horizon.

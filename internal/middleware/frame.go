@@ -62,7 +62,7 @@ type Frame[T, E any] struct {
 
 	// Registered op handlers: scheduling an op event carries only an arena
 	// payload, so the hot path allocates no closures.
-	opArrive sim.Op // Payload.A = *Task
+	opArrive sim.Op // Payload.A = *BatchState, I = first task of a run
 	opResult sim.Op // Payload.A = *Exec: the execution's result arrives
 	opAlarm  sim.Op // Payload.A = *Exec: the mechanism's alarm (Alarm)
 }
@@ -287,7 +287,7 @@ func NewFrame[T, E any](eng *sim.Engine, name string, mech Mechanism[T, E]) *Fra
 // registered there.
 func (f *Frame[T, E]) Open(eng *sim.Engine) {
 	f.eng = eng
-	f.opArrive = eng.RegisterOp(func(p sim.Payload) { f.arrive(p.A.(*Task[T, E])) })
+	f.opArrive = eng.RegisterOp(func(p sim.Payload) { f.arriveRun(p.A.(*BatchState[T, E]), int(p.I)) })
 	f.opResult = eng.RegisterOp(func(p sim.Payload) { f.result(p.A.(*Exec[T, E])) })
 	f.opAlarm = eng.RegisterOp(func(p sim.Payload) { f.mech.Expire(p.A.(*Exec[T, E])) })
 }
@@ -336,7 +336,10 @@ func (f *Frame[T, E]) AddListener(l Listener) { f.listeners = append(f.listeners
 func (f *Frame[T, E]) SetReschedule(enabled bool) { f.reschedule = enabled }
 
 // Submit implements Server. A repeated or negative task ID panics, as a
-// repeated batch ID does.
+// repeated batch ID does. Each run of consecutive tasks that share an
+// arrival offset is one arrival event: the events are pushed back to back,
+// so no other event sorts between two of them, and a run arriving in slice
+// order is the order one event per task would fire in.
 func (f *Frame[T, E]) Submit(b Batch) {
 	if _, ok := f.batches[b.ID]; ok {
 		panic(fmt.Sprintf("%s: duplicate batch %q", f.name, b.ID))
@@ -371,8 +374,18 @@ func (f *Frame[T, E]) Submit(b Batch) {
 	}
 	f.batches[b.ID] = bt
 	for i := range bt.tasks {
-		t := &bt.tasks[i]
-		f.eng.AfterOp(t.Spec.Arrival, f.opArrive, sim.Payload{A: t})
+		if i == 0 || bt.tasks[i].Spec.Arrival != bt.tasks[i-1].Spec.Arrival {
+			f.eng.AfterOp(bt.tasks[i].Spec.Arrival, f.opArrive, sim.Payload{A: bt, I: int32(i)})
+		}
+	}
+}
+
+// arriveRun makes the run of tasks from the first one on that share its
+// arrival offset arrive, in slice order.
+func (f *Frame[T, E]) arriveRun(bt *BatchState[T, E], first int) {
+	at := bt.tasks[first].Spec.Arrival
+	for i := first; i < len(bt.tasks) && bt.tasks[i].Spec.Arrival == at; i++ {
+		f.arrive(&bt.tasks[i])
 	}
 }
 

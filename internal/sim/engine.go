@@ -70,17 +70,15 @@ func (e Event) Pending() bool {
 type Op int32
 
 // Payload is the inline argument block of an op-code event, stored directly
-// in the event's arena slot. A and B hold receiver/argument pointers —
-// storing a pointer in an interface does not allocate — I carries a small
-// integer (an index, a count) and X a float (a base time, a duration), so
-// the typical simulation callback schedules with zero heap allocations.
+// in the event's arena slot. A holds a receiver/argument pointer — storing a
+// pointer in an interface does not allocate — and I a small integer (an
+// index, a count), so the typical simulation callback schedules with zero
+// heap allocations.
 type Payload struct {
-	// A and B are pointer-shaped arguments (e.g. a worker and a task).
-	A, B any
+	// A is a pointer-shaped argument (e.g. an execution or a batch).
+	A any
 	// I is an inline integer argument (e.g. a trace-interval index).
 	I int32
-	// X is an inline float argument (e.g. a schedule base time).
-	X float64
 }
 
 // OpFunc is a registered event handler: it receives the payload the event

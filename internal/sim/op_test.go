@@ -11,14 +11,14 @@ func TestOpEventFiresWithPayload(t *testing.T) {
 	w := &worker{id: 7}
 	var got []Payload
 	op := e.RegisterOp(func(p Payload) { got = append(got, p) })
-	e.AtOp(5, op, Payload{A: w, I: 42, X: 2.5})
+	e.AtOp(5, op, Payload{A: w, I: 42})
 	e.AfterOp(10, op, Payload{I: -1})
 	e.Run()
 	if len(got) != 2 {
 		t.Fatalf("fired %d op events, want 2", len(got))
 	}
-	if got[0].A.(*worker) != w || got[0].I != 42 || got[0].X != 2.5 {
-		t.Fatalf("first payload = %+v, want A=w I=42 X=2.5", got[0])
+	if got[0].A.(*worker) != w || got[0].I != 42 {
+		t.Fatalf("first payload = %+v, want A=w I=42", got[0])
 	}
 	if got[1].I != -1 {
 		t.Fatalf("second payload I = %d, want -1", got[1].I)
@@ -127,12 +127,12 @@ func TestOpSteadyStateAllocs(t *testing.T) {
 	tk := &task{}
 	op := e.RegisterOp(func(p Payload) { p.A.(*task).n++ })
 	for i := 0; i < 64; i++ {
-		e.AfterOp(1, op, Payload{A: tk, I: int32(i), X: 0.5})
+		e.AfterOp(1, op, Payload{A: tk, I: int32(i)})
 	}
 	e.Run()
 	allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			e.AfterOp(1, op, Payload{A: tk, I: int32(i), X: 0.5})
+			e.AfterOp(1, op, Payload{A: tk, I: int32(i)})
 		}
 		e.Run()
 	})

@@ -14,11 +14,11 @@ func churnScript(e *Engine) []string {
 	op = e.RegisterOp(func(p Payload) {
 		note(fmt.Sprintf("op%d", p.I))
 		if p.I < 6 {
-			e.AfterOp(p.X, op, Payload{A: p.A, I: p.I + 1, X: p.X})
+			e.AfterOp(1.5, op, Payload{A: p.A, I: p.I + 1})
 		}
 	})
 	for i := 0; i < 4; i++ {
-		e.AtOp(Time(i), op, Payload{A: &log, I: int32(i), X: 1.5})
+		e.AtOp(Time(i), op, Payload{A: &log, I: int32(i)})
 		e.At(Time(i)+0.5, func() { note("fn") })
 	}
 	doomed := e.At(2.25, func() { note("cancelled") })
@@ -43,7 +43,7 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 	op := e.RegisterOp(func(Payload) {})
 	var pending, fired []Event
 	for i := 0; i < 50; i++ {
-		ev := e.AtOp(Time(i), op, Payload{A: &big{}, B: &big{}, I: int32(i)})
+		ev := e.AtOp(Time(i), op, Payload{A: &big{}, I: int32(i)})
 		fn := e.At(Time(i)+0.5, func() {})
 		if i < 20 {
 			fired = append(fired, ev, fn)
