@@ -158,8 +158,6 @@ func (c Class) Scaled(f float64) Class {
 	case stats.TruncatedNormal:
 		out.Size = stats.TruncatedNormal{Mu: math.Max(1, s.Mu*f), Sigma: s.Sigma * f,
 			Lo: math.Max(1, s.Lo*f), Hi: math.Max(2, s.Hi*f)}
-	case stats.Normal:
-		out.Size = stats.Normal{Mu: math.Max(1, s.Mu*f), Sigma: s.Sigma * f}
 	}
 	return out
 }

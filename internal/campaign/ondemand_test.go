@@ -37,7 +37,7 @@ func TestOnDemandCellsDrawAFractionOfTheirTrace(t *testing.T) {
 		drawn, total := 0, 0
 		for i, n := range shared.Nodes {
 			drawn += n.Drawn()
-			total += len(full.Nodes[i].Intervals)
+			total += full.Nodes[i].Drawn() // a whole node has all of its periods drawn
 		}
 		t.Logf("%s: drew %d of %d intervals", sc.Profile.Name, drawn, total)
 		if drawn == 0 || drawn*10 >= total {

@@ -401,7 +401,7 @@ func (sc Scenario) SubWorkload(k int) (*bot.BoT, error) {
 // horizon (seconds), capped at the profile's pool size. A renewal-process
 // trace comes back open on demand (trace.Profile.Open): a cell stops at its
 // last completion, hours into a horizon of days, and pays for a node's
-// availability only as far as it reads it. Spot traces are materialised.
+// availability only as far as it reads it. A spot trace comes back whole.
 func (sc Scenario) GenerateTrace(horizon float64) (*trace.Trace, error) {
 	if p, ok := trace.ProfileByName(sc.TraceName); ok {
 		return p.Open(sc.Seed(), horizon, sc.Profile.PoolCap), nil

@@ -21,8 +21,6 @@ var exportAllowlist = map[string]string{
 	"stats.WeightedMedian":             "the reference the incremental α fit is tested against, bit for bit",
 	"doccheck.CheckDirs":               "the exported-comment linter's entry point; its caller is this package's audit test",
 	"httprr":                           "test-support API: record and replay of HTTP exchanges",
-	"trace.ReadFTA":                    "reader for the Failure Trace Archive originals the generated traces are to be scored against",
-	"trace.ReadCSV":                    "reader for the traces WriteCSV and cmd/tracegen write",
 	"cloud.MockDriver.CostPerHour":     "the one reader of NewMockDriver's price, a parameter bench/ passes",
 	"middleware.Frame.CheckInvariants": "the frame's invariant checker, run after every event by the middleware and boinc tests",
 	"service.Routes.Patterns":          "the route table the wire-contract and wire-doc tests walk",

@@ -69,7 +69,10 @@ func TestSimultaneousArrivalsAreOneEvent(t *testing.T) {
 // so a start that does not move the bind time joins in the start event.
 func TestBindStartEvent(t *testing.T) {
 	node := func(id int, start float64) *trace.Node {
-		return &trace.Node{ID: id, Power: 1, Intervals: []trace.Interval{{Start: start, End: start + 100}}}
+		if start < 0 {
+			return trace.NewNode(id, 1, nil)
+		}
+		return trace.NewNode(id, 1, []trace.Interval{{Start: start, End: start + 100}})
 	}
 	for _, c := range []struct {
 		name   string
@@ -91,11 +94,7 @@ func TestBindStartEvent(t *testing.T) {
 			}
 			tr := &trace.Trace{Name: "x", Length: 1e7}
 			for i, start := range c.starts {
-				n := node(i, start)
-				if start < 0 {
-					n.Intervals = nil
-				}
-				tr.Nodes = append(tr.Nodes, n)
+				tr.Nodes = append(tr.Nodes, node(i, start))
 			}
 			srv := &fakeServer{}
 			new(Binding).Bind(eng, tr, srv)

@@ -149,9 +149,9 @@ func (f *fakeServer) AddListener(Listener)               {}
 func TestBindTraceChurn(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := &trace.Trace{Name: "x", Length: 100, Nodes: []*trace.Node{
-		{ID: 0, Power: 1, Intervals: []trace.Interval{{Start: 0, End: 10}, {Start: 20, End: 30}}},
-		{ID: 1, Power: 1, Intervals: []trace.Interval{{Start: 5, End: 50}}},
-		{ID: 2, Power: 1}, // no intervals: never joins
+		trace.NewNode(0, 1, []trace.Interval{{Start: 0, End: 10}, {Start: 20, End: 30}}),
+		trace.NewNode(1, 1, []trace.Interval{{Start: 5, End: 50}}),
+		trace.NewNode(2, 1, nil), // no intervals: never joins
 	}}
 	srv := &fakeServer{}
 	b := new(Binding)
@@ -168,7 +168,7 @@ func TestBindTraceChurn(t *testing.T) {
 func TestBindTraceStop(t *testing.T) {
 	eng := sim.NewEngine()
 	tr := &trace.Trace{Name: "x", Length: 100, Nodes: []*trace.Node{
-		{ID: 0, Power: 1, Intervals: []trace.Interval{{Start: 0, End: 10}, {Start: 20, End: 30}}},
+		trace.NewNode(0, 1, []trace.Interval{{Start: 0, End: 10}, {Start: 20, End: 30}}),
 	}}
 	srv := &fakeServer{}
 	b := new(Binding)
@@ -186,7 +186,7 @@ func TestBindTraceOffsetBase(t *testing.T) {
 	eng.At(1000, func() {}) // advance clock
 	eng.Run()
 	tr := &trace.Trace{Name: "x", Length: 100, Nodes: []*trace.Node{
-		{ID: 0, Power: 1, Intervals: []trace.Interval{{Start: 10, End: 20}}},
+		trace.NewNode(0, 1, []trace.Interval{{Start: 10, End: 20}}),
 	}}
 	joined := -1.0
 	srv := &fakeServer{}

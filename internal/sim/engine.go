@@ -15,31 +15,21 @@
 // carrying a generation counter, so a handle to a fired-and-recycled slot can
 // never cancel the slot's next occupant.
 //
-// Events come in two flavors. Closure events (At) carry a func() —
-// convenient, but every capture allocates. Op-code events (AtOp/AfterOp)
-// carry a registered handler index plus an inline Payload stored in the
-// arena slot itself, so scheduling allocates nothing and the event is a
-// plain value relocatable across queues; the simulation hot paths (worker
-// churn, task completions, deadlines, ticker rearms) all use them.
+// Every event is an op-code event: a registered handler index plus an
+// inline Payload stored in the arena slot itself, so scheduling allocates
+// nothing and the event is a plain value. The simulation hot paths (worker
+// churn, task completions, deadlines) register handlers of their own; At
+// schedules a func() through a call op the engine registers on first use,
+// as NewTicker registers its rearm op.
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
 
 // Time is virtual time in seconds since the start of the simulation.
 type Time = float64
-
-// ErrInvalidTime reports scheduling at NaN or ±Inf.
-var ErrInvalidTime = errors.New("sim: invalid event time")
-
-// ErrPastTime reports scheduling before the current virtual time. The event
-// is still created, clamped to fire at the current time (in FIFO order after
-// events already scheduled for it), so simulations never observe a clock
-// moving backwards or events firing out of order.
-var ErrPastTime = errors.New("sim: event time before current virtual time")
 
 // Event is a cancellable handle to a scheduled callback. It is a small
 // value: copies are cheap and the zero value is a valid "no event" handle
@@ -65,15 +55,16 @@ func (e Event) Pending() bool {
 }
 
 // Op identifies an event handler registered on an engine with RegisterOp.
-// The zero Op is "no op" (a closure event). Ops are engine-local: an Op
-// registered on one engine must not be scheduled on another.
+// The zero Op is never registered; a free slot holds it. Ops are
+// engine-local: an Op registered on one engine must not be scheduled on
+// another.
 type Op int32
 
-// Payload is the inline argument block of an op-code event, stored directly
-// in the event's arena slot. A holds a receiver/argument pointer — storing a
-// pointer in an interface does not allocate — and I a small integer (an
-// index, a count), so the typical simulation callback schedules with zero
-// heap allocations.
+// Payload is the inline argument block of an event, stored directly in the
+// event's arena slot. A holds a receiver/argument pointer — storing a
+// pointer, or a func value, in an interface does not allocate — and I a
+// small integer (an index, a count), so the typical simulation callback
+// schedules with zero heap allocations. At's call op keeps its func() in A.
 type Payload struct {
 	// A is a pointer-shaped argument (e.g. an execution or a batch).
 	A any
@@ -82,17 +73,15 @@ type Payload struct {
 }
 
 // OpFunc is a registered event handler: it receives the payload the event
-// was scheduled with. Handlers run on the engine's event loop exactly like
-// closure callbacks.
+// was scheduled with, on the engine's event loop.
 type OpFunc func(p Payload)
 
 // slot is one arena cell. A slot is live while heapIdx >= 0; firing or
 // cancelling bumps gen and returns the slot to the freelist, invalidating
-// every outstanding handle to the previous occupant. An event is either a
-// closure (fn, op == 0) or an op-code event (op > 0, payload inline). Its
-// time and sequence number live in its heap entry.
+// every outstanding handle to the previous occupant. A live slot holds its
+// op (> 0) and payload inline; its time and sequence number live in its heap
+// entry. 40 bytes: the payload's 24, then heapIdx, gen and op.
 type slot struct {
-	fn      func()
 	pay     Payload
 	heapIdx int32
 	gen     uint32
@@ -128,8 +117,9 @@ type Engine struct {
 
 	// ops is the registered op-handler table; Op n indexes ops[n-1].
 	ops []OpFunc
-	// tickerOp is the lazily-registered rearm handler shared by all Tickers.
-	tickerOp Op
+	// tickerOp is the lazily-registered rearm handler shared by all Tickers,
+	// callOp the one At schedules a func() with.
+	tickerOp, callOp Op
 }
 
 // NewEngine returns an engine with the clock at zero, no event pending and
@@ -174,45 +164,29 @@ func (e *Engine) RegisterOp(fn OpFunc) Op {
 	return Op(len(e.ops))
 }
 
-// ScheduleAt schedules fn at absolute virtual time t, validating the time.
-// NaN/±Inf returns ErrInvalidTime and no event. A time before the current
-// virtual time returns ErrPastTime together with a valid event clamped to
-// fire at the current time — callers that treat past scheduling as a bug can
-// check the error; callers that expect clamping may ignore it.
-func (e *Engine) ScheduleAt(t Time, fn func()) (Event, error) {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		return Event{}, fmt.Errorf("%w: %v", ErrInvalidTime, t)
-	}
-	var err error
-	if t < e.now {
-		err = fmt.Errorf("%w: %.6g before now %.6g", ErrPastTime, t, e.now)
-		t = e.now
-	}
-	return e.push(t, fn, 0, Payload{}), err
-}
-
-// At schedules fn at absolute virtual time t. Times in the past are clamped
-// to the current virtual time; invalid times panic.
+// At schedules fn at absolute virtual time t: it is AtOp on the engine's
+// call op, registered on first use, with fn as the payload. Time handling is
+// AtOp's. Scheduling allocates nothing beyond what building fn did.
 func (e *Engine) At(t Time, fn func()) Event {
-	ev, err := e.ScheduleAt(t, fn)
-	if err != nil && errors.Is(err, ErrInvalidTime) {
-		panic(err.Error())
+	if e.callOp == 0 {
+		e.callOp = e.RegisterOp(func(p Payload) { p.A.(func())() })
 	}
-	return ev
+	return e.AtOp(t, e.callOp, Payload{A: fn})
 }
 
 // AtOp schedules a registered op at absolute virtual time t with the given
-// payload. Time handling matches At: past times clamp to now, invalid times
-// panic. Scheduling an op event performs no heap allocation.
+// payload. A time before now clamps to now, so the event fires after those
+// already queued for now and the clock never moves backwards; a NaN or
+// infinite time panics. Scheduling an op event performs no heap allocation.
 func (e *Engine) AtOp(t Time, op Op, p Payload) Event {
 	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: scheduling op event at invalid time %v", t))
+		panic(fmt.Sprintf("sim: scheduling an event at invalid time %v", t))
 	}
 	e.checkOp(op)
 	if t < e.now {
 		t = e.now
 	}
-	return e.push(t, nil, op, p)
+	return e.push(t, op, p)
 }
 
 // AfterOp schedules a registered op d seconds from now with the given
@@ -221,7 +195,7 @@ func (e *Engine) AtOp(t Time, op Op, p Payload) Event {
 // AtOp panics on it. Scheduling an op event performs no heap allocation.
 func (e *Engine) AfterOp(d float64, op Op, p Payload) Event {
 	if math.IsNaN(d) || math.IsInf(d, 0) {
-		panic(fmt.Sprintf("sim: scheduling op event with invalid delay %v", d))
+		panic(fmt.Sprintf("sim: scheduling an event with invalid delay %v", d))
 	}
 	return e.AtOp(e.now+max(d, 0), op, p)
 }
@@ -234,7 +208,7 @@ func (e *Engine) checkOp(op Op) {
 }
 
 // push allocates a slot (reusing the freelist) and inserts it in the heap.
-func (e *Engine) push(t Time, fn func(), op Op, p Payload) Event {
+func (e *Engine) push(t Time, op Op, p Payload) Event {
 	e.seq++
 	var idx int32
 	if n := len(e.free); n > 0 {
@@ -246,7 +220,6 @@ func (e *Engine) push(t Time, fn func(), op Op, p Payload) Event {
 		e.slots = append(e.slots, slot{})
 	}
 	s := &e.slots[idx]
-	s.fn = fn
 	s.op = op
 	s.pay = p
 	s.heapIdx = int32(len(e.heap))
@@ -274,7 +247,6 @@ func (e *Engine) Cancel(ev Event) {
 // Payload pointers are dropped so the arena does not retain dead objects.
 func (e *Engine) release(idx int32) {
 	s := &e.slots[idx]
-	s.fn = nil
 	s.op = 0
 	s.pay = Payload{}
 	s.heapIdx = -1
@@ -309,7 +281,6 @@ func (e *Engine) Step() bool {
 	idx := top.idx
 	s := &e.slots[idx]
 	e.now = top.at
-	fn := s.fn
 	op := s.op
 	pay := s.pay
 	// Recycle before invoking: the callback may immediately schedule into
@@ -317,11 +288,7 @@ func (e *Engine) Step() bool {
 	// invalid, and the op/payload copies above survive the reuse.
 	e.release(idx)
 	e.executed++
-	if op > 0 {
-		e.ops[op-1](pay)
-	} else {
-		fn()
-	}
+	e.ops[op-1](pay)
 	return true
 }
 

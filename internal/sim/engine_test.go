@@ -1,13 +1,13 @@
 package sim
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEngineFiresInOrder(t *testing.T) {
@@ -95,17 +95,13 @@ func TestEngineSchedulingInsideEvents(t *testing.T) {
 
 // Regression test for the past-scheduling fix: events requested before the
 // current virtual time are clamped to now, fire in FIFO order after events
-// already scheduled at now, never move the clock backwards, and the
-// validating method reports the problem as an error.
+// already scheduled at now, and never move the clock backwards.
 func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var got []string
 	e.At(10, func() {
 		e.At(10, func() { got = append(got, "present") })
-		ev, err := e.ScheduleAt(5, func() { got = append(got, "past") })
-		if !errors.Is(err, ErrPastTime) {
-			t.Errorf("ScheduleAt(5) err = %v, want ErrPastTime", err)
-		}
+		ev := e.At(5, func() { got = append(got, "past") })
 		if ev.At() != 10 {
 			t.Errorf("clamped event time = %v, want 10", ev.At())
 		}
@@ -137,18 +133,37 @@ func TestEngineAtPastDoesNotPanicAndStaysOrdered(t *testing.T) {
 
 func TestEngineInvalidTime(t *testing.T) {
 	e := NewEngine()
-	if _, err := e.ScheduleAt(math.NaN(), func() {}); !errors.Is(err, ErrInvalidTime) {
-		t.Fatalf("ScheduleAt(NaN) err = %v, want ErrInvalidTime", err)
+	for _, at := range []Time{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("At(%v) did not panic", at)
+				}
+			}()
+			e.At(at, func() {})
+		}()
 	}
-	if _, err := e.ScheduleAt(math.Inf(1), func() {}); !errors.Is(err, ErrInvalidTime) {
-		t.Fatalf("ScheduleAt(+Inf) err = %v, want ErrInvalidTime", err)
+	if e.Pending() != 0 {
+		t.Fatalf("%d events queued by invalid times", e.Pending())
 	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("At(NaN) did not panic")
-		}
-	}()
-	e.At(math.NaN(), func() {})
+}
+
+// An event is an op and its payload: the slot that holds one is 40 bytes,
+// and At schedules a prebuilt closure without allocating.
+func TestSlotLayout(t *testing.T) {
+	if got := unsafe.Sizeof(slot{}); got != 40 {
+		t.Fatalf("slot is %d bytes, want 40", got)
+	}
+	e := NewEngine()
+	fn := func() {}
+	e.At(0, fn) // registers the call op and grows the arena
+	e.Run()
+	if allocs := testing.AllocsPerRun(100, func() {
+		e.At(1, fn)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("At with a prebuilt closure: %v allocs, want 0", allocs)
+	}
 }
 
 func TestRunUntil(t *testing.T) {

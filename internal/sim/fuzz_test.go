@@ -2,7 +2,6 @@ package sim
 
 import (
 	"cmp"
-	"errors"
 	"math"
 	"slices"
 	"testing"
@@ -122,29 +121,29 @@ func engineScript(t *testing.T, data []byte) {
 			tt := at()
 			handles = append(handles, handle{e.AtOp(tt, op, Payload{I: int32(id)}), id})
 			ref.push(tt, id, -1)
-		case 4: // ScheduleAt, with its errors
+		case 4: // At, where NaN and ±Inf panic and queue nothing
 			id := newID()
 			b := next()
 			tt := at()
-			if b%8 == 0 {
+			switch b % 8 {
+			case 0:
 				tt = math.NaN()
+			case 1:
+				tt = math.Inf(1 - 2*(b/8%2))
 			}
-			ev, err := e.ScheduleAt(tt, func() { fired = append(fired, id) })
-			switch {
-			case math.IsNaN(tt):
-				if !errors.Is(err, ErrInvalidTime) || ev != (Event{}) {
-					t.Fatalf("ScheduleAt(NaN) = %v, %v", ev, err)
-				}
-				continue
-			case tt < ref.now:
-				if !errors.Is(err, ErrPastTime) || ev.At() != ref.now {
-					t.Fatalf("ScheduleAt(%v) at now %v = %v, %v", tt, ref.now, ev.At(), err)
-				}
-			case err != nil:
-				t.Fatalf("ScheduleAt(%v): %v", tt, err)
+			if !math.IsNaN(tt) && !math.IsInf(tt, 0) {
+				handles = append(handles, handle{e.At(tt, func() { fired = append(fired, id) }), id})
+				ref.push(tt, id, -1)
+				break
 			}
-			handles = append(handles, handle{ev, id})
-			ref.push(tt, id, -1)
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("At(%v) did not panic", tt)
+					}
+				}()
+				e.At(tt, func() { fired = append(fired, id) })
+			}()
 		case 5, 6: // Cancel any handle: fired, cancelled, from before a reset
 			if len(handles) > 0 {
 				h := handles[next()%len(handles)]

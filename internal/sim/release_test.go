@@ -78,7 +78,7 @@ func TestReleasedEngineIsFresh(t *testing.T) {
 		t.Fatal("after reset: an event is still queued")
 	}
 	for _, s := range e.slots[:cap(e.slots)] {
-		if s.fn != nil || s.pay != (Payload{}) || s.op != 0 {
+		if s.pay != (Payload{}) || s.op != 0 {
 			t.Fatalf("after reset: slot retains %+v", s)
 		}
 	}

@@ -143,9 +143,6 @@ func ProfileByName(name string) (Profile, bool) {
 	return Profile{}, false
 }
 
-// TraceName implements trace.Source.
-func (p Profile) TraceName() string { return p.Name }
-
 // ladderDepth returns the number of bids, i.e. the maximum possible
 // instance count at the floor price.
 func (p Profile) ladderDepth() int {
@@ -173,7 +170,8 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *trace.Trace {
 	step := p.Market.Step
 	for i := 0; i < n; i++ {
 		r := root.ForkN("instance", i)
-		node := &trace.Node{ID: i, Power: p.Power.Sample(r.Rand)}
+		power := p.Power.Sample(r.Rand)
+		var ivs []trace.Interval
 		threshold := p.BudgetPerHr / float64(i+1)
 		open := -1.0
 		for s, price := range prices {
@@ -186,14 +184,14 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *trace.Trace {
 				open = t0
 			}
 			if !avail && open >= 0 {
-				node.Intervals = append(node.Intervals, trace.Interval{Start: open, End: t0})
+				ivs = append(ivs, trace.Interval{Start: open, End: t0})
 				open = -1
 			}
 		}
 		if open >= 0 {
-			node.Intervals = append(node.Intervals, trace.Interval{Start: open, End: length})
+			ivs = append(ivs, trace.Interval{Start: open, End: length})
 		}
-		tr.Nodes = append(tr.Nodes, node)
+		tr.Nodes = append(tr.Nodes, trace.NewNode(i, power, ivs))
 	}
 	return tr
 }

@@ -103,9 +103,21 @@ func TestGenerateTraceValid(t *testing.T) {
 	}
 }
 
+// periods returns every availability period of a node, read through At.
+func periods(n *trace.Node) []trace.Interval {
+	var ivs []trace.Interval
+	for i := 0; ; i++ {
+		iv, ok := n.At(i)
+		if !ok {
+			return ivs
+		}
+		ivs = append(ivs, iv)
+	}
+}
+
 // availableAt reports whether one of the node's intervals holds t.
 func availableAt(n *trace.Node, t float64) bool {
-	for _, iv := range n.Intervals {
+	for _, iv := range periods(n) {
 		if iv.Start <= t && t < iv.End {
 			return true
 		}
@@ -121,7 +133,7 @@ func TestGeneratePoolCap(t *testing.T) {
 	// Low-index instances bid higher, so node 0 must be available whenever
 	// node 49 is.
 	n0, n49 := tr.Nodes[0], tr.Nodes[49]
-	for _, iv := range n49.Intervals {
+	for _, iv := range periods(n49) {
 		mid := (iv.Start + iv.End) / 2
 		if !availableAt(n0, mid) {
 			t.Fatal("higher-bid instance unavailable while lower-bid ran")

@@ -10,11 +10,9 @@ import (
 	"math/rand/v2"
 )
 
-// Dist is a continuous probability distribution that can be sampled and
-// whose mean is known (analytically or numerically).
+// Dist is a continuous probability distribution that can be sampled.
 type Dist interface {
 	Sample(r *rand.Rand) float64
-	Mean() float64
 	String() string
 }
 
@@ -24,24 +22,8 @@ type Constant struct{ Value float64 }
 // Sample implements Dist.
 func (c Constant) Sample(*rand.Rand) float64 { return c.Value }
 
-// Mean implements Dist.
-func (c Constant) Mean() float64 { return c.Value }
-
 // String implements Dist.
 func (c Constant) String() string { return fmt.Sprintf("const(%g)", c.Value) }
-
-// Normal is the Gaussian distribution with mean Mu and standard deviation
-// Sigma.
-type Normal struct{ Mu, Sigma float64 }
-
-// Sample implements Dist.
-func (n Normal) Sample(r *rand.Rand) float64 { return n.Mu + n.Sigma*r.NormFloat64() }
-
-// Mean implements Dist.
-func (n Normal) Mean() float64 { return n.Mu }
-
-// String implements Dist.
-func (n Normal) String() string { return fmt.Sprintf("norm(µ=%g,σ=%g)", n.Mu, n.Sigma) }
 
 // TruncatedNormal is a Gaussian resampled (up to 64 tries, then clamped)
 // into [Lo, Hi]. It models node power heterogeneity, which must stay
@@ -62,9 +44,6 @@ func (n TruncatedNormal) Sample(r *rand.Rand) float64 {
 	return math.Min(math.Max(n.Mu, n.Lo), n.Hi)
 }
 
-// Mean implements Dist (an approximation for mild truncation).
-func (n TruncatedNormal) Mean() float64 { return n.Mu }
-
 // String implements Dist.
 func (n TruncatedNormal) String() string {
 	return fmt.Sprintf("tnorm(µ=%g,σ=%g,[%g,%g])", n.Mu, n.Sigma, n.Lo, n.Hi)
@@ -83,9 +62,6 @@ func (w Weibull) Sample(r *rand.Rand) float64 {
 	}
 	return w.Lambda * math.Pow(-math.Log(u), 1/w.K)
 }
-
-// Mean implements Dist.
-func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
 
 // String implements Dist.
 func (w Weibull) String() string { return fmt.Sprintf("weib(λ=%g,k=%g)", w.Lambda, w.K) }

@@ -54,7 +54,7 @@ func grid(step, length float64) []float64 {
 
 func TestMeasureStatsMatchesSweepOnHandBuiltTraces(t *testing.T) {
 	node := func(id int, ivs ...trace.Interval) *trace.Node {
-		return &trace.Node{ID: id, Power: float64(100 * (id + 1)), Intervals: ivs}
+		return trace.NewNode(id, float64(100*(id+1)), ivs)
 	}
 	iv := func(s, e float64) trace.Interval { return trace.Interval{Start: s, End: e} }
 	drift := grid(0.1, 1000)
@@ -122,12 +122,11 @@ func FuzzMeasureStats(f *testing.F) {
 		tr := &trace.Trace{Name: "fuzz", Length: float64(lengthSel) * step / 2}
 		g := grid(step, tr.Length)
 		q := step / 4
-		var n *trace.Node
+		var nodes [][]trace.Interval // each node's periods
 		end := -step
 		for _, b := range layout {
-			if n == nil || b == 0xff {
-				n = &trace.Node{ID: len(tr.Nodes), Power: 1 + float64(len(tr.Nodes))}
-				tr.Nodes = append(tr.Nodes, n)
+			if len(nodes) == 0 || b == 0xff {
+				nodes = append(nodes, nil)
 				end = -step
 				if b == 0xff {
 					continue
@@ -144,7 +143,11 @@ func FuzzMeasureStats(f *testing.F) {
 				}
 			}
 			end = start + float64(b&15)*q
-			n.Intervals = append(n.Intervals, trace.Interval{Start: start, End: end})
+			k := len(nodes) - 1
+			nodes[k] = append(nodes[k], trace.Interval{Start: start, End: end})
+		}
+		for id, ivs := range nodes {
+			tr.Nodes = append(tr.Nodes, trace.NewNode(id, 1+float64(id), ivs))
 		}
 		requireSweepStats(t, tr, step)
 	})

@@ -19,14 +19,14 @@ func sameInterval(a, b Interval) bool {
 func checkAt(t *testing.T, what string, node, ref *Node, i int) {
 	t.Helper()
 	got, ok := node.At(i)
-	if i >= len(ref.Intervals) {
+	if i >= len(ref.all()) {
 		if ok || got != (Interval{}) {
-			t.Fatalf("%s node %d: At(%d) = %+v, %v; Generate has only %d intervals", what, ref.ID, i, got, ok, len(ref.Intervals))
+			t.Fatalf("%s node %d: At(%d) = %+v, %v; Generate has only %d intervals", what, ref.ID, i, got, ok, len(ref.all()))
 		}
 		return
 	}
-	if !ok || !sameInterval(got, ref.Intervals[i]) {
-		t.Fatalf("%s node %d: At(%d) = %+v, %v; Generate has %+v", what, ref.ID, i, got, ok, ref.Intervals[i])
+	if !ok || !sameInterval(got, ref.all()[i]) {
+		t.Fatalf("%s node %d: At(%d) = %+v, %v; Generate has %+v", what, ref.ID, i, got, ok, ref.all()[i])
 	}
 }
 
@@ -49,7 +49,7 @@ func TestOnDemandMatchesGenerate(t *testing.T) {
 					t.Fatalf("%s: open trace %d nodes over %g, Generate %d over %g", what, len(tr.Nodes), tr.Length, len(ref.Nodes), ref.Length)
 				}
 				for _, n := range tr.Nodes {
-					if n.Drawn() != 0 || n.Intervals != nil {
+					if n.Drawn() != 0 {
 						t.Fatalf("%s node %d: %d intervals drawn by Open", what, n.ID, n.Drawn())
 					}
 				}
@@ -68,20 +68,20 @@ func TestOnDemandMatchesGenerate(t *testing.T) {
 					switch rng.IntN(4) {
 					case 0: // untouched until the drain
 					case 1:
-						deep := rng.IntN(len(rn.Intervals) + 2)
+						deep := rng.IntN(len(rn.all()) + 2)
 						checkAt(t, what, node, rn, deep)
 						checkAt(t, what, node, rn, deep/2)
 					case 2:
-						for i := 0; i <= rng.IntN(len(rn.Intervals)+1); i++ {
+						for i := 0; i <= rng.IntN(len(rn.all())+1); i++ {
 							checkAt(t, what, node, rn, i)
 						}
 					case 3:
-						for i := 0; i <= len(rn.Intervals)+1; i++ {
+						for i := 0; i <= len(rn.all())+1; i++ {
 							checkAt(t, what, node, rn, i)
 						}
 					}
-					if node.Drawn() > len(rn.Intervals) {
-						t.Fatalf("%s node %d: drew %d intervals, Generate has %d", what, id, node.Drawn(), len(rn.Intervals))
+					if node.Drawn() > len(rn.all()) {
+						t.Fatalf("%s node %d: drew %d intervals, Generate has %d", what, id, node.Drawn(), len(rn.all()))
 					}
 				}
 
@@ -101,15 +101,15 @@ func TestOnDemandMatchesGenerate(t *testing.T) {
 				}
 				for id, node := range tr.Nodes {
 					rn := ref.Nodes[id]
-					if node.Drawn() != len(rn.Intervals) {
-						t.Fatalf("%s node %d: %d intervals after the drain, want %d", what, id, node.Drawn(), len(rn.Intervals))
+					if node.Drawn() != len(rn.all()) {
+						t.Fatalf("%s node %d: %d intervals after the drain, want %d", what, id, node.Drawn(), len(rn.all()))
 					}
-					for i := 0; i <= len(rn.Intervals); i++ {
+					for i := 0; i <= len(rn.all()); i++ {
 						checkAt(t, what, node, rn, i)
 					}
-					if n := len(rn.Intervals); n == 0 {
+					if n := len(rn.all()); n == 0 {
 						empty++
-					} else if rn.Intervals[n-1].End == c.length {
+					} else if rn.all()[n-1].End == c.length {
 						clipped++
 					}
 				}
@@ -142,14 +142,14 @@ func TestOnDemandConcurrentReaders(t *testing.T) {
 					node, rn := tr.Nodes[id], ref.Nodes[id]
 					for i := 0; ; i++ {
 						got, ok := node.At(i)
-						if i >= len(rn.Intervals) {
+						if i >= len(rn.all()) {
 							if ok {
-								t.Errorf("%s reader %d node %d: At(%d) = %+v past Generate's %d intervals", p.Name, g, id, i, got, len(rn.Intervals))
+								t.Errorf("%s reader %d node %d: At(%d) = %+v past Generate's %d intervals", p.Name, g, id, i, got, len(rn.all()))
 							}
 							break
 						}
-						if !ok || !sameInterval(got, rn.Intervals[i]) {
-							t.Errorf("%s reader %d node %d: At(%d) = %+v, %v; Generate has %+v", p.Name, g, id, i, got, ok, rn.Intervals[i])
+						if !ok || !sameInterval(got, rn.all()[i]) {
+							t.Errorf("%s reader %d node %d: At(%d) = %+v, %v; Generate has %+v", p.Name, g, id, i, got, ok, rn.all()[i])
 							return
 						}
 					}
@@ -160,5 +160,60 @@ func TestOnDemandConcurrentReaders(t *testing.T) {
 		if got, want := tr.MeasureStats(900), ref.MeasureStats(900); got != want {
 			t.Errorf("%s: stats of the trace read concurrently %+v, of Generate's %+v", p.Name, got, want)
 		}
+	}
+}
+
+// TestOnDemandOneNodeManyReaders starts 8 readers on one open node at once:
+// every reader sees Generate's periods, whichever of them draws them. Run
+// under -race.
+func TestOnDemandOneNodeManyReaders(t *testing.T) {
+	const seed, length, pool = 5, 4 * 86400, 4
+	ref := G5KLyon.Generate(seed, length, pool)
+	for id, rn := range ref.Nodes {
+		want := rn.all()
+		if len(want) < 8 {
+			t.Fatalf("node %d has %d periods; the case needs a node drawn in several extends", id, len(want))
+		}
+		node := G5KLyon.Open(seed, length, pool).Nodes[id]
+		var start, done sync.WaitGroup
+		start.Add(1)
+		for g := 0; g < 8; g++ {
+			done.Add(1)
+			go func() {
+				defer done.Done()
+				start.Wait()
+				for i := 0; i <= len(want); i++ {
+					got, ok := node.At(i)
+					if ok != (i < len(want)) || ok && !sameInterval(got, want[i]) {
+						t.Errorf("reader %d node %d: At(%d) = %+v, %v; Generate has %d periods", g, id, i, got, ok, len(want))
+						return
+					}
+				}
+			}()
+		}
+		start.Done()
+		done.Wait()
+	}
+}
+
+// TestNodeWithoutPeriods pins what a node with no periods answers: a whole
+// node built from nil and a zero Node both read as no periods, drawing
+// nothing.
+func TestNodeWithoutPeriods(t *testing.T) {
+	for what, n := range map[string]*Node{"NewNode(3, 1, nil)": NewNode(3, 1, nil), "Node{}": new(Node)} {
+		if iv, ok := n.At(0); ok || iv != (Interval{}) {
+			t.Errorf("%s: At(0) = %+v, %v; want no period", what, iv, ok)
+		}
+		if n.Drawn() != 0 || len(n.all()) != 0 {
+			t.Errorf("%s: %d periods drawn, %d in all", what, n.Drawn(), len(n.all()))
+		}
+	}
+	tr := &Trace{Name: "empty", Length: 10, Nodes: []*Node{NewNode(0, 1, nil)}}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil || buf.String() != "node_id,power,start,end\n" {
+		t.Fatalf("WriteCSV = %q, %v; want the header alone", buf.String(), err)
 	}
 }

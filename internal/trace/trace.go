@@ -10,7 +10,9 @@
 // and unavailability duration quartiles, and node power mean/std. This
 // package synthesizes traces matched to those statistics via per-node
 // alternating renewal processes with a shared Ornstein–Uhlenbeck duty
-// modulation, and can also load externally-provided traces from CSV.
+// modulation; spot-market traces come from internal/spot. No trace file is
+// read: the Failure Trace Archive and spot-price originals are not in the
+// repository, and a reader for them returns together with committed files.
 //
 // A renewal trace can be opened without being drawn (Profile.Open): each node
 // then draws its periods as far as a simulation reads them through Node.At.
@@ -42,59 +44,71 @@ func (iv Interval) Duration() float64 { return iv.End - iv.Start }
 // instructions per second, "nops/s" in the paper) and the periods during
 // which it is available.
 //
-// Intervals holds the periods of a materialised node (spot, CSV, FTA,
-// Profile.Generate). A node of an on-demand trace (Profile.Open) draws its
-// periods as they are read and leaves Intervals nil: simulations read either
-// kind through At, whole-node readers through the trace's methods.
+// Its periods are read only through an atomically published prefix. A whole
+// node (NewNode, Profile.Generate, the spot market) is born with the prefix
+// marked done. A node of an open trace (Profile.Open) starts with nothing
+// drawn and extends the prefix under its generator's mutex as far as it is
+// read. Simulations read either kind through At, whole-node readers through
+// the trace's methods. A zero Node has no periods.
 type Node struct {
-	ID        int
-	Power     float64
-	Intervals []Interval
+	ID    int
+	Power float64
 
-	gen *nodeGen // nil for a materialised node; never reassigned once shared
+	pub atomic.Pointer[prefix] // nil only on a zero Node
+	gen *nodeGen               // nil on a whole node; never reassigned once shared
+}
+
+// NewNode returns a whole node with the given periods, which it keeps: the
+// caller must not write them afterwards.
+func NewNode(id int, power float64, ivs []Interval) *Node {
+	n := &Node{ID: id, Power: power}
+	n.pub.Store(&prefix{ivs: ivs, done: true})
+	return n
+}
+
+// noPeriods is what a zero Node publishes.
+var noPeriods = prefix{done: true}
+
+// published returns the node's prefix.
+func (n *Node) published() *prefix {
+	if p := n.pub.Load(); p != nil {
+		return p
+	}
+	return &noPeriods
 }
 
 // At returns the node's i-th availability period, or false when it has no
-// more than i. On an on-demand node it draws as far as i needs; any number
-// of goroutines may read the same node at once and all see the same
-// sequence.
+// more than i. On an open node it draws as far as i needs; any number of
+// goroutines may read the same node at once and all see the same sequence.
 func (n *Node) At(i int) (Interval, bool) {
-	ivs := n.Intervals
-	if g := n.gen; g != nil {
-		p := g.pub.Load()
-		if i >= len(p.ivs) && !p.done {
-			p = g.extend(i + 1)
-		}
-		ivs = p.ivs
+	p := n.published()
+	if i >= len(p.ivs) && !p.done {
+		p = n.extend(i + 1)
 	}
-	if i < len(ivs) {
-		return ivs[i], true
+	if i < len(p.ivs) {
+		return p.ivs[i], true
 	}
 	return Interval{}, false
 }
 
 // Drawn returns how many of the node's periods are resident now, without
-// drawing any: all of them for a materialised node.
-func (n *Node) Drawn() int {
-	if n.gen != nil {
-		return len(n.gen.pub.Load().ivs)
-	}
-	return len(n.Intervals)
-}
+// drawing any: all of them for a whole node.
+func (n *Node) Drawn() int { return len(n.published().ivs) }
 
-// all returns every period of the node, drawing an on-demand node to the end
-// of its trace first, so a whole-node reader never sees a partial sequence.
+// all returns every period of the node, drawing an open node to the end of
+// its trace first, so a whole-node reader never sees a partial sequence.
 func (n *Node) all() []Interval {
-	if n.gen != nil {
-		return n.gen.extend(math.MaxInt).ivs
+	p := n.published()
+	if !p.done {
+		p = n.extend(math.MaxInt)
 	}
-	return n.Intervals
+	return p.ivs
 }
 
-// Trace is a BE-DCI availability trace: complete when materialised, drawn
-// node by node as far as it is read when opened on demand (Profile.Open).
-// Validate, MeasureStats and WriteCSV read whole nodes and so
-// draw an on-demand trace to its end; Bytes never draws.
+// Trace is a BE-DCI availability trace: complete when its nodes are whole,
+// drawn node by node as far as it is read when opened (Profile.Open).
+// Validate, MeasureStats and WriteCSV read whole nodes and so draw an open
+// trace to its end; Bytes never draws.
 type Trace struct {
 	Name   string
 	Length float64 // seconds
@@ -137,18 +151,17 @@ func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Bytes estimates the resident heap size of the trace in bytes: the
 // dominant term is 16 bytes per interval (two float64s), plus fixed
-// per-node and per-trace overheads for the structs, slice headers and
-// pointers that hold them. It counts the intervals resident now and never
-// draws: on an on-demand trace it grows as cells read deeper. The estimate is
-// a pure function of the trace's shape and of how far it was read, so
-// byte-budgeted admission decisions (the campaign trace cache) do not depend
-// on the platform.
+// per-node and per-trace overheads for the structs and pointers that hold
+// them. It counts the intervals resident now and never draws: on an open
+// trace it grows as cells read deeper. The estimate is a pure function of
+// the trace's shape and of how far it was read, so byte-budgeted admission
+// decisions (the campaign trace cache) do not depend on the platform.
 func (t *Trace) Bytes() int64 {
 	const (
-		intervalBytes = 16  // Interval{Start, End float64}
-		nodeBytes     = 48  // Node struct + slice header + *Node in Trace.Nodes
-		genBytes      = 160 // nodeGen + its RNG + one published prefix header
-		traceBytes    = 64  // Trace struct + Nodes slice header
+		intervalBytes = 16 // Interval{Start, End float64}
+		nodeBytes     = 72 // Node struct (32) + *Node in Trace.Nodes (8) + its published prefix (32)
+		genBytes      = 96 // nodeGen (48) + its RNG, rand.Rand and PCG (16 each)
+		traceBytes    = 64 // Trace struct + Nodes slice header
 	)
 	n := int64(traceBytes) + int64(len(t.Name))
 	for _, node := range t.Nodes {
@@ -253,10 +266,10 @@ func firstAtOrAfter(grid []float64, step, x float64) int {
 	return k
 }
 
-// Source produces traces; implemented by renewal Profiles here and by the
-// spot-market generator in internal/spot.
+// Source produces whole traces, every node born with all of its periods:
+// renewal Profiles implement it here (Profile.Open is their on-demand
+// form), and the spot market in internal/spot.
 type Source interface {
-	TraceName() string
 	// Generate synthesizes a trace of the given length (seconds) from the
 	// seed. Pool limits the number of nodes generated; pool <= 0 uses the
 	// source's full published pool.
@@ -276,9 +289,6 @@ type Profile struct {
 	Unavail    stats.QuartileDist // unavailability durations (Table 2, seconds)
 	Power      stats.Dist         // per-node power, nops/s
 }
-
-// TraceName implements Source.
-func (p Profile) TraceName() string { return p.Name }
 
 // DutyCycle returns the stationary fraction of time a node is available,
 // implied by MeanNodes over the full pool.
@@ -342,13 +352,11 @@ var nothingDrawn prefix
 // nodeGen is one node's alternating renewal process, resumable: it draws
 // only as far as the node is read. A trace is shared by every cell of its
 // environment running at once (and by the shard goroutines of one cell), so
-// readers index the atomically published prefix without writing shared
-// memory, and only drawing further takes the mutex. A longer prefix reuses
-// the array of the shorter ones: the elements a reader can index are never
-// written again.
+// readers index the node's atomically published prefix without writing
+// shared memory, and only drawing further takes the mutex. A longer prefix
+// reuses the array of the shorter ones: the elements a reader can index are
+// never written again.
 type nodeGen struct {
-	pub atomic.Pointer[prefix]
-
 	*renewal // shared, read-only
 
 	mu        sync.Mutex // guards the process state below
@@ -410,20 +418,21 @@ func (p Profile) Open(seed uint64, length float64, pool int) *Trace {
 			g.epochEnd = r.ExpFloat64() * mean // memoryless residual
 		}
 		g.available = g.enrolled && r.Float64() < rn.withinDuty
-		g.pub.Store(&nothingDrawn)
+		node.pub.Store(&nothingDrawn)
 		tr.Nodes[id] = node
 	}
 	return tr
 }
 
-// extend draws until the node has want periods or its process reaches the
-// trace length, and returns the published prefix. It draws at least as many
-// periods again as the node already has, so reading a node ever deeper takes
-// the mutex a logarithmic number of times.
-func (g *nodeGen) extend(want int) *prefix {
+// extend draws until the open node has want periods or its process reaches
+// the trace length, and publishes and returns the longer prefix. It draws at
+// least as many periods again as the node already has, so reading a node
+// ever deeper takes the mutex a logarithmic number of times.
+func (n *Node) extend(want int) *prefix {
+	g := n.gen
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	p := g.pub.Load()
+	p := n.pub.Load()
 	if len(p.ivs) >= want || p.done {
 		return p
 	}
@@ -469,7 +478,7 @@ func (g *nodeGen) extend(want int) *prefix {
 		g.first = false
 	}
 	p = &prefix{ivs: ivs, done: g.t >= g.length}
-	g.pub.Store(p)
+	n.pub.Store(p)
 	return p
 }
 
@@ -480,7 +489,7 @@ func (g *nodeGen) extend(want int) *prefix {
 // the node-count variability of the original traces (diurnal volunteer
 // churn, grid job bursts). It is Open drawn to the end: nodes are drawn
 // concurrently, each from its own stream, so the trace is bit-identical at
-// any worker count, and it is returned materialised, the generators dropped.
+// any worker count, and every node is returned whole, its generator dropped.
 func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
 	tr := p.Open(seed, length, pool)
 	pool = len(tr.Nodes)
@@ -498,7 +507,8 @@ func (p Profile) Generate(seed uint64, length float64, pool int) *Trace {
 					return
 				}
 				for _, n := range tr.Nodes[lo:min(lo+genChunk, pool)] {
-					n.Intervals, n.gen = n.all(), nil
+					n.all()
+					n.gen = nil
 				}
 			}
 		}()

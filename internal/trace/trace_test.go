@@ -3,15 +3,14 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/csv"
 	"encoding/hex"
 	"math"
-	"reflect"
 	"runtime"
-	"strings"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
-
-	"spequlos/internal/stats"
 )
 
 func TestGenerateValidates(t *testing.T) {
@@ -36,11 +35,11 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a.Nodes[i].Power != b.Nodes[i].Power {
 			t.Fatal("powers differ for same seed")
 		}
-		if len(a.Nodes[i].Intervals) != len(b.Nodes[i].Intervals) {
+		if len(a.Nodes[i].all()) != len(b.Nodes[i].all()) {
 			t.Fatal("interval counts differ for same seed")
 		}
-		for j := range a.Nodes[i].Intervals {
-			if a.Nodes[i].Intervals[j] != b.Nodes[i].Intervals[j] {
+		for j := range a.Nodes[i].all() {
+			if a.Nodes[i].all()[j] != b.Nodes[i].all()[j] {
 				t.Fatal("intervals differ for same seed")
 			}
 		}
@@ -48,7 +47,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	c := SETI.Generate(43, 86400, 32)
 	diff := false
 	for i := range a.Nodes {
-		if len(a.Nodes[i].Intervals) != len(c.Nodes[i].Intervals) {
+		if len(a.Nodes[i].all()) != len(c.Nodes[i].all()) {
 			diff = true
 			break
 		}
@@ -134,8 +133,8 @@ func TestPowerDistribution(t *testing.T) {
 // end instant.
 func TestConcurrencyAt(t *testing.T) {
 	tr := &Trace{Name: "x", Length: 100, Nodes: []*Node{
-		{ID: 0, Power: 1, Intervals: []Interval{{0, 50}}},
-		{ID: 1, Power: 1, Intervals: []Interval{{25, 75}}},
+		NewNode(0, 1, []Interval{{0, 50}}),
+		NewNode(1, 1, []Interval{{25, 75}}),
 	}}
 	// Samples at 10, 20, …, 90: 1 1 2 2 1 1 1 0 0.
 	if c := tr.MeasureStats(10).Concurrency; c.N != 9 || c.Max != 2 || c.Min != 0 || c.Sum != 9 {
@@ -145,22 +144,22 @@ func TestConcurrencyAt(t *testing.T) {
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	good := &Trace{Name: "g", Length: 100, Nodes: []*Node{
-		{ID: 0, Power: 1, Intervals: []Interval{{0, 10}, {20, 30}}},
+		NewNode(0, 1, []Interval{{0, 10}, {20, 30}}),
 	}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
 	bad := []*Trace{
-		{Name: "overlap", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{0, 10}, {5, 30}}}}},
-		{Name: "empty", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{10, 10}}}}},
-		{Name: "outside", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{90, 200}}}}},
-		{Name: "power", Length: 100, Nodes: []*Node{{ID: 0, Power: 0, Intervals: []Interval{{0, 10}}}}},
+		{Name: "overlap", Length: 100, Nodes: []*Node{NewNode(0, 1, []Interval{{0, 10}, {5, 30}})}},
+		{Name: "empty", Length: 100, Nodes: []*Node{NewNode(0, 1, []Interval{{10, 10}})}},
+		{Name: "outside", Length: 100, Nodes: []*Node{NewNode(0, 1, []Interval{{90, 200}})}},
+		{Name: "power", Length: 100, Nodes: []*Node{NewNode(0, 0, []Interval{{0, 10}})}},
 		// A NaN fails every comparison, so each needs a check of its own.
-		{Name: "NaN power", Length: 100, Nodes: []*Node{{ID: 0, Power: math.NaN(), Intervals: []Interval{{0, 10}}}}},
-		{Name: "infinite power", Length: 100, Nodes: []*Node{{ID: 0, Power: math.Inf(1), Intervals: []Interval{{0, 10}}}}},
-		{Name: "NaN start", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{math.NaN(), 10}}}}},
-		{Name: "NaN end", Length: 100, Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{0, math.NaN()}}}}},
-		{Name: "infinite length", Length: math.Inf(1), Nodes: []*Node{{ID: 0, Power: 1, Intervals: []Interval{{0, math.Inf(1)}}}}},
+		{Name: "NaN power", Length: 100, Nodes: []*Node{NewNode(0, math.NaN(), []Interval{{0, 10}})}},
+		{Name: "infinite power", Length: 100, Nodes: []*Node{NewNode(0, math.Inf(1), []Interval{{0, 10}})}},
+		{Name: "NaN start", Length: 100, Nodes: []*Node{NewNode(0, 1, []Interval{{math.NaN(), 10}})}},
+		{Name: "NaN end", Length: 100, Nodes: []*Node{NewNode(0, 1, []Interval{{0, math.NaN()}})}},
+		{Name: "infinite length", Length: math.Inf(1), Nodes: []*Node{NewNode(0, 1, []Interval{{0, math.Inf(1)}})}},
 	}
 	for _, tr := range bad {
 		if err := tr.Validate(); err == nil {
@@ -181,66 +180,75 @@ func TestGenerateInvariantsProperty(t *testing.T) {
 	}
 }
 
+// TestCSVRoundTrip parses what WriteCSV writes for a generated trace and
+// finds every node's power and periods again, to the bit, in trace order; a
+// node without periods writes no row.
 func TestCSVRoundTrip(t *testing.T) {
 	tr := NotreDame.Generate(5, 86400, 16)
 	var buf bytes.Buffer
 	if err := tr.WriteCSV(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, "nd")
+	rows, err := csv.NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Nodes) == 0 {
-		t.Fatal("round trip lost all nodes")
+	if len(rows) == 0 || !slices.Equal(rows[0], []string{"node_id", "power", "start", "end"}) {
+		t.Fatalf("header %v", rows[:min(1, len(rows))])
 	}
-	// Compare node-by-node (nodes with zero intervals are dropped by CSV,
-	// which is acceptable: they never affect a simulation).
-	orig := map[int]*Node{}
+	rows = rows[1:]
+	parse := func(s string) float64 {
+		v, err := strconv.ParseFloat(s, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	empty := 0
 	for _, n := range tr.Nodes {
-		if len(n.Intervals) > 0 {
-			orig[n.ID] = n
+		ivs := n.all()
+		if len(ivs) == 0 {
+			empty++
 		}
-	}
-	if len(back.Nodes) != len(orig) {
-		t.Fatalf("round trip: %d nodes, want %d", len(back.Nodes), len(orig))
-	}
-	for _, n := range back.Nodes {
-		o := orig[n.ID]
-		if o == nil {
-			t.Fatalf("unexpected node %d", n.ID)
-		}
-		if n.Power != o.Power || len(n.Intervals) != len(o.Intervals) {
-			t.Fatalf("node %d mismatch after round trip", n.ID)
-		}
-		for j := range n.Intervals {
-			if n.Intervals[j] != o.Intervals[j] {
-				t.Fatalf("node %d interval %d mismatch", n.ID, j)
+		for _, iv := range ivs {
+			if len(rows) == 0 {
+				t.Fatalf("node %d: rows ran out", n.ID)
+			}
+			row := rows[0]
+			rows = rows[1:]
+			back := Interval{parse(row[2]), parse(row[3])}
+			if row[0] != strconv.Itoa(n.ID) || parse(row[1]) != n.Power || !sameInterval(back, iv) {
+				t.Fatalf("node %d period %+v (power %v) reads back as %v", n.ID, iv, n.Power, row)
 			}
 		}
 	}
+	if len(rows) != 0 {
+		t.Fatalf("%d rows past the last period", len(rows))
+	}
+	if empty == 0 || empty == len(tr.Nodes) {
+		t.Fatalf("%d of %d nodes without periods; the case needs some of each", empty, len(tr.Nodes))
+	}
 }
 
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"node_id,power,start,end\nx,1,0,10\n",
-		"node_id,power,start,end\n0,abc,0,10\n",
-		"node_id,power,start,end\n0,1,10,5\n", // end before start -> invalid interval
-		// Numbers that parse but are not finite: an inf end would make
-		// Length +Inf, and MeasureStats' grid endless.
-		"node_id,power,start,end\n0,1,0,NaN\n",
-		"node_id,power,start,end\n0,1,NaN,10\n",
-		"node_id,power,start,end\n0,1,0,inf\n",
-		"node_id,power,start,end\n0,NaN,0,10\n",
-		"node_id,power,start,end\n0,+Inf,0,10\n",
-		"node_id,power,start,end\n0,1,0,10\n0,1,20,nan\n1,2,5,30\n",
-		"node_id,power,start,end\n0,1,0,10\n0,2,20,30\n", // node 0's rows disagree on power
+// TestWriteCSVBytes pins WriteCSV's bytes on a hand-built trace: the
+// header, nodes in trace order (not by id), each node's periods in order, a
+// node without periods writing no row, and floats in the shortest 'g' form.
+func TestWriteCSVBytes(t *testing.T) {
+	tr := &Trace{Name: "csv", Length: 2e6, Nodes: []*Node{
+		NewNode(7, 2500.5, []Interval{{0, 0.1}, {3600, 1e6}}),
+		NewNode(2, 1e21, nil),
+		NewNode(3, 1000, []Interval{{1.5e-7, 123456789.25}}),
+	}}
+	var buf bytes.Buffer
+	if err := tr.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
 	}
-	for i, c := range cases {
-		if _, err := ReadCSV(bytes.NewBufferString(c), "bad"); err == nil {
-			t.Errorf("case %d: error expected", i)
-		}
+	const want = "node_id,power,start,end\n" +
+		"7,2500.5,0,0.1\n" +
+		"7,2500.5,3600,1e+06\n" +
+		"3,1000,1.5e-07,1.2345678925e+08\n"
+	if got := buf.String(); got != want {
+		t.Fatalf("WriteCSV wrote\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -265,65 +273,20 @@ func BenchmarkGenerateG5KLyon(b *testing.B) {
 	}
 }
 
-func TestReadFTA(t *testing.T) {
-	input := `# Failure Trace Archive event log
-% node   start   end     platform
-hostA    0       3600    seti
-hostB    100     200     seti
-hostA    4000    5000    seti
-hostB    150     400     seti
-`
-	tr, err := ReadFTA(strings.NewReader(input), "fta-test",
-		stats.Constant{Value: 1000}, 1)
-	if err != nil {
-		t.Fatal(err)
+// sameTrace reports whether two traces have the same name, length, nodes
+// and periods, every float to the bit.
+func sameTrace(a, b *Trace) bool {
+	if a.Name != b.Name || a.Length != b.Length || len(a.Nodes) != len(b.Nodes) {
+		return false
 	}
-	if len(tr.Nodes) != 2 {
-		t.Fatalf("nodes = %d, want 2", len(tr.Nodes))
-	}
-	if tr.Length != 5000 {
-		t.Fatalf("length = %v, want 5000", tr.Length)
-	}
-	// hostA keeps two intervals; hostB's overlapping events merge into one.
-	if got := len(tr.Nodes[0].Intervals); got != 2 {
-		t.Fatalf("hostA intervals = %d, want 2", got)
-	}
-	if got := tr.Nodes[1].Intervals; len(got) != 1 || got[0] != (Interval{Start: 100, End: 400}) {
-		t.Fatalf("hostB merge wrong: %+v", got)
-	}
-	for _, n := range tr.Nodes {
-		if n.Power != 1000 {
-			t.Fatalf("power not sampled: %v", n.Power)
+	for i, n := range a.Nodes {
+		o := b.Nodes[i]
+		if n.ID != o.ID || math.Float64bits(n.Power) != math.Float64bits(o.Power) ||
+			!slices.EqualFunc(n.all(), o.all(), sameInterval) {
+			return false
 		}
 	}
-}
-
-func TestReadFTAErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"hostA 0\n",
-		"hostA x 10\n",
-		"hostA 0 y\n",
-		"hostA 10 10\n",
-	}
-	for i, c := range cases {
-		if _, err := ReadFTA(strings.NewReader(c), "bad", stats.Constant{Value: 1}, 1); err == nil {
-			t.Errorf("case %d: error expected", i)
-		}
-	}
-}
-
-func TestReadFTADeterministicPowers(t *testing.T) {
-	input := "h 0 10\n"
-	d := stats.TruncatedNormal{Mu: 1000, Sigma: 250, Lo: 100, Hi: 4000}
-	a, err := ReadFTA(strings.NewReader(input), "x", d, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := ReadFTA(strings.NewReader(input), "x", d, 9)
-	if a.Nodes[0].Power != b.Nodes[0].Power {
-		t.Fatal("same seed gave different powers")
-	}
+	return true
 }
 
 // TestGenerateParallelDeterminism pins that Generate is bit-identical at any
@@ -357,7 +320,7 @@ func TestGenerateParallelDeterminism(t *testing.T) {
 			}
 			if ref == nil {
 				ref = tr
-			} else if !reflect.DeepEqual(ref, tr) {
+			} else if !sameTrace(ref, tr) {
 				t.Fatalf("%s: trace at GOMAXPROCS %d differs from GOMAXPROCS 1", c.p.Name, procs)
 			}
 		}
